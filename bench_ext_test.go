@@ -88,7 +88,9 @@ func BenchmarkBatchSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				idx.BatchSearch(queries, benchK, benchLambda, false, workers, nil)
+				if _, err := idx.DoBatch(BatchSearchRequest{Queries: queries, K: benchK, Lambda: benchLambda, Parallelism: workers}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -114,7 +114,7 @@ func BenchmarkDot(b *testing.B) {
 // BenchmarkSearch measures steady-state exact k-NN on the default
 // 20k-object setup (k=50, λ=0.5). "alloc" returns a fresh result slice
 // per query (the plain Search API); "into" appends into a reused buffer
-// (SearchInto) and is the zero-alloc steady state.
+// (SearchOptionsInto) and is the zero-alloc steady state.
 func BenchmarkSearch(b *testing.B) {
 	e := getEnv(b, dataset.TwitterLike, hotpathSize, core.Config{})
 	b.Run("alloc", func(b *testing.B) {
@@ -127,7 +127,7 @@ func BenchmarkSearch(b *testing.B) {
 		b.ReportAllocs()
 		var buf []Result
 		for i := 0; i < b.N; i++ {
-			buf = e.idx.SearchInto(buf[:0], e.query(i), benchK, benchLambda, nil)
+			buf = e.idx.SearchOptionsInto(buf[:0], e.query(i), benchK, benchLambda, core.SearchOptions{}, nil)
 		}
 	})
 }
@@ -142,7 +142,7 @@ func BenchmarkSearchApprox20k(b *testing.B) {
 }
 
 // BenchmarkSearchBatch measures the batched API: one call answering 64
-// queries across a bounded worker pool with per-worker scratch reuse.
+// queries across a bounded worker pool.
 func BenchmarkSearchBatch(b *testing.B) {
 	e := getEnv(b, dataset.TwitterLike, hotpathSize, core.Config{})
 	queries := e.queries
@@ -150,7 +150,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.idx.SearchBatch(queries, benchK, benchLambda, workers, false, nil); err != nil {
+				if _, err := e.idx.SearchBatch(queries, benchK, benchLambda, workers, core.SearchOptions{}, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

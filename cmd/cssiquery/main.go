@@ -83,13 +83,19 @@ func main() {
 
 	var stExact cssi.Stats
 	t0 := time.Now()
-	exact := idx.SearchStats(q, *k, *lambda, &stExact)
+	exact, err := idx.Do(cssi.SearchRequest{Query: q, K: *k, Lambda: *lambda, Stats: &stExact})
 	exactTime := time.Since(t0)
+	if err != nil {
+		fail(err)
+	}
 
 	var stApprox cssi.Stats
 	t0 = time.Now()
-	approx := idx.SearchApproxStats(q, *k, *lambda, &stApprox)
+	approx, err := idx.Do(cssi.SearchRequest{Query: q, K: *k, Lambda: *lambda, Approx: true, Stats: &stApprox})
 	approxTime := time.Since(t0)
+	if err != nil {
+		fail(err)
+	}
 
 	fmt.Printf("CSSI (exact, %v): visited %d of %d objects (inter-pruned %d, intra-pruned %d)\n",
 		exactTime.Round(time.Microsecond), stExact.VisitedObjects, ds.Len(), stExact.InterPruned, stExact.IntraPruned)

@@ -120,10 +120,6 @@ func resolveDeltaThreshold(t int) int64 {
 	}
 }
 
-// ErrInvalidK is returned by the batched read entry points when the
-// requested neighbor count is not positive.
-var ErrInvalidK = errors.New("cssi: k must be >= 1")
-
 // Concurrent wraps idx. The wrapped Index must not be mutated directly
 // afterwards — all writes must go through the wrapper. (Read-only use
 // of idx itself remains safe: published snapshots are immutable.)
@@ -168,7 +164,7 @@ func (c *ConcurrentIndex) SnapshotAge() time.Duration {
 
 // Snapshot returns the currently published index. The snapshot is
 // immutable: it serves any number of concurrent read-only calls
-// (Search, SearchBatch, Object, SearchWithKeywords, ...) at one
+// (Do, DoBatch, Object, RangeSearch, ...) at one
 // consistent point in time, and it stays valid — and unchanged — for
 // as long as the caller retains it, no matter how many writes or
 // rebuilds are published after. Mutating methods must never be called
@@ -176,29 +172,14 @@ func (c *ConcurrentIndex) SnapshotAge() time.Duration {
 func (c *ConcurrentIndex) Snapshot() *Index { return c.cur.Load() }
 
 // Search is Index.Search against the current snapshot (lock-free).
-//
-// Deprecated: use Do with a SearchRequest.
 func (c *ConcurrentIndex) Search(q *Object, k int, lambda float64) []Result {
 	return mustResults(c.Do(SearchRequest{Query: q, K: k, Lambda: lambda}))
 }
 
 // SearchApprox is Index.SearchApprox against the current snapshot
 // (lock-free).
-//
-// Deprecated: use Do with SearchRequest.Approx.
 func (c *ConcurrentIndex) SearchApprox(q *Object, k int, lambda float64) []Result {
 	return mustResults(c.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: true}))
-}
-
-// SearchExplain is Index.SearchExplain against the current snapshot
-// (lock-free): results identical to Search/SearchApprox plus the
-// per-query search-internals trace.
-//
-// Deprecated: use Do with SearchRequest.Explain.
-func (c *ConcurrentIndex) SearchExplain(q *Object, k int, lambda float64, approx bool) ([]Result, ExplainStats) {
-	var es ExplainStats
-	res := mustResults(c.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: approx, Explain: &es}))
-	return res, es
 }
 
 // RangeSearch is Index.RangeSearch against the current snapshot
@@ -211,28 +192,6 @@ func (c *ConcurrentIndex) RangeSearch(q *Object, r, lambda float64) []Result {
 // (lock-free).
 func (c *ConcurrentIndex) SearchInBox(q *Object, loX, loY, hiX, hiY float64, k int) []Result {
 	return c.cur.Load().SearchInBox(q, loX, loY, hiX, hiY, k)
-}
-
-// SearchBatch answers many exact k-NN queries against one snapshot:
-// the whole batch runs to completion against the snapshot it loaded,
-// even while writers publish newer ones concurrently. An empty batch
-// returns an empty result without spinning up workers; k <= 0 returns
-// ErrInvalidK instead of silently producing empty per-query slices.
-//
-// Deprecated: use DoBatch with a BatchSearchRequest.
-func (c *ConcurrentIndex) SearchBatch(queries []Object, k int, lambda float64) ([][]Result, error) {
-	return c.DoBatch(BatchSearchRequest{Queries: queries, K: k, Lambda: lambda})
-}
-
-// BatchSearch is SearchBatch with the approximate variant, explicit
-// parallelism, and work counters.
-//
-// Deprecated: use DoBatch with a BatchSearchRequest.
-func (c *ConcurrentIndex) BatchSearch(queries []Object, k int, lambda float64, approx bool, parallelism int, st *Stats) ([][]Result, error) {
-	return c.DoBatch(BatchSearchRequest{
-		Queries: queries, K: k, Lambda: lambda,
-		Approx: approx, Parallelism: parallelism, Stats: st,
-	})
 }
 
 // Len returns the live object count of the current snapshot.
@@ -500,10 +459,8 @@ func (c *ConcurrentIndex) RouterTrained() bool {
 
 // SearchWithKeywords is Index.SearchWithKeywords against the current
 // snapshot (lock-free).
-//
-// Deprecated: use Do with SearchRequest.Keywords.
 func (c *ConcurrentIndex) SearchWithKeywords(q *Object, k int, lambda float64, keywords ...string) ([]Result, bool) {
-	return c.cur.Load().SearchWithKeywords(q, k, lambda, keywords...)
+	return keywordSearch(c.Do, q, k, lambda, keywords)
 }
 
 // Rebuild reconstructs the index from scratch over the live objects

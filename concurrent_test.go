@@ -1,8 +1,11 @@
 package cssi
 
 import (
+	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestConcurrentIndexMixedWorkload(t *testing.T) {
@@ -65,29 +68,26 @@ func TestBatchSearchInputValidation(t *testing.T) {
 	c := Concurrent(mustBuild(t, ds, Options{Seed: 5}))
 	queries := ds.SampleQueries(4, 2)
 
-	if got, err := c.SearchBatch(nil, 5, 0.5); err != nil || got == nil || len(got) != 0 {
+	if got, err := c.DoBatch(BatchSearchRequest{Queries: nil, K: 5, Lambda: 0.5}); err != nil || got == nil || len(got) != 0 {
 		t.Fatalf("empty batch: got %v, err %v", got, err)
 	}
-	if got, err := c.BatchSearch([]Object{}, 5, 0.5, true, 2, nil); err != nil || got == nil || len(got) != 0 {
-		t.Fatalf("empty BatchSearch: got %v, err %v", got, err)
+	if got, err := c.DoBatch(BatchSearchRequest{Queries: []Object{}, K: 5, Lambda: 0.5, Approx: true, Parallelism: 2}); err != nil || got == nil || len(got) != 0 {
+		t.Fatalf("empty approx batch: got %v, err %v", got, err)
 	}
 	for _, k := range []int{0, -3} {
-		if _, err := c.SearchBatch(queries, k, 0.5); err != ErrInvalidK {
+		if _, err := c.DoBatch(BatchSearchRequest{Queries: queries, K: k, Lambda: 0.5}); !errors.Is(err, ErrInvalidK) {
 			t.Fatalf("k=%d: err %v, want ErrInvalidK", k, err)
-		}
-		if _, err := c.BatchSearch(queries, k, 0.5, false, 0, nil); err != ErrInvalidK {
-			t.Fatalf("k=%d BatchSearch: err %v, want ErrInvalidK", k, err)
 		}
 	}
 	// The core entry point agrees (no worker pool is started either way).
-	if out, err := c.Snapshot().core.SearchBatch(nil, 3, 0.5, 0, false, nil); err != nil || len(out) != 0 {
+	if out, err := c.Snapshot().core.SearchBatch(nil, 3, 0.5, 0, core.SearchOptions{}, nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("core empty batch: %v, err %v", out, err)
 	}
-	if _, err := c.Snapshot().core.SearchBatch(nil, 0, 0.5, 0, false, nil); err == nil {
+	if _, err := c.Snapshot().core.SearchBatch(nil, 0, 0.5, 0, core.SearchOptions{}, nil, nil); err == nil {
 		t.Fatal("core accepted k=0")
 	}
 	// Valid input still works.
-	got, err := c.SearchBatch(queries, 3, 0.5)
+	got, err := c.DoBatch(BatchSearchRequest{Queries: queries, K: 3, Lambda: 0.5})
 	if err != nil || len(got) != len(queries) {
 		t.Fatalf("valid batch: %d sets, err %v", len(got), err)
 	}
@@ -112,6 +112,16 @@ func TestConcurrentObjectCopy(t *testing.T) {
 	if got.X != 0.777 {
 		t.Fatal("update not visible")
 	}
+}
+
+// mustDoBatch is the exact DoBatch of queries on a flat index.
+func mustDoBatch(t *testing.T, idx *Index, queries []Object, k int, lambda float64) [][]Result {
+	t.Helper()
+	out, err := idx.DoBatch(BatchSearchRequest{Queries: queries, K: k, Lambda: lambda})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func mustBuild(t *testing.T, ds *Dataset, opts Options) *Index {
@@ -191,7 +201,7 @@ func TestConcurrentBatchStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				if g%2 == 0 {
-					got, err := c.SearchBatch(queries, 5, 0.5)
+					got, err := c.DoBatch(BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5})
 					if err != nil {
 						t.Errorf("batch: %v", err)
 						return
@@ -202,7 +212,7 @@ func TestConcurrentBatchStress(t *testing.T) {
 					}
 				} else {
 					var st Stats
-					if _, err := c.BatchSearch(queries, 5, 0.5, true, 1+i%4, &st); err != nil {
+					if _, err := c.DoBatch(BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5, Approx: true, Parallelism: 1 + i%4, Stats: &st}); err != nil {
 						t.Errorf("batch: %v", err)
 						return
 					}
@@ -260,7 +270,7 @@ func TestConcurrentBatchStress(t *testing.T) {
 	wg.Wait()
 	// The index must still be coherent: a batch against the final state
 	// agrees with sequential search.
-	final, err := c.SearchBatch(queries, 5, 0.5)
+	final, err := c.DoBatch(BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5})
 	if err != nil {
 		t.Fatalf("final batch: %v", err)
 	}
@@ -284,7 +294,7 @@ func TestSnapshotPinsState(t *testing.T) {
 
 	snap := c.Snapshot()
 	wantLen := snap.Len()
-	want := snap.SearchBatch(queries, 5, 0.5)
+	want := mustDoBatch(t, snap, queries, 5, 0.5)
 
 	// Publish a burst of writes (including deletions of the nearest
 	// neighbours the snapshot returned, which MUST stay visible in it).
@@ -304,7 +314,7 @@ func TestSnapshotPinsState(t *testing.T) {
 	if snap.Len() != wantLen {
 		t.Fatalf("snapshot Len moved: %d, want %d", snap.Len(), wantLen)
 	}
-	got := snap.SearchBatch(queries, 5, 0.5)
+	got := mustDoBatch(t, snap, queries, 5, 0.5)
 	for qi := range queries {
 		if len(got[qi]) != len(want[qi]) {
 			t.Fatalf("query %d: %d results, want %d", qi, len(got[qi]), len(want[qi]))
@@ -482,7 +492,7 @@ func TestConcurrentRebuildStress(t *testing.T) {
 					t.Errorf("search returned %d", len(got))
 					return
 				}
-				if got, err := c.SearchBatch(queries, 3, 0.5); err != nil || len(got) != len(queries) {
+				if got, err := c.DoBatch(BatchSearchRequest{Queries: queries, K: 3, Lambda: 0.5}); err != nil || len(got) != len(queries) {
 					t.Errorf("batch returned %d sets (err %v)", len(got), err)
 					return
 				}
@@ -565,7 +575,7 @@ func TestConcurrentRebuildStress(t *testing.T) {
 	}
 	// Coherence: batch against the final snapshot agrees with
 	// sequential search against the same snapshot.
-	final := snap.SearchBatch(queries, 5, 0.5)
+	final := mustDoBatch(t, snap, queries, 5, 0.5)
 	for qi := range queries {
 		seq := snap.Search(&queries[qi], 5, 0.5)
 		for i := range seq {

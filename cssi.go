@@ -53,8 +53,9 @@ type Result = knn.Result
 // calculation counts.
 type Stats = metric.Stats
 
-// ExplainStats is the per-query search-internals trace SearchExplain
-// fills: the Stats work counters plus clusters ordered, early-abandon
+// ExplainStats is the per-query search-internals trace
+// SearchRequest.Explain fills: the Stats work counters plus clusters
+// ordered, early-abandon
 // kernel exits, the final k-NN bound, and per-phase wall time. See
 // internal/obs for the derived read-efficiency and prune-ratio metrics.
 type ExplainStats = obs.SearchStats
@@ -219,88 +220,20 @@ func Build(ds *Dataset, opts Options) (*Index, error) {
 
 // Search returns the exact k nearest neighbors of q under
 // d = λ·ds + (1−λ)·dt (the CSSI algorithm, provably correct per
-// Lemma 4.7). λ must lie in [0,1].
-//
-// Deprecated: use Do with a SearchRequest; Search is a thin wrapper
-// kept for compatibility.
+// Lemma 4.7) — the quickstart form of Do, which adds every per-request
+// knob (work counters, result buffers, explain, budgets). A nil or
+// wrong-dimension query, k < 1, or λ outside [0,1] panics; use Do to
+// get them as typed errors.
 func (x *Index) Search(q *Object, k int, lambda float64) []Result {
 	return mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda}))
 }
 
-// SearchStats is Search with work counters: if st is non-nil it
-// accumulates visited-object and pruning statistics.
-//
-// Deprecated: use Do with SearchRequest.Stats.
-func (x *Index) SearchStats(q *Object, k int, lambda float64, st *Stats) []Result {
-	return mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Stats: st}))
-}
-
-// SearchInto is Search appending its results to dst (typically dst[:0]
-// of a buffer retained across queries). With sufficient dst capacity a
-// steady-state call performs zero heap allocations — per-query scratch
-// comes from an internal pool. If st is non-nil it accumulates work
-// counters.
-//
-// Deprecated: use Do with SearchRequest.Dst.
-func (x *Index) SearchInto(dst []Result, q *Object, k int, lambda float64, st *Stats) []Result {
-	return mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Dst: dst, Stats: st}))
-}
-
-// SearchApproxInto is SearchInto for the approximate CSSIA algorithm.
-//
-// Deprecated: use Do with SearchRequest.Approx and SearchRequest.Dst.
-func (x *Index) SearchApproxInto(dst []Result, q *Object, k int, lambda float64, st *Stats) []Result {
-	return mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: true, Dst: dst, Stats: st}))
-}
-
-// SearchExplain answers one k-NN query — exact CSSI when approx is
-// false, approximate CSSIA when true — and returns the per-query
-// search-internals trace alongside the results. The results are
-// bit-identical to Search / SearchApprox: the explain path only reads
-// counters the algorithms already maintain. Collection costs a handful
-// of time.Now calls per query; the normal Search path is untouched.
-//
-// Deprecated: use Do with SearchRequest.Explain.
-func (x *Index) SearchExplain(q *Object, k int, lambda float64, approx bool) ([]Result, ExplainStats) {
-	var es ExplainStats
-	res := mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: approx, Explain: &es}))
-	return res, es
-}
-
-// SearchExplainInto is SearchExplain appending the results to dst and
-// accumulating the trace into es (reuse with es.Reset for a
-// zero-allocation steady state).
-//
-// Deprecated: use Do with SearchRequest.Dst and SearchRequest.Explain.
-func (x *Index) SearchExplainInto(dst []Result, q *Object, k int, lambda float64, approx bool, es *ExplainStats) []Result {
-	return mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: approx, Dst: dst, Explain: es}))
-}
-
-// SearchBatch answers many exact k-NN queries across a bounded worker
-// pool (GOMAXPROCS workers), each worker reusing one pooled scratch for
-// its whole share of the batch. Results are in query order. Use
-// DoBatch for the approximate variant, explicit parallelism, or
-// work counters.
-//
-// Deprecated: use DoBatch with a BatchSearchRequest.
-func (x *Index) SearchBatch(queries []Object, k int, lambda float64) [][]Result {
-	return x.BatchSearch(queries, k, lambda, false, 0, nil)
-}
-
 // SearchApprox returns approximate k nearest neighbors with the CSSIA
 // algorithm — typically 2-3× faster than Search with under 1% result
-// error (paper §5, §7).
-//
-// Deprecated: use Do with SearchRequest.Approx.
+// error (paper §5, §7): Do with SearchRequest.Approx, panicking like
+// Search on invalid input.
 func (x *Index) SearchApprox(q *Object, k int, lambda float64) []Result {
 	return mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: true}))
-}
-
-// SearchApproxStats is SearchApprox with work counters.
-//
-// Deprecated: use Do with SearchRequest.Approx and SearchRequest.Stats.
-func (x *Index) SearchApproxStats(q *Object, k int, lambda float64, st *Stats) []Result {
-	return mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: true, Stats: st}))
 }
 
 func checkQuery(q *Object, k int, lambda float64) {
@@ -317,7 +250,9 @@ func checkQuery(q *Object, k int, lambda float64) {
 
 // checkQueryVec panics with a descriptive message when the query vector
 // does not match the index's embedding dimensionality (the distance
-// kernels would otherwise panic deep inside the hot path).
+// kernels would otherwise panic deep inside the hot path). Like
+// checkQuery it guards the range/box queries; k-NN requests are
+// validated by SearchRequest.validate.
 func (x *Index) checkQueryVec(q *Object) {
 	if len(q.Vec) != x.core.Dim() {
 		panic(fmt.Sprintf("cssi: query vector dim %d, index expects %d", len(q.Vec), x.core.Dim()))

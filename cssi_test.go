@@ -54,7 +54,9 @@ func TestSearchStatsCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	idx.SearchStats(&ds.Objects[0], 5, 0.5, &st)
+	if _, err := idx.Do(SearchRequest{Query: &ds.Objects[0], K: 5, Lambda: 0.5, Stats: &st}); err != nil {
+		t.Fatal(err)
+	}
 	if st.VisitedObjects == 0 {
 		t.Fatal("no visited objects recorded")
 	}

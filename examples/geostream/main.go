@@ -78,7 +78,10 @@ func main() {
 
 		var st cssi.Stats
 		start := time.Now()
-		res := idx.SearchStats(&q, 10, 0.5, &st)
+		res, err := idx.Do(cssi.SearchRequest{Query: &q, K: 10, Lambda: 0.5, Stats: &st})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("epoch %d: %5d live objects, %4d updates since build, query %v, visited %d, top hit id=%d d=%.4f\n",
 			epoch, idx.Len(), idx.UpdatesSinceBuild(), time.Since(start).Round(time.Microsecond),
 			st.VisitedObjects, res[0].ID, res[0].Dist)
@@ -90,7 +93,9 @@ func main() {
 		log.Fatal(err)
 	}
 	var st cssi.Stats
-	idx.SearchStats(&q, 10, 0.5, &st)
+	if _, err := idx.Do(cssi.SearchRequest{Query: &q, K: 10, Lambda: 0.5, Stats: &st}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("after rebuild (%v): %d clusters, query visited %d objects\n",
 		time.Since(start).Round(time.Millisecond), idx.NumClusters(), st.VisitedObjects)
 }

@@ -39,7 +39,10 @@ func main() {
 	const k, lambda = 5, 0.5
 
 	var st cssi.Stats
-	exact := idx.SearchStats(&q, k, lambda, &st)
+	exact, err := idx.Do(cssi.SearchRequest{Query: &q, K: k, Lambda: lambda, Stats: &st})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("CSSI (exact) — visited %d of %d objects:\n", st.VisitedObjects, idx.Len())
 	for i, r := range exact {
 		fmt.Printf("  %d. id=%d distance=%.4f\n", i+1, r.ID, r.Dist)

@@ -6,10 +6,38 @@ import (
 	"testing"
 )
 
-// SearchExplain must return bit-identical results to the plain search
-// entry points on every layer of the stack — the explain path only
-// reads counters the algorithms already maintain, so any divergence is
-// a bug in the instrumentation threading.
+// doer is any index flavor's single-query entry point.
+type doer interface {
+	Do(SearchRequest) ([]Result, error)
+}
+
+// explained answers one query with the Explain observer attached.
+func explained(t *testing.T, idx doer, q *Object, k int, lambda float64, approx bool) ([]Result, ExplainStats) {
+	t.Helper()
+	var es ExplainStats
+	res, err := idx.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: approx, Explain: &es})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, es
+}
+
+// traced answers one exact query with the Trace observer attached. It
+// reports failures with Error so stress goroutines may call it.
+func traced(t *testing.T, idx doer, q *Object, k int, lambda float64, requestID string) ([]Result, *SearchTrace) {
+	t.Helper()
+	tr := new(SearchTrace)
+	res, err := idx.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Trace: tr, RequestID: requestID})
+	if err != nil {
+		t.Error(err)
+	}
+	return res, tr
+}
+
+// An explained request must return bit-identical results to the plain
+// one on every layer of the stack — Explain only reads counters the
+// algorithms already maintain, so any divergence is a bug in the
+// instrumentation threading.
 func TestSearchExplainMatchesSearch(t *testing.T) {
 	ds := testDataset(t, 900)
 	flat, err := Build(ds, Options{Seed: 5})
@@ -23,11 +51,11 @@ func TestSearchExplainMatchesSearch(t *testing.T) {
 		q := &queries[qi]
 		for _, approx := range []bool{false, true} {
 			label := map[bool]string{false: "cssi", true: "cssia"}[approx]
-			plain := flat.SearchStats(q, 10, 0.5, nil)
+			plain := flat.Search(q, 10, 0.5)
 			if approx {
-				plain = flat.SearchApproxStats(q, 10, 0.5, nil)
+				plain = flat.SearchApprox(q, 10, 0.5)
 			}
-			got, es := flat.SearchExplain(q, 10, 0.5, approx)
+			got, es := explained(t, flat, q, 10, 0.5, approx)
 			equalResults(t, fmt.Sprintf("flat %s q%d", label, qi), plain, got)
 			if es.VisitedObjects <= 0 || es.ClustersTotal <= 0 {
 				t.Fatalf("%s q%d: empty explain stats %+v", label, qi, es)
@@ -42,14 +70,14 @@ func TestSearchExplainMatchesSearch(t *testing.T) {
 				t.Fatalf("%s q%d: kth distance %v, want %v", label, qi, es.KthDistance, got[len(got)-1].Dist)
 			}
 
-			cgot, _ := conc.SearchExplain(q, 10, 0.5, approx)
+			cgot, _ := explained(t, conc, q, 10, 0.5, approx)
 			equalResults(t, fmt.Sprintf("concurrent %s q%d", label, qi), plain, cgot)
 		}
 	}
 }
 
-// Sharded SearchExplain must agree with the flat exact search for any
-// shard count, and its per-shard spans must be internally consistent:
+// A traced sharded request must agree with the flat exact search for
+// any shard count, and its per-shard spans must be internally consistent:
 // span object counts cover the corpus, span stats sum to the trace
 // total, and the trace carries the merged global bound.
 func TestShardedSearchExplainMatchesFlat(t *testing.T) {
@@ -65,7 +93,7 @@ func TestShardedSearchExplainMatchesFlat(t *testing.T) {
 		for qi := range queries {
 			q := &queries[qi]
 			want := flat.Search(q, 10, 0.5)
-			got, tr := sharded.SearchExplain(q, 10, 0.5, false, "req-test")
+			got, tr := traced(t, sharded, q, 10, 0.5, "req-test")
 			equalResults(t, fmt.Sprintf("P=%d q%d", p, qi), want, got)
 
 			if tr.RequestID != "req-test" || tr.Algo != "cssi" || tr.K != 10 || tr.Lambda != 0.5 {
@@ -109,7 +137,7 @@ func TestShardedSearchExplainGeneratesRequestID(t *testing.T) {
 	ds := testDataset(t, 300)
 	sharded := mustBuildSharded(t, ds, 2, Options{Seed: 5})
 	q := ds.Objects[3]
-	_, tr := sharded.SearchExplain(&q, 5, 0.5, false, "")
+	_, tr := traced(t, sharded, &q, 5, 0.5, "")
 	if tr.RequestID == "" {
 		t.Fatal("empty generated request ID")
 	}
@@ -139,7 +167,7 @@ func TestPublicationsCounter(t *testing.T) {
 	}
 }
 
-// TestShardedExplainRaceStress hammers SearchExplain from many
+// TestShardedExplainRaceStress hammers traced requests from many
 // goroutines while writers mutate and a rebuild runs — stats
 // collection enabled throughout. Run under -race in CI: the explain
 // path shares the pooled scratch with plain searches, so a collection
@@ -160,7 +188,7 @@ func TestShardedExplainRaceStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				q := &queries[(g+i)%len(queries)]
-				got, tr := sharded.SearchExplain(q, 10, 0.5, false, "")
+				got, tr := traced(t, sharded, q, 10, 0.5, "")
 				if len(tr.Shards) != 4 {
 					t.Errorf("goroutine %d: %d spans", g, len(tr.Shards))
 					return

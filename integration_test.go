@@ -135,7 +135,10 @@ func TestIntegrationAllSearchersAgree(t *testing.T) {
 
 			// Batch search agrees with sequential.
 			queries := liveDS.SampleQueries(16, 9)
-			batch := facade.BatchSearch(queries, 5, 0.5, false, 4, nil)
+			batch, err := facade.DoBatch(BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5, Parallelism: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for qi := range queries {
 				seq := facade.Search(&queries[qi], 5, 0.5)
 				compare(t, "batch", 0.5, 5, seq, batch[qi])

@@ -12,38 +12,27 @@ import (
 )
 
 // SearchBatch answers queries[i] into result slot i using a bounded
-// worker pool. workers <= 0 selects GOMAXPROCS; approx selects CSSIA
-// instead of CSSI. Each worker draws one scratch from the index's pool
-// for its whole run and accumulates work counters locally, so a
-// steady-state batch allocates only the per-query result slices and
-// never contends on st. Queries are drawn from a shared atomic cursor,
-// which load-balances skewed per-query costs better than static
-// chunking.
+// worker pool, every query with the algorithm opts selects (opts' Seed,
+// Explain and Partial are per-query values and are ignored here).
+// workers <= 0 selects GOMAXPROCS. Each worker accumulates work counters
+// locally, so a steady-state batch allocates only the per-query result
+// slices and never contends on st. Queries are drawn from a shared
+// atomic cursor, which load-balances skewed per-query costs better than
+// static chunking. Batches are where the quantized scans pay off most:
+// the per-cluster code blocks touched by one query stay cache-resident
+// for the next, so candidate loads amortize across the batch.
+//
+// When partial is non-nil it must have one slot per query, and
+// partial[i] is set when query i stopped at its time budget (see
+// SearchOptions.Deadline); slots of complete queries are left
+// untouched. Each worker writes only its own queries' slots, so the
+// slice needs no synchronization.
 //
 // An empty batch returns an empty (non-nil) result without spinning up
 // any worker; k <= 0 is rejected with an error rather than panicking
 // inside a worker (knn.Heap would otherwise reject it k times, once per
 // query, deep in the pool).
-func (x *Index) SearchBatch(queries []dataset.Object, k int, lambda float64, workers int, approx bool, st *metric.Stats) ([][]knn.Result, error) {
-	return x.SearchBatchOptions(queries, k, lambda, workers, SearchOptions{Approx: approx}, st)
-}
-
-// SearchBatchOptions is SearchBatch with the full SearchOptions
-// switches, so batched workloads reach the quantized modes. Batches are
-// where the quantized scans pay off most: the per-cluster code blocks
-// touched by one query stay cache-resident for the next, so candidate
-// loads amortize across the batch.
-func (x *Index) SearchBatchOptions(queries []dataset.Object, k int, lambda float64, workers int, opts SearchOptions, st *metric.Stats) ([][]knn.Result, error) {
-	return x.SearchBatchOptionsMeta(queries, k, lambda, workers, opts, st, nil)
-}
-
-// SearchBatchOptionsMeta is SearchBatchOptions reporting per-query
-// execution metadata: when partial is non-nil it must have one slot
-// per query and partial[i] is set when query i stopped at its time
-// budget (see SearchOptions.Deadline); slots of complete queries are
-// left untouched. Each worker writes only its own queries' slots, so
-// the slice needs no synchronization.
-func (x *Index) SearchBatchOptionsMeta(queries []dataset.Object, k int, lambda float64, workers int, opts SearchOptions, st *metric.Stats, partial []bool) ([][]knn.Result, error) {
+func (x *Index) SearchBatch(queries []dataset.Object, k int, lambda float64, workers int, opts SearchOptions, st *metric.Stats, partial []bool) ([][]knn.Result, error) {
 	if partial != nil && len(partial) != len(queries) {
 		panic(fmt.Sprintf("core: batch partial slice has %d slots for %d queries", len(partial), len(queries)))
 	}
@@ -95,22 +84,23 @@ func (x *Index) SearchBatchOptionsMeta(queries []dataset.Object, k int, lambda f
 					panicMu.Unlock()
 				}
 			}()
-			sc := x.getScratch()
 			var local *metric.Stats
 			if st != nil {
 				local = &stats[w]
 			}
+			var cut bool
+			o := opts
+			o.Seed, o.Explain, o.Partial = nil, nil, &cut
 			for {
 				qi := int(next.Add(1)) - 1
 				if qi >= len(queries) {
 					break
 				}
-				out[qi] = x.searchOptionsWith(sc, nil, nil, &queries[qi], k, lambda, opts, local)
-				if partial != nil && sc.partial {
+				out[qi] = x.SearchOptionsInto(nil, &queries[qi], k, lambda, o, local)
+				if partial != nil && cut {
 					partial[qi] = true
 				}
 			}
-			x.putScratch(sc)
 		}(w)
 	}
 	wg.Wait()

@@ -113,6 +113,19 @@ func (c *Config) applyDefaults(n int) {
 	}
 }
 
+// DeriveClusterCount exposes the paper's cluster-count rule
+// Ks = Kt = √n·f (§7.1, with the laptop-scale calibration of
+// Config.Ks) for callers outside the build path — notably the sharded
+// build, which derives every shard's cluster counts from the GLOBAL
+// object count so per-shard pruning granularity matches the flat
+// index's. f = 0 selects the default multiplier (0.3).
+func DeriveClusterCount(n int, f float64) int {
+	if f == 0 {
+		f = 0.3
+	}
+	return clusterCount(n, f)
+}
+
 // clusterCount applies the paper's cluster-count rule with the
 // laptop-scale calibration constant (see Config.Ks).
 func clusterCount(n int, f float64) int {

@@ -112,56 +112,15 @@ func (x *Index) fillProjLowerBounds(sc *searchScratch, q *dataset.Object) {
 	}
 }
 
-// Search answers an exact k-NN query with the CSSI algorithm (Alg. 2).
-// Centroid-level distance computations are not charged to st — the
-// evaluation counts object-level work (visited objects, and §7.7 counts
-// CSSI distance calculations as visited×2), and the centroid distances
-// per query are part of the index overhead reflected in wall time
-// instead.
+// Search answers an exact k-NN query with the CSSI algorithm (Alg. 2):
+// SearchOptionsInto with the zero options into a fresh slice.
 func (x *Index) Search(q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
-	return x.SearchInto(nil, q, k, lambda, st)
+	return x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{}, st)
 }
 
-// SearchInto is Search appending the results to dst (usually dst[:0] of
-// a retained buffer). With a dst of sufficient capacity, a steady-state
-// call performs zero heap allocations: all per-query state comes from
-// the index's scratch pool.
-func (x *Index) SearchInto(dst []knn.Result, q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
-	sc := x.getScratch()
-	out := x.searchWithSeed(sc, dst, nil, q, k, lambda, st)
-	x.putScratch(sc)
-	return out
-}
-
-// SearchSeededInto is SearchInto with the k-NN heap pre-loaded from
-// seed before any cluster is examined. The seed entries must be real
-// candidates whose distances are comparable to this index's (same
-// metric space normalizers) and must not duplicate any object stored
-// here. The returned list is the exact top-k of seed ∪ this index's
-// objects — which is what lets a sequential scan over disjoint
-// partitions chain the call shard to shard, carrying the pruning bound
-// forward: each shard starts with the tightest bound discovered so far
-// instead of re-deriving one from scratch, so the partitioned scan
-// does the same total pruning work as one flat index. dst and seed
-// must not share storage.
-func (x *Index) SearchSeededInto(dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
-	sc := x.getScratch()
-	out := x.searchWithSeed(sc, dst, seed, q, k, lambda, st)
-	x.putScratch(sc)
-	return out
-}
-
-func (x *Index) searchWith(sc *searchScratch, dst []knn.Result, q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
-	return x.searchWithSeed(sc, dst, nil, q, k, lambda, st)
-}
-
+// searchWithSeed is the exact CSSI algorithm on a drawn scratch, with
+// the k-NN heap pre-loaded from seed (see SearchOptions.Seed).
 func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
-	// The scratch may be reused across queries by a SearchBatch worker;
-	// the cluster order is rebuilt from empty each time, and the cached
-	// codebook-adjusted query (filled lazily by the quantized scan) is
-	// invalidated.
-	sc.order = sc.order[:0]
-	sc.quantQ = false
 	var phase time.Time
 	if sc.obs != nil {
 		phase = time.Now()
@@ -277,7 +236,7 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 		if sc.budgetExpired() {
 			// Time budget fired: stop consuming the frontier and return
 			// the heap as-is — an admissible truncated prefix (see
-			// deadline.go), flagged Partial by the Meta entry points.
+			// deadline.go), reported through SearchOptions.Partial.
 			break
 		}
 		e := f.pop()

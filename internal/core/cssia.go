@@ -86,23 +86,10 @@ func (h candHeap) maxDPr() float64 {
 // the projection contracts distances, so a cluster holding a true
 // neighbor can be pruned when its projected bound looks too large.
 func (x *Index) SearchApprox(q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
-	return x.SearchApproxInto(nil, q, k, lambda, st)
-}
-
-// SearchApproxInto is SearchApprox appending the results to dst; like
-// SearchInto it is allocation-free in steady state given sufficient dst
-// capacity.
-func (x *Index) SearchApproxInto(dst []knn.Result, q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
-	sc := x.getScratch()
-	out := x.searchApproxWith(sc, dst, q, k, lambda, st)
-	x.putScratch(sc)
-	return out
+	return x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{Approx: true}, st)
 }
 
 func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
-	// The scratch may be reused across queries by a SearchBatch worker;
-	// the cluster order is rebuilt from empty each time.
-	sc.order = sc.order[:0]
 	var phase time.Time
 	if sc.obs != nil {
 		phase = time.Now()

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/dataset"
-	"repro/internal/knn"
-	"repro/internal/metric"
-	"repro/internal/obs"
-)
+import "time"
 
 // Deadline-aware search: SearchOptions can carry an absolute time
 // budget (and a cancellation signal), and every cluster-consuming loop
@@ -16,8 +9,8 @@ import (
 // scan — polls it once per cluster pop, reading the wall clock only
 // every deadlineCheckEvery pops so the hot path stays branch-cheap.
 // When the budget fires the loop stops consuming clusters and the
-// query returns the heap accumulated so far with SearchMeta.Partial
-// set.
+// query returns the heap accumulated so far and reports the truncation
+// through SearchOptions.Partial.
 //
 // Admissibility of the truncated answer: the k-NN heap is at every
 // instant the exact top-k of the candidate set offered so far, and
@@ -64,71 +57,4 @@ func (sc *searchScratch) budgetExpired() bool {
 		return true
 	}
 	return false
-}
-
-// SearchMeta reports per-query execution facts the plain result slice
-// cannot carry. The *Meta* entry points fill it; m may be nil when the
-// caller only wants the results.
-type SearchMeta struct {
-	// Partial reports that the query stopped at its time budget (or
-	// cancellation signal) before proving completeness: the results are
-	// the exact top-k of the candidates examined so far — an admissible
-	// prefix — but closer objects may remain unvisited.
-	Partial bool
-}
-
-func fillMeta(m *SearchMeta, sc *searchScratch) {
-	if m != nil {
-		m.Partial = sc.partial
-	}
-}
-
-// SearchOptionsMetaInto is SearchOptionsInto reporting execution
-// metadata into m (which may be nil). It is the entry point for
-// budgeted queries: without a Deadline or Cancel in opts, m.Partial is
-// always false and the call is exactly SearchOptionsInto.
-func (x *Index) SearchOptionsMetaInto(dst []knn.Result, q *dataset.Object, k int, lambda float64, opts SearchOptions, st *metric.Stats, m *SearchMeta) []knn.Result {
-	sc := x.getScratch()
-	out := x.searchOptionsWith(sc, dst, nil, q, k, lambda, opts, st)
-	fillMeta(m, sc)
-	x.putScratch(sc)
-	return out
-}
-
-// SearchOptionsSeededMetaInto is SearchOptionsSeededInto reporting
-// execution metadata into m; the sharded single-core chain uses it so
-// a budget cut on any link marks the whole chained answer partial.
-func (x *Index) SearchOptionsSeededMetaInto(dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, opts SearchOptions, st *metric.Stats, m *SearchMeta) []knn.Result {
-	sc := x.getScratch()
-	out := x.searchOptionsWith(sc, dst, seed, q, k, lambda, opts, st)
-	fillMeta(m, sc)
-	x.putScratch(sc)
-	return out
-}
-
-// SearchExplainOptionsMetaInto is SearchExplainOptionsInto reporting
-// execution metadata into m, so traced/explained queries can carry a
-// budget too.
-func (x *Index) SearchExplainOptionsMetaInto(dst []knn.Result, q *dataset.Object, k int, lambda float64, opts SearchOptions, es *obs.SearchStats, m *SearchMeta) []knn.Result {
-	return x.searchExplainSeededMeta(dst, nil, q, k, lambda, opts, es, m)
-}
-
-// SearchExplainOptionsSeededMetaInto is the seeded form of
-// SearchExplainOptionsMetaInto (see SearchExplainOptionsSeededInto).
-func (x *Index) SearchExplainOptionsSeededMetaInto(dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, opts SearchOptions, es *obs.SearchStats, m *SearchMeta) []knn.Result {
-	return x.searchExplainSeededMeta(dst, seed, q, k, lambda, opts, es, m)
-}
-
-func (x *Index) searchExplainSeededMeta(dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, opts SearchOptions, es *obs.SearchStats, m *SearchMeta) []knn.Result {
-	sc := x.getScratch()
-	sc.obs = es
-	n := len(dst)
-	dst = x.searchOptionsWith(sc, dst, seed, q, k, lambda, opts, &es.Stats)
-	fillMeta(m, sc)
-	sc.obs = nil
-	x.putScratch(sc)
-	if len(dst) > n {
-		es.KthDistance = dst[len(dst)-1].Dist
-	}
-	return dst
 }

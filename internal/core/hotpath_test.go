@@ -6,29 +6,31 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/knn"
 	"repro/internal/metric"
+	"repro/internal/obs"
 )
 
-// SearchInto/SearchApproxInto must be the same computation as
-// Search/SearchApprox, only appending into the caller's buffer.
+// SearchOptionsInto must be the same computation as Search/SearchApprox,
+// only appending into the caller's buffer.
 func TestSearchIntoMatchesSearch(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 900, Config{Seed: 21})
 	queries := f.ds.SampleQueries(20, 9)
 	var buf, bufA []knn.Result
 	for qi := range queries {
 		q := &queries[qi]
-		buf = f.idx.SearchInto(buf[:0], q, 10, 0.5, nil)
-		sameResults(t, "SearchInto", f.idx.Search(q, 10, 0.5, nil), buf)
-		bufA = f.idx.SearchApproxInto(bufA[:0], q, 10, 0.5, nil)
-		sameResults(t, "SearchApproxInto", f.idx.SearchApprox(q, 10, 0.5, nil), bufA)
+		buf = f.idx.SearchOptionsInto(buf[:0], q, 10, 0.5, SearchOptions{}, nil)
+		sameResults(t, "exact into", f.idx.Search(q, 10, 0.5, nil), buf)
+		bufA = f.idx.SearchOptionsInto(bufA[:0], q, 10, 0.5, SearchOptions{Approx: true}, nil)
+		sameResults(t, "approx into", f.idx.SearchApprox(q, 10, 0.5, nil), bufA)
 	}
 }
 
-// SearchInto must append after existing dst entries, not clobber them.
+// SearchOptionsInto must append after existing dst entries, not clobber
+// them.
 func TestSearchIntoAppends(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 300, Config{Seed: 22})
 	q := &f.ds.Objects[5]
 	sentinel := knn.Result{ID: 424242, Dist: -1}
-	out := f.idx.SearchInto([]knn.Result{sentinel}, q, 5, 0.5, nil)
+	out := f.idx.SearchOptionsInto([]knn.Result{sentinel}, q, 5, 0.5, SearchOptions{}, nil)
 	if len(out) != 6 || out[0] != sentinel {
 		t.Fatalf("dst prefix not preserved: %+v", out[:1])
 	}
@@ -53,7 +55,7 @@ func TestCoreSearchBatchMatchesSequential(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3, 0} {
 			var st metric.Stats
-			batch, err := f.idx.SearchBatch(queries, 8, 0.5, workers, approx, &st)
+			batch, err := f.idx.SearchBatch(queries, 8, 0.5, workers, SearchOptions{Approx: approx}, &st, nil)
 			if err != nil {
 				t.Fatalf("approx=%v workers=%d: %v", approx, workers, err)
 			}
@@ -70,7 +72,7 @@ func TestCoreSearchBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// Steady-state SearchInto must not allocate: all per-query state comes
+// Steady-state SearchOptionsInto must not allocate: all per-query state comes
 // from the pooled scratch and the caller's result buffer. AllocsPerRun
 // can see a stray allocation if GC empties the sync.Pool mid-measure,
 // so the test retries a few times and passes if any attempt is clean.
@@ -99,12 +101,14 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 		}
 		t.Errorf("%s: %v allocs per steady-state query, want 0", name, got)
 	}
-	run("SearchInto", func(buf []knn.Result, q *dataset.Object) []knn.Result {
-		return f.idx.SearchInto(buf, q, 10, 0.5, &st)
-	})
-	run("SearchApproxInto", func(buf []knn.Result, q *dataset.Object) []knn.Result {
-		return f.idx.SearchApproxInto(buf, q, 10, 0.5, &st)
-	})
+	var es obs.SearchStats
+	for name, opts := range map[string]SearchOptions{
+		"exact": {}, "approx": {Approx: true}, "explained": {Explain: &es},
+	} {
+		run(name, func(buf []knn.Result, q *dataset.Object) []knn.Result {
+			return f.idx.SearchOptionsInto(buf, q, 10, 0.5, opts, &st)
+		})
+	}
 }
 
 // The vector arena must survive maintenance: after inserts force an

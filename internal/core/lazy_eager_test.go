@@ -233,7 +233,7 @@ func TestLazyVsEagerEagerBoundPath(t *testing.T) {
 // TestLazyVsEagerSeededChained exercises the sharded single-worker
 // path: the dataset is split into disjoint partitions sharing one
 // metric space's normalizers (exactly as BuildSharded arranges), the
-// k-NN heap is chained partition to partition with SearchSeededInto,
+// k-NN heap is chained partition to partition through SearchOptions.Seed,
 // and the chained result must equal both the flat index's answer and
 // an eager-reference chain over the same partitions.
 func TestLazyVsEagerSeededChained(t *testing.T) {
@@ -276,7 +276,7 @@ func TestLazyVsEagerSeededChained(t *testing.T) {
 		lambda := rng.Float64()
 		var lazy, eager []knn.Result
 		for _, x := range idxs {
-			lazy = x.SearchSeededInto(nil, lazy, &q, k, lambda, nil)
+			lazy = x.SearchOptionsInto(nil, &q, k, lambda, SearchOptions{Seed: lazy}, nil)
 			eager = searchEager(x, eager, &q, k, lambda)
 		}
 		want := flat.Search(&q, k, lambda, nil)

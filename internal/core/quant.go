@@ -63,40 +63,6 @@ const sq8LUTMaxDim = 1000
 // which holds recall@10 ≥ 0.99 on the benchmark workloads.
 const DefaultQuantRerank = 4
 
-// SearchOptions bundles the per-query algorithm switches of the
-// options-taking entry points. The zero value reproduces SearchInto.
-type SearchOptions struct {
-	// Approx selects CSSIA instead of exact CSSI.
-	Approx bool
-	// Quant selects the quantized-arena participation (see QuantMode).
-	// QuantOnly only takes effect with Approx set (and an index whose
-	// quant arena exists); exact queries treat it as QuantAuto.
-	Quant QuantMode
-	// QuantRerank is the QuantOnly overfetch multiplier (<= 0 selects
-	// DefaultQuantRerank). Ignored outside QuantOnly.
-	QuantRerank int
-	// Route engages the learned cluster router (see route.go). On an
-	// exact query it only re-prioritizes the visit order — results stay
-	// bit-identical; with Approx it selects the routed approximate mode
-	// whose cluster coverage is tuned by RouteTarget. Silently ignored
-	// when the index has no trained router.
-	Route bool
-	// RouteTarget is the routed approximate mode's probability-mass
-	// coverage in (0,1]; <= 0 selects DefaultRouteTarget. Ignored
-	// outside Route+Approx.
-	RouteTarget float64
-	// Deadline, when non-zero, is the absolute instant past which the
-	// query stops consuming clusters and returns the admissible prefix
-	// accumulated so far (see deadline.go); the Meta entry points
-	// report the truncation via SearchMeta.Partial. The zero value
-	// means no budget.
-	Deadline time.Time
-	// Cancel, when non-nil, stops the query at the next budget check
-	// once the channel is closed, with the same partial-prefix
-	// semantics as Deadline (the facade threads ctx.Done() here).
-	Cancel <-chan struct{}
-}
-
 // quantArena is the SQ8 companion of vecArena: row i of codes is the
 // quantized form of vecArena row i, resid[i] its admissible residual.
 // Like the float32 arenas it grows append-only and is shared across COW
@@ -184,51 +150,6 @@ func rerankMult(r int) int {
 		return DefaultQuantRerank
 	}
 	return r
-}
-
-// SearchOptionsInto is SearchInto with the per-query algorithm switches
-// of SearchOptions: the zero opts is exactly SearchInto, opts.Approx
-// is exactly SearchApproxInto, and the Quant field adds the quantized
-// modes. Like the legacy entry points it is allocation-free in steady
-// state given sufficient dst capacity.
-func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, lambda float64, opts SearchOptions, st *metric.Stats) []knn.Result {
-	sc := x.getScratch()
-	out := x.searchOptionsWith(sc, dst, nil, q, k, lambda, opts, st)
-	x.putScratch(sc)
-	return out
-}
-
-// SearchOptionsSeededInto is SearchSeededInto with SearchOptions; the
-// seed applies to the exact path only (the approximate algorithms keep
-// their own candidate pools), matching the sharded chain that uses it.
-func (x *Index) SearchOptionsSeededInto(dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, opts SearchOptions, st *metric.Stats) []knn.Result {
-	sc := x.getScratch()
-	out := x.searchOptionsWith(sc, dst, seed, q, k, lambda, opts, st)
-	x.putScratch(sc)
-	return out
-}
-
-// searchOptionsWith dispatches one query to the algorithm opts selects,
-// on a caller-provided scratch (batch workers reuse one across
-// queries).
-func (x *Index) searchOptionsWith(sc *searchScratch, dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, opts SearchOptions, st *metric.Stats) []knn.Result {
-	sc.quantOff = opts.Quant == QuantOff
-	sc.routeOn = opts.Route && x.router != nil
-	sc.deadline = opts.Deadline
-	sc.cancel = opts.Cancel
-	sc.budgeted = !opts.Deadline.IsZero() || opts.Cancel != nil
-	sc.pops = 0
-	sc.partial = false
-	if opts.Approx {
-		if sc.routeOn {
-			return x.searchRoutedWith(sc, dst, q, k, lambda, routeTargetOrDefault(opts.RouteTarget), st)
-		}
-		if opts.Quant == QuantOnly && x.quant != nil {
-			return x.searchQuantWith(sc, dst, q, k, rerankMult(opts.QuantRerank), lambda, st)
-		}
-		return x.searchApproxWith(sc, dst, q, k, lambda, st)
-	}
-	return x.searchWithSeed(sc, dst, seed, q, k, lambda, st)
 }
 
 // quantSurvivor is one pass-1 survivor of the filter+rerank scan: the
@@ -377,7 +298,6 @@ func (x *Index) scanClusterQuant(sc *searchScratch, q *dataset.Object, lambda fl
 // trades the per-candidate n-dimensional float32 kernels for byte-wide
 // block scans plus k·rerank exact kernels.
 func (x *Index) searchQuantWith(sc *searchScratch, dst []knn.Result, q *dataset.Object, k, rerank int, lambda float64, st *metric.Stats) []knn.Result {
-	sc.order = sc.order[:0]
 	var phase time.Time
 	if sc.obs != nil {
 		phase = time.Now()

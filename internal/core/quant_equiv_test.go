@@ -129,18 +129,18 @@ func TestQuantBitIdenticalAcrossClone(t *testing.T) {
 	identicalResults(t, "clone quant filter", want, got)
 }
 
-// The seeded entry point (the sharded gather chain) preserves
+// A seeded query (the sharded gather chain) preserves
 // bit-identity too.
 func TestQuantSeededBitIdentical(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 93})
 	q := f.ds.Objects[21]
 	seed := f.idx.Search(&q, 5, 0.4, nil)
-	want := f.idx.SearchOptionsSeededInto(nil, seed, &q, 10, 0.4, SearchOptions{Quant: QuantOff}, nil)
-	got := f.idx.SearchOptionsSeededInto(nil, seed, &q, 10, 0.4, SearchOptions{}, nil)
+	want := f.idx.SearchOptionsInto(nil, &q, 10, 0.4, SearchOptions{Quant: QuantOff, Seed: seed}, nil)
+	got := f.idx.SearchOptionsInto(nil, &q, 10, 0.4, SearchOptions{Seed: seed}, nil)
 	identicalResults(t, "seeded quant", want, got)
 }
 
-// SearchBatchOptions agrees with per-query SearchOptionsInto in every
+// SearchBatch agrees with per-query SearchOptionsInto in every
 // quant mode.
 func TestQuantBatchMatchesSingle(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 94})
@@ -153,7 +153,7 @@ func TestQuantBatchMatchesSingle(t *testing.T) {
 		{Quant: QuantOff},
 		{Approx: true, Quant: QuantOnly},
 	} {
-		batch, err := f.idx.SearchBatchOptions(queries, 10, 0.5, 4, opts, nil)
+		batch, err := f.idx.SearchBatch(queries, 10, 0.5, 4, opts, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -162,7 +162,7 @@ func (x *Index) trainRouter() *route.Model {
 
 		// Exact answer → positive clusters. The query is a stored
 		// object, so its own cluster is always positive (distance 0).
-		results = x.SearchInto(results[:0], &q, routeTrainK, lambda, nil)
+		results = x.SearchOptionsInto(results[:0], &q, routeTrainK, lambda, SearchOptions{}, nil)
 		clear(pos)
 		for _, r := range results {
 			idx, ok := x.idToIdx[r.ID]
@@ -308,8 +308,6 @@ func (x *Index) routePrefix(sc *searchScratch, lambda float64, lazy bool) int {
 // trades it against latency, ablated against CSSIA by the routing
 // experiment.
 func (x *Index) searchRoutedWith(sc *searchScratch, dst []knn.Result, q *dataset.Object, k int, lambda, target float64, st *metric.Stats) []knn.Result {
-	sc.order = sc.order[:0]
-	sc.quantQ = false
 	var phase time.Time
 	if sc.obs != nil {
 		phase = time.Now()

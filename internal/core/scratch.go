@@ -13,8 +13,7 @@ import (
 // The buffers grow to the high-water mark of the index geometry (Ks, Kt,
 // cluster count, k, m) and are then reused: in steady state a query
 // performs zero heap allocations. Scratches live in the Index's
-// sync.Pool, so concurrent queries each draw their own and SearchBatch
-// workers keep one for a whole batch.
+// sync.Pool, so concurrent queries each draw their own.
 type searchScratch struct {
 	// dsq[s] is the normalized spatial distance from q to spatial
 	// centroid s (always filled eagerly: Ks cheap 2-D distances).
@@ -61,7 +60,7 @@ type searchScratch struct {
 	quantScans        int64
 	quantSampledNanos int64
 	// Learned-routing state. routeOn arms the exact-reorder pre-pass
-	// for the current query (set per query by searchOptionsWith, only
+	// for the current query (set per query by SearchOptionsInto, only
 	// when the index has a trained router); routeScore is the
 	// per-cluster score/probability buffer of routePrefix and the
 	// routed approximate mode; routeKey is the latter's packed

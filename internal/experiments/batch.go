@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metric"
 )
@@ -13,7 +14,7 @@ func init() {
 }
 
 // Batch measures the built-in Index.SearchBatch entry point (bounded
-// worker pool, one pooled search scratch per worker) against the naive
+// worker pool, per-worker work counters) against the naive
 // sequential loop, for both CSSI and CSSIA. Where the "parallel"
 // experiment hand-rolls a channel fan-out over Search, this one
 // exercises the production batched path: the interesting deltas are the
@@ -58,7 +59,7 @@ func Batch(s Setup) ([]Table, error) {
 		for workers := 1; workers <= maxWorkers; workers *= 2 {
 			var st metric.Stats
 			start := time.Now()
-			if _, err := e.idx.SearchBatch(queries, s.K, s.Lambda, workers, approx, &st); err != nil {
+			if _, err := e.idx.SearchBatch(queries, s.K, s.Lambda, workers, core.SearchOptions{Approx: approx}, &st, nil); err != nil {
 				return nil, err
 			}
 			ms := msSince(start)

@@ -13,7 +13,7 @@ func init() {
 // lands: instead of eagerly sorting all Ks×Kt clusters per query, the
 // search heapifies weak lower bounds in O(K) and pops clusters on
 // demand, refining bounds only for clusters the scan actually reaches.
-// One table, measured with SearchExplain traces at P ∈ {1, 4, 8}:
+// One table, measured with SearchRequest.Explain at P ∈ {1, 4, 8}:
 //
 //   - clusters/shard   — the Ks×Kt frontier size a query starts with
 //   - ordered/query    — frontier pops per query (ClustersOrdered; a
@@ -40,7 +40,7 @@ func LazyOrder(s Setup) ([]Table, error) {
 
 	t := Table{
 		ID:    "lazyorder",
-		Title: "Lazy best-first cluster ordering (exact CSSI, SearchExplain traces)",
+		Title: "Lazy best-first cluster ordering (exact CSSI, SearchRequest.Explain)",
 		Note: "ordered/query counts frontier pops (re-pushed clusters pop twice); the eager sort this " +
 			"replaced ordered every cluster of every shard on every query, so ordered/query well below " +
 			"clusters/shard is ordering work the lazy frontier never did. Read efficiency is the fraction " +
@@ -54,8 +54,9 @@ func LazyOrder(s Setup) ([]Table, error) {
 		}
 		var agg obs.SearchStats
 		for qi := range queries {
-			_, tr := idx.SearchExplain(&queries[qi], k, lambda, false, "")
-			agg.Merge(&tr.Total)
+			if _, err := idx.Do(cssi.SearchRequest{Query: &queries[qi], K: k, Lambda: lambda, Explain: &agg}); err != nil {
+				return nil, err
+			}
 		}
 		nq := float64(len(queries))
 		// ClustersTotal sums every shard's frontier size per query;

@@ -8,7 +8,6 @@ import (
 
 	cssi "repro"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/knn"
 	"repro/internal/obs"
 )
@@ -25,10 +24,9 @@ const obsTrials = 5
 // Observability quantifies the cost of the search-internals
 // instrumentation (internal/obs). Two tables:
 //
-//  1. Collection overhead — the same exact query workload through the
-//     plain SearchInto path (obs pointer nil: every instrumentation
-//     site an untaken branch) and the SearchExplainInto path
-//     (collection on). Reported per mode: µs/query (min of
+//  1. Collection overhead — the same exact query workload through Do
+//     without Explain (obs pointer nil: every instrumentation site an
+//     untaken branch) and with it (collection on). Reported per mode: µs/query (min of
 //     alternating trials) and heap allocs/query. The disabled path
 //     must stay zero-alloc and the enabled path should cost ≤2% — the
 //     design target of threading a nil-checked pointer through the
@@ -42,7 +40,7 @@ const obsTrials = 5
 //     GLOBAL object count (matching the flat index's granularity)
 //     versus the old per-shard n/P derivation (fewer, fatter clusters
 //     per shard, so the Lemma 4.4/4.5 cuts discard less). Measured
-//     with SearchExplain traces over the same workload; read
+//     with SearchRequest.Trace over the same workload; read
 //     efficiency is the fraction of accounted objects pruned (§6).
 func Observability(s Setup) ([]Table, error) {
 	s.applyDefaults()
@@ -69,18 +67,10 @@ func Observability(s Setup) ([]Table, error) {
 // collection, and the retention decision; the target is <1% added
 // latency.
 func obsTracingTable(s Setup) (Table, error) {
-	size := s.twitterDefault()
-	ds, err := cssi.GenerateDataset(cssi.DatasetConfig{
-		Kind: cssi.TwitterLike, Size: size, Dim: s.Dim, Seed: s.Seed + uint64(size),
-	})
+	idx, queries, err := obsFlatIndex(s)
 	if err != nil {
 		return Table{}, err
 	}
-	idx, err := cssi.Build(ds, cssi.Options{Seed: s.Seed})
-	if err != nil {
-		return Table{}, err
-	}
-	queries := ds.SampleQueries(s.Queries, s.Seed+11)
 	k, lambda := s.K, s.Lambda
 
 	sink := obs.NewSink(obs.SinkConfig{BufferSize: 256})
@@ -176,28 +166,44 @@ func obsTracingTable(s Setup) (Table, error) {
 	}, nil
 }
 
-func obsOverheadTable(s Setup) (Table, error) {
-	e, err := buildEnv(s, envConfig{
-		kind: dataset.TwitterLike, size: s.twitterDefault(),
-		queries: s.Queries,
+// obsFlatIndex builds the flat index and query workload the two
+// overhead tables share.
+func obsFlatIndex(s Setup) (*cssi.Index, []cssi.Object, error) {
+	size := s.twitterDefault()
+	ds, err := cssi.GenerateDataset(cssi.DatasetConfig{
+		Kind: cssi.TwitterLike, Size: size, Dim: s.Dim, Seed: s.Seed + uint64(size),
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	idx, err := cssi.Build(ds, cssi.Options{Seed: s.Seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	return idx, ds.SampleQueries(s.Queries, s.Seed+11), nil
+}
+
+func obsOverheadTable(s Setup) (Table, error) {
+	idx, queries, err := obsFlatIndex(s)
 	if err != nil {
 		return Table{}, err
 	}
 	k, lambda := s.K, s.Lambda
 
-	// runWorkload executes every query once through the selected path,
-	// reusing one result buffer and one SearchStats so steady state is
-	// allocation-free in both modes.
+	// runWorkload executes every query once through Do, with or without
+	// the Explain observer, reusing one result buffer and one
+	// SearchStats; the un-explained mode must be allocation-free.
 	dst := make([]knn.Result, 0, k)
 	var es obs.SearchStats
 	runWorkload := func(explain bool) {
-		for qi := range e.queries {
-			q := &e.queries[qi]
+		for qi := range queries {
+			req := cssi.SearchRequest{Query: &queries[qi], K: k, Lambda: lambda, Dst: dst[:0]}
 			if explain {
-				dst = e.idx.SearchExplainInto(dst[:0], q, k, lambda, false, &es)
-			} else {
-				dst = e.idx.SearchInto(dst[:0], q, k, lambda, nil)
+				req.Explain = &es
+			}
+			var err error
+			if dst, err = idx.Do(req); err != nil {
+				panic(err)
 			}
 		}
 	}
@@ -205,7 +211,7 @@ func obsOverheadTable(s Setup) (Table, error) {
 	runWorkload(false)
 	runWorkload(true)
 
-	nq := float64(len(e.queries))
+	nq := float64(len(queries))
 	micros := map[bool]float64{false: 0, true: 0}
 	allocs := map[bool]float64{false: 0, true: 0}
 	var ms0, ms1 runtime.MemStats
@@ -234,8 +240,8 @@ func obsOverheadTable(s Setup) (Table, error) {
 	t := Table{
 		ID:    "obs",
 		Title: "Search-internals collection overhead (exact CSSI queries)",
-		Note: "collection off = plain SearchInto (nil obs pointer, every instrumentation site an untaken " +
-			"branch); on = SearchExplainInto; min of alternating trials — target ≤2% overhead, 0 allocs off",
+		Note: "collection off = Do (nil obs pointer, every instrumentation site an untaken branch); " +
+			"on = Do with SearchRequest.Explain; min of alternating trials — target ≤2% overhead, 0 allocs off",
 		Header: []string{"collection", "µs/query", "allocs/query", "overhead"},
 		Rows: [][]string{
 			{"off", f1(micros[false]), f2(allocs[false]), "-"},
@@ -259,8 +265,9 @@ func obsShardedReadEffTable(s Setup) (Table, error) {
 	measure := func(idx *cssi.ShardedIndex) (readEff, visitedPerQ float64) {
 		var agg obs.SearchStats
 		for qi := range queries {
-			_, tr := idx.SearchExplain(&queries[qi], k, lambda, false, "")
-			agg.Merge(&tr.Total)
+			if _, err := idx.Do(cssi.SearchRequest{Query: &queries[qi], K: k, Lambda: lambda, Explain: &agg}); err != nil {
+				panic(err)
+			}
 		}
 		return agg.ReadEfficiency(), float64(agg.VisitedObjects) / float64(len(queries))
 	}

@@ -262,7 +262,7 @@ func measureShardedServingLoop(idx *cssi.ShardedIndex, ds *cssi.Dataset,
 				// parallelism 1 per shard: the scatter itself is the only
 				// fan-out, keeping the goroutine count low on a timeshared
 				// core.
-				if _, err := idx.BatchSearch(batch, k, lambda, false, 1, nil); err == nil {
+				if _, err := idx.DoBatch(cssi.BatchSearchRequest{Queries: batch, K: k, Lambda: lambda, Parallelism: 1}); err == nil {
 					queries.Add(int64(len(batch)))
 				}
 			}
@@ -289,7 +289,7 @@ func measureShardedMixed(idx *cssi.ShardedIndex, ds *cssi.Dataset,
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			if _, err := idx.BatchSearch(batch, k, lambda, false, 1, nil); err == nil {
+			if _, err := idx.DoBatch(cssi.BatchSearchRequest{Queries: batch, K: k, Lambda: lambda, Parallelism: 1}); err == nil {
 				queries.Add(int64(len(batch)))
 			}
 		}

@@ -157,8 +157,8 @@ func (sp *ShardSpan) FillDerived() {
 // Trace is one completed request: the per-shard spans of the
 // scatter/gather path plus their aggregate, tied together by a request
 // ID that also appears in the server's structured logs. Traces are
-// produced in two ways: on demand by SearchExplain, and always-on by
-// the tail-sampling Sink every traced Do/DoBatch feeds.
+// produced in two ways: on demand by SearchRequest.Trace, and always-on
+// by the tail-sampling Sink every traced Do/DoBatch feeds.
 type Trace struct {
 	// RequestID correlates this trace with the HTTP request logs (the
 	// server propagates X-Request-Id; library callers may pass "").
@@ -202,7 +202,8 @@ type Trace struct {
 	ReadEfficiency      float64 `json:"readEfficiency"`
 	ClustersPrunedRatio float64 `json:"clustersPrunedRatio"`
 	// GatherNanos is wall time of the gather merge that combines the
-	// per-shard result lists. Zero for single-span traces.
+	// per-shard result lists. Zero for single-span traces and for the
+	// chain, whose last link's answer is already the global top-k.
 	GatherNanos int64 `json:"gatherNanos,omitempty"`
 	// DurationNanos is the whole query's wall time including the
 	// scatter fan-out and the gather merge.

@@ -1,6 +1,8 @@
 package cssi
 
 import (
+	"errors"
+
 	"repro/internal/keyword"
 	"repro/internal/knn"
 )
@@ -33,35 +35,31 @@ func (x *Index) KeywordFilterEnabled() bool { return x.kw != nil }
 // (§2) layered on top of CSSI's semantic ranking. It panics if
 // EnableKeywordFilter was not called. ok=false indicates the keyword
 // list was unusable (empty, or all stop words); an empty result with
-// ok=true means nothing matches.
-//
-// Deprecated: use Do with SearchRequest.Keywords (ok=false becomes
-// ErrUnusableKeywords).
+// ok=true means nothing matches. It is Do with SearchRequest.Keywords,
+// where ok=false is ErrUnusableKeywords.
 func (x *Index) SearchWithKeywords(q *Object, k int, lambda float64, keywords ...string) (results []Result, ok bool) {
-	if len(keywords) == 0 {
-		// An empty SearchRequest.Keywords means "unconstrained"; the
-		// legacy contract for an empty list is ok=false. Validate as
-		// before, then report it unusable.
-		checkQuery(q, k, lambda)
-		x.checkQueryVec(q)
-		if x.kw == nil {
-			panic("cssi: SearchWithKeywords requires EnableKeywordFilter")
-		}
-		return nil, false
-	}
-	res, err := x.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Keywords: keywords})
-	if err != nil {
-		return nil, false
-	}
-	return res, true
+	return keywordSearch(x.Do, q, k, lambda, keywords)
 }
 
-// searchWithKeywords is the keyword-constrained search behind
-// Do/SearchWithKeywords; inputs are already validated.
-func (x *Index) searchWithKeywords(q *Object, k int, lambda float64, keywords []string) (results []Result, ok bool) {
-	if x.kw == nil {
-		panic("cssi: SearchWithKeywords requires EnableKeywordFilter")
+// keywordSearch adapts a flavor's Do to the SearchWithKeywords
+// contract: an unusable keyword list — an empty one included, which as
+// SearchRequest.Keywords would mean "unconstrained" — is ok=false, and
+// every other error panics like Search.
+func keywordSearch(do func(SearchRequest) ([]Result, error), q *Object, k int, lambda float64, keywords []string) ([]Result, bool) {
+	if len(keywords) == 0 {
+		return nil, false
 	}
+	res, err := do(SearchRequest{Query: q, K: k, Lambda: lambda, Keywords: keywords})
+	if errors.Is(err, ErrUnusableKeywords) {
+		return nil, false
+	}
+	return mustResults(res, err), true
+}
+
+// searchWithKeywords is the keyword-constrained search of one snapshot
+// behind Do; inputs are already validated and the filter is present
+// (see executeKeywords).
+func (x *Index) searchWithKeywords(q *Object, k int, lambda float64, keywords []string) (results []Result, ok bool) {
 	candidates, ok := x.kw.Candidates(keywords)
 	if !ok {
 		return nil, false

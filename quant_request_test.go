@@ -1,9 +1,6 @@
 package cssi
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // exactSame asserts two exact result lists are bit-identical, IDs
 // included (the quantized filter's contract).
@@ -15,44 +12,6 @@ func exactSame(t *testing.T, ctx string, want, got []Result) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("%s: result %d = %+v, want %+v", ctx, i, got[i], want[i])
-		}
-	}
-}
-
-// The Quant knob preserves exactness on every index flavor: QuantOff
-// and QuantAuto answer bit-identically through Do, on flat, concurrent,
-// and sharded (P=1, P=4) indexes.
-func TestDoQuantModesBitIdentical(t *testing.T) {
-	ds := testDataset(t, 1200)
-	for _, api := range requestFixtures(t, ds) {
-		for qi := 0; qi < 6; qi++ {
-			q := ds.Objects[(qi*127+19)%ds.Len()]
-			for _, lambda := range []float64{0.2, 0.6, 1} {
-				off, err := api.do(SearchRequest{Query: &q, K: 10, Lambda: lambda, Quant: QuantOff})
-				if err != nil {
-					t.Fatal(err)
-				}
-				auto, err := api.do(SearchRequest{Query: &q, K: 10, Lambda: lambda})
-				if err != nil {
-					t.Fatal(err)
-				}
-				exactSame(t, api.name+" quant modes", off, auto)
-			}
-		}
-	}
-}
-
-// QuantOnly without Approx has no sound implementation and is rejected
-// everywhere, single and batched.
-func TestDoRejectsQuantOnlyWithoutApprox(t *testing.T) {
-	ds := testDataset(t, 400)
-	q := ds.Objects[0]
-	for _, api := range requestFixtures(t, ds) {
-		if _, err := api.do(SearchRequest{Query: &q, K: 5, Lambda: 0.5, Quant: QuantOnly}); !errors.Is(err, ErrUnsupportedRequest) {
-			t.Fatalf("%s: Do(QuantOnly, exact) err = %v, want ErrUnsupportedRequest", api.name, err)
-		}
-		if _, err := api.doBatch(BatchSearchRequest{Queries: ds.Objects[:3], K: 5, Lambda: 0.5, Quant: QuantOnly}); !errors.Is(err, ErrUnsupportedRequest) {
-			t.Fatalf("%s: DoBatch(QuantOnly, exact) err = %v, want ErrUnsupportedRequest", api.name, err)
 		}
 	}
 }

@@ -38,32 +38,3 @@ func (x *Index) SearchInBoxStats(q *Object, loX, loY, hiX, hiY float64, k int, s
 	}
 	return x.core.SearchInBox(q, loX, loY, hiX, hiY, k, st)
 }
-
-// BatchSearch answers many k-NN queries concurrently (the parallel
-// query-processing direction of the paper's conclusion). Results are
-// returned in query order; parallelism ≤ 0 selects GOMAXPROCS, and any
-// larger request is clamped to GOMAXPROCS — callers cannot spawn more
-// runnable goroutines than the scheduler has processors. approx
-// selects CSSIA instead of CSSI. If st is non-nil it receives the summed
-// work counters of all queries. Each worker of the pool reuses one
-// pooled search scratch for its whole share, so large batches run
-// allocation-free apart from the result slices.
-//
-// Deprecated: use DoBatch with a BatchSearchRequest.
-func (x *Index) BatchSearch(queries []Object, k int, lambda float64, approx bool, parallelism int, st *Stats) [][]Result {
-	if len(queries) == 0 {
-		// The legacy contract returns an empty result for an empty batch
-		// before ANY validation (DoBatch rejects k < 1 first).
-		return make([][]Result, 0)
-	}
-	// Preserve the legacy panic on k < 1 — DoBatch reports it as
-	// ErrInvalidK, but this wrapper's signature has no error to return.
-	checkQuery(&queries[0], k, lambda)
-	out, err := x.DoBatch(BatchSearchRequest{Queries: queries, K: k, Lambda: lambda, Approx: approx, Parallelism: parallelism, Stats: st})
-	if err != nil {
-		// Unreachable: checkQuery above already rejected k < 1, the only
-		// request DoBatch refuses with an error.
-		panic(err)
-	}
-	return out
-}

@@ -1,6 +1,10 @@
 package cssi
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"testing"
+)
 
 func TestRangeSearchFacade(t *testing.T) {
 	ds := testDataset(t, 600)
@@ -78,7 +82,10 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 	}
 	queries := ds.SampleQueries(40, 3)
 	var st Stats
-	batch := idx.BatchSearch(queries, 10, 0.5, false, 4, &st)
+	batch, err := idx.DoBatch(BatchSearchRequest{Queries: queries, K: 10, Lambda: 0.5, Parallelism: 4, Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(batch) != len(queries) {
 		t.Fatalf("got %d result sets", len(batch))
 	}
@@ -105,7 +112,10 @@ func TestBatchSearchApprox(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := ds.SampleQueries(10, 3)
-	batch := idx.BatchSearch(queries, 5, 0.5, true, 0, nil)
+	batch, err := idx.DoBatch(BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5, Approx: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for qi, rs := range batch {
 		if len(rs) != 5 {
 			t.Fatalf("query %d returned %d results", qi, len(rs))
@@ -116,15 +126,14 @@ func TestBatchSearchApprox(t *testing.T) {
 func TestBatchSearchEmpty(t *testing.T) {
 	ds := testDataset(t, 50)
 	idx, _ := Build(ds, Options{Seed: 13})
-	if got := idx.BatchSearch(nil, 5, 0.5, false, 2, nil); len(got) != 0 {
-		t.Fatalf("expected empty, got %d", len(got))
+	if got, err := idx.DoBatch(BatchSearchRequest{K: 5, Lambda: 0.5, Parallelism: 2}); err != nil || got == nil || len(got) != 0 {
+		t.Fatalf("expected empty non-nil result, got %v, err %v", got, err)
 	}
 }
 
-// A malformed vector anywhere in a batch must panic on the caller's
-// goroutine, where a deferred recover (or net/http's handler recovery)
-// catches it. A panic inside a SearchBatch worker goroutine would be
-// unrecoverable and kill the whole process.
+// A malformed vector anywhere in a batch must be rejected with
+// ErrInvalidQuery before any worker starts: a panic inside a SearchBatch
+// worker goroutine would be unrecoverable and kill the whole process.
 func TestBatchSearchRejectsMalformedQueryUpFront(t *testing.T) {
 	ds := testDataset(t, 120)
 	idx, err := Build(ds, Options{Seed: 14})
@@ -140,13 +149,9 @@ func TestBatchSearchRejectsMalformedQueryUpFront(t *testing.T) {
 			queries[i] = ds.Objects[i]
 		}
 		mangle(&queries[5]) // not queries[0]: the whole batch must be vetted
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected a recoverable panic on the calling goroutine", name)
-				}
-			}()
-			idx.BatchSearch(queries, 3, 0.5, false, 4, nil)
-		}()
+		_, err := idx.DoBatch(BatchSearchRequest{Queries: queries, K: 3, Lambda: 0.5, Parallelism: 4})
+		if !errors.Is(err, ErrInvalidQuery) || !strings.Contains(err.Error(), "batch query 5") {
+			t.Fatalf("%s: err = %v, want ErrInvalidQuery naming batch query 5", name, err)
+		}
 	}
 }

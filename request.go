@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/core"
 )
 
 // SearchRequest describes one k-NN query against any index flavor —
@@ -15,22 +13,20 @@ import (
 // entry point. The zero value of every optional field means "off", so
 // the minimal request is SearchRequest{Query: q, K: k, Lambda: λ}.
 //
-// Do subsumes the legacy Search* variants (Search, SearchStats,
-// SearchInto, SearchApprox*, SearchExplain, SearchWithKeywords): each
-// knob that used to be its own method is one field here, and the knobs
-// compose — e.g. Approx+Dst+Stats is one request instead of a missing
-// method. Two combinations are rejected with ErrUnsupportedRequest
+// Each knob is one field, and the knobs compose — e.g. Approx+Dst+Stats
+// is one request. Search, SearchApprox and SearchWithKeywords remain as
+// quickstart conveniences over Do. Two combinations are rejected with
+// ErrUnsupportedRequest
 // because no sound implementation exists: Keywords with Approx (the
 // keyword path is exact by construction) and Keywords with
 // Explain/Trace (the brute-force arm of the keyword path bypasses the
 // instrumented cluster scan).
 type SearchRequest struct {
 	// Query is the query object; only X, Y and Vec are consulted. Must
-	// be non-nil with a vector of the index's dimensionality (panics
-	// otherwise, matching the legacy entry points' contract for
-	// programmer errors).
+	// be non-nil, finite, with a vector of the index's dimensionality
+	// (ErrInvalidQuery otherwise).
 	Query *Object
-	// K is the number of neighbors (must be >= 1).
+	// K is the number of neighbors (ErrInvalidK when < 1).
 	K int
 	// Lambda weighs the spatial vs semantic distance, in [0,1].
 	Lambda float64
@@ -72,20 +68,20 @@ type SearchRequest struct {
 	Keywords []string
 	// Dst, when non-nil, receives the results appended (typically
 	// dst[:0] of a buffer retained across queries — the zero-allocation
-	// steady state of the legacy SearchInto).
+	// steady state).
 	Dst []Result
 	// Stats, when non-nil, accumulates the query's work counters.
 	Stats *Stats
 	// Explain, when non-nil, accumulates the per-query search-internals
 	// trace (reuse across queries with ExplainStats.Reset). On a
 	// ShardedIndex the cross-shard aggregate is merged in; pair with
-	// Trace for the per-shard spans.
+	// Trace for the per-shard spans. Explain only observes: the request
+	// executes exactly as it would without it, so Explain.Stats equals
+	// the Stats of the same un-explained request.
 	Explain *ExplainStats
-	// Trace, when non-nil, is filled with the per-shard explain trace.
-	// Only a ShardedIndex has shards to trace: on *Index and
-	// *ConcurrentIndex a Trace request fails with
-	// ErrUnsupportedRequest (wrap the index with ShardedFrom to trace
-	// it as a single shard).
+	// Trace, when non-nil, is overwritten with the request's span tree:
+	// one span per shard on a ShardedIndex, a single span on *Index and
+	// *ConcurrentIndex. Like Explain it only observes the execution.
 	Trace *SearchTrace
 	// RequestID stamps the Trace and the always-on tracer's recorded
 	// trace (a fresh ID is generated when empty). The server passes its
@@ -113,17 +109,11 @@ type SearchRequest struct {
 	// Meta, when non-nil, receives the response metadata (partial,
 	// cache hit, snapshot ID) for this request; see ResponseMeta.
 	Meta *ResponseMeta
-
-	// deadline and cancel are the context-resolved budget (see
-	// resolveBudget); requests reach do() only after resolution.
-	deadline time.Time
-	cancel   <-chan struct{}
 }
 
 // BatchSearchRequest describes one batched k-NN workload for DoBatch:
 // many queries sharing K/Lambda/Approx, answered across a bounded
-// worker pool. It is the single batched entry point behind the legacy
-// SearchBatch/BatchSearch pairs.
+// worker pool.
 type BatchSearchRequest struct {
 	// Queries are the query objects (each needing X, Y, Vec).
 	Queries []Object
@@ -167,58 +157,69 @@ type BatchSearchRequest struct {
 	// Meta, when non-nil, receives the response metadata for the whole
 	// batch; see ResponseMeta.
 	Meta *ResponseMeta
-
-	// deadline and cancel are the context-resolved budget; partialOut,
-	// when non-nil (one slot per query), receives per-query partial
-	// flags — the cache layer uses it to fill only complete answers.
-	deadline   time.Time
-	cancel     <-chan struct{}
-	partialOut []bool
 }
 
 // ErrUnusableKeywords is returned by Do when a keyword-constrained
 // request's keyword list normalizes to nothing (empty, or all stop
-// words) — the error-value form of the legacy SearchWithKeywords
-// ok=false.
+// words) — the error-value form of SearchWithKeywords' ok=false.
 var ErrUnusableKeywords = errors.New("cssi: keyword list unusable (empty or all stop words)")
 
 // ErrUnsupportedRequest is returned by Do for field combinations with
 // no sound implementation (see SearchRequest). Test with errors.Is.
 var ErrUnsupportedRequest = errors.New("cssi: unsupported search request")
 
-// ErrInvalidQuery is returned by Do and DoBatch when a query carries a
-// non-finite value — a NaN or infinite coordinate or vector component.
-// Such a query has no defined distance to anything, so answering it
-// would return silent garbage; callers feeding user input should treat
-// this as a bad request. Test with errors.Is.
-var ErrInvalidQuery = errors.New("cssi: invalid query (non-finite coordinate or vector component)")
+// ErrInvalidK is returned by Do and DoBatch when the requested neighbor
+// count is not positive. Test with errors.Is.
+var ErrInvalidK = errors.New("cssi: k must be >= 1")
+
+// ErrInvalidQuery is returned by Do and DoBatch for a query no distance
+// is defined for: a nil query, a vector whose dimensionality is not the
+// index's, or a non-finite (NaN or infinite) coordinate or vector
+// component. Callers feeding user input should treat this as a bad
+// request. Test with errors.Is.
+var ErrInvalidQuery = errors.New("cssi: invalid query")
 
 // ErrInvalidLambda is returned by Do and DoBatch when Lambda is NaN or
 // outside [0,1] — the λ-weighted distance is only defined on that
-// interval. Test with errors.Is. (The legacy Search* wrappers still
-// panic: they funnel through Do and mustResults panics on any error.)
+// interval. Test with errors.Is.
 var ErrInvalidLambda = errors.New("cssi: lambda out of [0,1]")
 
-// validateNumerics rejects the malformed numeric inputs every index
-// flavor's Do and DoBatch must refuse identically: a NaN/out-of-range
-// Lambda, non-finite query coordinates or vector components, and a
-// non-finite RouteTarget. A nil query passes — the legacy nil-query
-// panic in checkQuery stays the programmer-error contract.
-func validateNumerics(q *Object, lambda, routeTarget float64) error {
+// validateKnobs rejects the malformed shared knobs of a request, in the
+// one fixed order every flavor's Do and DoBatch report them: K, then
+// Lambda, then RouteTarget, then the quant mode. QuantOnly selects by
+// quantized estimates and reranks only an overfetched pool, so it
+// cannot honor an exact request.
+func validateKnobs(k int, lambda, routeTarget float64, approx bool, quant QuantMode) error {
+	if k < 1 {
+		return fmt.Errorf("%w: got %d", ErrInvalidK, k)
+	}
 	if math.IsNaN(lambda) || lambda < 0 || lambda > 1 {
 		return fmt.Errorf("%w: got %v", ErrInvalidLambda, lambda)
 	}
 	if math.IsNaN(routeTarget) || math.IsInf(routeTarget, 0) {
 		return fmt.Errorf("%w: RouteTarget %v is not finite", ErrUnsupportedRequest, routeTarget)
 	}
+	if quant == QuantOnly && !approx {
+		return fmt.Errorf("%w: QuantOnly requires Approx (the quantized-only scan is approximate)", ErrUnsupportedRequest)
+	}
+	return nil
+}
+
+// validateQuery rejects a query the distance kernels cannot answer
+// (they would otherwise panic deep inside the hot path, or return
+// silent garbage for non-finite input).
+func validateQuery(q *Object, dim int) error {
 	if q == nil {
-		return nil
+		return fmt.Errorf("%w: nil query", ErrInvalidQuery)
+	}
+	if len(q.Vec) != dim {
+		return fmt.Errorf("%w: vector dim %d, index expects %d", ErrInvalidQuery, len(q.Vec), dim)
 	}
 	if !finite(q.X) || !finite(q.Y) {
 		return fmt.Errorf("%w: location (%v, %v)", ErrInvalidQuery, q.X, q.Y)
 	}
 	for i, v := range q.Vec {
-		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+		if !finite(float64(v)) {
 			return fmt.Errorf("%w: vector component %d is %v", ErrInvalidQuery, i, v)
 		}
 	}
@@ -227,23 +228,44 @@ func validateNumerics(q *Object, lambda, routeTarget float64) error {
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// validateBatchNumerics is validateNumerics over a whole batch,
-// identifying the offending query in the error.
-func validateBatchNumerics(queries []Object, lambda, routeTarget float64) error {
-	if err := validateNumerics(nil, lambda, routeTarget); err != nil {
+// validate is the one validation of a single-query request: the shared
+// knobs, the query, then the keyword-incompatible combinations.
+func (req *SearchRequest) validate(dim int) error {
+	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget, req.Approx, req.Quant); err != nil {
 		return err
 	}
-	for i := range queries {
-		if err := validateNumerics(&queries[i], lambda, routeTarget); err != nil {
+	if err := validateQuery(req.Query, dim); err != nil {
+		return err
+	}
+	if len(req.Keywords) > 0 {
+		if req.Approx {
+			return fmt.Errorf("%w: Keywords cannot combine with Approx (the keyword path is exact)", ErrUnsupportedRequest)
+		}
+		if req.Explain != nil || req.Trace != nil {
+			return fmt.Errorf("%w: Keywords cannot combine with Explain or Trace", ErrUnsupportedRequest)
+		}
+	}
+	return nil
+}
+
+// validate is the one validation of a batch request: the shared knobs,
+// then every query, identifying the offending one. All of it runs on
+// the caller's goroutine, before any fan-out.
+func (req *BatchSearchRequest) validate(dim int) error {
+	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget, req.Approx, req.Quant); err != nil {
+		return err
+	}
+	for i := range req.Queries {
+		if err := validateQuery(&req.Queries[i], dim); err != nil {
 			return fmt.Errorf("batch query %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// mustResults unwraps a Do call built from a legacy wrapper whose
-// request carries no fallible fields (no Keywords, no Trace on a
-// flat index), keeping the wrappers' no-error signatures honest.
+// mustResults unwraps the Do call of a quickstart wrapper (Search,
+// SearchApprox), whose no-error signatures keep the legacy contract:
+// an invalid query, k or lambda panics.
 func mustResults(res []Result, err error) []Result {
 	if err != nil {
 		panic(err)
@@ -251,295 +273,99 @@ func mustResults(res []Result, err error) []Result {
 	return res
 }
 
-// checkKeywordRequest rejects the keyword-incompatible field
-// combinations shared by every index flavor's Do.
-func checkKeywordRequest(req *SearchRequest) error {
-	if req.Approx {
-		return fmt.Errorf("%w: Keywords cannot combine with Approx (the keyword path is exact)", ErrUnsupportedRequest)
-	}
-	if req.Explain != nil || req.Trace != nil {
-		return fmt.Errorf("%w: Keywords cannot combine with Explain or Trace", ErrUnsupportedRequest)
-	}
-	return nil
-}
-
-// checkQuantMode rejects the quant combination with no sound
-// implementation: QuantOnly selects by quantized estimates and reranks
-// only an overfetched pool, so it cannot honor an exact request.
-func checkQuantMode(approx bool, quant QuantMode) error {
-	if quant == QuantOnly && !approx {
-		return fmt.Errorf("%w: QuantOnly requires Approx (the quantized-only scan is approximate)", ErrUnsupportedRequest)
-	}
-	return nil
-}
-
-// searchOptions translates the request's algorithm knobs into the core
-// dispatch options.
-func (req *SearchRequest) searchOptions() core.SearchOptions {
-	return core.SearchOptions{
-		Approx: req.Approx, Quant: req.Quant, QuantRerank: req.QuantRerank,
-		Route: req.Route, RouteTarget: req.RouteTarget,
-		Deadline: req.deadline, Cancel: req.cancel,
-	}
-}
-
-// searchOptions translates the batch request's algorithm knobs into
-// the core dispatch options.
-func (req *BatchSearchRequest) searchOptions() core.SearchOptions {
-	return core.SearchOptions{
-		Approx: req.Approx, Quant: req.Quant, QuantRerank: req.QuantRerank,
-		Route: req.Route, RouteTarget: req.RouteTarget,
-		Deadline: req.deadline, Cancel: req.cancel,
-	}
-}
-
-// Do answers one k-NN query described by req — the single search entry
-// point every legacy Search* variant now delegates to. Programmer
-// errors (nil query, K < 1, wrong vector dimensionality, Keywords
-// without EnableKeywordFilter) panic exactly as the legacy entry points
-// did; conditions a correct caller can hit at runtime — often by
-// passing through unvalidated user input — return a typed error:
-// ErrInvalidLambda (Lambda NaN or outside [0,1]), ErrInvalidQuery
-// (non-finite query coordinates or vector components),
-// ErrUnusableKeywords, ErrUnsupportedRequest.
+// Do answers one k-NN query described by req. Conditions a correct
+// caller can hit at runtime — often by passing through unvalidated user
+// input — return a typed error, the same one in the same order on every
+// index flavor: ErrInvalidK (K < 1), ErrInvalidLambda (Lambda NaN or
+// outside [0,1]), ErrInvalidQuery (nil query, wrong vector
+// dimensionality, non-finite coordinates or vector components),
+// ErrUnsupportedRequest, ErrInvalidDeadline, ErrUnusableKeywords. Only
+// Keywords without EnableKeywordFilter — a missing set-up step, not an
+// input — panics.
 //
-// With a trace sink installed (SetTraceSink) every Do records a
-// single-span trace into the sink's tail sampler; without one the
-// request pays no tracing cost at all.
+// With a trace sink installed (SetTraceSink) every executed Do records
+// its span tree into the sink's tail sampler; without one the request
+// pays no tracing cost at all.
 //
 // Do is exactly DoContext(context.Background(), req); use DoContext to
-// compose the request with a context's deadline and cancellation.
+// compose the request with a context's deadline and cancellation (see
+// serve for the contract).
 func (x *Index) Do(req SearchRequest) ([]Result, error) {
-	return x.DoContext(context.Background(), req)
+	return serve(context.Background(), x.view(), &req)
 }
 
-// do is the untraced request dispatch behind Do.
-func (x *Index) do(req SearchRequest) ([]Result, error) {
-	if err := validateNumerics(req.Query, req.Lambda, req.RouteTarget); err != nil {
-		return nil, err
-	}
-	checkQuery(req.Query, req.K, req.Lambda)
-	x.checkQueryVec(req.Query)
-	if err := checkQuantMode(req.Approx, req.Quant); err != nil {
-		return nil, err
-	}
-	req.metaReset(x.snapID)
-	if len(req.Keywords) > 0 {
-		if err := checkKeywordRequest(&req); err != nil {
-			return nil, err
-		}
-		res, ok := x.searchWithKeywords(req.Query, req.K, req.Lambda, req.Keywords)
-		if !ok {
-			return nil, ErrUnusableKeywords
-		}
-		if req.Dst != nil {
-			return append(req.Dst, res...), nil
-		}
-		return res, nil
-	}
-	if req.Trace != nil {
-		return nil, fmt.Errorf("%w: Trace requires a ShardedIndex (wrap with ShardedFrom)", ErrUnsupportedRequest)
-	}
-	var pm core.SearchMeta
-	if req.Explain != nil {
-		res := x.core.SearchExplainOptionsMetaInto(req.Dst, req.Query, req.K, req.Lambda, req.searchOptions(), req.Explain, &pm)
-		req.metaPartial(pm.Partial)
-		if req.Stats != nil {
-			req.Stats.Add(&req.Explain.Stats)
-		}
-		return res, nil
-	}
-	res := x.core.SearchOptionsMetaInto(req.Dst, req.Query, req.K, req.Lambda, req.searchOptions(), req.Stats, &pm)
-	req.metaPartial(pm.Partial)
-	return res, nil
+// DoContext is Do under a context.
+func (x *Index) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
+	return serve(ctx, x.view(), &req)
 }
 
-// DoBatch answers the batched workload described by req — the single
-// batched entry point behind the legacy SearchBatch/BatchSearch pairs.
-// K < 1 returns ErrInvalidK; a NaN/out-of-range Lambda returns
-// ErrInvalidLambda and a query with non-finite coordinates or vector
-// components returns ErrInvalidQuery (identifying the offending query),
-// both before any fan-out; an empty batch returns an empty result
-// without spinning up workers; wrong vector dimensionality panics on
-// the caller's goroutine, as the legacy entry points did.
+// DoBatch answers the batched workload described by req, with Do's
+// validation contract (an invalid query is identified by its position)
+// applied before any fan-out; an empty batch returns an empty result
+// without spinning up workers.
 //
 // DoBatch is exactly DoBatchContext(context.Background(), req).
 func (x *Index) DoBatch(req BatchSearchRequest) ([][]Result, error) {
-	return x.DoBatchContext(context.Background(), req)
+	return serveBatch(context.Background(), x.view(), &req)
 }
 
-// doBatch is the untraced batch dispatch behind DoBatch.
-func (x *Index) doBatch(req BatchSearchRequest) ([][]Result, error) {
-	if req.K < 1 {
-		return nil, ErrInvalidK
-	}
-	if err := checkQuantMode(req.Approx, req.Quant); err != nil {
-		return nil, err
-	}
-	if err := validateBatchNumerics(req.Queries, req.Lambda, req.RouteTarget); err != nil {
-		return nil, err
-	}
-	if len(req.Queries) == 0 {
-		req.metaFill(x.snapID, nil)
-		return [][]Result{}, nil
-	}
-	checkQuery(&req.Queries[0], req.K, req.Lambda)
-	for i := range req.Queries {
-		if len(req.Queries[i].Vec) != x.core.Dim() {
-			panic(fmt.Sprintf("cssi: batch query %d has vector dim %d, index expects %d",
-				i, len(req.Queries[i].Vec), x.core.Dim()))
-		}
-	}
-	partials := req.partialOut
-	if partials == nil && req.Meta != nil && req.budgeted() {
-		partials = make([]bool, len(req.Queries))
-	}
-	out, err := x.core.SearchBatchOptionsMeta(req.Queries, req.K, req.Lambda, req.Parallelism,
-		req.searchOptions(), req.Stats, partials)
-	if err != nil {
-		// Unreachable: K < 1, the only input the core entry point
-		// refuses, was rejected above.
-		panic(err)
-	}
-	req.metaFill(x.snapID, partials)
-	return out, nil
+// DoBatchContext is DoBatch under a context (see serveBatch).
+func (x *Index) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
+	return serveBatch(ctx, x.view(), &req)
 }
 
 // Do answers one k-NN query against the current snapshot (lock-free);
 // see Index.Do for the request contract. A trace sink installed on the
-// wrapper (SetTraceSink) records every Do regardless of which snapshot
-// serves it. With a result cache enabled (EnableResultCache) repeated
-// queries are served from it, bit-identical to an uncached search of
-// the same snapshot.
-//
-// Do is exactly DoContext(context.Background(), req).
+// wrapper (SetTraceSink) records every executed Do regardless of which
+// snapshot serves it. With a result cache enabled (EnableResultCache)
+// repeated queries are served from it, bit-identical to an uncached
+// search of the same snapshot.
 func (c *ConcurrentIndex) Do(req SearchRequest) ([]Result, error) {
-	return c.DoContext(context.Background(), req)
+	return serve(context.Background(), c.view(), &req)
+}
+
+// DoContext is Do under a context.
+func (c *ConcurrentIndex) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
+	return serve(ctx, c.view(), &req)
 }
 
 // DoBatch answers a batched workload against the current snapshot: the
 // whole batch runs to completion against the one snapshot it loaded,
 // even while writers publish newer ones concurrently. See Index.DoBatch
 // for the request contract.
-//
-// DoBatch is exactly DoBatchContext(context.Background(), req).
 func (c *ConcurrentIndex) DoBatch(req BatchSearchRequest) ([][]Result, error) {
-	return c.DoBatchContext(context.Background(), req)
+	return serveBatch(context.Background(), c.view(), &req)
 }
 
-// Do answers one k-NN query across the shards — scatter/gather (or the
-// bound-carrying sequential chain where that is faster) for plain
-// requests, the per-shard explain scatter when Explain or Trace is set,
-// and the keyword scatter for keyword-constrained requests. See
-// Index.Do for the request contract; exact results are bit-identical
-// to a flat index over the same objects.
-//
-// Do is exactly DoContext(context.Background(), req).
+// DoBatchContext is DoBatch under a context.
+func (c *ConcurrentIndex) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
+	return serveBatch(ctx, c.view(), &req)
+}
+
+// Do answers one k-NN query across the shards — the bound-carrying
+// sequential chain or the scatter/gather, whichever the host's core
+// count favors (see execute) — and the keyword scatter for
+// keyword-constrained requests. See Index.Do for the request contract;
+// exact results are bit-identical to a flat index over the same
+// objects. The result cache's snapshot identity is the interned vector
+// of per-shard snapshots (see epochToken), so a hit proves no shard has
+// republished since the entry was computed.
 func (s *ShardedIndex) Do(req SearchRequest) ([]Result, error) {
-	return s.DoContext(context.Background(), req)
+	return serve(context.Background(), s.view(), &req)
 }
 
-// doSinked dispatches a budget-resolved request, recording a trace
-// when a sink is installed.
-func (s *ShardedIndex) doSinked(req SearchRequest) ([]Result, error) {
-	sink := s.sink.Load()
-	if sink == nil {
-		return s.do(req, nil)
-	}
-	req.ensureMeta()
-	op := "search"
-	if len(req.Keywords) > 0 {
-		op = "keyword"
-	}
-	t, start := beginTrace(sink, "sharded", op, 1, req.K, req.Lambda, req.searchOptions(), req.RequestID, req.TraceID)
-	// One ID across the recorded trace and any caller-visible
-	// SearchTrace the explain path fills.
-	req.RequestID = t.RequestID
-	res, err := s.do(req, t)
-	t.Partial = req.Meta.Partial
-	endTrace(sink, t, res, err, start)
-	return res, err
+// DoContext is Do under a context.
+func (s *ShardedIndex) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
+	return serve(ctx, s.view(), &req)
 }
 
-// do is the request dispatch behind ShardedIndex.Do. With tr non-nil
-// (a trace sink is installed) the search paths record per-shard spans
-// into it; results are bit-identical either way.
-func (s *ShardedIndex) do(req SearchRequest, tr *SearchTrace) ([]Result, error) {
-	if err := validateNumerics(req.Query, req.Lambda, req.RouteTarget); err != nil {
-		return nil, err
-	}
-	if err := checkQuantMode(req.Approx, req.Quant); err != nil {
-		return nil, err
-	}
-	req.metaReset(s.snapshotID())
-	if len(req.Keywords) > 0 {
-		s.checkRead(req.Query, req.K, req.Lambda)
-		if err := checkKeywordRequest(&req); err != nil {
-			return nil, err
-		}
-		res, ok := s.searchKeywords(req.Query, req.K, req.Lambda, req.Keywords)
-		if !ok {
-			return nil, ErrUnusableKeywords
-		}
-		if req.Dst != nil {
-			return append(req.Dst, res...), nil
-		}
-		return res, nil
-	}
-	var pm core.SearchMeta
-	if req.Explain != nil || req.Trace != nil {
-		res, trc := s.searchExplain(req.Query, req.K, req.Lambda, req.searchOptions(), req.RequestID, &pm)
-		req.metaPartial(pm.Partial)
-		if req.Trace != nil {
-			*req.Trace = *trc
-		}
-		if tr != nil {
-			tr.Shards = append(tr.Shards, trc.Shards...)
-			tr.Parallel = trc.Parallel
-			tr.GatherNanos = trc.GatherNanos
-		}
-		if req.Explain != nil {
-			req.Explain.Merge(&trc.Total)
-			req.Explain.KthDistance = trc.Total.KthDistance
-		}
-		if req.Stats != nil {
-			req.Stats.Add(&trc.Total.Stats)
-		}
-		if req.Dst != nil {
-			return append(req.Dst, res...), nil
-		}
-		return res, nil
-	}
-	if req.Approx {
-		res := s.searchApprox(req.Dst, req.Query, req.K, req.Lambda, req.searchOptions(), req.Stats, tr, &pm)
-		req.metaPartial(pm.Partial)
-		return res, nil
-	}
-	res := s.searchExact(req.Dst, req.Query, req.K, req.Lambda, req.searchOptions(), req.Stats, tr, &pm)
-	req.metaPartial(pm.Partial)
-	return res, nil
-}
-
-// DoBatch answers a batched workload with one scatter (or the chained
-// sequential path on a single-core host); see Index.DoBatch for the
-// request contract.
-//
-// DoBatch is exactly DoBatchContext(context.Background(), req).
+// DoBatch answers a batched workload across the shards; see
+// Index.DoBatch for the request contract.
 func (s *ShardedIndex) DoBatch(req BatchSearchRequest) ([][]Result, error) {
-	return s.DoBatchContext(context.Background(), req)
+	return serveBatch(context.Background(), s.view(), &req)
 }
 
-// doBatchSinked dispatches a budget-resolved batch, recording a trace
-// when a sink is installed.
-func (s *ShardedIndex) doBatchSinked(req BatchSearchRequest) ([][]Result, error) {
-	sink := s.sink.Load()
-	if sink == nil {
-		return s.doBatch(req, nil)
-	}
-	req.ensureMeta()
-	t, start := beginTrace(sink, "sharded", "batch", len(req.Queries), req.K, req.Lambda, req.searchOptions(), req.RequestID, req.TraceID)
-	out, err := s.doBatch(req, t)
-	t.Partial = req.Meta.Partial
-	endTraceBatch(sink, t, out, err, start)
-	return out, err
+// DoBatchContext is DoBatch under a context.
+func (s *ShardedIndex) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
+	return serveBatch(ctx, s.view(), &req)
 }

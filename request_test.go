@@ -1,245 +1,477 @@
 package cssi
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"math"
 	"math/rand/v2"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/metric"
 	"repro/internal/obs"
+	"repro/internal/scan"
 )
 
-// searchAPI adapts the three index flavors to one shape so the
-// Do-equivalence property test runs identically against each.
+// searchAPI adapts the index flavors to one shape so the cross-flavor
+// tests run identically against each.
 type searchAPI struct {
-	name        string
-	do          func(SearchRequest) ([]Result, error)
-	doBatch     func(BatchSearchRequest) ([][]Result, error)
-	search      func(q *Object, k int, lambda float64) []Result
-	searchStats func(q *Object, k int, lambda float64, st *Stats) []Result
-	approx      func(q *Object, k int, lambda float64) []Result
-	batch       func(queries []Object, k int, lambda float64, approx bool, par int, st *Stats) ([][]Result, error)
-	keywords    func(q *Object, k int, lambda float64, kws ...string) ([]Result, bool)
-	setSink     func(sink *obs.Sink)
+	name    string
+	do      func(SearchRequest) ([]Result, error)
+	doBatch func(BatchSearchRequest) ([][]Result, error)
+	doCtx   func(context.Context, SearchRequest) ([]Result, error)
+	setSink func(sink *obs.Sink)
+	// enableCache installs a result cache; nil on the bare *Index, which
+	// never caches.
+	enableCache func(capacity int)
+	// snaps is the number of snapshots a request spans (its trace's
+	// span count).
+	snaps int
 }
 
-// requestFixtures builds one flat, one concurrent, and two sharded
-// (P=1, P=4) indexes over the same dataset, keyword filter enabled.
+// requestFixtures builds Index, Concurrent(idx), ShardedFrom(idx) (as
+// BuildSharded P=1) and BuildSharded(P=4) over the same dataset,
+// keyword filter enabled.
 func requestFixtures(t *testing.T, ds *Dataset) []searchAPI {
 	t.Helper()
-	flat, err := Build(ds, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := mustBuild(t, ds, Options{Seed: 5})
 	flat.EnableKeywordFilter()
-	concIdx, err := Build(ds, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	concIdx := mustBuild(t, ds, Options{Seed: 5})
 	concIdx.EnableKeywordFilter()
 	conc := Concurrent(concIdx)
 	apis := []searchAPI{
-		{
-			name:        "flat",
-			do:          flat.Do,
-			doBatch:     flat.DoBatch,
-			search:      flat.Search,
-			searchStats: flat.SearchStats,
-			approx:      flat.SearchApprox,
-			batch: func(qs []Object, k int, l float64, ap bool, par int, st *Stats) ([][]Result, error) {
-				return flat.BatchSearch(qs, k, l, ap, par, st), nil
-			},
-			keywords: flat.SearchWithKeywords,
-			setSink:  flat.SetTraceSink,
-		},
-		{
-			name:    "concurrent",
-			do:      conc.Do,
-			doBatch: conc.DoBatch,
-			search:  conc.Search,
-			searchStats: func(q *Object, k int, l float64, st *Stats) []Result {
-				return conc.Snapshot().SearchStats(q, k, l, st)
-			},
-			approx:   conc.SearchApprox,
-			batch:    conc.BatchSearch,
-			keywords: conc.SearchWithKeywords,
-			setSink:  conc.SetTraceSink,
-		},
+		{name: "flat", do: flat.Do, doBatch: flat.DoBatch, doCtx: flat.DoContext, setSink: flat.SetTraceSink, snaps: 1},
+		{name: "concurrent", do: conc.Do, doBatch: conc.DoBatch, doCtx: conc.DoContext, setSink: conc.SetTraceSink,
+			enableCache: conc.EnableResultCache, snaps: 1},
 	}
 	for _, p := range []int{1, 4} {
 		s := mustBuildSharded(t, ds, p, Options{Seed: 5})
 		s.EnableKeywordFilter()
 		apis = append(apis, searchAPI{
-			name:        "sharded",
-			do:          s.Do,
-			doBatch:     s.DoBatch,
-			search:      s.Search,
-			searchStats: s.SearchStats,
-			approx:      s.SearchApprox,
-			batch:       s.BatchSearch,
-			keywords:    s.SearchWithKeywords,
-			setSink:     s.SetTraceSink,
+			name: fmt.Sprintf("sharded-P%d", p), do: s.Do, doBatch: s.DoBatch, doCtx: s.DoContext, setSink: s.SetTraceSink,
+			enableCache: s.EnableResultCache, snaps: p,
 		})
-		apis[len(apis)-1].name = "sharded-P" + string(rune('0'+p))
 	}
 	return apis
 }
 
-// TestDoMatchesLegacyWrappers is the API-equivalence property test:
-// every deprecated Search* wrapper must produce bit-identical results
-// (and identical work counters) to the SearchRequest it documents as
-// its replacement, on every index flavor.
-func TestDoMatchesLegacyWrappers(t *testing.T) {
-	ds := testDataset(t, 900)
+// TestRequestConformance is the one cross-flavor table: every request
+// shape runs against every flavor, and must (a) answer exact requests
+// bit-identically to the linear scan, (b) agree with the flat index on
+// the full answer — IDs, tie order — wherever the answer is defined by
+// the data alone, (c) report the same error class and Meta flags on
+// every flavor, and (d) leave observers (Explain, Trace) with exactly
+// the Stats of the same un-observed request.
+func TestRequestConformance(t *testing.T) {
+	// Large enough that Build trains the cluster router.
+	ds := testDataset(t, 2500)
+	space, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := scan.New(ds, space)
 	kw := firstKeyword(t, ds)
+	apis := requestFixtures(t, ds)
+
+	type outcome struct {
+		res  []Result
+		err  error
+		meta ResponseMeta
+	}
+	type shape struct {
+		name string
+		// mod turns the plain exact request into the shape's.
+		mod func(req *SearchRequest)
+		ctx func() context.Context
+		// exact: the answer must equal the linear scan's. perFlavor: the
+		// answer legitimately depends on the flavor's clustering
+		// (approximate modes, budget cuts), so it is not compared across
+		// flavors.
+		exact, perFlavor bool
+		wantErr          error
+		wantPartial      bool
+		// check inspects the shape's observers after a successful call;
+		// plain holds the Stats of the same request without them.
+		check func(t *testing.T, api searchAPI, req *SearchRequest, got []Result, plain Stats)
+	}
+	canceled := func() context.Context {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return ctx
+	}
+	shapes := []shape{
+		{name: "exact", exact: true},
+		{name: "approx", mod: func(r *SearchRequest) { r.Approx = true }, perFlavor: true},
+		{name: "routed", mod: func(r *SearchRequest) { r.Route = true }, exact: true},
+		{name: "routed-approx", mod: func(r *SearchRequest) { r.Approx, r.Route = true, true }, perFlavor: true},
+		{name: "quant-off", mod: func(r *SearchRequest) { r.Quant = QuantOff }, exact: true},
+		{name: "keywords", mod: func(r *SearchRequest) { r.Keywords = []string{kw} }},
+		{name: "explain", mod: func(r *SearchRequest) { r.Explain = new(ExplainStats) }, exact: true,
+			check: func(t *testing.T, api searchAPI, r *SearchRequest, got []Result, plain Stats) {
+				if r.Explain.Stats != plain {
+					t.Fatalf("Explain.Stats %+v, un-explained Stats %+v", r.Explain.Stats, plain)
+				}
+				if len(got) > 0 && r.Explain.KthDistance != got[len(got)-1].Dist {
+					t.Fatalf("Explain.KthDistance %v, kth result %v", r.Explain.KthDistance, got[len(got)-1].Dist)
+				}
+			}},
+		{name: "trace", mod: func(r *SearchRequest) { r.Trace, r.RequestID = new(SearchTrace), "req-conformance" }, exact: true,
+			check: func(t *testing.T, api searchAPI, r *SearchRequest, got []Result, plain Stats) {
+				tr := r.Trace
+				if tr.RequestID != "req-conformance" || tr.Algo != "cssi" || tr.K != r.K || tr.Lambda != r.Lambda {
+					t.Fatalf("trace envelope %+v", tr)
+				}
+				if len(tr.Shards) != api.snaps {
+					t.Fatalf("%d spans, want %d", len(tr.Shards), api.snaps)
+				}
+				if tr.Total.Stats != plain {
+					t.Fatalf("trace total %+v, un-traced Stats %+v", tr.Total.Stats, plain)
+				}
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "dst-reuse", mod: func(r *SearchRequest) { r.Dst = append(make([]Result, 0, 64), Result{ID: 424242, Dist: -1}) }, exact: true},
+		{name: "expired-deadline", mod: func(r *SearchRequest) { r.Deadline = time.Nanosecond }, perFlavor: true, wantPartial: true},
+		{name: "cancelled-ctx", ctx: canceled, wantErr: context.Canceled},
+		{name: "cache-off", mod: func(r *SearchRequest) { r.Cache = CacheOff }, exact: true},
+		{name: "cache-on", mod: func(r *SearchRequest) { r.Cache = CacheOn }, exact: true},
+
+		{name: "invalid/k=0", mod: func(r *SearchRequest) { r.K = 0 }, wantErr: ErrInvalidK},
+		{name: "invalid/k=0-before-lambda", mod: func(r *SearchRequest) { r.K, r.Lambda = -3, 7 }, wantErr: ErrInvalidK},
+		{name: "invalid/lambda-nan", mod: func(r *SearchRequest) { r.Lambda = math.NaN() }, wantErr: ErrInvalidLambda},
+		{name: "invalid/lambda-high", mod: func(r *SearchRequest) { r.Lambda = 1.5 }, wantErr: ErrInvalidLambda},
+		{name: "invalid/lambda-before-query", mod: func(r *SearchRequest) { r.Lambda, r.Query = -0.1, nil }, wantErr: ErrInvalidLambda},
+		{name: "invalid/nil-query", mod: func(r *SearchRequest) { r.Query = nil }, wantErr: ErrInvalidQuery},
+		{name: "invalid/nil-vec", mod: func(r *SearchRequest) { q := *r.Query; q.Vec = nil; r.Query = &q }, wantErr: ErrInvalidQuery},
+		{name: "invalid/wrong-dim", mod: func(r *SearchRequest) { q := *r.Query; q.Vec = q.Vec[:len(q.Vec)-1]; r.Query = &q }, wantErr: ErrInvalidQuery},
+		{name: "invalid/nan-location", mod: func(r *SearchRequest) { q := *r.Query; q.X = math.NaN(); r.Query = &q }, wantErr: ErrInvalidQuery},
+		{name: "invalid/inf-component", mod: func(r *SearchRequest) {
+			q := *r.Query
+			q.Vec = append([]float32(nil), q.Vec...)
+			q.Vec[3] = float32(math.Inf(1))
+			r.Query = &q
+		}, wantErr: ErrInvalidQuery},
+		{name: "invalid/route-target-nan", mod: func(r *SearchRequest) { r.Approx, r.Route, r.RouteTarget = true, true, math.NaN() }, wantErr: ErrUnsupportedRequest},
+		{name: "invalid/quant-only-exact", mod: func(r *SearchRequest) { r.Quant = QuantOnly }, wantErr: ErrUnsupportedRequest},
+		{name: "invalid/keywords+approx", mod: func(r *SearchRequest) { r.Keywords, r.Approx = []string{kw}, true }, wantErr: ErrUnsupportedRequest},
+		{name: "invalid/keywords+explain", mod: func(r *SearchRequest) { r.Keywords, r.Explain = []string{kw}, new(ExplainStats) }, wantErr: ErrUnsupportedRequest},
+		{name: "invalid/keywords+trace", mod: func(r *SearchRequest) { r.Keywords, r.Trace = []string{kw}, new(SearchTrace) }, wantErr: ErrUnsupportedRequest},
+		{name: "invalid/stop-word-keywords", mod: func(r *SearchRequest) { r.Keywords = []string{"of"} }, wantErr: ErrUnusableKeywords},
+		{name: "invalid/negative-deadline", mod: func(r *SearchRequest) { r.Deadline = -time.Second }, wantErr: ErrInvalidDeadline},
+		{name: "invalid/cache-mode", mod: func(r *SearchRequest) { r.Cache = CacheMode(99) }, wantErr: ErrUnsupportedRequest},
+	}
+
 	rng := rand.New(rand.NewPCG(42, 1))
-	for _, api := range requestFixtures(t, ds) {
-		t.Run(api.name, func(t *testing.T) {
-			for trial := 0; trial < 12; trial++ {
-				q := ds.Objects[rng.IntN(ds.Len())]
-				k := 1 + rng.IntN(20)
-				lambda := rng.Float64()
+	type trial struct {
+		q      Object
+		k      int
+		lambda float64
+	}
+	trials := []trial{{ds.Objects[3], 10, 0.5}, {ds.Objects[11], 5, 0}, {ds.Objects[17], 7, 1}}
+	for len(trials) < 8 {
+		trials = append(trials, trial{ds.Objects[rng.IntN(ds.Len())], 1 + rng.IntN(20), rng.Float64()})
+	}
 
-				want := api.search(&q, k, lambda)
-				got, err := api.do(SearchRequest{Query: &q, K: k, Lambda: lambda})
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalResults(t, "Search vs Do", want, got)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			for ti, tc := range trials {
+				want := oracle.Search(&tc.q, tc.k, tc.lambda, nil)
+				var first outcome
+				for ai, api := range apis {
+					ctxOf := context.Background
+					if sh.ctx != nil {
+						ctxOf = sh.ctx
+					}
+					// The same request without observers, for its Stats.
+					var plain Stats
+					if sh.check != nil {
+						if _, err := api.do(SearchRequest{Query: &tc.q, K: tc.k, Lambda: tc.lambda, Stats: &plain}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var got outcome
+					req := SearchRequest{Query: &tc.q, K: tc.k, Lambda: tc.lambda, Meta: &got.meta}
+					if sh.mod != nil {
+						sh.mod(&req)
+					}
+					prefix := len(req.Dst)
+					got.res, got.err = api.doCtx(ctxOf(), req)
+					ctx := fmt.Sprintf("%s trial %d", api.name, ti)
 
-				var stLegacy, stDo Stats
-				want = api.searchStats(&q, k, lambda, &stLegacy)
-				got, err = api.do(SearchRequest{Query: &q, K: k, Lambda: lambda, Stats: &stDo})
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalResults(t, "SearchStats vs Do", want, got)
-				if stLegacy != stDo {
-					t.Fatalf("stats diverge: legacy %+v, Do %+v", stLegacy, stDo)
-				}
-
-				want = api.approx(&q, k, lambda)
-				got, err = api.do(SearchRequest{Query: &q, K: k, Lambda: lambda, Approx: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalResults(t, "SearchApprox vs Do", want, got)
-
-				// Dst semantics: results appended to the caller's buffer.
-				buf := make([]Result, 0, k)
-				got, err = api.do(SearchRequest{Query: &q, K: k, Lambda: lambda, Dst: buf[:0]})
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalResults(t, "Dst vs Search", api.search(&q, k, lambda), got)
-
-				wantKW, ok := api.keywords(&q, k, lambda, kw)
-				gotKW, err := api.do(SearchRequest{Query: &q, K: k, Lambda: lambda, Keywords: []string{kw}})
-				if !ok {
-					t.Fatalf("keyword %q unusable", kw)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalResults(t, "SearchWithKeywords vs Do", wantKW, gotKW)
-			}
-
-			queries := ds.SampleQueries(15, 9)
-			for _, approx := range []bool{false, true} {
-				var stLegacy, stDo Stats
-				want, err := api.batch(queries, 7, 0.4, approx, 2, &stLegacy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := api.doBatch(BatchSearchRequest{Queries: queries, K: 7, Lambda: 0.4, Approx: approx, Parallelism: 2, Stats: &stDo})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) != len(got) {
-					t.Fatalf("batch: %d result lists, want %d", len(got), len(want))
-				}
-				for i := range want {
-					equalResults(t, "BatchSearch vs DoBatch", want[i], got[i])
-				}
-				if stLegacy != stDo {
-					t.Fatalf("batch stats diverge: legacy %+v, Do %+v", stLegacy, stDo)
+					if !errors.Is(got.err, sh.wantErr) || (sh.wantErr == nil && got.err != nil) {
+						t.Fatalf("%s: err = %v, want %v", ctx, got.err, sh.wantErr)
+					}
+					if got.meta.Partial != sh.wantPartial || got.meta.CacheHit {
+						t.Fatalf("%s: meta %+v, want partial=%v, no cache hit", ctx, got.meta, sh.wantPartial)
+					}
+					if got.err != nil {
+						if got.res != nil {
+							t.Fatalf("%s: results alongside error %v", ctx, got.err)
+						}
+						continue
+					}
+					if prefix > 0 {
+						if len(got.res) < prefix || got.res[0] != req.Dst[0] {
+							t.Fatalf("%s: Dst prefix clobbered", ctx)
+						}
+						got.res = got.res[prefix:]
+					}
+					if sh.exact {
+						compare(t, ctx+" vs scan", tc.lambda, tc.k, want, got.res)
+					}
+					if len(got.res) > tc.k || !sort.SliceIsSorted(got.res, func(i, j int) bool { return lessResult(got.res[i], got.res[j]) }) {
+						t.Fatalf("%s: malformed answer %v", ctx, got.res)
+					}
+					if sh.check != nil {
+						sh.check(t, api, &req, got.res, plain)
+					}
+					if ai == 0 {
+						first = got
+					} else if !sh.perFlavor {
+						equalResults(t, ctx+" vs "+apis[0].name, first.res, got.res)
+					}
 				}
 			}
 		})
 	}
+
+	// Batches obey the same validation and answer exactly what the
+	// single-query path answers, Stats included.
+	t.Run("batch", func(t *testing.T) {
+		queries := ds.SampleQueries(12, 9)
+		bad := append([]Object(nil), queries...)
+		bad[7].Vec = bad[7].Vec[:5]
+		for _, api := range apis {
+			for _, mod := range []func(*SearchRequest){
+				nil,
+				func(r *SearchRequest) { r.Approx = true },
+				func(r *SearchRequest) { r.Route = true },
+				func(r *SearchRequest) { r.Approx, r.Quant = true, QuantOnly },
+			} {
+				one := SearchRequest{K: 7, Lambda: 0.4}
+				if mod != nil {
+					mod(&one)
+				}
+				var stBatch, stSingle Stats
+				got, err := api.doBatch(BatchSearchRequest{Queries: queries, K: one.K, Lambda: one.Lambda, Approx: one.Approx,
+					Quant: one.Quant, Route: one.Route, Parallelism: 2, Stats: &stBatch})
+				if err != nil {
+					t.Fatalf("%s: %v", api.name, err)
+				}
+				for i := range queries {
+					one.Query, one.Stats = &queries[i], &stSingle
+					want, err := api.do(one)
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalResults(t, api.name+" batch vs single", want, got[i])
+				}
+				if stBatch != stSingle {
+					t.Fatalf("%s: batch stats %+v, per-query sum %+v", api.name, stBatch, stSingle)
+				}
+			}
+			for name, c := range map[string]struct {
+				req     BatchSearchRequest
+				wantErr error
+			}{
+				"k=0":         {BatchSearchRequest{Queries: queries, K: 0, Lambda: 0.5}, ErrInvalidK},
+				"k=0 empty":   {BatchSearchRequest{K: 0, Lambda: 0.5}, ErrInvalidK},
+				"lambda":      {BatchSearchRequest{Queries: queries, K: 5, Lambda: math.Inf(1)}, ErrInvalidLambda},
+				"wrong dim":   {BatchSearchRequest{Queries: bad, K: 5, Lambda: 0.5}, ErrInvalidQuery},
+				"quant only":  {BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5, Quant: QuantOnly}, ErrUnsupportedRequest},
+				"deadline":    {BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5, Deadline: -1}, ErrInvalidDeadline},
+				"empty batch": {BatchSearchRequest{K: 5, Lambda: 0.5}, nil},
+			} {
+				got, err := api.doBatch(c.req)
+				if !errors.Is(err, c.wantErr) || (c.wantErr == nil && (err != nil || got == nil || len(got) != 0)) {
+					t.Fatalf("%s batch %s: got %v, err = %v, want %v", api.name, name, got, err, c.wantErr)
+				}
+				if name == "wrong dim" && !strings.Contains(err.Error(), "batch query 7") {
+					t.Fatalf("%s: error %q does not name the offending query", api.name, err)
+				}
+			}
+		}
+	})
+
+	// Cache participation, last because it changes the fixtures: a miss
+	// fills, the next identical request hits bit-identically, CacheOff
+	// and observers always execute. The bare Index never caches.
+	t.Run("cache-hit", func(t *testing.T) {
+		for _, api := range apis {
+			if api.enableCache != nil {
+				api.enableCache(64)
+			}
+			for ti, tc := range trials {
+				ctx := fmt.Sprintf("%s trial %d", api.name, ti)
+				var miss, hit, off, obsv ResponseMeta
+				req := SearchRequest{Query: &tc.q, K: tc.k, Lambda: tc.lambda}
+				do := func(meta *ResponseMeta, mod func(*SearchRequest)) []Result {
+					r := req
+					r.Meta = meta
+					if mod != nil {
+						mod(&r)
+					}
+					res, err := api.do(r)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					return res
+				}
+				first := do(&miss, nil)
+				second := do(&hit, func(r *SearchRequest) { r.Dst = make([]Result, 0, 32) })
+				do(&off, func(r *SearchRequest) { r.Cache = CacheOff })
+				do(&obsv, func(r *SearchRequest) { r.Explain = new(ExplainStats) })
+				equalResults(t, ctx+" hit vs miss", first, second)
+				compare(t, ctx+" hit vs scan", tc.lambda, tc.k, oracle.Search(&tc.q, tc.k, tc.lambda, nil), second)
+				if want := api.enableCache != nil; miss.CacheHit || hit.CacheHit != want || off.CacheHit || obsv.CacheHit {
+					t.Fatalf("%s: cacheHit miss=%v hit=%v (want %v) off=%v observed=%v",
+						ctx, miss.CacheHit, hit.CacheHit, want, off.CacheHit, obsv.CacheHit)
+				}
+			}
+		}
+	})
 }
 
-// TestDoExplainMatchesLegacy checks the Explain/Trace plumbing: the
-// flat index's SearchExplain and the sharded index's trace-returning
-// SearchExplain must both match their Do spellings.
-func TestDoExplainMatchesLegacy(t *testing.T) {
-	ds := testDataset(t, 700)
-	idx, err := Build(ds, Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := ds.Objects[3]
-	for _, approx := range []bool{false, true} {
-		wantRes, wantES := idx.SearchExplain(&q, 9, 0.5, approx)
-		var es ExplainStats
-		gotRes, err := idx.Do(SearchRequest{Query: &q, K: 9, Lambda: 0.5, Approx: approx, Explain: &es})
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalResults(t, "SearchExplain vs Do", wantRes, gotRes)
-		if es.Stats != wantES.Stats {
-			t.Fatalf("explain stats diverge: legacy %+v, Do %+v", wantES.Stats, es.Stats)
-		}
-	}
-
-	s := mustBuildSharded(t, ds, 3, Options{Seed: 6})
-	wantRes, wantTr := s.SearchExplain(&q, 9, 0.5, false, "req-test")
-	var tr SearchTrace
-	var es ExplainStats
-	gotRes, err := s.Do(SearchRequest{Query: &q, K: 9, Lambda: 0.5, Trace: &tr, Explain: &es, RequestID: "req-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "sharded SearchExplain vs Do", wantRes, gotRes)
-	if len(tr.Shards) != len(wantTr.Shards) {
-		t.Fatalf("trace spans: %d, want %d", len(tr.Shards), len(wantTr.Shards))
-	}
-	if tr.RequestID != "req-test" || wantTr.RequestID != "req-test" {
-		t.Fatalf("request IDs not honored: %q / %q", tr.RequestID, wantTr.RequestID)
-	}
-	if tr.Total.Stats != wantTr.Total.Stats {
-		t.Fatalf("trace totals diverge: legacy %+v, Do %+v", wantTr.Total.Stats, tr.Total.Stats)
-	}
-	if es.Stats != tr.Total.Stats {
-		t.Fatalf("Explain did not absorb the trace total: %+v vs %+v", es.Stats, tr.Total.Stats)
-	}
-}
-
-// TestDoErrorTaxonomy pins the runtime error contract of Do: the
-// conditions a correct caller can hit return typed errors instead of
-// panicking.
-func TestDoErrorTaxonomy(t *testing.T) {
+// TestSearchWrappersPanic pins the quickstart wrappers' contract: what
+// Do reports as a typed error, Search/SearchApprox/SearchWithKeywords
+// panic on (their signatures have no error to return).
+func TestSearchWrappersPanic(t *testing.T) {
 	ds := testDataset(t, 300)
-	idx, err := Build(ds, Options{Seed: 7})
+	s := mustBuildSharded(t, ds, 2, Options{Seed: 7})
+	s.EnableKeywordFilter()
+	short := ds.Objects[0]
+	short.Vec = short.Vec[:3]
+	for name, fn := range map[string]func(){
+		"k=0":          func() { s.Search(&ds.Objects[0], 0, 0.5) },
+		"lambda":       func() { s.SearchApprox(&ds.Objects[0], 5, 2) },
+		"wrong dim":    func() { s.Search(&short, 5, 0.5) },
+		"keywords nil": func() { s.SearchWithKeywords(nil, 5, 0.5, "word") },
+		"keywords no filt": func() {
+			mustBuildSharded(t, ds, 2, Options{Seed: 7}).SearchWithKeywords(&ds.Objects[0], 5, 0.5, "word")
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestAPISurface keeps the entry-point permutations from growing back:
+// the exported Search*/Do* method sets of the core index and the three
+// facade flavors must equal these allow-lists, and the per-flavor
+// dispatch forks the request pipeline replaced must stay gone.
+func TestAPISurface(t *testing.T) {
+	do := []string{"Do", "DoBatch", "DoBatchContext", "DoContext"}
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		// SearchAblated, SearchFiltered and SearchInBox are other query
+		// types, not k-NN entry points.
+		{reflect.TypeOf(&core.Index{}), []string{"Search", "SearchAblated", "SearchApprox", "SearchBatch",
+			"SearchExplainOptionsInto", "SearchFiltered", "SearchInBox", "SearchOptionsInto"}},
+		{reflect.TypeOf(&Index{}), append([]string{"Search", "SearchApprox", "SearchInBox", "SearchInBoxStats", "SearchWithKeywords"}, do...)},
+		{reflect.TypeOf(&ConcurrentIndex{}), append([]string{"Search", "SearchApprox", "SearchInBox", "SearchWithKeywords"}, do...)},
+		{reflect.TypeOf(&ShardedIndex{}), append([]string{"Search", "SearchApprox", "SearchInBox", "SearchInBoxStats", "SearchWithKeywords"}, do...)},
+	} {
+		var got []string
+		for i := 0; i < c.typ.NumMethod(); i++ {
+			if name := c.typ.Method(i).Name; strings.HasPrefix(name, "Search") || strings.HasPrefix(name, "Do") {
+				got = append(got, name)
+			}
+		}
+		sort.Strings(got)
+		sort.Strings(c.want)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v entry points:\n got  %v\n want %v", c.typ, got, c.want)
+		}
+	}
+
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.EnableKeywordFilter()
-	q := ds.Objects[0]
-	kw := firstKeyword(t, ds)
+	count := map[string]int{}
+	for _, f := range pkgs["cssi"].Files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				count[fn.Name.Name]++
+			}
+		}
+	}
+	for _, once := range []string{"serve", "serveBatch", "execute"} {
+		if count[once] != 1 {
+			t.Errorf("%d functions named %s, want exactly 1", count[once], once)
+		}
+	}
+	for name := range count {
+		switch name {
+		case "do", "doBatch", "doResolved", "doBatchResolved", "doTraced", "doBatchTraced", "doSinked", "doBatchSinked",
+			"doSnap", "doBatchSnap", "searchExact", "searchExactChainTraced", "searchApprox", "searchExplain", "chainShard":
+			t.Errorf("dispatch fork %s is back", name)
+		}
+		if strings.HasPrefix(name, "precheck") {
+			t.Errorf("second validation %s is back", name)
+		}
+	}
+}
 
-	if _, err := idx.Do(SearchRequest{Query: &q, K: 5, Lambda: 0.5, Trace: &SearchTrace{}}); !errors.Is(err, ErrUnsupportedRequest) {
-		t.Fatalf("Trace on flat index: err = %v, want ErrUnsupportedRequest", err)
+// TestDoZeroAlloc extends the core's steady-state guarantee through the
+// facade: with Dst set and no sink or Trace, Do allocates nothing on any
+// single-snapshot flavor — ShardedFrom(idx).Do costs what
+// ConcurrentIndex.Do costs.
+func TestDoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its caches under the race detector; zero-alloc steady state cannot hold")
 	}
-	if _, err := idx.Do(SearchRequest{Query: &q, K: 5, Lambda: 0.5, Keywords: []string{kw}, Approx: true}); !errors.Is(err, ErrUnsupportedRequest) {
-		t.Fatalf("Keywords+Approx: err = %v, want ErrUnsupportedRequest", err)
-	}
-	if _, err := idx.Do(SearchRequest{Query: &q, K: 5, Lambda: 0.5, Keywords: []string{kw}, Explain: &ExplainStats{}}); !errors.Is(err, ErrUnsupportedRequest) {
-		t.Fatalf("Keywords+Explain: err = %v, want ErrUnsupportedRequest", err)
-	}
-	if _, err := idx.Do(SearchRequest{Query: &q, K: 5, Lambda: 0.5, Keywords: []string{"of"}}); !errors.Is(err, ErrUnusableKeywords) {
-		t.Fatalf("stop-word keywords: err = %v, want ErrUnusableKeywords", err)
-	}
-	if _, err := idx.DoBatch(BatchSearchRequest{Queries: []Object{q}, K: 0, Lambda: 0.5}); !errors.Is(err, ErrInvalidK) {
-		t.Fatalf("K=0 batch: err = %v, want ErrInvalidK", err)
+	ds := testDataset(t, 2000)
+	queries := ds.SampleQueries(16, 6)
+	var es ExplainStats
+	explained := ShardedFrom(mustBuild(t, ds, Options{Seed: 24}))
+	for name, do := range map[string]func(SearchRequest) ([]Result, error){
+		"Index":       mustBuild(t, ds, Options{Seed: 24}).Do,
+		"Concurrent":  Concurrent(mustBuild(t, ds, Options{Seed: 24})).Do,
+		"ShardedFrom": ShardedFrom(mustBuild(t, ds, Options{Seed: 24})).Do,
+		// Explain alone records into a pooled private trace.
+		"ShardedFrom+Explain": func(r SearchRequest) ([]Result, error) { r.Explain = &es; return explained.Do(r) },
+	} {
+		buf := make([]Result, 0, 64)
+		var st Stats
+		query := func(i int) {
+			var err error
+			if buf, err = do(SearchRequest{Query: &queries[i%len(queries)], K: 10, Lambda: 0.5, Dst: buf[:0], Stats: &st}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range queries { // warm-up: grow pooled scratch and buffer
+			query(i)
+		}
+		// AllocsPerRun can see a stray allocation if GC empties the
+		// sync.Pool mid-measure, so pass if any attempt is clean.
+		got := 1.0
+		for attempt := 0; attempt < 3 && got != 0; attempt++ {
+			i := 0
+			got = testing.AllocsPerRun(len(queries), func() { query(i); i++ })
+		}
+		if got != 0 {
+			t.Errorf("%s.Do: %v allocs per steady-state query, want 0", name, got)
+		}
 	}
 }

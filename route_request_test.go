@@ -1,69 +1,9 @@
 package cssi
 
 import (
-	"errors"
-	"math"
 	"math/rand/v2"
 	"testing"
 )
-
-// TestRoutedExactMatchesUnroutedAcrossFlavors pins the exact-reorder
-// contract at the API layer: SearchRequest{Route: true} without Approx
-// must return results bit-identical to the unrouted exact search on
-// every index flavor — flat, concurrent, sharded P=1 and P=4 — because
-// the router only re-prioritizes the cluster visit order while the
-// admissible bound still decides every cut.
-func TestRoutedExactMatchesUnroutedAcrossFlavors(t *testing.T) {
-	ds := testDataset(t, 2500)
-	apis := requestFixtures(t, ds)
-	rng := rand.New(rand.NewPCG(42, 1))
-	queries := make([]Object, 8)
-	for i := range queries {
-		queries[i] = ds.Objects[rng.IntN(ds.Len())]
-	}
-	for _, api := range apis {
-		for trial := 0; trial < 12; trial++ {
-			q := ds.Objects[rng.IntN(ds.Len())]
-			k := 1 + rng.IntN(20)
-			lambda := rng.Float64()
-			want, err := api.do(SearchRequest{Query: &q, K: k, Lambda: lambda})
-			if err != nil {
-				t.Fatalf("%s: unrouted exact: %v", api.name, err)
-			}
-			var st Stats
-			got, err := api.do(SearchRequest{Query: &q, K: k, Lambda: lambda, Route: true, Stats: &st})
-			if err != nil {
-				t.Fatalf("%s: routed exact: %v", api.name, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s trial %d: routed returned %d results, unrouted %d", api.name, trial, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s trial %d result %d: routed {%d %v}, unrouted {%d %v}",
-						api.name, trial, i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
-				}
-			}
-		}
-		// Batched routed-exact must agree with the unrouted batch too.
-		want, err := api.doBatch(BatchSearchRequest{Queries: queries, K: 10, Lambda: 0.5})
-		if err != nil {
-			t.Fatalf("%s: unrouted batch: %v", api.name, err)
-		}
-		got, err := api.doBatch(BatchSearchRequest{Queries: queries, K: 10, Lambda: 0.5, Route: true})
-		if err != nil {
-			t.Fatalf("%s: routed batch: %v", api.name, err)
-		}
-		for qi := range want {
-			for i := range want[qi] {
-				if got[qi][i] != want[qi][i] {
-					t.Fatalf("%s batch query %d result %d: routed %v, unrouted %v",
-						api.name, qi, i, got[qi][i], want[qi][i])
-				}
-			}
-		}
-	}
-}
 
 // TestRoutedApproxAcrossFlavors smoke-tests the routed approximate mode
 // on every flavor: a full result set comes back, with high recall
@@ -119,50 +59,6 @@ func TestRoutedExplainAlgoNames(t *testing.T) {
 		}
 		if tr.Algo != c.algo {
 			t.Fatalf("trace algo = %q, want %q", tr.Algo, c.algo)
-		}
-	}
-}
-
-// TestDoValidationTaxonomy is the input-validation contract of
-// satellite scope: NaN/Inf query components and out-of-range Lambda
-// are rejected with typed errors — never silent garbage, never a panic
-// — identically on all three index flavors, for Do and DoBatch alike.
-func TestDoValidationTaxonomy(t *testing.T) {
-	ds := testDataset(t, 400)
-	apis := requestFixtures(t, ds)
-	good := ds.Objects[0]
-	nanLoc := good
-	nanLoc.X = math.NaN()
-	infVec := good
-	infVec.Vec = append([]float32(nil), good.Vec...)
-	infVec.Vec[3] = float32(math.Inf(1))
-	for _, api := range apis {
-		for _, lambda := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1)} {
-			if _, err := api.do(SearchRequest{Query: &good, K: 5, Lambda: lambda}); !errors.Is(err, ErrInvalidLambda) {
-				t.Fatalf("%s: lambda %v: err = %v, want ErrInvalidLambda", api.name, lambda, err)
-			}
-			if _, err := api.doBatch(BatchSearchRequest{Queries: []Object{good}, K: 5, Lambda: lambda}); !errors.Is(err, ErrInvalidLambda) {
-				t.Fatalf("%s: batch lambda %v: err = %v, want ErrInvalidLambda", api.name, lambda, err)
-			}
-		}
-		if _, err := api.do(SearchRequest{Query: &nanLoc, K: 5, Lambda: 0.5}); !errors.Is(err, ErrInvalidQuery) {
-			t.Fatalf("%s: NaN location: err = %v, want ErrInvalidQuery", api.name, err)
-		}
-		if _, err := api.do(SearchRequest{Query: &infVec, K: 5, Lambda: 0.5}); !errors.Is(err, ErrInvalidQuery) {
-			t.Fatalf("%s: Inf vector component: err = %v, want ErrInvalidQuery", api.name, err)
-		}
-		if _, err := api.doBatch(BatchSearchRequest{Queries: []Object{good, infVec}, K: 5, Lambda: 0.5}); !errors.Is(err, ErrInvalidQuery) {
-			t.Fatalf("%s: batch Inf vector component: err = %v, want ErrInvalidQuery", api.name, err)
-		}
-		if _, err := api.do(SearchRequest{Query: &good, K: 5, Lambda: 0.5, Approx: true, Route: true, RouteTarget: math.NaN()}); !errors.Is(err, ErrUnsupportedRequest) {
-			t.Fatalf("%s: NaN RouteTarget: err = %v, want ErrUnsupportedRequest", api.name, err)
-		}
-		// Valid requests still answer — the validation must not reject
-		// boundary lambdas.
-		for _, lambda := range []float64{0, 1} {
-			if _, err := api.do(SearchRequest{Query: &good, K: 5, Lambda: lambda}); err != nil {
-				t.Fatalf("%s: boundary lambda %v rejected: %v", api.name, lambda, err)
-			}
 		}
 	}
 }

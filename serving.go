@@ -4,19 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/knn"
+	"repro/internal/obs"
 	"repro/internal/rescache"
 )
 
-// This file is the request-level serving layer added for traffic
-// serving: per-request time budgets (Deadline / DoContext), the
-// snapshot-keyed result cache (CacheMode, EnableResultCache), and the
-// response metadata block (ResponseMeta) that surfaces what the
-// serving machinery did to a request.
+// This file is the request pipeline every index flavor serves through:
+// serve (one query) and serveBatch run validate → budget → cache probe
+// → trace → execute → cache fill once, over a view of whatever the
+// flavor differs on. Do/DoContext/DoBatch/DoBatchContext on *Index,
+// *ConcurrentIndex and *ShardedIndex are one-line calls into it.
 
 // ErrInvalidDeadline is returned by Do/DoContext/DoBatch when
 // SearchRequest.Deadline (or BatchSearchRequest.Deadline) is negative
@@ -50,16 +54,16 @@ type CacheStats = rescache.Stats
 // ResponseMeta is the optional per-request response metadata block:
 // point SearchRequest.Meta (or BatchSearchRequest.Meta) at one and Do
 // fills it. Do overwrites Partial, CacheHit and SnapshotID on every
-// request; QueueWait is left untouched — it belongs to serving layers
-// that queue requests ahead of the index (the bundled HTTP server's
-// admission gate stamps it).
+// request that passes validation; QueueWait is left untouched — it
+// belongs to serving layers that queue requests ahead of the index (the
+// bundled HTTP server's admission gate stamps it).
 type ResponseMeta struct {
 	// Partial reports the answer was truncated by the request's time
 	// budget (Deadline, or a context deadline): the results are the
 	// exact top-k of the candidates examined before the budget fired —
 	// an admissible prefix, every distance is a true distance — but
 	// closer objects may remain unvisited. Partial answers are never
-	// cached.
+	// cached. For a batch, Partial reports that any query was truncated.
 	Partial bool
 	// CacheHit reports the answer was served from the result cache —
 	// bit-identical to what searching the current snapshot would
@@ -78,16 +82,88 @@ type ResponseMeta struct {
 	QueueWait time.Duration
 }
 
+// view is everything the request pipeline needs to know about the
+// index flavor it serves: the three flavors differ only in these
+// fields.
+type view struct {
+	// snap is the one pinned snapshot of a flat flavor (*Index itself,
+	// or the snapshot a *ConcurrentIndex had published when the request
+	// arrived); shards are the P pinned snapshots of a *ShardedIndex.
+	// Exactly one of the two is set. They are separate fields rather
+	// than one slice so that a flat request's view stays on the stack:
+	// the scatter hands its slice to goroutines, which would move a
+	// stack-backed one-element slice — and the view with it — to the
+	// heap on every request.
+	snap   *Index
+	shards []*Index
+	// token is the result cache's snapshot identity (the snapshot, or
+	// the interned per-shard snapshot vector) and snapID the
+	// ResponseMeta.SnapshotID of answers served from this view.
+	token  any
+	snapID uint64
+	// cache is the flavor's result cache, nil when none is enabled.
+	cache *rescache.Cache
+	// sink is the always-on trace collector, nil when none is
+	// installed; flavor labels the traces it records.
+	sink   *obs.Sink
+	flavor string
+}
+
+func (x *Index) view() view {
+	return view{snap: x, snapID: x.snapID, sink: x.sink, flavor: "index"}
+}
+
+func (c *ConcurrentIndex) view() view {
+	snap := c.cur.Load()
+	v := view{snap: snap, token: snap, snapID: snap.snapID, cache: c.resCache.Load(), sink: c.sink.Load(), flavor: "concurrent"}
+	if v.sink == nil {
+		// A sink installed on the index before it was wrapped rides
+		// every snapshot and keeps recording.
+		v.sink, v.flavor = snap.sink, "index"
+	}
+	return v
+}
+
+func (s *ShardedIndex) view() view {
+	ep := s.epochToken()
+	return view{shards: ep.snaps, token: ep, snapID: ep.id, cache: s.resCache.Load(), sink: s.sink.Load(), flavor: "sharded"}
+}
+
+// n is the number of pinned snapshots and at the i-th of them.
+func (v *view) n() int {
+	if v.snap != nil {
+		return 1
+	}
+	return len(v.shards)
+}
+
+func (v *view) at(i int) *Index {
+	if v.snap != nil {
+		return v.snap
+	}
+	return v.shards[i]
+}
+
+// each runs fn once per pinned snapshot (see scatter) and returns after
+// all finish.
+func (v *view) each(fn func(i int, snap *Index)) {
+	if v.snap != nil {
+		fn(0, v.snap)
+		return
+	}
+	scatter(v.shards, fn)
+}
+
 // resolveBudget validates the serving knobs and converts the relative
-// Deadline plus the context's deadline/cancellation into the absolute
-// budget the core loops poll. The tighter of the two deadlines wins,
-// so ctx deadline and Deadline compose.
-func resolveBudget(ctx context.Context, d time.Duration, cache CacheMode) (deadline time.Time, cancel <-chan struct{}, err error) {
+// Deadline plus the context's deadline into the absolute instant the
+// core loops poll. The tighter of the two deadlines wins, so ctx
+// deadline and Deadline compose.
+func resolveBudget(ctx context.Context, d time.Duration, cache CacheMode) (deadline time.Time, err error) {
 	if d < 0 {
-		return time.Time{}, nil, fmt.Errorf("%w: got %v", ErrInvalidDeadline, d)
+		return time.Time{}, fmt.Errorf("%w: got %v", ErrInvalidDeadline, d)
 	}
 	if cache < CacheDefault || cache > CacheOff {
-		return time.Time{}, nil, fmt.Errorf("%w: unknown CacheMode %d", ErrUnsupportedRequest, cache)
+		return time.Time{}, fmt.Errorf("%w: unknown CacheMode %d", ErrUnsupportedRequest, cache)
 	}
 	if d > 0 {
 		deadline = time.Now().Add(d)
@@ -95,32 +171,7 @@ func resolveBudget(ctx context.Context, d time.Duration, cache CacheMode) (deadl
 	if cd, ok := ctx.Deadline(); ok && (deadline.IsZero() || cd.Before(deadline)) {
 		deadline = cd
 	}
-	return deadline, ctx.Done(), nil
-}
-
-func (req *SearchRequest) resolveBudget(ctx context.Context) error {
-	dl, cancel, err := resolveBudget(ctx, req.Deadline, req.Cache)
-	req.deadline, req.cancel = dl, cancel
-	return err
-}
-
-func (req *BatchSearchRequest) resolveBudget(ctx context.Context) error {
-	dl, cancel, err := resolveBudget(ctx, req.Deadline, req.Cache)
-	req.deadline, req.cancel = dl, cancel
-	return err
-}
-
-func (req *BatchSearchRequest) budgeted() bool {
-	return !req.deadline.IsZero() || req.cancel != nil
-}
-
-// orBackground tolerates a nil ctx (DoContext's documented lenience,
-// matching net/http's Request.Context never-nil discipline loosely).
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
+	return deadline, nil
 }
 
 // finishCtx maps a mid-flight context cancellation to the context's
@@ -136,43 +187,467 @@ func finishCtx[T any](ctx context.Context, res T, err error) (T, error) {
 	return res, err
 }
 
-// metaReset initializes the caller's Meta block for this request.
-func (req *SearchRequest) metaReset(snapID uint64) {
+// serve is the request pipeline of Do/DoContext on every flavor: ctx
+// cancellation and deadline compose with SearchRequest.Deadline. A
+// context that is already Done fails fast with ctx.Err(); a context
+// deadline tightens the request's budget (the partial-results semantics
+// of Deadline apply); explicit cancellation mid-search stops the query
+// at the next budget check and returns ctx.Err(). A nil ctx is treated
+// as context.Background().
+//
+// When the view has a result cache and the request participates
+// (CacheMode; Explain and Trace callers want the internals of a real
+// execution, so they always execute), the probe and fill are keyed to
+// the pinned snapshots: a hit is returned without executing
+// (bit-identical by snapshot identity), a miss executes against those
+// same snapshots and fills the cache unless the answer was partial or
+// errored. Validation runs before the probe, so a cached answer can
+// never front-run the rejection of a malformed request.
+func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := req.validate(v.at(0).Dim()); err != nil {
+		return nil, err
+	}
+	deadline, err := resolveBudget(ctx, req.Deadline, req.Cache)
+	if err != nil {
+		return nil, err
+	}
+	q := req.Query
+
+	cache := v.cache
+	if req.Cache == CacheOff || req.Explain != nil || req.Trace != nil {
+		cache = nil
+	}
+	var key rescache.Key
+	if cache != nil {
+		key = cacheKey(q, req.K, req.Lambda, req.Approx, req.Quant, req.QuantRerank, req.Route, req.RouteTarget, req.Keywords)
+		if res, ok := cache.Get(v.token, key, q.X, q.Y, q.Vec, req.Dst); ok {
+			if req.Meta != nil {
+				req.Meta.Partial, req.Meta.CacheHit, req.Meta.SnapshotID = false, true, v.snapID
+			}
+			return res, nil
+		}
+	}
+
+	opts := core.SearchOptions{
+		Approx: req.Approx, Quant: req.Quant, QuantRerank: req.QuantRerank,
+		Route: req.Route, RouteTarget: req.RouteTarget,
+		Deadline: deadline, Cancel: ctx.Done(),
+	}
+	keyword := len(req.Keywords) > 0
+	op, spans := "search", v.n()
+	if keyword {
+		// The keyword path's brute-force arm bypasses the instrumented
+		// cluster scan (and rejects Explain), so its trace is the
+		// request envelope and wall time only.
+		op, spans = "keyword", 0
+	}
+	tr, start := v.openTrace(req.Trace, req.Explain != nil, op, spans, 1, req.K, req.Lambda, opts, req.RequestID, req.TraceID)
+
+	base := len(req.Dst)
+	var res []Result
+	var partial bool
+	if keyword {
+		res, err = v.executeKeywords(req.Dst, q, req.K, req.Lambda, req.Keywords)
+	} else {
+		res, partial = v.execute(req.Dst, q, req.K, req.Lambda, opts, req.Stats, tr)
+	}
+	if tr != nil {
+		var kth float64
+		if len(res) > base {
+			kth = res[len(res)-1].Dist
+		}
+		v.closeTrace(tr, start, max(len(res)-base, 0), kth, partial, err, req.Stats, req.Explain, req.Trace)
+	}
+	if cache != nil && err == nil && !partial {
+		cache.Put(v.token, key, q.X, q.Y, q.Vec, res[base:])
+	}
 	if req.Meta != nil {
-		req.Meta.Partial, req.Meta.CacheHit, req.Meta.SnapshotID = false, false, snapID
+		req.Meta.Partial, req.Meta.CacheHit, req.Meta.SnapshotID = partial, false, v.snapID
 	}
+	return finishCtx(ctx, res, err)
 }
 
-// metaPartial latches the Partial flag.
-func (req *SearchRequest) metaPartial(partial bool) {
-	if req.Meta != nil && partial {
-		req.Meta.Partial = true
+// searchSnap runs the query on one pinned snapshot — the one place the
+// facade calls the core entry point for a single query. With sp non-nil
+// the snapshot's search internals and wall time accumulate into the
+// span (and the work counters with them, so st is not passed on).
+func searchSnap(snap *Index, sp *SearchSpan, out []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats) []Result {
+	if sp == nil {
+		return snap.core.SearchOptionsInto(out, q, k, lambda, opts, st)
 	}
+	opts.Explain = &sp.Stats
+	t0 := time.Now()
+	out = snap.core.SearchOptionsInto(out, q, k, lambda, opts, nil)
+	sp.DurationNanos += time.Since(t0).Nanoseconds()
+	return out
 }
 
-// ensureMeta gives the (by-value) request a Meta block when the caller
-// brought none, so internal layers (tracer Partial stamping, the cache
-// fill gate) can read it uniformly.
-func (req *SearchRequest) ensureMeta() {
-	if req.Meta == nil {
-		req.Meta = new(ResponseMeta)
+// span returns the i-th span of tr, or nil when nothing is recorded.
+func span(tr *SearchTrace, i int) *SearchSpan {
+	if tr == nil {
+		return nil
 	}
+	return &tr.Shards[i]
 }
 
-func (req *BatchSearchRequest) ensureMeta() {
-	if req.Meta == nil {
-		req.Meta = new(ResponseMeta)
+// execute answers one query over the view's pinned snapshots, appending
+// the global top-k to dst and reporting whether the time budget cut any
+// snapshot's scan short. With tr non-nil every snapshot's span is
+// recorded; results are bit-identical either way, and so are the work
+// counters, because observing never changes which arm runs.
+//
+// One snapshot — or several on a host whose scatter degree is 1 — is a
+// seeded chain: the snapshots are scanned in order with the k-NN list
+// carried from one to the next (core.SearchOptions.Seed), so snapshot i
+// starts with the best k candidates of snapshots 0..i-1, its pruning
+// bound is as tight as a flat index's at the same point of the scan,
+// and the last link's answer IS the global top-k: it is written straight
+// into dst, with no per-shard lists and no merge. Because the shards
+// share one metric space's normalizers, distances are globally
+// comparable and the result is the same exact top-k the scatter
+// produces.
+//
+// Otherwise the snapshots are searched in parallel and their top-k
+// lists k-way merged. Approximate requests over several snapshots
+// always take this arm: CSSIA's result is defined per clustering (a
+// seed applies to the exact path only), and the documented sharded
+// semantics are "the merge of the per-shard CSSIA answers".
+func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) (res []Result, partial bool) {
+	n := v.n()
+	// Only a budgeted query can be cut short, so only it carries the
+	// flag: pointing opts at a local would move that local to the heap
+	// on every request.
+	budgeted := !opts.Deadline.IsZero() || opts.Cancel != nil
+	if n == 1 || (!opts.Approx && scatterDegree(n) == 1) {
+		if budgeted {
+			opts.Partial = new(bool)
+		}
+		var cur, spare []Result
+		for i := 0; i < n; i++ {
+			out := dst
+			if i < n-1 {
+				if out = spare[:0]; out == nil {
+					out = make([]Result, 0, k)
+				}
+			}
+			opts.Seed = cur
+			next := searchSnap(v.at(i), span(tr, i), out, q, k, lambda, opts, st)
+			// A cut on any link leaves later candidates unexamined, so
+			// the whole chained answer is partial.
+			partial = partial || (budgeted && *opts.Partial)
+			spare, cur = cur, next
+		}
+		return cur, partial
 	}
+
+	lists := make([][]Result, n)
+	var cuts []bool
+	if budgeted {
+		cuts = make([]bool, n)
+	}
+	var per []Stats
+	if st != nil && tr == nil {
+		per = make([]Stats, n)
+	}
+	v.each(func(i int, snap *Index) {
+		o := opts
+		if cuts != nil {
+			o.Partial = &cuts[i]
+		}
+		var pst *Stats
+		if per != nil {
+			pst = &per[i]
+		}
+		lists[i] = searchSnap(snap, span(tr, i), nil, q, k, lambda, o, pst)
+	})
+	gatherStats(st, per)
+	if dst == nil {
+		dst = make([]Result, 0, k)
+	}
+	g := time.Now()
+	dst = knn.MergeSorted(dst, lists, k)
+	if tr != nil {
+		tr.Parallel = scatterDegree(n) > 1
+		tr.GatherNanos += time.Since(g).Nanoseconds()
+	}
+	return dst, anyTrue(cuts)
 }
 
-// metaFill initializes the batch Meta block and folds the per-query
-// partial flags in.
-func (req *BatchSearchRequest) metaFill(snapID uint64, partials []bool) {
-	if req.Meta == nil {
+// executeKeywords answers a keyword-constrained query over the view's
+// snapshots and merges the per-snapshot answers into dst.
+func (v *view) executeKeywords(dst []Result, q *Object, k int, lambda float64, keywords []string) ([]Result, error) {
+	n := v.n()
+	// Checked here, on the caller's goroutine: a panic inside a scatter
+	// worker would kill the process.
+	for i := 0; i < n; i++ {
+		if !v.at(i).KeywordFilterEnabled() {
+			panic("cssi: SearchWithKeywords requires EnableKeywordFilter")
+		}
+	}
+	lists := make([][]Result, n)
+	oks := make([]bool, n)
+	v.each(func(i int, snap *Index) {
+		lists[i], oks[i] = snap.searchWithKeywords(q, k, lambda, keywords)
+	})
+	for _, ok := range oks {
+		// Keyword usability depends only on the keyword list, so every
+		// snapshot agrees; any false means the list was unusable.
+		if !ok {
+			return nil, ErrUnusableKeywords
+		}
+	}
+	return knn.MergeSorted(dst, lists, k), nil
+}
+
+// serveBatch is the request pipeline of DoBatch/DoBatchContext on every
+// flavor, composing with ctx exactly like serve. The budget is shared
+// by the whole batch (one absolute instant, not per query), so queries
+// that start late inherit a tighter slice and are truncated to partial
+// prefixes. The whole batch runs against the snapshots pinned when it
+// arrived, even while writers publish newer ones concurrently.
+//
+// With a participating cache each query of the batch is probed
+// individually; only the misses execute (as one smaller batch against
+// the same snapshots) and their complete answers fill the cache.
+func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := req.validate(v.at(0).Dim()); err != nil {
+		return nil, err
+	}
+	deadline, err := resolveBudget(ctx, req.Deadline, req.Cache)
+	if err != nil {
+		return nil, err
+	}
+	queries := req.Queries
+	out := make([][]Result, len(queries))
+
+	// exec are the queries that execute: all of them, or the cache
+	// misses, whose positions in the batch are missIdx.
+	exec := queries
+	cache := v.cache
+	if req.Cache == CacheOff {
+		cache = nil
+	}
+	var keys []rescache.Key
+	var missIdx []int
+	if cache != nil {
+		keys = make([]rescache.Key, len(queries))
+		for i := range queries {
+			q := &queries[i]
+			keys[i] = cacheKey(q, req.K, req.Lambda, req.Approx, req.Quant, req.QuantRerank, req.Route, req.RouteTarget, nil)
+			if res, ok := cache.Get(v.token, keys[i], q.X, q.Y, q.Vec, nil); ok {
+				out[i] = res
+			} else {
+				missIdx = append(missIdx, i)
+			}
+		}
+		if len(missIdx) < len(queries) {
+			exec = make([]Object, len(missIdx))
+			for j, i := range missIdx {
+				exec[j] = queries[i]
+			}
+		}
+	}
+
+	var partials []bool
+	if len(exec) > 0 {
+		opts := core.SearchOptions{
+			Approx: req.Approx, Quant: req.Quant, QuantRerank: req.QuantRerank,
+			Route: req.Route, RouteTarget: req.RouteTarget,
+			Deadline: deadline, Cancel: ctx.Done(),
+		}
+		if !deadline.IsZero() || opts.Cancel != nil {
+			partials = make([]bool, len(exec))
+		}
+		tr, start := v.openTrace(nil, false, "batch", v.n(), len(exec), req.K, req.Lambda, opts, req.RequestID, req.TraceID)
+		sub, err := v.executeBatch(exec, req.K, req.Lambda, req.Parallelism, opts, req.Stats, partials, tr)
+		if tr != nil {
+			// The trace records the result counts summed across the
+			// batch and the largest per-query k-NN bound (each query's
+			// kth distance is its own bound, so the max is the batch's
+			// worst case, mirroring what the single-query path records).
+			var kth float64
+			total := 0
+			for _, res := range sub {
+				total += len(res)
+				if len(res) > 0 && res[len(res)-1].Dist > kth {
+					kth = res[len(res)-1].Dist
+				}
+			}
+			v.closeTrace(tr, start, total, kth, anyTrue(partials), err, req.Stats, nil, nil)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if cache == nil {
+			out = sub
+		}
+		for j, i := range missIdx {
+			out[i] = sub[j]
+			if partials == nil || !partials[j] {
+				q := &queries[i]
+				cache.Put(v.token, keys[i], q.X, q.Y, q.Vec, sub[j])
+			}
+		}
+	}
+	if req.Meta != nil {
+		req.Meta.Partial = anyTrue(partials)
+		req.Meta.CacheHit = cache != nil && len(exec) == 0 && len(queries) > 0
+		req.Meta.SnapshotID = v.snapID
+	}
+	return finishCtx(ctx, out, nil)
+}
+
+// executeBatch answers the queries over the view's pinned snapshots.
+// Exact batches over several snapshots on a scatter degree of 1 chain
+// each query through execute (one query's bound from shards 0..i-1
+// prunes shard i, so the partitioned batch costs the same object-level
+// work as a flat one); everything else runs the whole batch through
+// each snapshot's worker pool and merges each query's per-snapshot
+// lists. partials, when non-nil, receives the per-query budget cuts.
+// With tr non-nil one span per snapshot is recorded — full phase stats
+// on the chain, work counters and wall time on the pools — plus the
+// gather merge time.
+func (v *view) executeBatch(queries []Object, k int, lambda float64, workers int, opts core.SearchOptions, st *Stats, partials []bool, tr *SearchTrace) ([][]Result, error) {
+	n := v.n()
+	if n > 1 && !opts.Approx && scatterDegree(n) == 1 {
+		out := make([][]Result, len(queries))
+		for qi := range queries {
+			var cut bool
+			out[qi], cut = v.execute(nil, &queries[qi], k, lambda, opts, st, tr)
+			if cut {
+				partials[qi] = true
+			}
+		}
+		return out, nil
+	}
+
+	perShard := make([][][]Result, n)
+	errs := make([]error, n)
+	var per []Stats
+	if st != nil || tr != nil {
+		per = make([]Stats, n)
+	}
+	// Concurrent pools each write their own cut flags: a query's merged
+	// answer is partial when any snapshot cut it short.
+	var cuts [][]bool
+	if n > 1 && partials != nil {
+		cuts = make([][]bool, n)
+	}
+	run := func(i int, snap *Index) {
+		var pst *Stats
+		if per != nil {
+			pst = &per[i]
+		}
+		cut := partials
+		if cuts != nil {
+			cut = make([]bool, len(queries))
+			cuts[i] = cut
+		}
+		t0 := time.Now()
+		perShard[i], errs[i] = snap.core.SearchBatch(queries, k, lambda, workers, opts, pst, cut)
+		if tr != nil {
+			tr.Shards[i].Stats.Stats = per[i]
+			tr.Shards[i].DurationNanos = time.Since(t0).Nanoseconds()
+		}
+	}
+	v.each(run)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	if tr == nil {
+		gatherStats(st, per)
+	}
+	if n == 1 {
+		return perShard[0], nil
+	}
+	for _, c := range cuts {
+		for qi, cut := range c {
+			if cut {
+				partials[qi] = true
+			}
+		}
+	}
+	g := time.Now()
+	out := make([][]Result, len(queries))
+	lists := make([][]Result, n)
+	for qi := range queries {
+		for si := range perShard {
+			lists[si] = perShard[si][qi]
+		}
+		out[qi] = knn.MergeSorted(make([]Result, 0, k), lists, k)
+	}
+	if tr != nil {
+		tr.Parallel = scatterDegree(n) > 1
+		tr.GatherNanos += time.Since(g).Nanoseconds()
+	}
+	return out, nil
+}
+
+// scatter runs fn once per pinned snapshot and returns after all
+// finish. fn must confine itself to its snapshot index's slots in any
+// shared output slices.
+//
+// Fan-out is capped at the machine's CPU count: spawning P goroutines
+// on fewer than P cores buys no parallelism but multiplies the read's
+// scheduler share P-fold, starving concurrent writers, and pays P
+// goroutine launches per call. Below the cap, snapshots are striped
+// over min(P, NumCPU) workers; on a single-core host the whole scatter
+// runs inline in the caller's goroutine. Results are identical either
+// way — fn writes only to its own slot, and the gather step orders by
+// (distance, ID) regardless of completion order.
+func scatter(snaps []*Index, fn func(i int, snap *Index)) {
+	workers := scatterDegree(len(snaps))
+	if workers == 1 {
+		for i, snap := range snaps {
+			fn(i, snap)
+		}
 		return
 	}
-	req.Meta.CacheHit, req.Meta.SnapshotID = false, snapID
-	req.Meta.Partial = anyTrue(partials)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(snaps); i += workers {
+				fn(i, snaps[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// scatterDegree is the number of goroutines a scatter over p snapshots
+// may use: min(p, NumCPU), at least 1.
+func scatterDegree(p int) int {
+	if w := runtime.NumCPU(); w < p {
+		p = w
+	}
+	if p < 1 {
+		p = 1
+	}
+	return p
+}
+
+// gatherStats folds per-shard work counters into the caller's Stats.
+func gatherStats(st *Stats, per []Stats) {
+	if st == nil {
+		return
+	}
+	for i := range per {
+		st.Add(&per[i])
+	}
 }
 
 func anyTrue(b []bool) bool {
@@ -184,22 +659,10 @@ func anyTrue(b []bool) bool {
 	return false
 }
 
-// cacheable reports whether the request shape may touch the result
-// cache at all: Explain and Trace callers explicitly want the search
-// internals of a real execution, so they always execute.
-func (req *SearchRequest) cacheable() bool {
-	return req.Explain == nil && req.Trace == nil
-}
-
-// cacheKey builds the request's cache key. Knobs that provably do not
+// cacheKey builds a query's cache key. Knobs that provably do not
 // affect the answer in the request's mode are canonicalized so
 // equivalent requests share an entry (QuantRerank outside QuantOnly,
 // RouteTarget outside routed-approx, and their documented defaults).
-func (req *SearchRequest) cacheKey() rescache.Key {
-	return cacheKey(req.Query, req.K, req.Lambda, req.Approx, req.Quant, req.QuantRerank,
-		req.Route, req.RouteTarget, req.Keywords)
-}
-
 func cacheKey(q *Object, k int, lambda float64, approx bool, quant QuantMode, rerank int, route bool, routeTarget float64, keywords []string) rescache.Key {
 	key := rescache.Key{
 		Hash:   rescache.HashQuery(q.X, q.Y, q.Vec),
@@ -243,44 +706,6 @@ func canonicalKeywords(keywords []string) string {
 	return strings.Join(kw, "\x00")
 }
 
-// precheck runs exactly the validations do() would run before the
-// search, so a cache probe can never front-run request validation:
-// probes happen only for requests that would have executed.
-func (x *Index) precheck(req *SearchRequest) error {
-	if err := validateNumerics(req.Query, req.Lambda, req.RouteTarget); err != nil {
-		return err
-	}
-	checkQuery(req.Query, req.K, req.Lambda)
-	x.checkQueryVec(req.Query)
-	if err := checkQuantMode(req.Approx, req.Quant); err != nil {
-		return err
-	}
-	if len(req.Keywords) > 0 {
-		return checkKeywordRequest(req)
-	}
-	return nil
-}
-
-// precheckBatch is precheck for a batch request.
-func (x *Index) precheckBatch(req *BatchSearchRequest) error {
-	if req.K < 1 {
-		return ErrInvalidK
-	}
-	if err := checkQuantMode(req.Approx, req.Quant); err != nil {
-		return err
-	}
-	if err := validateBatchNumerics(req.Queries, req.Lambda, req.RouteTarget); err != nil {
-		return err
-	}
-	for i := range req.Queries {
-		if len(req.Queries[i].Vec) != x.core.Dim() {
-			panic(fmt.Sprintf("cssi: batch query %d has vector dim %d, index expects %d",
-				i, len(req.Queries[i].Vec), x.core.Dim()))
-		}
-	}
-	return nil
-}
-
 // ---- ConcurrentIndex result cache ----
 
 // EnableResultCache installs a snapshot-keyed result cache holding at
@@ -316,7 +741,8 @@ func (c *ConcurrentIndex) ResultCacheStats() (CacheStats, bool) {
 // vector of per-shard snapshot pointers, interned so one epoch object
 // (whose pointer is the cache token) stands for one combination of
 // shard snapshots. Holding the snapshots pins them, which is what
-// makes pointer identity collision-free (see package rescache).
+// makes pointer identity collision-free (see package rescache) — and
+// what lets a request run against the epoch's snapshots directly.
 type shardEpoch struct {
 	snaps []*Index
 	id    uint64 // sum of the per-shard publication sequence numbers
@@ -353,16 +779,6 @@ func (s *ShardedIndex) epochToken() *shardEpoch {
 	return e
 }
 
-// snapshotID sums the per-shard publication sequence numbers — the
-// ResponseMeta.SnapshotID of a sharded answer.
-func (s *ShardedIndex) snapshotID() uint64 {
-	var id uint64
-	for _, sh := range s.shards {
-		id += sh.cur.Load().snapID
-	}
-	return id
-}
-
 // EnableResultCache installs a snapshot-keyed result cache over the
 // whole sharded index (see ConcurrentIndex.EnableResultCache). The
 // cache key's snapshot identity is the vector of per-shard snapshots,
@@ -383,309 +799,4 @@ func (s *ShardedIndex) ResultCacheStats() (CacheStats, bool) {
 		return cache.Stats(), true
 	}
 	return CacheStats{}, false
-}
-
-// ---- DoContext: flat ----
-
-// DoContext is Do under a context: ctx cancellation and deadline
-// compose with SearchRequest.Deadline. A context that is already Done
-// fails fast with ctx.Err(); a context deadline tightens the request's
-// budget (the partial-results semantics of Deadline apply); explicit
-// cancellation mid-search stops the query at the next budget check and
-// returns ctx.Err(). Do is exactly DoContext(context.Background(), …).
-func (x *Index) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
-	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := req.resolveBudget(ctx); err != nil {
-		return nil, err
-	}
-	res, err := x.doResolved(req)
-	return finishCtx(ctx, res, err)
-}
-
-// doResolved dispatches a budget-resolved request, through the traced
-// path when a sink is installed.
-func (x *Index) doResolved(req SearchRequest) ([]Result, error) {
-	if x.sink != nil {
-		return x.doTraced(x.sink, "index", req)
-	}
-	return x.do(req)
-}
-
-// DoBatchContext is DoBatch under a context, composing exactly like
-// DoContext; the budget is shared by the whole batch (one absolute
-// instant, not per query), so queries that start late inherit a
-// tighter slice and are truncated to partial prefixes.
-func (x *Index) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
-	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := req.resolveBudget(ctx); err != nil {
-		return nil, err
-	}
-	out, err := x.doBatchResolved(req)
-	return finishCtx(ctx, out, err)
-}
-
-func (x *Index) doBatchResolved(req BatchSearchRequest) ([][]Result, error) {
-	if x.sink != nil {
-		return x.doBatchTraced(x.sink, "index", req)
-	}
-	return x.doBatch(req)
-}
-
-// ---- DoContext: concurrent ----
-
-// DoContext is ConcurrentIndex.Do under a context (see Index.DoContext
-// for the composition contract). When a result cache is enabled and
-// the request participates (CacheMode), the probe and fill happen
-// here, keyed to the loaded snapshot: a hit is returned without
-// executing (bit-identical by snapshot identity), a miss executes
-// against that same snapshot and fills the cache unless the answer
-// was partial or errored.
-func (c *ConcurrentIndex) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
-	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := req.resolveBudget(ctx); err != nil {
-		return nil, err
-	}
-	snap := c.cur.Load()
-	cache := c.resCache.Load()
-	if cache == nil || req.Cache == CacheOff || !req.cacheable() {
-		res, err := c.doSnap(snap, req)
-		return finishCtx(ctx, res, err)
-	}
-	if err := snap.precheck(&req); err != nil {
-		return nil, err
-	}
-	key := req.cacheKey()
-	if res, ok := cache.Get(snap, key, req.Query.X, req.Query.Y, req.Query.Vec, req.Dst); ok {
-		req.metaReset(snap.snapID)
-		if req.Meta != nil {
-			req.Meta.CacheHit = true
-		}
-		return res, nil
-	}
-	req.ensureMeta()
-	n := len(req.Dst)
-	res, err := c.doSnap(snap, req)
-	if err == nil && !req.Meta.Partial {
-		cache.Put(snap, key, req.Query.X, req.Query.Y, req.Query.Vec, res[n:])
-	}
-	return finishCtx(ctx, res, err)
-}
-
-// doSnap runs the request against one pinned snapshot, through the
-// wrapper's traced path when its sink is installed (falling back to
-// the snapshot's own sink discipline otherwise).
-func (c *ConcurrentIndex) doSnap(snap *Index, req SearchRequest) ([]Result, error) {
-	if sink := c.sink.Load(); sink != nil {
-		return snap.doTraced(sink, "concurrent", req)
-	}
-	return snap.doResolved(req)
-}
-
-// DoBatchContext is ConcurrentIndex.DoBatch under a context. With a
-// participating cache each query of the batch is probed individually;
-// only the misses execute (as one smaller batch against the same
-// snapshot) and their complete answers fill the cache.
-func (c *ConcurrentIndex) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
-	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := req.resolveBudget(ctx); err != nil {
-		return nil, err
-	}
-	snap := c.cur.Load()
-	cache := c.resCache.Load()
-	if cache == nil || req.Cache == CacheOff || len(req.Queries) == 0 {
-		out, err := c.doBatchSnap(snap, req)
-		return finishCtx(ctx, out, err)
-	}
-	if err := snap.precheckBatch(&req); err != nil {
-		return nil, err
-	}
-	out, err := batchThroughCache(cache, snap, snap.snapID, &req, func(sub BatchSearchRequest) ([][]Result, error) {
-		return c.doBatchSnap(snap, sub)
-	})
-	return finishCtx(ctx, out, err)
-}
-
-func (c *ConcurrentIndex) doBatchSnap(snap *Index, req BatchSearchRequest) ([][]Result, error) {
-	if sink := c.sink.Load(); sink != nil {
-		return snap.doBatchTraced(sink, "concurrent", req)
-	}
-	return snap.doBatchResolved(req)
-}
-
-// batchThroughCache probes each query of the batch against the cache
-// and executes only the misses via run (a smaller batch with the same
-// knobs). Complete (non-partial) miss answers fill the cache; the
-// caller's Meta reports Partial when any executed query was truncated
-// and CacheHit when the whole batch was served from the cache.
-func batchThroughCache(cache *rescache.Cache, token any, snapID uint64, req *BatchSearchRequest, run func(BatchSearchRequest) ([][]Result, error)) ([][]Result, error) {
-	queries := req.Queries
-	out := make([][]Result, len(queries))
-	keys := make([]rescache.Key, len(queries))
-	var missIdx []int
-	for i := range queries {
-		q := &queries[i]
-		keys[i] = cacheKey(q, req.K, req.Lambda, req.Approx, req.Quant, req.QuantRerank,
-			req.Route, req.RouteTarget, nil)
-		res, ok := cache.Get(token, keys[i], q.X, q.Y, q.Vec, nil)
-		if ok {
-			out[i] = res
-		} else {
-			missIdx = append(missIdx, i)
-		}
-	}
-	if len(missIdx) == 0 {
-		// Validation must still reject what an executing batch would
-		// have rejected (and fill the partial-out contract's zeroes).
-		if req.Meta != nil {
-			req.Meta.Partial, req.Meta.CacheHit, req.Meta.SnapshotID = false, true, snapID
-		}
-		return out, nil
-	}
-	sub := *req
-	sub.Meta = nil
-	sub.Stats = req.Stats
-	if len(missIdx) < len(queries) {
-		sub.Queries = make([]Object, len(missIdx))
-		for j, i := range missIdx {
-			sub.Queries[j] = queries[i]
-		}
-	}
-	sub.partialOut = make([]bool, len(sub.Queries))
-	subOut, err := run(sub)
-	if err != nil {
-		return nil, err
-	}
-	for j, i := range missIdx {
-		out[i] = subOut[j]
-		if !sub.partialOut[j] {
-			q := &queries[i]
-			cache.Put(token, keys[i], q.X, q.Y, q.Vec, subOut[j])
-		}
-	}
-	if req.Meta != nil {
-		req.Meta.CacheHit, req.Meta.SnapshotID = false, snapID
-		req.Meta.Partial = anyTrue(sub.partialOut)
-	}
-	if req.partialOut != nil {
-		for j, i := range missIdx {
-			req.partialOut[i] = sub.partialOut[j]
-		}
-	}
-	return out, nil
-}
-
-// ---- DoContext: sharded ----
-
-// DoContext is ShardedIndex.Do under a context (see Index.DoContext).
-// The cache's snapshot identity is the interned vector of per-shard
-// snapshots (see epochToken), so a hit proves no shard has republished
-// since the entry was computed.
-func (s *ShardedIndex) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
-	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := req.resolveBudget(ctx); err != nil {
-		return nil, err
-	}
-	cache := s.resCache.Load()
-	if cache == nil || req.Cache == CacheOff || !req.cacheable() {
-		res, err := s.doSinked(req)
-		return finishCtx(ctx, res, err)
-	}
-	if err := s.precheckSharded(&req); err != nil {
-		return nil, err
-	}
-	ep := s.epochToken()
-	key := req.cacheKey()
-	if res, ok := cache.Get(ep, key, req.Query.X, req.Query.Y, req.Query.Vec, req.Dst); ok {
-		req.metaReset(ep.id)
-		if req.Meta != nil {
-			req.Meta.CacheHit = true
-		}
-		return res, nil
-	}
-	req.ensureMeta()
-	n := len(req.Dst)
-	res, err := s.doSinked(req)
-	if err == nil && !req.Meta.Partial {
-		cache.Put(ep, key, req.Query.X, req.Query.Y, req.Query.Vec, res[n:])
-	}
-	return finishCtx(ctx, res, err)
-}
-
-// precheckSharded mirrors Index.precheck for the sharded flavor.
-func (s *ShardedIndex) precheckSharded(req *SearchRequest) error {
-	if err := validateNumerics(req.Query, req.Lambda, req.RouteTarget); err != nil {
-		return err
-	}
-	s.checkRead(req.Query, req.K, req.Lambda)
-	if err := checkQuantMode(req.Approx, req.Quant); err != nil {
-		return err
-	}
-	if len(req.Keywords) > 0 {
-		return checkKeywordRequest(req)
-	}
-	return nil
-}
-
-// precheckBatchSharded mirrors Index.precheckBatch for the sharded
-// flavor, running every rejection (and misuse panic) the executing
-// batch would raise so an all-hit cache probe cannot front-run
-// validation.
-func (s *ShardedIndex) precheckBatchSharded(req *BatchSearchRequest) error {
-	if req.K < 1 {
-		return ErrInvalidK
-	}
-	if err := checkQuantMode(req.Approx, req.Quant); err != nil {
-		return err
-	}
-	if err := validateBatchNumerics(req.Queries, req.Lambda, req.RouteTarget); err != nil {
-		return err
-	}
-	if len(req.Queries) > 0 {
-		s.checkRead(&req.Queries[0], req.K, req.Lambda)
-	}
-	for i := range req.Queries {
-		if len(req.Queries[i].Vec) != s.dim {
-			panic(fmt.Sprintf("cssi: batch query %d has vector dim %d, index expects %d",
-				i, len(req.Queries[i].Vec), s.dim))
-		}
-	}
-	return nil
-}
-
-// DoBatchContext is ShardedIndex.DoBatch under a context, with the
-// same per-query cache probing as ConcurrentIndex.DoBatchContext.
-func (s *ShardedIndex) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
-	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := req.resolveBudget(ctx); err != nil {
-		return nil, err
-	}
-	cache := s.resCache.Load()
-	if cache == nil || req.Cache == CacheOff || len(req.Queries) == 0 {
-		out, err := s.doBatchSinked(req)
-		return finishCtx(ctx, out, err)
-	}
-	if err := s.precheckBatchSharded(&req); err != nil {
-		return nil, err
-	}
-	ep := s.epochToken()
-	out, err := batchThroughCache(cache, ep, ep.id, &req, s.doBatchSinked)
-	return finishCtx(ctx, out, err)
 }

@@ -3,7 +3,6 @@ package cssi
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +25,9 @@ import (
 //
 //   - Reads SCATTER: every shard answers against its current snapshot,
 //     and the per-shard top-k lists are k-way merged in the canonical
-//     (ascending distance, ascending ID) order. Because every shard
+//     (ascending distance, ascending ID) order (or, where the host has
+//     no cores to scatter over, chained shard to shard with the k-NN
+//     bound carried along — see execute). Because every shard
 //     shares the same distance normalizers (computed once over the full
 //     dataset at BuildSharded time) and CSSI is exact regardless of how
 //     objects are clustered, the merged exact result set is
@@ -42,7 +43,7 @@ import (
 //     pointer store per shard.
 //
 // Consistency: each read runs against one consistent snapshot PER
-// SHARD, loaded independently at scatter time. A write that was
+// SHARD, loaded independently when the read arrives. A write that was
 // acknowledged before the read started is always visible; a write
 // concurrent with the read is visible iff its shard's snapshot was
 // loaded after publication. There is no cross-shard read transaction —
@@ -191,215 +192,11 @@ func (s *ShardedIndex) ShardFor(id uint32) int { return shardOf(id, len(s.shards
 // so IDs land on their hash-assigned shard.
 func (s *ShardedIndex) Shard(i int) *ConcurrentIndex { return s.shards[i] }
 
-// scatter runs fn once per shard against an independently loaded
-// per-shard snapshot, and returns after all shards finish. fn must
-// confine itself to its shard index's slots in any shared output
-// slices.
-//
-// Fan-out is capped at the machine's CPU count: spawning P goroutines
-// on fewer than P cores buys no parallelism but multiplies the read's
-// scheduler share P-fold, starving concurrent writers, and pays P
-// goroutine launches per call. Below the cap, shards are striped over
-// min(P, NumCPU) workers; on a single-core host the whole scatter runs
-// inline in the caller's goroutine. Results are identical either way —
-// fn writes only to its own shard's slot, and the gather step orders
-// by (distance, ID) regardless of completion order.
-func (s *ShardedIndex) scatter(fn func(shard int, snap *Index)) {
-	p := len(s.shards)
-	workers := s.scatterDegree()
-	if workers <= 1 {
-		for i := range s.shards {
-			fn(i, s.shards[i].Snapshot())
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < p; i += workers {
-				fn(i, s.shards[i].Snapshot())
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// scatterDegree is the number of goroutines a scatter may use:
-// min(P, NumCPU), at least 1. On a single-core host it is always 1 and
-// every scatter runs inline.
-func (s *ShardedIndex) scatterDegree() int {
-	w := runtime.NumCPU()
-	if p := len(s.shards); w > p {
-		w = p
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// gatherStats folds per-shard work counters into the caller's Stats.
-func gatherStats(st *Stats, per []Stats) {
-	if st == nil {
-		return
-	}
-	for i := range per {
-		st.Add(&per[i])
-	}
-}
-
-// gatherMetas folds the per-shard execution metas into pm: the merged
-// answer is partial when any shard's contribution was cut by the time
-// budget (each scatter goroutine writes only its own slot, so the
-// slice needs no synchronization).
-func gatherMetas(pm *core.SearchMeta, metas []core.SearchMeta) {
-	for i := range metas {
-		if metas[i].Partial {
-			pm.Partial = true
-			return
-		}
-	}
-}
-
-// Search returns the exact k nearest neighbors of q, scattering the
-// query to every shard and merging the per-shard top-k lists. The
-// result — order included — is bit-identical to an unsharded Search
-// over the same objects.
-//
-// Deprecated: use Do with a SearchRequest.
+// Search returns the exact k nearest neighbors of q across the shards
+// (see Index.Search). The result — order included — is bit-identical to
+// an unsharded Search over the same objects.
 func (s *ShardedIndex) Search(q *Object, k int, lambda float64) []Result {
 	return mustResults(s.Do(SearchRequest{Query: q, K: k, Lambda: lambda}))
-}
-
-// SearchStats is Search with work counters summed across shards.
-//
-// Deprecated: use Do with SearchRequest.Stats.
-func (s *ShardedIndex) SearchStats(q *Object, k int, lambda float64, st *Stats) []Result {
-	return mustResults(s.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Stats: st}))
-}
-
-// searchExact is the exact scatter/gather search behind Do, appending
-// the merged top-k to dst.
-//
-// When the scatter degree is 1 (single-core host, or P == 1) the shards
-// are scanned sequentially with the k-NN heap carried from shard to
-// shard (core.SearchSeededInto): shard i starts with the best k
-// candidates from shards 0..i-1, so its pruning bound is as tight as a
-// flat index's at the same point in the scan, and the final heap IS the
-// global top-k — no merge step. Because the shards share one metric
-// space's normalizers, distances are globally comparable and the result
-// is the same exact top-k the parallel scatter+merge produces.
-func (s *ShardedIndex) searchExact(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace, pm *core.SearchMeta) []Result {
-	s.checkRead(q, k, lambda)
-	if s.scatterDegree() == 1 {
-		if tr != nil {
-			return s.searchExactChainTraced(dst, q, k, lambda, opts, st, tr, pm)
-		}
-		var local Stats
-		pst := &local
-		if st == nil {
-			pst = nil
-		}
-		// Per-link metas OR into pm: a budget cut on any link leaves
-		// later shards' candidates unexamined, so the whole chained
-		// answer is partial.
-		var lm core.SearchMeta
-		cur := s.shards[0].Snapshot().core.SearchOptionsSeededMetaInto(make([]Result, 0, k), nil, q, k, lambda, opts, pst, &lm)
-		pm.Partial = pm.Partial || lm.Partial
-		buf := make([]Result, 0, k)
-		for i := 1; i < len(s.shards); i++ {
-			next := s.shards[i].Snapshot().core.SearchOptionsSeededMetaInto(buf[:0], cur, q, k, lambda, opts, pst, &lm)
-			pm.Partial = pm.Partial || lm.Partial
-			buf, cur = cur, next
-		}
-		if st != nil {
-			st.Add(&local)
-		}
-		if dst != nil {
-			return append(dst, cur...)
-		}
-		return cur
-	}
-	lists := make([][]Result, len(s.shards))
-	per := make([]Stats, len(s.shards))
-	metas := make([]core.SearchMeta, len(s.shards))
-	if tr != nil {
-		tr.Parallel = true
-		tr.Shards = appendSpans(tr.Shards, len(s.shards))
-		s.scatter(func(i int, snap *Index) {
-			sp := &tr.Shards[i]
-			sp.Shard, sp.Objects = i, snap.Len()
-			spanStart := time.Now()
-			lists[i] = snap.core.SearchExplainOptionsMetaInto(nil, q, k, lambda, opts, &sp.Stats, &metas[i])
-			sp.DurationNanos = time.Since(spanStart).Nanoseconds()
-			per[i] = sp.Stats.Stats
-		})
-	} else {
-		s.scatter(func(i int, snap *Index) {
-			lists[i] = snap.core.SearchOptionsMetaInto(nil, q, k, lambda, opts, &per[i], &metas[i])
-		})
-	}
-	gatherMetas(pm, metas)
-	gatherStats(st, per)
-	if dst == nil {
-		dst = make([]Result, 0, k)
-	}
-	if tr != nil {
-		g := time.Now()
-		dst = knn.MergeSorted(dst, lists, k)
-		tr.GatherNanos += time.Since(g).Nanoseconds()
-		return dst
-	}
-	return knn.MergeSorted(dst, lists, k)
-}
-
-// appendSpans grows spans to n zeroed entries, reusing a pooled
-// trace's capacity so the steady-state traced scatter allocates
-// nothing for its span tree.
-func appendSpans(spans []SearchSpan, n int) []SearchSpan {
-	for i := 0; i < n; i++ {
-		spans = append(spans, SearchSpan{})
-	}
-	return spans
-}
-
-// searchExactChainTraced is the single-core bound-carrying chain with
-// per-shard span recording: same shard order and carried bound as the
-// untraced chain — results stay bit-identical — with each shard's
-// phase stats collected through the seeded explain entry point instead
-// of forcing the standalone explain scatter (which would give up the
-// chain's bound tightening and distort the very latencies being
-// traced).
-func (s *ShardedIndex) searchExactChainTraced(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace, pm *core.SearchMeta) []Result {
-	snap := s.shards[0].Snapshot()
-	tr.Shards = append(tr.Shards, SearchSpan{Shard: 0, Objects: snap.Len()})
-	spanStart := time.Now()
-	var lm core.SearchMeta
-	cur := snap.core.SearchExplainOptionsSeededMetaInto(make([]Result, 0, k), nil, q, k, lambda, opts, &tr.Shards[0].Stats, &lm)
-	pm.Partial = pm.Partial || lm.Partial
-	tr.Shards[0].DurationNanos = time.Since(spanStart).Nanoseconds()
-	buf := make([]Result, 0, k)
-	for i := 1; i < len(s.shards); i++ {
-		snap = s.shards[i].Snapshot()
-		tr.Shards = append(tr.Shards, SearchSpan{Shard: i, Objects: snap.Len()})
-		sp := &tr.Shards[i]
-		spanStart = time.Now()
-		next := snap.core.SearchExplainOptionsSeededMetaInto(buf[:0], cur, q, k, lambda, opts, &sp.Stats, &lm)
-		pm.Partial = pm.Partial || lm.Partial
-		sp.DurationNanos = time.Since(spanStart).Nanoseconds()
-		buf, cur = cur, next
-	}
-	if st != nil {
-		for i := range tr.Shards {
-			st.Add(&tr.Shards[i].Stats.Stats)
-		}
-	}
-	if dst != nil {
-		return append(dst, cur...)
-	}
-	return cur
 }
 
 // SearchApprox returns approximate (CSSIA) k nearest neighbors. Each
@@ -407,113 +204,8 @@ func (s *ShardedIndex) searchExactChainTraced(dst []Result, q *Object, k int, la
 // an unsharded index's SearchApprox — it is exactly the merge of the
 // per-shard CSSIA answers, with the same per-shard error model as the
 // paper's.
-//
-// Deprecated: use Do with SearchRequest.Approx.
 func (s *ShardedIndex) SearchApprox(q *Object, k int, lambda float64) []Result {
 	return mustResults(s.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: true}))
-}
-
-// SearchApproxStats is SearchApprox with work counters summed across
-// shards.
-//
-// Deprecated: use Do with SearchRequest.Approx and SearchRequest.Stats.
-func (s *ShardedIndex) SearchApproxStats(q *Object, k int, lambda float64, st *Stats) []Result {
-	return mustResults(s.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: true, Stats: st}))
-}
-
-// searchApprox is the approximate scatter/gather search behind Do,
-// appending the merged top-k to dst.
-func (s *ShardedIndex) searchApprox(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace, pm *core.SearchMeta) []Result {
-	s.checkRead(q, k, lambda)
-	lists := make([][]Result, len(s.shards))
-	per := make([]Stats, len(s.shards))
-	metas := make([]core.SearchMeta, len(s.shards))
-	if tr != nil {
-		tr.Parallel = s.scatterDegree() > 1
-		tr.Shards = appendSpans(tr.Shards, len(s.shards))
-		s.scatter(func(i int, snap *Index) {
-			sp := &tr.Shards[i]
-			sp.Shard, sp.Objects = i, snap.Len()
-			spanStart := time.Now()
-			lists[i] = snap.core.SearchExplainOptionsMetaInto(nil, q, k, lambda, opts, &sp.Stats, &metas[i])
-			sp.DurationNanos = time.Since(spanStart).Nanoseconds()
-			per[i] = sp.Stats.Stats
-		})
-	} else {
-		s.scatter(func(i int, snap *Index) {
-			lists[i] = snap.core.SearchOptionsMetaInto(nil, q, k, lambda, opts, &per[i], &metas[i])
-		})
-	}
-	gatherMetas(pm, metas)
-	gatherStats(st, per)
-	if dst == nil {
-		dst = make([]Result, 0, k)
-	}
-	if tr != nil {
-		g := time.Now()
-		dst = knn.MergeSorted(dst, lists, k)
-		tr.GatherNanos += time.Since(g).Nanoseconds()
-		return dst
-	}
-	return knn.MergeSorted(dst, lists, k)
-}
-
-// SearchExplain answers one k-NN query — exact CSSI when approx is
-// false, CSSIA when true — and returns the per-query trace: one
-// SearchSpan per shard (objects scanned vs pruned, prune ratios, span
-// wall time) plus the cross-shard aggregate, stamped with requestID
-// (pass "" to have one generated). Exact results are bit-identical to
-// Search. The explain path always scatters to every shard — even where
-// SearchStats would chain shards sequentially with a carried bound — so
-// the spans describe each shard's standalone work; the trace is
-// diagnostic, not a measurement of the optimized sequential path.
-//
-// Deprecated: use Do with SearchRequest.Trace (and SearchRequest.Explain
-// for the cross-shard aggregate).
-func (s *ShardedIndex) SearchExplain(q *Object, k int, lambda float64, approx bool, requestID string) ([]Result, *SearchTrace) {
-	var tr SearchTrace
-	res := mustResults(s.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: approx, Trace: &tr, RequestID: requestID}))
-	return res, &tr
-}
-
-// searchExplain is the per-shard-instrumented scatter behind Do's
-// Explain/Trace path.
-func (s *ShardedIndex) searchExplain(q *Object, k int, lambda float64, opts core.SearchOptions, requestID string, pm *core.SearchMeta) ([]Result, *SearchTrace) {
-	s.checkRead(q, k, lambda)
-	if requestID == "" {
-		requestID = obs.NewRequestID()
-	}
-	t := &SearchTrace{
-		RequestID: requestID,
-		Algo:      algoName(opts),
-		K:         k,
-		Lambda:    lambda,
-		Shards:    make([]SearchSpan, len(s.shards)),
-		Parallel:  s.scatterDegree() > 1,
-	}
-	start := time.Now()
-	t.StartUnixNanos = start.UnixNano()
-	lists := make([][]Result, len(s.shards))
-	metas := make([]core.SearchMeta, len(s.shards))
-	s.scatter(func(i int, snap *Index) {
-		sp := &t.Shards[i]
-		sp.Shard = i
-		sp.Objects = snap.Len()
-		spanStart := time.Now()
-		lists[i] = snap.core.SearchExplainOptionsMetaInto(nil, q, k, lambda, opts, &sp.Stats, &metas[i])
-		sp.DurationNanos = time.Since(spanStart).Nanoseconds()
-	})
-	gatherMetas(pm, metas)
-	g := time.Now()
-	res := knn.MergeSorted(make([]Result, 0, k), lists, k)
-	t.GatherNanos = time.Since(g).Nanoseconds()
-	t.Partial = pm.Partial
-	var kth float64
-	if len(res) > 0 {
-		kth = res[len(res)-1].Dist
-	}
-	t.Finish(kth, time.Since(start).Nanoseconds())
-	return res, t
 }
 
 // RangeSearch returns every object within combined distance r of q,
@@ -532,7 +224,7 @@ func (s *ShardedIndex) RangeSearchStats(q *Object, r, lambda float64, st *Stats)
 	}
 	lists := make([][]Result, len(s.shards))
 	per := make([]Stats, len(s.shards))
-	s.scatter(func(i int, snap *Index) {
+	scatter(s.epochToken().snaps, func(i int, snap *Index) {
 		lists[i] = snap.core.RangeSearch(q, r, lambda, &per[i])
 	})
 	gatherStats(st, per)
@@ -555,199 +247,17 @@ func (s *ShardedIndex) SearchInBoxStats(q *Object, loX, loY, hiX, hiY float64, k
 	}
 	lists := make([][]Result, len(s.shards))
 	per := make([]Stats, len(s.shards))
-	s.scatter(func(i int, snap *Index) {
+	scatter(s.epochToken().snaps, func(i int, snap *Index) {
 		lists[i] = snap.core.SearchInBox(q, loX, loY, hiX, hiY, k, &per[i])
 	})
 	gatherStats(st, per)
 	return knn.MergeSorted(make([]Result, 0, k), lists, k)
 }
 
-// SearchBatch answers many exact k-NN queries with one scatter: every
-// shard runs the whole batch against its snapshot (through the
-// zero-alloc batched core path), then each query's per-shard lists are
-// merged. Same validation contract as ConcurrentIndex.SearchBatch:
-// empty batches return an empty result without touching the shards and
-// k <= 0 returns ErrInvalidK.
-//
-// Deprecated: use DoBatch with a BatchSearchRequest.
-func (s *ShardedIndex) SearchBatch(queries []Object, k int, lambda float64) ([][]Result, error) {
-	return s.DoBatch(BatchSearchRequest{Queries: queries, K: k, Lambda: lambda})
-}
-
-// BatchSearch is SearchBatch with the approximate variant, explicit
-// per-shard parallelism, and work counters.
-//
-// Deprecated: use DoBatch with a BatchSearchRequest.
-func (s *ShardedIndex) BatchSearch(queries []Object, k int, lambda float64, approx bool, parallelism int, st *Stats) ([][]Result, error) {
-	return s.DoBatch(BatchSearchRequest{Queries: queries, K: k, Lambda: lambda, Approx: approx, Parallelism: parallelism, Stats: st})
-}
-
-// doBatch is the batched scatter/gather behind DoBatch. With tr
-// non-nil it records one span per shard — full phase stats on the
-// sequential chain, work counters and wall time on the parallel
-// scatter — plus the gather merge time.
-func (s *ShardedIndex) doBatch(req BatchSearchRequest, tr *SearchTrace) ([][]Result, error) {
-	queries, k, lambda := req.Queries, req.K, req.Lambda
-	approx, parallelism, st := req.Approx, req.Parallelism, req.Stats
-	opts := req.searchOptions()
-	if k < 1 {
-		return nil, ErrInvalidK
-	}
-	if err := checkQuantMode(req.Approx, req.Quant); err != nil {
-		return nil, err
-	}
-	if err := validateBatchNumerics(queries, lambda, req.RouteTarget); err != nil {
-		return nil, err
-	}
-	if len(queries) == 0 {
-		req.metaFill(s.snapshotID(), nil)
-		return [][]Result{}, nil
-	}
-	s.checkRead(&queries[0], k, lambda)
-	for i := range queries {
-		if len(queries[i].Vec) != s.dim {
-			panic(fmt.Sprintf("cssi: batch query %d has vector dim %d, index expects %d",
-				i, len(queries[i].Vec), s.dim))
-		}
-	}
-	partials := req.partialOut
-	if partials == nil && req.Meta != nil && req.budgeted() {
-		partials = make([]bool, len(queries))
-	}
-	// Sequential scatter (single-core host): chain each query through
-	// the shards with the heap carried forward, exactly as SearchStats
-	// does. One query's bound from shards 0..i-1 prunes shard i, so the
-	// partitioned batch costs the same object-level work as a flat one.
-	// The approximate variant keeps the merge path: CSSIA's result is
-	// defined per clustering, and the documented sharded semantics are
-	// "the merge of the per-shard CSSIA answers".
-	if !approx && s.scatterDegree() == 1 {
-		snaps := make([]*Index, len(s.shards))
-		for i, sh := range s.shards {
-			snaps[i] = sh.Snapshot()
-		}
-		if tr != nil {
-			tr.Shards = appendSpans(tr.Shards, len(snaps))
-			for i, snap := range snaps {
-				tr.Shards[i].Shard, tr.Shards[i].Objects = i, snap.Len()
-			}
-		}
-		var local Stats
-		pst := &local
-		if st == nil {
-			pst = nil
-		}
-		out := make([][]Result, len(queries))
-		cur := make([]Result, 0, k)
-		buf := make([]Result, 0, k)
-		var lm core.SearchMeta
-		for qi := range queries {
-			lm.Partial = false
-			cur = s.chainShard(snaps[0], tr, 0, cur[:0], nil, &queries[qi], k, lambda, opts, pst, &lm)
-			for si := 1; si < len(snaps); si++ {
-				next := s.chainShard(snaps[si], tr, si, buf[:0], cur, &queries[qi], k, lambda, opts, pst, &lm)
-				buf, cur = cur, next
-			}
-			if partials != nil && lm.Partial {
-				partials[qi] = true
-			}
-			out[qi] = append(make([]Result, 0, len(cur)), cur...)
-		}
-		if tr != nil {
-			if st != nil {
-				for i := range tr.Shards {
-					st.Add(&tr.Shards[i].Stats.Stats)
-				}
-			}
-		} else if st != nil {
-			st.Add(&local)
-		}
-		req.metaFill(s.snapshotID(), partials)
-		return out, nil
-	}
-	perShard := make([][][]Result, len(s.shards))
-	per := make([]Stats, len(s.shards))
-	errs := make([]error, len(s.shards))
-	var perPartial [][]bool
-	if partials != nil {
-		perPartial = make([][]bool, len(s.shards))
-		for i := range perPartial {
-			perPartial[i] = make([]bool, len(queries))
-		}
-	}
-	if tr != nil {
-		tr.Parallel = s.scatterDegree() > 1
-		tr.Shards = appendSpans(tr.Shards, len(s.shards))
-	}
-	s.scatter(func(i int, snap *Index) {
-		var shardPartial []bool
-		if perPartial != nil {
-			shardPartial = perPartial[i]
-		}
-		if tr != nil {
-			sp := &tr.Shards[i]
-			sp.Shard, sp.Objects = i, snap.Len()
-			spanStart := time.Now()
-			perShard[i], errs[i] = snap.core.SearchBatchOptionsMeta(queries, k, lambda, parallelism, opts, &per[i], shardPartial)
-			sp.DurationNanos = time.Since(spanStart).Nanoseconds()
-			sp.Stats.Stats = per[i]
-			return
-		}
-		perShard[i], errs[i] = snap.core.SearchBatchOptionsMeta(queries, k, lambda, parallelism, opts, &per[i], shardPartial)
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	// A query's merged answer is partial when any shard cut it short.
-	for si := range perPartial {
-		for qi, p := range perPartial[si] {
-			if p {
-				partials[qi] = true
-			}
-		}
-	}
-	gatherStats(st, per)
-	var g time.Time
-	if tr != nil {
-		g = time.Now()
-	}
-	out := make([][]Result, len(queries))
-	lists := make([][]Result, len(s.shards))
-	for qi := range queries {
-		for si := range s.shards {
-			lists[si] = perShard[si][qi]
-		}
-		out[qi] = knn.MergeSorted(make([]Result, 0, k), lists, k)
-	}
-	if tr != nil {
-		tr.GatherNanos += time.Since(g).Nanoseconds()
-	}
-	req.metaFill(s.snapshotID(), partials)
-	return out, nil
-}
-
-// chainShard runs one shard link of the sequential batch chain,
-// recording the span when tracing is on: the traced call goes through
-// the seeded explain entry point so the span accumulates full phase
-// stats across the batch's queries, at identical results.
-func (s *ShardedIndex) chainShard(snap *Index, tr *SearchTrace, si int, dst, seed []Result, q *Object, k int, lambda float64, opts core.SearchOptions, pst *Stats, pm *core.SearchMeta) []Result {
-	var lm core.SearchMeta
-	if tr == nil {
-		res := snap.core.SearchOptionsSeededMetaInto(dst, seed, q, k, lambda, opts, pst, &lm)
-		pm.Partial = pm.Partial || lm.Partial
-		return res
-	}
-	sp := &tr.Shards[si]
-	t0 := time.Now()
-	res := snap.core.SearchExplainOptionsSeededMetaInto(dst, seed, q, k, lambda, opts, &sp.Stats, &lm)
-	sp.DurationNanos += time.Since(t0).Nanoseconds()
-	pm.Partial = pm.Partial || lm.Partial
-	return res
-}
-
-// checkRead validates a read's inputs on the caller's goroutine, before
-// any scatter — a malformed query must panic here, never inside a
-// per-shard worker goroutine (where a panic would kill the process).
+// checkRead validates a range/box read's inputs on the caller's
+// goroutine, before any scatter — a malformed query must panic here,
+// never inside a per-shard worker goroutine (where a panic would kill
+// the process).
 func (s *ShardedIndex) checkRead(q *Object, k int, lambda float64) {
 	checkQuery(q, k, lambda)
 	if len(q.Vec) != s.dim {
@@ -898,66 +408,10 @@ func (s *ShardedIndex) KeywordFilterEnabled() bool {
 }
 
 // SearchWithKeywords scatters a keyword-constrained search and merges
-// the per-shard answers. Requires EnableKeywordFilter on every shard
-// (panics otherwise, like the unsharded API); ok=false indicates the
-// keyword list was unusable.
-//
-// Deprecated: use Do with SearchRequest.Keywords (ok=false becomes
-// ErrUnusableKeywords).
+// the per-shard answers (see Index.SearchWithKeywords). Requires
+// EnableKeywordFilter on every shard.
 func (s *ShardedIndex) SearchWithKeywords(q *Object, k int, lambda float64, keywords ...string) ([]Result, bool) {
-	if len(keywords) == 0 {
-		// An empty SearchRequest.Keywords means "unconstrained"; the
-		// legacy contract for an empty list is ok=false. Validate as
-		// before, then report it unusable.
-		s.checkRead(q, k, lambda)
-		for _, sh := range s.shards {
-			if !sh.Snapshot().KeywordFilterEnabled() {
-				panic("cssi: SearchWithKeywords requires EnableKeywordFilter")
-			}
-		}
-		return nil, false
-	}
-	res, err := s.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Keywords: keywords})
-	if err != nil {
-		return nil, false
-	}
-	return res, true
-}
-
-// searchKeywords is the keyword-constrained scatter behind Do; inputs
-// are already validated (but the per-shard filter presence is checked
-// here, on the caller's goroutine).
-func (s *ShardedIndex) searchKeywords(q *Object, k int, lambda float64, keywords []string) ([]Result, bool) {
-	snaps := make([]*Index, len(s.shards))
-	for i, sh := range s.shards {
-		snaps[i] = sh.Snapshot()
-		if !snaps[i].KeywordFilterEnabled() {
-			panic("cssi: SearchWithKeywords requires EnableKeywordFilter")
-		}
-	}
-	lists := make([][]Result, len(s.shards))
-	oks := make([]bool, len(s.shards))
-	if len(s.shards) == 1 {
-		lists[0], oks[0] = snaps[0].searchWithKeywords(q, k, lambda, keywords)
-	} else {
-		var wg sync.WaitGroup
-		for i := range s.shards {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				lists[i], oks[i] = snaps[i].searchWithKeywords(q, k, lambda, keywords)
-			}(i)
-		}
-		wg.Wait()
-	}
-	for _, ok := range oks {
-		// Keyword usability depends only on the keyword list, so every
-		// shard agrees; any false means the list was unusable.
-		if !ok {
-			return nil, false
-		}
-	}
-	return knn.MergeSorted(make([]Result, 0, k), lists, k), true
+	return keywordSearch(s.Do, q, k, lambda, keywords)
 }
 
 // Object looks up a live object on its owning shard, returning a copy.

@@ -70,8 +70,8 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 					equalResults(t, stage+" SearchInBox",
 						flat.SearchInBox(q, 0.2, 0.2, 0.8, 0.8, 8), s.SearchInBox(q, 0.2, 0.2, 0.8, 0.8, 8))
 				}
-				flatBatch := flat.SearchBatch(queries, 7, 0.5)
-				gotBatch, err := s.SearchBatch(queries, 7, 0.5)
+				flatBatch := mustDoBatch(t, flat, queries, 7, 0.5)
+				gotBatch, err := s.DoBatch(BatchSearchRequest{Queries: queries, K: 7, Lambda: 0.5})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,10 +148,10 @@ func lessResult(a, b Result) bool {
 func TestShardedBatchValidation(t *testing.T) {
 	ds := testDataset(t, 300)
 	s := mustBuildSharded(t, ds, 3, Options{Seed: 4})
-	if got, err := s.SearchBatch(nil, 5, 0.5); err != nil || got == nil || len(got) != 0 {
+	if got, err := s.DoBatch(BatchSearchRequest{Queries: nil, K: 5, Lambda: 0.5}); err != nil || got == nil || len(got) != 0 {
 		t.Fatalf("empty batch: %v, err %v", got, err)
 	}
-	if _, err := s.SearchBatch(ds.SampleQueries(2, 1), 0, 0.5); !errors.Is(err, ErrInvalidK) {
+	if _, err := s.DoBatch(BatchSearchRequest{Queries: ds.SampleQueries(2, 1), K: 0, Lambda: 0.5}); !errors.Is(err, ErrInvalidK) {
 		t.Fatalf("k=0: err %v, want ErrInvalidK", err)
 	}
 }
@@ -429,7 +429,7 @@ func TestShardedStress(t *testing.T) {
 				s.SearchApprox(q, 5, 0.5)
 				s.RangeSearch(q, 0.05, 0.5)
 				s.SearchInBox(q, 0, 0, 1, 1, 3)
-				if _, err := s.SearchBatch(queries[:2], 3, 0.5); err != nil {
+				if _, err := s.DoBatch(BatchSearchRequest{Queries: queries[:2], K: 3, Lambda: 0.5}); err != nil {
 					t.Errorf("batch: %v", err)
 					return
 				}

@@ -1,6 +1,7 @@
 package cssi
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -8,14 +9,16 @@ import (
 )
 
 // This file wires the always-on tail-sampled tracer into the three
-// index flavors: when a trace sink is installed, every Do/DoBatch
-// records a compact span tree — per-shard phase nanos reusing the
-// existing SearchStats collection — into a pooled obs.Trace and hands
-// it to the sink, whose tail sampler retains the slow, errored, and
-// partial traces (plus a deterministic 1-in-N of normal traffic) in a
-// lock-free ring for /debug/traces. With no sink installed (the
-// library default) the traced paths are never entered and searches pay
-// nothing.
+// index flavors: when a trace sink is installed, every executed
+// Do/DoBatch records a compact span tree — per-shard phase nanos reusing
+// the existing SearchStats collection — into a pooled obs.Trace and
+// hands it to the sink, whose tail sampler retains the slow, errored,
+// and partial traces (plus a deterministic 1-in-N of normal traffic) in
+// a lock-free ring for /debug/traces. SearchRequest.Explain and
+// SearchRequest.Trace are observers of the same spans. With none of the
+// three the request records nothing and pays nothing. Requests rejected
+// by validation and result-cache hits never execute and so leave no
+// trace.
 
 // SetTraceSink installs sink as the always-on trace collector for this
 // index's Do/DoBatch calls (nil disables tracing). The sink survives
@@ -62,118 +65,80 @@ func algoName(opts core.SearchOptions) string {
 	return "cssi"
 }
 
-// beginTrace checks a pooled trace out of sink and stamps the request
-// envelope on it, generating a request ID when the caller brought
-// none. Returns the trace and the start instant endTrace closes
-// against.
-func beginTrace(sink *obs.Sink, flavor, op string, queries, k int, lambda float64, opts core.SearchOptions, requestID, traceID string) (*obs.Trace, time.Time) {
-	t := sink.Get()
+// openTrace returns the trace a request records into, with the request
+// envelope stamped and one zeroed span per searched snapshot,
+// and the instant closeTrace measures from. Spans are recorded iff a
+// sink, Trace or Explain asks for them: the trace is the sink's pooled
+// one when a sink is installed, else the caller's own (want), else —
+// Explain alone — a private one; nil when nothing asks. A trace someone
+// will read gets a generated request ID when the caller brought none.
+func (v *view) openTrace(want *SearchTrace, explain bool, op string, spans, queries, k int, lambda float64, opts core.SearchOptions, requestID, traceID string) (*SearchTrace, time.Time) {
+	var t *SearchTrace
+	switch {
+	case v.sink != nil:
+		t = v.sink.Get()
+	case want != nil:
+		t = want
+		t.Reset()
+	case explain:
+		t = explainTraces.Get().(*SearchTrace)
+		t.Reset()
+	default:
+		return nil, time.Time{}
+	}
 	t.RequestID = requestID
-	if t.RequestID == "" {
+	if requestID == "" && (v.sink != nil || want != nil) {
 		t.RequestID = obs.NewRequestID()
 	}
 	t.TraceID = traceID
-	t.Flavor = flavor
+	t.Flavor = v.flavor
 	t.Op = op
 	t.Queries = queries
 	t.Algo = algoName(opts)
 	t.K = k
 	t.Lambda = lambda
+	for i := 0; i < spans; i++ {
+		t.Shards = append(t.Shards, SearchSpan{Shard: i, Objects: v.at(i).Len()})
+	}
 	start := time.Now()
 	t.StartUnixNanos = start.UnixNano()
 	return t, start
 }
 
-// endTrace finalizes t (aggregate, derived ratios, error, duration)
-// and submits it to the sink's tail sampler. The caller must not touch
-// t afterward: dropped traces are recycled immediately.
-func endTrace(sink *obs.Sink, t *obs.Trace, res []Result, err error, start time.Time) {
-	var kth float64
-	if len(res) > 0 {
-		kth = res[len(res)-1].Dist
-	}
-	t.Results = len(res)
+// closeTrace finalizes t (aggregate, derived ratios, error, duration)
+// and hands it to its observers: the work counters and the cross-shard
+// aggregate fold into the caller's Stats and Explain (both accumulate
+// across requests), a caller-visible Trace that is not t itself gets a
+// copy, and the sink's tail sampler (or the private-trace pool) gets t
+// last — the caller must not touch t afterward, dropped traces are
+// recycled immediately.
+func (v *view) closeTrace(t *SearchTrace, start time.Time, results int, kth float64, partial bool, err error, st *Stats, es *ExplainStats, want *SearchTrace) {
+	t.Results = results
+	t.Partial = partial
 	if err != nil {
 		t.Error = err.Error()
 	}
 	t.Finish(kth, time.Since(start).Nanoseconds())
-	sink.Finish(t)
+	if st != nil {
+		st.Add(&t.Total.Stats)
+	}
+	if es != nil {
+		es.Merge(&t.Total)
+		es.KthDistance = t.Total.KthDistance
+	}
+	if want != nil && want != t {
+		shards := append(want.Shards[:0], t.Shards...)
+		*want = *t
+		want.Shards = shards
+	}
+	switch {
+	case v.sink != nil:
+		v.sink.Finish(t)
+	case want == nil:
+		explainTraces.Put(t)
+	}
 }
 
-// endTraceBatch is endTrace for a batched request: the trace records
-// the per-query result counts summed across the batch and the largest
-// per-query k-NN bound (each query's kth distance is its own bound, so
-// the max is the batch's worst-case bound, mirroring what the
-// single-query path records).
-func endTraceBatch(sink *obs.Sink, t *obs.Trace, out [][]Result, err error, start time.Time) {
-	var kth float64
-	total := 0
-	for _, res := range out {
-		total += len(res)
-		if len(res) > 0 && res[len(res)-1].Dist > kth {
-			kth = res[len(res)-1].Dist
-		}
-	}
-	t.Results = total
-	if err != nil {
-		t.Error = err.Error()
-	}
-	t.Finish(kth, time.Since(start).Nanoseconds())
-	sink.Finish(t)
-}
-
-// doTraced runs req against the flat index while recording a
-// single-span trace into sink. The span's phase stats ride the same
-// nil-guarded scratch collection SearchExplain uses, injected into the
-// pooled span so the caller-visible behavior (results, Stats, Explain
-// accumulation) is unchanged.
-func (x *Index) doTraced(sink *obs.Sink, flavor string, req SearchRequest) ([]Result, error) {
-	req.ensureMeta()
-	if len(req.Keywords) > 0 {
-		// The keyword path's brute-force arm bypasses the instrumented
-		// cluster scan (and rejects Explain), so its trace is the
-		// request envelope and wall time only.
-		t, start := beginTrace(sink, flavor, "keyword", 1, req.K, req.Lambda, req.searchOptions(), req.RequestID, req.TraceID)
-		res, err := x.do(req)
-		endTrace(sink, t, res, err, start)
-		return res, err
-	}
-	t, start := beginTrace(sink, flavor, "search", 1, req.K, req.Lambda, req.searchOptions(), req.RequestID, req.TraceID)
-	t.Shards = append(t.Shards, SearchSpan{Objects: x.Len()})
-	sp := &t.Shards[0]
-	req2 := req
-	req2.Explain = &sp.Stats
-	res, err := x.do(req2)
-	sp.DurationNanos = time.Since(start).Nanoseconds()
-	if req.Explain != nil {
-		// Fold the span's per-query stats into the caller's Explain so
-		// its accumulate-across-queries contract holds (x.do already
-		// folded them into req.Stats).
-		req.Explain.Merge(&sp.Stats)
-		req.Explain.KthDistance = sp.Stats.KthDistance
-	}
-	t.Partial = req.Meta.Partial
-	endTrace(sink, t, res, err, start)
-	return res, err
-}
-
-// doBatchTraced runs the batch while recording a single-span trace
-// with the batch's aggregate work counters.
-func (x *Index) doBatchTraced(sink *obs.Sink, flavor string, req BatchSearchRequest) ([][]Result, error) {
-	req.ensureMeta()
-	t, start := beginTrace(sink, flavor, "batch", len(req.Queries), req.K, req.Lambda, req.searchOptions(), req.RequestID, req.TraceID)
-	t.Shards = append(t.Shards, SearchSpan{Objects: x.Len()})
-	sp := &t.Shards[0]
-	var local Stats
-	req2 := req
-	req2.Stats = &local
-	out, err := x.doBatch(req2)
-	sp.Stats.Stats = local
-	sp.DurationNanos = time.Since(start).Nanoseconds()
-	if req.Stats != nil {
-		req.Stats.Add(&local)
-	}
-	t.Partial = req2.Meta.Partial
-	endTraceBatch(sink, t, out, err, start)
-	return out, err
-}
+// explainTraces recycles the private traces of Explain-only requests,
+// so observing a query costs no allocation in steady state.
+var explainTraces = sync.Pool{New: func() any { return new(SearchTrace) }}

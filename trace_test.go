@@ -1,6 +1,7 @@
 package cssi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -142,9 +143,10 @@ func TestTraceSinkUninstall(t *testing.T) {
 	}
 }
 
-// TestTraceErrorRetained asserts a failing request is still traced and
-// tail-retained with its error recorded, even at a sampling rate that
-// would drop it as normal traffic.
+// TestTraceErrorRetained asserts a request that fails while executing
+// is still traced and tail-retained with its error recorded, even at a
+// sampling rate that would drop it as normal traffic. (A request
+// rejected by validation never executes and leaves no trace.)
 func TestTraceErrorRetained(t *testing.T) {
 	ds, err := GenerateDataset(DatasetConfig{Kind: TwitterLike, Size: 200, Dim: 16, Seed: 9})
 	if err != nil {
@@ -154,18 +156,25 @@ func TestTraceErrorRetained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx.EnableKeywordFilter()
 	sink := obs.NewSink(obs.SinkConfig{BufferSize: 16, SlowThreshold: -1, SampleEvery: -1})
 	idx.SetTraceSink(sink)
-	_, doErr := idx.Do(SearchRequest{Query: &ds.Objects[0], K: 3, Lambda: 2, RequestID: "errbadk0badk0bad"})
-	if doErr == nil {
-		t.Fatal("Lambda=2 accepted")
+	_, doErr := idx.Do(SearchRequest{Query: &ds.Objects[0], K: 3, Lambda: 0.5, Keywords: []string{"of"}, RequestID: "errbadkwbadkwbad"})
+	if !errors.Is(doErr, ErrUnusableKeywords) {
+		t.Fatalf("stop-word keywords: err = %v, want ErrUnusableKeywords", doErr)
 	}
-	tr := sink.Ring().Lookup("errbadk0badk0bad")
+	tr := sink.Ring().Lookup("errbadkwbadkwbad")
 	if tr == nil {
 		t.Fatal("errored trace not retained")
 	}
 	if tr.SampleReason != obs.KeepError || tr.Error == "" {
 		t.Fatalf("errored trace reason=%q error=%q", tr.SampleReason, tr.Error)
+	}
+	if _, err := idx.Do(SearchRequest{Query: &ds.Objects[0], K: 3, Lambda: 2}); !errors.Is(err, ErrInvalidLambda) {
+		t.Fatalf("Lambda=2: err = %v, want ErrInvalidLambda", err)
+	}
+	if seen, _, _ := sink.Counts(); seen != 1 {
+		t.Fatalf("sink saw %d traces, want 1 (a rejected request records none)", seen)
 	}
 }
 
