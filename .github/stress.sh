@@ -12,7 +12,9 @@ set -euo pipefail
 pattern=$1
 shift
 for pkg in "$@"; do
-  if ! go test -list "$pattern" "$pkg" | grep -qE '^(Test|Fuzz)'; then
+  # Not grep -q: it exits at the first match, go test then dies of
+  # SIGPIPE, and pipefail reports the match as a failure.
+  if ! go test -list "$pattern" "$pkg" | grep -E '^(Test|Fuzz)' >/dev/null; then
     echo "stress: pattern '$pattern' matches no test in $pkg" >&2
     exit 1
   fi

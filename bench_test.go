@@ -85,7 +85,7 @@ func BenchmarkFig3DistanceHistograms(b *testing.B) {
 		q := e.query(i)
 		for j := range e.ds.Objects {
 			d := e.space.SemanticVec(q.Vec, e.ds.Objects[j].Vec)
-			p := e.idx.ProjectedDistance(qProj, j)
+			p, _ := e.idx.ProjectedDistance(qProj, e.ds.Objects[j].ID)
 			bin := int(d * 20)
 			if bin > 19 {
 				bin = 19

@@ -96,19 +96,19 @@ func (x *Index) ensureOwnedObjects() {
 // outside COW mode (or when this clone already owns it), otherwise a
 // private copy spliced into the clone's cluster directory in c's stead.
 // The members slice is copied with one slot of headroom (the common
-// mutation is a single insert); elems is left shared because every
-// mutation rebuilds it from the members anyway.
+// mutation is a single insert); elems and the scan block are left shared
+// because every mutation rebuilds them from the members anyway.
 func (x *Index) cowHybrid(c *hybrid) *hybrid {
 	if x.cow == nil || x.cow.ownedHybrids[c] {
 		return c
 	}
 	nc := &hybrid{
-		s:       c.s,
-		t:       c.t,
-		members: append(make([]member, 0, len(c.members)+1), c.members...),
-		elems:   c.elems,
-		codes:   c.codes,
-		resid:   c.resid,
+		s:        c.s,
+		t:        c.t,
+		members:  append(make([]member, 0, len(c.members)+1), c.members...),
+		elems:    c.elems,
+		base:     c.base,
+		gathered: c.gathered,
 	}
 	x.clusterIdx[[2]int{c.s, c.t}] = nc
 	for i, cc := range x.clusters {

@@ -157,13 +157,16 @@ type hybrid struct {
 	s, t    int // side-cluster indices
 	members []member
 	elems   []element
-	// codes and resid are the cluster's contiguous SQ8 block: row j of
-	// codes (stride dim) quantizes the vector of elems[j], resid[j] is
-	// its admissible residual. Derived data like elems — rebuilt by
-	// fillClusterQuant wherever buildElems runs, shared under COW, nil
-	// when the index has no quant arena.
-	codes []uint8
-	resid []float32
+	// base is the storage position of elems[0] while the elements are
+	// contiguous (elems[j].idx == base+j): the scan block is then a
+	// window of the arenas and gathered is nil. Otherwise base is -1 and
+	// gathered holds the block as a private copy (behind a pointer, nil
+	// in the common case, so the hybrid every query's ordering pass
+	// walks stays small). Derived data like elems — set by fillClusterBlock wherever
+	// buildElems runs, shared under COW; read through Index.block (see
+	// layout.go).
+	base     int
+	gathered *clusterBlock
 }
 
 // Index is a built CSSI/CSSIA index. Both query algorithms share one
@@ -190,14 +193,16 @@ type Index struct {
 	// The embeddings and their PCA projections live in two contiguous
 	// row-major float32 arenas (SoA, fixed stride): row i of vecArena is
 	// the n-dimensional vector of objects[i] (objects[i].Vec is a view
-	// into it), row i of projArena its m-dimensional projection. The
-	// query loops walk these arenas sequentially, so the layout turns
-	// the dominant kernel traffic into linear prefetchable reads instead
-	// of one pointer chase per row.
-	dim       int // n: embedding dimensionality (vecArena stride)
-	m         int // m: projection dimensionality (projArena stride)
-	vecArena  []float32
-	projArena []float32
+	// into it), row i of projArena its m-dimensional projection;
+	// xArena[i], yArena[i] repeat objects[i]'s location (derived, never
+	// serialized). Storage order is cluster-major (see layout.go), so a
+	// cluster scan reads each arena as one linear prefetchable run
+	// instead of one pointer chase per row.
+	dim            int // n: embedding dimensionality (vecArena stride)
+	m              int // m: projection dimensionality (projArena stride)
+	vecArena       []float32
+	projArena      []float32
+	xArena, yArena []float64
 	// quant is the SQ8-quantized companion of vecArena (nil when
 	// disabled or inapplicable; see quant.go). The pointee's slices
 	// follow the arenas' append-only/COW discipline; CloneForWrite
@@ -440,17 +445,24 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, tm 
 	for i := range x.objects {
 		x.addToHybridWith(uint32(i), dsAll[i], dtAll[i])
 	}
-	// Train the SQ8 companion arena over the freshly filled vecArena,
-	// then build each cluster's element array and contiguous code block
-	// together (both are per-cluster derived data).
-	x.quant = x.trainQuant()
+	// Build each cluster's element array, renumber storage into the
+	// order those arrays dictate, then derive the coordinate arena and
+	// train the SQ8 companion arena over the final order: every cluster's
+	// scan block is a window of the arenas.
 	clusters := x.clusters
 	parallelFor(len(clusters), cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			clusters[i].elems = buildElems(clusters[i].members)
-			x.fillClusterQuant(clusters[i])
 		}
 	})
+	if err := x.layoutClusterMajor(); err != nil {
+		return nil, fmt.Errorf("core: %w", err) // unreachable: Build lists every object once
+	}
+	x.fillCoordArena()
+	x.quant = x.trainQuant()
+	for _, c := range clusters {
+		x.fillClusterBlock(c)
+	}
 	// Snapshot the built radii for the DriftRatio heuristic.
 	x.builtSRad = append([]float64(nil), x.sRad...)
 	x.builtTRadProj = append([]float64(nil), x.tRadProj...)

@@ -302,20 +302,21 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 	// line 9).
 	enclosed := dsqC < x.sRad[c.s] && dtqC < x.tRad[c.t]
 	dqC := lambda*dsqC + (1-lambda)*dtqC
-	// With a full heap, λ < 1 and a quantized code block for this
-	// cluster, the scan switches to the filter-then-rerank pass: the SQ8
-	// lower bound excludes most candidates without touching the float32
-	// arena, and only survivors pay the exact kernel. Results stay
-	// bit-identical (see scanClusterQuant); the unquantized loop below
-	// remains both the reference and the path for unfilled heaps, λ = 1,
-	// QuantOff queries, and quantless indexes.
-	if x.quant != nil && !sc.quantOff && lambda < 1 && len(c.codes) == len(c.elems)*x.dim && len(c.elems) > 0 {
+	// With a full heap, λ < 1 and a quant arena, the scan switches to
+	// the filter-then-rerank pass: the SQ8 lower bound excludes most
+	// candidates without touching the float32 arena, and only survivors
+	// pay the exact kernel. Results stay bit-identical (see
+	// scanClusterQuant); the unquantized loop below remains both the
+	// reference and the path for unfilled heaps, λ = 1, QuantOff queries,
+	// and quantless indexes.
+	if x.quant != nil && !sc.quantOff && lambda < 1 && len(c.elems) > 0 {
 		if u0, full := h.Bound(); full {
 			x.scanClusterQuant(sc, q, lambda, c, dqC, u0, enclosed, h, st)
 			return
 		}
 	}
 	tombs := x.deltaTombs()
+	blk := x.block(c)
 	for ei := range c.elems {
 		e := &c.elems[ei]
 		if !enclosed {
@@ -337,11 +338,11 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		if tombs != nil && tombs.get(e.idx) {
 			continue
 		}
-		o := &x.objects[e.idx]
+		ov := x.vecAt(e.idx)
 		if st != nil {
 			st.VisitedObjects++
 		}
-		ds := x.space.Spatial(st, q.X, q.Y, o.X, o.Y)
+		ds := x.space.Spatial(st, q.X, q.Y, blk.xs[ei], blk.ys[ei])
 		var dt float64
 		if u, full := h.Bound(); full && lambda < 1 {
 			// Early abandonment: o can only enter the heap with
@@ -352,7 +353,7 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 			// the plain kernel, keeping results exact.
 			dtBound := (u - lambda*ds) / (1 - lambda)
 			var ok bool
-			dt, ok = x.space.SemanticBound(st, q.Vec, o.Vec, dtBound)
+			dt, ok = x.space.SemanticBound(st, q.Vec, ov, dtBound)
 			if !ok {
 				if sc.obs != nil {
 					sc.obs.EarlyAbandons++
@@ -360,8 +361,8 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 				continue
 			}
 		} else {
-			dt = x.space.Semantic(st, q.Vec, o.Vec)
+			dt = x.space.Semantic(st, q.Vec, ov)
 		}
-		h.Push(knn.Result{ID: o.ID, Dist: metric.Combine(lambda, ds, dt)})
+		h.Push(knn.Result{ID: x.objects[e.idx].ID, Dist: metric.Combine(lambda, ds, dt)})
 	}
 }

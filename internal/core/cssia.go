@@ -158,6 +158,7 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 		dtqC := sc.dtq[c.t]
 		enclosed := sc.dsq[c.s] < x.sRad[c.s] && dtqC < x.tRad[c.t]
 		dqC := lambda*sc.dsq[c.s] + (1-lambda)*dtqC
+		blk := x.block(c)
 		for ei := range c.elems {
 			e := &c.elems[ei]
 			if !enclosed && len(cands) >= k {
@@ -174,18 +175,18 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 			if tombs != nil && tombs.get(e.idx) {
 				continue
 			}
-			o := &x.objects[e.idx]
+			ov := x.vecAt(e.idx)
 			if st != nil {
 				st.VisitedObjects++
 			}
-			ds := x.space.Spatial(st, q.X, q.Y, o.X, o.Y)
+			ds := x.space.Spatial(st, q.X, q.Y, blk.xs[ei], blk.ys[ei])
 			var dt float64
 			if len(cands) >= k && lambda < 1 {
 				// Early abandonment (see scanCluster): a candidate only
 				// joins R with d < U, i.e. dt < (U − λ·ds)/(1−λ).
 				dtBound := (u - lambda*ds) / (1 - lambda)
 				var ok bool
-				dt, ok = x.space.SemanticBound(st, q.Vec, o.Vec, dtBound)
+				dt, ok = x.space.SemanticBound(st, q.Vec, ov, dtBound)
 				if !ok {
 					if sc.obs != nil {
 						sc.obs.EarlyAbandons++
@@ -193,12 +194,12 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 					continue
 				}
 			} else {
-				dt = x.space.Semantic(st, q.Vec, o.Vec)
+				dt = x.space.Semantic(st, q.Vec, ov)
 			}
 			d := metric.Combine(lambda, ds, dt)
 			if d < u || len(cands) < k {
 				dpr := metric.Combine(lambda, ds, x.space.SemanticProjVec(qProj, x.projAt(e.idx)))
-				cands.push(cand{id: o.ID, idx: e.idx, d: d, dpr: dpr})
+				cands.push(cand{id: x.objects[e.idx].ID, idx: e.idx, d: d, dpr: dpr})
 				if len(cands) > k {
 					cands.popMax()
 				}

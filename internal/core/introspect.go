@@ -84,9 +84,15 @@ func (x *Index) ProjectQuery(v []float32) []float32 { return x.pcaModel.Transfor
 
 // ProjectedDistance returns the normalized projected-space semantic
 // distance between a projected query and the stored projection of the
-// object at the given dataset position.
-func (x *Index) ProjectedDistance(qProj []float32, position int) float64 {
-	return x.space.SemanticProjVec(qProj, x.projAt(uint32(position)))
+// base object with the given ID; ok is false when the base holds no such
+// object. Objects are named by ID because storage positions are
+// cluster-major, not dataset positions.
+func (x *Index) ProjectedDistance(qProj []float32, id uint32) (d float64, ok bool) {
+	idx, ok := x.idToIdx[id]
+	if !ok {
+		return 0, false
+	}
+	return x.space.SemanticProjVec(qProj, x.projAt(idx)), true
 }
 
 // BuildTimings records where index-construction time went (Fig. 15).

@@ -30,16 +30,22 @@ import (
 //     (probed with live objects as queries) — the two facts the
 //     exactness of Search's lazy ordering rests on.
 //   - the SQ8 quant arena (when present) stays consistent with the
-//     float32 arena — codebook dimensionality, row counts, per-cluster
-//     code blocks matching the arena rows of their elements — and its
+//     float32 arena — codebook dimensionality, row counts — and its
 //     bound pair stays admissible (probed with live objects as
 //     queries), the fact the exactness of the quantized filter rests
 //     on.
+//   - the coordinate arena repeats every stored location, and every
+//     cluster's scan block equals the arena rows of its elements in
+//     array order — a window of the arenas exactly when the elements are
+//     contiguous, a private copy otherwise (see layout.go).
 func (x *Index) CheckInvariants() error {
 	if err := x.checkProjBoundSoundness(); err != nil {
 		return err
 	}
 	if err := x.checkQuantSoundness(); err != nil {
+		return err
+	}
+	if err := x.checkLayout(); err != nil {
 		return err
 	}
 	const eps = 1e-9
@@ -229,23 +235,79 @@ func (x *Index) checkProjBoundSoundness() error {
 	return nil
 }
 
+// checkLayout guards what the scan loops assume of storage: the
+// coordinate arena repeats objects[i].X/Y, and every cluster's block
+// (fillClusterBlock ran wherever buildElems did) holds, row for row in
+// elems order, the arena rows of its elements. A cluster whose elements
+// are contiguous must read the arenas themselves — same addresses, no
+// copy — and a cluster whose elements are not must read private memory.
+func (x *Index) checkLayout() error {
+	n, d, qa := len(x.objects), x.dim, x.quant
+	if len(x.xArena) != n || len(x.yArena) != n {
+		return fmt.Errorf("coordinate arena holds %d/%d rows for %d objects", len(x.xArena), len(x.yArena), n)
+	}
+	for i := range x.objects {
+		if x.xArena[i] != x.objects[i].X || x.yArena[i] != x.objects[i].Y {
+			return fmt.Errorf("object %d: coordinate arena (%v,%v), stored (%v,%v)",
+				i, x.xArena[i], x.yArena[i], x.objects[i].X, x.objects[i].Y)
+		}
+	}
+	for ci, c := range x.clusters {
+		blk, ne := x.block(c), len(c.elems)
+		if len(blk.xs) != ne || len(blk.ys) != ne {
+			return fmt.Errorf("cluster %d: block holds %d/%d coordinates for %d elems", ci, len(blk.xs), len(blk.ys), ne)
+		}
+		if qa == nil && (len(blk.codes) != 0 || len(blk.resid) != 0) {
+			return fmt.Errorf("cluster %d carries a quant block but the index has no quant arena", ci)
+		}
+		if qa != nil && (len(blk.codes) != ne*d || len(blk.resid) != ne) {
+			return fmt.Errorf("cluster %d: quant block %d codes / %d residuals for %d elems",
+				ci, len(blk.codes), len(blk.resid), ne)
+		}
+		for j := range c.elems {
+			idx := c.elems[j].idx
+			if blk.xs[j] != x.xArena[idx] || blk.ys[j] != x.yArena[idx] {
+				return fmt.Errorf("cluster %d elem %d: block location disagrees with object %d", ci, j, idx)
+			}
+			if qa == nil {
+				continue
+			}
+			if !bytes.Equal(blk.codes[j*d:(j+1)*d], qa.row(idx, d)) {
+				return fmt.Errorf("cluster %d elem %d: code block row disagrees with arena row of object %d", ci, j, idx)
+			}
+			if blk.resid[j] != qa.resid[idx] {
+				return fmt.Errorf("cluster %d elem %d: block residual %v, arena residual %v",
+					ci, j, blk.resid[j], qa.resid[idx])
+			}
+		}
+		if ne == 0 {
+			continue
+		}
+		base := int(c.elems[0].idx)
+		aliases := &blk.xs[0] == &x.xArena[base] && &blk.ys[0] == &x.yArena[base]
+		if qa != nil {
+			aliases = aliases && &blk.codes[0] == &qa.codes[base*d] && &blk.resid[0] == &qa.resid[base]
+		}
+		switch contig := contiguous(c.elems); {
+		case contig && !aliases:
+			return fmt.Errorf("cluster %d: contiguous at %d but its block is a copy", ci, base)
+		case !contig && (c.base >= 0 || aliases):
+			return fmt.Errorf("cluster %d: not contiguous but its block reads the arenas (base %d)", ci, c.base)
+		}
+	}
+	return nil
+}
+
 // checkQuantSoundness guards the invariants the quantized filter's
 // exactness rests on: the SQ8 arena mirrors the float32 arena row for
-// row, every cluster's contiguous code block agrees with the arena rows
-// of its elements (fillClusterQuant ran wherever buildElems did), and
-// the certain bound pair actually brackets the true distance — probed
-// with live objects as queries, like checkProjBoundSoundness. A failure
-// means a quantized exclusion could discard a true result, silently
-// turning exact search approximate.
+// row, and the certain bound pair actually brackets the true distance —
+// probed with live objects as queries, like checkProjBoundSoundness. A
+// failure means a quantized exclusion could discard a true result,
+// silently turning exact search approximate.
 func (x *Index) checkQuantSoundness() error {
 	qa := x.quant
 	d := x.dim
 	if qa == nil {
-		for ci, c := range x.clusters {
-			if len(c.codes) != 0 || len(c.resid) != 0 {
-				return fmt.Errorf("cluster %d carries a quant block but the index has no quant arena", ci)
-			}
-		}
 		return nil
 	}
 	if got := qa.cb.Dim(); got != d {
@@ -260,22 +322,6 @@ func (x *Index) checkQuantSoundness() error {
 	for i, r := range qa.resid {
 		if r < 0 || math.IsNaN(float64(r)) {
 			return fmt.Errorf("object %d: invalid quant residual %v", i, r)
-		}
-	}
-	for ci, c := range x.clusters {
-		if len(c.codes) != len(c.elems)*d || len(c.resid) != len(c.elems) {
-			return fmt.Errorf("cluster %d: quant block %d codes / %d residuals for %d elems",
-				ci, len(c.codes), len(c.resid), len(c.elems))
-		}
-		for j := range c.elems {
-			idx := c.elems[j].idx
-			if !bytes.Equal(c.codes[j*d:(j+1)*d], qa.row(idx, d)) {
-				return fmt.Errorf("cluster %d elem %d: code block row disagrees with arena row of object %d", ci, j, idx)
-			}
-			if c.resid[j] != qa.resid[idx] {
-				return fmt.Errorf("cluster %d elem %d: block residual %v, arena residual %v",
-					ci, j, c.resid[j], qa.resid[idx])
-			}
 		}
 	}
 	// Probe the bound pair with stored objects as queries against a

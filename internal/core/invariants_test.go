@@ -47,6 +47,26 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"wrong live count", func(x *Index) {
 			x.live--
 		}},
+		{"stale coordinate arena", func(x *Index) {
+			x.xArena[x.clusters[0].elems[0].idx] += 0.25
+		}},
+		{"contiguous cluster reading a copy", func(x *Index) {
+			c := x.clusters[0]
+			c.gathered = &blockCopy(x)[0]
+			c.base = -1
+		}},
+		{"arena window over a reordered cluster", func(x *Index) {
+			c := x.clusters[0]
+			last := len(c.elems) - 1
+			c.elems[0].idx, c.elems[last].idx = c.elems[last].idx, c.elems[0].idx
+		}},
+		{"stale gathered block", func(x *Index) {
+			c := x.clusters[0]
+			last := len(c.elems) - 1
+			c.elems[0].idx, c.elems[last].idx = c.elems[last].idx, c.elems[0].idx
+			x.fillClusterBlock(c)
+			c.gathered.resid[0]++
+		}},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

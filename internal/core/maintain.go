@@ -94,7 +94,7 @@ func (x *Index) Insert(o dataset.Object) error {
 
 	c := x.addToHybrid(idx)
 	c.elems = buildElems(c.members)
-	x.fillClusterQuant(c)
+	x.fillClusterBlock(c)
 	x.live++
 	x.UpdatesSinceBuild++
 	return nil
@@ -154,7 +154,7 @@ func (x *Index) Delete(id uint32) error {
 		}
 	} else {
 		c.elems = buildElems(c.members)
-		x.fillClusterQuant(c)
+		x.fillClusterBlock(c)
 	}
 
 	// Shrink radii when the deleted object was the farthest member (the
@@ -255,8 +255,9 @@ func (x *Index) collectLive() []dataset.Object {
 }
 
 // appendArenaRows copies the vector of the just-appended object into a
-// new vecArena row, projects it into a new projArena row, and repoints
-// the stored object's Vec at the arena. When the vector arena must
+// new vecArena row, projects it into a new projArena row, appends its
+// location to the coordinate arena, and repoints the stored object's
+// Vec at the arena. When the vector arena must
 // grow, every stored view is repointed at the new backing array —
 // amortized O(1) per insert thanks to the doubling growth.
 func (x *Index) appendArenaRows(idx uint32) {
@@ -284,6 +285,9 @@ func (x *Index) appendArenaRows(idx uint32) {
 	}
 	x.projArena = x.projArena[:len(x.projArena)+x.m]
 	x.pcaModel.TransformInto(x.projAt(idx), x.objects[idx].Vec)
+
+	x.xArena = append(x.xArena, x.objects[idx].X)
+	x.yArena = append(x.yArena, x.objects[idx].Y)
 
 	// The SQ8 companion row follows the same append discipline; the
 	// build-time codebook stays fixed (out-of-range values clamp, with

@@ -225,6 +225,9 @@ func TestOverlayPersistRoundTrip(t *testing.T) {
 	if loaded.Len() != overlay.Len() {
 		t.Fatalf("loaded Len %d, want %d", loaded.Len(), overlay.Len())
 	}
+	// Save folded the overlay through the in-place path, which gathers
+	// the clusters it touches; Load lays them out again.
+	requireClusterMajor(t, "loaded", loaded)
 	for qi := 0; qi < 4; qi++ {
 		q := f.ds.Objects[(qi*97+3)%f.ds.Len()]
 		identicalResults(t, "loaded",

@@ -80,8 +80,8 @@ type gobIndex struct {
 	// empty when the saved index had no quant arena (disabled by config,
 	// angular metric, or no objects); version-1/2 files leave them at
 	// their gob zero values and Load retrains transparently. The
-	// per-cluster contiguous code blocks are derived data, rebuilt by
-	// Load like the element arrays.
+	// per-cluster scan blocks are derived data, rebuilt by Load like the
+	// element arrays.
 	QuantLo, QuantStep []float32
 	QuantCodes         []uint8
 	QuantResid         []float32
@@ -273,9 +273,6 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	}
 	for i := range x.objects {
 		x.objects[i].Vec = x.vecAt(uint32(i))
-		if !x.deleted.get(uint32(i)) {
-			x.idToIdx[x.objects[i].ID] = uint32(i)
-		}
 	}
 	// The drift baseline restarts from the loaded radii.
 	x.builtSRad = append([]float64(nil), x.sRad...)
@@ -295,7 +292,8 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	// load transparently gains the quantized scans. Retraining may pick
 	// marginally different codebook ranges than the original build, but
 	// exactness never depends on the codebook (only the bound pair does,
-	// and it is admissible for any codebook).
+	// and it is admissible for any codebook). Training waits until the
+	// storage order is final, below.
 	if len(g.QuantLo) > 0 || len(g.QuantStep) > 0 || len(g.QuantCodes) > 0 || len(g.QuantResid) > 0 {
 		if len(g.QuantLo) != g.Dim || len(g.QuantStep) != g.Dim {
 			return nil, nil, fmt.Errorf("core: load: quant codebook dims %d/%d do not match index dim %d",
@@ -314,8 +312,6 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 			codes: g.QuantCodes,
 			resid: g.QuantResid,
 		}
-	} else {
-		x.quant = x.trainQuant()
 	}
 	x.clusters = make([]*hybrid, len(g.Clusters))
 	for i, gc := range g.Clusters {
@@ -324,9 +320,27 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 			c.members[j] = member{idx: gm.Idx, ds: gm.Ds, dt: gm.Dt}
 		}
 		c.elems = buildElems(c.members)
-		x.fillClusterQuant(c)
 		x.clusters[i] = c
 		x.clusterIdx[[2]int{gc.S, gc.T}] = c
+	}
+	// Storage order is data: a file whose clusters are not contiguous —
+	// written before the cluster-major layout, or saved after in-place
+	// maintenance — is renumbered here (a restored quant arena moves with
+	// it), after which the derived pieces follow as in Build.
+	if err := x.layoutClusterMajor(); err != nil {
+		return nil, nil, fmt.Errorf("core: load: %w", err)
+	}
+	for i := range x.objects {
+		if !x.deleted.get(uint32(i)) {
+			x.idToIdx[x.objects[i].ID] = uint32(i)
+		}
+	}
+	x.fillCoordArena()
+	if x.quant == nil {
+		x.quant = x.trainQuant()
+	}
+	for _, c := range x.clusters {
+		x.fillClusterBlock(c)
 	}
 	// Restore the learned cluster router: version-4 files carry the
 	// weights verbatim; older files retrain from the restored index (a

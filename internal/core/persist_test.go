@@ -25,9 +25,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("shape mismatch: len %d/%d clusters %d/%d",
 			loaded.Len(), f.idx.Len(), loaded.NumClusters(), f.idx.NumClusters())
 	}
-	if err := loaded.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	requireClusterMajor(t, "loaded", loaded)
 	// Loaded index answers identically for all algorithms.
 	for qi := 0; qi < 5; qi++ {
 		q := f.ds.Objects[(qi*83+3)%f.ds.Len()]
@@ -94,6 +92,7 @@ func TestSaveAfterMaintenanceRoundTrips(t *testing.T) {
 	if _, ok := loaded.Object(f.ds.Objects[3].ID); ok {
 		t.Fatal("deleted object resurrected by round trip")
 	}
+	requireClusterMajor(t, "loaded after deletes", loaded)
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {

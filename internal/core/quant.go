@@ -123,27 +123,6 @@ func (x *Index) appendQuantRow(idx uint32) {
 	qa.resid = append(qa.resid, r)
 }
 
-// fillClusterQuant (re)builds the cluster's contiguous code block —
-// codes and residuals in elems order, so the scan reads the quantized
-// rows as one linear byte stream instead of strided arena gathers. Like
-// elems, the block is derived data rebuilt wherever buildElems runs and
-// never mutated in place afterwards (COW clones share it safely).
-func (x *Index) fillClusterQuant(c *hybrid) {
-	if x.quant == nil {
-		c.codes, c.resid = nil, nil
-		return
-	}
-	d := x.dim
-	codes := make([]uint8, len(c.elems)*d)
-	resid := make([]float32, len(c.elems))
-	for j := range c.elems {
-		idx := c.elems[j].idx
-		copy(codes[j*d:(j+1)*d], x.quant.row(idx, d))
-		resid[j] = x.quant.resid[idx]
-	}
-	c.codes, c.resid = codes, resid
-}
-
 // rerankMult normalizes a QuantOnly overfetch multiplier.
 func rerankMult(r int) int {
 	if r <= 0 {
@@ -228,16 +207,24 @@ func (x *Index) scanClusterQuant(sc *searchScratch, q *dataset.Object, lambda fl
 	}
 	dim := x.dim
 	invLam := 1 - lambda
-	dtMax := x.space.DtMax
 	tombs := x.deltaTombs()
+	// Pass 1 reads the cluster's block and thresholds only — never
+	// x.objects. A candidate can only displace a result with
+	// dt < (u0 − λ·ds)/(1−λ); in the kernel's unnormalized units that
+	// budget is the line a − b·ds, whose divisions are paid here once.
+	blk := x.block(c)
+	line := qa.cb.PruneLine(u0*x.space.DtMax/invLam, lambda*x.space.DtMax/invLam)
+	elems := c.elems
+	xs, ys, resid := blk.xs[:len(elems)], blk.ys[:len(elems)], blk.resid[:len(elems)]
 	sur := sc.survivors[:0]
-	for ei := range c.elems {
-		e := &c.elems[ei]
+	var visited int64
+	for ei := range elems {
+		e := &elems[ei]
 		if !enclosed {
 			bound := lambda*e.ds + invLam*e.dt
 			if dqC-bound > u0 {
 				if st != nil {
-					st.IntraPruned += int64(len(c.elems) - ei)
+					st.IntraPruned += int64(len(elems) - ei)
 				}
 				break
 			}
@@ -245,26 +232,24 @@ func (x *Index) scanClusterQuant(sc *searchScratch, q *dataset.Object, lambda fl
 		if tombs != nil && tombs.get(e.idx) {
 			continue
 		}
-		o := &x.objects[e.idx]
-		if st != nil {
-			st.VisitedObjects++
-		}
-		ds := x.space.Spatial(st, q.X, q.Y, o.X, o.Y)
-		// The candidate can only displace a result with
-		// dt < (u0 − λ·ds)/(1−λ); convert that budget to the kernel's
-		// unnormalized distance units and abandon-filter against it.
-		limit := qa.cb.QPruneLimit((u0-lambda*ds)/invLam*dtMax, c.resid[ei])
+		visited++
+		ds := x.space.SpatialXY(q.X, q.Y, xs[ei], ys[ei])
+		limit := line.Limit(ds, resid[ei])
 		var sq float64
 		if limit >= 0 {
-			sq = vec.SqDistSQ8Bound(sc.qAdj, qa.cb.Step, c.codes[ei*dim:(ei+1)*dim], limit)
+			sq = vec.SqDistSQ8Bound(sc.qAdj, qa.cb.Step, blk.codes[ei*dim:(ei+1)*dim], limit)
 		}
 		if sq > limit {
-			if st != nil {
-				st.QuantPruned++
-			}
 			continue
 		}
 		sur = append(sur, quantSurvivor{ei: int32(ei), ds: ds})
+	}
+	if st != nil {
+		// Every visited row cost one spatial distance and either pruned
+		// or survived.
+		st.VisitedObjects += visited
+		st.SpatialDistCalcs += visited
+		st.QuantPruned += visited - int64(len(sur))
 	}
 	sc.survivors = sur
 	if timed {
@@ -373,6 +358,7 @@ func (x *Index) searchQuantWith(sc *searchScratch, dst []knn.Result, q *dataset.
 		// One blockwise kernel call scores the whole cluster from its
 		// contiguous code block.
 		n := len(c.elems)
+		blk := x.block(c)
 		est := growSlice(sc.est, n)
 		sc.est = est
 		var tq time.Time
@@ -385,9 +371,9 @@ func (x *Index) searchQuantWith(sc *searchScratch, dst []knn.Result, q *dataset.
 			sc.quantScans++
 		}
 		if useLUT {
-			vec.SqDistSQ8LUTBlockInto(est, sc.lut, c.codes)
+			vec.SqDistSQ8LUTBlockInto(est, sc.lut, blk.codes)
 		} else {
-			vec.SqDistSQ8BlockInto(est, sc.qAdj, qa.cb.Step, c.codes)
+			vec.SqDistSQ8BlockInto(est, sc.qAdj, qa.cb.Step, blk.codes)
 		}
 		if timed {
 			sc.quantSampledNanos += time.Since(tq).Nanoseconds()
@@ -410,15 +396,14 @@ func (x *Index) searchQuantWith(sc *searchScratch, dst []knn.Result, q *dataset.
 			if tombs != nil && tombs.get(el.idx) {
 				continue
 			}
-			o := &x.objects[el.idx]
 			if st != nil {
 				st.VisitedObjects++
 			}
-			ds := x.space.Spatial(st, q.X, q.Y, o.X, o.Y)
+			ds := x.space.Spatial(st, q.X, q.Y, blk.xs[ei], blk.ys[ei])
 			d := metric.Combine(lambda, ds, math.Sqrt(est[ei])*invDt)
 			if d < u || len(cands) < kq {
 				dpr := metric.Combine(lambda, ds, x.space.SemanticProjVec(qProj, x.projAt(el.idx)))
-				cands.push(cand{id: o.ID, idx: el.idx, d: d, dpr: dpr})
+				cands.push(cand{id: x.objects[el.idx].ID, idx: el.idx, d: d, dpr: dpr})
 				if len(cands) > kq {
 					cands.popMax()
 				}

@@ -103,11 +103,14 @@ func TestQuantBitIdenticalUnderMaintenance(t *testing.T) {
 }
 
 // COW clones share the quant arena safely: queries against the parent
-// snapshot answer identically before and after a clone mutates.
+// snapshot answer identically, and its scan blocks (windows of the
+// shared arenas) hold the same bytes, before and after a clone inserts
+// into those clusters and outgrows the arenas.
 func TestQuantBitIdenticalAcrossClone(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 400, Config{Seed: 92})
 	q := f.ds.Objects[13]
 	before := f.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{}, nil)
+	blocks := blockCopy(f.idx)
 
 	clone := f.idx.CloneForWrite()
 	for i := 0; i < 40; i++ {
@@ -123,6 +126,12 @@ func TestQuantBitIdenticalAcrossClone(t *testing.T) {
 
 	after := f.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{}, nil)
 	identicalResults(t, "parent after clone mutation", before, after)
+	if !sameBlocks(blocks, blockCopy(f.idx)) {
+		t.Fatal("parent scan blocks changed after clone mutation")
+	}
+	if &clone.quant.codes[0] == &f.idx.quant.codes[0] {
+		t.Fatal("clone did not outgrow the code arena")
+	}
 	// And the clone itself stays exact.
 	want := clone.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Quant: QuantOff}, nil)
 	got := clone.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{}, nil)

@@ -77,6 +77,7 @@ func (x *Index) RangeSearch(q *dataset.Object, r, lambda float64, st *metric.Sta
 		}
 		enclosed := sc.dsq[c.s] < x.sRad[c.s] && dtqC < x.tRad[c.t]
 		dqC := lambda*sc.dsq[c.s] + (1-lambda)*dtqC
+		blk := x.block(c)
 		for ei := range c.elems {
 			e := &c.elems[ei]
 			if !enclosed {
@@ -91,26 +92,26 @@ func (x *Index) RangeSearch(q *dataset.Object, r, lambda float64, st *metric.Sta
 			if tombs != nil && tombs.get(e.idx) {
 				continue
 			}
-			o := &x.objects[e.idx]
+			ov := x.vecAt(e.idx)
 			if st != nil {
 				st.VisitedObjects++
 			}
-			ds := x.space.Spatial(st, q.X, q.Y, o.X, o.Y)
+			ds := x.space.Spatial(st, q.X, q.Y, blk.xs[ei], blk.ys[ei])
 			var dt float64
 			if lambda < 1 {
 				// A result needs d ≤ r, i.e. dt ≤ (r − λ·ds)/(1−λ); the
 				// kernel abandons once dt provably exceeds that.
 				dtBound := (r - lambda*ds) / (1 - lambda)
 				var ok bool
-				dt, ok = x.space.SemanticBound(st, q.Vec, o.Vec, dtBound)
+				dt, ok = x.space.SemanticBound(st, q.Vec, ov, dtBound)
 				if !ok {
 					continue
 				}
 			} else {
-				dt = x.space.Semantic(st, q.Vec, o.Vec)
+				dt = x.space.Semantic(st, q.Vec, ov)
 			}
 			if d := metric.Combine(lambda, ds, dt); d <= r {
-				out = append(out, knn.Result{ID: o.ID, Dist: d})
+				out = append(out, knn.Result{ID: x.objects[e.idx].ID, Dist: d})
 			}
 		}
 	}
@@ -246,6 +247,7 @@ func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int
 			st.ClustersExamined++
 		}
 		enclosedSem := dtqC < x.tRad[c.t]
+		blk := x.block(c)
 		for ei := range c.elems {
 			e := &c.elems[ei]
 			if !enclosedSem {
@@ -259,13 +261,13 @@ func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int
 			if tombs != nil && tombs.get(e.idx) {
 				continue
 			}
-			o := &x.objects[e.idx]
-			if o.X < loX || o.X > hiX || o.Y < loY || o.Y > hiY {
+			if ox, oy := blk.xs[ei], blk.ys[ei]; ox < loX || ox > hiX || oy < loY || oy > hiY {
 				if st != nil {
 					st.IntraPruned++
 				}
 				continue
 			}
+			o := &x.objects[e.idx]
 			if st != nil {
 				st.VisitedObjects++
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -131,13 +132,17 @@ func (x *Index) trainRouter() *route.Model {
 		nq = x.live
 	}
 	// Deterministic sample of live objects, keyed by the build seed
-	// (same discipline as sampleRows).
+	// (same discipline as sampleRows) and drawn in ID order, so the
+	// model depends on the data and not on the storage order.
 	liveIdx := make([]uint32, 0, x.live)
 	for i := range x.objects {
 		if !x.deleted.get(uint32(i)) {
 			liveIdx = append(liveIdx, uint32(i))
 		}
 	}
+	slices.SortFunc(liveIdx, func(a, b uint32) int {
+		return cmp.Compare(x.objects[a].ID, x.objects[b].ID)
+	})
 	stride := len(liveIdx) / nq
 	if stride < 1 {
 		stride = 1

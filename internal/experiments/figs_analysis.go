@@ -36,7 +36,7 @@ func Fig3(s Setup) ([]Table, error) {
 	n := float64(e.ds.Len())
 	for i := range e.ds.Objects {
 		dn := e.space.SemanticVec(q.Vec, e.ds.Objects[i].Vec)
-		dm := e.idx.ProjectedDistance(qProj, i)
+		dm, _ := e.idx.ProjectedDistance(qProj, e.ds.Objects[i].ID)
 		histN[binOf(dn, bins)]++
 		histM[binOf(dm, bins)]++
 		sumN += dn

@@ -184,10 +184,26 @@ func (s *Stats) Add(o *Stats) {
 // DistCalcs returns the total number of per-space distance calculations.
 func (s *Stats) DistCalcs() int64 { return s.SpatialDistCalcs + s.SemanticDistCalcs }
 
+// spatialSqMin and spatialSqMax bracket the squared lengths for which
+// the plain sqrt(dx²+dy²) is as accurate as math.Hypot: far enough from
+// the subnormal range that neither square loses bits the sum keeps, and
+// far enough from overflow that the sum is finite.
+const (
+	spatialSqMin = 1e-280
+	spatialSqMax = 1e280
+)
+
 // SpatialXY returns the normalized spatial distance between two raw
-// coordinate pairs.
+// coordinate pairs. It is the one definition the index, the linear scan
+// and the tests share, so they agree bit for bit. Inside the safe range
+// it is one sqrt; outside it (coincident points, NaN and ±Inf included)
+// math.Hypot's rescaling decides.
 func (s *Space) SpatialXY(ax, ay, bx, by float64) float64 {
-	return math.Hypot(ax-bx, ay-by) / s.DsMax
+	dx, dy := ax-bx, ay-by
+	if sq := dx*dx + dy*dy; sq > spatialSqMin && sq < spatialSqMax {
+		return math.Sqrt(sq) / s.DsMax
+	}
+	return math.Hypot(dx, dy) / s.DsMax
 }
 
 // Spatial returns ds(q,o), counting one spatial distance calculation.

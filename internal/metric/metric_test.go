@@ -150,3 +150,36 @@ func TestDegenerateDatasetNormalizers(t *testing.T) {
 		t.Fatalf("identical objects should have zero distance, got %v", d)
 	}
 }
+
+// SpatialXY's one-sqrt path must agree with math.Hypot to a few ulps
+// (neither is correctly rounded) across ordinary magnitudes, and hand every
+// input outside its safe range — coincident points, squares that
+// underflow or overflow, NaN, ±Inf — to math.Hypot itself.
+func TestSpatialXYMatchesHypot(t *testing.T) {
+	sp := &Space{DsMax: 1.75}
+	rng := rand.New(rand.NewPCG(8, 9))
+	for trial := 0; trial < 20000; trial++ {
+		scale := math.Pow(10, -130+260*rng.Float64())
+		ax, ay := scale*rng.NormFloat64(), scale*rng.NormFloat64()
+		bx, by := scale*rng.NormFloat64(), scale*rng.NormFloat64()
+		got := sp.SpatialXY(ax, ay, bx, by)
+		want := math.Hypot(ax-bx, ay-by) / sp.DsMax
+		if math.Abs(got-want) > 1e-15*want {
+			t.Fatalf("SpatialXY(%v,%v,%v,%v) = %v, Hypot form %v", ax, ay, bx, by, got, want)
+		}
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, p := range [][4]float64{
+		{0.3, 0.7, 0.3, 0.7},   // coincident
+		{1e-160, 0, 0, 1e-170}, // squares underflow
+		{5e-324, 0, 0, 0},      // subnormal
+		{1e200, 0, 0, -1e200},  // squares overflow
+		{inf, 0, 0, 1}, {0, nan, 1, 1}, {inf, nan, 0, 0},
+	} {
+		got := sp.SpatialXY(p[0], p[1], p[2], p[3])
+		want := math.Hypot(p[0]-p[2], p[1]-p[3]) / sp.DsMax
+		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("SpatialXY%v = %v, want %v", p, got, want)
+		}
+	}
+}

@@ -69,6 +69,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -821,7 +822,11 @@ func (s *Server) handleKeywordSearch(w http.ResponseWriter, r *http.Request) {
 		RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
 	})
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "keywords unusable (stop words only?)")
+		msg := err.Error()
+		if errors.Is(err, cssi.ErrUnusableKeywords) {
+			msg = "keywords unusable (stop words only?)"
+		}
+		writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
 	var st cssi.Stats

@@ -385,6 +385,35 @@ func TestKeywordSearchEndpoint(t *testing.T) {
 	}
 }
 
+// NewSharded builds the keyword filter, so only an index swapped in
+// behind the server's back can lack it; the request is still answered
+// 400 with the typed error's text, not a panic or a stop-word message.
+func TestKeywordSearchWithoutFilterIs400(t *testing.T) {
+	ds, err := cssi.GenerateDataset(cssi.DatasetConfig{Kind: cssi.TwitterLike, Size: 300, Dim: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *cssi.Index {
+		idx, err := cssi.Build(ds, cssi.Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	srv := New(build(), ds.Model)
+	srv.idx = cssi.ShardedFrom(build())
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	q := ds.Objects[3]
+	resp, out := postJSON(t, ts.URL+"/v1/keyword-search", map[string]interface{}{
+		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5,
+		"keywords": []string{strings.Fields(ds.Objects[12].Text)[0]},
+	})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out["error"]), "EnableKeywordFilter") {
+		t.Fatalf("status %d, body %s", resp.StatusCode, out)
+	}
+}
+
 func TestBatchEndpoint(t *testing.T) {
 	ts, ds := newTestServer(t)
 	queries := make([]map[string]interface{}, 3)

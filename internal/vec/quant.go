@@ -195,6 +195,48 @@ func (cb *SQ8Codebook) QPruneLimit(target float64, resid float32) float64 {
 	return t * t
 }
 
+// sq8PruneScale is 1/(1−sq8RelSlack)² inflated by 1e-12, so that it is
+// at least the real-arithmetic value after rounding and after the two
+// roundings of t·t·scale: SQ8PruneLine.Limit can only err toward a
+// larger limit, i.e. toward pruning less.
+const sq8PruneScale = (1 + 1e-12) / ((1 - sq8RelSlack) * (1 - sq8RelSlack))
+
+// sq8LineSlack inflates the constant term of an SQ8PruneLine. The
+// caller folds a quotient such as (u − λ·ds)/(1−λ) into a − b·ds, and
+// the two forms round differently by a few ulps of a; when the row's
+// true distance ties the target and the absolute slack is degenerate
+// (a constant arena has diameter 0) that difference alone could turn
+// t non-positive. 1e-12 relative is four orders above the rounding and
+// eight below sq8RelSlack.
+const sq8LineSlack = 1e-12
+
+// SQ8PruneLine is QPruneLimit for a run of rows whose targets are
+// affine in one per-row value x, target(x) = a − b·x: the divisions
+// and the slack terms are paid once per run, a row costs one
+// multiply-subtract, one add and two multiplies. Build with PruneLine.
+type SQ8PruneLine struct {
+	a, b float64
+}
+
+// PruneLine returns the prune line for targets a − b·x (a ≥ 0).
+func (cb *SQ8Codebook) PruneLine(a, b float64) SQ8PruneLine {
+	return SQ8PruneLine{a: a + a*sq8LineSlack + sq8AbsSlack*cb.diam + sq8FloorSlack, b: b}
+}
+
+// Limit returns a limit L with the QPruneLimit contract for the row's
+// target a − b·x:
+//
+//	sq > L  ⇒  QLowerBound(sq, resid) > a − b·x,
+//
+// negative when every row prunes.
+func (l SQ8PruneLine) Limit(x float64, resid float32) float64 {
+	t := l.a - l.b*x + float64(resid)
+	if t <= 0 {
+		return -1
+	}
+	return t * t * sq8PruneScale
+}
+
 // SqDistSQ8 is the asymmetric kernel: the squared distance between the
 // adjusted query qa = q − lo and the quantized row, ‖qa − step·c‖².
 // Element math is float32 (one byte load, one convert, one multiply,

@@ -116,6 +116,22 @@ func checkBounds(t *testing.T, cb *SQ8Codebook, q, v []float32, codes []uint8, r
 				sq, limit, cb.QLowerBound(sq, resid), target)
 		}
 	}
+	// The hoisted form must keep the same promise for every split of a
+	// target into a − b·x, including rows whose b·x exceeds a.
+	for _, target := range []float64{truth * 0.5, truth * 0.99, truth, truth*1.01 + 1e-9, 0} {
+		for _, bx := range [][2]float64{{0, 0}, {0.37, 1.9}, {3, truth}, {1e-3, 1e3}} {
+			b, x := bx[0], bx[1]
+			a := target + b*x
+			limit := cb.PruneLine(a, b).Limit(x, resid)
+			if got := a - b*x; sq > limit && !(cb.QLowerBound(sq, resid) > got) {
+				t.Fatalf("PruneLine unsound: sq=%v > limit=%v but lb=%v <= target=%v (a=%v b=%v x=%v)",
+					sq, limit, cb.QLowerBound(sq, resid), got, a, b, x)
+			}
+			if ref := cb.QPruneLimit(a-b*x, resid); limit < ref && ref > 0 {
+				t.Fatalf("PruneLine limit %v below QPruneLimit %v (a=%v b=%v x=%v resid=%v)", limit, ref, a, b, x, resid)
+			}
+		}
+	}
 	// The float32-accumulated LUT score must stay inside the same bound
 	// pair — that is the admissibility contract letting the bulk scans
 	// use it.
@@ -174,8 +190,9 @@ func TestSQ8BoundAdmissible(t *testing.T) {
 	}
 }
 
-// FuzzSQ8Bounds feeds arbitrary bytes as float32 vectors and asserts
-// the bound pair stays admissible: QLowerBound ≤ Dist ≤ QUpperBound.
+// FuzzSQ8Bounds feeds arbitrary bytes as float32 vectors through
+// checkBounds: the bound pair stays admissible and both prune-limit
+// forms keep their inversion promise.
 func FuzzSQ8Bounds(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64, 0, 0, 128, 64})
 	f.Add(make([]byte, 64))
@@ -202,25 +219,7 @@ func FuzzSQ8Bounds(f *testing.F) {
 		cb := TrainSQ8(arena, dim)
 		codes := make([]uint8, dim)
 		resid := cb.EncodeInto(codes, row)
-		qa := make([]float32, dim)
-		cb.AdjustQueryInto(qa, q)
-		sq := SqDistSQ8(qa, cb.Step, codes)
-		truth := Dist(q, row)
-		if lb := cb.QLowerBound(sq, resid); lb > truth {
-			t.Fatalf("QLowerBound %v > true %v (dim=%d sq=%v resid=%v)", lb, truth, dim, sq, resid)
-		}
-		if ub := cb.QUpperBound(sq, resid); ub < truth {
-			t.Fatalf("QUpperBound %v < true %v (dim=%d sq=%v resid=%v)", ub, truth, dim, sq, resid)
-		}
-		lut := cb.BuildSQ8LUTInto(nil, qa)
-		var lutSq [1]float64
-		SqDistSQ8LUTBlockInto(lutSq[:], lut, codes)
-		if lb := cb.QLowerBound(lutSq[0], resid); lb > truth {
-			t.Fatalf("LUT QLowerBound %v > true %v (dim=%d lutSq=%v resid=%v)", lb, truth, dim, lutSq[0], resid)
-		}
-		if ub := cb.QUpperBound(lutSq[0], resid); ub < truth {
-			t.Fatalf("LUT QUpperBound %v < true %v (dim=%d lutSq=%v resid=%v)", ub, truth, dim, lutSq[0], resid)
-		}
+		checkBounds(t, &cb, q, row, codes, resid)
 	})
 }
 

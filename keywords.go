@@ -32,11 +32,12 @@ func (x *Index) KeywordFilterEnabled() bool { return x.kw != nil }
 // SearchWithKeywords returns the k nearest neighbors of q among objects
 // whose text contains ALL the given keywords (boolean AND, stop words
 // ignored) — the classic spatial-keyword constraint of the related work
-// (§2) layered on top of CSSI's semantic ranking. It panics if
-// EnableKeywordFilter was not called. ok=false indicates the keyword
-// list was unusable (empty, or all stop words); an empty result with
-// ok=true means nothing matches. It is Do with SearchRequest.Keywords,
-// where ok=false is ErrUnusableKeywords.
+// (§2) layered on top of CSSI's semantic ranking. ok=false indicates the
+// keyword list was unusable (empty, or all stop words); an empty result
+// with ok=true means nothing matches. It is Do with
+// SearchRequest.Keywords, where ok=false is ErrUnusableKeywords; having
+// no error result, it panics with Do's other errors —
+// ErrKeywordFilterDisabled when EnableKeywordFilter was not called.
 func (x *Index) SearchWithKeywords(q *Object, k int, lambda float64, keywords ...string) (results []Result, ok bool) {
 	return keywordSearch(x.Do, q, k, lambda, keywords)
 }
@@ -44,7 +45,8 @@ func (x *Index) SearchWithKeywords(q *Object, k int, lambda float64, keywords ..
 // keywordSearch adapts a flavor's Do to the SearchWithKeywords
 // contract: an unusable keyword list — an empty one included, which as
 // SearchRequest.Keywords would mean "unconstrained" — is ok=false, and
-// every other error panics like Search.
+// every other error, ErrKeywordFilterDisabled included, panics like
+// Search (the wrapper has no error result).
 func keywordSearch(do func(SearchRequest) ([]Result, error), q *Object, k int, lambda float64, keywords []string) ([]Result, bool) {
 	if len(keywords) == 0 {
 		return nil, false
@@ -58,7 +60,7 @@ func keywordSearch(do func(SearchRequest) ([]Result, error), q *Object, k int, l
 
 // searchWithKeywords is the keyword-constrained search of one snapshot
 // behind Do; inputs are already validated and the filter is present
-// (see executeKeywords).
+// (see SearchRequest.validate).
 func (x *Index) searchWithKeywords(q *Object, k int, lambda float64, keywords []string) (results []Result, ok bool) {
 	candidates, ok := x.kw.Candidates(keywords)
 	if !ok {

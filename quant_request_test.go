@@ -20,7 +20,7 @@ func exactSame(t *testing.T, ctx string, want, got []Result) {
 // and the rerank knob is accepted.
 func TestDoQuantOnlyApprox(t *testing.T) {
 	ds := testDataset(t, 800)
-	for _, api := range requestFixtures(t, ds) {
+	for _, api := range requestFixtures(t, ds, true) {
 		for qi := 0; qi < 4; qi++ {
 			q := ds.Objects[(qi*211+31)%ds.Len()]
 			res, err := api.do(SearchRequest{Query: &q, K: 10, Lambda: 0.5, Approx: true, Quant: QuantOnly, QuantRerank: 6})
@@ -51,7 +51,7 @@ func TestDoQuantOnlyApprox(t *testing.T) {
 // The batched QuantOnly path agrees with the single-query path.
 func TestDoBatchQuantOnly(t *testing.T) {
 	ds := testDataset(t, 600)
-	for _, api := range requestFixtures(t, ds) {
+	for _, api := range requestFixtures(t, ds, true) {
 		queries := ds.Objects[:12]
 		batch, err := api.doBatch(BatchSearchRequest{Queries: queries, K: 8, Lambda: 0.5, Approx: true, Quant: QuantOnly})
 		if err != nil {

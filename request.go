@@ -62,9 +62,9 @@ type SearchRequest struct {
 	RouteTarget float64
 	// Keywords, when non-empty, restricts results to objects whose text
 	// contains every keyword (boolean AND, stop words ignored).
-	// Requires EnableKeywordFilter (panics otherwise, like
-	// SearchWithKeywords); an unusable keyword list (empty after
-	// normalization, or all stop words) fails with ErrUnusableKeywords.
+	// Requires EnableKeywordFilter (ErrKeywordFilterDisabled otherwise);
+	// an unusable keyword list (empty after normalization, or all stop
+	// words) fails with ErrUnusableKeywords.
 	Keywords []string
 	// Dst, when non-nil, receives the results appended (typically
 	// dst[:0] of a buffer retained across queries — the zero-allocation
@@ -164,6 +164,11 @@ type BatchSearchRequest struct {
 // words) — the error-value form of SearchWithKeywords' ok=false.
 var ErrUnusableKeywords = errors.New("cssi: keyword list unusable (empty or all stop words)")
 
+// ErrKeywordFilterDisabled is returned by Do for a keyword-constrained
+// request against an index (or any shard) whose keyword filter was never
+// built: call EnableKeywordFilter first. Test with errors.Is.
+var ErrKeywordFilterDisabled = errors.New("cssi: Keywords requires EnableKeywordFilter")
+
 // ErrUnsupportedRequest is returned by Do for field combinations with
 // no sound implementation (see SearchRequest). Test with errors.Is.
 var ErrUnsupportedRequest = errors.New("cssi: unsupported search request")
@@ -228,13 +233,14 @@ func validateQuery(q *Object, dim int) error {
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// validate is the one validation of a single-query request: the shared
-// knobs, the query, then the keyword-incompatible combinations.
-func (req *SearchRequest) validate(dim int) error {
+// validate is the one validation of a single-query request against the
+// snapshots it will run on: the shared knobs, the query, then the
+// keyword-incompatible combinations and the keyword filter's presence.
+func (req *SearchRequest) validate(v *view) error {
 	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget, req.Approx, req.Quant); err != nil {
 		return err
 	}
-	if err := validateQuery(req.Query, dim); err != nil {
+	if err := validateQuery(req.Query, v.at(0).Dim()); err != nil {
 		return err
 	}
 	if len(req.Keywords) > 0 {
@@ -243,6 +249,11 @@ func (req *SearchRequest) validate(dim int) error {
 		}
 		if req.Explain != nil || req.Trace != nil {
 			return fmt.Errorf("%w: Keywords cannot combine with Explain or Trace", ErrUnsupportedRequest)
+		}
+		for i := 0; i < v.n(); i++ {
+			if !v.at(i).KeywordFilterEnabled() {
+				return ErrKeywordFilterDisabled
+			}
 		}
 	}
 	return nil
@@ -279,9 +290,8 @@ func mustResults(res []Result, err error) []Result {
 // index flavor: ErrInvalidK (K < 1), ErrInvalidLambda (Lambda NaN or
 // outside [0,1]), ErrInvalidQuery (nil query, wrong vector
 // dimensionality, non-finite coordinates or vector components),
-// ErrUnsupportedRequest, ErrInvalidDeadline, ErrUnusableKeywords. Only
-// Keywords without EnableKeywordFilter — a missing set-up step, not an
-// input — panics.
+// ErrUnsupportedRequest, ErrKeywordFilterDisabled, ErrInvalidDeadline,
+// ErrUnusableKeywords. No request panics.
 //
 // With a trace sink installed (SetTraceSink) every executed Do records
 // its span tree into the sink's tail sampler; without one the request

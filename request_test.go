@@ -39,14 +39,16 @@ type searchAPI struct {
 }
 
 // requestFixtures builds Index, Concurrent(idx), ShardedFrom(idx) (as
-// BuildSharded P=1) and BuildSharded(P=4) over the same dataset,
-// keyword filter enabled.
-func requestFixtures(t *testing.T, ds *Dataset) []searchAPI {
+// BuildSharded P=1) and BuildSharded(P=4) over the same dataset, with
+// the keyword filter enabled or left out.
+func requestFixtures(t *testing.T, ds *Dataset, keywordFilter bool) []searchAPI {
 	t.Helper()
 	flat := mustBuild(t, ds, Options{Seed: 5})
-	flat.EnableKeywordFilter()
 	concIdx := mustBuild(t, ds, Options{Seed: 5})
-	concIdx.EnableKeywordFilter()
+	if keywordFilter {
+		flat.EnableKeywordFilter()
+		concIdx.EnableKeywordFilter()
+	}
 	conc := Concurrent(concIdx)
 	apis := []searchAPI{
 		{name: "flat", do: flat.Do, doBatch: flat.DoBatch, doCtx: flat.DoContext, setSink: flat.SetTraceSink, snaps: 1},
@@ -55,7 +57,9 @@ func requestFixtures(t *testing.T, ds *Dataset) []searchAPI {
 	}
 	for _, p := range []int{1, 4} {
 		s := mustBuildSharded(t, ds, p, Options{Seed: 5})
-		s.EnableKeywordFilter()
+		if keywordFilter {
+			s.EnableKeywordFilter()
+		}
 		apis = append(apis, searchAPI{
 			name: fmt.Sprintf("sharded-P%d", p), do: s.Do, doBatch: s.DoBatch, doCtx: s.DoContext, setSink: s.SetTraceSink,
 			enableCache: s.EnableResultCache, snaps: p,
@@ -80,7 +84,7 @@ func TestRequestConformance(t *testing.T) {
 	}
 	oracle := scan.New(ds, space)
 	kw := firstKeyword(t, ds)
-	apis := requestFixtures(t, ds)
+	apis := requestFixtures(t, ds, true)
 
 	type outcome struct {
 		res  []Result
@@ -244,6 +248,27 @@ func TestRequestConformance(t *testing.T) {
 			}
 		})
 	}
+
+	// Keywords against flavors that never built the keyword filter: the
+	// one set-up mistake a request can reach is an error like the rest,
+	// reported after the malformed-request classes.
+	t.Run("invalid/keywords-without-filter", func(t *testing.T) {
+		small := testDataset(t, 300)
+		for _, api := range requestFixtures(t, small, false) {
+			req := SearchRequest{Query: &small.Objects[3], K: 5, Lambda: 0.5, Keywords: []string{kw}}
+			if res, err := api.do(req); !errors.Is(err, ErrKeywordFilterDisabled) || res != nil {
+				t.Fatalf("%s: res %v, err %v, want ErrKeywordFilterDisabled", api.name, res, err)
+			}
+			req.K = 0
+			if _, err := api.do(req); !errors.Is(err, ErrInvalidK) {
+				t.Fatalf("%s: err %v, want ErrInvalidK before the filter check", api.name, err)
+			}
+			req.K, req.Approx = 5, true
+			if _, err := api.do(req); !errors.Is(err, ErrUnsupportedRequest) {
+				t.Fatalf("%s: err %v, want ErrUnsupportedRequest before the filter check", api.name, err)
+			}
+		}
+	})
 
 	// Batches obey the same validation and answer exactly what the
 	// single-query path answers, Stats included.

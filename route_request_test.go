@@ -10,7 +10,7 @@ import (
 // against the exact answer at the default target.
 func TestRoutedApproxAcrossFlavors(t *testing.T) {
 	ds := testDataset(t, 2500)
-	apis := requestFixtures(t, ds)
+	apis := requestFixtures(t, ds, true)
 	rng := rand.New(rand.NewPCG(43, 1))
 	for _, api := range apis {
 		sum := 0.0

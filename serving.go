@@ -210,7 +210,7 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := req.validate(v.at(0).Dim()); err != nil {
+	if err := req.validate(&v); err != nil {
 		return nil, err
 	}
 	deadline, err := resolveBudget(ctx, req.Deadline, req.Cache)
@@ -380,16 +380,10 @@ func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core
 }
 
 // executeKeywords answers a keyword-constrained query over the view's
-// snapshots and merges the per-snapshot answers into dst.
+// snapshots, each of which carries the keyword filter (validate checked),
+// and merges the per-snapshot answers into dst.
 func (v *view) executeKeywords(dst []Result, q *Object, k int, lambda float64, keywords []string) ([]Result, error) {
 	n := v.n()
-	// Checked here, on the caller's goroutine: a panic inside a scatter
-	// worker would kill the process.
-	for i := 0; i < n; i++ {
-		if !v.at(i).KeywordFilterEnabled() {
-			panic("cssi: SearchWithKeywords requires EnableKeywordFilter")
-		}
-	}
 	lists := make([][]Result, n)
 	oks := make([]bool, n)
 	v.each(func(i int, snap *Index) {

@@ -18,8 +18,8 @@ func traceFixtures(t *testing.T) (*Dataset, []searchAPI, []searchAPI, []*obs.Sin
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := requestFixtures(t, ds)
-	plain := requestFixtures(t, ds)
+	traced := requestFixtures(t, ds, true)
+	plain := requestFixtures(t, ds, true)
 	sinks := make([]*obs.Sink, len(traced))
 	for i := range traced {
 		sinks[i] = obs.NewSink(obs.SinkConfig{BufferSize: 256, SlowThreshold: -1, SampleEvery: 1})
