@@ -49,7 +49,7 @@ func main() {
 		qtext  = flag.String("text", "", "query text (requires a generated dataset)")
 		k      = flag.Int("k", 10, "number of neighbors")
 		lambda = flag.Float64("lambda", 0.5, "balance parameter λ (1 = purely spatial)")
-		route  = flag.Bool("route", false, "also run the learned-router modes: routed exact (bit-identical) and routed approximate")
+		route  = flag.Bool("route", false, "also run the routed approximate mode of the learned cluster router")
 		target = flag.Float64("route-target", 0, "routed approximate recall knob in (0,1] (0 = library default)")
 		trace  = flag.Bool("trace", false, "record and print the exact query's span tree (the trace a server would retain in /debug/traces)")
 		srvURL = flag.String("server", "", "with -trace: send the query to this cssiserve base URL and fetch the retained trace back")
@@ -106,19 +106,8 @@ func main() {
 
 	if *route {
 		if !idx.RouterTrained() {
-			fmt.Printf("\nrouted modes: no trained router (index too small); -route falls back to the unrouted algorithms\n")
+			fmt.Printf("\nrouted mode: no trained router (index too small); -route falls back to plain CSSIA\n")
 		}
-		var stRouted cssi.Stats
-		t0 = time.Now()
-		routedExact, err := idx.Do(cssi.SearchRequest{Query: q, K: *k, Lambda: *lambda, Route: true, Stats: &stRouted})
-		if err != nil {
-			fail(err)
-		}
-		routedTime := time.Since(t0)
-		fmt.Printf("\nCSSI routed (exact, %v): visited %d objects, clusters routed %d, result error %.2f%% (must be 0)\n",
-			routedTime.Round(time.Microsecond), stRouted.VisitedObjects, stRouted.ClustersRouted, 100*cssi.ErrorRate(exact, routedExact))
-		printResults(ds, routedExact)
-
 		var stRA cssi.Stats
 		t0 = time.Now()
 		routedApprox, err := idx.Do(cssi.SearchRequest{

@@ -34,55 +34,51 @@ func (x *Index) SearchAblated(q *dataset.Object, k int, lambda float64, opts Abl
 	// refinement or early abandonment) so the measured pruning deltas
 	// isolate the switches below; it still draws its buffers from the
 	// scratch pool. With ordering enabled the visit order comes from the
-	// same best-first frontier as Search (entries already refined, so
-	// pops never re-push).
+	// same best-first frontier as Search (semantic sides enter final).
 	sc := x.getScratch()
 	defer x.putScratch(sc)
 	x.fillSpatialCentroidDists(sc, q)
 	x.fillSemanticCentroidDists(sc, q)
-	for _, c := range x.clusters {
-		sc.order = append(sc.order, orderedCluster{
-			lb:      lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtq[c.t], x.tRad[c.t]),
-			c:       c,
-			refined: true,
-		})
-	}
 
 	h := &sc.heap
 	h.Reset(k)
 	if opts.DisableClusterOrder {
 		// Storage order: the cut-off is unsound without ordering, so
 		// inter-cluster pruning degrades to a per-cluster filter.
-		for ci := range sc.order {
-			oc := &sc.order[ci]
+		for _, c := range x.clusters {
 			if !opts.DisableInterCluster {
-				if u, full := h.Bound(); full && oc.lb >= u {
+				lb := lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtq[c.t], x.tRad[c.t])
+				if u, full := h.Bound(); full && lb >= u {
 					if st != nil {
 						st.ClustersPruned++
-						st.InterPruned += int64(len(oc.c.elems))
+						st.InterPruned += int64(len(c.elems))
 					}
 					continue
 				}
 			}
-			x.scanClusterAblated(q, lambda, oc.c, sc.dsq[oc.c.s], sc.dtq[oc.c.t], h, st, opts.DisableIntraCluster)
+			x.scanClusterAblated(q, lambda, c, sc.dsq[c.s], sc.dtq[c.t], h, st, opts.DisableIntraCluster)
 		}
 		x.scanDelta(sc, q, lambda, h, st)
 		return h.AppendSorted(nil)
 	}
-	f := (*clusterFrontier)(&sc.order)
-	f.heapify()
-	for len(*f) > 0 {
+	x.fillSpatialTerms(sc, lambda)
+	f := x.startFrontier(sc, q, 1-lambda, sc.dtq, x.tRad, true)
+	for {
+		c, lb, ok := f.peek()
+		if !ok {
+			break
+		}
 		if !opts.DisableInterCluster {
-			if u, full := h.Bound(); full && (*f)[0].lb >= u {
-				f.pruneRemaining(st)
+			if u, full := h.Bound(); full && lb >= u {
+				f.chargePruned(st)
 				break
 			}
 		}
-		e := f.pop()
+		f.pop(c)
 		if st != nil {
 			st.ClustersOrdered++
 		}
-		x.scanClusterAblated(q, lambda, e.c, sc.dsq[e.c.s], sc.dtq[e.c.t], h, st, opts.DisableIntraCluster)
+		x.scanClusterAblated(q, lambda, c, sc.dsq[c.s], sc.dtq[c.t], h, st, opts.DisableIntraCluster)
 	}
 	// The overlay scan is not ablatable — its group pruning is part of
 	// the overlay subsystem, not of the mechanisms under study — and it

@@ -41,7 +41,7 @@ type cowState struct {
 // Insert/Delete/Update to the clone never mutates state visible through
 // x, so readers may keep using x (lock-free) while the clone is
 // prepared and then published in its place. The cost is O(n) for the
-// deleted bitmap and the ID map plus O(Ks+Kt+|clusters|) slice-header
+// deleted bitmap and the ID map plus O(Ks·Kt) slice-header
 // and directory copies — the arenas, objects, centroids and per-cluster
 // arrays are shared until a mutation actually touches them.
 func (x *Index) CloneForWrite() *Index {
@@ -63,10 +63,7 @@ func (x *Index) CloneForWrite() *Index {
 	nx.sMembers = append([][]uint32(nil), x.sMembers...)
 	nx.tMembers = append([][]uint32(nil), x.tMembers...)
 	nx.clusters = append([]*hybrid(nil), x.clusters...)
-	nx.clusterIdx = make(map[[2]int]*hybrid, len(x.clusterIdx))
-	for key, c := range x.clusterIdx {
-		nx.clusterIdx[key] = c
-	}
+	nx.grid = append([]*hybrid(nil), x.grid...)
 
 	// The quant arena struct is behind a pointer, so its slice headers
 	// are copied explicitly: appendQuantRow on the clone then grows the
@@ -110,7 +107,7 @@ func (x *Index) cowHybrid(c *hybrid) *hybrid {
 		base:     c.base,
 		gathered: c.gathered,
 	}
-	x.clusterIdx[[2]int{c.s, c.t}] = nc
+	x.grid[x.cell(c.s, c.t)] = nc
 	for i, cc := range x.clusters {
 		if cc == c {
 			x.clusters[i] = nc

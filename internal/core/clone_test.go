@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -187,5 +189,135 @@ func TestRebuildFreshIsolation(t *testing.T) {
 	}
 	if fresh.UpdatesSinceBuild != 0 {
 		t.Fatalf("fresh UpdatesSinceBuild = %d", fresh.UpdatesSinceBuild)
+	}
+}
+
+// emptyAndRefillPair deletes every member of one small hybrid cluster of
+// x, checks that its grid cell is cleared and the cluster dropped, and
+// re-inserts the objects, which must re-create the cell. It reports the
+// side pair it cycled.
+func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
+	t.Helper()
+	// A few candidates: re-insertion assigns by nearest centroid, which
+	// for an object on a Voronoi edge need not be the build's pair.
+	for _, c := range slices.Clone(x.clusters) {
+		if len(c.members) > 3 || len(x.sMembers[c.s]) == len(c.members) || len(x.tMembers[c.t]) == len(c.members) {
+			continue
+		}
+		cell := x.cell(c.s, c.t)
+		var objs []dataset.Object
+		for _, m := range c.members {
+			objs = append(objs, x.objects[m.idx])
+		}
+		before := len(x.clusters)
+		for _, o := range objs {
+			if err := x.Delete(o.ID); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+		}
+		if x.grid[cell] != nil || len(x.clusters) != before-1 {
+			t.Fatalf("%s: emptied pair (%d,%d) still has its cell or its cluster", ctx, c.s, c.t)
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: after emptying (%d,%d): %v", ctx, c.s, c.t, err)
+		}
+		requireExact(t, ctx+" emptied", x)
+		for _, o := range objs {
+			if err := x.Insert(o); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: after refilling (%d,%d): %v", ctx, c.s, c.t, err)
+		}
+		requireExact(t, ctx+" refilled", x)
+		if nc := x.grid[cell]; nc != nil && nc != c && len(nc.members) == len(objs) {
+			return c.s, c.t
+		}
+	}
+	t.Fatalf("%s: no emptied pair was re-created by re-inserting its objects", ctx)
+	return 0, 0
+}
+
+// The grid follows in-place maintenance on a flat index and on both
+// kinds of write clone — a delete that empties a pair clears its cell, a
+// later insert re-creates it — while the parent snapshot, read by three
+// goroutines the whole time, keeps its cells and its answers.
+func TestGridEmptiedPairUnderReaders(t *testing.T) {
+	emptyAndRefillPair(t, "flat", build(t, dataset.TwitterLike, 500, Config{Seed: 77}).idx)
+
+	f := build(t, dataset.TwitterLike, 500, Config{Seed: 77})
+	parent := f.idx
+	cells := slices.Clone(parent.grid)
+	queries := f.ds.SampleQueries(12, 5)
+	want := make([][]knn.Result, len(queries))
+	for i := range queries {
+		want[i] = parent.Search(&queries[i], 10, 0.5, nil)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				qi := i % len(queries)
+				if got := parent.Search(&queries[qi], 10, 0.5, nil); !slices.Equal(got, want[qi]) {
+					t.Errorf("parent answer to query %d changed while a child mutated", qi)
+					return
+				}
+			}
+		}(r)
+	}
+
+	emptyAndRefillPair(t, "eager clone", parent.CloneForWrite())
+
+	// An overlay child only tombstones: the shared cell survives until
+	// the fold, whose product has it cleared.
+	child := parent.CloneWithDelta()
+	var c *hybrid
+	for _, cc := range parent.clusters {
+		if len(cc.members) <= 3 && len(parent.sMembers[cc.s]) > len(cc.members) && len(parent.tMembers[cc.t]) > len(cc.members) {
+			c = cc
+			break
+		}
+	}
+	if c == nil {
+		t.Fatal("fixture has no small cluster")
+	}
+	for _, m := range c.members {
+		if err := child.Delete(parent.objects[m.idx].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if child.grid[child.cell(c.s, c.t)] != c {
+		t.Fatal("an overlay delete wrote the shared grid")
+	}
+	requireExact(t, "overlay child", child)
+	folded, err := child.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folded.grid[folded.cell(c.s, c.t)] != nil {
+		t.Fatalf("the fold kept the cell of emptied pair (%d,%d)", c.s, c.t)
+	}
+	if err := folded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	requireExact(t, "folded child", folded)
+	emptyAndRefillPair(t, "folded child", folded)
+
+	if !slices.Equal(cells, parent.grid) {
+		t.Fatal("a child's maintenance changed the parent's grid cells")
+	}
+	if err := parent.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

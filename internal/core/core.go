@@ -161,10 +161,9 @@ type hybrid struct {
 	// contiguous (elems[j].idx == base+j): the scan block is then a
 	// window of the arenas and gathered is nil. Otherwise base is -1 and
 	// gathered holds the block as a private copy (behind a pointer, nil
-	// in the common case, so the hybrid every query's ordering pass
-	// walks stays small). Derived data like elems — set by fillClusterBlock wherever
-	// buildElems runs, shared under COW; read through Index.block (see
-	// layout.go).
+	// in the common case, so the hybrid stays small). Derived data like
+	// elems — set by fillClusterBlock wherever buildElems runs, shared
+	// under COW; read through Index.block (see layout.go).
 	base     int
 	gathered *clusterBlock
 }
@@ -240,8 +239,13 @@ type Index struct {
 
 	sAssign, tAssign []int
 
-	clusters   []*hybrid
-	clusterIdx map[[2]int]*hybrid
+	// clusters lists the non-empty hybrid clusters; grid is the dense
+	// Ks×Kt directory over them — grid[s·Kt+t] is the cluster of side
+	// pair (s,t), nil where no object populates the pair. Ks and Kt are
+	// fixed after build, so the grid never resizes; it is derived (never
+	// serialized) and copied whole by CloneForWrite.
+	clusters []*hybrid
+	grid     []*hybrid
 
 	// UpdatesSinceBuild counts Insert/Delete operations since the last
 	// (re)build; callers may use it to trigger Rebuild after heavy churn
@@ -289,7 +293,6 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, tm 
 		deleted:     newBitset(ds.Len()),
 		live:        ds.Len(),
 		idToIdx:     make(map[uint32]uint32, ds.Len()),
-		clusterIdx:  make(map[[2]int]*hybrid),
 		scratchPool: newScratchPool(),
 	}
 	for i := range x.objects {
@@ -388,6 +391,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, tm 
 	x.tRadProj = make([]float64, kt)
 	x.tMembers = make([][]uint32, kt)
 	x.tValid = make([]bool, kt)
+	x.grid = make([]*hybrid, ks*kt)
 
 	// Side membership lists.
 	for i := range x.objects {
@@ -543,11 +547,11 @@ func (x *Index) addToHybrid(idx uint32) *hybrid {
 // (the bulk-build path computes them in parallel beforehand).
 func (x *Index) addToHybridWith(idx uint32, ds, dt float64) *hybrid {
 	s, t := x.sAssign[idx], x.tAssign[idx]
-	key := [2]int{s, t}
-	c := x.clusterIdx[key]
+	cell := &x.grid[x.cell(s, t)]
+	c := *cell
 	if c == nil {
 		c = &hybrid{s: s, t: t}
-		x.clusterIdx[key] = c
+		*cell = c
 		x.clusters = append(x.clusters, c)
 		x.markOwnedHybrid(c)
 	} else {
@@ -555,6 +559,20 @@ func (x *Index) addToHybridWith(idx uint32, ds, dt float64) *hybrid {
 	}
 	c.members = append(c.members, member{idx: idx, ds: ds, dt: dt})
 	return c
+}
+
+// cell returns the grid position of side pair (s,t).
+func (x *Index) cell(s, t int) int { return s*len(x.tCent) + t }
+
+// baseElems returns the number of elements the hybrid clusters hold in
+// total: the live objects, or with a write overlay the base's own (its
+// tombstoned members stay listed, the overlay's inserts are not).
+func (x *Index) baseElems() int64 {
+	n := x.live
+	if d := x.delta; d != nil {
+		n += d.nTombs - d.liveCount
+	}
+	return int64(n)
 }
 
 // Len returns the number of live (non-deleted) objects.

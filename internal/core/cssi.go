@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/dataset"
@@ -9,35 +8,6 @@ import (
 	"repro/internal/metric"
 	"repro/internal/vec"
 )
-
-// orderedCluster pairs a hybrid cluster with its query-specific lower
-// bound, the key of the best-first frontier (Alg. 2 line 4 / Alg. 3
-// line 5). refined reports whether lb is the true lower bound L(q,C)
-// (Eq. 4) or the cheap weak under-estimate from the projected space;
-// the frontier refines weak entries only when they are popped.
-type orderedCluster struct {
-	lb      float64
-	c       *hybrid
-	refined bool
-}
-
-// sortOrder sorts clusters by ascending lower bound: the eager
-// ordering the lazy clusterFrontier replaced. It is retained as the
-// reference implementation for the lazy-vs-eager equality tests.
-// slices.SortFunc (not sort.Slice) so the comparator is monomorphized
-// and the sort does not allocate.
-func sortOrder(order []orderedCluster) {
-	slices.SortFunc(order, func(a, b orderedCluster) int {
-		switch {
-		case a.lb < b.lb:
-			return -1
-		case a.lb > b.lb:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
 
 // fillSpatialCentroidDists computes the normalized spatial distance from
 // q to every spatial centroid into sc.dsq (Ks cheap 2-D distances,
@@ -118,6 +88,33 @@ func (x *Index) Search(q *dataset.Object, k int, lambda float64, st *metric.Stat
 	return x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{}, st)
 }
 
+// orderByBound computes the query's centroid-level distances and starts
+// the frontier over the true Eq. 4 bound (Alg. 2 line 4).
+func (x *Index) orderByBound(sc *searchScratch, q *dataset.Object, lambda float64) *sideFrontier {
+	x.fillSpatialCentroidDists(sc, q)
+	x.fillSpatialTerms(sc, lambda)
+	return x.startTrueFrontier(sc, q, 1-lambda)
+}
+
+// startTrueFrontier starts the frontier over sc.aTerm and the true
+// semantic shares weighted bw. The original-space semantic centroid
+// distances dominate the centroid-level cost (Kt n-dimensional
+// kernels), yet a query that fills its heap early never consults most
+// of them, so under the Euclidean metric the semantic sides enter with
+// the weak bound from the m-dimensional projected space and the frontier
+// computes a side's true dtq only when the merge reaches it. The weak
+// bound never exceeds the true one (sideTerm is non-decreasing in the
+// distance), which is all the frontier needs to yield clusters in
+// ascending true bound.
+func (x *Index) startTrueFrontier(sc *searchScratch, q *dataset.Object, bw float64) *sideFrontier {
+	if x.lazyOrderable() {
+		x.fillProjLowerBounds(sc, q)
+		return x.startFrontier(sc, q, bw, sc.dtqProj, x.tRad, false)
+	}
+	x.fillSemanticCentroidDists(sc, q)
+	return x.startFrontier(sc, q, bw, sc.dtq, x.tRad, true)
+}
+
 // searchWithSeed is the exact CSSI algorithm on a drawn scratch, with
 // the k-NN heap pre-loaded from seed (see SearchOptions.Seed).
 func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
@@ -125,64 +122,9 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 	if sc.obs != nil {
 		phase = time.Now()
 	}
-	x.fillSpatialCentroidDists(sc, q)
-
-	// Cluster ordering (Alg. 2 line 4), lazy on two axes. First, the
-	// ordering key: the original-space semantic centroid distances
-	// dominate the centroid-level cost (Kt n-dimensional kernels), yet a
-	// query that fills its heap early never consults most of them, so
-	// under the Euclidean metric entries carry a weak lower bound from
-	// the m-dimensional projected space and the true dtq is computed
-	// only for clusters the scan actually reaches, memoized per semantic
-	// side-cluster. Second, the ordering itself: instead of eagerly
-	// sorting all Ks×Kt clusters, a best-first min-heap is heapified in
-	// O(K) and clusters are popped on demand — a query cut off after
-	// examining E clusters pays O(K + E log K) ordering work, not
-	// O(K log K). Exactness is preserved: the weak bound never exceeds
-	// the true L(q,C) (lowerBound is non-decreasing in dtq), so a popped
-	// entry whose refined bound still does not exceed the next head is
-	// provably the minimum true bound and the cut-off of Lemma 4.4 stays
-	// sound (see clusterFrontier).
-	lazy := x.lazyOrderable()
-	if lazy {
-		x.fillProjLowerBounds(sc, q)
-		for _, c := range x.clusters {
-			sc.order = append(sc.order, orderedCluster{
-				lb: lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtqProj[c.t], x.tRad[c.t]),
-				c:  c,
-			})
-		}
-	} else {
-		x.fillSemanticCentroidDists(sc, q)
-		for _, c := range x.clusters {
-			sc.order = append(sc.order, orderedCluster{
-				lb:      lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtq[c.t], x.tRad[c.t]),
-				c:       c,
-				refined: true,
-			})
-		}
-	}
-	// Learned exact-reorder pre-pass (see route.go): the router moves
-	// its R predicted-best clusters to the front of the order; they are
-	// scanned below before the admissible frontier over the remainder
-	// runs, so the k-th distance tightens near its final value within a
-	// few clusters and the Lemma 4.4 cut fires much earlier.
-	routedPrefix := 0
-	if sc.routeOn && x.router != nil {
-		var rt time.Time
-		if sc.obs != nil {
-			rt = time.Now()
-		}
-		routedPrefix = x.routePrefix(sc, lambda, lazy)
-		if sc.obs != nil {
-			sc.obs.RouteNanos += time.Since(rt).Nanoseconds()
-		}
-	}
-	rest := sc.order[routedPrefix:]
-	f := (*clusterFrontier)(&rest)
-	f.heapify()
+	f := x.orderByBound(sc, q, lambda)
 	if sc.obs != nil {
-		sc.obs.ClustersTotal += int64(len(sc.order))
+		sc.obs.ClustersTotal += int64(len(x.clusters))
 		sc.obs.OrderNanos += time.Since(phase).Nanoseconds()
 		phase = time.Now()
 	}
@@ -192,45 +134,15 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 	for _, r := range seed {
 		h.Push(r)
 	}
-	for i := 0; i < routedPrefix; i++ {
-		if sc.budgetExpired() {
+	for {
+		c, lb, ok := f.peek()
+		if !ok {
 			break
 		}
-		e := &sc.order[i]
-		c := e.c
-		if st != nil {
-			st.ClustersRouted++
-		}
-		dtqC := sc.dtq[c.t]
-		if !sc.dtqKnown[c.t] {
-			dtqC = x.space.SemanticVec(q.Vec, x.tCent[c.t])
-			sc.dtq[c.t] = dtqC
-			sc.dtqKnown[c.t] = true
-		}
-		if u, full := h.Bound(); full {
-			// Admissibility of the skip: L(q,C) underestimates every
-			// member's distance, and u only tightens toward the final
-			// bound U_final, so L(q,C) ≥ u ≥ U_final proves the cluster
-			// holds no candidate that could enter the final heap. The
-			// final heap is a pure function of the offered candidate set
-			// (knn.Heap breaks ties by ID), so results stay bit-identical
-			// no matter which clusters the router front-loads.
-			trueLB := lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], dtqC, x.tRad[c.t])
-			if trueLB >= u {
-				if st != nil {
-					st.ClustersPruned++
-					st.InterPruned += int64(len(c.elems))
-				}
-				continue
-			}
-		}
-		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], dtqC, h, st)
-	}
-	for len(*f) > 0 {
-		if u, full := h.Bound(); full && (*f)[0].lb >= u {
-			// Pruning property 1 (Lemma 4.4): every remaining entry's key
-			// is ≥ the head's, and keys only under-estimate true bounds.
-			f.pruneRemaining(st)
+		if u, full := h.Bound(); full && lb >= u {
+			// Pruning property 1 (Lemma 4.4): lb is the smallest true
+			// bound among the clusters not yet examined.
+			f.chargePruned(st)
 			break
 		}
 		if sc.budgetExpired() {
@@ -239,42 +151,11 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 			// deadline.go), reported through SearchOptions.Partial.
 			break
 		}
-		e := f.pop()
+		f.pop(c)
 		if st != nil {
 			st.ClustersOrdered++
 		}
-		c := e.c
-		dtqC := sc.dtq[c.t]
-		if !sc.dtqKnown[c.t] {
-			dtqC = x.space.SemanticVec(q.Vec, x.tCent[c.t])
-			sc.dtq[c.t] = dtqC
-			sc.dtqKnown[c.t] = true
-		}
-		if !e.refined {
-			// The weak bound admitted this cluster; refine to the true
-			// L(q,C). If it worsens past the next head the cluster is not
-			// necessarily next — re-push it with its true bound (at most
-			// once per cluster). Otherwise it provably holds the minimum
-			// remaining true bound and is consumed now.
-			trueLB := lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], dtqC, x.tRad[c.t])
-			if len(*f) > 0 && trueLB > (*f)[0].lb {
-				e.lb, e.refined = trueLB, true
-				f.push(e)
-				continue
-			}
-			if u, full := h.Bound(); full && trueLB >= u {
-				// The minimum remaining true bound already reaches U:
-				// this cluster and everything still in the frontier are
-				// pruned (Lemma 4.4).
-				if st != nil {
-					st.ClustersPruned++
-					st.InterPruned += int64(len(c.elems))
-				}
-				f.pruneRemaining(st)
-				break
-			}
-		}
-		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], dtqC, h, st)
+		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, st)
 	}
 	if sc.obs != nil {
 		el := time.Since(phase).Nanoseconds()

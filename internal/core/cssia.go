@@ -106,20 +106,11 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 	}
 
 	// CSSIA's inter-cluster bounds live entirely in the projected space
-	// (§5.3), so frontier entries are already final — refined from the
-	// start, never re-pushed; the heap only supplies the lazy best-first
-	// consumption order.
-	for _, c := range x.clusters {
-		sc.order = append(sc.order, orderedCluster{
-			lb:      lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtqProj[c.t], x.tRadProj[c.t]),
-			c:       c,
-			refined: true,
-		})
-	}
-	f := (*clusterFrontier)(&sc.order)
-	f.heapify()
+	// (§5.3), so the semantic sides enter the frontier final.
+	x.fillSpatialTerms(sc, lambda)
+	f := x.startFrontier(sc, q, 1-lambda, sc.dtqProj, x.tRadProj, true)
 	if sc.obs != nil {
-		sc.obs.ClustersTotal += int64(len(*f))
+		sc.obs.ClustersTotal += int64(len(x.clusters))
 		sc.obs.OrderNanos += time.Since(phase).Nanoseconds()
 		phase = time.Now()
 	}
@@ -134,28 +125,25 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 		sc.dtqKnown[t] = false
 	}
 
-	for len(*f) > 0 {
-		if len(cands) >= k && (*f)[0].lb >= uPrime {
+	for {
+		c, lb, ok := f.peek()
+		if !ok {
+			break
+		}
+		if len(cands) >= k && lb >= uPrime {
 			// Revised pruning property 1 (§5.3) in the projected space.
-			f.pruneRemaining(st)
+			f.chargePruned(st)
 			break
 		}
 		if sc.budgetExpired() {
 			break
 		}
-		e := f.pop()
+		f.pop(c)
 		if st != nil {
 			st.ClustersOrdered++
-		}
-		c := e.c
-		if st != nil {
 			st.ClustersExamined++
 		}
-		if !sc.dtqKnown[c.t] {
-			sc.dtq[c.t] = x.space.SemanticVec(q.Vec, x.tCent[c.t])
-			sc.dtqKnown[c.t] = true
-		}
-		dtqC := sc.dtq[c.t]
+		dtqC := x.centroidDist(sc, q, c.t)
 		enclosed := sc.dsq[c.s] < x.sRad[c.s] && dtqC < x.tRad[c.t]
 		dqC := lambda*sc.dsq[c.s] + (1-lambda)*dtqC
 		blk := x.block(c)

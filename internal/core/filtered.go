@@ -13,10 +13,9 @@ import (
 // only from accepted objects. Rejected objects never have their
 // distances computed.
 //
-// Cluster ordering uses the same lazy best-first frontier as Search:
-// entries carry the weak projected-space bound when available and are
-// refined to the true L(q,C) on pop (see clusterFrontier), so the
-// ordering cost tracks the clusters the filtered scan actually reaches.
+// Cluster ordering uses the same lazy best-first frontier as Search
+// (see sideFrontier), so the ordering cost tracks the clusters the
+// filtered scan actually reaches.
 //
 // Work accounting: rejected objects are not charged to any counter, so
 // the visited+inter+intra identity of the unfiltered algorithms does not
@@ -24,67 +23,28 @@ import (
 func (x *Index) SearchFiltered(q *dataset.Object, k int, lambda float64, allow func(id uint32) bool, st *metric.Stats) []knn.Result {
 	sc := x.getScratch()
 	defer x.putScratch(sc)
-	x.fillSpatialCentroidDists(sc, q)
-	lazy := x.lazyOrderable()
-	if lazy {
-		x.fillProjLowerBounds(sc, q)
-		for _, c := range x.clusters {
-			sc.order = append(sc.order, orderedCluster{
-				lb: lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtqProj[c.t], x.tRad[c.t]),
-				c:  c,
-			})
-		}
-	} else {
-		x.fillSemanticCentroidDists(sc, q)
-		for _, c := range x.clusters {
-			sc.order = append(sc.order, orderedCluster{
-				lb:      lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtq[c.t], x.tRad[c.t]),
-				c:       c,
-				refined: true,
-			})
-		}
-	}
-	f := (*clusterFrontier)(&sc.order)
-	f.heapify()
+	f := x.orderByBound(sc, q, lambda)
 
 	h := &sc.heap
 	h.Reset(k)
 	tombs := x.deltaTombs()
-	for len(*f) > 0 {
-		if u, full := h.Bound(); full && (*f)[0].lb >= u {
+	for {
+		c, lb, ok := f.peek()
+		if !ok {
+			break
+		}
+		if u, full := h.Bound(); full && lb >= u {
 			if st != nil {
-				st.ClustersPruned += int64(len(*f))
+				st.ClustersPruned += int64(len(x.clusters) - f.popped)
 			}
 			break
 		}
-		e := f.pop()
+		f.pop(c)
 		if st != nil {
 			st.ClustersOrdered++
-		}
-		c := e.c
-		dtqC := sc.dtq[c.t]
-		if !sc.dtqKnown[c.t] {
-			dtqC = x.space.SemanticVec(q.Vec, x.tCent[c.t])
-			sc.dtq[c.t] = dtqC
-			sc.dtqKnown[c.t] = true
-		}
-		if !e.refined {
-			trueLB := lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], dtqC, x.tRad[c.t])
-			if len(*f) > 0 && trueLB > (*f)[0].lb {
-				e.lb, e.refined = trueLB, true
-				f.push(e)
-				continue
-			}
-			if u, full := h.Bound(); full && trueLB >= u {
-				if st != nil {
-					st.ClustersPruned += int64(len(*f) + 1)
-				}
-				break
-			}
-		}
-		if st != nil {
 			st.ClustersExamined++
 		}
+		dtqC := x.centroidDist(sc, q, c.t)
 		enclosed := sc.dsq[c.s] < x.sRad[c.s] && dtqC < x.tRad[c.t]
 		dqC := lambda*sc.dsq[c.s] + (1-lambda)*dtqC
 		for ei := range c.elems {

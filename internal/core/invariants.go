@@ -38,6 +38,8 @@ import (
 //     cluster's scan block equals the arena rows of its elements in
 //     array order — a window of the arenas exactly when the elements are
 //     contiguous, a private copy otherwise (see layout.go).
+//   - the Ks×Kt grid holds exactly the listed clusters, each at the cell
+//     of its own side pair, and nil everywhere else.
 func (x *Index) CheckInvariants() error {
 	if err := x.checkProjBoundSoundness(); err != nil {
 		return err
@@ -46,6 +48,9 @@ func (x *Index) CheckInvariants() error {
 		return err
 	}
 	if err := x.checkLayout(); err != nil {
+		return err
+	}
+	if err := x.checkGrid(); err != nil {
 		return err
 	}
 	const eps = 1e-9
@@ -110,14 +115,38 @@ func (x *Index) CheckInvariants() error {
 	}
 	// With a write overlay, clusters still hold tombstoned base members
 	// (the base is immutable) and none of the overlay's inserts.
-	baseLive := x.live
-	if d := x.delta; d != nil {
-		baseLive = x.live - d.liveCount + d.nTombs
-	}
-	if len(seen) != baseLive {
-		return fmt.Errorf("clusters hold %d objects, base live count is %d", len(seen), baseLive)
+	if int64(len(seen)) != x.baseElems() {
+		return fmt.Errorf("clusters hold %d objects, base live count is %d", len(seen), x.baseElems())
 	}
 	return x.checkOverlay()
+}
+
+// checkGrid verifies the dense cluster directory the frontier's cursors
+// walk: a cell is non-nil exactly when a listed cluster names its side
+// pair, and then it is that cluster.
+func (x *Index) checkGrid() error {
+	ks, kt := len(x.sCentX), len(x.tCent)
+	if len(x.grid) != ks*kt {
+		return fmt.Errorf("grid has %d cells for %d×%d side clusters", len(x.grid), ks, kt)
+	}
+	for ci, c := range x.clusters {
+		if c.s < 0 || c.s >= ks || c.t < 0 || c.t >= kt {
+			return fmt.Errorf("cluster %d names side pair (%d,%d) outside %d×%d", ci, c.s, c.t, ks, kt)
+		}
+		if x.grid[x.cell(c.s, c.t)] != c {
+			return fmt.Errorf("cluster %d is not the grid's cell (%d,%d)", ci, c.s, c.t)
+		}
+	}
+	populated := 0
+	for _, c := range x.grid {
+		if c != nil {
+			populated++
+		}
+	}
+	if populated != len(x.clusters) {
+		return fmt.Errorf("grid populates %d cells for %d clusters", populated, len(x.clusters))
+	}
+	return nil
 }
 
 // checkOverlay verifies the write overlay's internal consistency: the

@@ -60,6 +60,22 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			last := len(c.elems) - 1
 			c.elems[0].idx, c.elems[last].idx = c.elems[last].idx, c.elems[0].idx
 		}},
+		{"cluster missing from its grid cell", func(x *Index) {
+			c := x.clusters[0]
+			x.grid[x.cell(c.s, c.t)] = nil
+		}},
+		{"two clusters in each other's grid cells", func(x *Index) {
+			a, b := x.clusters[0], x.clusters[1]
+			x.grid[x.cell(a.s, a.t)], x.grid[x.cell(b.s, b.t)] = b, a
+		}},
+		{"grid cell naming an unlisted cluster", func(x *Index) {
+			// checkGrid runs before the membership checks that would also
+			// notice the missing objects.
+			x.clusters = x.clusters[1:]
+		}},
+		{"truncated grid", func(x *Index) {
+			x.grid = x.grid[:len(x.grid)-1]
+		}},
 		{"stale gathered block", func(x *Index) {
 			c := x.clusters[0]
 			last := len(c.elems) - 1

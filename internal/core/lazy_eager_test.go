@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,6 +11,27 @@ import (
 	"repro/internal/knn"
 	"repro/internal/metric"
 )
+
+// orderedCluster and sortOrder are the eager ordering of Alg. 2 line 4
+// the frontier replaced: every cluster paired with its bound, sorted.
+// They survive here only, as the oracle's ordering.
+type orderedCluster struct {
+	lb float64
+	c  *hybrid
+}
+
+func sortOrder(order []orderedCluster) {
+	slices.SortFunc(order, func(a, b orderedCluster) int {
+		switch {
+		case a.lb < b.lb:
+			return -1
+		case a.lb > b.lb:
+			return 1
+		default:
+			return 0
+		}
+	})
+}
 
 // searchEager is the pre-frontier reference implementation of exact
 // CSSI: every centroid distance computed up front, clusters sorted
@@ -19,23 +41,22 @@ import (
 func searchEager(x *Index, seed []knn.Result, q *dataset.Object, k int, lambda float64) []knn.Result {
 	sc := x.getScratch()
 	defer x.putScratch(sc)
-	sc.order = sc.order[:0]
 	x.fillSpatialCentroidDists(sc, q)
 	x.fillSemanticCentroidDists(sc, q)
+	var order []orderedCluster
 	for _, c := range x.clusters {
-		sc.order = append(sc.order, orderedCluster{
-			lb:      lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtq[c.t], x.tRad[c.t]),
-			c:       c,
-			refined: true,
+		order = append(order, orderedCluster{
+			lb: lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtq[c.t], x.tRad[c.t]),
+			c:  c,
 		})
 	}
-	sortOrder(sc.order)
+	sortOrder(order)
 	h := &sc.heap
 	h.Reset(k)
 	for _, r := range seed {
 		h.Push(r)
 	}
-	for _, e := range sc.order {
+	for _, e := range order {
 		if u, full := h.Bound(); full && e.lb >= u {
 			break
 		}
@@ -50,28 +71,27 @@ func searchEager(x *Index, seed []knn.Result, q *dataset.Object, k int, lambda f
 func searchApproxEager(x *Index, q *dataset.Object, k int, lambda float64) []knn.Result {
 	sc := x.getScratch()
 	defer x.putScratch(sc)
-	sc.order = sc.order[:0]
 	qProj := sc.qProj
 	x.pcaModel.TransformInto(qProj, q.Vec)
 	x.fillSpatialCentroidDists(sc, q)
 	for t := range sc.dtqProj {
 		sc.dtqProj[t] = x.space.SemanticProjVec(qProj, x.tCentProj[t])
 	}
+	var order []orderedCluster
 	for _, c := range x.clusters {
-		sc.order = append(sc.order, orderedCluster{
-			lb:      lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtqProj[c.t], x.tRadProj[c.t]),
-			c:       c,
-			refined: true,
+		order = append(order, orderedCluster{
+			lb: lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtqProj[c.t], x.tRadProj[c.t]),
+			c:  c,
 		})
 	}
-	sortOrder(sc.order)
+	sortOrder(order)
 	cands := sc.cands[:0]
 	defer func() { sc.cands = cands[:0] }()
 	u, uPrime := math.Inf(1), math.Inf(1)
 	for t := range sc.dtqKnown {
 		sc.dtqKnown[t] = false
 	}
-	for _, oc := range sc.order {
+	for _, oc := range order {
 		if len(cands) >= k && oc.lb >= uPrime {
 			break
 		}
@@ -126,33 +146,149 @@ func searchApproxEager(x *Index, q *dataset.Object, k int, lambda float64) []knn
 	return out
 }
 
-// TestFrontierPopOrderMatchesSort pins the frontier's heap discipline:
-// popping a heapified frontier yields the bounds in the exact order the
-// eager sort produced (the best-first order lazily).
+// TestFrontierPopOrderMatchesSort drives sideFrontier directly over
+// random geometry — grid shape, populated mask (empty rows, empty
+// columns, the empty grid), radii on both sides of the centroid
+// distances so all four cases of Eq. 4 occur, λ at and between its
+// ends, weak semantic bounds anywhere between 0 and the truth, spatial
+// sides without a cursor — against the eager sort of lowerBound: the
+// popped bounds never decrease, each is lowerBound of its cluster bit
+// for bit, every populated cluster of a cursor's row comes out exactly
+// once, and a side's true dtq is computed at most once and only for
+// sides the stream refined.
 func TestFrontierPopOrderMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 1))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.IntN(120)
-		entries := make([]orderedCluster, n)
-		sorted := make([]float64, n)
-		for i := range entries {
-			lb := rng.Float64()
+	lambdas := []float64{0, 0.3, 1}
+	for trial := 0; trial < 300; trial++ {
+		ks, kt := 1+rng.IntN(40), 1+rng.IntN(40)
+		lambda := lambdas[trial%len(lambdas)]
+		x := &Index{
+			space:       &metric.Space{DsMax: 1, DtMax: 1, SemanticKind: metric.EuclideanSemantic},
+			dim:         1,
+			sCentX:      make([]float64, ks),
+			sCentY:      make([]float64, ks),
+			sRad:        make([]float64, ks),
+			tCent:       make([][]float32, kt),
+			tRad:        make([]float64, kt),
+			grid:        make([]*hybrid, ks*kt),
+			scratchPool: newScratchPool(),
+		}
+		// Populated mask: a density anywhere in [0,1], then some rows and
+		// columns wiped; every third trial of the sparsest kind is empty.
+		density := rng.Float64()
+		if trial%25 == 0 {
+			density = 0
+		}
+		deadRow, deadCol := rng.IntN(ks), rng.IntN(kt)
+		for s := 0; s < ks; s++ {
+			for tt := 0; tt < kt; tt++ {
+				if rng.Float64() >= density || (trial%2 == 0 && (s == deadRow || tt == deadCol)) {
+					continue
+				}
+				c := &hybrid{s: s, t: tt, elems: make([]element, 1+rng.IntN(4))}
+				x.grid[x.cell(s, tt)] = c
+				x.clusters = append(x.clusters, c)
+				x.live += len(c.elems)
+			}
+		}
+		q := &dataset.Object{Vec: []float32{0}}
+		sc := x.getScratch()
+		dtqTrue := make([]float64, kt)
+		dtWeak := make([]float64, kt)
+		for tt := range x.tCent {
+			x.tCent[tt] = []float32{rng.Float32()}
+			x.tRad[tt] = rng.Float64()
+			dtqTrue[tt] = x.space.SemanticVec(q.Vec, x.tCent[tt])
+			dtWeak[tt] = dtqTrue[tt] * rng.Float64()
+			if rng.IntN(4) == 0 {
+				dtWeak[tt] = dtqTrue[tt] // weak bound already tight
+			}
+			sc.dtqKnown[tt] = false
+		}
+		for s := range sc.dsq {
+			sc.dsq[s] = rng.Float64()
+			x.sRad[s] = rng.Float64()
+		}
+		x.fillSpatialTerms(sc, lambda)
+		// One spatial side in five gets no cursor (the box query's
+		// filtered-out sides): its clusters must never be yielded.
+		want := map[*hybrid]float64{}
+		for s := range sc.aTerm {
 			if rng.IntN(5) == 0 {
-				lb = 0 // force ties, the common enclosed-cluster case
+				sc.aTerm[s] = -1
 			}
-			entries[i] = orderedCluster{lb: lb}
-			sorted[i] = lb
 		}
-		ref := append([]orderedCluster(nil), entries...)
+		for _, c := range x.clusters {
+			if sc.aTerm[c.s] >= 0 {
+				want[c] = lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], dtqTrue[c.t], x.tRad[c.t])
+			}
+		}
+		var ref []orderedCluster
+		for c, lb := range want {
+			ref = append(ref, orderedCluster{lb: lb, c: c})
+		}
 		sortOrder(ref)
-		f := (*clusterFrontier)(&entries)
-		f.heapify()
-		for i := 0; len(*f) > 0; i++ {
-			got := f.pop()
-			if got.lb != ref[i].lb {
-				t.Fatalf("trial %d: pop %d has lb %v, eager sort has %v", trial, i, got.lb, ref[i].lb)
+
+		f := x.startFrontier(sc, q, 1-lambda, dtWeak, x.tRad, false)
+		stop := rng.IntN(len(ref) + 1) // where the stats cut is probed
+		prev := math.Inf(-1)
+		var elems int64 // elements of the clusters popped so far
+		for i := 0; ; i++ {
+			c, lb, ok := f.peek()
+			// Poison the centroid of every side whose dtq is known: a
+			// second computation would turn its bound into NaN.
+			for tt, known := range sc.dtqKnown {
+				if known {
+					x.tCent[tt][0] = float32(math.NaN())
+				}
+			}
+			if i == stop {
+				var st metric.Stats
+				f.chargePruned(&st)
+				if st.ClustersPruned != int64(len(x.clusters)-i) || st.InterPruned != int64(x.live)-elems {
+					t.Fatalf("trial %d: cut after %d pops charged %d clusters / %d elements, want %d / %d",
+						trial, i, st.ClustersPruned, st.InterPruned, len(x.clusters)-i, int64(x.live)-elems)
+				}
+			}
+			if !ok {
+				if i != len(ref) {
+					t.Fatalf("trial %d (%d×%d, λ=%v): frontier ended after %d of %d clusters", trial, ks, kt, lambda, i, len(ref))
+				}
+				break
+			}
+			wantLB, mine := want[c]
+			if !mine {
+				t.Fatalf("trial %d: pop %d yielded a cluster twice, or one outside the cursors' rows", trial, i)
+			}
+			delete(want, c)
+			if math.Float64bits(lb) != math.Float64bits(wantLB) {
+				t.Fatalf("trial %d: pop %d bound %v, lowerBound says %v", trial, i, lb, wantLB)
+			}
+			if lb < prev || lb != ref[i].lb {
+				t.Fatalf("trial %d: pop %d bound %v after %v, eager sort has %v", trial, i, lb, prev, ref[i].lb)
+			}
+			prev = lb
+			elems += int64(len(c.elems))
+			f.pop(c)
+		}
+		// dtq was computed only for sides the stream refined: emitted, or
+		// still in the heap under their true key.
+		refined := map[int32]bool{}
+		for _, tt := range f.tOrder {
+			if refined[tt] {
+				t.Fatalf("trial %d: side %d emitted twice", trial, tt)
+			}
+			refined[tt] = true
+		}
+		for _, e := range f.sides {
+			refined[e.side] = e.exact
+		}
+		for tt, known := range sc.dtqKnown {
+			if known && !refined[int32(tt)] {
+				t.Fatalf("trial %d: dtq of side %d computed though the stream never refined it", trial, tt)
 			}
 		}
+		x.putScratch(sc)
 	}
 }
 
@@ -349,14 +485,15 @@ func TestLazyFilteredRangeBoxAfterDeletes(t *testing.T) {
 }
 
 // TestRoutedExactStressUnderRebuild is the combined property stress:
-// an index with ~20% deletions serves routed exact searches from
-// several goroutines — each pinned bit-identical to the eager
+// an index with ~20% deletions serves exact searches carrying Route
+// from several goroutines — each pinned bit-identical to the plain
+// exact search (Route has no effect on exact queries) and to the eager
 // reference — while RebuildFresh reconstructs replacement indexes
 // (retraining their routers) in the background, exactly the core-level
 // shape of the concurrency layer's non-blocking rebuild. The rebuilt
-// index must then pass the same bit-identity check. Run under -race
-// this also proves the routed pre-pass shares no mutable state across
-// queries beyond the pooled scratch.
+// index must then pass the same check. Run under -race this also proves
+// the frontier shares no mutable state across queries beyond the pooled
+// scratch.
 func TestRoutedExactStressUnderRebuild(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 1500, Config{Seed: 96})
 	if f.idx.Router() == nil {
@@ -400,7 +537,13 @@ func TestRoutedExactStressUnderRebuild(t *testing.T) {
 				k := 1 + rng.IntN(20)
 				lambda := rng.Float64()
 				want := searchEager(f.idx, nil, &q, k, lambda)
-				got := f.idx.SearchOptionsInto(nil, &q, k, lambda, SearchOptions{Route: true}, nil)
+				var stRouted, stPlain metric.Stats
+				got := f.idx.SearchOptionsInto(nil, &q, k, lambda, SearchOptions{Route: true}, &stRouted)
+				plain := f.idx.Search(&q, k, lambda, &stPlain)
+				if stRouted != stPlain || !slices.Equal(got, plain) {
+					t.Errorf("searcher %d trial %d: Route changed an exact search:\nrouted %+v\nplain  %+v", g, trial, stRouted, stPlain)
+					return
+				}
 				if len(got) != len(want) {
 					t.Errorf("searcher %d trial %d: got %d results, want %d", g, trial, len(got), len(want))
 					return
@@ -431,6 +574,7 @@ func TestRoutedExactStressUnderRebuild(t *testing.T) {
 		want := searchEager(fresh, nil, &q, k, lambda)
 		got := fresh.SearchOptionsInto(nil, &q, k, lambda, SearchOptions{Route: true}, nil)
 		requireIdentical(t, "rebuilt routed", trial, want, got)
+		requireIdentical(t, "rebuilt routed vs plain", trial, fresh.Search(&q, k, lambda, nil), got)
 	}
 }
 

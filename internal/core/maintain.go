@@ -134,8 +134,7 @@ func (x *Index) Delete(id uint32) error {
 	x.tMembers[t] = x.removeIdxCOW(x.tMembers[t], idx)
 
 	// Remove from the hybrid cluster and rebuild its array.
-	key := [2]int{s, t}
-	c := x.cowHybrid(x.clusterIdx[key])
+	c := x.cowHybrid(x.grid[x.cell(s, t)])
 	for i := range c.members {
 		if c.members[i].idx == idx {
 			c.members[i] = c.members[len(c.members)-1]
@@ -144,7 +143,7 @@ func (x *Index) Delete(id uint32) error {
 		}
 	}
 	if len(c.members) == 0 {
-		delete(x.clusterIdx, key)
+		x.grid[x.cell(s, t)] = nil
 		for i, cc := range x.clusters {
 			if cc == c {
 				x.clusters[i] = x.clusters[len(x.clusters)-1]

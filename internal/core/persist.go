@@ -268,7 +268,6 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 		tValid:            g.TValid,
 		sAssign:           g.SAssign,
 		tAssign:           g.TAssign,
-		clusterIdx:        make(map[[2]int]*hybrid, len(g.Clusters)),
 		UpdatesSinceBuild: g.UpdatesSinceBuild_,
 	}
 	for i := range x.objects {
@@ -313,15 +312,36 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 			resid: g.QuantResid,
 		}
 	}
+	// The cluster directory is a dense Ks×Kt grid, so side indices are
+	// validated before anything is indexed by them: a damaged file fails
+	// here, not in the first search.
+	ks, kt := len(x.sCentX), len(x.tCent)
+	for i := range x.sAssign {
+		if s := x.sAssign[i]; s < 0 || s >= ks {
+			return nil, nil, fmt.Errorf("core: load: object %d assigned to spatial cluster %d of %d", i, s, ks)
+		}
+	}
+	for i := range x.tAssign {
+		if t := x.tAssign[i]; t < 0 || t >= kt {
+			return nil, nil, fmt.Errorf("core: load: object %d assigned to semantic cluster %d of %d", i, t, kt)
+		}
+	}
+	x.grid = make([]*hybrid, ks*kt)
 	x.clusters = make([]*hybrid, len(g.Clusters))
 	for i, gc := range g.Clusters {
+		if gc.S < 0 || gc.S >= ks || gc.T < 0 || gc.T >= kt {
+			return nil, nil, fmt.Errorf("core: load: cluster %d names side pair (%d,%d) outside %d×%d", i, gc.S, gc.T, ks, kt)
+		}
+		if x.grid[x.cell(gc.S, gc.T)] != nil {
+			return nil, nil, fmt.Errorf("core: load: two clusters name side pair (%d,%d)", gc.S, gc.T)
+		}
 		c := &hybrid{s: gc.S, t: gc.T, members: make([]member, len(gc.Members))}
 		for j, gm := range gc.Members {
 			c.members[j] = member{idx: gm.Idx, ds: gm.Ds, dt: gm.Dt}
 		}
 		c.elems = buildElems(c.members)
 		x.clusters[i] = c
-		x.clusterIdx[[2]int{gc.S, gc.T}] = c
+		x.grid[x.cell(gc.S, gc.T)] = c
 	}
 	// Storage order is data: a file whose clusters are not contiguous —
 	// written before the cluster-major layout, or saved after in-place

@@ -167,3 +167,41 @@ func TestLoadRejectsCorruptQuantArena(t *testing.T) {
 		t.Fatal("expected error for truncated quant residual arena")
 	}
 }
+
+// A file whose cluster directory is damaged fails Load; before the grid
+// existed such a file loaded and panicked in the first search.
+func TestLoadRejectsBadClusterSides(t *testing.T) {
+	f := build(t, dataset.TwitterLike, 200, Config{Seed: 89})
+	var saved bytes.Buffer
+	if err := f.idx.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(g *gobIndex)
+	}{
+		{"cluster side out of range", func(g *gobIndex) { g.Clusters[0].S = 1 << 20 }},
+		{"negative cluster side", func(g *gobIndex) { g.Clusters[0].T = -1 }},
+		{"two clusters naming one pair", func(g *gobIndex) {
+			g.Clusters[1].S, g.Clusters[1].T = g.Clusters[0].S, g.Clusters[0].T
+		}},
+		{"spatial assignment out of range", func(g *gobIndex) { g.SAssign[3] = len(g.SCentX) }},
+		{"semantic assignment out of range", func(g *gobIndex) { g.TAssign[3] = -2 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var g gobIndex
+			if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&g); err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(&g)
+			var out bytes.Buffer
+			if err := gob.NewEncoder(&out).Encode(&g); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Load(&out); err == nil {
+				t.Fatalf("Load accepted a file with %s", c.name)
+			}
+		})
+	}
+}

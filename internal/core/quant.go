@@ -293,17 +293,10 @@ func (x *Index) searchQuantWith(sc *searchScratch, dst []knn.Result, q *dataset.
 	for t := range sc.dtqProj {
 		sc.dtqProj[t] = x.space.SemanticProjVec(qProj, x.tCentProj[t])
 	}
-	for _, c := range x.clusters {
-		sc.order = append(sc.order, orderedCluster{
-			lb:      lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtqProj[c.t], x.tRadProj[c.t]),
-			c:       c,
-			refined: true,
-		})
-	}
-	f := (*clusterFrontier)(&sc.order)
-	f.heapify()
+	x.fillSpatialTerms(sc, lambda)
+	f := x.startFrontier(sc, q, 1-lambda, sc.dtqProj, x.tRadProj, true)
 	if sc.obs != nil {
-		sc.obs.ClustersTotal += int64(len(*f))
+		sc.obs.ClustersTotal += int64(len(x.clusters))
 		sc.obs.OrderNanos += time.Since(phase).Nanoseconds()
 		phase = time.Now()
 	}
@@ -328,30 +321,27 @@ func (x *Index) searchQuantWith(sc *searchScratch, dst []knn.Result, q *dataset.
 	}
 	invDt := 1 / x.space.DtMax
 
-	for len(*f) > 0 {
-		if len(cands) >= kq && (*f)[0].lb >= uPrime {
-			f.pruneRemaining(st)
+	for {
+		c, lb, ok := f.peek()
+		if !ok {
+			break
+		}
+		if len(cands) >= kq && lb >= uPrime {
+			f.chargePruned(st)
 			break
 		}
 		if sc.budgetExpired() {
 			break
 		}
-		e := f.pop()
+		f.pop(c)
 		if st != nil {
 			st.ClustersOrdered++
-		}
-		c := e.c
-		if st != nil {
 			st.ClustersExamined++
 		}
 		if len(c.elems) == 0 {
 			continue
 		}
-		if !sc.dtqKnown[c.t] {
-			sc.dtq[c.t] = x.space.SemanticVec(q.Vec, x.tCent[c.t])
-			sc.dtqKnown[c.t] = true
-		}
-		dtqC := sc.dtq[c.t]
+		dtqC := x.centroidDist(sc, q, c.t)
 		enclosed := sc.dsq[c.s] < x.sRad[c.s] && dtqC < x.tRad[c.t]
 		dqC := lambda*sc.dsq[c.s] + (1-lambda)*dtqC
 

@@ -168,84 +168,37 @@ func boxMinDistXY(px, py, loX, loY, hiX, hiY float64) float64 {
 func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int, st *metric.Stats) []knn.Result {
 	sc := x.getScratch()
 	defer x.putScratch(sc)
-	lazy := x.lazyOrderable()
-	if lazy {
-		x.fillProjLowerBounds(sc, q)
-	} else {
-		x.fillSemanticCentroidDists(sc, q)
-	}
 	// Order clusters by their semantic lower bound so the cut-off of
 	// Lemma 4.4 (with the pure-semantic metric) applies, via the same
-	// lazy best-first frontier as Search. Under the lazy path entries
-	// carry the weak projected bound (max(0, w−R^t) ≤ max(0, dtq−R^t))
-	// and are refined to the true semantic bound on pop.
-	for _, c := range x.clusters {
-		// Spatial filter: the cluster ball (center, radius in normalized
-		// units) must reach the window.
-		centerDist := boxMinDistXY(x.sCentX[c.s], x.sCentY[c.s], loX, loY, hiX, hiY) / x.space.DsMax
-		if centerDist > x.sRad[c.s] {
-			if st != nil {
-				st.ClustersPruned++
-				st.InterPruned += int64(len(c.elems))
-			}
-			continue
+	// frontier as Search with A ≡ 0 and unit semantic weight. Spatial
+	// filter: a side whose ball (center, radius in normalized units)
+	// cannot reach the window gets no cursor, so its clusters are never
+	// yielded.
+	for s := range sc.aTerm {
+		sc.aTerm[s] = 0
+		if boxMinDistXY(x.sCentX[s], x.sCentY[s], loX, loY, hiX, hiY)/x.space.DsMax > x.sRad[s] {
+			sc.aTerm[s] = -1
 		}
-		var dtEst float64
-		if lazy {
-			dtEst = sc.dtqProj[c.t]
-		} else {
-			dtEst = sc.dtq[c.t]
-		}
-		lb := dtEst - x.tRad[c.t]
-		if lb < 0 {
-			lb = 0
-		}
-		sc.order = append(sc.order, orderedCluster{lb: lb, c: c, refined: !lazy})
 	}
-	f := (*clusterFrontier)(&sc.order)
-	f.heapify()
+	f := x.startTrueFrontier(sc, q, 1)
 
 	h := &sc.heap
 	h.Reset(k)
 	tombs := x.deltaTombs()
-	for len(*f) > 0 {
-		if u, full := h.Bound(); full && (*f)[0].lb >= u {
-			f.pruneRemaining(st)
+	for {
+		c, lb, ok := f.peek()
+		if !ok {
 			break
 		}
-		e := f.pop()
+		if u, full := h.Bound(); full && lb >= u {
+			break
+		}
+		f.pop(c)
 		if st != nil {
 			st.ClustersOrdered++
-		}
-		c := e.c
-		dtqC := sc.dtq[c.t]
-		if !sc.dtqKnown[c.t] {
-			dtqC = x.space.SemanticVec(q.Vec, x.tCent[c.t])
-			sc.dtq[c.t] = dtqC
-			sc.dtqKnown[c.t] = true
-		}
-		if !e.refined {
-			trueLB := dtqC - x.tRad[c.t]
-			if trueLB < 0 {
-				trueLB = 0
-			}
-			if len(*f) > 0 && trueLB > (*f)[0].lb {
-				e.lb, e.refined = trueLB, true
-				f.push(e)
-				continue
-			}
-			if u, full := h.Bound(); full && trueLB >= u {
-				if st != nil {
-					st.ClustersPruned++
-					st.InterPruned += int64(len(c.elems))
-				}
-				f.pruneRemaining(st)
-				break
-			}
-		}
-		if st != nil {
 			st.ClustersExamined++
 		}
+		dtqC := x.centroidDist(sc, q, c.t)
 		enclosedSem := dtqC < x.tRad[c.t]
 		blk := x.block(c)
 		for ei := range c.elems {
@@ -283,6 +236,8 @@ func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int
 			}
 		}
 	}
+	// Every cluster not examined was pruned, by the window or by the cut.
+	f.chargePruned(st)
 	// Overlay chain: live overlay inserts pass the same window filter and
 	// pure-semantic ranking, so box results match a compacted rebuild.
 	x.forEachDeltaLive(func(o *dataset.Object) {

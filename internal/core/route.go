@@ -17,24 +17,15 @@ import (
 // hybrid clusters contain true top-k results, from exactly the
 // centroid-level signals every query already computes for the weak
 // lower bound — so scoring all K clusters costs a few multiply-adds
-// per cluster on top of work the search was doing anyway. Two
-// consumers:
-//
-//   - Exact search (SearchOptions.Route): routePrefix moves the R
-//     highest-scoring clusters to the front of the visit order and the
-//     search scans them before falling back to the admissible
-//     best-first frontier over the rest. Results stay bit-identical
-//     (see searchWithSeed): a routed cluster is only skipped when its
-//     true lower bound already exceeds the current k-NN bound — the
-//     same Lemma 4.4 test the frontier applies — and everything else
-//     is scanned by the exact scan. The model only changes the order
-//     in which the k-th distance tightens.
-//   - Approximate search (Route+Approx): searchRoutedWith visits
-//     clusters in descending predicted probability until the requested
-//     share of the total predicted probability mass is covered — the
-//     CSSIA idea with the geometric projected bound replaced by the
-//     trained predictor, and recall tuned by RouteTarget instead of a
-//     projection dimension.
+// per cluster on top of work the search was doing anyway. Its one
+// consumer is approximate search (Route+Approx): searchRoutedWith
+// visits clusters in descending predicted probability until the
+// requested share of the total predicted probability mass is covered —
+// the CSSIA idea with the geometric projected bound replaced by the
+// trained predictor, and recall tuned by RouteTarget instead of a
+// projection dimension. Exact queries ignore it: where the admissible
+// Eq. 4 bound decides what is examined, reordering the visit cannot
+// change it (see DESIGN.md §4b).
 //
 // The model is immutable after training: COW clones and snapshots
 // share it by pointer, Rebuild/RebuildFresh retrain it (they rebuild
@@ -58,12 +49,6 @@ const routeFeatureCount = 7
 const DefaultRouteTarget = 0.9
 
 const (
-	// routedPrefixCap bounds how many predicted-best clusters the exact
-	// mode scans ahead of the admissible frontier. Enough to tighten
-	// the k-th distance near its final value in one burst; small enough
-	// that a mispredicting model wastes little work (the skipped-if-
-	// provably-excluded test still applies to every prefix cluster).
-	routedPrefixCap = 16
 	// routeTrainQueries/routeTrainK size the self-query training set.
 	routeTrainQueries = 64
 	routeTrainK       = 10
@@ -174,7 +159,7 @@ func (x *Index) trainRouter() *route.Model {
 			if !ok {
 				continue
 			}
-			if c := x.clusterIdx[[2]int{x.sAssign[idx], x.tAssign[idx]}]; c != nil {
+			if c := x.grid[x.cell(x.sAssign[idx], x.tAssign[idx])]; c != nil {
 				pos[c] = true
 			}
 		}
@@ -232,76 +217,6 @@ func (x *Index) setRouter(m *route.Model) {
 	} else {
 		x.routerFold = route.Folded{}
 	}
-}
-
-// routePrefix scores every entry of sc.order with the learned router
-// and moves the R best to the front in descending-score order,
-// returning R. Scores are raw logits (monotone in the probability).
-// One pass: a tiny insertion-sorted top-R candidate list replaces the
-// old O(R·n) selection scan, and ties keep the earlier position so the
-// routed order is deterministic.
-func (x *Index) routePrefix(sc *searchScratch, lambda float64, lazy bool) int {
-	n := len(sc.order)
-	r := routedPrefixCap
-	if r > n {
-		r = n
-	}
-	if r == 0 {
-		return 0
-	}
-	scores := growSlice(sc.routeScore, n)
-	sc.routeScore = scores
-	var fv [routeFeatureCount]float64
-	invN := 1.0
-	if x.live > 0 {
-		invN = 1.0 / float64(x.live)
-	}
-	// selIdx holds the current top-R positions, descending score (ties:
-	// earlier position first, because a later equal score never
-	// displaces an earlier one).
-	var selIdx [routedPrefixCap]int
-	sel := 0
-	for i := range sc.order {
-		e := &sc.order[i]
-		c := e.c
-		dtEst := sc.routeDtEst(lazy, c.t)
-		routeFeats(fv[:], lambda, sc.dsq[c.s], x.sRad[c.s], dtEst, x.tRad[c.t], e.lb, float64(len(c.elems))*invN)
-		s := x.routerFold.Logit(fv[:])
-		scores[i] = s
-		if sel == r && s <= scores[selIdx[sel-1]] {
-			continue
-		}
-		if sel < r {
-			sel++
-		}
-		j := sel - 1
-		for ; j > 0 && scores[selIdx[j-1]] < s; j-- {
-			selIdx[j] = selIdx[j-1]
-		}
-		selIdx[j] = i
-	}
-	// Stable in-place partition: selected entries to the front in
-	// selection order, everything else keeps its relative order behind
-	// them. Writing the tail back-to-front never clobbers an unread
-	// entry because each write lands at or past the read position.
-	var prefix [routedPrefixCap]orderedCluster
-	for j := 0; j < sel; j++ {
-		prefix[j] = sc.order[selIdx[j]]
-	}
-	var byPos [routedPrefixCap]int
-	copy(byPos[:sel], selIdx[:sel])
-	slices.Sort(byPos[:sel])
-	w, p := n, sel-1
-	for i := n - 1; i >= 0; i-- {
-		if p >= 0 && byPos[p] == i {
-			p--
-			continue
-		}
-		w--
-		sc.order[w] = sc.order[i]
-	}
-	copy(sc.order[:sel], prefix[:sel])
-	return sel
 }
 
 // searchRoutedWith is the routed approximate mode: clusters are
@@ -395,11 +310,7 @@ func (x *Index) searchRoutedWith(sc *searchScratch, dst []knn.Result, q *dataset
 		if st != nil {
 			st.ClustersRouted++
 		}
-		if !sc.dtqKnown[c.t] {
-			sc.dtq[c.t] = x.space.SemanticVec(q.Vec, x.tCent[c.t])
-			sc.dtqKnown[c.t] = true
-		}
-		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], sc.dtq[c.t], h, st)
+		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, st)
 	}
 	if sc.obs != nil {
 		el := time.Since(phase).Nanoseconds()

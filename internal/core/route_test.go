@@ -31,10 +31,10 @@ func TestRouterTraining(t *testing.T) {
 	requireIdentical(t, "tiny fallback", 0, want, got)
 }
 
-// TestRoutedExactVsEager is the tentpole's bit-identity property test:
-// the routed exact search — router-predicted clusters scanned first,
-// admissible bound test deciding every skip — must return results
-// bit-identical to the eager reference, while actually routing clusters.
+// TestRoutedExactVsEager pins what Route means on an exact query since
+// the exact-reorder pre-pass was removed: nothing. The request is
+// accepted, the answer is bit-identical to the eager reference, no
+// cluster is routed and every work counter equals the plain search's.
 func TestRoutedExactVsEager(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 1200, Config{Seed: 101})
 	if f.idx.Router() == nil {
@@ -44,7 +44,7 @@ func TestRoutedExactVsEager(t *testing.T) {
 		t.Fatal("fixture should take the lazy weak-bound path")
 	}
 	rng := rand.New(rand.NewPCG(101, 1))
-	var st metric.Stats
+	var st, plain metric.Stats
 	for trial := 0; trial < 40; trial++ {
 		q := f.ds.Objects[rng.IntN(f.ds.Len())]
 		k := 1 + rng.IntN(25)
@@ -52,15 +52,16 @@ func TestRoutedExactVsEager(t *testing.T) {
 		want := searchEager(f.idx, nil, &q, k, lambda)
 		got := f.idx.SearchOptionsInto(nil, &q, k, lambda, SearchOptions{Route: true}, &st)
 		requireIdentical(t, "routed exact", trial, want, got)
+		f.idx.Search(&q, k, lambda, &plain)
 	}
-	if st.ClustersRouted == 0 {
-		t.Fatal("no clusters were routed across 40 queries")
+	if st.ClustersRouted != 0 || st != plain {
+		t.Fatalf("Route on exact queries changed the work done:\nrouted %+v\nplain  %+v", st, plain)
 	}
 }
 
 // TestRoutedExactEagerBoundPath repeats the bit-identity check on the
 // non-lazy ordering path (angular semantics disable the weak projected
-// bound, so the router features use true semantic centroid distances).
+// bound, so the semantic sides enter the frontier final).
 func TestRoutedExactEagerBoundPath(t *testing.T) {
 	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 900, Dim: 32, Seed: 54})
 	if err != nil {
@@ -183,8 +184,9 @@ func TestRouterPersistRoundTrip(t *testing.T) {
 		q := f.ds.Objects[rng.IntN(f.ds.Len())]
 		k := 1 + rng.IntN(15)
 		lambda := rng.Float64()
-		want := f.idx.SearchOptionsInto(nil, &q, k, lambda, SearchOptions{Route: true}, nil)
-		got := loaded.SearchOptionsInto(nil, &q, k, lambda, SearchOptions{Route: true}, nil)
+		opts := SearchOptions{Approx: true, Route: true}
+		want := f.idx.SearchOptionsInto(nil, &q, k, lambda, opts, nil)
+		got := loaded.SearchOptionsInto(nil, &q, k, lambda, opts, nil)
 		requireIdentical(t, "persist round trip", trial, want, got)
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // searchScratch holds every per-query buffer the query algorithms need.
 // The buffers grow to the high-water mark of the index geometry (Ks, Kt,
-// cluster count, k, m) and are then reused: in steady state a query
-// performs zero heap allocations. Scratches live in the Index's
-// sync.Pool, so concurrent queries each draw their own.
+// k, m) and are then reused: in steady state a query performs zero heap
+// allocations. Scratches live in the Index's sync.Pool, so concurrent
+// queries each draw their own.
 type searchScratch struct {
 	// dsq[s] is the normalized spatial distance from q to spatial
 	// centroid s (always filled eagerly: Ks cheap 2-D distances).
@@ -29,9 +29,11 @@ type searchScratch struct {
 	dtqProj []float64
 	// qProj is the PCA projection of the query vector (length m).
 	qProj []float32
-	// order is the backing array of the best-first cluster frontier
-	// (Alg. 2 line 4 / Alg. 3 line 5 made lazy; see clusterFrontier).
-	order []orderedCluster
+	// aTerm[s] is the spatial share A[s] of the Eq. 4 bound and front
+	// the best-first cluster frontier that merges it with the semantic
+	// shares (Alg. 2 line 4 / Alg. 3 line 5 made lazy; see sideFrontier).
+	aTerm []float64
+	front sideFrontier
 	// heap collects the k best results; cands is CSSIA's candidate
 	// max-heap.
 	heap  knn.Heap
@@ -59,13 +61,9 @@ type searchScratch struct {
 	// counts.
 	quantScans        int64
 	quantSampledNanos int64
-	// Learned-routing state. routeOn arms the exact-reorder pre-pass
-	// for the current query (set per query by SearchOptionsInto, only
-	// when the index has a trained router); routeScore is the
-	// per-cluster score/probability buffer of routePrefix and the
-	// routed approximate mode; routeKey is the latter's packed
+	// Learned-routing state of the routed approximate mode: routeScore
+	// is its per-cluster probability buffer, routeKey its packed
 	// (probability, position) sort keys.
-	routeOn    bool
 	routeScore []float64
 	routeKey   []uint64
 	// Time-budget state (see deadline.go). budgeted arms the per-pop
@@ -100,10 +98,7 @@ func (x *Index) getScratch() *searchScratch {
 	sc.dtqKnown = growSlice(sc.dtqKnown, len(x.tCent))
 	sc.dtqProj = growSlice(sc.dtqProj, len(x.tCent))
 	sc.qProj = growSlice(sc.qProj, x.m)
-	if cap(sc.order) < len(x.clusters) {
-		sc.order = make([]orderedCluster, 0, len(x.clusters))
-	}
-	sc.order = sc.order[:0]
+	sc.aTerm = growSlice(sc.aTerm, len(x.sCentX))
 	if x.quant != nil {
 		sc.qAdj = growSlice(sc.qAdj, x.dim)
 	}
@@ -111,7 +106,6 @@ func (x *Index) getScratch() *searchScratch {
 	sc.quantOff = false
 	sc.quantScans = 0
 	sc.quantSampledNanos = 0
-	sc.routeOn = false
 	sc.budgeted = false
 	sc.deadline = time.Time{}
 	sc.cancel = nil
@@ -123,6 +117,7 @@ func (x *Index) getScratch() *searchScratch {
 
 // putScratch returns a scratch to the pool for reuse.
 func (x *Index) putScratch(sc *searchScratch) {
+	sc.front.release()
 	x.scratchPool.Put(sc)
 }
 

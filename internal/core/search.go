@@ -23,11 +23,11 @@ type SearchOptions struct {
 	// QuantRerank is the QuantOnly overfetch multiplier (<= 0 selects
 	// DefaultQuantRerank). Ignored outside QuantOnly.
 	QuantRerank int
-	// Route engages the learned cluster router (see route.go). On an
-	// exact query it only re-prioritizes the visit order — results stay
-	// bit-identical; with Approx it selects the routed approximate mode
-	// whose cluster coverage is tuned by RouteTarget. Silently ignored
-	// when the index has no trained router.
+	// Route engages the learned cluster router (see route.go): with
+	// Approx it selects the routed approximate mode whose cluster
+	// coverage is tuned by RouteTarget. It has no effect on exact
+	// queries, and is silently ignored when the index has no trained
+	// router.
 	Route bool
 	// RouteTarget is the routed approximate mode's probability-mass
 	// coverage in (0,1]; <= 0 selects DefaultRouteTarget. Ignored
@@ -89,7 +89,6 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 		st = &opts.Explain.Stats
 	}
 	sc.quantOff = opts.Quant == QuantOff
-	sc.routeOn = opts.Route && x.router != nil
 	sc.deadline = opts.Deadline
 	sc.cancel = opts.Cancel
 	sc.budgeted = !opts.Deadline.IsZero() || opts.Cancel != nil
@@ -97,7 +96,7 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 	switch {
 	case !opts.Approx:
 		dst = x.searchWithSeed(sc, dst, opts.Seed, q, k, lambda, st)
-	case sc.routeOn:
+	case opts.Route && x.router != nil:
 		dst = x.searchRoutedWith(sc, dst, q, k, lambda, routeTargetOrDefault(opts.RouteTarget), st)
 	case opts.Quant == QuantOnly && x.quant != nil:
 		dst = x.searchQuantWith(sc, dst, q, k, rerankMult(opts.QuantRerank), lambda, st)

@@ -20,30 +20,19 @@ const routeTrials = 5
 // sweep walks; 0 means the library default target.
 var routeTargets = []float64{0.5, 0.8, 0, 0.95, 1}
 
-// Route measures the learned cluster router this PR lands. Two tables:
-//
-//  1. Exact search with and without the routed frontier pre-pass. Both
-//     sides return the identical exact top-k (verified bit for bit each
-//     run). Note the work counters: examined/pruned cluster counts are
-//     identical in both modes — the admissible bound, not visit order,
-//     decides what gets examined — so any speedup comes from the k-NN
-//     bound tightening earlier inside the first scans, and is modest.
-//  2. The routed approximate mode against plain CSSIA: clusters visited
-//     in predicted-probability order until the requested probability
-//     mass is covered, swept over RouteTarget, with recall@k and
-//     latency against the exact answer — the recall/latency curve the
-//     RouteTarget knob trades along.
+// Route measures the learned cluster router: the routed approximate
+// mode against plain CSSIA — clusters visited in predicted-probability
+// order until the requested probability mass is covered, swept over
+// RouteTarget, with recall@k and latency against the exact answer, the
+// recall/latency curve the RouteTarget knob trades along. (Route has no
+// effect on exact queries; see DESIGN.md §4b.)
 func Route(s Setup) ([]Table, error) {
 	s.applyDefaults()
-	exact, err := routeExactTable(s)
-	if err != nil {
-		return nil, err
-	}
 	approx, err := routeApproxTable(s)
 	if err != nil {
 		return nil, err
 	}
-	return []Table{exact, approx}, nil
+	return []Table{approx}, nil
 }
 
 // routeFixture builds the shared index and query sample over the
@@ -64,97 +53,6 @@ func routeFixture(s Setup) (*cssi.Index, *cssi.Dataset, []cssi.Object, error) {
 		return nil, nil, nil, fmt.Errorf("route: %d-object build skipped router training", ds.Len())
 	}
 	return idx, ds, ds.SampleQueries(s.Queries, s.Seed+17), nil
-}
-
-// routeExactTable times the exact search unrouted vs routed, verifying
-// bit-identity per run and reporting the work counters the routed
-// pre-pass changes.
-func routeExactTable(s Setup) (Table, error) {
-	idx, _, queries, err := routeFixture(s)
-	if err != nil {
-		return Table{}, err
-	}
-	k, lambda := s.K, s.Lambda
-
-	// run answers every query once, returning results and accumulating
-	// work counters.
-	run := func(route bool, res [][]cssi.Result, st *cssi.Stats) error {
-		dst := make([]cssi.Result, 0, k)
-		for qi := range queries {
-			dst, err = idx.Do(cssi.SearchRequest{
-				Query: &queries[qi], K: k, Lambda: lambda,
-				Route: route, Dst: dst[:0], Stats: st,
-			})
-			if err != nil {
-				return err
-			}
-			if res != nil {
-				res[qi] = append(res[qi][:0], dst...)
-			}
-		}
-		return nil
-	}
-
-	micros := [2]float64{} // [unrouted, routed]
-	for trial := 0; trial < routeTrials; trial++ {
-		for mi, route := range []bool{false, true} {
-			start := time.Now()
-			if err := run(route, nil, nil); err != nil {
-				return Table{}, err
-			}
-			el := float64(time.Since(start).Microseconds()) / float64(len(queries))
-			if trial == 0 || el < micros[mi] {
-				micros[mi] = el
-			}
-		}
-	}
-	// Untimed verification pass: routed exact must be bit-identical.
-	base := make([][]cssi.Result, len(queries))
-	routed := make([][]cssi.Result, len(queries))
-	var stBase, stRouted cssi.Stats
-	if err := run(false, base, &stBase); err != nil {
-		return Table{}, err
-	}
-	if err := run(true, routed, &stRouted); err != nil {
-		return Table{}, err
-	}
-	for qi := range base {
-		if len(base[qi]) != len(routed[qi]) {
-			return Table{}, fmt.Errorf("route: query %d top-k sizes differ", qi)
-		}
-		for i := range base[qi] {
-			if base[qi][i] != routed[qi][i] {
-				return Table{}, fmt.Errorf("route: query %d result %d differs: %+v vs %+v",
-					qi, i, base[qi][i], routed[qi][i])
-			}
-		}
-	}
-
-	nq := float64(len(queries))
-	t := Table{
-		ID:    "route",
-		Title: "Exact search: lower-bound frontier vs learned routed pre-pass (bit-identical answers)",
-		Note: fmt.Sprintf("the router promotes its top predicted clusters ahead of the frontier; the admissible "+
-			"bound still decides every skip, so answers are verified identical, examined/pruned counts match, "+
-			"and the only gain is earlier in-scan bound tightening; min of %d alternating trials over %d queries",
-			routeTrials, len(queries)),
-		Header: []string{"mode", "µs/query", "speedup", "clusters examined/q", "clusters pruned/q", "routed/q"},
-	}
-	for mi, st := range []cssi.Stats{stBase, stRouted} {
-		mode := "cssi exact"
-		if mi == 1 {
-			mode = "cssi exact+routed"
-		}
-		t.Rows = append(t.Rows, []string{
-			mode,
-			f1(micros[mi]),
-			fmt.Sprintf("%.2fx", micros[0]/micros[mi]),
-			f1(float64(st.ClustersExamined) / nq),
-			f1(float64(st.ClustersPruned) / nq),
-			f1(float64(st.ClustersRouted) / nq),
-		})
-	}
-	return t, nil
 }
 
 // routeApproxTable sweeps the routed approximate mode over RouteTarget

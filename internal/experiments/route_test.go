@@ -52,24 +52,3 @@ func TestRouteRecallGateSmoke(t *testing.T) {
 		t.Error("sweep has no routed@default row")
 	}
 }
-
-// TestRouteExactIdentitySmoke runs the exact-vs-routed table at tiny
-// scale; the table constructor itself verifies bit-identity per run and
-// fails the experiment on any divergence, so simply completing is the
-// assertion. Guarded with the same env gate as the recall smoke.
-func TestRouteExactIdentitySmoke(t *testing.T) {
-	if os.Getenv("CSSI_ROUTE_SMOKE") == "" {
-		t.Skip("set CSSI_ROUTE_SMOKE=1 to run the route exact-identity smoke")
-	}
-	tab, err := routeExactTable(Setup{Scale: 0.05, Queries: 40, K: 10, Lambda: 0.5, Dim: 32, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(tab.Rows))
-	}
-	routed := tab.Rows[1]
-	if v, err := strconv.ParseFloat(routed[5], 64); err != nil || v <= 0 {
-		t.Errorf("routed/q column = %q, want > 0 (the pre-pass should route clusters)", routed[5])
-	}
-}

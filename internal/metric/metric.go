@@ -145,17 +145,15 @@ type Stats struct {
 	ClustersExamined int64 `json:"clustersExamined"`
 	ClustersPruned   int64 `json:"clustersPruned"`
 	// ClustersOrdered counts clusters whose position in the visit order
-	// was actually materialized — pops from the lazy best-first frontier
-	// (a weak entry re-pushed with its refined bound is popped, and
-	// counted, twice). The eager sort this replaced ordered every
-	// cluster; on a pruned query ClustersOrdered stays far below
-	// ClustersExamined+ClustersPruned, which is the ordering-phase win.
+	// was actually materialized — pops from the lazy best-first
+	// frontier, each cluster at most once. An eager sort orders every
+	// cluster; on a pruned query ClustersOrdered equals ClustersExamined
+	// and stays far below ClustersExamined+ClustersPruned.
 	ClustersOrdered int64 `json:"clustersOrdered"`
 	// ClustersRouted counts clusters whose visit position was decided by
-	// the learned router instead of the admissible bound order: the
-	// front-loaded prefix of a routed exact query (scanned or skipped by
-	// the bound test), or every cluster the routed approximate mode
-	// visited. Zero on unrouted queries.
+	// the learned router instead of the admissible bound order: every
+	// cluster the routed approximate mode visited. Zero on exact and on
+	// unrouted queries.
 	ClustersRouted int64 `json:"clustersRouted"`
 	// QuantPruned counts candidates excluded by the SQ8 quantized lower
 	// bound alone (no exact semantic kernel ran); QuantReranked counts

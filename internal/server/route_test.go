@@ -33,9 +33,9 @@ func newRouteTestServer(t *testing.T, route bool, target float64) (*httptest.Ser
 	return ts, ds
 }
 
-// TestSearchRouteField pins the request-level routing contract: a
-// routed exact search returns a byte-identical body to the unrouted
-// one, and the routed approximate mode honors routeTarget.
+// TestSearchRouteField pins the request-level routing contract: route
+// has no effect on an exact search (byte-identical body), and the
+// routed approximate mode honors routeTarget.
 func TestSearchRouteField(t *testing.T) {
 	ts, ds := newRouteTestServer(t, false, 0)
 	q := ds.Objects[11]
@@ -66,13 +66,13 @@ func TestSearchRouteField(t *testing.T) {
 }
 
 // TestRouteServerDefaults pins SetRouteDefaults: with the server-wide
-// default on, requests that omit the route field are routed (visible in
-// the clusters-routed metric), while an explicit "route": false opts a
-// request out.
+// default on, approximate requests that omit the route field are routed
+// (visible in the clusters-routed metric), while an explicit
+// "route": false opts a request out and an exact request routes nothing.
 func TestRouteServerDefaults(t *testing.T) {
 	ts, ds := newRouteTestServer(t, true, 0)
 	q := ds.Objects[3]
-	base := map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5}
+	base := map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5, "approx": true}
 	for i := 0; i < 3; i++ {
 		if status, body := rawPost(t, ts.URL+"/v1/search", base); status != http.StatusOK {
 			t.Fatalf("defaulted search: %d %s", status, body)
@@ -81,12 +81,15 @@ func TestRouteServerDefaults(t *testing.T) {
 	if got := metricValue(t, scrapeMetrics(t, ts.URL), "cssi_search_clusters_routed_ratio_count"); got != 3 {
 		t.Fatalf("clusters-routed count after 3 defaulted searches = %g, want 3", got)
 	}
-	optOut := map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5, "route": false}
-	if status, body := rawPost(t, ts.URL+"/v1/search", optOut); status != http.StatusOK {
-		t.Fatalf("opt-out search: %d %s", status, body)
+	optOut := map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5, "approx": true, "route": false}
+	exact := map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5}
+	for _, body := range []map[string]interface{}{optOut, exact} {
+		if status, resp := rawPost(t, ts.URL+"/v1/search", body); status != http.StatusOK {
+			t.Fatalf("unrouted search: %d %s", status, resp)
+		}
 	}
 	if got := metricValue(t, scrapeMetrics(t, ts.URL), "cssi_search_clusters_routed_ratio_count"); got != 3 {
-		t.Fatalf(`clusters-routed count after "route": false = %g, want still 3`, got)
+		t.Fatalf(`clusters-routed count after "route": false and an exact search = %g, want still 3`, got)
 	}
 }
 

@@ -406,10 +406,10 @@ type queryRequest struct {
 	Radius float64   `json:"radius,omitempty"` // /range only
 	Approx bool      `json:"approx,omitempty"` // /search only
 	// Route engages the learned cluster router (/search and
-	// /debug/explain): exact requests keep bit-identical results with a
-	// reordered cluster scan, approximate requests switch to the routed
-	// recall-targeted mode. A pointer so an absent field falls back to
-	// the server's -route default while "route":false still opts out.
+	// /debug/explain): approximate requests switch to the routed
+	// recall-targeted mode; it has no effect on exact requests. A
+	// pointer so an absent field falls back to the server's -route
+	// default while "route":false still opts out.
 	Route *bool `json:"route,omitempty"`
 	// RouteTarget is the routed approximate mode's recall knob in (0,1];
 	// 0 falls back to the server default, then the library default.

@@ -45,14 +45,13 @@ type SearchRequest struct {
 	// holds QuantRerank·K candidates (<= 0 selects DefaultQuantRerank;
 	// larger is more accurate and slower). Ignored outside QuantOnly.
 	QuantRerank int
-	// Route engages the learned cluster router trained at Build time.
-	// On an exact request it only re-prioritizes the cluster visit order
-	// (the admissible bound still decides every cut), so results stay
-	// bit-identical to an unrouted exact search; with Approx it switches
-	// to the routed approximate mode that visits clusters in predicted
-	// relevance order until RouteTarget's probability mass is covered.
-	// Silently ignored when the index has no trained router (tiny
-	// indexes skip training). The keyword path ignores Route.
+	// Route engages the learned cluster router trained at Build time:
+	// with Approx it switches to the routed approximate mode that visits
+	// clusters in predicted relevance order until RouteTarget's
+	// probability mass is covered. It has no effect on exact queries
+	// (accepted, answered as if unset). Silently ignored when the index
+	// has no trained router (tiny indexes skip training). The keyword
+	// path ignores Route.
 	Route bool
 	// RouteTarget is the routed approximate mode's recall knob: the
 	// fraction of total predicted probability mass that must be covered

@@ -30,6 +30,7 @@ type searchAPI struct {
 	doBatch func(BatchSearchRequest) ([][]Result, error)
 	doCtx   func(context.Context, SearchRequest) ([]Result, error)
 	setSink func(sink *obs.Sink)
+	del     func(id uint32) error
 	// enableCache installs a result cache; nil on the bare *Index, which
 	// never caches.
 	enableCache func(capacity int)
@@ -43,25 +44,30 @@ type searchAPI struct {
 // the keyword filter enabled or left out.
 func requestFixtures(t *testing.T, ds *Dataset, keywordFilter bool) []searchAPI {
 	t.Helper()
-	flat := mustBuild(t, ds, Options{Seed: 5})
-	concIdx := mustBuild(t, ds, Options{Seed: 5})
+	return requestFixturesWith(t, ds, Options{Seed: 5}, keywordFilter)
+}
+
+func requestFixturesWith(t *testing.T, ds *Dataset, opts Options, keywordFilter bool) []searchAPI {
+	t.Helper()
+	flat := mustBuild(t, ds, opts)
+	concIdx := mustBuild(t, ds, opts)
 	if keywordFilter {
 		flat.EnableKeywordFilter()
 		concIdx.EnableKeywordFilter()
 	}
 	conc := Concurrent(concIdx)
 	apis := []searchAPI{
-		{name: "flat", do: flat.Do, doBatch: flat.DoBatch, doCtx: flat.DoContext, setSink: flat.SetTraceSink, snaps: 1},
-		{name: "concurrent", do: conc.Do, doBatch: conc.DoBatch, doCtx: conc.DoContext, setSink: conc.SetTraceSink,
+		{name: "flat", do: flat.Do, doBatch: flat.DoBatch, doCtx: flat.DoContext, setSink: flat.SetTraceSink, del: flat.Delete, snaps: 1},
+		{name: "concurrent", do: conc.Do, doBatch: conc.DoBatch, doCtx: conc.DoContext, setSink: conc.SetTraceSink, del: conc.Delete,
 			enableCache: conc.EnableResultCache, snaps: 1},
 	}
 	for _, p := range []int{1, 4} {
-		s := mustBuildSharded(t, ds, p, Options{Seed: 5})
+		s := mustBuildSharded(t, ds, p, opts)
 		if keywordFilter {
 			s.EnableKeywordFilter()
 		}
 		apis = append(apis, searchAPI{
-			name: fmt.Sprintf("sharded-P%d", p), do: s.Do, doBatch: s.DoBatch, doCtx: s.DoContext, setSink: s.SetTraceSink,
+			name: fmt.Sprintf("sharded-P%d", p), do: s.Do, doBatch: s.DoBatch, doCtx: s.DoContext, setSink: s.SetTraceSink, del: s.Delete,
 			enableCache: s.EnableResultCache, snaps: p,
 		})
 	}
@@ -115,7 +121,12 @@ func TestRequestConformance(t *testing.T) {
 	shapes := []shape{
 		{name: "exact", exact: true},
 		{name: "approx", mod: func(r *SearchRequest) { r.Approx = true }, perFlavor: true},
-		{name: "routed", mod: func(r *SearchRequest) { r.Route = true }, exact: true},
+		{name: "routed", mod: func(r *SearchRequest) { r.Route, r.Stats = true, new(Stats) }, exact: true,
+			check: func(t *testing.T, api searchAPI, r *SearchRequest, got []Result, plain Stats) {
+				if *r.Stats != plain {
+					t.Fatalf("Route changed an exact search's work: %+v, unrouted %+v", *r.Stats, plain)
+				}
+			}},
 		{name: "routed-approx", mod: func(r *SearchRequest) { r.Approx, r.Route = true, true }, perFlavor: true},
 		{name: "quant-off", mod: func(r *SearchRequest) { r.Quant = QuantOff }, exact: true},
 		{name: "keywords", mod: func(r *SearchRequest) { r.Keywords = []string{kw} }},
@@ -248,6 +259,52 @@ func TestRequestConformance(t *testing.T) {
 			}
 		})
 	}
+
+	// Route on an exact request is accepted and changes nothing at the
+	// corners of the ordering either: λ = 1 (every semantic share of the
+	// bound is 0, so whole rows of clusters tie), λ = 0, k ≥ n, an index
+	// of one hybrid cluster, and an index whose every object is deleted.
+	t.Run("routed-edges", func(t *testing.T) {
+		small := testDataset(t, 150)
+		smallSpace, err := metric.NewSpace(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smallOracle := scan.New(small, smallSpace)
+		for _, fx := range []struct {
+			name string
+			opts Options
+			wipe bool
+		}{
+			{"default", Options{Seed: 5}, false},
+			{"one-cluster", Options{Seed: 5, Ks: 1, Kt: 1}, false},
+			{"all-deleted", Options{Seed: 5}, true},
+		} {
+			for _, api := range requestFixturesWith(t, small, fx.opts, false) {
+				if fx.wipe {
+					for i := range small.Objects {
+						if err := api.del(small.Objects[i].ID); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, lambda := range []float64{0, 0.5, 1} {
+					for _, k := range []int{1, 10, small.Len() + 3} {
+						q := small.Objects[(7*k+3)%small.Len()]
+						var want []Result
+						if !fx.wipe {
+							want = smallOracle.Search(&q, k, lambda, nil)
+						}
+						got, err := api.do(SearchRequest{Query: &q, K: k, Lambda: lambda, Route: true})
+						if err != nil {
+							t.Fatalf("%s %s: %v", fx.name, api.name, err)
+						}
+						compare(t, fx.name+" "+api.name+" vs scan", lambda, k, want, got)
+					}
+				}
+			}
+		}
+	})
 
 	// Keywords against flavors that never built the keyword filter: the
 	// one set-up mistake a request can reach is an error like the rest,

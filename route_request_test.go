@@ -47,7 +47,7 @@ func TestRoutedExplainAlgoNames(t *testing.T) {
 		algo string
 	}{
 		{SearchRequest{Query: &q, K: 5, Lambda: 0.5}, "cssi"},
-		{SearchRequest{Query: &q, K: 5, Lambda: 0.5, Route: true}, "cssi-routed"},
+		{SearchRequest{Query: &q, K: 5, Lambda: 0.5, Route: true}, "cssi"}, // no effect on exact
 		{SearchRequest{Query: &q, K: 5, Lambda: 0.5, Approx: true}, "cssia"},
 		{SearchRequest{Query: &q, K: 5, Lambda: 0.5, Approx: true, Route: true}, "cssia-routed"},
 	}

@@ -48,7 +48,8 @@ func (s *ShardedIndex) SetTraceSink(sink *obs.Sink) { s.sink.Store(sink) }
 func (s *ShardedIndex) TraceSink() *obs.Sink { return s.sink.Load() }
 
 // algoName names the algorithm opts select, matching the explain
-// path's naming: "cssi"/"cssia" with -routed/-sq8 mode suffixes.
+// path's naming: "cssi", or "cssia" with -routed/-sq8 mode suffixes
+// (Route has no effect on an exact query, so it earns no suffix there).
 func algoName(opts core.SearchOptions) string {
 	if opts.Approx {
 		switch {
@@ -58,9 +59,6 @@ func algoName(opts core.SearchOptions) string {
 			return "cssia-sq8"
 		}
 		return "cssia"
-	}
-	if opts.Route {
-		return "cssi-routed"
 	}
 	return "cssi"
 }
