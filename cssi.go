@@ -402,6 +402,13 @@ func (x *Index) UpdatesSinceBuild() int { return x.core.UpdatesSinceBuild }
 // high values are the §6.2 signal to Rebuild.
 func (x *Index) DriftRatio() float64 { return x.core.DriftRatio() }
 
+// UnanchoredRows counts the live objects inserted since the last
+// Build/Rebuild/Load (write-overlay inserts included): they scan without
+// the anchor bound until the next rebuild anchors them. Beside
+// DriftRatio it is the second rebuild signal — drift says the clusters
+// stopped fitting, this says how many rows lost their cheapest filter.
+func (x *Index) UnanchoredRows() int { return x.core.UnanchoredRows() }
+
 // Len returns the number of live objects.
 func (x *Index) Len() int { return x.core.Len() }
 

@@ -207,6 +207,11 @@ type Index struct {
 	// follow the arenas' append-only/COW discipline; CloneForWrite
 	// copies the struct header so clones grow it independently.
 	quant *quantArena
+	// anchors holds one anchor id and distance per stored row, the
+	// pre-kernel semantic lower bound of the scan loops (see anchor.go).
+	// Never nil on a built index; derived, never serialized; same
+	// append-only/COW discipline as quant.
+	anchors *anchorArena
 
 	// router is the learned cluster-routing model (nil on indexes too
 	// small to train one; see route.go). Immutable after training:
@@ -275,13 +280,21 @@ type Index struct {
 
 // Build constructs the index over the dataset (Alg. 1).
 func Build(ds *dataset.Dataset, space *metric.Space, cfg Config) (*Index, error) {
+	return BuildWithAnchors(ds, space, cfg, nil)
+}
+
+// BuildWithAnchors is Build over an anchor set fitted beforehand
+// (FitAnchors, with this space and dimensionality) instead of one fitted
+// over ds: the indexes over the parts of one corpus share a set fitted
+// once over all of it. A nil set is fitted here.
+func BuildWithAnchors(ds *dataset.Dataset, space *metric.Space, cfg Config, anchors *Anchors) (*Index, error) {
 	var tm BuildTimings
-	return buildInstrumented(ds, space, cfg, &tm)
+	return buildInstrumented(ds, space, cfg, anchors, &tm)
 }
 
 // buildInstrumented is Build with per-phase wall-clock attribution
 // (Fig. 15 reports this breakdown).
-func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, tm *BuildTimings) (*Index, error) {
+func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anchors *Anchors, tm *BuildTimings) (*Index, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
@@ -450,9 +463,9 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, tm 
 		x.addToHybridWith(uint32(i), dsAll[i], dtAll[i])
 	}
 	// Build each cluster's element array, renumber storage into the
-	// order those arrays dictate, then derive the coordinate arena and
-	// train the SQ8 companion arena over the final order: every cluster's
-	// scan block is a window of the arenas.
+	// order those arrays dictate, then derive the coordinate arena, train
+	// the SQ8 companion arena and anchor the rows over the final order:
+	// every cluster's scan block is a window of the arenas.
 	clusters := x.clusters
 	parallelFor(len(clusters), cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -464,6 +477,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, tm 
 	}
 	x.fillCoordArena()
 	x.quant = x.trainQuant()
+	x.anchors = x.buildAnchors(anchors)
 	for _, c := range clusters {
 		x.fillClusterBlock(c)
 	}

@@ -172,60 +172,58 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 }
 
 // scanCluster examines the objects of one hybrid cluster (Alg. 2 lines
-// 8-18), applying intra-cluster pruning (Lemma 4.5) via the conservative
-// array thresholds.
+// 8-18). Once the heap is full every row passes the cluster's rowGate
+// before any kernel: the component-wise Lemma 4.5 cut over the
+// conservative array thresholds ends the scan, and the anchor bound
+// skips single rows (see anchor.go).
 func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsqC, dtqC float64, h *knn.Heap, st *metric.Stats) {
 	if st != nil {
 		st.ClustersExamined++
 	}
-	// q is "enclosed" in C when it lies inside both balls (case 4 of
-	// Eq. 4); intra-cluster pruning is only attempted otherwise (Alg. 2
-	// line 9).
-	enclosed := dsqC < x.sRad[c.s] && dtqC < x.tRad[c.t]
-	dqC := lambda*dsqC + (1-lambda)*dtqC
+	blk := x.block(c)
+	g := x.gate(sc, q, lambda, &blk, dsqC, dtqC)
 	// With a full heap, λ < 1 and a quant arena, the scan switches to
 	// the filter-then-rerank pass: the SQ8 lower bound excludes most
 	// candidates without touching the float32 arena, and only survivors
 	// pay the exact kernel. Results stay bit-identical (see
-	// scanClusterQuant); the unquantized loop below remains both the
-	// reference and the path for unfilled heaps, λ = 1, QuantOff queries,
-	// and quantless indexes.
+	// scanClusterQuant); the unquantized loop below remains the path for
+	// unfilled heaps, λ = 1, QuantOff queries, and quantless indexes.
 	if x.quant != nil && !sc.quantOff && lambda < 1 && len(c.elems) > 0 {
 		if u0, full := h.Bound(); full {
-			x.scanClusterQuant(sc, q, lambda, c, dqC, u0, enclosed, h, st)
+			x.scanClusterQuant(sc, q, c, &blk, &g, u0, h, st)
 			return
 		}
 	}
 	tombs := x.deltaTombs()
-	blk := x.block(c)
 	for ei := range c.elems {
 		e := &c.elems[ei]
-		if !enclosed {
-			if u, full := h.Bound(); full {
-				bound := lambda*e.ds + (1-lambda)*e.dt // ≥ d(o,C)
-				if dqC-bound > u {
-					// Pruning property 2: every later element sits even
-					// closer to the centroid (thresholds non-increasing),
-					// so d(q,C) − d(o,C) only grows.
-					if st != nil {
-						st.IntraPruned += int64(len(c.elems) - ei)
-					}
-					return
-				}
+		u, full := h.Bound()
+		if full && g.suffixBound(e) > u {
+			// Pruning property 2: the thresholds are non-increasing, so
+			// the bound only grows over the later elements.
+			if st != nil {
+				st.IntraPruned += int64(len(c.elems) - ei)
 			}
+			return
 		}
 		// Overlay tombstones hide base objects the shared cluster arrays
 		// still list.
 		if tombs != nil && tombs.get(e.idx) {
 			continue
 		}
-		ov := x.vecAt(e.idx)
 		if st != nil {
 			st.VisitedObjects++
 		}
 		ds := x.space.Spatial(st, q.X, q.Y, blk.xs[ei], blk.ys[ei])
+		if full && metric.Combine(lambda, ds, g.semLower(ei, e)) > u {
+			if st != nil {
+				st.AnchorPruned++
+			}
+			continue
+		}
+		ov := x.vecAt(e.idx)
 		var dt float64
-		if u, full := h.Bound(); full && lambda < 1 {
+		if full && lambda < 1 {
 			// Early abandonment: o can only enter the heap with
 			// d = λ·ds + (1−λ)·dt < u, i.e. dt < (u − λ·ds)/(1−λ). The
 			// kernel stops once its monotone partial sum proves dt beyond

@@ -143,33 +143,37 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 			st.ClustersOrdered++
 			st.ClustersExamined++
 		}
-		dtqC := x.centroidDist(sc, q, c.t)
-		enclosed := sc.dsq[c.s] < x.sRad[c.s] && dtqC < x.tRad[c.t]
-		dqC := lambda*sc.dsq[c.s] + (1-lambda)*dtqC
 		blk := x.block(c)
+		g := x.gate(sc, q, lambda, &blk, sc.dsq[c.s], x.centroidDist(sc, q, c.t))
 		for ei := range c.elems {
 			e := &c.elems[ei]
-			if !enclosed && len(cands) >= k {
-				bound := lambda*e.ds + (1-lambda)*e.dt
-				if dqC-bound > u {
-					// Pruning property 2 (identical to CSSI, original
-					// space).
-					if st != nil {
-						st.IntraPruned += int64(len(c.elems) - ei)
-					}
-					break
+			full := len(cands) >= k
+			if full && g.suffixBound(e) > u {
+				// Pruning property 2 (as in CSSI, original space).
+				if st != nil {
+					st.IntraPruned += int64(len(c.elems) - ei)
 				}
+				break
 			}
 			if tombs != nil && tombs.get(e.idx) {
 				continue
 			}
-			ov := x.vecAt(e.idx)
 			if st != nil {
 				st.VisitedObjects++
 			}
 			ds := x.space.Spatial(st, q.X, q.Y, blk.xs[ei], blk.ys[ei])
+			// A candidate only joins R with d < U, so a row whose stored
+			// lower bound already puts it beyond U is one the kernel below
+			// would abandon: skipping it changes no answer.
+			if full && metric.Combine(lambda, ds, g.semLower(ei, e)) > u {
+				if st != nil {
+					st.AnchorPruned++
+				}
+				continue
+			}
+			ov := x.vecAt(e.idx)
 			var dt float64
-			if len(cands) >= k && lambda < 1 {
+			if full && lambda < 1 {
 				// Early abandonment (see scanCluster): a candidate only
 				// joins R with d < U, i.e. dt < (U − λ·ds)/(1−λ).
 				dtBound := (u - lambda*ds) / (1 - lambda)

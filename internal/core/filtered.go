@@ -44,18 +44,13 @@ func (x *Index) SearchFiltered(q *dataset.Object, k int, lambda float64, allow f
 			st.ClustersOrdered++
 			st.ClustersExamined++
 		}
-		dtqC := x.centroidDist(sc, q, c.t)
-		enclosed := sc.dsq[c.s] < x.sRad[c.s] && dtqC < x.tRad[c.t]
-		dqC := lambda*sc.dsq[c.s] + (1-lambda)*dtqC
+		blk := x.block(c)
+		g := x.gate(sc, q, lambda, &blk, sc.dsq[c.s], x.centroidDist(sc, q, c.t))
 		for ei := range c.elems {
 			el := &c.elems[ei]
-			if !enclosed {
-				if u, full := h.Bound(); full {
-					bound := lambda*el.ds + (1-lambda)*el.dt
-					if dqC-bound > u {
-						break // Lemma 4.5, valid for the filtered subset too
-					}
-				}
+			u, full := h.Bound()
+			if full && g.suffixBound(el) > u {
+				break // Lemma 4.5, valid for the filtered subset too
 			}
 			if tombs != nil && tombs.get(el.idx) {
 				continue
@@ -64,8 +59,18 @@ func (x *Index) SearchFiltered(q *dataset.Object, k int, lambda float64, allow f
 			if !allow(o.ID) {
 				continue
 			}
-			d := x.space.Distance(st, lambda, q, o)
-			h.Push(knn.Result{ID: o.ID, Dist: d})
+			if st != nil {
+				st.VisitedObjects++
+			}
+			ds := x.space.Spatial(st, q.X, q.Y, blk.xs[ei], blk.ys[ei])
+			if full && metric.Combine(lambda, ds, g.semLower(ei, el)) > u {
+				if st != nil {
+					st.AnchorPruned++
+				}
+				continue
+			}
+			dt := x.space.Semantic(st, q.Vec, o.Vec)
+			h.Push(knn.Result{ID: o.ID, Dist: metric.Combine(lambda, ds, dt)})
 		}
 	}
 	// Overlay chain: the live overlay inserts pass through the same

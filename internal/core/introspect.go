@@ -61,6 +61,27 @@ func (x *Index) EnclosureRates(q *dataset.Object) (orig, proj float64) {
 	return float64(nOrig) / total, float64(nProj) / total
 }
 
+// UnanchoredRows counts the live objects the anchor bound cannot prune:
+// base rows inserted since the last Build/Rebuild/Load plus the write
+// overlay's live inserts. A rebuild anchors them all: where DriftRatio
+// says the clustering no longer fits the data, this says how many rows
+// scan without their cheapest filter. Always 0 where anchors do not apply.
+// One pass over the id bytes: meant for /stats and scrapes, not per query.
+func (x *Index) UnanchoredRows() int {
+	aa := x.anchors
+	if len(aa.set.pts) == 0 {
+		return 0
+	}
+	n := x.DeltaLive()
+	tombs := x.deltaTombs()
+	for i, id := range aa.id {
+		if id == anchorSentinel && !x.deleted.get(uint32(i)) && (tombs == nil || !tombs.get(uint32(i))) {
+			n++
+		}
+	}
+	return n
+}
+
 // ForEachLive calls fn for every live (non-deleted) object: the base
 // objects in storage order minus deletions and overlay tombstones, then
 // the overlay's live inserts in append order.
@@ -120,7 +141,7 @@ func (t BuildTimings) Total() time.Duration {
 func BuildTimed(ds *dataset.Dataset, space *metric.Space, cfg Config) (*Index, BuildTimings, error) {
 	var tm BuildTimings
 	start := time.Now()
-	x, err := buildInstrumented(ds, space, cfg, &tm)
+	x, err := buildInstrumented(ds, space, cfg, nil, &tm)
 	if err != nil {
 		return nil, tm, err
 	}

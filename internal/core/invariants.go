@@ -34,6 +34,10 @@ import (
 //     bound pair stays admissible (probed with live objects as
 //     queries), the fact the exactness of the quantized filter rests
 //     on.
+//   - the anchor arena holds one row per stored object, every id an
+//     anchor or the sentinel, stored distances equal recomputed ones, and
+//     the deflated anchor bound never exceeds a true distance (sampled) —
+//     the fact the exactness of the row gate rests on.
 //   - the coordinate arena repeats every stored location, and every
 //     cluster's scan block equals the arena rows of its elements in
 //     array order — a window of the arenas exactly when the elements are
@@ -45,6 +49,9 @@ func (x *Index) CheckInvariants() error {
 		return err
 	}
 	if err := x.checkQuantSoundness(); err != nil {
+		return err
+	}
+	if err := x.checkAnchors(); err != nil {
 		return err
 	}
 	if err := x.checkLayout(); err != nil {
@@ -271,7 +278,7 @@ func (x *Index) checkProjBoundSoundness() error {
 // are contiguous must read the arenas themselves — same addresses, no
 // copy — and a cluster whose elements are not must read private memory.
 func (x *Index) checkLayout() error {
-	n, d, qa := len(x.objects), x.dim, x.quant
+	n, d, qa, aa := len(x.objects), x.dim, x.quant, x.anchors
 	if len(x.xArena) != n || len(x.yArena) != n {
 		return fmt.Errorf("coordinate arena holds %d/%d rows for %d objects", len(x.xArena), len(x.yArena), n)
 	}
@@ -286,6 +293,9 @@ func (x *Index) checkLayout() error {
 		if len(blk.xs) != ne || len(blk.ys) != ne {
 			return fmt.Errorf("cluster %d: block holds %d/%d coordinates for %d elems", ci, len(blk.xs), len(blk.ys), ne)
 		}
+		if len(blk.aid) != ne || len(blk.adist) != ne {
+			return fmt.Errorf("cluster %d: block holds %d/%d anchor rows for %d elems", ci, len(blk.aid), len(blk.adist), ne)
+		}
 		if qa == nil && (len(blk.codes) != 0 || len(blk.resid) != 0) {
 			return fmt.Errorf("cluster %d carries a quant block but the index has no quant arena", ci)
 		}
@@ -297,6 +307,9 @@ func (x *Index) checkLayout() error {
 			idx := c.elems[j].idx
 			if blk.xs[j] != x.xArena[idx] || blk.ys[j] != x.yArena[idx] {
 				return fmt.Errorf("cluster %d elem %d: block location disagrees with object %d", ci, j, idx)
+			}
+			if blk.aid[j] != aa.id[idx] || math.Float32bits(blk.adist[j]) != math.Float32bits(aa.dist[idx]) {
+				return fmt.Errorf("cluster %d elem %d: block anchor row disagrees with arena row of object %d", ci, j, idx)
 			}
 			if qa == nil {
 				continue
@@ -313,7 +326,8 @@ func (x *Index) checkLayout() error {
 			continue
 		}
 		base := int(c.elems[0].idx)
-		aliases := &blk.xs[0] == &x.xArena[base] && &blk.ys[0] == &x.yArena[base]
+		aliases := &blk.xs[0] == &x.xArena[base] && &blk.ys[0] == &x.yArena[base] &&
+			&blk.aid[0] == &aa.id[base] && &blk.adist[0] == &aa.dist[base]
 		if qa != nil {
 			aliases = aliases && &blk.codes[0] == &qa.codes[base*d] && &blk.resid[0] == &qa.resid[base]
 		}

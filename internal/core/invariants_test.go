@@ -50,6 +50,18 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"stale coordinate arena", func(x *Index) {
 			x.xArena[x.clusters[0].elems[0].idx] += 0.25
 		}},
+		{"anchor id past the anchor set", func(x *Index) {
+			x.anchors.id[0] = uint8(len(x.anchors.set.pts))
+		}},
+		{"stale anchor distance", func(x *Index) {
+			x.anchors.dist[0] += 0.25
+		}},
+		{"sentinel anchor row with a distance", func(x *Index) {
+			x.anchors.id[0], x.anchors.dist[0] = anchorSentinel, 0.1
+		}},
+		{"anchor arena one row short", func(x *Index) {
+			x.anchors.id = x.anchors.id[:len(x.anchors.id)-1]
+		}},
 		{"contiguous cluster reading a copy", func(x *Index) {
 			c := x.clusters[0]
 			c.gathered = &blockCopy(x)[0]

@@ -10,7 +10,7 @@ import (
 // every hybrid cluster's elements at consecutive storage positions, in
 // elems order: elems[j].idx == base+j. The unit of work of Alg. 2 — walk
 // one cluster's array front to back — is then one linear read of each
-// arena (coordinates, SQ8 codes, residuals, float32 rows, objects)
+// arena (coordinates, anchors, SQ8 codes, residuals, float32 rows, objects)
 // instead of one random slot per element, and a contiguous cluster needs
 // no per-cluster copy of anything: its scan block is a window of the
 // arenas.
@@ -22,10 +22,13 @@ import (
 // serialized.
 
 // clusterBlock is the per-row data the scan loops read, one entry per
-// element in elems order: the location, and — with a quant arena — the
-// SQ8 code row (stride dim) and its admissible residual.
+// element in elems order: the location, the anchor id and distance (see
+// anchor.go), and — with a quant arena — the SQ8 code row (stride dim)
+// and its admissible residual.
 type clusterBlock struct {
 	xs, ys []float64
+	aid    []uint8
+	adist  []float32
 	codes  []uint8
 	resid  []float32
 }
@@ -42,7 +45,8 @@ func (x *Index) block(c *hybrid) clusterBlock {
 		return *c.gathered
 	}
 	lo, hi := c.base, c.base+len(c.elems)
-	b := clusterBlock{xs: x.xArena[lo:hi], ys: x.yArena[lo:hi]}
+	b := clusterBlock{xs: x.xArena[lo:hi], ys: x.yArena[lo:hi],
+		aid: x.anchors.id[lo:hi], adist: x.anchors.dist[lo:hi]}
 	if qa := x.quant; qa != nil {
 		b.codes = qa.codes[lo*x.dim : hi*x.dim]
 		b.resid = qa.resid[lo:hi]
@@ -75,8 +79,9 @@ func (x *Index) fillClusterBlock(c *hybrid) {
 		}
 		return
 	}
-	g := &clusterBlock{xs: make([]float64, n), ys: make([]float64, n)}
-	qa, d := x.quant, x.dim
+	g := &clusterBlock{xs: make([]float64, n), ys: make([]float64, n),
+		aid: make([]uint8, n), adist: make([]float32, n)}
+	qa, d, aa := x.quant, x.dim, x.anchors
 	if qa != nil {
 		g.codes = make([]uint8, n*d)
 		g.resid = make([]float32, n)
@@ -84,6 +89,7 @@ func (x *Index) fillClusterBlock(c *hybrid) {
 	for j := range c.elems {
 		idx := c.elems[j].idx
 		g.xs[j], g.ys[j] = x.xArena[idx], x.yArena[idx]
+		g.aid[j], g.adist[j] = aa.id[idx], aa.dist[idx]
 		if qa != nil {
 			copy(g.codes[j*d:(j+1)*d], qa.row(idx, d))
 			g.resid[j] = qa.resid[idx]

@@ -267,6 +267,7 @@ func blockCopy(x *Index) []clusterBlock {
 		b := x.block(c)
 		out[i] = clusterBlock{
 			xs: slices.Clone(b.xs), ys: slices.Clone(b.ys),
+			aid: slices.Clone(b.aid), adist: slices.Clone(b.adist),
 			codes: slices.Clone(b.codes), resid: slices.Clone(b.resid),
 		}
 	}
@@ -276,6 +277,7 @@ func blockCopy(x *Index) []clusterBlock {
 func sameBlocks(a, b []clusterBlock) bool {
 	return slices.EqualFunc(a, b, func(p, q clusterBlock) bool {
 		return slices.Equal(p.xs, q.xs) && slices.Equal(p.ys, q.ys) &&
+			slices.Equal(p.aid, q.aid) && slices.Equal(p.adist, q.adist) &&
 			slices.Equal(p.codes, q.codes) && slices.Equal(p.resid, q.resid)
 	})
 }
@@ -329,7 +331,8 @@ func TestLayoutCloneGrowsUnderReaders(t *testing.T) {
 
 	if &clone.vecArena[0] == &parent.vecArena[0] || &clone.projArena[0] == &parent.projArena[0] ||
 		&clone.xArena[0] == &parent.xArena[0] || &clone.yArena[0] == &parent.yArena[0] ||
-		&clone.quant.codes[0] == &parent.quant.codes[0] || &clone.quant.resid[0] == &parent.quant.resid[0] {
+		&clone.quant.codes[0] == &parent.quant.codes[0] || &clone.quant.resid[0] == &parent.quant.resid[0] ||
+		&clone.anchors.id[0] == &parent.anchors.id[0] || &clone.anchors.dist[0] == &parent.anchors.dist[0] {
 		t.Fatal("the clone did not outgrow every arena")
 	}
 	if !sameBlocks(blocks, blockCopy(parent)) {

@@ -36,8 +36,10 @@ func sortOrder(order []orderedCluster) {
 // searchEager is the pre-frontier reference implementation of exact
 // CSSI: every centroid distance computed up front, clusters sorted
 // eagerly by TRUE lower bound, then scanned linearly with the Lemma 4.4
-// cut-off. It lives in test code only — the production path is the lazy
-// best-first frontier, and this reference pins its results.
+// cut-off and the paper's own cluster scan (the original Lemma 4.5, no
+// row gate, no quantized pass). It lives in test code only — the
+// production path is the lazy best-first frontier over gated scans, and
+// this reference pins its results.
 func searchEager(x *Index, seed []knn.Result, q *dataset.Object, k int, lambda float64) []knn.Result {
 	sc := x.getScratch()
 	defer x.putScratch(sc)
@@ -60,7 +62,7 @@ func searchEager(x *Index, seed []knn.Result, q *dataset.Object, k int, lambda f
 		if u, full := h.Bound(); full && e.lb >= u {
 			break
 		}
-		x.scanCluster(sc, q, lambda, e.c, sc.dsq[e.c.s], sc.dtq[e.c.t], h, nil)
+		x.scanClusterAblated(q, lambda, e.c, sc.dsq[e.c.s], sc.dtq[e.c.t], h, nil, false)
 	}
 	return h.AppendSorted(nil)
 }

@@ -255,8 +255,8 @@ func (x *Index) collectLive() []dataset.Object {
 
 // appendArenaRows copies the vector of the just-appended object into a
 // new vecArena row, projects it into a new projArena row, appends its
-// location to the coordinate arena, and repoints the stored object's
-// Vec at the arena. When the vector arena must
+// location to the coordinate arena and a sentinel row to the anchor
+// arena, and repoints the stored object's Vec at the arena. When the vector arena must
 // grow, every stored view is repointed at the new backing array —
 // amortized O(1) per insert thanks to the doubling growth.
 func (x *Index) appendArenaRows(idx uint32) {
@@ -293,6 +293,7 @@ func (x *Index) appendArenaRows(idx uint32) {
 	// the clamping error absorbed into the stored residual, so the
 	// quantized bounds remain admissible without retraining).
 	x.appendQuantRow(idx)
+	x.appendAnchorRow()
 }
 
 // arenaCap doubles the arena capacity until it covers need.

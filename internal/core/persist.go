@@ -359,6 +359,7 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	if x.quant == nil {
 		x.quant = x.trainQuant()
 	}
+	x.anchors = x.buildAnchors(nil)
 	for _, c := range x.clusters {
 		x.fillClusterBlock(c)
 	}

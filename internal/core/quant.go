@@ -27,8 +27,7 @@ import (
 //   - Approx search (QuantOnly): a CSSIA-style scan scores whole
 //     clusters with the blockwise quantized kernel, overfetches
 //     QuantRerank·k candidates by estimated distance, and reranks the
-//     pool exactly — a tunable recall/speed trade measured by the
-//     cssibench quant experiment.
+//     pool exactly — a tunable recall/speed trade.
 //
 // Quantization is automatically disabled for the angular semantic
 // metric (the bound pair is Euclidean) and by Config.DisableQuant.
@@ -172,12 +171,15 @@ func (sc *searchScratch) flushQuantTiming(maxNanos int64) {
 // pin it): the final heap contents are a pure function of the offered
 // candidate set (knn.Heap breaks distance ties by ID), so it suffices
 // that every candidate withheld here has combined distance d provably
-// greater than the final bound U_final. Three exclusions occur:
+// greater than the final bound U_final. Four exclusions occur, the
+// first three against u0, the bound at cluster entry — stale but never
+// smaller than the live one, so they prune no more than a live-bound
+// loop would:
 //
-//   - the intra-cluster threshold break uses u0, the bound at cluster
-//     entry: excluded suffixes have d ≥ d(q,C)−bound > u0 ≥ U_final
-//     (Lemma 4.5, with a stale-but-larger bound — pruning strictly less
-//     than the live-bound reference, never more);
+//   - the intra-cluster cut: the suffix has d ≥ suffixBound > u0 ≥
+//     U_final (Lemma 4.5, component-wise);
+//   - the row gate: λ·ds + (1−λ)·lb > u0 for a certain lower bound lb on
+//     the row's semantic distance (threshold and anchor, see rowGate);
 //   - the quantized filter excludes a candidate only when the certain
 //     lower bound on its semantic distance exceeds the per-candidate
 //     budget (u0 − λ·ds)/(1−λ), hence d = λ·ds + (1−λ)·dt > u0;
@@ -185,12 +187,14 @@ func (sc *searchScratch) flushQuantTiming(maxNanos int64) {
 //     live bound, identical to the reference loop.
 //
 // Survivors are rescored with the same float32 kernel the reference
-// uses, so kept distances are bit-identical too. The pass-1 window is
-// wall-timed on a deterministic 1-in-quantTimeSampleEvery sample of the
-// query's scans (see flushQuantTiming): per-cluster timestamps cost two
-// clock reads per examined cluster, which at realistic cluster counts
-// was most of the tracer's overhead.
-func (x *Index) scanClusterQuant(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dqC, u0 float64, enclosed bool, h *knn.Heap, st *metric.Stats) {
+// uses, so kept distances are bit-identical too. Every visited row is
+// counted once: VisitedObjects = AnchorPruned + QuantPruned +
+// QuantReranked over this scan. The pass-1 window is wall-timed on a
+// deterministic 1-in-quantTimeSampleEvery sample of the query's scans
+// (see flushQuantTiming): per-cluster timestamps cost two clock reads
+// per examined cluster, which at realistic cluster counts was most of
+// the tracer's overhead.
+func (x *Index) scanClusterQuant(sc *searchScratch, q *dataset.Object, c *hybrid, blk *clusterBlock, g *rowGate, u0 float64, h *knn.Heap, st *metric.Stats) {
 	qa := x.quant
 	var t0 time.Time
 	timed := false
@@ -206,34 +210,34 @@ func (x *Index) scanClusterQuant(sc *searchScratch, q *dataset.Object, lambda fl
 		sc.quantQ = true
 	}
 	dim := x.dim
-	invLam := 1 - lambda
+	lambda, invLam := g.lambda, g.invLam
 	tombs := x.deltaTombs()
 	// Pass 1 reads the cluster's block and thresholds only — never
 	// x.objects. A candidate can only displace a result with
 	// dt < (u0 − λ·ds)/(1−λ); in the kernel's unnormalized units that
 	// budget is the line a − b·ds, whose divisions are paid here once.
-	blk := x.block(c)
 	line := qa.cb.PruneLine(u0*x.space.DtMax/invLam, lambda*x.space.DtMax/invLam)
 	elems := c.elems
 	xs, ys, resid := blk.xs[:len(elems)], blk.ys[:len(elems)], blk.resid[:len(elems)]
 	sur := sc.survivors[:0]
-	var visited int64
+	var visited, gated int64
 	for ei := range elems {
 		e := &elems[ei]
-		if !enclosed {
-			bound := lambda*e.ds + invLam*e.dt
-			if dqC-bound > u0 {
-				if st != nil {
-					st.IntraPruned += int64(len(elems) - ei)
-				}
-				break
+		if g.suffixBound(e) > u0 {
+			if st != nil {
+				st.IntraPruned += int64(len(elems) - ei)
 			}
+			break
 		}
 		if tombs != nil && tombs.get(e.idx) {
 			continue
 		}
 		visited++
 		ds := x.space.SpatialXY(q.X, q.Y, xs[ei], ys[ei])
+		if metric.Combine(lambda, ds, g.semLower(ei, e)) > u0 {
+			gated++
+			continue
+		}
 		limit := line.Limit(ds, resid[ei])
 		var sq float64
 		if limit >= 0 {
@@ -245,11 +249,12 @@ func (x *Index) scanClusterQuant(sc *searchScratch, q *dataset.Object, lambda fl
 		sur = append(sur, quantSurvivor{ei: int32(ei), ds: ds})
 	}
 	if st != nil {
-		// Every visited row cost one spatial distance and either pruned
-		// or survived.
+		// Every visited row cost one spatial distance and was gated,
+		// pruned by the kernel, or survived.
 		st.VisitedObjects += visited
 		st.SpatialDistCalcs += visited
-		st.QuantPruned += visited - int64(len(sur))
+		st.AnchorPruned += gated
+		st.QuantPruned += visited - gated - int64(len(sur))
 	}
 	sc.survivors = sur
 	if timed {

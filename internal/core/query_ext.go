@@ -21,7 +21,8 @@ import (
 // ordered by ascending distance. Pruning mirrors the k-NN algorithm with
 // the fixed radius in place of the adaptive bound U: clusters with
 // L(q,C) > r cannot contain results (Lemma 4.3), and within a cluster the
-// scan stops once d(q,C) − bound > r (Lemma 4.5). Like Search, the
+// scan stops once the component-wise Lemma 4.5 bound exceeds r and skips
+// rows whose stored semantic lower bound does (see rowGate). Like Search, the
 // semantic centroid distances are computed lazily per surviving cluster
 // under the Euclidean metric, and candidate kernels abandon early once
 // dt provably pushes d beyond r.
@@ -75,28 +76,30 @@ func (x *Index) RangeSearch(q *dataset.Object, r, lambda float64, st *metric.Sta
 		if st != nil {
 			st.ClustersExamined++
 		}
-		enclosed := sc.dsq[c.s] < x.sRad[c.s] && dtqC < x.tRad[c.t]
-		dqC := lambda*sc.dsq[c.s] + (1-lambda)*dtqC
 		blk := x.block(c)
+		g := x.gate(sc, q, lambda, &blk, sc.dsq[c.s], dtqC)
 		for ei := range c.elems {
 			e := &c.elems[ei]
-			if !enclosed {
-				bound := lambda*e.ds + (1-lambda)*e.dt
-				if dqC-bound > r {
-					if st != nil {
-						st.IntraPruned += int64(len(c.elems) - ei)
-					}
-					break
+			if g.suffixBound(e) > r {
+				if st != nil {
+					st.IntraPruned += int64(len(c.elems) - ei)
 				}
+				break
 			}
 			if tombs != nil && tombs.get(e.idx) {
 				continue
 			}
-			ov := x.vecAt(e.idx)
 			if st != nil {
 				st.VisitedObjects++
 			}
 			ds := x.space.Spatial(st, q.X, q.Y, blk.xs[ei], blk.ys[ei])
+			if metric.Combine(lambda, ds, g.semLower(ei, e)) > r {
+				if st != nil {
+					st.AnchorPruned++
+				}
+				continue
+			}
+			ov := x.vecAt(e.idx)
 			var dt float64
 			if lambda < 1 {
 				// A result needs d ≤ r, i.e. dt ≤ (r − λ·ds)/(1−λ); the
@@ -164,7 +167,8 @@ func boxMinDistXY(px, py, loX, loY, hiX, hiY float64) float64 {
 // [loY,hiY] that are semantically nearest to q (pure dt ranking). Hybrid
 // clusters whose spatial ball cannot intersect the window are pruned
 // wholesale; within a cluster the semantic side of Lemma 4.5 cuts the
-// scan once dt(q,Ct) − e.dt exceeds the current k-th semantic distance.
+// scan once dt(q,Ct) − e.dt exceeds the current k-th semantic distance,
+// and the anchor bound skips single rows that cannot beat it.
 func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int, st *metric.Stats) []knn.Result {
 	sc := x.getScratch()
 	defer x.putScratch(sc)
@@ -198,18 +202,17 @@ func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int
 			st.ClustersOrdered++
 			st.ClustersExamined++
 		}
-		dtqC := x.centroidDist(sc, q, c.t)
-		enclosedSem := dtqC < x.tRad[c.t]
+		// Pure-semantic ranking is the gate at λ = 0 with no spatial side.
 		blk := x.block(c)
+		g := x.gate(sc, q, 0, &blk, 0, x.centroidDist(sc, q, c.t))
 		for ei := range c.elems {
 			e := &c.elems[ei]
-			if !enclosedSem {
-				if u, full := h.Bound(); full && dtqC-e.dt > u {
-					if st != nil {
-						st.IntraPruned += int64(len(c.elems) - ei)
-					}
-					break
+			u, full := h.Bound()
+			if full && g.suffixBound(e) > u {
+				if st != nil {
+					st.IntraPruned += int64(len(c.elems) - ei)
 				}
+				break
 			}
 			if tombs != nil && tombs.get(e.idx) {
 				continue
@@ -220,11 +223,17 @@ func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int
 				}
 				continue
 			}
-			o := &x.objects[e.idx]
 			if st != nil {
 				st.VisitedObjects++
 			}
-			if u, full := h.Bound(); full {
+			if full && g.semLower(ei, e) > u {
+				if st != nil {
+					st.AnchorPruned++
+				}
+				continue
+			}
+			o := &x.objects[e.idx]
+			if full {
 				// Pure-semantic ranking: only dt < u can enter the heap,
 				// so the kernel may abandon at u directly.
 				dt, ok := x.space.SemanticBound(st, q.Vec, o.Vec, u)

@@ -52,6 +52,12 @@ type searchScratch struct {
 	survivors []quantSurvivor
 	est       []float64
 	lut       vec.SQ8LUT
+	// anchorDq[a] is the normalized distance from q to anchor a (see
+	// anchor.go), filled by the first gated cluster scan of a query and
+	// marked valid by anchorQ. Entries from the anchor count up are never
+	// written and stay 0 — anchorDq[anchorSentinel] in particular.
+	anchorDq [anchorSentinel + 1]float64
+	anchorQ  bool
 	// Sampled quant-phase timing (explain/trace path only): the scans of
 	// a query are counted in quantScans and every quantTimeSampleEvery-th
 	// one is wall-timed into quantSampledNanos; flushQuantTiming scales
@@ -103,6 +109,7 @@ func (x *Index) getScratch() *searchScratch {
 		sc.qAdj = growSlice(sc.qAdj, x.dim)
 	}
 	sc.quantQ = false
+	sc.anchorQ = false
 	sc.quantOff = false
 	sc.quantScans = 0
 	sc.quantSampledNanos = 0

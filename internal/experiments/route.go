@@ -137,7 +137,7 @@ func routeApproxTable(s Setup) (Table, error) {
 		}
 		recall := 0.0
 		for qi := range res {
-			recall += quantRecall(exact[qi], res[qi])
+			recall += 1 - cssi.ErrorRate(exact[qi], res[qi])
 		}
 		recall /= float64(len(res))
 		t.Rows = append(t.Rows, []string{

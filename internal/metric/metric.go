@@ -155,13 +155,20 @@ type Stats struct {
 	// cluster the routed approximate mode visited. Zero on exact and on
 	// unrouted queries.
 	ClustersRouted int64 `json:"clustersRouted"`
-	// QuantPruned counts candidates excluded by the SQ8 quantized lower
-	// bound alone (no exact semantic kernel ran); QuantReranked counts
-	// candidates that survived the quantized filter and were rescored
-	// with the exact float32 kernel. Their ratio is the filter's
-	// selectivity — the rerank ratio the server exports as a histogram.
+	// QuantPruned counts candidates the SQ8 kernel ran on and excluded by
+	// its quantized lower bound alone (no exact semantic kernel ran);
+	// QuantReranked counts candidates that survived the quantized filter
+	// and were rescored with the exact float32 kernel. Their ratio is the
+	// filter's selectivity — the rerank ratio the server exports as a
+	// histogram.
 	QuantPruned   int64 `json:"quantPruned"`
 	QuantReranked int64 `json:"quantReranked"`
+	// AnchorPruned counts visited objects excluded before any semantic
+	// kernel ran — SQ8 or float32 — by a stored lower bound on their
+	// semantic distance: the anchor bound or the object's own array
+	// threshold. On the quantized filter pass every visited object is
+	// exactly one of AnchorPruned, QuantPruned and QuantReranked.
+	AnchorPruned int64 `json:"anchorPruned"`
 }
 
 // Add accumulates o into s.
@@ -177,6 +184,7 @@ func (s *Stats) Add(o *Stats) {
 	s.ClustersRouted += o.ClustersRouted
 	s.QuantPruned += o.QuantPruned
 	s.QuantReranked += o.QuantReranked
+	s.AnchorPruned += o.AnchorPruned
 }
 
 // DistCalcs returns the total number of per-space distance calculations.

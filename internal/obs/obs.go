@@ -248,8 +248,9 @@ func (t *Trace) Finish(kth float64, durationNanos int64) {
 // CheckInvariants verifies the trace's internal accounting: phase
 // nanos are non-negative and respect the documented subset relations
 // (QuantNanos ⊆ ScanNanos, RouteNanos ⊆ OrderNanos, DeltaNanos
-// disjoint), each span's phase breakdown fits inside the span's wall
-// time, every span fits inside the request's wall time, and — for
+// disjoint), the pre-kernel and SQ8 outcomes partition no more than the
+// visited objects, each span's phase breakdown fits inside the span's
+// wall time, every span fits inside the request's wall time, and — for
 // sequentially recorded spans — the span durations plus the gather
 // merge sum to no more than the request duration.
 func (t *Trace) CheckInvariants() error {
@@ -276,6 +277,12 @@ func (t *Trace) CheckInvariants() error {
 			if sum := s.OrderNanos + s.ScanNanos + s.DeltaNanos; sum > wall {
 				return fmt.Errorf("%s: phase sum %d exceeds wall time %d", what, sum, wall)
 			}
+		}
+		// A visited object is anchor-pruned, SQ8-pruned or reranked at
+		// most once (exactly once on the quantized filter pass; float32
+		// scans and the overlay add visits that are none of the three).
+		if sum := s.AnchorPruned + s.QuantPruned + s.QuantReranked; sum > s.VisitedObjects {
+			return fmt.Errorf("%s: anchorPruned+quantPruned+quantReranked %d exceeds visitedObjects %d", what, sum, s.VisitedObjects)
 		}
 		return nil
 	}

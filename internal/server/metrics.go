@@ -38,6 +38,7 @@ type metrics struct {
 	clustersOrdered    histogram // per search request: ordering-phase pops / clusters considered
 	clustersRouted     histogram // per search request: router-placed clusters / clusters considered
 	rerankRatio        histogram // per search request: SQ8 survivors reranked / candidates filtered
+	anchorPruned       histogram // per search request: visited objects skipped before any kernel / visited
 	shardImbalance     histogram // per traced scatter request: max/mean shard span duration
 
 	// sloBounds are the latency objectives (seconds, ascending) the SLO
@@ -255,6 +256,7 @@ func newMetrics() *metrics {
 	m.clustersOrdered.init(ratioBuckets)
 	m.clustersRouted.init(ratioBuckets)
 	m.rerankRatio.init(ratioBuckets)
+	m.anchorPruned.init(ratioBuckets)
 	m.shardImbalance.init(imbalanceBuckets)
 	// Query latency carries exemplars: an OpenMetrics scrape sees which
 	// request/trace ID last landed in each bucket, which is the entry
@@ -367,6 +369,13 @@ func (m *metrics) observeSearchStats(st *cssi.Stats) {
 	// otherwise flood the histogram with meaningless zeros.
 	if qTotal := st.QuantPruned + st.QuantReranked; qTotal > 0 {
 		m.rerankRatio.observe(float64(st.QuantReranked) / float64(qTotal))
+	}
+	// Anchor-pruned ratio: of the objects the scans visited, the fraction
+	// a stored lower bound excluded before any semantic kernel ran. It
+	// falls as unanchored rows accumulate (cssi_shard_unanchored_rows)
+	// and a rebuild restores it.
+	if st.VisitedObjects > 0 {
+		m.anchorPruned.observe(float64(st.AnchorPruned) / float64(st.VisitedObjects))
 	}
 }
 
@@ -496,6 +505,8 @@ func (m *metrics) handler(sampler func() []cssi.ShardStat, buildVersion, goVersi
 			"Per search request: fraction of considered clusters placed by the learned router (observed only when routing ran).", om)
 		m.rerankRatio.write(&b, "cssi_search_rerank_ratio",
 			"Per search request: fraction of SQ8-filtered candidates surviving to the exact rerank (observed only when the quantized filter ran).", om)
+		m.anchorPruned.write(&b, "cssi_search_anchor_pruned_ratio",
+			"Per search request: fraction of visited objects excluded by the anchor bound before any semantic kernel ran.", om)
 		m.shardImbalance.write(&b, "cssi_shard_imbalance_ratio",
 			"Per traced scatter request: slowest shard span over the mean span (1 = balanced; the gather waits on the max).", om)
 		b.WriteString("# HELP cssi_shard_imbalance_last Max/mean shard span ratio of the most recent traced scatter request.\n")
@@ -588,6 +599,11 @@ func (m *metrics) handler(sampler func() []cssi.ShardStat, buildVersion, goVersi
 		b.WriteString("# TYPE cssi_shard_delta_ops gauge\n")
 		for _, st := range stats {
 			fmt.Fprintf(&b, "cssi_shard_delta_ops{shard=\"%d\"} %d\n", st.Shard, st.DeltaOps)
+		}
+		b.WriteString("# HELP cssi_shard_unanchored_rows Live objects inserted since the shard's last build/rebuild/load: they scan without the anchor bound until a rebuild.\n")
+		b.WriteString("# TYPE cssi_shard_unanchored_rows gauge\n")
+		for _, st := range stats {
+			fmt.Fprintf(&b, "cssi_shard_unanchored_rows{shard=\"%d\"} %d\n", st.Shard, st.Unanchored)
 		}
 		b.WriteString("# HELP cssi_shard_base_age_seconds Seconds since the shard's flat base snapshot was published (moves on compactions, rebuilds, and eager writes — not overlay writes).\n")
 		b.WriteString("# TYPE cssi_shard_base_age_seconds gauge\n")

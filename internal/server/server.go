@@ -518,6 +518,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	shardStats := s.idx.ShardStats()
 	shards := make([]map[string]interface{}, len(shardStats))
+	unanchored := 0
 	for i, st := range shardStats {
 		shards[i] = map[string]interface{}{
 			"objects":           st.Objects,
@@ -525,12 +526,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"updatesSinceBuild": st.UpdatesSinceBuild,
 			"deltaOps":          st.DeltaOps,
 			"compactions":       st.Compactions,
+			"unanchoredRows":    st.Unanchored,
 		}
+		unanchored += st.Unanchored
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"objects":           s.idx.Len(),
 		"hybridClusters":    s.idx.NumClusters(),
 		"updatesSinceBuild": s.idx.UpdatesSinceBuild(),
+		"unanchoredRows":    unanchored,
 		"shards":            len(shardStats),
 		"perShard":          shards,
 	})

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -274,4 +275,59 @@ func grepMetric(text, name string) string {
 		}
 	}
 	return string(out)
+}
+
+// TestAnchorSignals follows the anchor bound through the operator
+// surfaces: searches feed the anchor-pruned histogram, an insert shows
+// up as one unanchored row in /stats and in the per-shard gauge, and a
+// rebuild anchors it again.
+func TestAnchorSignals(t *testing.T) {
+	ts, ds := newTestServer(t)
+	q := ds.Objects[4]
+	if status, body := rawPost(t, ts.URL+"/v1/search",
+		map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5}); status != http.StatusOK {
+		t.Fatalf("search: %d %s", status, body)
+	}
+	signals := func(ctx string, wantUnanchored int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !bytes.Contains(b, []byte("cssi_search_anchor_pruned_ratio_count 1\n")) {
+			t.Fatalf("%s: anchor-pruned histogram not at 1 observation:\n%s", ctx, grepMetric(string(b), "cssi_search_anchor_pruned_ratio_count"))
+		}
+		if want := fmt.Sprintf("cssi_shard_unanchored_rows{shard=\"0\"} %d\n", wantUnanchored); !bytes.Contains(b, []byte(want)) {
+			t.Fatalf("%s: want %q:\n%s", ctx, want, grepMetric(string(b), "cssi_shard_unanchored_rows"))
+		}
+		resp, err = http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stats struct {
+			Unanchored int `json:"unanchoredRows"`
+			PerShard   []struct {
+				Unanchored int `json:"unanchoredRows"`
+			} `json:"perShard"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Unanchored != wantUnanchored || len(stats.PerShard) != 1 || stats.PerShard[0].Unanchored != wantUnanchored {
+			t.Fatalf("%s: stats %+v, want %d unanchored rows", ctx, stats, wantUnanchored)
+		}
+	}
+	signals("built", 0)
+	if status, body := rawPost(t, ts.URL+"/v1/objects",
+		map[string]interface{}{"id": 90001, "x": 0.2, "y": 0.3, "vec": ds.Objects[0].Vec}); status != http.StatusCreated {
+		t.Fatalf("insert: %d %s", status, body)
+	}
+	signals("inserted", 1)
+	if status, body := rawPost(t, ts.URL+"/v1/rebuild?wait=1", map[string]interface{}{}); status != http.StatusOK {
+		t.Fatalf("rebuild: %d %s", status, body)
+	}
+	signals("rebuilt", 0)
 }

@@ -89,6 +89,9 @@ func TestRequestConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := scan.New(ds, space)
+	// The gate-off reference: SearchAblated keeps the paper's original
+	// Lemma 4.5 and no per-row check (see core's rowGate).
+	gateOff := mustBuild(t, ds, Options{Seed: 5}).core
 	kw := firstKeyword(t, ds)
 	apis := requestFixtures(t, ds, true)
 
@@ -192,8 +195,9 @@ func TestRequestConformance(t *testing.T) {
 		k      int
 		lambda float64
 	}
-	trials := []trial{{ds.Objects[3], 10, 0.5}, {ds.Objects[11], 5, 0}, {ds.Objects[17], 7, 1}}
-	for len(trials) < 8 {
+	trials := []trial{{ds.Objects[3], 10, 0.5}, {ds.Objects[11], 5, 0}, {ds.Objects[17], 7, 1},
+		{ds.Objects[23], 10, 0.1}, {ds.Objects[29], 10, 0.9}, {ds.Objects[31], ds.Len() + 3, 0.5}}
+	for len(trials) < 10 {
 		trials = append(trials, trial{ds.Objects[rng.IntN(ds.Len())], 1 + rng.IntN(20), rng.Float64()})
 	}
 
@@ -201,6 +205,7 @@ func TestRequestConformance(t *testing.T) {
 		t.Run(sh.name, func(t *testing.T) {
 			for ti, tc := range trials {
 				want := oracle.Search(&tc.q, tc.k, tc.lambda, nil)
+				ablated := gateOff.SearchAblated(&tc.q, tc.k, tc.lambda, core.AblationOptions{}, nil)
 				var first outcome
 				for ai, api := range apis {
 					ctxOf := context.Background
@@ -243,6 +248,7 @@ func TestRequestConformance(t *testing.T) {
 					}
 					if sh.exact {
 						compare(t, ctx+" vs scan", tc.lambda, tc.k, want, got.res)
+						equalResults(t, ctx+" vs gate-off", ablated, got.res)
 					}
 					if len(got.res) > tc.k || !sort.SliceIsSorted(got.res, func(i, j int) bool { return lessResult(got.res[i], got.res[j]) }) {
 						t.Fatalf("%s: malformed answer %v", ctx, got.res)
@@ -288,7 +294,7 @@ func TestRequestConformance(t *testing.T) {
 						}
 					}
 				}
-				for _, lambda := range []float64{0, 0.5, 1} {
+				for _, lambda := range []float64{0, 0.1, 0.5, 0.9, 1} {
 					for _, k := range []int{1, 10, small.Len() + 3} {
 						q := small.Objects[(7*k+3)%small.Len()]
 						var want []Result

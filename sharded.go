@@ -136,6 +136,17 @@ func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) 
 	// the doc comment): computed once here so every shard — whatever its
 	// exact share of the hash — clusters at the flat index's granularity.
 	globalK := core.DeriveClusterCount(ds.Len(), opts.F)
+	shardCfg := opts.coreConfig()
+	if shardCfg.Ks == 0 {
+		shardCfg.Ks = globalK
+	}
+	if shardCfg.Kt == 0 {
+		shardCfg.Kt = globalK
+	}
+	// One anchor set over the FULL dataset, shared read-only by every
+	// shard: any anchor bounds any row, so the shards need not fit their
+	// own (see core.FitAnchors).
+	anchors := core.FitAnchors(ds, space, shardCfg)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
@@ -147,15 +158,9 @@ func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) 
 			// legitimately per-shard, while the shared DsMax/DtMax values
 			// are carried over unchanged.
 			shardSpace := *space
-			cfg := opts.coreConfig()
-			if cfg.Ks == 0 {
-				cfg.Ks = globalK
-			}
-			if cfg.Kt == 0 {
-				cfg.Kt = globalK
-			}
+			cfg := shardCfg
 			cfg.Seed = opts.Seed + uint64(i) // distinct, deterministic per-shard seeds
-			c, err := core.Build(parts[i], &shardSpace, cfg)
+			c, err := core.BuildWithAnchors(parts[i], &shardSpace, cfg, anchors)
 			if err != nil {
 				errs[i] = fmt.Errorf("cssi: building shard %d: %w", i, err)
 				return
@@ -492,6 +497,9 @@ type ShardStat struct {
 	// unlike SnapshotAge it moves only on compactions, rebuilds, and
 	// eager-mode writes.
 	BaseAge time.Duration
+	// Unanchored is the shard's Index.UnanchoredRows: live objects a
+	// rebuild would give back their anchor bound.
+	Unanchored int
 }
 
 // ShardStats returns a per-shard snapshot summary — the backing data of
@@ -511,6 +519,7 @@ func (s *ShardedIndex) ShardStats() []ShardStat {
 			DeltaOps:          snap.DeltaOps(),
 			Compactions:       sh.Compactions(),
 			BaseAge:           sh.BaseAge(),
+			Unanchored:        snap.UnanchoredRows(),
 		}
 	}
 	return out

@@ -8,6 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/metric"
+	"repro/internal/scan"
 )
 
 // shardCounts are the partition widths the equivalence tests sweep:
@@ -467,4 +470,63 @@ func TestShardedStress(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestShardedUnanchoredRows follows the rebuild signal across shards:
+// every insert is one unanchored row on the shard that owns it — through
+// the write overlay and across its compaction — and a rebuild anchors
+// them all, with exact answers throughout.
+func TestShardedUnanchoredRows(t *testing.T) {
+	ds := testDataset(t, 900)
+	s := mustBuildSharded(t, ds, 3, Options{Seed: 5, DeltaCompactThreshold: 4})
+	space, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unanchored := func() int {
+		n := 0
+		for _, st := range s.ShardStats() {
+			n += st.Unanchored
+		}
+		return n
+	}
+	check := func(ctx string, live *Dataset, want int) {
+		t.Helper()
+		if got := unanchored(); got != want {
+			t.Fatalf("%s: %d unanchored rows, want %d", ctx, got, want)
+		}
+		oracle := scan.New(live, space)
+		var es ExplainStats
+		for _, lambda := range []float64{0, 0.5, 1} {
+			q := ds.Objects[17]
+			got, err := s.Do(SearchRequest{Query: &q, K: 10, Lambda: lambda, Explain: &es})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalResults(t, ctx, oracle.Search(&q, 10, lambda, nil), got)
+		}
+		if es.AnchorPruned == 0 || es.AnchorPruned+es.QuantPruned+es.QuantReranked > es.VisitedObjects {
+			t.Fatalf("%s: explain %+v", ctx, es.Stats)
+		}
+	}
+	check("built", ds, 0)
+
+	live := &Dataset{Dim: ds.Dim, Objects: append([]Object(nil), ds.Objects...)}
+	for i := 0; i < 14; i++ {
+		o := ds.Objects[i*11]
+		o.ID = uint32(700_000 + i)
+		o.X += 0.01
+		if err := s.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+		live.Objects = append(live.Objects, o)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("inserted", live, 14)
+	if err := s.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	check("rebuilt", live, 0)
 }
