@@ -10,8 +10,9 @@
 # — so a difference means the change altered how much work a search
 # does. A change that does so on purpose commits the new values with
 # --update and says so; anything else is a regression to look at.
-# (rw-sharded's values hold on hosts with two or more CPUs: a one-CPU
-# host chains the shards, carries the bound along and visits less.)
+# rw-sharded runs under GOMAXPROCS=2: a sharded read is dealt onto
+# min(shards, GOMAXPROCS) stripes and carries its bound within a stripe,
+# so its counts depend on that number — and on nothing else of the host.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +23,9 @@ got=.bench_build/bench_counts.got
 : >"$got"
 
 for w in exact-flat approx-yelp-batch http-hotcold rw-sharded; do
-  out=$(bash bench/run.sh --workload "$w" --seed 1 --quick --trace 1)
+  procs=
+  [ "$w" = rw-sharded ] && procs=GOMAXPROCS=2
+  out=$(env $procs bash bench/run.sh --workload "$w" --seed 1 --quick --trace 1)
   grep -E "$counts" <<<"$out" | awk -v w="$w" '{print w, $1, $2}' >>"$got"
 done
 

@@ -185,10 +185,11 @@ func (x *Index) fillAnchorDists(sc *searchScratch, q *dataset.Object) {
 
 // rowGate holds what the pre-kernel checks of one cluster scan read: the
 // weights, the query's two centroid distances, and the cluster's window
-// of the anchor arena. The scan loops of Search, SearchFiltered,
-// RangeSearch, SearchInBox and CSSIA share it; SearchAblated keeps the
-// paper's original Lemma 4.5 and no row check, and is the reference the
-// tests compare against.
+// of the anchor arena. It lives in the searchScratch (one per query,
+// refilled per cluster by enterCluster). The scan loops of Search,
+// SearchFiltered, RangeSearch, SearchInBox and CSSIA share it;
+// SearchAblated keeps the paper's original Lemma 4.5 and no row check,
+// and is the reference the tests compare against.
 type rowGate struct {
 	lambda, invLam float64
 	dsq, dtq       float64
@@ -197,14 +198,31 @@ type rowGate struct {
 	dq             *[anchorSentinel + 1]float64
 }
 
-// gate prepares the checks for scanning c's block under weight lambda,
-// with dsq and dtq the query's distances to c's two centroids.
-func (x *Index) gate(sc *searchScratch, q *dataset.Object, lambda float64, blk *clusterBlock, dsq, dtq float64) rowGate {
+// enterCluster is the one way into a gated cluster scan. It sets the
+// scratch's gate for scanning c under weight lambda, with dsq and dtq
+// the query's distances to c's two centroids, and — when bounded —
+// first tests the Lemma 4.5 cut against c's head thresholds. They bound
+// the whole array, so a cluster the cut rejects there costs the hybrid
+// header and nothing else: no block, no anchor window, no row. It is
+// the cut the scan loop would take at row 0, on the same operands, and
+// is charged like it (the whole array to IntraPruned; pass a nil st to
+// charge nothing). Otherwise the scan block and the gate come back
+// ready, both resident in sc.
+func (x *Index) enterCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsq, dtq, u float64, bounded bool, st *metric.Stats) (*clusterBlock, *rowGate, bool) {
+	g := &sc.gate
+	g.lambda, g.invLam, g.dsq, g.dtq = lambda, 1-lambda, dsq, dtq
+	if bounded && g.bound(c.headDs, c.headDt) > u {
+		if st != nil {
+			st.IntraPruned += int64(len(c.elems))
+		}
+		return nil, nil, false
+	}
 	if !sc.anchorQ {
 		x.fillAnchorDists(sc, q)
 	}
-	return rowGate{lambda: lambda, invLam: 1 - lambda, dsq: dsq, dtq: dtq,
-		aid: blk.aid, adist: blk.adist, dq: &sc.anchorDq}
+	blk := x.block(&sc.blk, c)
+	g.aid, g.adist, g.dq = blk.aid, blk.adist, &sc.anchorDq
+	return blk, g, true
 }
 
 // suffixBound is Lemma 4.5 taken per component: a lower bound on
@@ -217,11 +235,16 @@ func (x *Index) gate(sc *searchScratch, q *dataset.Object, lambda float64, blk *
 // of the positive one — and it needs no enclosed-query special case
 // (Alg. 2 line 9): inside both balls both components clamp to zero.
 func (g *rowGate) suffixBound(e *element) float64 {
+	return g.bound(e.ds, e.dt)
+}
+
+// bound is suffixBound for a threshold pair.
+func (g *rowGate) bound(eds, edt float64) float64 {
 	var b float64
-	if d := g.dsq - e.ds; d > 0 {
+	if d := g.dsq - eds; d > 0 {
 		b = g.lambda * d
 	}
-	if d := g.dtq - e.dt; d > 0 {
+	if d := g.dtq - edt; d > 0 {
 		b += g.invLam * d
 	}
 	return b

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -495,4 +496,104 @@ func TestAnchorCloneGrowsUnderReaders(t *testing.T) {
 	}
 	requireGateExact(t, "grown clone", clone)
 	requireGateExact(t, "parent", parent)
+	requireScratchesUnpinned(t, parent)
+}
+
+// gatedLoops runs the six gated scan loops on x for one query and
+// returns each loop's answer and work counters.
+func gatedLoops(x *Index, q *dataset.Object, k int, lambda float64) (res [6][]knn.Result, st [6]metric.Stats) {
+	res[0] = x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{}, &st[0])
+	res[1] = x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{Quant: QuantOff}, &st[1])
+	res[2] = x.SearchApprox(q, k, lambda, &st[2])
+	res[3] = x.RangeSearch(q, 0.15, lambda, &st[3])
+	res[4] = x.SearchInBox(q, q.X-0.2, q.Y-0.15, q.X+0.25, q.Y+0.3, k, &st[4])
+	res[5] = x.SearchFiltered(q, k, lambda, func(id uint32) bool { return id%3 != 0 }, &st[5])
+	return res, st
+}
+
+// setHeads overwrites the head thresholds of every cluster of x.
+func setHeads(x *Index, v float64) {
+	for _, c := range x.clusters {
+		c.headDs, c.headDt = v, v
+	}
+}
+
+// The pre-scan cut of enterCluster is the row-0 cut taken early: it may
+// change what a cluster visit costs, never what it counts. A twin index
+// whose head thresholds are +Inf never takes it — every bounded cluster
+// falls through to the row loop, as before the headers existed — and
+// must report the same answers and the same Stats, counter for counter,
+// on every gated loop and in every index state. A third twin whose heads
+// sit far below every distance takes the cut on every bounded cluster,
+// which shows each loop really consults the header.
+func TestHeadCutAccounting(t *testing.T) {
+	cfg := Config{Seed: 188}
+	on, off, all := build(t, dataset.TwitterLike, 1200, cfg), build(t, dataset.TwitterLike, 1200, cfg), build(t, dataset.TwitterLike, 1200, cfg)
+	pool := on.ds.Objects
+	compare := func(stage string, x, twin, cutAll *Index) {
+		t.Helper()
+		setHeads(twin, math.Inf(1))
+		if cutAll != nil {
+			setHeads(cutAll, -1e300)
+		}
+		var sum, sumAll [6]metric.Stats
+		for qi := 0; qi < 12; qi++ {
+			q := pool[(qi*89+13)%len(pool)]
+			for _, lambda := range []float64{0, 0.5, 1} {
+				for _, k := range []int{1, 10} {
+					res, st := gatedLoops(x, &q, k, lambda)
+					resOff, stOff := gatedLoops(twin, &q, k, lambda)
+					for l := range res {
+						identicalResults(t, fmt.Sprintf("%s loop %d q%d λ=%v k=%d", stage, l, qi, lambda, k), resOff[l], res[l])
+						if st[l] != stOff[l] {
+							t.Fatalf("%s loop %d q%d λ=%v k=%d: stats %+v, without the head cut %+v", stage, l, qi, lambda, k, st[l], stOff[l])
+						}
+						sum[l].Add(&st[l])
+					}
+					if cutAll != nil && lambda == 0.5 {
+						_, stAll := gatedLoops(cutAll, &q, k, lambda)
+						for l := range stAll {
+							sumAll[l].Add(&stAll[l])
+						}
+					}
+				}
+			}
+		}
+		for l := range sum {
+			if sum[l].ClustersExamined == 0 || sum[l].VisitedObjects == 0 {
+				t.Fatalf("%s loop %d: degenerate run %+v", stage, l, sum[l])
+			}
+			if cutAll != nil && sumAll[l].VisitedObjects >= sum[l].VisitedObjects {
+				t.Fatalf("%s loop %d: heads below every distance visited %d rows, real heads %d — the loop ignores the header",
+					stage, l, sumAll[l].VisitedObjects, sum[l].VisitedObjects)
+			}
+		}
+	}
+	compare("fresh", on.idx, off.idx, all.idx)
+
+	churn := func(x *Index) *Index {
+		c := x.CloneForWrite()
+		deleteClusters(t, c, 4)
+		insertFresh(t, c, pool, 900_000, 60)
+		return c
+	}
+	compare("churned", churn(on.idx), churn(off.idx), nil)
+
+	overlay := func(x *Index) *Index {
+		o := x.CloneWithDelta()
+		deleteClusters(t, o, 4)
+		insertFresh(t, o, pool, 910_000, 40)
+		return o
+	}
+	over, overOff := overlay(on.idx), overlay(off.idx)
+	compare("overlay", over, overOff, nil)
+
+	compact := func(x *Index) *Index {
+		c, err := x.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	compare("compacted", compact(over), compact(overOff), nil)
 }

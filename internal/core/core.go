@@ -152,19 +152,29 @@ type element struct {
 }
 
 // hybrid is one hybrid cluster C = ⟨C^s,R^s,C^t,R^t⟩ plus its object
-// array.
+// array. The fields a cluster visit reads before it touches a row — the
+// side pair, the array header, the head thresholds and the block base —
+// come first and fill one 64-byte line; members, which only maintenance
+// reads, follows.
 type hybrid struct {
-	s, t    int // side-cluster indices
-	members []member
-	elems   []element
+	s, t  int // side-cluster indices
+	elems []element
+	// headDs and headDt repeat elems[0]'s threshold pair (−Inf for an
+	// empty array). The thresholds are non-increasing along the array,
+	// so the head pair bounds every element: enterCluster tests the
+	// Lemma 4.5 cut against it before anything else of the cluster is
+	// loaded (see anchor.go).
+	headDs, headDt float64
 	// base is the storage position of elems[0] while the elements are
 	// contiguous (elems[j].idx == base+j): the scan block is then a
 	// window of the arenas and gathered is nil. Otherwise base is -1 and
 	// gathered holds the block as a private copy (behind a pointer, nil
-	// in the common case, so the hybrid stays small). Derived data like
-	// elems — set by fillClusterBlock wherever buildElems runs, shared
-	// under COW; read through Index.block (see layout.go).
+	// in the common case, so the hybrid stays small). Like the head
+	// thresholds it is derived data — set by fillClusterBlock wherever
+	// buildElems runs, shared under COW; read through Index.block (see
+	// layout.go).
 	base     int
+	members  []member
 	gathered *clusterBlock
 }
 

@@ -172,7 +172,8 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 }
 
 // scanCluster examines the objects of one hybrid cluster (Alg. 2 lines
-// 8-18). Once the heap is full every row passes the cluster's rowGate
+// 8-18). Once the heap is full the cluster's head thresholds may reject
+// it whole (enterCluster), and every row passes the cluster's rowGate
 // before any kernel: the component-wise Lemma 4.5 cut over the
 // conservative array thresholds ends the scan, and the anchor bound
 // skips single rows (see anchor.go).
@@ -180,19 +181,20 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 	if st != nil {
 		st.ClustersExamined++
 	}
-	blk := x.block(c)
-	g := x.gate(sc, q, lambda, &blk, dsqC, dtqC)
+	u0, full0 := h.Bound()
+	blk, g, ok := x.enterCluster(sc, q, lambda, c, dsqC, dtqC, u0, full0, st)
+	if !ok {
+		return
+	}
 	// With a full heap, λ < 1 and a quant arena, the scan switches to
 	// the filter-then-rerank pass: the SQ8 lower bound excludes most
 	// candidates without touching the float32 arena, and only survivors
 	// pay the exact kernel. Results stay bit-identical (see
 	// scanClusterQuant); the unquantized loop below remains the path for
 	// unfilled heaps, λ = 1, QuantOff queries, and quantless indexes.
-	if x.quant != nil && !sc.quantOff && lambda < 1 && len(c.elems) > 0 {
-		if u0, full := h.Bound(); full {
-			x.scanClusterQuant(sc, q, c, &blk, &g, u0, h, st)
-			return
-		}
+	if full0 && x.quant != nil && !sc.quantOff && lambda < 1 && len(c.elems) > 0 {
+		x.scanClusterQuant(sc, q, c, blk, g, u0, h, st)
+		return
 	}
 	tombs := x.deltaTombs()
 	for ei := range c.elems {

@@ -143,8 +143,10 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 			st.ClustersOrdered++
 			st.ClustersExamined++
 		}
-		blk := x.block(c)
-		g := x.gate(sc, q, lambda, &blk, sc.dsq[c.s], x.centroidDist(sc, q, c.t))
+		blk, g, ok := x.enterCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), u, len(cands) >= k, st)
+		if !ok {
+			continue
+		}
 		for ei := range c.elems {
 			e := &c.elems[ei]
 			full := len(cands) >= k

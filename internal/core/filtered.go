@@ -44,8 +44,12 @@ func (x *Index) SearchFiltered(q *dataset.Object, k int, lambda float64, allow f
 			st.ClustersOrdered++
 			st.ClustersExamined++
 		}
-		blk := x.block(c)
-		g := x.gate(sc, q, lambda, &blk, sc.dsq[c.s], x.centroidDist(sc, q, c.t))
+		// The cut charges nothing here (see the accounting note above).
+		u0, full0 := h.Bound()
+		blk, g, ok := x.enterCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), u0, full0, nil)
+		if !ok {
+			continue
+		}
 		for ei := range c.elems {
 			el := &c.elems[ei]
 			u, full := h.Bound()

@@ -272,11 +272,13 @@ func (x *Index) checkProjBoundSoundness() error {
 }
 
 // checkLayout guards what the scan loops assume of storage: the
-// coordinate arena repeats objects[i].X/Y, and every cluster's block
-// (fillClusterBlock ran wherever buildElems did) holds, row for row in
-// elems order, the arena rows of its elements. A cluster whose elements
-// are contiguous must read the arenas themselves — same addresses, no
-// copy — and a cluster whose elements are not must read private memory.
+// coordinate arena repeats objects[i].X/Y, every cluster's header
+// repeats its first element's thresholds (−Inf when it has none), and
+// every cluster's block (fillClusterBlock ran wherever buildElems did)
+// holds, row for row in elems order, the arena rows of its elements. A
+// cluster whose elements are contiguous must read the arenas themselves
+// — same addresses, no copy — and a cluster whose elements are not must
+// read private memory.
 func (x *Index) checkLayout() error {
 	n, d, qa, aa := len(x.objects), x.dim, x.quant, x.anchors
 	if len(x.xArena) != n || len(x.yArena) != n {
@@ -288,8 +290,12 @@ func (x *Index) checkLayout() error {
 				i, x.xArena[i], x.yArena[i], x.objects[i].X, x.objects[i].Y)
 		}
 	}
+	var win clusterBlock
 	for ci, c := range x.clusters {
-		blk, ne := x.block(c), len(c.elems)
+		blk, ne := x.block(&win, c), len(c.elems)
+		if wantDs, wantDt := headThresholds(c.elems); c.headDs != wantDs || c.headDt != wantDt {
+			return fmt.Errorf("cluster %d: head thresholds (%v,%v), first element carries (%v,%v)", ci, c.headDs, c.headDt, wantDs, wantDt)
+		}
 		if len(blk.xs) != ne || len(blk.ys) != ne {
 			return fmt.Errorf("cluster %d: block holds %d/%d coordinates for %d elems", ci, len(blk.xs), len(blk.ys), ne)
 		}

@@ -88,6 +88,10 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"truncated grid", func(x *Index) {
 			x.grid = x.grid[:len(x.grid)-1]
 		}},
+		{"stale head threshold", func(x *Index) {
+			// A head below elems[0]'s would cut clusters that hold results.
+			x.clusters[0].headDt /= 2
+		}},
 		{"stale gathered block", func(x *Index) {
 			c := x.clusters[0]
 			last := len(c.elems) - 1

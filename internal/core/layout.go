@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 )
@@ -35,23 +36,25 @@ type clusterBlock struct {
 
 // block returns c's scan block. A contiguous cluster's block is a
 // window of the arenas, resolved through this Index's own arena headers
-// on every call: a COW clone that regrew an arena reads its own backing
-// and the parent snapshot its own, the rows being identical, so shared
-// clusters hold no pointer that could go stale or pin a superseded
-// backing array. A cluster that in-place maintenance touched carries a
-// private gathered copy instead.
-func (x *Index) block(c *hybrid) clusterBlock {
+// on every call and written into w (the scratch's blk on the query
+// path: six slice headers filled in place, never passed by value). A
+// COW clone that regrew an arena reads its own backing and the parent
+// snapshot its own, the rows being identical, so shared clusters hold no
+// pointer that could go stale or pin a superseded backing array —
+// putScratch clears blk for the same reason. A cluster that in-place
+// maintenance touched carries a private gathered copy, returned as is.
+func (x *Index) block(w *clusterBlock, c *hybrid) *clusterBlock {
 	if c.base < 0 {
-		return *c.gathered
+		return c.gathered
 	}
 	lo, hi := c.base, c.base+len(c.elems)
-	b := clusterBlock{xs: x.xArena[lo:hi], ys: x.yArena[lo:hi],
-		aid: x.anchors.id[lo:hi], adist: x.anchors.dist[lo:hi]}
+	w.xs, w.ys = x.xArena[lo:hi], x.yArena[lo:hi]
+	w.aid, w.adist = x.anchors.id[lo:hi], x.anchors.dist[lo:hi]
 	if qa := x.quant; qa != nil {
-		b.codes = qa.codes[lo*x.dim : hi*x.dim]
-		b.resid = qa.resid[lo:hi]
+		w.codes = qa.codes[lo*x.dim : hi*x.dim]
+		w.resid = qa.resid[lo:hi]
 	}
-	return b
+	return w
 }
 
 // contiguous reports whether the elements sit at consecutive storage
@@ -65,13 +68,24 @@ func contiguous(elems []element) bool {
 	return true
 }
 
-// fillClusterBlock (re)derives c's scan block from its element array:
-// the arena window when the elements are contiguous, else a gathered
-// copy in elems order. Like elems it is derived data, rebuilt wherever
-// buildElems runs and never mutated in place afterwards, so COW clones
-// share it safely.
+// headThresholds returns the threshold pair that bounds every element
+// of the array: the first element's, the thresholds being
+// non-increasing, and −Inf for an empty array.
+func headThresholds(elems []element) (ds, dt float64) {
+	if len(elems) == 0 {
+		return math.Inf(-1), math.Inf(-1)
+	}
+	return elems[0].ds, elems[0].dt
+}
+
+// fillClusterBlock (re)derives c's head thresholds and scan block from
+// its element array: the arena window when the elements are contiguous,
+// else a gathered copy in elems order. Like elems it is derived data,
+// rebuilt wherever buildElems runs and never mutated in place
+// afterwards, so COW clones share it safely.
 func (x *Index) fillClusterBlock(c *hybrid) {
 	n := len(c.elems)
+	c.headDs, c.headDt = headThresholds(c.elems)
 	if contiguous(c.elems) {
 		c.base, c.gathered = 0, nil
 		if n > 0 {

@@ -264,7 +264,8 @@ func TestLoadLaysOutLegacyOrder(t *testing.T) {
 func blockCopy(x *Index) []clusterBlock {
 	out := make([]clusterBlock, len(x.clusters))
 	for i, c := range x.clusters {
-		b := x.block(c)
+		var win clusterBlock
+		b := x.block(&win, c)
 		out[i] = clusterBlock{
 			xs: slices.Clone(b.xs), ys: slices.Clone(b.ys),
 			aid: slices.Clone(b.aid), adist: slices.Clone(b.adist),
@@ -346,4 +347,23 @@ func TestLayoutCloneGrowsUnderReaders(t *testing.T) {
 		t.Fatal("clone inserted into arena-backed clusters but none was gathered")
 	}
 	requireExact(t, "grown clone", clone)
+	requireScratchesUnpinned(t, clone)
+}
+
+// requireScratchesUnpinned drains the scratch pool x shares with every
+// snapshot cloned from or into it and checks that no pooled scratch
+// still points into an index: the scan block and the row gate window
+// the arenas of whichever snapshot last used the scratch, and a pooled
+// scratch holding on to them would pin a superseded backing array for
+// as long as the pool keeps it.
+func requireScratchesUnpinned(t *testing.T, x *Index) {
+	t.Helper()
+	for i := 0; i < 16; i++ {
+		sc := x.scratchPool.Get().(*searchScratch)
+		b, g := &sc.blk, &sc.gate
+		if b.xs != nil || b.ys != nil || b.aid != nil || b.adist != nil || b.codes != nil || b.resid != nil ||
+			g.aid != nil || g.adist != nil || g.dq != nil || sc.front.x != nil {
+			t.Fatalf("pooled scratch %d still points into an index", i)
+		}
+	}
 }

@@ -353,7 +353,7 @@ func (x *Index) searchQuantWith(sc *searchScratch, dst []knn.Result, q *dataset.
 		// One blockwise kernel call scores the whole cluster from its
 		// contiguous code block.
 		n := len(c.elems)
-		blk := x.block(c)
+		blk := x.block(&sc.blk, c)
 		est := growSlice(sc.est, n)
 		sc.est = est
 		var tq time.Time

@@ -76,8 +76,10 @@ func (x *Index) RangeSearch(q *dataset.Object, r, lambda float64, st *metric.Sta
 		if st != nil {
 			st.ClustersExamined++
 		}
-		blk := x.block(c)
-		g := x.gate(sc, q, lambda, &blk, sc.dsq[c.s], dtqC)
+		blk, g, ok := x.enterCluster(sc, q, lambda, c, sc.dsq[c.s], dtqC, r, true, st)
+		if !ok {
+			continue
+		}
 		for ei := range c.elems {
 			e := &c.elems[ei]
 			if g.suffixBound(e) > r {
@@ -203,8 +205,11 @@ func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int
 			st.ClustersExamined++
 		}
 		// Pure-semantic ranking is the gate at λ = 0 with no spatial side.
-		blk := x.block(c)
-		g := x.gate(sc, q, 0, &blk, 0, x.centroidDist(sc, q, c.t))
+		u0, full0 := h.Bound()
+		blk, g, ok := x.enterCluster(sc, q, 0, c, 0, x.centroidDist(sc, q, c.t), u0, full0, st)
+		if !ok {
+			continue
+		}
 		for ei := range c.elems {
 			e := &c.elems[ei]
 			u, full := h.Bound()

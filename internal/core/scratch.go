@@ -58,6 +58,12 @@ type searchScratch struct {
 	// written and stay 0 — anchorDq[anchorSentinel] in particular.
 	anchorDq [anchorSentinel + 1]float64
 	anchorQ  bool
+	// blk and gate are the scan block and row gate of the cluster being
+	// scanned, refilled in place per cluster (see enterCluster) so that
+	// a visit passes no 144-byte and 88-byte structs around. Their
+	// slices window the index's arenas: putScratch clears them.
+	blk  clusterBlock
+	gate rowGate
 	// Sampled quant-phase timing (explain/trace path only): the scans of
 	// a query are counted in quantScans and every quantTimeSampleEvery-th
 	// one is wall-timed into quantSampledNanos; flushQuantTiming scales
@@ -122,9 +128,12 @@ func (x *Index) getScratch() *searchScratch {
 	return sc
 }
 
-// putScratch returns a scratch to the pool for reuse.
+// putScratch returns a scratch to the pool for reuse, dropping first
+// what points into the index: a pooled scratch must not pin the arena
+// backing arrays of a snapshot that has since been superseded.
 func (x *Index) putScratch(sc *searchScratch) {
 	sc.front.release()
+	sc.blk, sc.gate = clusterBlock{}, rowGate{}
 	x.scratchPool.Put(sc)
 }
 

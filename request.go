@@ -134,7 +134,8 @@ type BatchSearchRequest struct {
 	Route       bool
 	RouteTarget float64
 	// Parallelism bounds the worker pool; <= 0 selects GOMAXPROCS and
-	// larger values are clamped to GOMAXPROCS.
+	// larger values are clamped to GOMAXPROCS. An exact batch never runs
+	// on more goroutines than this, on a sharded index too.
 	Parallelism int
 	// Stats, when non-nil, accumulates the summed work counters of the
 	// whole batch.
@@ -351,12 +352,11 @@ func (c *ConcurrentIndex) DoBatchContext(ctx context.Context, req BatchSearchReq
 	return serveBatch(ctx, c.view(), &req)
 }
 
-// Do answers one k-NN query across the shards — the bound-carrying
-// sequential chain or the scatter/gather, whichever the host's core
-// count favors (see execute) — and the keyword scatter for
-// keyword-constrained requests. See Index.Do for the request contract;
-// exact results are bit-identical to a flat index over the same
-// objects. The result cache's snapshot identity is the interned vector
+// Do answers one k-NN query across the shards — bound-carrying chains
+// striped over the scheduler's processors and merged (see execute) —
+// and the keyword scatter for keyword-constrained requests. See
+// Index.Do for the request contract; exact results are bit-identical to
+// a flat index over the same objects. The result cache's snapshot identity is the interned vector
 // of per-shard snapshots (see epochToken), so a hit proves no shard has
 // republished since the entry was computed.
 func (s *ShardedIndex) Do(req SearchRequest) ([]Result, error) {

@@ -37,6 +37,9 @@ type searchAPI struct {
 	// snaps is the number of snapshots a request spans (its trace's
 	// span count).
 	snaps int
+	// doChained is do with the read dealt onto one stripe, whatever the
+	// host's: the way an exact batch answers each of its queries.
+	doChained func(SearchRequest) ([]Result, error)
 }
 
 // requestFixtures builds Index, Concurrent(idx), ShardedFrom(idx) (as
@@ -57,9 +60,10 @@ func requestFixturesWith(t *testing.T, ds *Dataset, opts Options, keywordFilter 
 	}
 	conc := Concurrent(concIdx)
 	apis := []searchAPI{
-		{name: "flat", do: flat.Do, doBatch: flat.DoBatch, doCtx: flat.DoContext, setSink: flat.SetTraceSink, del: flat.Delete, snaps: 1},
+		{name: "flat", do: flat.Do, doBatch: flat.DoBatch, doCtx: flat.DoContext, setSink: flat.SetTraceSink, del: flat.Delete, snaps: 1,
+			doChained: flat.Do},
 		{name: "concurrent", do: conc.Do, doBatch: conc.DoBatch, doCtx: conc.DoContext, setSink: conc.SetTraceSink, del: conc.Delete,
-			enableCache: conc.EnableResultCache, snaps: 1},
+			enableCache: conc.EnableResultCache, snaps: 1, doChained: conc.Do},
 	}
 	for _, p := range []int{1, 4} {
 		s := mustBuildSharded(t, ds, p, opts)
@@ -69,6 +73,7 @@ func requestFixturesWith(t *testing.T, ds *Dataset, opts Options, keywordFilter 
 		apis = append(apis, searchAPI{
 			name: fmt.Sprintf("sharded-P%d", p), do: s.Do, doBatch: s.DoBatch, doCtx: s.DoContext, setSink: s.SetTraceSink, del: s.Delete,
 			enableCache: s.EnableResultCache, snaps: p,
+			doChained: func(req SearchRequest) ([]Result, error) { return doStriped(s, 1, context.Background(), req) },
 		})
 	}
 	return apis
@@ -334,7 +339,9 @@ func TestRequestConformance(t *testing.T) {
 	})
 
 	// Batches obey the same validation and answer exactly what the
-	// single-query path answers, Stats included.
+	// single-query path answers, Stats included — those of the one-stripe
+	// read for an exact batch, which chains every query through all the
+	// snapshots whatever the host's stripe count.
 	t.Run("batch", func(t *testing.T) {
 		queries := ds.SampleQueries(12, 9)
 		bad := append([]Object(nil), queries...)
@@ -358,7 +365,11 @@ func TestRequestConformance(t *testing.T) {
 				}
 				for i := range queries {
 					one.Query, one.Stats = &queries[i], &stSingle
-					want, err := api.do(one)
+					do := api.do
+					if !one.Approx {
+						do = api.doChained
+					}
+					want, err := do(one)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -96,6 +97,11 @@ type view struct {
 	// heap on every request.
 	snap   *Index
 	shards []*Index
+	// stripes is the number of goroutines a read over the shards is dealt
+	// onto: scatterDegree(len(shards)), 1 for a flat flavor. It is a field
+	// rather than a call in execute so that the equivalence test can run
+	// every stripe count on one host; nothing else sets it.
+	stripes int
 	// token is the result cache's snapshot identity (the snapshot, or
 	// the interned per-shard snapshot vector) and snapID the
 	// ResponseMeta.SnapshotID of answers served from this view.
@@ -110,12 +116,12 @@ type view struct {
 }
 
 func (x *Index) view() view {
-	return view{snap: x, snapID: x.snapID, sink: x.sink, flavor: "index"}
+	return view{snap: x, stripes: 1, snapID: x.snapID, sink: x.sink, flavor: "index"}
 }
 
 func (c *ConcurrentIndex) view() view {
 	snap := c.cur.Load()
-	v := view{snap: snap, token: snap, snapID: snap.snapID, cache: c.resCache.Load(), sink: c.sink.Load(), flavor: "concurrent"}
+	v := view{snap: snap, stripes: 1, token: snap, snapID: snap.snapID, cache: c.resCache.Load(), sink: c.sink.Load(), flavor: "concurrent"}
 	if v.sink == nil {
 		// A sink installed on the index before it was wrapped rides
 		// every snapshot and keeps recording.
@@ -126,7 +132,7 @@ func (c *ConcurrentIndex) view() view {
 
 func (s *ShardedIndex) view() view {
 	ep := s.epochToken()
-	return view{shards: ep.snaps, token: ep, snapID: ep.id, cache: s.resCache.Load(), sink: s.sink.Load(), flavor: "sharded"}
+	return view{shards: ep.snaps, stripes: scatterDegree(len(ep.snaps)), token: ep, snapID: ep.id, cache: s.resCache.Load(), sink: s.sink.Load(), flavor: "sharded"}
 }
 
 // n is the number of pinned snapshots and at the i-th of them.
@@ -288,83 +294,113 @@ func searchSnap(snap *Index, sp *SearchSpan, out []Result, q *Object, k int, lam
 	return out
 }
 
-// span returns the i-th span of tr, or nil when nothing is recorded.
-func span(tr *SearchTrace, i int) *SearchSpan {
+// spanAt returns the i-th of spans, or nil when nothing is recorded.
+func spanAt(spans []SearchSpan, i int) *SearchSpan {
+	if spans == nil {
+		return nil
+	}
+	return &spans[i]
+}
+
+// shardSpans returns the per-snapshot spans of tr, nil when nothing is
+// recorded.
+func shardSpans(tr *SearchTrace) []SearchSpan {
 	if tr == nil {
 		return nil
 	}
-	return &tr.Shards[i]
+	return tr.Shards
 }
 
 // execute answers one query over the view's pinned snapshots, appending
 // the global top-k to dst and reporting whether the time budget cut any
 // snapshot's scan short. With tr non-nil every snapshot's span is
 // recorded; results are bit-identical either way, and so are the work
-// counters, because observing never changes which arm runs.
+// counters, because observing never changes the shape of the read.
 //
-// One snapshot — or several on a host whose scatter degree is 1 — is a
-// seeded chain: the snapshots are scanned in order with the k-NN list
-// carried from one to the next (core.SearchOptions.Seed), so snapshot i
-// starts with the best k candidates of snapshots 0..i-1, its pruning
-// bound is as tight as a flat index's at the same point of the scan,
-// and the last link's answer IS the global top-k: it is written straight
-// into dst, with no per-shard lists and no merge. Because the shards
-// share one metric space's normalizers, distances are globally
-// comparable and the result is the same exact top-k the scatter
-// produces.
+// An exact read has one shape: the n snapshots are dealt round-robin
+// onto w = v.stripes stripes, stripe g taking snapshots g, g+w, g+2w, …,
+// and every stripe is a seeded chain (see chain) — its snapshots are
+// scanned in order with the k-NN list carried from one to the next, so
+// within a stripe a snapshot starts from the bound its predecessors
+// found instead of from an empty heap. Stripe 0 runs on the caller's
+// goroutine, the others on one goroutine each, and the w stripe lists
+// are k-way merged. The top-k is a pure function of the candidate set
+// (knn.Heap breaks distance ties by ID) and the shards share one metric
+// space's normalizers, so every w gives the same answer, bit for bit.
+// w = 1 — one snapshot, or a process with one scheduler thread — is one
+// chain through everything: its last link's answer IS the global top-k
+// and is written straight into dst, with no goroutine, no per-stripe
+// list and no merge. w = n is a plain scatter. The stripes share no
+// bound with each other, so the work counters depend on w alone, never
+// on timing.
 //
-// Otherwise the snapshots are searched in parallel and their top-k
-// lists k-way merged. Approximate requests over several snapshots
-// always take this arm: CSSIA's result is defined per clustering (a
-// seed applies to the exact path only), and the documented sharded
-// semantics are "the merge of the per-shard CSSIA answers".
+// An approximate read has no bound to carry: CSSIA's result is defined
+// per clustering, and the documented sharded semantics are "the merge of
+// the per-shard CSSIA answers". Each snapshot is then a chain of its
+// own, the n of them dealt onto the same w goroutines.
 func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) (res []Result, partial bool) {
-	n := v.n()
+	chains, step := v.stripes, v.stripes
+	if opts.Approx {
+		chains, step = v.n(), v.n()
+	}
+	if chains == 1 {
+		return v.chain(dst, 0, step, q, k, lambda, opts, st, shardSpans(tr))
+	}
+	return v.mergeChains(dst, chains, step, q, k, lambda, opts, st, tr)
+}
+
+// chain scans snapshots first, first+step, first+2·step, … in order on
+// the calling goroutine, each link seeded with the list of the links
+// before it (core.SearchOptions.Seed; ignored by the approximate
+// algorithms, whose chains have one link), and appends the chain's
+// top-k — the last link's answer — to out. A budget cut on any link
+// leaves later candidates unexamined, so it makes the whole chain's
+// answer partial.
+func (v *view) chain(out []Result, first, step int, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, spans []SearchSpan) (res []Result, partial bool) {
 	// Only a budgeted query can be cut short, so only it carries the
 	// flag: pointing opts at a local would move that local to the heap
 	// on every request.
 	budgeted := !opts.Deadline.IsZero() || opts.Cancel != nil
-	if n == 1 || (!opts.Approx && scatterDegree(n) == 1) {
-		if budgeted {
-			opts.Partial = new(bool)
-		}
-		var cur, spare []Result
-		for i := 0; i < n; i++ {
-			out := dst
-			if i < n-1 {
-				if out = spare[:0]; out == nil {
-					out = make([]Result, 0, k)
-				}
-			}
-			opts.Seed = cur
-			next := searchSnap(v.at(i), span(tr, i), out, q, k, lambda, opts, st)
-			// A cut on any link leaves later candidates unexamined, so
-			// the whole chained answer is partial.
-			partial = partial || (budgeted && *opts.Partial)
-			spare, cur = cur, next
-		}
-		return cur, partial
-	}
-
-	lists := make([][]Result, n)
-	var cuts []bool
 	if budgeted {
-		cuts = make([]bool, n)
+		opts.Partial = new(bool)
 	}
+	var cur, spare []Result
+	for i, n := first, v.n(); i < n; i += step {
+		link := out
+		if i+step < n {
+			if link = spare[:0]; link == nil {
+				link = make([]Result, 0, k)
+			}
+		}
+		opts.Seed = cur
+		next := searchSnap(v.at(i), spanAt(spans, i), link, q, k, lambda, opts, st)
+		partial = partial || (budgeted && *opts.Partial)
+		spare, cur = cur, next
+	}
+	return cur, partial
+}
+
+// mergeChains runs the chains that start at snapshots 0..chains-1 on
+// v.stripes goroutines and merges their lists into dst.
+func (v *view) mergeChains(dst []Result, chains, step int, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) ([]Result, bool) {
+	// The goroutines get a copy of the view, so that the caller's — and
+	// with it every one-chain request's — stays on the stack.
+	hv, w := *v, v.stripes
+	lists := make([][]Result, chains)
+	cuts := make([]bool, chains)
 	var per []Stats
 	if st != nil && tr == nil {
-		per = make([]Stats, n)
+		per = make([]Stats, w)
 	}
-	v.each(func(i int, snap *Index) {
-		o := opts
-		if cuts != nil {
-			o.Partial = &cuts[i]
-		}
+	spans := shardSpans(tr)
+	fanOut(w, func(g int) {
 		var pst *Stats
 		if per != nil {
-			pst = &per[i]
+			pst = &per[g]
 		}
-		lists[i] = searchSnap(snap, span(tr, i), nil, q, k, lambda, o, pst)
+		for c := g; c < chains; c += w {
+			lists[c], cuts[c] = hv.chain(nil, c, step, q, k, lambda, opts, pst, spans)
+		}
 	})
 	gatherStats(st, per)
 	if dst == nil {
@@ -373,7 +409,7 @@ func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core
 	g := time.Now()
 	dst = knn.MergeSorted(dst, lists, k)
 	if tr != nil {
-		tr.Parallel = scatterDegree(n) > 1
+		tr.Parallel = w > 1
 		tr.GatherNanos += time.Since(g).Nanoseconds()
 	}
 	return dst, anyTrue(cuts)
@@ -504,28 +540,19 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 }
 
 // executeBatch answers the queries over the view's pinned snapshots.
-// Exact batches over several snapshots on a scatter degree of 1 chain
-// each query through execute (one query's bound from shards 0..i-1
-// prunes shard i, so the partitioned batch costs the same object-level
-// work as a flat one); everything else runs the whole batch through
-// each snapshot's worker pool and merges each query's per-snapshot
-// lists. partials, when non-nil, receives the per-query budget cuts.
-// With tr non-nil one span per snapshot is recorded — full phase stats
-// on the chain, work counters and wall time on the pools — plus the
-// gather merge time.
+// partials, when non-nil, receives the per-query budget cuts. With tr
+// non-nil one span per snapshot is recorded: work counters and wall
+// time, plus the gather merge time.
+//
+// An exact batch parallelises over the queries and chains within a
+// query (see chainBatch). An approximate batch has no bound to carry: it
+// runs whole through each snapshot's worker pool, and each query's
+// per-snapshot lists are merged.
 func (v *view) executeBatch(queries []Object, k int, lambda float64, workers int, opts core.SearchOptions, st *Stats, partials []bool, tr *SearchTrace) ([][]Result, error) {
-	n := v.n()
-	if n > 1 && !opts.Approx && scatterDegree(n) == 1 {
-		out := make([][]Result, len(queries))
-		for qi := range queries {
-			var cut bool
-			out[qi], cut = v.execute(nil, &queries[qi], k, lambda, opts, st, tr)
-			if cut {
-				partials[qi] = true
-			}
-		}
-		return out, nil
+	if !opts.Approx {
+		return v.chainBatch(queries, k, lambda, workers, opts, st, partials, tr), nil
 	}
+	n := v.n()
 
 	perShard := make([][][]Result, n)
 	errs := make([]error, n)
@@ -583,49 +610,125 @@ func (v *view) executeBatch(queries []Object, k int, lambda float64, workers int
 		out[qi] = knn.MergeSorted(make([]Result, 0, k), lists, k)
 	}
 	if tr != nil {
-		tr.Parallel = scatterDegree(n) > 1
+		tr.Parallel = v.stripes > 1
 		tr.GatherNanos += time.Since(g).Nanoseconds()
 	}
 	return out, nil
+}
+
+// chainBatch is executeBatch's exact arm: every worker draws queries
+// from a shared cursor and answers each with one chain through all the
+// snapshots (see chain), so a query's bound from shards 0..i-1 prunes
+// shard i and a partitioned batch costs the same object-level work as a
+// flat one. The pool is the facade's rather than core.SearchBatch's
+// because a chain crosses core indexes. Like that one it never runs more
+// workers than the scheduler has processors (workers <= 0 selects that
+// many); worker 0 is the caller's goroutine. A snapshot's span sums the
+// work counters over the batch and times the worker that spent longest
+// in it.
+func (v *view) chainBatch(queries []Object, k int, lambda float64, workers int, opts core.SearchOptions, st *Stats, partials []bool, tr *SearchTrace) [][]Result {
+	if maxW := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxW {
+		workers = maxW
+	}
+	if workers > len(queries) {
+		workers = len(queries)
+	}
+	hv, n := *v, v.n() // a copy for the workers, see mergeChains
+	out := make([][]Result, len(queries))
+	var per []Stats
+	var spans []SearchSpan // n private spans per worker, folded into tr below
+	if tr != nil {
+		spans = make([]SearchSpan, workers*n)
+	} else if st != nil {
+		per = make([]Stats, workers)
+	}
+	var next atomic.Int64
+	fanOut(workers, func(w int) {
+		var pst *Stats
+		if per != nil {
+			pst = &per[w]
+		}
+		var mine []SearchSpan
+		if spans != nil {
+			mine = spans[w*n : (w+1)*n]
+		}
+		for {
+			qi := int(next.Add(1)) - 1
+			if qi >= len(queries) {
+				return
+			}
+			var cut bool
+			out[qi], cut = hv.chain(nil, 0, 1, &queries[qi], k, lambda, opts, pst, mine)
+			if cut {
+				partials[qi] = true
+			}
+		}
+	})
+	gatherStats(st, per)
+	for j := range spans {
+		sp := &tr.Shards[j%n]
+		sp.Stats.Stats.Add(&spans[j].Stats.Stats)
+		sp.DurationNanos = max(sp.DurationNanos, spans[j].DurationNanos)
+	}
+	if tr != nil {
+		tr.Parallel = workers > 1
+	}
+	return out
 }
 
 // scatter runs fn once per pinned snapshot and returns after all
 // finish. fn must confine itself to its snapshot index's slots in any
 // shared output slices.
 //
-// Fan-out is capped at the machine's CPU count: spawning P goroutines
-// on fewer than P cores buys no parallelism but multiplies the read's
-// scheduler share P-fold, starving concurrent writers, and pays P
-// goroutine launches per call. Below the cap, snapshots are striped
-// over min(P, NumCPU) workers; on a single-core host the whole scatter
-// runs inline in the caller's goroutine. Results are identical either
-// way — fn writes only to its own slot, and the gather step orders by
-// (distance, ID) regardless of completion order.
+// Fan-out is capped at the scheduler's processor count: spawning P
+// goroutines on fewer than P processors buys no parallelism but
+// multiplies the call's scheduler share P-fold, starving concurrent
+// writers, and pays P goroutine launches per call. Below the cap,
+// snapshots are striped over scatterDegree(P) goroutines, the caller's
+// among them; with one processor the whole scatter runs inline. Results
+// are identical either way — fn writes only to its own slot, and the
+// gather step orders by (distance, ID) regardless of completion order.
 func scatter(snaps []*Index, fn func(i int, snap *Index)) {
-	workers := scatterDegree(len(snaps))
-	if workers == 1 {
-		for i, snap := range snaps {
-			fn(i, snap)
+	w := scatterDegree(len(snaps))
+	fanOut(w, func(g int) {
+		for i := g; i < len(snaps); i += w {
+			fn(i, snaps[i])
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(snaps); i += workers {
-				fn(i, snaps[i])
-			}
-		}(w)
-	}
-	wg.Wait()
+	})
 }
 
-// scatterDegree is the number of goroutines a scatter over p snapshots
-// may use: min(p, NumCPU), at least 1.
+// fanOut runs fn(0), …, fn(w-1) concurrently — fn(0) on the calling
+// goroutine, so w = 1 spawns nothing — and returns after all finish. A
+// panic on a spawned goroutine is re-raised on the calling one, where
+// the caller (or net/http) can recover it instead of losing the process.
+func fanOut(w int, fn func(g int)) {
+	var wg sync.WaitGroup
+	var panicked atomic.Pointer[any]
+	for g := 1; g < w; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.Store(&r)
+				}
+			}()
+			fn(g)
+		}()
+	}
+	fn(0)
+	wg.Wait()
+	if r := panicked.Load(); r != nil {
+		panic(*r)
+	}
+}
+
+// scatterDegree is the stripe count of a read over p snapshots — the
+// number of goroutines it is dealt onto: min(p, GOMAXPROCS), at least 1.
+// GOMAXPROCS rather than the machine's CPU count: a process confined to
+// one scheduler thread gains nothing from goroutines, and should chain.
 func scatterDegree(p int) int {
-	if w := runtime.NumCPU(); w < p {
+	if w := runtime.GOMAXPROCS(0); w < p {
 		p = w
 	}
 	if p < 1 {

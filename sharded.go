@@ -23,22 +23,26 @@ import (
 // touched shard — O(n/P) — and writes to different shards do not
 // serialize against each other at all.
 //
-//   - Reads SCATTER: every shard answers against its current snapshot,
-//     and the per-shard top-k lists are k-way merged in the canonical
-//     (ascending distance, ascending ID) order (or, where the host has
-//     no cores to scatter over, chained shard to shard with the k-NN
-//     bound carried along — see execute). Because every shard
-//     shares the same distance normalizers (computed once over the full
-//     dataset at BuildSharded time) and CSSI is exact regardless of how
-//     objects are clustered, the merged exact result set is
+//   - Reads are STRIPED: an exact read deals the P shard snapshots
+//     round-robin onto min(P, GOMAXPROCS) stripes; each stripe scans its
+//     shards in order, carrying its k-NN list — and so its pruning
+//     bound — from one shard to the next, and the stripe lists are
+//     k-way merged in the canonical (ascending distance, ascending ID)
+//     order (see execute). One stripe is a plain chain with no
+//     goroutine and no merge, P stripes a plain scatter/gather. Because
+//     every shard shares the same distance normalizers (computed once
+//     over the full dataset at BuildSharded time) and CSSI is exact
+//     regardless of how objects are clustered, the exact result set is
 //     BIT-IDENTICAL to what an unsharded index returns — including tie
-//     breaks. SearchApprox remains approximate: its error profile
-//     depends on the per-shard clustering, so sharded CSSIA results can
-//     differ from unsharded CSSIA (both within the paper's error model).
+//     breaks — for every stripe count. SearchApprox remains
+//     approximate and has no bound to carry: every shard answers alone
+//     and the per-shard answers are merged; its error profile depends
+//     on the per-shard clustering, so sharded CSSIA results can differ
+//     from unsharded CSSIA (both within the paper's error model).
 //   - Writes ROUTE: Insert/Delete/Update touch exactly one shard and
 //     pay that shard's O(n/P) clone. P writers on P distinct shards
 //     proceed concurrently.
-//   - A scatter read and a routed write never block each other: reads
+//   - A read and a routed write never block each other: reads
 //     are lock-free snapshot loads, and publication is a single atomic
 //     pointer store per shard.
 //
@@ -300,7 +304,7 @@ func (s *ShardedIndex) opShard(op Op) int {
 
 // ApplyBatch groups the ops by owning shard and applies each group as
 // one clone-and-publish cycle on its shard, with the groups running in
-// parallel. Atomicity is PER SHARD, not global: a group that fails
+// parallel (the first on the caller's goroutine). Atomicity is PER SHARD, not global: a group that fails
 // leaves its shard untouched and its error reported, while other
 // shards' groups still commit — the cross-shard trade every
 // partitioned store makes. Within a shard, ops keep their relative
@@ -319,19 +323,29 @@ func (s *ShardedIndex) ApplyBatch(ops []Op) error {
 		groups[si] = append(groups[si], op)
 	}
 	errs := make([]error, len(s.shards))
+	apply := func(i int) {
+		if err := s.shards[i].ApplyBatch(groups[i]); err != nil {
+			errs[i] = fmt.Errorf("cssi: shard %d batch: %w", i, err)
+		}
+	}
+	// A batch confined to one shard — every single-op write — spawns no
+	// goroutine: handing it to one and waiting cost more than the write.
+	own := -1
 	var wg sync.WaitGroup
 	for i := range s.shards {
-		if len(groups[i]) == 0 {
-			continue
+		switch {
+		case len(groups[i]) == 0:
+		case own < 0:
+			own = i
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				apply(i)
+			}()
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := s.shards[i].ApplyBatch(groups[i]); err != nil {
-				errs[i] = fmt.Errorf("cssi: shard %d batch: %w", i, err)
-			}
-		}(i)
 	}
+	apply(own)
 	wg.Wait()
 	return errors.Join(errs...)
 }

@@ -1,10 +1,13 @@
 package cssi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -525,8 +528,258 @@ func TestShardedUnanchoredRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("inserted", live, 14)
-	if err := s.Rebuild(); err != nil {
+	// A threshold-triggered background compaction may still be replaying;
+	// Rebuild refuses to start beside it.
+	for err = s.Rebuild(); errors.Is(err, ErrRebuildInProgress); err = s.Rebuild() {
+		runtime.Gosched()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	check("rebuilt", live, 0)
+}
+
+// doStriped is s.DoContext with the read dealt onto w stripes instead
+// of the host's scatterDegree: the stripe count is a field of the view
+// the pipeline serves from, never a request option.
+func doStriped(s *ShardedIndex, w int, ctx context.Context, req SearchRequest) ([]Result, error) {
+	v := s.view()
+	v.stripes = w
+	return serve(ctx, v, &req)
+}
+
+// firedCtx is a live context whose Done channel is already closed when
+// the search first polls it: a budget that lands mid-flight, made
+// deterministic. Err stays nil, so the pipeline neither rejects the
+// request on arrival nor swaps the partial answer for an error.
+type firedCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c firedCtx) Done() <-chan struct{} { return c.done }
+
+// TestStripedChainEquivalence pins the one shape of a sharded exact
+// read: for every stripe count w in 1..P the answer equals the flat
+// index's and the linear scan's rank by rank — IDs, distances, and the
+// ID tie-break where equal objects sit on different shards and so on
+// different stripes — over freshly built shards, over write overlays
+// with tombstones, and after compaction; observing the read changes
+// neither the answer nor the work counters, which repeat exactly for a
+// fixed w; a budget cut on any stripe makes the answer a partial but
+// admissible prefix; and all of it holds while ApplyBatch publishes
+// concurrently.
+func TestStripedChainEquivalence(t *testing.T) {
+	ds := testDataset(t, 600)
+	for _, p := range []int{2, 3, 4, 7} {
+		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
+			flat := mustBuild(t, ds, Options{Seed: 23})
+			s := mustBuildSharded(t, ds, p, Options{Seed: 23})
+			live := make(map[uint32]Object, ds.Len())
+			for _, o := range ds.Objects {
+				live[o.ID] = o
+			}
+			apply := func(op Op) {
+				t.Helper()
+				if err := s.ApplyBatch([]Op{op}); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				switch op.Kind {
+				case OpInsert:
+					err, live[op.Object.ID] = flat.Insert(op.Object), op.Object
+				case OpDelete:
+					err = flat.Delete(op.ID)
+					delete(live, op.ID)
+				case OpUpdate:
+					err, live[op.Object.ID] = flat.Update(op.Object), op.Object
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			queries := ds.SampleQueries(4, uint64(p))
+			tieQ := &queries[0]
+			const tieK = 10
+
+			check := func(stage string) {
+				t.Helper()
+				objs := make([]Object, 0, len(live))
+				for _, o := range live {
+					objs = append(objs, o)
+				}
+				oracle := scan.New(&Dataset{Objects: objs, Dim: ds.Dim}, flat.space)
+				for qi := range queries {
+					q := &queries[qi]
+					for _, lambda := range []float64{0, 0.5, 1} {
+						for _, k := range []int{1, tieK, len(live) + 5} {
+							want := oracle.Search(q, k, lambda, nil)
+							ctx := fmt.Sprintf("%s q%d λ=%v k=%d", stage, qi, lambda, k)
+							equalResults(t, ctx+" flat vs scan", want, flat.Search(q, k, lambda))
+							for w := 1; w <= p; w++ {
+								checkStripes(t, fmt.Sprintf("%s w=%d", ctx, w), s, w, flat, live, q, k, lambda, want)
+							}
+						}
+					}
+				}
+			}
+			check("built")
+
+			for _, op := range overlayOps(ds, 60) {
+				apply(op)
+			}
+			// Two copies per shard of the object ranked third from last
+			// in tieQ's top-k, under fresh ascending IDs: they tie with
+			// it, only the two smallest IDs make the top-k, and which
+			// shards — and stripes — hold those differs with P and w.
+			twin := live[flat.Search(tieQ, tieK, 0.5)[tieK-3].ID]
+			perShard := make([]int, p)
+			for id := uint32(900_000); slices.Min(perShard) < 2; id++ {
+				if sh := s.ShardFor(id); perShard[sh] < 2 {
+					perShard[sh]++
+					twin.ID = id
+					apply(Op{Kind: OpInsert, Object: twin})
+				}
+			}
+			buffered := 0
+			for _, st := range s.ShardStats() {
+				buffered += st.DeltaOps
+			}
+			if buffered == 0 {
+				t.Fatal("no shard buffered delta ops")
+			}
+			check("overlay")
+
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			check("compacted")
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Concurrent ApplyBatch: the writer inserts and deletes copies
+			// of objects that rank far behind every reader's k-th result,
+			// under a small threshold so background compactions publish
+			// too — the answers must not move, on any stripe count.
+			if err := s.SetDeltaThreshold(8); err != nil {
+				t.Fatal(err)
+			}
+			far := flat.Search(tieQ, len(live), 0.5)[len(live)/2:]
+			want := flat.Search(tieQ, tieK, 0.5)
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer done.Store(true)
+				for i := 0; i < 60; i++ {
+					o := live[far[i%len(far)].ID]
+					o.ID = uint32(2_000_000 + i)
+					if err := s.ApplyBatch([]Op{{Kind: OpInsert, Object: o}}); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := s.ApplyBatch([]Op{{Kind: OpDelete, ID: o.ID}}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for writing := true; writing; {
+				writing = !done.Load() // one more round after the last write
+				for w := 1; w <= p; w++ {
+					got, err := doStriped(s, w, context.Background(), SearchRequest{Query: tieQ, K: tieK, Lambda: 0.5})
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalResults(t, fmt.Sprintf("under writes w=%d", w), want, got)
+				}
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// checkStripes runs one exact request on w stripes of s, plain and
+// observed, twice each, and under a fired budget.
+func checkStripes(t *testing.T, ctx string, s *ShardedIndex, w int, flat *Index, live map[uint32]Object, q *Object, k int, lambda float64, want []Result) {
+	t.Helper()
+	var plain [2]Stats
+	for i := range plain {
+		got, err := doStriped(s, w, context.Background(), SearchRequest{Query: q, K: k, Lambda: lambda, Stats: &plain[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalResults(t, ctx, want, got)
+	}
+	if plain[0] != plain[1] {
+		t.Fatalf("%s: stats differ between two runs: %+v vs %+v", ctx, plain[0], plain[1])
+	}
+	var es ExplainStats
+	var tr SearchTrace
+	var observed Stats
+	got, err := doStriped(s, w, context.Background(), SearchRequest{Query: q, K: k, Lambda: lambda, Stats: &observed, Explain: &es, Trace: &tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, ctx+" observed", want, got)
+	if observed != plain[0] || es.Stats != plain[0] || tr.Total.Stats != plain[0] {
+		t.Fatalf("%s: observed stats %+v / explain %+v / trace %+v, unobserved %+v", ctx, observed, es.Stats, tr.Total.Stats, plain[0])
+	}
+	if len(tr.Shards) != s.NumShards() || tr.Parallel != (w > 1) {
+		t.Fatalf("%s: trace has %d spans, parallel=%v", ctx, len(tr.Shards), tr.Parallel)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+
+	// The budget fires at every link's first poll: whatever comes back
+	// is flagged partial and is the exact top-k of what was examined —
+	// true distances of live objects, in canonical order, none ranked
+	// better than the complete answer ranks it.
+	var meta ResponseMeta
+	fired := firedCtx{context.Background(), make(chan struct{})}
+	close(fired.done)
+	cut, err := doStriped(s, w, fired, SearchRequest{Query: q, K: k, Lambda: lambda, Meta: &meta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !meta.Partial || len(cut) > len(want) {
+		t.Fatalf("%s: fired budget: partial=%v, %d results of %d", ctx, meta.Partial, len(cut), len(want))
+	}
+	for i, r := range cut {
+		o, ok := live[r.ID]
+		if !ok || r.Dist != flat.space.Distance(nil, lambda, q, &o) {
+			t.Fatalf("%s: fired budget: result %d = %+v is not a live object at its true distance", ctx, i, r)
+		}
+		if i > 0 && !lessResult(cut[i-1], r) {
+			t.Fatalf("%s: fired budget: results out of canonical order at %d", ctx, i)
+		}
+		if r.Dist < want[i].Dist {
+			t.Fatalf("%s: fired budget: rank %d at %v beats the complete answer's %v", ctx, i, r.Dist, want[i].Dist)
+		}
+	}
+}
+
+// TestFanOutReraisesWorkerPanic pins the recoverability of the facade's
+// fan-outs: a panic on a spawned goroutine would kill the process, so
+// fanOut hands it to the calling goroutine once every worker is done.
+func TestFanOutReraisesWorkerPanic(t *testing.T) {
+	var ran atomic.Int32
+	defer func() {
+		if r := recover(); r != "worker 2" {
+			t.Fatalf("recovered %v, want the worker's panic", r)
+		}
+		if ran.Load() != 3 {
+			t.Fatalf("%d of 3 workers ran", ran.Load())
+		}
+	}()
+	fanOut(3, func(g int) {
+		ran.Add(1)
+		if g == 2 {
+			panic("worker 2")
+		}
+	})
+	t.Fatal("fanOut returned")
 }
