@@ -17,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 expected=.github/bench_counts.expected
-counts='^core\.(visited_per_query|clusters_examined_per_query|sem_dist_calcs_per_query|quant_rerank_ratio|approx_visited_per_query) '
+counts='^core\.(visited_per_query|clusters_examined_per_query|sem_dist_calcs_per_query|approx_visited_per_query) '
 mkdir -p .bench_build # bench/run.sh's own scratch directory, git-ignored
 got=.bench_build/bench_counts.got
 : >"$got"

@@ -218,10 +218,9 @@ func printTrace(t *obs.Trace) {
 		st := &sp.Stats
 		fmt.Printf("  span shard=%d objects=%d duration=%v\n", sp.Shard, sp.Objects,
 			time.Duration(sp.DurationNanos).Round(time.Microsecond))
-		fmt.Printf("       order=%v scan=%v quant=%v route=%v delta=%v\n",
+		fmt.Printf("       order=%v scan=%v route=%v delta=%v\n",
 			time.Duration(st.OrderNanos).Round(time.Microsecond),
 			time.Duration(st.ScanNanos).Round(time.Microsecond),
-			time.Duration(st.QuantNanos).Round(time.Microsecond),
 			time.Duration(st.RouteNanos).Round(time.Microsecond),
 			time.Duration(st.DeltaNanos).Round(time.Microsecond))
 		fmt.Printf("       visited=%d interPruned=%d intraPruned=%d clusters examined=%d pruned=%d readEff=%.3f\n",

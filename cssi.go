@@ -110,15 +110,7 @@ type Options struct {
 	// angular distance (the metric counterpart of cosine similarity).
 	// The paper's bounds hold for arbitrary metrics (§4.2), so CSSI
 	// stays exact; only the semantic notion of "close" changes.
-	// AngularSemantic implies DisableQuant: the SQ8 bound pair relies on
-	// the Euclidean triangle inequality.
 	AngularSemantic bool
-	// DisableQuant skips building the SQ8 quantized arena: queries
-	// always run the pure float32 kernels, and the Quant request knobs
-	// become no-ops. Results are bit-identical either way (the quantized
-	// filter only skips work, never changes answers); disabling trades
-	// the filter's speedup for dim+4 bytes per object of memory.
-	DisableQuant bool
 	// DeltaCompactThreshold bounds the write overlay that ConcurrentIndex
 	// and ShardedIndex snapshots carry: once a snapshot accumulates this
 	// many overlay write ops, a background compaction folds the delta
@@ -137,25 +129,6 @@ const DefaultDeltaCompactThreshold = core.DefaultDeltaCompactThreshold
 // DeltaDisabled disables the write overlay when assigned to
 // Options.DeltaCompactThreshold: every write clones eagerly.
 const DeltaDisabled = core.DeltaDisabled
-
-// QuantMode selects how the SQ8 quantized arena participates in one
-// query; see the SearchRequest.Quant field.
-type QuantMode = core.QuantMode
-
-const (
-	// QuantAuto (the zero value) uses the quantized filter+rerank scan
-	// wherever it provably preserves exactness.
-	QuantAuto = core.QuantAuto
-	// QuantOff forces the pure float32 path for the request.
-	QuantOff = core.QuantOff
-	// QuantOnly answers an approximate request from the quantized arena
-	// with a final exact rerank; requires Approx.
-	QuantOnly = core.QuantOnly
-)
-
-// DefaultQuantRerank is the QuantOnly overfetch multiplier used when
-// SearchRequest.QuantRerank is zero.
-const DefaultQuantRerank = core.DefaultQuantRerank
 
 // DefaultRouteTarget is the routed approximate mode's probability-mass
 // coverage target used when SearchRequest.RouteTarget is zero or
@@ -192,7 +165,6 @@ func (o Options) coreConfig() core.Config {
 		Ks: o.Ks, Kt: o.Kt, F: o.F, M: o.M,
 		SampleFraction:        o.SampleFraction,
 		PCAMethod:             method,
-		DisableQuant:          o.DisableQuant,
 		DeltaCompactThreshold: o.DeltaCompactThreshold,
 		Seed:                  o.Seed,
 	}

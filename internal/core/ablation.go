@@ -10,13 +10,12 @@ import (
 // individual pruning mechanisms so their contribution can be measured
 // (the design-choice ablations called out in DESIGN.md). All pruning
 // enabled is the paper's Alg. 2 as printed — the original Lemma 4.5 cut
-// behind the enclosed-query test, no per-row gate (see rowGate), no
-// quantized pass — so it answers exactly what Search answers while
-// visiting more, and is the reference the tests hold Search against;
-// with everything disabled the algorithm degenerates to a
-// cluster-ordered scan. Results are identical in all configurations —
-// pruning only ever skips objects that cannot be results (Lemmas 4.4 and
-// 4.5) — which the test suite verifies.
+// behind the enclosed-query test, no per-row gate (see rowGate) — so it
+// answers exactly what Search answers while visiting more, and is the
+// reference the tests hold Search against; with everything disabled the
+// algorithm degenerates to a cluster-ordered scan. Results are identical
+// in all configurations — pruning only ever skips objects that cannot be
+// results (Lemmas 4.4 and 4.5) — which the test suite verifies.
 type AblationOptions struct {
 	// DisableInterCluster turns off pruning property 1 (Lemma 4.4):
 	// every hybrid cluster is examined.

@@ -129,9 +129,8 @@ func liveSet(x *Index) (*scan.Scanner, *dataset.Dataset) {
 }
 
 // requireGateExact holds every gated loop of x against its gate-off
-// references: SearchAblated (the paper's Lemma 4.5, no row check), the
-// quant-off loop and the linear scan, ID for ID, over the λ edges and
-// k ≥ n; range, box and filtered search against the scan; and — on flat
+// references: SearchAblated (the paper's Lemma 4.5, no row check) and
+// the linear scan, ID for ID, over the λ edges and k ≥ n; range, box and filtered search against the scan; and — on flat
 // indexes, where the eager reference applies — CSSIA against the
 // paper-faithful loop.
 func requireGateExact(t *testing.T, ctx string, x *Index) {
@@ -165,8 +164,6 @@ func requireGateExact(t *testing.T, ctx string, x *Index) {
 				ref := x.SearchAblated(&q, k, lambda, AblationOptions{}, nil)
 				identicalResults(t, ctx+": ablated vs scan", sc.Search(&q, k, lambda, nil), ref)
 				identicalResults(t, ctx+": gate vs ablated", ref, x.Search(&q, k, lambda, nil))
-				identicalResults(t, ctx+": gate quant-off vs ablated", ref,
-					x.SearchOptionsInto(nil, &q, k, lambda, SearchOptions{Quant: QuantOff}, nil))
 				if x.delta == nil {
 					identicalResults(t, ctx+": cssia vs eager", searchApproxEager(x, &q, k, lambda), x.SearchApprox(&q, k, lambda, nil))
 				}
@@ -235,8 +232,7 @@ func insertFresh(t *testing.T, x *Index, pool []dataset.Object, firstID uint32, 
 // Every flavor of index state answers every gated loop exactly: fresh,
 // churned in place (sentinel rows, emptied clusters), behind a write
 // overlay (tombstoned clusters, overlay inserts), compacted, reloaded
-// and rebuilt — with and without the quant arena, and under the angular
-// metric, where no anchor applies and only the component-wise cut runs.
+// and rebuilt — on both corpus kinds, and under the angular metric, where no anchor applies and only the component-wise cut runs.
 func TestGateBitIdenticalAcrossStates(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -245,7 +241,7 @@ func TestGateBitIdenticalAcrossStates(t *testing.T) {
 		cfg  Config
 	}{
 		{"twitter", dataset.TwitterLike, metric.EuclideanSemantic, Config{Seed: 181}},
-		{"yelp-quantless", dataset.YelpLike, metric.EuclideanSemantic, Config{Seed: 182, DisableQuant: true}},
+		{"yelp", dataset.YelpLike, metric.EuclideanSemantic, Config{Seed: 182}},
 		{"twitter-angular", dataset.TwitterLike, metric.AngularSemantic, Config{Seed: 183}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -365,9 +361,9 @@ func TestAnchorsSurviveMaintenance(t *testing.T) {
 	step("rebuilt in place", compacted, 0)
 }
 
-// On the quantized filter pass every visited row is exactly one of
-// anchor-pruned, SQ8-pruned and reranked. A seed that fills the heap up
-// front sends every cluster scan through that pass.
+// Every visited row is either skipped by the gate or costs exactly one
+// semantic kernel. A seed that fills the heap up front makes every
+// cluster scan a bounded one.
 func TestAnchorStatsPartitionVisited(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 1500, Config{Seed: 185})
 	seed := make([]knn.Result, 10)
@@ -379,23 +375,12 @@ func TestAnchorStatsPartitionVisited(t *testing.T) {
 		q := f.ds.Objects[(qi*37+5)%f.ds.Len()]
 		f.idx.SearchOptionsInto(nil, &q, len(seed), 0.5, SearchOptions{Seed: seed}, &st)
 	}
-	if st.VisitedObjects == 0 || st.AnchorPruned == 0 || st.QuantReranked == 0 {
+	if st.VisitedObjects == 0 || st.AnchorPruned == 0 || st.SemanticDistCalcs == 0 {
 		t.Fatalf("degenerate run: %+v", st)
 	}
-	if sum := st.AnchorPruned + st.QuantPruned + st.QuantReranked; sum != st.VisitedObjects {
-		t.Fatalf("anchorPruned %d + quantPruned %d + quantReranked %d = %d, visited %d",
-			st.AnchorPruned, st.QuantPruned, st.QuantReranked, sum, st.VisitedObjects)
-	}
-	// The float32 loop gates too, and counts its skips the same way.
-	var off metric.Stats
-	q := f.ds.Objects[11]
-	f.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Quant: QuantOff}, &off)
-	if off.AnchorPruned == 0 || off.QuantPruned != 0 || off.QuantReranked != 0 {
-		t.Fatalf("quant-off stats: %+v", off)
-	}
-	if off.AnchorPruned+off.SemanticDistCalcs != off.VisitedObjects {
-		t.Fatalf("quant-off: anchorPruned %d + semantic kernels %d != visited %d",
-			off.AnchorPruned, off.SemanticDistCalcs, off.VisitedObjects)
+	if st.AnchorPruned+st.SemanticDistCalcs != st.VisitedObjects {
+		t.Fatalf("anchorPruned %d + semantic kernels %d != visited %d",
+			st.AnchorPruned, st.SemanticDistCalcs, st.VisitedObjects)
 	}
 }
 
@@ -499,15 +484,14 @@ func TestAnchorCloneGrowsUnderReaders(t *testing.T) {
 	requireScratchesUnpinned(t, parent)
 }
 
-// gatedLoops runs the six gated scan loops on x for one query and
+// gatedLoops runs the five gated scan loops on x for one query and
 // returns each loop's answer and work counters.
-func gatedLoops(x *Index, q *dataset.Object, k int, lambda float64) (res [6][]knn.Result, st [6]metric.Stats) {
+func gatedLoops(x *Index, q *dataset.Object, k int, lambda float64) (res [5][]knn.Result, st [5]metric.Stats) {
 	res[0] = x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{}, &st[0])
-	res[1] = x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{Quant: QuantOff}, &st[1])
-	res[2] = x.SearchApprox(q, k, lambda, &st[2])
-	res[3] = x.RangeSearch(q, 0.15, lambda, &st[3])
-	res[4] = x.SearchInBox(q, q.X-0.2, q.Y-0.15, q.X+0.25, q.Y+0.3, k, &st[4])
-	res[5] = x.SearchFiltered(q, k, lambda, func(id uint32) bool { return id%3 != 0 }, &st[5])
+	res[1] = x.SearchApprox(q, k, lambda, &st[1])
+	res[2] = x.RangeSearch(q, 0.15, lambda, &st[2])
+	res[3] = x.SearchInBox(q, q.X-0.2, q.Y-0.15, q.X+0.25, q.Y+0.3, k, &st[3])
+	res[4] = x.SearchFiltered(q, k, lambda, func(id uint32) bool { return id%3 != 0 }, &st[4])
 	return res, st
 }
 
@@ -536,7 +520,7 @@ func TestHeadCutAccounting(t *testing.T) {
 		if cutAll != nil {
 			setHeads(cutAll, -1e300)
 		}
-		var sum, sumAll [6]metric.Stats
+		var sum, sumAll [5]metric.Stats
 		for qi := 0; qi < 12; qi++ {
 			q := pool[(qi*89+13)%len(pool)]
 			for _, lambda := range []float64{0, 0.5, 1} {

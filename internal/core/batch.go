@@ -18,9 +18,7 @@ import (
 // locally, so a steady-state batch allocates only the per-query result
 // slices and never contends on st. Queries are drawn from a shared
 // atomic cursor, which load-balances skewed per-query costs better than
-// static chunking. Batches are where the quantized scans pay off most:
-// the per-cluster code blocks touched by one query stay cache-resident
-// for the next, so candidate loads amortize across the batch.
+// static chunking.
 //
 // When partial is non-nil it must have one slot per query, and
 // partial[i] is set when query i stopped at its time budget (see

@@ -11,11 +11,11 @@ import (
 var benchSink []knn.Result
 
 // BenchmarkExactFilterPass prices one visited row of the exact search
-// (quantized filter pass plus rerank; k = 10, λ = 0.5, the repository
+// (the gated float32 row loop; k = 10, λ = 0.5, the repository
 // benchmark's defaults) on a 20k×100 TwitterLike index. bench/'s layer
-// ladder resolves ±20 µs per query; the per-row steps of the filter pass
-// (prune-limit arithmetic, the spatial distance) are each below that, so
-// this is where they get a number. It fails on any steady-state
+// ladder resolves ±20 µs per query; the per-row steps of the loop (the
+// gate arithmetic, the spatial distance) are each below that, so this is
+// where they get a number. It fails on any steady-state
 // allocation.
 func BenchmarkExactFilterPass(b *testing.B) {
 	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 20000, Dim: 100, Seed: 51})

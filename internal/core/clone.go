@@ -65,14 +65,10 @@ func (x *Index) CloneForWrite() *Index {
 	nx.clusters = append([]*hybrid(nil), x.clusters...)
 	nx.grid = append([]*hybrid(nil), x.grid...)
 
-	// The quant and anchor arena structs are behind pointers, so their
-	// slice headers are copied explicitly: appendQuantRow on the clone
-	// then grows the clone's own headers (past the parent's length, or into reallocated
+	// The anchor arena struct is behind a pointer, so its slice headers
+	// are copied explicitly: appendAnchorRow on the clone then grows the
+	// clone's own headers (past the parent's length, or into reallocated
 	// backing) instead of mutating state the parent's readers see.
-	if x.quant != nil {
-		q := *x.quant
-		nx.quant = &q
-	}
 	aa := *x.anchors
 	nx.anchors = &aa
 

@@ -64,13 +64,6 @@ type Config struct {
 	Workers int
 	// Seed makes construction deterministic.
 	Seed uint64
-	// DisableQuant skips building the SQ8-quantized companion arena
-	// (see quant.go). The zero value keeps quantization on wherever it
-	// applies (Euclidean semantic metric); exact results are identical
-	// either way — the quantized pass only prunes provably-excluded
-	// candidates — so this knob exists for measurement and as an
-	// escape hatch.
-	DisableQuant bool
 	// DeltaCompactThreshold bounds how many write operations a published
 	// snapshot's write overlay may absorb before the concurrent wrappers
 	// fold it into a fresh flat base (see overlay.go). Zero selects
@@ -212,15 +205,12 @@ type Index struct {
 	vecArena       []float32
 	projArena      []float32
 	xArena, yArena []float64
-	// quant is the SQ8-quantized companion of vecArena (nil when
-	// disabled or inapplicable; see quant.go). The pointee's slices
-	// follow the arenas' append-only/COW discipline; CloneForWrite
-	// copies the struct header so clones grow it independently.
-	quant *quantArena
 	// anchors holds one anchor id and distance per stored row, the
 	// pre-kernel semantic lower bound of the scan loops (see anchor.go).
-	// Never nil on a built index; derived, never serialized; same
-	// append-only/COW discipline as quant.
+	// Never nil on a built index; derived, never serialized. The
+	// pointee's slices follow the arenas' append-only/COW discipline;
+	// CloneForWrite copies the struct header so clones grow it
+	// independently.
 	anchors *anchorArena
 
 	// router is the learned cluster-routing model (nil on indexes too
@@ -473,8 +463,8 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		x.addToHybridWith(uint32(i), dsAll[i], dtAll[i])
 	}
 	// Build each cluster's element array, renumber storage into the
-	// order those arrays dictate, then derive the coordinate arena, train
-	// the SQ8 companion arena and anchor the rows over the final order:
+	// order those arrays dictate, then derive the coordinate arena and
+	// anchor the rows over the final order:
 	// every cluster's scan block is a window of the arenas.
 	clusters := x.clusters
 	parallelFor(len(clusters), cfg.Workers, func(lo, hi int) {
@@ -486,7 +476,6 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		return nil, fmt.Errorf("core: %w", err) // unreachable: Build lists every object once
 	}
 	x.fillCoordArena()
-	x.quant = x.trainQuant()
 	x.anchors = x.buildAnchors(anchors)
 	for _, c := range clusters {
 		x.fillClusterBlock(c)

@@ -49,6 +49,22 @@ func sameResults(t *testing.T, ctx string, want, got []knn.Result) {
 	}
 }
 
+// identicalResults is sameResults strengthened to IDs: the kept set is a
+// pure function of the offered candidates and every exclusion of the
+// gated scan provably cannot be a result, so even tie-broken IDs must
+// agree, not just distances.
+func identicalResults(t *testing.T, ctx string, want, got []knn.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d results, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: result %d = %+v, want %+v", ctx, i, got[i], want[i])
+		}
+	}
+}
+
 func TestBuildRejectsEmpty(t *testing.T) {
 	sp := &metric.Space{DsMax: 1, DtMax: 1}
 	if _, err := Build(&dataset.Dataset{}, sp, Config{}); err == nil {

@@ -158,9 +158,7 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, st)
 	}
 	if sc.obs != nil {
-		el := time.Since(phase).Nanoseconds()
-		sc.obs.ScanNanos += el
-		sc.flushQuantTiming(el)
+		sc.obs.ScanNanos += time.Since(phase).Nanoseconds()
 	}
 	// Chain the write overlay's live inserts onto the same heap (a no-op
 	// on flat snapshots). Exactness is unchanged: the final heap is a
@@ -184,16 +182,6 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 	u0, full0 := h.Bound()
 	blk, g, ok := x.enterCluster(sc, q, lambda, c, dsqC, dtqC, u0, full0, st)
 	if !ok {
-		return
-	}
-	// With a full heap, λ < 1 and a quant arena, the scan switches to
-	// the filter-then-rerank pass: the SQ8 lower bound excludes most
-	// candidates without touching the float32 arena, and only survivors
-	// pay the exact kernel. Results stay bit-identical (see
-	// scanClusterQuant); the unquantized loop below remains the path for
-	// unfilled heaps, λ = 1, QuantOff queries, and quantless indexes.
-	if full0 && x.quant != nil && !sc.quantOff && lambda < 1 && len(c.elems) > 0 {
-		x.scanClusterQuant(sc, q, c, blk, g, u0, h, st)
 		return
 	}
 	tombs := x.deltaTombs()

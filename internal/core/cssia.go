@@ -9,14 +9,10 @@ import (
 	"repro/internal/metric"
 )
 
-// cand is a CSSIA candidate: its exact combined distance d (an
-// estimated distance in the QuantOnly mode, which reranks the pool
-// exactly afterwards) and the projected-space combined distance
-// d' = λ·ds + (1−λ)·d't (§5.3). idx is the storage position, kept so
-// the QuantOnly rerank reaches the object without an ID lookup.
+// cand is a CSSIA candidate: its exact combined distance d and the
+// projected-space combined distance d' = λ·ds + (1−λ)·d't (§5.3).
 type cand struct {
 	id     uint32
-	idx    uint32
 	d, dpr float64
 }
 
@@ -193,7 +189,7 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 			d := metric.Combine(lambda, ds, dt)
 			if d < u || len(cands) < k {
 				dpr := metric.Combine(lambda, ds, x.space.SemanticProjVec(qProj, x.projAt(e.idx)))
-				cands.push(cand{id: x.objects[e.idx].ID, idx: e.idx, d: d, dpr: dpr})
+				cands.push(cand{id: x.objects[e.idx].ID, d: d, dpr: dpr})
 				if len(cands) > k {
 					cands.popMax()
 				}

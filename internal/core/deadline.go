@@ -4,13 +4,12 @@ import "time"
 
 // Deadline-aware search: SearchOptions can carry an absolute time
 // budget (and a cancellation signal), and every cluster-consuming loop
-// — the exact frontier, CSSIA's projected frontier, the routed
-// approximate visit loop, and the QuantOnly bulk scan — polls it once
-// per cluster pop, reading the wall clock only every deadlineCheckEvery
-// pops so the hot path stays branch-cheap. When the budget fires the
-// loop stops consuming clusters and the query returns the heap
-// accumulated so far and reports the truncation through
-// SearchOptions.Partial.
+// — the exact frontier, CSSIA's projected frontier and the routed
+// approximate visit loop — polls it once per cluster pop, reading the
+// wall clock only every deadlineCheckEvery pops so the hot path stays
+// branch-cheap. When the budget fires the loop stops consuming clusters
+// and the query returns the heap accumulated so far and reports the
+// truncation through SearchOptions.Partial.
 //
 // Admissibility of the truncated answer: the k-NN heap is at every
 // instant the exact top-k of the candidate set offered so far, and

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -29,11 +28,6 @@ import (
 //     cluster ordering never exceeds the true centroid distance
 //     (probed with live objects as queries) — the two facts the
 //     exactness of Search's lazy ordering rests on.
-//   - the SQ8 quant arena (when present) stays consistent with the
-//     float32 arena — codebook dimensionality, row counts — and its
-//     bound pair stays admissible (probed with live objects as
-//     queries), the fact the exactness of the quantized filter rests
-//     on.
 //   - the anchor arena holds one row per stored object, every id an
 //     anchor or the sentinel, stored distances equal recomputed ones, and
 //     the deflated anchor bound never exceeds a true distance (sampled) —
@@ -46,9 +40,6 @@ import (
 //     of its own side pair, and nil everywhere else.
 func (x *Index) CheckInvariants() error {
 	if err := x.checkProjBoundSoundness(); err != nil {
-		return err
-	}
-	if err := x.checkQuantSoundness(); err != nil {
 		return err
 	}
 	if err := x.checkAnchors(); err != nil {
@@ -280,7 +271,7 @@ func (x *Index) checkProjBoundSoundness() error {
 // — same addresses, no copy — and a cluster whose elements are not must
 // read private memory.
 func (x *Index) checkLayout() error {
-	n, d, qa, aa := len(x.objects), x.dim, x.quant, x.anchors
+	n, aa := len(x.objects), x.anchors
 	if len(x.xArena) != n || len(x.yArena) != n {
 		return fmt.Errorf("coordinate arena holds %d/%d rows for %d objects", len(x.xArena), len(x.yArena), n)
 	}
@@ -302,13 +293,6 @@ func (x *Index) checkLayout() error {
 		if len(blk.aid) != ne || len(blk.adist) != ne {
 			return fmt.Errorf("cluster %d: block holds %d/%d anchor rows for %d elems", ci, len(blk.aid), len(blk.adist), ne)
 		}
-		if qa == nil && (len(blk.codes) != 0 || len(blk.resid) != 0) {
-			return fmt.Errorf("cluster %d carries a quant block but the index has no quant arena", ci)
-		}
-		if qa != nil && (len(blk.codes) != ne*d || len(blk.resid) != ne) {
-			return fmt.Errorf("cluster %d: quant block %d codes / %d residuals for %d elems",
-				ci, len(blk.codes), len(blk.resid), ne)
-		}
 		for j := range c.elems {
 			idx := c.elems[j].idx
 			if blk.xs[j] != x.xArena[idx] || blk.ys[j] != x.yArena[idx] {
@@ -317,16 +301,6 @@ func (x *Index) checkLayout() error {
 			if blk.aid[j] != aa.id[idx] || math.Float32bits(blk.adist[j]) != math.Float32bits(aa.dist[idx]) {
 				return fmt.Errorf("cluster %d elem %d: block anchor row disagrees with arena row of object %d", ci, j, idx)
 			}
-			if qa == nil {
-				continue
-			}
-			if !bytes.Equal(blk.codes[j*d:(j+1)*d], qa.row(idx, d)) {
-				return fmt.Errorf("cluster %d elem %d: code block row disagrees with arena row of object %d", ci, j, idx)
-			}
-			if blk.resid[j] != qa.resid[idx] {
-				return fmt.Errorf("cluster %d elem %d: block residual %v, arena residual %v",
-					ci, j, blk.resid[j], qa.resid[idx])
-			}
 		}
 		if ne == 0 {
 			continue
@@ -334,74 +308,11 @@ func (x *Index) checkLayout() error {
 		base := int(c.elems[0].idx)
 		aliases := &blk.xs[0] == &x.xArena[base] && &blk.ys[0] == &x.yArena[base] &&
 			&blk.aid[0] == &aa.id[base] && &blk.adist[0] == &aa.dist[base]
-		if qa != nil {
-			aliases = aliases && &blk.codes[0] == &qa.codes[base*d] && &blk.resid[0] == &qa.resid[base]
-		}
 		switch contig := contiguous(c.elems); {
 		case contig && !aliases:
 			return fmt.Errorf("cluster %d: contiguous at %d but its block is a copy", ci, base)
 		case !contig && (c.base >= 0 || aliases):
 			return fmt.Errorf("cluster %d: not contiguous but its block reads the arenas (base %d)", ci, c.base)
-		}
-	}
-	return nil
-}
-
-// checkQuantSoundness guards the invariants the quantized filter's
-// exactness rests on: the SQ8 arena mirrors the float32 arena row for
-// row, and the certain bound pair actually brackets the true distance —
-// probed with live objects as queries, like checkProjBoundSoundness. A
-// failure means a quantized exclusion could discard a true result,
-// silently turning exact search approximate.
-func (x *Index) checkQuantSoundness() error {
-	qa := x.quant
-	d := x.dim
-	if qa == nil {
-		return nil
-	}
-	if got := qa.cb.Dim(); got != d {
-		return fmt.Errorf("quant codebook dim %d, index dim %d", got, d)
-	}
-	if len(qa.codes) != len(x.objects)*d {
-		return fmt.Errorf("quant arena holds %d codes for %d objects of dim %d", len(qa.codes), len(x.objects), d)
-	}
-	if len(qa.resid) != len(x.objects) {
-		return fmt.Errorf("quant arena holds %d residuals for %d objects", len(qa.resid), len(x.objects))
-	}
-	for i, r := range qa.resid {
-		if r < 0 || math.IsNaN(float64(r)) {
-			return fmt.Errorf("object %d: invalid quant residual %v", i, r)
-		}
-	}
-	// Probe the bound pair with stored objects as queries against a
-	// stride of live rows (a sample keeps CheckInvariants O(n)).
-	const maxProbes, maxRowsPerProbe = 32, 16
-	qAdj := make([]float32, d)
-	probes := 0
-	for i := range x.objects {
-		if x.deleted.get(uint32(i)) {
-			continue
-		}
-		if probes++; probes > maxProbes {
-			break
-		}
-		qa.cb.AdjustQueryInto(qAdj, x.objects[i].Vec)
-		rows := 0
-		for j := i; j < len(x.objects); j += 7 {
-			if x.deleted.get(uint32(j)) {
-				continue
-			}
-			if rows++; rows > maxRowsPerProbe {
-				break
-			}
-			sq := vec.SqDistSQ8(qAdj, qa.cb.Step, qa.row(uint32(j), d))
-			truth := float64(vec.Dist(x.vecAt(uint32(i)), x.vecAt(uint32(j))))
-			lb := qa.cb.QLowerBound(sq, qa.resid[j])
-			ub := qa.cb.QUpperBound(sq, qa.resid[j])
-			if lb > truth || truth > ub {
-				return fmt.Errorf("objects %d vs %d: quant bounds [%v, %v] do not bracket true distance %v",
-					i, j, lb, ub, truth)
-			}
 		}
 	}
 	return nil

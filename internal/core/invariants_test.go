@@ -97,7 +97,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			last := len(c.elems) - 1
 			c.elems[0].idx, c.elems[last].idx = c.elems[last].idx, c.elems[0].idx
 			x.fillClusterBlock(c)
-			c.gathered.resid[0]++
+			c.gathered.adist[0]++
 		}},
 	}
 	for _, m := range mutations {

@@ -11,10 +11,9 @@ import (
 // every hybrid cluster's elements at consecutive storage positions, in
 // elems order: elems[j].idx == base+j. The unit of work of Alg. 2 — walk
 // one cluster's array front to back — is then one linear read of each
-// arena (coordinates, anchors, SQ8 codes, residuals, float32 rows, objects)
-// instead of one random slot per element, and a contiguous cluster needs
-// no per-cluster copy of anything: its scan block is a window of the
-// arenas.
+// arena (coordinates, anchors, float32 rows, objects) instead of one
+// random slot per element, and a contiguous cluster needs no per-cluster
+// copy of anything: its scan block is a window of the arenas.
 //
 // Storage order is data, not format: the file layout is unchanged, a
 // file whose clusters are not contiguous (written before this layout
@@ -23,21 +22,18 @@ import (
 // serialized.
 
 // clusterBlock is the per-row data the scan loops read, one entry per
-// element in elems order: the location, the anchor id and distance (see
-// anchor.go), and — with a quant arena — the SQ8 code row (stride dim)
-// and its admissible residual.
+// element in elems order: the location and the anchor id and distance
+// (see anchor.go). The float32 rows are read straight from vecArena.
 type clusterBlock struct {
 	xs, ys []float64
 	aid    []uint8
 	adist  []float32
-	codes  []uint8
-	resid  []float32
 }
 
 // block returns c's scan block. A contiguous cluster's block is a
 // window of the arenas, resolved through this Index's own arena headers
 // on every call and written into w (the scratch's blk on the query
-// path: six slice headers filled in place, never passed by value). A
+// path: four slice headers filled in place, never passed by value). A
 // COW clone that regrew an arena reads its own backing and the parent
 // snapshot its own, the rows being identical, so shared clusters hold no
 // pointer that could go stale or pin a superseded backing array —
@@ -50,10 +46,6 @@ func (x *Index) block(w *clusterBlock, c *hybrid) *clusterBlock {
 	lo, hi := c.base, c.base+len(c.elems)
 	w.xs, w.ys = x.xArena[lo:hi], x.yArena[lo:hi]
 	w.aid, w.adist = x.anchors.id[lo:hi], x.anchors.dist[lo:hi]
-	if qa := x.quant; qa != nil {
-		w.codes = qa.codes[lo*x.dim : hi*x.dim]
-		w.resid = qa.resid[lo:hi]
-	}
 	return w
 }
 
@@ -95,19 +87,11 @@ func (x *Index) fillClusterBlock(c *hybrid) {
 	}
 	g := &clusterBlock{xs: make([]float64, n), ys: make([]float64, n),
 		aid: make([]uint8, n), adist: make([]float32, n)}
-	qa, d, aa := x.quant, x.dim, x.anchors
-	if qa != nil {
-		g.codes = make([]uint8, n*d)
-		g.resid = make([]float32, n)
-	}
+	aa := x.anchors
 	for j := range c.elems {
 		idx := c.elems[j].idx
 		g.xs[j], g.ys[j] = x.xArena[idx], x.yArena[idx]
 		g.aid[j], g.adist[j] = aa.id[idx], aa.dist[idx]
-		if qa != nil {
-			copy(g.codes[j*d:(j+1)*d], qa.row(idx, d))
-			g.resid[j] = qa.resid[idx]
-		}
 	}
 	c.base, c.gathered = -1, g
 }
@@ -175,10 +159,6 @@ func (x *Index) layoutClusterMajor() error {
 	vecArena := make([]float32, n*d)
 	projArena := make([]float32, n*m)
 	sAssign, tAssign := make([]int, n), make([]int, n)
-	var quant *quantArena
-	if x.quant != nil {
-		quant = &quantArena{cb: x.quant.cb, codes: make([]uint8, n*d), resid: make([]float32, n)}
-	}
 	parallelFor(n, x.cfg.Workers, func(lo, hi int) {
 		for old := lo; old < hi; old++ {
 			p := int(perm[old])
@@ -188,10 +168,6 @@ func (x *Index) layoutClusterMajor() error {
 			objects[p].Vec = row
 			copy(projArena[p*m:(p+1)*m], x.projAt(uint32(old)))
 			sAssign[p], tAssign[p] = x.sAssign[old], x.tAssign[old]
-			if quant != nil {
-				copy(quant.codes[p*d:(p+1)*d], x.quant.row(uint32(old), d))
-				quant.resid[p] = x.quant.resid[old]
-			}
 		}
 	})
 	deleted := newBitset(n)
@@ -201,7 +177,7 @@ func (x *Index) layoutClusterMajor() error {
 		}
 	}
 	x.objects, x.vecArena, x.projArena = objects, vecArena, projArena
-	x.sAssign, x.tAssign, x.deleted, x.quant = sAssign, tAssign, deleted, quant
+	x.sAssign, x.tAssign, x.deleted = sAssign, tAssign, deleted
 
 	for _, lists := range [2][][]uint32{x.sMembers, x.tMembers} {
 		for _, list := range lists {

@@ -106,61 +106,58 @@ func saveLoad(t *testing.T, x *Index) *Index {
 
 // Every path that produces a fresh index leaves it cluster-major;
 // in-place maintenance degrades only the clusters it touches, and the
-// next Load, Rebuild or RebuildFresh restores the rest. With and without
-// a quant arena.
+// next Load, Rebuild or RebuildFresh restores the rest.
 func TestLayoutClusterMajorLifecycle(t *testing.T) {
-	for _, cfg := range []Config{{Seed: 70}, {Seed: 70, DisableQuant: true}} {
-		f := build(t, dataset.TwitterLike, 700, cfg)
-		requireClusterMajor(t, "build", f.idx)
-		for i, c := range f.idx.clusters {
-			for j, e := range c.elems {
-				if int(e.idx) != c.base+j {
-					t.Fatalf("cluster %d elem %d at %d, base %d", i, j, e.idx, c.base)
-				}
+	f := build(t, dataset.TwitterLike, 700, Config{Seed: 70})
+	requireClusterMajor(t, "build", f.idx)
+	for i, c := range f.idx.clusters {
+		for j, e := range c.elems {
+			if int(e.idx) != c.base+j {
+				t.Fatalf("cluster %d elem %d at %d, base %d", i, j, e.idx, c.base)
 			}
 		}
-		requireClusterMajor(t, "load of a fresh save", saveLoad(t, f.idx))
-
-		churn(t, f.idx, f.ds.Objects, 71, 300)
-		if err := f.idx.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		g := gatheredClusters(f.idx)
-		if g == 0 || g == len(f.idx.clusters) {
-			t.Fatalf("after churn %d of %d clusters gathered, want some but not all", g, len(f.idx.clusters))
-		}
-		requireExact(t, "after churn", f.idx)
-
-		loaded := saveLoad(t, f.idx)
-		requireClusterMajor(t, "load after churn", loaded)
-		requireExact(t, "load after churn", loaded)
-		// Deleted slots sort behind every live one.
-		for i := range loaded.objects {
-			if loaded.deleted.get(uint32(i)) != (i >= loaded.Len()) {
-				t.Fatalf("slot %d of %d: deleted=%v with %d live", i, len(loaded.objects), i < loaded.Len(), loaded.Len())
-			}
-		}
-		nova := f.ds.Objects[0]
-		nova.ID = 4_000_000
-		if err := loaded.Insert(nova); err != nil {
-			t.Fatal(err)
-		}
-		if err := loaded.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-
-		fresh, err := f.idx.RebuildFresh()
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireClusterMajor(t, "rebuild fresh", fresh)
-		requireExact(t, "rebuild fresh", fresh)
-		if err := f.idx.Rebuild(); err != nil {
-			t.Fatal(err)
-		}
-		requireClusterMajor(t, "rebuild", f.idx)
-		requireExact(t, "rebuild", f.idx)
 	}
+	requireClusterMajor(t, "load of a fresh save", saveLoad(t, f.idx))
+
+	churn(t, f.idx, f.ds.Objects, 71, 300)
+	if err := f.idx.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	g := gatheredClusters(f.idx)
+	if g == 0 || g == len(f.idx.clusters) {
+		t.Fatalf("after churn %d of %d clusters gathered, want some but not all", g, len(f.idx.clusters))
+	}
+	requireExact(t, "after churn", f.idx)
+
+	loaded := saveLoad(t, f.idx)
+	requireClusterMajor(t, "load after churn", loaded)
+	requireExact(t, "load after churn", loaded)
+	// Deleted slots sort behind every live one.
+	for i := range loaded.objects {
+		if loaded.deleted.get(uint32(i)) != (i >= loaded.Len()) {
+			t.Fatalf("slot %d of %d: deleted=%v with %d live", i, len(loaded.objects), i < loaded.Len(), loaded.Len())
+		}
+	}
+	nova := f.ds.Objects[0]
+	nova.ID = 4_000_000
+	if err := loaded.Insert(nova); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := f.idx.RebuildFresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireClusterMajor(t, "rebuild fresh", fresh)
+	requireExact(t, "rebuild fresh", fresh)
+	if err := f.idx.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	requireClusterMajor(t, "rebuild", f.idx)
+	requireExact(t, "rebuild", f.idx)
 }
 
 // scrambledSave re-encodes a save with its storage positions shuffled:
@@ -184,17 +181,11 @@ func scrambledSave(t *testing.T, x *Index, seed uint64) *bytes.Buffer {
 	s.VecArena = make([]float32, len(g.VecArena))
 	s.ProjArena = make([]float32, len(g.ProjArena))
 	s.SAssign, s.TAssign = make([]int, n), make([]int, n)
-	s.QuantCodes = make([]uint8, len(g.QuantCodes))
-	s.QuantResid = make([]float32, len(g.QuantResid))
 	for old, p := range perm {
 		s.Objects[p], s.Deleted[p] = g.Objects[old], g.Deleted[old]
 		copy(s.VecArena[p*g.Dim:(p+1)*g.Dim], g.VecArena[old*g.Dim:(old+1)*g.Dim])
 		copy(s.ProjArena[p*g.M:(p+1)*g.M], g.ProjArena[old*g.M:(old+1)*g.M])
 		s.SAssign[p], s.TAssign[p] = g.SAssign[old], g.TAssign[old]
-		if len(g.QuantCodes) > 0 {
-			copy(s.QuantCodes[p*g.Dim:(p+1)*g.Dim], g.QuantCodes[old*g.Dim:(old+1)*g.Dim])
-			s.QuantResid[p] = g.QuantResid[old]
-		}
 	}
 	for _, lists := range [2][][]uint32{s.SMembers, s.TMembers} {
 		for _, list := range lists {
@@ -269,7 +260,6 @@ func blockCopy(x *Index) []clusterBlock {
 		out[i] = clusterBlock{
 			xs: slices.Clone(b.xs), ys: slices.Clone(b.ys),
 			aid: slices.Clone(b.aid), adist: slices.Clone(b.adist),
-			codes: slices.Clone(b.codes), resid: slices.Clone(b.resid),
 		}
 	}
 	return out
@@ -278,8 +268,7 @@ func blockCopy(x *Index) []clusterBlock {
 func sameBlocks(a, b []clusterBlock) bool {
 	return slices.EqualFunc(a, b, func(p, q clusterBlock) bool {
 		return slices.Equal(p.xs, q.xs) && slices.Equal(p.ys, q.ys) &&
-			slices.Equal(p.aid, q.aid) && slices.Equal(p.adist, q.adist) &&
-			slices.Equal(p.codes, q.codes) && slices.Equal(p.resid, q.resid)
+			slices.Equal(p.aid, q.aid) && slices.Equal(p.adist, q.adist)
 	})
 }
 
@@ -332,7 +321,6 @@ func TestLayoutCloneGrowsUnderReaders(t *testing.T) {
 
 	if &clone.vecArena[0] == &parent.vecArena[0] || &clone.projArena[0] == &parent.projArena[0] ||
 		&clone.xArena[0] == &parent.xArena[0] || &clone.yArena[0] == &parent.yArena[0] ||
-		&clone.quant.codes[0] == &parent.quant.codes[0] || &clone.quant.resid[0] == &parent.quant.resid[0] ||
 		&clone.anchors.id[0] == &parent.anchors.id[0] || &clone.anchors.dist[0] == &parent.anchors.dist[0] {
 		t.Fatal("the clone did not outgrow every arena")
 	}
@@ -361,7 +349,7 @@ func requireScratchesUnpinned(t *testing.T, x *Index) {
 	for i := 0; i < 16; i++ {
 		sc := x.scratchPool.Get().(*searchScratch)
 		b, g := &sc.blk, &sc.gate
-		if b.xs != nil || b.ys != nil || b.aid != nil || b.adist != nil || b.codes != nil || b.resid != nil ||
+		if b.xs != nil || b.ys != nil || b.aid != nil || b.adist != nil ||
 			g.aid != nil || g.adist != nil || g.dq != nil || sc.front.x != nil {
 			t.Fatalf("pooled scratch %d still points into an index", i)
 		}

@@ -37,7 +37,7 @@ func sortOrder(order []orderedCluster) {
 // CSSI: every centroid distance computed up front, clusters sorted
 // eagerly by TRUE lower bound, then scanned linearly with the Lemma 4.4
 // cut-off and the paper's own cluster scan (the original Lemma 4.5, no
-// row gate, no quantized pass). It lives in test code only — the
+// row gate). It lives in test code only — the
 // production path is the lazy best-first frontier over gated scans, and
 // this reference pins its results.
 func searchEager(x *Index, seed []knn.Result, q *dataset.Object, k int, lambda float64) []knn.Result {

@@ -288,11 +288,6 @@ func (x *Index) appendArenaRows(idx uint32) {
 	x.xArena = append(x.xArena, x.objects[idx].X)
 	x.yArena = append(x.yArena, x.objects[idx].Y)
 
-	// The SQ8 companion row follows the same append discipline; the
-	// build-time codebook stays fixed (out-of-range values clamp, with
-	// the clamping error absorbed into the stored residual, so the
-	// quantized bounds remain admissible without retraining).
-	x.appendQuantRow(idx)
 	x.appendAnchorRow()
 }
 

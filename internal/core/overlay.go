@@ -353,11 +353,10 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 }
 
 // forEachDeltaLive visits every live overlay insert. The non-k-NN query
-// paths (filtered/range/box/approx and the quantized mode) chain the
-// overlay with a full scan instead of scanDelta's group pruning: the
-// overlay is bounded by the compaction threshold, so the exact pass is
-// cheap, and full coverage keeps the approximate modes' recall no worse
-// than a compacted rebuild.
+// paths (filtered/range/box/approx) chain the overlay with a full scan
+// instead of scanDelta's group pruning: the overlay is bounded by the
+// compaction threshold, so the exact pass is cheap, and full coverage
+// keeps the approximate modes' recall no worse than a compacted rebuild.
 func (x *Index) forEachDeltaLive(fn func(o *dataset.Object)) {
 	d := x.delta
 	if d == nil {

@@ -165,8 +165,6 @@ func TestOverlayApproxNoResurrection(t *testing.T) {
 	for qi := 0; qi < 6; qi++ {
 		q := f.ds.Objects[(qi*131+5)%f.ds.Len()]
 		check("approx", overlay.SearchApprox(&q, 20, 0.5, nil))
-		check("quant-only", overlay.SearchOptionsInto(nil, &q, 20, 0.5,
-			SearchOptions{Approx: true, Quant: QuantOnly}, nil))
 		check("routed", overlay.SearchOptionsInto(nil, &q, 20, 0.5,
 			SearchOptions{Approx: true, Route: true}, nil))
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/metric"
 	"repro/internal/pca"
 	"repro/internal/route"
-	"repro/internal/vec"
 )
 
 // Index persistence: Save writes everything needed to answer queries —
@@ -38,7 +37,9 @@ type gobHybrid struct {
 // legacy Proj field) are still accepted — Load migrates them into
 // arenas; gob ignores stream fields absent from this struct and leaves
 // struct fields absent from the stream at their zero value, so both
-// layouts decode through it.
+// layouts decode through it — as do files that still carry the removed
+// SQ8 arena (four Quant* fields here and its on/off flag in Cfg), whose
+// fields are skipped.
 type gobIndex struct {
 	Version int
 	Cfg     Config
@@ -75,17 +76,6 @@ type gobIndex struct {
 	Clusters           []gobHybrid
 	UpdatesSinceBuild_ int
 
-	// The SQ8 quant arena (version 3): the codebook's per-dimension
-	// Lo/Step vectors plus the code and residual arenas. All four are
-	// empty when the saved index had no quant arena (disabled by config,
-	// angular metric, or no objects); version-1/2 files leave them at
-	// their gob zero values and Load retrains transparently. The
-	// per-cluster scan blocks are derived data, rebuilt by Load like the
-	// element arrays.
-	QuantLo, QuantStep []float32
-	QuantCodes         []uint8
-	QuantResid         []float32
-
 	// The learned cluster router (version 4): the logistic layer's
 	// weights and the feature standardization. All empty when the saved
 	// index had no trained router (too small, degenerate training set);
@@ -102,7 +92,7 @@ type gobIndex struct {
 const (
 	persistVersionV1 = 1 // per-object vectors + [][]float32 projections
 	persistVersionV2 = 2 // flat vector/projection arenas
-	persistVersionV3 = 3 // v2 + the SQ8 quantized arena and codebook
+	persistVersionV3 = 3 // v2 + an SQ8 arena no code reads any more (gob skips its fields)
 	persistVersion   = 4 // v3 + the learned cluster-routing model
 )
 
@@ -153,12 +143,6 @@ func (x *Index) Save(w io.Writer) error {
 		SAssign:            x.sAssign,
 		TAssign:            x.tAssign,
 		UpdatesSinceBuild_: x.UpdatesSinceBuild,
-	}
-	if x.quant != nil {
-		g.QuantLo = x.quant.cb.Lo
-		g.QuantStep = x.quant.cb.Step
-		g.QuantCodes = x.quant.codes
-		g.QuantResid = x.quant.resid
 	}
 	if x.router != nil {
 		g.RouteHasModel = true
@@ -285,33 +269,6 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 			x.tValid[t] = len(x.tMembers[t]) > 0
 		}
 	}
-	// Restore the SQ8 arena: version-3 files carry it verbatim (when the
-	// saved index had one); older files — and v3 files saved without a
-	// quant arena — retrain from the restored vector arena, so a legacy
-	// load transparently gains the quantized scans. Retraining may pick
-	// marginally different codebook ranges than the original build, but
-	// exactness never depends on the codebook (only the bound pair does,
-	// and it is admissible for any codebook). Training waits until the
-	// storage order is final, below.
-	if len(g.QuantLo) > 0 || len(g.QuantStep) > 0 || len(g.QuantCodes) > 0 || len(g.QuantResid) > 0 {
-		if len(g.QuantLo) != g.Dim || len(g.QuantStep) != g.Dim {
-			return nil, nil, fmt.Errorf("core: load: quant codebook dims %d/%d do not match index dim %d",
-				len(g.QuantLo), len(g.QuantStep), g.Dim)
-		}
-		if len(g.QuantCodes) != len(g.Objects)*g.Dim {
-			return nil, nil, fmt.Errorf("core: load: quant code arena length %d does not match %d objects of dim %d",
-				len(g.QuantCodes), len(g.Objects), g.Dim)
-		}
-		if len(g.QuantResid) != len(g.Objects) {
-			return nil, nil, fmt.Errorf("core: load: quant residual arena length %d does not match %d objects",
-				len(g.QuantResid), len(g.Objects))
-		}
-		x.quant = &quantArena{
-			cb:    vec.NewSQ8Codebook(g.QuantLo, g.QuantStep),
-			codes: g.QuantCodes,
-			resid: g.QuantResid,
-		}
-	}
 	// The cluster directory is a dense Ks×Kt grid, so side indices are
 	// validated before anything is indexed by them: a damaged file fails
 	// here, not in the first search.
@@ -345,8 +302,8 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	}
 	// Storage order is data: a file whose clusters are not contiguous —
 	// written before the cluster-major layout, or saved after in-place
-	// maintenance — is renumbered here (a restored quant arena moves with
-	// it), after which the derived pieces follow as in Build.
+	// maintenance — is renumbered here, after which the derived pieces
+	// follow as in Build.
 	if err := x.layoutClusterMajor(); err != nil {
 		return nil, nil, fmt.Errorf("core: load: %w", err)
 	}
@@ -356,9 +313,6 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 		}
 	}
 	x.fillCoordArena()
-	if x.quant == nil {
-		x.quant = x.trainQuant()
-	}
 	x.anchors = x.buildAnchors(nil)
 	for _, c := range x.clusters {
 		x.fillClusterBlock(c)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
 	"testing"
 
 	"repro/internal/dataset"
@@ -183,5 +184,95 @@ func TestLoadRejectsUnknownVersion(t *testing.T) {
 	}
 	if _, _, err := Load(&out); err == nil {
 		t.Fatal("expected error for unknown persist version")
+	}
+}
+
+// A file whose cluster directory is damaged fails Load; before the grid
+// existed such a file loaded and panicked in the first search.
+func TestLoadRejectsBadClusterSides(t *testing.T) {
+	f := build(t, dataset.TwitterLike, 200, Config{Seed: 89})
+	var saved bytes.Buffer
+	if err := f.idx.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(g *gobIndex)
+	}{
+		{"cluster side out of range", func(g *gobIndex) { g.Clusters[0].S = 1 << 20 }},
+		{"negative cluster side", func(g *gobIndex) { g.Clusters[0].T = -1 }},
+		{"two clusters naming one pair", func(g *gobIndex) {
+			g.Clusters[1].S, g.Clusters[1].T = g.Clusters[0].S, g.Clusters[0].T
+		}},
+		{"spatial assignment out of range", func(g *gobIndex) { g.SAssign[3] = len(g.SCentX) }},
+		{"semantic assignment out of range", func(g *gobIndex) { g.TAssign[3] = -2 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var g gobIndex
+			if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&g); err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(&g)
+			var out bytes.Buffer
+			if err := gob.NewEncoder(&out).Encode(&g); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Load(&out); err == nil {
+				t.Fatalf("Load accepted a file with %s", c.name)
+			}
+		})
+	}
+}
+
+// A file written by the last commit that still kept an SQ8 arena (200
+// objects × 8 dims, version 4: four Quant* fields in the stream and the
+// arena's on/off flag in Cfg's wire type) loads — gob skips what
+// gobIndex no longer declares — and answers exactly. Saving it again
+// drops the arena's dim+4 bytes per object and nothing an answer reads.
+func TestLoadParentWrittenFile(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parent_v4_quant.cssi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte("QuantCodes")) {
+		t.Fatal("fixture carries no quant arena")
+	}
+	loaded, _, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	const n, dim = 200, 8
+	if loaded.Len() != n || loaded.Dim() != dim {
+		t.Fatalf("loaded %d objects of dim %d, want %d of %d", loaded.Len(), loaded.Dim(), n, dim)
+	}
+	var resaved bytes.Buffer
+	if err := loaded.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if shrunk := len(raw) - resaved.Len(); shrunk < n*(dim+4) {
+		t.Fatalf("re-saved file is %d B smaller, want at least %d", shrunk, n*(dim+4))
+	}
+	again, _, err := Load(&resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := again.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	sc, live := liveSet(loaded)
+	for qi := 0; qi < 8; qi++ {
+		q := live.Objects[(qi*37+3)%n]
+		for _, lambda := range []float64{0, 0.3, 0.5, 1} {
+			for _, k := range []int{1, 10, n + 1} {
+				want := sc.Search(&q, k, lambda, nil)
+				identicalResults(t, "parent-written file vs scan", want, loaded.Search(&q, k, lambda, nil))
+				identicalResults(t, "re-saved file vs scan", want, again.Search(&q, k, lambda, nil))
+				identicalResults(t, "re-saved file approx", loaded.SearchApprox(&q, k, lambda, nil), again.SearchApprox(&q, k, lambda, nil))
+			}
+		}
 	}
 }

@@ -313,9 +313,7 @@ func (x *Index) searchRoutedWith(sc *searchScratch, dst []knn.Result, q *dataset
 		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, st)
 	}
 	if sc.obs != nil {
-		el := time.Since(phase).Nanoseconds()
-		sc.obs.ScanNanos += el
-		sc.flushQuantTiming(el)
+		sc.obs.ScanNanos += time.Since(phase).Nanoseconds()
 	}
 	// The write overlay is scanned in full (exactly): routed recall stays
 	// governed by base-cluster coverage alone, and overlay inserts are

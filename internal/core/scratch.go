@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/knn"
 	"repro/internal/obs"
-	"repro/internal/vec"
 )
 
 // searchScratch holds every per-query buffer the query algorithms need.
@@ -38,20 +37,6 @@ type searchScratch struct {
 	// max-heap.
 	heap  knn.Heap
 	cands candHeap
-	// Quantized-scan state. qAdj is the codebook-adjusted query q − lo
-	// (length dim), filled lazily by the first quantized cluster scan of
-	// a query and marked valid by quantQ; quantOff forces the float32
-	// path for the current query; survivors and est are the pass-1
-	// survivor list and per-element block scores of the quantized scans;
-	// lut holds the per-query lookup tables of the QuantOnly bulk scan
-	// (built once per query, reused across its clusters and across
-	// pooled queries).
-	qAdj      []float32
-	quantQ    bool
-	quantOff  bool
-	survivors []quantSurvivor
-	est       []float64
-	lut       vec.SQ8LUT
 	// anchorDq[a] is the normalized distance from q to anchor a (see
 	// anchor.go), filled by the first gated cluster scan of a query and
 	// marked valid by anchorQ. Entries from the anchor count up are never
@@ -60,19 +45,10 @@ type searchScratch struct {
 	anchorQ  bool
 	// blk and gate are the scan block and row gate of the cluster being
 	// scanned, refilled in place per cluster (see enterCluster) so that
-	// a visit passes no 144-byte and 88-byte structs around. Their
+	// a visit passes no 96-byte and 88-byte structs around. Their
 	// slices window the index's arenas: putScratch clears them.
 	blk  clusterBlock
 	gate rowGate
-	// Sampled quant-phase timing (explain/trace path only): the scans of
-	// a query are counted in quantScans and every quantTimeSampleEvery-th
-	// one is wall-timed into quantSampledNanos; flushQuantTiming scales
-	// the sample into the query's QuantNanos when the scan phase closes.
-	// Timing every scan individually costs two clock reads per examined
-	// cluster, which dominates the tracer's overhead at realistic cluster
-	// counts.
-	quantScans        int64
-	quantSampledNanos int64
 	// Learned-routing state of the routed approximate mode: routeScore
 	// is its per-cluster probability buffer, routeKey its packed
 	// (probability, position) sort keys.
@@ -111,14 +87,7 @@ func (x *Index) getScratch() *searchScratch {
 	sc.dtqProj = growSlice(sc.dtqProj, len(x.tCent))
 	sc.qProj = growSlice(sc.qProj, x.m)
 	sc.aTerm = growSlice(sc.aTerm, len(x.sCentX))
-	if x.quant != nil {
-		sc.qAdj = growSlice(sc.qAdj, x.dim)
-	}
-	sc.quantQ = false
 	sc.anchorQ = false
-	sc.quantOff = false
-	sc.quantScans = 0
-	sc.quantSampledNanos = 0
 	sc.budgeted = false
 	sc.deadline = time.Time{}
 	sc.cancel = nil

@@ -9,6 +9,13 @@ import (
 	"repro/internal/obs"
 )
 
+// QuantMode is the type of SearchOptions.Quant, kept for bench/ like the
+// field.
+type QuantMode int
+
+// QuantOff is QuantMode's one value, kept for bench/ like the type.
+const QuantOff QuantMode = 1
+
 // SearchOptions is the per-call value of the k-NN entry point: the
 // algorithm switches plus everything else one query may carry — a time
 // budget, a bound-carrying seed, and the sinks it reports into. The
@@ -16,13 +23,10 @@ import (
 type SearchOptions struct {
 	// Approx selects CSSIA instead of exact CSSI.
 	Approx bool
-	// Quant selects the quantized-arena participation (see QuantMode).
-	// QuantOnly only takes effect with Approx set (and an index whose
-	// quant arena exists); exact queries treat it as QuantAuto.
+	// Quant is accepted and ignored: kept for bench/ until the
+	// benchmark-only change drops the core.quantoff_p50_us and
+	// core.sq8_search_speedup rows.
 	Quant QuantMode
-	// QuantRerank is the QuantOnly overfetch multiplier (<= 0 selects
-	// DefaultQuantRerank). Ignored outside QuantOnly.
-	QuantRerank int
 	// Route engages the learned cluster router (see route.go): with
 	// Approx it selects the routed approximate mode whose cluster
 	// coverage is tuned by RouteTarget. It has no effect on exact
@@ -88,7 +92,6 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 		sc.obs = opts.Explain
 		st = &opts.Explain.Stats
 	}
-	sc.quantOff = opts.Quant == QuantOff
 	sc.deadline = opts.Deadline
 	sc.cancel = opts.Cancel
 	sc.budgeted = !opts.Deadline.IsZero() || opts.Cancel != nil
@@ -98,8 +101,6 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 		dst = x.searchWithSeed(sc, dst, opts.Seed, q, k, lambda, st)
 	case opts.Route && x.router != nil:
 		dst = x.searchRoutedWith(sc, dst, q, k, lambda, routeTargetOrDefault(opts.RouteTarget), st)
-	case opts.Quant == QuantOnly && x.quant != nil:
-		dst = x.searchQuantWith(sc, dst, q, k, rerankMult(opts.QuantRerank), lambda, st)
 	default:
 		dst = x.searchApproxWith(sc, dst, q, k, lambda, st)
 	}

@@ -155,19 +155,15 @@ type Stats struct {
 	// cluster the routed approximate mode visited. Zero on exact and on
 	// unrouted queries.
 	ClustersRouted int64 `json:"clustersRouted"`
-	// QuantPruned counts candidates the SQ8 kernel ran on and excluded by
-	// its quantized lower bound alone (no exact semantic kernel ran);
-	// QuantReranked counts candidates that survived the quantized filter
-	// and were rescored with the exact float32 kernel. Their ratio is the
-	// filter's selectivity — the rerank ratio the server exports as a
-	// histogram.
+	// QuantPruned and QuantReranked are always zero: kept for bench/
+	// (and the JSON clients that read the keys) until the benchmark-only
+	// change drops the core.quant_rerank_ratio row.
 	QuantPruned   int64 `json:"quantPruned"`
 	QuantReranked int64 `json:"quantReranked"`
 	// AnchorPruned counts visited objects excluded before any semantic
-	// kernel ran — SQ8 or float32 — by a stored lower bound on their
-	// semantic distance: the anchor bound or the object's own array
-	// threshold. On the quantized filter pass every visited object is
-	// exactly one of AnchorPruned, QuantPruned and QuantReranked.
+	// kernel ran by a stored lower bound on their semantic distance: the
+	// anchor bound or the object's own array threshold. A visited base
+	// row is either AnchorPruned or costs one semantic kernel.
 	AnchorPruned int64 `json:"anchorPruned"`
 }
 

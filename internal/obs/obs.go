@@ -58,14 +58,9 @@ type SearchStats struct {
 	// ScanNanos, the wall time of the consumption loop.
 	OrderNanos int64 `json:"orderNanos"`
 	ScanNanos  int64 `json:"scanNanos"`
-	// QuantNanos is wall time spent in the SQ8 quantized phases — the
-	// pass-1 quantized filter of the exact filter+rerank scan, and the
-	// blockwise scoring plus exact rerank of the quantized-only path. It
-	// is a subset of ScanNanos, not additional time. Zero whenever the
-	// query ran without quantization. The per-cluster windows are a
-	// sampled estimate (one in every few scans is wall-timed and scaled,
-	// clamped to the scan phase) so always-on tracing does not pay two
-	// clock reads per examined cluster.
+	// QuantNanos is always zero: kept for bench/ (and the JSON clients
+	// that read the key) until the benchmark-only change drops the
+	// core.quant_us row.
 	QuantNanos int64 `json:"quantNanos"`
 	// RouteNanos is wall time spent scoring and ordering clusters with
 	// the learned router — a subset of OrderNanos, not additional time.
@@ -179,9 +174,8 @@ type Trace struct {
 	// the single query's result count, or the per-query result counts
 	// summed across a batch.
 	Results int `json:"results,omitempty"`
-	// Algo names the search algorithm: "cssi" (exact) or "cssia"
-	// (approximate), with -sq8/-routed suffixes for the quantized and
-	// routed modes.
+	// Algo names the search algorithm: "cssi" (exact), "cssia"
+	// (approximate) or "cssia-routed" (the routed approximate mode).
 	Algo string `json:"algo"`
 	// K and Lambda echo the query parameters.
 	K      int     `json:"k"`
@@ -247,9 +241,9 @@ func (t *Trace) Finish(kth float64, durationNanos int64) {
 
 // CheckInvariants verifies the trace's internal accounting: phase
 // nanos are non-negative and respect the documented subset relations
-// (QuantNanos ⊆ ScanNanos, RouteNanos ⊆ OrderNanos, DeltaNanos
-// disjoint), the pre-kernel and SQ8 outcomes partition no more than the
-// visited objects, each span's phase breakdown fits inside the span's
+// (RouteNanos ⊆ OrderNanos, DeltaNanos disjoint), the vestigial quant
+// fields are zero, the anchor gate skipped no more rows than were
+// visited, each span's phase breakdown fits inside the span's
 // wall time, every span fits inside the request's wall time, and — for
 // sequentially recorded spans — the span durations plus the gather
 // merge sum to no more than the request duration.
@@ -260,15 +254,16 @@ func (t *Trace) CheckInvariants() error {
 			v    int64
 		}{
 			{"orderNanos", s.OrderNanos}, {"scanNanos", s.ScanNanos},
-			{"quantNanos", s.QuantNanos}, {"routeNanos", s.RouteNanos},
-			{"deltaNanos", s.DeltaNanos},
+			{"routeNanos", s.RouteNanos}, {"deltaNanos", s.DeltaNanos},
 		} {
 			if p.v < 0 {
 				return fmt.Errorf("%s: negative %s %d", what, p.name, p.v)
 			}
 		}
-		if s.QuantNanos > s.ScanNanos {
-			return fmt.Errorf("%s: quantNanos %d exceeds scanNanos %d (must be a subset)", what, s.QuantNanos, s.ScanNanos)
+		// Nothing writes the quant fields any more; a non-zero one means
+		// a stale writer.
+		if s.QuantNanos != 0 || s.QuantPruned != 0 || s.QuantReranked != 0 {
+			return fmt.Errorf("%s: quantNanos %d, quantPruned %d, quantReranked %d, want all 0", what, s.QuantNanos, s.QuantPruned, s.QuantReranked)
 		}
 		if s.RouteNanos > s.OrderNanos {
 			return fmt.Errorf("%s: routeNanos %d exceeds orderNanos %d (must be a subset)", what, s.RouteNanos, s.OrderNanos)
@@ -278,11 +273,10 @@ func (t *Trace) CheckInvariants() error {
 				return fmt.Errorf("%s: phase sum %d exceeds wall time %d", what, sum, wall)
 			}
 		}
-		// A visited object is anchor-pruned, SQ8-pruned or reranked at
-		// most once (exactly once on the quantized filter pass; float32
-		// scans and the overlay add visits that are none of the three).
-		if sum := s.AnchorPruned + s.QuantPruned + s.QuantReranked; sum > s.VisitedObjects {
-			return fmt.Errorf("%s: anchorPruned+quantPruned+quantReranked %d exceeds visitedObjects %d", what, sum, s.VisitedObjects)
+		// A visited object is anchor-pruned at most once (overlay rows are
+		// visited ungated).
+		if s.AnchorPruned > s.VisitedObjects {
+			return fmt.Errorf("%s: anchorPruned %d exceeds visitedObjects %d", what, s.AnchorPruned, s.VisitedObjects)
 		}
 		return nil
 	}

@@ -48,13 +48,11 @@ type Key struct {
 	Hash   uint64
 	K      int
 	Lambda float64
-	// Approx, Quant, Rerank, Route and RouteTarget mirror the request's
-	// algorithm knobs. Callers should canonicalize knobs that do not
-	// affect the answer in their context (e.g. Rerank outside the
-	// quant-only mode) so equivalent requests share entries.
+	// Approx, Route and RouteTarget mirror the request's algorithm
+	// knobs. Callers should canonicalize knobs that do not affect the
+	// answer in their context (e.g. RouteTarget outside the routed
+	// approximate mode) so equivalent requests share entries.
 	Approx      bool
-	Quant       int
-	Rerank      int
 	Route       bool
 	RouteTarget float64
 	// Keywords is the canonical keyword set: lowercased, sorted, joined

@@ -103,8 +103,6 @@ func TestKeySensitivity(t *testing.T) {
 		{Hash: 1, K: 11, Lambda: 0.5},
 		{Hash: 1, K: 10, Lambda: 0.6},
 		{Hash: 1, K: 10, Lambda: 0.5, Approx: true},
-		{Hash: 1, K: 10, Lambda: 0.5, Quant: 2},
-		{Hash: 1, K: 10, Lambda: 0.5, Rerank: 8},
 		{Hash: 1, K: 10, Lambda: 0.5, Route: true},
 		{Hash: 1, K: 10, Lambda: 0.5, RouteTarget: 0.9},
 		{Hash: 1, K: 10, Lambda: 0.5, Keywords: "cafe"},

@@ -37,7 +37,6 @@ type metrics struct {
 	clustersPruned     histogram // per search request: fraction of clusters pruned
 	clustersOrdered    histogram // per search request: ordering-phase pops / clusters considered
 	clustersRouted     histogram // per search request: router-placed clusters / clusters considered
-	rerankRatio        histogram // per search request: SQ8 survivors reranked / candidates filtered
 	anchorPruned       histogram // per search request: visited objects skipped before any kernel / visited
 	shardImbalance     histogram // per traced scatter request: max/mean shard span duration
 
@@ -255,7 +254,6 @@ func newMetrics() *metrics {
 	m.clustersPruned.init(ratioBuckets)
 	m.clustersOrdered.init(ratioBuckets)
 	m.clustersRouted.init(ratioBuckets)
-	m.rerankRatio.init(ratioBuckets)
 	m.anchorPruned.init(ratioBuckets)
 	m.shardImbalance.init(imbalanceBuckets)
 	// Query latency carries exemplars: an OpenMetrics scrape sees which
@@ -361,14 +359,6 @@ func (m *metrics) observeSearchStats(st *cssi.Stats) {
 	// histogram with zeros.
 	if clTotal > 0 && st.ClustersRouted > 0 {
 		m.clustersRouted.observe(float64(st.ClustersRouted) / float64(clTotal))
-	}
-	// Rerank ratio: of the candidates the SQ8 quantized filter examined,
-	// the fraction that survived to the exact rerank. Low is good (the
-	// cheap bound excluded most of them). Only observed when the filter
-	// actually ran — quant-off queries and quant-free indexes would
-	// otherwise flood the histogram with meaningless zeros.
-	if qTotal := st.QuantPruned + st.QuantReranked; qTotal > 0 {
-		m.rerankRatio.observe(float64(st.QuantReranked) / float64(qTotal))
 	}
 	// Anchor-pruned ratio: of the objects the scans visited, the fraction
 	// a stored lower bound excluded before any semantic kernel ran. It
@@ -503,8 +493,6 @@ func (m *metrics) handler(sampler func() []cssi.ShardStat, buildVersion, goVersi
 			"Per search request: lazy ordering-phase heap pops over clusters considered (re-pushed clusters pop twice, so >1 lands in +Inf).", om)
 		m.clustersRouted.write(&b, "cssi_search_clusters_routed_ratio",
 			"Per search request: fraction of considered clusters placed by the learned router (observed only when routing ran).", om)
-		m.rerankRatio.write(&b, "cssi_search_rerank_ratio",
-			"Per search request: fraction of SQ8-filtered candidates surviving to the exact rerank (observed only when the quantized filter ran).", om)
 		m.anchorPruned.write(&b, "cssi_search_anchor_pruned_ratio",
 			"Per search request: fraction of visited objects excluded by the anchor bound before any semantic kernel ran.", om)
 		m.shardImbalance.write(&b, "cssi_shard_imbalance_ratio",

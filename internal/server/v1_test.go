@@ -225,46 +225,6 @@ func TestClustersOrderedMetric(t *testing.T) {
 	}
 }
 
-// TestRerankRatioMetric asserts the SQ8 rerank-ratio histogram shows up
-// in /metrics once quantized-filtered searches ran, and stays silent on
-// a quant-free index (observed only when the filter did work).
-func TestRerankRatioMetric(t *testing.T) {
-	run := func(t *testing.T, opts cssi.Options, wantCount string) string {
-		ds, err := cssi.GenerateDataset(cssi.DatasetConfig{Kind: cssi.TwitterLike, Size: 600, Dim: 16, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := cssi.Build(ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(New(idx, ds.Model).Handler())
-		t.Cleanup(ts.Close)
-
-		q := ds.Objects[4]
-		for i := 0; i < 4; i++ {
-			status, body := rawPost(t, ts.URL+"/v1/search",
-				map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5})
-			if status != http.StatusOK {
-				t.Fatalf("search: %d %s", status, body)
-			}
-		}
-		resp, err := http.Get(ts.URL + "/v1/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		text := string(b)
-		if !bytes.Contains(b, []byte("cssi_search_rerank_ratio_count "+wantCount)) {
-			t.Fatalf("rerank-ratio histogram count != %s:\n%s", wantCount, grepMetric(text, "cssi_search_rerank_ratio"))
-		}
-		return text
-	}
-	run(t, cssi.Options{Seed: 7}, "4")
-	run(t, cssi.Options{Seed: 7, DisableQuant: true}, "0")
-}
-
 // grepMetric extracts the lines of one metric family for error output.
 func grepMetric(text, name string) string {
 	var out []byte

@@ -33,18 +33,6 @@ type SearchRequest struct {
 	// Approx selects the approximate CSSIA algorithm instead of exact
 	// CSSI.
 	Approx bool
-	// Quant selects how the SQ8 quantized arena participates. The zero
-	// value (QuantAuto) applies the exactness-preserving quantized
-	// filter wherever the index has an arena; QuantOff forces the pure
-	// float32 path; QuantOnly answers from the quantized arena with a
-	// final exact rerank — approximate by construction, so it requires
-	// Approx (rejected with ErrUnsupportedRequest otherwise). The
-	// keyword path ignores Quant (it is exact regardless).
-	Quant QuantMode
-	// QuantRerank tunes the QuantOnly overfetch: the exact rerank pool
-	// holds QuantRerank·K candidates (<= 0 selects DefaultQuantRerank;
-	// larger is more accurate and slower). Ignored outside QuantOnly.
-	QuantRerank int
 	// Route engages the learned cluster router trained at Build time:
 	// with Approx it switches to the routed approximate mode that visits
 	// clusters in predicted relevance order until RouteTarget's
@@ -123,11 +111,6 @@ type BatchSearchRequest struct {
 	Lambda float64
 	// Approx selects CSSIA instead of exact CSSI.
 	Approx bool
-	// Quant and QuantRerank select the SQ8 quantized participation for
-	// every query of the batch, with the same contract as the
-	// SearchRequest fields of the same names.
-	Quant       QuantMode
-	QuantRerank int
 	// Route and RouteTarget select the learned cluster router for every
 	// query of the batch, with the same contract as the SearchRequest
 	// fields of the same names.
@@ -191,10 +174,8 @@ var ErrInvalidLambda = errors.New("cssi: lambda out of [0,1]")
 
 // validateKnobs rejects the malformed shared knobs of a request, in the
 // one fixed order every flavor's Do and DoBatch report them: K, then
-// Lambda, then RouteTarget, then the quant mode. QuantOnly selects by
-// quantized estimates and reranks only an overfetched pool, so it
-// cannot honor an exact request.
-func validateKnobs(k int, lambda, routeTarget float64, approx bool, quant QuantMode) error {
+// Lambda, then RouteTarget.
+func validateKnobs(k int, lambda, routeTarget float64) error {
 	if k < 1 {
 		return fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
@@ -203,9 +184,6 @@ func validateKnobs(k int, lambda, routeTarget float64, approx bool, quant QuantM
 	}
 	if math.IsNaN(routeTarget) || math.IsInf(routeTarget, 0) {
 		return fmt.Errorf("%w: RouteTarget %v is not finite", ErrUnsupportedRequest, routeTarget)
-	}
-	if quant == QuantOnly && !approx {
-		return fmt.Errorf("%w: QuantOnly requires Approx (the quantized-only scan is approximate)", ErrUnsupportedRequest)
 	}
 	return nil
 }
@@ -237,7 +215,7 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // snapshots it will run on: the shared knobs, the query, then the
 // keyword-incompatible combinations and the keyword filter's presence.
 func (req *SearchRequest) validate(v *view) error {
-	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget, req.Approx, req.Quant); err != nil {
+	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget); err != nil {
 		return err
 	}
 	if err := validateQuery(req.Query, v.at(0).Dim()); err != nil {
@@ -263,7 +241,7 @@ func (req *SearchRequest) validate(v *view) error {
 // then every query, identifying the offending one. All of it runs on
 // the caller's goroutine, before any fan-out.
 func (req *BatchSearchRequest) validate(dim int) error {
-	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget, req.Approx, req.Quant); err != nil {
+	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget); err != nil {
 		return err
 	}
 	for i := range req.Queries {

@@ -2,6 +2,7 @@ package cssi
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -136,7 +137,6 @@ func TestRequestConformance(t *testing.T) {
 				}
 			}},
 		{name: "routed-approx", mod: func(r *SearchRequest) { r.Approx, r.Route = true, true }, perFlavor: true},
-		{name: "quant-off", mod: func(r *SearchRequest) { r.Quant = QuantOff }, exact: true},
 		{name: "keywords", mod: func(r *SearchRequest) { r.Keywords = []string{kw} }},
 		{name: "explain", mod: func(r *SearchRequest) { r.Explain = new(ExplainStats) }, exact: true,
 			check: func(t *testing.T, api searchAPI, r *SearchRequest, got []Result, plain Stats) {
@@ -145,6 +145,21 @@ func TestRequestConformance(t *testing.T) {
 				}
 				if len(got) > 0 && r.Explain.KthDistance != got[len(got)-1].Dist {
 					t.Fatalf("Explain.KthDistance %v, kth result %v", r.Explain.KthDistance, got[len(got)-1].Dist)
+				}
+				// bench/ and /v1 clients still read the quant keys of an
+				// explain response: present, and zero.
+				js, err := json.Marshal(r.Explain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var keys map[string]any
+				if err := json.Unmarshal(js, &keys); err != nil {
+					t.Fatal(err)
+				}
+				for _, key := range []string{"quantNanos", "quantPruned", "quantReranked"} {
+					if v, ok := keys[key]; !ok || v != float64(0) {
+						t.Fatalf("explain JSON %q = %v (present %v), want 0", key, v, ok)
+					}
 				}
 			}},
 		{name: "trace", mod: func(r *SearchRequest) { r.Trace, r.RequestID = new(SearchTrace), "req-conformance" }, exact: true,
@@ -185,7 +200,6 @@ func TestRequestConformance(t *testing.T) {
 			r.Query = &q
 		}, wantErr: ErrInvalidQuery},
 		{name: "invalid/route-target-nan", mod: func(r *SearchRequest) { r.Approx, r.Route, r.RouteTarget = true, true, math.NaN() }, wantErr: ErrUnsupportedRequest},
-		{name: "invalid/quant-only-exact", mod: func(r *SearchRequest) { r.Quant = QuantOnly }, wantErr: ErrUnsupportedRequest},
 		{name: "invalid/keywords+approx", mod: func(r *SearchRequest) { r.Keywords, r.Approx = []string{kw}, true }, wantErr: ErrUnsupportedRequest},
 		{name: "invalid/keywords+explain", mod: func(r *SearchRequest) { r.Keywords, r.Explain = []string{kw}, new(ExplainStats) }, wantErr: ErrUnsupportedRequest},
 		{name: "invalid/keywords+trace", mod: func(r *SearchRequest) { r.Keywords, r.Trace = []string{kw}, new(SearchTrace) }, wantErr: ErrUnsupportedRequest},
@@ -351,7 +365,6 @@ func TestRequestConformance(t *testing.T) {
 				nil,
 				func(r *SearchRequest) { r.Approx = true },
 				func(r *SearchRequest) { r.Route = true },
-				func(r *SearchRequest) { r.Approx, r.Quant = true, QuantOnly },
 			} {
 				one := SearchRequest{K: 7, Lambda: 0.4}
 				if mod != nil {
@@ -359,7 +372,7 @@ func TestRequestConformance(t *testing.T) {
 				}
 				var stBatch, stSingle Stats
 				got, err := api.doBatch(BatchSearchRequest{Queries: queries, K: one.K, Lambda: one.Lambda, Approx: one.Approx,
-					Quant: one.Quant, Route: one.Route, Parallelism: 2, Stats: &stBatch})
+					Route: one.Route, Parallelism: 2, Stats: &stBatch})
 				if err != nil {
 					t.Fatalf("%s: %v", api.name, err)
 				}
@@ -387,7 +400,6 @@ func TestRequestConformance(t *testing.T) {
 				"k=0 empty":   {BatchSearchRequest{K: 0, Lambda: 0.5}, ErrInvalidK},
 				"lambda":      {BatchSearchRequest{Queries: queries, K: 5, Lambda: math.Inf(1)}, ErrInvalidLambda},
 				"wrong dim":   {BatchSearchRequest{Queries: bad, K: 5, Lambda: 0.5}, ErrInvalidQuery},
-				"quant only":  {BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5, Quant: QuantOnly}, ErrUnsupportedRequest},
 				"deadline":    {BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5, Deadline: -1}, ErrInvalidDeadline},
 				"empty batch": {BatchSearchRequest{K: 5, Lambda: 0.5}, nil},
 			} {
@@ -498,6 +510,15 @@ func TestAPISurface(t *testing.T) {
 		sort.Strings(c.want)
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%v entry points:\n got  %v\n want %v", c.typ, got, c.want)
+		}
+	}
+
+	// The quantization knobs were removed without replacement.
+	for _, typ := range []reflect.Type{reflect.TypeOf(Options{}), reflect.TypeOf(SearchRequest{}), reflect.TypeOf(BatchSearchRequest{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if name := typ.Field(i).Name; strings.Contains(name, "Quant") {
+				t.Errorf("%v.%s: quantization knob is back", typ, name)
+			}
 		}
 	}
 

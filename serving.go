@@ -231,7 +231,7 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 	}
 	var key rescache.Key
 	if cache != nil {
-		key = cacheKey(q, req.K, req.Lambda, req.Approx, req.Quant, req.QuantRerank, req.Route, req.RouteTarget, req.Keywords)
+		key = cacheKey(q, req.K, req.Lambda, req.Approx, req.Route, req.RouteTarget, req.Keywords)
 		if res, ok := cache.Get(v.token, key, q.X, q.Y, q.Vec, req.Dst); ok {
 			if req.Meta != nil {
 				req.Meta.Partial, req.Meta.CacheHit, req.Meta.SnapshotID = false, true, v.snapID
@@ -241,8 +241,7 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 	}
 
 	opts := core.SearchOptions{
-		Approx: req.Approx, Quant: req.Quant, QuantRerank: req.QuantRerank,
-		Route: req.Route, RouteTarget: req.RouteTarget,
+		Approx: req.Approx, Route: req.Route, RouteTarget: req.RouteTarget,
 		Deadline: deadline, Cancel: ctx.Done(),
 	}
 	keyword := len(req.Keywords) > 0
@@ -475,7 +474,7 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 		keys = make([]rescache.Key, len(queries))
 		for i := range queries {
 			q := &queries[i]
-			keys[i] = cacheKey(q, req.K, req.Lambda, req.Approx, req.Quant, req.QuantRerank, req.Route, req.RouteTarget, nil)
+			keys[i] = cacheKey(q, req.K, req.Lambda, req.Approx, req.Route, req.RouteTarget, nil)
 			if res, ok := cache.Get(v.token, keys[i], q.X, q.Y, q.Vec, nil); ok {
 				out[i] = res
 			} else {
@@ -493,8 +492,7 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 	var partials []bool
 	if len(exec) > 0 {
 		opts := core.SearchOptions{
-			Approx: req.Approx, Quant: req.Quant, QuantRerank: req.QuantRerank,
-			Route: req.Route, RouteTarget: req.RouteTarget,
+			Approx: req.Approx, Route: req.Route, RouteTarget: req.RouteTarget,
 			Deadline: deadline, Cancel: ctx.Done(),
 		}
 		if !deadline.IsZero() || opts.Cancel != nil {
@@ -756,24 +754,17 @@ func anyTrue(b []bool) bool {
 	return false
 }
 
-// cacheKey builds a query's cache key. Knobs that provably do not
-// affect the answer in the request's mode are canonicalized so
-// equivalent requests share an entry (QuantRerank outside QuantOnly,
-// RouteTarget outside routed-approx, and their documented defaults).
-func cacheKey(q *Object, k int, lambda float64, approx bool, quant QuantMode, rerank int, route bool, routeTarget float64, keywords []string) rescache.Key {
+// cacheKey builds a query's cache key. A knob that provably does not
+// affect the answer in the request's mode is canonicalized so
+// equivalent requests share an entry (RouteTarget outside routed-approx,
+// and its documented default).
+func cacheKey(q *Object, k int, lambda float64, approx, route bool, routeTarget float64, keywords []string) rescache.Key {
 	key := rescache.Key{
 		Hash:   rescache.HashQuery(q.X, q.Y, q.Vec),
 		K:      k,
 		Lambda: lambda,
 		Approx: approx,
-		Quant:  int(quant),
 		Route:  route,
-	}
-	if approx && quant == core.QuantOnly {
-		if rerank <= 0 {
-			rerank = DefaultQuantRerank
-		}
-		key.Rerank = rerank
 	}
 	if approx && route {
 		switch {

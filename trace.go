@@ -48,19 +48,16 @@ func (s *ShardedIndex) SetTraceSink(sink *obs.Sink) { s.sink.Store(sink) }
 func (s *ShardedIndex) TraceSink() *obs.Sink { return s.sink.Load() }
 
 // algoName names the algorithm opts select, matching the explain
-// path's naming: "cssi", or "cssia" with -routed/-sq8 mode suffixes
-// (Route has no effect on an exact query, so it earns no suffix there).
+// path's naming: "cssi", "cssia", or "cssia-routed" (Route has no effect
+// on an exact query, so it earns no suffix there).
 func algoName(opts core.SearchOptions) string {
-	if opts.Approx {
-		switch {
-		case opts.Route:
-			return "cssia-routed"
-		case opts.Quant == core.QuantOnly:
-			return "cssia-sq8"
-		}
-		return "cssia"
+	switch {
+	case !opts.Approx:
+		return "cssi"
+	case opts.Route:
+		return "cssia-routed"
 	}
-	return "cssi"
+	return "cssia"
 }
 
 // openTrace returns the trace a request records into, with the request

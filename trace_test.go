@@ -34,7 +34,6 @@ func TestTracedResultsBitIdentical(t *testing.T) {
 		{K: 10, Lambda: 0.5},
 		{K: 5, Lambda: 0.2, Approx: true},
 		{K: 8, Lambda: 0.7, Route: true},
-		{K: 5, Lambda: 0.5, Approx: true, Quant: QuantOnly},
 	}
 	for i := range traced {
 		for ri, base := range reqs {
@@ -175,36 +174,6 @@ func TestTraceErrorRetained(t *testing.T) {
 	}
 	if seen, _, _ := sink.Counts(); seen != 1 {
 		t.Fatalf("sink saw %d traces, want 1 (a rejected request records none)", seen)
-	}
-}
-
-// TestTraceQuantPhaseSampled pins the sampled QuantNanos estimator: a
-// quantized search must report a non-zero quant phase contained in the
-// scan phase even though only 1-in-N cluster scans are clocked.
-func TestTraceQuantPhaseSampled(t *testing.T) {
-	ds, err := GenerateDataset(DatasetConfig{Kind: TwitterLike, Size: 800, Dim: 32, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := Build(ds, Options{Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := obs.NewSink(obs.SinkConfig{BufferSize: 16, SlowThreshold: -1, SampleEvery: 1})
-	idx.SetTraceSink(sink)
-	if _, err := idx.Do(SearchRequest{Query: &ds.Objects[3], K: 10, Lambda: 0.5, RequestID: "quantphasequantp"}); err != nil {
-		t.Fatal(err)
-	}
-	tr := sink.Ring().Lookup("quantphasequantp")
-	if tr == nil {
-		t.Fatal("trace not retained")
-	}
-	st := tr.Shards[0].Stats
-	if st.QuantNanos <= 0 {
-		t.Fatalf("QuantNanos = %d, want > 0 (first scan is always sampled)", st.QuantNanos)
-	}
-	if st.QuantNanos > st.ScanNanos {
-		t.Fatalf("QuantNanos %d exceeds ScanNanos %d", st.QuantNanos, st.ScanNanos)
 	}
 }
 
