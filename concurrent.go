@@ -32,11 +32,17 @@ import (
 //     reconstruction by logging their mutations and replaying them onto
 //     the fresh index before it is published.
 //
-// The price is paid by writers: each mutation copies the snapshot's
-// mutable metadata (deleted bitmap, ID map, cluster directory — O(n)
-// for an n-object index) before publishing. Use ApplyBatch to coalesce
-// many mutations into one clone-and-publish cycle when that cost
-// matters. Reads, the hot path under serving load, pay nothing.
+// The price is paid by writers, and with the delta overlay (the default)
+// it is a fixed one: a mutation lands in a write overlay over the shared
+// immutable base, the clone it is applied to shares the overlay's log,
+// lookup tables and group lists — and the keyword filter's directory —
+// until the write touches them, so publishing costs what the mutation
+// touches, not what the index or the overlay holds. Only with the
+// overlay disabled (DeltaDisabled) does every mutation copy the
+// snapshot's mutable metadata (deleted bitmap, ID map, cluster
+// directory — O(n)); ApplyBatch then coalesces many mutations into one
+// clone-and-publish cycle. Reads, the hot path under serving load, pay
+// nothing either way.
 //
 // A bare Index is already safe for concurrent searches only; use this
 // wrapper when writers run alongside readers (the HTTP server in
@@ -249,10 +255,13 @@ func applyOp(idx *Index, op Op) error {
 // publishes the clone — all under the writer mutex. All-or-nothing: if
 // any op fails, nothing is published and the error is returned.
 //
-// With the delta overlay enabled (the default), the clone is O(|delta|)
-// instead of O(n): writes land in a small mutable overlay chained over
-// the shared immutable base, and once the overlay reaches the
-// compaction threshold a background fold publishes a fresh flat base.
+// With the delta overlay enabled (the default), the clone costs the
+// same however many ops the overlay buffers: writes land in an overlay
+// chained over the shared immutable base, and once the overlay reaches
+// the compaction threshold a background fold publishes a fresh flat
+// base. A clone dropped by a failing batch may already have appended to
+// the log the overlay lineage shares; the next write's clone then finds
+// the slot taken and moves to a private log (core's lost-claim copy).
 func (c *ConcurrentIndex) apply(ops ...Op) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -298,9 +298,10 @@ func (x *Index) cloneForWrite() *Index {
 
 // cloneWithDelta returns a write-isolated copy whose core carries a
 // mutable delta overlay over the shared immutable base: applying a
-// write costs O(|delta|) instead of the O(n) directory copies of
-// cloneForWrite. An enabled keyword filter has no overlay form and
-// still pays its eager clone.
+// write costs what the write touches instead of the O(n) directory
+// copies of cloneForWrite. An enabled keyword filter is cloned the same
+// way on all three paths (this one, cloneForWrite, compact): the clone
+// shares every directory bucket and copies the few a write touches.
 func (x *Index) cloneWithDelta() *Index {
 	nx := &Index{core: x.core.CloneWithDelta(), space: x.space, sink: x.sink}
 	if x.kw != nil {

@@ -616,7 +616,7 @@ func (x *Index) Space() *metric.Space { return x.space }
 // base object, and an overlay update is a tombstone plus an insert.
 func (x *Index) Object(id uint32) (*dataset.Object, bool) {
 	if d := x.delta; d != nil {
-		if pos, ok := d.idToPos[id]; ok {
+		if pos, ok := d.idToPos.get(id); ok {
 			return &d.objs[pos], true
 		}
 	}

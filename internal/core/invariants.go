@@ -148,28 +148,48 @@ func (x *Index) checkGrid() error {
 }
 
 // checkOverlay verifies the write overlay's internal consistency: the
-// counters match the bitsets, the ID map points at live log slots, every
-// live log slot belongs to exactly one group, the group radii cover
-// their members (the fact scanDelta's pruning rests on), and tombstones
-// only mark base positions that are live in the base.
+// log's three arrays agree, stay inside the claimed tail and every
+// stored object views its own arena row; the counters match the bitsets;
+// the ID table and the group index are sorted, duplicate-free, bucketed
+// by their hash and name exactly the live log slots and the groups; the
+// group member lists partition the log in ascending order and the group
+// radii cover their members (the fact scanDelta's pruning rests on); and
+// tombstones only mark base positions that are live in the base.
 func (x *Index) checkOverlay() error {
 	d := x.delta
 	if d == nil {
 		return nil
 	}
-	if got := len(d.objs) - d.dead.count(); got != d.liveCount {
+	n := len(d.objs)
+	if len(d.vecs) != n*d.dim || len(d.projs) != n*d.m {
+		return fmt.Errorf("overlay: %d log slots but %d vector and %d projection values", n, len(d.vecs), len(d.projs))
+	}
+	if cap(d.vecs) < cap(d.objs)*d.dim || cap(d.projs) < cap(d.objs)*d.m {
+		return fmt.Errorf("overlay: arenas hold fewer slots than the object log's %d", cap(d.objs))
+	}
+	if n > 0 && (d.tail == nil || int64(n) > d.tail.Load()) {
+		return fmt.Errorf("overlay: %d log slots exceed the claimed tail", n)
+	}
+	for i := range d.objs {
+		if v := d.objs[i].Vec; len(v) != d.dim || (d.dim > 0 && &v[0] != &d.vecs[i*d.dim]) {
+			return fmt.Errorf("overlay: log slot %d does not view its arena row", i)
+		}
+	}
+	if got := n - d.dead.count(); got != d.liveCount {
 		return fmt.Errorf("overlay: %d live log slots, liveCount is %d", got, d.liveCount)
 	}
 	if got := d.tombs.count(); got != d.nTombs {
 		return fmt.Errorf("overlay: %d tombstone bits, nTombs is %d", got, d.nTombs)
 	}
-	if len(d.idToPos) != d.liveCount {
-		return fmt.Errorf("overlay: ID map holds %d entries for %d live slots", len(d.idToPos), d.liveCount)
+	if err := d.idToPos.check("ID table", d.liveCount, func(id, pos uint32) bool {
+		return int(pos) < n && d.objs[pos].ID == id && !d.dead.get(pos)
+	}); err != nil {
+		return err
 	}
-	for id, pos := range d.idToPos {
-		if int(pos) >= len(d.objs) || d.objs[pos].ID != id || d.dead.get(pos) {
-			return fmt.Errorf("overlay: ID map entry %d -> %d is stale", id, pos)
-		}
+	if err := d.groupIdx.check("group index", d.groups.n, func(key, gi uint32) bool {
+		return int(gi) < d.groups.n && x.groupKey(d.groups.at(int(gi)).s, d.groups.at(int(gi)).t) == key
+	}); err != nil {
+		return err
 	}
 	for i := range x.objects {
 		if x.deleted.get(uint32(i)) && d.tombs.get(uint32(i)) {
@@ -177,14 +197,19 @@ func (x *Index) checkOverlay() error {
 		}
 	}
 	const eps = 1e-9
-	grouped := make(map[uint32]bool, len(d.objs))
-	for gi := range d.groups {
-		g := &d.groups[gi]
-		for _, pos := range g.members {
-			if grouped[pos] {
-				return fmt.Errorf("overlay: log slot %d in more than one group", pos)
+	grouped := newBitset(n)
+	members := 0
+	for gi := 0; gi < d.groups.n; gi++ {
+		g := d.groups.at(gi)
+		for mi, pos := range g.members {
+			if int(pos) >= n || grouped.get(pos) {
+				return fmt.Errorf("overlay group %d: log slot %d is out of range or in more than one group", gi, pos)
 			}
-			grouped[pos] = true
+			if mi > 0 && pos <= g.members[mi-1] {
+				return fmt.Errorf("overlay group %d: members not in append order at %d", gi, mi)
+			}
+			grouped.set(pos)
+			members++
 			if d.dead.get(pos) {
 				continue
 			}
@@ -199,8 +224,30 @@ func (x *Index) checkOverlay() error {
 			}
 		}
 	}
-	if len(grouped) != len(d.objs) {
-		return fmt.Errorf("overlay: groups hold %d of %d log slots", len(grouped), len(d.objs))
+	if members != n {
+		return fmt.Errorf("overlay: groups hold %d of %d log slots", members, n)
+	}
+	return nil
+}
+
+// check verifies the table's shape — every bucket strictly ascending and
+// holding only keys that hash to it, want entries in total — and that ok
+// accepts every entry.
+func (t *idTable) check(name string, want int, ok func(key, val uint32) bool) error {
+	total := 0
+	for bi, b := range t.buckets {
+		for i, p := range b {
+			if idBucket(p.key) != uint32(bi) || (i > 0 && p.key <= b[i-1].key) {
+				return fmt.Errorf("overlay: %s bucket %d is misplaced or unsorted at key %d", name, bi, p.key)
+			}
+			if !ok(p.key, p.val) {
+				return fmt.Errorf("overlay: %s entry %d -> %d is stale", name, p.key, p.val)
+			}
+		}
+		total += len(b)
+	}
+	if total != want {
+		return fmt.Errorf("overlay: %s holds %d entries, want %d", name, total, want)
 	}
 	return nil
 }

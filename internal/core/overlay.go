@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"maps"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -14,14 +14,16 @@ import (
 //
 // CloneForWrite pays O(n) per clone — the deleted bitmap and the ID map
 // are copied eagerly even when the write batch touches one object. The
-// overlay replaces that with an O(|delta|) clone: the base structures
-// (objects, arenas, clusters, radii, deleted, idToIdx) are shared
-// byte-for-byte and NEVER written; every mutation lands in a small
-// mutable delta instead.
+// overlay replaces that with a clone whose cost does not grow with n,
+// with the vocabulary, or with the number of buffered ops beyond one
+// bit each: the base structures (objects, arenas, clusters, radii,
+// deleted, idToIdx) are shared byte-for-byte and NEVER written, and
+// every mutation lands in a delta whose own pieces are shared between
+// clones until a write touches them.
 //
 //   - An insert appends the object to the delta's append log, with its
-//     vector and projection copied into delta-private arenas, and joins
-//     a mini "group" keyed by its nearest (spatial, semantic) base
+//     vector and projection copied into the log's arenas, and joins a
+//     mini "group" keyed by its nearest (spatial, semantic) base
 //     centroid pair.
 //   - A delete of a base object sets a tombstone bit at its storage
 //     position; a delete of an overlay object marks its log slot dead.
@@ -40,23 +42,49 @@ import (
 // tombstones and then the live inserts through the eager COW path,
 // bounding delta size (and hence the extra per-query scan) by the
 // compaction threshold.
+//
+// What a clone shares, and why a write cannot reach its siblings:
+//
+//   - The append log is immutable once written, so clones share its
+//     backing arrays. tail counts the slots of those arrays that some
+//     delta of the lineage has claimed; every delta holds len(objs) ≤
+//     tail. A writer appends slot n = len(objs) in place only after
+//     moving tail from n to n+1 with a compare-and-swap: success proves
+//     no delta sharing the arrays ever claimed slot n, and every reader
+//     sharing them holds a length ≤ tail = n, so the write lands where
+//     nobody looks (the append-only half of CloneForWrite's argument).
+//     A clone that loses the claim — a sibling of the one that won, or
+//     the successor of an abandoned all-or-nothing batch whose clone had
+//     already appended — moves to private arrays (regrow), the one
+//     O(|delta|) copy left; so does a writer whose arrays are full.
+//   - dead is copied per clone (one bit per log slot); tombs, the ID
+//     table, the group index and the group chunks are copied on their
+//     first write (overlay_cow.go), group member lists when appended to.
+//   - A delta that has been cloned owns nothing either: clone marks the
+//     source shared, and beginWrite makes a shared delta drop its
+//     ownerships before it writes again.
 type overlayDelta struct {
 	dim, m int // arena strides, copied from the base index
 
 	// Append log of overlay inserts. objs[i].Vec views vecs; projs holds
-	// the PCA projections at stride m. dead marks log slots superseded by
-	// a later delete/update; idToPos maps live overlay IDs to log slots.
-	objs      []dataset.Object
-	vecs      []float32
-	projs     []float32
+	// the PCA projections at stride m. The three share one capacity in
+	// slots and one tail.
+	objs  []dataset.Object
+	vecs  []float32
+	projs []float32
+	tail  *atomic.Int64 // nil while the log has no backing arrays
+
+	// dead marks log slots superseded by a later delete/update; idToPos
+	// maps live overlay IDs to log slots.
 	dead      bitset
 	liveCount int
-	idToPos   map[uint32]uint32
+	idToPos   idTable
 
 	// Tombstones over BASE storage positions (parallel to the base
 	// deleted bitmap, which stays shared and untouched).
-	tombs  bitset
-	nTombs int
+	tombs     bitset
+	ownsTombs bool
+	nTombs    int
 
 	// ops counts mutations absorbed since the base was built/compacted —
 	// the compaction trigger.
@@ -65,8 +93,12 @@ type overlayDelta struct {
 	// Overlay inserts grouped by their nearest (spatial, semantic) base
 	// centroid pair, with the group's covering radii. scanDelta prunes
 	// whole groups with the same Lemma 4.4 bound the base clusters use.
-	groups   []overlayGroup
-	groupIdx map[[2]int]int32
+	// groupIdx maps groupKey(s,t) to the group's index.
+	groups   groupVec
+	groupIdx idTable
+
+	// shared is set once a clone of this delta exists.
+	shared atomic.Bool
 }
 
 // overlayGroup is a mini cluster of overlay inserts sharing the nearest
@@ -76,48 +108,42 @@ type overlayDelta struct {
 type overlayGroup struct {
 	s, t         int
 	maxDs, maxDt float64
-	members      []uint32 // log positions
+	members      []uint32 // log positions, ascending
 }
 
 func newOverlayDelta(x *Index) *overlayDelta {
 	return &overlayDelta{
-		dim:      x.dim,
-		m:        x.m,
-		idToPos:  make(map[uint32]uint32),
-		tombs:    newBitset(len(x.objects)),
-		groupIdx: make(map[[2]int]int32),
+		dim:       x.dim,
+		m:         x.m,
+		tombs:     newBitset(len(x.objects)),
+		ownsTombs: true,
 	}
 }
 
-// clone deep-copies the overlay in O(|delta|): everything a mutation
-// may write is private to the copy, so sibling clones of one snapshot
-// can never observe each other.
+// clone returns a write-isolated copy at a cost independent of the
+// overlay's size but for one bit per log slot: everything else is shared
+// until written (see the type comment).
 func (d *overlayDelta) clone() *overlayDelta {
+	d.shared.Store(true)
 	nd := &overlayDelta{
-		dim:       d.dim,
-		m:         d.m,
-		objs:      append([]dataset.Object(nil), d.objs...),
-		vecs:      append([]float32(nil), d.vecs...),
-		projs:     append([]float32(nil), d.projs...),
-		dead:      d.dead.clone(),
-		liveCount: d.liveCount,
-		idToPos:   maps.Clone(d.idToPos),
-		tombs:     d.tombs.clone(),
-		nTombs:    d.nTombs,
-		ops:       d.ops,
-		groups:    append([]overlayGroup(nil), d.groups...),
-		groupIdx:  maps.Clone(d.groupIdx),
+		dim: d.dim, m: d.m,
+		objs: d.objs, vecs: d.vecs, projs: d.projs, tail: d.tail,
+		dead: d.dead.clone(), liveCount: d.liveCount, idToPos: d.idToPos,
+		tombs: d.tombs, nTombs: d.nTombs,
+		ops:    d.ops,
+		groups: d.groups.clone(), groupIdx: d.groupIdx,
 	}
-	// The copied log entries' Vec headers and the copied groups' member
-	// slices still reference the parent's backing; repoint the former at
-	// the private arena and deep-copy the latter.
-	for i := range nd.objs {
-		nd.objs[i].Vec = nd.vecRow(uint32(i))
-	}
-	for i := range nd.groups {
-		nd.groups[i].members = append([]uint32(nil), nd.groups[i].members...)
-	}
+	nd.idToPos.owned, nd.groupIdx.owned = 0, 0
 	return nd
+}
+
+// beginWrite precedes every mutation: a delta that has been cloned since
+// its last write shares with the clone whatever it owned.
+func (d *overlayDelta) beginWrite() {
+	if d.shared.Load() {
+		d.idToPos.owned, d.groupIdx.owned, d.groups.owned, d.ownsTombs = 0, 0, nil, false
+		d.shared.Store(false)
+	}
 }
 
 // vecRow and projRow return the delta-arena rows of log position pos.
@@ -131,12 +157,54 @@ func (d *overlayDelta) projRow(pos uint32) []float32 {
 	return d.projs[int(pos)*m : (int(pos)+1)*m : (int(pos)+1)*m]
 }
 
+// appendLog claims the next log slot and stores o in it, the vector
+// copied into the arena row the stored object then views; the
+// projection row is left for the caller to fill.
+func (d *overlayDelta) appendLog(o dataset.Object) uint32 {
+	n := len(d.objs)
+	if n == cap(d.objs) || !d.tail.CompareAndSwap(int64(n), int64(n+1)) {
+		d.regrow()
+	}
+	d.objs = d.objs[:n+1]
+	d.vecs = d.vecs[:(n+1)*d.dim]
+	d.projs = d.projs[:(n+1)*d.m]
+	pos := uint32(n)
+	copy(d.vecRow(pos), o.Vec)
+	o.Vec = d.vecRow(pos)
+	d.objs[n] = o
+	return pos
+}
+
+// regrow moves the log to private arrays of (at least) twice the length
+// with a tail of their own, the next slot already claimed.
+func (d *overlayDelta) regrow() {
+	n := len(d.objs)
+	slots := max(2*n, 16)
+	objs := make([]dataset.Object, n, slots)
+	copy(objs, d.objs)
+	d.objs = objs
+	d.vecs = append(make([]float32, 0, slots*d.dim), d.vecs...)
+	d.projs = append(make([]float32, 0, slots*d.m), d.projs...)
+	for i := range d.objs {
+		d.objs[i].Vec = d.vecRow(uint32(i))
+	}
+	d.tail = new(atomic.Int64)
+	d.tail.Store(int64(n + 1))
+}
+
+// groupKey packs a (spatial, semantic) centroid pair, t = -1 included,
+// into the group index's key.
+func (x *Index) groupKey(s, t int) uint32 { return uint32(s*(len(x.tCent)+1) + t + 1) }
+
 // CloneWithDelta returns a write-isolated copy whose mutations land in
-// the overlay: the clone cost is O(|delta|) — deep-copying the current
-// overlay — instead of CloneForWrite's O(n) bitmap and ID-map copies.
-// The base structures are shared with x and never written; x must be
-// treated as immutable for as long as either copy is in use (the same
-// contract CloneForWrite's shared arenas already impose).
+// the overlay, at a cost that depends neither on n — CloneForWrite's
+// bitmap and ID-map copies — nor on how much the overlay already holds.
+// The base structures are shared with x and never written, so a flat x
+// must be treated as immutable for as long as either copy is in use (the
+// same contract CloneForWrite's shared arenas already impose); an x that
+// carries an overlay itself may go on writing to it, one goroutine at a
+// time per index — its next write finds the delta shared and copies what
+// it touches, like any sibling.
 func (x *Index) CloneWithDelta() *Index {
 	nx := new(Index)
 	*nx = *x
@@ -184,7 +252,8 @@ func (x *Index) deltaTombs() bitset {
 // and its (spatial, semantic) group; no base structure is written.
 func (x *Index) deltaInsert(o dataset.Object) error {
 	d := x.delta
-	if _, ok := d.idToPos[o.ID]; ok {
+	d.beginWrite()
+	if _, ok := d.idToPos.get(o.ID); ok {
 		return fmt.Errorf("core: object ID %d already present", o.ID)
 	}
 	if prev, ok := x.idToIdx[o.ID]; ok && !x.deleted.get(prev) && !d.tombs.get(prev) {
@@ -193,14 +262,10 @@ func (x *Index) deltaInsert(o dataset.Object) error {
 	if len(o.Vec) != x.pcaModel.N() {
 		return fmt.Errorf("core: vector dim %d, index expects %d", len(o.Vec), x.pcaModel.N())
 	}
-	pos := uint32(len(d.objs))
-	d.vecs = append(d.vecs, o.Vec...)
-	o.Vec = d.vecRow(pos)
-	d.projs = append(d.projs, make([]float32, d.m)...)
+	pos := d.appendLog(o)
 	x.pcaModel.TransformInto(d.projRow(pos), o.Vec)
-	d.objs = append(d.objs, o)
 	d.dead = d.dead.grown(len(d.objs))
-	d.idToPos[o.ID] = pos
+	d.idToPos.put(o.ID, pos)
 
 	// Nearest base centroids — the same assignment rule as the eager
 	// Insert, so compaction replay lands the object in the same cluster.
@@ -224,14 +289,13 @@ func (x *Index) deltaInsert(o dataset.Object) error {
 
 	// Group membership and covering radii (original-space semantic
 	// distance, matching the bound scanDelta applies).
-	key := [2]int{s, t}
-	gi, ok := d.groupIdx[key]
+	key := x.groupKey(s, t)
+	gi, ok := d.groupIdx.get(key)
 	if !ok {
-		gi = int32(len(d.groups))
-		d.groups = append(d.groups, overlayGroup{s: s, t: t})
-		d.groupIdx[key] = gi
+		gi = uint32(d.groups.push(overlayGroup{s: s, t: t}))
+		d.groupIdx.put(key, gi)
 	}
-	g := &d.groups[gi]
+	g := d.groups.mut(int(gi))
 	if bestS > g.maxDs {
 		g.maxDs = bestS
 	}
@@ -259,14 +323,18 @@ func (x *Index) deltaInsert(o dataset.Object) error {
 // cluster structures stay untouched.
 func (x *Index) deltaDelete(id uint32) error {
 	d := x.delta
-	if pos, ok := d.idToPos[id]; ok {
+	d.beginWrite()
+	if pos, ok := d.idToPos.get(id); ok {
 		d.dead.set(pos)
-		delete(d.idToPos, id)
+		d.idToPos.del(id)
 		d.liveCount--
 	} else {
 		idx, ok := x.idToIdx[id]
 		if !ok || x.deleted.get(idx) || d.tombs.get(idx) {
 			return fmt.Errorf("core: object ID %d not present", id)
+		}
+		if !d.ownsTombs {
+			d.tombs, d.ownsTombs = d.tombs.clone(), true
 		}
 		d.tombs.set(idx)
 		d.nTombs++
@@ -298,8 +366,8 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 	if sc.obs != nil {
 		phase = time.Now()
 	}
-	for gi := range d.groups {
-		g := &d.groups[gi]
+	for gi := 0; gi < d.groups.n; gi++ {
+		g := d.groups.at(gi)
 		if u, full := h.Bound(); full {
 			dsqG := x.space.SpatialXY(q.X, q.Y, x.sCentX[g.s], x.sCentY[g.s])
 			lb := lambda * (dsqG - g.maxDs)

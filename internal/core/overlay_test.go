@@ -174,6 +174,7 @@ func TestOverlayApproxNoResurrection(t *testing.T) {
 // never changes the parent's answers (the property RCU publication
 // rests on).
 func TestOverlayCloneIsolation(t *testing.T) {
+	t.Run("siblings", testOverlaySiblingWrites)
 	f := build(t, dataset.TwitterLike, 400, Config{Seed: 93})
 	parent := f.idx.CloneWithDelta()
 	if err := parent.Insert(dataset.Object{ID: 1 << 21, X: 0.5, Y: 0.5, Vec: f.ds.Objects[0].Vec}); err != nil {
@@ -202,6 +203,84 @@ func TestOverlayCloneIsolation(t *testing.T) {
 	}
 	if err := child.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Real siblings: two clones of one parent write, then the parent itself
+// writes. Everything the three share — the log's backing arrays, the ID
+// table's buckets, the group chunks and member lists — was written by
+// the parent with room to spare, so a write that skipped its copy would
+// land in a sibling. Each of the three must equal an eager index fed its
+// own stream; exactly one of them (the first to append) keeps the shared
+// log, the other two take the lost-claim copy.
+func testOverlaySiblingWrites(t *testing.T) {
+	f := build(t, dataset.TwitterLike, 600, Config{Seed: 95})
+	extraDS, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 320, Dim: 32, Seed: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := extraDS.Objects
+	for i := range extra {
+		extra[i].ID += 1 << 20
+	}
+	// stream i: inserts of its own slice of extra, deletes of parent
+	// inserts (log-slot death) and of base objects (tombstones).
+	common := func(x *Index) {
+		for _, o := range extra[:200] {
+			if err := x.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stream := func(x *Index, i int) {
+		for j, o := range extra[200+40*i : 240+40*i] {
+			if err := x.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			if j%4 == 0 {
+				if err := x.Delete(extra[3*j+i].ID); err != nil {
+					t.Fatal(err)
+				}
+				if err := x.Delete(f.ds.Objects[5*j+i].ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	parent := f.idx.CloneWithDelta()
+	common(parent)
+	sharedLog := &parent.delta.objs[0]
+	a, b := parent.CloneWithDelta(), parent.CloneWithDelta()
+	stream(a, 0)
+	stream(b, 1)
+	stream(parent, 2)
+	if &a.delta.objs[0] != sharedLog {
+		t.Error("the first sibling to append did not keep the shared log")
+	}
+	if &b.delta.objs[0] == sharedLog || &parent.delta.objs[0] == sharedLog {
+		t.Error("a sibling that lost the tail claim still writes the shared log")
+	}
+	for i, x := range []*Index{a, b, parent} {
+		twin := f.idx.CloneForWrite()
+		common(twin)
+		stream(twin, i)
+		if x.Len() != twin.Len() {
+			t.Fatalf("sibling %d: Len %d, eager twin %d", i, x.Len(), twin.Len())
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("sibling %d: %v", i, err)
+		}
+		for qi := 0; qi < 8; qi++ {
+			q := extra[(qi*41+200)%len(extra)]
+			identicalResults(t, "sibling vs eager twin",
+				twin.Search(&q, 25, 0.5, nil), x.Search(&q, 25, 0.5, nil))
+		}
+		for _, o := range extra {
+			_, want := twin.Object(o.ID)
+			if _, got := x.Object(o.ID); got != want {
+				t.Fatalf("sibling %d: Object(%d) present=%v, eager twin %v", i, o.ID, got, want)
+			}
+		}
 	}
 }
 

@@ -17,8 +17,8 @@ func init() {
 // through ConcurrentIndex on a large shard. The eager path pays O(n)
 // per op (cloning the deleted bitset, the id→index map, the radius
 // arrays, and the touched member directories before mutating), the
-// overlay path pays O(|delta|) (cloning only the small mutable tail
-// over the shared immutable base). The run also re-verifies the
+// overlay path pays for what the op touches (its clone shares the
+// overlay with the snapshot it came from). The run also re-verifies the
 // overlay's correctness contract in situ: exact base+delta search must
 // be bit-identical both to the same wrapper after an explicit Compact
 // and to an eager wrapper that applied the identical op stream.

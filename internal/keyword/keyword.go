@@ -8,6 +8,8 @@ package keyword
 
 import (
 	"sort"
+	"strings"
+	"sync/atomic"
 
 	"repro/internal/text"
 )
@@ -15,34 +17,127 @@ import (
 // Filter is an inverted index from token to the sorted list of object
 // IDs whose text contains it.
 //
-// Mutations are copy-on-write at the posting-list level: Add and Remove
-// install freshly built lists instead of editing in place. Combined
-// with Clone (which copies only the map directory and shares the
-// lists), this lets a snapshot-publishing writer mutate its clone while
-// readers of earlier clones keep scanning the original lists — the same
-// discipline the core index uses for its cluster arrays. The asymptotic
-// cost is unchanged: the old in-place insert/delete already shifted the
-// list's tail, so both paths are O(len) per touched term.
+// The directory is split into numBuckets hash buckets, and mutations are
+// copy-on-write at two levels: Add and Remove install freshly built
+// posting lists instead of editing in place, and they edit a bucket in
+// place only when this filter made it — a bucket inherited through Clone
+// is copied first, one bucket per touched term. Clone therefore copies
+// numBuckets pointers and nothing else: its cost depends neither on the
+// vocabulary nor on how many terms were touched since the last clone. A
+// snapshot-publishing writer mutates its clone while readers of earlier
+// clones keep scanning the original buckets and lists — the lazy
+// discipline the core index uses for its hybrid clusters (cowHybrid).
+// Posting-list cost is unchanged from an in-place edit, which shifts the
+// list's tail anyway: O(len) per touched term.
 type Filter struct {
-	postings map[string][]uint32
-	total    int
+	buckets []*bucket // numBuckets entries; nil = no term hashes here
+	// own names the buckets this filter may edit in place: those whose
+	// owner field equals it. nil owns nothing. Clone clears it on the
+	// source too, so neither side can reach the other through a bucket
+	// they share; it is atomic only because two goroutines may clone one
+	// published filter at once (a writer and a background compaction).
+	own atomic.Pointer[ownership]
 }
 
-// Clone returns a filter that shares every posting list with f but owns
-// its directory, so Add/Remove on the clone never affect f.
-func (f *Filter) Clone() *Filter {
-	nf := &Filter{postings: make(map[string][]uint32, len(f.postings)), total: f.total}
-	for tok, list := range f.postings {
-		nf.postings[tok] = list
+// numBuckets is the fixed directory fan-out (a power of two): 8 KiB of
+// pointers per Clone, and a handful of terms per bucket copy at the
+// vocabularies this repository generates (thousands of terms).
+const numBuckets = 1024
+
+// ownership is an identity token; it has a field because distinct
+// zero-size allocations may share an address.
+type ownership struct{ _ byte }
+
+// bucket holds the terms hashing to one directory slot, sorted by term.
+type bucket struct {
+	owner   *ownership
+	entries []entry
+}
+
+type entry struct {
+	term string
+	ids  []uint32 // sorted, never empty, never edited in place
+}
+
+// bucketOf hashes a term to its directory slot (FNV-1a, folded).
+func bucketOf(term string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(term); i++ {
+		h = (h ^ uint32(term[i])) * 16777619
 	}
-	return nf
+	return (h ^ h>>16) & (numBuckets - 1)
+}
+
+// find returns the position of term in the bucket's sorted entries and
+// whether it is there.
+func (b *bucket) find(term string) (int, bool) {
+	if b == nil {
+		return 0, false
+	}
+	return sort.Find(len(b.entries), func(i int) int { return strings.Compare(term, b.entries[i].term) })
+}
+
+// postings returns the posting list of a normalized term (nil if none).
+func (f *Filter) postings(term string) []uint32 {
+	b := f.buckets[bucketOf(term)]
+	if i, ok := b.find(term); ok {
+		return b.entries[i].ids
+	}
+	return nil
+}
+
+// owned returns term's bucket ready for an in-place edit: the bucket
+// itself when this filter made it, otherwise a private copy (with room
+// for one more entry) installed in its stead.
+func (f *Filter) owned(term string) *bucket {
+	own := f.own.Load()
+	if own == nil {
+		own = new(ownership)
+		f.own.Store(own)
+	}
+	slot := &f.buckets[bucketOf(term)]
+	b := *slot
+	if b != nil && b.owner == own {
+		return b
+	}
+	nb := &bucket{owner: own}
+	if b != nil {
+		nb.entries = append(make([]entry, 0, len(b.entries)+1), b.entries...)
+	}
+	*slot = nb
+	return nb
+}
+
+// setPostings installs ids as term's posting list; an empty list drops
+// the term from the directory.
+func (f *Filter) setPostings(term string, ids []uint32) {
+	b := f.owned(term)
+	i, ok := b.find(term)
+	switch {
+	case ok && len(ids) == 0:
+		b.entries = append(b.entries[:i], b.entries[i+1:]...)
+	case ok:
+		b.entries[i].ids = ids
+	case len(ids) > 0:
+		b.entries = append(b.entries, entry{})
+		copy(b.entries[i+1:], b.entries[i:])
+		b.entries[i] = entry{term: term, ids: ids}
+	}
+}
+
+// Clone returns a filter that shares every bucket and posting list with
+// f, in O(numBuckets) whatever the vocabulary: Add/Remove on either one
+// never affect the other. f may be serving readers meanwhile.
+func (f *Filter) Clone() *Filter {
+	f.own.Store(nil)
+	return &Filter{buckets: append([]*bucket(nil), f.buckets...)}
 }
 
 // Build tokenizes every (id, text) pair and constructs the postings.
 // Tokens are normalized exactly like query keywords (lower-cased,
 // stop-words dropped).
 func Build(ids []uint32, texts []string) *Filter {
-	f := &Filter{postings: make(map[string][]uint32), total: len(ids)}
+	postings := make(map[string][]uint32)
 	for i, id := range ids {
 		seen := map[string]struct{}{}
 		for _, tok := range text.Tokenize(texts[i]) {
@@ -50,12 +145,13 @@ func Build(ids []uint32, texts []string) *Filter {
 				continue
 			}
 			seen[tok] = struct{}{}
-			f.postings[tok] = append(f.postings[tok], id)
+			postings[tok] = append(postings[tok], id)
 		}
 	}
-	for tok := range f.postings {
-		list := f.postings[tok]
+	f := &Filter{buckets: make([]*bucket, numBuckets)}
+	for tok, list := range postings {
 		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
+		f.setPostings(tok, list)
 	}
 	return f
 }
@@ -69,7 +165,7 @@ func (f *Filter) Add(id uint32, docText string) {
 			continue
 		}
 		seen[tok] = struct{}{}
-		list := f.postings[tok]
+		list := f.postings(tok)
 		pos := sort.Search(len(list), func(i int) bool { return list[i] >= id })
 		if pos < len(list) && list[pos] == id {
 			continue
@@ -78,35 +174,27 @@ func (f *Filter) Add(id uint32, docText string) {
 		copy(nl, list[:pos])
 		nl[pos] = id
 		copy(nl[pos+1:], list[pos:])
-		f.postings[tok] = nl
+		f.setPostings(tok, nl)
 	}
-	f.total++
 }
 
 // Remove drops an object from all postings.
 func (f *Filter) Remove(id uint32, docText string) {
 	for _, tok := range text.Tokenize(docText) {
-		list := f.postings[tok]
+		list := f.postings(tok)
 		pos := sort.Search(len(list), func(i int) bool { return list[i] >= id })
 		if pos < len(list) && list[pos] == id {
 			nl := make([]uint32, len(list)-1)
 			copy(nl, list[:pos])
 			copy(nl[pos:], list[pos+1:])
-			if len(nl) == 0 {
-				delete(f.postings, tok)
-			} else {
-				f.postings[tok] = nl
-			}
+			f.setPostings(tok, nl)
 		}
-	}
-	if f.total > 0 {
-		f.total--
 	}
 }
 
 // DocFrequency returns the number of objects containing the token.
 func (f *Filter) DocFrequency(token string) int {
-	return len(f.postings[normalize(token)])
+	return len(f.postings(normalize(token)))
 }
 
 func normalize(token string) string {
@@ -131,7 +219,7 @@ func (f *Filter) Candidates(keywords []string) (ids []uint32, ok bool) {
 		if norm == "" {
 			return nil, false
 		}
-		lists = append(lists, f.postings[norm])
+		lists = append(lists, f.postings(norm))
 	}
 	// Intersect starting from the rarest list.
 	sort.Slice(lists, func(a, b int) bool { return len(lists[a]) < len(lists[b]) })

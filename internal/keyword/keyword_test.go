@@ -135,3 +135,33 @@ func TestPredicate(t *testing.T) {
 		t.Fatal("stop-word predicate should be rejected")
 	}
 }
+
+// Clone shares the directory; a write on either side — the source
+// included, after it has been cloned — must copy the buckets it touches
+// and leave the other side's answers alone, also for a term that is
+// dropped from the directory and for one that is new to it.
+func TestCloneIsolatesBothSides(t *testing.T) {
+	f := buildTestFilter()
+	c := f.Clone()
+	f.Add(7, "pizza")
+	c.Add(9, "coffee tea")
+	c.Remove(3, "pizza place with great view")
+	for _, tc := range []struct {
+		side *Filter
+		term string
+		want []uint32
+	}{
+		{f, "coffee", []uint32{1, 2, 4}}, {f, "pizza", []uint32{3, 7}}, {f, "tea", []uint32{}},
+		{c, "coffee", []uint32{1, 2, 4, 9}}, {c, "pizza", []uint32{}}, {c, "tea", []uint32{9}},
+	} {
+		got, ok := tc.side.Candidates([]string{tc.term})
+		if !ok || len(got) != len(tc.want) {
+			t.Fatalf("Candidates(%q) = %v, want %v", tc.term, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("Candidates(%q) = %v, want %v", tc.term, got, tc.want)
+			}
+		}
+	}
+}

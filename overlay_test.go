@@ -1,10 +1,16 @@
 package cssi
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/keyword"
+	"repro/internal/text"
 )
 
 // overlayOps is a deterministic mixed write stream: fresh-ID inserts,
@@ -338,5 +344,313 @@ func TestOverlayConcurrentStress(t *testing.T) {
 	}
 	if err := c.Snapshot().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An all-or-nothing batch that fails after its clone already appended to
+// the overlay log leaves the lineage's tail claimed by a clone nobody
+// will ever publish. Nothing of the batch may show, and the next write —
+// whose clone can no longer claim that slot — must still go through, on
+// both wrappers, with answers equal to an eager twin that saw only the
+// acknowledged ops.
+func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
+	ds := testDataset(t, 500)
+	sharded := mustBuildSharded(t, ds, 2, Options{Seed: 53})
+	conc := Concurrent(mustBuild(t, ds, Options{Seed: 53}))
+	for name, w := range map[string]struct {
+		apply  func([]Op) error
+		search func(*Object, int, float64) []Result
+		object func(uint32) (Object, bool)
+		length func() int
+		check  func() error
+		pubs   func() int64
+	}{
+		"Concurrent": {conc.ApplyBatch, conc.Search, conc.Object, conc.Len,
+			func() error { return conc.Snapshot().CheckInvariants() }, conc.Publications},
+		"Sharded": {sharded.ApplyBatch, sharded.Search, sharded.Object, sharded.Len,
+			sharded.CheckInvariants, func() int64 {
+				var n int64
+				for i := 0; i < sharded.NumShards(); i++ {
+					n += sharded.Shard(i).Publications()
+				}
+				return n
+			}},
+	} {
+		twin := Concurrent(mustBuild(t, ds, Options{Seed: 53, DeltaCompactThreshold: DeltaDisabled}))
+		both := func(op Op) {
+			t.Helper()
+			if err := w.apply([]Op{op}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := twin.ApplyBatch([]Op{op}); err != nil {
+				t.Fatalf("%s twin: %v", name, err)
+			}
+		}
+		// Acknowledged writes first, so the log has backing arrays and a
+		// tail for the failing batch to claim from.
+		fresh := func(i int) Object {
+			o := ds.Objects[(i*29+3)%ds.Len()]
+			o.ID = uint32(800000 + 2*i) // even: one shard of two
+			return o
+		}
+		for i := 0; i < 5; i++ {
+			both(Op{Kind: OpInsert, Object: fresh(i)})
+		}
+		lost := fresh(5)
+		unknown := uint32(900000)
+		for sharded.ShardFor(unknown) != sharded.ShardFor(lost.ID) {
+			unknown++ // same shard, so the two ops are one shard batch
+		}
+		pubs, n := w.pubs(), w.length()
+		if err := w.apply([]Op{{Kind: OpInsert, Object: lost}, {Kind: OpDelete, ID: unknown}}); err == nil {
+			t.Fatalf("%s: batch deleting an unknown ID succeeded", name)
+		}
+		if w.pubs() != pubs || w.length() != n {
+			t.Fatalf("%s: failed batch published (publications %d -> %d, Len %d -> %d)", name, pubs, w.pubs(), n, w.length())
+		}
+		if _, ok := w.object(lost.ID); ok {
+			t.Fatalf("%s: insert of the failed batch is visible", name)
+		}
+		// Same ID, another object: the abandoned slot must not resurface.
+		retry := ds.Objects[77]
+		retry.ID = lost.ID
+		both(Op{Kind: OpInsert, Object: retry})
+		both(Op{Kind: OpInsert, Object: fresh(6)})
+		if got, ok := w.object(lost.ID); !ok || got.X != retry.X || got.Y != retry.Y {
+			t.Fatalf("%s: Object(%d) = %+v, %v after the retried insert", name, lost.ID, got, ok)
+		}
+		for qi := 0; qi < 6; qi++ {
+			q := ds.Objects[(qi*83+5)%ds.Len()]
+			equalResults(t, name+" vs eager twin", twin.Search(&q, 10, 0.5), w.search(&q, 10, 0.5))
+		}
+		if err := w.check(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// The keyword filter's twin property: after a random insert / update /
+// delete stream through ConcurrentIndex (background folds included),
+// every term's candidate list equals that of a filter built from scratch
+// over the live set — on the current snapshot and on one pinned halfway,
+// whose buckets every later write started out sharing. One term loses
+// its last posting before the pin and gets it back after.
+func TestOverlayKeywordFilterTwin(t *testing.T) {
+	ds := testDataset(t, 600)
+	c := Concurrent(mustBuild(t, ds, Options{Seed: 55, DeltaCompactThreshold: 150}))
+	c.EnableKeywordFilter()
+	const rare = "zzonlyhere"
+	live := make(map[uint32]string, ds.Len())
+	terms := map[string]bool{rare: true}
+	var liveIDs []uint32
+	for _, o := range ds.Objects {
+		live[o.ID] = o.Text
+		liveIDs = append(liveIDs, o.ID)
+	}
+	apply := func(op Op) {
+		t.Helper()
+		if err := c.ApplyBatch([]Op{op}); err != nil {
+			t.Fatal(err)
+		}
+		if op.Kind == OpDelete {
+			delete(live, op.ID)
+			return
+		}
+		live[op.Object.ID] = op.Object.Text
+		for _, tok := range text.Tokenize(op.Object.Text) {
+			terms[tok] = true
+		}
+	}
+	check := func(stage string, snap *Index, live map[uint32]string) {
+		t.Helper()
+		ids := make([]uint32, 0, len(live))
+		for id := range live {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		texts := make([]string, len(ids))
+		for i, id := range ids {
+			texts[i] = live[id]
+		}
+		want := keyword.Build(ids, texts)
+		for term := range terms {
+			w, _ := want.Candidates([]string{term})
+			got, ok := snap.kw.Candidates([]string{term})
+			if !ok || !slices.Equal(got, w) {
+				t.Fatalf("%s: Candidates(%q) = %v, rebuilt filter says %v", stage, term, got, w)
+			}
+		}
+	}
+	for _, o := range ds.Objects {
+		for _, tok := range text.Tokenize(o.Text) {
+			terms[tok] = true
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	rareObj := ds.Objects[3]
+	rareObj.ID, rareObj.Text = 990000, rareObj.Text+" "+rare
+	var pinned *Index
+	var pinnedLive map[uint32]string
+	for i := 0; i < 600; i++ {
+		switch {
+		case i == 100 || i == 400:
+			apply(Op{Kind: OpInsert, Object: rareObj})
+		case i == 200:
+			apply(Op{Kind: OpDelete, ID: rareObj.ID})
+		case i == 300:
+			pinned, pinnedLive = c.Snapshot(), make(map[uint32]string, len(live))
+			for id, txt := range live {
+				pinnedLive[id] = txt
+			}
+			if pinned.KeywordDocFrequency(rare) != 0 {
+				t.Fatal("rare term survived the delete of its last posting")
+			}
+		}
+		victim := liveIDs[rng.Intn(len(liveIDs))]
+		_, victimLive := live[victim]
+		switch r := rng.Intn(3); {
+		case r == 0 || !victimLive:
+			o := ds.Objects[rng.Intn(ds.Len())]
+			o.ID = uint32(600000 + i)
+			liveIDs = append(liveIDs, o.ID)
+			apply(Op{Kind: OpInsert, Object: o})
+		case r == 1:
+			o := ds.Objects[rng.Intn(ds.Len())]
+			o.ID = victim
+			apply(Op{Kind: OpUpdate, Object: o})
+		default:
+			apply(Op{Kind: OpDelete, ID: victim})
+		}
+	}
+	if c.Snapshot().KeywordDocFrequency(rare) != 1 {
+		t.Fatal("rare term not re-added")
+	}
+	check("current", c.Snapshot(), live)
+	check("pinned", pinned, pinnedLive)
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", c.Snapshot(), live)
+	check("pinned after compaction", pinned, pinnedLive)
+}
+
+// Readers keep querying snapshots they pinned while one writer appends
+// to the log arrays those snapshots share: ≥ 5,000 ops, so the log goes
+// through every capacity from 16 slots to 4,096 and the default
+// threshold starts a background fold. A pinned snapshot must answer the
+// same thing every time (run under -race in CI: an append that reached a
+// slot a reader can see is a reported race).
+func TestOverlayAppendUnderReaders(t *testing.T) {
+	ds := testDataset(t, 600)
+	c := Concurrent(mustBuild(t, ds, Options{Seed: 57}))
+	c.EnableKeywordFilter()
+	keywords := text.Tokenize(ds.Objects[0].Text)[:1]
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; ; round++ {
+				snap := c.Snapshot() // shares its log with the writer's next clones
+				q := ds.Objects[(g*97+round*13)%ds.Len()]
+				want := snap.Search(&q, 10, 0.5)
+				wantKw, _ := snap.SearchWithKeywords(&q, 10, 0.5, keywords...)
+				for rep := 0; rep < 20; rep++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					got := snap.Search(&q, 10, 0.5)
+					gotKw, _ := snap.SearchWithKeywords(&q, 10, 0.5, keywords...)
+					if !slices.Equal(got, want) || !slices.Equal(gotKw, wantKw) {
+						t.Errorf("pinned snapshot %d changed its answer", snap.snapID)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	const inserts = 4400
+	for i := 0; i < inserts; i++ {
+		o := ds.Objects[(i*7+1)%ds.Len()]
+		o.ID = uint32(700000 + i)
+		if err := c.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+		switch i % 8 {
+		case 3:
+			if err := c.Delete(o.ID); err != nil {
+				t.Fatal(err)
+			}
+		case 5:
+			o.X = 1 - o.X
+			if err := c.Update(o); err != nil { // two overlay ops
+				t.Fatal(err)
+			}
+		}
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for c.Compactions() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if c.Compactions() == 0 {
+		t.Fatal("no background compaction within deadline")
+	}
+	if want := ds.Len() + inserts - inserts/8; c.Len() != want {
+		t.Fatalf("Len = %d, want %d", c.Len(), want)
+	}
+	if err := c.Snapshot().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The deterministic pin of "a served write costs what it touches": the
+// bytes one single-op Insert and one Delete allocate, keyword filter on,
+// do not grow with the ops already buffered — nor, the buckets and
+// chunks being fixed-size, with the vocabulary.
+func TestOverlayWriteAllocBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the program's")
+	}
+	ds := testDataset(t, 2000)
+	c := Concurrent(mustBuild(t, ds, Options{Seed: 59, DeltaCompactThreshold: 1 << 20}))
+	c.EnableKeywordFilter()
+	next := 0
+	insert := func() uint32 {
+		o := ds.Objects[(next*11+2)%ds.Len()]
+		o.ID = uint32(750000 + next)
+		next++
+		if err := c.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+		return o.ID
+	}
+	// bytesPerPair buffers inserts up to `buffered` ops, then measures
+	// insert+delete pairs; the eight pairs stay inside one log capacity
+	// (40+8 < 64, 4000+8 < 4096), so no doubling falls in the window.
+	bytesPerPair := func(buffered int) uint64 {
+		for c.DeltaOps() < buffered {
+			insert()
+		}
+		const pairs = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			if err := c.Delete(insert()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / pairs
+	}
+	small, large := bytesPerPair(40), bytesPerPair(4000)
+	t.Logf("insert+delete allocates %d B at 40 buffered ops, %d B at 4000", small, large)
+	const ceiling = 64 << 10
+	if large > 2*small || large > ceiling {
+		t.Fatalf("insert+delete allocates %d B at 4000 buffered ops: want ≤ 2× the %d B at 40 and ≤ %d", large, small, ceiling)
 	}
 }
