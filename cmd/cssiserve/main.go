@@ -13,8 +13,8 @@
 // writes route to one shard and pay only that shard's copy-on-write
 // cost. -index accepts both a single-index file (served as one shard)
 // and a directory written by -save with -shards > 1. See
-// internal/server for the JSON API, including GET /metrics and
-// POST /debug/explain.
+// internal/server for the JSON API, including GET /v1/metrics and
+// POST /v1/debug/explain.
 //
 // Logs are structured (log/slog, logfmt text): -log-level=debug adds a
 // per-request access log line carrying each request's X-Request-Id.

@@ -130,21 +130,21 @@ func TestMetricsScrapeAndParse(t *testing.T) {
 	// latency + read efficiency), an insert + delete (mutation latency),
 	// and a waited rebuild (rebuild duration).
 	q := ds.Objects[7]
-	if resp, _ := postJSON(t, ts.URL+"/search", map[string]interface{}{
+	if resp, _ := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5,
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("search status %d", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/objects", map[string]interface{}{
+	if resp, _ := postJSON(t, ts.URL+"/v1/objects", map[string]interface{}{
 		"id": 970001, "x": q.X, "y": q.Y, "vec": q.Vec,
 	}); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("insert status %d", resp.StatusCode)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/objects?id=970001", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/objects?id=970001", nil)
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete: %v", err)
 	}
-	if resp, err := http.Post(ts.URL+"/rebuild?wait=1", "application/json", nil); err != nil || resp.StatusCode != http.StatusOK {
+	if resp, err := http.Post(ts.URL+"/v1/rebuild?wait=1", "application/json", nil); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild: %v %v", err, resp.Status)
 	}
 
@@ -247,7 +247,7 @@ func TestExplainEndpoint(t *testing.T) {
 	if err := json.NewEncoder(&buf).Encode(body); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/debug/explain", &buf)
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/debug/explain", &buf)
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Request-Id", "trace-me-1")
 	resp, err := http.DefaultClient.Do(req)
@@ -341,7 +341,7 @@ func TestExplainEndpoint(t *testing.T) {
 // on the response.
 func TestRequestIDGenerated(t *testing.T) {
 	ts, _, _ := newShardedTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

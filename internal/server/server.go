@@ -3,30 +3,33 @@
 // service (the downstream-adoption path: build or load an index, then
 // `cssiserve` it).
 //
-// Endpoints:
+// Endpoints, all under the versioned /v1 prefix:
 //
-//	GET  /healthz             liveness probe
-//	GET  /stats               index statistics
-//	POST /search              k-NN query (exact or approximate)
-//	POST /search/batch        many k-NN queries in one request
-//	POST /range               range query
-//	POST /box                 windowed semantic k-NN
-//	POST /objects             insert an object
-//	PUT  /objects             update an object
-//	DELETE /objects?id=N      delete an object
-//	POST /rebuild             non-blocking index rebuild (?wait=1 blocks)
-//	POST /debug/explain       k-NN query with a per-shard explain trace
-//	GET  /debug/traces        recently retained request traces (tail-sampled)
-//	GET  /debug/traces/{id}   one trace by request ID or W3C trace ID
-//	GET  /metrics             Prometheus text-format metrics
+//	GET  /v1/healthz             liveness probe
+//	GET  /v1/stats               index statistics
+//	POST /v1/search              k-NN query (exact or approximate)
+//	POST /v1/search/batch        many k-NN queries in one request
+//	POST /v1/keyword-search      k-NN query among objects holding every keyword
+//	POST /v1/range               range query
+//	POST /v1/box                 windowed semantic k-NN
+//	POST /v1/objects             insert an object
+//	PUT  /v1/objects             update an object
+//	DELETE /v1/objects?id=N      delete an object
+//	POST /v1/rebuild             non-blocking index rebuild (?wait=1 blocks)
+//	POST /v1/debug/explain       k-NN query with a per-shard explain trace
+//	GET  /v1/debug/traces        recently retained request traces (tail-sampled)
+//	GET  /v1/debug/traces/{id}   one trace by request ID or W3C trace ID
+//	GET  /v1/metrics             Prometheus text-format metrics
 //
-// Every endpoint is also served under the versioned /v1/ prefix
-// (/v1/search, /v1/search/batch, ...) — the stable API surface; the
-// unversioned paths above are permanent aliases with byte-identical
-// bodies. Every non-2xx response (the router's own 404/405 included)
-// carries one JSON error envelope:
+// Every non-2xx response (the router's own 404/405 included) carries
+// one JSON error envelope:
 //
 //	{"error": {"code": "bad_request", "message": "...", "request_id": "..."}}
+//
+// The bodies that carry vectors and results go through the package's
+// own wire codec (codec.go) rather than encoding/json's reflection;
+// what a client sends and receives is unchanged by it. Request bodies
+// are capped per route (413 past the cap).
 //
 // Queries carry either an explicit embedding vector or free text (encoded
 // with the dataset's embedding model when one is attached). The server is
@@ -324,17 +327,13 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// Handler returns the HTTP handler tree. Every route is registered
-// twice — under the versioned /v1/ prefix (the stable API surface) and
-// at its historical unversioned path (a permanent alias for existing
-// clients). Both registrations share one instrumented handler, so the
-// success bodies are byte-identical and the per-endpoint counters
-// aggregate across both spellings. Every endpoint — the metrics scrape
-// included — is wrapped with request/error counting; query endpoints
-// additionally feed the search latency histogram and mutation
-// endpoints the mutation latency histogram. The whole tree sits behind
-// the error-envelope middleware (so the router's own 404/405 responses
-// come out in the JSON envelope) and the request-ID/logging middleware.
+// Handler returns the HTTP handler tree, every route under /v1. Every
+// endpoint — the metrics scrape included — is wrapped with request/error
+// counting; query endpoints additionally feed the search latency
+// histogram and mutation endpoints the mutation latency histogram. The
+// whole tree sits behind the error-envelope middleware (so the router's
+// own 404/405 responses come out in the JSON envelope) and the
+// request-ID/logging middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// Query endpoints sit behind an admission gate when one is
@@ -353,27 +352,20 @@ func (s *Server) Handler() http.Handler {
 	mutation := func(name string, h http.HandlerFunc) http.HandlerFunc {
 		return s.met.instrument(name, kindMutation, h)
 	}
-	// both registers one handler at its legacy unversioned route and the
-	// matching /v1 route. pattern is "METHOD /path".
-	both := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	both("GET /healthz", plain("healthz", s.handleHealth))
-	both("GET /stats", plain("stats", s.handleStats))
-	both("POST /search", query("search", s.handleSearch))
-	both("POST /search/batch", query("search_batch", s.handleSearchBatch))
-	both("POST /keyword-search", query("keyword_search", s.handleKeywordSearch))
-	both("POST /range", query("range", s.handleRange))
-	both("POST /box", query("box", s.handleBox))
-	both("POST /debug/explain", query("explain", s.handleExplain))
-	both("POST /objects", mutation("insert", s.handleInsert))
-	both("PUT /objects", mutation("update", s.handleUpdate))
-	both("DELETE /objects", mutation("delete", s.handleDelete))
-	both("POST /rebuild", plain("rebuild", s.handleRebuild))
-	both("GET /debug/traces", plain("traces", s.handleTraces))
-	both("GET /debug/traces/{id}", plain("trace_get", s.handleTraceByID))
+	mux.HandleFunc("GET /v1/healthz", plain("healthz", s.handleHealth))
+	mux.HandleFunc("GET /v1/stats", plain("stats", s.handleStats))
+	mux.HandleFunc("POST /v1/search", query("search", decoded(s, 1, s.handleSearch)))
+	mux.HandleFunc("POST /v1/search/batch", query("search_batch", decoded(s, maxBatchQueries, s.handleSearchBatch)))
+	mux.HandleFunc("POST /v1/keyword-search", query("keyword_search", decoded(s, 1, s.handleKeywordSearch)))
+	mux.HandleFunc("POST /v1/range", query("range", decoded(s, 1, s.handleRange)))
+	mux.HandleFunc("POST /v1/box", query("box", decoded(s, 1, s.handleBox)))
+	mux.HandleFunc("POST /v1/debug/explain", query("explain", decoded(s, 1, s.handleExplain)))
+	mux.HandleFunc("POST /v1/objects", mutation("insert", decoded(s, 1, s.handleInsert)))
+	mux.HandleFunc("PUT /v1/objects", mutation("update", decoded(s, 1, s.handleUpdate)))
+	mux.HandleFunc("DELETE /v1/objects", mutation("delete", s.handleDelete))
+	mux.HandleFunc("POST /v1/rebuild", plain("rebuild", s.handleRebuild))
+	mux.HandleFunc("GET /v1/debug/traces", plain("traces", s.handleTraces))
+	mux.HandleFunc("GET /v1/debug/traces/{id}", plain("trace_get", s.handleTraceByID))
 	version, goVersion := buildVersionInfo()
 	// The metrics scrape samples the admission gates and the result
 	// cache live (both nil-tolerant: the blocks only appear once the
@@ -382,7 +374,7 @@ func (s *Server) Handler() http.Handler {
 		s.met.admissionStats = s.gateStats
 	}
 	s.met.cacheStats = s.idx.ResultCacheStats
-	both("GET /metrics", plain("metrics", s.met.handler(s.idx.ShardStats, version, goVersion)))
+	mux.HandleFunc("GET /v1/metrics", plain("metrics", s.met.handler(s.idx.ShardStats, version, goVersion)))
 	return s.withRequestID(withErrorEnvelope(mux))
 }
 
@@ -512,7 +504,7 @@ func cacheModeFrom(c string) (cssi.CacheMode, error) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, r, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -530,7 +522,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		unanchored += st.Unanchored
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	writeJSON(w, r, http.StatusOK, map[string]interface{}{
 		"objects":           s.idx.Len(),
 		"hybridClusters":    s.idx.NumClusters(),
 		"updatesSinceBuild": s.idx.UpdatesSinceBuild(),
@@ -578,31 +570,89 @@ func (s *Server) routeKnobs(route *bool, target float64) (bool, float64) {
 	return on, target
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decode(w, r, &req) {
-		return
+// queryRoute is what tells the query endpoints apart before they reach
+// the index: which of the shared request fields the route reads.
+type queryRoute struct {
+	// defaultK turns k <= 0 into 10.
+	defaultK bool
+	// validate holds the route's field checks, in the order their
+	// messages take precedence.
+	validate func(*queryRequest) error
+	// deadline and cache say the route honours deadlineMs and cache (and
+	// so refuses a bad value); elsewhere the fields are ignored.
+	deadline, cache bool
+}
+
+var errLambdaRange = errors.New("lambda must be in [0,1]")
+
+func checkLambda(req *queryRequest) error {
+	if req.Lambda < 0 || req.Lambda > 1 {
+		return errLambdaRange
 	}
-	if req.K <= 0 {
+	return nil
+}
+
+var (
+	searchRoute  = queryRoute{defaultK: true, validate: checkLambda, deadline: true, cache: true}
+	explainRoute = queryRoute{defaultK: true, validate: checkLambda, deadline: true}
+	keywordRoute = queryRoute{defaultK: true, deadline: true, cache: true, validate: func(req *queryRequest) error {
+		if err := checkLambda(req); err != nil {
+			return err
+		}
+		if len(req.Keywords) == 0 {
+			return errors.New("keywords required")
+		}
+		return nil
+	}}
+	rangeRoute = queryRoute{validate: func(req *queryRequest) error {
+		if req.Radius < 0 {
+			return errors.New("radius must be >= 0")
+		}
+		return checkLambda(req)
+	}}
+	boxRoute = queryRoute{defaultK: true, validate: func(req *queryRequest) error {
+		if req.LoX > req.HiX || req.LoY > req.HiY {
+			return errors.New("inverted window")
+		}
+		return nil
+	}}
+)
+
+// queryCall is a query request resolved against the server: the query
+// object and the serving knobs the route honours.
+type queryCall struct {
+	q      *cssi.Object
+	budget time.Duration
+	cache  cssi.CacheMode
+}
+
+// prepare is the prelude the query endpoints share — k default, field
+// checks, query object, time budget, cache mode — answering 400 itself
+// when the request does not pass.
+func (s *Server) prepare(w http.ResponseWriter, r *http.Request, req *queryRequest, route *queryRoute) (c queryCall, ok bool) {
+	if route.defaultK && req.K <= 0 {
 		req.K = 10
 	}
-	if req.Lambda < 0 || req.Lambda > 1 {
-		writeError(w, r, http.StatusBadRequest, "lambda must be in [0,1]")
-		return
+	err := route.validate(req)
+	if err == nil {
+		c.q, err = s.buildQuery(req)
 	}
-	q, err := s.buildQuery(&req)
+	if err == nil && route.deadline {
+		c.budget, err = s.queryBudget(req.DeadlineMs)
+	}
+	if err == nil && route.cache {
+		c.cache, err = cacheModeFrom(req.Cache)
+	}
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
+		return c, false
 	}
-	budget, err := s.queryBudget(req.DeadlineMs)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	cacheMode, err := cacheModeFrom(req.Cache)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+	return c, true
+}
+
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, req *queryRequest) {
+	c, ok := s.prepare(w, r, req, &searchRoute)
+	if !ok {
 		return
 	}
 	// The scatter pins one immutable snapshot per shard; the metadata
@@ -611,9 +661,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var st cssi.Stats
 	var meta cssi.ResponseMeta
 	rs, err := s.idx.DoContext(r.Context(), cssi.SearchRequest{
-		Query: q, K: req.K, Lambda: req.Lambda, Approx: req.Approx,
+		Query: c.q, K: req.K, Lambda: req.Lambda, Approx: req.Approx,
 		Route: route, RouteTarget: target, Stats: &st,
-		Deadline: budget, Cache: cacheMode, Meta: &meta,
+		Deadline: c.budget, Cache: c.cache, Meta: &meta,
 		RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
 	})
 	if err != nil {
@@ -621,9 +671,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.observeSearchStats(&st)
-	resp := s.respond(rs, &st)
-	resp.Meta = s.respMetaFrom(r, &meta)
-	writeJSON(w, http.StatusOK, resp)
+	s.writeResults(w, r, rs, st.VisitedObjects, &meta)
 }
 
 // explainResponse is the body of /debug/explain: the same k-NN answer
@@ -638,37 +686,20 @@ type explainResponse struct {
 // results are bit-identical) and attaches the per-query explain trace:
 // one span per shard with objects scanned vs pruned, prune ratios, and
 // span wall time, stamped with the request's ID.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.Lambda < 0 || req.Lambda > 1 {
-		writeError(w, r, http.StatusBadRequest, "lambda must be in [0,1]")
-		return
-	}
-	q, err := s.buildQuery(&req)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	budget, err := s.queryBudget(req.DeadlineMs)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, req *queryRequest) {
+	// Explain requests never touch the result cache (a cached answer has
+	// no per-shard trace to attach), so the route ignores the cache field.
+	c, ok := s.prepare(w, r, req, &explainRoute)
+	if !ok {
 		return
 	}
 	route, target := s.routeKnobs(req.Route, req.RouteTarget)
 	var trace cssi.SearchTrace
 	var meta cssi.ResponseMeta
-	// Explain requests never touch the result cache (a cached answer has
-	// no per-shard trace to attach), so the cache field is ignored here.
 	rs, err := s.idx.DoContext(r.Context(), cssi.SearchRequest{
-		Query: q, K: req.K, Lambda: req.Lambda, Approx: req.Approx,
+		Query: c.q, K: req.K, Lambda: req.Lambda, Approx: req.Approx,
 		Route: route, RouteTarget: target,
-		Deadline: budget, Meta: &meta,
+		Deadline: c.budget, Meta: &meta,
 		Trace: &trace, RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
 	})
 	if err != nil {
@@ -676,8 +707,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.observeSearchStats(&trace.Total.Stats)
-	writeJSON(w, http.StatusOK, explainResponse{
-		Results: s.respond(rs, &trace.Total.Stats).Results,
+	writeJSON(w, r, http.StatusOK, explainResponse{
+		Results: s.respond(rs),
 		Trace:   &trace,
 		Meta:    s.respMetaFrom(r, &meta),
 	})
@@ -719,11 +750,7 @@ type batchResponse struct {
 	Meta    *respMeta      `json:"meta,omitempty"`
 }
 
-func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !decode(w, r, &req) {
-		return
-	}
+func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, req *batchRequest) {
 	if req.K <= 0 {
 		req.K = 10
 	}
@@ -783,46 +810,20 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	resp := batchResponse{Results: make([][]resultItem, len(batches)), Visited: st.VisitedObjects,
 		Meta: s.respMetaFrom(r, &meta)}
 	for i, rs := range batches {
-		resp.Results[i] = s.respond(rs, &st).Results
+		resp.Results[i] = s.respond(rs)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeEncoded(w, r, http.StatusOK, func(e *wireEncoder) { e.batchResponse(&resp) })
 }
 
-func (s *Server) handleKeywordSearch(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.Lambda < 0 || req.Lambda > 1 {
-		writeError(w, r, http.StatusBadRequest, "lambda must be in [0,1]")
-		return
-	}
-	if len(req.Keywords) == 0 {
-		writeError(w, r, http.StatusBadRequest, "keywords required")
-		return
-	}
-	q, err := s.buildQuery(&req)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	budget, err := s.queryBudget(req.DeadlineMs)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	cacheMode, err := cacheModeFrom(req.Cache)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+func (s *Server) handleKeywordSearch(w http.ResponseWriter, r *http.Request, req *queryRequest) {
+	c, ok := s.prepare(w, r, req, &keywordRoute)
+	if !ok {
 		return
 	}
 	var meta cssi.ResponseMeta
 	rs, err := s.idx.DoContext(r.Context(), cssi.SearchRequest{
-		Query: q, K: req.K, Lambda: req.Lambda, Keywords: req.Keywords,
-		Deadline: budget, Cache: cacheMode, Meta: &meta,
+		Query: c.q, K: req.K, Lambda: req.Lambda, Keywords: req.Keywords,
+		Deadline: c.budget, Cache: c.cache, Meta: &meta,
 		RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
 	})
 	if err != nil {
@@ -833,59 +834,27 @@ func (s *Server) handleKeywordSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
-	var st cssi.Stats
-	resp := s.respond(rs, &st)
-	resp.Meta = s.respMetaFrom(r, &meta)
-	writeJSON(w, http.StatusOK, resp)
+	s.writeResults(w, r, rs, 0, &meta)
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.Radius < 0 {
-		writeError(w, r, http.StatusBadRequest, "radius must be >= 0")
-		return
-	}
-	if req.Lambda < 0 || req.Lambda > 1 {
-		writeError(w, r, http.StatusBadRequest, "lambda must be in [0,1]")
-		return
-	}
-	q, err := s.buildQuery(&req)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, req *queryRequest) {
+	c, ok := s.prepare(w, r, req, &rangeRoute)
+	if !ok {
 		return
 	}
 	var st cssi.Stats
-	rs := s.idx.RangeSearchStats(q, req.Radius, req.Lambda, &st)
-	resp := s.respond(rs, &st)
-	resp.Meta = s.respMetaFrom(r, nil)
-	writeJSON(w, http.StatusOK, resp)
+	rs := s.idx.RangeSearchStats(c.q, req.Radius, req.Lambda, &st)
+	s.writeResults(w, r, rs, st.VisitedObjects, nil)
 }
 
-func (s *Server) handleBox(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.LoX > req.HiX || req.LoY > req.HiY {
-		writeError(w, r, http.StatusBadRequest, "inverted window")
-		return
-	}
-	q, err := s.buildQuery(&req)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+func (s *Server) handleBox(w http.ResponseWriter, r *http.Request, req *queryRequest) {
+	c, ok := s.prepare(w, r, req, &boxRoute)
+	if !ok {
 		return
 	}
 	var st cssi.Stats
-	rs := s.idx.SearchInBoxStats(q, req.LoX, req.LoY, req.HiX, req.HiY, req.K, &st)
-	resp := s.respond(rs, &st)
-	resp.Meta = s.respMetaFrom(r, nil)
-	writeJSON(w, http.StatusOK, resp)
+	rs := s.idx.SearchInBoxStats(c.q, req.LoX, req.LoY, req.HiX, req.HiY, req.K, &st)
+	s.writeResults(w, r, rs, st.VisitedObjects, nil)
 }
 
 // respond decorates results with object metadata, each ID resolved on
@@ -893,16 +862,23 @@ func (s *Server) handleBox(w http.ResponseWriter, r *http.Request) {
 // search and the decoration keeps its ID and distance with empty
 // metadata — the same behavior the single-snapshot server had for
 // IDs that missed.
-func (s *Server) respond(rs []cssi.Result, st *cssi.Stats) queryResponse {
-	resp := queryResponse{Results: make([]resultItem, len(rs)), Visited: st.VisitedObjects}
+func (s *Server) respond(rs []cssi.Result) []resultItem {
+	items := make([]resultItem, len(rs))
 	for i, r := range rs {
 		item := resultItem{ID: r.ID, Dist: r.Dist}
 		if o, ok := s.idx.Object(r.ID); ok {
 			item.X, item.Y, item.Text = o.X, o.Y, o.Text
 		}
-		resp.Results[i] = item
+		items[i] = item
 	}
-	return resp
+	return items
+}
+
+// writeResults sends the reply the single-query endpoints share. meta
+// is the index-filled block (nil for endpoints that bypass Do).
+func (s *Server) writeResults(w http.ResponseWriter, r *http.Request, rs []cssi.Result, visited int64, meta *cssi.ResponseMeta) {
+	resp := queryResponse{Results: s.respond(rs), Visited: visited, Meta: s.respMetaFrom(r, meta)}
+	writeEncoded(w, r, http.StatusOK, func(e *wireEncoder) { e.queryResponse(&resp) })
 }
 
 // objectRequest is the insert/update body.
@@ -932,12 +908,8 @@ func (s *Server) buildObject(req *objectRequest) (cssi.Object, error) {
 	return cssi.Object{ID: req.ID, X: req.X, Y: req.Y, Text: req.Text, Vec: vec}, nil
 }
 
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req objectRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	o, err := s.buildObject(&req)
+func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, req *objectRequest) {
+	o, err := s.buildObject(req)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -947,15 +919,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]uint32{"id": o.ID})
+	writeJSON(w, r, http.StatusCreated, map[string]uint32{"id": o.ID})
 }
 
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req objectRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	o, err := s.buildObject(&req)
+func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, req *objectRequest) {
+	o, err := s.buildObject(req)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -965,7 +933,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint32{"id": o.ID})
+	writeJSON(w, r, http.StatusOK, map[string]uint32{"id": o.ID})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -980,7 +948,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"deleted": id})
+	writeJSON(w, r, http.StatusOK, map[string]uint64{"deleted": id})
 }
 
 // handleRebuild starts a background rebuild (non-blocking: readers and
@@ -1011,33 +979,17 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		done <- err
 	}()
 	if r.URL.Query().Get("wait") == "" {
-		writeJSON(w, http.StatusAccepted, map[string]string{"status": "rebuilding"})
+		writeJSON(w, r, http.StatusAccepted, map[string]string{"status": "rebuilding"})
 		return
 	}
 	if err := <-done; err != nil {
 		writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	writeJSON(w, r, http.StatusOK, map[string]interface{}{
 		"status":  "rebuilt",
 		"objects": s.idx.Len(),
 	})
-}
-
-func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, r, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // errorBody is the one JSON error envelope every non-2xx response
@@ -1082,7 +1034,7 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) 
 	if r != nil {
 		id = requestIDFrom(r.Context())
 	}
-	writeJSON(w, status, errorBody{Error: errorDetail{
+	writeJSON(w, r, status, errorBody{Error: errorDetail{
 		Code:      errorCode(status),
 		Message:   msg,
 		RequestID: id,

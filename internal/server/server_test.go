@@ -48,12 +48,12 @@ func postJSON(t *testing.T, url string, body interface{}) (*http.Response, map[s
 
 func TestHealthAndStats(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %v %v", err, resp.Status)
 	}
 	resp.Body.Close()
-	resp, err = http.Get(ts.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestHealthAndStats(t *testing.T) {
 func TestSearchByVector(t *testing.T) {
 	ts, ds := newTestServer(t)
 	q := ds.Objects[7]
-	resp, out := postJSON(t, ts.URL+"/search", map[string]interface{}{
+	resp, out := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -96,7 +96,7 @@ func TestSearchByVector(t *testing.T) {
 
 func TestSearchByText(t *testing.T) {
 	ts, ds := newTestServer(t)
-	resp, out := postJSON(t, ts.URL+"/search", map[string]interface{}{
+	resp, out := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 		"x": 0.5, "y": 0.5, "text": ds.Objects[0].Text, "k": 3, "lambda": 0.0,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -116,7 +116,7 @@ func TestSearchByText(t *testing.T) {
 func TestSearchApproxFlag(t *testing.T) {
 	ts, ds := newTestServer(t)
 	q := ds.Objects[9]
-	resp, _ := postJSON(t, ts.URL+"/search", map[string]interface{}{
+	resp, _ := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5, "approx": true,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -127,17 +127,17 @@ func TestSearchApproxFlag(t *testing.T) {
 func TestSearchValidation(t *testing.T) {
 	ts, _ := newTestServer(t)
 	// No vec and no text.
-	resp, _ := postJSON(t, ts.URL+"/search", map[string]interface{}{"x": 0.1, "y": 0.1, "k": 3, "lambda": 0.5})
+	resp, _ := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{"x": 0.1, "y": 0.1, "k": 3, "lambda": 0.5})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing vec/text: status %d", resp.StatusCode)
 	}
 	// Bad lambda.
-	resp, _ = postJSON(t, ts.URL+"/search", map[string]interface{}{"x": 0.1, "y": 0.1, "text": "a b c", "lambda": 3.0})
+	resp, _ = postJSON(t, ts.URL+"/v1/search", map[string]interface{}{"x": 0.1, "y": 0.1, "text": "a b c", "lambda": 3.0})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad lambda: status %d", resp.StatusCode)
 	}
 	// Unknown fields rejected.
-	r, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader([]byte(`{"bogus":1}`)))
+	r, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader([]byte(`{"bogus":1}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSearchValidation(t *testing.T) {
 func TestRangeEndpoint(t *testing.T) {
 	ts, ds := newTestServer(t)
 	q := ds.Objects[3]
-	resp, out := postJSON(t, ts.URL+"/range", map[string]interface{}{
+	resp, out := postJSON(t, ts.URL+"/v1/range", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "lambda": 0.5, "radius": 0.1,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -172,7 +172,7 @@ func TestRangeEndpoint(t *testing.T) {
 func TestBoxEndpoint(t *testing.T) {
 	ts, ds := newTestServer(t)
 	q := ds.Objects[3]
-	resp, out := postJSON(t, ts.URL+"/box", map[string]interface{}{
+	resp, out := postJSON(t, ts.URL+"/v1/box", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5,
 		"loX": 0.0, "loY": 0.0, "hiX": 1.0, "hiY": 1.0,
 	})
@@ -180,7 +180,7 @@ func TestBoxEndpoint(t *testing.T) {
 		t.Fatalf("status %d: %v", resp.StatusCode, out)
 	}
 	// Inverted window rejected.
-	resp, _ = postJSON(t, ts.URL+"/box", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/box", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "loX": 0.9, "hiX": 0.1, "hiY": 1.0,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -191,21 +191,21 @@ func TestBoxEndpoint(t *testing.T) {
 func TestObjectLifecycle(t *testing.T) {
 	ts, ds := newTestServer(t)
 	// Insert.
-	resp, _ := postJSON(t, ts.URL+"/objects", map[string]interface{}{
+	resp, _ := postJSON(t, ts.URL+"/v1/objects", map[string]interface{}{
 		"id": 90001, "x": 0.2, "y": 0.3, "vec": ds.Objects[0].Vec,
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("insert status %d", resp.StatusCode)
 	}
 	// Duplicate insert conflicts.
-	resp, _ = postJSON(t, ts.URL+"/objects", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/objects", map[string]interface{}{
 		"id": 90001, "x": 0.2, "y": 0.3, "vec": ds.Objects[0].Vec,
 	})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("dup insert status %d", resp.StatusCode)
 	}
 	// Update.
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/objects", bytes.NewReader(mustJSON(map[string]interface{}{
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/objects", bytes.NewReader(mustJSON(map[string]interface{}{
 		"id": 90001, "x": 0.8, "y": 0.9, "vec": ds.Objects[1].Vec,
 	})))
 	req.Header.Set("Content-Type", "application/json")
@@ -218,7 +218,7 @@ func TestObjectLifecycle(t *testing.T) {
 		t.Fatalf("update status %d", r2.StatusCode)
 	}
 	// Delete.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/objects?id=90001", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/objects?id=90001", nil)
 	r3, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestObjectLifecycle(t *testing.T) {
 		t.Fatalf("delete status %d", r3.StatusCode)
 	}
 	// Delete again: not found.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/objects?id=90001", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/objects?id=90001", nil)
 	r4, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestObjectLifecycle(t *testing.T) {
 		t.Fatalf("re-delete status %d", r4.StatusCode)
 	}
 	// Bad id.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/objects?id=abc", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/objects?id=abc", nil)
 	r5, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestObjectLifecycle(t *testing.T) {
 func TestRebuildEndpoint(t *testing.T) {
 	ts, ds := newTestServer(t)
 	// Mutate first so the rebuild has deletions to compact away.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/objects?id="+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/objects?id="+
 		fmt.Sprint(ds.Objects[0].ID), nil)
 	r0, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -266,7 +266,7 @@ func TestRebuildEndpoint(t *testing.T) {
 		t.Fatalf("pre-rebuild delete status %d", r0.StatusCode)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/rebuild?wait=1", map[string]interface{}{})
+	resp, body := postJSON(t, ts.URL+"/v1/rebuild?wait=1", map[string]interface{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild status %d", resp.StatusCode)
 	}
@@ -281,7 +281,7 @@ func TestRebuildEndpoint(t *testing.T) {
 
 	// Searches on the rebuilt index still work.
 	q := ds.Objects[1]
-	resp, _ = postJSON(t, ts.URL+"/search", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 3, "lambda": 0.5,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -289,7 +289,7 @@ func TestRebuildEndpoint(t *testing.T) {
 	}
 
 	// Without wait the endpoint acknowledges asynchronously.
-	resp, body = postJSON(t, ts.URL+"/rebuild", map[string]interface{}{})
+	resp, body = postJSON(t, ts.URL+"/v1/rebuild", map[string]interface{}{})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async rebuild status %d", resp.StatusCode)
 	}
@@ -308,7 +308,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				q := ds.Objects[(g*29+i)%ds.Len()]
-				resp, _ := postJSON(t, ts.URL+"/search", map[string]interface{}{
+				resp, _ := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 					"x": q.X, "y": q.Y, "vec": q.Vec, "k": 3, "lambda": 0.5,
 				})
 				if resp.StatusCode != http.StatusOK {
@@ -321,7 +321,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				id := 100000 + g*100 + i
-				resp, _ := postJSON(t, ts.URL+"/objects", map[string]interface{}{
+				resp, _ := postJSON(t, ts.URL+"/v1/objects", map[string]interface{}{
 					"id": id, "x": 0.5, "y": 0.5, "vec": ds.Objects[0].Vec,
 				})
 				if resp.StatusCode != http.StatusCreated {
@@ -346,7 +346,7 @@ func TestKeywordSearchEndpoint(t *testing.T) {
 	ts, ds := newTestServer(t)
 	word := strings.Fields(ds.Objects[12].Text)[0]
 	q := ds.Objects[3]
-	resp, out := postJSON(t, ts.URL+"/keyword-search", map[string]interface{}{
+	resp, out := postJSON(t, ts.URL+"/v1/keyword-search", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5,
 		"keywords": []string{word},
 	})
@@ -369,14 +369,14 @@ func TestKeywordSearchEndpoint(t *testing.T) {
 		}
 	}
 	// Missing keywords rejected.
-	resp, _ = postJSON(t, ts.URL+"/keyword-search", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/keyword-search", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing keywords: status %d", resp.StatusCode)
 	}
 	// Stop-word-only keywords rejected.
-	resp, _ = postJSON(t, ts.URL+"/keyword-search", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/keyword-search", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5,
 		"keywords": []string{"the"},
 	})
@@ -421,7 +421,7 @@ func TestBatchEndpoint(t *testing.T) {
 		q := ds.Objects[i*7]
 		queries[i] = map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec}
 	}
-	resp, out := postJSON(t, ts.URL+"/search/batch", map[string]interface{}{
+	resp, out := postJSON(t, ts.URL+"/v1/search/batch", map[string]interface{}{
 		"queries": queries, "k": 4, "lambda": 0.5, "workers": 2,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -441,7 +441,7 @@ func TestBatchEndpoint(t *testing.T) {
 	for i, q := range queries {
 		q["k"] = 4
 		q["lambda"] = 0.5
-		single, sout := postJSON(t, ts.URL+"/search", q)
+		single, sout := postJSON(t, ts.URL+"/v1/search", q)
 		if single.StatusCode != http.StatusOK {
 			t.Fatalf("single status %d", single.StatusCode)
 		}
@@ -466,14 +466,14 @@ func TestBatchEndpoint(t *testing.T) {
 func TestBatchEndpointValidation(t *testing.T) {
 	ts, ds := newTestServer(t)
 	// Empty batch rejected.
-	resp, _ := postJSON(t, ts.URL+"/search/batch", map[string]interface{}{
+	resp, _ := postJSON(t, ts.URL+"/v1/search/batch", map[string]interface{}{
 		"queries": []map[string]interface{}{}, "k": 3, "lambda": 0.5,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty queries: status %d", resp.StatusCode)
 	}
 	// A bad query inside the batch rejected.
-	resp, _ = postJSON(t, ts.URL+"/search/batch", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/search/batch", map[string]interface{}{
 		"queries": []map[string]interface{}{
 			{"x": 0.1, "y": 0.2, "vec": ds.Objects[0].Vec},
 			{"x": 0.1, "y": 0.2},
@@ -484,7 +484,7 @@ func TestBatchEndpointValidation(t *testing.T) {
 		t.Fatalf("bad inner query: status %d", resp.StatusCode)
 	}
 	// Bad lambda rejected.
-	resp, _ = postJSON(t, ts.URL+"/search/batch", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/search/batch", map[string]interface{}{
 		"queries": []map[string]interface{}{{"x": 0.1, "y": 0.2, "vec": ds.Objects[0].Vec}},
 		"k":       3, "lambda": 2.0,
 	})
@@ -493,7 +493,7 @@ func TestBatchEndpointValidation(t *testing.T) {
 	}
 	// A wrong-dimension vector anywhere in the batch is a 400, never a
 	// panic in a search worker (which would kill the server process).
-	resp, _ = postJSON(t, ts.URL+"/search/batch", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/search/batch", map[string]interface{}{
 		"queries": []map[string]interface{}{
 			{"x": 0.1, "y": 0.2, "vec": ds.Objects[0].Vec},
 			{"x": 0.3, "y": 0.4, "vec": []float32{1, 2, 3}},
@@ -508,7 +508,7 @@ func TestBatchEndpointValidation(t *testing.T) {
 	for i := range huge {
 		huge[i] = map[string]interface{}{"x": 0.1, "y": 0.2, "vec": ds.Objects[0].Vec}
 	}
-	resp, _ = postJSON(t, ts.URL+"/search/batch", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/search/batch", map[string]interface{}{
 		"queries": huge, "k": 3, "lambda": 0.5,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -516,7 +516,7 @@ func TestBatchEndpointValidation(t *testing.T) {
 	}
 	// Absurd client-side worker counts are clamped, not honored: the
 	// request still succeeds with bounded parallelism.
-	resp, _ = postJSON(t, ts.URL+"/search/batch", map[string]interface{}{
+	resp, _ = postJSON(t, ts.URL+"/v1/search/batch", map[string]interface{}{
 		"queries": []map[string]interface{}{{"x": 0.1, "y": 0.2, "vec": ds.Objects[0].Vec}},
 		"k":       3, "lambda": 0.5, "workers": 1 << 20,
 	})
@@ -527,7 +527,7 @@ func TestBatchEndpointValidation(t *testing.T) {
 
 func TestSearchRejectsWrongDimVector(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, out := postJSON(t, ts.URL+"/search", map[string]interface{}{
+	resp, out := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 		"x": 0.1, "y": 0.2, "vec": []float32{1, 2, 3}, "k": 3, "lambda": 0.5,
 	})
 	if resp.StatusCode != http.StatusBadRequest {

@@ -39,7 +39,7 @@ func newShardedTestServer(t *testing.T) (*httptest.Server, *cssi.Dataset, *cssi.
 func TestShardedServerSearchAndStats(t *testing.T) {
 	ts, ds, flat := newShardedTestServer(t)
 	q := ds.Objects[11]
-	resp, out := postJSON(t, ts.URL+"/search", map[string]interface{}{
+	resp, out := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -62,7 +62,7 @@ func TestShardedServerSearchAndStats(t *testing.T) {
 		}
 	}
 
-	sresp, err := http.Get(ts.URL + "/stats")
+	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func TestShardedServerSearchAndStats(t *testing.T) {
 func TestShardedServerMutations(t *testing.T) {
 	ts, ds, _ := newShardedTestServer(t)
 	o := ds.Objects[0]
-	resp, out := postJSON(t, ts.URL+"/objects", map[string]interface{}{
+	resp, out := postJSON(t, ts.URL+"/v1/objects", map[string]interface{}{
 		"id": 990001, "x": o.X, "y": o.Y, "vec": o.Vec,
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("insert status %d: %v", resp.StatusCode, out)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/objects?id=990001", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/objects?id=990001", nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestShardedServerMutations(t *testing.T) {
 
 func scrapeMetrics(t *testing.T, url string) string {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	q := ds.Objects[5]
 
 	// One good search, one bad (unknown field -> 400 on decode).
-	if resp, _ := postJSON(t, ts.URL+"/search", map[string]interface{}{
+	if resp, _ := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 		"x": q.X, "y": q.Y, "vec": q.Vec, "k": 3, "lambda": 0.5,
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("search status %d", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/search", map[string]interface{}{
+	if resp, _ := postJSON(t, ts.URL+"/v1/search", map[string]interface{}{
 		"bogus": true,
 	}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad search status %d", resp.StatusCode)
@@ -200,7 +200,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// A write shrinks the written shard's snapshot age on the next scrape.
 	var buf bytes.Buffer
 	json.NewEncoder(&buf).Encode(map[string]interface{}{"id": 990002, "x": 0.5, "y": 0.5, "vec": ds.Objects[1].Vec})
-	if resp, err := http.Post(ts.URL+"/objects", "application/json", &buf); err != nil || resp.StatusCode != http.StatusCreated {
+	if resp, err := http.Post(ts.URL+"/v1/objects", "application/json", &buf); err != nil || resp.StatusCode != http.StatusCreated {
 		t.Fatalf("insert: %v %v", err, resp.Status)
 	}
 	text = scrapeMetrics(t, ts.URL)

@@ -361,7 +361,7 @@ func TestMetricsExposeSLOAndTraceSeries(t *testing.T) {
 	postSearch(t, ts, searchBody(ds, 3, 5), nil)
 
 	get := func(accept string) string {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/metrics", nil)
 		if accept != "" {
 			req.Header.Set("Accept", accept)
 		}

@@ -74,7 +74,7 @@ func summarize(t *obs.Trace) traceSummary {
 // list (default 100, max 1000).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s.sink == nil {
-		writeJSON(w, http.StatusOK, tracesResponse{Enabled: false, Traces: []traceSummary{}})
+		writeJSON(w, r, http.StatusOK, tracesResponse{Enabled: false, Traces: []traceSummary{}})
 		return
 	}
 	limit := 100
@@ -101,7 +101,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	for i, t := range traces {
 		resp.Traces[i] = summarize(t)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, r, http.StatusOK, resp)
 }
 
 // handleTraceByID serves one retained trace's full span tree, looked
@@ -117,5 +117,5 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, "no retained trace with id "+id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]*obs.Trace{"trace": t})
+	writeJSON(w, r, http.StatusOK, map[string]*obs.Trace{"trace": t})
 }

@@ -64,45 +64,6 @@ func stripRequestID(t *testing.T, body []byte) []byte {
 	return out
 }
 
-// TestV1RoutesMatchLegacy asserts every /v1 route returns a
-// byte-identical success body to its legacy unversioned alias (modulo
-// the per-request meta.requestId, blanked before comparing).
-func TestV1RoutesMatchLegacy(t *testing.T) {
-	ts, ds := newTestServer(t)
-	q := ds.Objects[5]
-	cases := []struct {
-		path string
-		body interface{}
-	}{
-		{"/search", map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5}},
-		{"/search/batch", map[string]interface{}{
-			"queries": []map[string]interface{}{{"x": q.X, "y": q.Y, "vec": q.Vec}},
-			"k":       3, "lambda": 0.5,
-		}},
-		{"/range", map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "radius": 0.2, "lambda": 0.5}},
-		{"/box", map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "loX": 0, "loY": 0, "hiX": 1, "hiY": 1}},
-	}
-	for _, c := range cases {
-		legacyStatus, legacyBody := rawPost(t, ts.URL+c.path, c.body)
-		v1Status, v1Body := rawPost(t, ts.URL+"/v1"+c.path, c.body)
-		if legacyStatus != http.StatusOK || v1Status != http.StatusOK {
-			t.Fatalf("%s: status legacy=%d v1=%d", c.path, legacyStatus, v1Status)
-		}
-		if !bytes.Equal(stripRequestID(t, legacyBody), stripRequestID(t, v1Body)) {
-			t.Fatalf("%s: body differs between legacy and /v1:\n%s\nvs\n%s", c.path, legacyBody, v1Body)
-		}
-	}
-	for _, path := range []string{"/healthz", "/stats"} {
-		for _, p := range []string{path, "/v1" + path} {
-			resp, err := http.Get(ts.URL + p)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s: %v %v", p, err, resp.Status)
-			}
-			resp.Body.Close()
-		}
-	}
-}
-
 // errorEnvelope mirrors the documented error body shape.
 type errorEnvelope struct {
 	Error struct {
@@ -146,6 +107,11 @@ func TestErrorEnvelope(t *testing.T) {
 	// Router-raised 404: unknown route.
 	status, body = rawPost(t, ts.URL+"/v1/nope", map[string]interface{}{})
 	check("unknown route", status, http.StatusNotFound, "not_found", body)
+
+	// The unversioned aliases are gone: /search is an unknown route too.
+	status, body = rawPost(t, ts.URL+"/search",
+		map[string]interface{}{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 5, "lambda": 0.5})
+	check("unversioned route", status, http.StatusNotFound, "not_found", body)
 
 	// Router-raised 405: wrong method on a known route.
 	resp, err := http.Get(ts.URL + "/v1/search")
