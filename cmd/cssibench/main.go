@@ -100,7 +100,7 @@ func main() {
 
 // writeJSON stores the run's setup and every produced table as one JSON
 // document (the machine-readable counterpart of the rendered tables,
-// e.g. BENCH_concurrency.json in the repo root).
+// e.g. BENCH_overlay.json in the repo root).
 func writeJSON(path string, setup experiments.Setup, tables []experiments.Table) error {
 	doc := struct {
 		Setup  experiments.Setup   `json:"setup"`

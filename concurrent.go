@@ -6,65 +6,61 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
-	"repro/internal/rescache"
 )
 
-// ConcurrentIndex serves searches and maintenance from many goroutines
-// with RCU-style snapshot publication instead of reader/writer locking:
+// ConcurrentIndex is the one-shard ShardedIndex.
 //
-//   - Readers are completely lock-free. Every read method atomically
-//     loads the current snapshot (an immutable *Index) and runs against
-//     it; there is no reader count, no shared mutable state, and no
-//     cache line bouncing between reading cores. A snapshot is safe for
-//     any number of concurrent searches because per-query scratch comes
-//     from a sync.Pool.
+// Deprecated: use ShardedIndex.
+type ConcurrentIndex = ShardedIndex
+
+// Concurrent is ShardedFrom.
+//
+// Deprecated: use ShardedFrom.
+func Concurrent(idx *Index) *ConcurrentIndex { return ShardedFrom(idx) }
+
+// shardCell is the synchronisation of one shard of a ShardedIndex:
+// RCU-style snapshot publication instead of reader/writer locking. It
+// holds the writer protocol only — requests, the trace sink and the
+// result cache live once, on the ShardedIndex above it.
+//
+//   - Readers are completely lock-free: they atomically load the current
+//     snapshot (an immutable *Index) and run against it; there is no
+//     reader count, no shared mutable state, and no cache line bouncing
+//     between reading cores. A snapshot is safe for any number of
+//     concurrent searches because per-query scratch comes from a
+//     sync.Pool, and it stays valid — and unchanged — for as long as a
+//     reader retains it.
 //   - Writers serialize on a small mutex, apply their mutation to a
 //     copy-on-write clone of the current snapshot (sharing the vector
 //     arenas, centroid tables and untouched cluster arrays — see
 //     internal/core's CloneForWrite), and publish the clone with one
 //     atomic pointer store. Readers that loaded the old snapshot simply
 //     finish against it; new reads see the new one.
-//   - Rebuild reconstructs off to the side and publishes the result, so
-//     even a full §6.2 rebuild never stalls a reader;
-//     RebuildInBackground additionally keeps writers available during
-//     reconstruction by logging their mutations and replaying them onto
-//     the fresh index before it is published.
+//   - A rebuild reconstructs off to the side and publishes the result,
+//     so even a full §6.2 rebuild never stalls a reader; the background
+//     one additionally keeps writers available during reconstruction by
+//     logging their mutations and replaying them onto the fresh index
+//     before it is published (see buildAsideLocked).
 //
 // The price is paid by writers, and with the delta overlay (the default)
 // it is a fixed one: a mutation lands in a write overlay over the shared
 // immutable base, the clone it is applied to shares the overlay's log,
 // lookup tables and group lists — and the keyword filter's directory —
 // until the write touches them, so publishing costs what the mutation
-// touches, not what the index or the overlay holds. Only with the
+// touches, not what the shard or the overlay holds. Only with the
 // overlay disabled (DeltaDisabled) does every mutation copy the
 // snapshot's mutable metadata (deleted bitmap, ID map, cluster
-// directory — O(n)); ApplyBatch then coalesces many mutations into one
-// clone-and-publish cycle. Reads, the hot path under serving load, pay
-// nothing either way.
-//
-// A bare Index is already safe for concurrent searches only; use this
-// wrapper when writers run alongside readers (the HTTP server in
-// internal/server is built on it).
-type ConcurrentIndex struct {
+// directory — O(shard)); a batch then coalesces many mutations into one
+// clone-and-publish cycle. Reads pay nothing either way.
+type shardCell struct {
 	cur atomic.Pointer[Index]
 
-	// sink is the optional always-on trace collector (SetTraceSink),
-	// swapped atomically so it can be (un)installed while serving.
-	sink atomic.Pointer[obs.Sink]
-
-	// resCache is the optional snapshot-keyed result cache
-	// (EnableResultCache), swapped atomically so it can be
-	// (un)installed while serving.
-	resCache atomic.Pointer[rescache.Cache]
-
 	// publishedNS is the wall-clock (UnixNano) instant of the last
-	// snapshot publication — written together with every cur.Store and
-	// read lock-free by SnapshotAge (the /metrics "snapshot age" gauge).
+	// snapshot publication — written together with every cur.Store (the
+	// /metrics "snapshot age" gauge).
 	publishedNS atomic.Int64
 
-	// publishes counts snapshot publications over the wrapper's lifetime
+	// publishes counts snapshot publications over the cell's lifetime
 	// (initial wrap included) — the /metrics
 	// cssi_shard_snapshot_publications_total series.
 	publishes atomic.Int64
@@ -72,7 +68,7 @@ type ConcurrentIndex struct {
 	// baseNS is the wall-clock (UnixNano) instant the current FLAT base
 	// was published — stamped whenever a snapshot with no buffered
 	// overlay ops goes live (initial wrap, compaction, rebuild, or any
-	// eager-mode write). Overlay-mode writes leave it alone, so BaseAge
+	// eager-mode write). Overlay-mode writes leave it alone, so it
 	// measures how stale the immutable base under the delta is.
 	baseNS atomic.Int64
 
@@ -80,7 +76,7 @@ type ConcurrentIndex struct {
 	// positive enables the delta write path and bounds the overlay size,
 	// negative disables it (every write pays the eager clone). Resolved
 	// from the index's build options at wrap time; adjustable via
-	// SetDeltaThreshold.
+	// ShardedIndex.SetDeltaThreshold.
 	deltaThreshold atomic.Int64
 
 	// compactions counts completed overlay compactions (background and
@@ -95,10 +91,10 @@ type ConcurrentIndex struct {
 	// rebuild-completion replay. Readers never touch it.
 	mu sync.Mutex
 	// rebuildActive marks an in-flight background reconstruction — a
-	// RebuildInBackground OR a background overlay compaction, which
-	// reuses the same protocol; while set, every published mutation is
-	// appended to rebuildLog so it can be replayed onto the freshly built
-	// index before publication. Both fields are guarded by mu.
+	// rebuild or an overlay compaction, one protocol (buildAsideLocked);
+	// while set, every published mutation is appended to rebuildLog so
+	// it can be replayed onto the freshly built index before
+	// publication. Both fields are guarded by mu.
 	rebuildActive bool
 	rebuildLog    []Op
 }
@@ -114,7 +110,7 @@ var ErrRebuildInProgress = errors.New("cssi: rebuild already in progress")
 var ErrInvalidDeltaThreshold = errors.New("cssi: delta compact threshold must be -1 (disabled), 0 (default), or positive")
 
 // resolveDeltaThreshold maps an Options-style threshold (0 = default,
-// negative = disabled) to the wrapper's internal resolved form.
+// negative = disabled) to the cell's internal resolved form.
 func resolveDeltaThreshold(t int) int64 {
 	switch {
 	case t == 0:
@@ -126,23 +122,20 @@ func resolveDeltaThreshold(t int) int64 {
 	}
 }
 
-// Concurrent wraps idx. The wrapped Index must not be mutated directly
-// afterwards — all writes must go through the wrapper. (Read-only use
-// of idx itself remains safe: published snapshots are immutable.)
-func Concurrent(idx *Index) *ConcurrentIndex {
-	c := &ConcurrentIndex{}
+// newShardCell publishes idx as the cell's first snapshot. idx must not
+// be mutated directly afterwards — all writes go through the cell.
+func newShardCell(idx *Index) *shardCell {
+	c := &shardCell{}
 	c.deltaThreshold.Store(resolveDeltaThreshold(idx.core.Config().DeltaCompactThreshold))
 	c.publish(idx)
 	return c
 }
 
-// publish installs idx as the current snapshot and stamps the
-// publication instant. Callers that mutate must hold c.mu; the initial
-// Concurrent call has no readers yet. Publication also stamps the
-// snapshot's sequence number (ResponseMeta.SnapshotID) and clears the
-// result cache — the pointer comparison already guarantees no stale
-// hit, the eager clear just releases the superseded snapshot promptly.
-func (c *ConcurrentIndex) publish(idx *Index) {
+// publish installs idx as the current snapshot, stamping the
+// publication instant and the snapshot's sequence number
+// (ResponseMeta.SnapshotID). Callers that mutate must hold c.mu; the
+// initial newShardCell call has no readers yet.
+func (c *shardCell) publish(idx *Index) {
 	now := time.Now().UnixNano()
 	idx.snapID = uint64(c.publishes.Load()) + 1
 	c.cur.Store(idx)
@@ -151,71 +144,7 @@ func (c *ConcurrentIndex) publish(idx *Index) {
 		c.baseNS.Store(now)
 	}
 	c.publishes.Add(1)
-	if cache := c.resCache.Load(); cache != nil {
-		cache.Invalidate()
-	}
 }
-
-// Publications returns how many snapshots have been published since the
-// wrapper was created, counting the initial wrap — so a freshly wrapped
-// index reports 1 and every Insert/Delete/Update/ApplyBatch/Rebuild
-// adds one. Lock-free.
-func (c *ConcurrentIndex) Publications() int64 { return c.publishes.Load() }
-
-// SnapshotAge returns how long ago the current snapshot was published —
-// near zero under write traffic, growing on an idle or read-only index.
-func (c *ConcurrentIndex) SnapshotAge() time.Duration {
-	return time.Duration(time.Now().UnixNano() - c.publishedNS.Load())
-}
-
-// Snapshot returns the currently published index. The snapshot is
-// immutable: it serves any number of concurrent read-only calls
-// (Do, DoBatch, Object, RangeSearch, ...) at one
-// consistent point in time, and it stays valid — and unchanged — for
-// as long as the caller retains it, no matter how many writes or
-// rebuilds are published after. Mutating methods must never be called
-// on a snapshot; use the wrapper's Insert/Delete/Update/ApplyBatch.
-func (c *ConcurrentIndex) Snapshot() *Index { return c.cur.Load() }
-
-// Search is Index.Search against the current snapshot (lock-free).
-func (c *ConcurrentIndex) Search(q *Object, k int, lambda float64) []Result {
-	return mustResults(c.Do(SearchRequest{Query: q, K: k, Lambda: lambda}))
-}
-
-// SearchApprox is Index.SearchApprox against the current snapshot
-// (lock-free).
-func (c *ConcurrentIndex) SearchApprox(q *Object, k int, lambda float64) []Result {
-	return mustResults(c.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: true}))
-}
-
-// RangeSearch is Index.RangeSearch against the current snapshot
-// (lock-free).
-func (c *ConcurrentIndex) RangeSearch(q *Object, r, lambda float64) []Result {
-	return c.cur.Load().RangeSearch(q, r, lambda)
-}
-
-// SearchInBox is Index.SearchInBox against the current snapshot
-// (lock-free).
-func (c *ConcurrentIndex) SearchInBox(q *Object, loX, loY, hiX, hiY float64, k int) []Result {
-	return c.cur.Load().SearchInBox(q, loX, loY, hiX, hiY, k)
-}
-
-// Len returns the live object count of the current snapshot.
-func (c *ConcurrentIndex) Len() int { return c.cur.Load().Len() }
-
-// Object looks up a live object in the current snapshot, returning a
-// copy (the snapshot's storage is shared with future clones).
-func (c *ConcurrentIndex) Object(id uint32) (Object, bool) {
-	o, ok := c.cur.Load().Object(id)
-	if !ok {
-		return Object{}, false
-	}
-	return *o, true
-}
-
-// Unwrap returns the current snapshot; it is equivalent to Snapshot and
-// retained for compatibility with the RWMutex-era API.
-func (c *ConcurrentIndex) Unwrap() *Index { return c.cur.Load() }
 
 // OpKind identifies one kind of maintenance mutation.
 type OpKind int
@@ -252,8 +181,9 @@ func applyOp(idx *Index, op Op) error {
 }
 
 // apply clones the current snapshot, applies the ops in order, and
-// publishes the clone — all under the writer mutex. All-or-nothing: if
-// any op fails, nothing is published and the error is returned.
+// publishes the clone as ONE new snapshot — all under the writer mutex,
+// so readers never observe a partially applied batch. All-or-nothing:
+// if any op fails, nothing is published and the error is returned.
 //
 // With the delta overlay enabled (the default), the clone costs the
 // same however many ops the overlay buffers: writes land in an overlay
@@ -262,7 +192,7 @@ func applyOp(idx *Index, op Op) error {
 // base. A clone dropped by a failing batch may already have appended to
 // the log the overlay lineage shares; the next write's clone then finds
 // the slot taken and moves to a private log (core's lost-claim copy).
-func (c *ConcurrentIndex) apply(ops ...Op) error {
+func (c *shardCell) apply(ops ...Op) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	threshold := c.deltaThreshold.Load()
@@ -277,8 +207,15 @@ func (c *ConcurrentIndex) apply(ops ...Op) error {
 		c.rebuildLog = append(c.rebuildLog, ops...)
 	} else if n := int64(next.DeltaOps()); n > 0 && (threshold <= 0 || n >= threshold) {
 		// Threshold crossed — or the overlay was disabled mid-stream and
-		// the residual delta must drain.
-		c.startCompactionLocked(next)
+		// the residual delta must drain. A fold that fails loses nothing:
+		// the current snapshot already holds every acknowledged write
+		// (base+delta answers are exact), and the next crossing retries.
+		start := time.Now()
+		c.buildAsideLocked("compaction", next.compact, func(err error) {
+			if err == nil {
+				c.countCompaction(start)
+			}
+		})
 	}
 	return nil
 }
@@ -289,58 +226,68 @@ func (c *ConcurrentIndex) apply(ops ...Op) error {
 // the buffered delta ops, and — equally load-bearing — this keeps every
 // writer off the shared base structures while a background fold (which
 // implies cur.DeltaOps() > 0 for its whole flight) replays into them.
-func (c *ConcurrentIndex) writeClone(cur *Index) *Index {
+func (c *shardCell) writeClone(cur *Index) *Index {
 	if c.deltaThreshold.Load() > 0 || cur.DeltaOps() > 0 {
 		return cur.cloneWithDelta()
 	}
 	return cur.cloneForWrite()
 }
 
-// startCompactionLocked kicks off a background fold of snap's overlay
-// into a fresh flat base, reusing the RebuildInBackground protocol:
-// rebuildActive is set so writes that land during the fold accumulate
-// in rebuildLog and are replayed onto the (still private) compacted
-// index before it publishes. Caller must hold c.mu.
-func (c *ConcurrentIndex) startCompactionLocked(snap *Index) {
-	c.rebuildActive = true
-	c.rebuildLog = nil
+// buildAsideLocked replaces the snapshot with what build returns while
+// both readers AND writers stay available — the one protocol behind the
+// background rebuild and the background overlay compaction. build runs
+// on its own goroutine with no lock held: readers serve from the
+// current snapshot, writers clone-and-publish as usual, and because
+// rebuildActive is set their ops accumulate in rebuildLog. Once build
+// returns, the log is replayed, in order, onto the result — still
+// private to the goroutine, so the replay mutates it directly, no COW
+// cycle per op; replaying the exact sequence of acknowledged ops onto
+// the live set they originally applied to cannot conflict, and a
+// failure aborts publication — and the result is published. done
+// receives the outcome, under c.mu, exactly once; on an error the
+// current snapshot, which already contains every acknowledged write,
+// stays published. Caller must hold c.mu.
+func (c *shardCell) buildAsideLocked(what string, build func() (*Index, error), done func(error)) {
+	c.rebuildActive, c.rebuildLog = true, nil
 	go func() {
-		start := time.Now()
-		compacted, err := snap.compact()
+		fresh, err := build()
 
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		log := c.rebuildLog
 		c.rebuildActive, c.rebuildLog = false, nil
 		for i := 0; err == nil && i < len(log); i++ {
-			if replayErr := applyOp(compacted, log[i]); replayErr != nil {
-				err = fmt.Errorf("cssi: compaction replay op %d: %w", i, replayErr)
+			if replayErr := applyOp(fresh, log[i]); replayErr != nil {
+				err = fmt.Errorf("cssi: %s replay op %d: %w", what, i, replayErr)
 			}
 		}
-		if err != nil {
-			// The current snapshot already holds every acknowledged
-			// write (base+delta answers are exact); dropping the fold
-			// loses nothing, and the next threshold crossing retries.
-			return
+		if err == nil {
+			// A keyword filter enabled mid-build exists on the current
+			// snapshot but not on fresh (which was built from the
+			// pre-enable base); build it before publishing so the
+			// capability never silently disappears.
+			if !fresh.KeywordFilterEnabled() && c.cur.Load().KeywordFilterEnabled() {
+				fresh.EnableKeywordFilter()
+			}
+			c.publish(fresh)
 		}
-		if !compacted.KeywordFilterEnabled() && c.cur.Load().KeywordFilterEnabled() {
-			compacted.EnableKeywordFilter()
-		}
-		c.publish(compacted)
-		c.compactions.Add(1)
-		if f := c.compactObs.Load(); f != nil {
-			(*f)(time.Since(start))
-		}
+		done(err)
 	}()
 }
 
-// Compact synchronously folds the current snapshot's write overlay into
+// countCompaction records one published overlay compaction that began
+// at start.
+func (c *shardCell) countCompaction(start time.Time) {
+	c.compactions.Add(1)
+	if f := c.compactObs.Load(); f != nil {
+		(*f)(time.Since(start))
+	}
+}
+
+// compact synchronously folds the current snapshot's write overlay into
 // a flat base and publishes it, holding the writer mutex for the whole
-// fold. A no-op when the snapshot is already flat. Most callers never
-// need it — background compaction triggers automatically at the
-// threshold — but it gives tests and maintenance endpoints a
-// deterministic fold point.
-func (c *ConcurrentIndex) Compact() error {
+// fold. A no-op when the snapshot is already flat.
+func (c *shardCell) compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.rebuildActive {
@@ -359,90 +306,15 @@ func (c *ConcurrentIndex) Compact() error {
 		return err
 	}
 	c.publish(compacted)
-	c.compactions.Add(1)
-	if f := c.compactObs.Load(); f != nil {
-		(*f)(time.Since(start))
-	}
+	c.countCompaction(start)
 	return nil
 }
 
-// SetDeltaThreshold changes the overlay compaction threshold: positive
-// bounds the overlay at that many write ops, 0 restores
-// DefaultDeltaCompactThreshold, and DeltaDisabled (-1) switches writes
-// back to eager clones. Takes effect on the next write; an existing
-// overlay is left to the usual triggers (call Compact to fold it now).
-func (c *ConcurrentIndex) SetDeltaThreshold(threshold int) error {
-	if threshold < DeltaDisabled {
-		return ErrInvalidDeltaThreshold
-	}
-	c.deltaThreshold.Store(resolveDeltaThreshold(threshold))
-	return nil
-}
-
-// SetCompactionObserver registers fn to be called with each overlay
-// compaction's duration right after its snapshot publishes (pass nil to
-// unregister). Used by the server's /metrics latency histogram.
-func (c *ConcurrentIndex) SetCompactionObserver(fn func(time.Duration)) {
-	if fn == nil {
-		c.compactObs.Store(nil)
-		return
-	}
-	c.compactObs.Store(&fn)
-}
-
-// DeltaOps reports the write ops buffered in the current snapshot's
-// overlay (lock-free; 0 when flat or disabled).
-func (c *ConcurrentIndex) DeltaOps() int { return c.cur.Load().DeltaOps() }
-
-// Compactions returns how many overlay compactions (background and
-// explicit) have published since the wrapper was created. Lock-free.
-func (c *ConcurrentIndex) Compactions() int64 { return c.compactions.Load() }
-
-// BaseAge returns how long ago the current flat base was published —
-// unlike SnapshotAge (near zero under overlay-mode write traffic, since
-// every write publishes), it moves only on compactions, rebuilds, and
-// eager-mode writes, measuring the staleness of the immutable base
-// under the delta.
-func (c *ConcurrentIndex) BaseAge() time.Duration {
-	return time.Duration(time.Now().UnixNano() - c.baseNS.Load())
-}
-
-// Insert adds a new object (paper §6.2) and publishes the result as a
-// new snapshot. In-flight reads finish against the old snapshot.
-func (c *ConcurrentIndex) Insert(o Object) error {
-	return c.apply(Op{Kind: OpInsert, Object: o})
-}
-
-// Delete removes the object with the given ID and publishes the result
-// as a new snapshot.
-func (c *ConcurrentIndex) Delete(id uint32) error {
-	return c.apply(Op{Kind: OpDelete, ID: id})
-}
-
-// Update replaces the stored object carrying o's ID and publishes the
-// result as a new snapshot (delete + insert, atomically visible).
-func (c *ConcurrentIndex) Update(o Object) error {
-	return c.apply(Op{Kind: OpUpdate, Object: o})
-}
-
-// ApplyBatch applies many mutations in order and publishes them as ONE
-// new snapshot, amortizing the copy-on-write cost across the batch and
-// guaranteeing readers never observe a partially applied batch. It is
-// all-or-nothing: on the first failing op the whole batch is discarded,
-// no snapshot is published, and the error is returned.
-func (c *ConcurrentIndex) ApplyBatch(ops []Op) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	return c.apply(ops...)
-}
-
-// EnableKeywordFilter publishes a snapshot with the inverted keyword
-// index built (see Index.EnableKeywordFilter), after which
-// SearchWithKeywords works on every later snapshot: writes keep the
-// filter in sync, and rebuilds reconstruct it. A no-op when the filter
-// is already enabled.
-func (c *ConcurrentIndex) EnableKeywordFilter() {
+// enableKeywordFilter publishes a snapshot with the inverted keyword
+// index built (see Index.EnableKeywordFilter): writes keep the filter in
+// sync on every later snapshot, and rebuilds reconstruct it. A no-op
+// when the filter is already enabled.
+func (c *shardCell) enableKeywordFilter() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cur.Load().KeywordFilterEnabled() {
@@ -453,32 +325,12 @@ func (c *ConcurrentIndex) EnableKeywordFilter() {
 	c.publish(next)
 }
 
-// KeywordFilterEnabled reports whether the current snapshot carries the
-// keyword filter.
-func (c *ConcurrentIndex) KeywordFilterEnabled() bool {
-	return c.cur.Load().KeywordFilterEnabled()
-}
-
-// RouterTrained reports whether the current snapshot carries a trained
-// cluster router (see Index.RouterTrained). Rebuilds retrain the router;
-// incremental writes keep the build-time model.
-func (c *ConcurrentIndex) RouterTrained() bool {
-	return c.cur.Load().RouterTrained()
-}
-
-// SearchWithKeywords is Index.SearchWithKeywords against the current
-// snapshot (lock-free).
-func (c *ConcurrentIndex) SearchWithKeywords(q *Object, k int, lambda float64, keywords ...string) ([]Result, bool) {
-	return keywordSearch(c.Do, q, k, lambda, keywords)
-}
-
-// Rebuild reconstructs the index from scratch over the live objects
-// (§6.2) and publishes the result. Unlike the RWMutex-era Rebuild, it
-// never stalls readers: they keep searching the old snapshot for the
-// whole reconstruction. Writers, however, wait on the writer mutex; use
-// RebuildInBackground to keep them available too. Returns
+// rebuild reconstructs the shard from scratch over its live objects
+// (§6.2) and publishes the result. Readers keep searching the old
+// snapshot for the whole reconstruction; writers wait on the writer
+// mutex (rebuildInBackground keeps them available too). Returns
 // ErrRebuildInProgress while a background rebuild is active.
-func (c *ConcurrentIndex) Rebuild() error {
+func (c *shardCell) rebuild() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.rebuildActive {
@@ -492,59 +344,18 @@ func (c *ConcurrentIndex) Rebuild() error {
 	return nil
 }
 
-// RebuildInBackground reconstructs the index off to the side while both
-// readers AND writers stay available, then publishes the replacement.
-// Mutations that land while the rebuild is running are recorded and
-// deterministically replayed, in order, onto the fresh index before it
-// is published, so no acknowledged write is lost. The returned channel
-// receives the rebuild's outcome exactly once: nil after successful
-// publication, or the build/replay error (in which case the current
-// snapshot — which already contains every acknowledged write — stays
-// published). At most one background rebuild may be in flight;
-// concurrent requests fail with ErrRebuildInProgress.
-func (c *ConcurrentIndex) RebuildInBackground() (<-chan error, error) {
+// rebuildInBackground is rebuild through buildAsideLocked, so no
+// acknowledged write is lost and none waits. The returned channel
+// receives the outcome exactly once: nil after successful publication,
+// or the build/replay error. At most one background rebuild may be in
+// flight; concurrent requests fail with ErrRebuildInProgress.
+func (c *shardCell) rebuildInBackground() (<-chan error, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.rebuildActive {
-		c.mu.Unlock()
 		return nil, ErrRebuildInProgress
 	}
-	c.rebuildActive = true
-	c.rebuildLog = nil
-	base := c.cur.Load()
-	c.mu.Unlock()
-
 	done := make(chan error, 1)
-	go func() {
-		// Reconstruction runs without any lock: readers serve from the
-		// current snapshot, writers clone-and-publish as usual (their
-		// ops accumulate in rebuildLog).
-		fresh, err := base.rebuildFresh()
-
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		log := c.rebuildLog
-		c.rebuildActive, c.rebuildLog = false, nil
-		for i := 0; err == nil && i < len(log); i++ {
-			// fresh is still private to this goroutine, so the replay
-			// mutates it directly — no COW cycle per op. Replaying the
-			// exact sequence of acknowledged ops onto the rebuild base
-			// (the live set those ops originally applied to) cannot
-			// conflict; a failure here aborts publication.
-			if replayErr := applyOp(fresh, log[i]); replayErr != nil {
-				err = fmt.Errorf("cssi: rebuild replay op %d: %w", i, replayErr)
-			}
-		}
-		if err == nil {
-			// A keyword filter enabled mid-rebuild exists on the current
-			// snapshot but not on fresh (which was rebuilt from the
-			// pre-enable base); build it before publishing so the
-			// capability never silently disappears.
-			if !fresh.KeywordFilterEnabled() && c.cur.Load().KeywordFilterEnabled() {
-				fresh.EnableKeywordFilter()
-			}
-			c.publish(fresh)
-		}
-		done <- err
-	}()
+	c.buildAsideLocked("rebuild", c.cur.Load().rebuildFresh, func(err error) { done <- err })
 	return done, nil
 }

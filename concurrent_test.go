@@ -8,9 +8,12 @@ import (
 	"repro/internal/core"
 )
 
+// snapshot is the snapshot a one-shard index currently publishes.
+func snapshot(s *ShardedIndex) *Index { return s.shards[0].cur.Load() }
+
 func TestConcurrentIndexMixedWorkload(t *testing.T) {
 	ds := testDataset(t, 600)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 31}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 31}))
 	var wg sync.WaitGroup
 	// Readers.
 	for g := 0; g < 4; g++ {
@@ -55,8 +58,8 @@ func TestConcurrentIndexMixedWorkload(t *testing.T) {
 	if err := c.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Unwrap().Len() != c.Len() {
-		t.Fatal("Unwrap disagrees with wrapper")
+	if snapshot(c).Len() != c.Len() {
+		t.Fatal("snapshot disagrees with wrapper")
 	}
 }
 
@@ -65,7 +68,7 @@ func TestConcurrentIndexMixedWorkload(t *testing.T) {
 // an error rather than k silently-empty result sets (or a worker panic).
 func TestBatchSearchInputValidation(t *testing.T) {
 	ds := testDataset(t, 200)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 5}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 5}))
 	queries := ds.SampleQueries(4, 2)
 
 	if got, err := c.DoBatch(BatchSearchRequest{Queries: nil, K: 5, Lambda: 0.5}); err != nil || got == nil || len(got) != 0 {
@@ -80,10 +83,10 @@ func TestBatchSearchInputValidation(t *testing.T) {
 		}
 	}
 	// The core entry point agrees (no worker pool is started either way).
-	if out, err := c.Snapshot().core.SearchBatch(nil, 3, 0.5, 0, core.SearchOptions{}, nil, nil); err != nil || len(out) != 0 {
+	if out, err := snapshot(c).core.SearchBatch(nil, 3, 0.5, 0, core.SearchOptions{}, nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("core empty batch: %v, err %v", out, err)
 	}
-	if _, err := c.Snapshot().core.SearchBatch(nil, 0, 0.5, 0, core.SearchOptions{}, nil, nil); err == nil {
+	if _, err := snapshot(c).core.SearchBatch(nil, 0, 0.5, 0, core.SearchOptions{}, nil, nil); err == nil {
 		t.Fatal("core accepted k=0")
 	}
 	// Valid input still works.
@@ -95,7 +98,7 @@ func TestBatchSearchInputValidation(t *testing.T) {
 
 func TestConcurrentObjectCopy(t *testing.T) {
 	ds := testDataset(t, 100)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 32}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 32}))
 	o, ok := c.Object(ds.Objects[3].ID)
 	if !ok || o.ID != ds.Objects[3].ID {
 		t.Fatal("Object lookup failed")
@@ -191,7 +194,7 @@ func TestPickBestFallsBackToLowestError(t *testing.T) {
 // lock. Run with -race; the dataset is small so the stress stays cheap.
 func TestConcurrentBatchStress(t *testing.T) {
 	ds := testDataset(t, 400)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 33}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 33}))
 	queries := ds.SampleQueries(24, 17)
 	var wg sync.WaitGroup
 	// Batch readers, exact and approximate, with varying worker counts.
@@ -289,10 +292,10 @@ func TestConcurrentBatchStress(t *testing.T) {
 // guarantee batched readers rely on.
 func TestSnapshotPinsState(t *testing.T) {
 	ds := testDataset(t, 300)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 41}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 41}))
 	queries := ds.SampleQueries(8, 3)
 
-	snap := c.Snapshot()
+	snap := snapshot(c)
 	wantLen := snap.Len()
 	want := mustDoBatch(t, snap, queries, 5, 0.5)
 
@@ -339,8 +342,8 @@ func TestSnapshotPinsState(t *testing.T) {
 // means NO op of the batch becomes visible.
 func TestApplyBatchAtomicity(t *testing.T) {
 	ds := testDataset(t, 120)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 42}))
-	before := c.Snapshot()
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 42}))
+	before := snapshot(c)
 
 	o1, o2 := ds.Objects[0], ds.Objects[1]
 	o1.ID, o2.ID = 610000, 610001
@@ -352,7 +355,7 @@ func TestApplyBatchAtomicity(t *testing.T) {
 	if err := c.ApplyBatch(ops); err == nil {
 		t.Fatal("expected batch failure")
 	}
-	if c.Snapshot() != before {
+	if snapshot(c) != before {
 		t.Fatal("failed batch published a snapshot")
 	}
 	if _, ok := c.Object(610000); ok {
@@ -368,7 +371,7 @@ func TestApplyBatchAtomicity(t *testing.T) {
 	if err := c.ApplyBatch(good); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot()
+	snap := snapshot(c)
 	if snap.Len() != before.Len()+1 {
 		t.Fatalf("Len = %d, want %d", snap.Len(), before.Len()+1)
 	}
@@ -381,7 +384,7 @@ func TestApplyBatchAtomicity(t *testing.T) {
 	if err := c.ApplyBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if c.Snapshot() != snap {
+	if snapshot(c) != snap {
 		t.Fatal("empty batch published a snapshot")
 	}
 	if err := snap.CheckInvariants(); err != nil {
@@ -394,7 +397,7 @@ func TestApplyBatchAtomicity(t *testing.T) {
 // no deleted object resurrected.
 func TestRebuildInBackgroundReplay(t *testing.T) {
 	ds := testDataset(t, 500)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 43}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 43}))
 
 	// Pre-rebuild mutations so the rebuild base differs from build time.
 	for i := 0; i < 30; i++ {
@@ -425,7 +428,7 @@ func TestRebuildInBackgroundReplay(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
-	snap := c.Snapshot()
+	snap := snapshot(c)
 	if snap.UpdatesSinceBuild() != 15+len(insertedIDs) {
 		t.Fatalf("UpdatesSinceBuild = %d, want %d (exactly the replayed ops)",
 			snap.UpdatesSinceBuild(), 15+len(insertedIDs))
@@ -453,19 +456,20 @@ func TestRebuildInBackgroundReplay(t *testing.T) {
 // is deterministic).
 func TestRebuildInProgressRejected(t *testing.T) {
 	ds := testDataset(t, 80)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 44}))
-	c.mu.Lock()
-	c.rebuildActive = true
-	c.mu.Unlock()
-	if _, err := c.RebuildInBackground(); err != ErrRebuildInProgress {
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 44}))
+	cell := c.shards[0]
+	cell.mu.Lock()
+	cell.rebuildActive = true
+	cell.mu.Unlock()
+	if _, err := c.RebuildInBackground(); !errors.Is(err, ErrRebuildInProgress) {
 		t.Fatalf("RebuildInBackground: %v", err)
 	}
-	if err := c.Rebuild(); err != ErrRebuildInProgress {
+	if err := c.Rebuild(); !errors.Is(err, ErrRebuildInProgress) {
 		t.Fatalf("Rebuild: %v", err)
 	}
-	c.mu.Lock()
-	c.rebuildActive = false
-	c.mu.Unlock()
+	cell.mu.Lock()
+	cell.rebuildActive = false
+	cell.mu.Unlock()
 	if err := c.Rebuild(); err != nil {
 		t.Fatalf("Rebuild after clear: %v", err)
 	}
@@ -476,7 +480,7 @@ func TestRebuildInProgressRejected(t *testing.T) {
 // published snapshot structurally verified. Run with -race.
 func TestConcurrentRebuildStress(t *testing.T) {
 	ds := testDataset(t, 400)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 45}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 45}))
 	queries := ds.SampleQueries(12, 9)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -512,7 +516,7 @@ func TestConcurrentRebuildStress(t *testing.T) {
 				return
 			default:
 			}
-			if err := c.Snapshot().CheckInvariants(); err != nil {
+			if err := snapshot(c).CheckInvariants(); err != nil {
 				t.Errorf("published snapshot violates invariants: %v", err)
 				return
 			}
@@ -552,7 +556,7 @@ func TestConcurrentRebuildStress(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
 			done, err := c.RebuildInBackground()
-			if err == ErrRebuildInProgress {
+			if errors.Is(err, ErrRebuildInProgress) {
 				continue
 			}
 			if err != nil {
@@ -569,7 +573,7 @@ func TestConcurrentRebuildStress(t *testing.T) {
 	close(stop)
 	checkerWG.Wait()
 
-	snap := c.Snapshot()
+	snap := snapshot(c)
 	if err := snap.CheckInvariants(); err != nil {
 		t.Fatalf("final snapshot: %v", err)
 	}

@@ -111,8 +111,8 @@ type Options struct {
 	// The paper's bounds hold for arbitrary metrics (§4.2), so CSSI
 	// stays exact; only the semantic notion of "close" changes.
 	AngularSemantic bool
-	// DeltaCompactThreshold bounds the write overlay that ConcurrentIndex
-	// and ShardedIndex snapshots carry: once a snapshot accumulates this
+	// DeltaCompactThreshold bounds the write overlay that ShardedIndex
+	// snapshots carry: once a snapshot accumulates this
 	// many overlay write ops, a background compaction folds the delta
 	// into a fresh flat snapshot. Zero means DefaultDeltaCompactThreshold.
 	// DeltaDisabled (-1) turns the overlay off entirely, so every write
@@ -143,12 +143,12 @@ type Index struct {
 	space *metric.Space
 	// kw is the optional inverted keyword index (EnableKeywordFilter).
 	kw *keyword.Filter
-	// sink is the optional always-on trace collector (SetTraceSink);
-	// shared — not cloned — across snapshots so one sink observes the
-	// whole serving lifetime.
+	// sink is the optional always-on trace collector (SetTraceSink) of
+	// a bare index; ShardedFrom adopts it, the snapshots a ShardedIndex
+	// publishes carry none.
 	sink *obs.Sink
 	// snapID is the publication sequence number stamped by
-	// ConcurrentIndex.publish — the ResponseMeta.SnapshotID of answers
+	// shardCell.publish — the ResponseMeta.SnapshotID of answers
 	// this snapshot serves. 0 on an index never published.
 	snapID uint64
 }
@@ -285,11 +285,11 @@ func (x *Index) Rebuild() error {
 
 // cloneForWrite returns a write-isolated copy of the whole facade —
 // core index plus keyword filter — for the snapshot-publication path of
-// ConcurrentIndex: mutations applied to the clone are invisible through
+// shardCell: mutations applied to the clone are invisible through
 // x, so lock-free readers can keep using x until the clone is published
 // in its place.
 func (x *Index) cloneForWrite() *Index {
-	nx := &Index{core: x.core.CloneForWrite(), space: x.space, sink: x.sink}
+	nx := &Index{core: x.core.CloneForWrite(), space: x.space}
 	if x.kw != nil {
 		nx.kw = x.kw.Clone()
 	}
@@ -303,7 +303,7 @@ func (x *Index) cloneForWrite() *Index {
 // way on all three paths (this one, cloneForWrite, compact): the clone
 // shares every directory bucket and copies the few a write touches.
 func (x *Index) cloneWithDelta() *Index {
-	nx := &Index{core: x.core.CloneWithDelta(), space: x.space, sink: x.sink}
+	nx := &Index{core: x.core.CloneWithDelta(), space: x.space}
 	if x.kw != nil {
 		nx.kw = x.kw.Clone()
 	}
@@ -324,7 +324,7 @@ func (x *Index) compact() (*Index, error) {
 	if nc == x.core {
 		return x, nil
 	}
-	nx := &Index{core: nc, space: x.space, sink: x.sink}
+	nx := &Index{core: nc, space: x.space}
 	if x.kw != nil {
 		nx.kw = x.kw.Clone()
 	}
@@ -345,7 +345,7 @@ func (x *Index) rebuildFresh() (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	fresh := &Index{core: freshCore, space: freshCore.Space(), sink: x.sink}
+	fresh := &Index{core: freshCore, space: freshCore.Space()}
 	if x.kw != nil {
 		fresh.EnableKeywordFilter()
 	}

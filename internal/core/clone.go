@@ -3,7 +3,7 @@ package core
 import "repro/internal/dataset"
 
 // Copy-on-write cloning (the engine behind the RCU-style snapshot
-// publication in the public ConcurrentIndex): CloneForWrite produces a
+// publication in the public ShardedIndex): CloneForWrite produces a
 // new Index value that SHARES every structure queries read but writers
 // never mutate in place — the vector/projection arenas, the object
 // slice, the centroid tables, the cluster assignments and the hybrid
@@ -26,8 +26,9 @@ import "repro/internal/dataset"
 //     which orders those writes before any reader's loads).
 //
 // A clone must be built, mutated and published by one goroutine at a
-// time (ConcurrentIndex serializes writers on a mutex); published
-// snapshots must never be mutated again except by cloning them anew.
+// time (every ShardedIndex shard serializes its writers on a mutex);
+// published snapshots must never be mutated again except by cloning
+// them anew.
 type cowState struct {
 	// ownsObjects marks that the objects slice has been copied, so
 	// interior writes (arena-growth repointing) are safe.

@@ -11,7 +11,7 @@ import (
 
 // Mutating a copy-on-write clone must never change what the parent
 // snapshot returns: that isolation is the entire safety argument of the
-// lock-free publication scheme in the public ConcurrentIndex.
+// lock-free publication scheme in the public ShardedIndex.
 func TestCloneForWriteIsolation(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 400, Config{Seed: 9})
 	q := f.ds.Objects[17]
@@ -87,7 +87,7 @@ func TestCloneForWriteArenaGrowth(t *testing.T) {
 }
 
 // Chained clones (snapshot lineage A -> B -> C) must each stay frozen
-// while their successors mutate — the ConcurrentIndex publishes exactly
+// while their successors mutate — the ShardedIndex publishes exactly
 // such a chain, one clone per write.
 func TestCloneChain(t *testing.T) {
 	f := build(t, dataset.YelpLike, 200, Config{Seed: 21})

@@ -14,7 +14,7 @@ func init() {
 
 // Overlay measures what the delta-overlay write path buys over the
 // eager copy-on-write baseline it replaced: per-operation write latency
-// through ConcurrentIndex on a large shard. The eager path pays O(n)
+// through a one-shard ShardedIndex over a large corpus. The eager path pays O(n)
 // per op (cloning the deleted bitset, the id→index map, the radius
 // arrays, and the touched member directories before mutating), the
 // overlay path pays for what the op touches (its clone shares the
@@ -63,7 +63,7 @@ func Overlay(s Setup) ([]Table, error) {
 			"and folds it into a fresh base in the background past the compaction threshold", size, nOps),
 		Header: []string{"write path", "ops", "p50 µs", "p95 µs", "max µs", "mean µs"},
 	}
-	wrappers := make(map[string]*cssi.ConcurrentIndex, len(modes))
+	wrappers := make(map[string]*cssi.ShardedIndex, len(modes))
 	medians := make(map[string]float64, len(modes))
 	means := make(map[string]float64, len(modes))
 	for _, m := range modes {
@@ -71,7 +71,7 @@ func Overlay(s Setup) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := cssi.Concurrent(idx)
+		w := cssi.ShardedFrom(idx)
 		durs, err := measureWriteLatency(w, overlayWriteOps(ds, nOps))
 		if err != nil {
 			return nil, fmt.Errorf("overlay: %s op stream: %w", m.name, err)
@@ -88,7 +88,7 @@ func Overlay(s Setup) ([]Table, error) {
 	// buffered delta here (nOps is below the default threshold), so the
 	// first comparison genuinely exercises the base+delta search path.
 	ov, eg := wrappers["delta overlay"], wrappers["eager COW"]
-	if ov.DeltaOps() == 0 {
+	if ov.ShardStats()[0].DeltaOps == 0 {
 		return nil, fmt.Errorf("overlay: expected a buffered delta after %d ops, found none", nOps)
 	}
 	withDelta := collectExact(ov, queries, k, s.Lambda)
@@ -96,8 +96,8 @@ func Overlay(s Setup) ([]Table, error) {
 	if err := ov.Compact(); err != nil {
 		return nil, fmt.Errorf("overlay: compact: %w", err)
 	}
-	if ov.DeltaOps() != 0 {
-		return nil, fmt.Errorf("overlay: %d delta ops survived Compact", ov.DeltaOps())
+	if n := ov.ShardStats()[0].DeltaOps; n != 0 {
+		return nil, fmt.Errorf("overlay: %d delta ops survived Compact", n)
 	}
 	vsCompacted := overlayResultsEqual(withDelta, collectExact(ov, queries, k, s.Lambda))
 	if !vsCompacted || !vsEager {
@@ -160,7 +160,7 @@ func overlayWriteOps(ds *cssi.Dataset, n int) []cssi.Op {
 // measureWriteLatency applies each op as its own ApplyBatch call — the
 // single-op write path the issue targets — and returns the per-op wall
 // times.
-func measureWriteLatency(w *cssi.ConcurrentIndex, ops []cssi.Op) ([]time.Duration, error) {
+func measureWriteLatency(w *cssi.ShardedIndex, ops []cssi.Op) ([]time.Duration, error) {
 	durs := make([]time.Duration, len(ops))
 	for i := range ops {
 		t0 := time.Now()
@@ -191,13 +191,20 @@ func latencyStats(durs []time.Duration) (p50, p95, max, mean float64) {
 // collectExact gathers exact k-NN results for every query at two λ
 // settings, the fully spatial-weighted side included to sweep both
 // pruning terms.
-func collectExact(w *cssi.ConcurrentIndex, queries []cssi.Object, k int, lambda float64) [][]cssi.Result {
+func collectExact(w *cssi.ShardedIndex, queries []cssi.Object, k int, lambda float64) [][]cssi.Result {
 	out := make([][]cssi.Result, 0, 2*len(queries))
 	for qi := range queries {
 		out = append(out, w.Search(&queries[qi], k, lambda))
 		out = append(out, w.Search(&queries[qi], k, 1))
 	}
 	return out
+}
+
+func boolCell(b bool) string {
+	if b {
+		return "yes"
+	}
+	return "no"
 }
 
 // overlayResultsEqual compares two result sets bit-for-bit (IDs and

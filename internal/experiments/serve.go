@@ -387,7 +387,7 @@ func serveCacheTable(s Setup) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	w := cssi.Concurrent(idx)
+	w := cssi.ShardedFrom(idx)
 	w.EnableResultCache(0)
 
 	requests := s.size(2000) // reuses the dataset-size scaling for the request count

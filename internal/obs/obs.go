@@ -162,8 +162,8 @@ type Trace struct {
 	// chars) joined from the request's inbound traceparent header, or
 	// "" when the request arrived without trace context.
 	TraceID string `json:"traceId,omitempty"`
-	// Flavor names the serving layer that recorded the trace: "index",
-	// "concurrent", or "sharded".
+	// Flavor names the serving layer that recorded the trace: "index"
+	// or "sharded".
 	Flavor string `json:"flavor,omitempty"`
 	// Op is the request kind: "search", "batch", or "keyword".
 	Op string `json:"op,omitempty"`

@@ -19,8 +19,7 @@
 // stays reachable while any entry references it and its address can
 // never be recycled into a colliding identity. The cost is that the
 // cache keeps at most one superseded snapshot generation alive between
-// a publication and the next probe; callers that want prompt release
-// hook Invalidate into their publication path.
+// a publication and the next probe.
 //
 // Key hashing is only a routing hint: entries store the query they
 // answer (coordinates and vector) and a probe compares them, so a
@@ -106,7 +105,7 @@ type Stats struct {
 	// and Evictions LRU displacements.
 	Hits, Misses, Fills, Evictions int64
 	// Invalidations counts wholesale clears triggered by a snapshot
-	// change (or an explicit Invalidate call).
+	// change.
 	Invalidations int64
 	// Entries is the current live entry count.
 	Entries int
@@ -160,19 +159,6 @@ func (c *Cache) Stats() Stats {
 		Fills: c.fills.Load(), Evictions: c.evict.Load(),
 		Invalidations: c.inval.Load(), Entries: n,
 	}
-}
-
-// Invalidate discards every entry. Writers may hook it into their
-// snapshot publication path to release superseded snapshots promptly;
-// correctness does not depend on it (the token comparison already
-// rejects stale entries).
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	if len(c.m) > 0 || c.cur != nil {
-		c.clearLocked()
-		c.inval.Add(1)
-	}
-	c.mu.Unlock()
 }
 
 // clearLocked drops all entries and forgets the current token. Entry

@@ -181,9 +181,6 @@ func TestConcurrentChurn(t *testing.T) {
 				} else {
 					c.Put(s, k, float64(w), 0, vec, res(uint32(i%16)))
 				}
-				if i%500 == 0 {
-					c.Invalidate()
-				}
 			}
 		}(w)
 	}

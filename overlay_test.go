@@ -39,14 +39,14 @@ func overlayOps(ds *Dataset, n int) []Op {
 	return ops
 }
 
-// The wrapper-level tentpole property: a ConcurrentIndex writing
+// The wrapper-level tentpole property: a one-shard index writing
 // through the delta overlay answers every exact query bit-identically
 // to one writing through eager copy-on-write clones, given the same
 // build seed and write stream — before and after compaction.
 func TestOverlayConcurrentEquivalence(t *testing.T) {
 	ds := testDataset(t, 800)
-	overlay := Concurrent(mustBuild(t, ds, Options{Seed: 41}))
-	eager := Concurrent(mustBuild(t, ds, Options{Seed: 41, DeltaCompactThreshold: DeltaDisabled}))
+	overlay := ShardedFrom(mustBuild(t, ds, Options{Seed: 41}))
+	eager := ShardedFrom(mustBuild(t, ds, Options{Seed: 41, DeltaCompactThreshold: DeltaDisabled}))
 
 	ops := overlayOps(ds, 120)
 	for _, op := range ops {
@@ -59,11 +59,11 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 			t.Fatalf("eager op: %v", err)
 		}
 	}
-	if overlay.DeltaOps() == 0 {
+	if snapshot(overlay).DeltaOps() == 0 {
 		t.Fatal("overlay wrapper buffered no delta ops (overlay path not engaged)")
 	}
-	if eager.DeltaOps() != 0 {
-		t.Fatalf("eager wrapper buffered %d delta ops", eager.DeltaOps())
+	if snapshot(eager).DeltaOps() != 0 {
+		t.Fatalf("eager wrapper buffered %d delta ops", snapshot(eager).DeltaOps())
 	}
 	if overlay.Len() != eager.Len() {
 		t.Fatalf("live counts diverged: overlay %d, eager %d", overlay.Len(), eager.Len())
@@ -114,14 +114,14 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 	if err := overlay.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if overlay.DeltaOps() != 0 {
-		t.Fatalf("post-compact DeltaOps = %d", overlay.DeltaOps())
+	if snapshot(overlay).DeltaOps() != 0 {
+		t.Fatalf("post-compact DeltaOps = %d", snapshot(overlay).DeltaOps())
 	}
-	if overlay.Compactions() == 0 {
+	if overlay.shards[0].compactions.Load() == 0 {
 		t.Fatal("explicit Compact not counted")
 	}
 	compare("post-compaction")
-	if err := overlay.Snapshot().CheckInvariants(); err != nil {
+	if err := snapshot(overlay).CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -130,7 +130,7 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 // folds the overlay without losing any acknowledged write.
 func TestOverlayBackgroundCompaction(t *testing.T) {
 	ds := testDataset(t, 500)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 43}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 43}))
 	if err := c.SetDeltaThreshold(8); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestOverlayBackgroundCompaction(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Compactions() == 0 {
+	for c.shards[0].compactions.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no background compaction within deadline")
 		}
@@ -168,32 +168,23 @@ func TestOverlayBackgroundCompaction(t *testing.T) {
 	if c.Len() != ds.Len()+40 {
 		t.Fatalf("Len = %d, want %d", c.Len(), ds.Len()+40)
 	}
-	if err := c.Snapshot().CheckInvariants(); err != nil {
+	if err := snapshot(c).CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Threshold setters share one validation contract everywhere.
+// The threshold setter's validation contract.
 func TestOverlayThresholdValidation(t *testing.T) {
-	ds := testDataset(t, 300)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 45}))
-	if err := c.SetDeltaThreshold(-2); err != ErrInvalidDeltaThreshold {
-		t.Fatalf("ConcurrentIndex accepted -2: %v", err)
-	}
-	for _, ok := range []int{DeltaDisabled, 0, 1, 100000} {
-		if err := c.SetDeltaThreshold(ok); err != nil {
-			t.Fatalf("SetDeltaThreshold(%d): %v", ok, err)
+	s := mustBuildSharded(t, testDataset(t, 300), 2, Options{Seed: 45})
+	for _, bad := range []int{-2, -7} {
+		if err := s.SetDeltaThreshold(bad); err != ErrInvalidDeltaThreshold {
+			t.Fatalf("SetDeltaThreshold(%d): %v", bad, err)
 		}
 	}
-	s, err := BuildSharded(ds, 2, Options{Seed: 45})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetDeltaThreshold(-7); err != ErrInvalidDeltaThreshold {
-		t.Fatalf("ShardedIndex accepted -7: %v", err)
-	}
-	if err := s.SetDeltaThreshold(16); err != nil {
-		t.Fatal(err)
+	for _, ok := range []int{DeltaDisabled, 0, 1, 16, 100000} {
+		if err := s.SetDeltaThreshold(ok); err != nil {
+			t.Fatalf("SetDeltaThreshold(%d): %v", ok, err)
+		}
 	}
 }
 
@@ -207,7 +198,7 @@ func TestOverlayShardedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat := Concurrent(mustBuild(t, ds, Options{Seed: 47, DeltaCompactThreshold: DeltaDisabled}))
+		flat := ShardedFrom(mustBuild(t, ds, Options{Seed: 47, DeltaCompactThreshold: DeltaDisabled}))
 		for _, op := range overlayOps(ds, 90) {
 			if err := s.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("P=%d sharded op: %v", p, err)
@@ -260,7 +251,7 @@ func TestOverlayShardedEquivalence(t *testing.T) {
 // compactions against one overlay-enabled wrapper.
 func TestOverlayConcurrentStress(t *testing.T) {
 	ds := testDataset(t, 600)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 49}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 49}))
 	if err := c.SetDeltaThreshold(16); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +333,7 @@ func TestOverlayConcurrentStress(t *testing.T) {
 			t.Fatalf("compaction changed result %d: %+v -> %+v", i, after[i], before[i])
 		}
 	}
-	if err := c.Snapshot().CheckInvariants(); err != nil {
+	if err := snapshot(c).CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -351,35 +342,24 @@ func TestOverlayConcurrentStress(t *testing.T) {
 // the overlay log leaves the lineage's tail claimed by a clone nobody
 // will ever publish. Nothing of the batch may show, and the next write —
 // whose clone can no longer claim that slot — must still go through, on
-// both wrappers, with answers equal to an eager twin that saw only the
+// one shard and on two, with answers equal to an eager twin that saw only the
 // acknowledged ops.
 func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 	ds := testDataset(t, 500)
-	sharded := mustBuildSharded(t, ds, 2, Options{Seed: 53})
-	conc := Concurrent(mustBuild(t, ds, Options{Seed: 53}))
-	for name, w := range map[string]struct {
-		apply  func([]Op) error
-		search func(*Object, int, float64) []Result
-		object func(uint32) (Object, bool)
-		length func() int
-		check  func() error
-		pubs   func() int64
-	}{
-		"Concurrent": {conc.ApplyBatch, conc.Search, conc.Object, conc.Len,
-			func() error { return conc.Snapshot().CheckInvariants() }, conc.Publications},
-		"Sharded": {sharded.ApplyBatch, sharded.Search, sharded.Object, sharded.Len,
-			sharded.CheckInvariants, func() int64 {
-				var n int64
-				for i := 0; i < sharded.NumShards(); i++ {
-					n += sharded.Shard(i).Publications()
-				}
-				return n
-			}},
+	for name, w := range map[string]*ShardedIndex{
+		"P=1": ShardedFrom(mustBuild(t, ds, Options{Seed: 53})),
+		"P=2": mustBuildSharded(t, ds, 2, Options{Seed: 53}),
 	} {
-		twin := Concurrent(mustBuild(t, ds, Options{Seed: 53, DeltaCompactThreshold: DeltaDisabled}))
+		publications := func() (n int64) {
+			for _, st := range w.ShardStats() {
+				n += st.Publications
+			}
+			return n
+		}
+		twin := ShardedFrom(mustBuild(t, ds, Options{Seed: 53, DeltaCompactThreshold: DeltaDisabled}))
 		both := func(op Op) {
 			t.Helper()
-			if err := w.apply([]Op{op}); err != nil {
+			if err := w.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if err := twin.ApplyBatch([]Op{op}); err != nil {
@@ -398,17 +378,17 @@ func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 		}
 		lost := fresh(5)
 		unknown := uint32(900000)
-		for sharded.ShardFor(unknown) != sharded.ShardFor(lost.ID) {
+		for w.ShardFor(unknown) != w.ShardFor(lost.ID) {
 			unknown++ // same shard, so the two ops are one shard batch
 		}
-		pubs, n := w.pubs(), w.length()
-		if err := w.apply([]Op{{Kind: OpInsert, Object: lost}, {Kind: OpDelete, ID: unknown}}); err == nil {
+		pubs, n := publications(), w.Len()
+		if err := w.ApplyBatch([]Op{{Kind: OpInsert, Object: lost}, {Kind: OpDelete, ID: unknown}}); err == nil {
 			t.Fatalf("%s: batch deleting an unknown ID succeeded", name)
 		}
-		if w.pubs() != pubs || w.length() != n {
-			t.Fatalf("%s: failed batch published (publications %d -> %d, Len %d -> %d)", name, pubs, w.pubs(), n, w.length())
+		if publications() != pubs || w.Len() != n {
+			t.Fatalf("%s: failed batch published (publications %d -> %d, Len %d -> %d)", name, pubs, publications(), n, w.Len())
 		}
-		if _, ok := w.object(lost.ID); ok {
+		if _, ok := w.Object(lost.ID); ok {
 			t.Fatalf("%s: insert of the failed batch is visible", name)
 		}
 		// Same ID, another object: the abandoned slot must not resurface.
@@ -416,28 +396,28 @@ func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 		retry.ID = lost.ID
 		both(Op{Kind: OpInsert, Object: retry})
 		both(Op{Kind: OpInsert, Object: fresh(6)})
-		if got, ok := w.object(lost.ID); !ok || got.X != retry.X || got.Y != retry.Y {
+		if got, ok := w.Object(lost.ID); !ok || got.X != retry.X || got.Y != retry.Y {
 			t.Fatalf("%s: Object(%d) = %+v, %v after the retried insert", name, lost.ID, got, ok)
 		}
 		for qi := 0; qi < 6; qi++ {
 			q := ds.Objects[(qi*83+5)%ds.Len()]
-			equalResults(t, name+" vs eager twin", twin.Search(&q, 10, 0.5), w.search(&q, 10, 0.5))
+			equalResults(t, name+" vs eager twin", twin.Search(&q, 10, 0.5), w.Search(&q, 10, 0.5))
 		}
-		if err := w.check(); err != nil {
+		if err := w.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
 
 // The keyword filter's twin property: after a random insert / update /
-// delete stream through ConcurrentIndex (background folds included),
+// delete stream through one shard (background folds included),
 // every term's candidate list equals that of a filter built from scratch
 // over the live set — on the current snapshot and on one pinned halfway,
 // whose buckets every later write started out sharing. One term loses
 // its last posting before the pin and gets it back after.
 func TestOverlayKeywordFilterTwin(t *testing.T) {
 	ds := testDataset(t, 600)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 55, DeltaCompactThreshold: 150}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 55, DeltaCompactThreshold: 150}))
 	c.EnableKeywordFilter()
 	const rare = "zzonlyhere"
 	live := make(map[uint32]string, ds.Len())
@@ -498,7 +478,7 @@ func TestOverlayKeywordFilterTwin(t *testing.T) {
 		case i == 200:
 			apply(Op{Kind: OpDelete, ID: rareObj.ID})
 		case i == 300:
-			pinned, pinnedLive = c.Snapshot(), make(map[uint32]string, len(live))
+			pinned, pinnedLive = snapshot(c), make(map[uint32]string, len(live))
 			for id, txt := range live {
 				pinnedLive[id] = txt
 			}
@@ -522,15 +502,15 @@ func TestOverlayKeywordFilterTwin(t *testing.T) {
 			apply(Op{Kind: OpDelete, ID: victim})
 		}
 	}
-	if c.Snapshot().KeywordDocFrequency(rare) != 1 {
+	if snapshot(c).KeywordDocFrequency(rare) != 1 {
 		t.Fatal("rare term not re-added")
 	}
-	check("current", c.Snapshot(), live)
+	check("current", snapshot(c), live)
 	check("pinned", pinned, pinnedLive)
 	if err := c.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	check("compacted", c.Snapshot(), live)
+	check("compacted", snapshot(c), live)
 	check("pinned after compaction", pinned, pinnedLive)
 }
 
@@ -542,7 +522,7 @@ func TestOverlayKeywordFilterTwin(t *testing.T) {
 // slot a reader can see is a reported race).
 func TestOverlayAppendUnderReaders(t *testing.T) {
 	ds := testDataset(t, 600)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 57}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 57}))
 	c.EnableKeywordFilter()
 	keywords := text.Tokenize(ds.Objects[0].Text)[:1]
 	stop := make(chan struct{})
@@ -552,7 +532,7 @@ func TestOverlayAppendUnderReaders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; ; round++ {
-				snap := c.Snapshot() // shares its log with the writer's next clones
+				snap := snapshot(c) // shares its log with the writer's next clones
 				q := ds.Objects[(g*97+round*13)%ds.Len()]
 				want := snap.Search(&q, 10, 0.5)
 				wantKw, _ := snap.SearchWithKeywords(&q, 10, 0.5, keywords...)
@@ -592,18 +572,18 @@ func TestOverlayAppendUnderReaders(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for c.Compactions() == 0 && time.Now().Before(deadline) {
+	for c.shards[0].compactions.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
-	if c.Compactions() == 0 {
+	if c.shards[0].compactions.Load() == 0 {
 		t.Fatal("no background compaction within deadline")
 	}
 	if want := ds.Len() + inserts - inserts/8; c.Len() != want {
 		t.Fatalf("Len = %d, want %d", c.Len(), want)
 	}
-	if err := c.Snapshot().CheckInvariants(); err != nil {
+	if err := snapshot(c).CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -617,7 +597,7 @@ func TestOverlayWriteAllocBounded(t *testing.T) {
 		t.Skip("the race detector's shadow allocations are not the program's")
 	}
 	ds := testDataset(t, 2000)
-	c := Concurrent(mustBuild(t, ds, Options{Seed: 59, DeltaCompactThreshold: 1 << 20}))
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 59, DeltaCompactThreshold: 1 << 20}))
 	c.EnableKeywordFilter()
 	next := 0
 	insert := func() uint32 {
@@ -633,7 +613,7 @@ func TestOverlayWriteAllocBounded(t *testing.T) {
 	// insert+delete pairs; the eight pairs stay inside one log capacity
 	// (40+8 < 64, 4000+8 < 4096), so no doubling falls in the window.
 	bytesPerPair := func(buffered int) uint64 {
-		for c.DeltaOps() < buffered {
+		for snapshot(c).DeltaOps() < buffered {
 			insert()
 		}
 		const pairs = 8

@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// SearchRequest describes one k-NN query against any index flavor —
-// *Index, *ConcurrentIndex, or *ShardedIndex — through the single Do
-// entry point. The zero value of every optional field means "off", so
+// SearchRequest describes one k-NN query against either index flavor —
+// *Index or *ShardedIndex — through the single Do entry point. The zero value of every optional field means "off", so
 // the minimal request is SearchRequest{Query: q, K: k, Lambda: λ}.
 //
 // Each knob is one field, and the knobs compose — e.g. Approx+Dst+Stats
@@ -67,8 +66,8 @@ type SearchRequest struct {
 	// the Stats of the same un-explained request.
 	Explain *ExplainStats
 	// Trace, when non-nil, is overwritten with the request's span tree:
-	// one span per shard on a ShardedIndex, a single span on *Index and
-	// *ConcurrentIndex. Like Explain it only observes the execution.
+	// one span per shard on a ShardedIndex, a single span on *Index.
+	// Like Explain it only observes the execution.
 	Trace *SearchTrace
 	// RequestID stamps the Trace and the always-on tracer's recorded
 	// trace (a fresh ID is generated when empty). The server passes its
@@ -302,41 +301,17 @@ func (x *Index) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][
 	return serveBatch(ctx, x.view(), &req)
 }
 
-// Do answers one k-NN query against the current snapshot (lock-free);
-// see Index.Do for the request contract. A trace sink installed on the
-// wrapper (SetTraceSink) records every executed Do regardless of which
-// snapshot serves it. With a result cache enabled (EnableResultCache)
-// repeated queries are served from it, bit-identical to an uncached
-// search of the same snapshot.
-func (c *ConcurrentIndex) Do(req SearchRequest) ([]Result, error) {
-	return serve(context.Background(), c.view(), &req)
-}
-
-// DoContext is Do under a context.
-func (c *ConcurrentIndex) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
-	return serve(ctx, c.view(), &req)
-}
-
-// DoBatch answers a batched workload against the current snapshot: the
-// whole batch runs to completion against the one snapshot it loaded,
-// even while writers publish newer ones concurrently. See Index.DoBatch
-// for the request contract.
-func (c *ConcurrentIndex) DoBatch(req BatchSearchRequest) ([][]Result, error) {
-	return serveBatch(context.Background(), c.view(), &req)
-}
-
-// DoBatchContext is DoBatch under a context.
-func (c *ConcurrentIndex) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
-	return serveBatch(ctx, c.view(), &req)
-}
-
 // Do answers one k-NN query across the shards — bound-carrying chains
 // striped over the scheduler's processors and merged (see execute) —
 // and the keyword scatter for keyword-constrained requests. See
 // Index.Do for the request contract; exact results are bit-identical to
-// a flat index over the same objects. The result cache's snapshot identity is the interned vector
-// of per-shard snapshots (see epochToken), so a hit proves no shard has
-// republished since the entry was computed.
+// a flat index over the same objects. A trace sink installed on the
+// index (SetTraceSink) records every executed Do regardless of which
+// snapshots serve it. With a result cache enabled (EnableResultCache)
+// repeated queries are served from it, bit-identical to an uncached
+// search of the same snapshots: its snapshot identity is the interned
+// vector of per-shard snapshots (see epochToken), so a hit proves no
+// shard has republished since the entry was computed.
 func (s *ShardedIndex) Do(req SearchRequest) ([]Result, error) {
 	return serve(context.Background(), s.view(), &req)
 }
@@ -346,8 +321,10 @@ func (s *ShardedIndex) DoContext(ctx context.Context, req SearchRequest) ([]Resu
 	return serve(ctx, s.view(), &req)
 }
 
-// DoBatch answers a batched workload across the shards; see
-// Index.DoBatch for the request contract.
+// DoBatch answers a batched workload across the shards: the whole batch
+// runs to completion against the snapshots it loaded, even while writers
+// publish newer ones concurrently. See Index.DoBatch for the request
+// contract.
 func (s *ShardedIndex) DoBatch(req BatchSearchRequest) ([][]Result, error) {
 	return serveBatch(context.Background(), s.view(), &req)
 }

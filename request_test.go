@@ -43,9 +43,9 @@ type searchAPI struct {
 	doChained func(SearchRequest) ([]Result, error)
 }
 
-// requestFixtures builds Index, Concurrent(idx), ShardedFrom(idx) (as
-// BuildSharded P=1) and BuildSharded(P=4) over the same dataset, with
-// the keyword filter enabled or left out.
+// requestFixtures builds Index, ShardedFrom(idx) (as BuildSharded P=1)
+// and BuildSharded(P=4) over the same dataset, with the keyword filter
+// enabled or left out.
 func requestFixtures(t *testing.T, ds *Dataset, keywordFilter bool) []searchAPI {
 	t.Helper()
 	return requestFixturesWith(t, ds, Options{Seed: 5}, keywordFilter)
@@ -54,17 +54,12 @@ func requestFixtures(t *testing.T, ds *Dataset, keywordFilter bool) []searchAPI 
 func requestFixturesWith(t *testing.T, ds *Dataset, opts Options, keywordFilter bool) []searchAPI {
 	t.Helper()
 	flat := mustBuild(t, ds, opts)
-	concIdx := mustBuild(t, ds, opts)
 	if keywordFilter {
 		flat.EnableKeywordFilter()
-		concIdx.EnableKeywordFilter()
 	}
-	conc := Concurrent(concIdx)
 	apis := []searchAPI{
 		{name: "flat", do: flat.Do, doBatch: flat.DoBatch, doCtx: flat.DoContext, setSink: flat.SetTraceSink, del: flat.Delete, snaps: 1,
 			doChained: flat.Do},
-		{name: "concurrent", do: conc.Do, doBatch: conc.DoBatch, doCtx: conc.DoContext, setSink: conc.SetTraceSink, del: conc.Delete,
-			enableCache: conc.EnableResultCache, snaps: 1, doChained: conc.Do},
 	}
 	for _, p := range []int{1, 4} {
 		s := mustBuildSharded(t, ds, p, opts)
@@ -483,9 +478,10 @@ func TestSearchWrappersPanic(t *testing.T) {
 }
 
 // TestAPISurface keeps the entry-point permutations from growing back:
-// the exported Search*/Do* method sets of the core index and the three
-// facade flavors must equal these allow-lists, and the per-flavor
-// dispatch forks the request pipeline replaced must stay gone.
+// the exported Search*/Do* method sets of the core index and the two
+// facade flavors must equal these allow-lists, the per-flavor dispatch
+// forks the request pipeline replaced must stay gone, and so must the
+// second snapshot-published flavor — ConcurrentIndex is ShardedIndex.
 func TestAPISurface(t *testing.T) {
 	do := []string{"Do", "DoBatch", "DoBatchContext", "DoContext"}
 	for _, c := range []struct {
@@ -497,7 +493,6 @@ func TestAPISurface(t *testing.T) {
 		{reflect.TypeOf(&core.Index{}), []string{"Search", "SearchAblated", "SearchApprox", "SearchBatch",
 			"SearchExplainOptionsInto", "SearchFiltered", "SearchInBox", "SearchOptionsInto"}},
 		{reflect.TypeOf(&Index{}), append([]string{"Search", "SearchApprox", "SearchInBox", "SearchInBoxStats", "SearchWithKeywords"}, do...)},
-		{reflect.TypeOf(&ConcurrentIndex{}), append([]string{"Search", "SearchApprox", "SearchInBox", "SearchWithKeywords"}, do...)},
 		{reflect.TypeOf(&ShardedIndex{}), append([]string{"Search", "SearchApprox", "SearchInBox", "SearchInBoxStats", "SearchWithKeywords"}, do...)},
 	} {
 		var got []string
@@ -536,9 +531,16 @@ func TestAPISurface(t *testing.T) {
 			}
 		}
 	}
-	for _, once := range []string{"serve", "serveBatch", "execute"} {
-		if count[once] != 1 {
-			t.Errorf("%d functions named %s, want exactly 1", count[once], once)
+	if reflect.TypeOf(&ConcurrentIndex{}) != reflect.TypeOf(&ShardedIndex{}) {
+		t.Error("ConcurrentIndex is a type of its own again")
+	}
+	// Declarations per name: the pipeline once, a flavor's entry points
+	// and sink on *Index and *ShardedIndex, the result cache on the
+	// latter alone.
+	for name, want := range map[string]int{"serve": 1, "serveBatch": 1, "execute": 1, "EnableResultCache": 1,
+		"view": 2, "Do": 2, "DoContext": 2, "DoBatch": 2, "DoBatchContext": 2, "SetTraceSink": 2} {
+		if count[name] != want {
+			t.Errorf("%d functions named %s, want exactly %d", count[name], name, want)
 		}
 	}
 	for name := range count {
@@ -555,8 +557,7 @@ func TestAPISurface(t *testing.T) {
 
 // TestDoZeroAlloc extends the core's steady-state guarantee through the
 // facade: with Dst set and no sink or Trace, Do allocates nothing on any
-// single-snapshot flavor — ShardedFrom(idx).Do costs what
-// ConcurrentIndex.Do costs.
+// single-snapshot flavor, whichever constructor wrapped it.
 func TestDoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses its caches under the race detector; zero-alloc steady state cannot hold")

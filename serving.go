@@ -17,11 +17,11 @@ import (
 	"repro/internal/rescache"
 )
 
-// This file is the request pipeline every index flavor serves through:
+// This file is the request pipeline both index flavors serve through:
 // serve (one query) and serveBatch run validate → budget → cache probe
 // → trace → execute → cache fill once, over a view of whatever the
-// flavor differs on. Do/DoContext/DoBatch/DoBatchContext on *Index,
-// *ConcurrentIndex and *ShardedIndex are one-line calls into it.
+// flavor differs on. Do/DoContext/DoBatch/DoBatchContext on *Index and
+// *ShardedIndex are one-line calls into it.
 
 // ErrInvalidDeadline is returned by Do/DoContext/DoBatch when
 // SearchRequest.Deadline (or BatchSearchRequest.Deadline) is negative
@@ -73,10 +73,11 @@ type ResponseMeta struct {
 	// the cache.
 	CacheHit bool
 	// SnapshotID is the publication sequence number of the snapshot
-	// that answered the request: 0 on a bare *Index, the publication
-	// count on a *ConcurrentIndex, and the sum across shards on a
-	// *ShardedIndex. It changes whenever a write, compaction, or
-	// rebuild publishes — the same event that invalidates the cache.
+	// that answered the request: 0 on a bare *Index, and on a
+	// *ShardedIndex the publication count summed across shards — the
+	// publication count itself on one shard. It changes whenever a
+	// write, compaction, or rebuild publishes — the same event that
+	// invalidates the cache.
 	SnapshotID uint64
 	// QueueWait is the time the request spent queued before execution.
 	// The index never fills it; admission-controlled servers do.
@@ -84,21 +85,20 @@ type ResponseMeta struct {
 }
 
 // view is everything the request pipeline needs to know about the
-// index flavor it serves: the three flavors differ only in these
+// index flavor it serves: the two flavors differ only in these
 // fields.
 type view struct {
-	// snap is the one pinned snapshot of a flat flavor (*Index itself,
-	// or the snapshot a *ConcurrentIndex had published when the request
-	// arrived); shards are the P pinned snapshots of a *ShardedIndex.
-	// Exactly one of the two is set. They are separate fields rather
-	// than one slice so that a flat request's view stays on the stack:
-	// the scatter hands its slice to goroutines, which would move a
-	// stack-backed one-element slice — and the view with it — to the
-	// heap on every request.
+	// snap is the one pinned snapshot of a bare *Index — itself; shards
+	// are the P snapshots a *ShardedIndex had published when the request
+	// arrived. Exactly one of the two is set. They are separate fields
+	// rather than one slice so that a bare index's view stays on the
+	// stack: the scatter hands its slice to goroutines, which would
+	// move a stack-backed one-element slice — and the view with it — to
+	// the heap on every request.
 	snap   *Index
 	shards []*Index
 	// stripes is the number of goroutines a read over the shards is dealt
-	// onto: scatterDegree(len(shards)), 1 for a flat flavor. It is a field
+	// onto: scatterDegree(len(shards)), 1 for a bare index. It is a field
 	// rather than a call in execute so that the equivalence test can run
 	// every stripe count on one host; nothing else sets it.
 	stripes int
@@ -117,17 +117,6 @@ type view struct {
 
 func (x *Index) view() view {
 	return view{snap: x, stripes: 1, snapID: x.snapID, sink: x.sink, flavor: "index"}
-}
-
-func (c *ConcurrentIndex) view() view {
-	snap := c.cur.Load()
-	v := view{snap: snap, stripes: 1, token: snap, snapID: snap.snapID, cache: c.resCache.Load(), sink: c.sink.Load(), flavor: "concurrent"}
-	if v.sink == nil {
-		// A sink installed on the index before it was wrapped rides
-		// every snapshot and keeps recording.
-		v.sink, v.flavor = snap.sink, "index"
-	}
-	return v
 }
 
 func (s *ShardedIndex) view() view {
@@ -794,37 +783,6 @@ func canonicalKeywords(keywords []string) string {
 	return strings.Join(kw, "\x00")
 }
 
-// ---- ConcurrentIndex result cache ----
-
-// EnableResultCache installs a snapshot-keyed result cache holding at
-// most capacity entries (<= 0 selects rescache.DefaultCapacity) and
-// makes it the index default (CacheDefault requests use it). Safe to
-// call concurrently with searches; entries are invalidated wholesale
-// whenever a write, compaction, or rebuild publishes a new snapshot —
-// a cached answer is served only against the very snapshot pointer it
-// was computed from, so hits are bit-identical to uncached searches by
-// construction.
-func (c *ConcurrentIndex) EnableResultCache(capacity int) {
-	c.resCache.Store(rescache.New(capacity))
-}
-
-// DisableResultCache removes the result cache (requests execute
-// normally, CacheOn becomes a no-op).
-func (c *ConcurrentIndex) DisableResultCache() {
-	c.resCache.Store(nil)
-}
-
-// ResultCacheStats returns the cache's counters; ok is false when no
-// cache is enabled.
-func (c *ConcurrentIndex) ResultCacheStats() (CacheStats, bool) {
-	if cache := c.resCache.Load(); cache != nil {
-		return cache.Stats(), true
-	}
-	return CacheStats{}, false
-}
-
-// ---- ShardedIndex result cache ----
-
 // shardEpoch is the composite snapshot identity of a ShardedIndex: the
 // vector of per-shard snapshot pointers, interned so one epoch object
 // (whose pointer is the cache token) stands for one combination of
@@ -868,14 +826,20 @@ func (s *ShardedIndex) epochToken() *shardEpoch {
 }
 
 // EnableResultCache installs a snapshot-keyed result cache over the
-// whole sharded index (see ConcurrentIndex.EnableResultCache). The
-// cache key's snapshot identity is the vector of per-shard snapshots,
-// so a write to any shard invalidates wholesale.
+// whole index, holding at most capacity entries (<= 0 selects
+// rescache.DefaultCapacity), and makes it the index default
+// (CacheDefault requests use it). Safe to call concurrently with
+// searches. A cached answer is served only against the very snapshots
+// it was computed from — the cache key's snapshot identity is the
+// vector of per-shard snapshots — so hits are bit-identical to uncached
+// searches by construction, and a write, compaction, or rebuild on any
+// shard invalidates wholesale.
 func (s *ShardedIndex) EnableResultCache(capacity int) {
 	s.resCache.Store(rescache.New(capacity))
 }
 
-// DisableResultCache removes the result cache.
+// DisableResultCache removes the result cache (requests execute
+// normally, CacheOn becomes a no-op).
 func (s *ShardedIndex) DisableResultCache() {
 	s.resCache.Store(nil)
 }

@@ -10,7 +10,8 @@ import (
 	"time"
 )
 
-// ctxAPI adapts the three flavors' context entry points to one shape.
+// ctxAPI adapts the flavors' context entry points to one shape:
+// "concurrent" is the one-shard index, "sharded" one of several.
 type ctxAPI struct {
 	name    string
 	do      func(context.Context, SearchRequest) ([]Result, error)
@@ -29,7 +30,7 @@ func ctxFixtures(t *testing.T, ds *Dataset) []ctxAPI {
 		t.Fatal(err)
 	}
 	concIdx.EnableKeywordFilter()
-	conc := Concurrent(concIdx)
+	conc := ShardedFrom(concIdx)
 	sh := mustBuildSharded(t, ds, 3, Options{Seed: 5})
 	sh.EnableKeywordFilter()
 	return []ctxAPI{
@@ -218,7 +219,7 @@ func cachedFixtures(t *testing.T, ds *Dataset) []cachedFixture {
 		t.Fatal(err)
 	}
 	concIdx.EnableKeywordFilter()
-	conc := Concurrent(concIdx)
+	conc := ShardedFrom(concIdx)
 	conc.EnableResultCache(0)
 	sh := mustBuildSharded(t, ds, 3, Options{Seed: 11})
 	sh.EnableKeywordFilter()
@@ -512,7 +513,7 @@ func TestResultCacheChurnStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc := Concurrent(concIdx)
+	conc := ShardedFrom(concIdx)
 	conc.EnableResultCache(128)
 	sh := mustBuildSharded(t, ds, 2, Options{Seed: 21})
 	sh.EnableResultCache(128)

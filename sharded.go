@@ -14,14 +14,18 @@ import (
 	"repro/internal/rescache"
 )
 
-// ShardedIndex partitions one logical CSSI index across P independent
-// shards, each a snapshot-published ConcurrentIndex owning a disjoint
-// subset of the objects (assignment by a hash of the object ID, so an
-// ID's shard never changes). It exists to cut the copy-on-write cost of
-// the concurrency layer: a single-op write on a ConcurrentIndex clones
-// O(n) snapshot metadata, while on a sharded index it clones only the
-// touched shard — O(n/P) — and writes to different shards do not
-// serialize against each other at all.
+// ShardedIndex is the snapshot-published serving surface: one logical
+// CSSI index partitioned across P independent shards, each a shardCell
+// owning a disjoint subset of the objects (assignment by a hash of the
+// object ID, so an ID's shard never changes). P = 1 (ShardedFrom, or
+// BuildSharded with one shard) is the plain concurrent index — the same
+// requests, writer protocol, trace sink and result cache, with nothing
+// to route or merge. A bare Index is safe for concurrent searches only;
+// use this type when writers run alongside readers (the HTTP server in
+// internal/server holds nothing else). What P > 1 buys is writer
+// concurrency and bounded background work: writes to different shards
+// do not serialize against each other at all, and a compaction or
+// rebuild folds or reconstructs one shard's objects, not the corpus.
 //
 //   - Reads are STRIPED: an exact read deals the P shard snapshots
 //     round-robin onto min(P, GOMAXPROCS) stripes; each stripe scans its
@@ -40,8 +44,8 @@ import (
 //     on the per-shard clustering, so sharded CSSIA results can differ
 //     from unsharded CSSIA (both within the paper's error model).
 //   - Writes ROUTE: Insert/Delete/Update touch exactly one shard and
-//     pay that shard's O(n/P) clone. P writers on P distinct shards
-//     proceed concurrently.
+//     publish one new snapshot of it (see shardCell for what that
+//     costs). P writers on P distinct shards proceed concurrently.
 //   - A read and a routed write never block each other: reads
 //     are lock-free snapshot loads, and publication is a single atomic
 //     pointer store per shard.
@@ -53,7 +57,7 @@ import (
 // loaded after publication. There is no cross-shard read transaction —
 // the same semantics a distributed search cluster gives, in-process.
 type ShardedIndex struct {
-	shards []*ConcurrentIndex
+	shards []*shardCell
 	dim    int
 
 	// sink is the optional always-on trace collector (SetTraceSink),
@@ -135,7 +139,7 @@ func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) 
 				i, shards, ds.Len())
 		}
 	}
-	s := &ShardedIndex{shards: make([]*ConcurrentIndex, shards), dim: ds.Dim}
+	s := &ShardedIndex{shards: make([]*shardCell, shards), dim: ds.Dim}
 	// Derive defaulted cluster counts from the GLOBAL object count (see
 	// the doc comment): computed once here so every shard — whatever its
 	// exact share of the hash — clusters at the flat index's granularity.
@@ -169,7 +173,7 @@ func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) 
 				errs[i] = fmt.Errorf("cssi: building shard %d: %w", i, err)
 				return
 			}
-			s.shards[i] = Concurrent(&Index{core: c, space: &shardSpace})
+			s.shards[i] = newShardCell(&Index{core: c, space: &shardSpace})
 		}(i)
 	}
 	wg.Wait()
@@ -180,12 +184,16 @@ func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) 
 }
 
 // ShardedFrom wraps an existing single index as a one-shard
-// ShardedIndex — the adapter that lets sharded-aware callers (the HTTP
-// server, the persistence loader) serve a legacy unsharded index
-// through the scatter/gather API unchanged. The wrapped index must not
-// be mutated directly afterwards.
+// ShardedIndex: the concurrent index over idx, and the adapter that
+// lets the HTTP server and the persistence loader serve a legacy
+// unsharded index unchanged. A trace sink installed on idx keeps
+// recording — it becomes the wrapper's. The wrapped index must not be
+// mutated directly afterwards; reading it remains safe, published
+// snapshots are immutable.
 func ShardedFrom(idx *Index) *ShardedIndex {
-	return &ShardedIndex{shards: []*ConcurrentIndex{Concurrent(idx)}, dim: idx.Dim()}
+	s := &ShardedIndex{shards: []*shardCell{newShardCell(idx)}, dim: idx.Dim()}
+	s.sink.Store(idx.sink)
+	return s
 }
 
 // NumShards returns the number of shards P.
@@ -194,12 +202,6 @@ func (s *ShardedIndex) NumShards() int { return len(s.shards) }
 // ShardFor returns the shard index that owns (or would own) the given
 // object ID.
 func (s *ShardedIndex) ShardFor(id uint32) int { return shardOf(id, len(s.shards)) }
-
-// Shard returns the i-th shard's ConcurrentIndex. Intended for
-// introspection and tests (e.g. driving per-shard writes directly);
-// production writes should go through the routing Insert/Delete/Update
-// so IDs land on their hash-assigned shard.
-func (s *ShardedIndex) Shard(i int) *ConcurrentIndex { return s.shards[i] }
 
 // Search returns the exact k nearest neighbors of q across the shards
 // (see Index.Search). The result — order included — is bit-identical to
@@ -274,24 +276,24 @@ func (s *ShardedIndex) checkRead(q *Object, k int, lambda float64) {
 	}
 }
 
-// Insert adds a new object, cloning and republishing ONLY the owning
-// shard — an O(n/P) write where the unsharded ConcurrentIndex pays
-// O(n). Writes to different shards proceed concurrently.
+// Insert adds a new object (paper §6.2) and publishes the result as a
+// new snapshot of ONLY the owning shard; in-flight reads finish against
+// the old one. Writes to different shards proceed concurrently.
 func (s *ShardedIndex) Insert(o Object) error {
-	return s.shards[s.ShardFor(o.ID)].Insert(o)
+	return s.shards[s.ShardFor(o.ID)].apply(Op{Kind: OpInsert, Object: o})
 }
 
 // Delete removes the object with the given ID from its owning shard.
 // Because an ID always hashes to the same shard, deleting an ID that
 // was never inserted fails with the owning shard's unknown-ID error.
 func (s *ShardedIndex) Delete(id uint32) error {
-	return s.shards[s.ShardFor(id)].Delete(id)
+	return s.shards[s.ShardFor(id)].apply(Op{Kind: OpDelete, ID: id})
 }
 
 // Update replaces the stored object carrying o's ID on its owning
-// shard (atomically visible there).
+// shard (delete + insert, atomically visible there).
 func (s *ShardedIndex) Update(o Object) error {
-	return s.shards[s.ShardFor(o.ID)].Update(o)
+	return s.shards[s.ShardFor(o.ID)].apply(Op{Kind: OpUpdate, Object: o})
 }
 
 // opShard returns the shard an op routes to.
@@ -303,19 +305,21 @@ func (s *ShardedIndex) opShard(op Op) int {
 }
 
 // ApplyBatch groups the ops by owning shard and applies each group as
-// one clone-and-publish cycle on its shard, with the groups running in
-// parallel (the first on the caller's goroutine). Atomicity is PER SHARD, not global: a group that fails
-// leaves its shard untouched and its error reported, while other
-// shards' groups still commit — the cross-shard trade every
-// partitioned store makes. Within a shard, ops keep their relative
-// order from the input slice. Callers needing all-or-nothing semantics
-// across shards should use the unsharded ConcurrentIndex.ApplyBatch.
+// ONE clone-and-publish cycle on its shard — readers never observe a
+// partially applied group — with the groups running in parallel (the
+// first on the caller's goroutine). Atomicity is PER SHARD, not global:
+// a group that fails on any op leaves its shard untouched and its error
+// reported, while other shards' groups still commit — the cross-shard
+// trade every partitioned store makes. Within a shard, ops keep their
+// relative order from the input slice. On one shard the batch is
+// therefore all-or-nothing; callers needing that across the whole index
+// build it with one shard.
 func (s *ShardedIndex) ApplyBatch(ops []Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	if len(s.shards) == 1 {
-		return s.shards[0].ApplyBatch(ops)
+		return s.shards[0].apply(ops...)
 	}
 	groups := make([][]Op, len(s.shards))
 	for _, op := range ops {
@@ -324,7 +328,7 @@ func (s *ShardedIndex) ApplyBatch(ops []Op) error {
 	}
 	errs := make([]error, len(s.shards))
 	apply := func(i int) {
-		if err := s.shards[i].ApplyBatch(groups[i]); err != nil {
+		if err := s.shards[i].apply(groups[i]...); err != nil {
 			errs[i] = fmt.Errorf("cssi: shard %d batch: %w", i, err)
 		}
 	}
@@ -363,7 +367,7 @@ func (s *ShardedIndex) Rebuild() error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := s.shards[i].Rebuild(); err != nil {
+			if err := s.shards[i].rebuild(); err != nil {
 				errs[i] = fmt.Errorf("cssi: rebuilding shard %d: %w", i, err)
 			}
 		}(i)
@@ -384,7 +388,7 @@ func (s *ShardedIndex) RebuildInBackground() (<-chan error, error) {
 	chans := make([]<-chan error, 0, len(s.shards))
 	startErrs := make([]error, 0)
 	for i, sh := range s.shards {
-		ch, err := sh.RebuildInBackground()
+		ch, err := sh.rebuildInBackground()
 		if err != nil {
 			startErrs = append(startErrs, fmt.Errorf("cssi: shard %d: %w", i, err))
 			continue
@@ -411,7 +415,7 @@ func (s *ShardedIndex) RebuildInBackground() (<-chan error, error) {
 // (each publishing a new snapshot), enabling SearchWithKeywords.
 func (s *ShardedIndex) EnableKeywordFilter() {
 	for _, sh := range s.shards {
-		sh.EnableKeywordFilter()
+		sh.enableKeywordFilter()
 	}
 }
 
@@ -419,7 +423,7 @@ func (s *ShardedIndex) EnableKeywordFilter() {
 // filter.
 func (s *ShardedIndex) KeywordFilterEnabled() bool {
 	for _, sh := range s.shards {
-		if !sh.KeywordFilterEnabled() {
+		if !sh.cur.Load().KeywordFilterEnabled() {
 			return false
 		}
 	}
@@ -433,9 +437,14 @@ func (s *ShardedIndex) SearchWithKeywords(q *Object, k int, lambda float64, keyw
 	return keywordSearch(s.Do, q, k, lambda, keywords)
 }
 
-// Object looks up a live object on its owning shard, returning a copy.
+// Object looks up a live object on its owning shard, returning a copy
+// (the snapshot's storage is shared with future clones).
 func (s *ShardedIndex) Object(id uint32) (Object, bool) {
-	return s.shards[s.ShardFor(id)].Object(id)
+	o, ok := s.shards[s.ShardFor(id)].cur.Load().Object(id)
+	if !ok {
+		return Object{}, false
+	}
+	return *o, true
 }
 
 // Len returns the total number of live objects across shards. The
@@ -444,7 +453,7 @@ func (s *ShardedIndex) Object(id uint32) (Object, bool) {
 func (s *ShardedIndex) Len() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.Len()
+		n += sh.cur.Load().Len()
 	}
 	return n
 }
@@ -457,7 +466,7 @@ func (s *ShardedIndex) Dim() int { return s.dim }
 func (s *ShardedIndex) NumClusters() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.Snapshot().NumClusters()
+		n += sh.cur.Load().NumClusters()
 	}
 	return n
 }
@@ -468,7 +477,7 @@ func (s *ShardedIndex) NumClusters() int {
 // untrained shards just run unrouted).
 func (s *ShardedIndex) RouterTrained() bool {
 	for _, sh := range s.shards {
-		if !sh.Snapshot().RouterTrained() {
+		if !sh.cur.Load().RouterTrained() {
 			return false
 		}
 	}
@@ -481,7 +490,7 @@ func (s *ShardedIndex) RouterTrained() bool {
 func (s *ShardedIndex) UpdatesSinceBuild() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.Snapshot().UpdatesSinceBuild()
+		n += sh.cur.Load().UpdatesSinceBuild()
 	}
 	return n
 }
@@ -521,18 +530,19 @@ type ShardStat struct {
 // should be roughly uniform under hash routing).
 func (s *ShardedIndex) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
+	now := time.Now().UnixNano()
 	for i, sh := range s.shards {
-		snap := sh.Snapshot()
+		snap := sh.cur.Load()
 		out[i] = ShardStat{
 			Shard:             i,
 			Objects:           snap.Len(),
 			Clusters:          snap.NumClusters(),
 			UpdatesSinceBuild: snap.UpdatesSinceBuild(),
-			SnapshotAge:       sh.SnapshotAge(),
-			Publications:      sh.Publications(),
+			SnapshotAge:       time.Duration(now - sh.publishedNS.Load()),
+			Publications:      sh.publishes.Load(),
 			DeltaOps:          snap.DeltaOps(),
-			Compactions:       sh.Compactions(),
-			BaseAge:           sh.BaseAge(),
+			Compactions:       sh.compactions.Load(),
+			BaseAge:           time.Duration(now - sh.baseNS.Load()),
 			Unanchored:        snap.UnanchoredRows(),
 		}
 	}
@@ -540,34 +550,43 @@ func (s *ShardedIndex) ShardStats() []ShardStat {
 }
 
 // SetDeltaThreshold changes the overlay compaction threshold on every
-// shard (see ConcurrentIndex.SetDeltaThreshold for the value contract).
+// shard: positive bounds the overlay at that many write ops, 0 restores
+// DefaultDeltaCompactThreshold, and DeltaDisabled (-1) switches writes
+// back to eager clones. Takes effect on the next write; an existing
+// overlay is left to the usual triggers (call Compact to fold it now).
 func (s *ShardedIndex) SetDeltaThreshold(threshold int) error {
 	if threshold < DeltaDisabled {
 		return ErrInvalidDeltaThreshold
 	}
 	for _, sh := range s.shards {
-		if err := sh.SetDeltaThreshold(threshold); err != nil {
-			return err
-		}
+		sh.deltaThreshold.Store(resolveDeltaThreshold(threshold))
 	}
 	return nil
 }
 
 // SetCompactionObserver registers fn on every shard: it is called with
-// each overlay compaction's duration, from whichever shard compacted
-// (fn must be safe for concurrent calls; pass nil to unregister).
+// each overlay compaction's duration right after its snapshot
+// publishes, from whichever shard compacted (fn must be safe for
+// concurrent calls; pass nil to unregister). Used by the server's
+// /metrics latency histogram.
 func (s *ShardedIndex) SetCompactionObserver(fn func(time.Duration)) {
+	var hook *func(time.Duration)
+	if fn != nil {
+		hook = &fn
+	}
 	for _, sh := range s.shards {
-		sh.SetCompactionObserver(fn)
+		sh.compactObs.Store(hook)
 	}
 }
 
 // Compact synchronously folds every shard's write overlay into a flat
-// base (no-op on already-flat shards).
+// base (no-op on already-flat shards). Most callers never need it —
+// background compaction triggers automatically at the threshold — but
+// it gives tests and maintenance endpoints a deterministic fold point.
 func (s *ShardedIndex) Compact() error {
 	errs := make([]error, len(s.shards))
 	for i, sh := range s.shards {
-		if err := sh.Compact(); err != nil {
+		if err := sh.compact(); err != nil {
 			errs[i] = fmt.Errorf("cssi: compacting shard %d: %w", i, err)
 		}
 	}
@@ -580,22 +599,13 @@ func (s *ShardedIndex) Compact() error {
 // and dimensionality. Tests call it while writes and rebuilds are in
 // flight; production code never needs it.
 func (s *ShardedIndex) CheckInvariants() error {
-	if len(s.shards) == 0 {
-		return fmt.Errorf("cssi: sharded index with no shards")
+	if err := s.checkAgreement(); err != nil {
+		return err
 	}
-	ref := s.shards[0].Snapshot().space
 	for i, sh := range s.shards {
-		snap := sh.Snapshot()
+		snap := sh.cur.Load()
 		if err := snap.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if snap.Dim() != s.dim {
-			return fmt.Errorf("shard %d: dim %d, sharded index expects %d", i, snap.Dim(), s.dim)
-		}
-		sp := snap.space
-		if sp.DsMax != ref.DsMax || sp.DtMax != ref.DtMax || sp.SemanticKind != ref.SemanticKind {
-			return fmt.Errorf("shard %d: normalizers (DsMax=%v, DtMax=%v, kind=%v) differ from shard 0 (%v, %v, %v)",
-				i, sp.DsMax, sp.DtMax, sp.SemanticKind, ref.DsMax, ref.DtMax, ref.SemanticKind)
 		}
 		var misrouted error
 		snap.core.ForEachLive(func(o *Object) {
@@ -605,6 +615,29 @@ func (s *ShardedIndex) CheckInvariants() error {
 		})
 		if misrouted != nil {
 			return misrouted
+		}
+	}
+	return nil
+}
+
+// checkAgreement verifies what makes a sharded exact search
+// bit-identical to an unsharded one: every shard has the index's
+// dimensionality and shard 0's distance normalizers. LoadSharded runs
+// it on what the files held, before serving from them.
+func (s *ShardedIndex) checkAgreement() error {
+	if len(s.shards) == 0 {
+		return fmt.Errorf("cssi: sharded index with no shards")
+	}
+	ref := s.shards[0].cur.Load().space
+	for i, sh := range s.shards {
+		snap := sh.cur.Load()
+		if snap.Dim() != s.dim {
+			return fmt.Errorf("shard %d: dim %d, sharded index expects %d", i, snap.Dim(), s.dim)
+		}
+		sp := snap.space
+		if sp.DsMax != ref.DsMax || sp.DtMax != ref.DtMax || sp.SemanticKind != ref.SemanticKind {
+			return fmt.Errorf("shard %d: normalizers (DsMax=%v, DtMax=%v, kind=%v) differ from shard 0 (%v, %v, %v)",
+				i, sp.DsMax, sp.DtMax, sp.SemanticKind, ref.DsMax, ref.DtMax, ref.SemanticKind)
 		}
 	}
 	return nil

@@ -46,7 +46,7 @@ func (s *ShardedIndex) SaveDir(dir string) error {
 	for i, sh := range s.shards {
 		name := fmt.Sprintf("shard-%04d.cssi", i)
 		if err := writeFileAtomic(filepath.Join(dir, name), func(f *os.File) error {
-			return sh.Snapshot().Save(f)
+			return sh.cur.Load().Save(f)
 		}); err != nil {
 			return fmt.Errorf("cssi: saving shard %d: %w", i, err)
 		}
@@ -122,8 +122,13 @@ func LoadSharded(path string) (*ShardedIndex, error) {
 	if m.Shards < 1 || m.Shards != len(m.Files) {
 		return nil, fmt.Errorf("cssi: manifest lists %d shards but %d files", m.Shards, len(m.Files))
 	}
-	s := &ShardedIndex{shards: make([]*ConcurrentIndex, m.Shards)}
+	s := &ShardedIndex{shards: make([]*shardCell, m.Shards)}
 	for i, name := range m.Files {
+		// A manifest is outside input: its entries name files of the
+		// directory, never a path out of it.
+		if !filepath.IsLocal(name) {
+			return nil, fmt.Errorf("cssi: manifest names shard %d file %q outside the index directory", i, name)
+		}
 		f, err := os.Open(filepath.Join(path, name))
 		if err != nil {
 			return nil, fmt.Errorf("cssi: opening shard %d: %w", i, err)
@@ -133,12 +138,11 @@ func LoadSharded(path string) (*ShardedIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cssi: loading shard %d: %w", i, err)
 		}
-		if i == 0 {
-			s.dim = idx.Dim()
-		} else if idx.Dim() != s.dim {
-			return nil, fmt.Errorf("cssi: shard %d has dim %d, shard 0 has %d", i, idx.Dim(), s.dim)
-		}
-		s.shards[i] = Concurrent(idx)
+		s.shards[i] = newShardCell(idx)
+	}
+	s.dim = s.shards[0].cur.Load().Dim()
+	if err := s.checkAgreement(); err != nil {
+		return nil, fmt.Errorf("cssi: loading %s: %w", path, err)
 	}
 	return s, nil
 }

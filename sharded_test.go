@@ -2,6 +2,7 @@ package cssi
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -149,8 +150,8 @@ func lessResult(a, b Result) bool {
 	return a.Dist < b.Dist || (a.Dist == b.Dist && a.ID < b.ID)
 }
 
-// The sharded batched entry points share the validation contract of
-// ConcurrentIndex: inline empty-batch answers, ErrInvalidK for k <= 0.
+// The batched entry points' validation contract holds across shards:
+// inline empty-batch answers, ErrInvalidK for k <= 0.
 func TestShardedBatchValidation(t *testing.T) {
 	ds := testDataset(t, 300)
 	s := mustBuildSharded(t, ds, 3, Options{Seed: 4})
@@ -190,10 +191,6 @@ func TestShardedRoutingAndApplyBatch(t *testing.T) {
 		o, ok := s.Object(id)
 		if !ok || o.ID != id {
 			t.Fatalf("inserted object %d not found via routed lookup", id)
-		}
-		si := s.ShardFor(id)
-		if _, ok := s.Shard(si).Object(id); !ok {
-			t.Fatalf("object %d missing from its assigned shard %d", id, si)
 		}
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -353,7 +350,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 
 	// Legacy path: a plain Index.Save file loads as a 1-shard instance.
 	flat := mustBuild(t, ds, Options{Seed: 20})
-	legacy := filepath.Join(t.TempDir(), "legacy.cssi")
+	legacy := filepath.Join(filepath.Dir(dir), "legacy.cssi")
 	if err := writeFileAtomicTest(t, legacy, flat); err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +363,29 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 	q := &queries[0]
 	equalResults(t, "legacy search", flat.Search(q, 10, 0.5), one.Search(q, 10, 0.5))
+
+	// A manifest is outside input: a file name that leaves the directory
+	// and a shard that disagrees with shard 0 on the normalizers are
+	// refused, each a well-formed index file on its own.
+	angular := mustBuild(t, ds, Options{Seed: 20, AngularSemantic: true})
+	if err := writeFileAtomicTest(t, filepath.Join(dir, "angular.cssi"), angular); err != nil {
+		t.Fatal(err)
+	}
+	for name, files := range map[string][]string{
+		"file outside the directory": {"../legacy.cssi"},
+		"disagreeing normalizers":    {"shard-0000.cssi", "angular.cssi"},
+	} {
+		raw, err := json.Marshal(shardedManifest{Format: shardedManifestFormat, Ver: shardedManifestVer, Shards: len(files), Files: files})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, shardedManifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSharded(dir); err == nil {
+			t.Fatalf("%s: loaded", name)
+		}
+	}
 }
 
 func writeFileAtomicTest(t *testing.T, path string, idx *Index) error {

@@ -8,8 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// This file wires the always-on tail-sampled tracer into the three
-// index flavors: when a trace sink is installed, every executed
+// This file wires the always-on tail-sampled tracer into both index
+// flavors: when a trace sink is installed, every executed
 // Do/DoBatch records a compact span tree — per-shard phase nanos reusing
 // the existing SearchStats collection — into a pooled obs.Trace and
 // hands it to the sink, whose tail sampler retains the slow, errored,
@@ -21,23 +21,14 @@ import (
 // trace.
 
 // SetTraceSink installs sink as the always-on trace collector for this
-// index's Do/DoBatch calls (nil disables tracing). The sink survives
-// the copy-on-write clones ConcurrentIndex publishes, so installing it
-// once traces every future snapshot. Not safe to call concurrently
-// with searches on a bare *Index; install before serving (the
-// Concurrent and Sharded wrappers swap atomically instead).
+// index's Do/DoBatch calls (nil disables tracing). Not safe to call
+// concurrently with searches on a bare *Index; install before serving
+// (ShardedIndex swaps atomically instead, and ShardedFrom adopts the
+// sink installed here).
 func (x *Index) SetTraceSink(sink *obs.Sink) { x.sink = sink }
 
 // TraceSink returns the installed trace sink, or nil.
 func (x *Index) TraceSink() *obs.Sink { return x.sink }
-
-// SetTraceSink atomically installs sink as the always-on trace
-// collector for this wrapper's Do/DoBatch calls (nil disables). Safe
-// to call concurrently with searches.
-func (c *ConcurrentIndex) SetTraceSink(sink *obs.Sink) { c.sink.Store(sink) }
-
-// TraceSink returns the installed trace sink, or nil.
-func (c *ConcurrentIndex) TraceSink() *obs.Sink { return c.sink.Load() }
 
 // SetTraceSink atomically installs sink as the always-on trace
 // collector for this index's Do/DoBatch calls (nil disables). Safe to

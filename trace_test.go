@@ -9,7 +9,7 @@ import (
 	"repro/internal/obs"
 )
 
-// traceFixtures builds the three flavors over one dataset, each with a
+// traceFixtures builds the flavors over one dataset, each with a
 // keep-everything sink installed, plus sink-free twins for the
 // bit-identity comparison.
 func traceFixtures(t *testing.T) (*Dataset, []searchAPI, []searchAPI, []*obs.Sink) {
@@ -174,6 +174,14 @@ func TestTraceErrorRetained(t *testing.T) {
 	}
 	if seen, _, _ := sink.Counts(); seen != 1 {
 		t.Fatalf("sink saw %d traces, want 1 (a rejected request records none)", seen)
+	}
+	// The sink installed on the index keeps recording once it is wrapped.
+	wrapped := ShardedFrom(idx)
+	if _, err := wrapped.Do(SearchRequest{Query: &ds.Objects[0], K: 3, Lambda: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if seen, _, _ := sink.Counts(); seen != 2 || wrapped.TraceSink() != sink {
+		t.Fatalf("wrapped: sink saw %d traces, want 2 (TraceSink adopted: %v)", seen, wrapped.TraceSink() == sink)
 	}
 }
 
