@@ -13,7 +13,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/hnsw"
 	"repro/internal/lda"
-	"repro/internal/metric"
 	"repro/internal/niqtree"
 )
 
@@ -89,29 +88,6 @@ func BenchmarkBatchSearch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := idx.DoBatch(BatchSearchRequest{Queries: queries, K: benchK, Lambda: benchLambda, Parallelism: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Parallel index construction ---
-
-func BenchmarkBuildWorkers(b *testing.B) {
-	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: benchSize, Dim: 100, Seed: 77})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range workerLevels() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				space, err := metric.NewSpace(ds)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.Build(ds, space, core.Config{Seed: 77, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

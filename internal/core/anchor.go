@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/kmeans"
 	"repro/internal/metric"
+	"repro/internal/par"
 )
 
 // Anchor bound: a row-level pivot filter in front of the semantic
@@ -91,12 +92,12 @@ type anchorArena struct {
 // semantic metric.
 func FitAnchors(ds *dataset.Dataset, space *metric.Space, cfg Config) *Anchors {
 	cfg.applyDefaults(ds.Len())
-	return fitAnchors(ds.Len(), func(i int) []float32 { return ds.Objects[i].Vec }, space, cfg.Kt, cfg.Seed)
+	return fitAnchors(ds.Len(), func(i int) []float32 { return ds.Objects[i].Vec }, space, cfg.Kt, cfg.Seed, cfg.Workers)
 }
 
-// fitAnchors places min(k, 255) anchors with a small seeded K-Means over
-// an evenly strided sample of the n rows.
-func fitAnchors(n int, row func(i int) []float32, space *metric.Space, k int, seed uint64) *Anchors {
+// fitAnchors places min(k, 255) anchors with a small seeded K-Means (on up
+// to workers goroutines) over an evenly strided sample of the n rows.
+func fitAnchors(n int, row func(i int) []float32, space *metric.Space, k int, seed uint64, workers int) *Anchors {
 	a := &Anchors{}
 	if space.SemanticKind != metric.EuclideanSemantic || n == 0 || k < 1 {
 		return a
@@ -112,7 +113,7 @@ func fitAnchors(n int, row func(i int) []float32, space *metric.Space, k int, se
 	for i := int(seed % uint64(stride)); i < n && len(sample) < anchorSampleRows; i += stride {
 		sample = append(sample, row(i))
 	}
-	res, err := kmeans.Fit(sample, kmeans.Config{K: k, MaxIters: anchorFitIters, Seed: seed + 2})
+	res, err := kmeans.Fit(sample, kmeans.Config{K: k, MaxIters: anchorFitIters, Seed: seed + 2, Workers: workers})
 	if err != nil {
 		return a // unreachable: the sample is non-empty and k ≥ 1
 	}
@@ -129,20 +130,51 @@ func fitAnchors(n int, row func(i int) []float32, space *metric.Space, k int, se
 }
 
 // assign picks v's anchor — the nearest over the prefix dimensions —
-// and returns its id with the full normalized distance to it.
+// and returns its id with the full normalized distance to it. Anchors
+// are ranked four per pass over the prefix: each keeps its own float32
+// accumulator summed in dimension order (the explicit conversions keep a
+// compiler from fusing the multiply-add), and the four are compared in id
+// order with a strict <, so the pick is the one a one-anchor-at-a-time
+// loop makes — the four dependency chains just overlap.
 func (a *Anchors) assign(space *metric.Space, v []float32) (uint8, float32) {
 	if len(a.pts) == 0 {
 		return anchorSentinel, 0
 	}
 	p := a.p
 	head := v[:p]
+	n := len(head) // = p, spelled so the compiler drops the bounds checks below
 	best, bestSq := 0, float32(math.Inf(1))
-	for k := range a.pts {
-		pre := a.prefix[k*p:][:len(head)]
+	k := 0
+	for ; k+4 <= len(a.pts); k += 4 {
+		pre := a.prefix[k*p : (k+4)*p]
+		pre0, pre1, pre2, pre3 := pre[:n], pre[p:][:n], pre[2*p:][:n], pre[3*p:][:n]
+		var sq0, sq1, sq2, sq3 float32
+		for j, h := range head {
+			d0, d1, d2, d3 := h-pre0[j], h-pre1[j], h-pre2[j], h-pre3[j]
+			sq0 += float32(d0 * d0)
+			sq1 += float32(d1 * d1)
+			sq2 += float32(d2 * d2)
+			sq3 += float32(d3 * d3)
+		}
+		if sq0 < bestSq {
+			best, bestSq = k, sq0
+		}
+		if sq1 < bestSq {
+			best, bestSq = k+1, sq1
+		}
+		if sq2 < bestSq {
+			best, bestSq = k+2, sq2
+		}
+		if sq3 < bestSq {
+			best, bestSq = k+3, sq3
+		}
+	}
+	for ; k < len(a.pts); k++ {
+		pre := a.prefix[k*p:][:n]
 		var sq float32
 		for j, h := range head {
 			d := h - pre[j]
-			sq += d * d
+			sq += float32(d * d)
 		}
 		if sq < bestSq {
 			best, bestSq = k, sq
@@ -156,10 +188,10 @@ func (a *Anchors) assign(space *metric.Space, v []float32) (uint8, float32) {
 func (x *Index) buildAnchors(set *Anchors) *anchorArena {
 	n := len(x.objects)
 	if set == nil {
-		set = fitAnchors(n, func(i int) []float32 { return x.vecAt(uint32(i)) }, x.space, len(x.tCent), x.cfg.Seed)
+		set = fitAnchors(n, func(i int) []float32 { return x.vecAt(uint32(i)) }, x.space, len(x.tCent), x.cfg.Seed, x.cfg.Workers)
 	}
 	aa := &anchorArena{set: set, id: make([]uint8, n), dist: make([]float32, n)}
-	parallelFor(n, x.cfg.Workers, func(lo, hi int) {
+	par.For(n, x.cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			aa.id[i], aa.dist[i] = set.assign(x.space, x.vecAt(uint32(i)))
 		}

@@ -581,3 +581,60 @@ func TestHeadCutAccounting(t *testing.T) {
 	}
 	compare("compacted", compact(over), compact(overOff), nil)
 }
+
+// TestAnchorRankingMatchesOneAtATime: ranking four anchors per pass picks
+// the anchor a plain loop over the anchors picks — one float32
+// accumulator per anchor summed in dimension order, first strict minimum
+// — at anchor counts on both sides of a multiple of four, with duplicate
+// anchors (exact ties), duplicates of the row itself (distance zero) and
+// vectors shorter than the prefix.
+func TestAnchorRankingMatchesOneAtATime(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 5))
+	sp := &metric.Space{DsMax: 1, DtMax: 1}
+	for _, dim := range []int{3, anchorPrefixDims, 40} {
+		for _, k := range []int{1, 2, 3, 4, 5, 8, 11, 73} {
+			pts := make([][]float32, k)
+			for i := range pts {
+				pts[i] = make([]float32, dim)
+				for j := range pts[i] {
+					pts[i][j] = float32(rng.IntN(5)) * 0.25 // few distinct values: ties
+				}
+			}
+			if k > 2 {
+				pts[k-1] = slices.Clone(pts[0])
+			}
+			a := &Anchors{pts: pts, p: min(dim, anchorPrefixDims)}
+			for _, pt := range pts {
+				a.prefix = append(a.prefix, pt[:a.p]...)
+			}
+			rows := append(slices.Clone(pts), make([]float32, dim))
+			for i := 0; i < 200; i++ {
+				v := make([]float32, dim)
+				for j := range v {
+					v[j] = float32(rng.IntN(5))*0.25 + float32(rng.IntN(2))*float32(rng.NormFloat64())
+				}
+				rows = append(rows, v)
+			}
+			for _, v := range rows {
+				want, wantSq := 0, float32(math.Inf(1))
+				for id, pt := range pts {
+					var sq float32
+					for j := 0; j < a.p; j++ {
+						d := v[j] - pt[j]
+						sq += d * d
+					}
+					if sq < wantSq {
+						want, wantSq = id, sq
+					}
+				}
+				got, dist := a.assign(sp, v)
+				if int(got) != want {
+					t.Fatalf("dim %d, %d anchors: row %v ranked anchor %d first, one-at-a-time ranks %d", dim, k, v, got, want)
+				}
+				if wantDist := float32(sp.SemanticVec(v, pts[want])); math.Float32bits(dist) != math.Float32bits(wantDist) {
+					t.Fatalf("dim %d, %d anchors: distance %v, want %v", dim, k, dist, wantDist)
+				}
+			}
+		}
+	}
+}

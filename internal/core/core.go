@@ -27,6 +27,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/kmeans"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/pca"
 	"repro/internal/route"
 	"repro/internal/vec"
@@ -57,10 +58,14 @@ type Config struct {
 	PCAMethod pca.Method
 	// KMeansIters bounds the Lloyd iterations (default 25).
 	KMeansIters int
-	// Workers bounds the construction parallelism (0 = GOMAXPROCS).
-	// The paper notes that K-Means and hybrid-cluster formation
-	// parallelize readily (§7.5); this knob exists mostly for
-	// reproducible single-threaded measurements.
+	// Workers bounds the goroutines of every parallel build phase — both
+	// K-Means, the PCA sketch, the projections, centroid means and
+	// distances, element arrays, the arena layout, anchoring, the
+	// router's labelling queries and the facade's keyword postings (0 =
+	// GOMAXPROCS; the paper notes that K-Means and hybrid-cluster
+	// formation parallelize readily, §7.5). The built index does not
+	// depend on it, bit for bit; 1 runs the whole build on the calling
+	// goroutine, for single-threaded measurements.
 	Workers int
 	// Seed makes construction deterministic.
 	Seed uint64
@@ -315,19 +320,15 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		x.idToIdx[x.objects[i].ID] = uint32(i)
 	}
 
-	// Copy the embeddings into the contiguous arena and repoint each
-	// object's Vec at its row. The values are bit-identical to the
-	// caller's, so downstream distance computations are unchanged.
+	// The objects keep viewing the caller's vectors until the cluster-major
+	// order is known: layoutClusterMajor then writes the arena once, in
+	// that order, and repoints every Vec at its row.
 	x.dim = len(x.objects[0].Vec)
-	x.vecArena = make([]float32, len(x.objects)*x.dim)
 	for i := range x.objects {
 		if len(x.objects[i].Vec) != x.dim {
 			return nil, fmt.Errorf("core: object %d has vector dim %d, want %d",
 				x.objects[i].ID, len(x.objects[i].Vec), x.dim)
 		}
-		row := x.vecArena[i*x.dim : (i+1)*x.dim : (i+1)*x.dim]
-		copy(row, x.objects[i].Vec)
-		x.objects[i].Vec = row
 	}
 
 	// --- Spatial clustering (Alg. 1 lines 2-4) ---
@@ -340,7 +341,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		spatialPts[i] = p
 	}
 	sres, err := kmeans.SampleFit(spatialPts, cfg.SampleFraction, kmeans.Config{
-		K: cfg.Ks, MaxIters: cfg.KMeansIters, Seed: cfg.Seed,
+		K: cfg.Ks, MaxIters: cfg.KMeansIters, Seed: cfg.Seed, Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: spatial clustering: %w", err)
@@ -350,7 +351,6 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	x.sCentX = make([]float64, ks)
 	x.sCentY = make([]float64, ks)
 	x.sRad = make([]float64, ks)
-	x.sMembers = make([][]uint32, ks)
 	for c, cent := range sres.Centroids {
 		x.sCentX[c], x.sCentY[c] = float64(cent[0]), float64(cent[1])
 	}
@@ -364,7 +364,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		vecs[i] = x.objects[i].Vec
 	}
 	x.pcaModel, err = pca.Fit(sampleRows(vecs, cfg.SampleFraction, cfg.Seed), pca.Config{
-		Components: cfg.M, Method: cfg.PCAMethod, Seed: cfg.Seed,
+		Components: cfg.M, Method: cfg.PCAMethod, Seed: cfg.Seed, Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: PCA: %w", err)
@@ -375,7 +375,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	x.m = x.pcaModel.M()
 	x.projArena = make([]float32, x.m*len(vecs))
 	proj := make([][]float32, len(vecs))
-	parallelFor(len(vecs), cfg.Workers, func(lo, hi int) {
+	par.For(len(vecs), cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst := x.projArena[i*x.m : (i+1)*x.m : (i+1)*x.m]
 			x.pcaModel.TransformInto(dst, vecs[i])
@@ -389,7 +389,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	// --- Semantic clustering on the projections (Alg. 1 lines 7-9) ---
 	phase = time.Now()
 	tres, err := kmeans.SampleFit(proj, cfg.SampleFraction, kmeans.Config{
-		K: cfg.Kt, MaxIters: cfg.KMeansIters, Seed: cfg.Seed + 1,
+		K: cfg.Kt, MaxIters: cfg.KMeansIters, Seed: cfg.Seed + 1, Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: semantic clustering: %w", err)
@@ -402,37 +402,38 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	x.tRad = make([]float64, kt)
 	x.tCentProj = make([][]float32, kt)
 	x.tRadProj = make([]float64, kt)
-	x.tMembers = make([][]uint32, kt)
 	x.tValid = make([]bool, kt)
 	x.grid = make([]*hybrid, ks*kt)
 
 	// Side membership lists.
-	for i := range x.objects {
-		x.sMembers[x.sAssign[i]] = append(x.sMembers[x.sAssign[i]], uint32(i))
-		x.tMembers[x.tAssign[i]] = append(x.tMembers[x.tAssign[i]], uint32(i))
-	}
+	x.sMembers = membersByAssign(x.sAssign, ks)
+	x.tMembers = membersByAssign(x.tAssign, kt)
 
 	// Semantic cluster representations: the original-space centroid is
 	// the mean of the members' n-dimensional vectors (§4.1); the
-	// projected centroid is the mean of their projections (§5.2).
-	for t := 0; t < kt; t++ {
-		ms := x.tMembers[t]
-		cent := make([]float32, x.dim)
-		centP := make([]float32, x.m)
-		x.tValid[t] = len(ms) > 0
-		if len(ms) > 0 {
-			rows := make([][]float32, len(ms))
-			rowsP := make([][]float32, len(ms))
-			for i, mi := range ms {
-				rows[i] = x.objects[mi].Vec
-				rowsP[i] = proj[mi]
+	// projected centroid is the mean of their projections (§5.2). Each
+	// cluster's means are its own sums, in member order (parallel over
+	// clusters).
+	par.For(kt, cfg.Workers, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			ms := x.tMembers[t]
+			cent := make([]float32, x.dim)
+			centP := make([]float32, x.m)
+			x.tValid[t] = len(ms) > 0
+			if len(ms) > 0 {
+				rows := make([][]float32, len(ms))
+				rowsP := make([][]float32, len(ms))
+				for i, mi := range ms {
+					rows[i] = x.objects[mi].Vec
+					rowsP[i] = proj[mi]
+				}
+				vec.Mean(cent, rows)
+				vec.Mean(centP, rowsP)
 			}
-			vec.Mean(cent, rows)
-			vec.Mean(centP, rowsP)
+			x.tCent[t] = cent
+			x.tCentProj[t] = centP
 		}
-		x.tCent[t] = cent
-		x.tCentProj[t] = centP
-	}
+	})
 
 	// Per-object distances to the assigned centroids (parallel; these
 	// feed both the radii and the hybrid-cluster member records).
@@ -440,7 +441,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	dsAll := make([]float64, n)
 	dtAll := make([]float64, n)
 	dpAll := make([]float64, n)
-	parallelFor(n, cfg.Workers, func(lo, hi int) {
+	par.For(n, cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dsAll[i] = x.spatialToCent(uint32(i), x.sAssign[i])
 			dtAll[i] = x.semanticToCent(uint32(i), x.tAssign[i])
@@ -459,15 +460,13 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		func(i int) float64 { return dpAll[i] })
 
 	// --- Hybrid clusters and their arrays (Alg. 1 lines 10-14) ---
-	for i := range x.objects {
-		x.addToHybridWith(uint32(i), dsAll[i], dtAll[i])
-	}
+	x.formHybrids(dsAll, dtAll)
 	// Build each cluster's element array, renumber storage into the
 	// order those arrays dictate, then derive the coordinate arena and
 	// anchor the rows over the final order:
 	// every cluster's scan block is a window of the arenas.
 	clusters := x.clusters
-	parallelFor(len(clusters), cfg.Workers, func(lo, hi int) {
+	par.For(len(clusters), cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			clusters[i].elems = buildElems(clusters[i].members)
 		}
@@ -516,6 +515,58 @@ func sampleRows(rows [][]float32, fraction float64, seed uint64) [][]float32 {
 	return out
 }
 
+// membersByAssign lists, per side cluster, the positions assigned to it
+// in ascending order. A counting pass sizes the lists, which are windows
+// of one buffer capped at their own length: a later append reallocates
+// instead of running into the neighbour. Empty clusters keep a nil list.
+func membersByAssign(assign []int, k int) [][]uint32 {
+	counts := make([]int, k)
+	for _, c := range assign {
+		counts[c]++
+	}
+	buf := make([]uint32, len(assign))
+	lists := make([][]uint32, k)
+	off := 0
+	for c, n := range counts {
+		if n > 0 {
+			lists[c] = buf[off : off : off+n]
+			off += n
+		}
+	}
+	for i, c := range assign {
+		lists[c] = append(lists[c], uint32(i))
+	}
+	return lists
+}
+
+// formHybrids is the bulk form of addToHybrid over every object, with
+// precomputed centroid distances: clusters appear in the directory in
+// order of their first object and list their members in ascending
+// position, as one addToHybrid per object would leave them, but a
+// counting pass sizes the member lists (windows of one buffer, capped
+// like membersByAssign's) instead of append growing each.
+func (x *Index) formHybrids(ds, dt []float64) {
+	counts := make([]int, len(x.grid))
+	for i := range x.objects {
+		counts[x.cell(x.sAssign[i], x.tAssign[i])]++
+	}
+	buf := make([]member, len(x.objects))
+	off := 0
+	for i := range x.objects {
+		s, t := x.sAssign[i], x.tAssign[i]
+		cell := x.cell(s, t)
+		c := x.grid[cell]
+		if c == nil {
+			n := counts[cell]
+			c = &hybrid{s: s, t: t, members: buf[off : off : off+n]}
+			off += n
+			x.grid[cell] = c
+			x.clusters = append(x.clusters, c)
+		}
+		c.members = append(c.members, member{idx: uint32(i), ds: ds[i], dt: dt[i]})
+	}
+}
+
 // spatialToCent returns the normalized spatial distance from object idx
 // to spatial centroid s.
 func (x *Index) spatialToCent(idx uint32, s int) float64 {
@@ -553,13 +604,6 @@ func (x *Index) projAt(i uint32) []float32 {
 // centroid distances. It does not rebuild the element array.
 func (x *Index) addToHybrid(idx uint32) *hybrid {
 	s, t := x.sAssign[idx], x.tAssign[idx]
-	return x.addToHybridWith(idx, x.spatialToCent(idx, s), x.semanticToCent(idx, t))
-}
-
-// addToHybridWith is addToHybrid with precomputed centroid distances
-// (the bulk-build path computes them in parallel beforehand).
-func (x *Index) addToHybridWith(idx uint32, ds, dt float64) *hybrid {
-	s, t := x.sAssign[idx], x.tAssign[idx]
 	cell := &x.grid[x.cell(s, t)]
 	c := *cell
 	if c == nil {
@@ -570,7 +614,7 @@ func (x *Index) addToHybridWith(idx uint32, ds, dt float64) *hybrid {
 	} else {
 		c = x.cowHybrid(c)
 	}
-	c.members = append(c.members, member{idx: idx, ds: ds, dt: dt})
+	c.members = append(c.members, member{idx: idx, ds: x.spatialToCent(idx, s), dt: x.semanticToCent(idx, t)})
 	return c
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dataset"
+	"repro/internal/par"
 )
 
 // Cluster-major storage. Build, Rebuild, RebuildFresh and Load leave
@@ -111,9 +112,11 @@ func (x *Index) fillCoordArena() {
 // relative order. Everything indexed by storage position moves together.
 // It runs on an index nothing else references yet (the tail of Build and
 // Load) and does nothing when the clusters already are contiguous, which
-// is every file this code wrote from a freshly built index. The error
-// reports element arrays that are not a partial permutation of storage,
-// which only a damaged file can produce.
+// is every file this code wrote from a freshly built index. Build arrives
+// with no vector arena at all — its objects still view the caller's
+// vectors — so the arena is written once, here, in its final order. The
+// error reports element arrays that are not a partial permutation of
+// storage, which only a damaged file can produce.
 func (x *Index) layoutClusterMajor() error {
 	n := len(x.objects)
 	const unset = ^uint32(0)
@@ -132,7 +135,7 @@ func (x *Index) layoutClusterMajor() error {
 			next++
 		}
 	}
-	if already {
+	if already && x.vecArena != nil {
 		return nil
 	}
 	for i := range perm {
@@ -159,12 +162,12 @@ func (x *Index) layoutClusterMajor() error {
 	vecArena := make([]float32, n*d)
 	projArena := make([]float32, n*m)
 	sAssign, tAssign := make([]int, n), make([]int, n)
-	parallelFor(n, x.cfg.Workers, func(lo, hi int) {
+	par.For(n, x.cfg.Workers, func(lo, hi int) {
 		for old := lo; old < hi; old++ {
 			p := int(perm[old])
 			objects[p] = x.objects[old]
 			row := vecArena[p*d : (p+1)*d : (p+1)*d]
-			copy(row, x.vecAt(uint32(old)))
+			copy(row, x.objects[old].Vec)
 			objects[p].Vec = row
 			copy(projArena[p*m:(p+1)*m], x.projAt(uint32(old)))
 			sAssign[p], tAssign[p] = x.sAssign[old], x.tAssign[old]

@@ -1,90 +1,34 @@
 package core
 
 import (
-	"runtime"
 	"sync"
-)
 
-// parallelFor splits [0,n) into contiguous chunks and runs fn(lo,hi) on
-// up to workers goroutines (workers <= 0 selects GOMAXPROCS). It is the
-// fan-out primitive behind the parallel parts of index construction —
-// the paper notes (§7.5) that K-Means and hybrid-cluster formation
-// parallelize readily.
-func parallelFor(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
+	"repro/internal/par"
+)
 
 // maxPerPartition folds a per-index value into per-partition maxima in
 // parallel: for each i in [0,n), value(i) is accumulated into
-// out[part(i)] under max. Each worker keeps private partials that are
-// merged at the end, so no locking is needed in the hot loop.
+// out[part(i)] under max. Each worker keeps private partials and merges
+// them under a lock at the end, so the hot loop needs none; max is
+// order-free, so the result does not depend on the worker count.
 func maxPerPartition(n, parts, workers int, part func(i int) int, value func(i int) float64) []float64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	partials := make([][]float64, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	w := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		local := make([]float64, parts)
-		partials[w] = local
-		wg.Add(1)
-		go func(lo, hi int, local []float64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				p := part(i)
-				if v := value(i); v > local[p] {
-					local[p] = v
-				}
-			}
-		}(lo, hi, local)
-		w++
-	}
-	wg.Wait()
 	out := make([]float64, parts)
-	for _, local := range partials[:w] {
+	var mu sync.Mutex
+	par.For(n, workers, func(lo, hi int) {
+		local := make([]float64, parts)
+		for i := lo; i < hi; i++ {
+			p := part(i)
+			if v := value(i); v > local[p] {
+				local[p] = v
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
 		for p, v := range local {
 			if v > out[p] {
 				out[p] = v
 			}
 		}
-	}
+	})
 	return out
 }

@@ -1,34 +1,13 @@
 package core
 
 import (
-	"sync/atomic"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/metric"
 )
-
-func TestParallelForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1001} {
-		for _, workers := range []int{0, 1, 3, 8, 2000} {
-			var count int64
-			seen := make([]int32, n)
-			parallelFor(n, workers, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&seen[i], 1)
-					atomic.AddInt64(&count, 1)
-				}
-			})
-			if count != int64(n) {
-				t.Fatalf("n=%d workers=%d: visited %d", n, workers, count)
-			}
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, c)
-				}
-			}
-		}
-	}
-}
 
 func TestMaxPerPartition(t *testing.T) {
 	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6}
@@ -55,18 +34,88 @@ func TestMaxPerPartitionEmpty(t *testing.T) {
 	}
 }
 
-// The Workers knob must not change the built index: single-threaded and
-// parallel builds answer identically.
-func TestWorkersDoNotChangeResults(t *testing.T) {
-	f1 := build(t, dataset.TwitterLike, 600, Config{Seed: 92, Workers: 1})
-	f8 := build(t, dataset.TwitterLike, 600, Config{Seed: 92, Workers: 8})
-	for qi := 0; qi < 5; qi++ {
-		q := f1.ds.Objects[(qi*113+7)%f1.ds.Len()]
-		a := f1.idx.Search(&q, 10, 0.5, nil)
-		b := f8.idx.Search(&q, 10, 0.5, nil)
-		sameResults(t, "workers", a, b)
+// sameBuild fails unless a and b are the same index structurally: what
+// Build decided (storage order, assignments, centroids, radii, PCA axes,
+// anchors, every cluster's array, router weights), not merely what a
+// search over it returns — any correct index returns the exact answer.
+func sameBuild(t *testing.T, ctx string, a, b *Index) {
+	t.Helper()
+	eq := func(what string, x, y any) {
+		t.Helper()
+		if !reflect.DeepEqual(x, y) {
+			t.Fatalf("%s: %s differs", ctx, what)
+		}
 	}
-	if err := f8.idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	ids := func(x *Index) []uint32 {
+		out := make([]uint32, len(x.objects))
+		for i := range x.objects {
+			out[i] = x.objects[i].ID
+		}
+		return out
+	}
+	eq("storage order", ids(a), ids(b))
+	eq("vector arena", a.vecArena, b.vecArena)
+	eq("projection arena", a.projArena, b.projArena)
+	eq("spatial assignments", a.sAssign, b.sAssign)
+	eq("semantic assignments", a.tAssign, b.tAssign)
+	eq("spatial centroids x", a.sCentX, b.sCentX)
+	eq("spatial centroids y", a.sCentY, b.sCentY)
+	eq("spatial radii", a.sRad, b.sRad)
+	eq("semantic centroids", a.tCent, b.tCent)
+	eq("projected centroids", a.tCentProj, b.tCentProj)
+	eq("semantic radii", a.tRad, b.tRad)
+	eq("projected radii", a.tRadProj, b.tRadProj)
+	eq("valid flags", a.tValid, b.tValid)
+	eq("spatial member lists", a.sMembers, b.sMembers)
+	eq("semantic member lists", a.tMembers, b.tMembers)
+	eq("PCA mean", a.pcaModel.Mean, b.pcaModel.Mean)
+	eq("PCA components", a.pcaModel.Components, b.pcaModel.Components)
+	eq("projected normalizer", a.space.DtProjMax, b.space.DtProjMax)
+	eq("anchor points", a.anchors.set.pts, b.anchors.set.pts)
+	eq("anchor ids", a.anchors.id, b.anchors.id)
+	eq("anchor distances", a.anchors.dist, b.anchors.dist)
+	eq("router", a.router, b.router)
+	if len(a.clusters) != len(b.clusters) {
+		t.Fatalf("%s: %d clusters vs %d", ctx, len(a.clusters), len(b.clusters))
+	}
+	for i, ca := range a.clusters {
+		cb := b.clusters[i]
+		if ca.s != cb.s || ca.t != cb.t || ca.base != cb.base ||
+			!reflect.DeepEqual(ca.elems, cb.elems) || !reflect.DeepEqual(ca.members, cb.members) {
+			t.Fatalf("%s: cluster %d (%d,%d) differs from (%d,%d)", ctx, i, ca.s, ca.t, cb.s, cb.t)
+		}
+	}
+}
+
+// The Workers knob must not change the built index: a single-threaded
+// build and builds on 2, 3 and 8 workers are the same index, and every
+// search over them does the same work.
+func TestWorkersDoNotChangeResults(t *testing.T) {
+	for _, kind := range []dataset.Kind{dataset.TwitterLike, dataset.YelpLike} {
+		f1 := build(t, kind, 1500, Config{Seed: 92, Workers: 1})
+		for _, workers := range []int{2, 3, 8} {
+			fw := build(t, kind, 1500, Config{Seed: 92, Workers: workers})
+			ctx := fmt.Sprintf("%v workers=%d", kind, workers)
+			sameBuild(t, ctx, f1.idx, fw.idx)
+			for qi := 0; qi < 5; qi++ {
+				q := f1.ds.Objects[(qi*113+7)%f1.ds.Len()]
+				var sa, sb metric.Stats
+				a := f1.idx.Search(&q, 10, 0.5, &sa)
+				b := fw.idx.Search(&q, 10, 0.5, &sb)
+				sameResults(t, ctx, a, b)
+				if sa != sb {
+					t.Fatalf("%s: query %d counters %+v vs %+v", ctx, qi, sa, sb)
+				}
+				a = f1.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Approx: true, Route: true}, &sa)
+				b = fw.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Approx: true, Route: true}, &sb)
+				sameResults(t, ctx+" routed", a, b)
+				if sa != sb {
+					t.Fatalf("%s: routed query %d counters %+v vs %+v", ctx, qi, sa, sb)
+				}
+			}
+			if err := fw.idx.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

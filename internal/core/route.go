@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/knn"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/route"
 )
 
@@ -118,81 +118,95 @@ func (x *Index) trainRouter() *route.Model {
 	}
 	// Deterministic sample of live objects, keyed by the build seed
 	// (same discipline as sampleRows) and drawn in ID order, so the
-	// model depends on the data and not on the storage order.
-	liveIdx := make([]uint32, 0, x.live)
+	// model depends on the data and not on the storage order. IDs are
+	// unique among live objects, so sorting (ID, position) words orders
+	// by ID.
+	byID := make([]uint64, 0, x.live)
 	for i := range x.objects {
 		if !x.deleted.get(uint32(i)) {
-			liveIdx = append(liveIdx, uint32(i))
+			byID = append(byID, uint64(x.objects[i].ID)<<32|uint64(i))
 		}
 	}
-	slices.SortFunc(liveIdx, func(a, b uint32) int {
-		return cmp.Compare(x.objects[a].ID, x.objects[b].ID)
-	})
-	stride := len(liveIdx) / nq
+	slices.Sort(byID)
+	stride := len(byID) / nq
 	if stride < 1 {
 		stride = 1
 	}
-	start := int(x.cfg.Seed % uint64(stride))
+	picks := make([]uint32, 0, nq)
+	for i := int(x.cfg.Seed % uint64(stride)); i < len(byID) && len(picks) < nq; i += stride {
+		picks = append(picks, uint32(byID[i]))
+	}
 
 	lazy := x.lazyOrderable()
 	invN := 1.0 / float64(x.live)
-	var rows [][]float64
-	var labels []bool
-	pos := make(map[*hybrid]bool, routeTrainK)
-	results := make([]knn.Result, 0, routeTrainK)
+	negStride := (len(x.clusters) + routeNegPerQuery - 1) / routeNegPerQuery
+	// Every query labels into its own block of one feature slab (at most
+	// routeTrainK positive clusters and routeNegPerQuery kept negatives),
+	// so the queries run in parallel and the training set — the blocks in
+	// query order — does not depend on the worker count.
+	const blockRows = routeTrainK + routeNegPerQuery
+	feats := make([]float64, len(picks)*blockRows*routeFeatureCount)
+	blockLabels := make([]bool, len(picks)*blockRows)
+	blockLen := make([]int, len(picks))
+	par.For(len(picks), x.cfg.Workers, func(lo, hi int) {
+		pos := make(map[*hybrid]bool, routeTrainK)
+		results := make([]knn.Result, 0, routeTrainK)
+		sc := x.getScratch()
+		defer x.putScratch(sc)
+		for qi := lo; qi < hi; qi++ {
+			o := &x.objects[picks[qi]]
+			q := dataset.Object{X: o.X, Y: o.Y, Vec: o.Vec}
+			lambda := routeTrainLambdas[qi%len(routeTrainLambdas)]
 
-	sc := x.getScratch()
-	defer x.putScratch(sc)
-	qi := 0
-	for i := start; i < len(liveIdx) && qi < nq; i += stride {
-		o := &x.objects[liveIdx[i]]
-		q := dataset.Object{X: o.X, Y: o.Y, Vec: o.Vec}
-		lambda := routeTrainLambdas[qi%len(routeTrainLambdas)]
-		qi++
-
-		// Exact answer → positive clusters. The query is a stored
-		// object, so its own cluster is always positive (distance 0).
-		results = x.SearchOptionsInto(results[:0], &q, routeTrainK, lambda, SearchOptions{}, nil)
-		clear(pos)
-		for _, r := range results {
-			idx, ok := x.idToIdx[r.ID]
-			if !ok {
-				continue
-			}
-			if c := x.grid[x.cell(x.sAssign[idx], x.tAssign[idx])]; c != nil {
-				pos[c] = true
-			}
-		}
-		if len(pos) == 0 {
-			continue
-		}
-
-		// Feature rows from the same bound fills the queries use.
-		x.fillSpatialCentroidDists(sc, &q)
-		if lazy {
-			x.fillProjLowerBounds(sc, &q)
-		} else {
-			x.fillSemanticCentroidDists(sc, &q)
-		}
-		negStride := (len(x.clusters) + routeNegPerQuery - 1) / routeNegPerQuery
-		if negStride < 1 {
-			negStride = 1
-		}
-		negSeen := 0
-		for _, c := range x.clusters {
-			label := pos[c]
-			if !label {
-				negSeen++
-				if negSeen%negStride != 0 {
+			// Exact answer → positive clusters. The query is a stored
+			// object, so its own cluster is always positive (distance 0).
+			results = x.SearchOptionsInto(results[:0], &q, routeTrainK, lambda, SearchOptions{}, nil)
+			clear(pos)
+			for _, r := range results {
+				idx, ok := x.idToIdx[r.ID]
+				if !ok {
 					continue
 				}
+				if c := x.grid[x.cell(x.sAssign[idx], x.tAssign[idx])]; c != nil {
+					pos[c] = true
+				}
 			}
-			dtEst := sc.routeDtEst(lazy, c.t)
-			lb := lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], dtEst, x.tRad[c.t])
-			f := make([]float64, routeFeatureCount)
-			routeFeats(f, lambda, sc.dsq[c.s], x.sRad[c.s], dtEst, x.tRad[c.t], lb, float64(len(c.elems))*invN)
-			rows = append(rows, f)
-			labels = append(labels, label)
+			if len(pos) == 0 {
+				continue
+			}
+
+			// Feature rows from the same bound fills the queries use.
+			x.fillSpatialCentroidDists(sc, &q)
+			if lazy {
+				x.fillProjLowerBounds(sc, &q)
+			} else {
+				x.fillSemanticCentroidDists(sc, &q)
+			}
+			row, negSeen := qi*blockRows, 0
+			for _, c := range x.clusters {
+				label := pos[c]
+				if !label {
+					negSeen++
+					if negSeen%negStride != 0 {
+						continue
+					}
+				}
+				dtEst := sc.routeDtEst(lazy, c.t)
+				lb := lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], dtEst, x.tRad[c.t])
+				f := feats[row*routeFeatureCount : (row+1)*routeFeatureCount : (row+1)*routeFeatureCount]
+				routeFeats(f, lambda, sc.dsq[c.s], x.sRad[c.s], dtEst, x.tRad[c.t], lb, float64(len(c.elems))*invN)
+				blockLabels[row] = label
+				row++
+			}
+			blockLen[qi] = row - qi*blockRows
+		}
+	})
+	rows := make([][]float64, 0, len(blockLabels))
+	labels := make([]bool, 0, len(blockLabels))
+	for qi, n := range blockLen {
+		for row := qi * blockRows; row < qi*blockRows+n; row++ {
+			rows = append(rows, feats[row*routeFeatureCount:(row+1)*routeFeatureCount])
+			labels = append(labels, blockLabels[row])
 		}
 	}
 	m, err := route.Train(rows, labels, route.TrainConfig{})

@@ -7,10 +7,12 @@
 package keyword
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/text"
 )
 
@@ -133,25 +135,80 @@ func (f *Filter) Clone() *Filter {
 	return &Filter{buckets: append([]*bucket(nil), f.buckets...)}
 }
 
-// Build tokenizes every (id, text) pair and constructs the postings.
-// Tokens are normalized exactly like query keywords (lower-cased,
-// stop-words dropped).
-func Build(ids []uint32, texts []string) *Filter {
-	postings := make(map[string][]uint32)
-	for i, id := range ids {
-		seen := map[string]struct{}{}
-		for _, tok := range text.Tokenize(texts[i]) {
-			if _, dup := seen[tok]; dup {
-				continue
+// buildChunkDocs is how many documents one tokenising task of Build
+// takes. The chunking is fixed, not derived from the worker count, so the
+// merge sees the same chunks in the same order however many goroutines
+// filled them.
+const buildChunkDocs = 8192
+
+// Build tokenizes every (id, text) pair and constructs the postings, on
+// up to workers goroutines (0 = GOMAXPROCS). Tokens are normalized
+// exactly like query keywords (lower-cased, stop-words dropped). Each
+// chunk of documents collects its own term → ids lists in document
+// order; concatenating a term's lists in chunk order gives the list one
+// pass over all documents would, so the filter does not depend on the
+// worker count.
+func Build(ids []uint32, texts []string, workers int) *Filter {
+	// chunkList is one term's ids within a chunk; doc is the last document
+	// position that added to it, which drops a token repeated in a text.
+	type chunkList struct {
+		ids []uint32
+		doc int
+	}
+	chunks := make([]map[string]*chunkList, (len(ids)+buildChunkDocs-1)/buildChunkDocs)
+	par.For(len(chunks), workers, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			lists := make(map[string]*chunkList)
+			for i := c * buildChunkDocs; i < min((c+1)*buildChunkDocs, len(ids)); i++ {
+				for _, tok := range text.Tokenize(texts[i]) {
+					l := lists[tok]
+					if l == nil {
+						l = &chunkList{doc: -1}
+						lists[tok] = l
+					}
+					if l.doc != i {
+						l.doc = i
+						l.ids = append(l.ids, ids[i])
+					}
+				}
 			}
-			seen[tok] = struct{}{}
-			postings[tok] = append(postings[tok], id)
+			chunks[c] = lists
+		}
+	})
+	// Size every term's list, then fill it chunk after chunk.
+	slot := make(map[string]int)
+	var terms []string
+	var sizes []int
+	for _, lists := range chunks {
+		for tok, l := range lists {
+			t, ok := slot[tok]
+			if !ok {
+				t = len(terms)
+				slot[tok] = t
+				terms = append(terms, tok)
+				sizes = append(sizes, 0)
+			}
+			sizes[t] += len(l.ids)
 		}
 	}
+	postings := make([][]uint32, len(terms))
+	for t, n := range sizes {
+		postings[t] = make([]uint32, 0, n)
+	}
+	for _, lists := range chunks {
+		for tok, l := range lists {
+			t := slot[tok]
+			postings[t] = append(postings[t], l.ids...)
+		}
+	}
+	par.For(len(postings), workers, func(lo, hi int) {
+		for _, list := range postings[lo:hi] {
+			slices.Sort(list)
+		}
+	})
 	f := &Filter{buckets: make([]*bucket, numBuckets)}
-	for tok, list := range postings {
-		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-		f.setPostings(tok, list)
+	for t, tok := range terms {
+		f.setPostings(tok, postings[t])
 	}
 	return f
 }

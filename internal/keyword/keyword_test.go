@@ -1,7 +1,13 @@
 package keyword
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/text"
 )
 
 func buildTestFilter() *Filter {
@@ -12,7 +18,7 @@ func buildTestFilter() *Filter {
 		"pizza place with great view",
 		"coffee coffee coffee", // duplicates collapse
 	}
-	return Build(ids, texts)
+	return Build(ids, texts, 0)
 }
 
 func TestCandidatesSingleKeyword(t *testing.T) {
@@ -111,7 +117,7 @@ func TestAddRemove(t *testing.T) {
 }
 
 func TestAddKeepsSorted(t *testing.T) {
-	f := Build([]uint32{5}, []string{"alpha beta"})
+	f := Build([]uint32{5}, []string{"alpha beta"}, 0)
 	f.Add(2, "alpha")
 	f.Add(9, "alpha")
 	ids, _ := f.Candidates([]string{"alpha"})
@@ -163,5 +169,80 @@ func TestCloneIsolatesBothSides(t *testing.T) {
 				t.Fatalf("Candidates(%q) = %v, want %v", tc.term, got, tc.want)
 			}
 		}
+	}
+}
+
+// buildOnePass is the reference Build is checked against: one pass over
+// the documents, one posting map, a fresh seen-set per text.
+func buildOnePass(ids []uint32, texts []string) *Filter {
+	postings := make(map[string][]uint32)
+	for i, id := range ids {
+		seen := map[string]struct{}{}
+		for _, tok := range text.Tokenize(texts[i]) {
+			if _, dup := seen[tok]; dup {
+				continue
+			}
+			seen[tok] = struct{}{}
+			postings[tok] = append(postings[tok], id)
+		}
+	}
+	f := &Filter{buckets: make([]*bucket, numBuckets)}
+	for tok, list := range postings {
+		slices.Sort(list)
+		f.setPostings(tok, list)
+	}
+	return f
+}
+
+// TestKeywordBuildChunkedMatchesOnePass: the chunked parallel Build
+// leaves the same directory — bucket for bucket, entry for entry, id for
+// id — as the one-pass reference, at every worker count, over a corpus
+// that spans several chunks and carries duplicate ids, empty texts,
+// stop-word-only texts and tokens repeated within a text.
+func TestKeywordBuildChunkedMatchesOnePass(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 4))
+	n := 3*buildChunkDocs + 17
+	ids := make([]uint32, n)
+	texts := make([]string, n)
+	for i := range ids {
+		ids[i] = uint32(rng.IntN(n / 2)) // about half the ids occur twice or more
+		switch rng.IntN(8) {
+		case 0:
+			texts[i] = ""
+		case 1:
+			texts[i] = "the and of a"
+		default:
+			var words []string
+			for w := 0; w < 1+rng.IntN(6); w++ {
+				words = append(words, fmt.Sprintf("w%d", rng.IntN(300)))
+			}
+			words = append(words, words[0], "The")
+			texts[i] = strings.Join(words, " ")
+		}
+	}
+	want := buildOnePass(ids, texts)
+	for _, workers := range []int{1, 2, 3, 8} {
+		got := Build(ids, texts, workers)
+		for b := range want.buckets {
+			wb, gb := want.buckets[b], got.buckets[b]
+			if (wb == nil) != (gb == nil) {
+				t.Fatalf("workers %d: bucket %d nil-ness differs", workers, b)
+			}
+			if wb == nil {
+				continue
+			}
+			if len(wb.entries) != len(gb.entries) {
+				t.Fatalf("workers %d: bucket %d holds %d entries, want %d", workers, b, len(gb.entries), len(wb.entries))
+			}
+			for e := range wb.entries {
+				if wb.entries[e].term != gb.entries[e].term || !slices.Equal(wb.entries[e].ids, gb.entries[e].ids) {
+					t.Fatalf("workers %d: bucket %d entry %d = %q %v, want %q %v", workers, b, e,
+						gb.entries[e].term, gb.entries[e].ids, wb.entries[e].term, wb.entries[e].ids)
+				}
+			}
+		}
+	}
+	if got := Build(nil, nil, 0); len(got.buckets) != numBuckets {
+		t.Fatalf("empty Build: %d buckets", len(got.buckets))
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"runtime"
-	"sync"
 
 	"repro/internal/vec"
 )
@@ -41,6 +39,9 @@ type Config struct {
 	Tol float64
 	// Seed drives the k-means++ seeding deterministically.
 	Seed uint64
+	// Workers bounds the goroutines of the assignment step (0 =
+	// GOMAXPROCS). The result does not depend on it.
+	Workers int
 }
 
 func (c *Config) applyDefaults() {
@@ -81,7 +82,7 @@ func Fit(points [][]float32, cfg Config) (*Result, error) {
 	}
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		res.Iters = iter + 1
-		changed := parallelAssign(points, centroids, assign)
+		changed := parallelAssign(points, centroids, assign, cfg.Workers)
 		// Recompute centroids.
 		for i := range counts {
 			counts[i] = 0
@@ -121,7 +122,7 @@ func Fit(points [][]float32, cfg Config) (*Result, error) {
 		}
 	}
 	// Final assignment against the final centroids.
-	parallelAssign(points, centroids, assign)
+	parallelAssign(points, centroids, assign, cfg.Workers)
 	return res, nil
 }
 
@@ -179,56 +180,14 @@ func farthestPoint(points [][]float32, centroids [][]float32, assign []int) int 
 	return best
 }
 
-// parallelAssign writes the nearest-centroid index of every point into
-// assign and reports whether any assignment changed.
-func parallelAssign(points [][]float32, centroids [][]float32, assign []int) bool {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(points) {
-		workers = len(points)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (len(points) + workers - 1) / workers
-	changedCh := make([]bool, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(points) {
-			hi = len(points)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				c, _ := vec.ArgNearest(points[i], centroids)
-				if c != assign[i] {
-					assign[i] = c
-					changedCh[w] = true
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, c := range changedCh {
-		if c {
-			return true
-		}
-	}
-	return false
-}
-
-// AssignAll maps every point to its nearest centroid (one pass, parallel).
-func AssignAll(points [][]float32, centroids [][]float32) []int {
+// AssignAll maps every point to its nearest centroid (one pass, on up to
+// workers goroutines; 0 = GOMAXPROCS).
+func AssignAll(points [][]float32, centroids [][]float32, workers int) []int {
 	assign := make([]int, len(points))
 	for i := range assign {
 		assign[i] = -1
 	}
-	parallelAssign(points, centroids, assign)
+	parallelAssign(points, centroids, assign, workers)
 	return assign
 }
 
@@ -264,7 +223,7 @@ func SampleFit(points [][]float32, fraction float64, cfg Config) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	res.Assign = AssignAll(points, res.Centroids)
+	res.Assign = AssignAll(points, res.Centroids, cfg.Workers)
 	return res, nil
 }
 

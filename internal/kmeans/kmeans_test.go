@@ -205,7 +205,7 @@ func TestDiameters(t *testing.T) {
 func TestAssignAll(t *testing.T) {
 	cents := [][]float32{{0, 0}, {10, 10}}
 	pts := [][]float32{{1, 1}, {9, 9}, {0, 0}}
-	got := AssignAll(pts, cents)
+	got := AssignAll(pts, cents, 0)
 	want := []int{0, 1, 0}
 	for i := range want {
 		if got[i] != want[i] {

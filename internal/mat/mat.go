@@ -4,15 +4,21 @@
 // Halko, Martinsson and Tropp that the paper uses (via scikit-learn) for
 // projecting word embeddings.
 //
-// Matrices are small here (the covariance of 100-dimensional embeddings,
-// sketches with a handful of columns), so clarity is preferred over
-// blocking or SIMD tricks.
+// The products are the only part sized by the data: the randomized
+// sketch multiplies the sampled rows (thousands × n) by a handful of
+// columns some ten times per fit. Mul and MulTA split their output rows
+// across workers; every output element is still one accumulator summed
+// in ascending inner index, so the result has the same bits at any
+// worker count. The rest (QR, Jacobi) works on the narrow sketch and the
+// n×n covariance, where clarity is preferred over blocking.
 package mat
 
 import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+
+	"repro/internal/par"
 )
 
 // Dense is a row-major dense matrix of float64 values.
@@ -73,25 +79,54 @@ func (m *Dense) T() *Dense {
 	return out
 }
 
-// Mul returns the matrix product a*b.
-func Mul(a, b *Dense) *Dense {
+// Mul returns the matrix product a*b, its rows computed on up to workers
+// goroutines (0 = GOMAXPROCS).
+func Mul(a, b *Dense, workers int) *Dense {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for kk, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(kk)
-			for j, bv := range brow {
-				orow[j] += av * bv
+	par.For(a.Rows, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			orow := out.Row(i)
+			for kk, av := range arow {
+				if av == 0 {
+					continue
+				}
+				brow := b.Row(kk)
+				for j, bv := range brow {
+					orow[j] += float64(av * bv)
+				}
 			}
 		}
+	})
+	return out
+}
+
+// MulTA returns aᵀ*b without materialising the transpose: bit for bit
+// Mul(a.T(), b). Output row j (column j of a) is one worker's; it walks
+// the rows of a and b in step, so element (j,c) accumulates a[i][j]*b[i][c]
+// in ascending i, skipping the zeros of a — Mul's order over a.T().
+func MulTA(a, b *Dense, workers int) *Dense {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("mat: MulTA shape mismatch (%dx%d)ᵀ * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
+	out := NewDense(a.Cols, b.Cols)
+	par.For(a.Cols, workers, func(lo, hi int) {
+		for i := 0; i < a.Rows; i++ {
+			brow := b.Row(i)
+			for j, av := range a.Row(i)[lo:hi] {
+				if av == 0 {
+					continue
+				}
+				orow := out.Row(lo + j)
+				for c, bv := range brow {
+					orow[c] += float64(av * bv)
+				}
+			}
+		}
+	})
 	return out
 }
 
@@ -295,8 +330,10 @@ type SVDResult struct {
 // Halko et al. (2011): sketch the range of a with a Gaussian test matrix,
 // run nIter power iterations with QR re-orthonormalization, then solve the
 // small projected problem exactly. oversample extra sketch columns (e.g. 7)
-// improve accuracy; rng drives the Gaussian draw deterministically.
-func RandomizedSVD(a *Dense, k, oversample, nIter int, rng *rand.Rand) SVDResult {
+// improve accuracy; rng drives the Gaussian draw deterministically. The
+// products run on up to workers goroutines (0 = GOMAXPROCS) and do not
+// depend on the number.
+func RandomizedSVD(a *Dense, k, oversample, nIter int, rng *rand.Rand, workers int) SVDResult {
 	if k <= 0 {
 		panic("mat: RandomizedSVD requires k >= 1")
 	}
@@ -310,20 +347,19 @@ func RandomizedSVD(a *Dense, k, oversample, nIter int, rng *rand.Rand) SVDResult
 	if k > l {
 		k = l
 	}
-	at := a.T()
 	// Range finder: Y = A * Omega, orthonormalized.
 	omega := Gaussian(rng, a.Cols, l)
-	y := Mul(a, omega)
+	y := Mul(a, omega, workers)
 	q, _ := QR(y)
 	for it := 0; it < nIter; it++ {
-		z := Mul(at, q)
+		z := MulTA(a, q, workers)
 		qz, _ := QR(z)
-		y = Mul(a, qz)
+		y = Mul(a, qz, workers)
 		q, _ = QR(y)
 	}
 	// B = Q^T A is l×Cols; take the eigendecomposition of B*B^T (l×l).
-	b := Mul(q.T(), a)
-	bbt := Mul(b, b.T())
+	b := MulTA(q, a, workers)
+	bbt := Mul(b, b.T(), workers)
 	vals, w := JacobiEigen(bbt)
 	s := make([]float64, k)
 	for i := 0; i < k; i++ {
@@ -338,9 +374,9 @@ func RandomizedSVD(a *Dense, k, oversample, nIter int, rng *rand.Rand) SVDResult
 			wk.Set(i, j, w.At(i, j))
 		}
 	}
-	u := Mul(q, wk)
+	u := Mul(q, wk, workers)
 	// V = B^T * W * diag(1/s)
-	v := Mul(b.T(), wk)
+	v := MulTA(b, wk, workers)
 	for j := 0; j < k; j++ {
 		if s[j] == 0 {
 			continue

@@ -10,7 +10,7 @@ import (
 func TestMul(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := Mul(a, b)
+	c := Mul(a, b, 1)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -27,7 +27,7 @@ func TestMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	Mul(NewDense(2, 3), NewDense(2, 3))
+	Mul(NewDense(2, 3), NewDense(2, 3), 1)
 }
 
 func TestTranspose(t *testing.T) {
@@ -76,7 +76,7 @@ func TestQRReconstruction(t *testing.T) {
 		if !isOrthonormalCols(q, 1e-9) {
 			t.Fatalf("Q not orthonormal for shape %v", shape)
 		}
-		if d := FrobeniusDiff(Mul(q, r), a); d > 1e-9 {
+		if d := FrobeniusDiff(Mul(q, r, 1), a); d > 1e-9 {
 			t.Fatalf("QR reconstruction error %v for shape %v", d, shape)
 		}
 		// R upper-triangular.
@@ -94,7 +94,7 @@ func TestQRRankDeficient(t *testing.T) {
 	// A matrix with a zero column must not produce NaNs.
 	a := FromRows([][]float64{{1, 0, 2}, {2, 0, 4}, {3, 0, 5}})
 	q, r := QR(a)
-	prod := Mul(q, r)
+	prod := Mul(q, r, 1)
 	if d := FrobeniusDiff(prod, a); d > 1e-9 {
 		t.Fatalf("rank-deficient QR reconstruction error %v", d)
 	}
@@ -121,14 +121,14 @@ func TestJacobiEigenReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	for _, n := range []int{1, 2, 5, 12, 30} {
 		g := Gaussian(rng, n, n)
-		s := Mul(g, g.T()) // symmetric PSD
+		s := Mul(g, g.T(), 1) // symmetric PSD
 		vals, v := JacobiEigen(s)
 		// Reconstruct v * diag(vals) * v^T.
 		d := NewDense(n, n)
 		for i := 0; i < n; i++ {
 			d.Set(i, i, vals[i])
 		}
-		rec := Mul(Mul(v, d), v.T())
+		rec := Mul(Mul(v, d, 1), v.T(), 1)
 		if diff := FrobeniusDiff(rec, s); diff > 1e-7*(1+FrobeniusDiff(s, NewDense(n, n))) {
 			t.Fatalf("n=%d reconstruction error %v", n, diff)
 		}
@@ -145,13 +145,13 @@ func TestRandomizedSVDLowRank(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	u := Gaussian(rng, 40, 3)
 	v := Gaussian(rng, 25, 3)
-	a := Mul(u, v.T())
-	res := RandomizedSVD(a, 3, 5, 2, rng)
+	a := Mul(u, v.T(), 1)
+	res := RandomizedSVD(a, 3, 5, 2, rng, 0)
 	d := NewDense(3, 3)
 	for i := 0; i < 3; i++ {
 		d.Set(i, i, res.S[i])
 	}
-	rec := Mul(Mul(res.U, d), res.V.T())
+	rec := Mul(Mul(res.U, d, 1), res.V.T(), 1)
 	if diff := FrobeniusDiff(rec, a); diff > 1e-6 {
 		t.Fatalf("rank-3 reconstruction error %v", diff)
 	}
@@ -170,8 +170,8 @@ func TestRandomizedSVDMatchesJacobiOnCovariance(t *testing.T) {
 	// eigenvalues of A^T A.
 	rng := rand.New(rand.NewPCG(11, 13))
 	a := Gaussian(rng, 60, 12)
-	res := RandomizedSVD(a, 4, 8, 4, rng)
-	ata := Mul(a.T(), a)
+	res := RandomizedSVD(a, 4, 8, 4, rng, 0)
+	ata := Mul(a.T(), a, 1)
 	vals, _ := JacobiEigen(ata)
 	for i := 0; i < 4; i++ {
 		want := math.Sqrt(vals[i])
@@ -184,7 +184,7 @@ func TestRandomizedSVDMatchesJacobiOnCovariance(t *testing.T) {
 func TestRandomizedSVDClampsRank(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 4))
 	a := Gaussian(rng, 5, 3)
-	res := RandomizedSVD(a, 10, 5, 1, rng) // k larger than min dim
+	res := RandomizedSVD(a, 10, 5, 1, rng, 0) // k larger than min dim
 	if len(res.S) > 3 {
 		t.Fatalf("rank not clamped: %d singular values", len(res.S))
 	}
@@ -197,11 +197,67 @@ func TestMulTransposeProperty(t *testing.T) {
 		m, k, n := 1+r.IntN(8), 1+r.IntN(8), 1+r.IntN(8)
 		a := Gaussian(r, m, k)
 		b := Gaussian(r, k, n)
-		left := Mul(a, b).T()
-		right := Mul(b.T(), a.T())
+		left := Mul(a, b, 1).T()
+		right := Mul(b.T(), a.T(), 1)
 		return FrobeniusDiff(left, right) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mulSerial is the product the sketch was first written against: one
+// goroutine, rows of a outermost, zeros of a skipped. The row-parallel
+// Mul and the transpose-free MulTA must reproduce it bit for bit.
+func mulSerial(a, b *Dense) *Dense {
+	out := NewDense(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for kk, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Row(kk) {
+				out.Data[i*out.Cols+j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+func sameBits(t *testing.T, ctx string, got, want *Dense) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", ctx, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: element %d = %v, want %v", ctx, i, got.Data[i], v)
+		}
+	}
+}
+
+// TestMulParallelBitIdentical runs the sketch's own shapes (a 6000×100
+// sample against a 9-column sketch, both ways round) and a few ragged
+// ones at 1–5 workers. Some entries are exact zeros, so the skip is
+// exercised.
+func TestMulParallelBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 3))
+	sparse := func(rows, cols int) *Dense {
+		m := Gaussian(rng, rows, cols)
+		for i := range m.Data {
+			if rng.IntN(16) == 0 {
+				m.Data[i] = 0
+			}
+		}
+		return m
+	}
+	for _, sh := range [][3]int{{6000, 100, 9}, {100, 6000, 9}, {9, 6000, 100}, {1, 1, 1}, {3, 7, 5}, {5, 2, 1}} {
+		a, b := sparse(sh[0], sh[1]), sparse(sh[1], sh[2])
+		want := mulSerial(a, b)
+		at := a.T()
+		for workers := 1; workers <= 5; workers++ {
+			sameBits(t, "Mul", Mul(a, b, workers), want)
+			sameBits(t, "MulTA", MulTA(at, b, workers), want)
+		}
 	}
 }

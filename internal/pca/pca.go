@@ -55,6 +55,9 @@ type Config struct {
 	Oversample, PowerIters int
 	// Seed drives the randomized path deterministically.
 	Seed uint64
+	// Workers bounds the goroutines of the randomized path's matrix
+	// products (0 = GOMAXPROCS). The model does not depend on it.
+	Workers int
 }
 
 // Fit computes a PCA model of the given rows (each a length-n vector).
@@ -112,7 +115,7 @@ func Fit(rows [][]float32, cfg Config) (*Model, error) {
 		}
 		model.TotalVariance = total / float64(len(rows))
 		rng := rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15))
-		res := mat.RandomizedSVD(x, m, cfg.Oversample, cfg.PowerIters, rng)
+		res := mat.RandomizedSVD(x, m, cfg.Oversample, cfg.PowerIters, rng, cfg.Workers)
 		comp := mat.NewDense(m, n)
 		model.ExplainedVariance = make([]float64, m)
 		for i := 0; i < m; i++ {

@@ -201,20 +201,29 @@ func Train(rows [][]float64, labels []bool, cfg TrainConfig) (*Model, error) {
 		}
 	}
 
+	// Standardize every row once: the values do not depend on the weights,
+	// so each epoch would recompute the same n·d products.
+	zs := make([]float64, len(rows)*d)
+	for i, r := range rows {
+		z := zs[i*d : (i+1)*d]
+		for j, v := range r {
+			z[j] = (v - m.Mean[j]) * m.Scale[j]
+		}
+	}
+
 	// Full-batch gradient descent on the weighted logistic loss.
 	grad := make([]float64, d)
-	z := make([]float64, d)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.LearnRate / (1 + 0.02*float64(epoch))
 		for j := range grad {
 			grad[j] = 0
 		}
 		gradB := 0.0
-		for i, r := range rows {
+		for i := range rows {
+			z := zs[i*d : (i+1)*d]
 			s := m.Bias
-			for j, v := range r {
-				z[j] = (v - m.Mean[j]) * m.Scale[j]
-				s += m.W[j] * z[j]
+			for j, zj := range z {
+				s += m.W[j] * zj
 			}
 			// err = σ(s) − y, scaled by the class weight.
 			e := sigmoid(s)
@@ -224,8 +233,8 @@ func Train(rows [][]float64, labels []bool, cfg TrainConfig) (*Model, error) {
 				w = cfg.PosWeight
 			}
 			e *= w
-			for j := range z {
-				grad[j] += e * z[j]
+			for j, zj := range z {
+				grad[j] += e * zj
 			}
 			gradB += e
 		}

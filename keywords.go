@@ -23,7 +23,7 @@ func (x *Index) EnableKeywordFilter() {
 		ids = append(ids, o.ID)
 		texts = append(texts, o.Text)
 	})
-	x.kw = keyword.Build(ids, texts)
+	x.kw = keyword.Build(ids, texts, x.core.Config().Workers)
 }
 
 // KeywordFilterEnabled reports whether SearchWithKeywords is available.

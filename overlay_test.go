@@ -452,7 +452,7 @@ func TestOverlayKeywordFilterTwin(t *testing.T) {
 		for i, id := range ids {
 			texts[i] = live[id]
 		}
-		want := keyword.Build(ids, texts)
+		want := keyword.Build(ids, texts, 0)
 		for term := range terms {
 			w, _ := want.Candidates([]string{term})
 			got, ok := snap.kw.Candidates([]string{term})
