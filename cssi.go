@@ -94,9 +94,12 @@ func GenerateDataset(cfg DatasetConfig) (*Dataset, error) {
 // derived from the dataset size.
 type Options struct {
 	// Ks and Kt fix the spatial/semantic cluster counts; zero derives
-	// them from the dataset size and F (§7.1).
+	// them at every build — Build, each BuildSharded shard, Rebuild —
+	// from the objects that build indexes and F (§7.1; the calibration
+	// is DESIGN §3's).
 	Ks, Kt int
-	// F is the cluster-count multiplier f (default 0.3).
+	// F is the cluster-count multiplier f (default 0.3); it scales
+	// derived counts only.
 	F float64
 	// M is the PCA projection dimensionality (default 2).
 	M int

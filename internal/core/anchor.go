@@ -46,6 +46,13 @@ const (
 	// anchorSentinel is the id of a row without an anchor. Anchor ids
 	// stay below it, which caps the anchor count at 255.
 	anchorSentinel = 255
+	// anchorCount is how many anchors every set holds (fewer only when
+	// the fit sample has fewer rows), whatever the index's cluster
+	// counts: Build, Load, Rebuild and a BuildSharded shard alike. A
+	// query pays one distance per anchor; DESIGN §3's sweep has a coarse
+	// index losing most of its gate below ≈64 anchors, and latency flat
+	// from there while the kernel count keeps falling.
+	anchorCount = 96
 	// anchorSampleRows and anchorFitIters size the K-Means that places
 	// the anchors: tightness saturates early, a bigger fit buys nothing.
 	anchorSampleRows = 512
@@ -87,23 +94,20 @@ type anchorArena struct {
 	dist []float32
 }
 
-// FitAnchors places cfg.Kt (at most 255) anchors over ds for
-// BuildWithAnchors. It returns an empty set under a non-Euclidean
+// FitAnchors places the fixed number of anchors every index uses over
+// ds, seeded by cfg.Seed, for BuildWithAnchors; the cluster counts of
+// cfg play no part. It returns an empty set under a non-Euclidean
 // semantic metric.
 func FitAnchors(ds *dataset.Dataset, space *metric.Space, cfg Config) *Anchors {
-	cfg.applyDefaults(ds.Len())
-	return fitAnchors(ds.Len(), func(i int) []float32 { return ds.Objects[i].Vec }, space, cfg.Kt, cfg.Seed, cfg.Workers)
+	return fitAnchors(ds.Len(), func(i int) []float32 { return ds.Objects[i].Vec }, space, cfg.Seed, cfg.Workers)
 }
 
-// fitAnchors places min(k, 255) anchors with a small seeded K-Means (on up
-// to workers goroutines) over an evenly strided sample of the n rows.
-func fitAnchors(n int, row func(i int) []float32, space *metric.Space, k int, seed uint64, workers int) *Anchors {
+// fitAnchors places anchorCount anchors with a small seeded K-Means (on
+// up to workers goroutines) over an evenly strided sample of the n rows.
+func fitAnchors(n int, row func(i int) []float32, space *metric.Space, seed uint64, workers int) *Anchors {
 	a := &Anchors{}
-	if space.SemanticKind != metric.EuclideanSemantic || n == 0 || k < 1 {
+	if space.SemanticKind != metric.EuclideanSemantic || n == 0 {
 		return a
-	}
-	if k > anchorSentinel {
-		k = anchorSentinel
 	}
 	stride := n / anchorSampleRows
 	if stride < 1 {
@@ -113,9 +117,9 @@ func fitAnchors(n int, row func(i int) []float32, space *metric.Space, k int, se
 	for i := int(seed % uint64(stride)); i < n && len(sample) < anchorSampleRows; i += stride {
 		sample = append(sample, row(i))
 	}
-	res, err := kmeans.Fit(sample, kmeans.Config{K: k, MaxIters: anchorFitIters, Seed: seed + 2, Workers: workers})
+	res, err := kmeans.Fit(sample, kmeans.Config{K: anchorCount, MaxIters: anchorFitIters, Seed: seed + 2, Workers: workers})
 	if err != nil {
-		return a // unreachable: the sample is non-empty and k ≥ 1
+		return a // unreachable: the sample is non-empty
 	}
 	a.pts = res.Centroids
 	a.p = len(a.pts[0])
@@ -184,11 +188,11 @@ func (a *Anchors) assign(space *metric.Space, v []float32) (uint8, float32) {
 }
 
 // buildAnchors anchors every stored row. With a nil set it fits one over
-// this index's own rows first, as many as it has semantic clusters.
+// this index's own rows first.
 func (x *Index) buildAnchors(set *Anchors) *anchorArena {
 	n := len(x.objects)
 	if set == nil {
-		set = fitAnchors(n, func(i int) []float32 { return x.vecAt(uint32(i)) }, x.space, len(x.tCent), x.cfg.Seed, x.cfg.Workers)
+		set = fitAnchors(n, func(i int) []float32 { return x.vecAt(uint32(i)) }, x.space, x.cfg.Seed, x.cfg.Workers)
 	}
 	aa := &anchorArena{set: set, id: make([]uint8, n), dist: make([]float32, n)}
 	par.For(n, x.cfg.Workers, func(lo, hi int) {

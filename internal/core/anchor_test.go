@@ -242,7 +242,11 @@ func TestGateBitIdenticalAcrossStates(t *testing.T) {
 	}{
 		{"twitter", dataset.TwitterLike, metric.EuclideanSemantic, Config{Seed: 181}},
 		{"yelp", dataset.YelpLike, metric.EuclideanSemantic, Config{Seed: 182}},
-		{"twitter-angular", dataset.TwitterLike, metric.AngularSemantic, Config{Seed: 183}},
+		// Pinned counts: under the default ones the rebuilt index holds
+		// two objects at angular distance 0 in clusters of equal bound, and
+		// which CSSIA meets first at k = 1 is a tie neither the frontier nor
+		// the eager oracle orders.
+		{"twitter-angular", dataset.TwitterLike, metric.AngularSemantic, Config{Seed: 183, Ks: 7, Kt: 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds, err := dataset.Generate(dataset.GenConfig{Kind: tc.kind, Size: 500, Dim: 32, Seed: 57})
@@ -397,8 +401,8 @@ func TestBuildWithSharedAnchors(t *testing.T) {
 	}
 	cfg := Config{Seed: 186, Ks: 8, Kt: 8}
 	set := FitAnchors(ds, sp, cfg)
-	if len(set.pts) != 8 {
-		t.Fatalf("%d anchors, want Kt = 8", len(set.pts))
+	if len(set.pts) != anchorCount {
+		t.Fatalf("%d anchors, want %d whatever Kt", len(set.pts), anchorCount)
 	}
 	for part := 0; part < 2; part++ {
 		sub := &dataset.Dataset{Dim: ds.Dim}
@@ -415,6 +419,53 @@ func TestBuildWithSharedAnchors(t *testing.T) {
 		}
 		requireGateExact(t, "shared anchors", x)
 	}
+}
+
+// The anchor count is one constant, not a function of the cluster
+// counts: an explicit Kt = 8 build, a shard built over a set fitted on
+// the whole corpus (BuildSharded's shape), that shard saved and
+// reloaded (Load fits its own set) and a rebuilt index all carry it.
+func TestAnchorCountFixed(t *testing.T) {
+	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 1200, Dim: 32, Seed: 59})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(ctx string, x *Index) {
+		t.Helper()
+		if got := len(x.anchors.set.pts); got != anchorCount {
+			t.Fatalf("%s: %d anchors, want %d", ctx, got, anchorCount)
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+	}
+	flatSpace := *sp
+	flat, err := Build(ds, &flatSpace, Config{Seed: 188, Kt: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("Kt = 8", flat)
+
+	part := &dataset.Dataset{Dim: ds.Dim}
+	for i := 0; i < ds.Len(); i += 4 {
+		part.Objects = append(part.Objects, ds.Objects[i])
+	}
+	partSpace := *sp
+	shard, err := BuildWithAnchors(part, &partSpace, Config{Seed: 189}, FitAnchors(ds, sp, Config{Seed: 189}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("shard", shard)
+	want("loaded shard", saveLoad(t, shard))
+
+	if err := flat.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	want("rebuilt", flat)
 }
 
 // Readers keep every gated loop running on a published parent while a

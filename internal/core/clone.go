@@ -91,9 +91,9 @@ func (x *Index) ensureOwnedObjects() {
 // cowHybrid returns a hybrid cluster safe to mutate in place: c itself
 // outside COW mode (or when this clone already owns it), otherwise a
 // private copy spliced into the clone's cluster directory in c's stead.
-// The members slice is copied with one slot of headroom (the common
+// The two lists are copied with one slot of headroom (the common
 // mutation is a single insert); elems and the scan block are left shared
-// because every mutation rebuilds them from the members anyway.
+// because every mutation rebuilds them from the lists anyway.
 func (x *Index) cowHybrid(c *hybrid) *hybrid {
 	if x.cow == nil || x.cow.ownedHybrids[c] {
 		return c
@@ -102,6 +102,7 @@ func (x *Index) cowHybrid(c *hybrid) *hybrid {
 		s:        c.s,
 		t:        c.t,
 		members:  append(make([]member, 0, len(c.members)+1), c.members...),
+		byDt:     append(make([]uint32, 0, len(c.byDt)+1), c.byDt...),
 		elems:    c.elems,
 		base:     c.base,
 		gathered: c.gathered,

@@ -36,17 +36,18 @@ import (
 // Config controls index construction.
 type Config struct {
 	// Ks and Kt fix the number of spatial/semantic clusters. When zero
-	// they derive from the dataset size and F via the paper's rule
-	// Ks = Kt = √|O|·c·f (§7.1). The paper's c yields thousands of
-	// hybrid clusters at its 5M-35M scale; at laptop scale the same
-	// objects-per-cluster ratio would leave too few clusters for the
-	// pruning to show its shape, so c is calibrated to 1.0 here (the
-	// default setup then yields ≈1,800 hybrid clusters at 20k objects —
-	// the same order as the paper's 4,489). F keeps its role as the
-	// granularity multiplier of Fig. 10.
+	// they derive from the number of objects each build sees and F via
+	// the paper's rule Ks = Kt = √|O|·c·f (§7.1), with c calibrated to
+	// 0.7 on measured query latency (DESIGN §3): the default setup yields
+	// ≈890 hybrid clusters at 20k objects, ≈22 objects per cluster — a
+	// step toward the paper's ≈1,100 (5M objects over 4,489 clusters).
+	// A zero stays zero in the stored configuration, so Rebuild,
+	// RebuildFresh and a saved and reloaded index derive the counts
+	// again from the live objects; Index.Config reports the counts in
+	// effect.
 	Ks, Kt int
 	// F is the cluster-count multiplier f (default 0.3, the paper's
-	// default; sweep 0.1–0.9 in Fig. 10).
+	// default; sweep 0.1–0.9 in Fig. 10). It scales derived counts only.
 	F float64
 	// M is the PCA projection dimensionality (default 2).
 	M int
@@ -90,15 +91,11 @@ const (
 	DeltaDisabled = -1
 )
 
-func (c *Config) applyDefaults(n int) {
+// applyDefaults fills the settings whose default does not depend on the
+// data; the cluster counts are derived per build (clusterCounts).
+func (c *Config) applyDefaults() {
 	if c.F == 0 {
 		c.F = 0.3
-	}
-	if c.Ks == 0 {
-		c.Ks = clusterCount(n, c.F)
-	}
-	if c.Kt == 0 {
-		c.Kt = clusterCount(n, c.F)
 	}
 	if c.M <= 0 {
 		c.M = 2
@@ -111,27 +108,27 @@ func (c *Config) applyDefaults(n int) {
 	}
 }
 
-// DeriveClusterCount exposes the paper's cluster-count rule
-// Ks = Kt = √n·f (§7.1, with the laptop-scale calibration of
-// Config.Ks) for callers outside the build path — notably the sharded
-// build, which derives every shard's cluster counts from the GLOBAL
-// object count so per-shard pruning granularity matches the flat
-// index's. f = 0 selects the default multiplier (0.3).
-func DeriveClusterCount(n int, f float64) int {
-	if f == 0 {
-		f = 0.3
+// clusterScale is the calibration constant c of the cluster-count rule
+// (see Config.Ks and DESIGN §3).
+const clusterScale = 0.7
+
+// clusterCounts returns the spatial and semantic cluster counts of a
+// build over n objects: the explicit ones, else the rule's.
+func (c *Config) clusterCounts(n int) (ks, kt int) {
+	ks, kt = c.Ks, c.Kt
+	if ks == 0 {
+		ks = clusterCount(n, c.F)
 	}
-	return clusterCount(n, f)
+	if kt == 0 {
+		kt = clusterCount(n, c.F)
+	}
+	return ks, kt
 }
 
 // clusterCount applies the paper's cluster-count rule with the
-// laptop-scale calibration constant (see Config.Ks).
+// calibration constant, at least 4.
 func clusterCount(n int, f float64) int {
-	k := int(math.Round(math.Sqrt(float64(n)) * f))
-	if k < 4 {
-		k = 4
-	}
-	return k
+	return max(4, int(math.Round(clusterScale*f*math.Sqrt(float64(n)))))
 }
 
 // member is one object of a hybrid cluster with its true normalized
@@ -152,8 +149,9 @@ type element struct {
 // hybrid is one hybrid cluster C = ⟨C^s,R^s,C^t,R^t⟩ plus its object
 // array. The fields a cluster visit reads before it touches a row — the
 // side pair, the array header, the head thresholds and the block base —
-// come first and fill one 64-byte line; members, which only maintenance
-// reads, follows.
+// come first and fill one 64-byte line; the two sorted lists the array
+// is merged from (members, byDt; see array.go), which only maintenance
+// reads, follow.
 type hybrid struct {
 	s, t  int // side-cluster indices
 	elems []element
@@ -169,10 +167,13 @@ type hybrid struct {
 	// gathered holds the block as a private copy (behind a pointer, nil
 	// in the common case, so the hybrid stays small). Like the head
 	// thresholds it is derived data — set by fillClusterBlock wherever
-	// buildElems runs, shared under COW; read through Index.block (see
-	// layout.go).
-	base     int
+	// the array is merged, shared under COW; read through Index.block
+	// (see layout.go).
+	base int
+	// members is L_s: the members by descending ds; byDt lists member
+	// positions in L_t order, by descending dt.
 	members  []member
+	byDt     []uint32
 	gathered *clusterBlock
 }
 
@@ -303,7 +304,8 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	cfg.applyDefaults(ds.Len())
+	cfg.applyDefaults()
+	ks, kt := cfg.clusterCounts(ds.Len())
 	x := &Index{
 		cfg:         cfg,
 		space:       space,
@@ -341,13 +343,13 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		spatialPts[i] = p
 	}
 	sres, err := kmeans.SampleFit(spatialPts, cfg.SampleFraction, kmeans.Config{
-		K: cfg.Ks, MaxIters: cfg.KMeansIters, Seed: cfg.Seed, Workers: cfg.Workers,
+		K: ks, MaxIters: cfg.KMeansIters, Seed: cfg.Seed, Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: spatial clustering: %w", err)
 	}
 	x.sAssign = sres.Assign
-	ks := len(sres.Centroids)
+	ks = len(sres.Centroids)
 	x.sCentX = make([]float64, ks)
 	x.sCentY = make([]float64, ks)
 	x.sRad = make([]float64, ks)
@@ -389,7 +391,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	// --- Semantic clustering on the projections (Alg. 1 lines 7-9) ---
 	phase = time.Now()
 	tres, err := kmeans.SampleFit(proj, cfg.SampleFraction, kmeans.Config{
-		K: cfg.Kt, MaxIters: cfg.KMeansIters, Seed: cfg.Seed + 1, Workers: cfg.Workers,
+		K: kt, MaxIters: cfg.KMeansIters, Seed: cfg.Seed + 1, Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: semantic clustering: %w", err)
@@ -397,7 +399,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	tm.Semantic = time.Since(phase)
 	phase = time.Now()
 	x.tAssign = tres.Assign
-	kt := len(tres.Centroids)
+	kt = len(tres.Centroids)
 	x.tCent = make([][]float32, kt)
 	x.tRad = make([]float64, kt)
 	x.tCentProj = make([][]float32, kt)
@@ -461,14 +463,15 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 
 	// --- Hybrid clusters and their arrays (Alg. 1 lines 10-14) ---
 	x.formHybrids(dsAll, dtAll)
-	// Build each cluster's element array, renumber storage into the
-	// order those arrays dictate, then derive the coordinate arena and
-	// anchor the rows over the final order:
-	// every cluster's scan block is a window of the arenas.
+	// Order each cluster and merge its element array, renumber storage
+	// into the order those arrays dictate (which keeps the lists sorted;
+	// see byDsCmp), then derive the coordinate arena and anchor the rows
+	// over the final order: every cluster's scan block is a window of the
+	// arenas.
 	clusters := x.clusters
 	par.For(len(clusters), cfg.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			clusters[i].elems = buildElems(clusters[i].members)
+		for _, c := range clusters[lo:hi] {
+			c.buildElems()
 		}
 	})
 	if err := x.layoutClusterMajor(); err != nil {
@@ -541,10 +544,10 @@ func membersByAssign(assign []int, k int) [][]uint32 {
 
 // formHybrids is the bulk form of addToHybrid over every object, with
 // precomputed centroid distances: clusters appear in the directory in
-// order of their first object and list their members in ascending
-// position, as one addToHybrid per object would leave them, but a
-// counting pass sizes the member lists (windows of one buffer, capped
-// like membersByAssign's) instead of append growing each.
+// order of their first object, as one addToHybrid per object would leave
+// them, but a counting pass sizes the member lists (windows of one
+// buffer, capped like membersByAssign's) instead of append growing each,
+// and the lists are left unsorted for buildElems.
 func (x *Index) formHybrids(ds, dt []float64) {
 	counts := make([]int, len(x.grid))
 	for i := range x.objects {
@@ -600,8 +603,9 @@ func (x *Index) projAt(i uint32) []float32 {
 	return x.projArena[int(i)*m : (int(i)+1)*m : (int(i)+1)*m]
 }
 
-// addToHybrid places object idx into its hybrid cluster, computing its
-// centroid distances. It does not rebuild the element array.
+// addToHybrid places object idx into its hybrid cluster's two lists,
+// computing its centroid distances. It does not rebuild the element
+// array.
 func (x *Index) addToHybrid(idx uint32) *hybrid {
 	s, t := x.sAssign[idx], x.tAssign[idx]
 	cell := &x.grid[x.cell(s, t)]
@@ -614,7 +618,7 @@ func (x *Index) addToHybrid(idx uint32) *hybrid {
 	} else {
 		c = x.cowHybrid(c)
 	}
-	c.members = append(c.members, member{idx: idx, ds: x.spatialToCent(idx, s), dt: x.semanticToCent(idx, t)})
+	c.insertMember(member{idx: idx, ds: x.spatialToCent(idx, s), dt: x.semanticToCent(idx, t)})
 	return c
 }
 
@@ -642,8 +646,13 @@ func (x *Index) Dim() int { return x.dim }
 // NumClusters returns the number of non-empty hybrid clusters.
 func (x *Index) NumClusters() int { return len(x.clusters) }
 
-// Config returns the effective configuration (with defaults applied).
-func (x *Index) Config() Config { return x.cfg }
+// Config returns the effective configuration: defaults applied, and Ks
+// and Kt the cluster counts this index was built with.
+func (x *Index) Config() Config {
+	c := x.cfg
+	c.Ks, c.Kt = len(x.sCentX), len(x.tCent)
+	return c
+}
 
 // PCA exposes the fitted projection model (used by the harness to
 // project query vectors for analysis).

@@ -1,0 +1,210 @@
+package core
+
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/knn"
+	"repro/internal/metric"
+)
+
+// The two sorted lists of every hybrid cluster are maintained in place
+// by Insert and Delete (array.go). These tests replay random write
+// streams — inserts, inserts at an existing object's place (ties in ds,
+// or in both orders), deletes, and updates that move an object across
+// clusters — on a flat index and on a CloneForWrite child, and after
+// every op require of every cluster exactly what a from-scratch ordering
+// of its members gives, CheckInvariants clean, and answers equal to a
+// linear scan; on the child, the parent's clusters and answers must not
+// move.
+
+// hybridState is a deep copy of what a cluster's maintenance writes.
+type hybridState struct {
+	members []member
+	byDt    []uint32
+	elems   []element
+}
+
+func snapHybrids(x *Index) map[*hybrid]hybridState {
+	snap := make(map[*hybrid]hybridState, len(x.clusters))
+	for _, c := range x.clusters {
+		snap[c] = hybridState{slices.Clone(c.members), slices.Clone(c.byDt), slices.Clone(c.elems)}
+	}
+	return snap
+}
+
+// requireFromScratch holds every cluster of x to a from-scratch ordering
+// of its members, fed in reverse so the sort, not the input, decides.
+func requireFromScratch(t testing.TB, ctx string, x *Index) {
+	t.Helper()
+	for ci, c := range x.clusters {
+		fresh := hybrid{members: slices.Clone(c.members)}
+		slices.Reverse(fresh.members)
+		fresh.buildElems()
+		if !slices.Equal(c.members, fresh.members) || !slices.Equal(c.byDt, fresh.byDt) || !slices.Equal(c.elems, fresh.elems) {
+			t.Fatalf("%s: cluster %d (%d members) differs from a from-scratch ordering", ctx, ci, len(c.members))
+		}
+	}
+}
+
+// maintenanceAnswers asks x a fixed set of exact queries.
+func maintenanceAnswers(x *Index, queries []dataset.Object) [][]knn.Result {
+	var out [][]knn.Result
+	for qi := range queries {
+		for _, lambda := range []float64{0, 0.4, 1} {
+			out = append(out, x.Search(&queries[qi], 5, lambda, nil))
+		}
+	}
+	return out
+}
+
+// runHybridMaintenance replays ops, two bytes per op (kind, argument),
+// on a fresh 300-object index — in place, or on a CloneForWrite child
+// of it when clone is set. Every tenth object shares its neighbour's
+// location, so the build already meets ties in ds alone.
+func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
+	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 300, Dim: 32, Seed: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < ds.Len(); i += 10 {
+		ds.Objects[i].X, ds.Objects[i].Y = ds.Objects[i+1].X, ds.Objects[i+1].Y
+	}
+	sp, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := Build(ds, sp, Config{Seed: 301})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.CheckInvariants(); err != nil {
+		t.Fatalf("built: %v", err)
+	}
+	pool, err := dataset.Generate(dataset.GenConfig{Kind: dataset.YelpLike, Size: 64, Dim: 32, Seed: 302})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := parent
+	var parentSnap map[*hybrid]hybridState
+	var parentClusters []*hybrid
+	queries := ds.SampleQueries(4, 303)
+	var parentAnswers [][]knn.Result
+	if clone {
+		parentSnap, parentClusters = snapHybrids(parent), slices.Clone(parent.clusters)
+		parentAnswers = maintenanceAnswers(parent, queries)
+		x = parent.CloneForWrite()
+	}
+	live := make([]uint32, 0, ds.Len()+len(ops)/2)
+	for i := range ds.Objects {
+		live = append(live, ds.Objects[i].ID)
+	}
+	nextID := uint32(1_000_000)
+	for i := 0; i+1 < len(ops); i += 2 {
+		arg := int(ops[i+1])
+		var err error
+		switch ops[i] % 4 {
+		case 0: // a new object
+			o := pool.Objects[arg%len(pool.Objects)]
+			o.ID, nextID = nextID, nextID+1
+			err = x.Insert(o)
+			live = append(live, o.ID)
+		case 1: // a live object's place under a new ID: its text too (ties
+			// in both orders) or, for an odd argument, another one
+			src, ok := x.Object(live[arg%len(live)])
+			if !ok {
+				t.Fatalf("op %d: live ID %d not found", i/2, live[arg%len(live)])
+			}
+			o := *src
+			o.Vec = slices.Clone(o.Vec)
+			if arg%2 == 1 {
+				o.Vec = slices.Clone(pool.Objects[arg%len(pool.Objects)].Vec)
+			}
+			o.ID, nextID = nextID, nextID+1
+			err = x.Insert(o)
+			live = append(live, o.ID)
+		case 2: // delete
+			if len(live) < 2 {
+				continue
+			}
+			j := arg % len(live)
+			err = x.Delete(live[j])
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		default: // update: move, and every other time take another vector
+			src, ok := x.Object(live[arg%len(live)])
+			if !ok {
+				t.Fatalf("op %d: live ID %d not found", i/2, live[arg%len(live)])
+			}
+			o := *src
+			o.X = clamp01(o.X + float64(arg-128)/512)
+			o.Vec = slices.Clone(o.Vec)
+			if arg%2 == 1 {
+				o.Vec = slices.Clone(pool.Objects[arg%len(pool.Objects)].Vec)
+			}
+			err = x.Update(o)
+		}
+		if err != nil {
+			t.Fatalf("op %d (kind %d): %v", i/2, ops[i]%4, err)
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("op %d (kind %d): %v", i/2, ops[i]%4, err)
+		}
+		requireFromScratch(t, "after op", x)
+		sc, liveDs := liveSet(x)
+		for _, lambda := range []float64{0.3, 1} {
+			q := liveDs.Objects[(i*37+11)%liveDs.Len()]
+			if got, want := x.Search(&q, 5, lambda, nil), sc.Search(&q, 5, lambda, nil); !slices.Equal(got, want) {
+				t.Fatalf("op %d (kind %d), λ=%v: search %v, scan %v", i/2, ops[i]%4, lambda, got, want)
+			}
+		}
+	}
+	if !clone {
+		return
+	}
+	if !slices.Equal(parent.clusters, parentClusters) {
+		t.Fatal("the child's writes changed the parent's cluster list")
+	}
+	for _, c := range parent.clusters {
+		want := parentSnap[c]
+		if !slices.Equal(c.members, want.members) || !slices.Equal(c.byDt, want.byDt) || !slices.Equal(c.elems, want.elems) {
+			t.Fatal("the child's writes changed a parent cluster")
+		}
+	}
+	if err := parent.CheckInvariants(); err != nil {
+		t.Fatalf("parent: %v", err)
+	}
+	got := maintenanceAnswers(parent, queries)
+	for i := range got {
+		if !slices.Equal(got[i], parentAnswers[i]) {
+			t.Fatalf("parent answer %d moved: %v, was %v", i, got[i], parentAnswers[i])
+		}
+	}
+}
+
+func TestHybridMaintenance(t *testing.T) {
+	for _, clone := range []bool{false, true} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewPCG(seed, 304))
+			ops := make([]byte, 240)
+			for i := range ops {
+				ops[i] = byte(rng.IntN(256))
+			}
+			runHybridMaintenance(t, clone, ops)
+		}
+	}
+}
+
+func FuzzHybridMaintenance(f *testing.F) {
+	f.Add(false, []byte{0, 7, 1, 9, 2, 3, 3, 200, 1, 1, 1, 1, 2, 0})
+	f.Add(true, []byte{1, 0, 1, 0, 1, 0, 2, 5, 3, 17, 3, 18, 0, 255})
+	f.Add(true, []byte{3, 1, 3, 3, 3, 5, 2, 2, 2, 4, 2, 6, 0, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, clone bool, ops []byte) {
+		if len(ops) > 160 {
+			ops = ops[:160]
+		}
+		runHybridMaintenance(t, clone, ops)
+	})
+}

@@ -22,6 +22,9 @@ import (
 //     coordinates;
 //   - element arrays contain each member exactly once and no deleted
 //     objects;
+//   - every cluster's two maintained lists are strictly sorted (members
+//     in L_s order, byDt a permutation in L_t order) and its array is
+//     exactly their merge — what a from-scratch ordering would give;
 //   - under the Euclidean semantic metric, each projected semantic
 //     centroid still equals the projection of its original-space
 //     centroid, and the deflated projected weak bound of the lazy
@@ -59,6 +62,9 @@ func (x *Index) CheckInvariants() error {
 		}
 		if len(c.elems) != len(c.members) {
 			return fmt.Errorf("cluster %d: %d elems for %d members", ci, len(c.elems), len(c.members))
+		}
+		if err := c.checkOrders(); err != nil {
+			return fmt.Errorf("cluster %d: %w", ci, err)
 		}
 		memberDs := make(map[uint32]member, len(c.members))
 		for _, m := range c.members {
@@ -312,11 +318,11 @@ func (x *Index) checkProjBoundSoundness() error {
 // checkLayout guards what the scan loops assume of storage: the
 // coordinate arena repeats objects[i].X/Y, every cluster's header
 // repeats its first element's thresholds (−Inf when it has none), and
-// every cluster's block (fillClusterBlock ran wherever buildElems did)
-// holds, row for row in elems order, the arena rows of its elements. A
-// cluster whose elements are contiguous must read the arenas themselves
-// — same addresses, no copy — and a cluster whose elements are not must
-// read private memory.
+// every cluster's block (fillClusterBlock ran wherever the array was
+// merged) holds, row for row in elems order, the arena rows of its
+// elements. A cluster whose elements are contiguous must read the arenas
+// themselves — same addresses, no copy — and a cluster whose elements
+// are not must read private memory.
 func (x *Index) checkLayout() error {
 	n, aa := len(x.objects), x.anchors
 	if len(x.xArena) != n || len(x.yArena) != n {

@@ -74,7 +74,7 @@ func headThresholds(elems []element) (ds, dt float64) {
 // fillClusterBlock (re)derives c's head thresholds and scan block from
 // its element array: the arena window when the elements are contiguous,
 // else a gathered copy in elems order. Like elems it is derived data,
-// rebuilt wherever buildElems runs and never mutated in place
+// rebuilt wherever the array is merged and never mutated in place
 // afterwards, so COW clones share it safely.
 func (x *Index) fillClusterBlock(c *hybrid) {
 	n := len(c.elems)
@@ -189,6 +189,9 @@ func (x *Index) layoutClusterMajor() error {
 			}
 		}
 	}
+	// Within a cluster the new positions follow array order, which both
+	// sorted lists agree with on the pairs they order by position (see
+	// byDsCmp): relabelling keeps them sorted and byDt untouched.
 	for _, c := range x.clusters {
 		for i := range c.members {
 			c.members[i].idx = perm[c.members[i].idx]

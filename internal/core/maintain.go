@@ -8,8 +8,8 @@ import (
 
 // Insert adds a new object to the index incrementally (§6.2): the object
 // joins the nearest spatial and nearest semantic cluster, radii expand if
-// needed, and only the affected hybrid cluster's array is rebuilt — the
-// clustering itself is untouched.
+// needed, and only the affected hybrid cluster's array is rebuilt — one
+// merge of its two maintained lists — the clustering itself is untouched.
 func (x *Index) Insert(o dataset.Object) error {
 	if x.delta != nil {
 		return x.deltaInsert(o)
@@ -93,7 +93,7 @@ func (x *Index) Insert(o dataset.Object) error {
 	}
 
 	c := x.addToHybrid(idx)
-	c.elems = buildElems(c.members)
+	c.mergeElems()
 	x.fillClusterBlock(c)
 	x.live++
 	x.UpdatesSinceBuild++
@@ -135,13 +135,7 @@ func (x *Index) Delete(id uint32) error {
 
 	// Remove from the hybrid cluster and rebuild its array.
 	c := x.cowHybrid(x.grid[x.cell(s, t)])
-	for i := range c.members {
-		if c.members[i].idx == idx {
-			c.members[i] = c.members[len(c.members)-1]
-			c.members = c.members[:len(c.members)-1]
-			break
-		}
-	}
+	c.removeMember(idx)
 	if len(c.members) == 0 {
 		x.grid[x.cell(s, t)] = nil
 		for i, cc := range x.clusters {
@@ -152,7 +146,7 @@ func (x *Index) Delete(id uint32) error {
 			}
 		}
 	} else {
-		c.elems = buildElems(c.members)
+		c.mergeElems()
 		x.fillClusterBlock(c)
 	}
 

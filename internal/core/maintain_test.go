@@ -258,6 +258,55 @@ func TestRebuild(t *testing.T) {
 	sameResults(t, "after rebuild", sc.Search(&q, 10, 0.5, nil), f.idx.Search(&q, 10, 0.5, nil))
 }
 
+// Zero cluster counts are derived at every build from the objects it
+// indexes, not frozen at the first: an index grown 4× by inserts
+// rebuilds at the rule's count for 4n — in place, off to the side, and
+// after a save and reload — while explicit counts survive verbatim.
+func TestRebuildRederivesClusterCounts(t *testing.T) {
+	const n = 900
+	f := build(t, dataset.TwitterLike, n, Config{Seed: 34})
+	if got, want := f.idx.Config().Ks, clusterCount(n, 0.3); got != want || f.idx.Config().Kt != want {
+		t.Fatalf("built with %d/%d clusters, want %d", got, f.idx.Config().Kt, want)
+	}
+	explicit := build(t, dataset.TwitterLike, n, Config{Seed: 34, Ks: 5, Kt: 6})
+	extra, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 3 * n, Dim: 32, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range extra.Objects {
+		o := extra.Objects[i]
+		o.ID += 100_000
+		for _, x := range []*Index{f.idx, explicit.idx} {
+			if err := x.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := clusterCount(4*n, 0.3)
+	loaded := saveLoad(t, f.idx)
+	fresh, err := f.idx.RebuildFresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Index{f.idx, loaded, explicit.idx} {
+		if err := x.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, x := range map[string]*Index{"rebuilt": f.idx, "rebuilt fresh": fresh, "reloaded and rebuilt": loaded} {
+		if cfg := x.Config(); cfg.Ks != want || cfg.Kt != want || len(x.sCentX) != want {
+			t.Fatalf("%s: %d/%d clusters at %d objects, want %d", name, cfg.Ks, cfg.Kt, x.Len(), want)
+		}
+		if x.cfg.Ks != 0 || x.cfg.Kt != 0 {
+			t.Fatalf("%s: stored counts %d/%d, want the caller's zeros", name, x.cfg.Ks, x.cfg.Kt)
+		}
+	}
+	if cfg := explicit.idx.Config(); cfg.Ks != 5 || cfg.Kt != 6 {
+		t.Fatalf("explicit counts after rebuild: %d/%d, want 5/6", cfg.Ks, cfg.Kt)
+	}
+	requireExact(t, "rebuilt at 4n", f.idx)
+}
+
 // Radius bookkeeping: deleting the farthest member must shrink the
 // radius (conservatively verified through CheckInvariants plus a spot
 // check that some radius decreased).

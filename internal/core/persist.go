@@ -15,7 +15,12 @@ import (
 // the objects, the PCA model, both semantic cluster representations, the
 // assignments and the hybrid-cluster membership — so Load restores a
 // fully functional index without re-clustering. The per-cluster element
-// arrays are cheap to rebuild and are therefore not serialized.
+// arrays are cheap to rebuild and are therefore not serialized: Load
+// sorts each member list (written in L_s order, or in storage order by
+// older code) and merges the array as Build does. The stored Config
+// keeps zero cluster counts zero, so a reloaded index rebuilds at the
+// counts its live objects derive; a file that recorded explicit counts —
+// every file written before counts were derived per build — keeps them.
 
 // gobMember mirrors member with exported fields.
 type gobMember struct {
@@ -296,7 +301,7 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 		for j, gm := range gc.Members {
 			c.members[j] = member{idx: gm.Idx, ds: gm.Ds, dt: gm.Dt}
 		}
-		c.elems = buildElems(c.members)
+		c.buildElems()
 		x.clusters[i] = c
 		x.grid[x.cell(gc.S, gc.T)] = c
 	}

@@ -61,36 +61,43 @@ func TestArrayThresholdConservative(t *testing.T) {
 }
 
 // Property: buildElems emits exactly one element per member with
-// monotonically non-increasing thresholds, for arbitrary member sets.
+// monotonically non-increasing, conservative thresholds, and leaves the
+// lists in the order checkOrders verifies, for arbitrary member sets —
+// ties included (distances drawn from a few values).
 func TestBuildElemsProperties(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 2))
 		n := 1 + rng.IntN(60)
-		members := make([]member, n)
-		for i := range members {
-			members[i] = member{
+		levels := 1 + rng.IntN(8)
+		orig := make([]member, n)
+		for i := range orig {
+			orig[i] = member{
 				idx: uint32(i),
-				ds:  rng.Float64(),
+				ds:  float64(rng.IntN(levels)) / float64(levels),
 				dt:  rng.Float64(),
 			}
+			if seed%2 == 0 {
+				orig[i].dt = float64(rng.IntN(levels)) / float64(levels)
+			}
 		}
-		elems := buildElems(members)
-		if len(elems) != n {
+		c := &hybrid{members: append([]member(nil), orig...)}
+		c.buildElems()
+		if len(c.elems) != n || c.checkOrders() != nil {
 			return false
 		}
 		seen := make(map[uint32]bool, n)
 		prevDs, prevDt := 2.0, 2.0
-		for _, e := range elems {
+		for _, e := range c.elems {
 			if seen[e.idx] {
 				return false
 			}
 			seen[e.idx] = true
-			if e.ds > prevDs+1e-12 || e.dt > prevDt+1e-12 {
+			if e.ds > prevDs || e.dt > prevDt {
 				return false
 			}
 			prevDs, prevDt = e.ds, e.dt
-			m := members[e.idx]
-			if e.ds < m.ds-1e-12 || e.dt < m.dt-1e-12 {
+			m := orig[e.idx]
+			if e.ds < m.ds || e.dt < m.dt {
 				return false
 			}
 		}
@@ -102,20 +109,28 @@ func TestBuildElemsProperties(t *testing.T) {
 }
 
 func TestBuildElemsEmpty(t *testing.T) {
-	if got := buildElems(nil); got != nil {
-		t.Fatalf("buildElems(nil) = %v", got)
+	c := &hybrid{}
+	c.buildElems()
+	if c.elems != nil || len(c.byDt) != 0 {
+		t.Fatalf("empty cluster: elems %v, byDt %v", c.elems, c.byDt)
 	}
 }
 
 func TestBuildElemsDuplicateDistances(t *testing.T) {
-	// All-equal distances must still yield one element per member.
-	members := make([]member, 10)
-	for i := range members {
-		members[i] = member{idx: uint32(i), ds: 0.5, dt: 0.5}
+	// All-equal distances must still yield one element per member, in
+	// storage order: both lists fall back to it.
+	c := &hybrid{members: make([]member, 10)}
+	for i := range c.members {
+		c.members[i] = member{idx: uint32(9 - i), ds: 0.5, dt: 0.5}
 	}
-	elems := buildElems(members)
-	if len(elems) != 10 {
-		t.Fatalf("got %d elems", len(elems))
+	c.buildElems()
+	if len(c.elems) != 10 {
+		t.Fatalf("got %d elems", len(c.elems))
+	}
+	for j, e := range c.elems {
+		if e.idx != uint32(j) {
+			t.Fatalf("elem %d is object %d, want storage order", j, e.idx)
+		}
 	}
 }
 

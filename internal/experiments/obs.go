@@ -7,7 +7,6 @@ import (
 	"time"
 
 	cssi "repro"
-	"repro/internal/core"
 	"repro/internal/knn"
 	"repro/internal/obs"
 )
@@ -35,13 +34,6 @@ const obsTrials = 5
 //     no trace sink versus Do with the tail-sampling sink installed
 //     (production default: every query records a span tree, 1-in-128
 //     of normal traffic retained). Target: <1% added latency.
-//  3. Sharded read efficiency by cluster-count derivation — the
-//     satellite fix this PR lands: deriving a shard's Ks/Kt from the
-//     GLOBAL object count (matching the flat index's granularity)
-//     versus the old per-shard n/P derivation (fewer, fatter clusters
-//     per shard, so the Lemma 4.4/4.5 cuts discard less). Measured
-//     with SearchRequest.Trace over the same workload; read
-//     efficiency is the fraction of accounted objects pruned (§6).
 func Observability(s Setup) ([]Table, error) {
 	s.applyDefaults()
 	overhead, err := obsOverheadTable(s)
@@ -52,11 +44,7 @@ func Observability(s Setup) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sharded, err := obsShardedReadEffTable(s)
-	if err != nil {
-		return nil, err
-	}
-	return []Table{overhead, tracing, sharded}, nil
+	return []Table{overhead, tracing}, nil
 }
 
 // obsTracingTable measures the cost of the always-on tracer on the
@@ -247,62 +235,6 @@ func obsOverheadTable(s Setup) (Table, error) {
 			{"off", f1(micros[false]), f2(allocs[false]), "-"},
 			{"on", f1(micros[true]), f2(allocs[true]), fmt.Sprintf("%.2f%%", overheadPct)},
 		},
-	}
-	return t, nil
-}
-
-func obsShardedReadEffTable(s Setup) (Table, error) {
-	size := s.size(20000)
-	ds, err := cssi.GenerateDataset(cssi.DatasetConfig{
-		Kind: cssi.TwitterLike, Size: size, Dim: s.Dim, Seed: s.Seed,
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	queries := ds.SampleQueries(s.Queries, s.Seed+7)
-	k, lambda := s.K, s.Lambda
-
-	measure := func(idx *cssi.ShardedIndex) (readEff, visitedPerQ float64) {
-		var agg obs.SearchStats
-		for qi := range queries {
-			if _, err := idx.Do(cssi.SearchRequest{Query: &queries[qi], K: k, Lambda: lambda, Explain: &agg}); err != nil {
-				panic(err)
-			}
-		}
-		return agg.ReadEfficiency(), float64(agg.VisitedObjects) / float64(len(queries))
-	}
-
-	t := Table{
-		ID:    "obs",
-		Title: "Sharded read efficiency by per-shard cluster-count derivation",
-		Note: "global derives each shard's Ks/Kt from the FULL object count (this PR's default), per-shard " +
-			"from n/P (the old default, emulated with explicit Ks/Kt) — coarser per-shard clusters prune " +
-			"less, so global should hold read efficiency near the flat index's as P grows",
-		Header: []string{"config", "shards", "per-shard Ks=Kt", "read efficiency", "visited/query"},
-	}
-	addRow := func(name string, p, ksKt int, idx *cssi.ShardedIndex) {
-		re, vis := measure(idx)
-		t.Rows = append(t.Rows, []string{name, itoa(p), itoa(ksKt), pct(re), f1(vis)})
-	}
-
-	globalK := core.DeriveClusterCount(size, 0)
-	flat, err := cssi.BuildSharded(ds, 1, cssi.Options{Seed: s.Seed})
-	if err != nil {
-		return Table{}, err
-	}
-	addRow("flat", 1, globalK, flat)
-	for _, p := range []int{4, 8} {
-		perShardK := core.DeriveClusterCount(size/p, 0)
-		old, err := cssi.BuildSharded(ds, p, cssi.Options{Seed: s.Seed, Ks: perShardK, Kt: perShardK})
-		if err != nil {
-			return Table{}, err
-		}
-		addRow("per-shard (old)", p, perShardK, old)
-		neu, err := cssi.BuildSharded(ds, p, cssi.Options{Seed: s.Seed})
-		if err != nil {
-			return Table{}, err
-		}
-		addRow("global (new)", p, globalK, neu)
 	}
 	return t, nil
 }

@@ -91,12 +91,13 @@ func shardOf(id uint32, p int) int {
 // and shared by every shard — this is what makes sharded exact search
 // bit-identical to unsharded search; per-shard quantities (clustering,
 // PCA model, projected normalizer) are derived from each shard's own
-// objects. When Ks/Kt are zero they are derived from the GLOBAL object
-// count (√n·f over the full dataset, not the shard size n/P): each
-// shard then partitions its objects at the same granularity the flat
-// index would, so per-shard clusters stay comparably tight and the
-// sharded index's read efficiency matches the flat index's instead of
-// degrading with P. Explicit Ks/Kt still apply per shard verbatim.
+// objects — including zero Ks/Kt, which each shard derives from its own
+// object count as a flat index over those objects would (and again at
+// every rebuild). Coarser than the flat index's counts, they make a
+// sharded read at P = 4 examine a quarter of the clusters full-corpus
+// counts did, for less latency (DESIGN §3, §7c). Explicit Ks/Kt apply
+// per shard verbatim. One anchor set, fitted over the full dataset,
+// serves every shard.
 //
 // Every shard must receive at least one object; with a uniform ID hash
 // this fails only when ds is tiny relative to the shard count — use
@@ -140,17 +141,7 @@ func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) 
 		}
 	}
 	s := &ShardedIndex{shards: make([]*shardCell, shards), dim: ds.Dim}
-	// Derive defaulted cluster counts from the GLOBAL object count (see
-	// the doc comment): computed once here so every shard — whatever its
-	// exact share of the hash — clusters at the flat index's granularity.
-	globalK := core.DeriveClusterCount(ds.Len(), opts.F)
 	shardCfg := opts.coreConfig()
-	if shardCfg.Ks == 0 {
-		shardCfg.Ks = globalK
-	}
-	if shardCfg.Kt == 0 {
-		shardCfg.Kt = globalK
-	}
 	// One anchor set over the FULL dataset, shared read-only by every
 	// shard: any anchor bounds any row, so the shards need not fit their
 	// own (see core.FitAnchors).

@@ -803,3 +803,32 @@ func TestFanOutReraisesWorkerPanic(t *testing.T) {
 	})
 	t.Fatal("fanOut returned")
 }
+
+// Zero cluster counts are derived per shard, from the shard's own
+// objects, as a flat build over those objects derives them — and again
+// when the shard rebuilds; explicit counts apply to every shard
+// verbatim.
+func TestBuildShardedDerivesPerShardClusterCounts(t *testing.T) {
+	ds := testDataset(t, 2400)
+	flat := mustBuild(t, ds, Options{Seed: 5})
+	s := mustBuildSharded(t, ds, 4, Options{Seed: 5})
+	for i, cell := range s.shards {
+		c := cell.cur.Load().core
+		part := &Dataset{Dim: ds.Dim}
+		c.ForEachLive(func(o *Object) { part.Objects = append(part.Objects, *o) })
+		want := mustBuild(t, part, Options{Seed: 5}).core.Config()
+		if got := c.Config(); got.Ks != want.Ks || got.Kt != want.Kt || got.Ks >= flat.core.Config().Ks {
+			t.Fatalf("shard %d (%d objects): %d/%d clusters, want %d/%d (flat index: %d)",
+				i, c.Len(), got.Ks, got.Kt, want.Ks, want.Kt, flat.core.Config().Ks)
+		}
+	}
+	explicit := mustBuildSharded(t, ds, 4, Options{Seed: 5, Ks: 9, Kt: 7})
+	if err := explicit.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	for i, cell := range explicit.shards {
+		if got := cell.cur.Load().core.Config(); got.Ks != 9 || got.Kt != 7 {
+			t.Fatalf("shard %d: %d/%d clusters after rebuild, want 9/7", i, got.Ks, got.Kt)
+		}
+	}
+}
