@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/dataset"
@@ -116,8 +117,15 @@ func (x *Index) startTrueFrontier(sc *searchScratch, q *dataset.Object, bw float
 }
 
 // searchWithSeed is the exact CSSI algorithm on a drawn scratch, with
-// the k-NN heap pre-loaded from seed (see SearchOptions.Seed).
-func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
+// the k-NN heap pre-loaded from seed (see SearchOptions.Seed). With
+// striped set the frontier walk is offered to an idle helper as a second
+// stripe (see stripe.go); the answer is the same either way.
+func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, striped bool, st *metric.Stats) []knn.Result {
+	var j *stripeJob
+	if striped {
+		// Offered before ordering, so the helper's wake-up overlaps it.
+		j = x.offerStripe(sc, q, k, lambda)
+	}
 	var phase time.Time
 	if sc.obs != nil {
 		phase = time.Now()
@@ -134,28 +142,10 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 	for _, r := range seed {
 		h.Push(r)
 	}
-	for {
-		c, lb, ok := f.peek()
-		if !ok {
-			break
-		}
-		if u, full := h.Bound(); full && lb >= u {
-			// Pruning property 1 (Lemma 4.4): lb is the smallest true
-			// bound among the clusters not yet examined.
-			f.chargePruned(st)
-			break
-		}
-		if sc.budgetExpired() {
-			// Time budget fired: stop consuming the frontier and return
-			// the heap as-is — an admissible truncated prefix (see
-			// deadline.go), reported through SearchOptions.Partial.
-			break
-		}
-		f.pop(c)
-		if st != nil {
-			st.ClustersOrdered++
-		}
-		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, st)
+	if j != nil {
+		x.walkStriped(sc, f, q, lambda, h, j)
+	} else {
+		x.walkFrontier(sc, f, q, lambda, h, nil, st)
 	}
 	if sc.obs != nil {
 		sc.obs.ScanNanos += time.Since(phase).Nanoseconds()
@@ -169,17 +159,73 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 	return h.AppendSorted(dst)
 }
 
+// walkFrontier is the frontier loop of Alg. 2: it scans clusters in
+// ascending lower bound into h until the head's bound reaches the k-th
+// distance. With sh non-nil it is one stripe of a striped read: it scans
+// only the frontier positions it claims from sh, pops the others
+// unscanned, and also stops once the head's bound exceeds the bound the
+// stripes share. With sh nil every position is its own and the shared
+// bound stays +Inf, so the loop is the one-stripe read.
+func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, sh *stripeJob, st *metric.Stats) {
+	// Positions [lo, hi) are this stripe's current claim; pos is the
+	// frontier position of the next pop.
+	pos, lo, hi := int32(0), int32(0), int32(math.MaxInt32)
+	shared := math.Inf(1)
+	if sh != nil {
+		hi = 0
+	}
+	for {
+		c, lb, ok := f.peek()
+		if !ok {
+			break
+		}
+		if u, full := h.Bound(); full && lb >= u {
+			// Pruning property 1 (Lemma 4.4): lb is the smallest true
+			// bound among the clusters not yet examined.
+			f.chargePruned(st)
+			break
+		}
+		if lb > shared {
+			// Strict, so that an object tying the shared k-th distance
+			// is still offered and wins or loses on its ID.
+			break
+		}
+		if sc.budgetExpired() {
+			// Time budget fired: stop consuming the frontier and return
+			// the heap as-is — an admissible truncated prefix (see
+			// deadline.go), reported through SearchOptions.Partial.
+			break
+		}
+		f.pop(c)
+		if pos >= hi {
+			lo, hi, shared = sh.claim(sc)
+		}
+		if pos++; pos <= lo {
+			continue // another stripe's position
+		}
+		if st != nil {
+			st.ClustersOrdered++
+		}
+		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, shared, st)
+		if sh != nil {
+			shared = sh.lower(h)
+		}
+	}
+}
+
 // scanCluster examines the objects of one hybrid cluster (Alg. 2 lines
 // 8-18). Once the heap is full the cluster's head thresholds may reject
 // it whole (enterCluster), and every row passes the cluster's rowGate
 // before any kernel: the component-wise Lemma 4.5 cut over the
 // conservative array thresholds ends the scan, and the anchor bound
-// skips single rows (see anchor.go).
-func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsqC, dtqC float64, h *knn.Heap, st *metric.Stats) {
+// skips single rows (see anchor.go). ub caps the heap's k-th distance
+// with a bound found elsewhere (another stripe's; +Inf for none); every
+// cut against it is strict, like the cuts against the heap's own.
+func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsqC, dtqC float64, h *knn.Heap, ub float64, st *metric.Stats) {
 	if st != nil {
 		st.ClustersExamined++
 	}
-	u0, full0 := h.Bound()
+	u0, full0 := cappedBound(h, ub)
 	blk, g, ok := x.enterCluster(sc, q, lambda, c, dsqC, dtqC, u0, full0, st)
 	if !ok {
 		return
@@ -187,7 +233,7 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 	tombs := x.deltaTombs()
 	for ei := range c.elems {
 		e := &c.elems[ei]
-		u, full := h.Bound()
+		u, full := cappedBound(h, ub)
 		if full && g.suffixBound(e) > u {
 			// Pruning property 2: the thresholds are non-increasing, so
 			// the bound only grows over the later elements.
@@ -234,4 +280,14 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		}
 		h.Push(knn.Result{ID: x.objects[e.idx].ID, Dist: metric.Combine(lambda, ds, dt)})
 	}
+}
+
+// cappedBound is the heap's k-th distance capped by ub, and whether the
+// result bounds anything: the heap is full or ub is finite.
+func cappedBound(h *knn.Heap, ub float64) (float64, bool) {
+	u, full := h.Bound()
+	if ub < u || !full {
+		return ub, full || !math.IsInf(ub, 1)
+	}
+	return u, true
 }

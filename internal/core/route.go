@@ -324,7 +324,7 @@ func (x *Index) searchRoutedWith(sc *searchScratch, dst []knn.Result, q *dataset
 		if st != nil {
 			st.ClustersRouted++
 		}
-		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, st)
+		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, math.Inf(1), st)
 	}
 	if sc.obs != nil {
 		sc.obs.ScanNanos += time.Since(phase).Nanoseconds()

@@ -37,6 +37,8 @@ type searchScratch struct {
 	// max-heap.
 	heap  knn.Heap
 	cands candHeap
+	// stripe is the helper's half of a striped exact read (stripe.go).
+	stripe stripeJob
 	// anchorDq[a] is the normalized distance from q to anchor a (see
 	// anchor.go), filled by the first gated cluster scan of a query and
 	// marked valid by anchorQ. Entries from the anchor count up are never

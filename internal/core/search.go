@@ -72,6 +72,12 @@ type SearchOptions struct {
 	// top-k of the candidates examined so far — an admissible prefix —
 	// but closer objects may remain unvisited.
 	Partial *bool
+	// Striped offers an exact read's frontier walk to an idle helper
+	// goroutine as a second stripe (see stripe.go). The answer is the same
+	// either way; the work counters are not — they depend on timing — so a
+	// read that collects them (st or Explain) is never striped. Only the
+	// facade's one-snapshot exact read sets it.
+	Striped bool
 }
 
 // SearchOptionsInto is the one k-NN entry point: it answers q with the
@@ -98,7 +104,7 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 	n := len(dst)
 	switch {
 	case !opts.Approx:
-		dst = x.searchWithSeed(sc, dst, opts.Seed, q, k, lambda, st)
+		dst = x.searchWithSeed(sc, dst, opts.Seed, q, k, lambda, opts.Striped && st == nil, st)
 	case opts.Route && x.router != nil:
 		dst = x.searchRoutedWith(sc, dst, q, k, lambda, routeTargetOrDefault(opts.RouteTarget), st)
 	default:

@@ -1,0 +1,249 @@
+package core
+
+import (
+	"math"
+	"runtime"
+	"sync/atomic"
+
+	"repro/internal/dataset"
+	"repro/internal/knn"
+)
+
+// Striped exact reads (DESIGN §7b). The caller and one idle helper each
+// order the query's frontier on their own scratch — both yield the same
+// cluster sequence — and claim its positions in chunks of stripeChunk
+// from one cursor. A stripe pops the positions it does not own
+// unscanned, keeps a private heap, and also stops once the head's bound
+// exceeds the k-th bound the stripes share, which each lowers to its own
+// full heap's k-th distance after every scanned cluster. That bound never
+// drops below the final k-th distance and every cut against it is
+// strict, so each object of the answer, ties included, reaches one of the
+// heaps; the caller pushes the helper's heap into its own, and the answer
+// is the one-stripe read's, bit for bit. The work counters are not, so a
+// read that collects them is never striped.
+//
+// Helpers are standing goroutines, started lazily up to GOMAXPROCS−1,
+// parked on an unbuffered channel; they never exit. An offer is a
+// non-blocking send, so only a parked helper takes it; otherwise the
+// read is one stripe. A job the helper has not taken when the caller's
+// stripe ends is withdrawn by CAS, and the helper later drops it without
+// touching the query; a taken job is waited for, so no read returns
+// while a helper still reads its snapshot. A helper's panic is re-raised
+// on the caller. A helper never spins; a caller polls briefly for its
+// own running helper before it parks (awaitStripe).
+
+// stripeChunk is the number of frontier positions one claim hands out.
+const stripeChunk = 4
+
+// stripeJob is one striped read: what its stripes share, and the
+// helper's half. It lives in the caller's pooled scratch; gen tells its
+// offers apart, so a helper that wakes for a withdrawn offer cannot take
+// a later one.
+type stripeJob struct {
+	_ [64]byte
+	// bound holds the float64 bits of the lowest full-heap k-th distance
+	// a stripe has published, +Inf until one has; next is the first
+	// frontier position not yet claimed. Each has a cache line of its own.
+	bound atomic.Uint64
+	_     [56]byte
+	next  atomic.Int32
+	_     [60]byte
+	// state is gen<<2 | one of the stripe* phases below.
+	state atomic.Uint64
+	gen   uint64
+	done  chan struct{}
+	// The query, written before the offer and read by the helper only
+	// once it has taken the job; caller is the caller's scratch.
+	x      *Index
+	q      *dataset.Object
+	k      int
+	lambda float64
+	caller *searchScratch
+	hook   func(StripePoint)
+	// sc is the helper's scratch and panicked its recovered panic, both
+	// handed back through done.
+	sc       *searchScratch
+	panicked any
+}
+
+const (
+	stripeOffered = iota
+	stripeRunning
+	stripeWithdrawn
+)
+
+// stripeOffer is what travels to a helper.
+type stripeOffer struct {
+	j    *stripeJob
+	gen  uint64
+	hook func(StripePoint)
+}
+
+var (
+	stripeOffers  = make(chan stripeOffer)
+	stripeHelpers atomic.Int32
+)
+
+// claim hands the stripe on sc the next chunk of positions [lo, hi),
+// with the current shared bound.
+func (j *stripeJob) claim(sc *searchScratch) (lo, hi int32, shared float64) {
+	if stripeHooks && sc == j.caller {
+		stripeAt(j.hook, StripeCallerClaim)
+	}
+	hi = j.next.Add(stripeChunk)
+	return hi - stripeChunk, hi, math.Float64frombits(j.bound.Load())
+}
+
+// lower publishes h's k-th distance when h is full and lower than the
+// shared bound, and returns the shared bound.
+func (j *stripeJob) lower(h *knn.Heap) float64 {
+	cur := j.bound.Load()
+	if u, full := h.Bound(); full {
+		for u < math.Float64frombits(cur) {
+			if j.bound.CompareAndSwap(cur, math.Float64bits(u)) {
+				return u
+			}
+			cur = j.bound.Load()
+		}
+	}
+	return math.Float64frombits(cur)
+}
+
+// offerStripe offers the query's second stripe to an idle helper and
+// returns the job, or nil when no helper is idle.
+func (x *Index) offerStripe(sc *searchScratch, q *dataset.Object, k int, lambda float64) *stripeJob {
+	j := &sc.stripe
+	j.gen++
+	j.x, j.q, j.k, j.lambda, j.caller, j.hook = x, q, k, lambda, sc, loadStripeHook()
+	j.bound.Store(math.Float64bits(math.Inf(1)))
+	j.next.Store(0)
+	if j.done == nil {
+		j.done = make(chan struct{}, 1)
+	}
+	j.state.Store(j.gen<<2 | stripeOffered)
+	o := stripeOffer{j, j.gen, j.hook}
+	if stripeHooks && o.hook != nil {
+		// A forced schedule needs its offer taken: wait for a helper.
+		if stripeHelpers.CompareAndSwap(0, 1) {
+			go stripeHelper()
+		}
+		stripeOffers <- o
+	} else {
+		select {
+		case stripeOffers <- o:
+		default:
+			if n := stripeHelpers.Load(); int(n) < runtime.GOMAXPROCS(0)-1 && stripeHelpers.CompareAndSwap(n, n+1) {
+				go stripeHelper()
+			}
+			return nil
+		}
+	}
+	stripeAt(o.hook, StripeOffered)
+	return j
+}
+
+// stripeHelper is a standing helper: it runs the stripes it is offered,
+// one at a time, for the life of the process.
+func stripeHelper() {
+	for o := range stripeOffers {
+		o.run()
+	}
+}
+
+// run takes the offered job unless the caller has withdrawn it and
+// walks the frontier as the second stripe.
+func (o stripeOffer) run() {
+	j := o.j
+	stripeAt(o.hook, StripeHelperWake)
+	if !j.state.CompareAndSwap(o.gen<<2|stripeOffered, o.gen<<2|stripeRunning) {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			j.panicked = r
+		}
+		j.done <- struct{}{}
+	}()
+	stripeAt(o.hook, StripeHelperStarted)
+	x := j.x
+	sc := x.getScratch()
+	j.sc = sc
+	sc.deadline, sc.cancel, sc.budgeted = j.caller.deadline, j.caller.cancel, j.caller.budgeted
+	f := x.orderByBound(sc, j.q, j.lambda)
+	sc.heap.Reset(j.k)
+	x.walkFrontier(sc, f, j.q, j.lambda, &sc.heap, j, nil)
+}
+
+// walkStriped is the caller's stripe of a striped read, then the join:
+// withdraw the job if the helper has not taken it, else wait for the
+// helper and merge its heap and its budget cut into the caller's. The
+// join runs even if the caller's stripe panics.
+func (x *Index) walkStriped(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, j *stripeJob) {
+	merge := false
+	defer func() { x.joinStripe(sc, j, h, merge) }()
+	x.walkFrontier(sc, f, q, lambda, h, j, nil)
+	merge = true
+}
+
+func (x *Index) joinStripe(sc *searchScratch, j *stripeJob, h *knn.Heap, merge bool) {
+	stripeAt(j.hook, StripeCallerEnding)
+	withdrawn := j.state.CompareAndSwap(j.gen<<2|stripeOffered, j.gen<<2|stripeWithdrawn)
+	stripeAt(j.hook, StripeCallerEnded)
+	if !withdrawn {
+		awaitStripe(j)
+	}
+	hsc, p := j.sc, j.panicked
+	j.x, j.q, j.caller, j.hook, j.sc, j.panicked = nil, nil, nil, nil, nil, nil
+	if hsc != nil {
+		if merge && p == nil {
+			for _, r := range hsc.heap.Items() {
+				h.Push(r)
+			}
+			sc.partial = sc.partial || hsc.partial
+		}
+		x.putScratch(hsc)
+	}
+	if merge && p != nil {
+		panic(p)
+	}
+}
+
+// stripePolls bounds awaitStripe's polls (tens of µs).
+const stripePolls = 2000
+
+// awaitStripe waits for the helper. Its last chunk usually ends within
+// a few µs of the caller's, so the caller polls before it parks: a
+// parked caller is readied on the helper's P, and the query's caller
+// then runs its next operation on the other core's caches.
+func awaitStripe(j *stripeJob) {
+	for range stripePolls {
+		select {
+		case <-j.done:
+			return
+		default:
+		}
+	}
+	<-j.done
+}
+
+// StripePoint names a schedule point of a striped read, where a hook
+// installed by SetStripeHook runs: the caller's offer was taken, it is
+// about to claim a chunk, its stripe is done (before and after it tries
+// to withdraw the job); the helper received the offer, took the job.
+type StripePoint int
+
+const (
+	StripeOffered StripePoint = iota
+	StripeCallerClaim
+	StripeCallerEnding
+	StripeCallerEnded
+	StripeHelperWake
+	StripeHelperStarted
+)
+
+// stripeAt runs hook at point p; a no-op unless hooks are compiled in.
+func stripeAt(hook func(StripePoint), p StripePoint) {
+	if stripeHooks && hook != nil {
+		hook(p)
+	}
+}

@@ -302,8 +302,10 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // execute answers one query over the view's pinned snapshots, appending
 // the global top-k to dst and reporting whether the time budget cut any
 // snapshot's scan short. With tr non-nil every snapshot's span is
-// recorded; results are bit-identical either way, and so are the work
-// counters, because observing never changes the shape of the read.
+// recorded; results are bit-identical either way. A request that
+// observes — st, tr (Stats, Explain, Trace, or an installed sink) —
+// gets the one-stripe read, so its work counters describe the read that
+// produced its answer and depend on w alone, never on timing.
 //
 // An exact read has one shape: the n snapshots are dealt round-robin
 // onto w = v.stripes stripes, stripe g taking snapshots g, g+w, g+2w, …,
@@ -319,8 +321,12 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // chain through everything: its last link's answer IS the global top-k
 // and is written straight into dst, with no goroutine, no per-stripe
 // list and no merge. w = n is a plain scatter. The stripes share no
-// bound with each other, so the work counters depend on w alone, never
-// on timing.
+// bound with each other.
+//
+// One snapshot read by a request that observes nothing, on a process
+// with a second scheduler thread, may split inside the snapshot instead
+// (core.SearchOptions.Striped): an idle helper walks the same frontier
+// as a second stripe, sharing the k-th bound (see core's stripe.go).
 //
 // An approximate read has no bound to carry: CSSIA's result is defined
 // per clustering, and the documented sharded semantics are "the merge of
@@ -332,6 +338,7 @@ func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core
 		chains, step = v.n(), v.n()
 	}
 	if chains == 1 {
+		opts.Striped = v.n() == 1 && !opts.Approx && st == nil && tr == nil && runtime.GOMAXPROCS(0) >= 2
 		return v.chain(dst, 0, step, q, k, lambda, opts, st, shardSpans(tr))
 	}
 	return v.mergeChains(dst, chains, step, q, k, lambda, opts, st, tr)

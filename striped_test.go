@@ -1,0 +1,457 @@
+package cssi
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/scan"
+)
+
+// A striped exact read (core's stripe.go) splits one snapshot's frontier
+// between the caller and an idle helper. These tests pin that it answers
+// exactly what the one-stripe read does, that it cleans up after itself,
+// and that only reads which observe nothing take it. Under the race
+// detector core.SetStripeHook forces each schedule of the helper; other
+// builds run whatever schedule the host produces.
+
+// stripeSchedule is a schedule of the helper relative to the caller.
+type stripeSchedule int
+
+const (
+	// helperFirst: the caller waits for the helper to start.
+	helperFirst stripeSchedule = iota
+	// helperAfterChunk: the helper starts once the caller has scanned
+	// its first chunk (or its whole stripe, when that is one chunk).
+	helperAfterChunk
+	// helperWithdrawn: the helper wakes only after the caller withdrew
+	// the job, and drops it.
+	helperWithdrawn
+	// helperFree: no constraint beyond the offer being taken.
+	helperFree
+)
+
+var stripeSchedules = []stripeSchedule{helperFirst, helperAfterChunk, helperWithdrawn}
+
+func (s stripeSchedule) String() string {
+	return [...]string{"helper-first", "helper-after-chunk", "helper-withdrawn", "helper-free"}[s]
+}
+
+// stripeLog records the schedule points one read passed.
+type stripeLog struct {
+	offered, started atomic.Int32
+}
+
+// forceStripes installs a hook forcing s on the next striped read (each
+// read loads the hook once, so install one per read) and returns its
+// log; ok is false when hooks are not compiled in. extra, when non-nil,
+// runs at every point after the schedule's own step.
+func forceStripes(t *testing.T, s stripeSchedule, extra func(core.StripePoint)) (*stripeLog, bool) {
+	t.Helper()
+	log := new(stripeLog)
+	started, chunk, ended := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	// The caller's claims, touched by the caller's goroutine only.
+	claims, released := 0, false
+	release := func() {
+		if !released {
+			released = true
+			close(chunk)
+			<-started
+		}
+	}
+	hook := func(p core.StripePoint) {
+		switch p {
+		case core.StripeOffered:
+			log.offered.Add(1)
+		case core.StripeHelperStarted:
+			log.started.Add(1)
+		}
+		switch s {
+		case helperFirst:
+			switch p {
+			case core.StripeOffered:
+				<-started
+			case core.StripeHelperStarted:
+				close(started)
+			}
+		case helperAfterChunk:
+			switch p {
+			case core.StripeCallerClaim:
+				if claims++; claims == 2 {
+					release()
+				}
+			case core.StripeCallerEnding:
+				release()
+			case core.StripeHelperWake:
+				<-chunk
+			case core.StripeHelperStarted:
+				close(started)
+			}
+		case helperWithdrawn:
+			switch p {
+			case core.StripeHelperWake:
+				<-ended
+			case core.StripeCallerEnded:
+				close(ended)
+			}
+		}
+		if extra != nil {
+			extra(p)
+		}
+	}
+	if !core.SetStripeHook(hook) {
+		return nil, false
+	}
+	t.Cleanup(func() { core.SetStripeHook(nil) })
+	return log, true
+}
+
+// check reports whether the read the log saw followed s.
+func (l *stripeLog) check(t *testing.T, ctx string, s stripeSchedule) {
+	t.Helper()
+	wantStarted := int32(1)
+	if s == helperWithdrawn {
+		wantStarted = 0
+	}
+	if l.offered.Load() != 1 || l.started.Load() != wantStarted {
+		t.Fatalf("%s: %d offers taken, helper started %d times; want 1 and %d", ctx, l.offered.Load(), l.started.Load(), wantStarted)
+	}
+}
+
+// stripeTarget is one index a striped read can serve from: a bare
+// *Index or a one-shard ShardedIndex.
+type stripeTarget struct {
+	name string
+	do   func(ctx context.Context, req SearchRequest) ([]Result, error)
+	snap func() *Index
+}
+
+func bareTarget(x *Index) stripeTarget {
+	return stripeTarget{"bare", x.DoContext, func() *Index { return x }}
+}
+
+func oneShardTarget(s *ShardedIndex) stripeTarget {
+	return stripeTarget{"P=1", s.DoContext, func() *Index { return snapshot(s) }}
+}
+
+// stripeDataset is testDataset plus the inputs a striped read can get
+// wrong: copies of one object, so that ties straddle the k-th rank of a
+// query near it; objects sharing that point but not its vector, which
+// land in other clusters and so tie across stripes at λ = 1; and an
+// object with a zero vector.
+func stripeDataset(t *testing.T) (*Dataset, []Object) {
+	t.Helper()
+	ds := testDataset(t, 700)
+	queries := ds.SampleQueries(4, 31)
+	twin := ds.Objects[17]
+	objs := slices.Clone(ds.Objects)
+	for i := 0; i < 3; i++ {
+		twin.ID = uint32(800_000 + i)
+		objs = append(objs, twin)
+	}
+	for i := 0; i < 12; i++ {
+		o := twin
+		o.ID, o.Vec = uint32(700_000+i), ds.Objects[100+41*i].Vec
+		objs = append(objs, o)
+	}
+	beside := twin
+	beside.X += 1e-3
+	queries = append(queries, beside)
+	// The zero vector gets a point of its own, and no query sits on the
+	// shared point: there objects of different clusters would tie at
+	// distance 0 = their clusters' bound, a tie the frontier's
+	// non-strict cut does not resolve by ID (ROADMAP).
+	zero := ds.Objects[29]
+	zero.ID, zero.Vec = 900_000, make([]float32, ds.Dim)
+	zero.X, zero.Y = 1-zero.X, 1-zero.Y
+	objs = append(objs, zero)
+	queries = append(queries, zero)
+	return &Dataset{Objects: objs, Dim: ds.Dim}, queries
+}
+
+// TestStripedExactEquivalence pins the striped exact read to the
+// one-stripe read and the linear scan, ID for ID and distance for
+// distance, on a bare *Index and on a one-shard ShardedIndex whose
+// snapshot holds overlay delta rows and tombstones, for λ ∈ {0, 0.5, 1},
+// k ∈ {1, 10, > n}, ties at the k-th rank and a zero vector — under each
+// forced schedule of the helper where hooks exist.
+func TestStripedExactEquivalence(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a striped read needs GOMAXPROCS >= 2")
+	}
+	ds, queries := stripeDataset(t)
+	bare := mustBuild(t, ds, Options{Seed: 37})
+	s := mustBuildSharded(t, ds, 1, Options{Seed: 37})
+	live := make(map[uint32]Object, ds.Len())
+	for _, o := range ds.Objects {
+		live[o.ID] = o
+	}
+	// Writes below the compaction threshold: delta rows, tombstones on
+	// base rows, and more copies of the twin among the delta rows.
+	for _, op := range overlayOps(ds, 60) {
+		if err := s.ApplyBatch([]Op{op}); err != nil {
+			t.Fatal(err)
+		}
+		switch op.Kind {
+		case OpDelete:
+			delete(live, op.ID)
+		default:
+			live[op.Object.ID] = op.Object
+		}
+	}
+	twin := live[800_000]
+	for i := 0; i < 2; i++ {
+		twin.ID = uint32(850_000 + i)
+		if err := s.Insert(twin); err != nil {
+			t.Fatal(err)
+		}
+		live[twin.ID] = twin
+	}
+	if st := s.ShardStats()[0]; st.DeltaOps == 0 {
+		t.Fatal("the shard buffered no delta ops")
+	}
+	liveObjs := make([]Object, 0, len(live))
+	for _, o := range live {
+		liveObjs = append(liveObjs, o)
+	}
+
+	for _, tc := range []struct {
+		target stripeTarget
+		oracle *scan.Scanner
+	}{
+		{bareTarget(bare), scan.New(ds, bare.space)},
+		{oneShardTarget(s), scan.New(&Dataset{Objects: liveObjs, Dim: ds.Dim}, bare.space)},
+	} {
+		t.Run(tc.target.name, func(t *testing.T) {
+			snap := tc.target.snap()
+			n := snap.Len()
+			for qi := range queries {
+				q := &queries[qi]
+				for _, lambda := range []float64{0, 0.5, 1} {
+					for _, k := range []int{1, 10, n + 5} {
+						ctx := fmt.Sprintf("q%d λ=%v k=%d", qi, lambda, k)
+						want := tc.oracle.Search(q, k, lambda, nil)
+						equalResults(t, ctx+" one-stripe vs scan", want, snap.core.SearchOptionsInto(nil, q, k, lambda, core.SearchOptions{}, nil))
+						got, err := tc.target.do(context.Background(), SearchRequest{Query: q, K: k, Lambda: lambda})
+						if err != nil {
+							t.Fatal(err)
+						}
+						equalResults(t, ctx+" Do", want, got)
+						for _, sched := range stripeSchedules {
+							log, ok := forceStripes(t, sched, nil)
+							if !ok {
+								break
+							}
+							got, err := tc.target.do(context.Background(), SearchRequest{Query: q, K: k, Lambda: lambda})
+							if err != nil {
+								t.Fatal(err)
+							}
+							sctx := fmt.Sprintf("%s %v", ctx, sched)
+							log.check(t, sctx, sched)
+							equalResults(t, sctx, want, got)
+						}
+						core.SetStripeHook(nil)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStripedHelperPanicReraised: a panic inside the helper's stripe
+// surfaces on the caller, once the helper is done.
+func TestStripedHelperPanicReraised(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a striped read needs GOMAXPROCS >= 2")
+	}
+	ds := testDataset(t, 400)
+	x := mustBuild(t, ds, Options{Seed: 41})
+	q := ds.Objects[0]
+	started := make(chan struct{})
+	_, ok := forceStripes(t, helperFree, func(p core.StripePoint) {
+		switch p {
+		case core.StripeHelperStarted:
+			close(started)
+			panic("helper stripe")
+		case core.StripeCallerEnding:
+			<-started
+		}
+	})
+	if !ok {
+		t.Skip("stripe hooks are compiled into race builds only")
+	}
+	defer func() {
+		if r := recover(); r != "helper stripe" {
+			t.Fatalf("recovered %v, want the helper's panic", r)
+		}
+	}()
+	x.Search(&q, 10, 0.5)
+	t.Fatal("Search returned")
+}
+
+// TestStripedReadsLeaveNoGoroutines: helpers are standing goroutines,
+// at most GOMAXPROCS−1 of them, so a burst of reads — sequential and
+// concurrent — leaves the goroutine count where the first read left it.
+func TestStripedReadsLeaveNoGoroutines(t *testing.T) {
+	ds := testDataset(t, 500)
+	x := mustBuild(t, ds, Options{Seed: 43})
+	queries := ds.Objects[:64]
+	for i := 0; i < 4; i++ {
+		x.Search(&queries[i], 10, 0.5)
+	}
+	base := runtime.NumGoroutine()
+	for i := range queries {
+		x.Search(&queries[i], 10, 0.5)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range queries {
+				x.Search(&queries[(i+g*16)%len(queries)], 10, 0.5)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the burst, %d before", n, base)
+	}
+}
+
+// TestStripedBudget: a budget that fires in either stripe makes the
+// answer partial — or, for a cancelled context, the error — and the read
+// returns promptly.
+func TestStripedBudget(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a striped read needs GOMAXPROCS >= 2")
+	}
+	ds := testDataset(t, 600)
+	x := mustBuild(t, ds, Options{Seed: 47})
+	q := ds.Objects[3]
+	n := x.Len()
+	prompt := func(t *testing.T, start time.Time) {
+		t.Helper()
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("the cut read took %v", d)
+		}
+	}
+
+	t.Run("deadline", func(t *testing.T) {
+		var meta ResponseMeta
+		start := time.Now()
+		if _, err := x.Do(SearchRequest{Query: &q, K: n, Lambda: 0.5, Deadline: time.Nanosecond, Meta: &meta}); err != nil {
+			t.Fatal(err)
+		}
+		prompt(t, start)
+		if !meta.Partial {
+			t.Fatal("an expired deadline gave a complete answer")
+		}
+	})
+
+	// The helper starts only after the caller's stripe has ended, and the
+	// cancel fires as it starts: only the helper's stripe can see it.
+	t.Run("cancel-in-helper", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, ok := forceStripes(t, helperAfterChunk, func(p core.StripePoint) {
+			if p == core.StripeHelperStarted {
+				cancel()
+			}
+		})
+		if !ok {
+			t.Skip("stripe hooks are compiled into race builds only")
+		}
+		start := time.Now()
+		_, err := x.DoContext(ctx, SearchRequest{Query: &q, K: n, Lambda: 0.5})
+		prompt(t, start)
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+
+	t.Run("fired-in-helper", func(t *testing.T) {
+		fired := firedCtx{context.Background(), make(chan struct{})}
+		_, ok := forceStripes(t, helperAfterChunk, func(p core.StripePoint) {
+			if p == core.StripeHelperStarted {
+				close(fired.done)
+			}
+		})
+		if !ok {
+			t.Skip("stripe hooks are compiled into race builds only")
+		}
+		var meta ResponseMeta
+		start := time.Now()
+		if _, err := x.DoContext(fired, SearchRequest{Query: &q, K: n, Lambda: 0.5, Meta: &meta}); err != nil {
+			t.Fatal(err)
+		}
+		prompt(t, start)
+		if !meta.Partial {
+			t.Fatal("a cut in the helper's stripe gave a complete answer")
+		}
+	})
+}
+
+// TestStripedNeverAtOneProc: under GOMAXPROCS(1) no read offers a
+// helper a stripe, and the answers stand.
+func TestStripedNeverAtOneProc(t *testing.T) {
+	ds := testDataset(t, 400)
+	x := mustBuild(t, ds, Options{Seed: 53})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	log, hooked := forceStripes(t, helperFree, nil)
+	for i := 0; i < 20; i++ {
+		q := ds.Objects[i]
+		want := x.core.SearchOptionsInto(nil, &q, 10, 0.5, core.SearchOptions{}, nil)
+		equalResults(t, fmt.Sprintf("q%d", i), want, x.Search(&q, 10, 0.5))
+	}
+	if hooked && log.offered.Load() != 0 {
+		t.Fatalf("%d reads offered a stripe under GOMAXPROCS(1)", log.offered.Load())
+	}
+}
+
+// TestStripedCountedReadsOneStripe pins the counted-read rule: a request
+// that asks for work counters — Stats, Explain or Trace — gets the
+// one-stripe read, so its counters equal core.SearchOptionsInto's
+// one-stripe read of the same query, on a bare *Index and on a one-shard
+// ShardedIndex.
+func TestStripedCountedReadsOneStripe(t *testing.T) {
+	ds := testDataset(t, 600)
+	for _, target := range []stripeTarget{
+		bareTarget(mustBuild(t, ds, Options{Seed: 59})),
+		oneShardTarget(mustBuildSharded(t, ds, 1, Options{Seed: 59})),
+	} {
+		t.Run(target.name, func(t *testing.T) {
+			log, hooked := forceStripes(t, helperFree, nil)
+			for qi, q := range ds.SampleQueries(8, 61) {
+				var want Stats
+				wantRes := target.snap().core.SearchOptionsInto(nil, &q, 10, 0.5, core.SearchOptions{}, &want)
+				var st Stats
+				var es ExplainStats
+				var tr SearchTrace
+				for _, req := range []SearchRequest{
+					{Query: &q, K: 10, Lambda: 0.5, Stats: &st},
+					{Query: &q, K: 10, Lambda: 0.5, Explain: &es},
+					{Query: &q, K: 10, Lambda: 0.5, Trace: &tr},
+				} {
+					got, err := target.do(context.Background(), req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalResults(t, fmt.Sprintf("q%d", qi), wantRes, got)
+				}
+				if st != want || es.Stats != want || tr.Total.Stats != want {
+					t.Fatalf("q%d: Stats %+v / Explain %+v / Trace %+v, one-stripe read %+v", qi, st, es.Stats, tr.Total.Stats, want)
+				}
+			}
+			if hooked && log.offered.Load() != 0 {
+				t.Fatalf("%d counted reads offered a stripe", log.offered.Load())
+			}
+		})
+	}
+}
