@@ -393,7 +393,7 @@ func BenchmarkTable5Updates(b *testing.B) {
 		if !ok {
 			continue
 		}
-		upd := *o
+		upd := o
 		upd.X = 1 - upd.X
 		if err := e.idx.Update(upd); err != nil {
 			b.Fatal(err)

@@ -68,6 +68,10 @@ type SearchTrace = obs.Trace
 // SearchSpan is one shard's slice of an explained query.
 type SearchSpan = obs.ShardSpan
 
+// HeapBytes is an index's heap ledger: the bytes each of its structures
+// holds (see ShardStat.Heap).
+type HeapBytes = core.HeapBytes
+
 // DatasetKind selects a synthetic generator family.
 type DatasetKind = dataset.Kind
 
@@ -395,8 +399,15 @@ func (x *Index) Dim() int { return x.core.Dim() }
 // NumClusters returns the number of non-empty hybrid clusters.
 func (x *Index) NumClusters() int { return x.core.NumClusters() }
 
-// Object returns the live object with the given ID.
-func (x *Index) Object(id uint32) (*Object, bool) { return x.core.Object(id) }
+// Object returns a copy of the live object with the given ID. Its Vec
+// views the index's vector storage and must not be written.
+func (x *Index) Object(id uint32) (*Object, bool) {
+	o, ok := x.core.Object(id)
+	if !ok {
+		return nil, false
+	}
+	return &o, true
+}
 
 // ErrorRate computes the paper's result-error metric for an approximate
 // result set against the exact one: |exact \ approx| / k (§7.1).

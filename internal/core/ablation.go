@@ -51,7 +51,7 @@ func (x *Index) SearchAblated(q *dataset.Object, k int, lambda float64, opts Abl
 		for _, c := range x.clusters {
 			if !opts.DisableInterCluster {
 				lb := lowerBound(lambda, sc.dsq[c.s], x.sRad[c.s], sc.dtq[c.t], x.tRad[c.t])
-				if u, full := h.Bound(); full && lb >= u {
+				if u, full := h.Bound(); full && lb > u {
 					if st != nil {
 						st.ClustersPruned++
 						st.InterPruned += int64(len(c.elems))
@@ -72,7 +72,7 @@ func (x *Index) SearchAblated(q *dataset.Object, k int, lambda float64, opts Abl
 			break
 		}
 		if !opts.DisableInterCluster {
-			if u, full := h.Bound(); full && lb >= u {
+			if u, full := h.Bound(); full && lb > u {
 				f.chargePruned(st)
 				break
 			}
@@ -115,8 +115,7 @@ func (x *Index) scanClusterAblated(q *dataset.Object, lambda float64, c *hybrid,
 		if tombs != nil && tombs.get(e.idx) {
 			continue
 		}
-		o := &x.objects[e.idx]
-		d := x.space.Distance(st, lambda, q, o)
-		h.Push(knn.Result{ID: o.ID, Dist: d})
+		o := x.row(e.idx)
+		h.Push(knn.Result{ID: o.ID, Dist: x.space.Distance(st, lambda, q, &o)})
 	}
 }

@@ -86,7 +86,7 @@ type Anchors struct {
 }
 
 // anchorArena is the per-row anchor storage of one index, parallel to
-// objects. CloneForWrite copies the struct so clones grow their own
+// the other arenas. CloneForWrite copies the struct so clones grow their own
 // slice headers; set is shared.
 type anchorArena struct {
 	set  *Anchors
@@ -190,7 +190,7 @@ func (a *Anchors) assign(space *metric.Space, v []float32) (uint8, float32) {
 // buildAnchors anchors every stored row. With a nil set it fits one over
 // this index's own rows first.
 func (x *Index) buildAnchors(set *Anchors) *anchorArena {
-	n := len(x.objects)
+	n := x.rows()
 	if set == nil {
 		set = fitAnchors(n, func(i int) []float32 { return x.vecAt(uint32(i)) }, x.space, x.cfg.Seed, x.cfg.Workers)
 	}
@@ -318,7 +318,7 @@ func (x *Index) checkAnchors() error {
 	if aa == nil {
 		return fmt.Errorf("index has no anchor arena")
 	}
-	n, k := len(x.objects), len(aa.set.pts)
+	n, k := x.rows(), len(aa.set.pts)
 	if len(aa.id) != n || len(aa.dist) != n {
 		return fmt.Errorf("anchor arena holds %d/%d rows for %d objects", len(aa.id), len(aa.dist), n)
 	}

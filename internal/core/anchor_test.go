@@ -202,7 +202,7 @@ func deleteClusters(t *testing.T, x *Index, clusters int) {
 	var ids []uint32
 	for _, c := range x.clusters[:clusters] {
 		for _, m := range c.members {
-			ids = append(ids, x.objects[m.idx].ID)
+			ids = append(ids, x.ids[m.idx])
 		}
 	}
 	for _, id := range ids {

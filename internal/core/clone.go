@@ -1,23 +1,21 @@
 package core
 
-import "repro/internal/dataset"
-
 // Copy-on-write cloning (the engine behind the RCU-style snapshot
 // publication in the public ShardedIndex): CloneForWrite produces a
 // new Index value that SHARES every structure queries read but writers
-// never mutate in place — the vector/projection arenas, the object
-// slice, the centroid tables, the cluster assignments and the hybrid
+// never mutate in place — the vector/projection arenas, the per-row
+// columns, the centroid tables, the cluster assignments and the hybrid
 // clusters themselves — and COPIES only the small mutable metadata a
 // maintenance operation may write into (radii, membership-list headers,
-// the cluster directory, the deleted bitmap and the ID map).
+// the cluster directory and the deleted bitmap).
 //
 // The safety argument has two halves:
 //
 //   - Interior writes (slots readers of the parent can see) only ever
 //     happen to structures the clone owns: the eager copies below, plus
-//     lazily-owned pieces (cowHybrid, ensureOwnedObjects, removeIdxCOW)
-//     that mutations acquire right before writing.
-//   - Append-only growth (objects, deleted, sAssign/tAssign, the
+//     lazily-owned pieces (cowHybrid, removeIdxCOW, the ID table's
+//     buckets) that mutations acquire right before writing.
+//   - Append-only growth (the columns, deleted, sAssign/tAssign, the
 //     arenas, side-membership lists) may land in backing arrays shared
 //     with the parent, but always at offsets >= the parent's length.
 //     Readers never index past their own snapshot's length, and writers
@@ -30,9 +28,6 @@ import "repro/internal/dataset"
 // published snapshots must never be mutated again except by cloning
 // them anew.
 type cowState struct {
-	// ownsObjects marks that the objects slice has been copied, so
-	// interior writes (arena-growth repointing) are safe.
-	ownsObjects bool
 	// ownedHybrids holds the hybrid clusters this clone has already
 	// replaced with private copies; mutations may write them in place.
 	ownedHybrids map[*hybrid]bool
@@ -42,9 +37,10 @@ type cowState struct {
 // Insert/Delete/Update to the clone never mutates state visible through
 // x, so readers may keep using x (lock-free) while the clone is
 // prepared and then published in its place. The cost is O(n) for the
-// deleted bitmap and the ID map plus O(Ks·Kt) slice-header
-// and directory copies — the arenas, objects, centroids and per-cluster
-// arrays are shared until a mutation actually touches them.
+// deleted bitmap (one bit per row) plus O(Ks·Kt) slice-header and
+// directory copies — the arenas, columns, centroids and per-cluster
+// arrays are shared until a mutation actually touches them, and so are
+// the ID table's buckets, which a write copies one at a time.
 func (x *Index) CloneForWrite() *Index {
 	nx := new(Index)
 	*nx = *x
@@ -54,10 +50,9 @@ func (x *Index) CloneForWrite() *Index {
 	// flat. Callers folding an overlay replay it themselves (Compact).
 	nx.delta = nil
 	nx.deleted = x.deleted.clone()
-	nx.idToIdx = make(map[uint32]uint32, len(x.idToIdx))
-	for id, i := range x.idToIdx {
-		nx.idToIdx[id] = i
-	}
+	ids := *x.idIdx
+	ids.owned = 0
+	nx.idIdx = &ids
 	nx.sRad = append([]float64(nil), x.sRad...)
 	nx.tRad = append([]float64(nil), x.tRad...)
 	nx.tRadProj = append([]float64(nil), x.tRadProj...)
@@ -75,17 +70,6 @@ func (x *Index) CloneForWrite() *Index {
 
 	nx.cow = &cowState{ownedHybrids: make(map[*hybrid]bool)}
 	return nx
-}
-
-// ensureOwnedObjects copies the objects slice before the first interior
-// write (arena regrowth repoints every stored Vec view). Append-only
-// writes don't need it: they land past the parent's length.
-func (x *Index) ensureOwnedObjects() {
-	if x.cow == nil || x.cow.ownsObjects {
-		return
-	}
-	x.objects = append([]dataset.Object(nil), x.objects...)
-	x.cow.ownsObjects = true
 }
 
 // cowHybrid returns a hybrid cluster safe to mutate in place: c itself

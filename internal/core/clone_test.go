@@ -207,7 +207,7 @@ func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
 		cell := x.cell(c.s, c.t)
 		var objs []dataset.Object
 		for _, m := range c.members {
-			objs = append(objs, x.objects[m.idx])
+			objs = append(objs, x.row(m.idx))
 		}
 		before := len(x.clusters)
 		for _, o := range objs {
@@ -293,7 +293,7 @@ func TestGridEmptiedPairUnderReaders(t *testing.T) {
 		t.Fatal("fixture has no small cluster")
 	}
 	for _, m := range c.members {
-		if err := child.Delete(parent.objects[m.idx].ID); err != nil {
+		if err := child.Delete(parent.ids[m.idx]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,0 +1,235 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/metric"
+)
+
+// Every stored object is one row kept once: an ID, text and topic column
+// beside the arenas, with the ID table mapping IDs to rows. These tests
+// pin what that storage must keep of the objects (Object, Save), and
+// what it costs (HeapBytes).
+
+// writtenStates builds the two indexes whose storage writes have
+// rearranged: "eager", a flat index after in-place inserts that regrow
+// its vector arena and deletes; and "compacted", the fold of an overlay
+// that buffered inserts, base deletes and deletes of its own inserts.
+// want maps each to its live objects.
+func writtenStates(t *testing.T) (map[string]*Index, map[string]map[uint32]dataset.Object) {
+	t.Helper()
+	pool, err := dataset.Generate(dataset.GenConfig{Kind: dataset.YelpLike, Size: 60, Dim: 32, Seed: 86})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := map[string]*Index{}
+	want := map[string]map[uint32]dataset.Object{}
+	for _, name := range []string{"eager", "compacted"} {
+		f := build(t, dataset.TwitterLike, 500, Config{Seed: 85})
+		live := liveObjects(f.ds.Objects)
+		x := f.idx
+		if name == "compacted" {
+			x = x.CloneWithDelta()
+		}
+		for i, o := range pool.Objects[:40] {
+			o.ID = uint32(600_000 + i)
+			if err := x.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			live[o.ID] = o
+		}
+		for i := 0; i < 20; i++ {
+			id := f.ds.Objects[i*7].ID
+			if i%4 == 3 {
+				id = uint32(600_000 + i)
+			}
+			if err := x.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, id)
+		}
+		if name == "compacted" {
+			if x, err = x.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		} else if cap(x.vecArena) == len(x.vecArena) || len(x.vecArena) != x.rows()*x.dim {
+			t.Fatalf("eager writes left a vector arena of %d/%d values for %d rows", len(x.vecArena), cap(x.vecArena), x.rows())
+		}
+		states[name], want[name] = x, live
+	}
+	return states, want
+}
+
+func liveObjects(objs []dataset.Object) map[uint32]dataset.Object {
+	live := make(map[uint32]dataset.Object, len(objs))
+	for _, o := range objs {
+		live[o.ID] = o
+	}
+	return live
+}
+
+func saveBytes(t *testing.T, x *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := x.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func loadBytes(t *testing.T, b []byte) *Index {
+	t.Helper()
+	x, _, err := Load(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// TestSaveLoadSaveBytes pins Save's bytes across Load. A cluster-major
+// index — a fresh build — saves, loads and saves again to the same
+// bytes. An index whose writes left it out of cluster-major order loads
+// renumbered, and from then on the round trip is the identity too. The
+// written states' bytes are pinned as the code that stored a
+// dataset.Object per row wrote them.
+func TestSaveLoadSaveBytes(t *testing.T) {
+	f := build(t, dataset.TwitterLike, 500, Config{Seed: 85})
+	first := saveBytes(t, f.idx)
+	if again := saveBytes(t, loadBytes(t, first)); !bytes.Equal(first, again) {
+		t.Fatal("flat: Save → Load → Save changed the bytes")
+	}
+	states, _ := writtenStates(t)
+	digests := map[string]string{
+		"eager":     "71905f706bc9f3dc77911cad86debc4c208abd87f181af8ce03e7eb293ede750",
+		"compacted": "fea274ffdfab764b76f06c8dd078fa0bb6b4988bbc93459a1fd54327ad26663b",
+	}
+	for name, x := range states {
+		first := saveBytes(t, x)
+		if runtime.GOARCH == "amd64" {
+			sum := sha256.Sum256(first)
+			if got := hex.EncodeToString(sum[:]); got != digests[name] {
+				t.Errorf("%s: saved bytes digest %s, want %s", name, got, digests[name])
+			}
+		}
+		second := saveBytes(t, loadBytes(t, first))
+		if third := saveBytes(t, loadBytes(t, second)); !bytes.Equal(second, third) {
+			t.Fatalf("%s: Save → Load → Save of a loaded index changed the bytes", name)
+		}
+	}
+}
+
+// requireObjects holds Object to the objects the index was given: every
+// live ID returns its object, field for field and vector for vector, and
+// a few IDs that are not live return nothing.
+func requireObjects(t *testing.T, ctx string, x *Index, want map[uint32]dataset.Object, gone ...uint32) {
+	t.Helper()
+	if x.Len() != len(want) {
+		t.Fatalf("%s: %d live objects, want %d", ctx, x.Len(), len(want))
+	}
+	for id, w := range want {
+		got, ok := x.Object(id)
+		if !ok {
+			t.Fatalf("%s: live object %d not found", ctx, id)
+		}
+		if got.ID != w.ID || got.X != w.X || got.Y != w.Y || got.Text != w.Text || got.Topic != w.Topic || !slices.Equal(got.Vec, w.Vec) {
+			t.Fatalf("%s: object %d is %+v, want %+v", ctx, id, got, w)
+		}
+	}
+	for _, id := range gone {
+		if _, ok := x.Object(id); ok {
+			t.Fatalf("%s: object %d is not live but found", ctx, id)
+		}
+	}
+}
+
+// TestObjectAssembledFromColumns: Object returns what was inserted, for
+// base rows, eager inserts across a vector-arena regrowth, overlay rows,
+// and after Compact, Rebuild and Load.
+func TestObjectAssembledFromColumns(t *testing.T) {
+	f := build(t, dataset.TwitterLike, 500, Config{Seed: 85})
+	requireObjects(t, "built", f.idx, liveObjects(f.ds.Objects), 123_456)
+
+	states, want := writtenStates(t)
+	gone := []uint32{f.ds.Objects[0].ID, 600_003}
+	requireObjects(t, "eager writes", states["eager"], want["eager"], gone...)
+	requireObjects(t, "compacted", states["compacted"], want["compacted"], gone...)
+	requireObjects(t, "loaded", loadBytes(t, saveBytes(t, states["eager"])), want["eager"], gone...)
+
+	ov := states["compacted"].CloneWithDelta()
+	live := want["compacted"]
+	o := f.ds.Objects[0]
+	o.ID, o.Text, o.Topic = 700_000, "a fresh text", 3
+	if err := ov.Insert(o); err != nil {
+		t.Fatal(err)
+	}
+	live[o.ID] = o
+	if err := ov.Delete(600_000); err != nil {
+		t.Fatal(err)
+	}
+	delete(live, 600_000)
+	requireObjects(t, "overlay", ov, live, append(gone, 600_000)...)
+
+	if err := states["eager"].Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	requireObjects(t, "rebuilt", states["eager"], want["eager"], gone...)
+}
+
+// TestHeapLedger holds HeapBytes to the heap a build keeps: the ledger's
+// total is within 5 % of the live-heap growth across Build, measured
+// after two collections. It logs the ledger per structure, in MiB and in
+// bytes per row.
+func TestHeapLedger(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory moves the live heap")
+	}
+	const n = 20_000
+	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: n, Dim: 100, Seed: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	x, err := Build(ds, sp, Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := live() - before
+	h := x.HeapBytes()
+	runtime.KeepAlive(ds) // the corpus is no part of the growth
+	runtime.KeepAlive(x)
+
+	const mib = 1 << 20
+	for _, r := range []struct {
+		name  string
+		bytes int64
+	}{
+		{"vectors", h.Vectors}, {"projections", h.Projections}, {"coords", h.Coords},
+		{"anchors", h.Anchors}, {"ids", h.IDs}, {"texts", h.Texts}, {"topics", h.Topics},
+		{"deleted", h.Deleted}, {"assign", h.Assign}, {"side members", h.SideMembers},
+		{"elems", h.Elems}, {"members", h.Members}, {"clusters", h.Clusters},
+		{"model", h.Model}, {"ID table", h.IDTable}, {"overlay", h.Overlay},
+	} {
+		t.Logf("%-12s %7.3f MiB %6.1f B/row", r.name, float64(r.bytes)/mib, float64(r.bytes)/n)
+	}
+	t.Logf("%-12s %7.3f MiB %6.1f B/row; measured %.3f MiB", "total", float64(h.Total())/mib, float64(h.Total())/n, float64(measured)/mib)
+	if off := float64(h.Total()-measured) / float64(measured); off < -0.05 || off > 0.05 {
+		t.Fatalf("ledger %d B is %+.1f%% off the measured %d B", h.Total(), 100*off, measured)
+	}
+}

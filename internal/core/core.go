@@ -134,7 +134,7 @@ func clusterCount(n int, f float64) int {
 // member is one object of a hybrid cluster with its true normalized
 // distances to the cluster's two centroids.
 type member struct {
-	idx    uint32 // index into Index.objects
+	idx    uint32 // storage position of the object's row
 	ds, dt float64
 }
 
@@ -185,10 +185,22 @@ type Index struct {
 	cfg   Config
 	space *metric.Space
 
-	objects []dataset.Object
+	// Every stored object is one row, at one storage position, kept once:
+	// its location in xArena/yArena, its vector in vecArena and the rest
+	// in the three columns below, which is all that no arena holds (Topic
+	// only because Save writes it). row assembles the object back.
+	ids     []uint32
+	texts   []string
+	topics  []int
 	deleted bitset
 	live    int
-	idToIdx map[uint32]uint32
+	// idIdx maps the ID of every row not deleted to its storage position.
+	// Build and Load bulk-build it and own every bucket, so in-place
+	// writes copy none. CloneForWrite gives the clone its own copy of the
+	// 64 bucket headers, sharing the buckets until it writes one, as the
+	// overlay's tables do (overlay_cow.go); CloneWithDelta shares the
+	// table whole, since the overlay never writes the base.
+	idIdx *idTable
 
 	// delta, when non-nil, is this snapshot's mutable write overlay (see
 	// overlay.go): Insert/Delete/Update land in it instead of the base
@@ -200,10 +212,9 @@ type Index struct {
 
 	// The embeddings and their PCA projections live in two contiguous
 	// row-major float32 arenas (SoA, fixed stride): row i of vecArena is
-	// the n-dimensional vector of objects[i] (objects[i].Vec is a view
-	// into it), row i of projArena its m-dimensional projection;
-	// xArena[i], yArena[i] repeat objects[i]'s location (derived, never
-	// serialized). Storage order is cluster-major (see layout.go), so a
+	// the n-dimensional vector of the object at storage position i, row i
+	// of projArena its m-dimensional projection; xArena[i], yArena[i] are
+	// its location. Storage order is cluster-major (see layout.go), so a
 	// cluster scan reads each arena as one linear prefetchable run
 	// instead of one pointer chase per row.
 	dim            int // n: embedding dimensionality (vecArena stride)
@@ -248,7 +259,9 @@ type Index struct {
 	// after build (incremental inserts never recompute centroids).
 	tValid []bool
 
-	sAssign, tAssign []int
+	// sAssign[i] and tAssign[i] are the side clusters of the row at
+	// storage position i.
+	sAssign, tAssign []int32
 
 	// clusters lists the non-empty hybrid clusters; grid is the dense
 	// Ks×Kt directory over them — grid[s·Kt+t] is the cluster of side
@@ -305,41 +318,40 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		return nil, fmt.Errorf("core: empty dataset")
 	}
 	cfg.applyDefaults()
-	ks, kt := cfg.clusterCounts(ds.Len())
+	n := ds.Len()
+	ks, kt := cfg.clusterCounts(n)
 	x := &Index{
 		cfg:         cfg,
 		space:       space,
-		objects:     append([]dataset.Object(nil), ds.Objects...),
-		deleted:     newBitset(ds.Len()),
-		live:        ds.Len(),
-		idToIdx:     make(map[uint32]uint32, ds.Len()),
+		dim:         len(ds.Objects[0].Vec),
+		deleted:     newBitset(n),
+		live:        n,
 		scratchPool: newScratchPool(),
 	}
-	for i := range x.objects {
-		if _, dup := x.idToIdx[x.objects[i].ID]; dup {
-			return nil, fmt.Errorf("core: duplicate object ID %d", x.objects[i].ID)
+	// The columns are filled in input order and the vectors stay the
+	// caller's until the cluster-major order is known: layoutClusterMajor
+	// then permutes the columns and writes the vector arena once, in that
+	// order.
+	vecs := make([][]float32, n)
+	for i, o := range ds.Objects {
+		if len(o.Vec) != x.dim {
+			return nil, fmt.Errorf("core: object %d has vector dim %d, want %d", o.ID, len(o.Vec), x.dim)
 		}
-		x.idToIdx[x.objects[i].ID] = uint32(i)
+		vecs[i] = o.Vec
 	}
-
-	// The objects keep viewing the caller's vectors until the cluster-major
-	// order is known: layoutClusterMajor then writes the arena once, in
-	// that order, and repoints every Vec at its row.
-	x.dim = len(x.objects[0].Vec)
-	for i := range x.objects {
-		if len(x.objects[i].Vec) != x.dim {
-			return nil, fmt.Errorf("core: object %d has vector dim %d, want %d",
-				x.objects[i].ID, len(x.objects[i].Vec), x.dim)
-		}
+	x.setColumns(ds.Objects)
+	var err error
+	if x.idIdx, err = newIDTable(x.ids, x.deleted, cfg.Workers); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	// --- Spatial clustering (Alg. 1 lines 2-4) ---
 	phase := time.Now()
-	spatialBuf := make([]float32, 2*len(x.objects))
-	spatialPts := make([][]float32, len(x.objects))
-	for i := range x.objects {
+	spatialBuf := make([]float32, 2*n)
+	spatialPts := make([][]float32, n)
+	for i := range spatialPts {
 		p := spatialBuf[2*i : 2*i+2 : 2*i+2]
-		p[0], p[1] = float32(x.objects[i].X), float32(x.objects[i].Y)
+		p[0], p[1] = float32(x.xArena[i]), float32(x.yArena[i])
 		spatialPts[i] = p
 	}
 	sres, err := kmeans.SampleFit(spatialPts, cfg.SampleFraction, kmeans.Config{
@@ -348,7 +360,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	if err != nil {
 		return nil, fmt.Errorf("core: spatial clustering: %w", err)
 	}
-	x.sAssign = sres.Assign
+	x.sAssign = narrowAssign(sres.Assign)
 	ks = len(sres.Centroids)
 	x.sCentX = make([]float64, ks)
 	x.sCentY = make([]float64, ks)
@@ -361,10 +373,6 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 
 	// --- PCA projection (Alg. 1 lines 5-6) ---
 	phase = time.Now()
-	vecs := make([][]float32, len(x.objects))
-	for i := range x.objects {
-		vecs[i] = x.objects[i].Vec
-	}
 	x.pcaModel, err = pca.Fit(sampleRows(vecs, cfg.SampleFraction, cfg.Seed), pca.Config{
 		Components: cfg.M, Method: cfg.PCAMethod, Seed: cfg.Seed, Workers: cfg.Workers,
 	})
@@ -398,7 +406,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	}
 	tm.Semantic = time.Since(phase)
 	phase = time.Now()
-	x.tAssign = tres.Assign
+	x.tAssign = narrowAssign(tres.Assign)
 	kt = len(tres.Centroids)
 	x.tCent = make([][]float32, kt)
 	x.tRad = make([]float64, kt)
@@ -426,7 +434,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 				rows := make([][]float32, len(ms))
 				rowsP := make([][]float32, len(ms))
 				for i, mi := range ms {
-					rows[i] = x.objects[mi].Vec
+					rows[i] = vecs[mi]
 					rowsP[i] = proj[mi]
 				}
 				vec.Mean(cent, rows)
@@ -439,26 +447,26 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 
 	// Per-object distances to the assigned centroids (parallel; these
 	// feed both the radii and the hybrid-cluster member records).
-	n := len(x.objects)
 	dsAll := make([]float64, n)
 	dtAll := make([]float64, n)
 	dpAll := make([]float64, n)
 	par.For(n, cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dsAll[i] = x.spatialToCent(uint32(i), x.sAssign[i])
-			dtAll[i] = x.semanticToCent(uint32(i), x.tAssign[i])
-			dpAll[i] = x.projToCent(uint32(i), x.tAssign[i])
+			s, t := int(x.sAssign[i]), int(x.tAssign[i])
+			dsAll[i] = x.spatialToCent(uint32(i), s)
+			dtAll[i] = x.space.SemanticVec(vecs[i], x.tCent[t])
+			dpAll[i] = x.projToCent(uint32(i), t)
 		}
 	})
 	// Radii in all representations (parallel max folds).
 	x.sRad = maxPerPartition(n, ks, cfg.Workers,
-		func(i int) int { return x.sAssign[i] },
+		func(i int) int { return int(x.sAssign[i]) },
 		func(i int) float64 { return dsAll[i] })
 	x.tRad = maxPerPartition(n, kt, cfg.Workers,
-		func(i int) int { return x.tAssign[i] },
+		func(i int) int { return int(x.tAssign[i]) },
 		func(i int) float64 { return dtAll[i] })
 	x.tRadProj = maxPerPartition(n, kt, cfg.Workers,
-		func(i int) int { return x.tAssign[i] },
+		func(i int) int { return int(x.tAssign[i]) },
 		func(i int) float64 { return dpAll[i] })
 
 	// --- Hybrid clusters and their arrays (Alg. 1 lines 10-14) ---
@@ -474,10 +482,9 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 			c.buildElems()
 		}
 	})
-	if err := x.layoutClusterMajor(); err != nil {
+	if err := x.layoutClusterMajor(vecs); err != nil {
 		return nil, fmt.Errorf("core: %w", err) // unreachable: Build lists every object once
 	}
-	x.fillCoordArena()
 	x.anchors = x.buildAnchors(anchors)
 	for _, c := range clusters {
 		x.fillClusterBlock(c)
@@ -522,7 +529,7 @@ func sampleRows(rows [][]float32, fraction float64, seed uint64) [][]float32 {
 // in ascending order. A counting pass sizes the lists, which are windows
 // of one buffer capped at their own length: a later append reallocates
 // instead of running into the neighbour. Empty clusters keep a nil list.
-func membersByAssign(assign []int, k int) [][]uint32 {
+func membersByAssign(assign []int32, k int) [][]uint32 {
 	counts := make([]int, k)
 	for _, c := range assign {
 		counts[c]++
@@ -542,6 +549,15 @@ func membersByAssign(assign []int, k int) [][]uint32 {
 	return lists
 }
 
+// narrowAssign stores K-Means labels at the width the index keeps them.
+func narrowAssign(assign []int) []int32 {
+	out := make([]int32, len(assign))
+	for i, c := range assign {
+		out[i] = int32(c)
+	}
+	return out
+}
+
 // formHybrids is the bulk form of addToHybrid over every object, with
 // precomputed centroid distances: clusters appear in the directory in
 // order of their first object, as one addToHybrid per object would leave
@@ -550,13 +566,13 @@ func membersByAssign(assign []int, k int) [][]uint32 {
 // and the lists are left unsorted for buildElems.
 func (x *Index) formHybrids(ds, dt []float64) {
 	counts := make([]int, len(x.grid))
-	for i := range x.objects {
-		counts[x.cell(x.sAssign[i], x.tAssign[i])]++
+	for i := range x.sAssign {
+		counts[x.cell(int(x.sAssign[i]), int(x.tAssign[i]))]++
 	}
-	buf := make([]member, len(x.objects))
+	buf := make([]member, len(x.sAssign))
 	off := 0
-	for i := range x.objects {
-		s, t := x.sAssign[i], x.tAssign[i]
+	for i := range x.sAssign {
+		s, t := int(x.sAssign[i]), int(x.tAssign[i])
 		cell := x.cell(s, t)
 		c := x.grid[cell]
 		if c == nil {
@@ -573,14 +589,13 @@ func (x *Index) formHybrids(ds, dt []float64) {
 // spatialToCent returns the normalized spatial distance from object idx
 // to spatial centroid s.
 func (x *Index) spatialToCent(idx uint32, s int) float64 {
-	o := &x.objects[idx]
-	return x.space.SpatialXY(o.X, o.Y, x.sCentX[s], x.sCentY[s])
+	return x.space.SpatialXY(x.xArena[idx], x.yArena[idx], x.sCentX[s], x.sCentY[s])
 }
 
 // semanticToCent returns the normalized original-space semantic distance
 // from object idx to semantic centroid t.
 func (x *Index) semanticToCent(idx uint32, t int) float64 {
-	return x.space.SemanticVec(x.objects[idx].Vec, x.tCent[t])
+	return x.space.SemanticVec(x.vecAt(idx), x.tCent[t])
 }
 
 // projToCent returns the normalized projected-space distance from object
@@ -590,7 +605,7 @@ func (x *Index) projToCent(idx uint32, t int) float64 {
 }
 
 // vecAt returns the arena row holding the embedding of the object at
-// storage position i (identical to objects[i].Vec).
+// storage position i.
 func (x *Index) vecAt(i uint32) []float32 {
 	d := x.dim
 	return x.vecArena[int(i)*d : (int(i)+1)*d : (int(i)+1)*d]
@@ -603,11 +618,35 @@ func (x *Index) projAt(i uint32) []float32 {
 	return x.projArena[int(i)*m : (int(i)+1)*m : (int(i)+1)*m]
 }
 
+// row assembles the object stored at position i from its columns and
+// arenas. Vec is a view of the vector arena: read-only, like the rest of
+// a snapshot.
+func (x *Index) row(i uint32) dataset.Object {
+	return dataset.Object{ID: x.ids[i], X: x.xArena[i], Y: x.yArena[i],
+		Text: x.texts[i], Vec: x.vecAt(i), Topic: x.topics[i]}
+}
+
+// setColumns stores objs, in order, as the rows of the columns and of
+// the coordinate arena.
+func (x *Index) setColumns(objs []dataset.Object) {
+	n := len(objs)
+	x.ids, x.texts, x.topics = make([]uint32, n), make([]string, n), make([]int, n)
+	x.xArena, x.yArena = make([]float64, n), make([]float64, n)
+	for i := range objs {
+		o := &objs[i]
+		x.ids[i], x.texts[i], x.topics[i] = o.ID, o.Text, o.Topic
+		x.xArena[i], x.yArena[i] = o.X, o.Y
+	}
+}
+
+// rows returns the number of storage positions, deleted ones included.
+func (x *Index) rows() int { return len(x.ids) }
+
 // addToHybrid places object idx into its hybrid cluster's two lists,
 // computing its centroid distances. It does not rebuild the element
 // array.
 func (x *Index) addToHybrid(idx uint32) *hybrid {
-	s, t := x.sAssign[idx], x.tAssign[idx]
+	s, t := int(x.sAssign[idx]), int(x.tAssign[idx])
 	cell := &x.grid[x.cell(s, t)]
 	c := *cell
 	if c == nil {
@@ -663,22 +702,21 @@ func (x *Index) PCA() *pca.Model { return x.pcaModel }
 // index its own space copy.
 func (x *Index) Space() *metric.Space { return x.space }
 
-// Object returns the object stored at the given ID, if it is live.
-// With a write overlay present the delta wins: an overlay insert
-// shadows nothing (the ID was free), an overlay tombstone hides the
-// base object, and an overlay update is a tombstone plus an insert.
-func (x *Index) Object(id uint32) (*dataset.Object, bool) {
+// Object returns a copy of the live object with the given ID, assembled
+// from the index's columns: its Vec views the index's vector storage and
+// must not be written. With a write overlay present the delta wins: an
+// overlay insert shadows nothing (the ID was free), an overlay tombstone
+// hides the base object, and an overlay update is a tombstone plus an
+// insert.
+func (x *Index) Object(id uint32) (dataset.Object, bool) {
 	if d := x.delta; d != nil {
 		if pos, ok := d.idToPos.get(id); ok {
-			return &d.objs[pos], true
+			return d.objs[pos], true
 		}
 	}
-	idx, ok := x.idToIdx[id]
-	if !ok || x.deleted.get(idx) {
-		return nil, false
+	idx, ok := x.idIdx.get(id)
+	if !ok || (x.delta != nil && x.delta.tombs.get(idx)) {
+		return dataset.Object{}, false
 	}
-	if d := x.delta; d != nil && d.tombs.get(idx) {
-		return nil, false
-	}
-	return &x.objects[idx], true
+	return x.row(idx), true
 }

@@ -179,15 +179,16 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 		if !ok {
 			break
 		}
-		if u, full := h.Bound(); full && lb >= u {
+		if u, full := h.Bound(); full && lb > u {
 			// Pruning property 1 (Lemma 4.4): lb is the smallest true
-			// bound among the clusters not yet examined.
+			// bound among the clusters not yet examined. Strict, like
+			// every cut below: an object tying the k-th distance at its
+			// cluster's bound is still offered and wins or loses on its
+			// ID.
 			f.chargePruned(st)
 			break
 		}
 		if lb > shared {
-			// Strict, so that an object tying the shared k-th distance
-			// is still offered and wins or loses on its ID.
 			break
 		}
 		if sc.budgetExpired() {
@@ -278,7 +279,7 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		} else {
 			dt = x.space.Semantic(st, q.Vec, ov)
 		}
-		h.Push(knn.Result{ID: x.objects[e.idx].ID, Dist: metric.Combine(lambda, ds, dt)})
+		h.Push(knn.Result{ID: x.ids[e.idx], Dist: metric.Combine(lambda, ds, dt)})
 	}
 }
 

@@ -189,7 +189,7 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 			d := metric.Combine(lambda, ds, dt)
 			if d < u || len(cands) < k {
 				dpr := metric.Combine(lambda, ds, x.space.SemanticProjVec(qProj, x.projAt(e.idx)))
-				cands.push(cand{id: x.objects[e.idx].ID, d: d, dpr: dpr})
+				cands.push(cand{id: x.ids[e.idx], d: d, dpr: dpr})
 				if len(cands) > k {
 					cands.popMax()
 				}

@@ -33,7 +33,7 @@ func (x *Index) SearchFiltered(q *dataset.Object, k int, lambda float64, allow f
 		if !ok {
 			break
 		}
-		if u, full := h.Bound(); full && lb >= u {
+		if u, full := h.Bound(); full && lb > u {
 			if st != nil {
 				st.ClustersPruned += int64(len(x.clusters) - f.popped)
 			}
@@ -59,8 +59,8 @@ func (x *Index) SearchFiltered(q *dataset.Object, k int, lambda float64, allow f
 			if tombs != nil && tombs.get(el.idx) {
 				continue
 			}
-			o := &x.objects[el.idx]
-			if !allow(o.ID) {
+			id := x.ids[el.idx]
+			if !allow(id) {
 				continue
 			}
 			if st != nil {
@@ -73,8 +73,8 @@ func (x *Index) SearchFiltered(q *dataset.Object, k int, lambda float64, allow f
 				}
 				continue
 			}
-			dt := x.space.Semantic(st, q.Vec, o.Vec)
-			h.Push(knn.Result{ID: o.ID, Dist: metric.Combine(lambda, ds, dt)})
+			dt := x.space.Semantic(st, q.Vec, x.vecAt(el.idx))
+			h.Push(knn.Result{ID: id, Dist: metric.Combine(lambda, ds, dt)})
 		}
 	}
 	// Overlay chain: the live overlay inserts pass through the same

@@ -1,0 +1,114 @@
+package core
+
+import "unsafe"
+
+// HeapBytes attributes an index's heap footprint to the structures that
+// hold it, each as capacity × element size: what the index references,
+// not what the allocator rounded it up to. A snapshot counts in full the
+// structures it shares with its parent or its clones. Texts counts the
+// string headers only: a built index shares the strings themselves with
+// the objects it was built from.
+type HeapBytes struct {
+	Vectors     int64 `json:"vectors"`     // the n-dimensional vector arena
+	Projections int64 `json:"projections"` // the m-dimensional projection arena
+	Coords      int64 `json:"coords"`      // the x and y arenas
+	Anchors     int64 `json:"anchors"`     // the anchor rows and the anchor set
+	IDs         int64 `json:"ids"`         // the ID column
+	Texts       int64 `json:"texts"`       // the text column's string headers
+	Topics      int64 `json:"topics"`      // the topic column
+	Deleted     int64 `json:"deleted"`     // the deleted bitmap
+	Assign      int64 `json:"assign"`      // the two side-assignment columns
+	SideMembers int64 `json:"sideMembers"` // the side clusters' member lists
+	Elems       int64 `json:"elems"`       // the hybrid clusters' element arrays
+	Members     int64 `json:"members"`     // the hybrid clusters' two sorted lists
+	Clusters    int64 `json:"clusters"`    // cluster headers, gathered blocks, directory and grid
+	Model       int64 `json:"model"`       // centroids, radii and the PCA model
+	IDTable     int64 `json:"idTable"`     // the ID → storage position table
+	Overlay     int64 `json:"overlay"`     // the write overlay, when there is one
+}
+
+// Total returns the sum over the structures.
+func (h HeapBytes) Total() int64 {
+	return h.Vectors + h.Projections + h.Coords + h.Anchors + h.IDs + h.Texts + h.Topics +
+		h.Deleted + h.Assign + h.SideMembers + h.Elems + h.Members + h.Clusters + h.Model +
+		h.IDTable + h.Overlay
+}
+
+// sizeOf returns the bytes a slice's backing array holds.
+func sizeOf[T any](s []T) int64 {
+	var z T
+	return int64(cap(s)) * int64(unsafe.Sizeof(z))
+}
+
+// rowsOf returns the bytes of a list of slices: its headers plus every
+// slice's backing array.
+func rowsOf[T any](rows [][]T) int64 {
+	n := sizeOf(rows)
+	for _, r := range rows {
+		n += sizeOf(r)
+	}
+	return n
+}
+
+// HeapBytes returns the index's heap ledger. It walks the clusters and
+// the ID table's buckets, so it suits a stats request, not a query.
+func (x *Index) HeapBytes() HeapBytes {
+	h := HeapBytes{
+		Vectors:     sizeOf(x.vecArena),
+		Projections: sizeOf(x.projArena),
+		Coords:      sizeOf(x.xArena) + sizeOf(x.yArena),
+		IDs:         sizeOf(x.ids),
+		Texts:       sizeOf(x.texts),
+		Topics:      sizeOf(x.topics),
+		Deleted:     sizeOf(x.deleted),
+		Assign:      sizeOf(x.sAssign) + sizeOf(x.tAssign),
+		SideMembers: rowsOf(x.sMembers) + rowsOf(x.tMembers),
+		Clusters:    sizeOf(x.clusters) + sizeOf(x.grid),
+		Model: sizeOf(x.sCentX) + sizeOf(x.sCentY) + sizeOf(x.sRad) + sizeOf(x.builtSRad) +
+			rowsOf(x.tCent) + rowsOf(x.tCentProj) + sizeOf(x.tRad) + sizeOf(x.tRadProj) +
+			sizeOf(x.builtTRadProj) + sizeOf(x.tValid),
+		IDTable: x.idIdx.heapBytes(),
+		Overlay: x.delta.heapBytes(),
+	}
+	if aa := x.anchors; aa != nil {
+		h.Anchors = sizeOf(aa.id) + sizeOf(aa.dist) + rowsOf(aa.set.pts) + sizeOf(aa.set.prefix)
+	}
+	if p := x.pcaModel; p != nil {
+		h.Model += 8 * int64(p.N()*(p.M()+1))
+	}
+	for _, c := range x.clusters {
+		h.Elems += sizeOf(c.elems)
+		h.Members += sizeOf(c.members) + sizeOf(c.byDt)
+		h.Clusters += int64(unsafe.Sizeof(*c))
+		if g := c.gathered; g != nil {
+			h.Clusters += int64(unsafe.Sizeof(*g)) + sizeOf(g.xs) + sizeOf(g.ys) + sizeOf(g.aid) + sizeOf(g.adist)
+		}
+	}
+	return h
+}
+
+// heapBytes returns the bytes of the table's buckets.
+func (t *idTable) heapBytes() int64 {
+	var n int64
+	for _, b := range t.buckets {
+		n += sizeOf(b)
+	}
+	return n
+}
+
+// heapBytes returns the bytes of the overlay's log, bitmaps, tables and
+// groups (0 for none).
+func (d *overlayDelta) heapBytes() int64 {
+	if d == nil {
+		return 0
+	}
+	n := sizeOf(d.objs) + sizeOf(d.vecs) + sizeOf(d.projs) + sizeOf(d.dead) + sizeOf(d.tombs) +
+		d.idToPos.heapBytes() + d.groupIdx.heapBytes() + sizeOf(d.groups.chunks) + sizeOf(d.groups.owned)
+	for _, c := range d.groups.chunks {
+		n += int64(unsafe.Sizeof(*c))
+	}
+	for i := 0; i < d.groups.n; i++ {
+		n += sizeOf(d.groups.at(i).members)
+	}
+	return n
+}

@@ -117,7 +117,7 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 			if !ok {
 				t.Fatalf("op %d: live ID %d not found", i/2, live[arg%len(live)])
 			}
-			o := *src
+			o := src
 			o.Vec = slices.Clone(o.Vec)
 			if arg%2 == 1 {
 				o.Vec = slices.Clone(pool.Objects[arg%len(pool.Objects)].Vec)
@@ -138,7 +138,7 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 			if !ok {
 				t.Fatalf("op %d: live ID %d not found", i/2, live[arg%len(live)])
 			}
-			o := *src
+			o := src
 			o.X = clamp01(o.X + float64(arg-128)/512)
 			o.Vec = slices.Clone(o.Vec)
 			if arg%2 == 1 {

@@ -84,17 +84,20 @@ func (x *Index) UnanchoredRows() int {
 
 // ForEachLive calls fn for every live (non-deleted) object: the base
 // objects in storage order minus deletions and overlay tombstones, then
-// the overlay's live inserts in append order.
+// the overlay's live inserts in append order. The object is valid for
+// the call only and must not be written: Vec views the index's storage.
 func (x *Index) ForEachLive(fn func(o *dataset.Object)) {
 	tombs := x.deltaTombs()
-	for i := range x.objects {
+	var o dataset.Object
+	for i := range x.ids {
 		if x.deleted.get(uint32(i)) {
 			continue
 		}
 		if tombs != nil && tombs.get(uint32(i)) {
 			continue
 		}
-		fn(&x.objects[i])
+		o = x.row(uint32(i))
+		fn(&o)
 	}
 	x.forEachDeltaLive(fn)
 }
@@ -109,7 +112,7 @@ func (x *Index) ProjectQuery(v []float32) []float32 { return x.pcaModel.Transfor
 // object. Objects are named by ID because storage positions are
 // cluster-major, not dataset positions.
 func (x *Index) ProjectedDistance(qProj []float32, id uint32) (d float64, ok bool) {
-	idx, ok := x.idToIdx[id]
+	idx, ok := x.idIdx.get(id)
 	if !ok {
 		return 0, false
 	}

@@ -35,13 +35,18 @@ import (
 //     anchor or the sentinel, stored distances equal recomputed ones, and
 //     the deflated anchor bound never exceeds a true distance (sampled) —
 //     the fact the exactness of the row gate rests on.
-//   - the coordinate arena repeats every stored location, and every
-//     cluster's scan block equals the arena rows of its elements in
-//     array order — a window of the arenas exactly when the elements are
-//     contiguous, a private copy otherwise (see layout.go).
+//   - every column and arena holds one row per storage position, the ID
+//     table maps exactly the IDs of the rows not deleted to their
+//     positions, and every side assignment names a side cluster.
+//   - every cluster's scan block equals the arena rows of its elements
+//     in array order — a window of the arenas exactly when the elements
+//     are contiguous, a private copy otherwise (see layout.go).
 //   - the Ks×Kt grid holds exactly the listed clusters, each at the cell
 //     of its own side pair, and nil everywhere else.
 func (x *Index) CheckInvariants() error {
+	if err := x.checkColumns(); err != nil {
+		return err
+	}
 	if err := x.checkProjBoundSoundness(); err != nil {
 		return err
 	}
@@ -125,6 +130,42 @@ func (x *Index) CheckInvariants() error {
 	return x.checkOverlay()
 }
 
+// checkColumns verifies the per-row storage everything else indexes:
+// every column and arena one row per storage position, the ID table a
+// bijection between the IDs of the rows not deleted and their positions,
+// and the side assignments inside [0,Ks) and [0,Kt).
+func (x *Index) checkColumns() error {
+	n := x.rows()
+	for _, c := range []struct {
+		name string
+		rows int
+	}{
+		{"texts", len(x.texts)}, {"topics", len(x.topics)},
+		{"spatial assignments", len(x.sAssign)}, {"semantic assignments", len(x.tAssign)},
+		{"x coordinates", len(x.xArena)}, {"y coordinates", len(x.yArena)},
+		{"deleted bitmap", min(n, 64*len(x.deleted))},
+	} {
+		if c.rows != n {
+			return fmt.Errorf("%s hold %d rows for %d IDs", c.name, c.rows, n)
+		}
+	}
+	if len(x.vecArena) != n*x.dim || len(x.projArena) != n*x.m {
+		return fmt.Errorf("arenas hold %d/%d values for %d rows of %d/%d", len(x.vecArena), len(x.projArena), n, x.dim, x.m)
+	}
+	if err := x.idIdx.check("ID table", n-x.deleted.count(), func(id, pos uint32) bool {
+		return int(pos) < n && x.ids[pos] == id && !x.deleted.get(pos)
+	}); err != nil {
+		return err
+	}
+	ks, kt := int32(len(x.sCentX)), int32(len(x.tCent))
+	for i := range x.sAssign {
+		if s, t := x.sAssign[i], x.tAssign[i]; s < 0 || s >= ks || t < 0 || t >= kt {
+			return fmt.Errorf("row %d assigned to side pair (%d,%d) outside %d×%d", i, s, t, ks, kt)
+		}
+	}
+	return nil
+}
+
 // checkGrid verifies the dense cluster directory the frontier's cursors
 // walk: a cell is non-nil exactly when a listed cluster names its side
 // pair, and then it is that cluster.
@@ -187,17 +228,17 @@ func (x *Index) checkOverlay() error {
 	if got := d.tombs.count(); got != d.nTombs {
 		return fmt.Errorf("overlay: %d tombstone bits, nTombs is %d", got, d.nTombs)
 	}
-	if err := d.idToPos.check("ID table", d.liveCount, func(id, pos uint32) bool {
+	if err := d.idToPos.check("overlay ID table", d.liveCount, func(id, pos uint32) bool {
 		return int(pos) < n && d.objs[pos].ID == id && !d.dead.get(pos)
 	}); err != nil {
 		return err
 	}
-	if err := d.groupIdx.check("group index", d.groups.n, func(key, gi uint32) bool {
+	if err := d.groupIdx.check("overlay group index", d.groups.n, func(key, gi uint32) bool {
 		return int(gi) < d.groups.n && x.groupKey(d.groups.at(int(gi)).s, d.groups.at(int(gi)).t) == key
 	}); err != nil {
 		return err
 	}
-	for i := range x.objects {
+	for i := range x.rows() {
 		if x.deleted.get(uint32(i)) && d.tombs.get(uint32(i)) {
 			return fmt.Errorf("overlay: tombstone on base-deleted position %d", i)
 		}
@@ -244,16 +285,16 @@ func (t *idTable) check(name string, want int, ok func(key, val uint32) bool) er
 	for bi, b := range t.buckets {
 		for i, p := range b {
 			if idBucket(p.key) != uint32(bi) || (i > 0 && p.key <= b[i-1].key) {
-				return fmt.Errorf("overlay: %s bucket %d is misplaced or unsorted at key %d", name, bi, p.key)
+				return fmt.Errorf("%s bucket %d is misplaced or unsorted at key %d", name, bi, p.key)
 			}
 			if !ok(p.key, p.val) {
-				return fmt.Errorf("overlay: %s entry %d -> %d is stale", name, p.key, p.val)
+				return fmt.Errorf("%s entry %d -> %d is stale", name, p.key, p.val)
 			}
 		}
 		total += len(b)
 	}
 	if total != want {
-		return fmt.Errorf("overlay: %s holds %d entries, want %d", name, total, want)
+		return fmt.Errorf("%s holds %d entries, want %d", name, total, want)
 	}
 	return nil
 }
@@ -291,7 +332,7 @@ func (x *Index) checkProjBoundSoundness() error {
 	const maxProbes = 128
 	probes := 0
 	inv := (1 - projWeakRelSlack) / x.space.DtMax
-	for i := range x.objects {
+	for i := range x.rows() {
 		if x.deleted.get(uint32(i)) {
 			continue
 		}
@@ -315,25 +356,15 @@ func (x *Index) checkProjBoundSoundness() error {
 	return nil
 }
 
-// checkLayout guards what the scan loops assume of storage: the
-// coordinate arena repeats objects[i].X/Y, every cluster's header
-// repeats its first element's thresholds (−Inf when it has none), and
-// every cluster's block (fillClusterBlock ran wherever the array was
-// merged) holds, row for row in elems order, the arena rows of its
-// elements. A cluster whose elements are contiguous must read the arenas
-// themselves — same addresses, no copy — and a cluster whose elements
-// are not must read private memory.
+// checkLayout guards what the scan loops assume of storage: every
+// cluster's header repeats its first element's thresholds (−Inf when it
+// has none), and every cluster's block (fillClusterBlock ran wherever the
+// array was merged) holds, row for row in elems order, the arena rows of
+// its elements. A cluster whose elements are contiguous must read the
+// arenas themselves — same addresses, no copy — and a cluster whose
+// elements are not must read private memory.
 func (x *Index) checkLayout() error {
-	n, aa := len(x.objects), x.anchors
-	if len(x.xArena) != n || len(x.yArena) != n {
-		return fmt.Errorf("coordinate arena holds %d/%d rows for %d objects", len(x.xArena), len(x.yArena), n)
-	}
-	for i := range x.objects {
-		if x.xArena[i] != x.objects[i].X || x.yArena[i] != x.objects[i].Y {
-			return fmt.Errorf("object %d: coordinate arena (%v,%v), stored (%v,%v)",
-				i, x.xArena[i], x.yArena[i], x.objects[i].X, x.objects[i].Y)
-		}
-	}
+	aa := x.anchors
 	var win clusterBlock
 	for ci, c := range x.clusters {
 		blk, ne := x.block(&win, c), len(c.elems)

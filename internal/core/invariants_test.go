@@ -92,6 +92,18 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			// A head below elems[0]'s would cut clusters that hold results.
 			x.clusters[0].headDt /= 2
 		}},
+		{"ID column disagreeing with the ID table", func(x *Index) {
+			x.ids[0] = 4_000_000
+		}},
+		{"ID table missing a live row", func(x *Index) {
+			x.idIdx.del(x.ids[0])
+		}},
+		{"text column one row short", func(x *Index) {
+			x.texts = x.texts[:len(x.texts)-1]
+		}},
+		{"assignment outside the side clusters", func(x *Index) {
+			x.sAssign[0] = int32(len(x.sCentX))
+		}},
 		{"stale gathered block", func(x *Index) {
 			c := x.clusters[0]
 			last := len(c.elems) - 1

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dataset"
 	"repro/internal/par"
 )
 
@@ -12,15 +11,14 @@ import (
 // every hybrid cluster's elements at consecutive storage positions, in
 // elems order: elems[j].idx == base+j. The unit of work of Alg. 2 — walk
 // one cluster's array front to back — is then one linear read of each
-// arena (coordinates, anchors, float32 rows, objects) instead of one
-// random slot per element, and a contiguous cluster needs no per-cluster
-// copy of anything: its scan block is a window of the arenas.
+// arena (coordinates, anchors, float32 rows, IDs) instead of one random
+// slot per element, and a contiguous cluster needs no per-cluster copy of
+// anything: its scan block is a window of the arenas.
 //
-// Storage order is data, not format: the file layout is unchanged, a
+// Storage order is data, not format: the file layout is unchanged, and a
 // file whose clusters are not contiguous (written before this layout
 // existed, or saved after in-place maintenance) is renumbered when it
-// loads, and the coordinate arena is derived from objects, never
-// serialized.
+// loads.
 
 // clusterBlock is the per-row data the scan loops read, one entry per
 // element in elems order: the location and the anchor id and distance
@@ -97,15 +95,6 @@ func (x *Index) fillClusterBlock(c *hybrid) {
 	c.base, c.gathered = -1, g
 }
 
-// fillCoordArena derives the coordinate arena from the stored objects.
-func (x *Index) fillCoordArena() {
-	x.xArena = make([]float64, len(x.objects))
-	x.yArena = make([]float64, len(x.objects))
-	for i := range x.objects {
-		x.xArena[i], x.yArena[i] = x.objects[i].X, x.objects[i].Y
-	}
-}
-
 // layoutClusterMajor renumbers storage so that every cluster's elements
 // are contiguous in elems order: cluster after cluster in directory
 // order, then every position no cluster lists (deleted slots) in its old
@@ -113,12 +102,12 @@ func (x *Index) fillCoordArena() {
 // It runs on an index nothing else references yet (the tail of Build and
 // Load) and does nothing when the clusters already are contiguous, which
 // is every file this code wrote from a freshly built index. Build arrives
-// with no vector arena at all — its objects still view the caller's
-// vectors — so the arena is written once, here, in its final order. The
-// error reports element arrays that are not a partial permutation of
-// storage, which only a damaged file can produce.
-func (x *Index) layoutClusterMajor() error {
-	n := len(x.objects)
+// with no vector arena at all but the caller's vectors in vecs, one per
+// position, so the arena is written once, here, in its final order; Load
+// passes nil. The error reports element arrays that are not a partial
+// permutation of storage, which only a damaged file can produce.
+func (x *Index) layoutClusterMajor(vecs [][]float32) error {
+	n := x.rows()
 	const unset = ^uint32(0)
 	perm := make([]uint32, n) // old position → new position
 	for i := range perm {
@@ -135,7 +124,7 @@ func (x *Index) layoutClusterMajor() error {
 			next++
 		}
 	}
-	if already && x.vecArena != nil {
+	if already && vecs == nil {
 		return nil
 	}
 	for i := range perm {
@@ -146,6 +135,12 @@ func (x *Index) layoutClusterMajor() error {
 	}
 	if len(x.sAssign) != n || len(x.tAssign) != n {
 		return fmt.Errorf("%d/%d side assignments for %d objects", len(x.sAssign), len(x.tAssign), n)
+	}
+	if vecs == nil {
+		vecs = make([][]float32, n)
+		for i := range vecs {
+			vecs[i] = x.vecAt(uint32(i))
+		}
 	}
 	for _, lists := range [2][][]uint32{x.sMembers, x.tMembers} {
 		for _, list := range lists {
@@ -158,18 +153,18 @@ func (x *Index) layoutClusterMajor() error {
 	}
 
 	d, m := x.dim, x.m
-	objects := make([]dataset.Object, n)
 	vecArena := make([]float32, n*d)
 	projArena := make([]float32, n*m)
-	sAssign, tAssign := make([]int, n), make([]int, n)
+	ids, texts, topics := make([]uint32, n), make([]string, n), make([]int, n)
+	xs, ys := make([]float64, n), make([]float64, n)
+	sAssign, tAssign := make([]int32, n), make([]int32, n)
 	par.For(n, x.cfg.Workers, func(lo, hi int) {
 		for old := lo; old < hi; old++ {
 			p := int(perm[old])
-			objects[p] = x.objects[old]
-			row := vecArena[p*d : (p+1)*d : (p+1)*d]
-			copy(row, x.objects[old].Vec)
-			objects[p].Vec = row
+			copy(vecArena[p*d:(p+1)*d], vecs[old])
 			copy(projArena[p*m:(p+1)*m], x.projAt(uint32(old)))
+			ids[p], texts[p], topics[p] = x.ids[old], x.texts[old], x.topics[old]
+			xs[p], ys[p] = x.xArena[old], x.yArena[old]
 			sAssign[p], tAssign[p] = x.sAssign[old], x.tAssign[old]
 		}
 	})
@@ -179,8 +174,11 @@ func (x *Index) layoutClusterMajor() error {
 			deleted.set(perm[old])
 		}
 	}
-	x.objects, x.vecArena, x.projArena = objects, vecArena, projArena
+	x.vecArena, x.projArena = vecArena, projArena
+	x.ids, x.texts, x.topics = ids, texts, topics
+	x.xArena, x.yArena = xs, ys
 	x.sAssign, x.tAssign, x.deleted = sAssign, tAssign, deleted
+	x.idIdx.relabel(perm)
 
 	for _, lists := range [2][][]uint32{x.sMembers, x.tMembers} {
 		for _, list := range lists {
@@ -199,9 +197,6 @@ func (x *Index) layoutClusterMajor() error {
 		for i := range c.elems {
 			c.elems[i].idx = perm[c.elems[i].idx]
 		}
-	}
-	for id, old := range x.idToIdx {
-		x.idToIdx[id] = perm[old]
 	}
 	return nil
 }

@@ -81,8 +81,7 @@ func churn(t *testing.T, x *Index, base []dataset.Object, seed uint64, steps int
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		default:
-			o, _ := x.Object(live[i])
-			upd := *o
+			upd, _ := x.Object(live[i])
 			upd.X, upd.Y = clamp01(upd.X+rng.NormFloat64()*0.05), clamp01(upd.Y+rng.NormFloat64()*0.05)
 			if err := x.Update(upd); err != nil {
 				t.Fatal(err)
@@ -133,9 +132,9 @@ func TestLayoutClusterMajorLifecycle(t *testing.T) {
 	requireClusterMajor(t, "load after churn", loaded)
 	requireExact(t, "load after churn", loaded)
 	// Deleted slots sort behind every live one.
-	for i := range loaded.objects {
+	for i := range loaded.rows() {
 		if loaded.deleted.get(uint32(i)) != (i >= loaded.Len()) {
-			t.Fatalf("slot %d of %d: deleted=%v with %d live", i, len(loaded.objects), i < loaded.Len(), loaded.Len())
+			t.Fatalf("slot %d of %d: deleted=%v with %d live", i, loaded.rows(), i < loaded.Len(), loaded.Len())
 		}
 	}
 	nova := f.ds.Objects[0]

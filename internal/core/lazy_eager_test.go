@@ -113,7 +113,7 @@ func searchApproxEager(x *Index, q *dataset.Object, k int, lambda float64) []knn
 					break
 				}
 			}
-			o := &x.objects[e.idx]
+			o := x.row(e.idx)
 			ds := x.space.Spatial(nil, q.X, q.Y, o.X, o.Y)
 			var dt float64
 			if len(cands) >= k && lambda < 1 {

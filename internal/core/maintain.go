@@ -14,17 +14,18 @@ func (x *Index) Insert(o dataset.Object) error {
 	if x.delta != nil {
 		return x.deltaInsert(o)
 	}
-	if prev, ok := x.idToIdx[o.ID]; ok && !x.deleted.get(prev) {
-		return fmt.Errorf("core: object ID %d already present", o.ID)
-	}
 	if len(o.Vec) != x.pcaModel.N() {
 		return fmt.Errorf("core: vector dim %d, index expects %d", len(o.Vec), x.pcaModel.N())
 	}
-	idx := uint32(len(x.objects))
-	x.objects = append(x.objects, o)
-	x.deleted = x.deleted.grown(len(x.objects))
-	x.appendArenaRows(idx)
-	x.idToIdx[o.ID] = idx
+	idx := uint32(x.rows())
+	if !x.idIdx.put(o.ID, idx) {
+		return fmt.Errorf("core: object ID %d already present", o.ID)
+	}
+	x.ids = append(x.ids, o.ID)
+	x.texts = append(x.texts, o.Text)
+	x.topics = append(x.topics, o.Topic)
+	x.deleted = x.deleted.grown(x.rows())
+	x.appendArenaRows(idx, &o)
 
 	// Nearest spatial cluster by location.
 	s := 0
@@ -64,8 +65,8 @@ func (x *Index) Insert(o dataset.Object) error {
 	if t < 0 {
 		t, bestT = 0, x.projToCent(idx, 0) // unreachable after Build: ≥1 cluster is always valid
 	}
-	x.sAssign = append(x.sAssign, s)
-	x.tAssign = append(x.tAssign, t)
+	x.sAssign = append(x.sAssign, int32(s))
+	x.tAssign = append(x.tAssign, int32(t))
 	x.sMembers[s] = append(x.sMembers[s], idx)
 	x.tMembers[t] = append(x.tMembers[t], idx)
 
@@ -120,16 +121,15 @@ func (x *Index) Delete(id uint32) error {
 	if x.delta != nil {
 		return x.deltaDelete(id)
 	}
-	idx, ok := x.idToIdx[id]
-	if !ok || x.deleted.get(idx) {
+	idx, ok := x.idIdx.del(id)
+	if !ok {
 		return fmt.Errorf("core: object ID %d not present", id)
 	}
 	x.deleted.set(idx)
-	delete(x.idToIdx, id)
 	x.live--
 	x.UpdatesSinceBuild++
 
-	s, t := x.sAssign[idx], x.tAssign[idx]
+	s, t := int(x.sAssign[idx]), int(x.tAssign[idx])
 	x.sMembers[s] = x.removeIdxCOW(x.sMembers[s], idx)
 	x.tMembers[t] = x.removeIdxCOW(x.tMembers[t], idx)
 
@@ -227,49 +227,22 @@ func (x *Index) RebuildFresh() (*Index, error) {
 // live inserts in append order.
 func (x *Index) collectLive() []dataset.Object {
 	liveObjs := make([]dataset.Object, 0, x.live)
-	d := x.delta
-	for i := range x.objects {
-		if x.deleted.get(uint32(i)) {
-			continue
-		}
-		if d != nil && d.tombs.get(uint32(i)) {
-			continue
-		}
-		liveObjs = append(liveObjs, x.objects[i])
-	}
-	if d != nil {
-		for pos := range d.objs {
-			if !d.dead.get(uint32(pos)) {
-				liveObjs = append(liveObjs, d.objs[pos])
-			}
-		}
-	}
+	x.ForEachLive(func(o *dataset.Object) { liveObjs = append(liveObjs, *o) })
 	return liveObjs
 }
 
-// appendArenaRows copies the vector of the just-appended object into a
-// new vecArena row, projects it into a new projArena row, appends its
-// location to the coordinate arena and a sentinel row to the anchor
-// arena, and repoints the stored object's Vec at the arena. When the vector arena must
-// grow, every stored view is repointed at the new backing array —
-// amortized O(1) per insert thanks to the doubling growth.
-func (x *Index) appendArenaRows(idx uint32) {
-	src := x.objects[idx].Vec
+// appendArenaRows gives the object just appended to the columns at
+// position idx its rows in the arenas: its vector copied into a new vecArena row and projected
+// into a new projArena row, its location, and a sentinel anchor row. The
+// vector arena grows by doubling, so the copy is amortized O(1) per
+// insert.
+func (x *Index) appendArenaRows(idx uint32, o *dataset.Object) {
 	if need := len(x.vecArena) + x.dim; need > cap(x.vecArena) {
 		na := make([]float32, len(x.vecArena), arenaCap(need, cap(x.vecArena)))
 		copy(na, x.vecArena)
 		x.vecArena = na
-		// Repointing rewrites every stored Vec view — an interior write,
-		// so a COW clone must own the objects slice first. (The append
-		// path below needs no ownership: it only writes past the
-		// parent's length.)
-		x.ensureOwnedObjects()
-		for i := uint32(0); i < idx; i++ {
-			x.objects[i].Vec = x.vecAt(i)
-		}
 	}
-	x.vecArena = append(x.vecArena, src...)
-	x.objects[idx].Vec = x.vecAt(idx)
+	x.vecArena = append(x.vecArena, o.Vec...)
 
 	if need := len(x.projArena) + x.m; need > cap(x.projArena) {
 		na := make([]float32, len(x.projArena), arenaCap(need, cap(x.projArena)))
@@ -277,10 +250,10 @@ func (x *Index) appendArenaRows(idx uint32) {
 		x.projArena = na
 	}
 	x.projArena = x.projArena[:len(x.projArena)+x.m]
-	x.pcaModel.TransformInto(x.projAt(idx), x.objects[idx].Vec)
+	x.pcaModel.TransformInto(x.projAt(idx), o.Vec)
 
-	x.xArena = append(x.xArena, x.objects[idx].X)
-	x.yArena = append(x.yArena, x.objects[idx].Y)
+	x.xArena = append(x.xArena, o.X)
+	x.yArena = append(x.yArena, o.Y)
 
 	x.appendAnchorRow()
 }

@@ -12,13 +12,7 @@ import (
 // liveScanner builds a scanner over the index's current live objects so
 // differential checks stay valid after maintenance.
 func liveScanner(idx *Index) (*scan.Scanner, *dataset.Dataset) {
-	live := make([]dataset.Object, 0, idx.Len())
-	for i := range idx.objects {
-		if !idx.deleted.get(uint32(i)) {
-			live = append(live, idx.objects[i])
-		}
-	}
-	ds := &dataset.Dataset{Objects: live, Dim: idx.pcaModel.N()}
+	ds := &dataset.Dataset{Objects: idx.collectLive(), Dim: idx.pcaModel.N()}
 	return scan.New(ds, idx.space), ds
 }
 
@@ -195,7 +189,7 @@ func TestRandomMaintenanceStream(t *testing.T) {
 			if !ok {
 				t.Fatalf("step %d: live ID %d not found", step, liveIDs[i])
 			}
-			upd := *o
+			upd := o
 			upd.X = clamp01(upd.X + rng.NormFloat64()*0.05)
 			upd.Y = clamp01(upd.Y + rng.NormFloat64()*0.05)
 			if err := f.idx.Update(upd); err != nil {
@@ -322,7 +316,7 @@ func TestDeleteShrinksRadius(t *testing.T) {
 		}
 	}
 	before := f.idx.sRad[s]
-	if err := f.idx.Delete(f.idx.objects[farIdx].ID); err != nil {
+	if err := f.idx.Delete(f.idx.ids[farIdx]); err != nil {
 		t.Fatal(err)
 	}
 	if f.idx.sRad[s] > before {
@@ -344,7 +338,7 @@ func TestCSSIAAfterUpdates(t *testing.T) {
 		if !ok {
 			continue
 		}
-		upd := *o
+		upd := o
 		upd.X = clamp01(upd.X + rng.NormFloat64()*0.02)
 		if err := f.idx.Update(upd); err != nil {
 			t.Fatal(err)

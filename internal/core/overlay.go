@@ -12,12 +12,12 @@ import (
 
 // Write overlay (delta) over an immutable base snapshot.
 //
-// CloneForWrite pays O(n) per clone — the deleted bitmap and the ID map
-// are copied eagerly even when the write batch touches one object. The
-// overlay replaces that with a clone whose cost does not grow with n,
-// with the vocabulary, or with the number of buffered ops beyond one
-// bit each: the base structures (objects, arenas, clusters, radii,
-// deleted, idToIdx) are shared byte-for-byte and NEVER written, and
+// CloneForWrite pays O(n) per clone — the deleted bitmap is copied
+// eagerly even when the write batch touches one object. The overlay
+// replaces that with a clone whose cost does not grow with n, with the
+// vocabulary, or with the number of buffered ops beyond one bit each:
+// the base structures (columns, arenas, clusters, radii, deleted, the ID
+// table) are shared byte-for-byte and NEVER written, and
 // every mutation lands in a delta whose own pieces are shared between
 // clones until a write touches them.
 //
@@ -115,7 +115,7 @@ func newOverlayDelta(x *Index) *overlayDelta {
 	return &overlayDelta{
 		dim:       x.dim,
 		m:         x.m,
-		tombs:     newBitset(len(x.objects)),
+		tombs:     newBitset(x.rows()),
 		ownsTombs: true,
 	}
 }
@@ -198,7 +198,7 @@ func (x *Index) groupKey(s, t int) uint32 { return uint32(s*(len(x.tCent)+1) + t
 
 // CloneWithDelta returns a write-isolated copy whose mutations land in
 // the overlay, at a cost that depends neither on n — CloneForWrite's
-// bitmap and ID-map copies — nor on how much the overlay already holds.
+// bitmap copy — nor on how much the overlay already holds.
 // The base structures are shared with x and never written, so a flat x
 // must be treated as immutable for as long as either copy is in use (the
 // same contract CloneForWrite's shared arenas already impose); an x that
@@ -256,7 +256,7 @@ func (x *Index) deltaInsert(o dataset.Object) error {
 	if _, ok := d.idToPos.get(o.ID); ok {
 		return fmt.Errorf("core: object ID %d already present", o.ID)
 	}
-	if prev, ok := x.idToIdx[o.ID]; ok && !x.deleted.get(prev) && !d.tombs.get(prev) {
+	if prev, ok := x.idIdx.get(o.ID); ok && !d.tombs.get(prev) {
 		return fmt.Errorf("core: object ID %d already present", o.ID)
 	}
 	if len(o.Vec) != x.pcaModel.N() {
@@ -319,18 +319,17 @@ func (x *Index) deltaInsert(o dataset.Object) error {
 }
 
 // deltaDelete is Delete's overlay path: overlay inserts die in the log,
-// base objects get a tombstone bit; the base deleted bitmap, ID map and
-// cluster structures stay untouched.
+// base objects get a tombstone bit; the base deleted bitmap, ID table
+// and cluster structures stay untouched.
 func (x *Index) deltaDelete(id uint32) error {
 	d := x.delta
 	d.beginWrite()
-	if pos, ok := d.idToPos.get(id); ok {
+	if pos, ok := d.idToPos.del(id); ok {
 		d.dead.set(pos)
-		d.idToPos.del(id)
 		d.liveCount--
 	} else {
-		idx, ok := x.idToIdx[id]
-		if !ok || x.deleted.get(idx) || d.tombs.get(idx) {
+		idx, ok := x.idIdx.get(id)
+		if !ok || d.tombs.get(idx) {
 			return fmt.Errorf("core: object ID %d not present", id)
 		}
 		if !d.ownsTombs {
@@ -467,11 +466,11 @@ func (x *Index) Compact() (*Index, error) {
 	nx.UpdatesSinceBuild = x.UpdatesSinceBuild - d.ops
 	nx.insertsSinceBuild = x.insertsSinceBuild - len(d.objs)
 	if d.nTombs > 0 {
-		for i := range x.objects {
+		for i, id := range x.ids {
 			if !d.tombs.get(uint32(i)) {
 				continue
 			}
-			if err := nx.Delete(x.objects[i].ID); err != nil {
+			if err := nx.Delete(id); err != nil {
 				return nil, fmt.Errorf("core: compact: %w", err)
 			}
 		}

@@ -46,14 +46,10 @@ func sameBuild(t *testing.T, ctx string, a, b *Index) {
 			t.Fatalf("%s: %s differs", ctx, what)
 		}
 	}
-	ids := func(x *Index) []uint32 {
-		out := make([]uint32, len(x.objects))
-		for i := range x.objects {
-			out[i] = x.objects[i].ID
-		}
-		return out
-	}
-	eq("storage order", ids(a), ids(b))
+	eq("storage order", a.ids, b.ids)
+	eq("texts", a.texts, b.texts)
+	eq("topics", a.topics, b.topics)
+	eq("ID table", a.idIdx, b.idIdx)
 	eq("vector arena", a.vecArena, b.vecArena)
 	eq("projection arena", a.projArena, b.projArena)
 	eq("spatial assignments", a.sAssign, b.sAssign)

@@ -37,14 +37,14 @@ type gobHybrid struct {
 // gobIndex is the serialized form of an Index. Since version 2 the
 // embeddings and projections are stored as the two flat arenas (with
 // their strides) instead of per-object vectors and per-row projection
-// slices: Objects carry nil Vec on the wire and Load reslices them into
-// the decoded vector arena. Version-1 files (per-object Vec plus the
-// legacy Proj field) are still accepted — Load migrates them into
-// arenas; gob ignores stream fields absent from this struct and leaves
-// struct fields absent from the stream at their zero value, so both
-// layouts decode through it — as do files that still carry the removed
-// SQ8 arena (four Quant* fields here and its on/off flag in Cfg), whose
-// fields are skipped.
+// slices: Objects carry nil Vec on the wire, Save assembles them from the
+// index's columns and Load spreads them back into the columns. Version-1
+// files (per-object Vec plus the legacy Proj field) are still accepted —
+// Load migrates them into arenas; gob ignores stream fields absent from
+// this struct and leaves struct fields absent from the stream at their
+// zero value, so both layouts decode through it — as do files that still
+// carry the removed SQ8 arena (four Quant* fields here and its on/off
+// flag in Cfg), whose fields are skipped.
 type gobIndex struct {
 	Version int
 	Cfg     Config
@@ -113,11 +113,11 @@ func (x *Index) Save(w io.Writer) error {
 		}
 		return nx.Save(w)
 	}
-	// Strip the per-object arena views from a copy of the objects slice
-	// (never from the live one): the vectors travel once, in VecArena.
-	objs := make([]dataset.Object, len(x.objects))
-	copy(objs, x.objects)
+	// The objects are assembled from the columns without their vectors,
+	// which travel once, in VecArena.
+	objs := make([]dataset.Object, x.rows())
 	for i := range objs {
+		objs[i] = x.row(uint32(i))
 		objs[i].Vec = nil
 	}
 	g := gobIndex{
@@ -128,7 +128,7 @@ func (x *Index) Save(w io.Writer) error {
 		DtProjMax:          x.space.DtProjMax,
 		SemanticKind:       x.space.SemanticKind,
 		Objects:            objs,
-		Deleted:            x.deleted.bools(len(x.objects)),
+		Deleted:            x.deleted.bools(x.rows()),
 		Live:               x.live,
 		PCAModel:           x.pcaModel,
 		Dim:                x.dim,
@@ -145,8 +145,8 @@ func (x *Index) Save(w io.Writer) error {
 		TRadProj:           x.tRadProj,
 		TMembers:           x.tMembers,
 		TValid:             x.tValid,
-		SAssign:            x.sAssign,
-		TAssign:            x.tAssign,
+		SAssign:            widenAssign(x.sAssign),
+		TAssign:            widenAssign(x.tAssign),
 		UpdatesSinceBuild_: x.UpdatesSinceBuild,
 	}
 	if x.router != nil {
@@ -168,6 +168,15 @@ func (x *Index) Save(w io.Writer) error {
 		return fmt.Errorf("core: save: %w", err)
 	}
 	return nil
+}
+
+// widenAssign returns the side assignments at the width the file keeps.
+func widenAssign(assign []int32) []int {
+	out := make([]int, len(assign))
+	for i, c := range assign {
+		out[i] = int(c)
+	}
+	return out
 }
 
 // migrateV1 converts a decoded version-1 file — per-object vectors and
@@ -200,7 +209,7 @@ func migrateV1(g *gobIndex) error {
 		}
 		copy(g.VecArena[i*g.Dim:(i+1)*g.Dim], g.Objects[i].Vec)
 		copy(g.ProjArena[i*g.M:(i+1)*g.M], g.Proj[i])
-		g.Objects[i].Vec = nil // repointed at the arena by the common path
+		g.Objects[i].Vec = nil
 	}
 	g.Proj = nil
 	return nil
@@ -235,10 +244,8 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	x := &Index{
 		cfg:               g.Cfg,
 		space:             space,
-		objects:           g.Objects,
 		deleted:           bitsetFromBools(g.Deleted, len(g.Objects)),
 		live:              g.Live,
-		idToIdx:           make(map[uint32]uint32, g.Live),
 		pcaModel:          g.PCAModel,
 		dim:               g.Dim,
 		m:                 g.M,
@@ -255,13 +262,10 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 		tRadProj:          g.TRadProj,
 		tMembers:          g.TMembers,
 		tValid:            g.TValid,
-		sAssign:           g.SAssign,
-		tAssign:           g.TAssign,
 		UpdatesSinceBuild: g.UpdatesSinceBuild_,
 	}
-	for i := range x.objects {
-		x.objects[i].Vec = x.vecAt(uint32(i))
-	}
+	x.setColumns(g.Objects)
+	g.Objects = nil
 	// The drift baseline restarts from the loaded radii.
 	x.builtSRad = append([]float64(nil), x.sRad...)
 	x.builtTRadProj = append([]float64(nil), x.tRadProj...)
@@ -278,15 +282,15 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	// validated before anything is indexed by them: a damaged file fails
 	// here, not in the first search.
 	ks, kt := len(x.sCentX), len(x.tCent)
-	for i := range x.sAssign {
-		if s := x.sAssign[i]; s < 0 || s >= ks {
-			return nil, nil, fmt.Errorf("core: load: object %d assigned to spatial cluster %d of %d", i, s, ks)
-		}
+	var err error
+	if x.sAssign, err = loadAssign(g.SAssign, ks, "spatial"); err != nil {
+		return nil, nil, err
 	}
-	for i := range x.tAssign {
-		if t := x.tAssign[i]; t < 0 || t >= kt {
-			return nil, nil, fmt.Errorf("core: load: object %d assigned to semantic cluster %d of %d", i, t, kt)
-		}
+	if x.tAssign, err = loadAssign(g.TAssign, kt, "semantic"); err != nil {
+		return nil, nil, err
+	}
+	if x.idIdx, err = newIDTable(x.ids, x.deleted, x.cfg.Workers); err != nil {
+		return nil, nil, fmt.Errorf("core: load: %w", err)
 	}
 	x.grid = make([]*hybrid, ks*kt)
 	x.clusters = make([]*hybrid, len(g.Clusters))
@@ -309,15 +313,9 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	// written before the cluster-major layout, or saved after in-place
 	// maintenance — is renumbered here, after which the derived pieces
 	// follow as in Build.
-	if err := x.layoutClusterMajor(); err != nil {
+	if err := x.layoutClusterMajor(nil); err != nil {
 		return nil, nil, fmt.Errorf("core: load: %w", err)
 	}
-	for i := range x.objects {
-		if !x.deleted.get(uint32(i)) {
-			x.idToIdx[x.objects[i].ID] = uint32(i)
-		}
-	}
-	x.fillCoordArena()
 	x.anchors = x.buildAnchors(nil)
 	for _, c := range x.clusters {
 		x.fillClusterBlock(c)
@@ -338,4 +336,17 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 		x.setRouter(x.trainRouter())
 	}
 	return x, space, nil
+}
+
+// loadAssign narrows a file's side assignments to the index's width,
+// rejecting any outside [0,k).
+func loadAssign(assign []int, k int, side string) ([]int32, error) {
+	out := make([]int32, len(assign))
+	for i, c := range assign {
+		if c < 0 || c >= k {
+			return nil, fmt.Errorf("core: load: object %d assigned to %s cluster %d of %d", i, side, c, k)
+		}
+		out[i] = int32(c)
+	}
+	return out, nil
 }

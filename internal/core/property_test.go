@@ -24,7 +24,8 @@ func TestLowerBoundIsValid(t *testing.T) {
 			dtq := x.space.SemanticVec(q.Vec, x.tCent[c.t])
 			lb := lowerBound(lambda, dsq, x.sRad[c.s], dtq, x.tRad[c.t])
 			for _, m := range c.members {
-				d := x.space.Distance(nil, lambda, q, &x.objects[m.idx])
+				o := x.row(m.idx)
+				d := x.space.Distance(nil, lambda, q, &o)
 				if d < lb-1e-9 {
 					return false
 				}

@@ -116,7 +116,7 @@ func (x *Index) RangeSearch(q *dataset.Object, r, lambda float64, st *metric.Sta
 				dt = x.space.Semantic(st, q.Vec, ov)
 			}
 			if d := metric.Combine(lambda, ds, dt); d <= r {
-				out = append(out, knn.Result{ID: x.objects[e.idx].ID, Dist: d})
+				out = append(out, knn.Result{ID: x.ids[e.idx], Dist: d})
 			}
 		}
 	}
@@ -196,7 +196,7 @@ func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int
 		if !ok {
 			break
 		}
-		if u, full := h.Bound(); full && lb >= u {
+		if u, full := h.Bound(); full && lb > u {
 			break
 		}
 		f.pop(c)
@@ -237,16 +237,16 @@ func (x *Index) SearchInBox(q *dataset.Object, loX, loY, hiX, hiY float64, k int
 				}
 				continue
 			}
-			o := &x.objects[e.idx]
+			ov := x.vecAt(e.idx)
 			if full {
 				// Pure-semantic ranking: only dt < u can enter the heap,
 				// so the kernel may abandon at u directly.
-				dt, ok := x.space.SemanticBound(st, q.Vec, o.Vec, u)
+				dt, ok := x.space.SemanticBound(st, q.Vec, ov, u)
 				if ok {
-					h.Push(knn.Result{ID: o.ID, Dist: dt})
+					h.Push(knn.Result{ID: x.ids[e.idx], Dist: dt})
 				}
 			} else {
-				h.Push(knn.Result{ID: o.ID, Dist: x.space.Semantic(st, q.Vec, o.Vec)})
+				h.Push(knn.Result{ID: x.ids[e.idx], Dist: x.space.Semantic(st, q.Vec, ov)})
 			}
 		}
 	}

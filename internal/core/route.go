@@ -122,9 +122,9 @@ func (x *Index) trainRouter() *route.Model {
 	// unique among live objects, so sorting (ID, position) words orders
 	// by ID.
 	byID := make([]uint64, 0, x.live)
-	for i := range x.objects {
+	for i, id := range x.ids {
 		if !x.deleted.get(uint32(i)) {
-			byID = append(byID, uint64(x.objects[i].ID)<<32|uint64(i))
+			byID = append(byID, uint64(id)<<32|uint64(i))
 		}
 	}
 	slices.Sort(byID)
@@ -154,8 +154,8 @@ func (x *Index) trainRouter() *route.Model {
 		sc := x.getScratch()
 		defer x.putScratch(sc)
 		for qi := lo; qi < hi; qi++ {
-			o := &x.objects[picks[qi]]
-			q := dataset.Object{X: o.X, Y: o.Y, Vec: o.Vec}
+			p := picks[qi]
+			q := dataset.Object{X: x.xArena[p], Y: x.yArena[p], Vec: x.vecAt(p)}
 			lambda := routeTrainLambdas[qi%len(routeTrainLambdas)]
 
 			// Exact answer → positive clusters. The query is a stored
@@ -163,11 +163,11 @@ func (x *Index) trainRouter() *route.Model {
 			results = x.SearchOptionsInto(results[:0], &q, routeTrainK, lambda, SearchOptions{}, nil)
 			clear(pos)
 			for _, r := range results {
-				idx, ok := x.idToIdx[r.ID]
+				idx, ok := x.idIdx.get(r.ID)
 				if !ok {
 					continue
 				}
-				if c := x.grid[x.cell(x.sAssign[idx], x.tAssign[idx])]; c != nil {
+				if c := x.grid[x.cell(int(x.sAssign[idx]), int(x.tAssign[idx]))]; c != nil {
 					pos[c] = true
 				}
 			}

@@ -141,7 +141,7 @@ func Table5(s Setup) ([]Table, error) {
 			if !ok {
 				continue
 			}
-			upd := *victim
+			upd := victim
 			upd.X = clamp01(upd.X + rng.NormFloat64()*0.03)
 			upd.Y = clamp01(upd.Y + rng.NormFloat64()*0.03)
 			upd.Vec = vec.Clone(ds.Objects[rng.IntN(size)].Vec)
@@ -186,7 +186,7 @@ func liveQueries(idx *core.Index, idSpace, count int, seed uint64) []dataset.Obj
 	out := make([]dataset.Object, 0, count)
 	for len(out) < count {
 		if o, ok := idx.Object(uint32(rng.IntN(idSpace))); ok {
-			out = append(out, *o)
+			out = append(out, o)
 		}
 	}
 	return out

@@ -511,6 +511,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	shardStats := s.idx.ShardStats()
 	shards := make([]map[string]interface{}, len(shardStats))
 	unanchored := 0
+	var heap int64
 	for i, st := range shardStats {
 		shards[i] = map[string]interface{}{
 			"objects":           st.Objects,
@@ -519,14 +520,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"deltaOps":          st.DeltaOps,
 			"compactions":       st.Compactions,
 			"unanchoredRows":    st.Unanchored,
+			"heapBytes":         st.Heap.Total(),
+			"heap":              st.Heap,
 		}
 		unanchored += st.Unanchored
+		heap += st.Heap.Total()
 	}
 	writeJSON(w, r, http.StatusOK, map[string]interface{}{
 		"objects":           s.idx.Len(),
 		"hybridClusters":    s.idx.NumClusters(),
 		"updatesSinceBuild": s.idx.UpdatesSinceBuild(),
 		"unanchoredRows":    unanchored,
+		"heapBytes":         heap,
 		"shards":            len(shardStats),
 		"perShard":          shards,
 	})

@@ -68,15 +68,28 @@ func TestShardedServerSearchAndStats(t *testing.T) {
 	}
 	defer sresp.Body.Close()
 	var stats struct {
-		Objects  int                      `json:"objects"`
-		Shards   int                      `json:"shards"`
-		PerShard []map[string]interface{} `json:"perShard"`
+		Objects   int                      `json:"objects"`
+		Shards    int                      `json:"shards"`
+		HeapBytes float64                  `json:"heapBytes"`
+		PerShard  []map[string]interface{} `json:"perShard"`
 	}
 	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Objects != 600 || stats.Shards != 4 || len(stats.PerShard) != 4 {
 		t.Fatalf("stats = %+v", stats)
+	}
+	// The heap ledger: per structure on every shard, summed on top.
+	var heap float64
+	for i, sh := range stats.PerShard {
+		ledger, _ := sh["heap"].(map[string]interface{})
+		if v, _ := ledger["vectors"].(float64); v < 100*16*4 {
+			t.Fatalf("shard %d: heap ledger %v holds no vector arena", i, sh["heap"])
+		}
+		heap += sh["heapBytes"].(float64)
+	}
+	if stats.HeapBytes != heap || heap == 0 {
+		t.Fatalf("heapBytes %v, shards sum to %v", stats.HeapBytes, heap)
 	}
 }
 

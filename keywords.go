@@ -77,7 +77,7 @@ func (x *Index) searchWithKeywords(q *Object, k int, lambda float64, keywords []
 			if !live {
 				continue
 			}
-			all = append(all, Result{ID: id, Dist: x.space.Distance(nil, lambda, q, o)})
+			all = append(all, Result{ID: id, Dist: x.space.Distance(nil, lambda, q, &o)})
 		}
 		knn.SortResults(all)
 		if len(all) > k {

@@ -429,13 +429,9 @@ func (s *ShardedIndex) SearchWithKeywords(q *Object, k int, lambda float64, keyw
 }
 
 // Object looks up a live object on its owning shard, returning a copy
-// (the snapshot's storage is shared with future clones).
+// whose Vec views the snapshot's vector storage and must not be written.
 func (s *ShardedIndex) Object(id uint32) (Object, bool) {
-	o, ok := s.shards[s.ShardFor(id)].cur.Load().Object(id)
-	if !ok {
-		return Object{}, false
-	}
-	return *o, true
+	return s.shards[s.ShardFor(id)].cur.Load().core.Object(id)
 }
 
 // Len returns the total number of live objects across shards. The
@@ -514,6 +510,9 @@ type ShardStat struct {
 	// Unanchored is the shard's Index.UnanchoredRows: live objects a
 	// rebuild would give back their anchor bound.
 	Unanchored int
+	// Heap is the snapshot's heap ledger, bytes per structure — what a
+	// host is sized by.
+	Heap HeapBytes
 }
 
 // ShardStats returns a per-shard snapshot summary — the backing data of
@@ -535,6 +534,7 @@ func (s *ShardedIndex) ShardStats() []ShardStat {
 			Compactions:       sh.compactions.Load(),
 			BaseAge:           time.Duration(now - sh.baseNS.Load()),
 			Unanchored:        snap.UnanchoredRows(),
+			Heap:              snap.core.HeapBytes(),
 		}
 	}
 	return out

@@ -832,3 +832,40 @@ func TestBuildShardedDerivesPerShardClusterCounts(t *testing.T) {
 		}
 	}
 }
+
+// An object tying the k-th distance at its cluster's bound is still
+// offered, and wins or loses on its ID. Objects sharing one point but not
+// a vector land in different clusters, and a λ = 1 query on that point
+// ties them all at distance 0 — the bound of every cluster holding one.
+// The answer is the linear scan's, smallest IDs first, on a bare index
+// and on one and four shards.
+func TestExactTieAtSharedPoint(t *testing.T) {
+	base := testDataset(t, 700)
+	p := base.Objects[17]
+	objs := slices.Clone(base.Objects)
+	for i := 0; i < 12; i++ {
+		o := p
+		o.ID, o.Vec = uint32(700_000+(i*5)%12), base.Objects[100+41*i].Vec
+		objs = append(objs, o)
+	}
+	ds := &Dataset{Objects: objs, Dim: base.Dim}
+	bare := mustBuild(t, ds, Options{Seed: 37})
+	oracle := scan.New(ds, bare.space)
+	targets := []struct {
+		name   string
+		search func(q *Object, k int, lambda float64) []Result
+	}{
+		{"bare", bare.Search},
+		{"P=1", mustBuildSharded(t, ds, 1, Options{Seed: 37}).Search},
+		{"P=4", mustBuildSharded(t, ds, 4, Options{Seed: 37}).Search},
+	}
+	for _, tg := range targets {
+		for _, k := range []int{1, 3, 5, 13} {
+			want := oracle.Search(&p, k, 1, nil)
+			if want[len(want)-1].Dist != 0 {
+				t.Fatalf("k=%d: the scan's answer %v is not all ties", k, want)
+			}
+			equalResults(t, fmt.Sprintf("%s k=%d", tg.name, k), want, tg.search(&p, k, 1))
+		}
+	}
+}

@@ -162,11 +162,10 @@ func stripeDataset(t *testing.T) (*Dataset, []Object) {
 	}
 	beside := twin
 	beside.X += 1e-3
-	queries = append(queries, beside)
-	// The zero vector gets a point of its own, and no query sits on the
-	// shared point: there objects of different clusters would tie at
-	// distance 0 = their clusters' bound, a tie the frontier's
-	// non-strict cut does not resolve by ID (ROADMAP).
+	// One query sits on the shared point, where at λ = 1 objects of
+	// different clusters tie at distance 0, their clusters' bound.
+	queries = append(queries, twin, beside)
+	// The zero vector gets a point of its own.
 	zero := ds.Objects[29]
 	zero.ID, zero.Vec = 900_000, make([]float32, ds.Dim)
 	zero.X, zero.Y = 1-zero.X, 1-zero.Y
