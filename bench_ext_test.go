@@ -47,7 +47,7 @@ func BenchmarkRangeSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("r=%.2f", r), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e.idx.RangeSearch(e.query(i), r, benchLambda, nil)
+				e.idx.SearchOptionsInto(nil, e.query(i), e.idx.Len(), benchLambda, core.SearchOptions{Radius: &r}, nil)
 			}
 		})
 	}
@@ -58,7 +58,7 @@ func BenchmarkSearchInBox(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := e.query(i)
-		e.idx.SearchInBox(q, q.X-0.1, q.Y-0.1, q.X+0.1, q.Y+0.1, 10, nil)
+		e.idx.SearchOptionsInto(nil, q, 10, 0, core.SearchOptions{Window: &core.Window{LoX: q.X - 0.1, LoY: q.Y - 0.1, HiX: q.X + 0.1, HiY: q.Y + 0.1}}, nil)
 	}
 }
 

@@ -22,13 +22,14 @@ func TestConcurrentIndexMixedWorkload(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				q := ds.Objects[(g*41+i*7)%ds.Len()]
-				if got := c.Search(&q, 5, 0.5); len(got) != 5 {
+				if got := mustDo(c, SearchRequest{Query: &q, K: 5, Lambda: 0.5}); len(got) != 5 {
 					t.Errorf("search returned %d", len(got))
 					return
 				}
-				c.SearchApprox(&q, 5, 0.5)
-				c.RangeSearch(&q, 0.05, 0.5)
-				c.SearchInBox(&q, 0, 0, 1, 1, 3)
+				mustDo(c, SearchRequest{Query: &q, K: 5, Lambda: 0.5, Approx: true})
+				r := 0.05
+				mustDo(c, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Radius: &r})
+				mustDo(c, SearchRequest{Query: &q, K: 3, Window: &Window{LoX: 0, LoY: 0, HiX: 1, HiY: 1}})
 				c.Len()
 			}
 		}(g)
@@ -233,7 +234,7 @@ func TestConcurrentBatchStress(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
 			q := ds.Objects[(i*13)%ds.Len()]
-			c.Search(&q, 3, 0.5)
+			mustDo(c, SearchRequest{Query: &q, K: 3, Lambda: 0.5})
 		}
 	}()
 	// Writers: inserts force arena regrowth, deletes shrink clusters,
@@ -278,7 +279,7 @@ func TestConcurrentBatchStress(t *testing.T) {
 		t.Fatalf("final batch: %v", err)
 	}
 	for qi := range queries {
-		seq := c.Search(&queries[qi], 5, 0.5)
+		seq := mustDo(c, SearchRequest{Query: &queries[qi], K: 5, Lambda: 0.5})
 		for i := range seq {
 			if final[qi][i].Dist != seq[i].Dist {
 				t.Fatalf("post-stress query %d result %d differs", qi, i)
@@ -492,7 +493,7 @@ func TestConcurrentRebuildStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				q := ds.Objects[(g*31+i*7)%ds.Len()]
-				if got := c.Search(&q, 5, 0.5); len(got) != 5 {
+				if got := mustDo(c, SearchRequest{Query: &q, K: 5, Lambda: 0.5}); len(got) != 5 {
 					t.Errorf("search returned %d", len(got))
 					return
 				}
@@ -581,7 +582,7 @@ func TestConcurrentRebuildStress(t *testing.T) {
 	// sequential search against the same snapshot.
 	final := mustDoBatch(t, snap, queries, 5, 0.5)
 	for qi := range queries {
-		seq := snap.Search(&queries[qi], 5, 0.5)
+		seq := mustDo(snap, SearchRequest{Query: &queries[qi], K: 5, Lambda: 0.5})
 		for i := range seq {
 			if final[qi][i].Dist != seq[i].Dist {
 				t.Fatalf("post-stress query %d result %d differs", qi, i)

@@ -16,8 +16,8 @@
 //	ds, _ := cssi.GenerateDataset(cssi.DatasetConfig{Kind: cssi.TwitterLike, Size: 10000})
 //	idx, _ := cssi.Build(ds, cssi.Options{})
 //	q := ds.Objects[0]
-//	exact := idx.Search(&q, 10, 0.5)          // provably exact (CSSI)
-//	fast := idx.SearchApprox(&q, 10, 0.5)     // approximate (CSSIA)
+//	exact, _ := idx.Do(cssi.SearchRequest{Query: &q, K: 10, Lambda: 0.5})             // provably exact (CSSI)
+//	fast, _ := idx.Do(cssi.SearchRequest{Query: &q, K: 10, Lambda: 0.5, Approx: true}) // approximate (CSSIA)
 //
 // The internal packages additionally provide every baseline the paper
 // evaluates against (linear scan, spatial R-tree, S²R-tree, DESIRE,
@@ -143,7 +143,7 @@ const DeltaDisabled = core.DeltaDisabled
 const DefaultRouteTarget = core.DefaultRouteTarget
 
 // Index answers semantic spatio-textual k-NN queries. Obtain one from
-// Build. An Index is safe for concurrent Search/SearchApprox calls;
+// Build. An Index is safe for concurrent Do/DoBatch calls;
 // Insert/Delete/Update require external synchronization.
 type Index struct {
 	core  *core.Index
@@ -195,47 +195,6 @@ func Build(ds *Dataset, opts Options) (*Index, error) {
 		return nil, err
 	}
 	return &Index{core: c, space: space}, nil
-}
-
-// Search returns the exact k nearest neighbors of q under
-// d = λ·ds + (1−λ)·dt (the CSSI algorithm, provably correct per
-// Lemma 4.7) — the quickstart form of Do, which adds every per-request
-// knob (work counters, result buffers, explain, budgets). A nil or
-// wrong-dimension query, k < 1, or λ outside [0,1] panics; use Do to
-// get them as typed errors.
-func (x *Index) Search(q *Object, k int, lambda float64) []Result {
-	return mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda}))
-}
-
-// SearchApprox returns approximate k nearest neighbors with the CSSIA
-// algorithm — typically 2-3× faster than Search with under 1% result
-// error (paper §5, §7): Do with SearchRequest.Approx, panicking like
-// Search on invalid input.
-func (x *Index) SearchApprox(q *Object, k int, lambda float64) []Result {
-	return mustResults(x.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: true}))
-}
-
-func checkQuery(q *Object, k int, lambda float64) {
-	if q == nil {
-		panic("cssi: nil query")
-	}
-	if k < 1 {
-		panic("cssi: k must be >= 1")
-	}
-	if lambda < 0 || lambda > 1 {
-		panic(fmt.Sprintf("cssi: lambda %v out of [0,1]", lambda))
-	}
-}
-
-// checkQueryVec panics with a descriptive message when the query vector
-// does not match the index's embedding dimensionality (the distance
-// kernels would otherwise panic deep inside the hot path). Like
-// checkQuery it guards the range/box queries; k-NN requests are
-// validated by SearchRequest.validate.
-func (x *Index) checkQueryVec(q *Object) {
-	if len(q.Vec) != x.core.Dim() {
-		panic(fmt.Sprintf("cssi: query vector dim %d, index expects %d", len(q.Vec), x.core.Dim()))
-	}
 }
 
 // Insert adds a new object incrementally (paper §6.2): it joins the

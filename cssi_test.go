@@ -15,6 +15,16 @@ func testDataset(t testing.TB, size int) *Dataset {
 	return ds
 }
 
+// mustDo answers a request the test knows to be valid. An error panics,
+// so it serves on any goroutine.
+func mustDo(x doer, req SearchRequest) []Result {
+	res, err := x.Do(req)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func TestBuildRejectsEmpty(t *testing.T) {
 	if _, err := Build(nil, Options{}); err == nil {
 		t.Fatal("expected error for nil dataset")
@@ -34,14 +44,14 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("Len = %d", idx.Len())
 	}
 	q := ds.Objects[13]
-	exact := idx.Search(&q, 10, 0.5)
+	exact := mustDo(idx, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 	if len(exact) != 10 {
 		t.Fatalf("got %d results", len(exact))
 	}
 	if exact[0].ID != q.ID || exact[0].Dist != 0 {
 		t.Fatalf("self-query nearest = %+v", exact[0])
 	}
-	approx := idx.SearchApprox(&q, 10, 0.5)
+	approx := mustDo(idx, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Approx: true})
 	if e := ErrorRate(exact, approx); e > 0.3 {
 		t.Fatalf("approx error %v unexpectedly high for one query", e)
 	}
@@ -71,30 +81,19 @@ func TestQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, fn := range map[string]func(){
-		"nil query":  func() { idx.Search(nil, 5, 0.5) },
-		"k=0":        func() { idx.Search(&ds.Objects[0], 0, 0.5) },
-		"lambda=1.5": func() { idx.Search(&ds.Objects[0], 5, 1.5) },
-		"lambda=-1":  func() { idx.SearchApprox(&ds.Objects[0], 5, -1) },
-		"nil vec": func() {
-			q := ds.Objects[0]
-			q.Vec = nil
-			idx.Search(&q, 5, 0.5)
-		},
-		"wrong-dim vec": func() {
-			q := ds.Objects[0]
-			q.Vec = q.Vec[:len(q.Vec)-1]
-			idx.Search(&q, 5, 0.5)
-		},
+	short := ds.Objects[0]
+	short.Vec = short.Vec[:len(short.Vec)-1]
+	for name, req := range map[string]SearchRequest{
+		"nil query":     {Query: nil, K: 5, Lambda: 0.5},
+		"k=0":           {Query: &ds.Objects[0], K: 0, Lambda: 0.5},
+		"lambda=1.5":    {Query: &ds.Objects[0], K: 5, Lambda: 1.5},
+		"lambda=-1":     {Query: &ds.Objects[0], K: 5, Lambda: -1, Approx: true},
+		"nil vec":       {Query: &Object{X: 0.5, Y: 0.5}, K: 5, Lambda: 0.5},
+		"wrong-dim vec": {Query: &short, K: 5, Lambda: 0.5},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
+		if res, err := idx.Do(req); err == nil || res != nil {
+			t.Fatalf("%s: res %v, err %v, want an error and no results", name, res, err)
+		}
 	}
 }
 
@@ -149,11 +148,11 @@ func TestConcurrentSearches(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				q := ds.Objects[(g*53+i*17)%ds.Len()]
-				if got := idx.Search(&q, 5, 0.5); len(got) != 5 {
+				if got := mustDo(idx, SearchRequest{Query: &q, K: 5, Lambda: 0.5}); len(got) != 5 {
 					t.Errorf("goroutine %d: got %d results", g, len(got))
 					return
 				}
-				if got := idx.SearchApprox(&q, 5, 0.3); len(got) != 5 {
+				if got := mustDo(idx, SearchRequest{Query: &q, K: 5, Lambda: 0.3, Approx: true}); len(got) != 5 {
 					t.Errorf("goroutine %d: approx got %d results", g, len(got))
 					return
 				}
@@ -170,7 +169,7 @@ func TestExactPCAOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ds.Objects[2]
-	if got := idx.Search(&q, 5, 0.5); len(got) != 5 {
+	if got := mustDo(idx, SearchRequest{Query: &q, K: 5, Lambda: 0.5}); len(got) != 5 {
 		t.Fatalf("got %d results", len(got))
 	}
 }
@@ -188,7 +187,7 @@ func TestQueryFromFreeText(t *testing.T) {
 		t.Fatal("encoding failed")
 	}
 	q := Object{ID: 1 << 30, X: 0.5, Y: 0.5, Vec: vec}
-	got := idx.Search(&q, 5, 0.0) // pure semantic: object 10 must rank first
+	got := mustDo(idx, SearchRequest{Query: &q, K: 5, Lambda: 0.0}) // pure semantic: object 10 must rank first
 	if got[0].ID != ds.Objects[10].ID {
 		t.Fatalf("semantic self-match failed: nearest = %d", got[0].ID)
 	}
@@ -203,7 +202,7 @@ func TestAngularSemanticOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ds.Objects[5]
-	got := idx.Search(&q, 5, 0.5)
+	got := mustDo(idx, SearchRequest{Query: &q, K: 5, Lambda: 0.5})
 	// acos introduces ~1e-9 rounding, so the self-distance is only
 	// near-zero under the angular metric.
 	if got[0].ID != q.ID || got[0].Dist > 1e-6 {
@@ -216,8 +215,8 @@ func TestAngularSemanticOption(t *testing.T) {
 	for i, v := range q.Vec {
 		q2.Vec[i] = 2 * v
 	}
-	a := idx.Search(&q, 10, 0)
-	b := idx.Search(&q2, 10, 0)
+	a := mustDo(idx, SearchRequest{Query: &q, K: 10, Lambda: 0})
+	b := mustDo(idx, SearchRequest{Query: &q2, K: 10, Lambda: 0})
 	for i := range a {
 		if a[i].ID != b[i].ID {
 			t.Fatalf("angular ranking not scale-invariant at position %d", i)
@@ -232,7 +231,7 @@ func TestAngularSemanticOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := loaded.Search(&q, 10, 0)
+	c := mustDo(loaded, SearchRequest{Query: &q, K: 10, Lambda: 0})
 	for i := range a {
 		if a[i].Dist != c[i].Dist {
 			t.Fatalf("angular metric lost across save/load at position %d", i)

@@ -33,21 +33,22 @@ func main() {
 	// contain the keyword, and are ranked by the λ-weighted distance.
 	keyword := strings.Fields(ds.Objects[777].Text)[0]
 	fmt.Printf("k-NN among objects containing %q (df=%d):\n", keyword, idx.KeywordDocFrequency(keyword))
-	if results, ok := idx.SearchWithKeywords(&q, 5, 0.5, keyword); ok {
-		for i, r := range results {
-			o, _ := idx.Object(r.ID)
-			fmt.Printf("  %d. d=%.4f %q\n", i+1, r.Dist, truncate(o.Text, 50))
-		}
+	results := search(idx, cssi.SearchRequest{Query: &q, K: 5, Lambda: 0.5, Keywords: []string{keyword}})
+	for i, r := range results {
+		o, _ := idx.Object(r.ID)
+		fmt.Printf("  %d. d=%.4f %q\n", i+1, r.Dist, truncate(o.Text, 50))
 	}
 
-	// 2. Range query: everything within a combined distance budget.
-	within := idx.RangeSearch(&q, 0.05, 0.5)
+	// 2. Range query: everything within a combined distance budget (K
+	// caps the answer; the corpus size keeps every match).
+	radius := 0.05
+	within := search(idx, cssi.SearchRequest{Query: &q, K: idx.Len(), Lambda: 0.5, Radius: &radius})
 	fmt.Printf("\nobjects within combined distance 0.05: %d\n", len(within))
 
 	// 3. Viewport query: the semantically closest objects inside a map
-	// window around the user.
+	// window around the user (λ = 0 ranks by meaning alone).
 	const half = 0.05
-	box := idx.SearchInBox(&q, q.X-half, q.Y-half, q.X+half, q.Y+half, 5)
+	box := search(idx, cssi.SearchRequest{Query: &q, K: 5, Window: &cssi.Window{LoX: q.X - half, LoY: q.Y - half, HiX: q.X + half, HiY: q.Y + half}})
 	fmt.Printf("\nmost semantically similar inside the %.2f-wide viewport:\n", 2*half)
 	for i, r := range box {
 		o, _ := idx.Object(r.ID)
@@ -61,9 +62,17 @@ func main() {
 	if err := idx.Insert(nova); err != nil {
 		log.Fatal(err)
 	}
-	results, _ := idx.SearchWithKeywords(&q, 1, 0.5, keyword)
+	results = search(idx, cssi.SearchRequest{Query: &q, K: 1, Lambda: 0.5, Keywords: []string{keyword}})
 	fmt.Printf("\nafter inserting a matching twin at the query location, top hit is id=%d (d=%.4f)\n",
 		results[0].ID, results[0].Dist)
+}
+
+func search(idx *cssi.Index, req cssi.SearchRequest) []cssi.Result {
+	res, err := idx.Do(req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }
 
 func truncate(s string, n int) string {

@@ -47,7 +47,10 @@ func main() {
 		q.X, q.Y, truncate(queryText, 70))
 
 	for _, lambda := range []float64{0.0, 0.5, 0.9} {
-		results := idx.Search(&q, 5, lambda)
+		results, err := idx.Do(cssi.SearchRequest{Query: &q, K: 5, Lambda: lambda})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("λ = %.1f (%s):\n", lambda, describe(lambda))
 		for i, r := range results {
 			o, _ := idx.Object(r.ID)
@@ -60,8 +63,14 @@ func main() {
 
 	// The approximate algorithm answers the same query faster; compare
 	// the result sets.
-	exact := idx.Search(&q, 10, 0.5)
-	approx := idx.SearchApprox(&q, 10, 0.5)
+	exact, err := idx.Do(cssi.SearchRequest{Query: &q, K: 10, Lambda: 0.5})
+	if err != nil {
+		log.Fatal(err)
+	}
+	approx, err := idx.Do(cssi.SearchRequest{Query: &q, K: 10, Lambda: 0.5, Approx: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("CSSIA vs CSSI on this query (k=10, λ=0.5): error %.1f%%\n",
 		100*cssi.ErrorRate(exact, approx))
 }

@@ -49,7 +49,10 @@ func main() {
 	}
 
 	// 4. The approximate variant trades a sub-1%% error for speed.
-	approx := idx.SearchApprox(&q, k, lambda)
+	approx, err := idx.Do(cssi.SearchRequest{Query: &q, K: k, Lambda: lambda, Approx: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nCSSIA (approximate) — result error vs exact: %.2f%%\n",
 		100*cssi.ErrorRate(exact, approx))
 	for i, r := range approx {

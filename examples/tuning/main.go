@@ -59,12 +59,20 @@ func report(ds *cssi.Dataset, qs []cssi.Object, opts cssi.Options, label string)
 	var exactTotal, approxTotal time.Duration
 	var errSum float64
 	for qi := range qs {
+		req := cssi.SearchRequest{Query: &qs[qi], K: k, Lambda: lambda}
 		t0 := time.Now()
-		exact := idx.Search(&qs[qi], k, lambda)
+		exact, err := idx.Do(req)
 		exactTotal += time.Since(t0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		req.Approx = true
 		t0 = time.Now()
-		approx := idx.SearchApprox(&qs[qi], k, lambda)
+		approx, err := idx.Do(req)
 		approxTotal += time.Since(t0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		errSum += cssi.ErrorRate(exact, approx)
 	}
 	n := float64(len(qs))

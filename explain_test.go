@@ -50,9 +50,9 @@ func TestSearchExplainMatchesSearch(t *testing.T) {
 		q := &queries[qi]
 		for _, approx := range []bool{false, true} {
 			label := map[bool]string{false: "cssi", true: "cssia"}[approx]
-			plain := flat.Search(q, 10, 0.5)
+			plain := mustDo(flat, SearchRequest{Query: q, K: 10, Lambda: 0.5})
 			if approx {
-				plain = flat.SearchApprox(q, 10, 0.5)
+				plain = mustDo(flat, SearchRequest{Query: q, K: 10, Lambda: 0.5, Approx: true})
 			}
 			got, es := explained(t, flat, q, 10, 0.5, approx)
 			equalResults(t, fmt.Sprintf("flat %s q%d", label, qi), plain, got)
@@ -88,7 +88,7 @@ func TestShardedSearchExplainMatchesFlat(t *testing.T) {
 		sharded := mustBuildSharded(t, ds, p, Options{Seed: 5})
 		for qi := range queries {
 			q := &queries[qi]
-			want := flat.Search(q, 10, 0.5)
+			want := mustDo(flat, SearchRequest{Query: q, K: 10, Lambda: 0.5})
 			got, tr := traced(t, sharded, q, 10, 0.5, "req-test")
 			equalResults(t, fmt.Sprintf("P=%d q%d", p, qi), want, got)
 
@@ -205,7 +205,7 @@ func TestShardedExplainRaceStress(t *testing.T) {
 				}
 				// Exact results stay correct under concurrent mutation for
 				// build-time objects: writers only touch a disjoint ID range.
-				want := flat.Search(q, 10, 0.5)
+				want := mustDo(flat, SearchRequest{Query: q, K: 10, Lambda: 0.5})
 				for j := range want {
 					if j < len(got) && got[j].Dist > want[j].Dist {
 						t.Errorf("goroutine %d: result %d worse than flat", g, j)

@@ -83,7 +83,7 @@ func TestIntegrationAllSearchersAgree(t *testing.T) {
 					want := sc.Search(&q, k, lambda, nil)
 					// The facade index uses its own (identically derived)
 					// metric space.
-					got := facade.Search(&q, k, lambda)
+					got := mustDo(facade, SearchRequest{Query: &q, K: k, Lambda: lambda})
 					compare(t, "cssi", lambda, k, want, got)
 					for _, s := range searchers {
 						compare(t, s.name, lambda, k, want, s.run(&q, k, lambda))
@@ -119,7 +119,7 @@ func TestIntegrationAllSearchersAgree(t *testing.T) {
 			liveScan := scan.New(liveDS, facade.space)
 			q := live[7]
 			want := liveScan.Search(&q, 10, 0.5, nil)
-			got := facade.Search(&q, 10, 0.5)
+			got := mustDo(facade, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 			compare(t, "cssi-after-maintenance", 0.5, 10, want, got)
 
 			// Persistence round trip answers identically.
@@ -131,7 +131,7 @@ func TestIntegrationAllSearchersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compare(t, "cssi-loaded", 0.5, 10, want, loaded.Search(&q, 10, 0.5))
+			compare(t, "cssi-loaded", 0.5, 10, want, mustDo(loaded, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
 
 			// Batch search agrees with sequential.
 			queries := liveDS.SampleQueries(16, 9)
@@ -140,7 +140,7 @@ func TestIntegrationAllSearchersAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for qi := range queries {
-				seq := facade.Search(&queries[qi], 5, 0.5)
+				seq := mustDo(facade, SearchRequest{Query: &queries[qi], K: 5, Lambda: 0.5})
 				compare(t, "batch", 0.5, 5, seq, batch[qi])
 			}
 		})

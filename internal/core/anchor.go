@@ -222,10 +222,11 @@ func (x *Index) fillAnchorDists(sc *searchScratch, q *dataset.Object) {
 // rowGate holds what the pre-kernel checks of one cluster scan read: the
 // weights, the query's two centroid distances, and the cluster's window
 // of the anchor arena. It lives in the searchScratch (one per query,
-// refilled per cluster by enterCluster). The scan loops of Search,
-// SearchFiltered, RangeSearch, SearchInBox and CSSIA share it;
-// SearchAblated keeps the paper's original Lemma 4.5 and no row check,
-// and is the reference the tests compare against.
+// refilled per cluster by enterCluster). The two row loops share it:
+// the exact read's scanCluster, whatever radius, window or predicate
+// restricts it, and CSSIA's; SearchAblated keeps the paper's original
+// Lemma 4.5 and no row check, and is the reference the tests compare
+// against.
 type rowGate struct {
 	lambda, invLam float64
 	dsq, dtq       float64

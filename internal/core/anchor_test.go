@@ -176,8 +176,8 @@ func requireGateExact(t *testing.T, ctx string, x *Index) {
 					inRange = append(inRange, res)
 				}
 			}
-			identicalResults(t, ctx+": range", inRange, x.RangeSearch(&q, r, lambda, nil))
-			identicalResults(t, ctx+": filtered", keptScan.Search(&q, 10, lambda, nil), x.SearchFiltered(&q, 10, lambda, allow, nil))
+			identicalResults(t, ctx+": range", inRange, rangeSearch(x, &q, r, lambda, nil))
+			identicalResults(t, ctx+": filtered", keptScan.Search(&q, 10, lambda, nil), filteredSearch(x, &q, 10, lambda, allow, nil))
 		}
 		loX, loY, hiX, hiY := q.X-0.2, q.Y-0.15, q.X+0.25, q.Y+0.3
 		boxed := &dataset.Dataset{Dim: live.Dim}
@@ -191,7 +191,7 @@ func requireGateExact(t *testing.T, ctx string, x *Index) {
 			if boxed.Len() > 0 {
 				want = scan.New(boxed, x.space).Search(&q, k, 0, nil) // λ = 0: d is dt exactly
 			}
-			identicalResults(t, ctx+": box", want, x.SearchInBox(&q, loX, loY, hiX, hiY, k, nil))
+			identicalResults(t, ctx+": box", want, boxSearch(x, &q, Window{loX, loY, hiX, hiY}, k, nil))
 		}
 	}
 }
@@ -481,8 +481,8 @@ func TestAnchorCloneGrowsUnderReaders(t *testing.T) {
 		return answers{
 			exact:  parent.Search(q, 10, 0.5, nil),
 			approx: parent.SearchApprox(q, 10, 0.5, nil),
-			ranged: parent.RangeSearch(q, 0.12, 0.5, nil),
-			boxed:  parent.SearchInBox(q, q.X-0.2, q.Y-0.2, q.X+0.2, q.Y+0.2, 10, nil),
+			ranged: rangeSearch(parent, q, 0.12, 0.5, nil),
+			boxed:  boxSearch(parent, q, Window{q.X - 0.2, q.Y - 0.2, q.X + 0.2, q.Y + 0.2}, 10, nil),
 		}
 	}
 	same := func(a, b answers) bool {
@@ -535,14 +535,15 @@ func TestAnchorCloneGrowsUnderReaders(t *testing.T) {
 	requireScratchesUnpinned(t, parent)
 }
 
-// gatedLoops runs the five gated scan loops on x for one query and
-// returns each loop's answer and work counters.
+// gatedLoops runs the five gated reads on x for one query — exact k-NN,
+// CSSIA, and the exact read under a radius, a window and a row
+// predicate — and returns each one's answer and work counters.
 func gatedLoops(x *Index, q *dataset.Object, k int, lambda float64) (res [5][]knn.Result, st [5]metric.Stats) {
 	res[0] = x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{}, &st[0])
 	res[1] = x.SearchApprox(q, k, lambda, &st[1])
-	res[2] = x.RangeSearch(q, 0.15, lambda, &st[2])
-	res[3] = x.SearchInBox(q, q.X-0.2, q.Y-0.15, q.X+0.25, q.Y+0.3, k, &st[3])
-	res[4] = x.SearchFiltered(q, k, lambda, func(id uint32) bool { return id%3 != 0 }, &st[4])
+	res[2] = rangeSearch(x, q, 0.15, lambda, &st[2])
+	res[3] = boxSearch(x, q, Window{q.X - 0.2, q.Y - 0.15, q.X + 0.25, q.Y + 0.3}, k, &st[3])
+	res[4] = filteredSearch(x, q, k, lambda, func(id uint32) bool { return id%3 != 0 }, &st[4])
 	return res, st
 }
 

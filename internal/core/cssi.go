@@ -90,30 +90,32 @@ func (x *Index) Search(q *dataset.Object, k int, lambda float64, st *metric.Stat
 }
 
 // orderByBound computes the query's centroid-level distances and starts
-// the frontier over the true Eq. 4 bound (Alg. 2 line 4).
+// the frontier over the true Eq. 4 bound (Alg. 2 line 4). A spatial side
+// whose ball misses the read's window gets no cursor. The original-space
+// semantic centroid distances dominate the centroid-level cost (Kt
+// n-dimensional kernels), yet a query that fills its heap early never
+// consults most of them, so under the Euclidean metric the semantic sides
+// enter with the weak bound from the m-dimensional projected space and
+// the frontier computes a side's true dtq only when the merge reaches it.
+// The weak bound never exceeds the true one (sideTerm is non-decreasing
+// in the distance), which is all the frontier needs to yield clusters in
+// ascending true bound.
 func (x *Index) orderByBound(sc *searchScratch, q *dataset.Object, lambda float64) *sideFrontier {
 	x.fillSpatialCentroidDists(sc, q)
 	x.fillSpatialTerms(sc, lambda)
-	return x.startTrueFrontier(sc, q, 1-lambda)
-}
-
-// startTrueFrontier starts the frontier over sc.aTerm and the true
-// semantic shares weighted bw. The original-space semantic centroid
-// distances dominate the centroid-level cost (Kt n-dimensional
-// kernels), yet a query that fills its heap early never consults most
-// of them, so under the Euclidean metric the semantic sides enter with
-// the weak bound from the m-dimensional projected space and the frontier
-// computes a side's true dtq only when the merge reaches it. The weak
-// bound never exceeds the true one (sideTerm is non-decreasing in the
-// distance), which is all the frontier needs to yield clusters in
-// ascending true bound.
-func (x *Index) startTrueFrontier(sc *searchScratch, q *dataset.Object, bw float64) *sideFrontier {
+	if w := sc.rs.window; w != nil {
+		for s := range sc.aTerm {
+			if w.minDist(x.sCentX[s], x.sCentY[s])/x.space.DsMax > x.sRad[s] {
+				sc.aTerm[s] = -1
+			}
+		}
+	}
 	if x.lazyOrderable() {
 		x.fillProjLowerBounds(sc, q)
-		return x.startFrontier(sc, q, bw, sc.dtqProj, x.tRad, false)
+		return x.startFrontier(sc, q, 1-lambda, sc.dtqProj, x.tRad, false)
 	}
 	x.fillSemanticCentroidDists(sc, q)
-	return x.startFrontier(sc, q, bw, sc.dtq, x.tRad, true)
+	return x.startFrontier(sc, q, 1-lambda, sc.dtq, x.tRad, true)
 }
 
 // searchWithSeed is the exact CSSI algorithm on a drawn scratch, with
@@ -160,17 +162,17 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 }
 
 // walkFrontier is the frontier loop of Alg. 2: it scans clusters in
-// ascending lower bound into h until the head's bound reaches the k-th
-// distance. With sh non-nil it is one stripe of a striped read: it scans
-// only the frontier positions it claims from sh, pops the others
-// unscanned, and also stops once the head's bound exceeds the bound the
-// stripes share. With sh nil every position is its own and the shared
-// bound stays +Inf, so the loop is the one-stripe read.
+// ascending lower bound into h until the head's bound exceeds the k-th
+// distance capped by the read's radius. With sh non-nil it is one stripe
+// of a striped read: it scans only the frontier positions it claims from
+// sh, pops the others unscanned, and caps the bound with the one the
+// stripes share instead. With sh nil every position is its own, so the
+// loop is the one-stripe read.
 func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, sh *stripeJob, st *metric.Stats) {
 	// Positions [lo, hi) are this stripe's current claim; pos is the
 	// frontier position of the next pop.
 	pos, lo, hi := int32(0), int32(0), int32(math.MaxInt32)
-	shared := math.Inf(1)
+	shared := sc.rs.radius
 	if sh != nil {
 		hi = 0
 	}
@@ -179,23 +181,19 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 		if !ok {
 			break
 		}
-		if u, full := h.Bound(); full && lb > u {
+		if u, full := cappedBound(h, shared); full && lb > u {
 			// Pruning property 1 (Lemma 4.4): lb is the smallest true
 			// bound among the clusters not yet examined. Strict, like
 			// every cut below: an object tying the k-th distance at its
 			// cluster's bound is still offered and wins or loses on its
 			// ID.
-			f.chargePruned(st)
-			break
-		}
-		if lb > shared {
 			break
 		}
 		if sc.budgetExpired() {
 			// Time budget fired: stop consuming the frontier and return
 			// the heap as-is — an admissible truncated prefix (see
 			// deadline.go), reported through SearchOptions.Partial.
-			break
+			return
 		}
 		f.pop(c)
 		if pos >= hi {
@@ -212,6 +210,9 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 			shared = sh.lower(h)
 		}
 	}
+	// Every cluster the frontier did not hand out was pruned, by the cut
+	// or by the window.
+	f.chargePruned(st)
 }
 
 // scanCluster examines the objects of one hybrid cluster (Alg. 2 lines
@@ -220,8 +221,10 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 // before any kernel: the component-wise Lemma 4.5 cut over the
 // conservative array thresholds ends the scan, and the anchor bound
 // skips single rows (see anchor.go). ub caps the heap's k-th distance
-// with a bound found elsewhere (another stripe's; +Inf for none); every
-// cut against it is strict, like the cuts against the heap's own.
+// with a bound found elsewhere (the read's radius, another stripe's;
+// +Inf for none); every cut against it is strict, like the cuts against
+// the heap's own. A row the read's restriction rejects is charged like a
+// cut one, and a row beyond the radius is never pushed.
 func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsqC, dtqC float64, h *knn.Heap, ub float64, st *metric.Stats) {
 	if st != nil {
 		st.ClustersExamined++
@@ -232,6 +235,7 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		return
 	}
 	tombs := x.deltaTombs()
+	rs := &sc.rs
 	for ei := range c.elems {
 		e := &c.elems[ei]
 		u, full := cappedBound(h, ub)
@@ -246,6 +250,12 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		// Overlay tombstones hide base objects the shared cluster arrays
 		// still list.
 		if tombs != nil && tombs.get(e.idx) {
+			continue
+		}
+		if rs.rows && !rs.admits(x.ids[e.idx], blk.xs[ei], blk.ys[ei]) {
+			if st != nil {
+				st.IntraPruned++
+			}
 			continue
 		}
 		if st != nil {
@@ -279,7 +289,11 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		} else {
 			dt = x.space.Semantic(st, q.Vec, ov)
 		}
-		h.Push(knn.Result{ID: x.ids[e.idx], Dist: metric.Combine(lambda, ds, dt)})
+		// Not d > r rather than d ≤ r: a k-NN read keeps even a NaN
+		// distance, as it always has.
+		if d := metric.Combine(lambda, ds, dt); !(d > rs.radius) {
+			h.Push(knn.Result{ID: x.ids[e.idx], Dist: d})
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func TestSearchFilteredMatchesBruteForce(t *testing.T) {
 		q := f.ds.Objects[rng.IntN(f.ds.Len())]
 		lambda := rng.Float64()
 		want := filteredBrute(f, &q, 10, lambda, allow)
-		got := f.idx.SearchFiltered(&q, 10, lambda, allow, nil)
+		got := filteredSearch(f.idx, &q, 10, lambda, allow, nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d results, want %d", trial, len(got), len(want))
 		}
@@ -56,14 +56,14 @@ func TestSearchFilteredAllowAll(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 71})
 	q := f.ds.Objects[7]
 	want := f.idx.Search(&q, 10, 0.5, nil)
-	got := f.idx.SearchFiltered(&q, 10, 0.5, func(uint32) bool { return true }, nil)
+	got := filteredSearch(f.idx, &q, 10, 0.5, func(uint32) bool { return true }, nil)
 	sameResults(t, "allow-all filter", want, got)
 }
 
 func TestSearchFilteredAllowNone(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 300, Config{Seed: 72})
 	q := f.ds.Objects[1]
-	got := f.idx.SearchFiltered(&q, 10, 0.5, func(uint32) bool { return false }, nil)
+	got := filteredSearch(f.idx, &q, 10, 0.5, func(uint32) bool { return false }, nil)
 	if len(got) != 0 {
 		t.Fatalf("expected empty, got %d", len(got))
 	}
@@ -73,7 +73,7 @@ func TestSearchFilteredSingleton(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 400, Config{Seed: 73})
 	target := f.ds.Objects[123].ID
 	q := f.ds.Objects[9]
-	got := f.idx.SearchFiltered(&q, 5, 0.5, func(id uint32) bool { return id == target }, nil)
+	got := filteredSearch(f.idx, &q, 5, 0.5, func(id uint32) bool { return id == target }, nil)
 	if len(got) != 1 || got[0].ID != target {
 		t.Fatalf("singleton filter returned %v", got)
 	}
@@ -83,7 +83,7 @@ func TestSearchFilteredStatsCounted(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 600, Config{Seed: 74})
 	q := f.ds.Objects[3]
 	var st metric.Stats
-	f.idx.SearchFiltered(&q, 10, 0.5, func(id uint32) bool { return id%2 == 0 }, &st)
+	filteredSearch(f.idx, &q, 10, 0.5, func(id uint32) bool { return id%2 == 0 }, &st)
 	if st.VisitedObjects == 0 || st.ClustersExamined == 0 {
 		t.Fatalf("stats not recorded: %+v", st)
 	}

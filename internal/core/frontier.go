@@ -48,7 +48,7 @@ type sideFrontier struct {
 	sc *searchScratch
 	q  *dataset.Object
 
-	bw  float64   // semantic weight of B: 1−λ (1 for the box query)
+	bw  float64   // semantic weight of B: 1−λ
 	rad []float64 // semantic radii B is measured against
 
 	sides  frontHeap // key = B, side = t, exact = refined

@@ -99,7 +99,13 @@ func (x *Index) ForEachLive(fn func(o *dataset.Object)) {
 		o = x.row(uint32(i))
 		fn(&o)
 	}
-	x.forEachDeltaLive(fn)
+	if d := x.delta; d != nil {
+		for pos := range d.objs {
+			if !d.dead.get(uint32(pos)) {
+				fn(&d.objs[pos])
+			}
+		}
+	}
 }
 
 // ProjectQuery maps a semantic vector into the index's projected space

@@ -212,8 +212,8 @@ func TestFrontierPopOrderMatchesSort(t *testing.T) {
 			x.sRad[s] = rng.Float64()
 		}
 		x.fillSpatialTerms(sc, lambda)
-		// One spatial side in five gets no cursor (the box query's
-		// filtered-out sides): its clusters must never be yielded.
+		// One spatial side in five gets no cursor (a side whose ball
+		// misses the read's window): its clusters must never be yielded.
 		want := map[*hybrid]float64{}
 		for s := range sc.aTerm {
 			if rng.IntN(5) == 0 {
@@ -440,8 +440,8 @@ func TestLazyVsEagerApprox(t *testing.T) {
 	}
 }
 
-// TestLazyFilteredRangeBoxAfterDeletes covers the remaining frontier
-// consumers — filtered, range, and box search — against brute-force
+// TestLazyFilteredRangeBoxAfterDeletes covers the restricted exact reads
+// — filtered, range, and box search — against brute-force
 // references on an index with random deletions.
 func TestLazyFilteredRangeBoxAfterDeletes(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 900, Config{Seed: 95})
@@ -470,18 +470,18 @@ func TestLazyFilteredRangeBoxAfterDeletes(t *testing.T) {
 		}
 		allow := func(id uint32) bool { return keep[id] }
 		wantF := filteredBrute(f, &q, k, lambda, func(id uint32) bool { return live(id) && allow(id) })
-		gotF := f.idx.SearchFiltered(&q, k, lambda, allow, nil)
+		gotF := filteredSearch(f.idx, &q, k, lambda, allow, nil)
 		requireIdentical(t, "filtered", trial, wantF, gotF)
 
 		r := 0.1 + 0.3*rng.Float64()
 		wantR := rangeBruteLive(f, &q, r, lambda, live)
-		gotR := f.idx.RangeSearch(&q, r, lambda, nil)
+		gotR := rangeSearch(f.idx, &q, r, lambda, nil)
 		requireIdentical(t, "range", trial, wantR, gotR)
 
 		loX, loY := rng.Float64(), rng.Float64()
 		hiX, hiY := loX+rng.Float64(), loY+rng.Float64()
 		wantB := boxBruteLive(f, &q, loX, loY, hiX, hiY, k, live)
-		gotB := f.idx.SearchInBox(&q, loX, loY, hiX, hiY, k, nil)
+		gotB := boxSearch(f.idx, &q, Window{loX, loY, hiX, hiY}, k, nil)
 		requireIdentical(t, "box", trial, wantB, gotB)
 	}
 }

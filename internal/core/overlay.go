@@ -352,10 +352,12 @@ func (x *Index) deltaDelete(id uint32) error {
 // lb > u (strict): with the heap full at u, every member's distance is
 // ≥ lb > u and provably cannot displace an entry even on exact ties,
 // keeping base+delta results bit-identical to a compacted rebuild.
-// Surviving members pay the same exact kernel as scanCluster. Centroid
-// distances are computed directly (not via the scratch memo tables)
-// because not every caller maintains the memo invariant; group counts
-// are bounded by the compaction threshold, and in practice far smaller.
+// Surviving members pass the read's restriction and pay the same exact
+// kernel as in scanCluster, with the bound capped by the read's radius.
+// Centroid distances are computed directly (not via the scratch memo
+// tables) because not every caller maintains the memo invariant; group
+// counts are bounded by the compaction threshold, and in practice far
+// smaller.
 func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, h *knn.Heap, st *metric.Stats) {
 	d := x.delta
 	if d == nil || d.liveCount == 0 {
@@ -365,9 +367,10 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 	if sc.obs != nil {
 		phase = time.Now()
 	}
+	rs := &sc.rs
 	for gi := 0; gi < d.groups.n; gi++ {
 		g := d.groups.at(gi)
-		if u, full := h.Bound(); full {
+		if u, full := cappedBound(h, rs.radius); full {
 			dsqG := x.space.SpatialXY(q.X, q.Y, x.sCentX[g.s], x.sCentY[g.s])
 			lb := lambda * (dsqG - g.maxDs)
 			if g.t >= 0 {
@@ -393,12 +396,18 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 				continue
 			}
 			o := &d.objs[pos]
+			if rs.rows && !rs.admits(o.ID, o.X, o.Y) {
+				if st != nil {
+					st.IntraPruned++
+				}
+				continue
+			}
 			if st != nil {
 				st.VisitedObjects++
 			}
 			ds := x.space.Spatial(st, q.X, q.Y, o.X, o.Y)
 			var dt float64
-			if u, full := h.Bound(); full && lambda < 1 {
+			if u, full := cappedBound(h, rs.radius); full && lambda < 1 {
 				dtBound := (u - lambda*ds) / (1 - lambda)
 				var ok bool
 				dt, ok = x.space.SemanticBound(st, q.Vec, o.Vec, dtBound)
@@ -411,29 +420,13 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 			} else {
 				dt = x.space.Semantic(st, q.Vec, o.Vec)
 			}
-			h.Push(knn.Result{ID: o.ID, Dist: metric.Combine(lambda, ds, dt)})
+			if dd := metric.Combine(lambda, ds, dt); !(dd > rs.radius) {
+				h.Push(knn.Result{ID: o.ID, Dist: dd})
+			}
 		}
 	}
 	if sc.obs != nil {
 		sc.obs.DeltaNanos += time.Since(phase).Nanoseconds()
-	}
-}
-
-// forEachDeltaLive visits every live overlay insert. The non-k-NN query
-// paths (filtered/range/box/approx) chain the overlay with a full scan
-// instead of scanDelta's group pruning: the overlay is bounded by the
-// compaction threshold, so the exact pass is cheap, and full coverage
-// keeps the approximate modes' recall no worse than a compacted rebuild.
-func (x *Index) forEachDeltaLive(fn func(o *dataset.Object)) {
-	d := x.delta
-	if d == nil {
-		return
-	}
-	for pos := range d.objs {
-		if d.dead.get(uint32(pos)) {
-			continue
-		}
-		fn(&d.objs[pos])
 	}
 }
 

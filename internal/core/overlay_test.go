@@ -120,16 +120,16 @@ func TestOverlayExactEquivalence(t *testing.T) {
 	// Filtered: an ID-parity predicate.
 	allow := func(id uint32) bool { return id%2 == 0 }
 	identicalResults(t, "filtered",
-		eager.SearchFiltered(&q, 10, 0.5, allow, nil),
-		overlay.SearchFiltered(&q, 10, 0.5, allow, nil))
+		filteredSearch(eager, &q, 10, 0.5, allow, nil),
+		filteredSearch(overlay, &q, 10, 0.5, allow, nil))
 	// Range.
 	identicalResults(t, "range",
-		eager.RangeSearch(&q, 0.2, 0.5, nil),
-		overlay.RangeSearch(&q, 0.2, 0.5, nil))
+		rangeSearch(eager, &q, 0.2, 0.5, nil),
+		rangeSearch(overlay, &q, 0.2, 0.5, nil))
 	// Box (window around the query).
 	identicalResults(t, "box",
-		eager.SearchInBox(&q, q.X-0.2, q.Y-0.2, q.X+0.2, q.Y+0.2, 10, nil),
-		overlay.SearchInBox(&q, q.X-0.2, q.Y-0.2, q.X+0.2, q.Y+0.2, 10, nil))
+		boxSearch(eager, &q, Window{q.X - 0.2, q.Y - 0.2, q.X + 0.2, q.Y + 0.2}, 10, nil),
+		boxSearch(overlay, &q, Window{q.X - 0.2, q.Y - 0.2, q.X + 0.2, q.Y + 0.2}, 10, nil))
 	// Ablated (all switch combinations stay exact over base+delta).
 	for _, opts := range []AblationOptions{
 		{}, {DisableInterCluster: true}, {DisableIntraCluster: true}, {DisableClusterOrder: true},

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
 	"repro/internal/metric"
+	"repro/internal/scan"
 )
 
 // Ablated searches must all return the exact result — pruning only
@@ -61,6 +63,21 @@ func TestAblatedDefaultMatchesSearch(t *testing.T) {
 	}
 }
 
+// rangeSearch, boxSearch and filteredSearch are the exact read under a
+// radius (K large enough for every match), a window (ranked by meaning
+// alone) and a row predicate.
+func rangeSearch(x *Index, q *dataset.Object, r, lambda float64, st *metric.Stats) []knn.Result {
+	return x.SearchOptionsInto(nil, q, max(x.Len(), 1), lambda, SearchOptions{Radius: &r}, st)
+}
+
+func boxSearch(x *Index, q *dataset.Object, w Window, k int, st *metric.Stats) []knn.Result {
+	return x.SearchOptionsInto(nil, q, k, 0, SearchOptions{Window: &w}, st)
+}
+
+func filteredSearch(x *Index, q *dataset.Object, k int, lambda float64, allow func(uint32) bool, st *metric.Stats) []knn.Result {
+	return x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{Allow: allow}, st)
+}
+
 // rangeBrute is the reference range query.
 func rangeBrute(f *fixture, q *dataset.Object, r, lambda float64) []knn.Result {
 	var out []knn.Result
@@ -82,7 +99,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		lambda := rng.Float64()
 		r := 0.02 + rng.Float64()*0.1
 		want := rangeBrute(f, &q, r, lambda)
-		got := f.idx.RangeSearch(&q, r, lambda, nil)
+		got := rangeSearch(f.idx, &q, r, lambda, nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (r=%v λ=%v): got %d results, want %d", trial, r, lambda, len(got), len(want))
 		}
@@ -97,7 +114,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 func TestRangeSearchZeroRadius(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 300, Config{Seed: 64})
 	q := f.ds.Objects[9]
-	got := f.idx.RangeSearch(&q, 0, 0.5, nil)
+	got := rangeSearch(f.idx, &q, 0, 0.5, nil)
 	if len(got) < 1 || got[0].ID != q.ID {
 		t.Fatalf("zero-radius range should return the query object itself, got %v", got)
 	}
@@ -107,7 +124,7 @@ func TestRangeSearchPrunes(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 3000, Config{Seed: 65})
 	q := f.ds.Objects[10]
 	var st metric.Stats
-	f.idx.RangeSearch(&q, 0.05, 0.5, &st)
+	rangeSearch(f.idx, &q, 0.05, 0.5, &st)
 	if st.VisitedObjects >= int64(f.ds.Len()) {
 		t.Fatal("range search visited everything")
 	}
@@ -139,7 +156,7 @@ func TestSearchInBoxMatchesBruteForce(t *testing.T) {
 		loX, loY := cx-w/2, cy-w/2
 		hiX, hiY := cx+w/2, cy+w/2
 		want := boxBrute(f, &q, loX, loY, hiX, hiY, 5)
-		got := f.idx.SearchInBox(&q, loX, loY, hiX, hiY, 5, nil)
+		got := boxSearch(f.idx, &q, Window{loX, loY, hiX, hiY}, 5, nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d results, want %d", trial, len(got), len(want))
 		}
@@ -154,7 +171,7 @@ func TestSearchInBoxMatchesBruteForce(t *testing.T) {
 func TestSearchInBoxEmptyWindow(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 300, Config{Seed: 67})
 	q := f.ds.Objects[1]
-	got := f.idx.SearchInBox(&q, 2, 2, 3, 3, 5, nil) // window outside [0,1]²
+	got := boxSearch(f.idx, &q, Window{2, 2, 3, 3}, 5, nil) // window outside [0,1]²
 	if len(got) != 0 {
 		t.Fatalf("expected empty result, got %d", len(got))
 	}
@@ -163,7 +180,7 @@ func TestSearchInBoxEmptyWindow(t *testing.T) {
 func TestSearchInBoxWholeSpaceEqualsSemanticKNN(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 68})
 	q := f.ds.Objects[3]
-	boxed := f.idx.SearchInBox(&q, 0, 0, 1, 1, 10, nil)
+	boxed := boxSearch(f.idx, &q, Window{0, 0, 1, 1}, 10, nil)
 	pure := f.sc.Search(&q, 10, 0, nil) // λ=0 is pure semantic
 	for i := range pure {
 		if boxed[i].Dist != pure[i].Dist {
@@ -176,8 +193,116 @@ func TestSearchInBoxAccounting(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 2000, Config{Seed: 69})
 	q := f.ds.Objects[8]
 	var st metric.Stats
-	f.idx.SearchInBox(&q, 0.4, 0.4, 0.6, 0.6, 10, &st)
+	boxSearch(f.idx, &q, Window{0.4, 0.4, 0.6, 0.6}, 10, &st)
 	if st.VisitedObjects+st.InterPruned+st.IntraPruned != int64(f.ds.Len()) {
 		t.Fatalf("box accounting identity broken: %+v (len=%d)", st, f.ds.Len())
+	}
+}
+
+// The restricted reads answer what the linear scan answers over the rows
+// that pass the restriction, ID for ID: on a flat index, and chained
+// through P = 1 and P = 4 partitions that carry overlay inserts and
+// tombstones, each link seeded with the list of the links before it (the
+// facade's read of a sharded index). The radius ties the 16th distance
+// exactly, so a row at d == r answers, and with K below the match count
+// the read returns the first K matches.
+func TestRestrictedReadsMatchScan(t *testing.T) {
+	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 1200, Dim: 32, Seed: 52})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 53}
+	anchors := FitAnchors(ds, sp, cfg)
+	partition := func(p int, overlay bool) []*Index {
+		parts := make([]*Index, p)
+		for i := range parts {
+			part := &dataset.Dataset{Dim: ds.Dim}
+			for _, o := range ds.Objects {
+				if int(o.ID)%p == i {
+					part.Objects = append(part.Objects, o)
+				}
+			}
+			psp := *sp
+			x, err := BuildWithAnchors(part, &psp, cfg, anchors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if overlay {
+				x = x.CloneWithDelta()
+				first := 5_000_000 + uint32(i)*1000
+				insertFresh(t, x, part.Objects, first, 30)
+				for j := 0; j < part.Len(); j += 9 {
+					if err := x.Delete(part.Objects[j].ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := x.Delete(first + 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			parts[i] = x
+		}
+		return parts
+	}
+	for _, fx := range []struct {
+		name  string
+		parts []*Index
+	}{{"flat", partition(1, false)}, {"P=1", partition(1, true)}, {"P=4", partition(4, true)}} {
+		var live []dataset.Object
+		for _, x := range fx.parts {
+			live = append(live, x.collectLive()...)
+		}
+		n := len(live)
+		chain := func(q *dataset.Object, k int, lambda float64, opts SearchOptions) []knn.Result {
+			var cur []knn.Result
+			for _, x := range fx.parts {
+				opts.Seed = cur
+				cur = x.SearchOptionsInto(nil, q, k, lambda, opts, nil)
+			}
+			return cur
+		}
+		oracle := func(q *dataset.Object, k int, lambda float64, keep func(o *dataset.Object) bool) []knn.Result {
+			sub := &dataset.Dataset{Dim: ds.Dim}
+			for _, o := range live {
+				if keep(&o) {
+					sub.Objects = append(sub.Objects, o)
+				}
+			}
+			if sub.Len() == 0 {
+				return nil
+			}
+			return scan.New(sub, sp).Search(q, k, lambda, nil)
+		}
+		allow := func(id uint32) bool { return id%3 != 0 }
+		for qi := 0; qi < 6; qi++ {
+			q := live[(qi*97+5)%n]
+			w := Window{q.X - 0.2, q.Y - 0.15, q.X + 0.25, q.Y + 0.3}
+			for _, lambda := range []float64{0, 0.5, 1} {
+				ctx := fmt.Sprintf("%s q%d λ=%v", fx.name, qi, lambda)
+				all := oracle(&q, n, lambda, func(*dataset.Object) bool { return true })
+				r := all[15].Dist
+				inRange := all[:0:0]
+				for _, res := range all {
+					if res.Dist <= r {
+						inRange = append(inRange, res)
+					}
+				}
+				for _, k := range []int{len(inRange), len(inRange) + 5, 3} {
+					identicalResults(t, fmt.Sprintf("%s range k=%d", ctx, k), inRange[:min(k, len(inRange))],
+						chain(&q, k, lambda, SearchOptions{Radius: &r}))
+				}
+				for _, k := range []int{1, 10, n + 5} {
+					identicalResults(t, fmt.Sprintf("%s window k=%d", ctx, k),
+						oracle(&q, k, lambda, func(o *dataset.Object) bool { return w.contains(o.X, o.Y) }),
+						chain(&q, k, lambda, SearchOptions{Window: &w}))
+				}
+				identicalResults(t, ctx+" allow", oracle(&q, 10, lambda, func(o *dataset.Object) bool { return allow(o.ID) }),
+					chain(&q, 10, lambda, SearchOptions{Allow: allow}))
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -68,6 +69,9 @@ type searchScratch struct {
 	cancel   <-chan struct{}
 	pops     int
 	partial  bool
+	// rs is the current exact read's row restriction (see
+	// SearchOptions.Allow, Radius and Window).
+	rs restriction
 	// obs, when non-nil, receives the search-internals trace of the
 	// current query (explain path only). nil — the normal case — keeps
 	// every instrumentation site an untaken branch: zero extra work,
@@ -95,6 +99,7 @@ func (x *Index) getScratch() *searchScratch {
 	sc.cancel = nil
 	sc.pops = 0
 	sc.partial = false
+	sc.rs = restriction{radius: math.Inf(1)}
 	sc.obs = nil
 	return sc
 }
@@ -104,7 +109,7 @@ func (x *Index) getScratch() *searchScratch {
 // backing arrays of a snapshot that has since been superseded.
 func (x *Index) putScratch(sc *searchScratch) {
 	sc.front.release()
-	sc.blk, sc.gate = clusterBlock{}, rowGate{}
+	sc.blk, sc.gate, sc.rs = clusterBlock{}, rowGate{}, restriction{}
 	x.scratchPool.Put(sc)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/dataset"
@@ -78,6 +79,61 @@ type SearchOptions struct {
 	// read that collects them (st or Explain) is never striped. Only the
 	// facade's one-snapshot exact read sets it.
 	Striped bool
+	// Allow, Radius and Window restrict the exact read to the rows that
+	// pass all three; the approximate algorithms ignore them. Every bound
+	// of the read holds for any subset of the rows, so the answer is the
+	// exact top-k of that subset, and a restricted-out row never reaches a
+	// kernel.
+	//
+	// Allow, when non-nil, admits a row by its ID (the keyword filter's
+	// predicate).
+	Allow func(id uint32) bool
+	// Radius, when non-nil, admits only rows at distance d ≤ *Radius: the
+	// range query in SEAL's threshold formulation, a k-NN read whose bound
+	// starts at r rather than +Inf.
+	Radius *float64
+	// Window, when non-nil, admits only rows located inside it. A spatial
+	// side whose ball misses the window contributes no cluster at all.
+	Window *Window
+}
+
+// Window is the closed spatial rectangle [LoX,HiX]×[LoY,HiY], in the
+// objects' coordinates.
+type Window struct{ LoX, LoY, HiX, HiY float64 }
+
+func (w *Window) contains(x, y float64) bool {
+	return x >= w.LoX && x <= w.HiX && y >= w.LoY && y <= w.HiY
+}
+
+// minDist returns the Euclidean distance from (px,py) to the window
+// (zero inside), by the formula of geo.Rect.MinDist.
+func (w *Window) minDist(px, py float64) float64 {
+	var dx, dy float64
+	if px < w.LoX {
+		dx = w.LoX - px
+	} else if px > w.HiX {
+		dx = px - w.HiX
+	}
+	if py < w.LoY {
+		dy = w.LoY - py
+	} else if py > w.HiY {
+		dy = py - w.HiY
+	}
+	return math.Sqrt(dx*dx + dy*dy)
+}
+
+// restriction is SearchOptions' row restriction as the scan loops read
+// it: radius is +Inf when unset, and rows says whether a row must pass
+// admits at all.
+type restriction struct {
+	allow  func(id uint32) bool
+	window *Window
+	radius float64
+	rows   bool
+}
+
+func (r *restriction) admits(id uint32, x, y float64) bool {
+	return (r.window == nil || r.window.contains(x, y)) && (r.allow == nil || r.allow(id))
 }
 
 // SearchOptionsInto is the one k-NN entry point: it answers q with the
@@ -101,6 +157,11 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 	sc.deadline = opts.Deadline
 	sc.cancel = opts.Cancel
 	sc.budgeted = !opts.Deadline.IsZero() || opts.Cancel != nil
+	sc.rs.allow, sc.rs.window = opts.Allow, opts.Window
+	sc.rs.rows = opts.Allow != nil || opts.Window != nil
+	if opts.Radius != nil {
+		sc.rs.radius = *opts.Radius
+	}
 	n := len(dst)
 	switch {
 	case !opts.Approx:

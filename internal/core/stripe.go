@@ -42,7 +42,8 @@ const stripeChunk = 4
 type stripeJob struct {
 	_ [64]byte
 	// bound holds the float64 bits of the lowest full-heap k-th distance
-	// a stripe has published, +Inf until one has; next is the first
+	// a stripe has published, the read's radius (+Inf for none) until one
+	// has; next is the first
 	// frontier position not yet claimed. Each has a cache line of its own.
 	bound atomic.Uint64
 	_     [56]byte
@@ -115,7 +116,7 @@ func (x *Index) offerStripe(sc *searchScratch, q *dataset.Object, k int, lambda 
 	j := &sc.stripe
 	j.gen++
 	j.x, j.q, j.k, j.lambda, j.caller, j.hook = x, q, k, lambda, sc, loadStripeHook()
-	j.bound.Store(math.Float64bits(math.Inf(1)))
+	j.bound.Store(math.Float64bits(sc.rs.radius))
 	j.next.Store(0)
 	if j.done == nil {
 		j.done = make(chan struct{}, 1)
@@ -168,7 +169,7 @@ func (o stripeOffer) run() {
 	x := j.x
 	sc := x.getScratch()
 	j.sc = sc
-	sc.deadline, sc.cancel, sc.budgeted = j.caller.deadline, j.caller.cancel, j.caller.budgeted
+	sc.deadline, sc.cancel, sc.budgeted, sc.rs = j.caller.deadline, j.caller.cancel, j.caller.budgeted, j.caller.rs
 	f := x.orderByBound(sc, j.q, j.lambda)
 	sc.heap.Reset(j.k)
 	x.walkFrontier(sc, f, j.q, j.lambda, &sc.heap, j, nil)

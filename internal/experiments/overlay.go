@@ -190,12 +190,18 @@ func latencyStats(durs []time.Duration) (p50, p95, max, mean float64) {
 
 // collectExact gathers exact k-NN results for every query at two λ
 // settings, the fully spatial-weighted side included to sweep both
-// pruning terms.
+// pruning terms. The queries are corpus objects, so Do cannot reject
+// them: an error is a bug and panics.
 func collectExact(w *cssi.ShardedIndex, queries []cssi.Object, k int, lambda float64) [][]cssi.Result {
 	out := make([][]cssi.Result, 0, 2*len(queries))
 	for qi := range queries {
-		out = append(out, w.Search(&queries[qi], k, lambda))
-		out = append(out, w.Search(&queries[qi], k, 1))
+		for _, l := range []float64{lambda, 1} {
+			res, err := w.Do(cssi.SearchRequest{Query: &queries[qi], K: k, Lambda: l})
+			if err != nil {
+				panic(err)
+			}
+			out = append(out, res)
+		}
 	}
 	return out
 }

@@ -1,6 +1,6 @@
 // Package rescache is the snapshot-keyed result cache of the serving
-// layer: exact k-NN answers keyed by (query, K, λ, algorithm knobs,
-// keyword set) and invalidated wholesale by snapshot identity.
+// layer: answers keyed by (query, K, λ, algorithm knobs, keyword set,
+// shape) and invalidated wholesale by snapshot identity.
 //
 // The invalidation contract is what makes the cache trivially correct
 // under writes. Every lookup and fill carries an opaque snapshot token
@@ -36,8 +36,8 @@ import (
 
 // Key identifies one cacheable request shape. Every field that changes
 // the answer participates: the query content hash, the neighbor count,
-// the distance weight, each algorithm knob, and the canonicalized
-// keyword set. Two requests with different modes or keyword sets can
+// the distance weight, each algorithm knob, the canonicalized keyword
+// set, and the shape. Two requests with different modes or keyword sets can
 // never share an entry because the map key differs; two different
 // queries that collide in Hash are separated by the stored-query
 // comparison at probe time.
@@ -57,6 +57,12 @@ type Key struct {
 	// Keywords is the canonical keyword set: lowercased, sorted, joined
 	// with NUL (empty for unconstrained requests).
 	Keywords string
+	// Radius and Window (LoX, LoY, HiX, HiY) are a range or window
+	// request's shape; Ranged and Windowed tell them from a plain k-NN
+	// request, whose shape fields are all zero.
+	Ranged, Windowed bool
+	Radius           float64
+	Window           [4]float64
 }
 
 // HashQuery is the 64-bit FNV-1a digest of a query's location and

@@ -106,6 +106,10 @@ func TestKeySensitivity(t *testing.T) {
 		{Hash: 1, K: 10, Lambda: 0.5, Route: true},
 		{Hash: 1, K: 10, Lambda: 0.5, RouteTarget: 0.9},
 		{Hash: 1, K: 10, Lambda: 0.5, Keywords: "cafe"},
+		{Hash: 1, K: 10, Lambda: 0.5, Ranged: true},
+		{Hash: 1, K: 10, Lambda: 0.5, Ranged: true, Radius: 0.2},
+		{Hash: 1, K: 10, Lambda: 0.5, Windowed: true},
+		{Hash: 1, K: 10, Lambda: 0.5, Windowed: true, Window: [4]float64{0, 0, 1, 1}},
 		{Hash: 2, K: 10, Lambda: 0.5},
 	}
 	c := New(64)

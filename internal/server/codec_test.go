@@ -173,7 +173,9 @@ func fuzzDecode[T any, P interface {
 
 func FuzzDecodeQuery(f *testing.F) {
 	fuzzDecode(f, http.MethodPost, "/v1/search", 1, decodeSeeds,
-		func(s *Server) func(http.ResponseWriter, *http.Request, *queryRequest) { return s.handleSearch })
+		func(s *Server) func(http.ResponseWriter, *http.Request, *queryRequest) {
+			return s.handleSearch(&searchRoute)
+		})
 }
 
 func FuzzDecodeObject(f *testing.F) {
@@ -325,6 +327,26 @@ func TestRequestConformance(t *testing.T) {
 		{"cache-on", "/v1/search", []string{"cache", `"on"`}, plain, false},
 		{"deadline", "/v1/search", []string{"deadlineMs", "60000"}, plain, false},
 		{"null-is-absent", "/v1/search", []string{"k", "null", "route", "null"}, plain, true},
+		// /range and /box: the radius and the window become the request's
+		// shape (K defaults to 10 and caps a range reply); /box ranks by
+		// meaning alone whatever lambda says.
+		{"range", "/v1/range", []string{"radius", "0.3"}, func(r *cssi.SearchRequest) { r.Radius = ptr(0.3) }, false},
+		{"range/k-below-matches", "/v1/range", []string{"radius", "0.5", "k", "3"},
+			func(r *cssi.SearchRequest) { r.Radius, r.K = ptr(0.5), 3 }, false},
+		{"range/zero", "/v1/range", []string{"radius", "0"}, func(r *cssi.SearchRequest) { r.Radius = ptr(0) }, false},
+		{"range/approx-ignored", "/v1/range", []string{"radius", "0.3", "approx", "true"}, func(r *cssi.SearchRequest) { r.Radius = ptr(0.3) }, false},
+		{"range/deadline", "/v1/range", []string{"radius", "0.3", "deadlineMs", "60000", "cache", `"off"`},
+			func(r *cssi.SearchRequest) { r.Radius = ptr(0.3) }, false},
+		{"box", "/v1/box", []string{"loX", "0.1", "loY", "0.2", "hiX", "0.7", "hiY", "0.9"},
+			func(r *cssi.SearchRequest) {
+				r.Window, r.Lambda = &cssi.Window{LoX: 0.1, LoY: 0.2, HiX: 0.7, HiY: 0.9}, 0
+			}, false},
+		{"box/degenerate", "/v1/box", []string{"loX", "0.5", "loY", "0.5", "hiX", "0.5", "hiY", "0.5", "k", "4"},
+			func(r *cssi.SearchRequest) {
+				r.Window, r.Lambda, r.K = &cssi.Window{LoX: 0.5, LoY: 0.5, HiX: 0.5, HiY: 0.5}, 0, 4
+			}, false},
+		{"box/deadline", "/v1/box", []string{"hiX", "1", "hiY", "1", "deadlineMs", "60000", "cache", `"on"`},
+			func(r *cssi.SearchRequest) { r.Window, r.Lambda = &cssi.Window{HiX: 1, HiY: 1}, 0 }, false},
 		{"invalid/lambda-high", "/v1/search", []string{"lambda", "1.5"}, nil, false},
 		{"invalid/no-vec-no-text", "/v1/search", []string{"vec", "null"}, nil, true},
 		{"invalid/wrong-dim", "/v1/search", []string{"vec", "[1,2,3]"}, nil, false},
@@ -333,6 +355,11 @@ func TestRequestConformance(t *testing.T) {
 		{"invalid/cache-mode", "/v1/search", []string{"cache", `"sometimes"`}, nil, false},
 		{"invalid/stop-word-keywords", "/v1/keyword-search", []string{"keywords", `["of"]`}, nil, false},
 		{"invalid/no-keywords", "/v1/keyword-search", nil, nil, false},
+		{"invalid/radius-negative", "/v1/range", []string{"radius", "-1", "lambda", "1.5"}, nil, false},
+		{"invalid/range-lambda-high", "/v1/range", []string{"radius", "0.3", "lambda", "1.5"}, nil, false},
+		{"invalid/range-negative-deadline", "/v1/range", []string{"radius", "0.3", "deadlineMs", "-5"}, nil, false},
+		{"invalid/window-inverted", "/v1/box", []string{"loX", "0.9", "hiX", "0.1", "hiY", "1"}, nil, false},
+		{"invalid/box-cache-mode", "/v1/box", []string{"hiX", "1", "hiY", "1", "cache", `"sometimes"`}, nil, false},
 	}
 	type reply struct {
 		Results []struct {
@@ -390,6 +417,8 @@ func TestRequestConformance(t *testing.T) {
 		})
 	}
 }
+
+func ptr(f float64) *float64 { return &f }
 
 // TestUnencodableReplyIs500: a reply that cannot be encoded used to go
 // out as 200 with a body cut off at the offending number (the status

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestFormatBound pins the bucket-bound rendering: bounds below 1e-5
@@ -295,7 +297,10 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := flat.Search(&q, 5, 0.5)
+	want, err := flat.Do(cssi.SearchRequest{Query: &q, K: 5, Lambda: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out.Results) != len(want) {
 		t.Fatalf("%d results, want %d", len(out.Results), len(want))
 	}

@@ -10,7 +10,7 @@
 //	POST /v1/search              k-NN query (exact or approximate)
 //	POST /v1/search/batch        many k-NN queries in one request
 //	POST /v1/keyword-search      k-NN query among objects holding every keyword
-//	POST /v1/range               range query
+//	POST /v1/range               range query: the k nearest within a radius
 //	POST /v1/box                 windowed semantic k-NN
 //	POST /v1/objects             insert an object
 //	PUT  /v1/objects             update an object
@@ -354,11 +354,11 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux.HandleFunc("GET /v1/healthz", plain("healthz", s.handleHealth))
 	mux.HandleFunc("GET /v1/stats", plain("stats", s.handleStats))
-	mux.HandleFunc("POST /v1/search", query("search", decoded(s, 1, s.handleSearch)))
+	mux.HandleFunc("POST /v1/search", query("search", decoded(s, 1, s.handleSearch(&searchRoute))))
 	mux.HandleFunc("POST /v1/search/batch", query("search_batch", decoded(s, maxBatchQueries, s.handleSearchBatch)))
 	mux.HandleFunc("POST /v1/keyword-search", query("keyword_search", decoded(s, 1, s.handleKeywordSearch)))
-	mux.HandleFunc("POST /v1/range", query("range", decoded(s, 1, s.handleRange)))
-	mux.HandleFunc("POST /v1/box", query("box", decoded(s, 1, s.handleBox)))
+	mux.HandleFunc("POST /v1/range", query("range", decoded(s, 1, s.handleSearch(&rangeRoute))))
+	mux.HandleFunc("POST /v1/box", query("box", decoded(s, 1, s.handleSearch(&boxRoute))))
 	mux.HandleFunc("POST /v1/debug/explain", query("explain", decoded(s, 1, s.handleExplain)))
 	mux.HandleFunc("POST /v1/objects", mutation("insert", decoded(s, 1, s.handleInsert)))
 	mux.HandleFunc("PUT /v1/objects", mutation("update", decoded(s, 1, s.handleUpdate)))
@@ -413,8 +413,8 @@ type queryRequest struct {
 	LoY float64 `json:"loY,omitempty"`
 	HiX float64 `json:"hiX,omitempty"`
 	HiY float64 `json:"hiY,omitempty"`
-	// DeadlineMs is the request's time budget in milliseconds (/search,
-	// /search/batch, /keyword-search, /debug/explain): 0 falls back to
+	// DeadlineMs is the request's time budget in milliseconds (every
+	// query route): 0 falls back to
 	// the server's -deadline default, then unbounded. A request that
 	// exhausts its budget answers with the exact top-k of the candidates
 	// examined so far and meta.partial=true instead of running long.
@@ -456,8 +456,7 @@ type respMeta struct {
 	// (bit-identical to the uncached answer by construction).
 	CacheHit bool `json:"cacheHit"`
 	// SnapshotID identifies the index publication the answer was
-	// computed against (monotone per serving process; 0 for endpoints
-	// that bypass the snapshot machinery).
+	// computed against (monotone per serving process).
 	SnapshotID uint64 `json:"snapshotId,omitempty"`
 	// QueueWaitMs is the time the request spent queued at the admission
 	// gate before executing (absent when admitted immediately).
@@ -465,13 +464,9 @@ type respMeta struct {
 }
 
 // respMetaFrom assembles the meta block from the index-filled
-// ResponseMeta (nil for endpoints that bypass Do) and the request
-// context's admission queue wait.
+// ResponseMeta and the request context's admission queue wait.
 func (s *Server) respMetaFrom(r *http.Request, m *cssi.ResponseMeta) *respMeta {
-	out := &respMeta{RequestID: requestIDFrom(r.Context())}
-	if m != nil {
-		out.Partial, out.CacheHit, out.SnapshotID = m.Partial, m.CacheHit, m.SnapshotID
-	}
+	out := &respMeta{RequestID: requestIDFrom(r.Context()), Partial: m.Partial, CacheHit: m.CacheHit, SnapshotID: m.SnapshotID}
 	if wait := queueWaitFrom(r.Context()); wait > 0 {
 		out.QueueWaitMs = float64(wait.Nanoseconds()) / 1e6
 	}
@@ -586,7 +581,19 @@ type queryRoute struct {
 	// deadline and cache say the route honours deadlineMs and cache (and
 	// so refuses a bad value); elsewhere the fields are ignored.
 	deadline, cache bool
+	// shape is the query shape handleSearch gives the request.
+	shape queryShape
 }
+
+// queryShape names the fields a handleSearch route fills beyond the
+// shared ones: approx and the routing knobs, the radius, or the window.
+type queryShape int
+
+const (
+	shapeKNN queryShape = iota
+	shapeRange
+	shapeBox
+)
 
 var errLambdaRange = errors.New("lambda must be in [0,1]")
 
@@ -598,7 +605,7 @@ func checkLambda(req *queryRequest) error {
 }
 
 var (
-	searchRoute  = queryRoute{defaultK: true, validate: checkLambda, deadline: true, cache: true}
+	searchRoute  = queryRoute{defaultK: true, validate: checkLambda, deadline: true, cache: true, shape: shapeKNN}
 	explainRoute = queryRoute{defaultK: true, validate: checkLambda, deadline: true}
 	keywordRoute = queryRoute{defaultK: true, deadline: true, cache: true, validate: func(req *queryRequest) error {
 		if err := checkLambda(req); err != nil {
@@ -609,13 +616,13 @@ var (
 		}
 		return nil
 	}}
-	rangeRoute = queryRoute{validate: func(req *queryRequest) error {
+	rangeRoute = queryRoute{defaultK: true, deadline: true, cache: true, shape: shapeRange, validate: func(req *queryRequest) error {
 		if req.Radius < 0 {
 			return errors.New("radius must be >= 0")
 		}
 		return checkLambda(req)
 	}}
-	boxRoute = queryRoute{defaultK: true, validate: func(req *queryRequest) error {
+	boxRoute = queryRoute{defaultK: true, deadline: true, cache: true, shape: shapeBox, validate: func(req *queryRequest) error {
 		if req.LoX > req.HiX || req.LoY > req.HiY {
 			return errors.New("inverted window")
 		}
@@ -655,28 +662,42 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, req *queryReque
 	return c, true
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, req *queryRequest) {
-	c, ok := s.prepare(w, r, req, &searchRoute)
-	if !ok {
-		return
+// handleSearch returns the handler of the single-query routes that
+// differ only in the shape they give the request: /search (k-NN, exact
+// or approximate), /range (radius) and /box (window, ranked by meaning
+// alone: the route ignores lambda).
+func (s *Server) handleSearch(route *queryRoute) func(http.ResponseWriter, *http.Request, *queryRequest) {
+	return func(w http.ResponseWriter, r *http.Request, req *queryRequest) {
+		c, ok := s.prepare(w, r, req, route)
+		if !ok {
+			return
+		}
+		var st cssi.Stats
+		var meta cssi.ResponseMeta
+		sr := cssi.SearchRequest{
+			Query: c.q, K: req.K, Lambda: req.Lambda, Stats: &st,
+			Deadline: c.budget, Cache: c.cache, Meta: &meta,
+			RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
+		}
+		switch route.shape {
+		case shapeKNN:
+			sr.Approx = req.Approx
+			sr.Route, sr.RouteTarget = s.routeKnobs(req.Route, req.RouteTarget)
+		case shapeRange:
+			sr.Radius = &req.Radius
+		case shapeBox:
+			sr.Window, sr.Lambda = &cssi.Window{LoX: req.LoX, LoY: req.LoY, HiX: req.HiX, HiY: req.HiY}, 0
+		}
+		// The scatter pins one immutable snapshot per shard; the metadata
+		// decoration afterwards resolves each result ID on its owning shard.
+		rs, err := s.idx.DoContext(r.Context(), sr)
+		if err != nil {
+			writeError(w, r, http.StatusBadRequest, err.Error())
+			return
+		}
+		s.met.observeSearchStats(&st)
+		s.writeResults(w, r, rs, st.VisitedObjects, &meta)
 	}
-	// The scatter pins one immutable snapshot per shard; the metadata
-	// decoration afterwards resolves each result ID on its owning shard.
-	route, target := s.routeKnobs(req.Route, req.RouteTarget)
-	var st cssi.Stats
-	var meta cssi.ResponseMeta
-	rs, err := s.idx.DoContext(r.Context(), cssi.SearchRequest{
-		Query: c.q, K: req.K, Lambda: req.Lambda, Approx: req.Approx,
-		Route: route, RouteTarget: target, Stats: &st,
-		Deadline: c.budget, Cache: c.cache, Meta: &meta,
-		RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
-	})
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.met.observeSearchStats(&st)
-	s.writeResults(w, r, rs, st.VisitedObjects, &meta)
 }
 
 // explainResponse is the body of /debug/explain: the same k-NN answer
@@ -842,26 +863,6 @@ func (s *Server) handleKeywordSearch(w http.ResponseWriter, r *http.Request, req
 	s.writeResults(w, r, rs, 0, &meta)
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, req *queryRequest) {
-	c, ok := s.prepare(w, r, req, &rangeRoute)
-	if !ok {
-		return
-	}
-	var st cssi.Stats
-	rs := s.idx.RangeSearchStats(c.q, req.Radius, req.Lambda, &st)
-	s.writeResults(w, r, rs, st.VisitedObjects, nil)
-}
-
-func (s *Server) handleBox(w http.ResponseWriter, r *http.Request, req *queryRequest) {
-	c, ok := s.prepare(w, r, req, &boxRoute)
-	if !ok {
-		return
-	}
-	var st cssi.Stats
-	rs := s.idx.SearchInBoxStats(c.q, req.LoX, req.LoY, req.HiX, req.HiY, req.K, &st)
-	s.writeResults(w, r, rs, st.VisitedObjects, nil)
-}
-
 // respond decorates results with object metadata, each ID resolved on
 // its owning shard. A result whose object was deleted between the
 // search and the decoration keeps its ID and distance with empty
@@ -880,7 +881,7 @@ func (s *Server) respond(rs []cssi.Result) []resultItem {
 }
 
 // writeResults sends the reply the single-query endpoints share. meta
-// is the index-filled block (nil for endpoints that bypass Do).
+// is the index-filled block.
 func (s *Server) writeResults(w http.ResponseWriter, r *http.Request, rs []cssi.Result, visited int64, meta *cssi.ResponseMeta) {
 	resp := queryResponse{Results: s.respond(rs), Visited: visited, Meta: s.respMetaFrom(r, meta)}
 	writeEncoded(w, r, http.StatusOK, func(e *wireEncoder) { e.queryResponse(&resp) })

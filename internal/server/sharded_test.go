@@ -52,7 +52,10 @@ func TestShardedServerSearchAndStats(t *testing.T) {
 	if err := json.Unmarshal(out["results"], &results); err != nil {
 		t.Fatal(err)
 	}
-	want := flat.Search(&q, 5, 0.5)
+	want, err := flat.Do(cssi.SearchRequest{Query: &q, K: 5, Lambda: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(want) {
 		t.Fatalf("%d results, want %d", len(results), len(want))
 	}

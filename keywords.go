@@ -1,8 +1,7 @@
 package cssi
 
 import (
-	"errors"
-
+	"repro/internal/core"
 	"repro/internal/keyword"
 	"repro/internal/knn"
 )
@@ -13,7 +12,7 @@ import (
 const keywordBruteForceCap = 512
 
 // EnableKeywordFilter builds an inverted index over the stored objects'
-// texts, enabling SearchWithKeywords. Call it once after Build (or after
+// texts, enabling SearchRequest.Keywords. Call it once after Build (or after
 // LoadIndex); Insert/Delete/Update keep it in sync automatically from
 // then on. Objects with empty text simply never match keyword queries.
 func (x *Index) EnableKeywordFilter() {
@@ -26,37 +25,8 @@ func (x *Index) EnableKeywordFilter() {
 	x.kw = keyword.Build(ids, texts, x.core.Config().Workers)
 }
 
-// KeywordFilterEnabled reports whether SearchWithKeywords is available.
+// KeywordFilterEnabled reports whether SearchRequest.Keywords is available.
 func (x *Index) KeywordFilterEnabled() bool { return x.kw != nil }
-
-// SearchWithKeywords returns the k nearest neighbors of q among objects
-// whose text contains ALL the given keywords (boolean AND, stop words
-// ignored) — the classic spatial-keyword constraint of the related work
-// (§2) layered on top of CSSI's semantic ranking. ok=false indicates the
-// keyword list was unusable (empty, or all stop words); an empty result
-// with ok=true means nothing matches. It is Do with
-// SearchRequest.Keywords, where ok=false is ErrUnusableKeywords; having
-// no error result, it panics with Do's other errors —
-// ErrKeywordFilterDisabled when EnableKeywordFilter was not called.
-func (x *Index) SearchWithKeywords(q *Object, k int, lambda float64, keywords ...string) (results []Result, ok bool) {
-	return keywordSearch(x.Do, q, k, lambda, keywords)
-}
-
-// keywordSearch adapts a flavor's Do to the SearchWithKeywords
-// contract: an unusable keyword list — an empty one included, which as
-// SearchRequest.Keywords would mean "unconstrained" — is ok=false, and
-// every other error, ErrKeywordFilterDisabled included, panics like
-// Search (the wrapper has no error result).
-func keywordSearch(do func(SearchRequest) ([]Result, error), q *Object, k int, lambda float64, keywords []string) ([]Result, bool) {
-	if len(keywords) == 0 {
-		return nil, false
-	}
-	res, err := do(SearchRequest{Query: q, K: k, Lambda: lambda, Keywords: keywords})
-	if errors.Is(err, ErrUnusableKeywords) {
-		return nil, false
-	}
-	return mustResults(res, err), true
-}
 
 // searchWithKeywords is the keyword-constrained search of one snapshot
 // behind Do; inputs are already validated and the filter is present
@@ -85,9 +55,10 @@ func (x *Index) searchWithKeywords(q *Object, k int, lambda float64, keywords []
 		}
 		return all, true
 	}
-	// Broad keyword sets: run the filtered index search.
+	// Broad keyword sets: the exact read restricted to the matching rows,
+	// without the request's budget (this path reports no Partial).
 	allow, _ := x.kw.Predicate(keywords)
-	return x.core.SearchFiltered(q, k, lambda, allow, nil), true
+	return x.core.SearchOptionsInto(nil, q, k, lambda, core.SearchOptions{Allow: allow}, nil), true
 }
 
 // KeywordDocFrequency reports how many live objects contain the keyword

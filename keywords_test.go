@@ -1,6 +1,7 @@
 package cssi
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -18,10 +19,7 @@ func TestSearchWithKeywordsMatchesBruteForce(t *testing.T) {
 	// Use a word that actually occurs.
 	word := strings.Fields(ds.Objects[25].Text)[0]
 	q := ds.Objects[3]
-	got, ok := idx.SearchWithKeywords(&q, 5, 0.5, word)
-	if !ok {
-		t.Fatalf("keyword %q rejected", word)
-	}
+	got := mustDo(idx, SearchRequest{Query: &q, K: 5, Lambda: 0.5, Keywords: []string{word}})
 	// Brute force over all objects containing the word.
 	var want []Result
 	for i := range ds.Objects {
@@ -76,32 +74,17 @@ func sortByDistID(rs []Result) {
 func TestSearchWithKeywordsUnusableList(t *testing.T) {
 	_, idx := keywordFixture(t)
 	q := Object{Vec: make([]float32, 24)}
-	if _, ok := idx.SearchWithKeywords(&q, 5, 0.5, "the"); ok {
-		t.Fatal("stop-word-only keywords should be rejected")
-	}
-	if _, ok := idx.SearchWithKeywords(&q, 5, 0.5); ok {
-		t.Fatal("empty keywords should be rejected")
+	if _, err := idx.Do(SearchRequest{Query: &q, K: 5, Lambda: 0.5, Keywords: []string{"the"}}); !errors.Is(err, ErrUnusableKeywords) {
+		t.Fatalf("stop-word-only keywords: err %v, want ErrUnusableKeywords", err)
 	}
 }
 
 func TestSearchWithKeywordsNoMatch(t *testing.T) {
 	ds, idx := keywordFixture(t)
 	q := ds.Objects[0]
-	got, ok := idx.SearchWithKeywords(&q, 5, 0.5, "zzznotaword")
-	if !ok || got != nil {
-		t.Fatalf("got %v ok=%v, want empty+true", got, ok)
+	if got := mustDo(idx, SearchRequest{Query: &q, K: 5, Lambda: 0.5, Keywords: []string{"zzznotaword"}}); len(got) != 0 {
+		t.Fatalf("got %v, want no results", got)
 	}
-}
-
-func TestSearchWithKeywordsPanicsWhenDisabled(t *testing.T) {
-	ds := testDataset(t, 50)
-	idx := mustBuild(t, ds, Options{Seed: 42})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	idx.SearchWithKeywords(&ds.Objects[0], 3, 0.5, "word")
 }
 
 func TestKeywordFilterMaintenance(t *testing.T) {
@@ -121,9 +104,9 @@ func TestKeywordFilterMaintenance(t *testing.T) {
 	if df := idx.KeywordDocFrequency("wzzzspecial"); df != 1 {
 		t.Fatalf("df after insert = %d", df)
 	}
-	got, ok := idx.SearchWithKeywords(&nova, 3, 0.5, "wzzzspecial")
-	if !ok || len(got) != 1 || got[0].ID != nova.ID {
-		t.Fatalf("keyword search after insert: %v ok=%v", got, ok)
+	got := mustDo(idx, SearchRequest{Query: &nova, K: 3, Lambda: 0.5, Keywords: []string{"wzzzspecial"}})
+	if len(got) != 1 || got[0].ID != nova.ID {
+		t.Fatalf("keyword search after insert: %v", got)
 	}
 	// Delete removes it from the postings.
 	if err := idx.Delete(nova.ID); err != nil {
@@ -182,9 +165,9 @@ func TestSearchWithKeywordsBroadKeyword(t *testing.T) {
 		t.Fatalf("word %q not broad enough (%d docs) — test setup invalid", word, idx.KeywordDocFrequency(word))
 	}
 	q := ds.Objects[9]
-	got, ok := idx.SearchWithKeywords(&q, 10, 0.5, word)
-	if !ok || len(got) != 10 {
-		t.Fatalf("broad keyword search: %d results ok=%v", len(got), ok)
+	got := mustDo(idx, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Keywords: []string{word}})
+	if len(got) != 10 {
+		t.Fatalf("broad keyword search: %d results", len(got))
 	}
 	for _, r := range got {
 		o, _ := idx.Object(r.ID)

@@ -73,8 +73,8 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 		for qi := 0; qi < 6; qi++ {
 			q := ds.Objects[(qi*101+3)%ds.Len()]
 			for _, lambda := range []float64{0, 0.5, 1} {
-				want := eager.Search(&q, 10, lambda)
-				got := overlay.Search(&q, 10, lambda)
+				want := mustDo(eager, SearchRequest{Query: &q, K: 10, Lambda: lambda})
+				got := mustDo(overlay, SearchRequest{Query: &q, K: 10, Lambda: lambda})
 				if len(want) != len(got) {
 					t.Fatalf("%s: exact λ=%v sizes %d vs %d", stage, lambda, len(got), len(want))
 				}
@@ -84,26 +84,14 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 					}
 				}
 			}
-			wr := eager.RangeSearch(&q, 0.25, 0.5)
-			gr := overlay.RangeSearch(&q, 0.25, 0.5)
-			if len(wr) != len(gr) {
-				t.Fatalf("%s: range sizes %d vs %d", stage, len(gr), len(wr))
-			}
-			for i := range wr {
-				if wr[i] != gr[i] {
-					t.Fatalf("%s: range result %d differs", stage, i)
-				}
-			}
-			wb := eager.SearchInBox(&q, q.X-0.3, q.Y-0.3, q.X+0.3, q.Y+0.3, 8)
-			gb := overlay.SearchInBox(&q, q.X-0.3, q.Y-0.3, q.X+0.3, q.Y+0.3, 8)
-			for i := range wb {
-				if wb[i] != gb[i] {
-					t.Fatalf("%s: box result %d differs", stage, i)
-				}
-			}
+			r := 0.25
+			ranged := SearchRequest{Query: &q, K: ds.Len(), Lambda: 0.5, Radius: &r}
+			equalResults(t, stage+" range", mustDo(eager, ranged), mustDo(overlay, ranged))
+			boxed := SearchRequest{Query: &q, K: 8, Window: &Window{LoX: q.X - 0.3, LoY: q.Y - 0.3, HiX: q.X + 0.3, HiY: q.Y + 0.3}}
+			equalResults(t, stage+" box", mustDo(eager, boxed), mustDo(overlay, boxed))
 			// Approximate answers are not contractually identical across
 			// representations, but every returned ID must be live.
-			for _, r := range overlay.SearchApprox(&q, 10, 0.5) {
+			for _, r := range mustDo(overlay, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Approx: true}) {
 				if _, ok := overlay.Object(r.ID); !ok {
 					t.Fatalf("%s: approx returned non-live object %d", stage, r.ID)
 				}
@@ -218,8 +206,8 @@ func TestOverlayShardedEquivalence(t *testing.T) {
 			t.Helper()
 			for qi := 0; qi < 5; qi++ {
 				q := ds.Objects[(qi*67+9)%ds.Len()]
-				want := flat.Search(&q, 10, 0.5)
-				got := s.Search(&q, 10, 0.5)
+				want := mustDo(flat, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
+				got := mustDo(s, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 				if len(want) != len(got) {
 					t.Fatalf("P=%d %s: sizes %d vs %d", p, stage, len(got), len(want))
 				}
@@ -264,13 +252,14 @@ func TestOverlayConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				q := ds.Objects[(g*53+i*17)%ds.Len()]
-				if got := c.Search(&q, 5, 0.5); len(got) != 5 {
+				if got := mustDo(c, SearchRequest{Query: &q, K: 5, Lambda: 0.5}); len(got) != 5 {
 					t.Errorf("search returned %d", len(got))
 					return
 				}
-				c.SearchApprox(&q, 5, 0.5)
-				c.RangeSearch(&q, 0.1, 0.5)
-				c.SearchInBox(&q, 0, 0, 1, 1, 3)
+				mustDo(c, SearchRequest{Query: &q, K: 5, Lambda: 0.5, Approx: true})
+				r := 0.1
+				mustDo(c, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Radius: &r})
+				mustDo(c, SearchRequest{Query: &q, K: 3, Window: &Window{LoX: 0, LoY: 0, HiX: 1, HiY: 1}})
 			}
 		}(g)
 	}
@@ -320,11 +309,11 @@ func TestOverlayConcurrentStress(t *testing.T) {
 	// Post-stress coherence: fold whatever overlay remains and verify
 	// the folded index answers exactly like the final overlay state.
 	q := ds.Objects[11]
-	before := c.Search(&q, 10, 0.5)
+	before := mustDo(c, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 	if err := c.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after := c.Search(&q, 10, 0.5)
+	after := mustDo(c, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 	if len(before) != len(after) {
 		t.Fatalf("compaction changed result size %d -> %d", len(before), len(after))
 	}
@@ -401,7 +390,7 @@ func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 		}
 		for qi := 0; qi < 6; qi++ {
 			q := ds.Objects[(qi*83+5)%ds.Len()]
-			equalResults(t, name+" vs eager twin", twin.Search(&q, 10, 0.5), w.Search(&q, 10, 0.5))
+			equalResults(t, name+" vs eager twin", mustDo(twin, SearchRequest{Query: &q, K: 10, Lambda: 0.5}), mustDo(w, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
 		}
 		if err := w.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -534,16 +523,16 @@ func TestOverlayAppendUnderReaders(t *testing.T) {
 			for round := 0; ; round++ {
 				snap := snapshot(c) // shares its log with the writer's next clones
 				q := ds.Objects[(g*97+round*13)%ds.Len()]
-				want := snap.Search(&q, 10, 0.5)
-				wantKw, _ := snap.SearchWithKeywords(&q, 10, 0.5, keywords...)
+				want := mustDo(snap, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
+				wantKw := mustDo(snap, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Keywords: keywords})
 				for rep := 0; rep < 20; rep++ {
 					select {
 					case <-stop:
 						return
 					default:
 					}
-					got := snap.Search(&q, 10, 0.5)
-					gotKw, _ := snap.SearchWithKeywords(&q, 10, 0.5, keywords...)
+					got := mustDo(snap, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
+					gotKw := mustDo(snap, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Keywords: keywords})
 					if !slices.Equal(got, want) || !slices.Equal(gotKw, wantKw) {
 						t.Errorf("pinned snapshot %d changed its answer", snap.snapID)
 						return

@@ -21,8 +21,8 @@ func TestFacadeSaveLoadRoundTrip(t *testing.T) {
 			loaded.Len(), loaded.NumClusters(), idx.Len(), idx.NumClusters())
 	}
 	q := ds.Objects[17]
-	a := idx.Search(&q, 10, 0.5)
-	b := loaded.Search(&q, 10, 0.5)
+	a := mustDo(idx, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
+	b := mustDo(loaded, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 	for i := range a {
 		if a[i].Dist != b[i].Dist {
 			t.Fatalf("result %d differs after load", i)
@@ -31,10 +31,11 @@ func TestFacadeSaveLoadRoundTrip(t *testing.T) {
 	// The loaded index supports the whole surface: approx, range, box,
 	// keyword filtering, maintenance.
 	loaded.EnableKeywordFilter()
-	if got := loaded.SearchApprox(&q, 5, 0.5); len(got) != 5 {
+	if got := mustDo(loaded, SearchRequest{Query: &q, K: 5, Lambda: 0.5, Approx: true}); len(got) != 5 {
 		t.Fatal("approx search failed on loaded index")
 	}
-	if got := loaded.RangeSearch(&q, 0.1, 0.5); len(got) == 0 {
+	r := 0.1
+	if got := mustDo(loaded, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Radius: &r}); len(got) == 0 {
 		t.Fatal("range search failed on loaded index")
 	}
 	nova := q

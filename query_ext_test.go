@@ -2,76 +2,67 @@ package cssi
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// The range and window shapes on every flavor: the P = 4 read is a
+// seeded chain whose shards carry the radius (or the window's k-th
+// bound) forward, and it answers what the flat index answers.
 func TestRangeSearchFacade(t *testing.T) {
 	ds := testDataset(t, 600)
-	idx, err := Build(ds, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := ds.Objects[5]
-	var st Stats
-	got := idx.RangeSearchStats(&q, 0.08, 0.5, &st)
-	if len(got) == 0 {
-		t.Fatal("range search around an existing object returned nothing")
-	}
-	prev := -1.0
-	for _, r := range got {
-		if r.Dist > 0.08 {
-			t.Fatalf("result outside radius: %v", r.Dist)
+	r := 0.08
+	var flat []Result
+	for _, api := range requestFixtures(t, ds, false) {
+		var st Stats
+		got, err := api.do(SearchRequest{Query: &q, K: ds.Len(), Lambda: 0.5, Radius: &r, Stats: &st})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Dist < prev {
-			t.Fatal("results not sorted")
+		if len(got) == 0 {
+			t.Fatalf("%s: range search around an existing object returned nothing", api.name)
 		}
-		prev = r.Dist
-	}
-	if st.VisitedObjects+st.InterPruned+st.IntraPruned != int64(ds.Len()) {
-		t.Fatalf("accounting identity broken: %+v", st)
-	}
-}
-
-func TestRangeSearchPanicsOnNegativeRadius(t *testing.T) {
-	ds := testDataset(t, 50)
-	idx, _ := Build(ds, Options{Seed: 9})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+		for i, res := range got {
+			if res.Dist > r || i > 0 && !lessResult(got[i-1], res) {
+				t.Fatalf("%s: result %d %+v outside the radius or out of order", api.name, i, res)
+			}
 		}
-	}()
-	idx.RangeSearch(&ds.Objects[0], -1, 0.5)
+		if st.VisitedObjects+st.InterPruned+st.IntraPruned != int64(ds.Len()) {
+			t.Fatalf("%s: accounting identity broken: %+v", api.name, st)
+		}
+		if flat == nil {
+			flat = got
+		}
+		equalResults(t, api.name+" vs flat", flat, got)
+	}
 }
 
 func TestSearchInBoxFacade(t *testing.T) {
 	ds := testDataset(t, 600)
-	idx, err := Build(ds, Options{Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := ds.Objects[5]
-	got := idx.SearchInBox(&q, 0.2, 0.2, 0.8, 0.8, 5)
-	for _, r := range got {
-		o, ok := idx.Object(r.ID)
-		if !ok {
-			t.Fatalf("result %d not live", r.ID)
+	w := Window{LoX: 0.2, LoY: 0.2, HiX: 0.8, HiY: 0.8}
+	var flat []Result
+	for _, api := range requestFixtures(t, ds, false) {
+		got, err := api.do(SearchRequest{Query: &q, K: 5, Window: &w})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if o.X < 0.2 || o.X > 0.8 || o.Y < 0.2 || o.Y > 0.8 {
-			t.Fatalf("result %d outside window: (%v,%v)", r.ID, o.X, o.Y)
+		if len(got) != 5 {
+			t.Fatalf("%s: %d results", api.name, len(got))
 		}
+		for _, res := range got {
+			o := ds.Objects[slices.IndexFunc(ds.Objects, func(o Object) bool { return o.ID == res.ID })]
+			if o.X < w.LoX || o.X > w.HiX || o.Y < w.LoY || o.Y > w.HiY {
+				t.Fatalf("%s: result %d outside window: (%v,%v)", api.name, res.ID, o.X, o.Y)
+			}
+		}
+		if flat == nil {
+			flat = got
+		}
+		equalResults(t, api.name+" vs flat", flat, got)
 	}
-}
-
-func TestSearchInBoxPanicsOnInvertedWindow(t *testing.T) {
-	ds := testDataset(t, 50)
-	idx, _ := Build(ds, Options{Seed: 10})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	idx.SearchInBox(&ds.Objects[0], 0.8, 0.2, 0.2, 0.8, 5)
 }
 
 func TestBatchSearchMatchesSequential(t *testing.T) {
@@ -90,7 +81,7 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 		t.Fatalf("got %d result sets", len(batch))
 	}
 	for qi := range queries {
-		seq := idx.Search(&queries[qi], 10, 0.5)
+		seq := mustDo(idx, SearchRequest{Query: &queries[qi], K: 10, Lambda: 0.5})
 		if len(batch[qi]) != len(seq) {
 			t.Fatalf("query %d: %d vs %d results", qi, len(batch[qi]), len(seq))
 		}

@@ -6,20 +6,23 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"repro/internal/core"
 )
 
-// SearchRequest describes one k-NN query against either index flavor —
-// *Index or *ShardedIndex — through the single Do entry point. The zero value of every optional field means "off", so
-// the minimal request is SearchRequest{Query: q, K: k, Lambda: λ}.
+// SearchRequest describes one query against either index flavor —
+// *Index or *ShardedIndex — through the single Do entry point. The zero
+// value of every optional field means "off", so the minimal request is
+// SearchRequest{Query: q, K: k, Lambda: λ}, the exact k-NN query.
+// Radius and Window give the query another shape on the same exact
+// read: a range query, and a k-NN query inside a map window.
 //
 // Each knob is one field, and the knobs compose — e.g. Approx+Dst+Stats
-// is one request. Search, SearchApprox and SearchWithKeywords remain as
-// quickstart conveniences over Do. Two combinations are rejected with
-// ErrUnsupportedRequest
-// because no sound implementation exists: Keywords with Approx (the
-// keyword path is exact by construction) and Keywords with
-// Explain/Trace (the brute-force arm of the keyword path bypasses the
-// instrumented cluster scan).
+// is one request. The combinations with no sound implementation are
+// rejected with ErrUnsupportedRequest: Keywords with Approx (the keyword
+// path is exact by construction), Keywords with Explain/Trace (the
+// brute-force arm of the keyword path bypasses the instrumented cluster
+// scan), and Radius or Window with Approx or Keywords.
 type SearchRequest struct {
 	// Query is the query object; only X, Y and Vec are consulted. Must
 	// be non-nil, finite, with a vector of the index's dimensionality
@@ -52,6 +55,16 @@ type SearchRequest struct {
 	// an unusable keyword list (empty after normalization, or all stop
 	// words) fails with ErrUnusableKeywords.
 	Keywords []string
+	// Radius, when non-nil, makes the request a range query: only objects
+	// at distance d ≤ *Radius answer, at most K of them, nearest first —
+	// the exact read with its k-NN bound starting at r instead of +Inf.
+	// NaN or negative fails with ErrInvalidShape.
+	Radius *float64
+	// Window, when non-nil, restricts the answer to the objects located
+	// inside it (a map viewport). Ranking still uses Lambda, so Lambda 0
+	// ranks the objects in the window by meaning alone. A non-finite or
+	// inverted window fails with ErrInvalidShape.
+	Window *Window
 	// Dst, when non-nil, receives the results appended (typically
 	// dst[:0] of a buffer retained across queries — the zero-allocation
 	// steady state).
@@ -141,9 +154,13 @@ type BatchSearchRequest struct {
 	Meta *ResponseMeta
 }
 
+// Window is a closed spatial rectangle [LoX,HiX]×[LoY,HiY] in the
+// objects' coordinates: SearchRequest.Window.
+type Window = core.Window
+
 // ErrUnusableKeywords is returned by Do when a keyword-constrained
 // request's keyword list normalizes to nothing (empty, or all stop
-// words) — the error-value form of SearchWithKeywords' ok=false.
+// words).
 var ErrUnusableKeywords = errors.New("cssi: keyword list unusable (empty or all stop words)")
 
 // ErrKeywordFilterDisabled is returned by Do for a keyword-constrained
@@ -165,6 +182,11 @@ var ErrInvalidK = errors.New("cssi: k must be >= 1")
 // component. Callers feeding user input should treat this as a bad
 // request. Test with errors.Is.
 var ErrInvalidQuery = errors.New("cssi: invalid query")
+
+// ErrInvalidShape is returned by Do for a Radius that is NaN or
+// negative, or a Window with a non-finite or inverted side. Test with
+// errors.Is.
+var ErrInvalidShape = errors.New("cssi: invalid radius or window")
 
 // ErrInvalidLambda is returned by Do and DoBatch when Lambda is NaN or
 // outside [0,1] — the λ-weighted distance is only defined on that
@@ -211,14 +233,24 @@ func validateQuery(q *Object, dim int) error {
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // validate is the one validation of a single-query request against the
-// snapshots it will run on: the shared knobs, the query, then the
-// keyword-incompatible combinations and the keyword filter's presence.
+// snapshots it will run on: the shared knobs, the query, the shape and
+// the combinations it excludes, then the keyword-incompatible
+// combinations and the keyword filter's presence.
 func (req *SearchRequest) validate(v *view) error {
 	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget); err != nil {
 		return err
 	}
 	if err := validateQuery(req.Query, v.at(0).Dim()); err != nil {
 		return err
+	}
+	if r := req.Radius; r != nil && !(*r >= 0) {
+		return fmt.Errorf("%w: radius %v", ErrInvalidShape, *r)
+	}
+	if w := req.Window; w != nil && !(finite(w.LoX) && finite(w.LoY) && finite(w.HiX) && finite(w.HiY) && w.LoX <= w.HiX && w.LoY <= w.HiY) {
+		return fmt.Errorf("%w: window %+v", ErrInvalidShape, *w)
+	}
+	if (req.Radius != nil || req.Window != nil) && (req.Approx || len(req.Keywords) > 0) {
+		return fmt.Errorf("%w: Radius and Window cannot combine with Approx or Keywords", ErrUnsupportedRequest)
 	}
 	if len(req.Keywords) > 0 {
 		if req.Approx {
@@ -251,22 +283,12 @@ func (req *BatchSearchRequest) validate(dim int) error {
 	return nil
 }
 
-// mustResults unwraps the Do call of a quickstart wrapper (Search,
-// SearchApprox), whose no-error signatures keep the legacy contract:
-// an invalid query, k or lambda panics.
-func mustResults(res []Result, err error) []Result {
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// Do answers one k-NN query described by req. Conditions a correct
-// caller can hit at runtime — often by passing through unvalidated user
-// input — return a typed error, the same one in the same order on every
-// index flavor: ErrInvalidK (K < 1), ErrInvalidLambda (Lambda NaN or
-// outside [0,1]), ErrInvalidQuery (nil query, wrong vector
-// dimensionality, non-finite coordinates or vector components),
+// Do answers one query described by req. Conditions a correct caller
+// can hit at runtime — often by passing through unvalidated user input —
+// return a typed error, the same one in the same order on every index
+// flavor: ErrInvalidK (K < 1), ErrInvalidLambda (Lambda NaN or outside
+// [0,1]), ErrInvalidQuery (nil query, wrong vector dimensionality,
+// non-finite coordinates or vector components), ErrInvalidShape,
 // ErrUnsupportedRequest, ErrKeywordFilterDisabled, ErrInvalidDeadline,
 // ErrUnusableKeywords. No request panics.
 //
@@ -301,9 +323,10 @@ func (x *Index) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][
 	return serveBatch(ctx, x.view(), &req)
 }
 
-// Do answers one k-NN query across the shards — bound-carrying chains
-// striped over the scheduler's processors and merged (see execute) —
-// and the keyword scatter for keyword-constrained requests. See
+// Do answers one query across the shards — bound-carrying chains
+// striped over the scheduler's processors and merged (see execute), for
+// every shape — and the keyword scatter for keyword-constrained
+// requests. See
 // Index.Do for the request contract; exact results are bit-identical to
 // a flat index over the same objects. A trace sink installed on the
 // index (SetTraceSink) records every executed Do regardless of which

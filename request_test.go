@@ -122,6 +122,35 @@ func TestRequestConformance(t *testing.T) {
 		cancel()
 		return ctx
 	}
+	// The range and window shapes are held to restricted: the prefix of
+	// the scan's full ranking that passes the radius and the window, cut
+	// at K. at is the scan's i-th distance (1-based, clamped).
+	objs := make(map[uint32]Object, ds.Len())
+	for _, o := range ds.Objects {
+		objs[o.ID] = o
+	}
+	restricted := func(r *SearchRequest) []Result {
+		var out []Result
+		for _, res := range oracle.Search(r.Query, ds.Len(), r.Lambda, nil) {
+			o, w := objs[res.ID], r.Window
+			if len(out) < r.K && (r.Radius == nil || res.Dist <= *r.Radius) &&
+				(w == nil || o.X >= w.LoX && o.X <= w.HiX && o.Y >= w.LoY && o.Y <= w.HiY) {
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+	at := func(r *SearchRequest, i int) *float64 {
+		all := oracle.Search(r.Query, ds.Len(), r.Lambda, nil)
+		d := all[min(max(i, 1), len(all))-1].Dist
+		return &d
+	}
+	window := func(r *SearchRequest) *Window {
+		return &Window{LoX: r.Query.X - 0.2, LoY: r.Query.Y - 0.15, HiX: r.Query.X + 0.25, HiY: r.Query.Y + 0.3}
+	}
+	vsRestricted := func(t *testing.T, api searchAPI, r *SearchRequest, got []Result, plain Stats) {
+		equalResults(t, api.name+" vs restricted scan", restricted(r), got)
+	}
 	shapes := []shape{
 		{name: "exact", exact: true},
 		{name: "approx", mod: func(r *SearchRequest) { r.Approx = true }, perFlavor: true},
@@ -178,6 +207,21 @@ func TestRequestConformance(t *testing.T) {
 		{name: "cancelled-ctx", ctx: canceled, wantErr: context.Canceled},
 		{name: "cache-off", mod: func(r *SearchRequest) { r.Cache = CacheOff }, exact: true},
 		{name: "cache-on", mod: func(r *SearchRequest) { r.Cache = CacheOn }, exact: true},
+		// A radius equal to the K-th distance answers the K nearest, ties
+		// at d == r included; one at the 2K-th keeps K below the matches.
+		{name: "range/tie-at-r", mod: func(r *SearchRequest) { r.Radius = at(r, r.K) }, exact: true, check: vsRestricted},
+		{name: "range/k-below-matches", mod: func(r *SearchRequest) { r.Radius = at(r, 2*r.K) }, exact: true, check: vsRestricted},
+		{name: "range/all-matches", mod: func(r *SearchRequest) { r.Radius = at(r, r.K/2) }, check: vsRestricted},
+		{name: "range/zero", mod: func(r *SearchRequest) { r.Radius = new(float64) }, check: vsRestricted},
+		{name: "range/expired-deadline", mod: func(r *SearchRequest) { r.Radius, r.Deadline = at(r, r.K), time.Nanosecond },
+			perFlavor: true, wantPartial: true},
+		{name: "window", mod: func(r *SearchRequest) { r.Window = window(r) }, check: vsRestricted},
+		{name: "window/lambda=0", mod: func(r *SearchRequest) { r.Window, r.Lambda = window(r), 0 }, check: vsRestricted},
+		{name: "window/degenerate", mod: func(r *SearchRequest) {
+			r.Window = &Window{LoX: r.Query.X, LoY: r.Query.Y, HiX: r.Query.X, HiY: r.Query.Y}
+		}, check: vsRestricted},
+		{name: "window/expired-deadline", mod: func(r *SearchRequest) { r.Window, r.Deadline = window(r), time.Nanosecond },
+			perFlavor: true, wantPartial: true},
 
 		{name: "invalid/k=0", mod: func(r *SearchRequest) { r.K = 0 }, wantErr: ErrInvalidK},
 		{name: "invalid/k=0-before-lambda", mod: func(r *SearchRequest) { r.K, r.Lambda = -3, 7 }, wantErr: ErrInvalidK},
@@ -201,6 +245,16 @@ func TestRequestConformance(t *testing.T) {
 		{name: "invalid/stop-word-keywords", mod: func(r *SearchRequest) { r.Keywords = []string{"of"} }, wantErr: ErrUnusableKeywords},
 		{name: "invalid/negative-deadline", mod: func(r *SearchRequest) { r.Deadline = -time.Second }, wantErr: ErrInvalidDeadline},
 		{name: "invalid/cache-mode", mod: func(r *SearchRequest) { r.Cache = CacheMode(99) }, wantErr: ErrUnsupportedRequest},
+		{name: "invalid/radius-nan", mod: func(r *SearchRequest) { d := math.NaN(); r.Radius = &d }, wantErr: ErrInvalidShape},
+		{name: "invalid/radius-negative", mod: func(r *SearchRequest) { d := -0.1; r.Radius = &d }, wantErr: ErrInvalidShape},
+		{name: "invalid/window-inf", mod: func(r *SearchRequest) { r.Window = &Window{HiX: math.Inf(1), HiY: 1} }, wantErr: ErrInvalidShape},
+		{name: "invalid/window-nan", mod: func(r *SearchRequest) { r.Window = &Window{LoX: math.NaN(), HiX: 1, HiY: 1} }, wantErr: ErrInvalidShape},
+		{name: "invalid/window-inverted", mod: func(r *SearchRequest) { r.Window = &Window{LoX: 0.8, HiX: 0.2, HiY: 1} }, wantErr: ErrInvalidShape},
+		{name: "invalid/k=0-before-radius", mod: func(r *SearchRequest) { d := -1.0; r.K, r.Radius = 0, &d }, wantErr: ErrInvalidK},
+		{name: "invalid/radius+approx", mod: func(r *SearchRequest) { r.Radius, r.Approx = at(r, 3), true }, wantErr: ErrUnsupportedRequest},
+		{name: "invalid/window+approx", mod: func(r *SearchRequest) { r.Window, r.Approx = window(r), true }, wantErr: ErrUnsupportedRequest},
+		{name: "invalid/radius+keywords", mod: func(r *SearchRequest) { r.Radius, r.Keywords = at(r, 3), []string{kw} }, wantErr: ErrUnsupportedRequest},
+		{name: "invalid/window+keywords", mod: func(r *SearchRequest) { r.Window, r.Keywords = window(r), []string{kw} }, wantErr: ErrUnsupportedRequest},
 	}
 
 	rng := rand.New(rand.NewPCG(42, 1))
@@ -443,61 +497,49 @@ func TestRequestConformance(t *testing.T) {
 					t.Fatalf("%s: cacheHit miss=%v hit=%v (want %v) off=%v observed=%v",
 						ctx, miss.CacheHit, hit.CacheHit, want, off.CacheHit, obsv.CacheHit)
 				}
+				// A range or window request with the same query and K is
+				// keyed by its shape: the plain entry never answers it.
+				for _, mod := range []func(*SearchRequest){
+					func(r *SearchRequest) { r.Radius = at(r, r.K/2) },
+					func(r *SearchRequest) { r.Window = window(r) },
+				} {
+					var shapeMiss, shapeHit ResponseMeta
+					shaped := req
+					mod(&shaped)
+					equalResults(t, ctx+" shape miss vs scan", restricted(&shaped), do(&shapeMiss, mod))
+					equalResults(t, ctx+" shape hit vs scan", restricted(&shaped), do(&shapeHit, mod))
+					if want := api.enableCache != nil; shapeMiss.CacheHit || shapeHit.CacheHit != want {
+						t.Fatalf("%s: shaped cacheHit miss=%v hit=%v, want false and %v", ctx, shapeMiss.CacheHit, shapeHit.CacheHit, want)
+					}
+				}
 			}
 		}
 	})
 }
 
-// TestSearchWrappersPanic pins the quickstart wrappers' contract: what
-// Do reports as a typed error, Search/SearchApprox/SearchWithKeywords
-// panic on (their signatures have no error to return).
-func TestSearchWrappersPanic(t *testing.T) {
-	ds := testDataset(t, 300)
-	s := mustBuildSharded(t, ds, 2, Options{Seed: 7})
-	s.EnableKeywordFilter()
-	short := ds.Objects[0]
-	short.Vec = short.Vec[:3]
-	for name, fn := range map[string]func(){
-		"k=0":          func() { s.Search(&ds.Objects[0], 0, 0.5) },
-		"lambda":       func() { s.SearchApprox(&ds.Objects[0], 5, 2) },
-		"wrong dim":    func() { s.Search(&short, 5, 0.5) },
-		"keywords nil": func() { s.SearchWithKeywords(nil, 5, 0.5, "word") },
-		"keywords no filt": func() {
-			mustBuildSharded(t, ds, 2, Options{Seed: 7}).SearchWithKeywords(&ds.Objects[0], 5, 0.5, "word")
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // TestAPISurface keeps the entry-point permutations from growing back:
-// the exported Search*/Do* method sets of the core index and the two
-// facade flavors must equal these allow-lists, the per-flavor dispatch
-// forks the request pipeline replaced must stay gone, and so must the
-// second snapshot-published flavor — ConcurrentIndex is ShardedIndex.
+// the exported *Search*/Do* method sets of the core index and the two
+// facade flavors must equal these allow-lists — Do* alone on the facade,
+// every query shape being a SearchRequest field — the per-flavor
+// dispatch forks the request pipeline replaced must stay gone, and so
+// must the panicking helpers of the deleted wrappers and the second
+// snapshot-published flavor — ConcurrentIndex is ShardedIndex.
 func TestAPISurface(t *testing.T) {
 	do := []string{"Do", "DoBatch", "DoBatchContext", "DoContext"}
 	for _, c := range []struct {
 		typ  reflect.Type
 		want []string
 	}{
-		// SearchAblated, SearchFiltered and SearchInBox are other query
-		// types, not k-NN entry points.
+		// SearchAblated is the paper-faithful reference, not an entry
+		// point of the facade.
 		{reflect.TypeOf(&core.Index{}), []string{"Search", "SearchAblated", "SearchApprox", "SearchBatch",
-			"SearchExplainOptionsInto", "SearchFiltered", "SearchInBox", "SearchOptionsInto"}},
-		{reflect.TypeOf(&Index{}), append([]string{"Search", "SearchApprox", "SearchInBox", "SearchInBoxStats", "SearchWithKeywords"}, do...)},
-		{reflect.TypeOf(&ShardedIndex{}), append([]string{"Search", "SearchApprox", "SearchInBox", "SearchInBoxStats", "SearchWithKeywords"}, do...)},
+			"SearchExplainOptionsInto", "SearchOptionsInto"}},
+		{reflect.TypeOf(&Index{}), do},
+		{reflect.TypeOf(&ShardedIndex{}), do},
 	} {
 		var got []string
 		for i := 0; i < c.typ.NumMethod(); i++ {
-			if name := c.typ.Method(i).Name; strings.HasPrefix(name, "Search") || strings.HasPrefix(name, "Do") {
+			if name := c.typ.Method(i).Name; strings.Contains(name, "Search") || strings.HasPrefix(name, "Do") {
 				got = append(got, name)
 			}
 		}
@@ -551,6 +593,10 @@ func TestAPISurface(t *testing.T) {
 		}
 		if strings.HasPrefix(name, "precheck") {
 			t.Errorf("second validation %s is back", name)
+		}
+		switch name {
+		case "checkQuery", "checkQueryVec", "checkRead", "mustResults", "keywordSearch":
+			t.Errorf("panicking helper %s of the deleted wrappers is back", name)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/knn"
 	"repro/internal/metric"
 	"repro/internal/obs"
 	"repro/internal/rescache"
@@ -38,7 +37,7 @@ import (
 //     over the full dataset at BuildSharded time) and CSSI is exact
 //     regardless of how objects are clustered, the exact result set is
 //     BIT-IDENTICAL to what an unsharded index returns — including tie
-//     breaks — for every stripe count. SearchApprox remains
+//     breaks — for every stripe count. An Approx request remains
 //     approximate and has no bound to carry: every shard answers alone
 //     and the per-shard answers are merged; its error profile depends
 //     on the per-shard clustering, so sharded CSSIA results can differ
@@ -194,79 +193,6 @@ func (s *ShardedIndex) NumShards() int { return len(s.shards) }
 // object ID.
 func (s *ShardedIndex) ShardFor(id uint32) int { return shardOf(id, len(s.shards)) }
 
-// Search returns the exact k nearest neighbors of q across the shards
-// (see Index.Search). The result — order included — is bit-identical to
-// an unsharded Search over the same objects.
-func (s *ShardedIndex) Search(q *Object, k int, lambda float64) []Result {
-	return mustResults(s.Do(SearchRequest{Query: q, K: k, Lambda: lambda}))
-}
-
-// SearchApprox returns approximate (CSSIA) k nearest neighbors. Each
-// shard prunes with its own clustering, so the result can differ from
-// an unsharded index's SearchApprox — it is exactly the merge of the
-// per-shard CSSIA answers, with the same per-shard error model as the
-// paper's.
-func (s *ShardedIndex) SearchApprox(q *Object, k int, lambda float64) []Result {
-	return mustResults(s.Do(SearchRequest{Query: q, K: k, Lambda: lambda, Approx: true}))
-}
-
-// RangeSearch returns every object within combined distance r of q,
-// in ascending distance order, merged across shards (bit-identical to
-// the unsharded RangeSearch).
-func (s *ShardedIndex) RangeSearch(q *Object, r, lambda float64) []Result {
-	return s.RangeSearchStats(q, r, lambda, nil)
-}
-
-// RangeSearchStats is RangeSearch with work counters summed across
-// shards.
-func (s *ShardedIndex) RangeSearchStats(q *Object, r, lambda float64, st *Stats) []Result {
-	s.checkRead(q, 1, lambda)
-	if r < 0 {
-		panic(fmt.Sprintf("cssi: negative range radius %v", r))
-	}
-	lists := make([][]Result, len(s.shards))
-	per := make([]Stats, len(s.shards))
-	scatter(s.epochToken().snaps, func(i int, snap *Index) {
-		lists[i] = snap.core.RangeSearch(q, r, lambda, &per[i])
-	})
-	gatherStats(st, per)
-	return knn.MergeSorted(nil, lists, -1)
-}
-
-// SearchInBox returns the k objects inside the spatial window that are
-// semantically nearest to q, merged across shards (bit-identical to the
-// unsharded SearchInBox).
-func (s *ShardedIndex) SearchInBox(q *Object, loX, loY, hiX, hiY float64, k int) []Result {
-	return s.SearchInBoxStats(q, loX, loY, hiX, hiY, k, nil)
-}
-
-// SearchInBoxStats is SearchInBox with work counters summed across
-// shards.
-func (s *ShardedIndex) SearchInBoxStats(q *Object, loX, loY, hiX, hiY float64, k int, st *Stats) []Result {
-	s.checkRead(q, k, 0)
-	if loX > hiX || loY > hiY {
-		panic("cssi: inverted spatial window")
-	}
-	lists := make([][]Result, len(s.shards))
-	per := make([]Stats, len(s.shards))
-	scatter(s.epochToken().snaps, func(i int, snap *Index) {
-		lists[i] = snap.core.SearchInBox(q, loX, loY, hiX, hiY, k, &per[i])
-	})
-	gatherStats(st, per)
-	return knn.MergeSorted(make([]Result, 0, k), lists, k)
-}
-
-// checkRead validates a range/box read's inputs on the caller's
-// goroutine, before any scatter — a malformed query must panic here,
-// never inside a per-shard worker goroutine (where a panic would kill
-// the process).
-func (s *ShardedIndex) checkRead(q *Object, k int, lambda float64) {
-	checkQuery(q, k, lambda)
-	if len(q.Vec) != s.dim {
-		panic(fmt.Sprintf("cssi: query vector dim %d, index expects %d", len(q.Vec), s.dim))
-	}
-}
-
 // Insert adds a new object (paper §6.2) and publishes the result as a
 // new snapshot of ONLY the owning shard; in-flight reads finish against
 // the old one. Writes to different shards proceed concurrently.
@@ -403,7 +329,7 @@ func (s *ShardedIndex) RebuildInBackground() (<-chan error, error) {
 }
 
 // EnableKeywordFilter builds the inverted keyword index on every shard
-// (each publishing a new snapshot), enabling SearchWithKeywords.
+// (each publishing a new snapshot), enabling SearchRequest.Keywords.
 func (s *ShardedIndex) EnableKeywordFilter() {
 	for _, sh := range s.shards {
 		sh.enableKeywordFilter()
@@ -419,13 +345,6 @@ func (s *ShardedIndex) KeywordFilterEnabled() bool {
 		}
 	}
 	return true
-}
-
-// SearchWithKeywords scatters a keyword-constrained search and merges
-// the per-shard answers (see Index.SearchWithKeywords). Requires
-// EnableKeywordFilter on every shard.
-func (s *ShardedIndex) SearchWithKeywords(q *Object, k int, lambda float64, keywords ...string) ([]Result, bool) {
-	return keywordSearch(s.Do, q, k, lambda, keywords)
 }
 
 // Object looks up a live object on its owning shard, returning a copy

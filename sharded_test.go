@@ -71,11 +71,15 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 					q := &queries[qi]
 					for _, lambda := range []float64{0, 0.5, 1} {
 						ctx := fmt.Sprintf("%s q%d λ=%v", stage, qi, lambda)
-						equalResults(t, ctx+" Search", flat.Search(q, 10, lambda), s.Search(q, 10, lambda))
-						equalResults(t, ctx+" RangeSearch", flat.RangeSearch(q, 0.12, lambda), s.RangeSearch(q, 0.12, lambda))
+						r := 0.12
+						for name, req := range map[string]SearchRequest{
+							"Search": {Query: q, K: 10, Lambda: lambda},
+							"Range":  {Query: q, K: flat.Len(), Lambda: lambda, Radius: &r},
+							"Box":    {Query: q, K: 8, Lambda: lambda, Window: &Window{LoX: 0.2, LoY: 0.2, HiX: 0.8, HiY: 0.8}},
+						} {
+							equalResults(t, ctx+" "+name, mustDo(flat, req), mustDo(s, req))
+						}
 					}
-					equalResults(t, stage+" SearchInBox",
-						flat.SearchInBox(q, 0.2, 0.2, 0.8, 0.8, 8), s.SearchInBox(q, 0.2, 0.2, 0.8, 0.8, 8))
 				}
 				flatBatch := mustDoBatch(t, flat, queries, 7, 0.5)
 				gotBatch, err := s.DoBatch(BatchSearchRequest{Queries: queries, K: 7, Lambda: 0.5})
@@ -93,7 +97,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				// P=1 the answers coincide exactly.
 				for qi := range queries {
 					q := &queries[qi]
-					approx := s.SearchApprox(q, 10, 0.5)
+					approx := mustDo(s, SearchRequest{Query: q, K: 10, Lambda: 0.5, Approx: true})
 					if len(approx) != 10 {
 						t.Fatalf("%s approx q%d: %d results", stage, qi, len(approx))
 					}
@@ -110,7 +114,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 						}
 					}
 					if p == 1 {
-						equalResults(t, stage+" approx@1", flat.SearchApprox(q, 10, 0.5), approx)
+						equalResults(t, stage+" approx@1", mustDo(flat, SearchRequest{Query: q, K: 10, Lambda: 0.5, Approx: true}), approx)
 					}
 				}
 			}
@@ -235,11 +239,11 @@ func TestShardedRebuild(t *testing.T) {
 	flat := mustBuild(t, ds, Options{Seed: 6})
 	q := ds.SampleQueries(1, 8)[0]
 
-	want := flat.Search(&q, 10, 0.5)
+	want := mustDo(flat, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	equalResults(t, "after Rebuild", want, s.Search(&q, 10, 0.5))
+	equalResults(t, "after Rebuild", want, mustDo(s, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
 
 	done, err := s.RebuildInBackground()
 	if err != nil {
@@ -260,7 +264,7 @@ func TestShardedRebuild(t *testing.T) {
 	if err := flat.Insert(o); err != nil {
 		t.Fatal(err)
 	}
-	equalResults(t, "after background rebuild", flat.Search(&q, 10, 0.5), s.Search(&q, 10, 0.5))
+	equalResults(t, "after background rebuild", mustDo(flat, SearchRequest{Query: &q, K: 10, Lambda: 0.5}), mustDo(s, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -282,16 +286,11 @@ func TestShardedKeywords(t *testing.T) {
 	}
 	q := ds.SampleQueries(1, 2)[0]
 	kw := firstKeyword(t, ds)
-	want, okW := flat.SearchWithKeywords(&q, 8, 0.5, kw)
-	got, okG := s.SearchWithKeywords(&q, 8, 0.5, kw)
-	if okW != okG {
-		t.Fatalf("ok: flat %v sharded %v", okW, okG)
-	}
-	if okW {
-		equalResults(t, "keywords", want, got)
-	}
-	if _, ok := s.SearchWithKeywords(&q, 8, 0.5); ok {
-		t.Fatal("empty keyword list should be unusable")
+	req := SearchRequest{Query: &q, K: 8, Lambda: 0.5, Keywords: []string{kw}}
+	equalResults(t, "keywords", mustDo(flat, req), mustDo(s, req))
+	req.Keywords = []string{"the"}
+	if _, err := s.Do(req); !errors.Is(err, ErrUnusableKeywords) {
+		t.Fatalf("stop-word keyword list: err %v, want ErrUnusableKeywords", err)
 	}
 }
 
@@ -336,7 +335,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 	for qi := range queries {
 		q := &queries[qi]
-		equalResults(t, "loaded search", s.Search(q, 10, 0.5), loaded.Search(q, 10, 0.5))
+		equalResults(t, "loaded search", mustDo(s, SearchRequest{Query: q, K: 10, Lambda: 0.5}), mustDo(loaded, SearchRequest{Query: q, K: 10, Lambda: 0.5}))
 	}
 	// Maintenance on the loaded instance keeps routing.
 	o := ds.Objects[0]
@@ -362,7 +361,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		t.Fatalf("legacy load: P=%d n=%d", one.NumShards(), one.Len())
 	}
 	q := &queries[0]
-	equalResults(t, "legacy search", flat.Search(q, 10, 0.5), one.Search(q, 10, 0.5))
+	equalResults(t, "legacy search", mustDo(flat, SearchRequest{Query: q, K: 10, Lambda: 0.5}), mustDo(one, SearchRequest{Query: q, K: 10, Lambda: 0.5}))
 
 	// A manifest is outside input: a file name that leaves the directory
 	// and a shard that disagrees with shard 0 on the normalizers are
@@ -448,13 +447,14 @@ func TestShardedStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load() && i < 60; i++ {
 				q := &queries[(g+i)%len(queries)]
-				if got := s.Search(q, 5, 0.5); len(got) != 5 {
+				if got := mustDo(s, SearchRequest{Query: q, K: 5, Lambda: 0.5}); len(got) != 5 {
 					t.Errorf("search returned %d", len(got))
 					return
 				}
-				s.SearchApprox(q, 5, 0.5)
-				s.RangeSearch(q, 0.05, 0.5)
-				s.SearchInBox(q, 0, 0, 1, 1, 3)
+				mustDo(s, SearchRequest{Query: q, K: 5, Lambda: 0.5, Approx: true})
+				r := 0.05
+				mustDo(s, SearchRequest{Query: q, K: 10, Lambda: 0.5, Radius: &r})
+				mustDo(s, SearchRequest{Query: q, K: 3, Window: &Window{LoX: 0, LoY: 0, HiX: 1, HiY: 1}})
 				if _, err := s.DoBatch(BatchSearchRequest{Queries: queries[:2], K: 3, Lambda: 0.5}); err != nil {
 					t.Errorf("batch: %v", err)
 					return
@@ -635,7 +635,7 @@ func TestStripedChainEquivalence(t *testing.T) {
 						for _, k := range []int{1, tieK, len(live) + 5} {
 							want := oracle.Search(q, k, lambda, nil)
 							ctx := fmt.Sprintf("%s q%d λ=%v k=%d", stage, qi, lambda, k)
-							equalResults(t, ctx+" flat vs scan", want, flat.Search(q, k, lambda))
+							equalResults(t, ctx+" flat vs scan", want, mustDo(flat, SearchRequest{Query: q, K: k, Lambda: lambda}))
 							for w := 1; w <= p; w++ {
 								checkStripes(t, fmt.Sprintf("%s w=%d", ctx, w), s, w, flat, live, q, k, lambda, want)
 							}
@@ -652,7 +652,7 @@ func TestStripedChainEquivalence(t *testing.T) {
 			// in tieQ's top-k, under fresh ascending IDs: they tie with
 			// it, only the two smallest IDs make the top-k, and which
 			// shards — and stripes — hold those differs with P and w.
-			twin := live[flat.Search(tieQ, tieK, 0.5)[tieK-3].ID]
+			twin := live[mustDo(flat, SearchRequest{Query: tieQ, K: tieK, Lambda: 0.5})[tieK-3].ID]
 			perShard := make([]int, p)
 			for id := uint32(900_000); slices.Min(perShard) < 2; id++ {
 				if sh := s.ShardFor(id); perShard[sh] < 2 {
@@ -685,8 +685,8 @@ func TestStripedChainEquivalence(t *testing.T) {
 			if err := s.SetDeltaThreshold(8); err != nil {
 				t.Fatal(err)
 			}
-			far := flat.Search(tieQ, len(live), 0.5)[len(live)/2:]
-			want := flat.Search(tieQ, tieK, 0.5)
+			far := mustDo(flat, SearchRequest{Query: tieQ, K: len(live), Lambda: 0.5})[len(live)/2:]
+			want := mustDo(flat, SearchRequest{Query: tieQ, K: tieK, Lambda: 0.5})
 			var done atomic.Bool
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -852,12 +852,12 @@ func TestExactTieAtSharedPoint(t *testing.T) {
 	bare := mustBuild(t, ds, Options{Seed: 37})
 	oracle := scan.New(ds, bare.space)
 	targets := []struct {
-		name   string
-		search func(q *Object, k int, lambda float64) []Result
+		name string
+		idx  doer
 	}{
-		{"bare", bare.Search},
-		{"P=1", mustBuildSharded(t, ds, 1, Options{Seed: 37}).Search},
-		{"P=4", mustBuildSharded(t, ds, 4, Options{Seed: 37}).Search},
+		{"bare", bare},
+		{"P=1", mustBuildSharded(t, ds, 1, Options{Seed: 37})},
+		{"P=4", mustBuildSharded(t, ds, 4, Options{Seed: 37})},
 	}
 	for _, tg := range targets {
 		for _, k := range []int{1, 3, 5, 13} {
@@ -865,7 +865,7 @@ func TestExactTieAtSharedPoint(t *testing.T) {
 			if want[len(want)-1].Dist != 0 {
 				t.Fatalf("k=%d: the scan's answer %v is not all ties", k, want)
 			}
-			equalResults(t, fmt.Sprintf("%s k=%d", tg.name, k), want, tg.search(&p, k, 1))
+			equalResults(t, fmt.Sprintf("%s k=%d", tg.name, k), want, mustDo(tg.idx, SearchRequest{Query: &p, K: k, Lambda: 1}))
 		}
 	}
 }

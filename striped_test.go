@@ -178,8 +178,9 @@ func stripeDataset(t *testing.T) (*Dataset, []Object) {
 // one-stripe read and the linear scan, ID for ID and distance for
 // distance, on a bare *Index and on a one-shard ShardedIndex whose
 // snapshot holds overlay delta rows and tombstones, for λ ∈ {0, 0.5, 1},
-// k ∈ {1, 10, > n}, ties at the k-th rank and a zero vector — under each
-// forced schedule of the helper where hooks exist.
+// k ∈ {1, 10, > n}, the k-NN, range and window shapes, ties at the k-th
+// rank and at the radius, and a zero vector — under each forced schedule
+// of the helper where hooks exist.
 func TestStripedExactEquivalence(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("a striped read needs GOMAXPROCS >= 2")
@@ -220,12 +221,17 @@ func TestStripedExactEquivalence(t *testing.T) {
 		liveObjs = append(liveObjs, o)
 	}
 
+	base := make(map[uint32]Object, ds.Len())
+	for _, o := range ds.Objects {
+		base[o.ID] = o
+	}
 	for _, tc := range []struct {
 		target stripeTarget
 		oracle *scan.Scanner
+		objs   map[uint32]Object
 	}{
-		{bareTarget(bare), scan.New(ds, bare.space)},
-		{oneShardTarget(s), scan.New(&Dataset{Objects: liveObjs, Dim: ds.Dim}, bare.space)},
+		{bareTarget(bare), scan.New(ds, bare.space), base},
+		{oneShardTarget(s), scan.New(&Dataset{Objects: liveObjs, Dim: ds.Dim}, bare.space), live},
 	} {
 		t.Run(tc.target.name, func(t *testing.T) {
 			snap := tc.target.snap()
@@ -233,29 +239,49 @@ func TestStripedExactEquivalence(t *testing.T) {
 			for qi := range queries {
 				q := &queries[qi]
 				for _, lambda := range []float64{0, 0.5, 1} {
-					for _, k := range []int{1, 10, n + 5} {
-						ctx := fmt.Sprintf("q%d λ=%v k=%d", qi, lambda, k)
-						want := tc.oracle.Search(q, k, lambda, nil)
-						equalResults(t, ctx+" one-stripe vs scan", want, snap.core.SearchOptionsInto(nil, q, k, lambda, core.SearchOptions{}, nil))
-						got, err := tc.target.do(context.Background(), SearchRequest{Query: q, K: k, Lambda: lambda})
-						if err != nil {
-							t.Fatal(err)
-						}
-						equalResults(t, ctx+" Do", want, got)
-						for _, sched := range stripeSchedules {
-							log, ok := forceStripes(t, sched, nil)
-							if !ok {
-								break
+					// Every shape's answer is a prefix of the scan's full
+					// ranking, filtered; the radius ties its 8th distance.
+					all := tc.oracle.Search(q, n, lambda, nil)
+					r := all[7].Dist
+					w := Window{LoX: q.X - 0.2, LoY: q.Y - 0.2, HiX: q.X + 0.2, HiY: q.Y + 0.2}
+					for _, shape := range []struct {
+						name   string
+						radius *float64
+						window *Window
+					}{{"knn", nil, nil}, {"range", &r, nil}, {"window", nil, &w}} {
+						for _, k := range []int{1, 10, n + 5} {
+							ctx := fmt.Sprintf("q%d λ=%v %s k=%d", qi, lambda, shape.name, k)
+							var want []Result
+							for _, res := range all {
+								o := tc.objs[res.ID]
+								if len(want) < k && (shape.radius == nil || res.Dist <= r) &&
+									(shape.window == nil || o.X >= w.LoX && o.X <= w.HiX && o.Y >= w.LoY && o.Y <= w.HiY) {
+									want = append(want, res)
+								}
 							}
-							got, err := tc.target.do(context.Background(), SearchRequest{Query: q, K: k, Lambda: lambda})
+							opts := core.SearchOptions{Radius: shape.radius, Window: shape.window}
+							equalResults(t, ctx+" one-stripe vs scan", want, snap.core.SearchOptionsInto(nil, q, k, lambda, opts, nil))
+							req := SearchRequest{Query: q, K: k, Lambda: lambda, Radius: shape.radius, Window: shape.window}
+							got, err := tc.target.do(context.Background(), req)
 							if err != nil {
 								t.Fatal(err)
 							}
-							sctx := fmt.Sprintf("%s %v", ctx, sched)
-							log.check(t, sctx, sched)
-							equalResults(t, sctx, want, got)
+							equalResults(t, ctx+" Do", want, got)
+							for _, sched := range stripeSchedules {
+								log, ok := forceStripes(t, sched, nil)
+								if !ok {
+									break
+								}
+								got, err := tc.target.do(context.Background(), req)
+								if err != nil {
+									t.Fatal(err)
+								}
+								sctx := fmt.Sprintf("%s %v", ctx, sched)
+								log.check(t, sctx, sched)
+								equalResults(t, sctx, want, got)
+							}
+							core.SetStripeHook(nil)
 						}
-						core.SetStripeHook(nil)
 					}
 				}
 			}
@@ -290,7 +316,7 @@ func TestStripedHelperPanicReraised(t *testing.T) {
 			t.Fatalf("recovered %v, want the helper's panic", r)
 		}
 	}()
-	x.Search(&q, 10, 0.5)
+	mustDo(x, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 	t.Fatal("Search returned")
 }
 
@@ -302,11 +328,11 @@ func TestStripedReadsLeaveNoGoroutines(t *testing.T) {
 	x := mustBuild(t, ds, Options{Seed: 43})
 	queries := ds.Objects[:64]
 	for i := 0; i < 4; i++ {
-		x.Search(&queries[i], 10, 0.5)
+		mustDo(x, SearchRequest{Query: &queries[i], K: 10, Lambda: 0.5})
 	}
 	base := runtime.NumGoroutine()
 	for i := range queries {
-		x.Search(&queries[i], 10, 0.5)
+		mustDo(x, SearchRequest{Query: &queries[i], K: 10, Lambda: 0.5})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -314,7 +340,7 @@ func TestStripedReadsLeaveNoGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range queries {
-				x.Search(&queries[(i+g*16)%len(queries)], 10, 0.5)
+				mustDo(x, SearchRequest{Query: &queries[(i+g*16)%len(queries)], K: 10, Lambda: 0.5})
 			}
 		}()
 	}
@@ -407,7 +433,7 @@ func TestStripedNeverAtOneProc(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		q := ds.Objects[i]
 		want := x.core.SearchOptionsInto(nil, &q, 10, 0.5, core.SearchOptions{}, nil)
-		equalResults(t, fmt.Sprintf("q%d", i), want, x.Search(&q, 10, 0.5))
+		equalResults(t, fmt.Sprintf("q%d", i), want, mustDo(x, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
 	}
 	if hooked && log.offered.Load() != 0 {
 		t.Fatalf("%d reads offered a stripe under GOMAXPROCS(1)", log.offered.Load())

@@ -84,12 +84,20 @@ func Tune(ds *Dataset, cfg TuneConfig) (results []TuneResult, best int, err erro
 			var exactTotal, approxTotal time.Duration
 			var errSum float64
 			for qi := range queries {
+				req := SearchRequest{Query: &queries[qi], K: cfg.K, Lambda: cfg.Lambda}
 				t0 := time.Now()
-				exact := idx.Search(&queries[qi], cfg.K, cfg.Lambda)
+				exact, err := idx.Do(req)
 				exactTotal += time.Since(t0)
+				if err != nil {
+					return nil, 0, fmt.Errorf("cssi: tune: %w", err)
+				}
+				req.Approx = true
 				t0 = time.Now()
-				approx := idx.SearchApprox(&queries[qi], cfg.K, cfg.Lambda)
+				approx, err := idx.Do(req)
 				approxTotal += time.Since(t0)
+				if err != nil {
+					return nil, 0, fmt.Errorf("cssi: tune: %w", err)
+				}
 				errSum += ErrorRate(exact, approx)
 			}
 			n := float64(len(queries))
