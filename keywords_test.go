@@ -87,6 +87,18 @@ func TestSearchWithKeywordsNoMatch(t *testing.T) {
 	}
 }
 
+func TestSearchWithKeywordsPanicsWhenDisabled(t *testing.T) {
+	ds := testDataset(t, 50)
+	idx := mustBuild(t, ds, Options{Seed: 42})
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, ErrKeywordFilterDisabled) {
+			t.Fatalf("panic %v, want ErrKeywordFilterDisabled", err)
+		}
+	}()
+	mustDo(idx, SearchRequest{Query: &ds.Objects[0], K: 3, Lambda: 0.5, Keywords: []string{"word"}})
+}
+
 func TestKeywordFilterMaintenance(t *testing.T) {
 	ds, idx := keywordFixture(t)
 	if !idx.KeywordFilterEnabled() {
