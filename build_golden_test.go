@@ -11,7 +11,8 @@ import (
 // sha256 of the three shards' Save bytes in shard order. Like
 // internal/core's TestBuildGolden, the digests were re-pinned when the
 // index changed on purpose (cluster counts derived per shard from its
-// own objects, member lists saved in L_s order); BuildSharded adds the
+// own objects, member lists saved in L_s order, the cluster router's
+// weights dropped from the file); BuildSharded adds the
 // partitioning, the shared anchor set, the per-shard cluster counts and
 // the per-shard seeds to what that test covers.
 func TestBuildGoldenSharded(t *testing.T) {
@@ -19,8 +20,8 @@ func TestBuildGoldenSharded(t *testing.T) {
 		t.Skip("digests pinned on amd64 (see internal/core TestBuildGolden)")
 	}
 	want := map[DatasetKind]string{
-		TwitterLike: "ae5054abdc7082a183e7296887fa8dd129239617939682bc2eb4a8d3a7adc835",
-		YelpLike:    "fbbd1862b43e04395c23c552d181df2384488916a76007a51bc87e33dab03b0f",
+		TwitterLike: "c8aaf58096d9818648fa085a063841e8e84bde4e7da606ebf3c9a843dc69eeed",
+		YelpLike:    "2008064822e6ffecf0a464944ff26c1aee0f41c78804f766fe36bd71075fe656",
 	}
 	for _, kind := range []DatasetKind{TwitterLike, YelpLike} {
 		ds, err := GenerateDataset(DatasetConfig{Kind: kind, Size: 3000, Dim: 32, Seed: 51})

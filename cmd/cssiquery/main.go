@@ -49,8 +49,6 @@ func main() {
 		qtext  = flag.String("text", "", "query text (requires a generated dataset)")
 		k      = flag.Int("k", 10, "number of neighbors")
 		lambda = flag.Float64("lambda", 0.5, "balance parameter λ (1 = purely spatial)")
-		route  = flag.Bool("route", false, "also run the routed approximate mode of the learned cluster router")
-		target = flag.Float64("route-target", 0, "routed approximate recall knob in (0,1] (0 = library default)")
 		trace  = flag.Bool("trace", false, "record and print the exact query's span tree (the trace a server would retain in /debug/traces)")
 		srvURL = flag.String("server", "", "with -trace: send the query to this cssiserve base URL and fetch the retained trace back")
 	)
@@ -103,25 +101,6 @@ func main() {
 	fmt.Printf("\nCSSIA (approximate, %v): visited %d objects, result error %.2f%%\n",
 		approxTime.Round(time.Microsecond), stApprox.VisitedObjects, 100*cssi.ErrorRate(exact, approx))
 	printResults(ds, approx)
-
-	if *route {
-		if !idx.RouterTrained() {
-			fmt.Printf("\nrouted mode: no trained router (index too small); -route falls back to plain CSSIA\n")
-		}
-		var stRA cssi.Stats
-		t0 = time.Now()
-		routedApprox, err := idx.Do(cssi.SearchRequest{
-			Query: q, K: *k, Lambda: *lambda,
-			Approx: true, Route: true, RouteTarget: *target, Stats: &stRA,
-		})
-		if err != nil {
-			fail(err)
-		}
-		raTime := time.Since(t0)
-		fmt.Printf("\nCSSIA routed (approximate, %v): visited %d objects, clusters routed %d, result error %.2f%%\n",
-			raTime.Round(time.Microsecond), stRA.VisitedObjects, stRA.ClustersRouted, 100*cssi.ErrorRate(exact, routedApprox))
-		printResults(ds, routedApprox)
-	}
 
 	if *trace {
 		if err := traceLocally(idx, q, *k, *lambda); err != nil {
@@ -218,10 +197,9 @@ func printTrace(t *obs.Trace) {
 		st := &sp.Stats
 		fmt.Printf("  span shard=%d objects=%d duration=%v\n", sp.Shard, sp.Objects,
 			time.Duration(sp.DurationNanos).Round(time.Microsecond))
-		fmt.Printf("       order=%v scan=%v route=%v delta=%v\n",
+		fmt.Printf("       order=%v scan=%v delta=%v\n",
 			time.Duration(st.OrderNanos).Round(time.Microsecond),
 			time.Duration(st.ScanNanos).Round(time.Microsecond),
-			time.Duration(st.RouteNanos).Round(time.Microsecond),
 			time.Duration(st.DeltaNanos).Round(time.Microsecond))
 		fmt.Printf("       visited=%d interPruned=%d intraPruned=%d clusters examined=%d pruned=%d readEff=%.3f\n",
 			st.VisitedObjects, st.InterPruned, st.IntraPruned,

@@ -47,8 +47,6 @@ func main() {
 		shards    = flag.Int("shards", 1, "shard count when building (a loaded index keeps its stored shard count)")
 		indexPath = flag.String("index", "", "load a saved index (file or sharded directory) instead of generating")
 		savePath  = flag.String("save", "", "after building, save the index here (a directory when -shards > 1)")
-		route     = flag.Bool("route", false, "use the learned cluster router by default on query requests (a request's own \"route\" field still wins)")
-		target    = flag.Float64("route-target", 0, "default routed-approximate recall knob in (0,1] for requests that omit routeTarget (0 = library default)")
 		deltaThr  = flag.Int("delta-threshold", 0, "write-overlay compaction threshold per shard: >0 ops before a background fold, 0 = library default, -1 disables the overlay (eager clone per write)")
 		traceBuf  = flag.Int("trace-buffer", 1024, "retained-trace ring capacity for the always-on tracer (0 disables tracing)")
 		slowQuery = flag.Duration("slow-query", 100*time.Millisecond, "latency at which a query trace is always retained and logged (0 disables the slow rule)")
@@ -114,7 +112,6 @@ func main() {
 
 	api := server.NewSharded(idx, model)
 	api.SetLogger(logger)
-	api.SetRouteDefaults(*route, *target)
 	if err := api.SetDeltaDefaults(*deltaThr); err != nil {
 		fatal(logger, "invalid -delta-threshold", "value", *deltaThr, "error", err)
 	}
@@ -125,9 +122,6 @@ func main() {
 	}
 	if err := api.SetSLOObjectives(objectives); err != nil {
 		fatal(logger, "invalid -slo", "value", *slo, "error", err)
-	}
-	if *route && !idx.RouterTrained() {
-		logger.Warn("router default requested but not every shard carries a trained router; untrained shards run unrouted")
 	}
 	if *cacheCap != 0 {
 		capacity := *cacheCap

@@ -137,11 +137,6 @@ const DefaultDeltaCompactThreshold = core.DefaultDeltaCompactThreshold
 // Options.DeltaCompactThreshold: every write clones eagerly.
 const DeltaDisabled = core.DeltaDisabled
 
-// DefaultRouteTarget is the routed approximate mode's probability-mass
-// coverage target used when SearchRequest.RouteTarget is zero or
-// negative.
-const DefaultRouteTarget = core.DefaultRouteTarget
-
 // Index answers semantic spatio-textual k-NN queries. Obtain one from
 // Build. An Index is safe for concurrent Do/DoBatch calls;
 // Insert/Delete/Update require external synchronization.
@@ -324,12 +319,6 @@ func (x *Index) rebuildFresh() (*Index, error) {
 // published snapshot is complete and coherent; production code never
 // needs it.
 func (x *Index) CheckInvariants() error { return x.core.CheckInvariants() }
-
-// RouterTrained reports whether the index carries a trained cluster
-// router. Training is skipped on tiny indexes (too few objects or
-// clusters to learn from) and Route requests then silently fall back to
-// the unrouted algorithms.
-func (x *Index) RouterTrained() bool { return x.core.Router() != nil }
 
 // UpdatesSinceBuild reports how many Insert/Delete operations have been
 // applied since the last (re)build, as a rebuild heuristic for callers.

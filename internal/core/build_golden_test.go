@@ -14,7 +14,7 @@ import (
 
 // goldenDigest is the sha256 of everything Build decides: the Save
 // bytes (objects in storage order, arenas, PCA model, centroids, radii,
-// assignments, member lists in order, router weights — the format holds
+// assignments, member lists in order — the format holds
 // no map, so it is deterministic) followed by the anchor arena, which
 // Save leaves out.
 func goldenDigest(t *testing.T, x *Index) string {
@@ -36,8 +36,9 @@ func goldenDigest(t *testing.T, x *Index) string {
 // reproduces these digests or it changed the index. They were re-pinned
 // when the index changed on purpose — cluster counts √n·f scaled by 0.7
 // and derived per build, a fixed anchor count, member lists saved in
-// their maintained L_s order with zero counts kept in the saved Config —
-// and were unchanged by the build-kernel rework before that. "shared"
+// their maintained L_s order with zero counts kept in the saved Config,
+// the cluster router's weights dropped from the file — and were
+// unchanged by the build-kernel rework before that. "shared"
 // is the shape BuildSharded gives a shard: an anchor set fitted over
 // the whole corpus, the build over a third of it deriving its own
 // cluster counts.
@@ -46,10 +47,10 @@ func TestBuildGolden(t *testing.T) {
 		t.Skip("digests pinned on amd64: an architecture whose compiler fuses multiply-adds rounds the float64 reductions differently")
 	}
 	want := map[string]string{
-		"twitter/flat":   "337a414143eb11ab5606f156ef116e4958c32110d5705d6308f539b7ce327bb3",
-		"twitter/shared": "e295f4123f0febacfdbff7b0ee90764d5d7a1916e65d3ce22eddceaa929d74c4",
-		"yelp/flat":      "cd5f34eadc38e88fc93b61c97e99d9de4258e71c0b885c340ecef71eaae8dc5b",
-		"yelp/shared":    "856806244281c578664953eb2e8549789670c99d9f98b875d4a3fbbfa9e3ea7c",
+		"twitter/flat":   "b07d46062abed249712200b4068349215f46f071f055bce452dce52dcd9810eb",
+		"twitter/shared": "24219601ede29782f65321110935ec2ca9411410e30350b894b4ec54778e5415",
+		"yelp/flat":      "76a6e659cc01c16fe051b50e5211f3556f88641db421628dc81687d0420b04e8",
+		"yelp/shared":    "1fb990cf71ad8c6d16bd38b07d7d692c48d2020dce739718995b06962cc6270a",
 	}
 	for _, kind := range []dataset.Kind{dataset.TwitterLike, dataset.YelpLike} {
 		ds, err := dataset.Generate(dataset.GenConfig{Kind: kind, Size: 3000, Dim: 32, Seed: 51})

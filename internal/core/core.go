@@ -29,7 +29,6 @@ import (
 	"repro/internal/metric"
 	"repro/internal/par"
 	"repro/internal/pca"
-	"repro/internal/route"
 	"repro/internal/vec"
 )
 
@@ -61,8 +60,8 @@ type Config struct {
 	KMeansIters int
 	// Workers bounds the goroutines of every parallel build phase — both
 	// K-Means, the PCA sketch, the projections, centroid means and
-	// distances, element arrays, the arena layout, anchoring, the
-	// router's labelling queries and the facade's keyword postings (0 =
+	// distances, element arrays, the arena layout, anchoring and the
+	// facade's keyword postings (0 =
 	// GOMAXPROCS; the paper notes that K-Means and hybrid-cluster
 	// formation parallelize readily, §7.5). The built index does not
 	// depend on it, bit for bit; 1 runs the whole build on the calling
@@ -229,14 +228,6 @@ type Index struct {
 	// CloneForWrite copies the struct header so clones grow it
 	// independently.
 	anchors *anchorArena
-
-	// router is the learned cluster-routing model (nil on indexes too
-	// small to train one; see route.go). Immutable after training:
-	// snapshots and COW clones share it by pointer, rebuilds retrain it.
-	// routerFold is its precomputed inference form (set with router by
-	// setRouter); the query path scores with the fold only.
-	router     *route.Model
-	routerFold route.Folded
 
 	pcaModel *pca.Model
 
@@ -493,11 +484,6 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	x.builtSRad = append([]float64(nil), x.sRad...)
 	x.builtTRadProj = append([]float64(nil), x.tRadProj...)
 	tm.Hybrid = time.Since(phase)
-	// Train the learned cluster router last: its labeling self-queries
-	// are ordinary exact searches, which need the finished index.
-	phase = time.Now()
-	x.setRouter(x.trainRouter())
-	tm.Route = time.Since(phase)
 	return x, nil
 }
 

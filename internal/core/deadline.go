@@ -4,8 +4,8 @@ import "time"
 
 // Deadline-aware search: SearchOptions can carry an absolute time
 // budget (and a cancellation signal), and every cluster-consuming loop
-// — the exact frontier, CSSIA's projected frontier and the routed
-// approximate visit loop — polls it once per cluster pop, reading the
+// — the exact frontier and CSSIA's projected frontier — polls it once
+// per cluster pop, reading the
 // wall clock only every deadlineCheckEvery pops so the hot path stays
 // branch-cheap. When the budget fires the loop stops consuming clusters
 // and the query returns the heap accumulated so far and reports the

@@ -136,14 +136,14 @@ type BuildTimings struct {
 	// Hybrid covers representation computation, hybrid-cluster formation
 	// and array building.
 	Hybrid time.Duration
-	// Route covers training the learned cluster router (self-query
-	// labeling plus the gradient-descent fit).
+	// Route is always zero: kept for bench/ until the benchmark-only
+	// change drops the core.build_route_s row.
 	Route time.Duration
 }
 
 // Total returns the summed construction time.
 func (t BuildTimings) Total() time.Duration {
-	return t.Spatial + t.PCA + t.Semantic + t.Hybrid + t.Route
+	return t.Spatial + t.PCA + t.Semantic + t.Hybrid
 }
 
 // BuildTimed is Build with a phase-time breakdown.

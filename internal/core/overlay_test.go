@@ -139,13 +139,9 @@ func TestOverlayExactEquivalence(t *testing.T) {
 			eager.SearchAblated(&q, 10, 0.5, opts, nil),
 			overlay.SearchAblated(&q, 10, 0.5, opts, nil))
 	}
-	// Routed exact: bit-identical like any exact mode.
-	identicalResults(t, "routed exact",
-		eager.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Route: true}, nil),
-		overlay.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Route: true}, nil))
 }
 
-// The approximate modes must never resurrect a deleted object nor miss
+// The approximate mode must never resurrect a deleted object nor miss
 // an overlay insert that the eagerly-mutated clone returns. (Their
 // base-cluster coverage is heuristic, so full bit-identity is not the
 // contract; full-delta scanning plus tombstone skipping is.)
@@ -165,8 +161,6 @@ func TestOverlayApproxNoResurrection(t *testing.T) {
 	for qi := 0; qi < 6; qi++ {
 		q := f.ds.Objects[(qi*131+5)%f.ds.Len()]
 		check("approx", overlay.SearchApprox(&q, 20, 0.5, nil))
-		check("routed", overlay.SearchOptionsInto(nil, &q, 20, 0.5,
-			SearchOptions{Approx: true, Route: true}, nil))
 	}
 }
 

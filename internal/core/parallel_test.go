@@ -36,7 +36,7 @@ func TestMaxPerPartitionEmpty(t *testing.T) {
 
 // sameBuild fails unless a and b are the same index structurally: what
 // Build decided (storage order, assignments, centroids, radii, PCA axes,
-// anchors, every cluster's array, router weights), not merely what a
+// anchors, every cluster's array), not merely what a
 // search over it returns — any correct index returns the exact answer.
 func sameBuild(t *testing.T, ctx string, a, b *Index) {
 	t.Helper()
@@ -70,7 +70,6 @@ func sameBuild(t *testing.T, ctx string, a, b *Index) {
 	eq("anchor points", a.anchors.set.pts, b.anchors.set.pts)
 	eq("anchor ids", a.anchors.id, b.anchors.id)
 	eq("anchor distances", a.anchors.dist, b.anchors.dist)
-	eq("router", a.router, b.router)
 	if len(a.clusters) != len(b.clusters) {
 		t.Fatalf("%s: %d clusters vs %d", ctx, len(a.clusters), len(b.clusters))
 	}
@@ -102,11 +101,11 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 				if sa != sb {
 					t.Fatalf("%s: query %d counters %+v vs %+v", ctx, qi, sa, sb)
 				}
-				a = f1.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Approx: true, Route: true}, &sa)
-				b = fw.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Approx: true, Route: true}, &sb)
-				sameResults(t, ctx+" routed", a, b)
+				a = f1.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Approx: true}, &sa)
+				b = fw.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Approx: true}, &sb)
+				sameResults(t, ctx+" approx", a, b)
 				if sa != sb {
-					t.Fatalf("%s: routed query %d counters %+v vs %+v", ctx, qi, sa, sb)
+					t.Fatalf("%s: approx query %d counters %+v vs %+v", ctx, qi, sa, sb)
 				}
 			}
 			if err := fw.idx.CheckInvariants(); err != nil {

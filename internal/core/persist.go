@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/metric"
 	"repro/internal/pca"
-	"repro/internal/route"
 )
 
 // Index persistence: Save writes everything needed to answer queries —
@@ -44,7 +43,8 @@ type gobHybrid struct {
 // this struct and leaves struct fields absent from the stream at their
 // zero value, so both layouts decode through it — as do files that still
 // carry the removed SQ8 arena (four Quant* fields here and its on/off
-// flag in Cfg), whose fields are skipped.
+// flag in Cfg) or the removed cluster router (five Route* fields), whose
+// fields are skipped.
 type gobIndex struct {
 	Version int
 	Cfg     Config
@@ -80,25 +80,13 @@ type gobIndex struct {
 	SAssign, TAssign   []int
 	Clusters           []gobHybrid
 	UpdatesSinceBuild_ int
-
-	// The learned cluster router (version 4): the logistic layer's
-	// weights and the feature standardization. All empty when the saved
-	// index had no trained router (too small, degenerate training set);
-	// older files leave them at their gob zero values and Load retrains
-	// transparently. RouteHasModel disambiguates "saved without a
-	// router" from "pre-v4 file": a v4 file with it false loads with a
-	// nil router instead of paying a pointless retrain.
-	RouteHasModel         bool
-	RouteBias             float64
-	RouteW                []float64
-	RouteMean, RouteScale []float64
 }
 
 const (
 	persistVersionV1 = 1 // per-object vectors + [][]float32 projections
 	persistVersionV2 = 2 // flat vector/projection arenas
 	persistVersionV3 = 3 // v2 + an SQ8 arena no code reads any more (gob skips its fields)
-	persistVersion   = 4 // v3 + the learned cluster-routing model
+	persistVersion   = 4 // v3 + a learned cluster router no code reads any more (gob skips its fields)
 )
 
 // Save writes the index (including its metric-space normalizers) to w.
@@ -148,13 +136,6 @@ func (x *Index) Save(w io.Writer) error {
 		SAssign:            widenAssign(x.sAssign),
 		TAssign:            widenAssign(x.tAssign),
 		UpdatesSinceBuild_: x.UpdatesSinceBuild,
-	}
-	if x.router != nil {
-		g.RouteHasModel = true
-		g.RouteBias = x.router.Bias
-		g.RouteW = x.router.W
-		g.RouteMean = x.router.Mean
-		g.RouteScale = x.router.Scale
 	}
 	g.Clusters = make([]gobHybrid, len(x.clusters))
 	for i, c := range x.clusters {
@@ -319,21 +300,6 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	x.anchors = x.buildAnchors(nil)
 	for _, c := range x.clusters {
 		x.fillClusterBlock(c)
-	}
-	// Restore the learned cluster router: version-4 files carry the
-	// weights verbatim; older files retrain from the restored index (a
-	// handful of self-queries — the clusters above must be built first),
-	// so a legacy load transparently gains routed search. A v4 file
-	// explicitly saved without a router stays routerless.
-	if g.RouteHasModel {
-		m := &route.Model{Bias: g.RouteBias, W: g.RouteW, Mean: g.RouteMean, Scale: g.RouteScale}
-		if !m.Valid(routeFeatureCount) {
-			return nil, nil, fmt.Errorf("core: load: routing model has %d weights, want %d",
-				len(g.RouteW), routeFeatureCount)
-		}
-		x.setRouter(m)
-	} else if g.Version < persistVersion {
-		x.setRouter(x.trainRouter())
 	}
 	return x, space, nil
 }

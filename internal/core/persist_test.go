@@ -226,10 +226,11 @@ func TestLoadRejectsBadClusterSides(t *testing.T) {
 }
 
 // A file written by the last commit that still kept an SQ8 arena (200
-// objects × 8 dims, version 4: four Quant* fields in the stream and the
-// arena's on/off flag in Cfg's wire type) loads — gob skips what
-// gobIndex no longer declares — and answers exactly. Saving it again
-// drops the arena's dim+4 bytes per object and nothing an answer reads.
+// objects × 8 dims, version 4: four Quant* fields in the stream, the
+// arena's on/off flag in Cfg's wire type and the five Route* fields of
+// the removed cluster router) loads — gob skips what gobIndex no longer
+// declares — and answers exactly. Saving it again drops the arena's
+// dim+4 bytes per object and the router, and nothing an answer reads.
 func TestLoadParentWrittenFile(t *testing.T) {
 	raw, err := os.ReadFile("testdata/parent_v4_quant.cssi")
 	if err != nil {
@@ -237,6 +238,9 @@ func TestLoadParentWrittenFile(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte("QuantCodes")) {
 		t.Fatal("fixture carries no quant arena")
+	}
+	if !bytes.Contains(raw, []byte("RouteW")) {
+		t.Fatal("fixture carries no router weights")
 	}
 	loaded, _, err := Load(bytes.NewReader(raw))
 	if err != nil {
@@ -255,6 +259,9 @@ func TestLoadParentWrittenFile(t *testing.T) {
 	}
 	if shrunk := len(raw) - resaved.Len(); shrunk < n*(dim+4) {
 		t.Fatalf("re-saved file is %d B smaller, want at least %d", shrunk, n*(dim+4))
+	}
+	if bytes.Contains(resaved.Bytes(), []byte("RouteW")) {
+		t.Fatal("re-saved file still carries router weights")
 	}
 	again, _, err := Load(&resaved)
 	if err != nil {

@@ -52,11 +52,6 @@ type searchScratch struct {
 	// slices window the index's arenas: putScratch clears them.
 	blk  clusterBlock
 	gate rowGate
-	// Learned-routing state of the routed approximate mode: routeScore
-	// is its per-cluster probability buffer, routeKey its packed
-	// (probability, position) sort keys.
-	routeScore []float64
-	routeKey   []uint64
 	// Time-budget state (see deadline.go). budgeted arms the per-pop
 	// budget polling for the current query — false (the normal case)
 	// keeps every check a single untaken branch; deadline and cancel

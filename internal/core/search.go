@@ -28,16 +28,6 @@ type SearchOptions struct {
 	// benchmark-only change drops the core.quantoff_p50_us and
 	// core.sq8_search_speedup rows.
 	Quant QuantMode
-	// Route engages the learned cluster router (see route.go): with
-	// Approx it selects the routed approximate mode whose cluster
-	// coverage is tuned by RouteTarget. It has no effect on exact
-	// queries, and is silently ignored when the index has no trained
-	// router.
-	Route bool
-	// RouteTarget is the routed approximate mode's probability-mass
-	// coverage in (0,1]; <= 0 selects DefaultRouteTarget. Ignored
-	// outside Route+Approx.
-	RouteTarget float64
 	// Deadline, when non-zero, is the absolute instant past which the
 	// query stops consuming clusters and returns the admissible prefix
 	// accumulated so far (see deadline.go), reporting the truncation
@@ -163,13 +153,10 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 		sc.rs.radius = *opts.Radius
 	}
 	n := len(dst)
-	switch {
-	case !opts.Approx:
-		dst = x.searchWithSeed(sc, dst, opts.Seed, q, k, lambda, opts.Striped && st == nil, st)
-	case opts.Route && x.router != nil:
-		dst = x.searchRoutedWith(sc, dst, q, k, lambda, routeTargetOrDefault(opts.RouteTarget), st)
-	default:
+	if opts.Approx {
 		dst = x.searchApproxWith(sc, dst, q, k, lambda, st)
+	} else {
+		dst = x.searchWithSeed(sc, dst, opts.Seed, q, k, lambda, opts.Striped && st == nil, st)
 	}
 	if opts.Partial != nil {
 		*opts.Partial = sc.partial

@@ -18,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"table2", "table4", "table5", "table6",
-		"ablation", "batch", "hnsw", "niq", "obs", "overlay", "parallel", "route", "serve", "skew",
+		"ablation", "batch", "hnsw", "niq", "obs", "overlay", "parallel", "serve", "skew",
 	}
 	ids := IDs()
 	if len(ids) != len(want) {

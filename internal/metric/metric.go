@@ -150,11 +150,6 @@ type Stats struct {
 	// cluster; on a pruned query ClustersOrdered equals ClustersExamined
 	// and stays far below ClustersExamined+ClustersPruned.
 	ClustersOrdered int64 `json:"clustersOrdered"`
-	// ClustersRouted counts clusters whose visit position was decided by
-	// the learned router instead of the admissible bound order: every
-	// cluster the routed approximate mode visited. Zero on exact and on
-	// unrouted queries.
-	ClustersRouted int64 `json:"clustersRouted"`
 	// QuantPruned and QuantReranked are always zero: kept for bench/
 	// (and the JSON clients that read the keys) until the benchmark-only
 	// change drops the core.quant_rerank_ratio row.
@@ -177,7 +172,6 @@ func (s *Stats) Add(o *Stats) {
 	s.ClustersExamined += o.ClustersExamined
 	s.ClustersPruned += o.ClustersPruned
 	s.ClustersOrdered += o.ClustersOrdered
-	s.ClustersRouted += o.ClustersRouted
 	s.QuantPruned += o.QuantPruned
 	s.QuantReranked += o.QuantReranked
 	s.AnchorPruned += o.AnchorPruned

@@ -62,10 +62,6 @@ type SearchStats struct {
 	// that read the key) until the benchmark-only change drops the
 	// core.quant_us row.
 	QuantNanos int64 `json:"quantNanos"`
-	// RouteNanos is wall time spent scoring and ordering clusters with
-	// the learned router — a subset of OrderNanos, not additional time.
-	// Zero whenever the query ran without routing.
-	RouteNanos int64 `json:"routeNanos"`
 	// DeltaNanos is wall time spent scanning the snapshot's write
 	// overlay (the base+delta chain). It is disjoint from ScanNanos —
 	// OrderNanos + ScanNanos + DeltaNanos ≤ the query's wall time — so
@@ -84,7 +80,6 @@ func (s *SearchStats) Merge(o *SearchStats) {
 	s.OrderNanos += o.OrderNanos
 	s.ScanNanos += o.ScanNanos
 	s.QuantNanos += o.QuantNanos
-	s.RouteNanos += o.RouteNanos
 	s.DeltaNanos += o.DeltaNanos
 	if o.KthDistance > s.KthDistance {
 		s.KthDistance = o.KthDistance
@@ -174,8 +169,8 @@ type Trace struct {
 	// the single query's result count, or the per-query result counts
 	// summed across a batch.
 	Results int `json:"results,omitempty"`
-	// Algo names the search algorithm: "cssi" (exact), "cssia"
-	// (approximate) or "cssia-routed" (the routed approximate mode).
+	// Algo names the search algorithm: "cssi" (exact) or "cssia"
+	// (approximate).
 	Algo string `json:"algo"`
 	// K and Lambda echo the query parameters.
 	K      int     `json:"k"`
@@ -240,10 +235,9 @@ func (t *Trace) Finish(kth float64, durationNanos int64) {
 }
 
 // CheckInvariants verifies the trace's internal accounting: phase
-// nanos are non-negative and respect the documented subset relations
-// (RouteNanos ⊆ OrderNanos, DeltaNanos disjoint), the vestigial quant
-// fields are zero, the anchor gate skipped no more rows than were
-// visited, each span's phase breakdown fits inside the span's
+// nanos are non-negative, the vestigial quant fields are zero, the
+// anchor gate skipped no more rows than were visited, each span's
+// disjoint phases (order, scan, delta) together fit inside the span's
 // wall time, every span fits inside the request's wall time, and — for
 // sequentially recorded spans — the span durations plus the gather
 // merge sum to no more than the request duration.
@@ -254,7 +248,7 @@ func (t *Trace) CheckInvariants() error {
 			v    int64
 		}{
 			{"orderNanos", s.OrderNanos}, {"scanNanos", s.ScanNanos},
-			{"routeNanos", s.RouteNanos}, {"deltaNanos", s.DeltaNanos},
+			{"deltaNanos", s.DeltaNanos},
 		} {
 			if p.v < 0 {
 				return fmt.Errorf("%s: negative %s %d", what, p.name, p.v)
@@ -264,9 +258,6 @@ func (t *Trace) CheckInvariants() error {
 		// a stale writer.
 		if s.QuantNanos != 0 || s.QuantPruned != 0 || s.QuantReranked != 0 {
 			return fmt.Errorf("%s: quantNanos %d, quantPruned %d, quantReranked %d, want all 0", what, s.QuantNanos, s.QuantPruned, s.QuantReranked)
-		}
-		if s.RouteNanos > s.OrderNanos {
-			return fmt.Errorf("%s: routeNanos %d exceeds orderNanos %d (must be a subset)", what, s.RouteNanos, s.OrderNanos)
 		}
 		if wall > 0 {
 			if sum := s.OrderNanos + s.ScanNanos + s.DeltaNanos; sum > wall {

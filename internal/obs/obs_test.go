@@ -115,7 +115,7 @@ func TestCheckInvariants(t *testing.T) {
 			DurationNanos: 1000,
 			Shards: []ShardSpan{{
 				DurationNanos: 400,
-				Stats:         SearchStats{OrderNanos: 100, ScanNanos: 200, RouteNanos: 50, DeltaNanos: 50},
+				Stats:         SearchStats{OrderNanos: 100, ScanNanos: 200, DeltaNanos: 50},
 			}},
 		}
 		if mut != nil {
@@ -135,7 +135,6 @@ func TestCheckInvariants(t *testing.T) {
 		{"stale quant phase writer", func(tr *Trace) { tr.Shards[0].Stats.QuantNanos = 1 }, "quantNanos"},
 		{"stale quant counter writer", func(tr *Trace) { tr.Shards[0].Stats.QuantReranked = 1 }, "quantReranked"},
 		{"anchor skips exceed visits", func(tr *Trace) { tr.Shards[0].Stats.AnchorPruned = 1 }, "anchorPruned"},
-		{"route exceeds order", func(tr *Trace) { tr.Shards[0].Stats.RouteNanos = 150 }, "routeNanos"},
 		{"phase sum exceeds span wall", func(tr *Trace) { tr.Shards[0].Stats.DeltaNanos = 200 }, "phase sum"},
 		{"span exceeds trace", func(tr *Trace) { tr.Shards[0].DurationNanos = 1500 }, "exceeds trace duration"},
 		{"negative gather", func(tr *Trace) { tr.GatherNanos = -5 }, "gatherNanos"},

@@ -47,13 +47,8 @@ type Key struct {
 	Hash   uint64
 	K      int
 	Lambda float64
-	// Approx, Route and RouteTarget mirror the request's algorithm
-	// knobs. Callers should canonicalize knobs that do not affect the
-	// answer in their context (e.g. RouteTarget outside the routed
-	// approximate mode) so equivalent requests share entries.
-	Approx      bool
-	Route       bool
-	RouteTarget float64
+	// Approx mirrors the request's algorithm switch.
+	Approx bool
 	// Keywords is the canonical keyword set: lowercased, sorted, joined
 	// with NUL (empty for unconstrained requests).
 	Keywords string

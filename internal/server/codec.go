@@ -427,25 +427,20 @@ func (q *queryRequest) scan(sc *scanner) bool {
 			return once(&seen, 1<<6) && sc.float64(&q.Radius)
 		case "approx":
 			return once(&seen, 1<<7) && sc.bool(&q.Approx)
-		case "route":
-			q.Route = new(bool)
-			return once(&seen, 1<<8) && sc.bool(q.Route)
-		case "routeTarget":
-			return once(&seen, 1<<9) && sc.float64(&q.RouteTarget)
 		case "keywords":
-			return once(&seen, 1<<10) && sc.strings(&q.Keywords)
+			return once(&seen, 1<<8) && sc.strings(&q.Keywords)
 		case "loX":
-			return once(&seen, 1<<11) && sc.float64(&q.LoX)
+			return once(&seen, 1<<9) && sc.float64(&q.LoX)
 		case "loY":
-			return once(&seen, 1<<12) && sc.float64(&q.LoY)
+			return once(&seen, 1<<10) && sc.float64(&q.LoY)
 		case "hiX":
-			return once(&seen, 1<<13) && sc.float64(&q.HiX)
+			return once(&seen, 1<<11) && sc.float64(&q.HiX)
 		case "hiY":
-			return once(&seen, 1<<14) && sc.float64(&q.HiY)
+			return once(&seen, 1<<12) && sc.float64(&q.HiY)
 		case "deadlineMs":
-			return once(&seen, 1<<15) && sc.int64(&q.DeadlineMs)
+			return once(&seen, 1<<13) && sc.int64(&q.DeadlineMs)
 		case "cache":
-			return once(&seen, 1<<16) && sc.str(&q.Cache)
+			return once(&seen, 1<<14) && sc.str(&q.Cache)
 		}
 		return false
 	})
@@ -467,17 +462,12 @@ func (b *batchRequest) scan(sc *scanner) bool {
 			return once(&seen, 1<<2) && sc.float64(&b.Lambda)
 		case "approx":
 			return once(&seen, 1<<3) && sc.bool(&b.Approx)
-		case "route":
-			b.Route = new(bool)
-			return once(&seen, 1<<4) && sc.bool(b.Route)
-		case "routeTarget":
-			return once(&seen, 1<<5) && sc.float64(&b.RouteTarget)
 		case "workers":
-			return once(&seen, 1<<6) && sc.int(&b.Workers)
+			return once(&seen, 1<<4) && sc.int(&b.Workers)
 		case "deadlineMs":
-			return once(&seen, 1<<7) && sc.int64(&b.DeadlineMs)
+			return once(&seen, 1<<5) && sc.int64(&b.DeadlineMs)
 		case "cache":
-			return once(&seen, 1<<8) && sc.str(&b.Cache)
+			return once(&seen, 1<<6) && sc.str(&b.Cache)
 		}
 		return false
 	})

@@ -80,7 +80,7 @@ var decodeSeeds = []string{
 	`{"x":0.4,"y":0.6,"vec":%s,"k":5,"lambda":0.5}`,
 	`{"x":0.4,"y":0.6,"text":"wb wc wd","k":5,"lambda":0.5}`,
 	" {\n\t\"x\" : 0.4 ,\r\n \"y\":0.6, \"vec\" : %s , \"k\": 5,\"lambda\":0.5 }\n ",
-	`{"x":0.4,"y":0.6,"vec":%s,"k":5,"lambda":0.5,"radius":0.2,"approx":true,"route":false,"routeTarget":0.8,` +
+	`{"x":0.4,"y":0.6,"vec":%s,"k":5,"lambda":0.5,"radius":0.2,"approx":true,` +
 		`"keywords":["wb","wc"],"loX":0,"loY":0,"hiX":1,"hiY":1,"deadlineMs":50,"cache":"off"}`,
 	`{}`,
 	`{"X":0.4,"Y":0.6,"VEC":%s,"K":5,"Lambda":0.5}`,                      // case-folded keys
@@ -116,11 +116,12 @@ var decodeSeeds = []string{
 	`{"x":0.4,"y":0.6,"vec":%s,"k":99999999999999999999}`,
 	`{"x":0.4,"y":0.6,"vec":%s,"deadlineMs":-1}`,
 	`{"x":0.4,"y":0.6,"vec":%s,"deadlineMs":9223372036854775808}`,
-	`{"x":0.4,"y":0.6,"vec":%s,"route":null}`,
-	`{"x":0.4,"y":0.6,"vec":%s,"route":"yes"}`,
+	`{"x":0.4,"y":0.6,"vec":%s,"approx":null}`,
+	`{"x":0.4,"y":0.6,"vec":%s,"approx":"yes"}`,
 	`{"x":0.4,"y":0.6,"vec":%s,"approx":truex}`,
 	`{"x":0.4,"y":0.6,"vec":%s,"lambda":7}`,
 	`{"x":0.4,"y":0.6,"vec":%s,"bogus":1}`,             // unknown field
+	`{"x":0.4,"y":0.6,"vec":%s,"route":true}`,          // removed field: unknown
 	`{"x":0.4,"y":0.6,"vec":%s,"lambda":0.5} trailing`, // garbage after the closing brace
 	`{"x":0.4,"y":0.6,"vec":%s,"lambda":0.5}{"x":1}`,
 	`{"x":0.4,"y":0.6,"vec":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
@@ -205,7 +206,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	q := `{"x":0.4,"y":0.6,"vec":%s}`
 	seeds := []string{
 		`{"queries":[` + q + `,{"x":0.1,"y":0.2,"text":"wb wc wd"}],"k":3,"lambda":0.5}`,
-		`{"queries":[` + q + `],"k":3,"lambda":0.5,"approx":true,"route":true,"routeTarget":0.9,"workers":2,"deadlineMs":100,"cache":"on"}`,
+		`{"queries":[` + q + `],"k":3,"lambda":0.5,"approx":true,"workers":2,"deadlineMs":100,"cache":"on"}`,
 		` { "queries" : [ ` + q + ` , ` + q + ` ] , "lambda" : 0 } `,
 		`{"queries":[],"lambda":0.5}`,
 		`{"queries":null,"lambda":0.5}`,
@@ -317,16 +318,13 @@ func TestRequestConformance(t *testing.T) {
 		{"default-k", "/v1/search", nil, plain, false},
 		{"k=0", "/v1/search", []string{"k", "0"}, plain, false},
 		{"approx", "/v1/search", []string{"approx", "true"}, func(r *cssi.SearchRequest) { r.Approx = true }, false},
-		{"routed", "/v1/search", []string{"route", "true"}, func(r *cssi.SearchRequest) { r.Route = true }, false},
-		{"routed-approx", "/v1/search", []string{"approx", "true", "route", "true", "routeTarget", "0.9"},
-			func(r *cssi.SearchRequest) { r.Approx, r.Route, r.RouteTarget = true, true, 0.9 }, false},
 		{"keywords", "/v1/keyword-search", []string{"keywords", `["` + kw + `"]`},
 			func(r *cssi.SearchRequest) { r.Keywords = []string{kw} }, false},
 		{"explain", "/v1/debug/explain", nil, plain, false},
 		{"cache-off", "/v1/search", []string{"cache", `"off"`}, plain, false},
 		{"cache-on", "/v1/search", []string{"cache", `"on"`}, plain, false},
 		{"deadline", "/v1/search", []string{"deadlineMs", "60000"}, plain, false},
-		{"null-is-absent", "/v1/search", []string{"k", "null", "route", "null"}, plain, true},
+		{"null-is-absent", "/v1/search", []string{"k", "null", "approx", "null"}, plain, true},
 		// /range and /box: the radius and the window become the request's
 		// shape (K defaults to 10 and caps a range reply); /box ranks by
 		// meaning alone whatever lambda says.
@@ -360,6 +358,9 @@ func TestRequestConformance(t *testing.T) {
 		{"invalid/range-negative-deadline", "/v1/range", []string{"radius", "0.3", "deadlineMs", "-5"}, nil, false},
 		{"invalid/window-inverted", "/v1/box", []string{"loX", "0.9", "hiX", "0.1", "hiY", "1"}, nil, false},
 		{"invalid/box-cache-mode", "/v1/box", []string{"hiX", "1", "hiY", "1", "cache", `"sometimes"`}, nil, false},
+		// route and routeTarget were removed (approx is CSSIA): an unknown
+		// field to both decoders.
+		{"invalid/route-removed", "/v1/search", []string{"approx", "true", "route", "true"}, nil, true},
 	}
 	type reply struct {
 		Results []struct {

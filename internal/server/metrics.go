@@ -36,7 +36,6 @@ type metrics struct {
 	readEfficiency     histogram // per search request: fraction of objects pruned
 	clustersPruned     histogram // per search request: fraction of clusters pruned
 	clustersOrdered    histogram // per search request: ordering-phase pops / clusters considered
-	clustersRouted     histogram // per search request: router-placed clusters / clusters considered
 	anchorPruned       histogram // per search request: visited objects skipped before any kernel / visited
 	shardImbalance     histogram // per traced scatter request: max/mean shard span duration
 
@@ -253,7 +252,6 @@ func newMetrics() *metrics {
 	m.readEfficiency.init(ratioBuckets)
 	m.clustersPruned.init(ratioBuckets)
 	m.clustersOrdered.init(ratioBuckets)
-	m.clustersRouted.init(ratioBuckets)
 	m.anchorPruned.init(ratioBuckets)
 	m.shardImbalance.init(imbalanceBuckets)
 	// Query latency carries exemplars: an OpenMetrics scrape sees which
@@ -352,13 +350,6 @@ func (m *metrics) observeSearchStats(st *cssi.Stats) {
 		// bucket. Well below 1 means the k-NN bound cut the ordering
 		// phase off long before every cluster was even ordered.
 		m.clustersOrdered.observe(float64(st.ClustersOrdered) / float64(clTotal))
-	}
-	// Routed ratio: the fraction of considered clusters whose visit
-	// position the learned router decided. Only observed when routing
-	// actually ran — unrouted queries would otherwise flood the
-	// histogram with zeros.
-	if clTotal > 0 && st.ClustersRouted > 0 {
-		m.clustersRouted.observe(float64(st.ClustersRouted) / float64(clTotal))
 	}
 	// Anchor-pruned ratio: of the objects the scans visited, the fraction
 	// a stored lower bound excluded before any semantic kernel ran. It
@@ -491,8 +482,6 @@ func (m *metrics) handler(sampler func() []cssi.ShardStat, buildVersion, goVersi
 			"Per search request: fraction of clusters dismissed wholesale by the lower-bound cut.", om)
 		m.clustersOrdered.write(&b, "cssi_search_clusters_ordered_ratio",
 			"Per search request: lazy ordering-phase heap pops over clusters considered (re-pushed clusters pop twice, so >1 lands in +Inf).", om)
-		m.clustersRouted.write(&b, "cssi_search_clusters_routed_ratio",
-			"Per search request: fraction of considered clusters placed by the learned router (observed only when routing ran).", om)
 		m.anchorPruned.write(&b, "cssi_search_anchor_pruned_ratio",
 			"Per search request: fraction of visited objects excluded by the anchor bound before any semantic kernel ran.", om)
 		m.shardImbalance.write(&b, "cssi_shard_imbalance_ratio",

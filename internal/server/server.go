@@ -100,13 +100,6 @@ type Server struct {
 	// log channel feeds from.
 	sink *obs.Sink
 
-	// routeDefault turns the learned cluster router on for every /search,
-	// /search/batch and /debug/explain request that does not set "route"
-	// itself; routeTargetDefault fills a missing "routeTarget". Set via
-	// SetRouteDefaults (the cssiserve -route/-route-target flags).
-	routeDefault       bool
-	routeTargetDefault float64
-
 	// admit sizes the per-endpoint admission gates Handler installs on
 	// the query endpoints (nil = no admission control, the default);
 	// gates holds the installed gates for the /metrics sampler. Set via
@@ -118,17 +111,6 @@ type Server struct {
 	// omit deadlineMs (0 = unbounded, the default). Set via
 	// SetDefaultDeadline.
 	defaultDeadline time.Duration
-}
-
-// SetRouteDefaults sets the server-wide routing defaults: with route
-// true every query request engages the learned cluster router unless
-// it explicitly carries "route":false (and a request can still opt in
-// with "route":true when the default is off). target fills requests
-// that omit or zero "routeTarget" (0 keeps the library default). Call
-// before Handler.
-func (s *Server) SetRouteDefaults(route bool, target float64) {
-	s.routeDefault = route
-	s.routeTargetDefault = target
 }
 
 // SetDeltaDefaults sets the write-overlay compaction threshold on every
@@ -397,15 +379,6 @@ type queryRequest struct {
 	Lambda float64   `json:"lambda"`
 	Radius float64   `json:"radius,omitempty"` // /range only
 	Approx bool      `json:"approx,omitempty"` // /search only
-	// Route engages the learned cluster router (/search and
-	// /debug/explain): approximate requests switch to the routed
-	// recall-targeted mode; it has no effect on exact requests. A
-	// pointer so an absent field falls back to the server's -route
-	// default while "route":false still opts out.
-	Route *bool `json:"route,omitempty"`
-	// RouteTarget is the routed approximate mode's recall knob in (0,1];
-	// 0 falls back to the server default, then the library default.
-	RouteTarget float64 `json:"routeTarget,omitempty"`
 	// Keywords are the required terms of /keyword-search (boolean AND).
 	Keywords []string `json:"keywords,omitempty"`
 	// Box window (/box only).
@@ -557,19 +530,6 @@ func (s *Server) buildQuery(req *queryRequest) (*cssi.Object, error) {
 	return &cssi.Object{ID: 1<<32 - 1, X: req.X, Y: req.Y, Text: req.Text, Vec: vec}, nil
 }
 
-// routeKnobs resolves a request's routing fields against the server
-// defaults.
-func (s *Server) routeKnobs(route *bool, target float64) (bool, float64) {
-	on := s.routeDefault
-	if route != nil {
-		on = *route
-	}
-	if target == 0 {
-		target = s.routeTargetDefault
-	}
-	return on, target
-}
-
 // queryRoute is what tells the query endpoints apart before they reach
 // the index: which of the shared request fields the route reads.
 type queryRoute struct {
@@ -586,7 +546,7 @@ type queryRoute struct {
 }
 
 // queryShape names the fields a handleSearch route fills beyond the
-// shared ones: approx and the routing knobs, the radius, or the window.
+// shared ones: approx, the radius, or the window.
 type queryShape int
 
 const (
@@ -682,7 +642,6 @@ func (s *Server) handleSearch(route *queryRoute) func(http.ResponseWriter, *http
 		switch route.shape {
 		case shapeKNN:
 			sr.Approx = req.Approx
-			sr.Route, sr.RouteTarget = s.routeKnobs(req.Route, req.RouteTarget)
 		case shapeRange:
 			sr.Radius = &req.Radius
 		case shapeBox:
@@ -719,12 +678,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, req *quer
 	if !ok {
 		return
 	}
-	route, target := s.routeKnobs(req.Route, req.RouteTarget)
 	var trace cssi.SearchTrace
 	var meta cssi.ResponseMeta
 	rs, err := s.idx.DoContext(r.Context(), cssi.SearchRequest{
 		Query: c.q, K: req.K, Lambda: req.Lambda, Approx: req.Approx,
-		Route: route, RouteTarget: target,
 		Deadline: c.budget, Meta: &meta,
 		Trace: &trace, RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
 	})
@@ -747,11 +704,6 @@ type batchRequest struct {
 	K       int            `json:"k,omitempty"`
 	Lambda  float64        `json:"lambda"`
 	Approx  bool           `json:"approx,omitempty"`
-	// Route and RouteTarget engage the learned cluster router for every
-	// query of the batch, with the same fallback-to-server-default
-	// semantics as the /search fields.
-	Route       *bool   `json:"route,omitempty"`
-	RouteTarget float64 `json:"routeTarget,omitempty"`
 	// Workers bounds the worker pool (0 = GOMAXPROCS). The server clamps
 	// it to GOMAXPROCS regardless, so a client cannot request goroutine
 	// amplification.
@@ -818,12 +770,10 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, req *
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	route, target := s.routeKnobs(req.Route, req.RouteTarget)
 	var st cssi.Stats
 	var meta cssi.ResponseMeta
 	batches, err := s.idx.DoBatchContext(r.Context(), cssi.BatchSearchRequest{
-		Queries: queries, K: req.K, Lambda: req.Lambda,
-		Approx: req.Approx, Route: route, RouteTarget: target,
+		Queries: queries, K: req.K, Lambda: req.Lambda, Approx: req.Approx,
 		Parallelism: req.Workers, Stats: &st,
 		Deadline: budget, Cache: cacheMode, Meta: &meta,
 		RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),

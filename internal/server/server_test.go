@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -532,5 +533,44 @@ func TestSearchRejectsWrongDimVector(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+}
+
+// TestSearchNonFiniteRejected pins the HTTP surface of the validation
+// satellite: non-finite numerics cannot reach the engine. JSON has no
+// NaN/Inf literals, so they arrive as out-of-range numbers — the decode
+// layer must turn them into a 400, not a 500 or silent garbage.
+func TestSearchNonFiniteRejected(t *testing.T) {
+	ts, ds := newTestServer(t)
+	q := ds.Objects[0]
+	vec := `[`
+	for i := range q.Vec {
+		if i > 0 {
+			vec += ","
+		}
+		vec += "0.1"
+	}
+	vec += `]`
+	cases := []struct {
+		name string
+		body string
+	}{
+		{"lambda overflow", `{"x":0.5,"y":0.5,"vec":` + vec + `,"k":5,"lambda":1e999}`},
+		{"coordinate overflow", `{"x":1e999,"y":0.5,"vec":` + vec + `,"k":5,"lambda":0.5}`},
+		{"vec component overflow", `{"x":0.5,"y":0.5,"vec":[1e39` + strings.Repeat(",0.1", len(q.Vec)-1) + `],"k":5,"lambda":0.5}`},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (body %s)", c.name, resp.StatusCode, b)
+		}
+		if !bytes.Contains(b, []byte(`"bad_request"`)) {
+			t.Fatalf("%s: body lacks the bad_request envelope:\n%s", c.name, b)
+		}
 	}
 }

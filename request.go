@@ -35,20 +35,6 @@ type SearchRequest struct {
 	// Approx selects the approximate CSSIA algorithm instead of exact
 	// CSSI.
 	Approx bool
-	// Route engages the learned cluster router trained at Build time:
-	// with Approx it switches to the routed approximate mode that visits
-	// clusters in predicted relevance order until RouteTarget's
-	// probability mass is covered. It has no effect on exact queries
-	// (accepted, answered as if unset). Silently ignored when the index
-	// has no trained router (tiny indexes skip training). The keyword
-	// path ignores Route.
-	Route bool
-	// RouteTarget is the routed approximate mode's recall knob: the
-	// fraction of total predicted probability mass that must be covered
-	// before the scan stops, in (0,1]. <= 0 selects DefaultRouteTarget;
-	// values above 1 behave as 1 (visit everything). Ignored unless both
-	// Route and Approx are set.
-	RouteTarget float64
 	// Keywords, when non-empty, restricts results to objects whose text
 	// contains every keyword (boolean AND, stop words ignored).
 	// Requires EnableKeywordFilter (ErrKeywordFilterDisabled otherwise);
@@ -123,11 +109,6 @@ type BatchSearchRequest struct {
 	Lambda float64
 	// Approx selects CSSIA instead of exact CSSI.
 	Approx bool
-	// Route and RouteTarget select the learned cluster router for every
-	// query of the batch, with the same contract as the SearchRequest
-	// fields of the same names.
-	Route       bool
-	RouteTarget float64
 	// Parallelism bounds the worker pool; <= 0 selects GOMAXPROCS and
 	// larger values are clamped to GOMAXPROCS. An exact batch never runs
 	// on more goroutines than this, on a sharded index too.
@@ -195,16 +176,13 @@ var ErrInvalidLambda = errors.New("cssi: lambda out of [0,1]")
 
 // validateKnobs rejects the malformed shared knobs of a request, in the
 // one fixed order every flavor's Do and DoBatch report them: K, then
-// Lambda, then RouteTarget.
-func validateKnobs(k int, lambda, routeTarget float64) error {
+// Lambda.
+func validateKnobs(k int, lambda float64) error {
 	if k < 1 {
 		return fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
 	if math.IsNaN(lambda) || lambda < 0 || lambda > 1 {
 		return fmt.Errorf("%w: got %v", ErrInvalidLambda, lambda)
-	}
-	if math.IsNaN(routeTarget) || math.IsInf(routeTarget, 0) {
-		return fmt.Errorf("%w: RouteTarget %v is not finite", ErrUnsupportedRequest, routeTarget)
 	}
 	return nil
 }
@@ -237,7 +215,7 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // the combinations it excludes, then the keyword-incompatible
 // combinations and the keyword filter's presence.
 func (req *SearchRequest) validate(v *view) error {
-	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget); err != nil {
+	if err := validateKnobs(req.K, req.Lambda); err != nil {
 		return err
 	}
 	if err := validateQuery(req.Query, v.at(0).Dim()); err != nil {
@@ -272,7 +250,7 @@ func (req *SearchRequest) validate(v *view) error {
 // then every query, identifying the offending one. All of it runs on
 // the caller's goroutine, before any fan-out.
 func (req *BatchSearchRequest) validate(dim int) error {
-	if err := validateKnobs(req.K, req.Lambda, req.RouteTarget); err != nil {
+	if err := validateKnobs(req.K, req.Lambda); err != nil {
 		return err
 	}
 	for i := range req.Queries {

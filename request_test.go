@@ -83,7 +83,6 @@ func requestFixturesWith(t *testing.T, ds *Dataset, opts Options, keywordFilter 
 // every flavor, and (d) leave observers (Explain, Trace) with exactly
 // the Stats of the same un-observed request.
 func TestRequestConformance(t *testing.T) {
-	// Large enough that Build trains the cluster router.
 	ds := testDataset(t, 2500)
 	space, err := metric.NewSpace(ds)
 	if err != nil {
@@ -154,13 +153,6 @@ func TestRequestConformance(t *testing.T) {
 	shapes := []shape{
 		{name: "exact", exact: true},
 		{name: "approx", mod: func(r *SearchRequest) { r.Approx = true }, perFlavor: true},
-		{name: "routed", mod: func(r *SearchRequest) { r.Route, r.Stats = true, new(Stats) }, exact: true,
-			check: func(t *testing.T, api searchAPI, r *SearchRequest, got []Result, plain Stats) {
-				if *r.Stats != plain {
-					t.Fatalf("Route changed an exact search's work: %+v, unrouted %+v", *r.Stats, plain)
-				}
-			}},
-		{name: "routed-approx", mod: func(r *SearchRequest) { r.Approx, r.Route = true, true }, perFlavor: true},
 		{name: "keywords", mod: func(r *SearchRequest) { r.Keywords = []string{kw} }},
 		{name: "explain", mod: func(r *SearchRequest) { r.Explain = new(ExplainStats) }, exact: true,
 			check: func(t *testing.T, api searchAPI, r *SearchRequest, got []Result, plain Stats) {
@@ -238,7 +230,6 @@ func TestRequestConformance(t *testing.T) {
 			q.Vec[3] = float32(math.Inf(1))
 			r.Query = &q
 		}, wantErr: ErrInvalidQuery},
-		{name: "invalid/route-target-nan", mod: func(r *SearchRequest) { r.Approx, r.Route, r.RouteTarget = true, true, math.NaN() }, wantErr: ErrUnsupportedRequest},
 		{name: "invalid/keywords+approx", mod: func(r *SearchRequest) { r.Keywords, r.Approx = []string{kw}, true }, wantErr: ErrUnsupportedRequest},
 		{name: "invalid/keywords+explain", mod: func(r *SearchRequest) { r.Keywords, r.Explain = []string{kw}, new(ExplainStats) }, wantErr: ErrUnsupportedRequest},
 		{name: "invalid/keywords+trace", mod: func(r *SearchRequest) { r.Keywords, r.Trace = []string{kw}, new(SearchTrace) }, wantErr: ErrUnsupportedRequest},
@@ -334,11 +325,11 @@ func TestRequestConformance(t *testing.T) {
 		})
 	}
 
-	// Route on an exact request is accepted and changes nothing at the
-	// corners of the ordering either: λ = 1 (every semantic share of the
-	// bound is 0, so whole rows of clusters tie), λ = 0, k ≥ n, an index
-	// of one hybrid cluster, and an index whose every object is deleted.
-	t.Run("routed-edges", func(t *testing.T) {
+	// Exact requests stay exact at the corners of the ordering: λ = 1
+	// (every semantic share of the bound is 0, so whole rows of clusters
+	// tie), λ = 0, k ≥ n, an index of one hybrid cluster, and an index
+	// whose every object is deleted.
+	t.Run("exact-edges", func(t *testing.T) {
 		small := testDataset(t, 150)
 		smallSpace, err := metric.NewSpace(small)
 		if err != nil {
@@ -369,7 +360,7 @@ func TestRequestConformance(t *testing.T) {
 						if !fx.wipe {
 							want = smallOracle.Search(&q, k, lambda, nil)
 						}
-						got, err := api.do(SearchRequest{Query: &q, K: k, Lambda: lambda, Route: true})
+						got, err := api.do(SearchRequest{Query: &q, K: k, Lambda: lambda})
 						if err != nil {
 							t.Fatalf("%s %s: %v", fx.name, api.name, err)
 						}
@@ -413,7 +404,6 @@ func TestRequestConformance(t *testing.T) {
 			for _, mod := range []func(*SearchRequest){
 				nil,
 				func(r *SearchRequest) { r.Approx = true },
-				func(r *SearchRequest) { r.Route = true },
 			} {
 				one := SearchRequest{K: 7, Lambda: 0.4}
 				if mod != nil {
@@ -421,7 +411,7 @@ func TestRequestConformance(t *testing.T) {
 				}
 				var stBatch, stSingle Stats
 				got, err := api.doBatch(BatchSearchRequest{Queries: queries, K: one.K, Lambda: one.Lambda, Approx: one.Approx,
-					Route: one.Route, Parallelism: 2, Stats: &stBatch})
+					Parallelism: 2, Stats: &stBatch})
 				if err != nil {
 					t.Fatalf("%s: %v", api.name, err)
 				}
@@ -550,12 +540,18 @@ func TestAPISurface(t *testing.T) {
 		}
 	}
 
-	// The quantization knobs were removed without replacement.
+	// The quantization and cluster-routing knobs were removed without
+	// replacement: Approx means CSSIA.
 	for _, typ := range []reflect.Type{reflect.TypeOf(Options{}), reflect.TypeOf(SearchRequest{}), reflect.TypeOf(BatchSearchRequest{})} {
 		for i := 0; i < typ.NumField(); i++ {
-			if name := typ.Field(i).Name; strings.Contains(name, "Quant") {
-				t.Errorf("%v.%s: quantization knob is back", typ, name)
+			if name := typ.Field(i).Name; strings.Contains(name, "Quant") || strings.HasPrefix(name, "Route") {
+				t.Errorf("%v.%s: removed knob is back", typ, name)
 			}
+		}
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(&Index{}), reflect.TypeOf(&ShardedIndex{})} {
+		if _, ok := typ.MethodByName("RouterTrained"); ok {
+			t.Errorf("%v.RouterTrained is back", typ)
 		}
 	}
 

@@ -220,7 +220,7 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 	}
 	var key rescache.Key
 	if cache != nil {
-		key = cacheKey(q, req.K, req.Lambda, req.Approx, req.Route, req.RouteTarget, req.Keywords, req.Radius, req.Window)
+		key = cacheKey(q, req.K, req.Lambda, req.Approx, req.Keywords, req.Radius, req.Window)
 		if res, ok := cache.Get(v.token, key, q.X, q.Y, q.Vec, req.Dst); ok {
 			if req.Meta != nil {
 				req.Meta.Partial, req.Meta.CacheHit, req.Meta.SnapshotID = false, true, v.snapID
@@ -230,8 +230,7 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 	}
 
 	opts := core.SearchOptions{
-		Approx: req.Approx, Route: req.Route, RouteTarget: req.RouteTarget,
-		Deadline: deadline, Cancel: ctx.Done(), Radius: req.Radius, Window: req.Window,
+		Approx: req.Approx, Deadline: deadline, Cancel: ctx.Done(), Radius: req.Radius, Window: req.Window,
 	}
 	keyword := len(req.Keywords) > 0
 	op, spans := "search", v.n()
@@ -470,7 +469,7 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 		keys = make([]rescache.Key, len(queries))
 		for i := range queries {
 			q := &queries[i]
-			keys[i] = cacheKey(q, req.K, req.Lambda, req.Approx, req.Route, req.RouteTarget, nil, nil, nil)
+			keys[i] = cacheKey(q, req.K, req.Lambda, req.Approx, nil, nil, nil)
 			if res, ok := cache.Get(v.token, keys[i], q.X, q.Y, q.Vec, nil); ok {
 				out[i] = res
 			} else {
@@ -487,10 +486,7 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 
 	var partials []bool
 	if len(exec) > 0 {
-		opts := core.SearchOptions{
-			Approx: req.Approx, Route: req.Route, RouteTarget: req.RouteTarget,
-			Deadline: deadline, Cancel: ctx.Done(),
-		}
+		opts := core.SearchOptions{Approx: req.Approx, Deadline: deadline, Cancel: ctx.Done()}
 		if !deadline.IsZero() || opts.Cancel != nil {
 			partials = make([]bool, len(exec))
 		}
@@ -750,33 +746,19 @@ func anyTrue(b []bool) bool {
 	return false
 }
 
-// cacheKey builds a query's cache key, shape included. A knob that
-// provably does not affect the answer in the request's mode is
-// canonicalized so equivalent requests share an entry (RouteTarget
-// outside routed-approx, and its documented default).
-func cacheKey(q *Object, k int, lambda float64, approx, route bool, routeTarget float64, keywords []string, radius *float64, window *Window) rescache.Key {
+// cacheKey builds a query's cache key, shape included.
+func cacheKey(q *Object, k int, lambda float64, approx bool, keywords []string, radius *float64, window *Window) rescache.Key {
 	key := rescache.Key{
 		Hash:   rescache.HashQuery(q.X, q.Y, q.Vec),
 		K:      k,
 		Lambda: lambda,
 		Approx: approx,
-		Route:  route,
 	}
 	if radius != nil {
 		key.Ranged, key.Radius = true, *radius
 	}
 	if window != nil {
 		key.Windowed, key.Window = true, [4]float64{window.LoX, window.LoY, window.HiX, window.HiY}
-	}
-	if approx && route {
-		switch {
-		case routeTarget <= 0:
-			key.RouteTarget = DefaultRouteTarget
-		case routeTarget > 1:
-			key.RouteTarget = 1
-		default:
-			key.RouteTarget = routeTarget
-		}
 	}
 	if len(keywords) > 0 {
 		key.Keywords = canonicalKeywords(keywords)

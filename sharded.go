@@ -377,19 +377,6 @@ func (s *ShardedIndex) NumClusters() int {
 	return n
 }
 
-// RouterTrained reports whether every shard's current snapshot carries
-// a trained cluster router (see Index.RouterTrained; routing degrades
-// per shard, so a mixed state still answers Route requests correctly —
-// untrained shards just run unrouted).
-func (s *ShardedIndex) RouterTrained() bool {
-	for _, sh := range s.shards {
-		if !sh.cur.Load().RouterTrained() {
-			return false
-		}
-	}
-	return true
-}
-
 // UpdatesSinceBuild sums the per-shard Insert/Delete counts since each
 // shard's last (re)build — the same rebuild heuristic as the unsharded
 // API, aggregated.

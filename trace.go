@@ -39,16 +39,12 @@ func (s *ShardedIndex) SetTraceSink(sink *obs.Sink) { s.sink.Store(sink) }
 func (s *ShardedIndex) TraceSink() *obs.Sink { return s.sink.Load() }
 
 // algoName names the algorithm opts select, matching the explain
-// path's naming: "cssi", "cssia", or "cssia-routed" (Route has no effect
-// on an exact query, so it earns no suffix there).
+// path's naming: "cssi" or "cssia".
 func algoName(opts core.SearchOptions) string {
-	switch {
-	case !opts.Approx:
-		return "cssi"
-	case opts.Route:
-		return "cssia-routed"
+	if opts.Approx {
+		return "cssia"
 	}
-	return "cssia"
+	return "cssi"
 }
 
 // openTrace returns the trace a request records into, with the request

@@ -33,7 +33,6 @@ func TestTracedResultsBitIdentical(t *testing.T) {
 	reqs := []SearchRequest{
 		{K: 10, Lambda: 0.5},
 		{K: 5, Lambda: 0.2, Approx: true},
-		{K: 8, Lambda: 0.7, Route: true},
 	}
 	for i := range traced {
 		for ri, base := range reqs {
