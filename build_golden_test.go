@@ -12,7 +12,8 @@ import (
 // internal/core's TestBuildGolden, the digests were re-pinned when the
 // index changed on purpose (cluster counts derived per shard from its
 // own objects, member lists saved in L_s order, the cluster router's
-// weights dropped from the file); BuildSharded adds the
+// weights dropped from the file, side member lists saved in ascending
+// storage order); BuildSharded adds the
 // partitioning, the shared anchor set, the per-shard cluster counts and
 // the per-shard seeds to what that test covers.
 func TestBuildGoldenSharded(t *testing.T) {
@@ -20,8 +21,8 @@ func TestBuildGoldenSharded(t *testing.T) {
 		t.Skip("digests pinned on amd64 (see internal/core TestBuildGolden)")
 	}
 	want := map[DatasetKind]string{
-		TwitterLike: "c8aaf58096d9818648fa085a063841e8e84bde4e7da606ebf3c9a843dc69eeed",
-		YelpLike:    "2008064822e6ffecf0a464944ff26c1aee0f41c78804f766fe36bd71075fe656",
+		TwitterLike: "276358ec3fe5d477e9b9118a9d2cd20e763def6b76c6edf41b2c32181d6a98df",
+		YelpLike:    "ed19171a721f33a264f1dbf00654389ad38bcc6ef2e6fe17c49e9375f5611e12",
 	}
 	for _, kind := range []DatasetKind{TwitterLike, YelpLike} {
 		ds, err := GenerateDataset(DatasetConfig{Kind: kind, Size: 3000, Dim: 32, Seed: 51})

@@ -201,8 +201,8 @@ func deleteClusters(t *testing.T, x *Index, clusters int) {
 	t.Helper()
 	var ids []uint32
 	for _, c := range x.clusters[:clusters] {
-		for _, m := range c.members {
-			ids = append(ids, x.ids[m.idx])
+		for _, idx := range c.members {
+			ids = append(ids, x.ids[idx])
 		}
 	}
 	for _, id := range ids {

@@ -24,10 +24,17 @@ import (
 //     once d(q,C) − bound > U holds it holds for every later element.
 //
 // A cluster keeps both lists, not just their merge: members itself is
-// L_s, and byDt lists member positions in L_t order. Build and Load sort
-// them once (buildElems); Insert and Delete keep them sorted with one
-// search and one memmove each (insertMember, removeMember), so rebuilding
-// the array after a write is a single O(m) pass with no sort (mergeElems).
+// L_s, as storage positions with their dt beside them (structure of
+// arrays), and byDt lists member positions in L_t order. A member's ds
+// is not kept: it is one 2-D distance from the coordinate arena, and the
+// list operations take it as a function ds(p) of L_s position p
+// (Index.dsOf), computed by the spatialToCent Build used, so every
+// threshold is bit for bit what a stored ds would give. dt stays stored
+// because recomputing it is a full-dimensional kernel per member. Build
+// and Load sort the lists once (buildElems); Insert and Delete keep them
+// sorted with one search and one memmove each (insertMember,
+// removeMember), so rebuilding the array after a write is a single O(m)
+// pass with no sort (mergeElems).
 
 // byDsCmp is L_s's order: ds descending, then dt descending, then
 // storage position ascending. byDtCmp is L_t's: dt descending, then ds
@@ -58,16 +65,26 @@ func byDtCmp(a, b member) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// buildElems orders c from scratch — members into L_s, byDt into L_t —
-// and merges the array.
-func (c *hybrid) buildElems() {
-	slices.SortFunc(c.members, byDsCmp)
-	c.byDt = make([]uint32, len(c.members))
-	for i := range c.byDt {
-		c.byDt[i] = uint32(i)
+// at returns L_s's member p with its distances.
+func (c *hybrid) at(p int, ds func(p int) float64) member {
+	return member{idx: c.members[p], ds: ds(p), dt: c.dt[p]}
+}
+
+// buildElems orders c from scratch — ms, its members in any order, sorted
+// into L_s and stored as members and dt, byDt into L_t — and merges the
+// array. The lists fill the windows c holds when they have ms's length
+// (orderClusters), else fresh ones.
+func (c *hybrid) buildElems(ms []member) {
+	slices.SortFunc(ms, byDsCmp)
+	n := len(ms)
+	if len(c.members) != n {
+		c.members, c.dt, c.byDt = make([]uint32, n), make([]float64, n), make([]uint32, n)
 	}
-	slices.SortFunc(c.byDt, func(a, b uint32) int { return byDtCmp(c.members[a], c.members[b]) })
-	c.mergeElems()
+	for i, m := range ms {
+		c.members[i], c.dt[i], c.byDt[i] = m.idx, m.dt, uint32(i)
+	}
+	slices.SortFunc(c.byDt, func(a, b uint32) int { return byDtCmp(ms[a], ms[b]) })
+	c.mergeElems(func(p int) float64 { return ms[p].ds })
 }
 
 // mergeElems rebuilds the array from the two lists. Round pos pairs
@@ -76,46 +93,48 @@ func (c *hybrid) buildElems() {
 // (L_s lists it no earlier than this round and L_t nowhere else), and
 // only those are marked. The array is freshly allocated: a COW clone
 // shares the old one with its parent.
-func (c *hybrid) mergeElems() {
+func (c *hybrid) mergeElems(ds func(p int) float64) {
 	n := len(c.members)
 	if n == 0 {
 		c.elems = nil
 		return
 	}
-	ms := c.members
 	fromDt := newBitset(n)
 	elems := make([]element, 0, n)
 	for pos, b := range c.byDt[:n] {
-		thrDs, thrDt := ms[pos].ds, ms[b].dt
+		thrDs, thrDt := ds(pos), c.dt[b]
 		if !fromDt.get(uint32(pos)) {
-			elems = append(elems, element{idx: ms[pos].idx, ds: thrDs, dt: thrDt})
+			elems = append(elems, element{idx: c.members[pos], ds: thrDs, dt: thrDt})
 		}
 		if int(b) > pos {
 			fromDt.set(b)
-			elems = append(elems, element{idx: ms[b].idx, ds: thrDs, dt: thrDt})
+			elems = append(elems, element{idx: c.members[b], ds: thrDs, dt: thrDt})
 		}
 	}
 	c.elems = elems
 }
 
 // insertMember adds m to both lists at its sorted place.
-func (c *hybrid) insertMember(m member) {
-	p := sort.Search(len(c.members), func(i int) bool { return byDsCmp(m, c.members[i]) < 0 })
-	c.members = slices.Insert(c.members, p, m)
+func (c *hybrid) insertMember(m member, ds func(p int) float64) {
+	p := sort.Search(len(c.members), func(i int) bool { return byDsCmp(m, c.at(i, ds)) < 0 })
+	c.members = slices.Insert(c.members, p, m.idx)
+	c.dt = slices.Insert(c.dt, p, m.dt)
 	for i, mi := range c.byDt {
 		if int(mi) >= p {
 			c.byDt[i] = mi + 1
 		}
 	}
-	q := sort.Search(len(c.byDt), func(i int) bool { return byDtCmp(m, c.members[c.byDt[i]]) < 0 })
+	q := sort.Search(len(c.byDt), func(i int) bool { return byDtCmp(m, c.at(int(c.byDt[i]), ds)) < 0 })
 	c.byDt = slices.Insert(c.byDt, q, uint32(p))
 }
 
 // removeMember drops the member at storage position idx, which c lists,
-// from both lists.
-func (c *hybrid) removeMember(idx uint32) {
-	p := slices.IndexFunc(c.members, func(m member) bool { return m.idx == idx })
+// from both lists and returns its dt.
+func (c *hybrid) removeMember(idx uint32) float64 {
+	p := slices.Index(c.members, idx)
+	dt := c.dt[p]
 	c.members = slices.Delete(c.members, p, p+1)
+	c.dt = slices.Delete(c.dt, p, p+1)
 	q := 0
 	for i, mi := range c.byDt {
 		switch {
@@ -126,18 +145,23 @@ func (c *hybrid) removeMember(idx uint32) {
 		}
 	}
 	c.byDt = slices.Delete(c.byDt, q, q+1)
+	return dt
 }
 
 // checkOrders verifies what the maintained lists promise: members
 // strictly in L_s order, byDt a permutation of member positions strictly
 // in L_t order, and the array equal to their merge, element for element.
-func (c *hybrid) checkOrders() error {
+func (c *hybrid) checkOrders(ds func(p int) float64) error {
 	n := len(c.members)
-	if len(c.byDt) != n {
-		return fmt.Errorf("%d byDt entries for %d members", len(c.byDt), n)
+	if len(c.dt) != n || len(c.byDt) != n {
+		return fmt.Errorf("%d dt and %d byDt entries for %d members", len(c.dt), len(c.byDt), n)
+	}
+	ms := make([]member, n)
+	for p := range ms {
+		ms[p] = c.at(p, ds)
 	}
 	for i := 1; i < n; i++ {
-		if byDsCmp(c.members[i-1], c.members[i]) >= 0 {
+		if byDsCmp(ms[i-1], ms[i]) >= 0 {
 			return fmt.Errorf("members out of L_s order at %d", i)
 		}
 	}
@@ -147,12 +171,12 @@ func (c *hybrid) checkOrders() error {
 			return fmt.Errorf("byDt entry %d names member %d: out of range or listed twice", i, mi)
 		}
 		listed.set(mi)
-		if i > 0 && byDtCmp(c.members[c.byDt[i-1]], c.members[mi]) >= 0 {
+		if i > 0 && byDtCmp(ms[c.byDt[i-1]], ms[mi]) >= 0 {
 			return fmt.Errorf("byDt out of L_t order at %d", i)
 		}
 	}
-	want := hybrid{members: c.members, byDt: c.byDt}
-	want.mergeElems()
+	want := hybrid{members: c.members, dt: c.dt, byDt: c.byDt}
+	want.mergeElems(func(p int) float64 { return ms[p].ds })
 	if !slices.Equal(c.elems, want.elems) {
 		return fmt.Errorf("elems differ from the merge of the maintained lists")
 	}

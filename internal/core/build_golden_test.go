@@ -37,8 +37,11 @@ func goldenDigest(t *testing.T, x *Index) string {
 // when the index changed on purpose — cluster counts √n·f scaled by 0.7
 // and derived per build, a fixed anchor count, member lists saved in
 // their maintained L_s order with zero counts kept in the saved Config,
-// the cluster router's weights dropped from the file — and were
-// unchanged by the build-kernel rework before that. "shared"
+// the cluster router's weights dropped from the file, the side member
+// lists (derived since the index stopped keeping them) saved in
+// ascending storage order — and were unchanged by the build-kernel
+// rework before that. The last re-pin moved nothing else: the parent
+// code with only its saved side-list order changed gives these digests. "shared"
 // is the shape BuildSharded gives a shard: an anchor set fitted over
 // the whole corpus, the build over a third of it deriving its own
 // cluster counts.
@@ -47,10 +50,10 @@ func TestBuildGolden(t *testing.T) {
 		t.Skip("digests pinned on amd64: an architecture whose compiler fuses multiply-adds rounds the float64 reductions differently")
 	}
 	want := map[string]string{
-		"twitter/flat":   "b07d46062abed249712200b4068349215f46f071f055bce452dce52dcd9810eb",
-		"twitter/shared": "24219601ede29782f65321110935ec2ca9411410e30350b894b4ec54778e5415",
-		"yelp/flat":      "76a6e659cc01c16fe051b50e5211f3556f88641db421628dc81687d0420b04e8",
-		"yelp/shared":    "1fb990cf71ad8c6d16bd38b07d7d692c48d2020dce739718995b06962cc6270a",
+		"twitter/flat":   "350d03c4f8121a277e1d5bc620c1765b85260592265f3c9192dfb08acf22f86e",
+		"twitter/shared": "615fdd988d8aadc3be7546206bad6ec6f285a631f70369869fe1a5373fdac630",
+		"yelp/flat":      "3f31e873e66842b31ad1f75ad203b775f70260622c2f74c90fb9ac548c3903c7",
+		"yelp/shared":    "3858bbdbc63dc78492fff2d059784c7c36b409c395d62548b87de8304b82ade7",
 	}
 	for _, kind := range []dataset.Kind{dataset.TwitterLike, dataset.YelpLike} {
 		ds, err := dataset.Generate(dataset.GenConfig{Kind: kind, Size: 3000, Dim: 32, Seed: 51})

@@ -4,20 +4,22 @@ package core
 // publication in the public ShardedIndex): CloneForWrite produces a
 // new Index value that SHARES every structure queries read but writers
 // never mutate in place — the vector/projection arenas, the per-row
-// columns, the centroid tables, the cluster assignments and the hybrid
-// clusters themselves — and COPIES only the small mutable metadata a
-// maintenance operation may write into (radii, membership-list headers,
-// the cluster directory and the deleted bitmap).
+// columns, the centroid tables, the cell column and the hybrid clusters
+// themselves — and COPIES only the small mutable metadata a maintenance
+// operation may write into (radii, the semantic side counts, the cluster
+// directory and the deleted bitmap).
 //
 // The safety argument has two halves:
 //
 //   - Interior writes (slots readers of the parent can see) only ever
 //     happen to structures the clone owns: the eager copies below, plus
-//     lazily-owned pieces (cowHybrid, removeIdxCOW, the ID table's
-//     buckets) that mutations acquire right before writing.
-//   - Append-only growth (the columns, deleted, sAssign/tAssign, the
-//     arenas, side-membership lists) may land in backing arrays shared
-//     with the parent, but always at offsets >= the parent's length.
+//     lazily-owned pieces (cowHybrid, the ID table's buckets) that
+//     mutations acquire right before writing. No side cluster keeps a
+//     member list, so a delete writes no per-side structure but its
+//     count.
+//   - Append-only growth (the columns, deleted, the cell column, the
+//     arenas) may land in backing arrays shared with the parent, but
+//     always at offsets >= the parent's length.
 //     Readers never index past their own snapshot's length, and writers
 //     are serialized, so a slot is written at most once before the
 //     snapshot containing it is published (an atomic-pointer store,
@@ -37,7 +39,7 @@ type cowState struct {
 // Insert/Delete/Update to the clone never mutates state visible through
 // x, so readers may keep using x (lock-free) while the clone is
 // prepared and then published in its place. The cost is O(n) for the
-// deleted bitmap (one bit per row) plus O(Ks·Kt) slice-header and
+// deleted bitmap (one bit per row) plus O(Ks·Kt) radius, count and
 // directory copies — the arenas, columns, centroids and per-cluster
 // arrays are shared until a mutation actually touches them, and so are
 // the ID table's buckets, which a write copies one at a time.
@@ -56,8 +58,7 @@ func (x *Index) CloneForWrite() *Index {
 	nx.sRad = append([]float64(nil), x.sRad...)
 	nx.tRad = append([]float64(nil), x.tRad...)
 	nx.tRadProj = append([]float64(nil), x.tRadProj...)
-	nx.sMembers = append([][]uint32(nil), x.sMembers...)
-	nx.tMembers = append([][]uint32(nil), x.tMembers...)
+	nx.tCount = append([]int32(nil), x.tCount...)
 	nx.clusters = append([]*hybrid(nil), x.clusters...)
 	nx.grid = append([]*hybrid(nil), x.grid...)
 
@@ -75,9 +76,9 @@ func (x *Index) CloneForWrite() *Index {
 // cowHybrid returns a hybrid cluster safe to mutate in place: c itself
 // outside COW mode (or when this clone already owns it), otherwise a
 // private copy spliced into the clone's cluster directory in c's stead.
-// The two lists are copied with one slot of headroom (the common
-// mutation is a single insert); elems and the scan block are left shared
-// because every mutation rebuilds them from the lists anyway.
+// The lists are copied with one slot of headroom (the common mutation is
+// a single insert); elems and the scan block are left shared because
+// every mutation rebuilds them from the lists anyway.
 func (x *Index) cowHybrid(c *hybrid) *hybrid {
 	if x.cow == nil || x.cow.ownedHybrids[c] {
 		return c
@@ -85,7 +86,8 @@ func (x *Index) cowHybrid(c *hybrid) *hybrid {
 	nc := &hybrid{
 		s:        c.s,
 		t:        c.t,
-		members:  append(make([]member, 0, len(c.members)+1), c.members...),
+		members:  append(make([]uint32, 0, len(c.members)+1), c.members...),
+		dt:       append(make([]float64, 0, len(c.dt)+1), c.dt...),
 		byDt:     append(make([]uint32, 0, len(c.byDt)+1), c.byDt...),
 		elems:    c.elems,
 		base:     c.base,
@@ -108,24 +110,4 @@ func (x *Index) markOwnedHybrid(c *hybrid) {
 	if x.cow != nil {
 		x.cow.ownedHybrids[c] = true
 	}
-}
-
-// removeIdxCOW removes idx from a membership list. Outside COW mode it
-// swap-removes in place; in COW mode it builds a fresh slice, because
-// both the interior overwrite and the truncation-then-reappend pattern
-// would corrupt the parent's view of a shared backing array.
-func (x *Index) removeIdxCOW(list []uint32, idx uint32) []uint32 {
-	if x.cow == nil {
-		return removeIdx(list, idx)
-	}
-	for i, v := range list {
-		if v != idx {
-			continue
-		}
-		out := make([]uint32, len(list)-1)
-		copy(out, list[:i])
-		copy(out[i:], list[i+1:])
-		return out
-	}
-	return list
 }

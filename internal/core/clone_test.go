@@ -139,7 +139,7 @@ func TestInsertAfterTotalDeletion(t *testing.T) {
 			t.Fatalf("re-insert %d: %v", i, err)
 		}
 		// The fallback must have picked a build-time-valid cluster.
-		lastT := f.idx.tAssign[len(f.idx.tAssign)-1]
+		_, lastT := f.idx.sides(f.idx.cells[len(f.idx.cells)-1])
 		if !f.idx.tValid[lastT] {
 			t.Fatalf("insert %d assigned to invalid semantic cluster %d", i, lastT)
 		}
@@ -192,6 +192,20 @@ func TestRebuildFreshIsolation(t *testing.T) {
 	}
 }
 
+// sidesShared reports whether both of c's side clusters hold live rows
+// of other hybrid clusters: the grid's row c.s and column c.t list more
+// than c.
+func sidesShared(x *Index, c *hybrid) bool {
+	kt := len(x.tCent)
+	var inS int
+	for _, cc := range x.grid[c.s*kt : (c.s+1)*kt] {
+		if cc != nil {
+			inS += len(cc.members)
+		}
+	}
+	return inS > len(c.members) && int(x.tCount[c.t]) > len(c.members)
+}
+
 // emptyAndRefillPair deletes every member of one small hybrid cluster of
 // x, checks that its grid cell is cleared and the cluster dropped, and
 // re-inserts the objects, which must re-create the cell. It reports the
@@ -201,13 +215,13 @@ func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
 	// A few candidates: re-insertion assigns by nearest centroid, which
 	// for an object on a Voronoi edge need not be the build's pair.
 	for _, c := range slices.Clone(x.clusters) {
-		if len(c.members) > 3 || len(x.sMembers[c.s]) == len(c.members) || len(x.tMembers[c.t]) == len(c.members) {
+		if len(c.members) > 3 || !sidesShared(x, c) {
 			continue
 		}
 		cell := x.cell(c.s, c.t)
 		var objs []dataset.Object
-		for _, m := range c.members {
-			objs = append(objs, x.row(m.idx))
+		for _, idx := range c.members {
+			objs = append(objs, x.row(idx))
 		}
 		before := len(x.clusters)
 		for _, o := range objs {
@@ -284,7 +298,7 @@ func TestGridEmptiedPairUnderReaders(t *testing.T) {
 	child := parent.CloneWithDelta()
 	var c *hybrid
 	for _, cc := range parent.clusters {
-		if len(cc.members) <= 3 && len(parent.sMembers[cc.s]) > len(cc.members) && len(parent.tMembers[cc.t]) > len(cc.members) {
+		if len(cc.members) <= 3 && sidesShared(parent, cc) {
 			c = cc
 			break
 		}
@@ -292,8 +306,8 @@ func TestGridEmptiedPairUnderReaders(t *testing.T) {
 	if c == nil {
 		t.Fatal("fixture has no small cluster")
 	}
-	for _, m := range c.members {
-		if err := child.Delete(parent.ids[m.idx]); err != nil {
+	for _, idx := range c.members {
+		if err := child.Delete(parent.ids[idx]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -98,7 +98,7 @@ func loadBytes(t *testing.T, b []byte) *Index {
 // renumbered, and from then on the round trip is the identity too. The
 // written states' bytes are pinned as the code that stored a
 // dataset.Object per row wrote them, less the removed cluster router's
-// weights.
+// weights and with the side member lists in ascending storage order.
 func TestSaveLoadSaveBytes(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 85})
 	first := saveBytes(t, f.idx)
@@ -107,8 +107,8 @@ func TestSaveLoadSaveBytes(t *testing.T) {
 	}
 	states, _ := writtenStates(t)
 	digests := map[string]string{
-		"eager":     "6b3ad52979e76e8e034120649bebf69896e1eaafda1203d48110740e804c73b1",
-		"compacted": "1376095d1c94eb7ef61b40a73c0d6e49b3c68e12ff0c0a6a44bff58506adcc48",
+		"eager":     "2784b6f550bf2a6dfeff2fc480d5a102912082e9684f1bccb3be6249f6585440",
+		"compacted": "6a5f5e86fcd367248c07aaaa6ffcf56f68009c847442bbb7b642b03268e11d68",
 	}
 	for name, x := range states {
 		first := saveBytes(t, x)
@@ -184,13 +184,16 @@ func TestObjectAssembledFromColumns(t *testing.T) {
 
 // TestHeapLedger holds HeapBytes to the heap a build keeps: the ledger's
 // total is within 5 % of the live-heap growth across Build, measured
-// after two collections. It logs the ledger per structure, in MiB and in
-// bytes per row.
+// after two collections, and at most maxBytesPerRow per row — what the
+// index costs once no side cluster lists its members, the two side
+// assignments are one cell column and the hybrids' sorted lists store no
+// ds (542.5 B/row before). It logs the ledger per structure, in MiB and
+// in bytes per row.
 func TestHeapLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory moves the live heap")
 	}
-	const n = 20_000
+	const n, maxBytesPerRow = 20_000, 522
 	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: n, Dim: 100, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +226,7 @@ func TestHeapLedger(t *testing.T) {
 	}{
 		{"vectors", h.Vectors}, {"projections", h.Projections}, {"coords", h.Coords},
 		{"anchors", h.Anchors}, {"ids", h.IDs}, {"texts", h.Texts}, {"topics", h.Topics},
-		{"deleted", h.Deleted}, {"assign", h.Assign}, {"side members", h.SideMembers},
+		{"deleted", h.Deleted}, {"assign", h.Assign},
 		{"elems", h.Elems}, {"members", h.Members}, {"clusters", h.Clusters},
 		{"model", h.Model}, {"ID table", h.IDTable}, {"overlay", h.Overlay},
 	} {
@@ -232,5 +235,8 @@ func TestHeapLedger(t *testing.T) {
 	t.Logf("%-12s %7.3f MiB %6.1f B/row; measured %.3f MiB", "total", float64(h.Total())/mib, float64(h.Total())/n, float64(measured)/mib)
 	if off := float64(h.Total()-measured) / float64(measured); off < -0.05 || off > 0.05 {
 		t.Fatalf("ledger %d B is %+.1f%% off the measured %d B", h.Total(), 100*off, measured)
+	}
+	if perRow := float64(h.Total()) / n; perRow > maxBytesPerRow {
+		t.Fatalf("ledger %.1f B/row, want at most %d", perRow, maxBytesPerRow)
 	}
 }

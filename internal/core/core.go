@@ -131,7 +131,10 @@ func clusterCount(n int, f float64) int {
 }
 
 // member is one object of a hybrid cluster with its true normalized
-// distances to the cluster's two centroids.
+// distances to the cluster's two centroids: the sort key of both of the
+// cluster's lists. A cluster stores only idx and dt (see hybrid); ds is
+// one 2-D distance away (spatialToCent), recomputed where an order needs
+// it, so member is the transient record of a sort or a probe.
 type member struct {
 	idx    uint32 // storage position of the object's row
 	ds, dt float64
@@ -149,8 +152,8 @@ type element struct {
 // array. The fields a cluster visit reads before it touches a row — the
 // side pair, the array header, the head thresholds and the block base —
 // come first and fill one 64-byte line; the two sorted lists the array
-// is merged from (members, byDt; see array.go), which only maintenance
-// reads, follow.
+// is merged from (members with dt, and byDt; see array.go), which only
+// maintenance reads, follow.
 type hybrid struct {
 	s, t  int // side-cluster indices
 	elems []element
@@ -169,9 +172,12 @@ type hybrid struct {
 	// the array is merged, shared under COW; read through Index.block
 	// (see layout.go).
 	base int
-	// members is L_s: the members by descending ds; byDt lists member
-	// positions in L_t order, by descending dt.
-	members  []member
+	// members is L_s: the storage positions of the members by descending
+	// ds, and dt[p] is member p's semantic distance (structure of arrays);
+	// byDt lists member positions in L_t order, by descending dt. ds is
+	// not stored: maintenance recomputes it from the coordinate arena.
+	members  []uint32
+	dt       []float64
 	byDt     []uint32
 	gathered *clusterBlock
 }
@@ -234,7 +240,6 @@ type Index struct {
 	// Spatial side clusters.
 	sCentX, sCentY []float64
 	sRad           []float64
-	sMembers       [][]uint32
 
 	// Semantic side clusters: original-space and projected
 	// representations.
@@ -242,7 +247,10 @@ type Index struct {
 	tRad      []float64
 	tCentProj [][]float32
 	tRadProj  []float64
-	tMembers  [][]uint32
+	// tCount[t] is the number of live rows of semantic cluster t: Insert
+	// only joins populated clusters. No side cluster lists its rows; the
+	// grid's row s and column t do (see Delete).
+	tCount []int32
 	// tValid[t] records whether semantic cluster t had members when its
 	// centroid was computed at (re)build time — i.e. whether tCent[t] and
 	// tCentProj[t] are meaningful. Clusters that never received a member
@@ -250,9 +258,10 @@ type Index struct {
 	// after build (incremental inserts never recompute centroids).
 	tValid []bool
 
-	// sAssign[i] and tAssign[i] are the side clusters of the row at
-	// storage position i.
-	sAssign, tAssign []int32
+	// cells[i] is the grid cell s·Kt+t of the row at storage position i:
+	// its side clusters, and the hybrid cluster that lists it while it is
+	// live.
+	cells []uint32
 
 	// clusters lists the non-empty hybrid clusters; grid is the dense
 	// Ks×Kt directory over them — grid[s·Kt+t] is the cluster of side
@@ -351,7 +360,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	if err != nil {
 		return nil, fmt.Errorf("core: spatial clustering: %w", err)
 	}
-	x.sAssign = narrowAssign(sres.Assign)
+	sAssign := sres.Assign
 	ks = len(sres.Centroids)
 	x.sCentX = make([]float64, ks)
 	x.sCentY = make([]float64, ks)
@@ -397,7 +406,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	}
 	tm.Semantic = time.Since(phase)
 	phase = time.Now()
-	x.tAssign = narrowAssign(tres.Assign)
+	tAssign := tres.Assign
 	kt = len(tres.Centroids)
 	x.tCent = make([][]float32, kt)
 	x.tRad = make([]float64, kt)
@@ -405,19 +414,22 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	x.tRadProj = make([]float64, kt)
 	x.tValid = make([]bool, kt)
 	x.grid = make([]*hybrid, ks*kt)
-
-	// Side membership lists.
-	x.sMembers = membersByAssign(x.sAssign, ks)
-	x.tMembers = membersByAssign(x.tAssign, kt)
+	x.cells = make([]uint32, n)
+	x.tCount = make([]int32, kt)
+	for i := range x.cells {
+		x.cells[i] = uint32(x.cell(sAssign[i], tAssign[i]))
+		x.tCount[tAssign[i]]++
+	}
 
 	// Semantic cluster representations: the original-space centroid is
 	// the mean of the members' n-dimensional vectors (§4.1); the
 	// projected centroid is the mean of their projections (§5.2). Each
-	// cluster's means are its own sums, in member order (parallel over
-	// clusters).
+	// cluster's means are its own sums, in ascending input order
+	// (parallel over clusters).
+	tMembers := membersByAssign(tAssign, kt)
 	par.For(kt, cfg.Workers, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
-			ms := x.tMembers[t]
+			ms := tMembers[t]
 			cent := make([]float32, x.dim)
 			centP := make([]float32, x.m)
 			x.tValid[t] = len(ms) > 0
@@ -443,7 +455,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	dpAll := make([]float64, n)
 	par.For(n, cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s, t := int(x.sAssign[i]), int(x.tAssign[i])
+			s, t := sAssign[i], tAssign[i]
 			dsAll[i] = x.spatialToCent(uint32(i), s)
 			dtAll[i] = x.space.SemanticVec(vecs[i], x.tCent[t])
 			dpAll[i] = x.projToCent(uint32(i), t)
@@ -451,33 +463,27 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	})
 	// Radii in all representations (parallel max folds).
 	x.sRad = maxPerPartition(n, ks, cfg.Workers,
-		func(i int) int { return int(x.sAssign[i]) },
+		func(i int) int { return sAssign[i] },
 		func(i int) float64 { return dsAll[i] })
 	x.tRad = maxPerPartition(n, kt, cfg.Workers,
-		func(i int) int { return int(x.tAssign[i]) },
+		func(i int) int { return tAssign[i] },
 		func(i int) float64 { return dtAll[i] })
 	x.tRadProj = maxPerPartition(n, kt, cfg.Workers,
-		func(i int) int { return int(x.tAssign[i]) },
+		func(i int) int { return tAssign[i] },
 		func(i int) float64 { return dpAll[i] })
 
 	// --- Hybrid clusters and their arrays (Alg. 1 lines 10-14) ---
-	x.formHybrids(dsAll, dtAll)
 	// Order each cluster and merge its element array, renumber storage
 	// into the order those arrays dictate (which keeps the lists sorted;
 	// see byDsCmp), then derive the coordinate arena and anchor the rows
 	// over the final order: every cluster's scan block is a window of the
 	// arenas.
-	clusters := x.clusters
-	par.For(len(clusters), cfg.Workers, func(lo, hi int) {
-		for _, c := range clusters[lo:hi] {
-			c.buildElems()
-		}
-	})
+	x.orderClusters(x.formHybrids(dsAll, dtAll))
 	if err := x.layoutClusterMajor(vecs); err != nil {
 		return nil, fmt.Errorf("core: %w", err) // unreachable: Build lists every object once
 	}
 	x.anchors = x.buildAnchors(anchors)
-	for _, c := range clusters {
+	for _, c := range x.clusters {
 		x.fillClusterBlock(c)
 	}
 	// Snapshot the built radii for the DriftRatio heuristic.
@@ -512,10 +518,9 @@ func sampleRows(rows [][]float32, fraction float64, seed uint64) [][]float32 {
 }
 
 // membersByAssign lists, per side cluster, the positions assigned to it
-// in ascending order. A counting pass sizes the lists, which are windows
-// of one buffer capped at their own length: a later append reallocates
-// instead of running into the neighbour. Empty clusters keep a nil list.
-func membersByAssign(assign []int32, k int) [][]uint32 {
+// in ascending order, as windows of one buffer. Empty clusters keep a
+// nil list.
+func membersByAssign(assign []int, k int) [][]uint32 {
 	counts := make([]int, k)
 	for _, c := range assign {
 		counts[c]++
@@ -535,41 +540,59 @@ func membersByAssign(assign []int32, k int) [][]uint32 {
 	return lists
 }
 
-// narrowAssign stores K-Means labels at the width the index keeps them.
-func narrowAssign(assign []int) []int32 {
-	out := make([]int32, len(assign))
-	for i, c := range assign {
-		out[i] = int32(c)
-	}
-	return out
-}
-
 // formHybrids is the bulk form of addToHybrid over every object, with
 // precomputed centroid distances: clusters appear in the directory in
 // order of their first object, as one addToHybrid per object would leave
-// them, but a counting pass sizes the member lists (windows of one
-// buffer, capped like membersByAssign's) instead of append growing each,
-// and the lists are left unsorted for buildElems.
-func (x *Index) formHybrids(ds, dt []float64) {
+// them. It returns, per cluster in directory order, the cluster's
+// members in storage order as windows of one transient buffer (a
+// counting pass sizes them), for orderClusters to sort.
+func (x *Index) formHybrids(ds, dt []float64) [][]member {
 	counts := make([]int, len(x.grid))
-	for i := range x.sAssign {
-		counts[x.cell(int(x.sAssign[i]), int(x.tAssign[i]))]++
+	for _, cell := range x.cells {
+		counts[cell]++
 	}
-	buf := make([]member, len(x.sAssign))
+	buf := make([]member, len(x.cells))
+	var ms [][]member
+	slot := make([]int32, len(x.grid)) // cell → index into ms
 	off := 0
-	for i := range x.sAssign {
-		s, t := int(x.sAssign[i]), int(x.tAssign[i])
-		cell := x.cell(s, t)
-		c := x.grid[cell]
-		if c == nil {
+	for i, cell := range x.cells {
+		if x.grid[cell] == nil {
 			n := counts[cell]
-			c = &hybrid{s: s, t: t, members: buf[off : off : off+n]}
+			s, t := x.sides(cell)
+			x.grid[cell] = &hybrid{s: s, t: t}
+			x.clusters = append(x.clusters, x.grid[cell])
+			slot[cell] = int32(len(ms))
+			ms = append(ms, buf[off:off:off+n])
 			off += n
-			x.grid[cell] = c
-			x.clusters = append(x.clusters, c)
 		}
-		c.members = append(c.members, member{idx: uint32(i), ds: ds[i], dt: dt[i]})
+		j := slot[cell]
+		ms[j] = append(ms[j], member{idx: uint32(i), ds: ds[i], dt: dt[i]})
 	}
+	return ms
+}
+
+// orderClusters orders every cluster from scratch — ms[i] holds the
+// members of x.clusters[i] with their distances, in any order — and
+// merges its array (parallel over clusters). The lists of all clusters
+// are windows of three buffers, each capped at its own length: a later
+// insert reallocates instead of running into the neighbour.
+func (x *Index) orderClusters(ms [][]member) {
+	n := 0
+	for _, m := range ms {
+		n += len(m)
+	}
+	pos, dt, byDt := make([]uint32, n), make([]float64, n), make([]uint32, n)
+	off := 0
+	for i, c := range x.clusters {
+		k := off + len(ms[i])
+		c.members, c.dt, c.byDt = pos[off:k:k], dt[off:k:k], byDt[off:k:k]
+		off = k
+	}
+	par.For(len(x.clusters), x.cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x.clusters[i].buildElems(ms[i])
+		}
+	})
 }
 
 // spatialToCent returns the normalized spatial distance from object idx
@@ -628,14 +651,13 @@ func (x *Index) setColumns(objs []dataset.Object) {
 // rows returns the number of storage positions, deleted ones included.
 func (x *Index) rows() int { return len(x.ids) }
 
-// addToHybrid places object idx into its hybrid cluster's two lists,
-// computing its centroid distances. It does not rebuild the element
-// array.
-func (x *Index) addToHybrid(idx uint32) *hybrid {
-	s, t := int(x.sAssign[idx]), int(x.tAssign[idx])
-	cell := &x.grid[x.cell(s, t)]
+// addToHybrid places member m into the lists of the hybrid cluster its
+// row's cell names. It does not rebuild the element array.
+func (x *Index) addToHybrid(m member) *hybrid {
+	cell := &x.grid[x.cells[m.idx]]
 	c := *cell
 	if c == nil {
+		s, t := x.sides(x.cells[m.idx])
 		c = &hybrid{s: s, t: t}
 		*cell = c
 		x.clusters = append(x.clusters, c)
@@ -643,12 +665,24 @@ func (x *Index) addToHybrid(idx uint32) *hybrid {
 	} else {
 		c = x.cowHybrid(c)
 	}
-	c.insertMember(member{idx: idx, ds: x.spatialToCent(idx, s), dt: x.semanticToCent(idx, t)})
+	c.insertMember(m, x.dsOf(c))
 	return c
 }
 
 // cell returns the grid position of side pair (s,t).
 func (x *Index) cell(s, t int) int { return s*len(x.tCent) + t }
+
+// sides returns the side pair of grid position cell.
+func (x *Index) sides(cell uint32) (s, t int) {
+	kt := uint32(len(x.tCent))
+	return int(cell / kt), int(cell % kt)
+}
+
+// dsOf returns the spatial distance of c's L_s member p to c's spatial
+// centroid, recomputed from the coordinate arena as Build computed it.
+func (x *Index) dsOf(c *hybrid) func(p int) float64 {
+	return func(p int) float64 { return x.spatialToCent(c.members[p], c.s) }
+}
 
 // baseElems returns the number of elements the hybrid clusters hold in
 // total: the live objects, or with a write overlay the base's own (its

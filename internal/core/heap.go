@@ -17,10 +17,9 @@ type HeapBytes struct {
 	Texts       int64 `json:"texts"`       // the text column's string headers
 	Topics      int64 `json:"topics"`      // the topic column
 	Deleted     int64 `json:"deleted"`     // the deleted bitmap
-	Assign      int64 `json:"assign"`      // the two side-assignment columns
-	SideMembers int64 `json:"sideMembers"` // the side clusters' member lists
+	Assign      int64 `json:"assign"`      // the cell column: each row's side pair
 	Elems       int64 `json:"elems"`       // the hybrid clusters' element arrays
-	Members     int64 `json:"members"`     // the hybrid clusters' two sorted lists
+	Members     int64 `json:"members"`     // the hybrid clusters' two sorted lists and their dt
 	Clusters    int64 `json:"clusters"`    // cluster headers, gathered blocks, directory and grid
 	Model       int64 `json:"model"`       // centroids, radii and the PCA model
 	IDTable     int64 `json:"idTable"`     // the ID → storage position table
@@ -30,7 +29,7 @@ type HeapBytes struct {
 // Total returns the sum over the structures.
 func (h HeapBytes) Total() int64 {
 	return h.Vectors + h.Projections + h.Coords + h.Anchors + h.IDs + h.Texts + h.Topics +
-		h.Deleted + h.Assign + h.SideMembers + h.Elems + h.Members + h.Clusters + h.Model +
+		h.Deleted + h.Assign + h.Elems + h.Members + h.Clusters + h.Model +
 		h.IDTable + h.Overlay
 }
 
@@ -61,12 +60,11 @@ func (x *Index) HeapBytes() HeapBytes {
 		Texts:       sizeOf(x.texts),
 		Topics:      sizeOf(x.topics),
 		Deleted:     sizeOf(x.deleted),
-		Assign:      sizeOf(x.sAssign) + sizeOf(x.tAssign),
-		SideMembers: rowsOf(x.sMembers) + rowsOf(x.tMembers),
+		Assign:      sizeOf(x.cells),
 		Clusters:    sizeOf(x.clusters) + sizeOf(x.grid),
 		Model: sizeOf(x.sCentX) + sizeOf(x.sCentY) + sizeOf(x.sRad) + sizeOf(x.builtSRad) +
 			rowsOf(x.tCent) + rowsOf(x.tCentProj) + sizeOf(x.tRad) + sizeOf(x.tRadProj) +
-			sizeOf(x.builtTRadProj) + sizeOf(x.tValid),
+			sizeOf(x.builtTRadProj) + sizeOf(x.tValid) + sizeOf(x.tCount),
 		IDTable: x.idIdx.heapBytes(),
 		Overlay: x.delta.heapBytes(),
 	}
@@ -78,7 +76,7 @@ func (x *Index) HeapBytes() HeapBytes {
 	}
 	for _, c := range x.clusters {
 		h.Elems += sizeOf(c.elems)
-		h.Members += sizeOf(c.members) + sizeOf(c.byDt)
+		h.Members += sizeOf(c.members) + sizeOf(c.dt) + sizeOf(c.byDt)
 		h.Clusters += int64(unsafe.Sizeof(*c))
 		if g := c.gathered; g != nil {
 			h.Clusters += int64(unsafe.Sizeof(*g)) + sizeOf(g.xs) + sizeOf(g.ys) + sizeOf(g.aid) + sizeOf(g.adist)

@@ -16,37 +16,105 @@ import (
 // or in both orders), deletes, and updates that move an object across
 // clusters — on a flat index and on a CloneForWrite child, and after
 // every op require of every cluster exactly what a from-scratch ordering
-// of its members gives, CheckInvariants clean, and answers equal to a
-// linear scan; on the child, the parent's clusters and answers must not
-// move.
+// of its members gives, of every side cluster's radii a from-scratch max
+// over its live rows, CheckInvariants clean, and answers equal to a
+// linear scan; then they delete the rows that set a radius (§6.2's
+// infrequent case) and check the same. On the child, the parent's
+// clusters and answers must not move.
 
 // hybridState is a deep copy of what a cluster's maintenance writes.
 type hybridState struct {
-	members []member
+	members []uint32
+	dt      []float64
 	byDt    []uint32
 	elems   []element
+}
+
+func stateOf(c *hybrid) hybridState {
+	return hybridState{slices.Clone(c.members), slices.Clone(c.dt), slices.Clone(c.byDt), slices.Clone(c.elems)}
+}
+
+func (a hybridState) equal(b hybridState) bool {
+	return slices.Equal(a.members, b.members) && slices.Equal(a.dt, b.dt) &&
+		slices.Equal(a.byDt, b.byDt) && slices.Equal(a.elems, b.elems)
 }
 
 func snapHybrids(x *Index) map[*hybrid]hybridState {
 	snap := make(map[*hybrid]hybridState, len(x.clusters))
 	for _, c := range x.clusters {
-		snap[c] = hybridState{slices.Clone(c.members), slices.Clone(c.byDt), slices.Clone(c.elems)}
+		snap[c] = stateOf(c)
 	}
 	return snap
 }
 
 // requireFromScratch holds every cluster of x to a from-scratch ordering
-// of its members, fed in reverse so the sort, not the input, decides.
+// of its members — (position, dt) pairs with ds recomputed — fed in
+// reverse so the sort, not the input, decides.
 func requireFromScratch(t testing.TB, ctx string, x *Index) {
 	t.Helper()
 	for ci, c := range x.clusters {
-		fresh := hybrid{members: slices.Clone(c.members)}
-		slices.Reverse(fresh.members)
-		fresh.buildElems()
-		if !slices.Equal(c.members, fresh.members) || !slices.Equal(c.byDt, fresh.byDt) || !slices.Equal(c.elems, fresh.elems) {
+		ms := make([]member, len(c.members))
+		for p := range ms {
+			ms[p] = c.at(p, x.dsOf(c))
+		}
+		slices.Reverse(ms)
+		var fresh hybrid
+		fresh.buildElems(ms)
+		if !stateOf(c).equal(stateOf(&fresh)) {
 			t.Fatalf("%s: cluster %d (%d members) differs from a from-scratch ordering", ctx, ci, len(c.members))
 		}
 	}
+}
+
+// requireRadii holds every side cluster's three radii, bit for bit, to a
+// from-scratch max over the side's live rows (0 for an empty side).
+func requireRadii(t testing.TB, ctx string, x *Index) {
+	t.Helper()
+	sRad := make([]float64, len(x.sCentX))
+	tRad, tRadProj := make([]float64, len(x.tCent)), make([]float64, len(x.tCent))
+	for i := range x.rows() {
+		idx := uint32(i)
+		if x.deleted.get(idx) {
+			continue
+		}
+		s, st := x.sides(x.cells[idx])
+		sRad[s] = max(sRad[s], x.spatialToCent(idx, s))
+		tRad[st] = max(tRad[st], x.semanticToCent(idx, st))
+		tRadProj[st] = max(tRadProj[st], x.projToCent(idx, st))
+	}
+	for _, r := range []struct {
+		name      string
+		got, want []float64
+	}{{"spatial", x.sRad, sRad}, {"semantic", x.tRad, tRad}, {"projected", x.tRadProj, tRadProj}} {
+		if !slices.Equal(r.got, r.want) {
+			t.Fatalf("%s: %s radii %v, a from-scratch max gives %v", ctx, r.name, r.got, r.want)
+		}
+	}
+}
+
+// radiusSetter returns the live row that sets one radius of the side
+// clusters of x's first cluster: kind 0 the spatial radius, 1 the
+// semantic and 2 the projected one.
+func radiusSetter(x *Index, kind int) uint32 {
+	c := x.clusters[0]
+	var setter uint32
+	far := -1.0
+	for i := range x.rows() {
+		idx := uint32(i)
+		s, st := x.sides(x.cells[idx])
+		if x.deleted.get(idx) || (kind == 0 && s != c.s) || (kind > 0 && st != c.t) {
+			continue
+		}
+		d := [3]func() float64{
+			func() float64 { return x.spatialToCent(idx, s) },
+			func() float64 { return x.semanticToCent(idx, st) },
+			func() float64 { return x.projToCent(idx, st) },
+		}[kind]()
+		if d > far {
+			far, setter = d, idx
+		}
+	}
+	return setter
 }
 
 // maintenanceAnswers asks x a fixed set of exact queries.
@@ -153,6 +221,7 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 			t.Fatalf("op %d (kind %d): %v", i/2, ops[i]%4, err)
 		}
 		requireFromScratch(t, "after op", x)
+		requireRadii(t, "after op", x)
 		sc, liveDs := liveSet(x)
 		for _, lambda := range []float64{0.3, 1} {
 			q := liveDs.Objects[(i*37+11)%liveDs.Len()]
@@ -161,6 +230,20 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 			}
 		}
 	}
+	for kind := range 3 {
+		if x.Len() < 2 {
+			break
+		}
+		idx := radiusSetter(x, kind)
+		if err := x.Delete(x.ids[idx]); err != nil {
+			t.Fatalf("radius setter %d: %v", kind, err)
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("radius setter %d: %v", kind, err)
+		}
+		requireFromScratch(t, "after a radius setter's delete", x)
+		requireRadii(t, "after a radius setter's delete", x)
+	}
 	if !clone {
 		return
 	}
@@ -168,8 +251,7 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 		t.Fatal("the child's writes changed the parent's cluster list")
 	}
 	for _, c := range parent.clusters {
-		want := parentSnap[c]
-		if !slices.Equal(c.members, want.members) || !slices.Equal(c.byDt, want.byDt) || !slices.Equal(c.elems, want.elems) {
+		if !stateOf(c).equal(parentSnap[c]) {
 			t.Fatal("the child's writes changed a parent cluster")
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/metric"
 	"repro/internal/vec"
@@ -13,8 +14,8 @@ import (
 // after maintenance streams; production code never calls it.
 //
 // Checked invariants:
-//   - every live object belongs to exactly one hybrid cluster, and its
-//     stored member distances match recomputation;
+//   - every live object belongs to exactly one hybrid cluster, the one
+//     its row's cell names, and its stored dt matches recomputation;
 //   - every cluster radius covers all its members, in all three
 //     representations (spatial, semantic original, semantic projected);
 //   - every element array is conservative (bound dominates the member's
@@ -23,8 +24,9 @@ import (
 //   - element arrays contain each member exactly once and no deleted
 //     objects;
 //   - every cluster's two maintained lists are strictly sorted (members
-//     in L_s order, byDt a permutation in L_t order) and its array is
-//     exactly their merge — what a from-scratch ordering would give;
+//     in L_s order under recomputed ds, byDt a permutation in L_t order)
+//     and its array is exactly their merge — what a from-scratch ordering
+//     would give;
 //   - under the Euclidean semantic metric, each projected semantic
 //     centroid still equals the projection of its original-space
 //     centroid, and the deflated projected weak bound of the lazy
@@ -37,7 +39,8 @@ import (
 //     the fact the exactness of the row gate rests on.
 //   - every column and arena holds one row per storage position, the ID
 //     table maps exactly the IDs of the rows not deleted to their
-//     positions, and every side assignment names a side cluster.
+//     positions, every cell names a grid cell, and each semantic side's
+//     count equals the number of live rows its cells assign it.
 //   - every cluster's scan block equals the arena rows of its elements
 //     in array order — a window of the arenas exactly when the elements
 //     are contiguous, a private copy otherwise (see layout.go).
@@ -68,11 +71,13 @@ func (x *Index) CheckInvariants() error {
 		if len(c.elems) != len(c.members) {
 			return fmt.Errorf("cluster %d: %d elems for %d members", ci, len(c.elems), len(c.members))
 		}
-		if err := c.checkOrders(); err != nil {
+		ds := x.dsOf(c)
+		if err := c.checkOrders(ds); err != nil {
 			return fmt.Errorf("cluster %d: %w", ci, err)
 		}
 		memberDs := make(map[uint32]member, len(c.members))
-		for _, m := range c.members {
+		for p := range c.members {
+			m := c.at(p, ds)
 			if x.deleted.get(m.idx) {
 				return fmt.Errorf("cluster %d holds deleted object %d", ci, m.idx)
 			}
@@ -80,8 +85,8 @@ func (x *Index) CheckInvariants() error {
 				return fmt.Errorf("object %d in more than one hybrid cluster", m.idx)
 			}
 			seen[m.idx] = ci
-			if ds := x.spatialToCent(m.idx, c.s); abs(ds-m.ds) > eps {
-				return fmt.Errorf("object %d stored ds %v, recomputed %v", m.idx, m.ds, ds)
+			if x.cells[m.idx] != uint32(x.cell(c.s, c.t)) {
+				return fmt.Errorf("object %d listed by cluster (%d,%d), its cell is %d", m.idx, c.s, c.t, x.cells[m.idx])
 			}
 			if dt := x.semanticToCent(m.idx, c.t); abs(dt-m.dt) > eps {
 				return fmt.Errorf("object %d stored dt %v, recomputed %v", m.idx, m.dt, dt)
@@ -133,7 +138,8 @@ func (x *Index) CheckInvariants() error {
 // checkColumns verifies the per-row storage everything else indexes:
 // every column and arena one row per storage position, the ID table a
 // bijection between the IDs of the rows not deleted and their positions,
-// and the side assignments inside [0,Ks) and [0,Kt).
+// every cell inside the Ks×Kt grid, and the semantic side counts equal
+// to the histogram of the live rows' cells.
 func (x *Index) checkColumns() error {
 	n := x.rows()
 	for _, c := range []struct {
@@ -141,7 +147,7 @@ func (x *Index) checkColumns() error {
 		rows int
 	}{
 		{"texts", len(x.texts)}, {"topics", len(x.topics)},
-		{"spatial assignments", len(x.sAssign)}, {"semantic assignments", len(x.tAssign)},
+		{"cells", len(x.cells)},
 		{"x coordinates", len(x.xArena)}, {"y coordinates", len(x.yArena)},
 		{"deleted bitmap", min(n, 64*len(x.deleted))},
 	} {
@@ -157,11 +163,18 @@ func (x *Index) checkColumns() error {
 	}); err != nil {
 		return err
 	}
-	ks, kt := int32(len(x.sCentX)), int32(len(x.tCent))
-	for i := range x.sAssign {
-		if s, t := x.sAssign[i], x.tAssign[i]; s < 0 || s >= ks || t < 0 || t >= kt {
-			return fmt.Errorf("row %d assigned to side pair (%d,%d) outside %d×%d", i, s, t, ks, kt)
+	counts := make([]int32, len(x.tCent))
+	for i, cell := range x.cells {
+		if int(cell) >= len(x.sCentX)*len(x.tCent) {
+			return fmt.Errorf("row %d assigned to cell %d outside %d×%d", i, cell, len(x.sCentX), len(x.tCent))
 		}
+		if !x.deleted.get(uint32(i)) {
+			_, t := x.sides(cell)
+			counts[t]++
+		}
+	}
+	if !slices.Equal(counts, x.tCount) {
+		return fmt.Errorf("semantic side counts %v, the live rows' cells give %v", x.tCount, counts)
 	}
 	return nil
 }
@@ -316,7 +329,7 @@ func (x *Index) checkProjBoundSoundness() error {
 	}
 	reproj := make([]float32, x.m)
 	for t := range x.tCent {
-		if len(x.tMembers[t]) == 0 {
+		if x.tCount[t] == 0 {
 			continue // never-populated clusters carry meaningless centroids
 		}
 		x.pcaModel.TransformInto(reproj, x.tCent[t])
@@ -341,7 +354,7 @@ func (x *Index) checkProjBoundSoundness() error {
 		}
 		qProj := x.projAt(uint32(i))
 		for t := range x.tCent {
-			if len(x.tMembers[t]) == 0 {
+			if x.tCount[t] == 0 {
 				continue
 			}
 			weak := vec.Dist(qProj, x.tCentProj[t])*inv - projWeakAbsSlack

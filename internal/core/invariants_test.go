@@ -23,7 +23,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			x.tRadProj[x.clusters[0].t] = 0
 		}},
 		{"corrupted member distance", func(x *Index) {
-			x.clusters[0].members[0].ds += 0.5
+			x.clusters[0].dt[0] += 0.5
+		}},
+		{"L_s out of order", func(x *Index) {
+			c := x.clusters[0]
+			c.members[0], c.members[1] = c.members[1], c.members[0]
+			c.dt[0], c.dt[1] = c.dt[1], c.dt[0]
 		}},
 		{"non-conservative threshold", func(x *Index) {
 			c := x.clusters[0]
@@ -42,7 +47,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			c.elems[len(c.elems)-1] = c.elems[0]
 		}},
 		{"phantom deleted member", func(x *Index) {
-			x.deleted.set(x.clusters[0].members[0].idx)
+			x.deleted.set(x.clusters[0].members[0])
 		}},
 		{"wrong live count", func(x *Index) {
 			x.live--
@@ -102,7 +107,13 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			x.texts = x.texts[:len(x.texts)-1]
 		}},
 		{"assignment outside the side clusters", func(x *Index) {
-			x.sAssign[0] = int32(len(x.sCentX))
+			x.cells[0] = uint32(len(x.grid))
+		}},
+		{"row's cell naming another cluster", func(x *Index) {
+			x.cells[x.clusters[0].members[0]] = uint32(x.cell(x.clusters[1].s, x.clusters[1].t))
+		}},
+		{"stale semantic side count", func(x *Index) {
+			x.tCount[x.clusters[0].t]++
 		}},
 		{"stale gathered block", func(x *Index) {
 			c := x.clusters[0]

@@ -133,22 +133,13 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) error {
 			next++
 		}
 	}
-	if len(x.sAssign) != n || len(x.tAssign) != n {
-		return fmt.Errorf("%d/%d side assignments for %d objects", len(x.sAssign), len(x.tAssign), n)
+	if len(x.cells) != n {
+		return fmt.Errorf("%d cells for %d objects", len(x.cells), n)
 	}
 	if vecs == nil {
 		vecs = make([][]float32, n)
 		for i := range vecs {
 			vecs[i] = x.vecAt(uint32(i))
-		}
-	}
-	for _, lists := range [2][][]uint32{x.sMembers, x.tMembers} {
-		for _, list := range lists {
-			for _, old := range list {
-				if int(old) >= n {
-					return fmt.Errorf("side membership lists position %d of %d", old, n)
-				}
-			}
 		}
 	}
 
@@ -157,7 +148,7 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) error {
 	projArena := make([]float32, n*m)
 	ids, texts, topics := make([]uint32, n), make([]string, n), make([]int, n)
 	xs, ys := make([]float64, n), make([]float64, n)
-	sAssign, tAssign := make([]int32, n), make([]int32, n)
+	cells := make([]uint32, n)
 	par.For(n, x.cfg.Workers, func(lo, hi int) {
 		for old := lo; old < hi; old++ {
 			p := int(perm[old])
@@ -165,7 +156,7 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) error {
 			copy(projArena[p*m:(p+1)*m], x.projAt(uint32(old)))
 			ids[p], texts[p], topics[p] = x.ids[old], x.texts[old], x.topics[old]
 			xs[p], ys[p] = x.xArena[old], x.yArena[old]
-			sAssign[p], tAssign[p] = x.sAssign[old], x.tAssign[old]
+			cells[p] = x.cells[old]
 		}
 	})
 	deleted := newBitset(n)
@@ -177,22 +168,15 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) error {
 	x.vecArena, x.projArena = vecArena, projArena
 	x.ids, x.texts, x.topics = ids, texts, topics
 	x.xArena, x.yArena = xs, ys
-	x.sAssign, x.tAssign, x.deleted = sAssign, tAssign, deleted
+	x.cells, x.deleted = cells, deleted
 	x.idIdx.relabel(perm)
 
-	for _, lists := range [2][][]uint32{x.sMembers, x.tMembers} {
-		for _, list := range lists {
-			for i, old := range list {
-				list[i] = perm[old]
-			}
-		}
-	}
 	// Within a cluster the new positions follow array order, which both
 	// sorted lists agree with on the pairs they order by position (see
 	// byDsCmp): relabelling keeps them sorted and byDt untouched.
 	for _, c := range x.clusters {
-		for i := range c.members {
-			c.members[i].idx = perm[c.members[i].idx]
+		for i, old := range c.members {
+			c.members[i] = perm[old]
 		}
 		for i := range c.elems {
 			c.elems[i].idx = perm[c.elems[i].idx]

@@ -40,7 +40,7 @@ func (x *Index) Insert(o dataset.Object) error {
 	// member have meaningless centroids and are skipped.
 	t, bestT := -1, 0.0
 	for c := 0; c < len(x.tCentProj); c++ {
-		if len(x.tMembers[c]) == 0 {
+		if x.tCount[c] == 0 {
 			continue
 		}
 		if d := x.projToCent(idx, c); t < 0 || d < bestT {
@@ -65,10 +65,8 @@ func (x *Index) Insert(o dataset.Object) error {
 	if t < 0 {
 		t, bestT = 0, x.projToCent(idx, 0) // unreachable after Build: ≥1 cluster is always valid
 	}
-	x.sAssign = append(x.sAssign, int32(s))
-	x.tAssign = append(x.tAssign, int32(t))
-	x.sMembers[s] = append(x.sMembers[s], idx)
-	x.tMembers[t] = append(x.tMembers[t], idx)
+	x.cells = append(x.cells, uint32(x.cell(s, t)))
+	x.tCount[t]++
 
 	// Expand radii where the newcomer falls outside (§6.2). Only radii
 	// ever change after build — the centroids (tCent, tCentProj, sCent*)
@@ -78,11 +76,12 @@ func (x *Index) Insert(o dataset.Object) error {
 	// (see fillProjLowerBounds), so any future centroid maintenance must
 	// recompute both representations together. CheckInvariants asserts
 	// both the pairing and the bound's soundness.
+	dt := x.semanticToCent(idx, t)
 	if bestS > x.sRad[s] {
 		x.sRad[s] = bestS
 	}
-	if d := x.semanticToCent(idx, t); d > x.tRad[t] {
-		x.tRad[t] = d
+	if dt > x.tRad[t] {
+		x.tRad[t] = dt
 	}
 	if bestT > x.tRadProj[t] {
 		x.tRadProj[t] = bestT
@@ -93,8 +92,8 @@ func (x *Index) Insert(o dataset.Object) error {
 		x.radiusDrifts++
 	}
 
-	c := x.addToHybrid(idx)
-	c.mergeElems()
+	c := x.addToHybrid(member{idx: idx, ds: bestS, dt: dt})
+	c.mergeElems(x.dsOf(c))
 	x.fillClusterBlock(c)
 	x.live++
 	x.UpdatesSinceBuild++
@@ -116,7 +115,13 @@ func (x *Index) DriftRatio() float64 {
 
 // Delete removes the object with the given ID (§6.2). If the object
 // determined one of its clusters' radii, the radius is recomputed from
-// the remaining members.
+// the remaining members: the hybrid clusters of the grid's row s (for
+// the spatial radius) or column t (for the semantic ones) partition the
+// side's live rows. Each cluster's lists are sorted by descending
+// distance, so the spatial radius reads one ds per cluster (its L_s
+// head) and the semantic one one stored dt (its L_t head); only the
+// projected radius, which no list orders, visits every member — an
+// m-dimensional distance each.
 func (x *Index) Delete(id uint32) error {
 	if x.delta != nil {
 		return x.deltaDelete(id)
@@ -129,15 +134,15 @@ func (x *Index) Delete(id uint32) error {
 	x.live--
 	x.UpdatesSinceBuild++
 
-	s, t := int(x.sAssign[idx]), int(x.tAssign[idx])
-	x.sMembers[s] = x.removeIdxCOW(x.sMembers[s], idx)
-	x.tMembers[t] = x.removeIdxCOW(x.tMembers[t], idx)
+	cell := x.cells[idx]
+	s, t := x.sides(cell)
+	x.tCount[t]--
 
 	// Remove from the hybrid cluster and rebuild its array.
-	c := x.cowHybrid(x.grid[x.cell(s, t)])
-	c.removeMember(idx)
+	c := x.cowHybrid(x.grid[cell])
+	dt := c.removeMember(idx)
 	if len(c.members) == 0 {
-		x.grid[x.cell(s, t)] = nil
+		x.grid[cell] = nil
 		for i, cc := range x.clusters {
 			if cc == c {
 				x.clusters[i] = x.clusters[len(x.clusters)-1]
@@ -146,33 +151,36 @@ func (x *Index) Delete(id uint32) error {
 			}
 		}
 	} else {
-		c.mergeElems()
+		c.mergeElems(x.dsOf(c))
 		x.fillClusterBlock(c)
 	}
 
 	// Shrink radii when the deleted object was the farthest member (the
 	// "infrequent case" of §6.2).
+	ks, kt := len(x.sCentX), len(x.tCent)
 	if x.spatialToCent(idx, s) >= x.sRad[s] {
 		x.sRad[s] = 0
-		for _, mi := range x.sMembers[s] {
-			if d := x.spatialToCent(mi, s); d > x.sRad[s] {
-				x.sRad[s] = d
+		for _, cc := range x.grid[s*kt : (s+1)*kt] {
+			if cc != nil {
+				x.sRad[s] = max(x.sRad[s], x.spatialToCent(cc.members[0], s))
 			}
 		}
 	}
-	if x.semanticToCent(idx, t) >= x.tRad[t] {
+	if dt >= x.tRad[t] {
 		x.tRad[t] = 0
-		for _, mi := range x.tMembers[t] {
-			if d := x.semanticToCent(mi, t); d > x.tRad[t] {
-				x.tRad[t] = d
+		for ss := range ks {
+			if cc := x.grid[x.cell(ss, t)]; cc != nil {
+				x.tRad[t] = max(x.tRad[t], cc.dt[cc.byDt[0]])
 			}
 		}
 	}
 	if x.projToCent(idx, t) >= x.tRadProj[t] {
 		x.tRadProj[t] = 0
-		for _, mi := range x.tMembers[t] {
-			if d := x.projToCent(mi, t); d > x.tRadProj[t] {
-				x.tRadProj[t] = d
+		for ss := range ks {
+			if cc := x.grid[x.cell(ss, t)]; cc != nil {
+				for _, mi := range cc.members {
+					x.tRadProj[t] = max(x.tRadProj[t], x.projToCent(mi, t))
+				}
 			}
 		}
 	}
@@ -265,14 +273,4 @@ func arenaCap(need, old int) int {
 		c = need
 	}
 	return c
-}
-
-func removeIdx(list []uint32, idx uint32) []uint32 {
-	for i, v := range list {
-		if v == idx {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
-		}
-	}
-	return list
 }

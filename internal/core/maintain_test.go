@@ -310,7 +310,11 @@ func TestDeleteShrinksRadius(t *testing.T) {
 	s := 0
 	var farIdx uint32
 	far := -1.0
-	for _, mi := range f.idx.sMembers[s] {
+	for i := range f.idx.rows() {
+		mi := uint32(i)
+		if rs, _ := f.idx.sides(f.idx.cells[mi]); rs != s || f.idx.deleted.get(mi) {
+			continue
+		}
 		if d := f.idx.spatialToCent(mi, s); d > far {
 			far, farIdx = d, mi
 		}

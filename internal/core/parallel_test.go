@@ -52,8 +52,8 @@ func sameBuild(t *testing.T, ctx string, a, b *Index) {
 	eq("ID table", a.idIdx, b.idIdx)
 	eq("vector arena", a.vecArena, b.vecArena)
 	eq("projection arena", a.projArena, b.projArena)
-	eq("spatial assignments", a.sAssign, b.sAssign)
-	eq("semantic assignments", a.tAssign, b.tAssign)
+	eq("cells", a.cells, b.cells)
+	eq("semantic side counts", a.tCount, b.tCount)
 	eq("spatial centroids x", a.sCentX, b.sCentX)
 	eq("spatial centroids y", a.sCentY, b.sCentY)
 	eq("spatial radii", a.sRad, b.sRad)
@@ -62,8 +62,6 @@ func sameBuild(t *testing.T, ctx string, a, b *Index) {
 	eq("semantic radii", a.tRad, b.tRad)
 	eq("projected radii", a.tRadProj, b.tRadProj)
 	eq("valid flags", a.tValid, b.tValid)
-	eq("spatial member lists", a.sMembers, b.sMembers)
-	eq("semantic member lists", a.tMembers, b.tMembers)
 	eq("PCA mean", a.pcaModel.Mean, b.pcaModel.Mean)
 	eq("PCA components", a.pcaModel.Components, b.pcaModel.Components)
 	eq("projected normalizer", a.space.DtProjMax, b.space.DtProjMax)
@@ -76,7 +74,8 @@ func sameBuild(t *testing.T, ctx string, a, b *Index) {
 	for i, ca := range a.clusters {
 		cb := b.clusters[i]
 		if ca.s != cb.s || ca.t != cb.t || ca.base != cb.base ||
-			!reflect.DeepEqual(ca.elems, cb.elems) || !reflect.DeepEqual(ca.members, cb.members) {
+			!reflect.DeepEqual(ca.elems, cb.elems) || !reflect.DeepEqual(ca.members, cb.members) ||
+			!reflect.DeepEqual(ca.dt, cb.dt) || !reflect.DeepEqual(ca.byDt, cb.byDt) {
 			t.Fatalf("%s: cluster %d (%d,%d) differs from (%d,%d)", ctx, i, ca.s, ca.t, cb.s, cb.t)
 		}
 	}

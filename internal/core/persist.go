@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/pca"
 )
 
@@ -16,7 +17,12 @@ import (
 // fully functional index without re-clustering. The per-cluster element
 // arrays are cheap to rebuild and are therefore not serialized: Load
 // sorts each member list (written in L_s order, or in storage order by
-// older code) and merges the array as Build does. The stored Config
+// older code) and merges the array as Build does. It recomputes every
+// member's distances from the arenas and reads the file's for nothing:
+// they are the Lemma 4.5 thresholds, and a damaged value would make an
+// exact answer silently wrong. The file still carries them, and the side
+// assignments and side member lists the index derives from its cell
+// column, so that older code reads it unchanged. The stored Config
 // keeps zero cluster counts zero, so a reloaded index rebuilds at the
 // counts its live objects derive; a file that recorded explicit counts —
 // every file written before counts were derived per build — keeps them.
@@ -66,7 +72,10 @@ type gobIndex struct {
 	Proj [][]float32
 
 	SCentX, SCentY, SRad []float64
-	SMembers             [][]uint32
+	// SMembers and TMembers list each side cluster's live rows in
+	// ascending storage position. Save writes them for older readers;
+	// Load ignores them.
+	SMembers [][]uint32
 
 	TCent     [][]float32
 	TRad      []float64
@@ -126,22 +135,20 @@ func (x *Index) Save(w io.Writer) error {
 		SCentX:             x.sCentX,
 		SCentY:             x.sCentY,
 		SRad:               x.sRad,
-		SMembers:           x.sMembers,
 		TCent:              x.tCent,
 		TRad:               x.tRad,
 		TCentProj:          x.tCentProj,
 		TRadProj:           x.tRadProj,
-		TMembers:           x.tMembers,
 		TValid:             x.tValid,
-		SAssign:            widenAssign(x.sAssign),
-		TAssign:            widenAssign(x.tAssign),
 		UpdatesSinceBuild_: x.UpdatesSinceBuild,
 	}
+	g.SAssign, g.TAssign, g.SMembers, g.TMembers = x.sideAssignments()
 	g.Clusters = make([]gobHybrid, len(x.clusters))
 	for i, c := range x.clusters {
 		gc := gobHybrid{S: c.s, T: c.t, Members: make([]gobMember, len(c.members))}
-		for j, m := range c.members {
-			gc.Members[j] = gobMember{Idx: m.idx, Ds: m.ds, Dt: m.dt}
+		ds := x.dsOf(c)
+		for j, idx := range c.members {
+			gc.Members[j] = gobMember{Idx: idx, Ds: ds(j), Dt: c.dt[j]}
 		}
 		g.Clusters[i] = gc
 	}
@@ -151,13 +158,22 @@ func (x *Index) Save(w io.Writer) error {
 	return nil
 }
 
-// widenAssign returns the side assignments at the width the file keeps.
-func widenAssign(assign []int32) []int {
-	out := make([]int, len(assign))
-	for i, c := range assign {
-		out[i] = int(c)
+// sideAssignments derives from the cell column what the file keeps per
+// side: every row's two side clusters, and each side cluster's live rows
+// in ascending storage position.
+func (x *Index) sideAssignments() (sAssign, tAssign []int, sMembers, tMembers [][]uint32) {
+	n := x.rows()
+	sAssign, tAssign = make([]int, n), make([]int, n)
+	sMembers, tMembers = make([][]uint32, len(x.sCentX)), make([][]uint32, len(x.tCent))
+	for i, cell := range x.cells {
+		s, t := x.sides(cell)
+		sAssign[i], tAssign[i] = s, t
+		if !x.deleted.get(uint32(i)) {
+			sMembers[s] = append(sMembers[s], uint32(i))
+			tMembers[t] = append(tMembers[t], uint32(i))
+		}
 	}
-	return out
+	return sAssign, tAssign, sMembers, tMembers
 }
 
 // migrateV1 converts a decoded version-1 file — per-object vectors and
@@ -236,12 +252,10 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 		sCentX:            g.SCentX,
 		sCentY:            g.SCentY,
 		sRad:              g.SRad,
-		sMembers:          g.SMembers,
 		tCent:             g.TCent,
 		tRad:              g.TRad,
 		tCentProj:         g.TCentProj,
 		tRadProj:          g.TRadProj,
-		tMembers:          g.TMembers,
 		tValid:            g.TValid,
 		UpdatesSinceBuild: g.UpdatesSinceBuild_,
 	}
@@ -250,46 +264,70 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	// The drift baseline restarts from the loaded radii.
 	x.builtSRad = append([]float64(nil), x.sRad...)
 	x.builtTRadProj = append([]float64(nil), x.tRadProj...)
-	// Files written before TValid existed: approximate centroid validity
-	// by current membership (only wrong for clusters emptied by deletes,
-	// which then merely stop attracting the all-empty insert fallback).
-	if x.tValid == nil {
-		x.tValid = make([]bool, len(x.tCent))
-		for t := range x.tMembers {
-			x.tValid[t] = len(x.tMembers[t]) > 0
-		}
-	}
 	// The cluster directory is a dense Ks×Kt grid, so side indices are
 	// validated before anything is indexed by them: a damaged file fails
 	// here, not in the first search.
 	ks, kt := len(x.sCentX), len(x.tCent)
 	var err error
-	if x.sAssign, err = loadAssign(g.SAssign, ks, "spatial"); err != nil {
+	if x.cells, err = loadCells(g.SAssign, g.TAssign, ks, kt, x.rows()); err != nil {
 		return nil, nil, err
 	}
-	if x.tAssign, err = loadAssign(g.TAssign, kt, "semantic"); err != nil {
-		return nil, nil, err
+	x.tCount = make([]int32, kt)
+	for i, cell := range x.cells {
+		if !x.deleted.get(uint32(i)) {
+			_, t := x.sides(cell)
+			x.tCount[t]++
+		}
+	}
+	// Files written before TValid existed: approximate centroid validity
+	// by current membership (only wrong for clusters emptied by deletes,
+	// which then merely stop attracting the all-empty insert fallback).
+	if x.tValid == nil {
+		x.tValid = make([]bool, kt)
+		for t, n := range x.tCount {
+			x.tValid[t] = n > 0
+		}
 	}
 	if x.idIdx, err = newIDTable(x.ids, x.deleted, x.cfg.Workers); err != nil {
 		return nil, nil, fmt.Errorf("core: load: %w", err)
 	}
 	x.grid = make([]*hybrid, ks*kt)
 	x.clusters = make([]*hybrid, len(g.Clusters))
+	total := 0
+	for _, gc := range g.Clusters {
+		total += len(gc.Members)
+	}
+	buf := make([]member, total)
+	ms := make([][]member, len(g.Clusters))
 	for i, gc := range g.Clusters {
 		if gc.S < 0 || gc.S >= ks || gc.T < 0 || gc.T >= kt {
 			return nil, nil, fmt.Errorf("core: load: cluster %d names side pair (%d,%d) outside %d×%d", i, gc.S, gc.T, ks, kt)
 		}
-		if x.grid[x.cell(gc.S, gc.T)] != nil {
+		cell := x.cell(gc.S, gc.T)
+		if x.grid[cell] != nil {
 			return nil, nil, fmt.Errorf("core: load: two clusters name side pair (%d,%d)", gc.S, gc.T)
 		}
-		c := &hybrid{s: gc.S, t: gc.T, members: make([]member, len(gc.Members))}
+		ms[i], buf = buf[:len(gc.Members)], buf[len(gc.Members):]
 		for j, gm := range gc.Members {
-			c.members[j] = member{idx: gm.Idx, ds: gm.Ds, dt: gm.Dt}
+			if int(gm.Idx) >= x.rows() || x.cells[gm.Idx] != uint32(cell) {
+				return nil, nil, fmt.Errorf("core: load: cluster %d lists position %d, out of range or assigned elsewhere", i, gm.Idx)
+			}
+			ms[i][j].idx = gm.Idx
 		}
-		c.buildElems()
-		x.clusters[i] = c
-		x.grid[x.cell(gc.S, gc.T)] = c
+		x.clusters[i] = &hybrid{s: gc.S, t: gc.T}
+		x.grid[cell] = x.clusters[i]
 	}
+	// Every member's distances, recomputed from the arenas in one pass.
+	par.For(len(g.Clusters), x.cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := x.clusters[i]
+			for j := range ms[i] {
+				m := &ms[i][j]
+				m.ds, m.dt = x.spatialToCent(m.idx, c.s), x.semanticToCent(m.idx, c.t)
+			}
+		}
+	})
+	x.orderClusters(ms)
 	// Storage order is data: a file whose clusters are not contiguous —
 	// written before the cluster-major layout, or saved after in-place
 	// maintenance — is renumbered here, after which the derived pieces
@@ -304,15 +342,18 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	return x, space, nil
 }
 
-// loadAssign narrows a file's side assignments to the index's width,
-// rejecting any outside [0,k).
-func loadAssign(assign []int, k int, side string) ([]int32, error) {
-	out := make([]int32, len(assign))
-	for i, c := range assign {
-		if c < 0 || c >= k {
-			return nil, fmt.Errorf("core: load: object %d assigned to %s cluster %d of %d", i, side, c, k)
-		}
-		out[i] = int32(c)
+// loadCells folds a file's side assignments into the cell column,
+// rejecting a row count other than n and any side outside [0,ks)×[0,kt).
+func loadCells(sAssign, tAssign []int, ks, kt, n int) ([]uint32, error) {
+	if len(sAssign) != n || len(tAssign) != n {
+		return nil, fmt.Errorf("core: load: %d/%d side assignments for %d objects", len(sAssign), len(tAssign), n)
 	}
-	return out, nil
+	cells := make([]uint32, n)
+	for i, s := range sAssign {
+		if t := tAssign[i]; s < 0 || s >= ks || t < 0 || t >= kt {
+			return nil, fmt.Errorf("core: load: object %d assigned to side pair (%d,%d) outside %d×%d", i, s, t, ks, kt)
+		}
+		cells[i] = uint32(s*kt + tAssign[i])
+	}
+	return cells, nil
 }

@@ -187,8 +187,9 @@ func TestLoadRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
-// A file whose cluster directory is damaged fails Load; before the grid
-// existed such a file loaded and panicked in the first search.
+// A file whose cluster directory or assignments are damaged fails Load;
+// before the grid existed such a file loaded and panicked in the first
+// search.
 func TestLoadRejectsBadClusterSides(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 200, Config{Seed: 89})
 	var saved bytes.Buffer
@@ -206,6 +207,11 @@ func TestLoadRejectsBadClusterSides(t *testing.T) {
 		}},
 		{"spatial assignment out of range", func(g *gobIndex) { g.SAssign[3] = len(g.SCentX) }},
 		{"semantic assignment out of range", func(g *gobIndex) { g.TAssign[3] = -2 }},
+		{"assignments one row short", func(g *gobIndex) { g.SAssign = g.SAssign[1:] }},
+		{"member position out of range", func(g *gobIndex) { g.Clusters[0].Members[0].Idx = uint32(len(g.Objects)) }},
+		{"member listed by a cluster its assignment does not name", func(g *gobIndex) {
+			g.Clusters[0].Members[0].Idx = g.Clusters[1].Members[0].Idx
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -279,6 +285,61 @@ func TestLoadParentWrittenFile(t *testing.T) {
 				identicalResults(t, "parent-written file vs scan", want, loaded.Search(&q, k, lambda, nil))
 				identicalResults(t, "re-saved file vs scan", want, again.Search(&q, k, lambda, nil))
 				identicalResults(t, "re-saved file approx", loaded.SearchApprox(&q, k, lambda, nil), again.SearchApprox(&q, k, lambda, nil))
+			}
+		}
+	}
+}
+
+// Load recomputes every member's distances from the arenas: a file whose
+// stored Ds and Dt are damaged — here zeroed or halved for every third
+// member, thresholds that would no longer bound Lemma 4.5's cut — loads to
+// the index the undamaged file gives, element for element, and answers
+// exactly.
+func TestLoadIgnoresStoredMemberDistances(t *testing.T) {
+	f := build(t, dataset.TwitterLike, 800, Config{Seed: 87})
+	for i := 0; i < 40; i++ {
+		if err := f.idx.Delete(f.ds.Objects[i*11].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	saved := saveBytes(t, f.idx)
+	var g gobIndex
+	if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&g); err != nil {
+		t.Fatal(err)
+	}
+	damaged := 0
+	for ci := range g.Clusters {
+		for mi := range g.Clusters[ci].Members {
+			if m := &g.Clusters[ci].Members[mi]; (ci+mi)%3 == 0 {
+				m.Ds, m.Dt = m.Ds/2, 0
+				damaged++
+			}
+		}
+	}
+	if damaged == 0 {
+		t.Fatal("no member distance damaged")
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&g); err != nil {
+		t.Fatal(err)
+	}
+	loaded := loadBytes(t, buf.Bytes())
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	clean := loadBytes(t, saved)
+	for ci, c := range loaded.clusters {
+		if !stateOf(c).equal(stateOf(clean.clusters[ci])) {
+			t.Fatalf("cluster %d differs from the one the undamaged file loads", ci)
+		}
+	}
+	sc, live := liveSet(loaded)
+	for qi := 0; qi < 10; qi++ {
+		q := live.Objects[(qi*67+5)%live.Len()]
+		q.X = clamp01(q.X + 0.011)
+		for _, lambda := range []float64{0, 0.3, 0.7, 1} {
+			for _, k := range []int{1, 10, 50} {
+				identicalResults(t, "damaged file vs scan", sc.Search(&q, k, lambda, nil), loaded.Search(&q, k, lambda, nil))
 			}
 		}
 	}

@@ -23,8 +23,8 @@ func TestLowerBoundIsValid(t *testing.T) {
 			dsq := x.space.SpatialXY(q.X, q.Y, x.sCentX[c.s], x.sCentY[c.s])
 			dtq := x.space.SemanticVec(q.Vec, x.tCent[c.t])
 			lb := lowerBound(lambda, dsq, x.sRad[c.s], dtq, x.tRad[c.t])
-			for _, m := range c.members {
-				o := x.row(m.idx)
+			for _, idx := range c.members {
+				o := x.row(idx)
 				d := x.space.Distance(nil, lambda, q, &o)
 				if d < lb-1e-9 {
 					return false
@@ -45,7 +45,8 @@ func TestArrayThresholdConservative(t *testing.T) {
 	x := f.idx
 	for _, c := range x.clusters {
 		byIdx := make(map[uint32]member, len(c.members))
-		for _, m := range c.members {
+		for p := range c.members {
+			m := c.at(p, x.dsOf(c))
 			byIdx[m.idx] = m
 		}
 		for _, lambda := range []float64{0, 0.25, 0.5, 0.75, 1} {
@@ -81,9 +82,9 @@ func TestBuildElemsProperties(t *testing.T) {
 				orig[i].dt = float64(rng.IntN(levels)) / float64(levels)
 			}
 		}
-		c := &hybrid{members: append([]member(nil), orig...)}
-		c.buildElems()
-		if len(c.elems) != n || c.checkOrders() != nil {
+		c := &hybrid{}
+		c.buildElems(append([]member(nil), orig...))
+		if len(c.elems) != n || c.checkOrders(func(p int) float64 { return orig[c.members[p]].ds }) != nil {
 			return false
 		}
 		seen := make(map[uint32]bool, n)
@@ -111,7 +112,7 @@ func TestBuildElemsProperties(t *testing.T) {
 
 func TestBuildElemsEmpty(t *testing.T) {
 	c := &hybrid{}
-	c.buildElems()
+	c.buildElems(nil)
 	if c.elems != nil || len(c.byDt) != 0 {
 		t.Fatalf("empty cluster: elems %v, byDt %v", c.elems, c.byDt)
 	}
@@ -120,11 +121,12 @@ func TestBuildElemsEmpty(t *testing.T) {
 func TestBuildElemsDuplicateDistances(t *testing.T) {
 	// All-equal distances must still yield one element per member, in
 	// storage order: both lists fall back to it.
-	c := &hybrid{members: make([]member, 10)}
-	for i := range c.members {
-		c.members[i] = member{idx: uint32(9 - i), ds: 0.5, dt: 0.5}
+	ms := make([]member, 10)
+	for i := range ms {
+		ms[i] = member{idx: uint32(9 - i), ds: 0.5, dt: 0.5}
 	}
-	c.buildElems()
+	c := &hybrid{}
+	c.buildElems(ms)
 	if len(c.elems) != 10 {
 		t.Fatalf("got %d elems", len(c.elems))
 	}
