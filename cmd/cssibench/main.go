@@ -2,17 +2,17 @@
 //
 // Usage:
 //
-//	cssibench [-exp fig5,table4|all] [-scale 1.0] [-queries 50] [-seed 1] [-csv] [-json out.json]
+//	cssibench [-exp fig5,table4|all] [-scale 1.0] [-queries 50] [-seed 1] [-csv] [-out dir]
 //
 // Each experiment prints one or more tables; -csv switches to
-// comma-separated output for plotting, and -json additionally writes
-// every table of the run into one machine-readable JSON file. -scale
-// multiplies every dataset size (1.0 is laptop scale; the paper's
-// server scale corresponds to roughly 250).
+// comma-separated output for plotting, and -out additionally writes
+// each table as a CSV file into a directory. -scale multiplies every
+// dataset size (1.0 is laptop scale; the paper's server scale
+// corresponds to roughly 250).
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +34,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		outDir  = flag.String("out", "", "also write each table as CSV into this directory")
-		jsonOut = flag.String("json", "", "also write all tables of the run as JSON to this file")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
@@ -57,7 +56,6 @@ func main() {
 	} else {
 		ids = strings.Split(*exp, ",")
 	}
-	var collected []experiments.Table
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		runner, ok := experiments.Get(id)
@@ -73,7 +71,10 @@ func main() {
 		}
 		for i := range tables {
 			if *csv {
-				tables[i].CSV(os.Stdout)
+				if err := tables[i].CSV(os.Stdout); err != nil {
+					fmt.Fprintf(os.Stderr, "cssibench: %v\n", err)
+					os.Exit(1)
+				}
 				fmt.Println()
 			} else {
 				tables[i].Render(os.Stdout)
@@ -85,35 +86,14 @@ func main() {
 				}
 			}
 		}
-		collected = append(collected, tables...)
 		if !*csv {
 			fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, setup, collected); err != nil {
-			fmt.Fprintf(os.Stderr, "cssibench: %v\n", err)
-			os.Exit(1)
-		}
-	}
 }
 
-// writeJSON stores the run's setup and every produced table as one JSON
-// document (the machine-readable counterpart of the rendered tables,
-// e.g. BENCH_overlay.json in the repo root).
-func writeJSON(path string, setup experiments.Setup, tables []experiments.Table) error {
-	doc := struct {
-		Setup  experiments.Setup   `json:"setup"`
-		Tables []experiments.Table `json:"tables"`
-	}{Setup: setup, Tables: tables}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// writeCSV stores one table as <dir>/<experiment>_<n>.csv.
+// writeCSV stores one table as <dir>/<experiment>_<n>.csv. A failed
+// write or close is an error: a short file never reports success.
 func writeCSV(dir, id string, n int, t *experiments.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -122,7 +102,5 @@ func writeCSV(dir, id string, n int, t *experiments.Table) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	t.CSV(f)
-	return nil
+	return errors.Join(t.CSV(f), f.Close())
 }

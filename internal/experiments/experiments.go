@@ -153,12 +153,18 @@ func dashes(widths []int) []string {
 	return out
 }
 
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Header, ","))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, strings.Join(row, ","))
+// CSV writes the table as comma-separated values and returns the first
+// write error.
+func (t *Table) CSV(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, strings.Join(t.Header, ",")); err != nil {
+		return err
 	}
+	for _, row := range t.Rows {
+		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // searcher is the common query interface of all six algorithms.

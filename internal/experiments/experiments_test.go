@@ -18,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"table2", "table4", "table5", "table6",
-		"ablation", "batch", "hnsw", "niq", "obs", "overlay", "parallel", "serve", "skew",
+		"ablation", "hnsw", "niq", "parallel", "skew",
 	}
 	ids := IDs()
 	if len(ids) != len(want) {
@@ -88,7 +88,9 @@ func TestTableRenderAndCSV(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	tb.CSV(&buf)
+	if err := tb.CSV(&buf); err != nil {
+		t.Fatal(err)
+	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 || lines[0] != "a,bb" || lines[2] != "333,4" {
 		t.Fatalf("CSV output wrong: %q", buf.String())

@@ -162,11 +162,12 @@ func TestDeadlineMsField(t *testing.T) {
 
 // TestAdmissionControlSheds drives a one-slot gate deterministically:
 // with the slot occupied, a zero-queue gate sheds immediately (429,
-// Retry-After, envelope code too_many_requests), a queued request
-// sheds after maxWait, a released slot admits again, and the shed and
-// gauge rows appear in /metrics. (A closed-loop saturation run lives
-// in the serve experiment; on a single-core host short handlers never
-// overlap, so this test occupies the slot by hand instead.)
+// Retry-After, envelope code too_many_requests), a released slot
+// admits again, a one-deep queue sheds its waiter once maxWait
+// expires, and the shed and gauge rows appear in /metrics. (On a
+// single-core host short handlers never overlap, so this test occupies
+// the slot by hand; the closed-loop overload run is the root package's
+// TestProtectedTail, built with -tags timing.)
 func TestAdmissionControlSheds(t *testing.T) {
 	ds, err := cssi.GenerateDataset(cssi.DatasetConfig{Kind: cssi.TwitterLike, Size: 600, Dim: 16, Seed: 5})
 	if err != nil {
@@ -228,20 +229,41 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatalf("released gate answered %d: %s", resp.StatusCode, b)
 	}
 
+	if got := searchGate.shed.Load(); got != 1 {
+		t.Fatalf("shed counter %d, want 1", got)
+	}
+
 	// With a one-deep queue, a queued request waits and then sheds once
 	// maxWait expires while the slot stays occupied.
-	searchGate.inflight <- struct{}{}
-	start := time.Now()
-	resp, _ = post()
-	waited := time.Since(start)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("queue-timeout request answered %d", resp.StatusCode)
+	queued := New(idx, ds.Model)
+	if err := queued.SetAdmissionLimits(1, 1, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
-	_ = waited // wall time includes HTTP overhead; the 429 is the contract
-	<-searchGate.inflight
-
-	if got := searchGate.shed.Load(); got < 2 {
-		t.Fatalf("shed counter %d, want >= 2", got)
+	qts := httptest.NewServer(queued.Handler())
+	t.Cleanup(qts.Close)
+	var queuedGate *admissionGate
+	for _, g := range queued.gates {
+		if g.name == "search" {
+			queuedGate = g
+		}
+	}
+	queuedGate.inflight <- struct{}{}
+	start := time.Now()
+	qresp, err := http.Post(qts.URL+"/v1/search", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qresp.Body.Close()
+	waited := time.Since(start)
+	if qresp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("queue-timeout request answered %d", qresp.StatusCode)
+	}
+	if waited < queuedGate.maxWait {
+		t.Fatalf("queued request shed after %v, before maxWait %v", waited, queuedGate.maxWait)
+	}
+	<-queuedGate.inflight
+	if got := queuedGate.shed.Load(); got != 1 {
+		t.Fatalf("queued gate's shed counter %d, want 1", got)
 	}
 
 	mresp, err := http.Get(ts.URL + "/v1/metrics")

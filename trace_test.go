@@ -193,9 +193,9 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// benchSinkOverhead is a paired micro-benchmark of the traced Do path;
-// run with -bench TraceOverhead to spot-check the <1% budget locally
-// (the authoritative gate is cssibench -exp obs).
+// BenchmarkTraceOverhead is a paired micro-benchmark of the traced Do
+// path; run with -bench TraceOverhead to spot-check the tracer's cost
+// locally (the gate is TestTracerOverhead, built with -tags timing).
 func BenchmarkTraceOverhead(b *testing.B) {
 	ds, err := GenerateDataset(DatasetConfig{Kind: TwitterLike, Size: 2000, Dim: 32, Seed: 5})
 	if err != nil {
