@@ -102,8 +102,8 @@ func main() {
 	}
 	if *savePath != "" {
 		// SaveDir writes the manifest + per-shard layout; for one shard
-		// that is still loadable (and LoadSharded also reads legacy
-		// single-index files saved by older builds).
+		// that is still loadable (and LoadSharded also reads a
+		// single-index file written by Index.Save).
 		if err := idx.SaveDir(*savePath); err != nil {
 			fatal(logger, "save failed", "path", *savePath, "error", err)
 		}

@@ -325,7 +325,6 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		space:       space,
 		dim:         len(ds.Objects[0].Vec),
 		deleted:     newBitset(n),
-		live:        n,
 		scratchPool: newScratchPool(),
 	}
 	// The columns are filled in input order and the vectors stay the
@@ -413,12 +412,9 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	x.tCentProj = make([][]float32, kt)
 	x.tRadProj = make([]float64, kt)
 	x.tValid = make([]bool, kt)
-	x.grid = make([]*hybrid, ks*kt)
 	x.cells = make([]uint32, n)
-	x.tCount = make([]int32, kt)
 	for i := range x.cells {
 		x.cells[i] = uint32(x.cell(sAssign[i], tAssign[i]))
-		x.tCount[tAssign[i]]++
 	}
 
 	// Semantic cluster representations: the original-space centroid is
@@ -473,22 +469,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		func(i int) float64 { return dpAll[i] })
 
 	// --- Hybrid clusters and their arrays (Alg. 1 lines 10-14) ---
-	// Order each cluster and merge its element array, renumber storage
-	// into the order those arrays dictate (which keeps the lists sorted;
-	// see byDsCmp), then derive the coordinate arena and anchor the rows
-	// over the final order: every cluster's scan block is a window of the
-	// arenas.
-	x.orderClusters(x.formHybrids(dsAll, dtAll))
-	if err := x.layoutClusterMajor(vecs); err != nil {
-		return nil, fmt.Errorf("core: %w", err) // unreachable: Build lists every object once
-	}
-	x.anchors = x.buildAnchors(anchors)
-	for _, c := range x.clusters {
-		x.fillClusterBlock(c)
-	}
-	// Snapshot the built radii for the DriftRatio heuristic.
-	x.builtSRad = append([]float64(nil), x.sRad...)
-	x.builtTRadProj = append([]float64(nil), x.tRadProj...)
+	x.derive(dsAll, dtAll, vecs, anchors)
 	tm.Hybrid = time.Since(phase)
 	return x, nil
 }
@@ -540,22 +521,59 @@ func membersByAssign(assign []int, k int) [][]uint32 {
 	return lists
 }
 
-// formHybrids is the bulk form of addToHybrid over every object, with
+// derive produces the index's derived state from its base state alone —
+// the columns and arenas, the deleted bitmap, the cell column and the
+// model — and is the only code that does: Build ends in it, and Load is
+// decode, validate, derive. ds and dt hold every live row's distances to
+// its two side centroids; vecs holds Build's vectors, one per row, before
+// any vector arena exists (nil from Load). In turn it counts the live
+// rows per semantic side, forms the hybrid clusters over the live rows,
+// orders each and merges its array, renumbers storage into the order
+// those arrays dictate (which keeps the lists sorted; see byDsCmp),
+// anchors every row over set (fitted here when nil) and fills every scan
+// block — a window of the arenas — and restarts the drift baseline from
+// the current radii.
+func (x *Index) derive(ds, dt []float64, vecs [][]float32, set *Anchors) {
+	x.live, x.tCount = 0, make([]int32, len(x.tCent))
+	for i, cell := range x.cells {
+		if !x.deleted.get(uint32(i)) {
+			_, t := x.sides(cell)
+			x.live++
+			x.tCount[t]++
+		}
+	}
+	x.grid, x.clusters = make([]*hybrid, len(x.sCentX)*len(x.tCent)), nil
+	x.orderClusters(x.formHybrids(ds, dt))
+	x.layoutClusterMajor(vecs)
+	x.anchors = x.buildAnchors(set)
+	for _, c := range x.clusters {
+		x.fillClusterBlock(c)
+	}
+	x.builtSRad = append([]float64(nil), x.sRad...)
+	x.builtTRadProj = append([]float64(nil), x.tRadProj...)
+}
+
+// formHybrids is the bulk form of addToHybrid over every live row, with
 // precomputed centroid distances: clusters appear in the directory in
-// order of their first object, as one addToHybrid per object would leave
+// order of their first row, as one addToHybrid per row would leave
 // them. It returns, per cluster in directory order, the cluster's
 // members in storage order as windows of one transient buffer (a
 // counting pass sizes them), for orderClusters to sort.
 func (x *Index) formHybrids(ds, dt []float64) [][]member {
 	counts := make([]int, len(x.grid))
-	for _, cell := range x.cells {
-		counts[cell]++
+	for i, cell := range x.cells {
+		if !x.deleted.get(uint32(i)) {
+			counts[cell]++
+		}
 	}
-	buf := make([]member, len(x.cells))
+	buf := make([]member, x.live)
 	var ms [][]member
 	slot := make([]int32, len(x.grid)) // cell → index into ms
 	off := 0
 	for i, cell := range x.cells {
+		if x.deleted.get(uint32(i)) {
+			continue
+		}
 		if x.grid[cell] == nil {
 			n := counts[cell]
 			s, t := x.sides(cell)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/par"
@@ -99,14 +98,13 @@ func (x *Index) fillClusterBlock(c *hybrid) {
 // are contiguous in elems order: cluster after cluster in directory
 // order, then every position no cluster lists (deleted slots) in its old
 // relative order. Everything indexed by storage position moves together.
-// It runs on an index nothing else references yet (the tail of Build and
-// Load) and does nothing when the clusters already are contiguous, which
-// is every file this code wrote from a freshly built index. Build arrives
-// with no vector arena at all but the caller's vectors in vecs, one per
+// It runs inside derive, on an index nothing else references yet, and
+// does nothing when the clusters already are contiguous, which is every
+// file this code wrote from a freshly built index. Build arrives with no
+// vector arena at all but the caller's vectors in vecs, one per
 // position, so the arena is written once, here, in its final order; Load
-// passes nil. The error reports element arrays that are not a partial
-// permutation of storage, which only a damaged file can produce.
-func (x *Index) layoutClusterMajor(vecs [][]float32) error {
+// passes nil.
+func (x *Index) layoutClusterMajor(vecs [][]float32) {
 	n := x.rows()
 	const unset = ^uint32(0)
 	perm := make([]uint32, n) // old position → new position
@@ -117,24 +115,18 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) error {
 	for _, c := range x.clusters {
 		already = already && contiguous(c.elems)
 		for _, e := range c.elems {
-			if int(e.idx) >= n || perm[e.idx] != unset {
-				return fmt.Errorf("object position %d out of range or listed twice", e.idx)
-			}
 			perm[e.idx] = next
 			next++
 		}
 	}
 	if already && vecs == nil {
-		return nil
+		return
 	}
 	for i := range perm {
 		if perm[i] == unset {
 			perm[i] = next
 			next++
 		}
-	}
-	if len(x.cells) != n {
-		return fmt.Errorf("%d cells for %d objects", len(x.cells), n)
 	}
 	if vecs == nil {
 		vecs = make([][]float32, n)
@@ -182,5 +174,4 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) error {
 			c.elems[i].idx = perm[c.elems[i].idx]
 		}
 	}
-	return nil
 }

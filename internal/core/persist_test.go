@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/metric"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -102,129 +106,360 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// saveAsV1 re-encodes a current save in the version-1 layout: per-object
-// vectors and per-row Proj slices, no arenas, no strides — exactly what
-// the pre-arena Save wrote (gob omits the zeroed arena fields from the
-// stream just as it omitted the then-nonexistent ones).
-func saveAsV1(t *testing.T, x *Index) *bytes.Buffer {
+// Version 4 is the oldest format Load reads: a file of versions 1–3 or of
+// a future one is refused with an error that says so.
+func TestLoadRejectsUnknownVersion(t *testing.T) {
+	img := loadImage(t)
+	for _, v := range []int{1, 2, 3, 99} {
+		_, err := damagedLoad(t, img, loadDamage{"Version", 0, v})
+		if err == nil || !strings.Contains(err.Error(), "oldest readable version is 4") {
+			t.Fatalf("version %d: Load returned %v, want an error naming version 4 as the oldest readable", v, err)
+		}
+	}
+}
+
+// A loaded index is derived from the file's base state alone, and is the
+// index the paper's proofs assume: from a fresh build, a build after
+// in-place deletes and the two written states, it is clean under
+// CheckInvariants and answers as the linear scan does, ID for ID
+// (TestLoadParentWrittenFile holds a file older code wrote to the same).
+func TestLoadedIndexExact(t *testing.T) {
+	deletes := build(t, dataset.TwitterLike, 500, Config{Seed: 88})
+	for i := 0; i < 50; i++ {
+		if err := deletes.idx.Delete(deletes.ds.Objects[i*9].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	states, _ := writtenStates(t)
+	for _, c := range []struct {
+		name string
+		img  []byte
+	}{
+		{"fresh", saveBytes(t, build(t, dataset.YelpLike, 500, Config{Seed: 88}).idx)},
+		{"deletes", saveBytes(t, deletes.idx)},
+		{"eager", saveBytes(t, states["eager"])},
+		{"compacted", saveBytes(t, states["compacted"])},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			x := loadBytes(t, c.img)
+			if err := x.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			sc, live := liveSet(x)
+			n := live.Len()
+			for qi := 0; qi < 6; qi++ {
+				q := live.Objects[(qi*53+1)%n]
+				q.X = clamp01(q.X + 0.017)
+				for _, lambda := range []float64{0, 0.5, 1} {
+					for _, k := range []int{1, 10, n + 1} {
+						identicalResults(t, c.name, sc.Search(&q, k, lambda, nil), x.Search(&q, k, lambda, nil))
+					}
+				}
+			}
+		})
+	}
+}
+
+// A loadDamage is one damage to a decoded image: field names a
+// loadFields entry, pos picks the element where the field has several,
+// and val is the change — a length delta, a new index or a new value.
+type loadDamage struct {
+	field    string
+	pos, val int
+}
+
+// loadFields lists the damages FuzzLoad and the table tests apply, each
+// to one field of a decoded image. The base state's values damaged here
+// are those Load either checks or may accept: lengths, indices, flags,
+// coordinates, spatial centroids, radii and normalizers. A vector against
+// its projection or a centroid against its projected twin is
+// CheckInvariants' to check, not Load's.
+var loadFields = []struct {
+	name  string
+	apply func(g *gobIndex, pos, val int)
+}{
+	// Lengths: val is the change in length.
+	{"len Objects", func(g *gobIndex, _, v int) { g.Objects = resize(g.Objects, v) }},
+	{"len Deleted", func(g *gobIndex, _, v int) { g.Deleted = resize(g.Deleted, v) }},
+	{"len VecArena", func(g *gobIndex, _, v int) { g.VecArena = resize(g.VecArena, v) }},
+	{"len ProjArena", func(g *gobIndex, _, v int) { g.ProjArena = resize(g.ProjArena, v) }},
+	{"len SCentX", func(g *gobIndex, _, v int) { g.SCentX = resize(g.SCentX, v) }},
+	{"len SCentY", func(g *gobIndex, _, v int) { g.SCentY = resize(g.SCentY, v) }},
+	{"len SRad", func(g *gobIndex, _, v int) { g.SRad = resize(g.SRad, v) }},
+	{"len TCent", func(g *gobIndex, _, v int) { g.TCent = resize(g.TCent, v) }},
+	{"len TRad", func(g *gobIndex, _, v int) { g.TRad = resize(g.TRad, v) }},
+	{"len TCentProj", func(g *gobIndex, _, v int) { g.TCentProj = resize(g.TCentProj, v) }},
+	{"len TRadProj", func(g *gobIndex, _, v int) { g.TRadProj = resize(g.TRadProj, v) }},
+	{"len TValid", func(g *gobIndex, _, v int) { g.TValid = resize(g.TValid, v) }},
+	{"len TCent row", func(g *gobIndex, p, v int) {
+		if t, ok := pick(len(g.TCent), p); ok {
+			g.TCent[t] = resize(g.TCent[t], v)
+		}
+	}},
+	{"len TCentProj row", func(g *gobIndex, p, v int) {
+		if t, ok := pick(len(g.TCentProj), p); ok {
+			g.TCentProj[t] = resize(g.TCentProj[t], v)
+		}
+	}},
+	{"len SAssign", func(g *gobIndex, _, v int) { g.SAssign = resize(g.SAssign, v) }},
+	{"len TAssign", func(g *gobIndex, _, v int) { g.TAssign = resize(g.TAssign, v) }},
+	{"len PCA mean", func(g *gobIndex, _, v int) {
+		if g.PCAModel != nil {
+			g.PCAModel.Mean = resize(g.PCAModel.Mean, v)
+		}
+	}},
+	{"len PCA components", func(g *gobIndex, _, v int) {
+		if g.PCAModel != nil && g.PCAModel.Components != nil {
+			g.PCAModel.Components.Data = resize(g.PCAModel.Components.Data, v)
+		}
+	}},
+	{"PCA model nil", func(g *gobIndex, _, _ int) { g.PCAModel = nil }},
+	// Indices: val is the new index.
+	{"SAssign", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.SAssign), p); ok {
+			g.SAssign[i] = v
+		}
+	}},
+	{"TAssign", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.TAssign), p); ok {
+			g.TAssign[i] = v
+		}
+	}},
+	{"Dim", func(g *gobIndex, _, v int) { g.Dim = v }},
+	{"M", func(g *gobIndex, _, v int) { g.M = v }},
+	{"Version", func(g *gobIndex, _, v int) { g.Version = v }},
+	{"PCA rows", func(g *gobIndex, _, v int) {
+		if g.PCAModel != nil && g.PCAModel.Components != nil {
+			g.PCAModel.Components.Rows = v
+		}
+	}},
+	{"PCA cols", func(g *gobIndex, _, v int) {
+		if g.PCAModel != nil && g.PCAModel.Components != nil {
+			g.PCAModel.Components.Cols = v
+		}
+	}},
+	// Values: val is the new value, in thousandths for a float
+	// (math.MinInt16 stands for NaN).
+	{"Deleted", func(g *gobIndex, p, _ int) {
+		if i, ok := pick(len(g.Deleted), p); ok {
+			g.Deleted[i] = !g.Deleted[i]
+		}
+	}},
+	{"ID", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.Objects), p); ok {
+			g.Objects[i].ID = uint32(v)
+		}
+	}},
+	{"X", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.Objects), p); ok {
+			g.Objects[i].X = milli(v)
+		}
+	}},
+	{"SCentX", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.SCentX), p); ok {
+			g.SCentX[i] = milli(v)
+		}
+	}},
+	{"SRad", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.SRad), p); ok {
+			g.SRad[i] = milli(v)
+		}
+	}},
+	{"TRad", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.TRad), p); ok {
+			g.TRad[i] = milli(v)
+		}
+	}},
+	{"TRadProj", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.TRadProj), p); ok {
+			g.TRadProj[i] = milli(v)
+		}
+	}},
+	{"DsMax", func(g *gobIndex, _, v int) { g.DsMax = milli(v) }},
+	{"DtMax", func(g *gobIndex, _, v int) { g.DtMax = milli(v) }},
+	{"Workers", func(g *gobIndex, _, v int) { g.Cfg.Workers = v }},
+	{"Seed", func(g *gobIndex, _, v int) { g.Cfg.Seed = uint64(v) }},
+	// Derived fields, which Load does not read.
+	{"Live", func(g *gobIndex, _, v int) { g.Live += v }},
+	{"len Clusters", func(g *gobIndex, _, v int) { g.Clusters = resize(g.Clusters, v) }},
+	{"len cluster members", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.Clusters), p); ok {
+			g.Clusters[i].Members = resize(g.Clusters[i].Members, v)
+		}
+	}},
+	{"cluster S", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.Clusters), p); ok {
+			g.Clusters[i].S = v
+		}
+	}},
+	{"cluster T", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.Clusters), p); ok {
+			g.Clusters[i].T = v
+		}
+	}},
+	{"cluster pair copied", func(g *gobIndex, p, v int) {
+		i, ok1 := pick(len(g.Clusters), p)
+		j, ok2 := pick(len(g.Clusters), p+v)
+		if ok1 && ok2 {
+			g.Clusters[j].S, g.Clusters[j].T = g.Clusters[i].S, g.Clusters[i].T
+		}
+	}},
+	{"member Idx", func(g *gobIndex, p, v int) {
+		if i, ok := pick(len(g.Clusters), p); ok && len(g.Clusters[i].Members) > 0 {
+			g.Clusters[i].Members[0].Idx = uint32(v)
+		}
+	}},
+	{"member moved", func(g *gobIndex, p, v int) {
+		i, ok1 := pick(len(g.Clusters), p)
+		j, ok2 := pick(len(g.Clusters), p+v)
+		if ok1 && ok2 && len(g.Clusters[i].Members) > 0 && len(g.Clusters[j].Members) > 0 {
+			g.Clusters[i].Members[0].Idx = g.Clusters[j].Members[0].Idx
+		}
+	}},
+	{"member distances", func(g *gobIndex, p, _ int) {
+		for ci := range g.Clusters {
+			for mi := range g.Clusters[ci].Members {
+				if m := &g.Clusters[ci].Members[mi]; (ci+mi+p)%3 == 0 {
+					m.Ds, m.Dt = m.Ds/2, 0
+				}
+			}
+		}
+	}},
+	{"side lists", func(g *gobIndex, p, v int) {
+		if s, ok := pick(len(g.SMembers), p); ok {
+			g.SMembers[s] = nil
+		}
+		if t, ok := pick(len(g.TMembers), p); ok {
+			g.TMembers[t] = append(g.TMembers[t], uint32(v))
+		}
+	}},
+}
+
+// loadField returns the position of the named damage in loadFields.
+func loadField(name string) int {
+	for i, f := range loadFields {
+		if f.name == name {
+			return i
+		}
+	}
+	panic("no load damage " + name)
+}
+
+// resize lengthens s by delta zero values, or shortens it, to no less
+// than empty.
+func resize[T any](s []T, delta int) []T {
+	if delta < 0 {
+		return s[:max(0, len(s)+delta)]
+	}
+	return append(s, make([]T, delta)...)
+}
+
+// pick maps pos onto one of n elements; false when there are none.
+func pick(n, pos int) (int, bool) {
+	if n == 0 {
+		return 0, false
+	}
+	return (pos%n + n) % n, true
+}
+
+// milli reads v as thousandths, with math.MinInt16 standing for NaN.
+func milli(v int) float64 {
+	if v == math.MinInt16 {
+		return math.NaN()
+	}
+	return float64(v) / 1000
+}
+
+// damagedLoad decodes img, applies d, re-encodes and loads the result.
+func damagedLoad(t testing.TB, img []byte, d loadDamage) (*Index, error) {
 	t.Helper()
+	var g gobIndex
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&g); err != nil {
+		t.Fatal(err)
+	}
+	loadFields[loadField(d.field)].apply(&g, d.pos, d.val)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&g); err != nil {
+		t.Fatal(err)
+	}
+	x, _, err := Load(&buf)
+	return x, err
+}
+
+// loadImage saves the small index the damage tests start from: 24
+// objects of dim 4 on a 4×4 side grid, three of them deleted, under 5 KB.
+func loadImage(t testing.TB) []byte {
+	t.Helper()
+	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 24, Dim: 4, Seed: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Build(ds, sp, Config{Seed: 90})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := x.Delete(ds.Objects[i*7].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ks, kt := len(x.sCentX), len(x.tCent); ks != 4 || kt != 4 {
+		t.Fatalf("image has %d×%d side clusters, want 4×4", ks, kt)
+	}
 	var buf bytes.Buffer
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var g gobIndex
-	if err := gob.NewDecoder(&buf).Decode(&g); err != nil {
-		t.Fatal(err)
+	if buf.Len() > 5<<10 {
+		t.Fatalf("image is %d B, want at most 5 KB", buf.Len())
 	}
-	g.Version = persistVersionV1
-	g.Proj = make([][]float32, len(g.Objects))
-	for i := range g.Objects {
-		g.Objects[i].Vec = append([]float32(nil), g.VecArena[i*g.Dim:(i+1)*g.Dim]...)
-		g.Proj[i] = append([]float32(nil), g.ProjArena[i*g.M:(i+1)*g.M]...)
-	}
-	g.Dim, g.M = 0, 0
-	g.VecArena, g.ProjArena = nil, nil
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(&g); err != nil {
-		t.Fatal(err)
-	}
-	return &v1
+	return buf.Bytes()
 }
 
-func TestLoadMigratesV1Format(t *testing.T) {
-	f := build(t, dataset.TwitterLike, 500, Config{Seed: 83})
-	loaded, space, err := Load(saveAsV1(t, f.idx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if space.DtMax != f.sp.DtMax || space.DtProjMax != f.sp.DtProjMax {
-		t.Fatal("metric space not restored from v1 file")
-	}
-	if loaded.Len() != f.idx.Len() || loaded.Dim() != f.idx.Dim() {
-		t.Fatalf("shape mismatch: len %d/%d dim %d/%d",
-			loaded.Len(), f.idx.Len(), loaded.Dim(), f.idx.Dim())
-	}
-	if err := loaded.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The migrated arenas hold bit-identical values, so every algorithm
-	// answers exactly as the original index does.
-	for qi := 0; qi < 5; qi++ {
-		q := f.ds.Objects[(qi*83+3)%f.ds.Len()]
-		for _, lambda := range []float64{0.2, 0.5, 1} {
-			sameResults(t, "v1 exact", f.idx.Search(&q, 10, lambda, nil), loaded.Search(&q, 10, lambda, nil))
-			sameResults(t, "v1 approx", f.idx.SearchApprox(&q, 10, lambda, nil), loaded.SearchApprox(&q, 10, lambda, nil))
-		}
-	}
-	// And the migrated index keeps supporting maintenance (arena appends).
-	nova := f.ds.Objects[0]
-	nova.ID = 90000
-	if err := loaded.Insert(nova); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+// baseStateDamages are damaged base states Load must refuse. Unchecked,
+// each would panic in Load, on one of its worker goroutines (which no
+// caller can recover) or in the first search, or load an index whose
+// radii do not bound its members.
+var baseStateDamages = []struct {
+	name string
+	d    loadDamage
+}{
+	{"SRad one short", loadDamage{"len SRad", 0, -1}},
+	{"TRad one short", loadDamage{"len TRad", 0, -1}},
+	{"TCentProj one short", loadDamage{"len TCentProj", 0, -1}},
+	{"SCentY one short", loadDamage{"len SCentY", 0, -1}},
+	{"TCent row one short", loadDamage{"len TCent row", 1, -1}},
+	{"TCentProj row one long", loadDamage{"len TCentProj row", 2, 1}},
+	{"TRadProj one long", loadDamage{"len TRadProj", 0, 1}},
+	{"TValid missing", loadDamage{"len TValid", 0, -4}},
+	{"PCA model nil", loadDamage{"PCA model nil", 0, 0}},
+	{"PCA model of another dim", loadDamage{"PCA cols", 0, 5}},
+	{"PCA mean one short", loadDamage{"len PCA mean", 0, -1}},
+	{"Deleted one long", loadDamage{"len Deleted", 0, 1}},
+	{"Deleted one short", loadDamage{"len Deleted", 0, -1}},
+	{"vector arena one short", loadDamage{"len VecArena", 0, -1}},
+	{"negative DsMax", loadDamage{"DsMax", 0, -1000}},
+	{"spatial radius shrunk to zero", loadDamage{"SRad", 1, 0}},
+	{"NaN coordinate", loadDamage{"X", 30, math.MinInt16}},
+	{"spatial assignment out of range", loadDamage{"SAssign", 3, 4}},
+	{"semantic assignment out of range", loadDamage{"TAssign", 3, -2}},
+	{"assignments one row short", loadDamage{"len SAssign", 0, -1}},
 }
 
-func TestLoadRejectsUnknownVersion(t *testing.T) {
-	f := build(t, dataset.TwitterLike, 200, Config{Seed: 84})
-	var buf bytes.Buffer
-	if err := f.idx.Save(&buf); err != nil {
-		t.Fatal(err)
+// A damaged base state fails Load with an error, before anything is
+// derived from it.
+func TestLoadRejectsDamagedBaseState(t *testing.T) {
+	img := loadImage(t)
+	if _, err := damagedLoad(t, img, loadDamage{"Workers", 0, 0}); err != nil {
+		t.Fatalf("undamaged image: %v", err)
 	}
-	var g gobIndex
-	if err := gob.NewDecoder(&buf).Decode(&g); err != nil {
-		t.Fatal(err)
-	}
-	g.Version = 99
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(&g); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Load(&out); err == nil {
-		t.Fatal("expected error for unknown persist version")
-	}
-}
-
-// A file whose cluster directory or assignments are damaged fails Load;
-// before the grid existed such a file loaded and panicked in the first
-// search.
-func TestLoadRejectsBadClusterSides(t *testing.T) {
-	f := build(t, dataset.TwitterLike, 200, Config{Seed: 89})
-	var saved bytes.Buffer
-	if err := f.idx.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(g *gobIndex)
-	}{
-		{"cluster side out of range", func(g *gobIndex) { g.Clusters[0].S = 1 << 20 }},
-		{"negative cluster side", func(g *gobIndex) { g.Clusters[0].T = -1 }},
-		{"two clusters naming one pair", func(g *gobIndex) {
-			g.Clusters[1].S, g.Clusters[1].T = g.Clusters[0].S, g.Clusters[0].T
-		}},
-		{"spatial assignment out of range", func(g *gobIndex) { g.SAssign[3] = len(g.SCentX) }},
-		{"semantic assignment out of range", func(g *gobIndex) { g.TAssign[3] = -2 }},
-		{"assignments one row short", func(g *gobIndex) { g.SAssign = g.SAssign[1:] }},
-		{"member position out of range", func(g *gobIndex) { g.Clusters[0].Members[0].Idx = uint32(len(g.Objects)) }},
-		{"member listed by a cluster its assignment does not name", func(g *gobIndex) {
-			g.Clusters[0].Members[0].Idx = g.Clusters[1].Members[0].Idx
-		}},
-	}
-	for _, c := range cases {
+	for _, c := range baseStateDamages {
 		t.Run(c.name, func(t *testing.T) {
-			var g gobIndex
-			if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&g); err != nil {
-				t.Fatal(err)
-			}
-			c.mutate(&g)
-			var out bytes.Buffer
-			if err := gob.NewEncoder(&out).Encode(&g); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := Load(&out); err == nil {
+			if _, err := damagedLoad(t, img, c.d); err == nil {
 				t.Fatalf("Load accepted a file with %s", c.name)
 			}
 		})
@@ -290,12 +525,30 @@ func TestLoadParentWrittenFile(t *testing.T) {
 	}
 }
 
-// Load recomputes every member's distances from the arenas: a file whose
-// stored Ds and Dt are damaged — here zeroed or halved for every third
-// member, thresholds that would no longer bound Lemma 4.5's cut — loads to
-// the index the undamaged file gives, element for element, and answers
-// exactly.
-func TestLoadIgnoresStoredMemberDistances(t *testing.T) {
+// derivedDamages damage fields Load does not read: the stored member
+// distances, the cluster directory and member lists, the side lists and
+// the live count.
+var derivedDamages = []struct {
+	name string
+	d    loadDamage
+}{
+	{"member distances", loadDamage{"member distances", 0, 0}},
+	{"cluster side out of range", loadDamage{"cluster S", 0, 1000}},
+	{"negative cluster side", loadDamage{"cluster T", 0, -1}},
+	{"two clusters naming one pair", loadDamage{"cluster pair copied", 0, 1}},
+	{"member position out of range", loadDamage{"member Idx", 0, 30000}},
+	{"member listed by the wrong cluster", loadDamage{"member moved", 0, 1}},
+	{"clusters dropped", loadDamage{"len Clusters", 0, math.MinInt16}},
+	{"side lists", loadDamage{"side lists", 2, 7}},
+	{"live count", loadDamage{"Live", 0, 50}},
+}
+
+// Load reads no derived field: a file whose member distances, cluster
+// directory, member lists, side lists or live count are damaged loads to
+// the index the undamaged file gives, cluster for cluster, and answers
+// exactly. A stored Dt read back would be a Lemma 4.5 threshold no
+// recomputation vouches for.
+func TestLoadIgnoresDerivedFields(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 800, Config{Seed: 87})
 	for i := 0; i < 40; i++ {
 		if err := f.idx.Delete(f.ds.Objects[i*11].ID); err != nil {
@@ -303,44 +556,73 @@ func TestLoadIgnoresStoredMemberDistances(t *testing.T) {
 		}
 	}
 	saved := saveBytes(t, f.idx)
-	var g gobIndex
-	if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&g); err != nil {
-		t.Fatal(err)
-	}
-	damaged := 0
-	for ci := range g.Clusters {
-		for mi := range g.Clusters[ci].Members {
-			if m := &g.Clusters[ci].Members[mi]; (ci+mi)%3 == 0 {
-				m.Ds, m.Dt = m.Ds/2, 0
-				damaged++
-			}
-		}
-	}
-	if damaged == 0 {
-		t.Fatal("no member distance damaged")
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&g); err != nil {
-		t.Fatal(err)
-	}
-	loaded := loadBytes(t, buf.Bytes())
-	if err := loaded.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	clean := loadBytes(t, saved)
-	for ci, c := range loaded.clusters {
-		if !stateOf(c).equal(stateOf(clean.clusters[ci])) {
-			t.Fatalf("cluster %d differs from the one the undamaged file loads", ci)
-		}
-	}
-	sc, live := liveSet(loaded)
-	for qi := 0; qi < 10; qi++ {
-		q := live.Objects[(qi*67+5)%live.Len()]
-		q.X = clamp01(q.X + 0.011)
-		for _, lambda := range []float64{0, 0.3, 0.7, 1} {
-			for _, k := range []int{1, 10, 50} {
-				identicalResults(t, "damaged file vs scan", sc.Search(&q, k, lambda, nil), loaded.Search(&q, k, lambda, nil))
+	for _, c := range derivedDamages {
+		t.Run(c.name, func(t *testing.T) {
+			loaded, err := damagedLoad(t, saved, c.d)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if err := loaded.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Len() != clean.Len() || len(loaded.clusters) != len(clean.clusters) {
+				t.Fatalf("%d live objects in %d clusters, the undamaged file loads %d in %d",
+					loaded.Len(), len(loaded.clusters), clean.Len(), len(clean.clusters))
+			}
+			for ci, lc := range loaded.clusters {
+				cc := clean.clusters[ci]
+				if lc.s != cc.s || lc.t != cc.t || !stateOf(lc).equal(stateOf(cc)) {
+					t.Fatalf("cluster %d differs from the one the undamaged file loads", ci)
+				}
+			}
+			sc, live := liveSet(loaded)
+			for qi := 0; qi < 10; qi++ {
+				q := live.Objects[(qi*67+5)%live.Len()]
+				q.X = clamp01(q.X + 0.011)
+				for _, lambda := range []float64{0, 0.3, 0.7, 1} {
+					for _, k := range []int{1, 10, 50} {
+						identicalResults(t, "damaged file vs scan", sc.Search(&q, k, lambda, nil), loaded.Search(&q, k, lambda, nil))
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzLoad damages one field of a small saved image — a length, an index
+// or a value, picked by the fuzzer — and loads it: Load returns an error,
+// or an index that is clean under CheckInvariants and answers a query as
+// the linear scan does. It never panics. The damage is structured because
+// random byte flips almost never get past gob's decoder.
+func FuzzLoad(f *testing.F) {
+	img := loadImage(f)
+	for _, rows := range [][]struct {
+		name string
+		d    loadDamage
+	}{baseStateDamages, derivedDamages} {
+		for _, c := range rows {
+			f.Add(uint8(loadField(c.d.field)), uint16(c.d.pos), int16(c.d.val))
 		}
 	}
+	var g gobIndex
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&g); err != nil {
+		f.Fatal(err)
+	}
+	q := g.Objects[1]
+	q.X, q.Vec = clamp01(q.X+0.02), g.VecArena[g.Dim:2*g.Dim]
+	f.Fuzz(func(t *testing.T, field uint8, pos uint16, val int16) {
+		d := loadDamage{loadFields[int(field)%len(loadFields)].name, int(pos), int(val)}
+		x, err := damagedLoad(t, img, d)
+		if err != nil {
+			return
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("%+v: Load accepted an index CheckInvariants refuses: %v", d, err)
+		}
+		sc, _ := liveSet(x)
+		for _, lambda := range []float64{0, 0.5, 1} {
+			identicalResults(t, fmt.Sprintf("%+v", d), sc.Search(&q, 10, lambda, nil), x.Search(&q, 10, lambda, nil))
+		}
+	})
 }

@@ -85,9 +85,9 @@ func writeFileAtomic(path string, write func(f *os.File) error) error {
 //
 //   - a directory written by SaveDir (manifest + per-shard files),
 //     restored with its original shard count and routing;
-//   - a plain single-index file written by Index.Save — any pre-sharding
-//     index file — which loads as a fully functional ONE-shard instance,
-//     so existing persisted indexes keep working unchanged.
+//   - a plain single-index file written by Index.Save (format version 4;
+//     older versions are refused), which loads as a fully functional
+//     ONE-shard instance.
 func LoadSharded(path string) (*ShardedIndex, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
