@@ -61,7 +61,7 @@ func (x *Index) SearchAblated(q *dataset.Object, k int, lambda float64, opts Abl
 			}
 			x.scanClusterAblated(q, lambda, c, sc.dsq[c.s], sc.dtq[c.t], h, st, opts.DisableIntraCluster)
 		}
-		x.scanDelta(sc, q, lambda, h, st)
+		x.scanDelta(sc, q, lambda, h, sc.rs.radius, st)
 		return h.AppendSorted(nil)
 	}
 	x.fillSpatialTerms(sc, lambda)
@@ -86,7 +86,7 @@ func (x *Index) SearchAblated(q *dataset.Object, k int, lambda float64, opts Abl
 	// The overlay scan is not ablatable — its group pruning is part of
 	// the overlay subsystem, not of the mechanisms under study — and it
 	// keeps ablated results exact over base + delta.
-	x.scanDelta(sc, q, lambda, h, st)
+	x.scanDelta(sc, q, lambda, h, sc.rs.radius, st)
 	return h.AppendSorted(nil)
 }
 

@@ -19,8 +19,8 @@ import (
 // although they are nowhere near the query. The index therefore keeps K
 // anchor points in the original space and, for every stored row o, the
 // id a_o of one anchor and the normalized distance d_o = dt(o, a_o). A
-// query computes dq[a] = dt(q, a) for the K anchors once, and the reverse
-// triangle inequality
+// query computes dq[a] = dt(q, a) for the K anchors once (AnchorDists),
+// and the reverse triangle inequality
 //
 //	dt(q,o) ≥ |dt(q,a_o) − dt(o,a_o)| = |dq[a_o] − d_o|
 //
@@ -210,13 +210,42 @@ func (x *Index) appendAnchorRow() {
 	aa.dist = append(aa.dist, 0)
 }
 
-// fillAnchorDists computes the query's distance to every anchor into
-// sc.anchorDq, once per query, on the first cluster scan that gates.
-func (x *Index) fillAnchorDists(sc *searchScratch, q *dataset.Object) {
-	for a, pt := range x.anchors.set.pts {
-		sc.anchorDq[a] = x.space.SemanticVec(q.Vec, pt)
+// AnchorDists is one query's normalized distances to one anchor set.
+// A read fills one per query, lazily, in its scratch; a read that spans
+// several snapshots may fill one up front (FillAnchorDists) and hand it
+// to each of them (SearchOptions.Anchors), and a snapshot whose anchor
+// set and semantic normalizer are the ones it was filled for reads it
+// instead of computing its own. Entries from the set's size up are
+// never written and stay 0 — dq[anchorSentinel] in particular.
+type AnchorDists struct {
+	set   *Anchors
+	dtMax float64
+	dq    [anchorSentinel + 1]float64
+}
+
+// FillAnchorDists computes q's distances to x's anchor set into ad and
+// returns ad.
+func (x *Index) FillAnchorDists(ad *AnchorDists, q *dataset.Object) *AnchorDists {
+	ad.set, ad.dtMax = x.anchors.set, x.space.DtMax
+	for a, pt := range ad.set.pts {
+		ad.dq[a] = x.space.SemanticVec(q.Vec, pt)
 	}
-	sc.anchorQ = true
+	return ad
+}
+
+// anchorDists returns the query's distances to x's anchor set, once per
+// query, on the first cluster scan that gates: the read's shared vector
+// when it was filled for this set and normalizer, else the scratch's
+// own, filled now.
+func (x *Index) anchorDists(sc *searchScratch, q *dataset.Object) *AnchorDists {
+	if sc.anchorQ == nil {
+		if ad := sc.anchorShared; ad != nil && ad.set == x.anchors.set && ad.dtMax == x.space.DtMax {
+			sc.anchorQ = ad
+		} else {
+			sc.anchorQ = x.FillAnchorDists(&sc.anchorOwn, q)
+		}
+	}
+	return sc.anchorQ
 }
 
 // rowGate holds what the pre-kernel checks of one cluster scan read: the
@@ -254,11 +283,9 @@ func (x *Index) enterCluster(sc *searchScratch, q *dataset.Object, lambda float6
 		}
 		return nil, nil, false
 	}
-	if !sc.anchorQ {
-		x.fillAnchorDists(sc, q)
-	}
+	ad := x.anchorDists(sc, q)
 	blk := x.block(&sc.blk, c)
-	g.aid, g.adist, g.dq = blk.aid, blk.adist, &sc.anchorDq
+	g.aid, g.adist, g.dq = blk.aid, blk.adist, &ad.dq
 	return blk, g, true
 }
 

@@ -13,7 +13,8 @@ import (
 
 // SearchBatch answers queries[i] into result slot i using a bounded
 // worker pool, every query with the algorithm opts selects (opts' Seed,
-// Explain and Partial are per-query values and are ignored here).
+// Explain, Partial, Bound and Anchors are per-query values and are
+// ignored here).
 // workers <= 0 selects GOMAXPROCS. Each worker accumulates work counters
 // locally, so a steady-state batch allocates only the per-query result
 // slices and never contends on st. Queries are drawn from a shared
@@ -88,7 +89,7 @@ func (x *Index) SearchBatch(queries []dataset.Object, k int, lambda float64, wor
 			}
 			var cut bool
 			o := opts
-			o.Seed, o.Explain, o.Partial = nil, nil, &cut
+			o.Seed, o.Explain, o.Partial, o.Bound, o.Anchors = nil, nil, &cut, nil, nil
 			for {
 				qi := int(next.Add(1)) - 1
 				if qi >= len(queries) {

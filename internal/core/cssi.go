@@ -119,10 +119,13 @@ func (x *Index) orderByBound(sc *searchScratch, q *dataset.Object, lambda float6
 }
 
 // searchWithSeed is the exact CSSI algorithm on a drawn scratch, with
-// the k-NN heap pre-loaded from seed (see SearchOptions.Seed). With
-// striped set the frontier walk is offered to an idle helper as a second
-// stripe (see stripe.go); the answer is the same either way.
-func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, striped bool, st *metric.Stats) []knn.Result {
+// the k-NN heap pre-loaded from seed (see SearchOptions.Seed). With b
+// non-nil the read shares that k-th bound with other reads of one query
+// (SearchOptions.Bound). With striped set the frontier walk is offered
+// to an idle helper as a second stripe (see stripe.go); the two stripes
+// then share the job's bound instead of b. The answer is the same
+// either way.
+func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, striped bool, b *Bound, st *metric.Stats) []knn.Result {
 	var j *stripeJob
 	if striped {
 		// Offered before ordering, so the helper's wake-up overlaps it.
@@ -145,9 +148,10 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 		h.Push(r)
 	}
 	if j != nil {
+		b = &j.bound
 		x.walkStriped(sc, f, q, lambda, h, j)
 	} else {
-		x.walkFrontier(sc, f, q, lambda, h, nil, st)
+		x.walkFrontier(sc, f, q, lambda, h, b, nil, st)
 	}
 	if sc.obs != nil {
 		sc.obs.ScanNanos += time.Since(phase).Nanoseconds()
@@ -157,22 +161,30 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 	// pure function of the offered candidate set, the base scan offered
 	// every live base candidate not provably excluded, and scanDelta
 	// offers every live overlay candidate not provably excluded.
-	x.scanDelta(sc, q, lambda, h, st)
+	ub := sc.rs.radius
+	if b != nil {
+		ub = b.Load()
+	}
+	x.scanDelta(sc, q, lambda, h, ub, st)
 	return h.AppendSorted(dst)
 }
 
 // walkFrontier is the frontier loop of Alg. 2: it scans clusters in
 // ascending lower bound into h until the head's bound exceeds the k-th
-// distance capped by the read's radius. With sh non-nil it is one stripe
-// of a striped read: it scans only the frontier positions it claims from
-// sh, pops the others unscanned, and caps the bound with the one the
-// stripes share instead. With sh nil every position is its own, so the
-// loop is the one-stripe read.
-func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, sh *stripeJob, st *metric.Stats) {
+// distance capped by the read's radius. With b non-nil the cap is that
+// shared bound instead (it starts at the radius), which the loop lowers
+// to h's k-th distance after every scanned cluster. With sh non-nil it is
+// one stripe of a striped read: it scans only the frontier positions it
+// claims from sh, and pops the others unscanned. With sh nil every
+// position is its own.
+func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, b *Bound, sh *stripeJob, st *metric.Stats) {
 	// Positions [lo, hi) are this stripe's current claim; pos is the
 	// frontier position of the next pop.
 	pos, lo, hi := int32(0), int32(0), int32(math.MaxInt32)
 	shared := sc.rs.radius
+	if b != nil {
+		shared = b.Load()
+	}
 	if sh != nil {
 		hi = 0
 	}
@@ -206,8 +218,8 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 			st.ClustersOrdered++
 		}
 		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, shared, st)
-		if sh != nil {
-			shared = sh.lower(h)
+		if b != nil {
+			shared = b.lower(h)
 		}
 	}
 	// Every cluster the frontier did not hand out was pruned, by the cut

@@ -61,6 +61,12 @@ func (x *Index) EnclosureRates(q *dataset.Object) (orig, proj float64) {
 	return float64(nOrig) / total, float64(nProj) / total
 }
 
+// AnchorSet returns the anchor set the index's rows are anchored to. A
+// write, a compaction and CloneForWrite keep it; Build fits one unless
+// BuildWithAnchors hands it one, and Rebuild, RebuildFresh and Load fit
+// their own.
+func (x *Index) AnchorSet() *Anchors { return x.anchors.set }
+
 // UnanchoredRows counts the live objects the anchor bound cannot prune:
 // base rows inserted since the last Build/Rebuild/Load plus the write
 // overlay's live inserts. A rebuild anchors them all: where DriftRatio

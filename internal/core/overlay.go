@@ -353,12 +353,13 @@ func (x *Index) deltaDelete(id uint32) error {
 // ≥ lb > u and provably cannot displace an entry even on exact ties,
 // keeping base+delta results bit-identical to a compacted rebuild.
 // Surviving members pass the read's restriction and pay the same exact
-// kernel as in scanCluster, with the bound capped by the read's radius.
+// kernel as in scanCluster, with the bound capped by ub: the read's
+// radius, or the bound it shares (SearchOptions.Bound), +Inf for none.
 // Centroid distances are computed directly (not via the scratch memo
 // tables) because not every caller maintains the memo invariant; group
 // counts are bounded by the compaction threshold, and in practice far
 // smaller.
-func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, h *knn.Heap, st *metric.Stats) {
+func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, h *knn.Heap, ub float64, st *metric.Stats) {
 	d := x.delta
 	if d == nil || d.liveCount == 0 {
 		return
@@ -370,7 +371,7 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 	rs := &sc.rs
 	for gi := 0; gi < d.groups.n; gi++ {
 		g := d.groups.at(gi)
-		if u, full := cappedBound(h, rs.radius); full {
+		if u, full := cappedBound(h, ub); full {
 			dsqG := x.space.SpatialXY(q.X, q.Y, x.sCentX[g.s], x.sCentY[g.s])
 			lb := lambda * (dsqG - g.maxDs)
 			if g.t >= 0 {
@@ -407,7 +408,7 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 			}
 			ds := x.space.Spatial(st, q.X, q.Y, o.X, o.Y)
 			var dt float64
-			if u, full := cappedBound(h, rs.radius); full && lambda < 1 {
+			if u, full := cappedBound(h, ub); full && lambda < 1 {
 				dtBound := (u - lambda*ds) / (1 - lambda)
 				var ok bool
 				dt, ok = x.space.SemanticBound(st, q.Vec, o.Vec, dtBound)

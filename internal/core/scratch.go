@@ -40,12 +40,13 @@ type searchScratch struct {
 	cands candHeap
 	// stripe is the helper's half of a striped exact read (stripe.go).
 	stripe stripeJob
-	// anchorDq[a] is the normalized distance from q to anchor a (see
-	// anchor.go), filled by the first gated cluster scan of a query and
-	// marked valid by anchorQ. Entries from the anchor count up are never
-	// written and stay 0 — anchorDq[anchorSentinel] in particular.
-	anchorDq [anchorSentinel + 1]float64
-	anchorQ  bool
+	// anchorQ is the query's distances to the index's anchor set (see
+	// anchor.go), nil until the first gated cluster scan of a query sets
+	// it: to anchorShared, the exact read's SearchOptions.Anchors, when
+	// that was filled for this set, else to anchorOwn, filled then.
+	anchorQ      *AnchorDists
+	anchorShared *AnchorDists
+	anchorOwn    AnchorDists
 	// blk and gate are the scan block and row gate of the cluster being
 	// scanned, refilled in place per cluster (see enterCluster) so that
 	// a visit passes no 96-byte and 88-byte structs around. Their
@@ -88,7 +89,7 @@ func (x *Index) getScratch() *searchScratch {
 	sc.dtqProj = growSlice(sc.dtqProj, len(x.tCent))
 	sc.qProj = growSlice(sc.qProj, x.m)
 	sc.aTerm = growSlice(sc.aTerm, len(x.sCentX))
-	sc.anchorQ = false
+	sc.anchorQ, sc.anchorShared = nil, nil
 	sc.budgeted = false
 	sc.deadline = time.Time{}
 	sc.cancel = nil
@@ -105,6 +106,7 @@ func (x *Index) getScratch() *searchScratch {
 func (x *Index) putScratch(sc *searchScratch) {
 	sc.front.release()
 	sc.blk, sc.gate, sc.rs = clusterBlock{}, rowGate{}, restriction{}
+	sc.anchorQ, sc.anchorShared, sc.anchorOwn.set = nil, nil, nil
 	x.scratchPool.Put(sc)
 }
 

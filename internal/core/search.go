@@ -69,6 +69,23 @@ type SearchOptions struct {
 	// read that collects them (st or Explain) is never striped. Only the
 	// facade's one-snapshot exact read sets it.
 	Striped bool
+	// Bound, when non-nil, is a k-th distance bound the exact read shares
+	// with the other reads of one query (see Bound): the read caps every
+	// cut with it and lowers it to its own full heap's k-th distance after
+	// every scanned cluster. It must start at the read's radius (+Inf for
+	// none) and must be shared only by reads over disjoint rows of one
+	// metric space, whose heaps then hold real candidates of one query.
+	// The answer of the reads together is the same either way; their work
+	// counters are not, so a read that collects them (st or Explain)
+	// ignores it, and a striped read shares its stripes' own bound
+	// instead. The facade's seeded chains of a sharded read set it.
+	Bound *Bound
+	// Anchors, when non-nil, is the query's distances to one anchor set,
+	// filled once for a read that spans several snapshots
+	// (FillAnchorDists); the exact read uses them when its snapshot has
+	// that set and normalizer, and computes its own otherwise. It changes
+	// no answer and no counter.
+	Anchors *AnchorDists
 	// Allow, Radius and Window restrict the exact read to the rows that
 	// pass all three; the approximate algorithms ignore them. Every bound
 	// of the read holds for any subset of the rows, so the answer is the
@@ -156,7 +173,12 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 	if opts.Approx {
 		dst = x.searchApproxWith(sc, dst, q, k, lambda, st)
 	} else {
-		dst = x.searchWithSeed(sc, dst, opts.Seed, q, k, lambda, opts.Striped && st == nil, st)
+		sc.anchorShared = opts.Anchors
+		b := opts.Bound
+		if st != nil {
+			b = nil
+		}
+		dst = x.searchWithSeed(sc, dst, opts.Seed, q, k, lambda, opts.Striped && st == nil, b, st)
 	}
 	if opts.Partial != nil {
 		*opts.Partial = sc.partial

@@ -14,13 +14,10 @@ import (
 // cluster sequence — and claim its positions in chunks of stripeChunk
 // from one cursor. A stripe pops the positions it does not own
 // unscanned, keeps a private heap, and also stops once the head's bound
-// exceeds the k-th bound the stripes share, which each lowers to its own
-// full heap's k-th distance after every scanned cluster. That bound never
-// drops below the final k-th distance and every cut against it is
-// strict, so each object of the answer, ties included, reaches one of the
-// heaps; the caller pushes the helper's heap into its own, and the answer
-// is the one-stripe read's, bit for bit. The work counters are not, so a
-// read that collects them is never striped.
+// exceeds the k-th bound the stripes share (a Bound). The caller pushes
+// the helper's heap into its own, and the answer is the one-stripe
+// read's, bit for bit. The work counters are not, so a read that
+// collects them is never striped.
 //
 // Helpers are standing goroutines, started lazily up to GOMAXPROCS−1,
 // parked on an unbuffered channel; they never exit. An offer is a
@@ -32,6 +29,43 @@ import (
 // on the caller. A helper never spins; a caller polls briefly for its
 // own running helper before it parks (awaitStripe).
 
+// Bound is the k-th distance bound the stripes of one parallel exact
+// read share: the two stripes of a striped snapshot, or the seeded
+// chains of a sharded read (SearchOptions.Bound). It holds float64 bits
+// on a cache line of its own, starts at the read's radius (+Inf for
+// none), and is only ever lowered, each time to some stripe's full-heap
+// k-th distance. A full heap holds k real candidates, so the bound never
+// drops below the read's final k-th distance; every cut against it is
+// strict, so each object of the answer, ties included, reaches the heap
+// of the stripe that scans it.
+type Bound struct {
+	_    [64]byte
+	bits atomic.Uint64
+	_    [56]byte
+}
+
+// Store sets the bound to u: the read's radius when it starts, or, in
+// tests, any value no lower than the read's final k-th distance.
+func (b *Bound) Store(u float64) { b.bits.Store(math.Float64bits(u)) }
+
+// Load returns the bound.
+func (b *Bound) Load() float64 { return math.Float64frombits(b.bits.Load()) }
+
+// lower publishes h's k-th distance when h is full and lower than the
+// bound, and returns the bound.
+func (b *Bound) lower(h *knn.Heap) float64 {
+	cur := b.bits.Load()
+	if u, full := h.Bound(); full {
+		for u < math.Float64frombits(cur) {
+			if b.bits.CompareAndSwap(cur, math.Float64bits(u)) {
+				return u
+			}
+			cur = b.bits.Load()
+		}
+	}
+	return math.Float64frombits(cur)
+}
+
 // stripeChunk is the number of frontier positions one claim hands out.
 const stripeChunk = 4
 
@@ -40,13 +74,10 @@ const stripeChunk = 4
 // offers apart, so a helper that wakes for a withdrawn offer cannot take
 // a later one.
 type stripeJob struct {
-	_ [64]byte
-	// bound holds the float64 bits of the lowest full-heap k-th distance
-	// a stripe has published, the read's radius (+Inf for none) until one
-	// has; next is the first
-	// frontier position not yet claimed. Each has a cache line of its own.
-	bound atomic.Uint64
-	_     [56]byte
+	// bound is the k-th bound the stripes share, and next the first
+	// frontier position not yet claimed; each has a cache line of its
+	// own.
+	bound Bound
 	next  atomic.Int32
 	_     [60]byte
 	// state is gen<<2 | one of the stripe* phases below.
@@ -92,22 +123,7 @@ func (j *stripeJob) claim(sc *searchScratch) (lo, hi int32, shared float64) {
 		stripeAt(j.hook, StripeCallerClaim)
 	}
 	hi = j.next.Add(stripeChunk)
-	return hi - stripeChunk, hi, math.Float64frombits(j.bound.Load())
-}
-
-// lower publishes h's k-th distance when h is full and lower than the
-// shared bound, and returns the shared bound.
-func (j *stripeJob) lower(h *knn.Heap) float64 {
-	cur := j.bound.Load()
-	if u, full := h.Bound(); full {
-		for u < math.Float64frombits(cur) {
-			if j.bound.CompareAndSwap(cur, math.Float64bits(u)) {
-				return u
-			}
-			cur = j.bound.Load()
-		}
-	}
-	return math.Float64frombits(cur)
+	return hi - stripeChunk, hi, j.bound.Load()
 }
 
 // offerStripe offers the query's second stripe to an idle helper and
@@ -116,7 +132,7 @@ func (x *Index) offerStripe(sc *searchScratch, q *dataset.Object, k int, lambda 
 	j := &sc.stripe
 	j.gen++
 	j.x, j.q, j.k, j.lambda, j.caller, j.hook = x, q, k, lambda, sc, loadStripeHook()
-	j.bound.Store(math.Float64bits(sc.rs.radius))
+	j.bound.Store(sc.rs.radius)
 	j.next.Store(0)
 	if j.done == nil {
 		j.done = make(chan struct{}, 1)
@@ -172,7 +188,7 @@ func (o stripeOffer) run() {
 	sc.deadline, sc.cancel, sc.budgeted, sc.rs = j.caller.deadline, j.caller.cancel, j.caller.budgeted, j.caller.rs
 	f := x.orderByBound(sc, j.q, j.lambda)
 	sc.heap.Reset(j.k)
-	x.walkFrontier(sc, f, j.q, j.lambda, &sc.heap, j, nil)
+	x.walkFrontier(sc, f, j.q, j.lambda, &sc.heap, &j.bound, j, nil)
 }
 
 // walkStriped is the caller's stripe of a striped read, then the join:
@@ -182,7 +198,7 @@ func (o stripeOffer) run() {
 func (x *Index) walkStriped(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, j *stripeJob) {
 	merge := false
 	defer func() { x.joinStripe(sc, j, h, merge) }()
-	x.walkFrontier(sc, f, q, lambda, h, j, nil)
+	x.walkFrontier(sc, f, q, lambda, h, &j.bound, j, nil)
 	merge = true
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -303,8 +304,8 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // snapshot's scan short. With tr non-nil every snapshot's span is
 // recorded; results are bit-identical either way. A request that
 // observes — st, tr (Stats, Explain, Trace, or an installed sink) —
-// gets the one-stripe read, so its work counters describe the read that
-// produced its answer and depend on w alone, never on timing.
+// gets reads that share no bound, so its work counters describe the
+// read that produced its answer and depend on w alone, never on timing.
 //
 // An exact read has one shape: the n snapshots are dealt round-robin
 // onto w = v.stripes stripes, stripe g taking snapshots g, g+w, g+2w, …,
@@ -319,13 +320,22 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // w = 1 — one snapshot, or a process with one scheduler thread — is one
 // chain through everything: its last link's answer IS the global top-k
 // and is written straight into dst, with no goroutine, no per-stripe
-// list and no merge. w = n is a plain scatter. The stripes share no
-// bound with each other.
+// list and no merge. w = n is a plain scatter.
+//
+// A read over several snapshots computes its query-wide state once (see
+// readState): the query's distances to the first snapshot's anchor set,
+// which every snapshot over that set reads; and, when w > 1 and the
+// request observes nothing, one k-th bound all w stripes share
+// (core.Bound), which each lowers to its own full heap's k-th distance
+// as it scans. A stripe's list may then lack objects its own top-k
+// would hold, but never one of the global top-k, whose distances never
+// exceed the bound — every cut against it is strict.
 //
 // One snapshot read by a request that observes nothing, on a process
 // with a second scheduler thread, may split inside the snapshot instead
 // (core.SearchOptions.Striped): an idle helper walks the same frontier
-// as a second stripe, sharing the k-th bound (see core's stripe.go).
+// as a second stripe, sharing the k-th bound the same way (see core's
+// stripe.go).
 //
 // An approximate read has no bound to carry: CSSIA's result is defined
 // per clustering, and the documented sharded semantics are "the merge of
@@ -333,15 +343,43 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // own, the n of them dealt onto the same w goroutines.
 func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) (res []Result, partial bool) {
 	chains, step := v.stripes, v.stripes
+	var rs *readState
 	if opts.Approx {
 		chains, step = v.n(), v.n()
+	} else if v.n() > 1 {
+		rs = readStates.Get().(*readState)
+		opts.Anchors = v.at(0).core.FillAnchorDists(&rs.anchors, q)
+		if chains > 1 && st == nil && tr == nil {
+			r := math.Inf(1)
+			if opts.Radius != nil {
+				r = *opts.Radius
+			}
+			rs.bound.Store(r)
+			opts.Bound = &rs.bound
+		}
 	}
 	if chains == 1 {
 		opts.Striped = v.n() == 1 && !opts.Approx && st == nil && tr == nil && runtime.GOMAXPROCS(0) >= 2
-		return v.chain(dst, 0, step, q, k, lambda, opts, st, shardSpans(tr))
+		res, partial = v.chain(dst, 0, step, q, k, lambda, opts, st, shardSpans(tr))
+	} else {
+		res, partial = v.mergeChains(dst, chains, step, q, k, lambda, opts, st, tr)
 	}
-	return v.mergeChains(dst, chains, step, q, k, lambda, opts, st, tr)
+	if rs != nil {
+		readStates.Put(rs)
+	}
+	return res, partial
 }
+
+// readState is the query-wide state of one exact read over several
+// snapshots (see execute), pooled: the anchor vector is 2 KB. A pooled
+// state may keep one superseded anchor set reachable until the pool
+// drops it.
+type readState struct {
+	bound   core.Bound
+	anchors core.AnchorDists
+}
+
+var readStates = sync.Pool{New: func() any { return new(readState) }}
 
 // chain scans snapshots first, first+step, first+2·step, … in order on
 // the calling goroutine, each link seeded with the list of the links
@@ -387,14 +425,17 @@ func (v *view) mergeChains(dst []Result, chains, step int, q *Object, k int, lam
 		per = make([]Stats, w)
 	}
 	spans := shardSpans(tr)
+	hook := loadChainHook()
 	fanOut(w, func(g int) {
 		var pst *Stats
 		if per != nil {
 			pst = &per[g]
 		}
+		chainAt(hook, g, false)
 		for c := g; c < chains; c += w {
 			lists[c], cuts[c] = hv.chain(nil, c, step, q, k, lambda, opts, pst, spans)
 		}
+		chainAt(hook, g, true)
 	})
 	gatherStats(st, per)
 	if dst == nil {
@@ -613,7 +654,9 @@ func (v *view) executeBatch(queries []Object, k int, lambda float64, workers int
 // flat one. The pool is the facade's rather than core.SearchBatch's
 // because a chain crosses core indexes. Like that one it never runs more
 // workers than the scheduler has processors (workers <= 0 selects that
-// many); worker 0 is the caller's goroutine. A snapshot's span sums the
+// many); worker 0 is the caller's goroutine. A query's anchor distances
+// are computed once for its whole chain, as in execute; a chain shares
+// no bound with another query's. A snapshot's span sums the
 // work counters over the batch and times the worker that spent longest
 // in it.
 func (v *view) chainBatch(queries []Object, k int, lambda float64, workers int, opts core.SearchOptions, st *Stats, partials []bool, tr *SearchTrace) [][]Result {
@@ -642,13 +685,23 @@ func (v *view) chainBatch(queries []Object, k int, lambda float64, workers int, 
 		if spans != nil {
 			mine = spans[w*n : (w+1)*n]
 		}
+		var rs *readState
+		if n > 1 {
+			rs = readStates.Get().(*readState)
+			defer readStates.Put(rs)
+		}
+		o := opts
 		for {
 			qi := int(next.Add(1)) - 1
 			if qi >= len(queries) {
 				return
 			}
+			q := &queries[qi]
+			if rs != nil {
+				o.Anchors = hv.at(0).core.FillAnchorDists(&rs.anchors, q)
+			}
 			var cut bool
-			out[qi], cut = hv.chain(nil, 0, 1, &queries[qi], k, lambda, opts, pst, mine)
+			out[qi], cut = hv.chain(nil, 0, 1, q, k, lambda, o, pst, mine)
 			if cut {
 				partials[qi] = true
 			}
@@ -846,4 +899,13 @@ func (s *ShardedIndex) ResultCacheStats() (CacheStats, bool) {
 		return cache.Stats(), true
 	}
 	return CacheStats{}, false
+}
+
+// chainAt runs hook for stripe g of a multi-chain read, before its
+// chains (done false) and after them; a no-op unless hooks are compiled
+// in.
+func chainAt(hook func(g int, done bool), g int, done bool) {
+	if chainHooks && hook != nil {
+		hook(g, done)
+	}
 }

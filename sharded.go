@@ -31,17 +31,19 @@ import (
 //     shards in order, carrying its k-NN list — and so its pruning
 //     bound — from one shard to the next, and the stripe lists are
 //     k-way merged in the canonical (ascending distance, ascending ID)
-//     order (see execute). One stripe is a plain chain with no
-//     goroutine and no merge, P stripes a plain scatter/gather. Because
-//     every shard shares the same distance normalizers (computed once
-//     over the full dataset at BuildSharded time) and CSSI is exact
-//     regardless of how objects are clustered, the exact result set is
-//     BIT-IDENTICAL to what an unsharded index returns — including tie
-//     breaks — for every stripe count. An Approx request remains
-//     approximate and has no bound to carry: every shard answers alone
-//     and the per-shard answers are merged; its error profile depends
-//     on the per-shard clustering, so sharded CSSIA results can differ
-//     from unsharded CSSIA (both within the paper's error model).
+//     order (see execute); unless the read observes its work counters,
+//     the stripes also share one k-th bound. One stripe is a plain
+//     chain with no goroutine and no merge, P stripes a plain
+//     scatter/gather. Because every shard shares the same distance
+//     normalizers (computed once over the full dataset at BuildSharded
+//     time) and CSSI is exact regardless of how objects are clustered,
+//     the exact result set is BIT-IDENTICAL to what an unsharded index
+//     returns — including tie breaks — for every stripe count. An
+//     Approx request remains approximate and has no bound to carry:
+//     every shard answers alone and the per-shard answers are merged;
+//     its error profile depends on the per-shard clustering, so sharded
+//     CSSIA results can differ from unsharded CSSIA (both within the
+//     paper's error model).
 //   - Writes ROUTE: Insert/Delete/Update touch exactly one shard and
 //     publish one new snapshot of it (see shardCell for what that
 //     costs). P writers on P distinct shards proceed concurrently.
@@ -96,7 +98,11 @@ func shardOf(id uint32, p int) int {
 // sharded read at P = 4 examine a quarter of the clusters full-corpus
 // counts did, for less latency (DESIGN §3, §7c). Explicit Ks/Kt apply
 // per shard verbatim. One anchor set, fitted over the full dataset,
-// serves every shard.
+// serves every shard, so a sharded read computes the query's anchor
+// distances once. Writes and compactions keep a shard's set; Rebuild and
+// RebuildInBackground refit each shard's own, and LoadSharded gives
+// every shard its own; a read computes them again on each shard whose
+// set is not shard 0's.
 //
 // Every shard must receive at least one object; with a uniform ID hash
 // this fails only when ds is tiny relative to the shard count — use

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metric"
 	"repro/internal/scan"
 )
@@ -586,8 +588,12 @@ func (c firedCtx) Done() <-chan struct{} { return c.done }
 // different stripes — over freshly built shards, over write overlays
 // with tombstones, and after compaction; observing the read changes
 // neither the answer nor the work counters, which repeat exactly for a
-// fixed w; a budget cut on any stripe makes the answer a partial but
-// admissible prefix; and all of it holds while ApplyBatch publishes
+// fixed w; the unobserved read, whose stripes share one k-th bound,
+// answers the same under the host's schedule, with every stripe run to
+// its end before the next starts in either order (where hooks exist),
+// and with the bound lowered to the final k-th distance before any
+// chain starts; a budget cut on any stripe makes the answer a partial
+// but admissible prefix; and all of it holds while ApplyBatch publishes
 // concurrently.
 func TestStripedChainEquivalence(t *testing.T) {
 	ds := testDataset(t, 600)
@@ -721,10 +727,13 @@ func TestStripedChainEquivalence(t *testing.T) {
 	}
 }
 
-// checkStripes runs one exact request on w stripes of s, plain and
-// observed, twice each, and under a fired budget.
+// checkStripes runs one exact request on w stripes of s, counted and
+// observed, twice each; unobserved under the host's schedule, under
+// each forced stripe order and with a pre-lowered bound; and under a
+// fired budget.
 func checkStripes(t *testing.T, ctx string, s *ShardedIndex, w int, flat *Index, live map[uint32]Object, q *Object, k int, lambda float64, want []Result) {
 	t.Helper()
+	checkSharedBound(t, ctx, s, w, q, k, lambda, want)
 	var plain [2]Stats
 	for i := range plain {
 		got, err := doStriped(s, w, context.Background(), SearchRequest{Query: q, K: k, Lambda: lambda, Stats: &plain[i]})
@@ -782,6 +791,70 @@ func checkStripes(t *testing.T, ctx string, s *ShardedIndex, w int, flat *Index,
 	}
 }
 
+// checkSharedBound runs the unobserved request on w stripes of s, whose
+// stripes share one k-th bound: as the host schedules it; where hooks
+// exist, with the stripes run one after another in ascending and in
+// descending order, so that each starts from the bound all before it
+// left; and with the bound pre-lowered to the final k-th distance — the
+// tightest legal one — before any chain starts.
+func checkSharedBound(t *testing.T, ctx string, s *ShardedIndex, w int, q *Object, k int, lambda float64, want []Result) {
+	t.Helper()
+	req := SearchRequest{Query: q, K: k, Lambda: lambda}
+	got, err := doStriped(s, w, context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, ctx+" unobserved", want, got)
+	if w > 1 {
+		up, down := make([]int, w), make([]int, w)
+		for i := range up {
+			up[i], down[i] = i, w-1-i
+		}
+		for _, order := range [][]int{up, down} {
+			if !forceChainOrder(order) {
+				break
+			}
+			got, err := doStriped(s, w, context.Background(), req)
+			setChainHook(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalResults(t, fmt.Sprintf("%s stripes in order %v", ctx, order), want, got)
+		}
+	}
+	v := s.view()
+	v.stripes = w
+	u := math.Inf(1)
+	if len(want) > 0 {
+		u = want[len(want)-1].Dist
+	}
+	b := new(core.Bound)
+	b.Store(u)
+	opts := core.SearchOptions{Bound: b, Anchors: v.at(0).core.FillAnchorDists(new(core.AnchorDists), q)}
+	got, _ = v.mergeChains(nil, w, w, q, k, lambda, opts, nil, nil)
+	equalResults(t, ctx+" pre-lowered bound", want, got)
+}
+
+// forceChainOrder installs a hook under which the stripes of the next
+// multi-chain read run one at a time in the given order, each starting
+// once the one before it has finished, and reports whether hooks are
+// compiled in. The caller removes it after the read.
+func forceChainOrder(order []int) bool {
+	rank := make([]int, len(order))
+	done := make([]chan struct{}, len(order))
+	for i, g := range order {
+		rank[g], done[i] = i, make(chan struct{})
+	}
+	return setChainHook(func(g int, end bool) {
+		switch i := rank[g]; {
+		case end:
+			close(done[i])
+		case i > 0:
+			<-done[i-1]
+		}
+	})
+}
+
 // TestFanOutReraisesWorkerPanic pins the recoverability of the facade's
 // fan-outs: a panic on a spawned goroutine would kill the process, so
 // fanOut hands it to the calling goroutine once every worker is done.
@@ -831,6 +904,104 @@ func TestBuildShardedDerivesPerShardClusterCounts(t *testing.T) {
 			t.Fatalf("shard %d: %d/%d clusters after rebuild, want 9/7", i, got.Ks, got.Kt)
 		}
 	}
+}
+
+// TestShardedAnchorSetIdentity pins which operations keep BuildSharded's
+// one anchor set and that a sharded read stays exact whichever shards
+// share it: a read fills the query's anchor distances once, for shard
+// 0's set, and a shard over another set computes its own. Writes and
+// compaction keep the set, rebuilding shard 0 gives it a set of its own
+// while the others keep the shared one, and SaveDir → LoadSharded gives
+// every shard its own. At each step the answer equals the linear scan's
+// on every stripe count, unobserved (one shared bound) and counted.
+func TestShardedAnchorSetIdentity(t *testing.T) {
+	const p = 4
+	ds := testDataset(t, 1200)
+	s := mustBuildSharded(t, ds, p, Options{Seed: 67})
+	live := make(map[uint32]Object, ds.Len())
+	for _, o := range ds.Objects {
+		live[o.ID] = o
+	}
+	queries := ds.SampleQueries(6, 71)
+	sets := func() []*core.Anchors {
+		out := make([]*core.Anchors, p)
+		for i, cell := range s.shards {
+			out[i] = cell.cur.Load().core.AnchorSet()
+		}
+		return out
+	}
+	// check asserts that shards i and j share a set exactly when group
+	// gives them the same label, then the answers.
+	check := func(stage string, group [p]int) {
+		t.Helper()
+		got := sets()
+		for i := range got {
+			for j := range got {
+				if want := group[i] == group[j]; (got[i] == got[j]) != want {
+					t.Fatalf("%s: shards %d and %d share an anchor set: %v, want %v", stage, i, j, !want, want)
+				}
+			}
+		}
+		objs := make([]Object, 0, len(live))
+		for _, o := range live {
+			objs = append(objs, o)
+		}
+		oracle := scan.New(&Dataset{Objects: objs, Dim: ds.Dim}, snapshot(s).space)
+		for qi := range queries {
+			q := &queries[qi]
+			for _, lambda := range []float64{0.2, 0.5, 0.8} {
+				want := oracle.Search(q, 10, lambda, nil)
+				for w := 1; w <= p; w++ {
+					ctx := fmt.Sprintf("%s q%d λ=%v w=%d", stage, qi, lambda, w)
+					var st Stats
+					for _, req := range []SearchRequest{
+						{Query: q, K: 10, Lambda: lambda},
+						{Query: q, K: 10, Lambda: lambda, Stats: &st},
+					} {
+						got, err := doStriped(s, w, context.Background(), req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						equalResults(t, ctx, want, got)
+					}
+				}
+			}
+		}
+	}
+	one := [p]int{}
+	check("built", one)
+
+	for _, op := range overlayOps(ds, 40) {
+		if err := s.ApplyBatch([]Op{op}); err != nil {
+			t.Fatal(err)
+		}
+		if op.Kind == OpDelete {
+			delete(live, op.ID)
+		} else {
+			live[op.Object.ID] = op.Object
+		}
+	}
+	check("overlay", one)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", one)
+
+	if err := s.shards[0].rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	check("shard 0 rebuilt", [p]int{1, 0, 0, 0})
+
+	dir := t.TempDir()
+	if err := s.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = loaded
+	check("loaded", [p]int{0, 1, 2, 3})
 }
 
 // An object tying the k-th distance at its cluster's bound is still
