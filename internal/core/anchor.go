@@ -256,12 +256,33 @@ func (x *Index) anchorDists(sc *searchScratch, q *dataset.Object) *AnchorDists {
 // restricts it, and CSSIA's; SearchAblated keeps the paper's original
 // Lemma 4.5 and no row check, and is the reference the tests compare
 // against.
+//
+// Each loop is two passes over the cluster's block. The gate pass
+// (gateRows) runs once, against the bound u0 at cluster entry: it finds
+// where the suffix cut falls at u0 and drops every row before it whose
+// anchor cut certainly holds at u0, deciding that from the squared
+// spatial length (metric.Space.SpatialBeyond) — no square root, no
+// division. The bound only
+// falls during a scan, so a dropped row is one the row loop would drop
+// at its own, lower bound: by the same anchor cut, or by an earlier
+// suffix cut, a tombstone or the read's restriction. The row loop then
+// runs every per-row check, unchanged, on the kept rows in block order
+// against the current bound, and gives the same pushes. A counted read
+// charges each dropped row where a loop over every row would have
+// (chargeDropped, chargeTail).
 type rowGate struct {
 	lambda, invLam float64
-	dsq, dtq       float64
-	aid            []uint8
-	adist          []float32
-	dq             *[anchorSentinel + 1]float64
+	// perLam is 1/λ (+Inf at λ = 0): it turns the gate pass's combined
+	// budget into a spatial one.
+	perLam   float64
+	dsq, dtq float64
+	// u0 is the bound the gate pass ran against (+Inf unbounded), and
+	// cut where it stopped: the suffix cut at u0, or the block's end.
+	u0    float64
+	cut   int
+	aid   []uint8
+	adist []float32
+	dq    *[anchorSentinel + 1]float64
 }
 
 // enterCluster is the one way into a gated cluster scan. It sets the
@@ -272,21 +293,123 @@ type rowGate struct {
 // header and nothing else: no block, no anchor window, no row. It is
 // the cut the scan loop would take at row 0, on the same operands, and
 // is charged like it (the whole array to IntraPruned; pass a nil st to
-// charge nothing). Otherwise the scan block and the gate come back
-// ready, both resident in sc.
-func (x *Index) enterCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsq, dtq, u float64, bounded bool, st *metric.Stats) (*clusterBlock, *rowGate, bool) {
+// charge nothing). Otherwise the scan block, the gate and the block
+// positions the gate pass keeps against u come back ready, all resident
+// in sc.
+func (x *Index) enterCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsq, dtq, u float64, bounded bool, st *metric.Stats) (*clusterBlock, *rowGate, []int32, bool) {
 	g := &sc.gate
-	g.lambda, g.invLam, g.dsq, g.dtq = lambda, 1-lambda, dsq, dtq
+	g.lambda, g.invLam, g.perLam, g.dsq, g.dtq = lambda, 1-lambda, 1/lambda, dsq, dtq
 	if bounded && g.bound(c.headDs, c.headDt) > u {
 		if st != nil {
 			st.IntraPruned += int64(len(c.elems))
 		}
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	ad := x.anchorDists(sc, q)
 	blk := x.block(&sc.blk, c)
 	g.aid, g.adist, g.dq = blk.aid, blk.adist, &ad.dq
-	return blk, g, true
+	return blk, g, x.gateRows(sc, q, c, blk, u, bounded), true
+}
+
+// gateRows is the gate pass: the block positions of c the row loop must
+// examine, in block order, into sc.keep. Unbounded, that is every row.
+// Bounded by u, it is the rows before the suffix cut at u whose anchor
+// cut at u the squared spatial length cannot prove. The anchor cut
+// needs λ·ds > u − b, with b = (1−λ)·semLower, so a row is certainly
+// cut when ds exceeds r = (u − b)/λ inflated by anchorRelSlack·(|u| +
+// |b|) + anchorAbsSlack: slacks far above the few roundings between
+// these operands and the row loop's own, like the anchor bound's
+// deflation. A row it keeps may still be cut; a row it drops always is.
+// At λ = 0, r is ±Inf and the semantic floor alone decides.
+func (x *Index) gateRows(sc *searchScratch, q *dataset.Object, c *hybrid, blk *clusterBlock, u float64, bounded bool) []int32 {
+	n := len(c.elems)
+	keep := growSlice(sc.keep, n)
+	sc.keep = keep
+	g := &sc.gate
+	g.u0, g.cut = math.Inf(1), n
+	if !bounded {
+		for ei := range keep {
+			keep[ei] = int32(ei)
+		}
+		return keep
+	}
+	g.u0 = u
+	sp := x.space
+	qx, qy := q.X, q.Y
+	uHi := u + anchorRelSlack*math.Abs(u) + anchorAbsSlack
+	invLam, perLam, dtq := g.invLam, g.perLam, g.dtq
+	elems, xs, ys, aid, adist := c.elems[:n], blk.xs[:n], blk.ys[:n], g.aid[:n], g.adist[:n]
+	dq := g.dq
+	m := 0
+	for ei := range elems {
+		e := &elems[ei]
+		if g.suffixBound(e) > u {
+			g.cut = ei
+			break
+		}
+		// b is semLower's operand, spelled out on the hoisted fields.
+		b := invLam * anchorLower(dq[aid[ei]], float64(adist[ei]), dtq-e.dt)
+		keep[m] = int32(ei)
+		if !sp.SpatialBeyond(qx, qy, xs[ei], ys[ei], (uHi-b+anchorRelSlack*math.Abs(b))*perLam) {
+			m++
+		}
+	}
+	return keep[:m]
+}
+
+// chargeDropped charges rows [from, to) of c, which the gate pass
+// dropped before the suffix cut of a counted read, as a loop over every
+// row would: a tombstoned row nothing, a row rs rejects IntraPruned, and
+// any other row a visit, its spatial distance and AnchorPruned.
+func (x *Index) chargeDropped(c *hybrid, blk *clusterBlock, rs *restriction, from, to int, st *metric.Stats) {
+	if x.delta == nil && !rs.rows {
+		n := int64(to - from)
+		st.VisitedObjects += n
+		st.SpatialDistCalcs += n
+		st.AnchorPruned += n
+		return
+	}
+	x.chargeDroppedRows(c, blk, rs, from, to, st)
+}
+
+// chargeDroppedRows is chargeDropped row by row.
+func (x *Index) chargeDroppedRows(c *hybrid, blk *clusterBlock, rs *restriction, from, to int, st *metric.Stats) {
+	tombs := x.deltaTombs()
+	for ei := from; ei < to; ei++ {
+		e := &c.elems[ei]
+		switch {
+		case tombs != nil && tombs.get(e.idx):
+		case rs.rows && !rs.admits(x.ids[e.idx], blk.xs[ei], blk.ys[ei]):
+			st.IntraPruned++
+		default:
+			st.VisitedObjects++
+			st.SpatialDistCalcs++
+			st.AnchorPruned++
+		}
+	}
+}
+
+// chargeTail charges rows [from, len) of c for a counted read whose
+// loop ends at bound u with no kept row left before the suffix cut,
+// which row to is known to be past (or to is the block's end): the rows
+// before the cut as dropped ones, the cut row and every later one to
+// IntraPruned. The suffix bound is non-decreasing along the array, so
+// the cut is at the first row past u — at to itself while u is still
+// the gate pass's bound.
+func (x *Index) chargeTail(c *hybrid, blk *clusterBlock, g *rowGate, rs *restriction, from, to int, u float64, st *metric.Stats) {
+	lo, hi := from, to
+	if u >= g.u0 {
+		lo = to
+	}
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); g.suffixBound(&c.elems[mid]) > u {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	x.chargeDropped(c, blk, rs, from, lo, st)
+	st.IntraPruned += int64(len(c.elems) - lo)
 }
 
 // suffixBound is Lemma 4.5 taken per component: a lower bound on

@@ -121,6 +121,52 @@ func FuzzAnchorBound(f *testing.F) {
 	})
 }
 
+// FuzzAnchorGatePass: the gate pass never drops a row the row loop
+// keeps. A one-row cluster is entered at bound u, and if gateRows leaves
+// the row out without the suffix cut taking it, the row loop's anchor
+// cut must hold for it: metric.Combine(λ, ds, semLower) > u with the ds
+// SpatialXY computes — at the edges of the sqrt-free range and past
+// them, for coincident points, huge and tiny normalizers, λ at and near
+// 0 and 1, NaN and infinite operands, and any anchor operands.
+func FuzzAnchorGatePass(f *testing.F) {
+	f.Add(0.5, 0.5, 0.52, 0.49, 1.0, 0.5, 0.05, 0.3, 0.1, -0.2)
+	f.Add(0.5, 0.5, 0.9, 0.1, 1.3, 0.0, 0.2, 0.8, 0.1, 0.0)
+	f.Add(0.5, 0.5, 0.9, 0.1, 1.3, 1e-12, 0.2, 0.8, 0.1, 0.0)
+	f.Add(0.5, 0.5, 0.9, 0.1, 1.3, 1.0, 0.2, 0.8, 0.1, 0.0)
+	f.Add(1e-140, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
+	f.Add(2e-140, 0.0, 0.0, 0.0, 1e-150, 0.5, 1e-10, 0.0, 0.0, 0.0)
+	f.Add(7e139, 0.0, 0.0, 0.0, 1.0, 0.5, 1e139, 0.0, 0.0, 0.0)
+	f.Add(1e140, 0.0, 0.0, 0.0, 1e-200, 0.0, 0.5, 3.0, 0.0, 0.0)
+	f.Add(0.3, 0.3, 0.3, 0.3, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
+	f.Add(0.1, 0.2, 0.7, 0.9, 1.0, 0.5, math.Inf(1), 0.4, 0.2, 0.1)
+	f.Add(0.1, 0.2, 0.7, 0.9, 1.0, 0.5, math.NaN(), 0.4, 0.2, 0.1)
+	f.Add(0.1, 0.2, math.Inf(1), 0.9, 1.0, 0.5, 0.3, 0.4, 0.2, 0.1)
+	f.Add(0.1, 0.2, 0.7, 0.9, 1e300, 0.999999, 1e-300, 1e300, 1e-300, -1e300)
+	f.Fuzz(func(t *testing.T, qx, qy, ox, oy, dsMax, lambda, u, dq, d, floor float64) {
+		if !(dsMax > 0) || math.IsInf(dsMax, 1) || !(lambda >= 0 && lambda <= 1) {
+			t.Skip()
+		}
+		sp := &metric.Space{DsMax: dsMax, DtMax: 1}
+		set := &Anchors{pts: [][]float32{{0}}}
+		x := &Index{space: sp, xArena: []float64{ox}, yArena: []float64{oy},
+			anchors: &anchorArena{set: set, id: []uint8{0}, dist: []float32{float32(d)}}}
+		c := &hybrid{elems: []element{{idx: 0, ds: math.Inf(1), dt: 0}}, headDs: math.Inf(1)}
+		ad := &AnchorDists{set: set, dtMax: sp.DtMax}
+		ad.dq[0] = dq
+		sc := &searchScratch{anchorShared: ad}
+		q := &dataset.Object{X: qx, Y: qy}
+		_, g, keep, ok := x.enterCluster(sc, q, lambda, c, 0, floor, u, true, nil)
+		if !ok || len(keep) == 1 || g.suffixBound(&c.elems[0]) > u {
+			return // cut whole, kept, or cut by the suffix bound
+		}
+		ds := sp.SpatialXY(qx, qy, ox, oy)
+		if lb := g.semLower(0, &c.elems[0]); !(metric.Combine(lambda, ds, lb) > u) {
+			t.Fatalf("dropped a row the row loop keeps: λ=%v ds=%v semLower=%v combined %v, bound %v",
+				lambda, ds, lb, metric.Combine(lambda, ds, lb), u)
+		}
+	})
+}
+
 // liveSet returns the live objects of x (overlay included) and a linear
 // scanner over them.
 func liveSet(x *Index) (*scan.Scanner, *dataset.Dataset) {
@@ -132,22 +178,16 @@ func liveSet(x *Index) (*scan.Scanner, *dataset.Dataset) {
 // references: SearchAblated (the paper's Lemma 4.5, no row check) and
 // the linear scan, ID for ID, over the λ edges and k ≥ n; range, box and filtered search against the scan; and — on flat
 // indexes, where the eager reference applies — CSSIA against the
-// paper-faithful loop.
-func requireGateExact(t *testing.T, ctx string, x *Index) {
+// paper-faithful loop. Every cluster scan is also held to the one-pass
+// loop (requireScansMatchOnePass), whose count it returns.
+func requireGateExact(t *testing.T, ctx string, x *Index) (fellDroppedCut int) {
 	t.Helper()
 	if err := x.CheckInvariants(); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
 	sc, live := liveSet(x)
 	n := live.Len()
-	allow := func(id uint32) bool { return id%3 != 0 }
-	kept := &dataset.Dataset{Dim: live.Dim}
-	for _, o := range live.Objects {
-		if allow(o.ID) {
-			kept.Objects = append(kept.Objects, o)
-		}
-	}
-	keptScan := scan.New(kept, x.space)
+	queries := make([]dataset.Object, 0, 5+len(gateNearXY))
 	for qi := 0; qi < 5; qi++ {
 		q := live.Objects[(qi*61+7)%n]
 		if qi%2 == 1 {
@@ -159,11 +199,37 @@ func requireGateExact(t *testing.T, ctx string, x *Index) {
 			}
 			q.Vec = v
 		}
-		for _, lambda := range []float64{0, 0.1, 0.5, 0.9, 1} {
+		queries = append(queries, q)
+	}
+	// Queries whose squared distance to a row at the origin sits at the
+	// low edge of the gate's sqrt-free range, and — in the one-pass
+	// comparison only — queries so far out that the squared distance to
+	// every row sits at or past its high edge.
+	edge := func(xy [][2]float64) []dataset.Object {
+		var qs []dataset.Object
+		for i, p := range xy {
+			q := live.Objects[(i*17+3)%n]
+			q.X, q.Y = p[0], p[1]
+			qs = append(qs, q)
+		}
+		return qs
+	}
+	queries = append(queries, edge(gateNearXY)...)
+	fellDroppedCut = requireScansMatchOnePass(t, ctx, x, append(slices.Clone(queries), edge(gateFarXY)...))
+	allow := func(id uint32) bool { return id%3 != 0 }
+	kept := &dataset.Dataset{Dim: live.Dim}
+	for _, o := range live.Objects {
+		if allow(o.ID) {
+			kept.Objects = append(kept.Objects, o)
+		}
+	}
+	keptScan := scan.New(kept, x.space)
+	for qi, q := range queries {
+		for _, lambda := range gateLambdas {
 			for _, k := range []int{1, 10, n + 5} {
 				ref := x.SearchAblated(&q, k, lambda, AblationOptions{}, nil)
 				identicalResults(t, ctx+": ablated vs scan", sc.Search(&q, k, lambda, nil), ref)
-				identicalResults(t, ctx+": gate vs ablated", ref, x.Search(&q, k, lambda, nil))
+				identicalResults(t, fmt.Sprintf("%s: gate vs ablated q%d λ=%v k=%d", ctx, qi, lambda, k), ref, x.Search(&q, k, lambda, nil))
 				if x.delta == nil {
 					identicalResults(t, ctx+": cssia vs eager", searchApproxEager(x, &q, k, lambda), x.SearchApprox(&q, k, lambda, nil))
 				}
@@ -194,6 +260,198 @@ func requireGateExact(t *testing.T, ctx string, x *Index) {
 			identicalResults(t, ctx+": box", want, boxSearch(x, &q, Window{loX, loY, hiX, hiY}, k, nil))
 		}
 	}
+	return fellDroppedCut
+}
+
+// gateLambdas are the weights the gated loops are held at: the edges,
+// a weight so small that 1/λ is huge, and the interior.
+var gateLambdas = []float64{0, 1e-12, 0.1, 0.5, 0.9, 1}
+
+// gateNearXY are query locations at the low edge of SpatialBeyond's
+// range for a row at the origin: a squared length of 1e-280 sits on the
+// edge, 4e-280 just inside. gateFarXY sit at and around the high edge
+// for every row of the unit square: 4.9e279 just inside, 1e280 on it,
+// 2e282 past it. Far out the semantic term vanishes below the spatial
+// one's last bit, and the early-abandon limit (u − λ·ds)/(1−λ) falls to
+// 0 for rows that tie the k-th distance, so those queries are held to
+// the one-pass loop: there its answer is not the scan's, a defect of
+// the early-abandon limit that the gate pass neither adds nor hides.
+var (
+	gateNearXY = [][2]float64{{1e-140, 0}, {2e-140, 0}}
+	gateFarXY  = [][2]float64{{7e139, 0}, {1e140, 0}, {1e141, 1e141}}
+)
+
+// onePassScan is the exact read's row loop as one pass — every per-row
+// check on every row of c, in block order, against the current bound —
+// which scanCluster's gate pass replaced. It is the reference for
+// scanCluster's pushes and counters. ev has a byte per row reached: 'c'
+// the suffix cut (the last), 't' a tombstone, 'r' a restricted row, 'a'
+// an anchor cut, 'e' an abandoned kernel, 'p' a push, 'n' a row beyond
+// the radius; keep is what the gate pass kept at the entry bound.
+func onePassScan(x *Index, sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsqC, dtqC float64, h *knn.Heap, ub float64, st *metric.Stats) (ev []byte, keep []int32) {
+	st.ClustersExamined++
+	u0, full0 := cappedBound(h, ub)
+	blk, g, keep, ok := x.enterCluster(sc, q, lambda, c, dsqC, dtqC, u0, full0, st)
+	if !ok {
+		return nil, nil
+	}
+	keep = slices.Clone(keep)
+	tombs := x.deltaTombs()
+	rs := &sc.rs
+	for ei := range c.elems {
+		e := &c.elems[ei]
+		u, full := cappedBound(h, ub)
+		if full && g.suffixBound(e) > u {
+			st.IntraPruned += int64(len(c.elems) - ei)
+			return append(ev, 'c'), keep
+		}
+		if tombs != nil && tombs.get(e.idx) {
+			ev = append(ev, 't')
+			continue
+		}
+		if rs.rows && !rs.admits(x.ids[e.idx], blk.xs[ei], blk.ys[ei]) {
+			st.IntraPruned++
+			ev = append(ev, 'r')
+			continue
+		}
+		st.VisitedObjects++
+		ds := x.space.Spatial(st, q.X, q.Y, blk.xs[ei], blk.ys[ei])
+		if full && metric.Combine(lambda, ds, g.semLower(ei, e)) > u {
+			st.AnchorPruned++
+			ev = append(ev, 'a')
+			continue
+		}
+		var dt float64
+		if full && lambda < 1 {
+			var ok bool
+			if dt, ok = x.space.SemanticBound(st, q.Vec, x.vecAt(e.idx), (u-lambda*ds)/(1-lambda)); !ok {
+				ev = append(ev, 'e')
+				continue
+			}
+		} else {
+			dt = x.space.Semantic(st, q.Vec, x.vecAt(e.idx))
+		}
+		if d := metric.Combine(lambda, ds, dt); !(d > rs.radius) {
+			h.Push(knn.Result{ID: x.ids[e.idx], Dist: d})
+			ev = append(ev, 'p')
+		} else {
+			ev = append(ev, 'n')
+		}
+	}
+	return ev, keep
+}
+
+// requireScansMatchOnePass scans every non-empty cluster of x for each
+// query and weight, from a heap seeded at bounds drawn from the
+// cluster's own distances (so that pushes lower the bound mid-scan),
+// from a radius alone, and under a row predicate and a window, and holds
+// scanCluster to onePassScan: the same heap, counted or not, and the
+// same counters. It returns how many of those scans dropped rows between
+// two kept rows after the bound fell mid-scan, and then ended at the
+// suffix cut.
+func requireScansMatchOnePass(t *testing.T, ctx string, x *Index, queries []dataset.Object) (fellDroppedCut int) {
+	t.Helper()
+	tombs := x.deltaTombs()
+	allow := func(id uint32) bool { return id%3 != 0 }
+	for qi := range queries {
+		q := &queries[qi]
+		scs := [3]*searchScratch{x.getScratch(), x.getScratch(), x.getScratch()}
+		for _, lambda := range gateLambdas {
+			for ci, c := range x.clusters {
+				if len(c.elems) == 0 {
+					continue
+				}
+				dsqC := x.space.SpatialXY(q.X, q.Y, x.sCentX[c.s], x.sCentY[c.s])
+				dtqC := x.space.SemanticVec(q.Vec, x.tCent[c.t])
+				var dists []float64
+				for _, e := range c.elems {
+					if tombs == nil || !tombs.get(e.idx) {
+						dists = append(dists, metric.Combine(lambda, x.space.SpatialXY(q.X, q.Y, x.xArena[e.idx], x.yArena[e.idx]), x.space.SemanticVec(q.Vec, x.vecAt(e.idx))))
+					}
+				}
+				if len(dists) == 0 {
+					continue
+				}
+				slices.Sort(dists)
+				at := func(f float64) float64 { return dists[int(f*float64(len(dists)-1))] }
+				for vi, v := range []struct {
+					k      int
+					seed   float64 // seeds fill the heap at this bound; NaN for none
+					radius float64
+					allow  bool
+					window bool
+				}{
+					{3, at(0.3), math.Inf(1), false, false},
+					{3, at(0.7), math.Inf(1), false, false},
+					{1, at(0.9), math.Inf(1), false, false},
+					{10, math.NaN(), at(0.5), false, false},
+					{3, at(0.7), math.Inf(1), true, false},
+					{3, at(0.7), math.Inf(1), false, true},
+				} {
+					var heaps [3]knn.Heap
+					var sts [2]metric.Stats
+					var ev []byte
+					var u0 float64
+					var keep []int32
+					for r, sc := range scs {
+						sc.rs = restriction{radius: v.radius}
+						if v.allow {
+							sc.rs.allow, sc.rs.rows = allow, true
+						}
+						if v.window {
+							sc.rs.window, sc.rs.rows = &Window{q.X - 0.1, q.Y - 0.1, q.X + 0.15, q.Y + 0.2}, true
+						}
+						h := &heaps[r]
+						h.Reset(v.k)
+						if !math.IsNaN(v.seed) {
+							for i := 0; i < v.k; i++ {
+								h.Push(knn.Result{ID: uint32(2_000_000_000 + i), Dist: v.seed})
+							}
+						}
+						switch r {
+						case 0:
+							u0, _ = cappedBound(h, sc.rs.radius)
+							ev, keep = onePassScan(x, sc, q, lambda, c, dsqC, dtqC, h, sc.rs.radius, &sts[0])
+						case 1:
+							x.scanCluster(sc, q, lambda, c, dsqC, dtqC, h, sc.rs.radius, &sts[1])
+						case 2:
+							x.scanCluster(sc, q, lambda, c, dsqC, dtqC, h, sc.rs.radius, nil)
+						}
+					}
+					where := fmt.Sprintf("%s: q%d λ=%v cluster %d case %d", ctx, qi, lambda, ci, vi)
+					want := heaps[0].AppendSorted(nil)
+					identicalResults(t, where+" counted", want, heaps[1].AppendSorted(nil))
+					identicalResults(t, where+" uncounted", want, heaps[2].AppendSorted(nil))
+					if sts[0] != sts[1] {
+						t.Fatalf("%s: counters %+v, the one-pass loop's %+v", where, sts[1], sts[0])
+					}
+					if u1, _ := heaps[0].Bound(); u1 < u0 && len(ev) > 0 && ev[len(ev)-1] == 'c' && droppedAfterFall(ev, keep) {
+						fellDroppedCut++
+					}
+				}
+			}
+		}
+		for _, sc := range scs {
+			x.putScratch(sc)
+		}
+	}
+	return fellDroppedCut
+}
+
+// droppedAfterFall reports whether, after the first push of a one-pass
+// scan's events ev, the gate pass's kept rows keep skip a row between
+// two of them.
+func droppedAfterFall(ev []byte, keep []int32) bool {
+	fell := slices.Index(ev, 'p')
+	if fell < 0 {
+		return false
+	}
+	for i := 1; i < len(keep); i++ {
+		if int(keep[i-1]) >= fell && keep[i]-keep[i-1] > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // deleteClusters removes every member of the first few hybrid clusters.
@@ -253,6 +511,10 @@ func TestGateBitIdenticalAcrossStates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A row at the origin, for gateNearXY's queries.
+			origin := ds.Objects[11]
+			origin.ID, origin.X, origin.Y = 950_000, 0, 0
+			ds.Objects = append(ds.Objects, origin)
 			sp, err := metric.NewSpaceWithSemantic(ds, tc.sem)
 			if err != nil {
 				t.Fatal(err)
@@ -265,7 +527,9 @@ func TestGateBitIdenticalAcrossStates(t *testing.T) {
 			if got := len(x.anchors.set.pts); anchored != (got > 0) {
 				t.Fatalf("%d anchors under semantic metric %v", got, tc.sem)
 			}
-			requireGateExact(t, "fresh", x)
+			if requireGateExact(t, "fresh", x) == 0 {
+				t.Fatal("no cluster scan dropped rows between two kept rows after its bound fell and then cut")
+			}
 
 			flat := x.CloneForWrite()
 			deleteClusters(t, flat, 4)

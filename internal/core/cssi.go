@@ -232,7 +232,9 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 // it whole (enterCluster), and every row passes the cluster's rowGate
 // before any kernel: the component-wise Lemma 4.5 cut over the
 // conservative array thresholds ends the scan, and the anchor bound
-// skips single rows (see anchor.go). ub caps the heap's k-th distance
+// skips single rows (see anchor.go). The gate pass has already dropped
+// the rows whose anchor cut holds at the bound the scan starts with; the
+// loop below runs on the rows it kept. ub caps the heap's k-th distance
 // with a bound found elsewhere (the read's radius, another stripe's;
 // +Inf for none); every cut against it is strict, like the cuts against
 // the heap's own. A row the read's restriction rejects is charged like a
@@ -242,23 +244,31 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		st.ClustersExamined++
 	}
 	u0, full0 := cappedBound(h, ub)
-	blk, g, ok := x.enterCluster(sc, q, lambda, c, dsqC, dtqC, u0, full0, st)
+	blk, g, keep, ok := x.enterCluster(sc, q, lambda, c, dsqC, dtqC, u0, full0, st)
 	if !ok {
 		return
 	}
 	tombs := x.deltaTombs()
 	rs := &sc.rs
-	for ei := range c.elems {
+	// next is the first block position the loop has neither examined nor
+	// charged: the rows between it and a kept row are the dropped ones.
+	next := 0
+	for _, p := range keep {
+		ei := int(p)
 		e := &c.elems[ei]
 		u, full := cappedBound(h, ub)
 		if full && g.suffixBound(e) > u {
 			// Pruning property 2: the thresholds are non-increasing, so
 			// the bound only grows over the later elements.
 			if st != nil {
-				st.IntraPruned += int64(len(c.elems) - ei)
+				x.chargeTail(c, blk, g, rs, next, ei, u, st)
 			}
 			return
 		}
+		if st != nil && next < ei {
+			x.chargeDropped(c, blk, rs, next, ei, st)
+		}
+		next = ei + 1
 		// Overlay tombstones hide base objects the shared cluster arrays
 		// still list.
 		if tombs != nil && tombs.get(e.idx) {
@@ -306,6 +316,11 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		if d := metric.Combine(lambda, ds, dt); !(d > rs.radius) {
 			h.Push(knn.Result{ID: x.ids[e.idx], Dist: d})
 		}
+	}
+	if st != nil {
+		// The rows after the last kept one: dropped, or past the cut.
+		u, _ := cappedBound(h, ub)
+		x.chargeTail(c, blk, g, rs, next, g.cut, u, st)
 	}
 }
 

@@ -121,6 +121,7 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 		sc.dtqKnown[t] = false
 	}
 
+clusters:
 	for {
 		c, lb, ok := f.peek()
 		if !ok {
@@ -139,20 +140,26 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 			st.ClustersOrdered++
 			st.ClustersExamined++
 		}
-		blk, g, ok := x.enterCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), u, len(cands) >= k, st)
+		blk, g, keep, ok := x.enterCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), u, len(cands) >= k, st)
 		if !ok {
 			continue
 		}
-		for ei := range c.elems {
+		next := 0 // as in scanCluster
+		for _, p := range keep {
+			ei := int(p)
 			e := &c.elems[ei]
 			full := len(cands) >= k
 			if full && g.suffixBound(e) > u {
 				// Pruning property 2 (as in CSSI, original space).
 				if st != nil {
-					st.IntraPruned += int64(len(c.elems) - ei)
+					x.chargeTail(c, blk, g, &unrestricted, next, ei, u, st)
 				}
-				break
+				continue clusters
 			}
+			if st != nil && next < ei {
+				x.chargeDropped(c, blk, &unrestricted, next, ei, st)
+			}
+			next = ei + 1
 			if tombs != nil && tombs.get(e.idx) {
 				continue
 			}
@@ -198,6 +205,10 @@ func (x *Index) searchApproxWith(sc *searchScratch, dst []knn.Result, q *dataset
 					uPrime = cands.maxDPr()
 				}
 			}
+		}
+		if st != nil {
+			// The rows after the last kept one: dropped, or past the cut.
+			x.chargeTail(c, blk, g, &unrestricted, next, g.cut, u, st)
 		}
 	}
 	// The write overlay is scanned in full with the exact kernel: every

@@ -53,6 +53,9 @@ type searchScratch struct {
 	// slices window the index's arenas: putScratch clears them.
 	blk  clusterBlock
 	gate rowGate
+	// keep is the gate pass's list of the block positions the row loop
+	// examines (see gateRows).
+	keep []int32
 	// Time-budget state (see deadline.go). budgeted arms the per-pop
 	// budget polling for the current query — false (the normal case)
 	// keeps every check a single untaken branch; deadline and cancel

@@ -139,6 +139,9 @@ type restriction struct {
 	rows   bool
 }
 
+// unrestricted is the restriction of a read that has none (CSSIA's).
+var unrestricted restriction
+
 func (r *restriction) admits(id uint32, x, y float64) bool {
 	return (r.window == nil || r.window.contains(x, y)) && (r.allow == nil || r.allow(id))
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
@@ -19,15 +20,22 @@ import (
 // read's, bit for bit. The work counters are not, so a read that
 // collects them is never striped.
 //
-// Helpers are standing goroutines, started lazily up to GOMAXPROCS−1,
-// parked on an unbuffered channel; they never exit. An offer is a
-// non-blocking send, so only a parked helper takes it; otherwise the
-// read is one stripe. A job the helper has not taken when the caller's
-// stripe ends is withdrawn by CAS, and the helper later drops it without
-// touching the query; a taken job is waited for, so no read returns
-// while a helper still reads its snapshot. A helper's panic is re-raised
-// on the caller. A helper never spins; a caller polls briefly for its
-// own running helper before it parks (awaitStripe).
+// Helpers are standing goroutines, started lazily up to GOMAXPROCS−1;
+// they never exit. A helper that has just run a stripe polls a one-job
+// slot for stripePollWindow, then parks on an unbuffered channel. An
+// offer goes into the slot while a helper polls it, and is otherwise a
+// non-blocking send, which only a parked helper takes; with neither the
+// read is one stripe. A poller claims a slot entry by taking it out
+// before it looks further. Either way the job's state word decides who
+// has it: a helper takes the job by one CAS, and a caller whose stripe
+// ends first withdraws it by another, so exactly one of them wins, and
+// the loser leaves the query untouched. The word is "offered" only while
+// the caller expects a helper, and each offer carries a new generation
+// in it, so a helper holding a stale reference — an old channel offer —
+// can never take a later job. A taken job is waited for, so no read
+// returns while a helper still reads its snapshot. A helper's panic is re-raised on the caller. The
+// caller polls briefly for its own running helper before it parks
+// (awaitStripe).
 
 // Bound is the k-th distance bound the stripes of one parallel exact
 // read share: the two stripes of a striped snapshot, or the seeded
@@ -104,16 +112,26 @@ const (
 	stripeWithdrawn
 )
 
-// stripeOffer is what travels to a helper.
+// stripeOffer is what travels to a parked helper.
 type stripeOffer struct {
 	j    *stripeJob
 	gen  uint64
 	hook func(StripePoint)
 }
 
+// stripePollWindow is how long a helper that has just run a stripe
+// polls the slot before it parks: long enough to meet a single client's
+// next read, short enough that an idle helper hands its core back at
+// once (DESIGN §7b has the sweep that chose it).
+const stripePollWindow = 30 * time.Microsecond
+
 var (
 	stripeOffers  = make(chan stripeOffer)
 	stripeHelpers atomic.Int32
+	// stripeSlot is the job on offer to polling helpers (nil for none),
+	// and stripePollers counts the helpers polling it.
+	stripeSlot    atomic.Pointer[stripeJob]
+	stripePollers atomic.Int32
 )
 
 // claim hands the stripe on sc the next chunk of positions [lo, hi),
@@ -140,48 +158,122 @@ func (x *Index) offerStripe(sc *searchScratch, q *dataset.Object, k int, lambda 
 	j.state.Store(j.gen<<2 | stripeOffered)
 	o := stripeOffer{j, j.gen, j.hook}
 	if stripeHooks && o.hook != nil {
-		// A forced schedule needs its offer taken: wait for a helper.
+		// A forced schedule needs its offer taken: wait for a helper,
+		// polling or parked, or for one that had claimed an earlier
+		// offer of j to take this one.
+		offered := j.gen<<2 | stripeOffered
 		if stripeHelpers.CompareAndSwap(0, 1) {
 			go stripeHelper()
 		}
-		stripeOffers <- o
-	} else {
+		for !j.slot() && j.state.Load() == offered {
+			select {
+			case stripeOffers <- o:
+			default:
+				runtime.Gosched()
+				continue
+			}
+			break
+		}
+	} else if !j.slot() {
 		select {
 		case stripeOffers <- o:
 		default:
 			if n := stripeHelpers.Load(); int(n) < runtime.GOMAXPROCS(0)-1 && stripeHelpers.CompareAndSwap(n, n+1) {
 				go stripeHelper()
 			}
-			return nil
+			if j.state.CompareAndSwap(j.gen<<2|stripeOffered, j.gen<<2|stripeWithdrawn) {
+				return nil
+			}
+			// A poller that had claimed an earlier offer of j from the
+			// slot took this one first.
 		}
 	}
 	stripeAt(o.hook, StripeOffered)
 	return j
 }
 
+// slot puts the offered j into the slot when a helper polls it, and
+// reports whether a helper will decide j: a poller claims a slot entry
+// by taking it out, by CAS, before it tries the job's state, so a
+// claimed job is settled between that poller and the caller's
+// withdrawal. A poller that stops polling deregisters before its last
+// look at the slot, so if one is still registered once j is in, one
+// will see it; if none is, j may have arrived after the last look, and
+// slot takes it back out unless a poller claimed it first.
+func (j *stripeJob) slot() bool {
+	if stripePollers.Load() == 0 || !stripeSlot.CompareAndSwap(nil, j) {
+		return false
+	}
+	return stripePollers.Load() > 0 || !stripeSlot.CompareAndSwap(j, nil)
+}
+
 // stripeHelper is a standing helper: it runs the stripes it is offered,
-// one at a time, for the life of the process.
+// one at a time, for the life of the process, and after each one polls
+// the slot for the next before it parks again.
 func stripeHelper() {
 	for o := range stripeOffers {
-		o.run()
+		stripeAt(o.hook, StripeHelperWake)
+		if !o.j.state.CompareAndSwap(o.gen<<2|stripeOffered, o.gen<<2|stripeRunning) {
+			continue
+		}
+		for j, hook := o.j, o.hook; j != nil; {
+			j.run(hook)
+			j, hook = pollStripeSlot(hook)
+		}
 	}
 }
 
-// run takes the offered job unless the caller has withdrawn it and
-// walks the frontier as the second stripe.
-func (o stripeOffer) run() {
-	j := o.j
-	stripeAt(o.hook, StripeHelperWake)
-	if !j.state.CompareAndSwap(o.gen<<2|stripeOffered, o.gen<<2|stripeRunning) {
-		return
+// pollStripeSlot polls the slot for stripePollWindow and returns the job
+// it took there with its hook, or nil once the window closes empty. hook
+// is the hook of the job the helper has just run.
+func pollStripeSlot(hook func(StripePoint)) (*stripeJob, func(StripePoint)) {
+	stripePollers.Add(1)
+	stripeAt(hook, StripeHelperPolling)
+	start := time.Now()
+	for {
+		if j := takeSlot(); j != nil {
+			stripePollers.Add(-1)
+			return j, j.hook
+		}
+		if time.Since(start) >= stripePollWindow {
+			break
+		}
 	}
+	stripeAt(hook, StripeHelperPollEnd)
+	stripePollers.Add(-1)
+	if j := takeSlot(); j != nil {
+		return j, j.hook
+	}
+	return nil, nil
+}
+
+// takeSlot claims the job in the slot, if there is one, by taking it
+// out, and takes it unless its caller has withdrawn it.
+func takeSlot() *stripeJob {
+	j := stripeSlot.Load()
+	if j == nil || !stripeSlot.CompareAndSwap(j, nil) {
+		return nil
+	}
+	// The job's own hook may not be read before it is taken: a test's
+	// hook stays installed for the read it forces.
+	stripeAt(loadStripeHook(), StripeHelperWake)
+	s := j.state.Load()
+	if s&3 != stripeOffered || !j.state.CompareAndSwap(s, s-stripeOffered+stripeRunning) {
+		return nil
+	}
+	return j
+}
+
+// run walks the frontier as the second stripe of the taken job j, and
+// hands it back through done.
+func (j *stripeJob) run(hook func(StripePoint)) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.panicked = r
 		}
 		j.done <- struct{}{}
 	}()
-	stripeAt(o.hook, StripeHelperStarted)
+	stripeAt(hook, StripeHelperStarted)
 	x := j.x
 	sc := x.getScratch()
 	j.sc = sc
@@ -205,6 +297,11 @@ func (x *Index) walkStriped(sc *searchScratch, f *sideFrontier, q *dataset.Objec
 func (x *Index) joinStripe(sc *searchScratch, j *stripeJob, h *knn.Heap, merge bool) {
 	stripeAt(j.hook, StripeCallerEnding)
 	withdrawn := j.state.CompareAndSwap(j.gen<<2|stripeOffered, j.gen<<2|stripeWithdrawn)
+	if stripeSlot.Load() == j {
+		// Unclaimed, or left behind when a poller that had claimed an
+		// earlier offer of j took this one: no later offer may find it.
+		stripeSlot.CompareAndSwap(j, nil)
+	}
 	stripeAt(j.hook, StripeCallerEnded)
 	if !withdrawn {
 		awaitStripe(j)
@@ -244,9 +341,13 @@ func awaitStripe(j *stripeJob) {
 }
 
 // StripePoint names a schedule point of a striped read, where a hook
-// installed by SetStripeHook runs: the caller's offer was taken, it is
-// about to claim a chunk, its stripe is done (before and after it tries
-// to withdraw the job); the helper received the offer, took the job.
+// installed by SetStripeHook runs: the caller's offer was taken or put
+// in the slot for a polling helper, it is about to claim a chunk, its
+// stripe is done (before and after it tries to withdraw the job); the
+// helper received the offer or saw it in the slot, took the job. After
+// running a job the helper passes two more points with that job's hook:
+// it starts polling the slot, and its window has closed (it still
+// counts as polling there, and looks at the slot once more after).
 type StripePoint int
 
 const (
@@ -256,6 +357,8 @@ const (
 	StripeCallerEnded
 	StripeHelperWake
 	StripeHelperStarted
+	StripeHelperPolling
+	StripeHelperPollEnd
 )
 
 // stripeAt runs hook at point p; a no-op unless hooks are compiled in.

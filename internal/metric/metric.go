@@ -202,6 +202,34 @@ func (s *Space) SpatialXY(ax, ay, bx, by float64) float64 {
 	return math.Hypot(dx, dy) / s.DsMax
 }
 
+// spatialBeyondSlack inflates SpatialBeyond's limit so that it only
+// answers for distances certainly beyond it: SpatialXY's square root and
+// division, and the squaring of the limit, each round by at most half
+// an ulp, which 1e-9 relative dominates by six orders of magnitude.
+const spatialBeyondSlack = 1e-9
+
+// spatialBeyondMax caps the normalized distances SpatialBeyond answers
+// for below the float64 range, so that a distance it reports is finite:
+// it binds only under a normalizer below 1e-160, near where the
+// sqrt-free range starts to hold distances SpatialXY rounds to +Inf.
+const spatialBeyondMax = 1e300
+
+// SpatialBeyond reports whether SpatialXY(ax, ay, bx, by) is certainly
+// above r, from the squared length alone: no square root, no division.
+// Every distance is above a negative r. It answers false outside the
+// range where SpatialXY is one sqrt (coincident points, NaN and ±Inf
+// included), for a distance beyond spatialBeyondMax and for a NaN r,
+// leaving those pairs to the exact distance. The checks are ordered so
+// that the one that decides — the limit — comes first.
+func (s *Space) SpatialBeyond(ax, ay, bx, by, r float64) bool {
+	dx, dy := ax-bx, ay-by
+	sq := dx*dx + dy*dy
+	// lim·|lim| keeps the sign: a negative limit is exceeded outright.
+	lim := r * s.DsMax * (1 + spatialBeyondSlack)
+	top := s.DsMax * spatialBeyondMax
+	return sq > lim*math.Abs(lim) && sq > spatialSqMin && sq < spatialSqMax && sq < top*top
+}
+
 // Spatial returns ds(q,o), counting one spatial distance calculation.
 func (s *Space) Spatial(st *Stats, qx, qy, ox, oy float64) float64 {
 	if st != nil {

@@ -183,3 +183,55 @@ func TestSpatialXYMatchesHypot(t *testing.T) {
 		}
 	}
 }
+
+// SpatialBeyond answers only for distances certainly above r: whenever it
+// reports true, SpatialXY is finite and above r — on random pairs and
+// limits straddling the true distance by a few ulps, and at the edges of
+// the sqrt-free range — and it reports false outside that range, for
+// coincident points and for a NaN limit.
+func TestSpatialBeyondCertain(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 7))
+	for i := 0; i < 200000; i++ {
+		s := &Space{DsMax: math.Pow(10, float64(rng.IntN(41)-20)) * (1 + rng.Float64())}
+		scale := math.Pow(10, float64(rng.IntN(281)-140))
+		ax, ay := rng.NormFloat64()*scale, rng.NormFloat64()*scale
+		bx, by := rng.NormFloat64()*scale, rng.NormFloat64()*scale
+		ds := s.SpatialXY(ax, ay, bx, by)
+		for _, r := range []float64{ds, math.Nextafter(ds, 0), math.Nextafter(ds, math.Inf(1)),
+			ds * (1 - 1e-12), ds * (1 - 1e-8), ds * 0.5, -ds, 0, math.Inf(1), math.Inf(-1)} {
+			if s.SpatialBeyond(ax, ay, bx, by, r) && !(ds > r && !math.IsInf(ds, 1)) {
+				t.Fatalf("SpatialBeyond(%v, %v, %v, %v, %v) with DsMax %v: distance %v is not certainly above", ax, ay, bx, by, r, s.DsMax, ds)
+			}
+		}
+		if ds > 0 && ds < 1e90 && ds*(1-1e-8) > 0 && math.Abs(ax-bx) > 1e-130 && math.Abs(ax-bx) < 1e130 {
+			if !s.SpatialBeyond(ax, ay, bx, by, ds*(1-1e-8)) {
+				t.Fatalf("SpatialBeyond misses a distance %v clearly above %v", ds, ds*(1-1e-8))
+			}
+		}
+	}
+	s := &Space{DsMax: 1}
+	for _, tc := range []struct {
+		ax, ay, bx, by, r float64
+		want              bool
+	}{
+		{0.3, 0.3, 0.3, 0.3, -1, false},   // coincident: squared length 0
+		{1e-140, 0, 0, 0, -1, false},      // squared length 1e-280, the range's edge
+		{2e-140, 0, 0, 0, -1, true},       // just inside
+		{2e-140, 0, 0, 0, 1e-140, true},   // inside, and above r
+		{1e140, 0, 0, 0, -1, false},       // squared length 1e280, the other edge
+		{7e139, 0, 0, 0, 1e139, true},     // just inside
+		{math.NaN(), 0, 0, 0, -1, false},  // NaN coordinate
+		{math.Inf(1), 0, 0, 0, -1, false}, // infinite coordinate
+		{0.5, 0, 0, 0, math.NaN(), false}, // NaN limit
+		{0.5, 0, 0, 0, 0.5, false},        // the distance itself
+		{0.5, 0, 0, 0, 0.4999999, true},   // clearly below it
+	} {
+		if got := s.SpatialBeyond(tc.ax, tc.ay, tc.bx, tc.by, tc.r); got != tc.want {
+			t.Errorf("SpatialBeyond(%v, %v, %v, %v, %v) = %v, want %v", tc.ax, tc.ay, tc.bx, tc.by, tc.r, got, tc.want)
+		}
+	}
+	// A normalizer so small that the distance overflows: never beyond.
+	if tiny := (&Space{DsMax: 1e-200}); tiny.SpatialBeyond(1e110, 0, 0, 0, -1) {
+		t.Errorf("SpatialBeyond reports a distance of %v as finite", tiny.SpatialXY(1e110, 0, 0, 0))
+	}
+}

@@ -35,12 +35,71 @@ const (
 	helperWithdrawn
 	// helperFree: no constraint beyond the offer being taken.
 	helperFree
+	// The slot schedules: a warm-up read leaves its helper polling the
+	// slot, held at one point until this read's offer is in the slot.
+	//
+	// helperPolled: the helper is held as it starts polling, then takes
+	// the offer from the slot; the caller waits for it to start.
+	helperPolled
+	// helperPollClosing: the helper is held once its window has closed,
+	// while it still counts as polling, so the offer lands after its
+	// last look in the window; it must still take it, once.
+	helperPollClosing
+	// helperSlotWithdrawn: the helper sees the offer in the slot, then
+	// waits until the caller has withdrawn it, and must drop it.
+	helperSlotWithdrawn
 )
 
-var stripeSchedules = []stripeSchedule{helperFirst, helperAfterChunk, helperWithdrawn}
+var stripeSchedules = []stripeSchedule{helperFirst, helperAfterChunk, helperWithdrawn, helperPolled, helperPollClosing, helperSlotWithdrawn}
 
 func (s stripeSchedule) String() string {
-	return [...]string{"helper-first", "helper-after-chunk", "helper-withdrawn", "helper-free"}[s]
+	return [...]string{"helper-first", "helper-after-chunk", "helper-withdrawn", "helper-free",
+		"helper-polled", "helper-poll-closing", "helper-slot-withdrawn"}[s]
+}
+
+// slotted reports whether s needs a helper polling the slot.
+func (s stripeSchedule) slotted() bool { return s >= helperPolled }
+
+// awaitPoint waits for ch, or fails the test after a generous timeout
+// (a lost wake-up would otherwise hang it); it may run on any
+// goroutine.
+func awaitPoint(t *testing.T, ch <-chan struct{}, what string) {
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Errorf("stripe schedule: timed out waiting for %s", what)
+	}
+}
+
+// warmPoller runs warm — a read that stripes — under a hook that waits
+// for its helper to start and then holds that helper once it is polling
+// the slot: as it starts polling, or for helperPollClosing once its
+// window has closed. It returns when the helper is held, with the
+// channel that releases it.
+func warmPoller(t *testing.T, s stripeSchedule, warm func()) chan struct{} {
+	t.Helper()
+	started, held, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	at := core.StripeHelperPolling
+	if s == helperPollClosing {
+		at = core.StripeHelperPollEnd
+	}
+	var once sync.Once
+	core.SetStripeHook(func(p core.StripePoint) {
+		switch p {
+		case core.StripeOffered:
+			awaitPoint(t, started, "the warm-up helper to start")
+		case core.StripeHelperStarted:
+			close(started)
+		case at:
+			once.Do(func() {
+				close(held)
+				awaitPoint(t, release, "the forced offer")
+			})
+		}
+	})
+	warm()
+	awaitPoint(t, held, "the warm-up helper to poll")
+	return release
 }
 
 // stripeLog records the schedule points one read passed.
@@ -50,10 +109,21 @@ type stripeLog struct {
 
 // forceStripes installs a hook forcing s on the next striped read (each
 // read loads the hook once, so install one per read) and returns its
-// log; ok is false when hooks are not compiled in. extra, when non-nil,
-// runs at every point after the schedule's own step.
-func forceStripes(t *testing.T, s stripeSchedule, extra func(core.StripePoint)) (*stripeLog, bool) {
+// log; ok is false when hooks are not compiled in. A slot schedule first
+// runs warm, a read that stripes, to leave a helper polling. extra, when
+// non-nil, runs at every point after the schedule's own step.
+func forceStripes(t *testing.T, s stripeSchedule, warm func(), extra func(core.StripePoint)) (*stripeLog, bool) {
 	t.Helper()
+	if !core.SetStripeHook(nil) {
+		return nil, false
+	}
+	t.Cleanup(func() { core.SetStripeHook(nil) })
+	// unhold releases the warm-up helper once this read's offer is out.
+	var unhold chan struct{}
+	if s.slotted() {
+		unhold = warmPoller(t, s, warm)
+	}
+	var unheld sync.Once
 	log := new(stripeLog)
 	started, chunk, ended := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	// The caller's claims, touched by the caller's goroutine only.
@@ -62,23 +132,33 @@ func forceStripes(t *testing.T, s stripeSchedule, extra func(core.StripePoint)) 
 		if !released {
 			released = true
 			close(chunk)
-			<-started
+			awaitPoint(t, started, "the helper to start")
 		}
 	}
 	hook := func(p core.StripePoint) {
 		switch p {
 		case core.StripeOffered:
 			log.offered.Add(1)
+			if unhold != nil {
+				unheld.Do(func() { close(unhold) })
+			}
 		case core.StripeHelperStarted:
 			log.started.Add(1)
 		}
 		switch s {
-		case helperFirst:
+		case helperFirst, helperPolled, helperPollClosing:
 			switch p {
 			case core.StripeOffered:
-				<-started
+				awaitPoint(t, started, "the helper to start")
 			case core.StripeHelperStarted:
 				close(started)
+			}
+		case helperWithdrawn, helperSlotWithdrawn:
+			switch p {
+			case core.StripeHelperWake:
+				awaitPoint(t, ended, "the caller to end")
+			case core.StripeCallerEnded:
+				close(ended)
 			}
 		case helperAfterChunk:
 			switch p {
@@ -89,26 +169,16 @@ func forceStripes(t *testing.T, s stripeSchedule, extra func(core.StripePoint)) 
 			case core.StripeCallerEnding:
 				release()
 			case core.StripeHelperWake:
-				<-chunk
+				awaitPoint(t, chunk, "the caller's first chunk")
 			case core.StripeHelperStarted:
 				close(started)
-			}
-		case helperWithdrawn:
-			switch p {
-			case core.StripeHelperWake:
-				<-ended
-			case core.StripeCallerEnded:
-				close(ended)
 			}
 		}
 		if extra != nil {
 			extra(p)
 		}
 	}
-	if !core.SetStripeHook(hook) {
-		return nil, false
-	}
-	t.Cleanup(func() { core.SetStripeHook(nil) })
+	core.SetStripeHook(hook)
 	return log, true
 }
 
@@ -116,7 +186,7 @@ func forceStripes(t *testing.T, s stripeSchedule, extra func(core.StripePoint)) 
 func (l *stripeLog) check(t *testing.T, ctx string, s stripeSchedule) {
 	t.Helper()
 	wantStarted := int32(1)
-	if s == helperWithdrawn {
+	if s == helperWithdrawn || s == helperSlotWithdrawn {
 		wantStarted = 0
 	}
 	if l.offered.Load() != 1 || l.started.Load() != wantStarted {
@@ -268,7 +338,8 @@ func TestStripedExactEquivalence(t *testing.T) {
 							}
 							equalResults(t, ctx+" Do", want, got)
 							for _, sched := range stripeSchedules {
-								log, ok := forceStripes(t, sched, nil)
+								warm := func() { tc.target.do(context.Background(), req) }
+								log, ok := forceStripes(t, sched, warm, nil)
 								if !ok {
 									break
 								}
@@ -299,7 +370,7 @@ func TestStripedHelperPanicReraised(t *testing.T) {
 	x := mustBuild(t, ds, Options{Seed: 41})
 	q := ds.Objects[0]
 	started := make(chan struct{})
-	_, ok := forceStripes(t, helperFree, func(p core.StripePoint) {
+	_, ok := forceStripes(t, helperFree, nil, func(p core.StripePoint) {
 		switch p {
 		case core.StripeHelperStarted:
 			close(started)
@@ -345,7 +416,14 @@ func TestStripedReadsLeaveNoGoroutines(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := runtime.NumGoroutine(); n > base {
+	// A burst goroutine past wg.Done may not have exited yet (the helper
+	// can hold the other core for its polling window): let the count
+	// settle. A goroutine that leaked never leaves it.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > base {
 		t.Fatalf("%d goroutines after the burst, %d before", n, base)
 	}
 }
@@ -385,7 +463,7 @@ func TestStripedBudget(t *testing.T) {
 	t.Run("cancel-in-helper", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		_, ok := forceStripes(t, helperAfterChunk, func(p core.StripePoint) {
+		_, ok := forceStripes(t, helperAfterChunk, nil, func(p core.StripePoint) {
 			if p == core.StripeHelperStarted {
 				cancel()
 			}
@@ -403,7 +481,7 @@ func TestStripedBudget(t *testing.T) {
 
 	t.Run("fired-in-helper", func(t *testing.T) {
 		fired := firedCtx{context.Background(), make(chan struct{})}
-		_, ok := forceStripes(t, helperAfterChunk, func(p core.StripePoint) {
+		_, ok := forceStripes(t, helperAfterChunk, nil, func(p core.StripePoint) {
 			if p == core.StripeHelperStarted {
 				close(fired.done)
 			}
@@ -429,7 +507,7 @@ func TestStripedNeverAtOneProc(t *testing.T) {
 	ds := testDataset(t, 400)
 	x := mustBuild(t, ds, Options{Seed: 53})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	log, hooked := forceStripes(t, helperFree, nil)
+	log, hooked := forceStripes(t, helperFree, nil, nil)
 	for i := 0; i < 20; i++ {
 		q := ds.Objects[i]
 		want := x.core.SearchOptionsInto(nil, &q, 10, 0.5, core.SearchOptions{}, nil)
@@ -452,7 +530,7 @@ func TestStripedCountedReadsOneStripe(t *testing.T) {
 		oneShardTarget(mustBuildSharded(t, ds, 1, Options{Seed: 59})),
 	} {
 		t.Run(target.name, func(t *testing.T) {
-			log, hooked := forceStripes(t, helperFree, nil)
+			log, hooked := forceStripes(t, helperFree, nil, nil)
 			for qi, q := range ds.SampleQueries(8, 61) {
 				var want Stats
 				wantRes := target.snap().core.SearchOptionsInto(nil, &q, 10, 0.5, core.SearchOptions{}, &want)

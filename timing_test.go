@@ -49,8 +49,12 @@ func timingIndex(t *testing.T, size, dim, n int) (*cssi.Index, []cssi.Object) {
 // TestExplainOverhead times the same exact workload (1,000 objects,
 // n = 32, 200 queries, k = 10) through Do with and without
 // SearchRequest.Explain. Each mode keeps its fastest of 5 alternating
-// trials; collecting the explain counters may cost at most 5 %.
+// trials; collecting the explain counters may cost at most 5 %. An
+// explained read is never striped and a bare Do may be, so the test
+// runs under GOMAXPROCS(1), where neither is: the two arms then differ
+// by the counters alone.
 func TestExplainOverhead(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	idx, queries := timingIndex(t, 1000, 32, 200)
 	dst := make([]cssi.Result, 0, 10)
 	var es cssi.ExplainStats
