@@ -299,9 +299,8 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 			// that, so far-away candidates cost a fraction of the full
 			// n-dimensional work. A non-abandoned dt is bit-identical to
 			// the plain kernel, keeping results exact.
-			dtBound := (u - lambda*ds) / (1 - lambda)
 			var ok bool
-			dt, ok = x.space.SemanticBound(st, q.Vec, ov, dtBound)
+			dt, ok = x.space.SemanticBound(st, q.Vec, ov, abandonLimit(u, lambda, ds))
 			if !ok {
 				if sc.obs != nil {
 					sc.obs.EarlyAbandons++
@@ -322,6 +321,22 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		u, _ := cappedBound(h, ub)
 		x.chargeTail(c, blk, g, rs, next, g.cut, u, st)
 	}
+}
+
+// abandonRelSlack widens the early-abandon limit's numerator u − λ·ds
+// by a relative |u| before the division. Far out (ds ≈ 1e140) λ·ds
+// rounds to u itself for a row that ties the k-th distance, the limit
+// falls to 0 and the kernel abandons a row that should win on its ID.
+// 1e-12 is far above Combine's rounding (a few ulps of u) and far below
+// any distance gap that decides a k-NN answer, so a widened limit only
+// lets a few more rows finish their kernel and lose to u.
+const abandonRelSlack = 1e-12
+
+// abandonLimit is the early-abandon bound on dt for a row at spatial
+// distance ds against the k-th distance u: d = λ·ds + (1−λ)·dt can only
+// reach u when dt ≤ (u − λ·ds)/(1−λ), widened by abandonRelSlack. λ < 1.
+func abandonLimit(u, lambda, ds float64) float64 {
+	return (u - lambda*ds + abandonRelSlack*math.Abs(u)) / (1 - lambda)
 }
 
 // cappedBound is the heap's k-th distance capped by ub, and whether the

@@ -409,9 +409,8 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 			ds := x.space.Spatial(st, q.X, q.Y, o.X, o.Y)
 			var dt float64
 			if u, full := cappedBound(h, ub); full && lambda < 1 {
-				dtBound := (u - lambda*ds) / (1 - lambda)
 				var ok bool
-				dt, ok = x.space.SemanticBound(st, q.Vec, o.Vec, dtBound)
+				dt, ok = x.space.SemanticBound(st, q.Vec, o.Vec, abandonLimit(u, lambda, ds))
 				if !ok {
 					if sc.obs != nil {
 						sc.obs.EarlyAbandons++

@@ -148,33 +148,13 @@ func SqDistSQ8LUTBlockInto(out []float64, lut SQ8LUT, codes []uint8) {
 }
 
 // SqDistBlockInto computes out[r] = SqDist(q, row_r) for every row of a
-// contiguous row-major float32 block, keeping the query hot across rows
-// instead of paying per-call setup. Each row uses the same lanes,
-// accumulators, and final combine as SqDist, so every out[r] is
-// bit-identical to the per-row kernel. It panics if the block is not a
+// contiguous row-major float32 block. It panics if the block is not a
 // whole number of rows or out has the wrong length.
 // Kept for bench/ (the float32 baseline of the vec.sq8_* rows), like the above.
 func SqDistBlockInto(out []float64, q, rows []float32) {
 	n := blockRows(len(rows), len(q), len(out))
 	for r := 0; r < n; r++ {
-		row := rows[r*len(q) : (r+1)*len(q)]
-		var s0, s1, s2, s3 float64
-		i := 0
-		for ; i+4 <= len(q); i += 4 {
-			d0 := float64(q[i]) - float64(row[i])
-			d1 := float64(q[i+1]) - float64(row[i+1])
-			d2 := float64(q[i+2]) - float64(row[i+2])
-			d3 := float64(q[i+3]) - float64(row[i+3])
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
-		}
-		for ; i < len(q); i++ {
-			d := float64(q[i]) - float64(row[i])
-			s0 += d * d
-		}
-		out[r] = (s0 + s1) + (s2 + s3)
+		out[r] = SqDist(q, rows[r*len(q):(r+1)*len(q)])
 	}
 }
 

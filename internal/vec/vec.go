@@ -10,6 +10,20 @@
 // summation order (lane i mod 4 feeds accumulator i mod 4, combined as
 // (s0+s1)+(s2+s3)), so results are deterministic and identical between
 // SqDist and a non-abandoned SqDistBound.
+//
+// On amd64 CPUs with AVX, SqDist and SqDistBound run that same loop four
+// lanes per instruction (sqdist_amd64.s): lane k of one ymm accumulator
+// is s_k, each 4-float step widens both operands and then subtracts,
+// squares and adds as the scalar loop does, and the len%4 tail and the
+// final combine stay in Go. There is no fused multiply-add: it rounds
+// d·d and the add once instead of twice and would change the bits. The
+// path is selected once at package init from CPUID (AVX, OSXSAVE) and
+// XGETBV (the OS saves the ymm state); there is no option. Below 4
+// floats there is no step to run, and the scalar loop answers. The scalar
+// loops (sqDistRef, sqDistBoundRef) are the path on other CPUs and
+// architectures and the reference the AVX path is tested against: every
+// result, abandoned partial sums included, is the same float64 bit for
+// bit.
 package vec
 
 import (
@@ -39,6 +53,18 @@ func Dot(a, b []float32) float64 {
 // It panics if the lengths differ.
 func SqDist(a, b []float32) float64 {
 	checkLen(a, b)
+	if useAVX && len(a) >= 4 {
+		return sqDistAVX(a, b, math.Inf(1))
+	}
+	return sqDistRef(a, b)
+}
+
+// sqDistRef is SqDist's scalar loop: the path where AVX is missing and
+// the reference the AVX path is tested against, bit for bit. Below 4
+// floats the loop is its tail alone and runs here on every CPU: the AVX
+// body would have no step to run, and its call would double the cost of
+// a 2-dim projected distance.
+func sqDistRef(a, b []float32) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -74,6 +100,15 @@ const sqDistBoundBlock = 4
 // accumulators, same final combine). It panics if the lengths differ.
 func SqDistBound(a, b []float32, limit float64) float64 {
 	checkLen(a, b)
+	if useAVX && len(a) >= 4 {
+		return sqDistAVX(a, b, limit)
+	}
+	return sqDistBoundRef(a, b, limit)
+}
+
+// sqDistBoundRef is SqDistBound's scalar loop, the reference for the AVX
+// path as sqDistRef is for SqDist's.
+func sqDistBoundRef(a, b []float32, limit float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	// Checkpoint every sqDistBoundBlock unrolled steps: often enough to

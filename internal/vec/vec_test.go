@@ -1,8 +1,10 @@
 package vec
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -239,29 +241,62 @@ func naiveSqDistRef(a, b []float32) float64 {
 	return s
 }
 
+// sameBits reports whether two kernel results are the same float64 bit
+// for bit, any NaN equal to any NaN.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// requireKernelsMatchRef holds the dispatched SqDist and SqDistBound to
+// the scalar reference, bit for bit, at every limit given.
+func requireKernelsMatchRef(t *testing.T, a, b []float32, limits ...float64) {
+	t.Helper()
+	if got, want := SqDist(a, b), sqDistRef(a, b); !sameBits(got, want) {
+		t.Fatalf("n=%d: SqDist = %v, reference %v", len(a), got, want)
+	}
+	for _, limit := range limits {
+		if got, want := SqDistBound(a, b, limit), sqDistBoundRef(a, b, limit); !sameBits(got, want) {
+			t.Fatalf("n=%d limit=%v: SqDistBound = %v, reference %v", len(a), limit, got, want)
+		}
+	}
+}
+
 // SqDistBound with an infinite limit must be bit-identical to SqDist on
 // every length (the tail/unroll boundary cases included): the exact
 // search's oracle equivalence depends on a non-abandoned bounded kernel
-// producing the same float as the plain one.
+// producing the same float as the plain one. Both kernels must also
+// give the scalar reference's bits on every length mod 16, at limits
+// that run through, tie, abandon part-way, abandon at the first
+// checkpoint, and (NaN) never compare.
 func TestSqDistBoundMatchesSqDistBitwise(t *testing.T) {
+	t.Logf("AVX path: %v", useAVX)
 	rng := rand.New(rand.NewPCG(7, 7))
 	for n := 0; n <= 70; n++ {
-		a, b := randVec(rng, n), randVec(rng, n)
-		want := SqDist(a, b)
-		got := SqDistBound(a, b, math.Inf(1))
-		if got != want {
-			t.Fatalf("n=%d: SqDistBound(+Inf) = %v, SqDist = %v", n, got, want)
-		}
-		// A limit that equals the true value must not trigger abandonment
-		// (the contract is partial > limit, strictly).
-		if got := SqDistBound(a, b, want); got != want {
-			t.Fatalf("n=%d: SqDistBound(limit=true value) = %v, want %v", n, got, want)
+		for _, mag := range []float64{1e-3, 1, 1e3} {
+			a, b := randVec(rng, n), randVec(rng, n)
+			Scale(a, mag)
+			Scale(b, mag)
+			want := SqDist(a, b)
+			got := SqDistBound(a, b, math.Inf(1))
+			if got != want {
+				t.Fatalf("n=%d: SqDistBound(+Inf) = %v, SqDist = %v", n, got, want)
+			}
+			// A limit that equals the true value must not trigger abandonment
+			// (the contract is partial > limit, strictly).
+			if got := SqDistBound(a, b, want); got != want {
+				t.Fatalf("n=%d: SqDistBound(limit=true value) = %v, want %v", n, got, want)
+			}
+			requireKernelsMatchRef(t, a, b, math.Inf(1), want, 0.5*want, 0, -1, math.NaN())
+			// A partial sum that equals the limit at a checkpoint goes on.
+			copy(b[:min(n, 16)], a)
+			requireKernelsMatchRef(t, a, b, 0)
 		}
 	}
 }
 
 // When the kernel abandons, the reported partial must already exceed the
-// limit — the property that makes early abandonment sound.
+// limit — the property that makes early abandonment sound — and be the
+// scalar reference's partial, bit for bit.
 func TestSqDistBoundAbandonProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 3))
 	abandoned := 0
@@ -271,15 +306,97 @@ func TestSqDistBoundAbandonProperty(t *testing.T) {
 		full := SqDist(a, b)
 		limit := full * rng.Float64() // limit < full: must abandon or return full
 		got := SqDistBound(a, b, limit)
+		if want := sqDistBoundRef(a, b, limit); !sameBits(got, want) {
+			t.Fatalf("n=%d limit=%v: SqDistBound = %v, reference %v", n, limit, got, want)
+		}
 		if got > limit {
-			abandoned++
+			if got != full {
+				abandoned++
+			}
 			continue
 		}
 		t.Fatalf("n=%d: SqDistBound returned %v ≤ limit %v while full %v > limit", n, got, limit, full)
 	}
 	if abandoned == 0 {
-		t.Fatal("no trial abandoned")
+		t.Fatal("no trial returned a partial sum")
 	}
+}
+
+// A length mismatch panics in checkLen, before either kernel body reads
+// past the shorter operand.
+func TestSqDistMismatchPanics(t *testing.T) {
+	short, long := []float32{1, 2, 3}, make([]float32, 40)
+	for name, fn := range map[string]func(){
+		"SqDist":        func() { SqDist(long, short) },
+		"SqDistBound":   func() { SqDistBound(long, short, math.Inf(1)) },
+		"SqDistEmpty":   func() { SqDist(nil, short) },
+		"SqDistBoundLo": func() { SqDistBound(short, long, 0) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "length mismatch") {
+					t.Fatalf("%s: recovered %q, want checkLen's length mismatch", name, msg)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// FuzzSqDistKernels decodes a length, a limit and raw float32 bit
+// patterns — so NaN payloads, subnormals, ±Inf and huge magnitudes all
+// occur — and holds SqDist, SqDistBound and SqDistBlockInto to the
+// scalar reference, bit for bit (any NaN equal to any NaN).
+func FuzzSqDistKernels(f *testing.F) {
+	nan := math.Float32bits(float32(math.NaN()))
+	inf := math.Float32bits(float32(math.Inf(1)))
+	seed := func(n byte, limit float64, words ...uint32) {
+		b := binary.LittleEndian.AppendUint64([]byte{n}, math.Float64bits(limit))
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+		f.Add(b)
+	}
+	seed(0, 0)
+	seed(3, 1, 0x3f800000, 0xbf800000, 0x7f7fffff)
+	seed(16, 1e30, 0x7f7fffff, 0xff7fffff, 0x7f7fffff)
+	seed(17, math.NaN(), nan, 0x7fc00001, 0x7f800001, inf, 0xff800000)
+	seed(20, -1, 0x00000001, 0x00400000, 0x007fffff, 0x00800000, 0x80000001)
+	seed(64, math.Inf(1))
+	seed(70, 0.5, 0x40490fdb, 0xc0490fdb, 0x3dcccccd, 0x4b189680)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		n := int(data[0]) % 80
+		limit := math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+		data = data[9:]
+		next := func() float32 {
+			if len(data) < 4 {
+				return 0
+			}
+			v := math.Float32frombits(binary.LittleEndian.Uint32(data))
+			data = data[4:]
+			return v
+		}
+		rows := make([]float32, 2*n)
+		for i := range rows {
+			rows[i] = next()
+		}
+		a, b := rows[:n], rows[n:]
+		full := sqDistRef(a, b)
+		requireKernelsMatchRef(t, a, b, limit, math.Inf(1), full, 0.5*full, 0)
+		if n == 0 {
+			return
+		}
+		out := make([]float64, 2)
+		SqDistBlockInto(out, a, rows)
+		for r, want := range []float64{sqDistRef(a, a), full} {
+			if !sameBits(out[r], want) {
+				t.Fatalf("n=%d row %d: SqDistBlockInto = %v, reference %v", n, r, out[r], want)
+			}
+		}
+	})
 }
 
 // The unrolled kernels agree with the naive accumulator up to roundoff.
