@@ -8,6 +8,7 @@ import (
 	"repro/internal/kmeans"
 	"repro/internal/metric"
 	"repro/internal/par"
+	"repro/internal/vec"
 )
 
 // Anchor bound: a row-level pivot filter in front of the semantic
@@ -79,10 +80,9 @@ const (
 // several indexes over parts of one corpus (BuildSharded fits it once).
 type Anchors struct {
 	pts [][]float32
-	// prefix repeats the leading p dimensions of every point back to
-	// back, the only memory the assignment ranking reads per anchor.
-	prefix []float32
-	p      int
+	// rank holds the leading anchorPrefixDims dimensions of every point,
+	// the only memory the assignment ranking reads per anchor.
+	rank *vec.Prefix
 }
 
 // anchorArena is the per-row anchor storage of one index, parallel to
@@ -122,68 +122,19 @@ func fitAnchors(n int, row func(i int) []float32, space *metric.Space, seed uint
 		return a // unreachable: the sample is non-empty
 	}
 	a.pts = res.Centroids
-	a.p = len(a.pts[0])
-	if a.p > anchorPrefixDims {
-		a.p = anchorPrefixDims
-	}
-	a.prefix = make([]float32, 0, len(a.pts)*a.p)
-	for _, pt := range a.pts {
-		a.prefix = append(a.prefix, pt[:a.p]...)
-	}
+	a.rank = vec.NewPrefix(a.pts, min(len(a.pts[0]), anchorPrefixDims))
 	return a
 }
 
-// assign picks v's anchor — the nearest over the prefix dimensions —
-// and returns its id with the full normalized distance to it. Anchors
-// are ranked four per pass over the prefix: each keeps its own float32
-// accumulator summed in dimension order (the explicit conversions keep a
-// compiler from fusing the multiply-add), and the four are compared in id
-// order with a strict <, so the pick is the one a one-anchor-at-a-time
-// loop makes — the four dependency chains just overlap.
+// assign picks v's anchor — the nearest over the prefix dimensions,
+// ranked by vec.Prefix (one float32 accumulator per anchor summed in
+// dimension order, the first strict minimum winning) — and returns its
+// id with the full normalized distance to it.
 func (a *Anchors) assign(space *metric.Space, v []float32) (uint8, float32) {
 	if len(a.pts) == 0 {
 		return anchorSentinel, 0
 	}
-	p := a.p
-	head := v[:p]
-	n := len(head) // = p, spelled so the compiler drops the bounds checks below
-	best, bestSq := 0, float32(math.Inf(1))
-	k := 0
-	for ; k+4 <= len(a.pts); k += 4 {
-		pre := a.prefix[k*p : (k+4)*p]
-		pre0, pre1, pre2, pre3 := pre[:n], pre[p:][:n], pre[2*p:][:n], pre[3*p:][:n]
-		var sq0, sq1, sq2, sq3 float32
-		for j, h := range head {
-			d0, d1, d2, d3 := h-pre0[j], h-pre1[j], h-pre2[j], h-pre3[j]
-			sq0 += float32(d0 * d0)
-			sq1 += float32(d1 * d1)
-			sq2 += float32(d2 * d2)
-			sq3 += float32(d3 * d3)
-		}
-		if sq0 < bestSq {
-			best, bestSq = k, sq0
-		}
-		if sq1 < bestSq {
-			best, bestSq = k+1, sq1
-		}
-		if sq2 < bestSq {
-			best, bestSq = k+2, sq2
-		}
-		if sq3 < bestSq {
-			best, bestSq = k+3, sq3
-		}
-	}
-	for ; k < len(a.pts); k++ {
-		pre := a.prefix[k*p:][:n]
-		var sq float32
-		for j, h := range head {
-			d := h - pre[j]
-			sq += float32(d * d)
-		}
-		if sq < bestSq {
-			best, bestSq = k, sq
-		}
-	}
+	best := a.rank.Nearest(v)
 	return uint8(best), float32(space.SemanticVec(v, a.pts[best]))
 }
 

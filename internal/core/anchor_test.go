@@ -921,10 +921,8 @@ func TestAnchorRankingMatchesOneAtATime(t *testing.T) {
 			if k > 2 {
 				pts[k-1] = slices.Clone(pts[0])
 			}
-			a := &Anchors{pts: pts, p: min(dim, anchorPrefixDims)}
-			for _, pt := range pts {
-				a.prefix = append(a.prefix, pt[:a.p]...)
-			}
+			p := min(dim, anchorPrefixDims)
+			a := &Anchors{pts: pts, rank: vec.NewPrefix(pts, p)}
 			rows := append(slices.Clone(pts), make([]float32, dim))
 			for i := 0; i < 200; i++ {
 				v := make([]float32, dim)
@@ -937,7 +935,7 @@ func TestAnchorRankingMatchesOneAtATime(t *testing.T) {
 				want, wantSq := 0, float32(math.Inf(1))
 				for id, pt := range pts {
 					var sq float32
-					for j := 0; j < a.p; j++ {
+					for j := 0; j < p; j++ {
 						d := v[j] - pt[j]
 						sq += d * d
 					}

@@ -385,10 +385,9 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	x.projArena = make([]float32, x.m*len(vecs))
 	proj := make([][]float32, len(vecs))
 	par.For(len(vecs), cfg.Workers, func(lo, hi int) {
+		x.pcaModel.TransformRows(x.projArena[lo*x.m:hi*x.m], vecs[lo:hi])
 		for i := lo; i < hi; i++ {
-			dst := x.projArena[i*x.m : (i+1)*x.m : (i+1)*x.m]
-			x.pcaModel.TransformInto(dst, vecs[i])
-			proj[i] = dst
+			proj[i] = x.projArena[i*x.m : (i+1)*x.m : (i+1)*x.m]
 		}
 	})
 	space.SetProjectedNormalizerArena(x.projArena, x.m)

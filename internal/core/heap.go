@@ -69,7 +69,10 @@ func (x *Index) HeapBytes() HeapBytes {
 		Overlay: x.delta.heapBytes(),
 	}
 	if aa := x.anchors; aa != nil {
-		h.Anchors = sizeOf(aa.id) + sizeOf(aa.dist) + rowsOf(aa.set.pts) + sizeOf(aa.set.prefix)
+		h.Anchors = sizeOf(aa.id) + sizeOf(aa.dist) + rowsOf(aa.set.pts)
+		if aa.set.rank != nil {
+			h.Anchors += aa.set.rank.Bytes()
+		}
 	}
 	if p := x.pcaModel; p != nil {
 		h.Model += 8 * int64(p.N()*(p.M()+1))

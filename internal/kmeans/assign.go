@@ -13,7 +13,9 @@ import (
 // vec.SqDist per pair is all overhead: a slice header, a length check
 // and a 4-way unrolled loop that never runs. Points of up to colDims
 // dimensions are therefore assigned by a kernel over the centroids'
-// coordinate columns; wider points keep vec.ArgNearest.
+// coordinate columns (vec.NearestCol2 up to two dimensions, where the
+// zero columns drop out of the sum, (a+b)+(0+0) = a+b; vec.NearestCol4
+// above); wider points keep vec.ArgNearest.
 //
 // The kernel must pick what vec.ArgNearest picks, bit for bit, or the
 // clustering — and everything built on it — changes. It does, because it
@@ -54,72 +56,6 @@ func newColumns(centroids [][]float32) *columns {
 	return &c
 }
 
-// argNearest returns the index vec.ArgNearest would return for the point
-// (x0,x1,x2,x3) over the column-stored centroids: four centroids per
-// pass, their four distances independent of one another.
-func (c *columns) argNearest(x0, x1, x2, x3 float64) int {
-	c0 := c[0]
-	k := len(c0)
-	c1, c2, c3 := c[1][:k], c[2][:k], c[3][:k]
-	sq := func(i int) float64 {
-		d0, d1, d2, d3 := x0-c0[i], x1-c1[i], x2-c2[i], x3-c3[i]
-		return (float64(d0*d0) + float64(d1*d1)) + (float64(d2*d2) + float64(d3*d3))
-	}
-	best, bestD := 0, sq(0)
-	i := 0
-	for ; i+4 <= k; i += 4 {
-		best, bestD = nearer4(best, bestD, i, sq(i), sq(i+1), sq(i+2), sq(i+3))
-	}
-	for ; i < k; i++ {
-		if e := sq(i); e < bestD {
-			best, bestD = i, e
-		}
-	}
-	return best
-}
-
-// argNearest2 is argNearest for points of at most two dimensions, the
-// width both of the index's clusterings run at: the zero columns drop
-// out of the sum ((a+b)+(0+0) = a+b).
-func (c *columns) argNearest2(x0, x1 float64) int {
-	c0 := c[0]
-	k := len(c0)
-	c1 := c[1][:k]
-	sq := func(i int) float64 {
-		d0, d1 := x0-c0[i], x1-c1[i]
-		return float64(d0*d0) + float64(d1*d1)
-	}
-	best, bestD := 0, sq(0)
-	i := 0
-	for ; i+4 <= k; i += 4 {
-		best, bestD = nearer4(best, bestD, i, sq(i), sq(i+1), sq(i+2), sq(i+3))
-	}
-	for ; i < k; i++ {
-		if e := sq(i); e < bestD {
-			best, bestD = i, e
-		}
-	}
-	return best
-}
-
-// nearer4 folds the distances of centroids i..i+3 into the running
-// arg-min, in index order with a strict <.
-func nearer4(best int, bestD float64, i int, e0, e1, e2, e3 float64) (int, float64) {
-	if e0 < bestD {
-		best, bestD = i, e0
-	}
-	if e1 < bestD {
-		best, bestD = i+1, e1
-	}
-	if e2 < bestD {
-		best, bestD = i+2, e2
-	}
-	if e3 < bestD {
-		best, bestD = i+3, e3
-	}
-	return best, bestD
-}
-
 // parallelAssign writes the nearest-centroid index of every point into
 // assign, on up to workers goroutines, and reports whether any
 // assignment changed.
@@ -143,9 +79,9 @@ func parallelAssign(points [][]float32, centroids [][]float32, assign []int, wor
 					x[j] = float64(v)
 				}
 				if dim <= 2 {
-					c = cols.argNearest2(x[0], x[1])
+					c = vec.NearestCol2(x[0], x[1], cols[0], cols[1])
 				} else {
-					c = cols.argNearest(x[0], x[1], x[2], x[3])
+					c = vec.NearestCol4(x[0], x[1], x[2], x[3], cols[0], cols[1], cols[2], cols[3])
 				}
 			} else {
 				c, _ = vec.ArgNearest(p, centroids) // also the length-mismatch panic

@@ -9,8 +9,10 @@
 // columns some ten times per fit. Mul and MulTA split their output rows
 // across workers; every output element is still one accumulator summed
 // in ascending inner index, so the result has the same bits at any
-// worker count. The rest (QR, Jacobi) works on the narrow sketch and the
-// n×n covariance, where clarity is preferred over blocking.
+// worker count, and each output row is one vec.AddScaledRows, the output
+// columns on the vector lanes. The rest (QR, Jacobi) works on the narrow
+// sketch and the n×n covariance, where clarity is preferred over
+// blocking.
 package mat
 
 import (
@@ -19,6 +21,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/par"
+	"repro/internal/vec"
 )
 
 // Dense is a row-major dense matrix of float64 values.
@@ -80,7 +83,8 @@ func (m *Dense) T() *Dense {
 }
 
 // Mul returns the matrix product a*b, its rows computed on up to workers
-// goroutines (0 = GOMAXPROCS).
+// goroutines (0 = GOMAXPROCS). Output row i is one vec.AddScaledRows:
+// row kk of b times a[i][kk], in ascending kk, skipping the zeros of a.
 func Mul(a, b *Dense, workers int) *Dense {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -88,43 +92,25 @@ func Mul(a, b *Dense, workers int) *Dense {
 	out := NewDense(a.Rows, b.Cols)
 	par.For(a.Rows, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for kk, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(kk)
-				for j, bv := range brow {
-					orow[j] += float64(av * bv)
-				}
-			}
+			vec.AddScaledRows(out.Row(i), a.Row(i), 1, b.Data)
 		}
 	})
 	return out
 }
 
 // MulTA returns aᵀ*b without materialising the transpose: bit for bit
-// Mul(a.T(), b). Output row j (column j of a) is one worker's; it walks
-// the rows of a and b in step, so element (j,c) accumulates a[i][j]*b[i][c]
-// in ascending i, skipping the zeros of a — Mul's order over a.T().
+// Mul(a.T(), b). Output row j (column j of a) is one worker's: the
+// coefficients a[i][j] sit a.Cols apart, so element (j,c) accumulates
+// a[i][j]*b[i][c] in ascending i, skipping the zeros of a — Mul's order
+// over a.T().
 func MulTA(a, b *Dense, workers int) *Dense {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulTA shape mismatch (%dx%d)ᵀ * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Cols, b.Cols)
 	par.For(a.Cols, workers, func(lo, hi int) {
-		for i := 0; i < a.Rows; i++ {
-			brow := b.Row(i)
-			for j, av := range a.Row(i)[lo:hi] {
-				if av == 0 {
-					continue
-				}
-				orow := out.Row(lo + j)
-				for c, bv := range brow {
-					orow[c] += float64(av * bv)
-				}
-			}
+		for j := lo; j < hi; j++ {
+			vec.AddScaledRows(out.Row(j), a.Data[j:], a.Cols, b.Data)
 		}
 	})
 	return out
@@ -160,6 +146,12 @@ func Gaussian(rng *rand.Rand, rows, cols int) *Dense {
 // QR computes the thin QR decomposition of m (Rows >= Cols) using
 // Householder reflections. It returns Q with orthonormal columns
 // (Rows×Cols) and upper-triangular R (Cols×Cols) with m = Q*R.
+//
+// A reflection updates every column from its own dot product with v,
+// which no other column's update touches, so the dot products of all
+// columns are summed first, along the rows (each one over ascending
+// rows), and the columns updated after: the column-at-a-time order's
+// values.
 func QR(m *Dense) (q, r *Dense) {
 	rows, cols := m.Rows, m.Cols
 	if rows < cols {
@@ -167,11 +159,13 @@ func QR(m *Dense) (q, r *Dense) {
 	}
 	a := m.Clone()
 	vs := make([][]float64, 0, cols) // Householder vectors
+	dots := make([]float64, cols)
 	for k := 0; k < cols; k++ {
 		// Build the Householder vector for column k below the diagonal.
 		var norm float64
 		for i := k; i < rows; i++ {
-			norm += a.At(i, k) * a.At(i, k)
+			x := a.Data[i*cols+k]
+			norm += x * x
 		}
 		norm = math.Sqrt(norm)
 		v := make([]float64, rows)
@@ -181,11 +175,11 @@ func QR(m *Dense) (q, r *Dense) {
 			continue
 		}
 		alpha := -norm
-		if a.At(k, k) < 0 {
+		if a.Data[k*cols+k] < 0 {
 			alpha = norm
 		}
 		for i := k; i < rows; i++ {
-			v[i] = a.At(i, k)
+			v[i] = a.Data[i*cols+k]
 		}
 		v[k] -= alpha
 		var vnorm float64
@@ -198,13 +192,12 @@ func QR(m *Dense) (q, r *Dense) {
 				v[i] *= inv
 			}
 			// Apply H = I - 2*v*v^T to a's trailing columns.
-			for j := k; j < cols; j++ {
-				var dot float64
-				for i := k; i < rows; i++ {
-					dot += v[i] * a.At(i, j)
-				}
-				for i := k; i < rows; i++ {
-					a.Set(i, j, a.At(i, j)-2*dot*v[i])
+			d := rowDots(dots[k:], v, a, k, k)
+			for i := k; i < rows; i++ {
+				vi := v[i]
+				row := a.Row(i)[k:]
+				for j, x := range row {
+					row[j] = x - 2*d[j]*vi
 				}
 			}
 		}
@@ -212,31 +205,42 @@ func QR(m *Dense) (q, r *Dense) {
 	}
 	r = NewDense(cols, cols)
 	for i := 0; i < cols; i++ {
-		for j := i; j < cols; j++ {
-			r.Set(i, j, a.At(i, j))
-		}
+		copy(r.Row(i)[i:], a.Row(i)[i:])
 	}
-	// Q = H_0 * H_1 * ... * H_{cols-1} applied to the thin identity.
+	// Q = H_0 * H_1 * ... * H_{cols-1} applied to the thin identity; a
+	// column whose dot product with v is zero is left as it is.
 	q = NewDense(rows, cols)
 	for j := 0; j < cols; j++ {
 		q.Set(j, j, 1)
 	}
 	for k := cols - 1; k >= 0; k-- {
 		v := vs[k]
-		for j := 0; j < cols; j++ {
-			var dot float64
-			for i := k; i < rows; i++ {
-				dot += v[i] * q.At(i, j)
-			}
-			if dot == 0 {
-				continue
-			}
-			for i := k; i < rows; i++ {
-				q.Set(i, j, q.At(i, j)-2*dot*v[i])
+		d := rowDots(dots, v, q, k, 0)
+		for i := k; i < rows; i++ {
+			vi := v[i]
+			row := q.Row(i)
+			for j, x := range row {
+				if d[j] != 0 {
+					row[j] = x - 2*d[j]*vi
+				}
 			}
 		}
 	}
 	return q, r
+}
+
+// rowDots sets d[j] = Σ_{i ≥ k} v[i]·m[i][from+j] for every column
+// from+j of m, summing along m's rows so that each d[j] adds its terms in
+// ascending i, and returns d.
+func rowDots(d, v []float64, m *Dense, k, from int) []float64 {
+	clear(d)
+	for i := k; i < m.Rows; i++ {
+		vi := v[i]
+		for j, x := range m.Row(i)[from:] {
+			d[j] += vi * x
+		}
+	}
+	return d
 }
 
 // JacobiEigen computes the eigendecomposition of the symmetric matrix s

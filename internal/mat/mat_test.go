@@ -261,3 +261,108 @@ func TestMulParallelBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// qrAtSet is QR as first written, column at a time through At and Set:
+// the reference the row-slice QR must reproduce bit for bit.
+func qrAtSet(m *Dense) (q, r *Dense) {
+	rows, cols := m.Rows, m.Cols
+	a := m.Clone()
+	vs := make([][]float64, 0, cols)
+	for k := 0; k < cols; k++ {
+		var norm float64
+		for i := k; i < rows; i++ {
+			norm += a.At(i, k) * a.At(i, k)
+		}
+		norm = math.Sqrt(norm)
+		v := make([]float64, rows)
+		if norm == 0 {
+			vs = append(vs, v)
+			continue
+		}
+		alpha := -norm
+		if a.At(k, k) < 0 {
+			alpha = norm
+		}
+		for i := k; i < rows; i++ {
+			v[i] = a.At(i, k)
+		}
+		v[k] -= alpha
+		var vnorm float64
+		for _, x := range v {
+			vnorm += x * x
+		}
+		if vnorm > 0 {
+			inv := 1 / math.Sqrt(vnorm)
+			for i := range v {
+				v[i] *= inv
+			}
+			for j := k; j < cols; j++ {
+				var dot float64
+				for i := k; i < rows; i++ {
+					dot += v[i] * a.At(i, j)
+				}
+				for i := k; i < rows; i++ {
+					a.Set(i, j, a.At(i, j)-2*dot*v[i])
+				}
+			}
+		}
+		vs = append(vs, v)
+	}
+	r = NewDense(cols, cols)
+	for i := 0; i < cols; i++ {
+		for j := i; j < cols; j++ {
+			r.Set(i, j, a.At(i, j))
+		}
+	}
+	q = NewDense(rows, cols)
+	for j := 0; j < cols; j++ {
+		q.Set(j, j, 1)
+	}
+	for k := cols - 1; k >= 0; k-- {
+		v := vs[k]
+		for j := 0; j < cols; j++ {
+			var dot float64
+			for i := k; i < rows; i++ {
+				dot += v[i] * q.At(i, j)
+			}
+			if dot == 0 {
+				continue
+			}
+			for i := k; i < rows; i++ {
+				q.Set(i, j, q.At(i, j)-2*dot*v[i])
+			}
+		}
+	}
+	return q, r
+}
+
+// TestQRRowsBitIdentical: the row-slice QR gives the column-at-a-time
+// QR's Q and R bit for bit on the sketch's shapes, on square and single
+// column inputs, and on inputs with zero, repeated and NaN columns.
+func TestQRRowsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 6))
+	for _, sh := range [][2]int{{6000, 9}, {100, 9}, {9, 9}, {1, 1}, {5, 1}, {40, 13}} {
+		for variant := 0; variant < 4; variant++ {
+			m := Gaussian(rng, sh[0], sh[1])
+			for i := 0; i < m.Rows; i++ {
+				switch {
+				case variant == 1 && m.Cols > 1:
+					m.Set(i, 1, 0) // a zero column: the identity reflection
+				case variant == 2 && m.Cols > 2:
+					m.Set(i, 2, m.At(i, 0)) // a repeated column: rank deficient
+				case variant == 3 && i == m.Rows/2:
+					m.Set(i, m.Cols-1, math.NaN())
+				}
+			}
+			gotQ, gotR := QR(m)
+			wantQ, wantR := qrAtSet(m)
+			for _, pair := range [][2]*Dense{{gotQ, wantQ}, {gotR, wantR}} {
+				for i, v := range pair[1].Data {
+					if g := pair[0].Data[i]; math.Float64bits(g) != math.Float64bits(v) && !(math.IsNaN(g) && math.IsNaN(v)) {
+						t.Fatalf("%dx%d variant %d: element %d = %v, column-at-a-time %v", sh[0], sh[1], variant, i, g, v)
+					}
+				}
+			}
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/mat"
+	"repro/internal/vec"
 )
 
 // Method selects the fitting algorithm.
@@ -89,9 +90,7 @@ func Fit(rows [][]float32, cfg Config) (*Model, error) {
 		if len(r) != n {
 			return nil, fmt.Errorf("pca: ragged input rows (%d vs %d)", len(r), n)
 		}
-		for j, v := range r {
-			mean[j] += float64(v)
-		}
+		vec.AddWidened(mean, r)
 	}
 	invN := 1 / float64(len(rows))
 	for j := range mean {
@@ -202,24 +201,34 @@ func (p *Model) TransformInto(dst []float32, v []float32) {
 	if len(dst) != p.M() {
 		panic("pca: TransformInto dst length mismatch")
 	}
-	for i := 0; i < p.M(); i++ {
-		row := p.Components.Row(i)
-		var s float64
-		for j, x := range v {
-			s += (float64(x) - p.Mean[j]) * row[j]
-		}
-		dst[i] = float32(s)
+	vec.Project(dst, v, p.Mean, p.Components.Data)
+}
+
+// TransformRows projects every row into dst, row i's M() outputs at
+// dst[i·M():], bit for bit what TransformInto gives each row: four rows
+// per vec.Project4, the rest one at a time.
+func (p *Model) TransformRows(dst []float32, rows [][]float32) {
+	m := p.M()
+	if len(dst) != m*len(rows) {
+		panic("pca: TransformRows dst length mismatch")
+	}
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		vec.Project4(dst[i*m:(i+4)*m], (*[4][]float32)(rows[i:i+4]), p.Mean, p.Components.Data)
+	}
+	for ; i < len(rows); i++ {
+		p.TransformInto(dst[i*m:(i+1)*m], rows[i])
 	}
 }
 
 // TransformAll projects every row, returning newly allocated projections.
 func (p *Model) TransformAll(rows [][]float32) [][]float32 {
+	m := p.M()
+	buf := make([]float32, m*len(rows))
+	p.TransformRows(buf, rows)
 	out := make([][]float32, len(rows))
-	buf := make([]float32, p.M()*len(rows))
-	for i, r := range rows {
-		dst := buf[i*p.M() : (i+1)*p.M() : (i+1)*p.M()]
-		p.TransformInto(dst, r)
-		out[i] = dst
+	for i := range out {
+		out[i] = buf[i*m : (i+1)*m : (i+1)*m]
 	}
 	return out
 }

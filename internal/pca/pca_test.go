@@ -215,3 +215,47 @@ func TestExplainedVarianceRatioSumsBelowOne(t *testing.T) {
 		t.Fatalf("ratios suspiciously low: %v", ratios)
 	}
 }
+
+// TestTransformRowsMatchesTransformInto: projecting rows four at a time
+// gives every row's TransformInto bits, and TransformInto gives the
+// centered dot product summed in ascending dimension, each product
+// rounded before its add (never fused), at row counts on both sides of a
+// multiple of four.
+func TestTransformRowsMatchesTransformInto(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 8))
+	for _, n := range []int{1, 3, 100} {
+		rows := make([][]float32, 61)
+		for i := range rows {
+			rows[i] = make([]float32, n)
+			for j := range rows[i] {
+				rows[i][j] = float32(rng.NormFloat64() * 3)
+			}
+		}
+		for _, method := range []Method{Exact, Randomized} {
+			model, err := Fit(rows, Config{Components: 2, Method: method, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := model.M()
+			for _, count := range []int{0, 1, 3, 4, 5, 8, 9, 61} {
+				got := make([]float32, m*count)
+				model.TransformRows(got, rows[:count])
+				for i, r := range rows[:count] {
+					one := make([]float32, m)
+					model.TransformInto(one, r)
+					for c := 0; c < m; c++ {
+						comp := model.Components.Row(c)
+						var s float64
+						for j, x := range r {
+							s += float64((float64(x) - model.Mean[j]) * comp[j])
+						}
+						if math.Float32bits(got[i*m+c]) != math.Float32bits(one[c]) || math.Float32bits(one[c]) != math.Float32bits(float32(s)) {
+							t.Fatalf("n=%d method %d count %d row %d output %d: TransformRows %v, TransformInto %v, loop %v",
+								n, method, count, i, c, got[i*m+c], one[c], float32(s))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -24,6 +24,18 @@
 // architectures and the reference the AVX path is tested against: every
 // result, abandoned partial sums included, is the same float64 bit for
 // bit.
+//
+// The build kernels (build.go, build_amd64.s) follow the same contract
+// for index construction: K-Means assignment over centroid columns
+// (NearestCol2, NearestCol4), the row body of the PCA sketch products
+// (AddScaledRows), anchor ranking (Prefix), the per-dimension folds
+// (FoldMinMax, AddWidened) and the four-row projection (Project4). Their
+// lanes run across independent outputs — centroids, output columns,
+// anchors, dimensions, rows — never across one sum and never fused, so
+// each output sees its scalar reference's operations in its order; an
+// arg-min keeps one running minimum and index per lane and merges the
+// lanes by distance, then index, which is the sequential scan's first
+// strict minimum. They share SqDist's dispatch and its references' role.
 package vec
 
 import (
@@ -242,9 +254,7 @@ func Mean(dst []float32, rows [][]float32) {
 	acc := make([]float64, len(dst))
 	for _, r := range rows {
 		checkLen(dst, r)
-		for i, v := range r {
-			acc[i] += float64(v)
-		}
+		AddWidened(acc, r)
 	}
 	inv := 1 / float64(len(rows))
 	for i := range dst {
@@ -263,14 +273,7 @@ func MinMax(rows [][]float32) (lo, hi []float32) {
 	hi = Clone(rows[0])
 	for _, r := range rows[1:] {
 		checkLen(lo, r)
-		for i, v := range r {
-			if v < lo[i] {
-				lo[i] = v
-			}
-			if v > hi[i] {
-				hi[i] = v
-			}
-		}
+		FoldMinMax(lo, hi, r)
 	}
 	return lo, hi
 }
@@ -288,17 +291,7 @@ func MinMaxStrided(arena []float32, dim int) (lo, hi []float32) {
 	}
 	lo = Clone(arena[:dim])
 	hi = Clone(arena[:dim])
-	for off := dim; off < len(arena); off += dim {
-		row := arena[off : off+dim]
-		for i, v := range row {
-			if v < lo[i] {
-				lo[i] = v
-			}
-			if v > hi[i] {
-				hi[i] = v
-			}
-		}
-	}
+	FoldMinMax(lo, hi, arena[dim:])
 	return lo, hi
 }
 

@@ -28,9 +28,10 @@ const (
 // per-shard index file (the same format Index.Save writes, so any
 // single shard file also loads with LoadIndex) plus a manifest.json
 // tying them together in shard order. Each file is written to a
-// temporary name and renamed into place, and the manifest is written
-// last — an interrupted save never leaves a manifest pointing at
-// missing or truncated shard files. Every shard is captured from its
+// temporary name, synced and renamed into place, the manifest last, and
+// the directory is synced after it — an interrupted save, or a crash
+// after it, never leaves a manifest pointing at missing or truncated
+// shard files. Every shard is captured from its
 // snapshot at its own scatter instant (per-shard consistency, like
 // reads).
 func (s *ShardedIndex) SaveDir(dir string) error {
@@ -59,12 +60,19 @@ func (s *ShardedIndex) SaveDir(dir string) error {
 	}); err != nil {
 		return fmt.Errorf("cssi: saving manifest: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("cssi: syncing %s: %w", dir, err)
+	}
 	return nil
 }
 
-// writeFileAtomic writes via a temp file in the destination directory
-// and renames it into place, so readers only ever observe complete
-// files.
+// writeFileAtomic writes via a temp file in the destination directory,
+// syncs it to stable storage and renames it into place, so readers only
+// ever observe complete files and a crash after the rename cannot
+// surface a renamed file whose contents never reached the disk. The
+// renames themselves are durable once the directory is synced
+// (syncDir), which SaveDir does after the last one. A failed write
+// leaves the previous file untouched and removes the temp file.
 func writeFileAtomic(path string, write func(f *os.File) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -75,10 +83,28 @@ func writeFileAtomic(path string, write func(f *os.File) error) error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// syncDir flushes dir's entries — the renames into it — to stable
+// storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadSharded restores a sharded index from path. Two layouts load:

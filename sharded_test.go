@@ -1,6 +1,7 @@
 package cssi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -392,6 +393,45 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 func writeFileAtomicTest(t *testing.T, path string, idx *Index) error {
 	t.Helper()
 	return writeFileAtomic(path, func(f *os.File) error { return idx.Save(f) })
+}
+
+// TestWriteFileAtomicFailedWriteKeepsPrevious: a writer that fails after
+// writing part of its output returns its error, leaves the file it would
+// have replaced byte-identical and leaves no temp file behind; a writer
+// that succeeds replaces the file whole.
+func TestWriteFileAtomicFailedWriteKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard-0000.cssi")
+	previous := bytes.Repeat([]byte("previous contents "), 1000)
+	if err := writeFileAtomic(path, func(f *os.File) error { _, err := f.Write(previous); return err }); err != nil {
+		t.Fatal(err)
+	}
+	failed := errors.New("disk full")
+	err := writeFileAtomic(path, func(f *os.File) error {
+		if _, err := f.Write([]byte("partial new contents")); err != nil {
+			return err
+		}
+		return failed
+	})
+	if !errors.Is(err, failed) {
+		t.Fatalf("failed writer: err = %v, want %v", err, failed)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, previous) {
+		t.Fatalf("after a failed write the file holds %d bytes (err %v), want the previous %d", len(got), err, len(previous))
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+	next := []byte("next contents")
+	if err := writeFileAtomic(path, func(f *os.File) error { _, err := f.Write(next); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, next) {
+		t.Fatalf("after a good write the file holds %q, want %q", got, next)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("directory holds %d entries, want the one file", len(entries))
+	}
 }
 
 // BuildSharded must refuse configurations it cannot serve rather than
