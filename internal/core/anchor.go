@@ -202,9 +202,9 @@ func (x *Index) anchorDists(sc *searchScratch, q *dataset.Object) *AnchorDists {
 // rowGate holds what the pre-kernel checks of one cluster scan read: the
 // weights, the query's two centroid distances, and the cluster's window
 // of the anchor arena. It lives in the searchScratch (one per query,
-// refilled per cluster by enterCluster). The two row loops share it:
-// the exact read's scanCluster, whatever radius, window or predicate
-// restricts it, and CSSIA's; SearchAblated keeps the paper's original
+// refilled per cluster by enterCluster). Its one row loop is
+// scanCluster, for the exact read whatever radius, window or predicate
+// restricts it and for CSSIA; SearchAblated keeps the paper's original
 // Lemma 4.5 and no row check, and is the reference the tests compare
 // against.
 //

@@ -89,6 +89,13 @@ func (x *Index) Search(q *dataset.Object, k int, lambda float64, st *metric.Stat
 	return x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{}, st)
 }
 
+// SearchApprox answers a k-NN query with the CSSIA algorithm (Alg. 3):
+// Search with SearchOptions.Approx. The read stops at a projected-space
+// bound (§5.3), so it can miss a cluster holding a true neighbor.
+func (x *Index) SearchApprox(q *dataset.Object, k int, lambda float64, st *metric.Stats) []knn.Result {
+	return x.SearchOptionsInto(nil, q, k, lambda, SearchOptions{Approx: true}, st)
+}
+
 // orderByBound computes the query's centroid-level distances and starts
 // the frontier over the true Eq. 4 bound (Alg. 2 line 4). A spatial side
 // whose ball misses the read's window gets no cursor. The original-space
@@ -100,6 +107,10 @@ func (x *Index) Search(q *dataset.Object, k int, lambda float64, st *metric.Stat
 // The weak bound never exceeds the true one (sideTerm is non-decreasing
 // in the distance), which is all the frontier needs to yield clusters in
 // ascending true bound.
+//
+// A CSSIA read orders by the Eq. 4 bound in the projected space instead
+// (§5.3), final from the start; its scans compute the original-space dtq
+// of each examined cluster on first use.
 func (x *Index) orderByBound(sc *searchScratch, q *dataset.Object, lambda float64) *sideFrontier {
 	x.fillSpatialCentroidDists(sc, q)
 	x.fillSpatialTerms(sc, lambda)
@@ -109,6 +120,14 @@ func (x *Index) orderByBound(sc *searchScratch, q *dataset.Object, lambda float6
 				sc.aTerm[s] = -1
 			}
 		}
+	}
+	if sc.approx {
+		x.pcaModel.TransformInto(sc.qProj, q.Vec)
+		for t := range sc.dtqProj {
+			sc.dtqProj[t] = x.space.SemanticProjVec(sc.qProj, x.tCentProj[t])
+		}
+		clear(sc.dtqKnown)
+		return x.startFrontier(sc, q, 1-lambda, sc.dtqProj, x.tRadProj, true)
 	}
 	if x.lazyOrderable() {
 		x.fillProjLowerBounds(sc, q)
@@ -160,7 +179,8 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 	// on flat snapshots). Exactness is unchanged: the final heap is a
 	// pure function of the offered candidate set, the base scan offered
 	// every live base candidate not provably excluded, and scanDelta
-	// offers every live overlay candidate not provably excluded.
+	// offers every live overlay candidate not provably excluded. A CSSIA
+	// read chains them the same way: only its base walk is approximate.
 	ub := sc.rs.radius
 	if b != nil {
 		ub = b.Load()
@@ -177,6 +197,12 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 // one stripe of a striped read: it scans only the frontier positions it
 // claims from sh, and pops the others unscanned. With sh nil every
 // position is its own.
+//
+// A CSSIA read stops instead at Alg. 3's one approximate step: the heap
+// is full and the head's projected bound reaches U', the largest
+// projected distance held (§5.3). Non-strict, as in the paper: at λ = 0
+// a query that is a stored object has U' = 0, and a strict cut would scan
+// every cluster whose projected ball holds it.
 func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, b *Bound, sh *stripeJob, st *metric.Stats) {
 	// Positions [lo, hi) are this stripe's current claim; pos is the
 	// frontier position of the next pop.
@@ -193,7 +219,11 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 		if !ok {
 			break
 		}
-		if u, full := cappedBound(h, shared); full && lb > u {
+		if sc.approx {
+			if h.Full() && lb >= h.MaxAux() {
+				break
+			}
+		} else if u, full := cappedBound(h, shared); full && lb > u {
 			// Pruning property 1 (Lemma 4.4): lb is the smallest true
 			// bound among the clusters not yet examined. Strict, like
 			// every cut below: an object tying the k-th distance at its
@@ -313,7 +343,12 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		// Not d > r rather than d ≤ r: a k-NN read keeps even a NaN
 		// distance, as it always has.
 		if d := metric.Combine(lambda, ds, dt); !(d > rs.radius) {
-			h.Push(knn.Result{ID: x.ids[e.idx], Dist: d})
+			r := knn.Result{ID: x.ids[e.idx], Dist: d}
+			if sc.approx {
+				h.PushAux(r, x.projDist(sc, lambda, ds, x.projAt(e.idx)))
+			} else {
+				h.Push(r)
+			}
 		}
 	}
 	if st != nil {
@@ -321,6 +356,12 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		u, _ := cappedBound(h, ub)
 		x.chargeTail(c, blk, g, rs, next, g.cut, u, st)
 	}
+}
+
+// projDist is a CSSIA candidate's projected distance d' = λ·ds +
+// (1−λ)·d't (§5.3), with proj its row's projection.
+func (x *Index) projDist(sc *searchScratch, lambda, ds float64, proj []float32) float64 {
+	return metric.Combine(lambda, ds, x.space.SemanticProjVec(sc.qProj, proj))
 }
 
 // abandonRelSlack widens the early-abandon limit's numerator u − λ·ds

@@ -3,8 +3,8 @@ package core
 import "time"
 
 // Deadline-aware search: SearchOptions can carry an absolute time
-// budget (and a cancellation signal), and every cluster-consuming loop
-// — the exact frontier and CSSIA's projected frontier — polls it once
+// budget (and a cancellation signal), and the frontier walk — over true
+// bounds for the exact read, projected ones for CSSIA — polls it once
 // per cluster pop, reading the
 // wall clock only every deadlineCheckEvery pops so the hot path stays
 // branch-cheap. When the budget fires the loop stops consuming clusters

@@ -215,7 +215,7 @@ func (f *sideFrontier) chargePruned(st *metric.Stats) {
 }
 
 // frontHeap is a binary min-heap by key; hand-written (no
-// container/heap) to avoid interface boxing, matching candHeap.
+// container/heap) to avoid interface boxing, like knn.Heap.
 type frontHeap []frontEntry
 
 func (h frontHeap) heapify() {

@@ -69,7 +69,11 @@ func searchEager(x *Index, seed []knn.Result, q *dataset.Object, k int, lambda f
 
 // searchApproxEager is the pre-frontier reference implementation of
 // CSSIA: projected bounds for every cluster up front, eager sort, then
-// the identical scan body run linearly.
+// the paper's cluster scan (the original Lemma 4.5, no row gate) run
+// linearly, skipping the overlay's tombstones, until the head's
+// projected bound reaches U'. Every live overlay row is then offered
+// with the exact kernel. The candidates go into a knn.Heap with their
+// projected distances beside them, so both sides break ties alike.
 func searchApproxEager(x *Index, q *dataset.Object, k int, lambda float64) []knn.Result {
 	sc := x.getScratch()
 	defer x.putScratch(sc)
@@ -87,65 +91,53 @@ func searchApproxEager(x *Index, q *dataset.Object, k int, lambda float64) []knn
 		})
 	}
 	sortOrder(order)
-	cands := sc.cands[:0]
-	defer func() { sc.cands = cands[:0] }()
-	u, uPrime := math.Inf(1), math.Inf(1)
-	for t := range sc.dtqKnown {
-		sc.dtqKnown[t] = false
+	h := &sc.heap
+	h.Reset(k)
+	// offer runs the exact kernel, abandoning past the k-th distance, and
+	// pushes the row with its projected distance.
+	offer := func(id uint32, ox, oy float64, ov, proj []float32) {
+		ds := x.space.Spatial(nil, q.X, q.Y, ox, oy)
+		var dt float64
+		if u, full := h.Bound(); full && lambda < 1 {
+			var ok bool
+			if dt, ok = x.space.SemanticBound(nil, q.Vec, ov, abandonLimit(u, lambda, ds)); !ok {
+				return
+			}
+		} else {
+			dt = x.space.Semantic(nil, q.Vec, ov)
+		}
+		dpr := metric.Combine(lambda, ds, x.space.SemanticProjVec(qProj, proj))
+		h.PushAux(knn.Result{ID: id, Dist: metric.Combine(lambda, ds, dt)}, dpr)
 	}
+	tombs := x.deltaTombs()
 	for _, oc := range order {
-		if len(cands) >= k && oc.lb >= uPrime {
+		if h.Full() && oc.lb >= h.MaxAux() {
 			break
 		}
 		c := oc.c
-		if !sc.dtqKnown[c.t] {
-			sc.dtq[c.t] = x.space.SemanticVec(q.Vec, x.tCent[c.t])
-			sc.dtqKnown[c.t] = true
-		}
-		dtqC := sc.dtq[c.t]
+		dtqC := x.space.SemanticVec(q.Vec, x.tCent[c.t])
 		enclosed := sc.dsq[c.s] < x.sRad[c.s] && dtqC < x.tRad[c.t]
 		dqC := lambda*sc.dsq[c.s] + (1-lambda)*dtqC
 		for ei := range c.elems {
 			e := &c.elems[ei]
-			if !enclosed && len(cands) >= k {
-				bound := lambda*e.ds + (1-lambda)*e.dt
-				if dqC-bound > u {
-					break
-				}
+			if u, full := h.Bound(); !enclosed && full && dqC-(lambda*e.ds+(1-lambda)*e.dt) > u {
+				break
 			}
-			o := x.row(e.idx)
-			ds := x.space.Spatial(nil, q.X, q.Y, o.X, o.Y)
-			var dt float64
-			if len(cands) >= k && lambda < 1 {
-				dtBound := (u - lambda*ds) / (1 - lambda)
-				var ok bool
-				dt, ok = x.space.SemanticBound(nil, q.Vec, o.Vec, dtBound)
-				if !ok {
-					continue
-				}
-			} else {
-				dt = x.space.Semantic(nil, q.Vec, o.Vec)
+			if tombs != nil && tombs.get(e.idx) {
+				continue
 			}
-			d := metric.Combine(lambda, ds, dt)
-			if d < u || len(cands) < k {
-				dpr := metric.Combine(lambda, ds, x.space.SemanticProjVec(qProj, x.projAt(e.idx)))
-				cands.push(cand{id: o.ID, d: d, dpr: dpr})
-				if len(cands) > k {
-					cands.popMax()
-				}
-				if len(cands) == k {
-					u = cands[0].d
-					uPrime = cands.maxDPr()
-				}
+			offer(x.ids[e.idx], x.xArena[e.idx], x.yArena[e.idx], x.vecAt(e.idx), x.projAt(e.idx))
+		}
+	}
+	if d := x.delta; d != nil {
+		for pos := range d.objs {
+			if !d.dead.get(uint32(pos)) {
+				o := &d.objs[pos]
+				offer(o.ID, o.X, o.Y, o.Vec, d.projRow(uint32(pos)))
 			}
 		}
 	}
-	out := make([]knn.Result, 0, len(cands))
-	for _, c := range cands {
-		out = append(out, knn.Result{ID: c.id, Dist: c.d})
-	}
-	knn.SortResults(out)
-	return out
+	return h.AppendSorted(nil)
 }
 
 // TestFrontierPopOrderMatchesSort drives sideFrontier directly over
@@ -426,17 +418,42 @@ func TestLazyVsEagerSeededChained(t *testing.T) {
 // TestLazyVsEagerApprox drives the frontier-based CSSIA against the
 // eager-sorted reference. CSSIA's bounds are final from the start, so
 // the frontier consumes clusters in exactly the eager order and the
-// approximate answer — normally order-sensitive — must also match.
+// approximate answer — normally order-sensitive — must also match. The
+// second input is an overlay snapshot of the same index: inserts that
+// repeat base vectors a step away from their points, and deletes of base
+// and inserted rows, so that the read's group-pruned overlay scan meets
+// near ties against the reference's full one.
 func TestLazyVsEagerApprox(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 1200, Config{Seed: 94})
-	rng := rand.New(rand.NewPCG(94, 1))
-	for trial := 0; trial < 40; trial++ {
-		q := f.ds.Objects[rng.IntN(f.ds.Len())]
-		k := 1 + rng.IntN(25)
-		lambda := rng.Float64()
-		want := searchApproxEager(f.idx, &q, k, lambda)
-		got := f.idx.SearchApprox(&q, k, lambda, nil)
-		requireIdentical(t, "approx", trial, want, got)
+	overlay := f.idx.CloneWithDelta()
+	for i := 0; i < 150; i++ {
+		o := f.ds.Objects[(i*37)%f.ds.Len()]
+		o.ID = 1<<20 + uint32(i)
+		o.X += 1e-4 * float64(i%5)
+		o.Y -= 1e-4 * float64(i%3)
+		if err := overlay.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		id := f.ds.Objects[(i*53+11)%f.ds.Len()].ID
+		if i%4 == 0 {
+			id = 1<<20 + uint32(i)
+		}
+		if err := overlay.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, x := range map[string]*Index{"flat": f.idx, "overlay": overlay} {
+		rng := rand.New(rand.NewPCG(94, 1))
+		for trial := 0; trial < 40; trial++ {
+			q := f.ds.Objects[rng.IntN(f.ds.Len())]
+			k := 1 + rng.IntN(25)
+			lambda := rng.Float64()
+			want := searchApproxEager(x, &q, k, lambda)
+			got := x.SearchApprox(&q, k, lambda, nil)
+			requireIdentical(t, "approx "+name, trial, want, got)
+		}
 	}
 }
 

@@ -421,7 +421,12 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 				dt = x.space.Semantic(st, q.Vec, o.Vec)
 			}
 			if dd := metric.Combine(lambda, ds, dt); !(dd > rs.radius) {
-				h.Push(knn.Result{ID: o.ID, Dist: dd})
+				r := knn.Result{ID: o.ID, Dist: dd}
+				if sc.approx {
+					h.PushAux(r, x.projDist(sc, lambda, ds, d.projRow(pos)))
+				} else {
+					h.Push(r)
+				}
 			}
 		}
 	}

@@ -144,7 +144,8 @@ func TestOverlayExactEquivalence(t *testing.T) {
 // The approximate mode must never resurrect a deleted object nor miss
 // an overlay insert that the eagerly-mutated clone returns. (Their
 // base-cluster coverage is heuristic, so full bit-identity is not the
-// contract; full-delta scanning plus tombstone skipping is.)
+// contract; skipping tombstones and offering every overlay insert that
+// can enter the answer is.)
 func TestOverlayApproxNoResurrection(t *testing.T) {
 	f, overlay, _, deadIDs := overlayFixture(t, 1200)
 	check := func(mode string, res []knn.Result) {

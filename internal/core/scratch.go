@@ -34,10 +34,9 @@ type searchScratch struct {
 	// shares (Alg. 2 line 4 / Alg. 3 line 5 made lazy; see sideFrontier).
 	aTerm []float64
 	front sideFrontier
-	// heap collects the k best results; cands is CSSIA's candidate
-	// max-heap.
-	heap  knn.Heap
-	cands candHeap
+	// heap collects the k best results; a CSSIA read carries each one's
+	// projected distance in its companion column.
+	heap knn.Heap
 	// stripe is the helper's half of a striped exact read (stripe.go).
 	stripe stripeJob
 	// anchorQ is the query's distances to the index's anchor set (see
@@ -68,9 +67,11 @@ type searchScratch struct {
 	cancel   <-chan struct{}
 	pops     int
 	partial  bool
-	// rs is the current exact read's row restriction (see
-	// SearchOptions.Allow, Radius and Window).
-	rs restriction
+	// rs is the current read's row restriction (see SearchOptions.Allow,
+	// Radius and Window), and approx marks a CSSIA read
+	// (SearchOptions.Approx).
+	rs     restriction
+	approx bool
 	// obs, when non-nil, receives the search-internals trace of the
 	// current query (explain path only). nil — the normal case — keeps
 	// every instrumentation site an untaken branch: zero extra work,
@@ -99,6 +100,7 @@ func (x *Index) getScratch() *searchScratch {
 	sc.pops = 0
 	sc.partial = false
 	sc.rs = restriction{radius: math.Inf(1)}
+	sc.approx = false
 	sc.obs = nil
 	return sc
 }

@@ -22,7 +22,9 @@ const QuantOff QuantMode = 1
 // budget, a bound-carrying seed, and the sinks it reports into. The
 // zero value is the paper's exact CSSI search (Alg. 2).
 type SearchOptions struct {
-	// Approx selects CSSIA instead of exact CSSI.
+	// Approx selects CSSIA (Alg. 3) instead of exact CSSI: the same read
+	// with its frontier over projected-space bounds and one approximate
+	// stop (see walkFrontier). It ignores Seed, Striped and Bound.
 	Approx bool
 	// Quant is accepted and ignored: kept for bench/ until the
 	// benchmark-only change drops the core.quantoff_p50_us and
@@ -46,8 +48,7 @@ type SearchOptions struct {
 	// chain the call shard to shard, carrying the pruning bound forward:
 	// each shard starts with the tightest bound discovered so far, so
 	// the partitioned scan does the same total pruning work as one flat
-	// index. Applies to the exact path only (the approximate algorithms
-	// keep their own candidate pools).
+	// index. Exact path only: an Approx read ignores it.
 	Seed []knn.Result
 	// Explain, when non-nil, accumulates the query's search-internals
 	// trace: clusters ordered/examined/pruned, objects visited vs
@@ -66,8 +67,9 @@ type SearchOptions struct {
 	// Striped offers an exact read's frontier walk to an idle helper
 	// goroutine as a second stripe (see stripe.go). The answer is the same
 	// either way; the work counters are not — they depend on timing — so a
-	// read that collects them (st or Explain) is never striped. Only the
-	// facade's one-snapshot exact read sets it.
+	// read that collects them (st or Explain) is never striped, and
+	// neither is an Approx read. Only the facade's one-snapshot exact read
+	// sets it.
 	Striped bool
 	// Bound, when non-nil, is a k-th distance bound the exact read shares
 	// with the other reads of one query (see Bound): the read caps every
@@ -77,8 +79,9 @@ type SearchOptions struct {
 	// metric space, whose heaps then hold real candidates of one query.
 	// The answer of the reads together is the same either way; their work
 	// counters are not, so a read that collects them (st or Explain)
-	// ignores it, and a striped read shares its stripes' own bound
-	// instead. The facade's seeded chains of a sharded read set it.
+	// ignores it, as does an Approx read, and a striped read shares its
+	// stripes' own bound instead. The facade's seeded chains of a sharded
+	// read set it.
 	Bound *Bound
 	// Anchors, when non-nil, is the query's distances to one anchor set,
 	// filled once for a read that spans several snapshots
@@ -86,11 +89,12 @@ type SearchOptions struct {
 	// that set and normalizer, and computes its own otherwise. It changes
 	// no answer and no counter.
 	Anchors *AnchorDists
-	// Allow, Radius and Window restrict the exact read to the rows that
-	// pass all three; the approximate algorithms ignore them. Every bound
-	// of the read holds for any subset of the rows, so the answer is the
-	// exact top-k of that subset, and a restricted-out row never reaches a
-	// kernel.
+	// Allow, Radius and Window restrict the read to the rows that pass
+	// all three. Every bound of the exact read holds for any subset of the
+	// rows, so its answer is the exact top-k of that subset, and a
+	// restricted-out row never reaches a kernel. An Approx read runs the
+	// same row loop and so applies them too, though the facade refuses
+	// that combination.
 	//
 	// Allow, when non-nil, admits a row by its ID (the keyword filter's
 	// predicate).
@@ -139,9 +143,6 @@ type restriction struct {
 	rows   bool
 }
 
-// unrestricted is the restriction of a read that has none (CSSIA's).
-var unrestricted restriction
-
 func (r *restriction) admits(id uint32, x, y float64) bool {
 	return (r.window == nil || r.window.contains(x, y)) && (r.allow == nil || r.allow(id))
 }
@@ -151,7 +152,8 @@ func (r *restriction) admits(id uint32, x, y float64) bool {
 // of a retained buffer) and accumulating work counters into st when
 // non-nil. With a dst of sufficient capacity a steady-state call
 // performs zero heap allocations: all per-query state comes from the
-// index's scratch pool.
+// index's scratch pool. It panics if k < 1, in either mode; the facade
+// and SearchBatch reject such a k first.
 //
 // Centroid-level distance computations are not charged to st — the
 // evaluation counts object-level work (visited objects, and §7.7 counts
@@ -172,17 +174,17 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 	if opts.Radius != nil {
 		sc.rs.radius = *opts.Radius
 	}
-	n := len(dst)
-	if opts.Approx {
-		dst = x.searchApproxWith(sc, dst, q, k, lambda, st)
-	} else {
-		sc.anchorShared = opts.Anchors
-		b := opts.Bound
-		if st != nil {
-			b = nil
-		}
-		dst = x.searchWithSeed(sc, dst, opts.Seed, q, k, lambda, opts.Striped && st == nil, b, st)
+	sc.anchorShared = opts.Anchors
+	sc.approx = opts.Approx
+	seed, b, striped := opts.Seed, opts.Bound, opts.Striped && st == nil
+	if st != nil {
+		b = nil
 	}
+	if opts.Approx {
+		seed, b, striped = nil, nil, false
+	}
+	n := len(dst)
+	dst = x.searchWithSeed(sc, dst, seed, q, k, lambda, striped, b, st)
 	if opts.Partial != nil {
 		*opts.Partial = sc.partial
 	}

@@ -4,6 +4,7 @@
 package knn
 
 import (
+	"math"
 	"slices"
 )
 
@@ -23,6 +24,9 @@ type Result struct {
 type Heap struct {
 	k     int
 	items []Result
+	// aux is the companion column of a heap filled by PushAux: aux[i]
+	// rides with items[i]. It is empty in a heap filled by Push.
+	aux []float64
 }
 
 // NewHeap returns a heap retaining the k smallest-distance results.
@@ -45,6 +49,7 @@ func (h *Heap) Reset(k int) {
 	} else {
 		h.items = h.items[:0]
 	}
+	h.aux = h.aux[:0]
 }
 
 // K returns the heap's capacity.
@@ -96,6 +101,35 @@ func (h *Heap) Push(r Result) bool {
 	return true
 }
 
+// PushAux is Push that also keeps a beside r in a companion column for
+// MaxAux (CSSIA's projected distance, §5.3). A heap is filled by Push or
+// by PushAux between two Resets, never by both.
+func (h *Heap) PushAux(r Result, a float64) bool {
+	if len(h.items) < h.k {
+		h.items = append(h.items, r)
+		h.aux = append(h.aux, a)
+		h.siftUpAux(len(h.items) - 1)
+		return true
+	}
+	if !worse(h.items[0], r) {
+		return false
+	}
+	h.items[0], h.aux[0] = r, a
+	h.siftDownAux(0)
+	return true
+}
+
+// MaxAux returns the largest companion value held (-Inf for none).
+func (h *Heap) MaxAux() float64 {
+	mx := math.Inf(-1)
+	for _, a := range h.aux {
+		if a > mx {
+			mx = a
+		}
+	}
+	return mx
+}
+
 func (h *Heap) siftUp(i int) {
 	items := h.items
 	for i > 0 {
@@ -124,6 +158,42 @@ func (h *Heap) siftDown(i int) {
 			break
 		}
 		items[i], items[big] = items[big], items[i]
+		i = big
+	}
+}
+
+// siftUpAux and siftDownAux are siftUp and siftDown that move each
+// companion value with its result; Push keeps its own pair.
+func (h *Heap) siftUpAux(i int) {
+	items, aux := h.items, h.aux
+	for i > 0 {
+		p := (i - 1) / 2
+		if !worse(items[i], items[p]) {
+			break
+		}
+		items[p], items[i] = items[i], items[p]
+		aux[p], aux[i] = aux[i], aux[p]
+		i = p
+	}
+}
+
+func (h *Heap) siftDownAux(i int) {
+	items, aux := h.items, h.aux
+	n := len(items)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		big := l
+		if r := l + 1; r < n && worse(items[r], items[l]) {
+			big = r
+		}
+		if !worse(items[big], items[i]) {
+			break
+		}
+		items[i], items[big] = items[big], items[i]
+		aux[i], aux[big] = aux[big], aux[i]
 		i = big
 	}
 }

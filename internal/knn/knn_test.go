@@ -1,7 +1,9 @@
 package knn
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -135,4 +137,46 @@ func TestErrorRatePanicsOnEmptyExact(t *testing.T) {
 		}
 	}()
 	ErrorRate(nil, nil)
+}
+
+// PushAux keeps exactly what Push keeps, ties included, each result with
+// its own companion value; MaxAux is the largest held one, and Reset
+// empties the column.
+func TestHeapPushAuxMatchesPush(t *testing.T) {
+	aux := func(r Result) float64 { return float64(r.ID%97) - 0.5*r.Dist }
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		k := 1 + rng.IntN(20)
+		plain, withAux := NewHeap(k), NewHeap(k)
+		for round := 0; round < 2; round++ {
+			plain.Reset(k)
+			withAux.Reset(k)
+			if withAux.MaxAux() != math.Inf(-1) {
+				return false
+			}
+			for i, n := 0, 1+rng.IntN(200); i < n; i++ {
+				r := Result{ID: uint32(rng.IntN(1000)), Dist: float64(rng.IntN(30))} // ties likely
+				if plain.Push(r) != withAux.PushAux(r, aux(r)) {
+					return false
+				}
+			}
+			if !slices.Equal(plain.Items(), withAux.Items()) {
+				return false
+			}
+			mx := math.Inf(-1)
+			for i, r := range withAux.Items() {
+				if withAux.aux[i] != aux(r) {
+					return false
+				}
+				mx = max(mx, aux(r))
+			}
+			if withAux.MaxAux() != mx {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
