@@ -345,7 +345,7 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		if d := metric.Combine(lambda, ds, dt); !(d > rs.radius) {
 			r := knn.Result{ID: x.ids[e.idx], Dist: d}
 			if sc.approx {
-				h.PushAux(r, x.projDist(sc, lambda, ds, x.projAt(e.idx)))
+				x.pushApprox(sc, h, r, lambda, ds, x.projAt(e.idx))
 			} else {
 				h.Push(r)
 			}
@@ -358,10 +358,14 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 	}
 }
 
-// projDist is a CSSIA candidate's projected distance d' = λ·ds +
-// (1−λ)·d't (§5.3), with proj its row's projection.
-func (x *Index) projDist(sc *searchScratch, lambda, ds float64, proj []float32) float64 {
-	return metric.Combine(lambda, ds, x.space.SemanticProjVec(sc.qProj, proj))
+// pushApprox offers a CSSIA candidate to h with its projected distance
+// d' = λ·ds + (1−λ)·d't (§5.3), where proj is its row's projection. It
+// stays out of line: with the projected kernel inlined into scanCluster,
+// the exact read measured 1–3 % slower (exact-flat p50, 2 vCPUs).
+//
+//go:noinline
+func (x *Index) pushApprox(sc *searchScratch, h *knn.Heap, r knn.Result, lambda, ds float64, proj []float32) {
+	h.PushAux(r, metric.Combine(lambda, ds, x.space.SemanticProjVec(sc.qProj, proj)))
 }
 
 // abandonRelSlack widens the early-abandon limit's numerator u − λ·ds

@@ -423,7 +423,7 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 			if dd := metric.Combine(lambda, ds, dt); !(dd > rs.radius) {
 				r := knn.Result{ID: o.ID, Dist: dd}
 				if sc.approx {
-					h.PushAux(r, x.projDist(sc, lambda, ds, d.projRow(pos)))
+					x.pushApprox(sc, h, r, lambda, ds, d.projRow(pos))
 				} else {
 					h.Push(r)
 				}
