@@ -180,7 +180,10 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 	// pure function of the offered candidate set, the base scan offered
 	// every live base candidate not provably excluded, and scanDelta
 	// offers every live overlay candidate not provably excluded. A CSSIA
-	// read chains them the same way: only its base walk is approximate.
+	// read chains them the same way: only its base walk is approximate,
+	// so the projected distances it kept are dropped before the overlay
+	// pushes.
+	h.DropAux()
 	ub := sc.rs.radius
 	if b != nil {
 		ub = b.Load()

@@ -421,12 +421,7 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 				dt = x.space.Semantic(st, q.Vec, o.Vec)
 			}
 			if dd := metric.Combine(lambda, ds, dt); !(dd > rs.radius) {
-				r := knn.Result{ID: o.ID, Dist: dd}
-				if sc.approx {
-					x.pushApprox(sc, h, r, lambda, ds, d.projRow(pos))
-				} else {
-					h.Push(r)
-				}
+				h.Push(knn.Result{ID: o.ID, Dist: dd})
 			}
 		}
 	}

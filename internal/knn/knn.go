@@ -102,22 +102,26 @@ func (h *Heap) Push(r Result) bool {
 }
 
 // PushAux is Push that also keeps a beside r in a companion column for
-// MaxAux (CSSIA's projected distance, §5.3). A heap is filled by Push or
-// by PushAux between two Resets, never by both.
+// MaxAux (CSSIA's projected distance, §5.3). Between a Reset and a
+// DropAux, a heap is filled by Push or by PushAux, never by both.
 func (h *Heap) PushAux(r Result, a float64) bool {
 	if len(h.items) < h.k {
 		h.items = append(h.items, r)
 		h.aux = append(h.aux, a)
-		h.siftUpAux(len(h.items) - 1)
+		h.siftUp(len(h.items) - 1)
 		return true
 	}
 	if !worse(h.items[0], r) {
 		return false
 	}
 	h.items[0], h.aux[0] = r, a
-	h.siftDownAux(0)
+	h.siftDown(0)
 	return true
 }
+
+// DropAux empties the companion column: the heap goes on as one filled by
+// Push.
+func (h *Heap) DropAux() { h.aux = h.aux[:0] }
 
 // MaxAux returns the largest companion value held (-Inf for none).
 func (h *Heap) MaxAux() float64 {
@@ -130,54 +134,24 @@ func (h *Heap) MaxAux() float64 {
 	return mx
 }
 
+// siftUp and siftDown move each companion value with its result when the
+// heap has a companion column.
 func (h *Heap) siftUp(i int) {
-	items := h.items
+	items, aux := h.items, h.aux
 	for i > 0 {
 		p := (i - 1) / 2
 		if !worse(items[i], items[p]) {
 			break
 		}
 		items[p], items[i] = items[i], items[p]
+		if len(aux) > 0 {
+			aux[p], aux[i] = aux[i], aux[p]
+		}
 		i = p
 	}
 }
 
 func (h *Heap) siftDown(i int) {
-	items := h.items
-	n := len(items)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		big := l
-		if r := l + 1; r < n && worse(items[r], items[l]) {
-			big = r
-		}
-		if !worse(items[big], items[i]) {
-			break
-		}
-		items[i], items[big] = items[big], items[i]
-		i = big
-	}
-}
-
-// siftUpAux and siftDownAux are siftUp and siftDown that move each
-// companion value with its result; Push keeps its own pair.
-func (h *Heap) siftUpAux(i int) {
-	items, aux := h.items, h.aux
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worse(items[i], items[p]) {
-			break
-		}
-		items[p], items[i] = items[i], items[p]
-		aux[p], aux[i] = aux[i], aux[p]
-		i = p
-	}
-}
-
-func (h *Heap) siftDownAux(i int) {
 	items, aux := h.items, h.aux
 	n := len(items)
 	for {
@@ -193,7 +167,9 @@ func (h *Heap) siftDownAux(i int) {
 			break
 		}
 		items[i], items[big] = items[big], items[i]
-		aux[i], aux[big] = aux[big], aux[i]
+		if len(aux) > 0 {
+			aux[i], aux[big] = aux[big], aux[i]
+		}
 		i = big
 	}
 }

@@ -141,7 +141,8 @@ func TestErrorRatePanicsOnEmptyExact(t *testing.T) {
 
 // PushAux keeps exactly what Push keeps, ties included, each result with
 // its own companion value; MaxAux is the largest held one, and Reset
-// empties the column.
+// empties the column. After DropAux the heap takes Push and keeps what
+// the plain one keeps.
 func TestHeapPushAuxMatchesPush(t *testing.T) {
 	aux := func(r Result) float64 { return float64(r.ID%97) - 0.5*r.Dist }
 	f := func(seed uint64) bool {
@@ -171,6 +172,16 @@ func TestHeapPushAuxMatchesPush(t *testing.T) {
 				mx = max(mx, aux(r))
 			}
 			if withAux.MaxAux() != mx {
+				return false
+			}
+			withAux.DropAux()
+			for i, n := 0, rng.IntN(50); i < n; i++ {
+				r := Result{ID: uint32(rng.IntN(1000)), Dist: float64(rng.IntN(30))}
+				if plain.Push(r) != withAux.Push(r) {
+					return false
+				}
+			}
+			if !slices.Equal(plain.Items(), withAux.Items()) || withAux.MaxAux() != math.Inf(-1) {
 				return false
 			}
 		}
