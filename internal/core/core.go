@@ -63,9 +63,10 @@ type Config struct {
 	// distances, element arrays, the arena layout, anchoring and the
 	// facade's keyword postings (0 =
 	// GOMAXPROCS; the paper notes that K-Means and hybrid-cluster
-	// formation parallelize readily, §7.5). The built index does not
-	// depend on it, bit for bit; 1 runs the whole build on the calling
-	// goroutine, for single-threaded measurements.
+	// formation parallelize readily, §7.5). Above 1, the spatial K-Means
+	// runs beside the PCA fit, each phase within its own bound. The built
+	// index does not depend on it, bit for bit; 1 runs the whole build on
+	// the calling goroutine, for single-threaded measurements.
 	Workers int
 	// Seed makes construction deterministic.
 	Seed uint64
@@ -344,20 +345,61 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	// --- Spatial clustering (Alg. 1 lines 2-4) ---
-	phase := time.Now()
-	spatialBuf := make([]float32, 2*n)
-	spatialPts := make([][]float32, n)
-	for i := range spatialPts {
-		p := spatialBuf[2*i : 2*i+2 : 2*i+2]
-		p[0], p[1] = float32(x.xArena[i]), float32(x.yArena[i])
-		spatialPts[i] = p
+	// --- Spatial clustering (Alg. 1 lines 2-4), beside the PCA fit ---
+	// The two share no state; each splits its own loops over cfg.Workers,
+	// and either fills the cores the other's serial stretches leave idle.
+	var sres *kmeans.Result
+	spatialErr := make(chan error, 1)
+	spatial := func() {
+		phase := time.Now()
+		spatialBuf := make([]float32, 2*n)
+		spatialPts := make([][]float32, n)
+		for i := range spatialPts {
+			p := spatialBuf[2*i : 2*i+2 : 2*i+2]
+			p[0], p[1] = float32(x.xArena[i]), float32(x.yArena[i])
+			spatialPts[i] = p
+		}
+		var err error
+		sres, err = kmeans.SampleFit(spatialPts, cfg.SampleFraction, kmeans.Config{
+			K: ks, MaxIters: cfg.KMeansIters, Seed: cfg.Seed, Workers: cfg.Workers,
+		})
+		tm.Spatial = time.Since(phase)
+		spatialErr <- err
 	}
-	sres, err := kmeans.SampleFit(spatialPts, cfg.SampleFraction, kmeans.Config{
-		K: ks, MaxIters: cfg.KMeansIters, Seed: cfg.Seed, Workers: cfg.Workers,
+	if cfg.Workers == 1 {
+		spatial()
+	} else {
+		go spatial()
+	}
+
+	// --- PCA projection (Alg. 1 lines 5-6) ---
+	phase := time.Now()
+	var proj [][]float32
+	x.pcaModel, err = pca.Fit(sampleRows(vecs, cfg.SampleFraction, cfg.Seed), pca.Config{
+		Components: cfg.M, Method: cfg.PCAMethod, Seed: cfg.Seed, Workers: cfg.Workers,
 	})
+	if err == nil {
+		// Project every vector into the projection arena (parallel: rows
+		// are independent). proj holds temporary per-row views used only
+		// during the remainder of construction; queries go through projAt.
+		x.m = x.pcaModel.M()
+		x.projArena = make([]float32, x.m*len(vecs))
+		proj = make([][]float32, len(vecs))
+		par.For(len(vecs), cfg.Workers, func(lo, hi int) {
+			x.pcaModel.TransformRows(x.projArena[lo*x.m:hi*x.m], vecs[lo:hi])
+			for i := lo; i < hi; i++ {
+				proj[i] = x.projArena[i*x.m : (i+1)*x.m : (i+1)*x.m]
+			}
+		})
+		space.SetProjectedNormalizerArena(x.projArena, x.m)
+	}
+	tm.PCA = time.Since(phase)
+
+	if serr := <-spatialErr; serr != nil {
+		return nil, fmt.Errorf("core: spatial clustering: %w", serr)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("core: spatial clustering: %w", err)
+		return nil, fmt.Errorf("core: PCA: %w", err)
 	}
 	sAssign := sres.Assign
 	ks = len(sres.Centroids)
@@ -367,32 +409,6 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	for c, cent := range sres.Centroids {
 		x.sCentX[c], x.sCentY[c] = float64(cent[0]), float64(cent[1])
 	}
-
-	tm.Spatial = time.Since(phase)
-
-	// --- PCA projection (Alg. 1 lines 5-6) ---
-	phase = time.Now()
-	x.pcaModel, err = pca.Fit(sampleRows(vecs, cfg.SampleFraction, cfg.Seed), pca.Config{
-		Components: cfg.M, Method: cfg.PCAMethod, Seed: cfg.Seed, Workers: cfg.Workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: PCA: %w", err)
-	}
-	// Project every vector into the projection arena (parallel: rows are
-	// independent). proj holds temporary per-row views used only during
-	// the remainder of construction; queries go through projAt.
-	x.m = x.pcaModel.M()
-	x.projArena = make([]float32, x.m*len(vecs))
-	proj := make([][]float32, len(vecs))
-	par.For(len(vecs), cfg.Workers, func(lo, hi int) {
-		x.pcaModel.TransformRows(x.projArena[lo*x.m:hi*x.m], vecs[lo:hi])
-		for i := lo; i < hi; i++ {
-			proj[i] = x.projArena[i*x.m : (i+1)*x.m : (i+1)*x.m]
-		}
-	})
-	space.SetProjectedNormalizerArena(x.projArena, x.m)
-
-	tm.PCA = time.Since(phase)
 
 	// --- Semantic clustering on the projections (Alg. 1 lines 7-9) ---
 	phase = time.Now()

@@ -132,6 +132,9 @@ func (x *Index) ProjectedDistance(qProj []float32, id uint32) (d float64, ok boo
 }
 
 // BuildTimings records where index-construction time went (Fig. 15).
+// Above Workers 1 the spatial K-Means runs beside the PCA fit and
+// projection, so Spatial and PCA overlap and the phases add up to more
+// than the build's wall time.
 type BuildTimings struct {
 	// Spatial covers the spatial K-Means (fit + assignment).
 	Spatial time.Duration
@@ -147,7 +150,8 @@ type BuildTimings struct {
 	Route time.Duration
 }
 
-// Total returns the summed construction time.
+// Total returns the summed phase times (more than the wall time when
+// Spatial and PCA overlapped).
 func (t BuildTimings) Total() time.Duration {
 	return t.Spatial + t.PCA + t.Semantic + t.Hybrid
 }

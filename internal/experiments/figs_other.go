@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -36,16 +37,19 @@ func Fig15(s Setup) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		start := time.Now()
 		idx, tm, err := core.BuildTimed(ds, space, core.Config{Seed: s.Seed})
 		if err != nil {
 			return nil, err
 		}
+		// The wall time, not tm.Total(): the spatial K-Means overlaps PCA.
+		total := time.Since(start)
 		ms := func(d interface{ Milliseconds() int64 }) string {
 			return fmt.Sprintf("%d", d.Milliseconds())
 		}
 		t.Rows = append(t.Rows, []string{
 			itoa(size), itoa(idx.NumClusters()),
-			ms(tm.Spatial + tm.Semantic), ms(tm.PCA), ms(tm.Hybrid), ms(tm.Total()),
+			ms(tm.Spatial + tm.Semantic), ms(tm.PCA), ms(tm.Hybrid), ms(total),
 		})
 	}
 	return []Table{t}, nil

@@ -7,6 +7,7 @@
 package keyword
 
 import (
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -135,93 +136,243 @@ func (f *Filter) Clone() *Filter {
 	return &Filter{buckets: append([]*bucket(nil), f.buckets...)}
 }
 
-// buildChunkDocs is how many documents one tokenising task of Build
-// takes. The chunking is fixed, not derived from the worker count, so the
-// merge sees the same chunks in the same order however many goroutines
-// filled them.
-const buildChunkDocs = 8192
+// minChunkDocs is the fewest documents Build deals to one tokenising
+// task unless the corpus has fewer: below it, another goroutine and
+// another vocabulary to merge cost more than a second core saves.
+const minChunkDocs = 4096
+
+// chunk is one tokenising task of Build: a stretch of the documents in
+// ID order, its own vocabulary, and per document the local ids of its
+// distinct content terms, in text order.
+type chunk struct {
+	vocab
+	ids    []uint32 // the chunk's documents' ids and texts, in ID order
+	texts  []string
+	occ    []int32 // local term ids, document after document
+	docEnd []int32 // docEnd[d] = len(occ) after document d
+	global []int32 // per local term, its global id (set by the merge)
+	next   []int32 // per local term, where its next id goes in the list
+}
+
+// vocab interns the fields of one chunk's texts: field bytes → local
+// term id through an open-addressed table over FNV-1a hashes, against
+// a compact copy of every term's bytes, so a token costs no string,
+// slice or map operation and touches no text but its own.
+type vocab struct {
+	slots []slot // a power of two long, at most half full
+	keys  []byte // the terms' bytes, one after another
+	terms []string
+	stats []termStats
+}
+
+type slot struct {
+	hash uint32
+	term int32 // local term id + 1; 0 = empty
+}
+
+type termStats struct {
+	key, keyEnd int32 // the term's bytes are keys[key:keyEnd]
+	last        int32 // last document that listed the term; drops repeats
+	count       int32 // documents of the chunk that list the term
+	stop        bool  // the term is a stop word: never listed
+}
+
+// intern returns key's local term id in v, adding it when new. A key
+// of type string becomes the term itself (a substring of the text it
+// came from); one of type []byte is copied into a new string.
+func intern[K string | []byte](v *vocab, key K) int32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	mask := uint32(len(v.slots) - 1)
+	i := h & mask
+	for ; v.slots[i].term != 0; i = (i + 1) & mask {
+		if s := v.slots[i]; s.hash == h {
+			if st := &v.stats[s.term-1]; string(v.keys[st.key:st.keyEnd]) == string(key) {
+				return s.term - 1
+			}
+		}
+	}
+	term := string(key)
+	v.terms = append(v.terms, term)
+	v.stats = append(v.stats, termStats{key: int32(len(v.keys)), keyEnd: int32(len(v.keys) + len(key)),
+		last: -1, stop: text.IsStopWord(term)})
+	v.keys = append(v.keys, key...)
+	t := int32(len(v.terms))
+	v.slots[i] = slot{hash: h, term: t}
+	if 2*len(v.terms) > len(v.slots) {
+		old := v.slots
+		v.slots = make([]slot, 2*len(old))
+		mask = uint32(len(v.slots) - 1)
+		for _, s := range old {
+			if s.term != 0 {
+				j := s.hash & mask
+				for v.slots[j].term != 0 {
+					j = (j + 1) & mask
+				}
+				v.slots[j] = s
+			}
+		}
+	}
+	return t - 1
+}
+
+// tokenize fills the chunk from the documents at positions docs in one
+// pass. It first gathers their ids and texts, in a loop of their own:
+// those loads miss the cache in any order but by position, and there the
+// misses overlap instead of stalling the scan one by one.
+func (c *chunk) tokenize(docs []int32, ids []uint32, texts []string) {
+	c.ids = make([]uint32, len(docs))
+	c.texts = make([]string, len(docs))
+	for d, p := range docs {
+		c.ids[d], c.texts[d] = ids[p], texts[p]
+	}
+	c.slots = make([]slot, 1024)
+	c.docEnd = make([]int32, len(docs))
+	c.occ = make([]int32, 0, 8*len(docs))
+	var sc text.Scanner
+	for d, s := range c.texts {
+		sc.Reset(s)
+		for {
+			field, same, ok := sc.Next()
+			if !ok {
+				break
+			}
+			var t int32
+			if field != nil {
+				t = intern(&c.vocab, field)
+			} else {
+				t = intern(&c.vocab, same)
+			}
+			if st := &c.stats[t]; !st.stop && st.last != int32(d) {
+				st.last = int32(d)
+				st.count++
+				c.occ = append(c.occ, t)
+			}
+		}
+		c.docEnd[d] = int32(len(c.occ))
+	}
+}
+
+// fill writes the ids of the chunk's documents into its stretch of each
+// of its terms' posting lists.
+func (c *chunk) fill(postings [][]uint32) {
+	lo := int32(0)
+	for d, end := range c.docEnd {
+		id := c.ids[d]
+		for _, l := range c.occ[lo:end] {
+			postings[c.global[l]][c.next[l]] = id
+			c.next[l]++
+		}
+		lo = end
+	}
+}
 
 // Build tokenizes every (id, text) pair and constructs the postings, on
 // up to workers goroutines (0 = GOMAXPROCS). Tokens are normalized
-// exactly like query keywords (lower-cased, stop-words dropped). Each
-// chunk of documents collects its own term → ids lists in document
-// order; concatenating a term's lists in chunk order gives the list one
-// pass over all documents would, so the filter does not depend on the
-// worker count.
+// exactly like query keywords (lower-cased, stop-words dropped). The
+// documents are dealt in ID order into one chunk per worker, and each
+// chunk interns its own vocabulary; the vocabularies merge into global
+// term ids in chunk order, every posting list is allocated once at its
+// exact size, and each chunk fills its own stretch of the lists. A list
+// is therefore sorted as written, whatever the chunking, and the filter
+// does not depend on the worker count.
 func Build(ids []uint32, texts []string, workers int) *Filter {
-	// chunkList is one term's ids within a chunk; doc is the last document
-	// position that added to it, which drops a token repeated in a text.
-	type chunkList struct {
-		ids []uint32
-		doc int
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	chunks := make([]map[string]*chunkList, (len(ids)+buildChunkDocs-1)/buildChunkDocs)
+	return build(ids, texts, workers, max(minChunkDocs, (len(ids)+workers-1)/workers))
+}
+
+// build is Build over chunks of chunkDocs documents, the last taking the
+// rest.
+func build(ids []uint32, texts []string, workers, chunkDocs int) *Filter {
+	order := idOrder(ids)
+	chunks := make([]chunk, (len(ids)+chunkDocs-1)/chunkDocs)
 	par.For(len(chunks), workers, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
-			lists := make(map[string]*chunkList)
-			for i := c * buildChunkDocs; i < min((c+1)*buildChunkDocs, len(ids)); i++ {
-				for _, tok := range text.Tokenize(texts[i]) {
-					l := lists[tok]
-					if l == nil {
-						l = &chunkList{doc: -1}
-						lists[tok] = l
-					}
-					if l.doc != i {
-						l.doc = i
-						l.ids = append(l.ids, ids[i])
-					}
-				}
-			}
-			chunks[c] = lists
+			chunks[c].tokenize(order[c*chunkDocs:min((c+1)*chunkDocs, len(ids))], ids, texts)
 		}
 	})
-	// Size every term's list, then fill it chunk after chunk.
-	slot := make(map[string]int)
-	var terms []string
-	var sizes []int
-	for _, lists := range chunks {
-		for tok, l := range lists {
-			t, ok := slot[tok]
-			if !ok {
-				t = len(terms)
-				slot[tok] = t
-				terms = append(terms, tok)
-				sizes = append(sizes, 0)
+	// The global vocabulary: a term's count is its posting list's size.
+	all := vocab{slots: make([]slot, 1024)}
+	for c := range chunks {
+		ch := &chunks[c]
+		ch.global = make([]int32, len(ch.terms))
+		ch.next = make([]int32, len(ch.terms))
+		for l, tok := range ch.terms {
+			st := &ch.stats[l]
+			if st.stop {
+				continue
 			}
-			sizes[t] += len(l.ids)
+			g := intern(&all, tok)
+			ch.global[l], ch.next[l] = g, all.stats[g].count
+			all.stats[g].count += st.count
 		}
 	}
-	postings := make([][]uint32, len(terms))
-	for t, n := range sizes {
-		postings[t] = make([]uint32, 0, n)
-	}
-	for _, lists := range chunks {
-		for tok, l := range lists {
-			t := slot[tok]
-			postings[t] = append(postings[t], l.ids...)
-		}
-	}
+	postings := make([][]uint32, len(all.terms))
 	par.For(len(postings), workers, func(lo, hi int) {
-		for _, list := range postings[lo:hi] {
-			slices.Sort(list)
+		for g := lo; g < hi; g++ {
+			postings[g] = make([]uint32, all.stats[g].count)
+		}
+	})
+	par.For(len(chunks), workers, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			chunks[c].fill(postings)
 		}
 	})
 	f := &Filter{buckets: make([]*bucket, numBuckets)}
-	for t, tok := range terms {
-		f.setPostings(tok, postings[t])
+	for g, tok := range all.terms {
+		f.setPostings(tok, postings[g])
 	}
 	return f
 }
 
-// Add indexes one more object (for maintenance parity with the main
-// index).
-func (f *Filter) Add(id uint32, docText string) {
-	seen := map[string]struct{}{}
-	for _, tok := range text.Tokenize(docText) {
-		if _, dup := seen[tok]; dup {
-			continue
+// idOrder returns the positions of ids in ascending ID order, equal IDs
+// by position: a least-significant-digit radix sort, one byte a pass,
+// skipping the passes above the largest ID.
+func idOrder(ids []uint32) []int32 {
+	order := make([]int32, len(ids))
+	for p := range order {
+		order[p] = int32(p)
+	}
+	if slices.IsSorted(ids) {
+		return order
+	}
+	top := slices.Max(ids)
+	tmp := make([]int32, len(ids))
+	for shift := 0; shift < 32 && top>>shift != 0; shift += 8 {
+		var at [257]int
+		for _, id := range ids {
+			at[(id>>shift)&0xff+1]++
 		}
-		seen[tok] = struct{}{}
+		for b := 1; b < len(at); b++ {
+			at[b] += at[b-1]
+		}
+		for _, p := range order {
+			b := (ids[p] >> shift) & 0xff
+			tmp[at[b]] = p
+			at[b]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
+}
+
+// Add indexes one more object (for maintenance parity with the main
+// index). A token repeated in the text finds id already listed, so Add
+// allocates one new posting list per distinct content token, plus a
+// string for a token lower-casing changed and, after a Clone, a copy of
+// each bucket it touches.
+func (f *Filter) Add(id uint32, docText string) {
+	var sc text.Scanner
+	sc.Reset(docText)
+	for {
+		tok, ok := sc.NextToken()
+		if !ok {
+			return
+		}
 		list := f.postings(tok)
 		pos := sort.Search(len(list), func(i int) bool { return list[i] >= id })
 		if pos < len(list) && list[pos] == id {
@@ -237,7 +388,13 @@ func (f *Filter) Add(id uint32, docText string) {
 
 // Remove drops an object from all postings.
 func (f *Filter) Remove(id uint32, docText string) {
-	for _, tok := range text.Tokenize(docText) {
+	var sc text.Scanner
+	sc.Reset(docText)
+	for {
+		tok, ok := sc.NextToken()
+		if !ok {
+			return
+		}
 		list := f.postings(tok)
 		pos := sort.Search(len(list), func(i int) bool { return list[i] >= id })
 		if pos < len(list) && list[pos] == id {

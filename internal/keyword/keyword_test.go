@@ -194,55 +194,121 @@ func buildOnePass(ids []uint32, texts []string) *Filter {
 	return f
 }
 
+// sameDirectory reports how got's directory differs from want's — bucket
+// for bucket, entry for entry, id for id — or "" when it does not.
+func sameDirectory(got, want *Filter) string {
+	if len(got.buckets) != len(want.buckets) {
+		return fmt.Sprintf("%d buckets, want %d", len(got.buckets), len(want.buckets))
+	}
+	for b := range want.buckets {
+		wb, gb := want.buckets[b], got.buckets[b]
+		if (wb == nil) != (gb == nil) {
+			return fmt.Sprintf("bucket %d nil-ness differs", b)
+		}
+		if wb == nil {
+			continue
+		}
+		if len(wb.entries) != len(gb.entries) {
+			return fmt.Sprintf("bucket %d holds %d entries, want %d", b, len(gb.entries), len(wb.entries))
+		}
+		for e := range wb.entries {
+			if wb.entries[e].term != gb.entries[e].term || !slices.Equal(wb.entries[e].ids, gb.entries[e].ids) {
+				return fmt.Sprintf("bucket %d entry %d = %q %v, want %q %v", b, e,
+					gb.entries[e].term, gb.entries[e].ids, wb.entries[e].term, wb.entries[e].ids)
+			}
+		}
+	}
+	return ""
+}
+
 // TestKeywordBuildChunkedMatchesOnePass: the chunked parallel Build
-// leaves the same directory — bucket for bucket, entry for entry, id for
-// id — as the one-pass reference, at every worker count, over a corpus
-// that spans several chunks and carries duplicate ids, empty texts,
-// stop-word-only texts and tokens repeated within a text.
+// leaves the same directory as the one-pass reference at every worker
+// count, over a corpus that spans several chunks and carries duplicate
+// ids, empty texts, stop-word-only, punctuation-only, digit-only,
+// mixed-case, non-ASCII and invalid-UTF-8 texts, and tokens repeated
+// within a text. At 2·minChunkDocs + 1 documents, Build at workers 3 and
+// 8 deals them into chunks of minChunkDocs, minChunkDocs and one; build
+// with smaller chunks merges many vocabularies.
 func TestKeywordBuildChunkedMatchesOnePass(t *testing.T) {
 	rng := rand.New(rand.NewPCG(28, 4))
-	n := 3*buildChunkDocs + 17
+	n := 2*minChunkDocs + 1
+	odd := []string{
+		"", "the and of a", "!!! --- ... ???", "123 4567 123 0",
+		"Coffee COFFEE coFFee W12 w12 The", "Çafé ÇAFÉ straße İstanbul Ελλάδα 東京 w3",
+		"ok\xffbad\xc3 w5 \xe2\x82 W5\xf0\x9f", "K \u212a k", // Kelvin sign lower-cases to k
+	}
 	ids := make([]uint32, n)
 	texts := make([]string, n)
 	for i := range ids {
 		ids[i] = uint32(rng.IntN(n / 2)) // about half the ids occur twice or more
-		switch rng.IntN(8) {
-		case 0:
-			texts[i] = ""
-		case 1:
-			texts[i] = "the and of a"
-		default:
-			var words []string
-			for w := 0; w < 1+rng.IntN(6); w++ {
-				words = append(words, fmt.Sprintf("w%d", rng.IntN(300)))
-			}
-			words = append(words, words[0], "The")
-			texts[i] = strings.Join(words, " ")
+		if rng.IntN(4) == 0 {
+			texts[i] = odd[rng.IntN(len(odd))]
+			continue
 		}
+		var words []string
+		for w := 0; w < 1+rng.IntN(6); w++ {
+			words = append(words, fmt.Sprintf("w%d", rng.IntN(300)))
+		}
+		words = append(words, words[0], "The")
+		texts[i] = strings.Join(words, " ")
 	}
 	want := buildOnePass(ids, texts)
 	for _, workers := range []int{1, 2, 3, 8} {
-		got := Build(ids, texts, workers)
-		for b := range want.buckets {
-			wb, gb := want.buckets[b], got.buckets[b]
-			if (wb == nil) != (gb == nil) {
-				t.Fatalf("workers %d: bucket %d nil-ness differs", workers, b)
-			}
-			if wb == nil {
-				continue
-			}
-			if len(wb.entries) != len(gb.entries) {
-				t.Fatalf("workers %d: bucket %d holds %d entries, want %d", workers, b, len(gb.entries), len(wb.entries))
-			}
-			for e := range wb.entries {
-				if wb.entries[e].term != gb.entries[e].term || !slices.Equal(wb.entries[e].ids, gb.entries[e].ids) {
-					t.Fatalf("workers %d: bucket %d entry %d = %q %v, want %q %v", workers, b, e,
-						gb.entries[e].term, gb.entries[e].ids, wb.entries[e].term, wb.entries[e].ids)
-				}
-			}
+		if diff := sameDirectory(Build(ids, texts, workers), want); diff != "" {
+			t.Fatalf("workers %d: %s", workers, diff)
 		}
+	}
+	if diff := sameDirectory(build(ids, texts, 2, 700), want); diff != "" {
+		t.Fatalf("chunks of 700: %s", diff)
 	}
 	if got := Build(nil, nil, 0); len(got.buckets) != numBuckets {
 		t.Fatalf("empty Build: %d buckets", len(got.buckets))
+	}
+}
+
+// FuzzKeywordBuild checks Build ≡ buildOnePass on fuzzed texts (one per
+// line of corpus) under fuzzed ids (unsorted, repeated), at workers 1
+// and 2 and with chunks of one to three documents.
+func FuzzKeywordBuild(f *testing.F) {
+	f.Add("great coffee and cake\ncoffee shop\nthe\n\nCOFFEE Café", []byte{3, 1, 3, 0, 9})
+	f.Add("w1 w2 w1\nw2\nw3 W3 w3\n\xff\xfe w1", []byte{7, 7, 2})
+	f.Add("a\nb\nc\nd\ne\nf\ng", []byte{})
+	f.Fuzz(func(t *testing.T, corpus string, idBytes []byte) {
+		texts := strings.Split(corpus, "\n")
+		ids := make([]uint32, len(texts))
+		for i := range ids {
+			ids[i] = uint32(len(ids) - i)
+			if len(idBytes) > 0 {
+				ids[i] = uint32(idBytes[i%len(idBytes)]) << (i % 3 * 8)
+			}
+		}
+		want := buildOnePass(ids, texts)
+		for _, workers := range []int{1, 2} {
+			if diff := sameDirectory(Build(ids, texts, workers), want); diff != "" {
+				t.Fatalf("workers %d: %s", workers, diff)
+			}
+			if diff := sameDirectory(build(ids, texts, workers, 1+len(texts)%3), want); diff != "" {
+				t.Fatalf("workers %d, chunks of %d: %s", workers, 1+len(texts)%3, diff)
+			}
+		}
+	})
+}
+
+// TestAddAllocsOnePostingListPerToken pins Add's allocations: one new
+// posting list per distinct content token of the text, none for a
+// repeated token, a stop word or the scan itself.
+func TestAddAllocsOnePostingListPerToken(t *testing.T) {
+	f := buildTestFilter()
+	id := uint32(100)
+	allocs := testing.AllocsPerRun(50, func() {
+		f.Add(id, "coffee and great coffee, the great view")
+		id++
+	})
+	if allocs != 3 {
+		t.Fatalf("Add allocated %v times per call, want 3 (coffee, great, view)", allocs)
+	}
+	ids, _ := f.Candidates([]string{"view"})
+	if len(ids) != 1+51 {
+		t.Fatalf("view lists %d ids, want 52", len(ids))
 	}
 }

@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -39,8 +41,9 @@ type Config struct {
 	Tol float64
 	// Seed drives the k-means++ seeding deterministically.
 	Seed uint64
-	// Workers bounds the goroutines of the assignment step (0 =
-	// GOMAXPROCS). The result does not depend on it.
+	// Workers bounds the goroutines of the k-means++ distance refresh
+	// and of the assignment step (0 = GOMAXPROCS). The result does not
+	// depend on it.
 	Workers int
 }
 
@@ -68,7 +71,7 @@ func Fit(points [][]float32, cfg Config) (*Result, error) {
 	}
 	dim := len(points[0])
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x6b6d65616e73))
-	centroids := seedPlusPlus(points, k, rng)
+	centroids := seedPlusPlus(points, k, rng, cfg.Workers)
 
 	assign := make([]int, len(points))
 	for i := range assign {
@@ -126,15 +129,36 @@ func Fit(points [][]float32, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// refreshGrain is the fewest points one goroutine of the k-means++
+// refresh takes: below it, starting the goroutine costs about what the
+// distances it computes do.
+const refreshGrain = 1024
+
 // seedPlusPlus picks k initial centroids with the k-means++ strategy.
-func seedPlusPlus(points [][]float32, k int, rng *rand.Rand) [][]float32 {
+// Each point's squared distance to its nearest centroid is its own, so
+// the refresh after every pick runs on up to workers goroutines, each
+// taking refreshGrain points or more; the total the next draw scales
+// stays one serial sum over the points in order, so the draws do not
+// depend on workers.
+func seedPlusPlus(points [][]float32, k int, rng *rand.Rand, workers int) [][]float32 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(points)/refreshGrain))
 	centroids := make([][]float32, 0, k)
+	d2 := make([]float64, len(points))
+	refresh := func(c []float32, reset bool) {
+		par.For(len(points), workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if d := vec.SqDist(points[i], c); reset || d < d2[i] {
+					d2[i] = d
+				}
+			}
+		})
+	}
 	first := rng.IntN(len(points))
 	centroids = append(centroids, vec.Clone(points[first]))
-	d2 := make([]float64, len(points))
-	for i, p := range points {
-		d2[i] = vec.SqDist(p, centroids[0])
-	}
+	refresh(centroids[0], true)
 	for len(centroids) < k {
 		var total float64
 		for _, d := range d2 {
@@ -155,11 +179,7 @@ func seedPlusPlus(points [][]float32, k int, rng *rand.Rand) [][]float32 {
 		}
 		c := vec.Clone(points[next])
 		centroids = append(centroids, c)
-		for i, p := range points {
-			if d := vec.SqDist(p, c); d < d2[i] {
-				d2[i] = d
-			}
-		}
+		refresh(c, false)
 	}
 	return centroids
 }

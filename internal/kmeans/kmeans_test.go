@@ -1,7 +1,9 @@
 package kmeans
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -210,6 +212,49 @@ func TestAssignAll(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("AssignAll = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestFitSeedingWorkersIdentical: the k-means++ refresh splits over
+// Workers while the draws' running total stays serial, so Fit returns
+// the same centroids, bit for bit, and the same assignments at Workers 1,
+// 2 and 8 — in two dimensions (the column kernels), in twelve, and over
+// points that mostly coincide (draws from an all-zero total).
+func TestFitSeedingWorkersIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 3))
+	flat, _ := blobs(rng, 30, 5000, 2, 10, 0.8)
+	wide, _ := blobs(rng, 12, 3000, 12, 4, 1)
+	same := make([][]float32, 400)
+	for i := range same {
+		same[i] = []float32{1, 2, 3}
+	}
+	same[7] = []float32{1, 2, 4}
+	for _, tc := range []struct {
+		name string
+		pts  [][]float32
+		k    int
+	}{{"2d", flat, 60}, {"12d", wide, 24}, {"coincident", same, 5}} {
+		var ref *Result
+		for _, workers := range []int{1, 2, 8} {
+			res, err := Fit(tc.pts, Config{K: tc.k, Seed: 11, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			for c := range ref.Centroids {
+				for j, v := range ref.Centroids[c] {
+					if math.Float32bits(v) != math.Float32bits(res.Centroids[c][j]) {
+						t.Fatalf("%s: workers %d: centroid %d = %v, want %v", tc.name, workers, c, res.Centroids[c], ref.Centroids[c])
+					}
+				}
+			}
+			if !slices.Equal(ref.Assign, res.Assign) || ref.Iters != res.Iters {
+				t.Fatalf("%s: workers %d: assignments or iterations differ", tc.name, workers)
+			}
 		}
 	}
 }

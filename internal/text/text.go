@@ -7,8 +7,8 @@ package text
 import (
 	"math"
 	"math/rand/v2"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopWords is a compact English stop-word list in the spirit of the
@@ -36,17 +36,135 @@ func IsStopWord(w string) bool {
 // drops stop-words and empty tokens. This mirrors the paper's
 // preprocessing before the embedding lookup.
 func Tokenize(s string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-	out := fields[:0]
-	for _, f := range fields {
-		if IsStopWord(f) {
-			continue
+	var out []string
+	var sc Scanner
+	sc.Reset(s)
+	for {
+		tok, ok := sc.NextToken()
+		if !ok {
+			return out
 		}
-		out = append(out, f)
+		out = append(out, tok)
 	}
-	return out
+}
+
+// asciiClass sorts bytes into separators (0), lower-case letters and
+// digits (1), upper-case letters (2), and the bytes from utf8.RuneSelf
+// up, which start a multi-byte rune or are not UTF-8 (3).
+var asciiClass = func() (t [256]uint8) {
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = 3
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = 1
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = 1, 2
+	}
+	return t
+}()
+
+// Scanner splits a text into fields in one pass: the maximal runs of
+// letters and digits of the lower-cased text, stop words included.
+// Tokenize's tokens are its fields less the stop words. Fields are what
+// strings.FieldsFunc gives over strings.ToLower: a rune is lower-cased
+// by unicode.ToLower before it is classified, and a byte that is not
+// valid UTF-8 separates (strings.ToLower turns it into U+FFFD). A field
+// lower-casing leaves as it is costs no copy, and once its buffer has
+// grown to the longest field that needed one, a Scanner allocates
+// nothing.
+type Scanner struct {
+	s   string
+	i   int
+	buf []byte
+}
+
+// Reset starts scanning s.
+func (sc *Scanner) Reset(s string) { sc.s, sc.i = s, 0 }
+
+// Next returns the next field, and false once the text is exhausted.
+// Exactly one of field and same carries it: same, a substring of the
+// text, when lower-casing changes none of its bytes, and otherwise
+// field, lower-cased in the scanner's buffer and valid until the next
+// call.
+func (sc *Scanner) Next() (field []byte, same string, ok bool) {
+	s, i := sc.s, sc.i
+	for i < len(s) && asciiClass[s[i]] == 0 {
+		i++
+	}
+	start := i
+	for i < len(s) && asciiClass[s[i]] == 1 {
+		i++
+	}
+	if i == len(s) || asciiClass[s[i]] == 0 {
+		// A lower-case ASCII field, or none: the common case.
+		sc.i = i
+		return nil, s[start:i], i > start
+	}
+	buf := append(sc.buf[:0], s[start:i]...)
+	changed := false
+scan:
+	for i < len(s) {
+		switch c := s[i]; asciiClass[c] {
+		case 1:
+			buf = append(buf, c)
+			i++
+		case 2:
+			buf = append(buf, c+'a'-'A')
+			changed = true
+			i++
+		case 3:
+			r, w := utf8.DecodeRuneInString(s[i:])
+			if l := unicode.ToLower(r); unicode.IsLetter(l) || unicode.IsDigit(l) {
+				buf = utf8.AppendRune(buf, l)
+				changed = changed || l != r
+				i += w
+				continue
+			}
+			if len(buf) > 0 {
+				break scan
+			}
+			// A separator ahead of the field's first rune.
+			i += w
+			start = i
+		default:
+			if len(buf) > 0 {
+				break scan
+			}
+			i++
+			start = i
+		}
+	}
+	sc.i = i
+	if cap(buf) != cap(sc.buf) {
+		sc.buf = buf
+	}
+	switch {
+	case len(buf) == 0:
+		return nil, "", false
+	case changed:
+		return buf, "", true
+	}
+	return nil, s[start:i], true
+}
+
+// NextToken returns the next field that is not a stop word — the next
+// token Tokenize would return — and false once the text is exhausted.
+// It allocates only for a token lower-casing changed.
+func (sc *Scanner) NextToken() (string, bool) {
+	for {
+		field, same, ok := sc.Next()
+		switch {
+		case !ok:
+			return "", false
+		case field != nil:
+			if _, stop := stopWords[string(field)]; !stop {
+				return string(field), true
+			}
+		case !IsStopWord(same):
+			return same, true
+		}
+	}
 }
 
 // MinContentWords is the minimum number of content words a document must

@@ -2,6 +2,7 @@ package text
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -114,4 +115,23 @@ func TestNewVocabularyPanicsOnBadArgs(t *testing.T) {
 		}
 	}()
 	NewVocabulary(0, 1, 1.0)
+}
+
+// TestTokenizeMatchesRef holds the one-pass tokenizer to tokenizeRef,
+// token for token, on texts that take each of its paths: lower-case
+// ASCII, upper-case ASCII, multi-byte runes lower-casing keeps, changes
+// or shortens, non-letter runes, invalid and truncated UTF-8, and
+// separators before, between and after fields.
+func TestTokenizeMatchesRef(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "wa wb wzab", "The quick, brown FOX!", "route 66 diner",
+		"çafé ÇAFÉ straße", "İstanbul K Kelvin", "ΣΟΦΙΑ σοφια", "東京 中文",
+		"—lead trail— mid—dle", "x́y", "Ⅰⅰ ① ١٢٣", " nbsp em",
+		"ok\xffbad\xc3 \xe2\x82 trunc\xf0\x9f", "\xff", "a\x00b", "the AND Of",
+		"ǅemal ǆ", "MiXeD123CaSe", "��w�",
+	} {
+		if got, want := Tokenize(s), tokenizeRef(s); !slices.Equal(got, want) {
+			t.Errorf("Tokenize(%q) = %q, want %q", s, got, want)
+		}
+	}
 }
