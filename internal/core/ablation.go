@@ -77,7 +77,7 @@ func (x *Index) SearchAblated(q *dataset.Object, k int, lambda float64, opts Abl
 				break
 			}
 		}
-		f.pop(c)
+		f.pop(c, st)
 		if st != nil {
 			st.ClustersOrdered++
 		}

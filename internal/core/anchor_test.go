@@ -415,9 +415,9 @@ func requireScansMatchOnePass(t *testing.T, ctx string, x *Index, queries []data
 							u0, _ = cappedBound(h, sc.rs.radius)
 							ev, keep = onePassScan(x, sc, q, lambda, c, dsqC, dtqC, h, sc.rs.radius, &sts[0])
 						case 1:
-							x.scanCluster(sc, q, lambda, c, dsqC, dtqC, h, sc.rs.radius, &sts[1])
+							x.scanCluster(sc, q, lambda, c, dsqC, dtqC, h, sc.rs.radius, nil, &sts[1])
 						case 2:
-							x.scanCluster(sc, q, lambda, c, dsqC, dtqC, h, sc.rs.radius, nil)
+							x.scanCluster(sc, q, lambda, c, dsqC, dtqC, h, sc.rs.radius, nil, nil)
 						}
 					}
 					where := fmt.Sprintf("%s: q%d λ=%v cluster %d case %d", ctx, qi, lambda, ci, vi)

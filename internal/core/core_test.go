@@ -320,3 +320,38 @@ func TestCSSIExactWithAngularMetric(t *testing.T) {
 		t.Fatalf("angular CSSIA error %v suspiciously high", e)
 	}
 }
+
+// TestCountedReadPrunedCounters pins the inter-cluster counters of a
+// counted exact read on a fixed corpus: ClustersPruned and InterPruned
+// summed over k-NN and window reads. pop charges a cluster's rows only
+// when the read counts, so this is what holds that branch to the full
+// charge. Each read also keeps the identities the counters are charged
+// by: every cluster is ordered or pruned, and every row visited or
+// pruned.
+func TestCountedReadPrunedCounters(t *testing.T) {
+	f := build(t, dataset.TwitterLike, 3000, Config{Seed: 7})
+	var clusters, rows int64
+	for _, q := range f.ds.SampleQueries(12, 29) {
+		w := Window{LoX: q.X - 0.1, LoY: q.Y - 0.1, HiX: q.X + 0.1, HiY: q.Y + 0.1}
+		for _, lambda := range []float64{0.1, 0.5, 0.9} {
+			for _, k := range []int{1, 10} {
+				for _, opts := range []SearchOptions{{}, {Window: &w}} {
+					var st metric.Stats
+					f.idx.SearchOptionsInto(nil, &q, k, lambda, opts, &st)
+					if st.ClustersOrdered+st.ClustersPruned != int64(len(f.idx.clusters)) ||
+						st.VisitedObjects+st.InterPruned+st.IntraPruned != int64(f.ds.Len()) {
+						t.Fatalf("λ=%v k=%d window=%v: %+v charges %d clusters and %d rows, want %d and %d", lambda, k, opts.Window != nil, st,
+							st.ClustersOrdered+st.ClustersPruned, st.VisitedObjects+st.InterPruned+st.IntraPruned, len(f.idx.clusters), f.ds.Len())
+					}
+					clusters += st.ClustersPruned
+					rows += st.InterPruned
+				}
+			}
+		}
+	}
+	if clusters != wantClustersPruned || rows != wantInterPruned {
+		t.Fatalf("ClustersPruned %d, InterPruned %d; want %d and %d", clusters, rows, wantClustersPruned, wantInterPruned)
+	}
+}
+
+const wantClustersPruned, wantInterPruned = 15132, 304726

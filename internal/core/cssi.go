@@ -142,13 +142,19 @@ func (x *Index) orderByBound(sc *searchScratch, q *dataset.Object, lambda float6
 // non-nil the read shares that k-th bound with other reads of one query
 // (SearchOptions.Bound). With striped set the frontier walk is offered
 // to an idle helper as a second stripe (see stripe.go); the two stripes
-// then share the job's bound instead of b. The answer is the same
-// either way.
+// then fill the one heap and cut at its bound, and b is unused. The
+// answer is the same either way.
 func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, striped bool, b *Bound, st *metric.Stats) []knn.Result {
+	h := &sc.heap
+	h.Reset(k)
+	for _, r := range seed {
+		h.Push(r)
+	}
 	var j *stripeJob
 	if striped {
 		// Offered before ordering, so the helper's wake-up overlaps it.
-		j = x.offerStripe(sc, q, k, lambda)
+		j = x.offerStripe(sc, q, lambda)
+		b = nil
 	}
 	var phase time.Time
 	if sc.obs != nil {
@@ -161,14 +167,8 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 		phase = time.Now()
 	}
 
-	h := &sc.heap
-	h.Reset(k)
-	for _, r := range seed {
-		h.Push(r)
-	}
 	if j != nil {
-		b = &j.bound
-		x.walkStriped(sc, f, q, lambda, h, j)
+		x.walkStriped(sc, f, q, lambda, j)
 	} else {
 		x.walkFrontier(sc, f, q, lambda, h, b, nil, st)
 	}
@@ -197,8 +197,9 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 // distance capped by the read's radius. With b non-nil the cap is that
 // shared bound instead (it starts at the radius), which the loop lowers
 // to h's k-th distance after every scanned cluster. With sh non-nil it is
-// one stripe of a striped read: it scans only the frontier positions it
-// claims from sh, and pops the others unscanned. With sh nil every
+// one stripe of a striped read, and h and b are nil: it scans only the
+// frontier positions it claims from sh, pops the others unscanned, and
+// pushes into and cuts at sh's one heap (see kth). With sh nil every
 // position is its own.
 //
 // A CSSIA read stops instead at Alg. 3's one approximate step: the heap
@@ -226,7 +227,7 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 			if h.Full() && lb >= h.MaxAux() {
 				break
 			}
-		} else if u, full := cappedBound(h, shared); full && lb > u {
+		} else if u, full := kth(h, shared, sh); full && lb > u {
 			// Pruning property 1 (Lemma 4.4): lb is the smallest true
 			// bound among the clusters not yet examined. Strict, like
 			// every cut below: an object tying the k-th distance at its
@@ -240,9 +241,9 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 			// deadline.go), reported through SearchOptions.Partial.
 			return
 		}
-		f.pop(c)
+		f.pop(c, st)
 		if pos >= hi {
-			lo, hi, shared = sh.claim(sc)
+			lo, hi = sh.claim(sc)
 		}
 		if pos++; pos <= lo {
 			continue // another stripe's position
@@ -250,7 +251,7 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 		if st != nil {
 			st.ClustersOrdered++
 		}
-		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, shared, st)
+		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, shared, sh, st)
 		if b != nil {
 			shared = b.lower(h)
 		}
@@ -267,19 +268,25 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 // conservative array thresholds ends the scan, and the anchor bound
 // skips single rows (see anchor.go). The gate pass has already dropped
 // the rows whose anchor cut holds at the bound the scan starts with; the
-// loop below runs on the rows it kept. ub caps the heap's k-th distance
-// with a bound found elsewhere (the read's radius, another stripe's;
+// loop below runs on the rows it kept, whose vectors it prefetches
+// first, so their misses overlap. ub caps the heap's k-th distance
+// with a bound found elsewhere (the read's radius, another chain's;
 // +Inf for none); every cut against it is strict, like the cuts against
-// the heap's own. A row the read's restriction rejects is charged like a
-// cut one, and a row beyond the radius is never pushed.
-func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsqC, dtqC float64, h *knn.Heap, ub float64, st *metric.Stats) {
+// the heap's own. On a stripe of a striped read, h is nil and sh's one
+// heap takes the pushes and sets every cut (see kth). A row the read's
+// restriction rejects is charged like a cut one, and a row beyond the
+// radius is never pushed.
+func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsqC, dtqC float64, h *knn.Heap, ub float64, sh *stripeJob, st *metric.Stats) {
 	if st != nil {
 		st.ClustersExamined++
 	}
-	u0, full0 := cappedBound(h, ub)
+	u0, full0 := kth(h, ub, sh)
 	blk, g, keep, ok := x.enterCluster(sc, q, lambda, c, dsqC, dtqC, u0, full0, st)
 	if !ok {
 		return
+	}
+	for _, p := range keep {
+		vec.Prefetch(x.vecAt(c.elems[p].idx))
 	}
 	tombs := x.deltaTombs()
 	rs := &sc.rs
@@ -289,7 +296,7 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 	for _, p := range keep {
 		ei := int(p)
 		e := &c.elems[ei]
-		u, full := cappedBound(h, ub)
+		u, full := kth(h, ub, sh)
 		if full && g.suffixBound(e) > u {
 			// Pruning property 2: the thresholds are non-increasing, so
 			// the bound only grows over the later elements.
@@ -347,16 +354,19 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		// distance, as it always has.
 		if d := metric.Combine(lambda, ds, dt); !(d > rs.radius) {
 			r := knn.Result{ID: x.ids[e.idx], Dist: d}
-			if sc.approx {
+			switch {
+			case sc.approx:
 				x.pushApprox(sc, h, r, lambda, ds, x.projAt(e.idx))
-			} else {
+			case sh != nil:
+				sh.push(sc, r)
+			default:
 				h.Push(r)
 			}
 		}
 	}
 	if st != nil {
 		// The rows after the last kept one: dropped, or past the cut.
-		u, _ := cappedBound(h, ub)
+		u, _ := kth(h, ub, sh)
 		x.chargeTail(c, blk, g, rs, next, g.cut, u, st)
 	}
 }
@@ -385,6 +395,18 @@ const abandonRelSlack = 1e-12
 // reach u when dt ≤ (u − λ·ds)/(1−λ), widened by abandonRelSlack. λ < 1.
 func abandonLimit(u, lambda, ds float64) float64 {
 	return (u - lambda*ds + abandonRelSlack*math.Abs(u)) / (1 - lambda)
+}
+
+// kth is the bound every cut of a scan reads, and whether it bounds
+// anything: on a stripe of sh, the published bound of sh's one heap
+// (finite once the heap is full or the read has a radius); otherwise
+// cappedBound(h, ub).
+func kth(h *knn.Heap, ub float64, sh *stripeJob) (float64, bool) {
+	if sh != nil {
+		u := sh.bound.Load()
+		return u, !math.IsInf(u, 1)
+	}
+	return cappedBound(h, ub)
 }
 
 // cappedBound is the heap's k-th distance capped by ub, and whether the

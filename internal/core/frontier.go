@@ -176,14 +176,18 @@ func (f *sideFrontier) peek() (c *hybrid, lb float64, ok bool) {
 	return nil, 0, false
 }
 
-// pop consumes the cluster peek returned.
-func (f *sideFrontier) pop(c *hybrid) {
+// pop consumes the cluster peek returned. Only a counted read (st
+// non-nil) charges its rows, for chargePruned: a stripe pops the other
+// stripe's clusters without loading their headers.
+func (f *sideFrontier) pop(c *hybrid, st *metric.Stats) {
 	h := &f.cur[0]
 	// The key stays: later pairs of the row only have larger bounds.
 	h.pos++
 	h.exact = false
 	f.popped++
-	f.poppedElems += int64(len(c.elems))
+	if st != nil {
+		f.poppedElems += int64(len(c.elems))
+	}
 }
 
 // stepStream advances the semantic stream by one step: an unrefined

@@ -227,6 +227,8 @@ func TestFrontierPopOrderMatchesSort(t *testing.T) {
 		stop := rng.IntN(len(ref) + 1) // where the stats cut is probed
 		prev := math.Inf(-1)
 		var elems int64 // elements of the clusters popped so far
+		// A pop charges its elements to the cut only in a counted read.
+		counted := new(metric.Stats)
 		for i := 0; ; i++ {
 			c, lb, ok := f.peek()
 			// Poison the centroid of every side whose dtq is known: a
@@ -263,7 +265,7 @@ func TestFrontierPopOrderMatchesSort(t *testing.T) {
 			}
 			prev = lb
 			elems += int64(len(c.elems))
-			f.pop(c)
+			f.pop(c, counted)
 		}
 		// dtq was computed only for sides the stream refined: emitted, or
 		// still in the heap under their true key.

@@ -79,8 +79,8 @@ type SearchOptions struct {
 	// metric space, whose heaps then hold real candidates of one query.
 	// The answer of the reads together is the same either way; their work
 	// counters are not, so a read that collects them (st or Explain)
-	// ignores it, as does an Approx read, and a striped read shares its
-	// stripes' own bound instead. The facade's seeded chains of a sharded
+	// ignores it, as does an Approx read, and a striped read cuts at its
+	// stripes' one heap instead. The facade's seeded chains of a sharded
 	// read set it.
 	Bound *Bound
 	// Anchors, when non-nil, is the query's distances to one anchor set,

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,11 +15,14 @@ import (
 // order the query's frontier on their own scratch — both yield the same
 // cluster sequence — and claim its positions in chunks of stripeChunk
 // from one cursor. A stripe pops the positions it does not own
-// unscanned, keeps a private heap, and also stops once the head's bound
-// exceeds the k-th bound the stripes share (a Bound). The caller pushes
-// the helper's heap into its own, and the answer is the one-stripe
-// read's, bit for bit. The work counters are not, so a read that
-// collects them is never striped.
+// unscanned, without loading their headers. Both stripes push into the
+// read's one heap, the caller's, under the job's mutex, and a push that
+// fills the heap or lowers its k-th distance publishes it to the job's
+// Bound; every cut of either stripe, per cluster and per row, reads that
+// bound. At the join the heap holds what one stripe's would, so there
+// is nothing to merge, and the answer is the one-stripe read's, bit for
+// bit. The work counters are not, so a read that collects them is never
+// striped.
 //
 // Helpers are standing goroutines, started lazily up to GOMAXPROCS−1;
 // they never exit. A helper that has just run a stripe polls a one-job
@@ -37,15 +41,15 @@ import (
 // caller polls briefly for its own running helper before it parks
 // (awaitStripe).
 
-// Bound is the k-th distance bound the stripes of one parallel exact
-// read share: the two stripes of a striped snapshot, or the seeded
-// chains of a sharded read (SearchOptions.Bound). It holds float64 bits
-// on a cache line of its own, starts at the read's radius (+Inf for
-// none), and is only ever lowered, each time to some stripe's full-heap
-// k-th distance. A full heap holds k real candidates, so the bound never
+// Bound is the k-th distance bound the readers of one parallel exact
+// read share: the two stripes of a striped snapshot, which publish their
+// one heap's k-th distance to it, or the seeded chains of a sharded read
+// (SearchOptions.Bound), which each publish their own. It holds float64
+// bits on a cache line of its own, starts at the read's radius (+Inf for
+// none), and is only ever lowered, each time to a full heap's k-th
+// distance. A full heap holds k real candidates, so the bound never
 // drops below the read's final k-th distance; every cut against it is
-// strict, so each object of the answer, ties included, reaches the heap
-// of the stripe that scans it.
+// strict, so each object of the answer, ties included, reaches a heap.
 type Bound struct {
 	_    [64]byte
 	bits atomic.Uint64
@@ -82,21 +86,23 @@ const stripeChunk = 4
 // offers apart, so a helper that wakes for a withdrawn offer cannot take
 // a later one.
 type stripeJob struct {
-	// bound is the k-th bound the stripes share, and next the first
-	// frontier position not yet claimed; each has a cache line of its
+	// bound is the one heap's k-th distance capped by the radius, and
+	// next the first frontier position not yet claimed, beside mu, which
+	// guards the heap; bound and next each have a cache line of their
 	// own.
 	bound Bound
 	next  atomic.Int32
-	_     [60]byte
+	mu    sync.Mutex
+	_     [52]byte
 	// state is gen<<2 | one of the stripe* phases below.
 	state atomic.Uint64
 	gen   uint64
 	done  chan struct{}
 	// The query, written before the offer and read by the helper only
-	// once it has taken the job; caller is the caller's scratch.
+	// once it has taken the job; caller is the caller's scratch, whose
+	// heap is the read's one heap.
 	x      *Index
 	q      *dataset.Object
-	k      int
 	lambda float64
 	caller *searchScratch
 	hook   func(StripePoint)
@@ -134,23 +140,48 @@ var (
 	stripePollers atomic.Int32
 )
 
-// claim hands the stripe on sc the next chunk of positions [lo, hi),
-// with the current shared bound.
-func (j *stripeJob) claim(sc *searchScratch) (lo, hi int32, shared float64) {
+// claim hands the stripe on sc the next chunk of positions [lo, hi).
+func (j *stripeJob) claim(sc *searchScratch) (lo, hi int32) {
 	if stripeHooks && sc == j.caller {
 		stripeAt(j.hook, StripeCallerClaim)
 	}
 	hi = j.next.Add(stripeChunk)
-	return hi - stripeChunk, hi, j.bound.Load()
+	return hi - stripeChunk, hi
+}
+
+// push offers r, from the stripe on sc, to the read's one heap and
+// publishes the heap's k-th distance when the push fills or lowers it.
+// A candidate beyond the bound cannot be kept, so it takes no lock: the
+// bound is the radius or the heap's k-th distance as of its last kept
+// push.
+func (j *stripeJob) push(sc *searchScratch, r knn.Result) {
+	if r.Dist > j.bound.Load() {
+		return
+	}
+	if stripeHooks {
+		if sc == j.caller {
+			stripeAt(j.hook, StripeCallerPush)
+		} else {
+			stripeAt(j.hook, StripeHelperPush)
+		}
+	}
+	h := &j.caller.heap
+	j.mu.Lock()
+	if h.Push(r) {
+		j.bound.lower(h)
+	}
+	j.mu.Unlock()
 }
 
 // offerStripe offers the query's second stripe to an idle helper and
-// returns the job, or nil when no helper is idle.
-func (x *Index) offerStripe(sc *searchScratch, q *dataset.Object, k int, lambda float64) *stripeJob {
+// returns the job, or nil when no helper is idle. sc's heap, reset and
+// seeded, is the read's one heap.
+func (x *Index) offerStripe(sc *searchScratch, q *dataset.Object, lambda float64) *stripeJob {
 	j := &sc.stripe
 	j.gen++
-	j.x, j.q, j.k, j.lambda, j.caller, j.hook = x, q, k, lambda, sc, loadStripeHook()
+	j.x, j.q, j.lambda, j.caller, j.hook = x, q, lambda, sc, loadStripeHook()
 	j.bound.Store(sc.rs.radius)
+	j.bound.lower(&sc.heap)
 	j.next.Store(0)
 	if j.done == nil {
 		j.done = make(chan struct{}, 1)
@@ -279,22 +310,25 @@ func (j *stripeJob) run(hook func(StripePoint)) {
 	j.sc = sc
 	sc.deadline, sc.cancel, sc.budgeted, sc.rs = j.caller.deadline, j.caller.cancel, j.caller.budgeted, j.caller.rs
 	f := x.orderByBound(sc, j.q, j.lambda)
-	sc.heap.Reset(j.k)
-	x.walkFrontier(sc, f, j.q, j.lambda, &sc.heap, &j.bound, j, nil)
+	x.walkFrontier(sc, f, j.q, j.lambda, nil, nil, j, nil)
 }
 
 // walkStriped is the caller's stripe of a striped read, then the join:
 // withdraw the job if the helper has not taken it, else wait for the
-// helper and merge its heap and its budget cut into the caller's. The
-// join runs even if the caller's stripe panics.
-func (x *Index) walkStriped(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, j *stripeJob) {
-	merge := false
-	defer func() { x.joinStripe(sc, j, h, merge) }()
-	x.walkFrontier(sc, f, q, lambda, h, &j.bound, j, nil)
-	merge = true
+// helper and take its budget cut into the caller's. Both stripes pushed
+// into the read's one heap, so there is nothing to merge. The join runs
+// even if the caller's stripe panics.
+func (x *Index) walkStriped(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, j *stripeJob) {
+	ended := false
+	defer func() { x.joinStripe(sc, j, ended) }()
+	x.walkFrontier(sc, f, q, lambda, nil, nil, j, nil)
+	ended = true
 }
 
-func (x *Index) joinStripe(sc *searchScratch, j *stripeJob, h *knn.Heap, merge bool) {
+// joinStripe ends the striped read j. ended says the caller's stripe
+// returned; a helper's panic is re-raised only then, as the caller's own
+// panic goes on otherwise.
+func (x *Index) joinStripe(sc *searchScratch, j *stripeJob, ended bool) {
 	stripeAt(j.hook, StripeCallerEnding)
 	withdrawn := j.state.CompareAndSwap(j.gen<<2|stripeOffered, j.gen<<2|stripeWithdrawn)
 	if stripeSlot.Load() == j {
@@ -309,15 +343,10 @@ func (x *Index) joinStripe(sc *searchScratch, j *stripeJob, h *knn.Heap, merge b
 	hsc, p := j.sc, j.panicked
 	j.x, j.q, j.caller, j.hook, j.sc, j.panicked = nil, nil, nil, nil, nil, nil
 	if hsc != nil {
-		if merge && p == nil {
-			for _, r := range hsc.heap.Items() {
-				h.Push(r)
-			}
-			sc.partial = sc.partial || hsc.partial
-		}
+		sc.partial = sc.partial || hsc.partial
 		x.putScratch(hsc)
 	}
-	if merge && p != nil {
+	if ended && p != nil {
 		panic(p)
 	}
 }
@@ -348,6 +377,7 @@ func awaitStripe(j *stripeJob) {
 // running a job the helper passes two more points with that job's hook:
 // it starts polling the slot, and its window has closed (it still
 // counts as polling there, and looks at the slot once more after).
+// Either stripe passes a point before each push the bound admits.
 type StripePoint int
 
 const (
@@ -359,6 +389,8 @@ const (
 	StripeHelperStarted
 	StripeHelperPolling
 	StripeHelperPollEnd
+	StripeCallerPush
+	StripeHelperPush
 )
 
 // stripeAt runs hook at point p; a no-op unless hooks are compiled in.

@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -194,5 +197,43 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(42).String() == "" {
 		t.Fatal("unknown kind should still format")
+	}
+}
+
+// TestGenerateDigest pins the generated corpora byte for byte: a sha256
+// over every object's ID, coordinates, text, vector and topic of a
+// TwitterLike and a YelpLike dataset. Every corpus the benchmarks and
+// goldens read comes from these draws, so a faster generator must make
+// the same ones.
+func TestGenerateDigest(t *testing.T) {
+	want := map[Kind]string{
+		TwitterLike: "045e75d4cc0fedecfa05f4bb03eec3de2998dea28e59e65cffa52daf5ad25d03",
+		YelpLike:    "2e3e8137c49c3595163b131cb12dc848299040918de8236bf7b345c7ae536a5d",
+	}
+	for _, kind := range []Kind{TwitterLike, YelpLike} {
+		ds, err := Generate(GenConfig{Kind: kind, Size: 3000, Dim: 24, Seed: 83})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var b [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		for _, o := range ds.Objects {
+			put(uint64(o.ID))
+			put(math.Float64bits(o.X))
+			put(math.Float64bits(o.Y))
+			put(uint64(len(o.Text)))
+			h.Write([]byte(o.Text))
+			for _, f := range o.Vec {
+				put(uint64(math.Float32bits(f)))
+			}
+			put(uint64(o.Topic))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[kind] {
+			t.Errorf("%v: digest %s, want %s", kind, got, want[kind])
+		}
 	}
 }

@@ -178,6 +178,10 @@ const MinContentWords = 3
 type Vocabulary struct {
 	Words  []string // Words[i] is the i-th most frequent word
 	Topics []int    // Topics[i] is the topic id of Words[i]
+	// members[t] lists the ranks of topic t's words, ascending: the
+	// fallback pool of SampleTopicWord, built from Topics by the
+	// constructors.
+	members [][]int
 	// byWord maps a word back to its index.
 	byWord map[string]int
 	// cdf is the cumulative Zipf distribution over word ranks.
@@ -209,6 +213,7 @@ func NewVocabulary(size, numTopics int, s float64) *Vocabulary {
 	for i := range v.cdf {
 		v.cdf[i] /= total
 	}
+	v.indexTopics()
 	return v
 }
 
@@ -231,7 +236,16 @@ func NewVocabularyFromWords(words []string) *Vocabulary {
 		}
 		v.cdf[i] = float64(i+1) / float64(len(words))
 	}
+	v.indexTopics()
 	return v
+}
+
+// indexTopics builds the per-topic member lists from Topics.
+func (v *Vocabulary) indexTopics() {
+	v.members = make([][]int, v.NumTopics())
+	for i, t := range v.Topics {
+		v.members[t] = append(v.members[t], i)
+	}
 }
 
 func wordName(rank int) string {
@@ -296,14 +310,9 @@ func (v *Vocabulary) SampleTopicWord(rng *rand.Rand, topic int) int {
 		}
 	}
 	// Deterministic fallback: uniformly among the topic's words.
-	var members []int
-	for i, t := range v.Topics {
-		if t == topic {
-			members = append(members, i)
-		}
-	}
-	if len(members) == 0 {
+	if topic < 0 || topic >= len(v.members) || len(v.members[topic]) == 0 {
 		return v.SampleWord(rng)
 	}
+	members := v.members[topic]
 	return members[rng.IntN(len(members))]
 }

@@ -334,8 +334,8 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // One snapshot read by a request that observes nothing, on a process
 // with a second scheduler thread, may split inside the snapshot instead
 // (core.SearchOptions.Striped): an idle helper walks the same frontier
-// as a second stripe, sharing the k-th bound the same way (see core's
-// stripe.go).
+// as a second stripe, and both push into the read's one heap and cut at
+// its k-th distance (see core's stripe.go).
 //
 // An approximate read has no bound to carry: CSSIA's result is defined
 // per clustering, and the documented sharded semantics are "the merge of

@@ -558,3 +558,91 @@ func TestStripedCountedReadsOneStripe(t *testing.T) {
 		})
 	}
 }
+
+// TestStripedTiePushes pins concurrent pushes into a striped read's one
+// heap: rows tying the k-th distance, pushed by both stripes, still give
+// the one-stripe read's answer and the scan's, ID for ID and distance
+// for distance, under every schedule the hooks force, parked or polling.
+// Dozens of objects share one point but not a vector (λ = 1), or one
+// vector but not a point (λ = 0), so their clusters differ and span
+// several frontier chunks. Where the helper starts before the caller
+// walks, the first stripe to reach a push waits there until the other
+// reaches one too: the heap is still empty, so the other stripe's first
+// scanned cluster gets there, and both stripes push on every read. Under
+// helper-after-chunk the caller's first chunk pushes before the helper
+// starts, and a withdrawn helper must not push at all.
+func TestStripedTiePushes(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a striped read needs GOMAXPROCS >= 2")
+	}
+	base := testDataset(t, 600)
+	objs := slices.Clone(base.Objects)
+	at, like := base.Objects[17], base.Objects[23]
+	const ties = 48
+	for i := 0; i < ties; i++ {
+		o := at
+		o.ID, o.Vec = uint32(700_000+(i*7)%ties), base.Objects[5+12*i].Vec
+		objs = append(objs, o)
+		o = like
+		o.ID, o.X, o.Y = uint32(710_000+(i*7)%ties), base.Objects[7+12*i].X, base.Objects[7+12*i].Y
+		objs = append(objs, o)
+	}
+	ds := &Dataset{Objects: objs, Dim: base.Dim}
+	x := mustBuild(t, ds, Options{Seed: 67})
+	oracle := scan.New(ds, x.space)
+	for _, tc := range []struct {
+		q      Object
+		lambda float64
+	}{{at, 1}, {like, 0}} {
+		for _, k := range []int{1, 10, 40} {
+			ctx := fmt.Sprintf("λ=%v k=%d", tc.lambda, k)
+			want := oracle.Search(&tc.q, k, tc.lambda, nil)
+			if want[len(want)-1].Dist != 0 {
+				t.Fatalf("%s: the scan's answer %v is not all ties", ctx, want)
+			}
+			equalResults(t, ctx+" one-stripe", want, x.core.SearchOptionsInto(nil, &tc.q, k, tc.lambda, core.SearchOptions{}, nil))
+			req := SearchRequest{Query: &tc.q, K: k, Lambda: tc.lambda}
+			equalResults(t, ctx+" Do", want, mustDo(x, req))
+			for _, sched := range stripeSchedules {
+				// pushes counts each stripe's pushes, caller first;
+				// arrived[i] closes at stripe i's first.
+				var pushes [2]atomic.Int32
+				arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+				var once [2]sync.Once
+				meet := sched == helperFirst || sched == helperPolled || sched == helperPollClosing
+				log, ok := forceStripes(t, sched, func() { mustDo(x, req) }, func(p core.StripePoint) {
+					i := 0
+					switch p {
+					case core.StripeCallerPush:
+					case core.StripeHelperPush:
+						i = 1
+					default:
+						return
+					}
+					pushes[i].Add(1)
+					once[i].Do(func() { close(arrived[i]) })
+					if meet {
+						awaitPoint(t, arrived[1-i], "the other stripe's first push")
+					}
+				})
+				if !ok {
+					break
+				}
+				got := mustDo(x, req)
+				sctx := fmt.Sprintf("%s %v", ctx, sched)
+				log.check(t, sctx, sched)
+				equalResults(t, sctx, want, got)
+				caller, helper := pushes[0].Load(), pushes[1].Load()
+				switch {
+				case sched == helperWithdrawn || sched == helperSlotWithdrawn:
+					if helper != 0 {
+						t.Fatalf("%s: a withdrawn helper pushed %d rows", sctx, helper)
+					}
+				case caller == 0 || meet && helper == 0:
+					t.Fatalf("%s: %d caller pushes, %d helper pushes", sctx, caller, helper)
+				}
+			}
+			core.SetStripeHook(nil)
+		}
+	}
+}
