@@ -141,16 +141,16 @@ func BenchmarkSearchApprox20k(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchBatch measures the batched API: one call answering 64
-// queries across a bounded worker pool.
+// BenchmarkSearchBatch measures the batched API: one DoBatch answering
+// 64 queries across a bounded worker pool.
 func BenchmarkSearchBatch(b *testing.B) {
 	e := getEnv(b, dataset.TwitterLike, hotpathSize, core.Config{})
-	queries := e.queries
+	idx := &Index{core: e.idx, space: e.space}
 	for _, workers := range workerLevels() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.idx.SearchBatch(queries, benchK, benchLambda, workers, core.SearchOptions{}, nil, nil); err != nil {
+				if _, err := idx.DoBatch(BatchSearchRequest{Queries: e.queries, K: benchK, Lambda: benchLambda, Parallelism: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // snapshot is the snapshot a one-shard index currently publishes.
@@ -82,13 +80,6 @@ func TestBatchSearchInputValidation(t *testing.T) {
 		if _, err := c.DoBatch(BatchSearchRequest{Queries: queries, K: k, Lambda: 0.5}); !errors.Is(err, ErrInvalidK) {
 			t.Fatalf("k=%d: err %v, want ErrInvalidK", k, err)
 		}
-	}
-	// The core entry point agrees (no worker pool is started either way).
-	if out, err := snapshot(c).core.SearchBatch(nil, 3, 0.5, 0, core.SearchOptions{}, nil, nil); err != nil || len(out) != 0 {
-		t.Fatalf("core empty batch: %v, err %v", out, err)
-	}
-	if _, err := snapshot(c).core.SearchBatch(nil, 0, 0.5, 0, core.SearchOptions{}, nil, nil); err == nil {
-		t.Fatal("core accepted k=0")
 	}
 	// Valid input still works.
 	got, err := c.DoBatch(BatchSearchRequest{Queries: queries, K: 3, Lambda: 0.5})
@@ -189,8 +180,8 @@ func TestPickBestFallsBackToLowestError(t *testing.T) {
 	}
 }
 
-// Batched readers racing maintenance writers: SearchBatch fans its
-// queries over internal worker goroutines while Insert/Delete/Update/
+// Batched readers racing maintenance writers: DoBatch fans its
+// queries over worker goroutines while Insert/Delete/Update/
 // Rebuild mutate the index (and its vector arenas) under the write
 // lock. Run with -race; the dataset is small so the stress stays cheap.
 func TestConcurrentBatchStress(t *testing.T) {

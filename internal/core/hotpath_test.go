@@ -37,41 +37,6 @@ func TestSearchIntoAppends(t *testing.T) {
 	sameResults(t, "appended tail", f.idx.Search(q, 5, 0.5, nil), out[1:])
 }
 
-// The core SearchBatch must agree with the sequential loop for every
-// worker count, and its merged stats must equal the sequential sums
-// (per-query work cannot depend on scheduling).
-func TestCoreSearchBatchMatchesSequential(t *testing.T) {
-	f := build(t, dataset.TwitterLike, 900, Config{Seed: 23})
-	queries := f.ds.SampleQueries(30, 4)
-	for _, approx := range []bool{false, true} {
-		var seqSt metric.Stats
-		seq := make([][]knn.Result, len(queries))
-		for qi := range queries {
-			if approx {
-				seq[qi] = f.idx.SearchApprox(&queries[qi], 8, 0.5, &seqSt)
-			} else {
-				seq[qi] = f.idx.Search(&queries[qi], 8, 0.5, &seqSt)
-			}
-		}
-		for _, workers := range []int{1, 3, 0} {
-			var st metric.Stats
-			batch, err := f.idx.SearchBatch(queries, 8, 0.5, workers, SearchOptions{Approx: approx}, &st, nil)
-			if err != nil {
-				t.Fatalf("approx=%v workers=%d: %v", approx, workers, err)
-			}
-			if len(batch) != len(queries) {
-				t.Fatalf("approx=%v workers=%d: %d result sets", approx, workers, len(batch))
-			}
-			for qi := range queries {
-				sameResults(t, "batch", seq[qi], batch[qi])
-			}
-			if st != seqSt {
-				t.Fatalf("approx=%v workers=%d: stats %+v, sequential %+v", approx, workers, st, seqSt)
-			}
-		}
-	}
-}
-
 // Steady-state SearchOptionsInto must not allocate: all per-query state comes
 // from the pooled scratch and the caller's result buffer. AllocsPerRun
 // can see a stray allocation if GC empties the sync.Pool mid-measure,

@@ -153,7 +153,7 @@ func (r *restriction) admits(id uint32, x, y float64) bool {
 // non-nil. With a dst of sufficient capacity a steady-state call
 // performs zero heap allocations: all per-query state comes from the
 // index's scratch pool. It panics if k < 1, in either mode; the facade
-// and SearchBatch reject such a k first.
+// rejects such a k first.
 //
 // Centroid-level distance computations are not charged to st — the
 // evaluation counts object-level work (visited objects, and §7.7 counts

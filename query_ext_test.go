@@ -96,24 +96,6 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestBatchSearchApprox(t *testing.T) {
-	ds := testDataset(t, 400)
-	idx, err := Build(ds, Options{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := ds.SampleQueries(10, 3)
-	batch, err := idx.DoBatch(BatchSearchRequest{Queries: queries, K: 5, Lambda: 0.5, Approx: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, rs := range batch {
-		if len(rs) != 5 {
-			t.Fatalf("query %d returned %d results", qi, len(rs))
-		}
-	}
-}
-
 func TestBatchSearchEmpty(t *testing.T) {
 	ds := testDataset(t, 50)
 	idx, _ := Build(ds, Options{Seed: 13})
@@ -123,7 +105,7 @@ func TestBatchSearchEmpty(t *testing.T) {
 }
 
 // A malformed vector anywhere in a batch must be rejected with
-// ErrInvalidQuery before any worker starts: a panic inside a SearchBatch
+// ErrInvalidQuery before any worker starts: a panic inside a DoBatch
 // worker goroutine would be unrecoverable and kill the whole process.
 func TestBatchSearchRejectsMalformedQueryUpFront(t *testing.T) {
 	ds := testDataset(t, 120)

@@ -98,7 +98,7 @@ type SearchRequest struct {
 
 // BatchSearchRequest describes one batched k-NN workload for DoBatch:
 // many queries sharing K/Lambda/Approx, answered across a bounded
-// worker pool.
+// worker pool, each exactly as Do answers it.
 type BatchSearchRequest struct {
 	// Queries are the query objects (each needing X, Y, Vec).
 	Queries []Object
@@ -110,8 +110,8 @@ type BatchSearchRequest struct {
 	// Approx selects CSSIA instead of exact CSSI.
 	Approx bool
 	// Parallelism bounds the worker pool; <= 0 selects GOMAXPROCS and
-	// larger values are clamped to GOMAXPROCS. An exact batch never runs
-	// on more goroutines than this, on a sharded index too.
+	// larger values are clamped to GOMAXPROCS. A batch never runs on more
+	// goroutines than this, exact or approximate, on a sharded index too.
 	Parallelism int
 	// Stats, when non-nil, accumulates the summed work counters of the
 	// whole batch.

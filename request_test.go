@@ -38,8 +38,8 @@ type searchAPI struct {
 	// snaps is the number of snapshots a request spans (its trace's
 	// span count).
 	snaps int
-	// doChained is do with the read dealt onto one stripe, whatever the
-	// host's: the way an exact batch answers each of its queries.
+	// doChained is do with the read held to one stripe, whatever the
+	// host's: the way a batch answers each of its queries.
 	doChained func(SearchRequest) ([]Result, error)
 }
 
@@ -62,17 +62,23 @@ func requestFixturesWith(t *testing.T, ds *Dataset, opts Options, keywordFilter 
 			doChained: flat.Do},
 	}
 	for _, p := range []int{1, 4} {
-		s := mustBuildSharded(t, ds, p, opts)
-		if keywordFilter {
-			s.EnableKeywordFilter()
-		}
-		apis = append(apis, searchAPI{
-			name: fmt.Sprintf("sharded-P%d", p), do: s.Do, doBatch: s.DoBatch, doCtx: s.DoContext, setSink: s.SetTraceSink, del: s.Delete,
-			enableCache: s.EnableResultCache, snaps: p,
-			doChained: func(req SearchRequest) ([]Result, error) { return doStriped(s, 1, context.Background(), req) },
-		})
+		apis = append(apis, shardedFixture(t, ds, p, opts, keywordFilter))
 	}
 	return apis
+}
+
+// shardedFixture is BuildSharded with p shards as a searchAPI.
+func shardedFixture(t *testing.T, ds *Dataset, p int, opts Options, keywordFilter bool) searchAPI {
+	t.Helper()
+	s := mustBuildSharded(t, ds, p, opts)
+	if keywordFilter {
+		s.EnableKeywordFilter()
+	}
+	return searchAPI{
+		name: fmt.Sprintf("sharded-P%d", p), do: s.Do, doBatch: s.DoBatch, doCtx: s.DoContext, setSink: s.SetTraceSink, del: s.Delete,
+		enableCache: s.EnableResultCache, snaps: p,
+		doChained: func(req SearchRequest) ([]Result, error) { return doStriped(s, 1, context.Background(), req) },
+	}
 }
 
 // TestRequestConformance is the one cross-flavor table: every request
@@ -394,41 +400,45 @@ func TestRequestConformance(t *testing.T) {
 
 	// Batches obey the same validation and answer exactly what the
 	// single-query path answers, Stats included — those of the one-stripe
-	// read for an exact batch, which chains every query through all the
-	// snapshots whatever the host's stripe count.
+	// read, which is how a batch answers each query whatever the host's
+	// stripe count: an exact one chains through all the snapshots, an
+	// approximate one merges their answers. Every worker count of the
+	// pool gives the same answers and counters, GOMAXPROCS (0) and a
+	// count the clamp may cut (3) included.
 	t.Run("batch", func(t *testing.T) {
 		queries := ds.SampleQueries(12, 9)
 		bad := append([]Object(nil), queries...)
 		bad[7].Vec = bad[7].Vec[:5]
-		for _, api := range apis {
-			for _, mod := range []func(*SearchRequest){
-				nil,
-				func(r *SearchRequest) { r.Approx = true },
-			} {
-				one := SearchRequest{K: 7, Lambda: 0.4}
-				if mod != nil {
-					mod(&one)
-				}
-				var stBatch, stSingle Stats
-				got, err := api.doBatch(BatchSearchRequest{Queries: queries, K: one.K, Lambda: one.Lambda, Approx: one.Approx,
-					Parallelism: 2, Stats: &stBatch})
-				if err != nil {
-					t.Fatalf("%s: %v", api.name, err)
-				}
-				for i := range queries {
-					one.Query, one.Stats = &queries[i], &stSingle
-					do := api.do
-					if !one.Approx {
-						do = api.doChained
+		batchAPIs := append(apis[:len(apis):len(apis)], shardedFixture(t, ds, 2, Options{Seed: 5}, false))
+		for _, api := range batchAPIs {
+			for _, approx := range []bool{false, true} {
+				for _, k := range []int{1, 7, 50} {
+					for _, lambda := range []float64{0, 0.4, 1} {
+						ctx := fmt.Sprintf("%s approx=%v k=%d λ=%v", api.name, approx, k, lambda)
+						var stSingle Stats
+						want := make([][]Result, len(queries))
+						for i := range queries {
+							var err error
+							want[i], err = api.doChained(SearchRequest{Query: &queries[i], K: k, Lambda: lambda, Approx: approx, Stats: &stSingle})
+							if err != nil {
+								t.Fatal(err)
+							}
+						}
+						for _, par := range []int{1, 2, 3, 0} {
+							var stBatch Stats
+							got, err := api.doBatch(BatchSearchRequest{Queries: queries, K: k, Lambda: lambda, Approx: approx,
+								Parallelism: par, Stats: &stBatch})
+							if err != nil {
+								t.Fatalf("%s: %v", ctx, err)
+							}
+							for i := range queries {
+								equalResults(t, fmt.Sprintf("%s parallelism=%d batch vs single", ctx, par), want[i], got[i])
+							}
+							if stBatch != stSingle {
+								t.Fatalf("%s parallelism=%d: batch stats %+v, per-query sum %+v", ctx, par, stBatch, stSingle)
+							}
+						}
 					}
-					want, err := do(one)
-					if err != nil {
-						t.Fatal(err)
-					}
-					equalResults(t, api.name+" batch vs single", want, got[i])
-				}
-				if stBatch != stSingle {
-					t.Fatalf("%s: batch stats %+v, per-query sum %+v", api.name, stBatch, stSingle)
 				}
 			}
 			for name, c := range map[string]struct {
@@ -511,9 +521,10 @@ func TestRequestConformance(t *testing.T) {
 // the exported *Search*/Do* method sets of the core index and the two
 // facade flavors must equal these allow-lists — Do* alone on the facade,
 // every query shape being a SearchRequest field — the per-flavor
-// dispatch forks the request pipeline replaced must stay gone, and so
-// must the panicking helpers of the deleted wrappers and the second
-// snapshot-published flavor — ConcurrentIndex is ShardedIndex.
+// dispatch forks the request pipeline replaced must stay gone, as must
+// the batch executors beside the one pool over execute, the panicking
+// helpers of the deleted wrappers and the second snapshot-published
+// flavor — ConcurrentIndex is ShardedIndex.
 func TestAPISurface(t *testing.T) {
 	do := []string{"Do", "DoBatch", "DoBatchContext", "DoContext"}
 	for _, c := range []struct {
@@ -522,7 +533,7 @@ func TestAPISurface(t *testing.T) {
 	}{
 		// SearchAblated is the paper-faithful reference, not an entry
 		// point of the facade.
-		{reflect.TypeOf(&core.Index{}), []string{"Search", "SearchAblated", "SearchApprox", "SearchBatch",
+		{reflect.TypeOf(&core.Index{}), []string{"Search", "SearchAblated", "SearchApprox",
 			"SearchExplainOptionsInto", "SearchOptionsInto"}},
 		{reflect.TypeOf(&Index{}), do},
 		{reflect.TypeOf(&ShardedIndex{}), do},
@@ -584,7 +595,8 @@ func TestAPISurface(t *testing.T) {
 	for name := range count {
 		switch name {
 		case "do", "doBatch", "doResolved", "doBatchResolved", "doTraced", "doBatchTraced", "doSinked", "doBatchSinked",
-			"doSnap", "doBatchSnap", "searchExact", "searchExactChainTraced", "searchApprox", "searchExplain", "chainShard":
+			"doSnap", "doBatchSnap", "searchExact", "searchExactChainTraced", "searchApprox", "searchExplain", "chainShard",
+			"executeBatch", "chainBatch":
 			t.Errorf("dispatch fork %s is back", name)
 		}
 		if strings.HasPrefix(name, "precheck") {

@@ -98,10 +98,13 @@ type view struct {
 	// the heap on every request.
 	snap   *Index
 	shards []*Index
-	// stripes is the number of goroutines a read over the shards is dealt
-	// onto: scatterDegree(len(shards)), 1 for a bare index. It is a field
-	// rather than a call in execute so that the equivalence test can run
-	// every stripe count on one host; nothing else sets it.
+	// stripes is the number of goroutines a read may occupy: GOMAXPROCS
+	// for a request, 1 for each read of a batch, whose pool already
+	// occupies the processors (see serveBatch). A read over n snapshots is
+	// dealt onto min(stripes, n) of them; a read of one snapshot may split
+	// inside it when stripes >= 2. It is a field rather than a call in
+	// execute so that a batch can hold its reads to one goroutine and the
+	// equivalence test can run every stripe count on one host.
 	stripes int
 	// token is the result cache's snapshot identity (the snapshot, or
 	// the interned per-shard snapshot vector) and snapID the
@@ -117,12 +120,12 @@ type view struct {
 }
 
 func (x *Index) view() view {
-	return view{snap: x, stripes: 1, snapID: x.snapID, sink: x.sink, flavor: "index"}
+	return view{snap: x, stripes: runtime.GOMAXPROCS(0), snapID: x.snapID, sink: x.sink, flavor: "index"}
 }
 
 func (s *ShardedIndex) view() view {
 	ep := s.epochToken()
-	return view{shards: ep.snaps, stripes: scatterDegree(len(ep.snaps)), token: ep, snapID: ep.id, cache: s.resCache.Load(), sink: s.sink.Load(), flavor: "sharded"}
+	return view{shards: ep.snaps, stripes: runtime.GOMAXPROCS(0), token: ep, snapID: ep.id, cache: s.resCache.Load(), sink: s.sink.Load(), flavor: "sharded"}
 }
 
 // n is the number of pinned snapshots and at the i-th of them.
@@ -138,16 +141,6 @@ func (v *view) at(i int) *Index {
 		return v.snap
 	}
 	return v.shards[i]
-}
-
-// each runs fn once per pinned snapshot (see scatter) and returns after
-// all finish.
-func (v *view) each(fn func(i int, snap *Index)) {
-	if v.snap != nil {
-		fn(0, v.snap)
-		return
-	}
-	scatter(v.shards, fn)
 }
 
 // resolveBudget validates the serving knobs and converts the relative
@@ -308,17 +301,17 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // read that produced its answer and depend on w alone, never on timing.
 //
 // An exact read has one shape: the n snapshots are dealt round-robin
-// onto w = v.stripes stripes, stripe g taking snapshots g, g+w, g+2w, …,
-// and every stripe is a seeded chain (see chain) — its snapshots are
-// scanned in order with the k-NN list carried from one to the next, so
-// within a stripe a snapshot starts from the bound its predecessors
-// found instead of from an empty heap. Stripe 0 runs on the caller's
+// onto w = min(v.stripes, n) stripes, stripe g taking snapshots g, g+w,
+// g+2w, …, and every stripe is a seeded chain (see chain) — its
+// snapshots are scanned in order with the k-NN list carried from one to
+// the next, so within a stripe a snapshot starts from the bound its
+// predecessors found instead of from an empty heap. Stripe 0 runs on the caller's
 // goroutine, the others on one goroutine each, and the w stripe lists
 // are k-way merged. The top-k is a pure function of the candidate set
 // (knn.Heap breaks distance ties by ID) and the shards share one metric
 // space's normalizers, so every w gives the same answer, bit for bit.
-// w = 1 — one snapshot, or a process with one scheduler thread — is one
-// chain through everything: its last link's answer IS the global top-k
+// w = 1 — one snapshot, a process with one scheduler thread, or a read
+// of a batch — is one chain through everything: its last link's answer IS the global top-k
 // and is written straight into dst, with no goroutine, no per-stripe
 // list and no merge. w = n is a plain scatter.
 //
@@ -331,8 +324,9 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // would hold, but never one of the global top-k, whose distances never
 // exceed the bound — every cut against it is strict.
 //
-// One snapshot read by a request that observes nothing, on a process
-// with a second scheduler thread, may split inside the snapshot instead
+// One snapshot read by a request that observes nothing, with a second
+// goroutine to spare (v.stripes >= 2: a second scheduler thread, and not
+// a read of a batch), may split inside the snapshot instead
 // (core.SearchOptions.Striped): an idle helper walks the same frontier
 // as a second stripe, and both push into the read's one heap and cut at
 // its k-th distance (see core's stripe.go).
@@ -342,7 +336,8 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // the per-shard CSSIA answers". Each snapshot is then a chain of its
 // own, the n of them dealt onto the same w goroutines.
 func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) (res []Result, partial bool) {
-	chains, step := v.stripes, v.stripes
+	w := min(v.stripes, v.n())
+	chains, step := w, w
 	var rs *readState
 	if opts.Approx {
 		chains, step = v.n(), v.n()
@@ -359,7 +354,7 @@ func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core
 		}
 	}
 	if chains == 1 {
-		opts.Striped = v.n() == 1 && !opts.Approx && st == nil && tr == nil && runtime.GOMAXPROCS(0) >= 2
+		opts.Striped = v.n() == 1 && v.stripes >= 2 && !opts.Approx && st == nil && tr == nil
 		res, partial = v.chain(dst, 0, step, q, k, lambda, opts, st, shardSpans(tr))
 	} else {
 		res, partial = v.mergeChains(dst, chains, step, q, k, lambda, opts, st, tr)
@@ -413,11 +408,11 @@ func (v *view) chain(out []Result, first, step int, q *Object, k int, lambda flo
 }
 
 // mergeChains runs the chains that start at snapshots 0..chains-1 on
-// v.stripes goroutines and merges their lists into dst.
+// min(v.stripes, chains) goroutines and merges their lists into dst.
 func (v *view) mergeChains(dst []Result, chains, step int, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) ([]Result, bool) {
 	// The goroutines get a copy of the view, so that the caller's — and
 	// with it every one-chain request's — stays on the stack.
-	hv, w := *v, v.stripes
+	hv, w := *v, min(v.stripes, chains)
 	lists := make([][]Result, chains)
 	cuts := make([]bool, chains)
 	var per []Stats
@@ -452,13 +447,17 @@ func (v *view) mergeChains(dst []Result, chains, step int, q *Object, k int, lam
 
 // executeKeywords answers a keyword-constrained query over the view's
 // snapshots, each of which carries the keyword filter (validate checked),
+// dealt onto min(v.stripes, n) goroutines as an approximate read's are,
 // and merges the per-snapshot answers into dst.
 func (v *view) executeKeywords(dst []Result, q *Object, k int, lambda float64, keywords []string) ([]Result, error) {
-	n := v.n()
+	hv, n := *v, v.n() // a copy for the goroutines, see mergeChains
+	w := min(v.stripes, n)
 	lists := make([][]Result, n)
 	oks := make([]bool, n)
-	v.each(func(i int, snap *Index) {
-		lists[i], oks[i] = snap.searchWithKeywords(q, k, lambda, keywords)
+	fanOut(w, func(g int) {
+		for i := g; i < n; i += w {
+			lists[i], oks[i] = hv.at(i).searchWithKeywords(q, k, lambda, keywords)
+		}
 	})
 	for _, ok := range oks {
 		// Keyword usability depends only on the keyword list, so every
@@ -480,6 +479,16 @@ func (v *view) executeKeywords(dst []Result, q *Object, k int, lambda float64, k
 // With a participating cache each query of the batch is probed
 // individually; only the misses execute (as one smaller batch against
 // the same snapshots) and their complete answers fill the cache.
+//
+// A batch is a pool of single reads: min(Parallelism, GOMAXPROCS, len)
+// workers, worker 0 on the caller's goroutine, draw queries from one
+// cursor and answer each with execute, the read Do runs. The pool
+// already occupies the processors it may use, so each read is held to
+// one goroutine (stripes = 1): an exact read chains through every
+// snapshot and shares no bound with another query, an approximate one
+// merges its per-snapshot answers, and neither splits a snapshot. Each
+// worker keeps private counters and spans, folded once at the end (see
+// foldSpan).
 func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -532,8 +541,48 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 			partials = make([]bool, len(exec))
 		}
 		tr, start := v.openTrace(nil, false, "batch", v.n(), len(exec), req.K, req.Lambda, opts, req.RequestID, req.TraceID)
-		sub, err := v.executeBatch(exec, req.K, req.Lambda, req.Parallelism, opts, req.Stats, partials, tr)
+		workers := min(runtime.GOMAXPROCS(0), len(exec))
+		if req.Parallelism > 0 {
+			workers = min(workers, req.Parallelism)
+		}
+		v.stripes = 1
+		sub := make([][]Result, len(exec))
+		var per []Stats
+		var traces []SearchTrace // one private trace per worker, folded into tr
 		if tr != nil {
+			traces = make([]SearchTrace, workers)
+		} else if req.Stats != nil {
+			per = make([]Stats, workers)
+		}
+		var next atomic.Int64
+		fanOut(workers, func(w int) {
+			var pst *Stats
+			if per != nil {
+				pst = &per[w]
+			}
+			var wtr *SearchTrace
+			if traces != nil {
+				wtr = &traces[w]
+				wtr.Shards = make([]SearchSpan, v.n())
+			}
+			for qi := int(next.Add(1)) - 1; qi < len(exec); qi = int(next.Add(1)) - 1 {
+				var cut bool
+				if sub[qi], cut = v.execute(nil, &exec[qi], req.K, req.Lambda, opts, pst, wtr); cut {
+					partials[qi] = true
+				}
+			}
+		})
+		gatherStats(req.Stats, per)
+		if tr != nil {
+			// Counters add up and times are the slowest worker's, as in
+			// foldSpan.
+			tr.Parallel = workers > 1
+			for w := range traces {
+				tr.GatherNanos = max(tr.GatherNanos, traces[w].GatherNanos)
+				for i := range tr.Shards {
+					foldSpan(&tr.Shards[i], &traces[w].Shards[i])
+				}
+			}
 			// The trace records the result counts summed across the
 			// batch and the largest per-query k-NN bound (each query's
 			// kth distance is its own bound, so the max is the batch's
@@ -546,10 +595,7 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 					kth = res[len(res)-1].Dist
 				}
 			}
-			v.closeTrace(tr, start, total, kth, anyTrue(partials), err, req.Stats, nil, nil)
-		}
-		if err != nil {
-			return nil, err
+			v.closeTrace(tr, start, total, kth, anyTrue(partials), nil, req.Stats, nil, nil)
 		}
 		if cache == nil {
 			out = sub
@@ -570,174 +616,17 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 	return finishCtx(ctx, out, nil)
 }
 
-// executeBatch answers the queries over the view's pinned snapshots.
-// partials, when non-nil, receives the per-query budget cuts. With tr
-// non-nil one span per snapshot is recorded: work counters and wall
-// time, plus the gather merge time.
-//
-// An exact batch parallelises over the queries and chains within a
-// query (see chainBatch). An approximate batch has no bound to carry: it
-// runs whole through each snapshot's worker pool, and each query's
-// per-snapshot lists are merged.
-func (v *view) executeBatch(queries []Object, k int, lambda float64, workers int, opts core.SearchOptions, st *Stats, partials []bool, tr *SearchTrace) ([][]Result, error) {
-	if !opts.Approx {
-		return v.chainBatch(queries, k, lambda, workers, opts, st, partials, tr), nil
+// foldSpan folds a batch worker's span w of one snapshot into the
+// batch's span sp: the work counters add up, while the times — wall and
+// phases — are those of the worker that spent longest in the snapshot,
+// so they still fit inside one another and inside the batch's wall time.
+func foldSpan(sp, w *SearchSpan) {
+	times := sp.Stats
+	if w.DurationNanos > sp.DurationNanos {
+		sp.DurationNanos, times = w.DurationNanos, w.Stats
 	}
-	n := v.n()
-
-	perShard := make([][][]Result, n)
-	errs := make([]error, n)
-	var per []Stats
-	if st != nil || tr != nil {
-		per = make([]Stats, n)
-	}
-	// Concurrent pools each write their own cut flags: a query's merged
-	// answer is partial when any snapshot cut it short.
-	var cuts [][]bool
-	if n > 1 && partials != nil {
-		cuts = make([][]bool, n)
-	}
-	run := func(i int, snap *Index) {
-		var pst *Stats
-		if per != nil {
-			pst = &per[i]
-		}
-		cut := partials
-		if cuts != nil {
-			cut = make([]bool, len(queries))
-			cuts[i] = cut
-		}
-		t0 := time.Now()
-		perShard[i], errs[i] = snap.core.SearchBatch(queries, k, lambda, workers, opts, pst, cut)
-		if tr != nil {
-			tr.Shards[i].Stats.Stats = per[i]
-			tr.Shards[i].DurationNanos = time.Since(t0).Nanoseconds()
-		}
-	}
-	v.each(run)
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	if tr == nil {
-		gatherStats(st, per)
-	}
-	if n == 1 {
-		return perShard[0], nil
-	}
-	for _, c := range cuts {
-		for qi, cut := range c {
-			if cut {
-				partials[qi] = true
-			}
-		}
-	}
-	g := time.Now()
-	out := make([][]Result, len(queries))
-	lists := make([][]Result, n)
-	for qi := range queries {
-		for si := range perShard {
-			lists[si] = perShard[si][qi]
-		}
-		out[qi] = knn.MergeSorted(make([]Result, 0, k), lists, k)
-	}
-	if tr != nil {
-		tr.Parallel = v.stripes > 1
-		tr.GatherNanos += time.Since(g).Nanoseconds()
-	}
-	return out, nil
-}
-
-// chainBatch is executeBatch's exact arm: every worker draws queries
-// from a shared cursor and answers each with one chain through all the
-// snapshots (see chain), so a query's bound from shards 0..i-1 prunes
-// shard i and a partitioned batch costs the same object-level work as a
-// flat one. The pool is the facade's rather than core.SearchBatch's
-// because a chain crosses core indexes. Like that one it never runs more
-// workers than the scheduler has processors (workers <= 0 selects that
-// many); worker 0 is the caller's goroutine. A query's anchor distances
-// are computed once for its whole chain, as in execute; a chain shares
-// no bound with another query's. A snapshot's span sums the
-// work counters over the batch and times the worker that spent longest
-// in it.
-func (v *view) chainBatch(queries []Object, k int, lambda float64, workers int, opts core.SearchOptions, st *Stats, partials []bool, tr *SearchTrace) [][]Result {
-	if maxW := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxW {
-		workers = maxW
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	hv, n := *v, v.n() // a copy for the workers, see mergeChains
-	out := make([][]Result, len(queries))
-	var per []Stats
-	var spans []SearchSpan // n private spans per worker, folded into tr below
-	if tr != nil {
-		spans = make([]SearchSpan, workers*n)
-	} else if st != nil {
-		per = make([]Stats, workers)
-	}
-	var next atomic.Int64
-	fanOut(workers, func(w int) {
-		var pst *Stats
-		if per != nil {
-			pst = &per[w]
-		}
-		var mine []SearchSpan
-		if spans != nil {
-			mine = spans[w*n : (w+1)*n]
-		}
-		var rs *readState
-		if n > 1 {
-			rs = readStates.Get().(*readState)
-			defer readStates.Put(rs)
-		}
-		o := opts
-		for {
-			qi := int(next.Add(1)) - 1
-			if qi >= len(queries) {
-				return
-			}
-			q := &queries[qi]
-			if rs != nil {
-				o.Anchors = hv.at(0).core.FillAnchorDists(&rs.anchors, q)
-			}
-			var cut bool
-			out[qi], cut = hv.chain(nil, 0, 1, q, k, lambda, o, pst, mine)
-			if cut {
-				partials[qi] = true
-			}
-		}
-	})
-	gatherStats(st, per)
-	for j := range spans {
-		sp := &tr.Shards[j%n]
-		sp.Stats.Stats.Add(&spans[j].Stats.Stats)
-		sp.DurationNanos = max(sp.DurationNanos, spans[j].DurationNanos)
-	}
-	if tr != nil {
-		tr.Parallel = workers > 1
-	}
-	return out
-}
-
-// scatter runs fn once per pinned snapshot and returns after all
-// finish. fn must confine itself to its snapshot index's slots in any
-// shared output slices.
-//
-// Fan-out is capped at the scheduler's processor count: spawning P
-// goroutines on fewer than P processors buys no parallelism but
-// multiplies the call's scheduler share P-fold, starving concurrent
-// writers, and pays P goroutine launches per call. Below the cap,
-// snapshots are striped over scatterDegree(P) goroutines, the caller's
-// among them; with one processor the whole scatter runs inline. Results
-// are identical either way — fn writes only to its own slot, and the
-// gather step orders by (distance, ID) regardless of completion order.
-func scatter(snaps []*Index, fn func(i int, snap *Index)) {
-	w := scatterDegree(len(snaps))
-	fanOut(w, func(g int) {
-		for i := g; i < len(snaps); i += w {
-			fn(i, snaps[i])
-		}
-	})
+	sp.Stats.Merge(&w.Stats)
+	sp.Stats.OrderNanos, sp.Stats.ScanNanos, sp.Stats.DeltaNanos = times.OrderNanos, times.ScanNanos, times.DeltaNanos
 }
 
 // fanOut runs fn(0), …, fn(w-1) concurrently — fn(0) on the calling
@@ -764,20 +653,6 @@ func fanOut(w int, fn func(g int)) {
 	if r := panicked.Load(); r != nil {
 		panic(*r)
 	}
-}
-
-// scatterDegree is the stripe count of a read over p snapshots — the
-// number of goroutines it is dealt onto: min(p, GOMAXPROCS), at least 1.
-// GOMAXPROCS rather than the machine's CPU count: a process confined to
-// one scheduler thread gains nothing from goroutines, and should chain.
-func scatterDegree(p int) int {
-	if w := runtime.GOMAXPROCS(0); w < p {
-		p = w
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // gatherStats folds per-shard work counters into the caller's Stats.

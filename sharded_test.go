@@ -602,8 +602,8 @@ func TestShardedUnanchoredRows(t *testing.T) {
 }
 
 // doStriped is s.DoContext with the read dealt onto w stripes instead
-// of the host's scatterDegree: the stripe count is a field of the view
-// the pipeline serves from, never a request option.
+// of the host's GOMAXPROCS: the stripe count is a field of the view the
+// pipeline serves from, never a request option.
 func doStriped(s *ShardedIndex, w int, ctx context.Context, req SearchRequest) ([]Result, error) {
 	v := s.view()
 	v.stripes = w

@@ -518,6 +518,35 @@ func TestStripedNeverAtOneProc(t *testing.T) {
 	}
 }
 
+// TestStripedNeverInBatch pins the batch rule: a batch's pool already
+// occupies the processors, so each of its reads is held to one stripe.
+// An unobserved exact DoBatch with a second scheduler thread to spare
+// offers no stripe, on a bare *Index or through ShardedFrom, and answers
+// what the one-stripe reads do.
+func TestStripedNeverInBatch(t *testing.T) {
+	ds := testDataset(t, 400)
+	queries := ds.SampleQueries(16, 67)
+	x := mustBuild(t, ds, Options{Seed: 53})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for name, doBatch := range map[string]func(BatchSearchRequest) ([][]Result, error){
+		"bare":        x.DoBatch,
+		"ShardedFrom": ShardedFrom(mustBuild(t, ds, Options{Seed: 53})).DoBatch,
+	} {
+		log, hooked := forceStripes(t, helperFree, nil, nil)
+		got, err := doBatch(BatchSearchRequest{Queries: queries, K: 10, Lambda: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range queries {
+			want := x.core.SearchOptionsInto(nil, &queries[i], 10, 0.5, core.SearchOptions{}, nil)
+			equalResults(t, fmt.Sprintf("%s q%d", name, i), want, got[i])
+		}
+		if hooked && log.offered.Load() != 0 {
+			t.Fatalf("%s: %d batch reads offered a stripe", name, log.offered.Load())
+		}
+	}
+}
+
 // TestStripedCountedReadsOneStripe pins the counted-read rule: a request
 // that asks for work counters — Stats, Explain or Trace — gets the
 // one-stripe read, so its counters equal core.SearchOptionsInto's

@@ -46,19 +46,39 @@ func timingIndex(t *testing.T, size, dim, n int) (*cssi.Index, []cssi.Object) {
 	return idx, ds.SampleQueries(n, 12)
 }
 
+// pairedOverhead runs workload(true) and workload(false) back to back in
+// pairs of alternating order, so both arms see the same host, and
+// returns the median of the per-pair on/off ratios less 1, in percent.
+func pairedOverhead(pairs int, workload func(on bool) time.Duration) float64 {
+	ratios := make([]float64, 0, pairs)
+	for trial := 0; trial < pairs; trial++ {
+		first := trial%2 == 0
+		a, b := workload(first), workload(!first)
+		on, off := a, b
+		if !first {
+			on, off = b, a
+		}
+		ratios = append(ratios, float64(on)/float64(off))
+	}
+	sort.Float64s(ratios)
+	return 100 * ((ratios[(pairs-1)/2]+ratios[pairs/2])/2 - 1)
+}
+
 // TestExplainOverhead times the same exact workload (1,000 objects,
 // n = 32, 200 queries, k = 10) through Do with and without
-// SearchRequest.Explain. Each mode keeps its fastest of 5 alternating
-// trials; collecting the explain counters may cost at most 5 %. An
-// explained read is never striped and a bare Do may be, so the test
-// runs under GOMAXPROCS(1), where neither is: the two arms then differ
-// by the counters alone.
+// SearchRequest.Explain, in 80 pairs of alternating order; the median
+// explained/bare ratio may exceed 1 by at most 5 %. An explained read is
+// never striped and a bare Do may be, so the test runs under
+// GOMAXPROCS(1), where neither is: the two arms then differ by the
+// counters alone.
 func TestExplainOverhead(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	idx, queries := timingIndex(t, 1000, 32, 200)
 	dst := make([]cssi.Result, 0, 10)
 	var es cssi.ExplainStats
-	workload := func(explain bool) {
+	workload := func(explain bool) time.Duration {
+		runtime.GC()
+		start := time.Now()
 		for qi := range queries {
 			req := cssi.SearchRequest{Query: &queries[qi], K: 10, Lambda: 0.5, Dst: dst[:0]}
 			if explain {
@@ -69,24 +89,14 @@ func TestExplainOverhead(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		return time.Since(start)
 	}
 	workload(false) // warm the scratch pool on both paths
 	workload(true)
 
-	best := map[bool]time.Duration{}
-	for trial := 0; trial < 5; trial++ {
-		for _, explain := range []bool{false, true} {
-			runtime.GC()
-			start := time.Now()
-			workload(explain)
-			if d := time.Since(start); trial == 0 || d < best[explain] {
-				best[explain] = d
-			}
-		}
-	}
-	overhead := 100 * (float64(best[true])/float64(best[false]) - 1)
-	nq := time.Duration(len(queries))
-	t.Logf("explain off %v/query, on %v/query: %+.2f%%", best[false]/nq, best[true]/nq, overhead)
+	const pairs = 80
+	overhead := pairedOverhead(pairs, workload)
+	t.Logf("explain overhead %+.2f%% (median of %d paired ratios)", overhead, pairs)
 	if overhead > 5 {
 		t.Errorf("Explain costs %.2f%% over a bare Do, want <= 5%%", overhead)
 	}
@@ -128,19 +138,8 @@ func TestTracerOverhead(t *testing.T) {
 	workload(true)
 
 	const pairs = 40
-	ratios := make([]float64, 0, pairs)
-	for trial := 0; trial < pairs; trial++ {
-		first := trial%2 == 0
-		a, b := workload(first), workload(!first)
-		on, off := a, b
-		if !first {
-			on, off = b, a
-		}
-		ratios = append(ratios, float64(on)/float64(off))
-	}
+	overhead := pairedOverhead(pairs, workload)
 	idx.SetTraceSink(nil)
-	sort.Float64s(ratios)
-	overhead := 100 * ((ratios[pairs/2-1]+ratios[pairs/2])/2 - 1)
 	seen, retained, _ := sink.Counts()
 	t.Logf("tracer overhead %+.2f%% (median of %d paired ratios), traces seen %d, retained %d", overhead, pairs, seen, retained)
 	if overhead > 5 {

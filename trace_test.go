@@ -3,6 +3,7 @@ package cssi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -88,40 +89,74 @@ func TestTracedResultsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestTracedBatchBitIdentical pins the traced batch, exact and CSSIA, at
+// one worker and at two: the answers and Stats are the untraced batch's;
+// the trace is retained under the stamped request ID with a sound span
+// tree; every span that examined a cluster carries the phase times and
+// cluster count a single read's span does; the spans' counters sum to
+// the batch's Stats; and the trace is parallel exactly when more than
+// one worker ran.
 func TestTracedBatchBitIdentical(t *testing.T) {
 	ds, traced, plain, sinks := traceFixtures(t)
 	queries := make([]Object, 12)
 	for i := range queries {
 		queries[i] = ds.Objects[i*11%len(ds.Objects)]
 	}
-	req := BatchSearchRequest{Queries: queries, K: 6, Lambda: 0.4, Parallelism: 2}
 	for i := range traced {
-		req.RequestID = fmt.Sprintf("batch%011x", i)
-		got, err := traced[i].doBatch(req)
-		if err != nil {
-			t.Fatalf("%s: %v", traced[i].name, err)
-		}
-		req.RequestID = ""
-		want, err := plain[i].doBatch(req)
-		if err != nil {
-			t.Fatalf("%s untraced: %v", plain[i].name, err)
-		}
-		for q := range got {
-			for j := range got[q] {
-				if got[q][j] != want[q][j] {
-					t.Fatalf("%s query %d result %d: %+v != %+v", traced[i].name, q, j, got[q][j], want[q][j])
+		for ri, approx := range []bool{false, true} {
+			for _, par := range []int{1, 2} {
+				ctx := fmt.Sprintf("%s approx=%v parallelism=%d", traced[i].name, approx, par)
+				var stTraced, stPlain Stats
+				req := BatchSearchRequest{Queries: queries, K: 6, Lambda: 0.4, Approx: approx, Parallelism: par, Stats: &stTraced,
+					RequestID: fmt.Sprintf("batch%03x%04x%04x", i, ri, par)}
+				got, err := traced[i].doBatch(req)
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				req.RequestID, req.Stats = "", &stPlain
+				want, err := plain[i].doBatch(req)
+				if err != nil {
+					t.Fatalf("%s untraced: %v", ctx, err)
+				}
+				for q := range got {
+					equalResults(t, fmt.Sprintf("%s query %d", ctx, q), want[q], got[q])
+				}
+				if stTraced != stPlain {
+					t.Fatalf("%s: traced Stats %+v, untraced %+v", ctx, stTraced, stPlain)
+				}
+				tr := sinks[i].Ring().Lookup(fmt.Sprintf("batch%03x%04x%04x", i, ri, par))
+				if tr == nil {
+					t.Fatalf("%s: batch trace not retained", ctx)
+				}
+				if tr.Op != "batch" || tr.Queries != len(queries) || len(tr.Shards) != traced[i].snaps {
+					t.Fatalf("%s: batch trace op=%q queries=%d spans=%d", ctx, tr.Op, tr.Queries, len(tr.Shards))
+				}
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("%s batch trace: %v", ctx, err)
+				}
+				var sum Stats
+				examined := 0
+				for _, sp := range tr.Shards {
+					sum.Add(&sp.Stats.Stats)
+					if sp.Stats.ClustersExamined == 0 {
+						continue
+					}
+					examined++
+					if sp.Stats.ClustersTotal <= 0 || sp.Stats.OrderNanos+sp.Stats.ScanNanos <= 0 {
+						t.Fatalf("%s: shard %d span has clustersTotal %d, order+scan %d ns", ctx, sp.Shard, sp.Stats.ClustersTotal,
+							sp.Stats.OrderNanos+sp.Stats.ScanNanos)
+					}
+				}
+				if examined == 0 {
+					t.Fatalf("%s: no span examined a cluster", ctx)
+				}
+				if sum != stTraced {
+					t.Fatalf("%s: spans sum to %+v, batch Stats %+v", ctx, sum, stTraced)
+				}
+				if workers := min(par, runtime.GOMAXPROCS(0)); tr.Parallel != (workers > 1) {
+					t.Fatalf("%s: parallel=%v with %d workers", ctx, tr.Parallel, workers)
 				}
 			}
-		}
-		tr := sinks[i].Ring().Lookup(fmt.Sprintf("batch%011x", i))
-		if tr == nil {
-			t.Fatalf("%s: batch trace not retained", traced[i].name)
-		}
-		if tr.Op != "batch" || tr.Queries != len(queries) {
-			t.Fatalf("%s: batch trace op=%q queries=%d", traced[i].name, tr.Op, tr.Queries)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("%s batch trace: %v", traced[i].name, err)
 		}
 	}
 }
