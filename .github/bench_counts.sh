@@ -10,9 +10,8 @@
 # — so a difference means the change altered how much work a search
 # does. A change that does so on purpose commits the new values with
 # --update and says so; anything else is a regression to look at.
-# rw-sharded runs under GOMAXPROCS=2: a sharded read is dealt onto
-# min(shards, GOMAXPROCS) stripes and carries its bound within a stripe,
-# so its counts depend on that number — and on nothing else of the host.
+# The count pass asks for Explain, so every read in it is one stripe and
+# its counts do not depend on GOMAXPROCS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,9 +22,7 @@ got=.bench_build/bench_counts.got
 : >"$got"
 
 for w in exact-flat approx-yelp-batch http-hotcold rw-sharded; do
-  procs=
-  [ "$w" = rw-sharded ] && procs=GOMAXPROCS=2
-  out=$(env $procs bash bench/run.sh --workload "$w" --seed 1 --quick --trace 1)
+  out=$(bash bench/run.sh --workload "$w" --seed 1 --quick --trace 1)
   grep -E "$counts" <<<"$out" | awk -v w="$w" '{print w, $1, $2}' >>"$got"
 done
 

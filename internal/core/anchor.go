@@ -20,7 +20,7 @@ import (
 // although they are nowhere near the query. The index therefore keeps K
 // anchor points in the original space and, for every stored row o, the
 // id a_o of one anchor and the normalized distance d_o = dt(o, a_o). A
-// query computes dq[a] = dt(q, a) for the K anchors once (AnchorDists),
+// query computes dq[a] = dt(q, a) for the K anchors once (queryAnchors),
 // and the reverse triangle inequality
 //
 //	dt(q,o) ≥ |dt(q,a_o) − dt(o,a_o)| = |dq[a_o] − d_o|
@@ -161,22 +161,22 @@ func (x *Index) appendAnchorRow() {
 	aa.dist = append(aa.dist, 0)
 }
 
-// AnchorDists is one query's normalized distances to one anchor set.
+// queryAnchors is one query's normalized distances to one anchor set.
 // A read fills one per query, lazily, in its scratch; a read that spans
-// several snapshots may fill one up front (FillAnchorDists) and hand it
-// to each of them (SearchOptions.Anchors), and a snapshot whose anchor
-// set and semantic normalizer are the ones it was filled for reads it
-// instead of computing its own. Entries from the set's size up are
+// several snapshots fills one up front for its first snapshot's set
+// (SearchShardsInto) and hands it to each of them, and a snapshot whose
+// anchor set and semantic normalizer are the ones it was filled for
+// reads it instead of computing its own. Entries from the set's size up are
 // never written and stay 0 — dq[anchorSentinel] in particular.
-type AnchorDists struct {
+type queryAnchors struct {
 	set   *Anchors
 	dtMax float64
 	dq    [anchorSentinel + 1]float64
 }
 
-// FillAnchorDists computes q's distances to x's anchor set into ad and
+// fillAnchorDists computes q's distances to x's anchor set into ad and
 // returns ad.
-func (x *Index) FillAnchorDists(ad *AnchorDists, q *dataset.Object) *AnchorDists {
+func (x *Index) fillAnchorDists(ad *queryAnchors, q *dataset.Object) *queryAnchors {
 	ad.set, ad.dtMax = x.anchors.set, x.space.DtMax
 	for a, pt := range ad.set.pts {
 		ad.dq[a] = x.space.SemanticVec(q.Vec, pt)
@@ -188,12 +188,12 @@ func (x *Index) FillAnchorDists(ad *AnchorDists, q *dataset.Object) *AnchorDists
 // query, on the first cluster scan that gates: the read's shared vector
 // when it was filled for this set and normalizer, else the scratch's
 // own, filled now.
-func (x *Index) anchorDists(sc *searchScratch, q *dataset.Object) *AnchorDists {
+func (x *Index) anchorDists(sc *searchScratch, q *dataset.Object) *queryAnchors {
 	if sc.anchorQ == nil {
 		if ad := sc.anchorShared; ad != nil && ad.set == x.anchors.set && ad.dtMax == x.space.DtMax {
 			sc.anchorQ = ad
 		} else {
-			sc.anchorQ = x.FillAnchorDists(&sc.anchorOwn, q)
+			sc.anchorQ = x.fillAnchorDists(&sc.anchorOwn, q)
 		}
 	}
 	return sc.anchorQ

@@ -151,7 +151,7 @@ func FuzzAnchorGatePass(f *testing.F) {
 		x := &Index{space: sp, xArena: []float64{ox}, yArena: []float64{oy},
 			anchors: &anchorArena{set: set, id: []uint8{0}, dist: []float32{float32(d)}}}
 		c := &hybrid{elems: []element{{idx: 0, ds: math.Inf(1), dt: 0}}, headDs: math.Inf(1)}
-		ad := &AnchorDists{set: set, dtMax: sp.DtMax}
+		ad := &queryAnchors{set: set, dtMax: sp.DtMax}
 		ad.dq[0] = dq
 		sc := &searchScratch{anchorShared: ad}
 		q := &dataset.Object{X: qx, Y: qy}
@@ -632,18 +632,15 @@ func TestAnchorsSurviveMaintenance(t *testing.T) {
 }
 
 // Every visited row is either skipped by the gate or costs exactly one
-// semantic kernel. A seed that fills the heap up front makes every
-// cluster scan a bounded one.
+// semantic kernel. A radius bounds the read from the start, so every
+// cluster scan is a bounded one.
 func TestAnchorStatsPartitionVisited(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 1500, Config{Seed: 185})
-	seed := make([]knn.Result, 10)
-	for i := range seed {
-		seed[i] = knn.Result{ID: uint32(2_000_000 + i), Dist: 0.3}
-	}
+	r := 0.3
 	var st metric.Stats
 	for qi := 0; qi < 20; qi++ {
 		q := f.ds.Objects[(qi*37+5)%f.ds.Len()]
-		f.idx.SearchOptionsInto(nil, &q, len(seed), 0.5, SearchOptions{Seed: seed}, &st)
+		f.idx.SearchOptionsInto(nil, &q, 10, 0.5, SearchOptions{Radius: &r}, &st)
 	}
 	if st.VisitedObjects == 0 || st.AnchorPruned == 0 || st.SemanticDistCalcs == 0 {
 		t.Fatalf("degenerate run: %+v", st)

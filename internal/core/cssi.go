@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/knn"
 	"repro/internal/metric"
+	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
@@ -137,25 +138,93 @@ func (x *Index) orderByBound(sc *searchScratch, q *dataset.Object, lambda float6
 	return x.startFrontier(sc, q, 1-lambda, sc.dtq, x.tRad, true)
 }
 
-// searchWithSeed is the exact CSSI algorithm on a drawn scratch, with
-// the k-NN heap pre-loaded from seed (see SearchOptions.Seed). With b
-// non-nil the read shares that k-th bound with other reads of one query
-// (SearchOptions.Bound). With striped set the frontier walk is offered
-// to an idle helper as a second stripe (see stripe.go); the two stripes
-// then fill the one heap and cut at its bound, and b is unused. The
-// answer is the same either way.
-func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dataset.Object, k int, lambda float64, striped bool, b *Bound, st *metric.Stats) []knn.Result {
-	h := &sc.heap
-	h.Reset(k)
-	for _, r := range seed {
-		h.Push(r)
-	}
-	var j *stripeJob
+// read answers q over xs — one snapshot, or several holding disjoint
+// rows of one metric space — into sc's heap, reset to k, visiting each
+// snapshot's frontier and then its overlay with the heap carried from
+// one to the next, so a snapshot starts from the k-th distance those
+// before it found. With striped set the read is offered to an idle
+// helper as a second stripe (see stripe.go); the stripes then fill the
+// one heap and cut at its bound, and the answer is the same; read
+// reports whether the helper took a stripe. spans, when non-nil, has one
+// entry per snapshot and takes its internals, the k-th distance the heap
+// held once it was walked, and its wall time; st the work counters
+// otherwise.
+func read(sc *searchScratch, xs []*Index, q *dataset.Object, lambda float64, striped bool, spans []obs.ShardSpan, st *metric.Stats) bool {
 	if striped {
 		// Offered before ordering, so the helper's wake-up overlaps it.
-		j = x.offerStripe(sc, q, lambda)
-		b = nil
+		if j := offerStripe(sc, xs, q, lambda, spans); j != nil {
+			return j.callerStripe()
+		}
 	}
+	for i, x := range xs {
+		var sp *obs.ShardSpan
+		if spans != nil {
+			sp = &spans[i]
+		}
+		if x.visit(sc, i, false, q, lambda, nil, false, true, sp, st) {
+			sc.partial = true
+		}
+	}
+	return false
+}
+
+// visit walks snapshot i, x, of the read on sc for one stripe (see
+// walkSnapshot; into sc's heap unless sh is set): on sc itself for the
+// caller's walk of snapshot 0, whose pool sc came from, else on a
+// scratch drawn from x's pool with the read's budget, restriction and
+// anchor distances. With sp non-nil the walk's internals accumulate into
+// it instead of st, with the k-th distance the read's heap holds once
+// the walk ends (the distance of its worst held result) and the walk's
+// wall time. visit reports whether a budget cut ended the walk.
+func (x *Index) visit(sc *searchScratch, i int, helper bool, q *dataset.Object, lambda float64, sh *stripeJob, chunked, delta bool, sp *obs.ShardSpan, st *metric.Stats) bool {
+	var start time.Time
+	if sp != nil {
+		start = time.Now()
+	}
+	w := sc
+	if i != 0 || helper {
+		w = x.getScratch()
+		w.deadline, w.cancel, w.budgeted, w.rs, w.approx = sc.deadline, sc.cancel, sc.budgeted, sc.rs, sc.approx
+		w.anchorShared, w.helper = sc.anchorShared, helper
+		if sh == nil {
+			w.obs = sc.obs // an Explain read's, on one stripe
+		}
+		defer x.putScratch(w)
+	}
+	if sp != nil {
+		w.obs, st = &sp.Stats, &sp.Stats.Stats
+	}
+	h := &sc.heap
+	if sh != nil {
+		h = nil
+	}
+	x.walkSnapshot(w, q, lambda, h, sh, chunked, delta, st)
+	if sp != nil {
+		if sh != nil {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+		}
+		if held := sc.heap.Items(); len(held) > 0 {
+			sp.Stats.KthDistance = held[0].Dist
+		}
+		sp.DurationNanos += time.Since(start).Nanoseconds()
+	}
+	return w.partial
+}
+
+// walkSnapshot is one snapshot's part of a read on sc (Alg. 2): it
+// orders the frontier, walks it, and, with delta set, chains the write
+// overlay's live inserts onto the same heap (a no-op on flat snapshots).
+// Exactness is unchanged: the final heap is a pure function of the
+// offered candidate set, the base walk offered every live base
+// candidate not provably excluded, and scanDelta offers every live
+// overlay candidate not provably excluded. A CSSIA read chains them the
+// same way: only its base walk is approximate, so the projected
+// distances it kept are dropped before the overlay pushes. On a stripe
+// of sh, h is nil and the walk pushes into and cuts at sh's one heap,
+// claiming frontier positions in chunks when chunked is set (see
+// walkFrontier).
+func (x *Index) walkSnapshot(sc *searchScratch, q *dataset.Object, lambda float64, h *knn.Heap, sh *stripeJob, chunked, delta bool, st *metric.Stats) {
 	var phase time.Time
 	if sc.obs != nil {
 		phase = time.Now()
@@ -166,58 +235,39 @@ func (x *Index) searchWithSeed(sc *searchScratch, dst, seed []knn.Result, q *dat
 		sc.obs.OrderNanos += time.Since(phase).Nanoseconds()
 		phase = time.Now()
 	}
-
-	if j != nil {
-		x.walkStriped(sc, f, q, lambda, j)
-	} else {
-		x.walkFrontier(sc, f, q, lambda, h, b, nil, st)
-	}
+	x.walkFrontier(sc, f, q, lambda, h, sh, chunked, st)
 	if sc.obs != nil {
 		sc.obs.ScanNanos += time.Since(phase).Nanoseconds()
 	}
-	// Chain the write overlay's live inserts onto the same heap (a no-op
-	// on flat snapshots). Exactness is unchanged: the final heap is a
-	// pure function of the offered candidate set, the base scan offered
-	// every live base candidate not provably excluded, and scanDelta
-	// offers every live overlay candidate not provably excluded. A CSSIA
-	// read chains them the same way: only its base walk is approximate,
-	// so the projected distances it kept are dropped before the overlay
-	// pushes.
-	h.DropAux()
-	ub := sc.rs.radius
-	if b != nil {
-		ub = b.Load()
+	if delta {
+		if sc.approx {
+			h.DropAux()
+		}
+		x.scanDelta(sc, q, lambda, h, sh, st)
 	}
-	x.scanDelta(sc, q, lambda, h, ub, st)
-	return h.AppendSorted(dst)
 }
 
 // walkFrontier is the frontier loop of Alg. 2: it scans clusters in
 // ascending lower bound into h until the head's bound exceeds the k-th
-// distance capped by the read's radius. With b non-nil the cap is that
-// shared bound instead (it starts at the radius), which the loop lowers
-// to h's k-th distance after every scanned cluster. With sh non-nil it is
-// one stripe of a striped read, and h and b are nil: it scans only the
-// frontier positions it claims from sh, pops the others unscanned, and
-// pushes into and cuts at sh's one heap (see kth). With sh nil every
-// position is its own.
+// distance capped by the read's radius. With sh non-nil it is one stripe
+// of a striped read, and h is nil: it pushes into and cuts at sh's one
+// heap (see kth), and, with chunked set, scans only the frontier
+// positions it claims from sh and pops the others unscanned. Otherwise
+// every position is its own.
 //
 // A CSSIA read stops instead at Alg. 3's one approximate step: the heap
 // is full and the head's projected bound reaches U', the largest
 // projected distance held (§5.3). Non-strict, as in the paper: at λ = 0
 // a query that is a stored object has U' = 0, and a strict cut would scan
 // every cluster whose projected ball holds it.
-func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, b *Bound, sh *stripeJob, st *metric.Stats) {
+func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, h *knn.Heap, sh *stripeJob, chunked bool, st *metric.Stats) {
 	// Positions [lo, hi) are this stripe's current claim; pos is the
 	// frontier position of the next pop.
 	pos, lo, hi := int32(0), int32(0), int32(math.MaxInt32)
-	shared := sc.rs.radius
-	if b != nil {
-		shared = b.Load()
-	}
-	if sh != nil {
+	if chunked {
 		hi = 0
 	}
+	radius := sc.rs.radius
 	for {
 		c, lb, ok := f.peek()
 		if !ok {
@@ -227,7 +277,7 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 			if h.Full() && lb >= h.MaxAux() {
 				break
 			}
-		} else if u, full := kth(h, shared, sh); full && lb > u {
+		} else if u, full := kth(h, radius, sh); full && lb > u {
 			// Pruning property 1 (Lemma 4.4): lb is the smallest true
 			// bound among the clusters not yet examined. Strict, like
 			// every cut below: an object tying the k-th distance at its
@@ -241,24 +291,27 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 			// deadline.go), reported through SearchOptions.Partial.
 			return
 		}
-		f.pop(c, st)
 		if pos >= hi {
 			lo, hi = sh.claim(sc)
 		}
 		if pos++; pos <= lo {
-			continue // another stripe's position
+			f.pop(c, nil) // another stripe's position
+			continue
 		}
+		f.pop(c, st)
 		if st != nil {
 			st.ClustersOrdered++
 		}
-		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, shared, sh, st)
-		if b != nil {
-			shared = b.lower(h)
-		}
+		x.scanCluster(sc, q, lambda, c, sc.dsq[c.s], x.centroidDist(sc, q, c.t), h, radius, sh, st)
 	}
 	// Every cluster the frontier did not hand out was pruned, by the cut
-	// or by the window.
-	f.chargePruned(st)
+	// or by the window; on the last snapshot of a striped read the join
+	// charges what neither stripe examined.
+	if chunked {
+		sh.charge(f, st)
+	} else {
+		f.chargePruned(st)
+	}
 }
 
 // scanCluster examines the objects of one hybrid cluster (Alg. 2 lines
@@ -270,12 +323,11 @@ func (x *Index) walkFrontier(sc *searchScratch, f *sideFrontier, q *dataset.Obje
 // the rows whose anchor cut holds at the bound the scan starts with; the
 // loop below runs on the rows it kept, whose vectors it prefetches
 // first, so their misses overlap. ub caps the heap's k-th distance
-// with a bound found elsewhere (the read's radius, another chain's;
-// +Inf for none); every cut against it is strict, like the cuts against
-// the heap's own. On a stripe of a striped read, h is nil and sh's one
-// heap takes the pushes and sets every cut (see kth). A row the read's
-// restriction rejects is charged like a cut one, and a row beyond the
-// radius is never pushed.
+// with the read's radius (+Inf for none); every cut against it is
+// strict, like the cuts against the heap's own. On a stripe of a striped
+// read, h is nil and sh's one heap takes the pushes and sets every cut
+// (see kth). A row the read's restriction rejects is charged like a cut
+// one, and a row beyond the radius is never pushed.
 func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsqC, dtqC float64, h *knn.Heap, ub float64, sh *stripeJob, st *metric.Stats) {
 	if st != nil {
 		st.ClustersExamined++
@@ -357,10 +409,8 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 			switch {
 			case sc.approx:
 				x.pushApprox(sc, h, r, lambda, ds, x.projAt(e.idx))
-			case sh != nil:
-				sh.push(sc, r)
 			default:
-				h.Push(r)
+				push(sc, h, sh, r)
 			}
 		}
 	}
@@ -397,13 +447,23 @@ func abandonLimit(u, lambda, ds float64) float64 {
 	return (u - lambda*ds + abandonRelSlack*math.Abs(u)) / (1 - lambda)
 }
 
+// push offers r to the read's heap: h, or, on a stripe of sh, sh's one
+// heap.
+func push(sc *searchScratch, h *knn.Heap, sh *stripeJob, r knn.Result) {
+	if sh != nil {
+		sh.push(sc, r)
+	} else {
+		h.Push(r)
+	}
+}
+
 // kth is the bound every cut of a scan reads, and whether it bounds
 // anything: on a stripe of sh, the published bound of sh's one heap
 // (finite once the heap is full or the read has a radius); otherwise
 // cappedBound(h, ub).
 func kth(h *knn.Heap, ub float64, sh *stripeJob) (float64, bool) {
 	if sh != nil {
-		u := sh.bound.Load()
+		u := sh.bound.load()
 		return u, !math.IsInf(u, 1)
 	}
 	return cappedBound(h, ub)

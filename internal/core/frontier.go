@@ -56,8 +56,8 @@ type sideFrontier struct {
 	bOrder []float64
 	cur    frontHeap // side = s, exact = live
 
-	// popped/poppedElems count what pop handed out, so the cut charges
-	// the remainder without walking it.
+	// popped/poppedElems count what pop handed out to a counted walk of
+	// its own, so the cut charges the remainder without walking it.
 	popped      int
 	poppedElems int64
 }
@@ -176,16 +176,17 @@ func (f *sideFrontier) peek() (c *hybrid, lb float64, ok bool) {
 	return nil, 0, false
 }
 
-// pop consumes the cluster peek returned. Only a counted read (st
-// non-nil) charges its rows, for chargePruned: a stripe pops the other
-// stripe's clusters without loading their headers.
+// pop consumes the cluster peek returned. Only a counted walk (st
+// non-nil) charges it as handed out, for chargePruned: a stripe pops the
+// other stripe's clusters with st nil, without loading their headers,
+// and leaves them to the charge of the stripe that owns them.
 func (f *sideFrontier) pop(c *hybrid, st *metric.Stats) {
 	h := &f.cur[0]
 	// The key stays: later pairs of the row only have larger bounds.
 	h.pos++
 	h.exact = false
-	f.popped++
 	if st != nil {
+		f.popped++
 		f.poppedElems += int64(len(c.elems))
 	}
 }

@@ -362,12 +362,12 @@ func TestLazyVsEagerEagerBoundPath(t *testing.T) {
 	}
 }
 
-// TestLazyVsEagerSeededChained exercises the sharded single-worker
-// path: the dataset is split into disjoint partitions sharing one
-// metric space's normalizers (exactly as BuildSharded arranges), the
-// k-NN heap is chained partition to partition through SearchOptions.Seed,
-// and the chained result must equal both the flat index's answer and
-// an eager-reference chain over the same partitions.
+// TestLazyVsEagerSeededChained exercises the sharded one-stripe read:
+// the dataset is split into disjoint partitions sharing one metric
+// space's normalizers (exactly as BuildSharded arranges), one
+// SearchShardsInto read carries its k-NN heap partition to partition,
+// and its result must equal both the flat index's answer and an
+// eager-reference chain over the same partitions.
 func TestLazyVsEagerSeededChained(t *testing.T) {
 	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 1100, Dim: 32, Seed: 53})
 	if err != nil {
@@ -406,11 +406,11 @@ func TestLazyVsEagerSeededChained(t *testing.T) {
 		q := ds.Objects[rng.IntN(ds.Len())]
 		k := 1 + rng.IntN(20)
 		lambda := rng.Float64()
-		var lazy, eager []knn.Result
+		var eager []knn.Result
 		for _, x := range idxs {
-			lazy = x.SearchOptionsInto(nil, &q, k, lambda, SearchOptions{Seed: lazy}, nil)
 			eager = searchEager(x, eager, &q, k, lambda)
 		}
+		lazy := SearchShardsInto(nil, idxs, &q, k, lambda, SearchOptions{}, nil, nil)
 		want := flat.Search(&q, k, lambda, nil)
 		requireIdentical(t, "chained lazy vs flat", trial, want, lazy)
 		requireIdentical(t, "chained lazy vs chained eager", trial, eager, lazy)

@@ -353,13 +353,14 @@ func (x *Index) deltaDelete(id uint32) error {
 // ≥ lb > u and provably cannot displace an entry even on exact ties,
 // keeping base+delta results bit-identical to a compacted rebuild.
 // Surviving members pass the read's restriction and pay the same exact
-// kernel as in scanCluster, with the bound capped by ub: the read's
-// radius, or the bound it shares (SearchOptions.Bound), +Inf for none.
+// kernel as in scanCluster, with the bound capped by the read's radius
+// (+Inf for none). On a stripe of sh, h is nil and sh's one heap takes
+// the pushes and sets every cut (see kth).
 // Centroid distances are computed directly (not via the scratch memo
 // tables) because not every caller maintains the memo invariant; group
 // counts are bounded by the compaction threshold, and in practice far
 // smaller.
-func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, h *knn.Heap, ub float64, st *metric.Stats) {
+func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, h *knn.Heap, sh *stripeJob, st *metric.Stats) {
 	d := x.delta
 	if d == nil || d.liveCount == 0 {
 		return
@@ -371,7 +372,7 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 	rs := &sc.rs
 	for gi := 0; gi < d.groups.n; gi++ {
 		g := d.groups.at(gi)
-		if u, full := cappedBound(h, ub); full {
+		if u, full := kth(h, rs.radius, sh); full {
 			dsqG := x.space.SpatialXY(q.X, q.Y, x.sCentX[g.s], x.sCentY[g.s])
 			lb := lambda * (dsqG - g.maxDs)
 			if g.t >= 0 {
@@ -408,7 +409,7 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 			}
 			ds := x.space.Spatial(st, q.X, q.Y, o.X, o.Y)
 			var dt float64
-			if u, full := cappedBound(h, ub); full && lambda < 1 {
+			if u, full := kth(h, rs.radius, sh); full && lambda < 1 {
 				var ok bool
 				dt, ok = x.space.SemanticBound(st, q.Vec, o.Vec, abandonLimit(u, lambda, ds))
 				if !ok {
@@ -421,7 +422,7 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 				dt = x.space.Semantic(st, q.Vec, o.Vec)
 			}
 			if dd := metric.Combine(lambda, ds, dt); !(dd > rs.radius) {
-				h.Push(knn.Result{ID: o.ID, Dist: dd})
+				push(sc, h, sh, knn.Result{ID: o.ID, Dist: dd})
 			}
 		}
 	}

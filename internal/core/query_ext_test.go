@@ -202,8 +202,8 @@ func TestSearchInBoxAccounting(t *testing.T) {
 // The restricted reads answer what the linear scan answers over the rows
 // that pass the restriction, ID for ID: on a flat index, and chained
 // through P = 1 and P = 4 partitions that carry overlay inserts and
-// tombstones, each link seeded with the list of the links before it (the
-// facade's read of a sharded index). The radius ties the 16th distance
+// tombstones by one SearchShardsInto read (the facade's read of a
+// sharded index). The radius ties the 16th distance
 // exactly, so a row at d == r answers, and with K below the match count
 // the read returns the first K matches.
 func TestRestrictedReadsMatchScan(t *testing.T) {
@@ -257,13 +257,8 @@ func TestRestrictedReadsMatchScan(t *testing.T) {
 			live = append(live, x.collectLive()...)
 		}
 		n := len(live)
-		chain := func(q *dataset.Object, k int, lambda float64, opts SearchOptions) []knn.Result {
-			var cur []knn.Result
-			for _, x := range fx.parts {
-				opts.Seed = cur
-				cur = x.SearchOptionsInto(nil, q, k, lambda, opts, nil)
-			}
-			return cur
+		sharded := func(q *dataset.Object, k int, lambda float64, opts SearchOptions) []knn.Result {
+			return SearchShardsInto(nil, fx.parts, q, k, lambda, opts, nil, nil)
 		}
 		oracle := func(q *dataset.Object, k int, lambda float64, keep func(o *dataset.Object) bool) []knn.Result {
 			sub := &dataset.Dataset{Dim: ds.Dim}
@@ -293,15 +288,15 @@ func TestRestrictedReadsMatchScan(t *testing.T) {
 				}
 				for _, k := range []int{len(inRange), len(inRange) + 5, 3} {
 					identicalResults(t, fmt.Sprintf("%s range k=%d", ctx, k), inRange[:min(k, len(inRange))],
-						chain(&q, k, lambda, SearchOptions{Radius: &r}))
+						sharded(&q, k, lambda, SearchOptions{Radius: &r}))
 				}
 				for _, k := range []int{1, 10, n + 5} {
 					identicalResults(t, fmt.Sprintf("%s window k=%d", ctx, k),
 						oracle(&q, k, lambda, func(o *dataset.Object) bool { return w.contains(o.X, o.Y) }),
-						chain(&q, k, lambda, SearchOptions{Window: &w}))
+						sharded(&q, k, lambda, SearchOptions{Window: &w}))
 				}
 				identicalResults(t, ctx+" allow", oracle(&q, 10, lambda, func(o *dataset.Object) bool { return allow(o.ID) }),
-					chain(&q, 10, lambda, SearchOptions{Allow: allow}))
+					sharded(&q, 10, lambda, SearchOptions{Allow: allow}))
 			}
 		}
 	}

@@ -37,15 +37,18 @@ type searchScratch struct {
 	// heap collects the k best results; a CSSIA read carries each one's
 	// projected distance in its companion column.
 	heap knn.Heap
-	// stripe is the helper's half of a striped exact read (stripe.go).
+	// stripe is the helper's half of a striped exact read (stripe.go),
+	// and helper marks a helper's scratch.
 	stripe stripeJob
+	helper bool
 	// anchorQ is the query's distances to the index's anchor set (see
 	// anchor.go), nil until the first gated cluster scan of a query sets
-	// it: to anchorShared, the exact read's SearchOptions.Anchors, when
-	// that was filled for this set, else to anchorOwn, filled then.
-	anchorQ      *AnchorDists
-	anchorShared *AnchorDists
-	anchorOwn    AnchorDists
+	// it: to anchorShared, the read's distances to the anchor set of its
+	// first snapshot (SearchShardsInto), when that was filled for this
+	// set, else to anchorOwn, filled then.
+	anchorQ      *queryAnchors
+	anchorShared *queryAnchors
+	anchorOwn    queryAnchors
 	// blk and gate are the scan block and row gate of the cluster being
 	// scanned, refilled in place per cluster (see enterCluster) so that
 	// a visit passes no 96-byte and 88-byte structs around. Their
@@ -102,6 +105,7 @@ func (x *Index) getScratch() *searchScratch {
 	sc.rs = restriction{radius: math.Inf(1)}
 	sc.approx = false
 	sc.obs = nil
+	sc.helper = false
 	return sc
 }
 

@@ -17,14 +17,14 @@ type QuantMode int
 // QuantOff is QuantMode's one value, kept for bench/ like the type.
 const QuantOff QuantMode = 1
 
-// SearchOptions is the per-call value of the k-NN entry point: the
+// SearchOptions is the per-call value of the k-NN entry points: the
 // algorithm switches plus everything else one query may carry — a time
-// budget, a bound-carrying seed, and the sinks it reports into. The
-// zero value is the paper's exact CSSI search (Alg. 2).
+// budget, a row restriction, and the sinks it reports into. The zero
+// value is the paper's exact CSSI search (Alg. 2).
 type SearchOptions struct {
 	// Approx selects CSSIA (Alg. 3) instead of exact CSSI: the same read
 	// with its frontier over projected-space bounds and one approximate
-	// stop (see walkFrontier). It ignores Seed, Striped and Bound.
+	// stop (see walkFrontier). It ignores Striped.
 	Approx bool
 	// Quant is accepted and ignored: kept for bench/ until the
 	// benchmark-only change drops the core.quantoff_p50_us and
@@ -39,17 +39,6 @@ type SearchOptions struct {
 	// once the channel is closed, with the same partial-prefix
 	// semantics as Deadline (the facade threads ctx.Done() here).
 	Cancel <-chan struct{}
-	// Seed pre-loads the k-NN heap before any cluster is examined. The
-	// entries must be real candidates whose distances are comparable to
-	// this index's (same metric space normalizers) and must not
-	// duplicate any object stored here or share storage with dst. The
-	// answer is then the exact top-k of Seed ∪ this index's objects —
-	// which is what lets a sequential scan over disjoint partitions
-	// chain the call shard to shard, carrying the pruning bound forward:
-	// each shard starts with the tightest bound discovered so far, so
-	// the partitioned scan does the same total pruning work as one flat
-	// index. Exact path only: an Approx read ignores it.
-	Seed []knn.Result
 	// Explain, when non-nil, accumulates the query's search-internals
 	// trace: clusters ordered/examined/pruned, objects visited vs
 	// pruned, early-abandon kernel exits, per-phase wall time, and the
@@ -57,38 +46,23 @@ type SearchOptions struct {
 	// collection only reads what the algorithms already compute. The
 	// work counters then accumulate into Explain.Stats and the st
 	// argument is ignored. Callers that retain one across queries
-	// should Reset it first.
+	// should Reset it first. SearchShardsInto takes spans instead.
 	Explain *obs.SearchStats
 	// Partial, when non-nil, is set to whether the query stopped at its
 	// budget before proving completeness: the results are then the exact
 	// top-k of the candidates examined so far — an admissible prefix —
 	// but closer objects may remain unvisited.
 	Partial *bool
-	// Striped offers an exact read's frontier walk to an idle helper
-	// goroutine as a second stripe (see stripe.go). The answer is the same
-	// either way; the work counters are not — they depend on timing — so a
-	// read that collects them (st or Explain) is never striped, and
-	// neither is an Approx read. Only the facade's one-snapshot exact read
-	// sets it.
+	// Striped offers an exact read to an idle helper goroutine as a
+	// second stripe (see stripe.go). The answer is the same either way;
+	// the work counters are not — they depend on timing — so a read that
+	// collects them (st or Explain) is never striped, and neither is an
+	// Approx read. The facade sets it on the exact reads of a request
+	// that collects no counters.
 	Striped bool
-	// Bound, when non-nil, is a k-th distance bound the exact read shares
-	// with the other reads of one query (see Bound): the read caps every
-	// cut with it and lowers it to its own full heap's k-th distance after
-	// every scanned cluster. It must start at the read's radius (+Inf for
-	// none) and must be shared only by reads over disjoint rows of one
-	// metric space, whose heaps then hold real candidates of one query.
-	// The answer of the reads together is the same either way; their work
-	// counters are not, so a read that collects them (st or Explain)
-	// ignores it, as does an Approx read, and a striped read cuts at its
-	// stripes' one heap instead. The facade's seeded chains of a sharded
-	// read set it.
-	Bound *Bound
-	// Anchors, when non-nil, is the query's distances to one anchor set,
-	// filled once for a read that spans several snapshots
-	// (FillAnchorDists); the exact read uses them when its snapshot has
-	// that set and normalizer, and computes its own otherwise. It changes
-	// no answer and no counter.
-	Anchors *AnchorDists
+	// Parallel, when non-nil, is set to whether the helper took a stripe
+	// of the read: its per-snapshot spans then overlap in time.
+	Parallel *bool
 	// Allow, Radius and Window restrict the read to the rows that pass
 	// all three. Every bound of the exact read holds for any subset of the
 	// rows, so its answer is the exact top-k of that subset, and a
@@ -147,13 +121,13 @@ func (r *restriction) admits(id uint32, x, y float64) bool {
 	return (r.window == nil || r.window.contains(x, y)) && (r.allow == nil || r.allow(id))
 }
 
-// SearchOptionsInto is the one k-NN entry point: it answers q with the
-// algorithm opts selects, appending the results to dst (usually dst[:0]
-// of a retained buffer) and accumulating work counters into st when
-// non-nil. With a dst of sufficient capacity a steady-state call
-// performs zero heap allocations: all per-query state comes from the
-// index's scratch pool. It panics if k < 1, in either mode; the facade
-// rejects such a k first.
+// SearchOptionsInto is the k-NN entry point of one snapshot: it answers
+// q with the algorithm opts selects, appending the results to dst
+// (usually dst[:0] of a retained buffer) and accumulating work counters
+// into st when non-nil. With a dst of sufficient capacity a steady-state
+// call performs zero heap allocations: all per-query state comes from
+// the index's scratch pool. It panics if k < 1, in either mode; the
+// facade rejects such a k first.
 //
 // Centroid-level distance computations are not charged to st — the
 // evaluation counts object-level work (visited objects, and §7.7 counts
@@ -161,10 +135,32 @@ func (r *restriction) admits(id uint32, x, y float64) bool {
 // per query are part of the index overhead reflected in wall time
 // instead.
 func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, lambda float64, opts SearchOptions, st *metric.Stats) []knn.Result {
-	sc := x.getScratch()
-	if opts.Explain != nil {
-		sc.obs = opts.Explain
-		st = &opts.Explain.Stats
+	one := [1]*Index{x}
+	return SearchShardsInto(dst, one[:], q, k, lambda, opts, nil, st)
+}
+
+// SearchShardsInto is SearchOptionsInto over the snapshots xs, which
+// hold disjoint rows of one metric space (the shards of one index): one
+// read with one k-NN heap, the snapshots visited in order — or, with
+// opts.Striped, dealt between the caller and an idle helper — so each
+// prunes against the k-th distance of everything read before it. The
+// query's anchor distances are computed once, for xs[0]'s anchor set,
+// and a snapshot over another set computes its own. An exact answer is
+// the exact top-k of the union, bit for bit the answer of one snapshot
+// holding every row. An Approx read takes one snapshot: CSSIA's answer
+// is defined per clustering. spans, when non-nil, has one entry per
+// snapshot and takes that snapshot's internals, k-th distance and wall
+// time instead of st and opts.Explain. xs is not retained.
+func SearchShardsInto(dst []knn.Result, xs []*Index, q *dataset.Object, k int, lambda float64, opts SearchOptions, spans []obs.ShardSpan, st *metric.Stats) []knn.Result {
+	if opts.Approx && len(xs) != 1 {
+		panic("core: an approximate read takes one snapshot")
+	}
+	sc := xs[0].getScratch()
+	if len(xs) > 1 {
+		sc.anchorShared = xs[0].fillAnchorDists(&sc.anchorOwn, q)
+	}
+	if opts.Explain != nil && spans == nil {
+		sc.obs, st = opts.Explain, &opts.Explain.Stats
 	}
 	sc.deadline = opts.Deadline
 	sc.cancel = opts.Cancel
@@ -174,24 +170,21 @@ func (x *Index) SearchOptionsInto(dst []knn.Result, q *dataset.Object, k int, la
 	if opts.Radius != nil {
 		sc.rs.radius = *opts.Radius
 	}
-	sc.anchorShared = opts.Anchors
 	sc.approx = opts.Approx
-	seed, b, striped := opts.Seed, opts.Bound, opts.Striped && st == nil
-	if st != nil {
-		b = nil
-	}
-	if opts.Approx {
-		seed, b, striped = nil, nil, false
-	}
-	n := len(dst)
-	dst = x.searchWithSeed(sc, dst, seed, q, k, lambda, striped, b, st)
+	sc.heap.Reset(k)
+	parallel := read(sc, xs, q, lambda, opts.Striped && st == nil && !opts.Approx, spans, st)
 	if opts.Partial != nil {
 		*opts.Partial = sc.partial
 	}
-	if opts.Explain != nil && len(dst) > n {
+	if opts.Parallel != nil {
+		*opts.Parallel = parallel
+	}
+	n := len(dst)
+	dst = sc.heap.AppendSorted(dst)
+	if opts.Explain != nil && spans == nil && len(dst) > n {
 		opts.Explain.KthDistance = dst[len(dst)-1].Dist
 	}
-	x.putScratch(sc)
+	xs[0].putScratch(sc)
 	return dst
 }
 

@@ -9,20 +9,33 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
+	"repro/internal/metric"
+	"repro/internal/obs"
 )
 
-// Striped exact reads (DESIGN §7b). The caller and one idle helper each
-// order the query's frontier on their own scratch — both yield the same
-// cluster sequence — and claim its positions in chunks of stripeChunk
-// from one cursor. A stripe pops the positions it does not own
-// unscanned, without loading their headers. Both stripes push into the
-// read's one heap, the caller's, under the job's mutex, and a push that
-// fills the heap or lowers its k-th distance publishes it to the job's
-// Bound; every cut of either stripe, per cluster and per row, reads that
-// bound. At the join the heap holds what one stripe's would, so there
-// is nothing to merge, and the answer is the one-stripe read's, bit for
-// bit. The work counters are not, so a read that collects them is never
-// striped.
+// Striped exact reads (DESIGN §7b). One read answers q over one
+// snapshot or over several that hold disjoint rows of one metric space
+// (the shards of a sharded index), into one heap, the caller's. A
+// striped read is one job that the caller and one idle helper share.
+// Both claim whole snapshots from one cursor while two or more are
+// unclaimed; each orders the claimed snapshot's frontier on a scratch of
+// its own, walks it and then its overlay (scanDelta). The last snapshot
+// is walked by both: each orders its frontier — both yield the same
+// cluster sequence — and claims its positions in chunks of stripeChunk
+// from a second cursor, popping the positions it does not own unscanned,
+// without loading their headers; the stripe that claimed it first scans
+// its overlay too. So both stripes end within one chunk of each other,
+// and a one-snapshot read is the case where the last snapshot is the
+// only one. Both stripes push into the read's one heap under the job's
+// mutex, and a push that fills the heap or lowers its k-th distance
+// publishes it to the job's Bound; every cut of either stripe, per
+// cluster and per row, reads that bound. At the join the heap holds what
+// one stripe's would, so there is nothing to merge, and the answer is
+// the one-stripe read's, bit for bit. The work counters are not, so a
+// read that collects them is never striped. A read that records
+// per-snapshot spans is: each stripe writes the span of a snapshot it
+// walked whole, and the last snapshot's span is the fold of both
+// stripes' walks of it, taken at the join.
 //
 // Helpers are standing goroutines, started lazily up to GOMAXPROCS−1;
 // they never exit. A helper that has just run a stripe polls a one-job
@@ -37,45 +50,40 @@ import (
 // the caller expects a helper, and each offer carries a new generation
 // in it, so a helper holding a stale reference — an old channel offer —
 // can never take a later job. A taken job is waited for, so no read
-// returns while a helper still reads its snapshot. A helper's panic is re-raised on the caller. The
-// caller polls briefly for its own running helper before it parks
-// (awaitStripe).
+// returns while a helper still reads its snapshots. A helper's panic is
+// re-raised on the caller. The caller polls briefly for its own running
+// helper before it parks (awaitStripe).
 
-// Bound is the k-th distance bound the readers of one parallel exact
-// read share: the two stripes of a striped snapshot, which publish their
-// one heap's k-th distance to it, or the seeded chains of a sharded read
-// (SearchOptions.Bound), which each publish their own. It holds float64
-// bits on a cache line of its own, starts at the read's radius (+Inf for
-// none), and is only ever lowered, each time to a full heap's k-th
-// distance. A full heap holds k real candidates, so the bound never
-// drops below the read's final k-th distance; every cut against it is
-// strict, so each object of the answer, ties included, reaches a heap.
-type Bound struct {
+// stripeBound is the k-th distance bound the two stripes of a striped
+// read share: their one heap's k-th distance, published by the pushes.
+// It holds float64 bits on a cache line of its own, starts at the read's
+// radius (+Inf for none), and is only ever lowered, each time to the
+// full heap's k-th distance. A full heap holds k real candidates, so the
+// bound never drops below the read's final k-th distance; every cut
+// against it is strict, so each object of the answer, ties included,
+// reaches the heap.
+type stripeBound struct {
 	_    [64]byte
 	bits atomic.Uint64
 	_    [56]byte
 }
 
-// Store sets the bound to u: the read's radius when it starts, or, in
-// tests, any value no lower than the read's final k-th distance.
-func (b *Bound) Store(u float64) { b.bits.Store(math.Float64bits(u)) }
+func (b *stripeBound) store(u float64) { b.bits.Store(math.Float64bits(u)) }
 
-// Load returns the bound.
-func (b *Bound) Load() float64 { return math.Float64frombits(b.bits.Load()) }
+func (b *stripeBound) load() float64 { return math.Float64frombits(b.bits.Load()) }
 
 // lower publishes h's k-th distance when h is full and lower than the
-// bound, and returns the bound.
-func (b *Bound) lower(h *knn.Heap) float64 {
+// bound.
+func (b *stripeBound) lower(h *knn.Heap) {
 	cur := b.bits.Load()
 	if u, full := h.Bound(); full {
 		for u < math.Float64frombits(cur) {
 			if b.bits.CompareAndSwap(cur, math.Float64bits(u)) {
-				return u
+				return
 			}
 			cur = b.bits.Load()
 		}
 	}
-	return math.Float64frombits(cur)
 }
 
 // stripeChunk is the number of frontier positions one claim hands out.
@@ -86,29 +94,42 @@ const stripeChunk = 4
 // offers apart, so a helper that wakes for a withdrawn offer cannot take
 // a later one.
 type stripeJob struct {
-	// bound is the one heap's k-th distance capped by the radius, and
-	// next the first frontier position not yet claimed, beside mu, which
-	// guards the heap; bound and next each have a cache line of their
+	// bound is the one heap's k-th distance capped by the radius; snap
+	// is the next snapshot to claim and next the first position of the
+	// last snapshot's frontier not yet claimed, beside mu, which guards
+	// the heap. bound and the cursors each have a cache line of their
 	// own.
-	bound Bound
+	bound stripeBound
+	snap  atomic.Int32
 	next  atomic.Int32
 	mu    sync.Mutex
-	_     [52]byte
+	_     [48]byte
 	// state is gen<<2 | one of the stripe* phases below.
 	state atomic.Uint64
 	gen   uint64
 	done  chan struct{}
 	// The query, written before the offer and read by the helper only
-	// once it has taken the job; caller is the caller's scratch, whose
-	// heap is the read's one heap.
-	x      *Index
-	q      *dataset.Object
-	lambda float64
-	caller *searchScratch
-	hook   func(StripePoint)
-	// sc is the helper's scratch and panicked its recovered panic, both
-	// handed back through done.
-	sc       *searchScratch
+	// once it has taken the job; xs is a copy of the read's snapshot
+	// list, caller the caller's scratch, whose heap is the read's one
+	// heap, and spans, when non-nil, take each snapshot's internals.
+	// tail is the span of the second stripe's walk of the last snapshot,
+	// and joined says that walk ran. popped and poppedElems tally, under
+	// mu, what the charged walks of the last snapshot examined (see
+	// charge).
+	xs          []*Index
+	q           *dataset.Object
+	lambda      float64
+	caller      *searchScratch
+	spans       []obs.ShardSpan
+	tail        obs.ShardSpan
+	joined      bool
+	popped      int
+	poppedElems int64
+	charged     int
+	hook        func(StripePoint)
+	// cut latches a budget cut in a helper's walk, and panicked is its
+	// recovered panic; both are read by the caller after done.
+	cut      atomic.Bool
 	panicked any
 }
 
@@ -140,9 +161,10 @@ var (
 	stripePollers atomic.Int32
 )
 
-// claim hands the stripe on sc the next chunk of positions [lo, hi).
+// claim hands the stripe on sc the next chunk of the last snapshot's
+// positions [lo, hi).
 func (j *stripeJob) claim(sc *searchScratch) (lo, hi int32) {
-	if stripeHooks && sc == j.caller {
+	if stripeHooks && !sc.helper {
 		stripeAt(j.hook, StripeCallerClaim)
 	}
 	hi = j.next.Add(stripeChunk)
@@ -155,14 +177,14 @@ func (j *stripeJob) claim(sc *searchScratch) (lo, hi int32) {
 // bound is the radius or the heap's k-th distance as of its last kept
 // push.
 func (j *stripeJob) push(sc *searchScratch, r knn.Result) {
-	if r.Dist > j.bound.Load() {
+	if r.Dist > j.bound.load() {
 		return
 	}
 	if stripeHooks {
-		if sc == j.caller {
-			stripeAt(j.hook, StripeCallerPush)
-		} else {
+		if sc.helper {
 			stripeAt(j.hook, StripeHelperPush)
+		} else {
+			stripeAt(j.hook, StripeCallerPush)
 		}
 	}
 	h := &j.caller.heap
@@ -173,16 +195,18 @@ func (j *stripeJob) push(sc *searchScratch, r knn.Result) {
 	j.mu.Unlock()
 }
 
-// offerStripe offers the query's second stripe to an idle helper and
-// returns the job, or nil when no helper is idle. sc's heap, reset and
-// seeded, is the read's one heap.
-func (x *Index) offerStripe(sc *searchScratch, q *dataset.Object, lambda float64) *stripeJob {
+// offerStripe offers the read of q over xs a second stripe on an idle
+// helper and returns the job, or nil when no helper is idle. sc's heap,
+// reset, is the read's one heap.
+func offerStripe(sc *searchScratch, xs []*Index, q *dataset.Object, lambda float64, spans []obs.ShardSpan) *stripeJob {
 	j := &sc.stripe
 	j.gen++
-	j.x, j.q, j.lambda, j.caller, j.hook = x, q, lambda, sc, loadStripeHook()
-	j.bound.Store(sc.rs.radius)
-	j.bound.lower(&sc.heap)
+	j.xs = append(j.xs[:0], xs...)
+	j.q, j.lambda, j.caller, j.spans, j.hook = q, lambda, sc, spans, loadStripeHook()
+	j.bound.store(sc.rs.radius)
+	j.snap.Store(0)
 	j.next.Store(0)
+	j.cut.Store(false)
 	if j.done == nil {
 		j.done = make(chan struct{}, 1)
 	}
@@ -213,6 +237,7 @@ func (x *Index) offerStripe(sc *searchScratch, q *dataset.Object, lambda float64
 				go stripeHelper()
 			}
 			if j.state.CompareAndSwap(j.gen<<2|stripeOffered, j.gen<<2|stripeWithdrawn) {
+				j.release()
 				return nil
 			}
 			// A poller that had claimed an earlier offer of j from the
@@ -295,8 +320,8 @@ func takeSlot() *stripeJob {
 	return j
 }
 
-// run walks the frontier as the second stripe of the taken job j, and
-// hands it back through done.
+// run is the helper's stripe of the taken job j; it hands the job back
+// through done.
 func (j *stripeJob) run(hook func(StripePoint)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -305,30 +330,64 @@ func (j *stripeJob) run(hook func(StripePoint)) {
 		j.done <- struct{}{}
 	}()
 	stripeAt(hook, StripeHelperStarted)
-	x := j.x
-	sc := x.getScratch()
-	j.sc = sc
-	sc.deadline, sc.cancel, sc.budgeted, sc.rs = j.caller.deadline, j.caller.cancel, j.caller.budgeted, j.caller.rs
-	f := x.orderByBound(sc, j.q, j.lambda)
-	x.walkFrontier(sc, f, j.q, j.lambda, nil, nil, j, nil)
+	j.walk(true)
 }
 
-// walkStriped is the caller's stripe of a striped read, then the join:
-// withdraw the job if the helper has not taken it, else wait for the
-// helper and take its budget cut into the caller's. Both stripes pushed
-// into the read's one heap, so there is nothing to merge. The join runs
-// even if the caller's stripe panics.
-func (x *Index) walkStriped(sc *searchScratch, f *sideFrontier, q *dataset.Object, lambda float64, j *stripeJob) {
+// walk is one stripe of j: it claims snapshots from j's cursor and walks
+// each — its frontier, then its overlay — until it has walked the last
+// snapshot. It deals whole snapshots while two or more are unclaimed;
+// the last one is claimed twice, by the stripe that reaches it first,
+// which also scans its overlay, and by the other, which joins its
+// frontier walk through chunk claims.
+func (j *stripeJob) walk(helper bool) {
+	n := int32(len(j.xs))
+	for {
+		if stripeHooks && !helper {
+			stripeAt(j.hook, StripeCallerSnapshot)
+		}
+		i := j.snap.Add(1) - 1
+		if stripeHooks && helper {
+			stripeAt(j.hook, StripeHelperSnapshot)
+		}
+		if i > n {
+			return
+		}
+		last := min(i, n-1)
+		var sp *obs.ShardSpan
+		if j.spans != nil {
+			if sp = &j.spans[last]; i == n {
+				sp, j.joined = &j.tail, true
+			}
+		}
+		if j.xs[last].visit(j.caller, int(last), helper, j.q, j.lambda, j, i >= n-1, i < n, sp, nil) {
+			j.cut.Store(true)
+		}
+		if i >= n-1 {
+			return
+		}
+	}
+}
+
+// callerStripe is the caller's stripe of j, then the join; it reports
+// whether the helper took the other.
+func (j *stripeJob) callerStripe() (parallel bool) {
 	ended := false
-	defer func() { x.joinStripe(sc, j, ended) }()
-	x.walkFrontier(sc, f, q, lambda, nil, nil, j, nil)
+	defer func() { parallel = j.join(ended) }()
+	j.walk(false)
 	ended = true
+	return
 }
 
-// joinStripe ends the striped read j. ended says the caller's stripe
-// returned; a helper's panic is re-raised only then, as the caller's own
-// panic goes on otherwise.
-func (x *Index) joinStripe(sc *searchScratch, j *stripeJob, ended bool) {
+// join ends the striped read j once the caller's stripe is done: it
+// withdraws the job if the helper has not taken it, else waits for the
+// helper and takes its budget cut into the read's. Both stripes pushed
+// into the read's one heap, so there is nothing to merge; a recorded
+// read's last span takes the second walk of its snapshot and the read's
+// final k-th distance. join reports whether the helper took the job. It
+// runs even if the caller's stripe panics; ended says the stripe
+// returned, and a helper's panic is re-raised only then, as the caller's
+// own panic goes on otherwise.
+func (j *stripeJob) join(ended bool) bool {
 	stripeAt(j.hook, StripeCallerEnding)
 	withdrawn := j.state.CompareAndSwap(j.gen<<2|stripeOffered, j.gen<<2|stripeWithdrawn)
 	if stripeSlot.Load() == j {
@@ -340,19 +399,63 @@ func (x *Index) joinStripe(sc *searchScratch, j *stripeJob, ended bool) {
 	if !withdrawn {
 		awaitStripe(j)
 	}
-	hsc, p := j.sc, j.panicked
-	j.x, j.q, j.caller, j.hook, j.sc, j.panicked = nil, nil, nil, nil, nil, nil
-	if hsc != nil {
-		sc.partial = sc.partial || hsc.partial
-		x.putScratch(hsc)
+	sc, p := j.caller, j.panicked
+	sc.partial = sc.partial || j.cut.Load()
+	if j.spans != nil {
+		last, x := &j.spans[len(j.spans)-1], j.xs[len(j.xs)-1]
+		walks := 1
+		if j.joined {
+			// Both walks of the last snapshot counted its clusters.
+			j.tail.Stats.ClustersTotal -= int64(len(x.clusters))
+			last.Fold(&j.tail)
+			walks = 2
+		}
+		if j.charged == walks {
+			// What neither walk examined was pruned, unless a budget cut
+			// ended one: a cut walk charges nothing, as on one stripe.
+			last.Stats.ClustersPruned += int64(len(x.clusters) - j.popped)
+			last.Stats.InterPruned += x.baseElems() - j.poppedElems
+		}
+		if held := sc.heap.Items(); len(held) > 0 {
+			last.Stats.KthDistance = held[0].Dist
+		}
 	}
+	j.release()
 	if ended && p != nil {
 		panic(p)
 	}
+	return !withdrawn
 }
 
-// stripePolls bounds awaitStripe's polls (tens of µs).
-const stripePolls = 2000
+// release drops what j holds of its read, so that a pooled scratch
+// keeps no superseded snapshot reachable.
+func (j *stripeJob) release() {
+	clear(j.xs)
+	j.xs = j.xs[:0]
+	j.q, j.caller, j.spans, j.hook, j.panicked = nil, nil, nil, nil, nil
+	j.tail, j.joined = obs.ShardSpan{}, false
+	j.popped, j.poppedElems, j.charged = 0, 0, 0
+}
+
+// charge adds what the walk f of the last snapshot, on one stripe of a
+// recorded read, popped for itself to j's tally, for the join to charge
+// the rest as pruned; a walk that counts nothing (st nil) adds nothing.
+func (j *stripeJob) charge(f *sideFrontier, st *metric.Stats) {
+	if st == nil {
+		return
+	}
+	j.mu.Lock()
+	j.popped += f.popped
+	j.poppedElems += f.poppedElems
+	j.charged++
+	j.mu.Unlock()
+}
+
+// stripePolls bounds awaitStripe's polls (≈ 220 µs on a 2-vCPU Xeon):
+// long enough for a helper that ends a chunk or a whole shard after the
+// caller (2,000 polls parked rw-sharded callers often enough to cost its
+// single-op writes ≈ 14 % at p50).
+const stripePolls = 20000
 
 // awaitStripe waits for the helper. Its last chunk usually ends within
 // a few µs of the caller's, so the caller polls before it parks: a
@@ -371,9 +474,10 @@ func awaitStripe(j *stripeJob) {
 
 // StripePoint names a schedule point of a striped read, where a hook
 // installed by SetStripeHook runs: the caller's offer was taken or put
-// in the slot for a polling helper, it is about to claim a chunk, its
-// stripe is done (before and after it tries to withdraw the job); the
-// helper received the offer or saw it in the slot, took the job. After
+// in the slot for a polling helper, it is about to claim a snapshot or a
+// chunk, its stripe is done (before and after it tries to withdraw the
+// job); the helper received the offer or saw it in the slot, took the
+// job, has just claimed a snapshot. After
 // running a job the helper passes two more points with that job's hook:
 // it starts polling the slot, and its window has closed (it still
 // counts as polling there, and looks at the slot once more after).
@@ -391,6 +495,8 @@ const (
 	StripeHelperPollEnd
 	StripeCallerPush
 	StripeHelperPush
+	StripeCallerSnapshot
+	StripeHelperSnapshot
 )
 
 // stripeAt runs hook at point p; a no-op unless hooks are compiled in.

@@ -138,6 +138,19 @@ type ShardSpan struct {
 	DurationNanos int64 `json:"durationNanos"`
 }
 
+// Fold folds w, another walk's span of the same shard, into sp: the
+// work counters add up, while the times — wall and phases — are those
+// of the walk that spent longest in the shard, so they still fit inside
+// one another and inside the request's wall time.
+func (sp *ShardSpan) Fold(w *ShardSpan) {
+	times := sp.Stats
+	if w.DurationNanos > sp.DurationNanos {
+		sp.DurationNanos, times = w.DurationNanos, w.Stats
+	}
+	sp.Stats.Merge(&w.Stats)
+	sp.Stats.OrderNanos, sp.Stats.ScanNanos, sp.Stats.DeltaNanos = times.OrderNanos, times.ScanNanos, times.DeltaNanos
+}
+
 // FillDerived computes the precomputed ratio fields from Stats.
 func (sp *ShardSpan) FillDerived() {
 	sp.ReadEfficiency = sp.Stats.ReadEfficiency()

@@ -301,10 +301,10 @@ func (x *Index) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][
 	return serveBatch(ctx, x.view(), &req)
 }
 
-// Do answers one query across the shards — bound-carrying chains
-// striped over the scheduler's processors and merged (see execute), for
-// every shape — and the keyword scatter for keyword-constrained
-// requests. See
+// Do answers one query across the shards — one read with one heap,
+// striped onto the standing helper when a second processor is free (see
+// execute), for every shape — and the keyword scatter for
+// keyword-constrained requests. See
 // Index.Do for the request contract; exact results are bit-identical to
 // a flat index over the same objects. A trace sink installed on the
 // index (SetTraceSink) records every executed Do regardless of which

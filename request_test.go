@@ -193,7 +193,10 @@ func TestRequestConformance(t *testing.T) {
 				if len(tr.Shards) != api.snaps {
 					t.Fatalf("%d spans, want %d", len(tr.Shards), api.snaps)
 				}
-				if tr.Total.Stats != plain {
+				// A read the helper shared (Parallel) counts what its two
+				// stripes did, which depends on timing; on one stripe it
+				// counts what the counted read does.
+				if !tr.Parallel && tr.Total.Stats != plain {
 					t.Fatalf("trace total %+v, un-traced Stats %+v", tr.Total.Stats, plain)
 				}
 				if err := tr.CheckInvariants(); err != nil {
@@ -401,8 +404,8 @@ func TestRequestConformance(t *testing.T) {
 	// Batches obey the same validation and answer exactly what the
 	// single-query path answers, Stats included — those of the one-stripe
 	// read, which is how a batch answers each query whatever the host's
-	// stripe count: an exact one chains through all the snapshots, an
-	// approximate one merges their answers. Every worker count of the
+	// stripe count: an exact one walks all the snapshots into one heap,
+	// an approximate one merges their answers. Every worker count of the
 	// pool gives the same answers and counters, GOMAXPROCS (0) and a
 	// count the clamp may cut (3) included.
 	t.Run("batch", func(t *testing.T) {
@@ -598,6 +601,10 @@ func TestAPISurface(t *testing.T) {
 			"doSnap", "doBatchSnap", "searchExact", "searchExactChainTraced", "searchApprox", "searchExplain", "chainShard",
 			"executeBatch", "chainBatch":
 			t.Errorf("dispatch fork %s is back", name)
+		case "chain", "mergeChains", "chainAt", "setChainHook":
+			t.Errorf("seeded chain %s of the sharded exact read is back", name)
+		case "searchSnap", "foldSpan":
+			t.Errorf("facade span recorder %s is back: core writes every span", name)
 		}
 		if strings.HasPrefix(name, "precheck") {
 			t.Errorf("second validation %s is back", name)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -98,13 +97,18 @@ type view struct {
 	// the heap on every request.
 	snap   *Index
 	shards []*Index
+	// cores are the shards' core snapshots, the list an exact read over
+	// them hands to the core (see execute).
+	cores []*core.Index
 	// stripes is the number of goroutines a read may occupy: GOMAXPROCS
 	// for a request, 1 for each read of a batch, whose pool already
-	// occupies the processors (see serveBatch). A read over n snapshots is
-	// dealt onto min(stripes, n) of them; a read of one snapshot may split
-	// inside it when stripes >= 2. It is a field rather than a call in
-	// execute so that a batch can hold its reads to one goroutine and the
-	// equivalence test can run every stripe count on one host.
+	// occupies the processors (see serveBatch), and for a request that
+	// asks for its counters. An exact read takes a second stripe on the
+	// standing helper when stripes >= 2; an approximate read over n
+	// snapshots is dealt onto min(stripes, n) goroutines. It is a field
+	// rather than a call in execute so that a batch can hold its reads to
+	// one goroutine and the equivalence test can run both stripe counts
+	// on one host.
 	stripes int
 	// token is the result cache's snapshot identity (the snapshot, or
 	// the interned per-shard snapshot vector) and snapID the
@@ -125,7 +129,7 @@ func (x *Index) view() view {
 
 func (s *ShardedIndex) view() view {
 	ep := s.epochToken()
-	return view{shards: ep.snaps, stripes: runtime.GOMAXPROCS(0), token: ep, snapID: ep.id, cache: s.resCache.Load(), sink: s.sink.Load(), flavor: "sharded"}
+	return view{shards: ep.snaps, cores: ep.cores, stripes: runtime.GOMAXPROCS(0), token: ep, snapID: ep.id, cache: s.resCache.Load(), sink: s.sink.Load(), flavor: "sharded"}
 }
 
 // n is the number of pinned snapshots and at the i-th of them.
@@ -226,6 +230,11 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 	opts := core.SearchOptions{
 		Approx: req.Approx, Deadline: deadline, Cancel: ctx.Done(), Radius: req.Radius, Window: req.Window,
 	}
+	if req.Stats != nil || req.Explain != nil {
+		// A request that asks for its counters gets the one-stripe read,
+		// whose counters depend on the snapshots alone, never on timing.
+		v.stripes = 1
+	}
 	keyword := len(req.Keywords) > 0
 	op, spans := "search", v.n()
 	if keyword {
@@ -260,29 +269,6 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 	return finishCtx(ctx, res, err)
 }
 
-// searchSnap runs the query on one pinned snapshot — the one place the
-// facade calls the core entry point for a single query. With sp non-nil
-// the snapshot's search internals and wall time accumulate into the
-// span (and the work counters with them, so st is not passed on).
-func searchSnap(snap *Index, sp *SearchSpan, out []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats) []Result {
-	if sp == nil {
-		return snap.core.SearchOptionsInto(out, q, k, lambda, opts, st)
-	}
-	opts.Explain = &sp.Stats
-	t0 := time.Now()
-	out = snap.core.SearchOptionsInto(out, q, k, lambda, opts, nil)
-	sp.DurationNanos += time.Since(t0).Nanoseconds()
-	return out
-}
-
-// spanAt returns the i-th of spans, or nil when nothing is recorded.
-func spanAt(spans []SearchSpan, i int) *SearchSpan {
-	if spans == nil {
-		return nil
-	}
-	return &spans[i]
-}
-
 // shardSpans returns the per-snapshot spans of tr, nil when nothing is
 // recorded.
 func shardSpans(tr *SearchTrace) []SearchSpan {
@@ -295,142 +281,91 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // execute answers one query over the view's pinned snapshots, appending
 // the global top-k to dst and reporting whether the time budget cut any
 // snapshot's scan short. With tr non-nil every snapshot's span is
-// recorded; results are bit-identical either way. A request that
-// observes — st, tr (Stats, Explain, Trace, or an installed sink) —
-// gets reads that share no bound, so its work counters describe the
-// read that produced its answer and depend on w alone, never on timing.
+// recorded; results are bit-identical either way.
 //
-// An exact read has one shape: the n snapshots are dealt round-robin
-// onto w = min(v.stripes, n) stripes, stripe g taking snapshots g, g+w,
-// g+2w, …, and every stripe is a seeded chain (see chain) — its
-// snapshots are scanned in order with the k-NN list carried from one to
-// the next, so within a stripe a snapshot starts from the bound its
-// predecessors found instead of from an empty heap. Stripe 0 runs on the caller's
-// goroutine, the others on one goroutine each, and the w stripe lists
-// are k-way merged. The top-k is a pure function of the candidate set
-// (knn.Heap breaks distance ties by ID) and the shards share one metric
-// space's normalizers, so every w gives the same answer, bit for bit.
-// w = 1 — one snapshot, a process with one scheduler thread, or a read
-// of a batch — is one chain through everything: its last link's answer IS the global top-k
-// and is written straight into dst, with no goroutine, no per-stripe
-// list and no merge. w = n is a plain scatter.
-//
-// A read over several snapshots computes its query-wide state once (see
-// readState): the query's distances to the first snapshot's anchor set,
-// which every snapshot over that set reads; and, when w > 1 and the
-// request observes nothing, one k-th bound all w stripes share
-// (core.Bound), which each lowers to its own full heap's k-th distance
-// as it scans. A stripe's list may then lack objects its own top-k
-// would hold, but never one of the global top-k, whose distances never
-// exceed the bound — every cut against it is strict.
-//
-// One snapshot read by a request that observes nothing, with a second
-// goroutine to spare (v.stripes >= 2: a second scheduler thread, and not
-// a read of a batch), may split inside the snapshot instead
-// (core.SearchOptions.Striped): an idle helper walks the same frontier
-// as a second stripe, and both push into the read's one heap and cut at
-// its k-th distance (see core's stripe.go).
+// An exact read is one read with one k-NN heap whatever the number of
+// snapshots (core.SearchShardsInto): the snapshots are visited in order
+// with the heap carried from one to the next, so each prunes against the
+// k-th distance of everything read before it, and the query's anchor
+// distances are computed once. The top-k is a pure function of the
+// candidate set (knn.Heap breaks distance ties by ID) and the shards
+// share one metric space's normalizers, so the answer is the flat
+// index's, bit for bit. With a second goroutine to spare (v.stripes >=
+// 2: a second scheduler thread, not a read of a batch and not a request
+// that asks for its counters) the read is offered to the standing stripe
+// helper (core.SearchOptions.Striped): caller and helper claim whole
+// snapshots from one cursor and split the last one's frontier in chunks,
+// both pushing into the one heap and cutting at its k-th distance (see
+// core's stripe.go) — no goroutine per read, no per-stripe list and no
+// merge. A traced read over several snapshots keeps both stripes: core
+// writes each snapshot's span as a stripe walks it and folds both walks
+// of the last snapshot into its span, and the trace is marked Parallel
+// when the helper took a stripe, as its spans then overlap. One snapshot
+// under a trace stays one stripe, so that its span is the counted
+// read's.
 //
 // An approximate read has no bound to carry: CSSIA's result is defined
 // per clustering, and the documented sharded semantics are "the merge of
-// the per-shard CSSIA answers". Each snapshot is then a chain of its
-// own, the n of them dealt onto the same w goroutines.
+// the per-shard CSSIA answers" (see mergeEach).
 func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) (res []Result, partial bool) {
-	w := min(v.stripes, v.n())
-	chains, step := w, w
-	var rs *readState
-	if opts.Approx {
-		chains, step = v.n(), v.n()
-	} else if v.n() > 1 {
-		rs = readStates.Get().(*readState)
-		opts.Anchors = v.at(0).core.FillAnchorDists(&rs.anchors, q)
-		if chains > 1 && st == nil && tr == nil {
-			r := math.Inf(1)
-			if opts.Radius != nil {
-				r = *opts.Radius
-			}
-			rs.bound.Store(r)
-			opts.Bound = &rs.bound
-		}
+	n := v.n()
+	if opts.Approx && n > 1 {
+		return v.mergeEach(dst, q, k, lambda, opts, st, tr)
 	}
-	if chains == 1 {
-		opts.Striped = v.n() == 1 && v.stripes >= 2 && !opts.Approx && st == nil && tr == nil
-		res, partial = v.chain(dst, 0, step, q, k, lambda, opts, st, shardSpans(tr))
-	} else {
-		res, partial = v.mergeChains(dst, chains, step, q, k, lambda, opts, st, tr)
+	// Core keeps a counted read one stripe; one snapshot under a trace
+	// stays one stripe too, so that its span is the counted read's.
+	opts.Striped = v.stripes >= 2 && (tr == nil || n > 1)
+	if tr != nil {
+		opts.Parallel = &tr.Parallel
 	}
-	if rs != nil {
-		readStates.Put(rs)
-	}
-	return res, partial
-}
-
-// readState is the query-wide state of one exact read over several
-// snapshots (see execute), pooled: the anchor vector is 2 KB. A pooled
-// state may keep one superseded anchor set reachable until the pool
-// drops it.
-type readState struct {
-	bound   core.Bound
-	anchors core.AnchorDists
-}
-
-var readStates = sync.Pool{New: func() any { return new(readState) }}
-
-// chain scans snapshots first, first+step, first+2·step, … in order on
-// the calling goroutine, each link seeded with the list of the links
-// before it (core.SearchOptions.Seed; ignored by the approximate
-// algorithms, whose chains have one link), and appends the chain's
-// top-k — the last link's answer — to out. A budget cut on any link
-// leaves later candidates unexamined, so it makes the whole chain's
-// answer partial.
-func (v *view) chain(out []Result, first, step int, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, spans []SearchSpan) (res []Result, partial bool) {
 	// Only a budgeted query can be cut short, so only it carries the
 	// flag: pointing opts at a local would move that local to the heap
 	// on every request.
-	budgeted := !opts.Deadline.IsZero() || opts.Cancel != nil
-	if budgeted {
+	if !opts.Deadline.IsZero() || opts.Cancel != nil {
 		opts.Partial = new(bool)
 	}
-	var cur, spare []Result
-	for i, n := first, v.n(); i < n; i += step {
-		link := out
-		if i+step < n {
-			if link = spare[:0]; link == nil {
-				link = make([]Result, 0, k)
-			}
-		}
-		opts.Seed = cur
-		next := searchSnap(v.at(i), spanAt(spans, i), link, q, k, lambda, opts, st)
-		partial = partial || (budgeted && *opts.Partial)
-		spare, cur = cur, next
+	var one [1]*core.Index
+	xs := v.cores
+	if xs == nil {
+		one[0] = v.snap.core
+		xs = one[:]
 	}
-	return cur, partial
+	res = core.SearchShardsInto(dst, xs, q, k, lambda, opts, shardSpans(tr), st)
+	return res, opts.Partial != nil && *opts.Partial
 }
 
-// mergeChains runs the chains that start at snapshots 0..chains-1 on
-// min(v.stripes, chains) goroutines and merges their lists into dst.
-func (v *view) mergeChains(dst []Result, chains, step int, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) ([]Result, bool) {
+// mergeEach answers an approximate read over several snapshots: each
+// snapshot's CSSIA answer, the n of them dealt onto min(v.stripes, n)
+// goroutines, merged into dst.
+func (v *view) mergeEach(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) ([]Result, bool) {
 	// The goroutines get a copy of the view, so that the caller's — and
-	// with it every one-chain request's — stays on the stack.
-	hv, w := *v, min(v.stripes, chains)
-	lists := make([][]Result, chains)
-	cuts := make([]bool, chains)
+	// with it every exact request's — stays on the stack.
+	hv, n := *v, v.n()
+	w := min(v.stripes, n)
+	lists := make([][]Result, n)
+	cuts := make([]bool, n)
 	var per []Stats
 	if st != nil && tr == nil {
 		per = make([]Stats, w)
 	}
 	spans := shardSpans(tr)
-	hook := loadChainHook()
+	budgeted := !opts.Deadline.IsZero() || opts.Cancel != nil
 	fanOut(w, func(g int) {
 		var pst *Stats
 		if per != nil {
 			pst = &per[g]
 		}
-		chainAt(hook, g, false)
-		for c := g; c < chains; c += w {
-			lists[c], cuts[c] = hv.chain(nil, c, step, q, k, lambda, opts, pst, spans)
+		for i := g; i < n; i += w {
+			o := opts
+			if budgeted {
+				o.Partial = &cuts[i]
+			}
+			var sp []SearchSpan
+			if spans != nil {
+				sp = spans[i : i+1]
+			}
+			lists[i] = core.SearchShardsInto(nil, hv.cores[i:i+1], q, k, lambda, o, sp, pst)
 		}
-		chainAt(hook, g, true)
 	})
 	gatherStats(st, per)
 	if dst == nil {
@@ -450,7 +385,7 @@ func (v *view) mergeChains(dst []Result, chains, step int, q *Object, k int, lam
 // dealt onto min(v.stripes, n) goroutines as an approximate read's are,
 // and merges the per-snapshot answers into dst.
 func (v *view) executeKeywords(dst []Result, q *Object, k int, lambda float64, keywords []string) ([]Result, error) {
-	hv, n := *v, v.n() // a copy for the goroutines, see mergeChains
+	hv, n := *v, v.n() // a copy for the goroutines, see mergeEach
 	w := min(v.stripes, n)
 	lists := make([][]Result, n)
 	oks := make([]bool, n)
@@ -484,11 +419,11 @@ func (v *view) executeKeywords(dst []Result, q *Object, k int, lambda float64, k
 // workers, worker 0 on the caller's goroutine, draw queries from one
 // cursor and answer each with execute, the read Do runs. The pool
 // already occupies the processors it may use, so each read is held to
-// one goroutine (stripes = 1): an exact read chains through every
-// snapshot and shares no bound with another query, an approximate one
-// merges its per-snapshot answers, and neither splits a snapshot. Each
+// one goroutine (stripes = 1): an exact read is the one-stripe walk of
+// every snapshot into its one heap, an approximate one merges its
+// per-snapshot answers, and none is offered to the stripe helper. Each
 // worker keeps private counters and spans, folded once at the end (see
-// foldSpan).
+// ShardSpan.Fold).
 func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -574,13 +509,13 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 		})
 		gatherStats(req.Stats, per)
 		if tr != nil {
-			// Counters add up and times are the slowest worker's, as in
-			// foldSpan.
+			// Counters add up and times are the slowest worker's
+			// (ShardSpan.Fold).
 			tr.Parallel = workers > 1
 			for w := range traces {
 				tr.GatherNanos = max(tr.GatherNanos, traces[w].GatherNanos)
 				for i := range tr.Shards {
-					foldSpan(&tr.Shards[i], &traces[w].Shards[i])
+					tr.Shards[i].Fold(&traces[w].Shards[i])
 				}
 			}
 			// The trace records the result counts summed across the
@@ -614,19 +549,6 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 		req.Meta.SnapshotID = v.snapID
 	}
 	return finishCtx(ctx, out, nil)
-}
-
-// foldSpan folds a batch worker's span w of one snapshot into the
-// batch's span sp: the work counters add up, while the times — wall and
-// phases — are those of the worker that spent longest in the snapshot,
-// so they still fit inside one another and inside the batch's wall time.
-func foldSpan(sp, w *SearchSpan) {
-	times := sp.Stats
-	if w.DurationNanos > sp.DurationNanos {
-		sp.DurationNanos, times = w.DurationNanos, w.Stats
-	}
-	sp.Stats.Merge(&w.Stats)
-	sp.Stats.OrderNanos, sp.Stats.ScanNanos, sp.Stats.DeltaNanos = times.OrderNanos, times.ScanNanos, times.DeltaNanos
 }
 
 // fanOut runs fn(0), …, fn(w-1) concurrently — fn(0) on the calling
@@ -714,7 +636,8 @@ func canonicalKeywords(keywords []string) string {
 // what lets a request run against the epoch's snapshots directly.
 type shardEpoch struct {
 	snaps []*Index
-	id    uint64 // sum of the per-shard publication sequence numbers
+	cores []*core.Index // snaps[i].core
+	id    uint64        // sum of the per-shard publication sequence numbers
 }
 
 // epochToken returns the current epoch, reusing the interned one while
@@ -738,10 +661,10 @@ func (s *ShardedIndex) epochToken() *shardEpoch {
 			return cur
 		}
 	}
-	e := &shardEpoch{snaps: make([]*Index, len(s.shards))}
+	e := &shardEpoch{snaps: make([]*Index, len(s.shards)), cores: make([]*core.Index, len(s.shards))}
 	for i, sh := range s.shards {
 		snap := sh.cur.Load()
-		e.snaps[i] = snap
+		e.snaps[i], e.cores[i] = snap, snap.core
 		e.id += snap.snapID
 	}
 	s.epoch.CompareAndSwap(cur, e)
@@ -774,13 +697,4 @@ func (s *ShardedIndex) ResultCacheStats() (CacheStats, bool) {
 		return cache.Stats(), true
 	}
 	return CacheStats{}, false
-}
-
-// chainAt runs hook for stripe g of a multi-chain read, before its
-// chains (done false) and after them; a no-op unless hooks are compiled
-// in.
-func chainAt(hook func(g int, done bool), g int, done bool) {
-	if chainHooks && hook != nil {
-		hook(g, done)
-	}
 }

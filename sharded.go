@@ -26,24 +26,25 @@ import (
 // do not serialize against each other at all, and a compaction or
 // rebuild folds or reconstructs one shard's objects, not the corpus.
 //
-//   - Reads are STRIPED: an exact read deals the P shard snapshots
-//     round-robin onto min(P, GOMAXPROCS) stripes; each stripe scans its
-//     shards in order, carrying its k-NN list — and so its pruning
-//     bound — from one shard to the next, and the stripe lists are
-//     k-way merged in the canonical (ascending distance, ascending ID)
-//     order (see execute); unless the read observes its work counters,
-//     the stripes also share one k-th bound. One stripe is a plain
-//     chain with no goroutine and no merge, P stripes a plain
-//     scatter/gather. Because every shard shares the same distance
-//     normalizers (computed once over the full dataset at BuildSharded
-//     time) and CSSI is exact regardless of how objects are clustered,
-//     the exact result set is BIT-IDENTICAL to what an unsharded index
-//     returns — including tie breaks — for every stripe count. An
-//     Approx request remains approximate and has no bound to carry:
-//     every shard answers alone and the per-shard answers are merged;
-//     its error profile depends on the per-shard clustering, so sharded
-//     CSSIA results can differ from unsharded CSSIA (both within the
-//     paper's error model).
+//   - Reads are ONE READ: an exact read over the P shard snapshots has
+//     one k-NN heap and visits the shards in order, each pruning against
+//     the k-th distance of everything read before it
+//     (core.SearchShardsInto; see execute). With a second scheduler
+//     thread it is one job of the standing stripe helper: caller and
+//     helper claim whole shards from one cursor, split the last one's
+//     frontier in chunks, and push into the one heap under its mutex —
+//     no goroutine per read, no per-stripe list, no merge. A read that
+//     asks for its work counters stays one stripe. Because every shard
+//     shares the same distance normalizers (computed once over the full
+//     dataset at BuildSharded time) and CSSI is exact regardless of how
+//     objects are clustered, the exact result set is BIT-IDENTICAL to
+//     what an unsharded index returns — including tie breaks — on
+//     either stripe count. An Approx request remains approximate and
+//     has no bound to carry: every shard answers alone and the
+//     per-shard answers are merged in the canonical (ascending
+//     distance, ascending ID) order; its error profile depends on the
+//     per-shard clustering, so sharded CSSIA results can differ from
+//     unsharded CSSIA (both within the paper's error model).
 //   - Writes ROUTE: Insert/Delete/Update touch exactly one shard and
 //     publish one new snapshot of it (see shardCell for what that
 //     costs). P writers on P distinct shards proceed concurrently.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -621,20 +620,21 @@ type firedCtx struct {
 
 func (c firedCtx) Done() <-chan struct{} { return c.done }
 
-// TestStripedChainEquivalence pins the one shape of a sharded exact
-// read: for every stripe count w in 1..P the answer equals the flat
-// index's and the linear scan's rank by rank — IDs, distances, and the
-// ID tie-break where equal objects sit on different shards and so on
-// different stripes — over freshly built shards, over write overlays
-// with tombstones, and after compaction; observing the read changes
-// neither the answer nor the work counters, which repeat exactly for a
-// fixed w; the unobserved read, whose stripes share one k-th bound,
-// answers the same under the host's schedule, with every stripe run to
-// its end before the next starts in either order (where hooks exist),
-// and with the bound lowered to the final k-th distance before any
-// chain starts; a budget cut on any stripe makes the answer a partial
-// but admissible prefix; and all of it holds while ApplyBatch publishes
-// concurrently.
+// TestStripedChainEquivalence pins the one-heap read of a sharded index:
+// on one stripe and on two (the caller and the standing helper, dealt
+// whole snapshots, splitting the last one's frontier) the answer equals
+// the flat index's and the linear scan's rank by rank — IDs, distances,
+// and the ID tie-break where equal objects sit on different shards —
+// over freshly built shards, over write overlays with tombstones, and
+// after compaction, for the k-NN, range and window shapes. Counted reads
+// repeat their counters exactly and equal on both stripe counts; a
+// traced read keeps both stripes, and its spans charge every cluster
+// once however the stripes shared the shards (see checkStripedTrace);
+// observing the read changes neither the answer nor the counters. Where
+// hooks exist, the helper is forced to take the first snapshot, the last
+// one, or none (the offer withdrawn). A budget cut makes the answer a
+// partial but admissible prefix, and all of it holds while ApplyBatch
+// publishes concurrently.
 func TestStripedChainEquivalence(t *testing.T) {
 	ds := testDataset(t, 600)
 	for _, p := range []int{2, 3, 4, 7} {
@@ -678,13 +678,26 @@ func TestStripedChainEquivalence(t *testing.T) {
 				for qi := range queries {
 					q := &queries[qi]
 					for _, lambda := range []float64{0, 0.5, 1} {
+						all := oracle.Search(q, len(live), lambda, nil)
+						r := all[7].Dist
+						win := Window{LoX: q.X - 0.2, LoY: q.Y - 0.2, HiX: q.X + 0.2, HiY: q.Y + 0.2}
 						for _, k := range []int{1, tieK, len(live) + 5} {
-							want := oracle.Search(q, k, lambda, nil)
 							ctx := fmt.Sprintf("%s q%d λ=%v k=%d", stage, qi, lambda, k)
+							want := all[:min(k, len(all))]
 							equalResults(t, ctx+" flat vs scan", want, mustDo(flat, SearchRequest{Query: q, K: k, Lambda: lambda}))
-							for w := 1; w <= p; w++ {
-								checkStripes(t, fmt.Sprintf("%s w=%d", ctx, w), s, w, flat, live, q, k, lambda, want)
+							var inRange, inWindow []Result
+							for _, res := range all {
+								o := live[res.ID]
+								if len(inRange) < k && res.Dist <= r {
+									inRange = append(inRange, res)
+								}
+								if len(inWindow) < k && o.X >= win.LoX && o.X <= win.HiX && o.Y >= win.LoY && o.Y <= win.HiY {
+									inWindow = append(inWindow, res)
+								}
 							}
+							checkStripes(t, ctx, s, flat, live, SearchRequest{Query: q, K: k, Lambda: lambda}, want)
+							checkStripes(t, ctx+" range", s, flat, live, SearchRequest{Query: q, K: k, Lambda: lambda, Radius: &r}, inRange)
+							checkStripes(t, ctx+" window", s, flat, live, SearchRequest{Query: q, K: k, Lambda: lambda, Window: &win}, inWindow)
 						}
 					}
 				}
@@ -697,7 +710,7 @@ func TestStripedChainEquivalence(t *testing.T) {
 			// Two copies per shard of the object ranked third from last
 			// in tieQ's top-k, under fresh ascending IDs: they tie with
 			// it, only the two smallest IDs make the top-k, and which
-			// shards — and stripes — hold those differs with P and w.
+			// shards — and stripes — hold those differs with P.
 			twin := live[mustDo(flat, SearchRequest{Query: tieQ, K: tieK, Lambda: 0.5})[tieK-3].ID]
 			perShard := make([]int, p)
 			for id := uint32(900_000); slices.Min(perShard) < 2; id++ {
@@ -727,7 +740,7 @@ func TestStripedChainEquivalence(t *testing.T) {
 			// Concurrent ApplyBatch: the writer inserts and deletes copies
 			// of objects that rank far behind every reader's k-th result,
 			// under a small threshold so background compactions publish
-			// too — the answers must not move, on any stripe count.
+			// too — the answers must not move, on either stripe count.
 			if err := s.SetDeltaThreshold(8); err != nil {
 				t.Fatal(err)
 			}
@@ -754,7 +767,7 @@ func TestStripedChainEquivalence(t *testing.T) {
 			}()
 			for writing := true; writing; {
 				writing = !done.Load() // one more round after the last write
-				for w := 1; w <= p; w++ {
+				for w := 1; w <= 2; w++ {
 					got, err := doStriped(s, w, context.Background(), SearchRequest{Query: tieQ, K: tieK, Lambda: 0.5})
 					if err != nil {
 						t.Fatal(err)
@@ -767,132 +780,315 @@ func TestStripedChainEquivalence(t *testing.T) {
 	}
 }
 
-// checkStripes runs one exact request on w stripes of s, counted and
-// observed, twice each; unobserved under the host's schedule, under
-// each forced stripe order and with a pre-lowered bound; and under a
-// fired budget.
-func checkStripes(t *testing.T, ctx string, s *ShardedIndex, w int, flat *Index, live map[uint32]Object, q *Object, k int, lambda float64, want []Result) {
+// snapshotSchedules are the helper schedules of a read over several
+// snapshots that forceSnapshots forces, and helperWithdrawn.
+var snapshotSchedules = []stripeSchedule{helperFirstSnapshot, helperLastSnapshot, helperWithdrawn}
+
+// forceSnapshots installs a hook forcing s on the next striped read over
+// n snapshots and returns its log; ok is false when hooks are not
+// compiled in. helperFirstSnapshot holds the caller until the helper has
+// claimed a snapshot, so the helper takes the first; helperLastSnapshot
+// holds the helper until the caller has claimed every snapshot but the
+// last, and the caller until the helper has claimed that one, so the
+// caller joins the last snapshot's walk.
+func forceSnapshots(t *testing.T, s stripeSchedule, n int) (*stripeLog, bool) {
 	t.Helper()
-	checkSharedBound(t, ctx, s, w, q, k, lambda, want)
-	var plain [2]Stats
-	for i := range plain {
-		got, err := doStriped(s, w, context.Background(), SearchRequest{Query: q, K: k, Lambda: lambda, Stats: &plain[i]})
+	if s == helperWithdrawn {
+		return forceStripes(t, s, nil, nil)
+	}
+	if !core.SetStripeHook(nil) {
+		return nil, false
+	}
+	t.Cleanup(func() { core.SetStripeHook(nil) })
+	log := new(stripeLog)
+	claimed, dealt := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	claims := 0 // the caller's snapshot claims, touched by the caller only
+	core.SetStripeHook(func(p core.StripePoint) {
+		switch p {
+		case core.StripeOffered:
+			log.offered.Add(1)
+			if s == helperFirstSnapshot {
+				awaitPoint(t, claimed, "the helper's first snapshot")
+			}
+		case core.StripeHelperStarted:
+			log.started.Add(1)
+			if s == helperLastSnapshot {
+				awaitPoint(t, dealt, "the caller's claims of all but the last snapshot")
+			}
+		case core.StripeHelperSnapshot:
+			once.Do(func() { close(claimed) })
+		case core.StripeCallerSnapshot:
+			if claims++; s == helperLastSnapshot && claims == n {
+				close(dealt)
+				awaitPoint(t, claimed, "the helper's claim of the last snapshot")
+			}
+		}
+	})
+	return log, true
+}
+
+// checkStripes runs one exact request on s on one stripe and on two:
+// counted, twice per stripe count; unobserved and traced under the
+// host's schedule and, where hooks exist, under each forced helper
+// schedule; and under a fired budget.
+func checkStripes(t *testing.T, ctx string, s *ShardedIndex, flat *Index, live map[uint32]Object, req SearchRequest, want []Result) {
+	t.Helper()
+	var counts [2]Stats
+	for w := 1; w <= 2; w++ {
+		wctx := fmt.Sprintf("%s w=%d", ctx, w)
+		var again Stats
+		for i, st := range []*Stats{&counts[w-1], &again} {
+			counted := req
+			counted.Stats = st
+			got, err := doStriped(s, w, context.Background(), counted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalResults(t, fmt.Sprintf("%s counted #%d", wctx, i), want, got)
+		}
+		if again != counts[w-1] {
+			t.Fatalf("%s: stats differ between two runs: %+v vs %+v", wctx, counts[w-1], again)
+		}
+
+		for _, traced := range []bool{false, true} {
+			var tr SearchTrace
+			r := req
+			if traced {
+				r.Trace = &tr
+			}
+			got, err := doStriped(s, w, context.Background(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rctx := fmt.Sprintf("%s traced=%v", wctx, traced)
+			equalResults(t, rctx, want, got)
+			if traced {
+				checkStripedTrace(t, rctx, s, flat, live, req, want, &tr, again)
+			}
+			if w == 1 {
+				continue
+			}
+			for _, sched := range snapshotSchedules {
+				log, ok := forceSnapshots(t, sched, s.NumShards())
+				if !ok {
+					break
+				}
+				tr = SearchTrace{}
+				got, err := doStriped(s, w, context.Background(), r)
+				core.SetStripeHook(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sctx := fmt.Sprintf("%s %v", rctx, sched)
+				log.check(t, sctx, sched)
+				equalResults(t, sctx, want, got)
+				if traced {
+					if tr.Parallel != (sched != helperWithdrawn) {
+						t.Fatalf("%s: trace parallel=%v", sctx, tr.Parallel)
+					}
+					checkStripedTrace(t, sctx, s, flat, live, req, want, &tr, again)
+				}
+			}
+		}
+
+		var es ExplainStats
+		var observed Stats
+		var tr SearchTrace
+		observedReq := req
+		observedReq.Stats, observedReq.Explain, observedReq.Trace = &observed, &es, &tr
+		got, err := doStriped(s, w, context.Background(), observedReq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		equalResults(t, ctx, want, got)
+		equalResults(t, wctx+" observed", want, got)
+		if observed != again || es.Stats != again || tr.Total.Stats != again || tr.Parallel {
+			t.Fatalf("%s: observed stats %+v / explain %+v / trace %+v (parallel %v), counted %+v", wctx, observed, es.Stats, tr.Total.Stats, tr.Parallel, again)
+		}
+
+		// The budget fires at the first poll of every snapshot: whatever
+		// comes back is flagged partial and is the exact top-k of what was
+		// examined — true distances of live objects, in canonical order,
+		// none ranked better than the complete answer ranks it.
+		var meta ResponseMeta
+		fired := firedCtx{context.Background(), make(chan struct{})}
+		close(fired.done)
+		cutReq := req
+		cutReq.Meta = &meta
+		cut, err := doStriped(s, w, fired, cutReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !meta.Partial || len(cut) > len(want) {
+			t.Fatalf("%s: fired budget: partial=%v, %d results of %d", wctx, meta.Partial, len(cut), len(want))
+		}
+		for i, r := range cut {
+			o, ok := live[r.ID]
+			if !ok || r.Dist != flat.space.Distance(nil, req.Lambda, req.Query, &o) {
+				t.Fatalf("%s: fired budget: result %d = %+v is not a live object at its true distance", wctx, i, r)
+			}
+			if i > 0 && !lessResult(cut[i-1], r) {
+				t.Fatalf("%s: fired budget: results out of canonical order at %d", wctx, i)
+			}
+			if r.Dist < want[i].Dist {
+				t.Fatalf("%s: fired budget: rank %d at %v beats the complete answer's %v", wctx, i, r.Dist, want[i].Dist)
+			}
+		}
 	}
-	if plain[0] != plain[1] {
-		t.Fatalf("%s: stats differ between two runs: %+v vs %+v", ctx, plain[0], plain[1])
+	if counts[0] != counts[1] {
+		t.Fatalf("%s: counted stats on one stripe %+v, on two %+v", ctx, counts[0], counts[1])
 	}
-	var es ExplainStats
-	var tr SearchTrace
-	var observed Stats
-	got, err := doStriped(s, w, context.Background(), SearchRequest{Query: q, K: k, Lambda: lambda, Stats: &observed, Explain: &es, Trace: &tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, ctx+" observed", want, got)
-	if observed != plain[0] || es.Stats != plain[0] || tr.Total.Stats != plain[0] {
-		t.Fatalf("%s: observed stats %+v / explain %+v / trace %+v, unobserved %+v", ctx, observed, es.Stats, tr.Total.Stats, plain[0])
-	}
-	if len(tr.Shards) != s.NumShards() || tr.Parallel != (w > 1) {
-		t.Fatalf("%s: trace has %d spans, parallel=%v", ctx, len(tr.Shards), tr.Parallel)
+}
+
+// checkStripedTrace checks the trace tr of req's read, whose answer was
+// want and whose counted read counted: one span per shard, each
+// charging every base cluster of its shard as examined or pruned, once
+// (overlay groups are pruned beside them, so a shard with an overlay is
+// held to its cluster count alone). A
+// read on one stripe has the counted read's counters, and span i the
+// k-th distance of the answer over shards 0..i; one the helper shared
+// is marked Parallel, and its last span holds the answer's k-th
+// distance.
+func checkStripedTrace(t *testing.T, ctx string, s *ShardedIndex, flat *Index, live map[uint32]Object, req SearchRequest, want []Result, tr *SearchTrace, counted Stats) {
+	t.Helper()
+	if len(tr.Shards) != s.NumShards() {
+		t.Fatalf("%s: trace has %d spans", ctx, len(tr.Shards))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
-
-	// The budget fires at every link's first poll: whatever comes back
-	// is flagged partial and is the exact top-k of what was examined —
-	// true distances of live objects, in canonical order, none ranked
-	// better than the complete answer ranks it.
-	var meta ResponseMeta
-	fired := firedCtx{context.Background(), make(chan struct{})}
-	close(fired.done)
-	cut, err := doStriped(s, w, fired, SearchRequest{Query: q, K: k, Lambda: lambda, Meta: &meta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !meta.Partial || len(cut) > len(want) {
-		t.Fatalf("%s: fired budget: partial=%v, %d results of %d", ctx, meta.Partial, len(cut), len(want))
-	}
-	for i, r := range cut {
-		o, ok := live[r.ID]
-		if !ok || r.Dist != flat.space.Distance(nil, lambda, q, &o) {
-			t.Fatalf("%s: fired budget: result %d = %+v is not a live object at its true distance", ctx, i, r)
-		}
-		if i > 0 && !lessResult(cut[i-1], r) {
-			t.Fatalf("%s: fired budget: results out of canonical order at %d", ctx, i)
-		}
-		if r.Dist < want[i].Dist {
-			t.Fatalf("%s: fired budget: rank %d at %v beats the complete answer's %v", ctx, i, r.Dist, want[i].Dist)
-		}
-	}
-}
-
-// checkSharedBound runs the unobserved request on w stripes of s, whose
-// stripes share one k-th bound: as the host schedules it; where hooks
-// exist, with the stripes run one after another in ascending and in
-// descending order, so that each starts from the bound all before it
-// left; and with the bound pre-lowered to the final k-th distance — the
-// tightest legal one — before any chain starts.
-func checkSharedBound(t *testing.T, ctx string, s *ShardedIndex, w int, q *Object, k int, lambda float64, want []Result) {
-	t.Helper()
-	req := SearchRequest{Query: q, K: k, Lambda: lambda}
-	got, err := doStriped(s, w, context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, ctx+" unobserved", want, got)
-	if w > 1 {
-		up, down := make([]int, w), make([]int, w)
-		for i := range up {
-			up[i], down[i] = i, w-1-i
-		}
-		for _, order := range [][]int{up, down} {
-			if !forceChainOrder(order) {
-				break
-			}
-			got, err := doStriped(s, w, context.Background(), req)
-			setChainHook(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalResults(t, fmt.Sprintf("%s stripes in order %v", ctx, order), want, got)
-		}
-	}
 	v := s.view()
-	v.stripes = w
-	u := math.Inf(1)
-	if len(want) > 0 {
-		u = want[len(want)-1].Dist
+	for i := range tr.Shards {
+		st := &tr.Shards[i].Stats
+		n := int64(v.cores[i].NumClusters())
+		if st.ClustersTotal != n || v.cores[i].DeltaLive() == 0 && st.ClustersExamined+st.ClustersPruned != n {
+			t.Fatalf("%s: span %d: %d clusters, %d examined, %d pruned; the shard has %d", ctx, i, st.ClustersTotal, st.ClustersExamined, st.ClustersPruned, n)
+		}
 	}
-	b := new(core.Bound)
-	b.Store(u)
-	opts := core.SearchOptions{Bound: b, Anchors: v.at(0).core.FillAnchorDists(new(core.AnchorDists), q)}
-	got, _ = v.mergeChains(nil, w, w, q, k, lambda, opts, nil, nil)
-	equalResults(t, ctx+" pre-lowered bound", want, got)
+	if tr.Parallel {
+		var kth float64
+		if len(want) > 0 {
+			kth = want[len(want)-1].Dist
+		}
+		if got := tr.Shards[len(tr.Shards)-1].Stats.KthDistance; got != kth {
+			t.Fatalf("%s: last span kthDistance %v, want %v", ctx, got, kth)
+		}
+		return
+	}
+	if tr.Total.Stats != counted {
+		t.Fatalf("%s: trace total %+v, counted %+v", ctx, tr.Total.Stats, counted)
+	}
+	for i, sp := range tr.Shards {
+		if kth := prefixKth(s, flat, live, req, i); sp.Stats.KthDistance != kth {
+			t.Fatalf("%s: span %d kthDistance %v, want %v", ctx, i, sp.Stats.KthDistance, kth)
+		}
+	}
 }
 
-// forceChainOrder installs a hook under which the stripes of the next
-// multi-chain read run one at a time in the given order, each starting
-// once the one before it has finished, and reports whether hooks are
-// compiled in. The caller removes it after the read.
-func forceChainOrder(order []int) bool {
-	rank := make([]int, len(order))
-	done := make([]chan struct{}, len(order))
-	for i, g := range order {
-		rank[g], done[i] = i, make(chan struct{})
-	}
-	return setChainHook(func(g int, end bool) {
-		switch i := rank[g]; {
-		case end:
-			close(done[i])
-		case i > 0:
-			<-done[i-1]
+// prefixKth is the distance of the last result of req's exact answer
+// over the objects of live that shards 0..last of s hold (0 for none).
+func prefixKth(s *ShardedIndex, flat *Index, live map[uint32]Object, req SearchRequest, last int) float64 {
+	var held []Result
+	for id, o := range live {
+		if s.ShardFor(id) > last {
+			continue
 		}
+		if w := req.Window; w != nil && (o.X < w.LoX || o.X > w.HiX || o.Y < w.LoY || o.Y > w.HiY) {
+			continue
+		}
+		r := Result{ID: id, Dist: flat.space.Distance(nil, req.Lambda, req.Query, &o)}
+		if req.Radius == nil || r.Dist <= *req.Radius {
+			held = append(held, r)
+		}
+	}
+	slices.SortFunc(held, func(a, b Result) int {
+		if lessResult(a, b) {
+			return -1
+		}
+		return 1
 	})
+	if len(held) == 0 {
+		return 0
+	}
+	return held[min(req.K, len(held))-1].Dist
+}
+
+// TestShardedReadAllocatesNothing pins the one-heap read's cost: after
+// warm-up an unobserved exact Do on a four-shard index under
+// GOMAXPROCS(2) — a read the standing helper may take a stripe of —
+// allocates nothing, and a thousand of them leave the goroutine count
+// where they found it.
+func TestShardedReadAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ds := testDataset(t, 2000)
+	queries := ds.SampleQueries(16, 9)
+	s := mustBuildSharded(t, ds, 4, Options{Seed: 29})
+	buf := make([]Result, 0, 16)
+	query := func(i int) {
+		var err error
+		if buf, err = s.Do(SearchRequest{Query: &queries[i%len(queries)], K: 10, Lambda: 0.5, Dst: buf[:0]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range queries { // warm-up: the helper, pooled scratches, the epoch
+		query(i)
+	}
+	if !raceEnabled {
+		// AllocsPerRun can see a stray allocation if GC empties the
+		// sync.Pool mid-measure, so pass if any attempt is clean.
+		got := 1.0
+		for attempt := 0; attempt < 3 && got != 0; attempt++ {
+			i := 0
+			got = testing.AllocsPerRun(len(queries)*4, func() { query(i); i++ })
+		}
+		if got != 0 {
+			t.Errorf("%v allocs per steady-state read, want 0", got)
+		}
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		query(i)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after 1,000 reads, %d before", after, before)
+	}
+}
+
+// TestShardedCountedReadsOneStripe pins the counted-read rule over
+// several snapshots: a Stats or an Explain read of a P = 4 index returns
+// the same counters under GOMAXPROCS 1 and 2, equal to one stripe's walk
+// of the snapshots in order (core.SearchShardsInto with nothing
+// striped), and the same answer as an unobserved read; where hooks
+// exist, neither is offered to the helper.
+func TestShardedCountedReadsOneStripe(t *testing.T) {
+	ds := testDataset(t, 1200)
+	s := mustBuildSharded(t, ds, 4, Options{Seed: 31})
+	cores := s.view().cores
+	for qi, q := range ds.SampleQueries(8, 37) {
+		var want Stats
+		wantRes := core.SearchShardsInto(nil, cores, &q, 10, 0.5, core.SearchOptions{}, nil, &want)
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			equalResults(t, fmt.Sprintf("q%d GOMAXPROCS=%d unobserved", qi, procs), wantRes, mustDo(s, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
+			log, hooked := forceStripes(t, helperFree, nil, nil)
+			var st Stats
+			var es ExplainStats
+			for _, req := range []SearchRequest{
+				{Query: &q, K: 10, Lambda: 0.5, Stats: &st},
+				{Query: &q, K: 10, Lambda: 0.5, Explain: &es},
+			} {
+				equalResults(t, fmt.Sprintf("q%d GOMAXPROCS=%d", qi, procs), wantRes, mustDo(s, req))
+			}
+			core.SetStripeHook(nil)
+			runtime.GOMAXPROCS(prev)
+			if st != want || es.Stats != want {
+				t.Fatalf("q%d GOMAXPROCS=%d: Stats %+v / Explain %+v, one stripe in order %+v", qi, procs, st, es.Stats, want)
+			}
+			if hooked && log.offered.Load() != 0 {
+				t.Fatalf("q%d GOMAXPROCS=%d: %d counted reads offered a stripe", qi, procs, log.offered.Load())
+			}
+		}
+	}
 }
 
 // TestFanOutReraisesWorkerPanic pins the recoverability of the facade's

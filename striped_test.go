@@ -48,17 +48,22 @@ const (
 	// helperSlotWithdrawn: the helper sees the offer in the slot, then
 	// waits until the caller has withdrawn it, and must drop it.
 	helperSlotWithdrawn
+	// The schedules of a read over several snapshots (forceSnapshots):
+	// the helper claims the first snapshot, or the last one.
+	helperFirstSnapshot
+	helperLastSnapshot
 )
 
 var stripeSchedules = []stripeSchedule{helperFirst, helperAfterChunk, helperWithdrawn, helperPolled, helperPollClosing, helperSlotWithdrawn}
 
 func (s stripeSchedule) String() string {
 	return [...]string{"helper-first", "helper-after-chunk", "helper-withdrawn", "helper-free",
-		"helper-polled", "helper-poll-closing", "helper-slot-withdrawn"}[s]
+		"helper-polled", "helper-poll-closing", "helper-slot-withdrawn",
+		"helper-first-snapshot", "helper-last-snapshot"}[s]
 }
 
 // slotted reports whether s needs a helper polling the slot.
-func (s stripeSchedule) slotted() bool { return s >= helperPolled }
+func (s stripeSchedule) slotted() bool { return s >= helperPolled && s <= helperSlotWithdrawn }
 
 // awaitPoint waits for ch, or fails the test after a generous timeout
 // (a lost wake-up would otherwise hang it); it may run on any
