@@ -47,7 +47,7 @@ func main() {
 		shards    = flag.Int("shards", 1, "shard count when building (a loaded index keeps its stored shard count)")
 		indexPath = flag.String("index", "", "load a saved index (file or sharded directory) instead of generating")
 		savePath  = flag.String("save", "", "after building, save the index here (a directory when -shards > 1)")
-		deltaThr  = flag.Int("delta-threshold", 0, "write-overlay compaction threshold per shard: >0 ops before a background fold, 0 = library default, -1 disables the overlay (eager clone per write)")
+		deltaThr  = flag.Int("delta-threshold", 0, "write-overlay compaction threshold per shard: >0 ops before a background fold, 0 = library default; negative is refused")
 		traceBuf  = flag.Int("trace-buffer", 1024, "retained-trace ring capacity for the always-on tracer (0 disables tracing)")
 		slowQuery = flag.Duration("slow-query", 100*time.Millisecond, "latency at which a query trace is always retained and logged (0 disables the slow rule)")
 		traceSamp = flag.Int("trace-sample", 128, "keep 1 in N normal (fast, successful) traces (0 keeps only slow/errored traces, 1 keeps everything)")

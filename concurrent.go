@@ -31,27 +31,22 @@ func Concurrent(idx *Index) *ConcurrentIndex { return ShardedFrom(idx) }
 //     sync.Pool, and it stays valid — and unchanged — for as long as a
 //     reader retains it.
 //   - Writers serialize on a small mutex, apply their mutation to a
-//     copy-on-write clone of the current snapshot (sharing the vector
-//     arenas, centroid tables and untouched cluster arrays — see
-//     internal/core's CloneForWrite), and publish the clone with one
-//     atomic pointer store. Readers that loaded the old snapshot simply
-//     finish against it; new reads see the new one.
+//     clone of the current snapshot that buffers it in a write overlay
+//     over the shared immutable base (see internal/core's overlay.go),
+//     and publish the clone with one atomic pointer store. Readers that
+//     loaded the old snapshot simply finish against it; new reads see
+//     the new one.
 //   - A rebuild reconstructs off to the side and publishes the result,
 //     so even a full §6.2 rebuild never stalls a reader; the background
 //     one additionally keeps writers available during reconstruction by
 //     logging their mutations and replaying them onto the fresh index
 //     before it is published (see buildAsideLocked).
 //
-// The price is paid by writers, and with the delta overlay (the default)
-// it is a fixed one: a mutation lands in a write overlay over the shared
-// immutable base, the clone it is applied to shares the overlay's log,
-// lookup tables and group lists — and the keyword filter's directory —
-// until the write touches them, so publishing costs what the mutation
-// touches, not what the shard or the overlay holds. Only with the
-// overlay disabled (DeltaDisabled) does every mutation copy the
-// snapshot's mutable metadata (deleted bitmap, ID map, cluster
-// directory — O(shard)); a batch then coalesces many mutations into one
-// clone-and-publish cycle. Reads pay nothing either way.
+// The price is paid by writers, and it is a fixed one: the clone a
+// mutation is applied to shares the overlay's log, lookup tables and
+// group lists — and the keyword filter's directory — until the write
+// touches them, so publishing costs what the mutation touches, not what
+// the shard or the overlay holds. Reads pay nothing.
 type shardCell struct {
 	cur atomic.Pointer[Index]
 
@@ -67,16 +62,15 @@ type shardCell struct {
 
 	// baseNS is the wall-clock (UnixNano) instant the current FLAT base
 	// was published — stamped whenever a snapshot with no buffered
-	// overlay ops goes live (initial wrap, compaction, rebuild, or any
-	// eager-mode write). Overlay-mode writes leave it alone, so it
-	// measures how stale the immutable base under the delta is.
+	// overlay ops goes live (initial wrap, compaction, rebuild). Writes
+	// leave it alone, so it measures how stale the immutable base under
+	// the delta is.
 	baseNS atomic.Int64
 
-	// deltaThreshold is the resolved overlay compaction threshold:
-	// positive enables the delta write path and bounds the overlay size,
-	// negative disables it (every write pays the eager clone). Resolved
-	// from the index's build options at wrap time; adjustable via
-	// ShardedIndex.SetDeltaThreshold.
+	// deltaThreshold is the resolved overlay compaction threshold, always
+	// positive: the overlay size at which a write starts a background
+	// fold. Resolved from the index's build options at wrap time;
+	// adjustable via ShardedIndex.SetDeltaThreshold.
 	deltaThreshold atomic.Int64
 
 	// compactions counts completed overlay compactions (background and
@@ -105,21 +99,17 @@ type shardCell struct {
 var ErrRebuildInProgress = errors.New("cssi: rebuild already in progress")
 
 // ErrInvalidDeltaThreshold is returned by the delta-threshold setters
-// for values below DeltaDisabled (-1). Valid values are -1 (disabled),
-// 0 (library default), and any positive op count.
-var ErrInvalidDeltaThreshold = errors.New("cssi: delta compact threshold must be -1 (disabled), 0 (default), or positive")
+// for negative values. Valid values are 0 (library default) and any
+// positive op count.
+var ErrInvalidDeltaThreshold = errors.New("cssi: delta compact threshold must be 0 (default) or positive")
 
-// resolveDeltaThreshold maps an Options-style threshold (0 = default,
-// negative = disabled) to the cell's internal resolved form.
+// resolveDeltaThreshold maps an Options-style threshold (not positive =
+// default) to the cell's internal resolved form.
 func resolveDeltaThreshold(t int) int64 {
-	switch {
-	case t == 0:
+	if t <= 0 {
 		return DefaultDeltaCompactThreshold
-	case t < 0:
-		return -1
-	default:
-		return int64(t)
 	}
+	return int64(t)
 }
 
 // newShardCell publishes idx as the cell's first snapshot. idx must not
@@ -185,18 +175,18 @@ func applyOp(idx *Index, op Op) error {
 // so readers never observe a partially applied batch. All-or-nothing:
 // if any op fails, nothing is published and the error is returned.
 //
-// With the delta overlay enabled (the default), the clone costs the
-// same however many ops the overlay buffers: writes land in an overlay
-// chained over the shared immutable base, and once the overlay reaches
-// the compaction threshold a background fold publishes a fresh flat
-// base. A clone dropped by a failing batch may already have appended to
-// the log the overlay lineage shares; the next write's clone then finds
-// the slot taken and moves to a private log (core's lost-claim copy).
+// The clone costs the same however many ops the overlay buffers: writes
+// land in an overlay chained over the shared immutable base, which also
+// keeps every writer off the base structures a background fold replays
+// into, and once the overlay reaches the compaction threshold a
+// background fold publishes a fresh flat base. A clone dropped by a
+// failing batch may already have appended to the log the overlay
+// lineage shares; the next write's clone then finds the slot taken and
+// moves to a private log (core's lost-claim copy).
 func (c *shardCell) apply(ops ...Op) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	threshold := c.deltaThreshold.Load()
-	next := c.writeClone(c.cur.Load())
+	next := c.cur.Load().cloneWithDelta()
 	for _, op := range ops {
 		if err := applyOp(next, op); err != nil {
 			return err
@@ -205,11 +195,10 @@ func (c *shardCell) apply(ops ...Op) error {
 	c.publish(next)
 	if c.rebuildActive {
 		c.rebuildLog = append(c.rebuildLog, ops...)
-	} else if n := int64(next.DeltaOps()); n > 0 && (threshold <= 0 || n >= threshold) {
-		// Threshold crossed — or the overlay was disabled mid-stream and
-		// the residual delta must drain. A fold that fails loses nothing:
-		// the current snapshot already holds every acknowledged write
-		// (base+delta answers are exact), and the next crossing retries.
+	} else if int64(next.DeltaOps()) >= c.deltaThreshold.Load() {
+		// Threshold crossed. A fold that fails loses nothing: the current
+		// snapshot already holds every acknowledged write (base+delta
+		// answers are exact), and the next crossing retries.
 		start := time.Now()
 		c.buildAsideLocked("compaction", next.compact, func(err error) {
 			if err == nil {
@@ -218,19 +207,6 @@ func (c *shardCell) apply(ops ...Op) error {
 		})
 	}
 	return nil
-}
-
-// writeClone produces the snapshot clone a mutation will be applied to.
-// Delta-carrying snapshots ALWAYS clone through the overlay, even when
-// the threshold is disabled: an eager CloneForWrite would silently drop
-// the buffered delta ops, and — equally load-bearing — this keeps every
-// writer off the shared base structures while a background fold (which
-// implies cur.DeltaOps() > 0 for its whole flight) replays into them.
-func (c *shardCell) writeClone(cur *Index) *Index {
-	if c.deltaThreshold.Load() > 0 || cur.DeltaOps() > 0 {
-		return cur.cloneWithDelta()
-	}
-	return cur.cloneForWrite()
 }
 
 // buildAsideLocked replaces the snapshot with what build returns while
@@ -320,7 +296,7 @@ func (c *shardCell) enableKeywordFilter() {
 	if c.cur.Load().KeywordFilterEnabled() {
 		return
 	}
-	next := c.writeClone(c.cur.Load())
+	next := c.cur.Load().cloneWithDelta()
 	next.EnableKeywordFilter()
 	c.publish(next)
 }

@@ -121,21 +121,16 @@ type Options struct {
 	// DeltaCompactThreshold bounds the write overlay that ShardedIndex
 	// snapshots carry: once a snapshot accumulates this
 	// many overlay write ops, a background compaction folds the delta
-	// into a fresh flat snapshot. Zero means DefaultDeltaCompactThreshold.
-	// DeltaDisabled (-1) turns the overlay off entirely, so every write
-	// pays the eager copy-on-write clone instead.
+	// into a fresh flat snapshot. Zero or negative means
+	// DefaultDeltaCompactThreshold.
 	DeltaCompactThreshold int
 	// Seed makes index construction deterministic.
 	Seed uint64
 }
 
 // DefaultDeltaCompactThreshold is the overlay compaction threshold used
-// when Options.DeltaCompactThreshold is zero.
+// when Options.DeltaCompactThreshold is not positive.
 const DefaultDeltaCompactThreshold = core.DefaultDeltaCompactThreshold
-
-// DeltaDisabled disables the write overlay when assigned to
-// Options.DeltaCompactThreshold: every write clones eagerly.
-const DeltaDisabled = core.DeltaDisabled
 
 // Index answers semantic spatio-textual k-NN queries. Obtain one from
 // Build. An Index is safe for concurrent Do/DoBatch calls;
@@ -232,37 +227,28 @@ func (x *Index) Update(o Object) error {
 }
 
 // Rebuild reconstructs the index from scratch over the live objects — the
-// remedy the paper prescribes after heavy distribution drift (§6.2).
-// An enabled keyword filter is rebuilt alongside.
+// remedy the paper prescribes after heavy distribution drift (§6.2) —
+// and swaps the result in (see rebuildFresh). An enabled keyword filter
+// is rebuilt alongside; the installed trace sink and the snapshot ID
+// stay.
 func (x *Index) Rebuild() error {
-	if err := x.core.Rebuild(); err != nil {
+	fresh, err := x.rebuildFresh()
+	if err != nil {
 		return err
 	}
-	if x.kw != nil {
-		x.EnableKeywordFilter()
-	}
+	fresh.sink, fresh.snapID = x.sink, x.snapID
+	*x = *fresh
 	return nil
 }
 
-// cloneForWrite returns a write-isolated copy of the whole facade —
-// core index plus keyword filter — for the snapshot-publication path of
-// shardCell: mutations applied to the clone are invisible through
-// x, so lock-free readers can keep using x until the clone is published
-// in its place.
-func (x *Index) cloneForWrite() *Index {
-	nx := &Index{core: x.core.CloneForWrite(), space: x.space}
-	if x.kw != nil {
-		nx.kw = x.kw.Clone()
-	}
-	return nx
-}
-
-// cloneWithDelta returns a write-isolated copy whose core carries a
-// mutable delta overlay over the shared immutable base: applying a
-// write costs what the write touches instead of the O(n) directory
-// copies of cloneForWrite. An enabled keyword filter is cloned the same
-// way on all three paths (this one, cloneForWrite, compact): the clone
-// shares every directory bucket and copies the few a write touches.
+// cloneWithDelta returns a write-isolated copy for the
+// snapshot-publication path of shardCell, whose core carries a mutable
+// delta overlay over the shared immutable base: applying a write costs
+// what the write touches, and the clone's writes are invisible through
+// x, so lock-free readers keep using x until the clone is published in
+// its place. An enabled keyword filter is cloned the same way here and
+// in compact: the clone shares every directory bucket and copies the few
+// a write touches.
 func (x *Index) cloneWithDelta() *Index {
 	nx := &Index{core: x.core.CloneWithDelta(), space: x.space}
 	if x.kw != nil {
@@ -293,8 +279,7 @@ func (x *Index) compact() (*Index, error) {
 }
 
 // DeltaOps reports the number of write operations buffered in this
-// snapshot's delta overlay — 0 for flat snapshots and for indexes built
-// with DeltaDisabled.
+// snapshot's delta overlay — 0 for flat snapshots.
 func (x *Index) DeltaOps() int { return x.core.DeltaOps() }
 
 // rebuildFresh reconstructs the index from scratch over the live

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func testDataset(t testing.TB, size int) *Dataset {
@@ -131,6 +133,40 @@ func TestMaintenanceThroughFacade(t *testing.T) {
 	}
 	if idx.UpdatesSinceBuild() != 0 {
 		t.Fatal("rebuild did not reset the update counter")
+	}
+}
+
+// Rebuild swaps in rebuildFresh's index: answers equal those of a twin's
+// fresh rebuild, and the installed trace sink and the snapshot ID stay.
+func TestRebuildSwapsInFreshIndex(t *testing.T) {
+	ds := testDataset(t, 400)
+	idx, twin := mustBuild(t, ds, Options{Seed: 6}), mustBuild(t, ds, Options{Seed: 6})
+	for _, x := range []*Index{idx, twin} {
+		for i := 0; i < 30; i++ {
+			if err := x.Delete(ds.Objects[i*7].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sink := obs.NewSink(obs.SinkConfig{BufferSize: 16})
+	idx.SetTraceSink(sink)
+	idx.snapID = 7
+	if err := idx.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if idx.TraceSink() != sink || idx.snapID != 7 {
+		t.Fatalf("after Rebuild: sink kept %v, snapshot ID %d", idx.TraceSink() == sink, idx.snapID)
+	}
+	fresh, err := twin.rebuildFresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := 0; qi < 8; qi++ {
+		q := ds.Objects[(qi*41+3)%ds.Len()]
+		for _, lambda := range []float64{0, 0.5, 1} {
+			req := SearchRequest{Query: &q, K: 10, Lambda: lambda}
+			equalResults(t, "rebuilt vs fresh", mustDo(fresh, req), mustDo(idx, req))
+		}
 	}
 }
 

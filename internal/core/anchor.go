@@ -33,7 +33,7 @@ import (
 // anchors are fitted or assigned.
 //
 // Storage is 5 B per row (uint8 id + float32 distance), derived and
-// never serialized: Build, Rebuild, RebuildFresh and Load fit and assign
+// never serialized: Build, RebuildFresh and Load fit and assign
 // it, Save ignores it. Rows inserted afterwards carry anchorSentinel with
 // distance 0; the query's dq[anchorSentinel] is 0 too, so their bound is
 // 0 and they never prune — the write path does no anchor search, and the

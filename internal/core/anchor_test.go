@@ -625,10 +625,6 @@ func TestAnchorsSurviveMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("rebuilt", rebuilt, 0)
-	if err := compacted.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	step("rebuilt in place", compacted, 0)
 }
 
 // Every visited row is either skipped by the gate or costs exactly one
@@ -725,10 +721,7 @@ func TestAnchorCountFixed(t *testing.T) {
 	want("shard", shard)
 	want("loaded shard", saveLoad(t, shard))
 
-	if err := flat.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	want("rebuilt", flat)
+	want("rebuilt", rebuilt(t, flat))
 }
 
 // Readers keep every gated loop running on a published parent while a

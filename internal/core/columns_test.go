@@ -151,7 +151,7 @@ func requireObjects(t *testing.T, ctx string, x *Index, want map[uint32]dataset.
 
 // TestObjectAssembledFromColumns: Object returns what was inserted, for
 // base rows, eager inserts across a vector-arena regrowth, overlay rows,
-// and after Compact, Rebuild and Load.
+// and after Compact, RebuildFresh and Load.
 func TestObjectAssembledFromColumns(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 85})
 	requireObjects(t, "built", f.idx, liveObjects(f.ds.Objects), 123_456)
@@ -176,10 +176,7 @@ func TestObjectAssembledFromColumns(t *testing.T) {
 	delete(live, 600_000)
 	requireObjects(t, "overlay", ov, live, append(gone, 600_000)...)
 
-	if err := states["eager"].Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	requireObjects(t, "rebuilt", states["eager"], want["eager"], gone...)
+	requireObjects(t, "rebuilt", rebuilt(t, states["eager"]), want["eager"], gone...)
 }
 
 // TestHeapLedger holds HeapBytes to the heap a build keeps: the ledger's

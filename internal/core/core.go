@@ -40,8 +40,8 @@ type Config struct {
 	// 0.7 on measured query latency (DESIGN §3): the default setup yields
 	// ≈890 hybrid clusters at 20k objects, ≈22 objects per cluster — a
 	// step toward the paper's ≈1,100 (5M objects over 4,489 clusters).
-	// A zero stays zero in the stored configuration, so Rebuild,
-	// RebuildFresh and a saved and reloaded index derive the counts
+	// A zero stays zero in the stored configuration, so RebuildFresh
+	// and a saved and reloaded index derive the counts
 	// again from the live objects; Index.Config reports the counts in
 	// effect.
 	Ks, Kt int
@@ -72,24 +72,19 @@ type Config struct {
 	Seed uint64
 	// DeltaCompactThreshold bounds how many write operations a published
 	// snapshot's write overlay may absorb before the concurrent wrappers
-	// fold it into a fresh flat base (see overlay.go). Zero selects
-	// DefaultDeltaCompactThreshold; DeltaDisabled (-1) switches the write
-	// path back to eager O(n) clones — the pre-overlay behavior, kept as
-	// the measurable baseline. The core package itself only stores the
-	// value (gob-tolerant: absent from older files, loading as 0); the
-	// wrappers interpret it.
+	// fold it into a fresh flat base (see overlay.go). Zero or negative
+	// selects DefaultDeltaCompactThreshold (a file saved with the retired
+	// -1 loads with the overlay on). The core package itself only stores
+	// the value (gob-tolerant: absent from older files, loading as 0);
+	// the wrappers interpret it.
 	DeltaCompactThreshold int
 }
 
-const (
-	// DefaultDeltaCompactThreshold is the overlay size at which the
-	// concurrent wrappers compact by default: large enough that the O(n)
-	// fold amortizes to a small constant per write, small enough that the
-	// extra per-query delta scan stays well under one cluster's work.
-	DefaultDeltaCompactThreshold = 4096
-	// DeltaDisabled as a DeltaCompactThreshold disables the write overlay.
-	DeltaDisabled = -1
-)
+// DefaultDeltaCompactThreshold is the overlay size at which the
+// concurrent wrappers compact by default: large enough that the O(n)
+// fold amortizes to a small constant per write, small enough that the
+// extra per-query delta scan stays well under one cluster's work.
+const DefaultDeltaCompactThreshold = 4096
 
 // applyDefaults fills the settings whose default does not depend on the
 // data; the cluster counts are derived per build (clusterCounts).
@@ -288,8 +283,8 @@ type Index struct {
 
 	// scratchPool recycles per-query searchScratch buffers so the query
 	// algorithms allocate nothing in steady state. A pointer (not a
-	// value) because Rebuild replaces the whole Index value and
-	// sync.Pool must not be copied. Snapshot clones share the pool.
+	// value) because clones copy the whole Index value and sync.Pool
+	// must not be copied. Snapshot clones share the pool.
 	scratchPool *sync.Pool
 
 	// cow is non-nil while this Index is a copy-on-write clone being

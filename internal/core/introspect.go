@@ -63,8 +63,8 @@ func (x *Index) EnclosureRates(q *dataset.Object) (orig, proj float64) {
 
 // AnchorSet returns the anchor set the index's rows are anchored to. A
 // write, a compaction and CloneForWrite keep it; Build fits one unless
-// BuildWithAnchors hands it one, and Rebuild, RebuildFresh and Load fit
-// their own.
+// BuildWithAnchors hands it one, and RebuildFresh and Load fit their
+// own.
 func (x *Index) AnchorSet() *Anchors { return x.anchors.set }
 
 // UnanchoredRows counts the live objects the anchor bound cannot prune:

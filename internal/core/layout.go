@@ -6,7 +6,7 @@ import (
 	"repro/internal/par"
 )
 
-// Cluster-major storage. Build, Rebuild, RebuildFresh and Load leave
+// Cluster-major storage. Build, RebuildFresh and Load leave
 // every hybrid cluster's elements at consecutive storage positions, in
 // elems order: elems[j].idx == base+j. The unit of work of Alg. 2 — walk
 // one cluster's array front to back — is then one linear read of each

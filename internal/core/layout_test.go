@@ -24,7 +24,7 @@ func gatheredClusters(x *Index) int {
 	return n
 }
 
-// requireClusterMajor asserts the state Build, Rebuild, RebuildFresh and
+// requireClusterMajor asserts the state Build, RebuildFresh and
 // Load promise: invariants hold (checkLayout among them) and every
 // cluster reads the arenas directly.
 func requireClusterMajor(t *testing.T, ctx string, x *Index) {
@@ -105,7 +105,7 @@ func saveLoad(t *testing.T, x *Index) *Index {
 
 // Every path that produces a fresh index leaves it cluster-major;
 // in-place maintenance degrades only the clusters it touches, and the
-// next Load, Rebuild or RebuildFresh restores the rest.
+// next Load or RebuildFresh restores the rest.
 func TestLayoutClusterMajorLifecycle(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 700, Config{Seed: 70})
 	requireClusterMajor(t, "build", f.idx)
@@ -152,11 +152,6 @@ func TestLayoutClusterMajorLifecycle(t *testing.T) {
 	}
 	requireClusterMajor(t, "rebuild fresh", fresh)
 	requireExact(t, "rebuild fresh", fresh)
-	if err := f.idx.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	requireClusterMajor(t, "rebuild", f.idx)
-	requireExact(t, "rebuild", f.idx)
 }
 
 // scrambledSave re-encodes a save with its storage positions shuffled:

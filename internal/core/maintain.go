@@ -199,27 +199,14 @@ func (x *Index) Update(o dataset.Object) error {
 	return nil
 }
 
-// Rebuild reconstructs the index from scratch over the live objects —
-// the remedy §6.2 prescribes after the data distribution has drifted.
-// The rebuild happens in place (x's value is replaced) and refreshes
-// the shared metric space's projected normalizer; it must not run
-// concurrently with readers — the snapshot path uses RebuildFresh.
-func (x *Index) Rebuild() error {
-	ds := &dataset.Dataset{Objects: x.collectLive(), Dim: x.pcaModel.N()}
-	fresh, err := Build(ds, x.space, x.cfg)
-	if err != nil {
-		return fmt.Errorf("core: rebuild: %w", err)
-	}
-	*x = *fresh
-	return nil
-}
-
-// RebuildFresh builds a brand-new index over the live objects without
-// mutating x in any way: the non-blocking rebuild path, where readers
-// keep querying x while the replacement is constructed off to the side
-// and published afterwards. The fresh index gets its own copy of the
-// metric space, because Build recomputes the projected-space normalizer
-// (DtProjMax) and concurrent readers of x still depend on the old one.
+// RebuildFresh reconstructs the index from scratch over the live objects
+// — the remedy §6.2 prescribes after the data distribution has drifted —
+// as a brand-new index, without mutating x in any way: readers keep
+// querying x while the replacement is constructed off to the side and
+// published (or swapped in) afterwards. The fresh index gets its own
+// copy of the metric space, because Build recomputes the projected-space
+// normalizer (DtProjMax) and concurrent readers of x still depend on the
+// old one.
 func (x *Index) RebuildFresh() (*Index, error) {
 	ds := &dataset.Dataset{Objects: x.collectLive(), Dim: x.pcaModel.N()}
 	spaceCopy := *x.space

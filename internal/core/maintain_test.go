@@ -11,6 +11,16 @@ import (
 
 // liveScanner builds a scanner over the index's current live objects so
 // differential checks stay valid after maintenance.
+// rebuilt is x.RebuildFresh, failing the test on an error.
+func rebuilt(t *testing.T, x *Index) *Index {
+	t.Helper()
+	fresh, err := x.RebuildFresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
 func liveScanner(idx *Index) (*scan.Scanner, *dataset.Dataset) {
 	ds := &dataset.Dataset{Objects: idx.collectLive(), Dim: idx.pcaModel.N()}
 	return scan.New(ds, idx.space), ds
@@ -237,9 +247,7 @@ func TestRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.idx.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
+	f.idx = rebuilt(t, f.idx)
 	if f.idx.UpdatesSinceBuild != 0 {
 		t.Fatalf("UpdatesSinceBuild = %d after rebuild", f.idx.UpdatesSinceBuild)
 	}
@@ -282,11 +290,7 @@ func TestRebuildRederivesClusterCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range []*Index{f.idx, loaded, explicit.idx} {
-		if err := x.Rebuild(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	f.idx, loaded, explicit.idx = rebuilt(t, f.idx), rebuilt(t, loaded), rebuilt(t, explicit.idx)
 	for name, x := range map[string]*Index{"rebuilt": f.idx, "rebuilt fresh": fresh, "reloaded and rebuilt": loaded} {
 		if cfg := x.Config(); cfg.Ks != want || cfg.Kt != want || len(x.sCentX) != want {
 			t.Fatalf("%s: %d/%d clusters at %d objects, want %d", name, cfg.Ks, cfg.Kt, x.Len(), want)
@@ -415,10 +419,7 @@ func TestDriftRatio(t *testing.T) {
 		t.Fatalf("alien inserts should nearly always expand radii, got %v", alienRatio)
 	}
 	// Rebuild resets the signal.
-	if err := g.idx.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	if g.idx.DriftRatio() != 0 {
+	if rebuilt(t, g.idx).DriftRatio() != 0 {
 		t.Fatal("DriftRatio should reset after rebuild")
 	}
 }

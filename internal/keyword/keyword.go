@@ -3,7 +3,8 @@
 // spatial-keyword search (§2), which matches query keywords exactly;
 // combining the two — exact containment of required terms plus semantic
 // ranking of the survivors — is a natural hybrid this package enables
-// (used by Index.SearchWithKeywords in the public API).
+// (SearchRequest.Keywords in the public API: the candidates of Candidates
+// are the exact read's row predicate).
 package keyword
 
 import (
@@ -467,20 +468,4 @@ func intersect(a, b []uint32) []uint32 {
 		}
 	}
 	return out
-}
-
-// Predicate returns a membership test over the AND-candidate set.
-func (f *Filter) Predicate(keywords []string) (allow func(id uint32) bool, ok bool) {
-	ids, ok := f.Candidates(keywords)
-	if !ok {
-		return nil, false
-	}
-	set := make(map[uint32]struct{}, len(ids))
-	for _, id := range ids {
-		set[id] = struct{}{}
-	}
-	return func(id uint32) bool {
-		_, in := set[id]
-		return in
-	}, true
 }

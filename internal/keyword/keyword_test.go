@@ -128,20 +128,6 @@ func TestAddKeepsSorted(t *testing.T) {
 	}
 }
 
-func TestPredicate(t *testing.T) {
-	f := buildTestFilter()
-	allow, ok := f.Predicate([]string{"coffee"})
-	if !ok {
-		t.Fatal("predicate rejected")
-	}
-	if !allow(1) || !allow(2) || allow(3) {
-		t.Fatal("predicate membership wrong")
-	}
-	if _, ok := f.Predicate([]string{"the"}); ok {
-		t.Fatal("stop-word predicate should be rejected")
-	}
-}
-
 // Clone shares the directory; a write on either side — the source
 // included, after it has been cloned — must copy the buckets it touches
 // and leave the other side's answers alone, also for a term that is

@@ -115,10 +115,9 @@ type Server struct {
 
 // SetDeltaDefaults sets the write-overlay compaction threshold on every
 // shard: positive bounds each shard's overlay at that many write ops
-// before a background compaction folds it, 0 keeps the library default
-// (cssi.DefaultDeltaCompactThreshold), and -1 disables the overlay so
-// every write pays an eager clone. Returns
-// cssi.ErrInvalidDeltaThreshold for values below -1. Call before
+// before a background compaction folds it, and 0 keeps the library
+// default (cssi.DefaultDeltaCompactThreshold). Returns
+// cssi.ErrInvalidDeltaThreshold for negative values. Call before
 // Handler.
 func (s *Server) SetDeltaDefaults(threshold int) error {
 	return s.idx.SetDeltaThreshold(threshold)

@@ -1,14 +1,15 @@
 package cssi
 
 import (
-	"repro/internal/core"
+	"slices"
+
 	"repro/internal/keyword"
 	"repro/internal/knn"
 )
 
-// keywordBruteForceCap bounds the candidate-set size below which a
-// keyword query is answered by directly evaluating the candidates
-// instead of running the filtered index search.
+// keywordBruteForceCap bounds, per pinned snapshot, the candidate-set
+// size up to which a keyword request is answered by evaluating its
+// candidates directly instead of running the exact read over them.
 const keywordBruteForceCap = 512
 
 // EnableKeywordFilter builds an inverted index over the stored objects'
@@ -28,39 +29,6 @@ func (x *Index) EnableKeywordFilter() {
 // KeywordFilterEnabled reports whether SearchRequest.Keywords is available.
 func (x *Index) KeywordFilterEnabled() bool { return x.kw != nil }
 
-// searchWithKeywords is the keyword-constrained search of one snapshot
-// behind Do; inputs are already validated and the filter is present
-// (see SearchRequest.validate).
-func (x *Index) searchWithKeywords(q *Object, k int, lambda float64, keywords []string) (results []Result, ok bool) {
-	candidates, ok := x.kw.Candidates(keywords)
-	if !ok {
-		return nil, false
-	}
-	if len(candidates) == 0 {
-		return nil, true
-	}
-	// Selective keyword sets: evaluate the candidates directly.
-	if len(candidates) <= keywordBruteForceCap {
-		all := make([]Result, 0, len(candidates))
-		for _, id := range candidates {
-			o, live := x.core.Object(id)
-			if !live {
-				continue
-			}
-			all = append(all, Result{ID: id, Dist: x.space.Distance(nil, lambda, q, &o)})
-		}
-		knn.SortResults(all)
-		if len(all) > k {
-			all = all[:k]
-		}
-		return all, true
-	}
-	// Broad keyword sets: the exact read restricted to the matching rows,
-	// without the request's budget (this path reports no Partial).
-	allow, _ := x.kw.Predicate(keywords)
-	return x.core.SearchOptionsInto(nil, q, k, lambda, core.SearchOptions{Allow: allow}, nil), true
-}
-
 // KeywordDocFrequency reports how many live objects contain the keyword
 // (0 when the filter is disabled or the keyword normalizes away).
 func (x *Index) KeywordDocFrequency(kw string) int {
@@ -68,4 +36,85 @@ func (x *Index) KeywordDocFrequency(kw string) int {
 		return 0
 	}
 	return x.kw.DocFrequency(kw)
+}
+
+// keywordRows resolves a keyword request over the view's snapshots once:
+// per snapshot, the sorted IDs of its objects whose text holds every
+// keyword, and their total. Every snapshot carries the filter (validate
+// checked). Usability depends on the keywords alone, so an unusable
+// list fails on the first snapshot with ErrUnusableKeywords.
+func (v *view) keywordRows(keywords []string) (rows [][]uint32, total int, err error) {
+	rows = make([][]uint32, v.n())
+	for i := range rows {
+		ids, ok := v.at(i).kw.Candidates(keywords)
+		if !ok {
+			return nil, 0, ErrUnusableKeywords
+		}
+		rows[i], total = ids, total+len(ids)
+	}
+	return rows, total, nil
+}
+
+// evaluateRows answers a selective keyword request without a read: every
+// candidate's true distance, appended to dst, sorted with ties by ID and
+// cut to k — the exact top-k of the candidates, as the read would find
+// it.
+func (v *view) evaluateRows(dst []Result, q *Object, k int, lambda float64, rows [][]uint32, total int) []Result {
+	all := make([]Result, 0, total)
+	for i, ids := range rows {
+		x := v.at(i)
+		for _, id := range ids {
+			if o, live := x.core.Object(id); live {
+				all = append(all, Result{ID: id, Dist: x.space.Distance(nil, lambda, q, &o)})
+			}
+		}
+	}
+	knn.SortResults(all)
+	return append(dst, all[:min(k, len(all))]...)
+}
+
+// idSet is the membership test a broad keyword request hands the read
+// as its row predicate (core.SearchOptions.Allow): a bitmap over the
+// candidates' ID span when that costs at most a word per candidate,
+// else the sorted IDs searched by bisection. It is read-only, so both
+// stripes of a read may test it at once.
+type idSet struct {
+	lo   uint32
+	bits []uint64
+	ids  []uint32
+}
+
+func newIDSet(rows [][]uint32, total int) *idSet {
+	lo, hi := ^uint32(0), uint32(0)
+	for _, ids := range rows {
+		if len(ids) > 0 {
+			lo, hi = min(lo, ids[0]), max(hi, ids[len(ids)-1])
+		}
+	}
+	s := &idSet{lo: lo}
+	if words := (uint64(hi)-uint64(lo))/64 + 1; words <= uint64(total) {
+		s.bits = make([]uint64, words)
+		for _, ids := range rows {
+			for _, id := range ids {
+				s.bits[(id-lo)/64] |= 1 << ((id - lo) % 64)
+			}
+		}
+		return s
+	}
+	if len(rows) == 1 {
+		s.ids = rows[0]
+		return s
+	}
+	s.ids = slices.Concat(rows...)
+	slices.Sort(s.ids)
+	return s
+}
+
+func (s *idSet) has(id uint32) bool {
+	if s.bits != nil {
+		i := uint64(id - s.lo)
+		return id >= s.lo && i/64 < uint64(len(s.bits)) && s.bits[i/64]>>(i%64)&1 != 0
+	}
+	_, ok := slices.BinarySearch(s.ids, id)
+	return ok
 }

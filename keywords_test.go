@@ -2,8 +2,13 @@ package cssi
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/knn"
 )
 
 func keywordFixture(t *testing.T) (*Dataset, *Index) {
@@ -14,37 +19,149 @@ func keywordFixture(t *testing.T) (*Dataset, *Index) {
 	return ds, idx
 }
 
+// TestSearchWithKeywordsMatchesBruteForce holds both arms of the one
+// keyword read — the direct evaluation of a selective term's candidates
+// and the exact read under a broad term's row predicate — to a
+// brute-force filter over the live objects, rank by rank with ties by
+// ID: on a bare index and on sharded ones at P = 1, 2 and 4, for
+// k ∈ {1, 10, n+5} and λ ∈ {0, 0.5, 1}, as built, after writes (the
+// overlay on a sharded index, in place on a bare one) and after Compact.
 func TestSearchWithKeywordsMatchesBruteForce(t *testing.T) {
-	ds, idx := keywordFixture(t)
-	// Use a word that actually occurs.
-	word := strings.Fields(ds.Objects[25].Text)[0]
-	q := ds.Objects[3]
-	got := mustDo(idx, SearchRequest{Query: &q, K: 5, Lambda: 0.5, Keywords: []string{word}})
-	// Brute force over all objects containing the word.
-	var want []Result
-	for i := range ds.Objects {
-		if !containsWord(ds.Objects[i].Text, word) {
-			continue
+	ds, err := GenerateDataset(DatasetConfig{Kind: TwitterLike, Size: 12000, Dim: 24, Seed: 71})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := mustBuild(t, ds, Options{Seed: 44})
+	bare.EnableKeywordFilter()
+	type target struct {
+		name string
+		x    doer
+	}
+	targets := []target{{"Index", bare}}
+	for _, p := range []int{1, 2, 4} {
+		s := mustBuildSharded(t, ds, p, Options{Seed: 44})
+		s.EnableKeywordFilter()
+		targets = append(targets, target{fmt.Sprintf("Sharded/P=%d", p), s})
+	}
+	// The broad term is over the cap at every P, the selective one under
+	// it at P = 1, with room for the writes below either way.
+	broad, selective := ds.Model.Vocab.Words[0], ""
+	for _, w := range ds.Model.Vocab.Words {
+		if df := bare.KeywordDocFrequency(w); df >= 100 && df <= keywordBruteForceCap/2 {
+			selective = w
+			break
 		}
-		want = append(want, Result{ID: ds.Objects[i].ID, Dist: idx.space.Distance(nil, 0.5, &q, &ds.Objects[i])})
 	}
-	sortByDistID(want)
-	if len(want) > 5 {
-		want = want[:5]
+	if df := bare.KeywordDocFrequency(broad); selective == "" || df <= 4*keywordBruteForceCap+200 {
+		t.Fatalf("no usable terms: broad %q in %d docs, selective %q", broad, df, selective)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
+	live := make(map[uint32]Object, ds.Len())
+	for _, o := range ds.Objects {
+		live[o.ID] = o
 	}
-	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist {
-			t.Fatalf("result %d: %+v vs %+v", i, got[i], want[i])
+	check := func(state string) {
+		for _, word := range []string{selective, broad} {
+			var holders []Object
+			for _, o := range live {
+				if containsWord(o.Text, word) {
+					holders = append(holders, o)
+				}
+			}
+			for qi := 0; qi < 3; qi++ {
+				q := ds.Objects[(qi*1409+11)%ds.Len()]
+				for _, lambda := range []float64{0, 0.5, 1} {
+					want := make([]Result, len(holders))
+					for i := range holders {
+						want[i] = Result{ID: holders[i].ID, Dist: bare.space.Distance(nil, lambda, &q, &holders[i])}
+					}
+					sort.Slice(want, func(a, b int) bool {
+						return want[a].Dist < want[b].Dist || want[a].Dist == want[b].Dist && want[a].ID < want[b].ID
+					})
+					for _, tg := range targets {
+						for _, k := range []int{1, 10, ds.Len() + 5} {
+							ctx := fmt.Sprintf("%s %s %q q%d λ=%v k=%d", tg.name, state, word, qi, lambda, k)
+							got := mustDo(tg.x, SearchRequest{Query: &q, K: k, Lambda: lambda, Keywords: []string{word}})
+							equalResults(t, ctx, want[:min(k, len(want))], got)
+						}
+					}
+				}
+			}
 		}
 	}
-	// Every result must contain the keyword.
-	for _, r := range got {
-		o, _ := idx.Object(r.ID)
-		if !containsWord(o.Text, word) {
-			t.Fatalf("result %d lacks keyword %q: %q", r.ID, word, o.Text)
+	check("built")
+	for _, op := range overlayOps(ds, 120) {
+		for _, tg := range targets {
+			var err error
+			if s, ok := tg.x.(*ShardedIndex); ok {
+				err = s.ApplyBatch([]Op{op})
+			} else {
+				err = applyOp(bare, op)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tg.name, err)
+			}
+		}
+		switch op.Kind {
+		case OpDelete:
+			delete(live, op.ID)
+		default:
+			live[op.Object.ID] = op.Object
+		}
+	}
+	check("written")
+	for _, tg := range targets[1:] {
+		s := tg.x.(*ShardedIndex)
+		if snapshot(s).DeltaOps() == 0 {
+			t.Fatalf("%s: the writes left no overlay", tg.name)
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("compacted")
+}
+
+// An exact read under a keyword predicate is cut by the request's budget
+// like any read: a broad keyword with an already-expired budget returns
+// an admissible prefix — keyword-holding objects at their true distances,
+// in order — flagged Partial, and is not cached.
+func TestSearchWithKeywordsBudgetPartial(t *testing.T) {
+	ds, err := GenerateDataset(DatasetConfig{Kind: TwitterLike, Size: 6000, Dim: 24, Seed: 71})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustBuildSharded(t, ds, 2, Options{Seed: 44})
+	s.EnableKeywordFilter()
+	s.EnableResultCache(64)
+	word := ds.Model.Vocab.Words[0]
+	q := ds.Objects[9]
+	full := mustDo(s, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Keywords: []string{word}, Cache: CacheOff})
+	if len(full) != 10 {
+		t.Fatalf("unbudgeted: %d results", len(full))
+	}
+	space := s.shards[0].cur.Load().space
+	// The second round finds nothing cached: a partial answer never is.
+	for round := 0; round < 2; round++ {
+		var meta ResponseMeta
+		got, err := s.Do(SearchRequest{Query: &q, K: 10, Lambda: 0.5, Keywords: []string{word}, Deadline: time.Nanosecond, Meta: &meta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !meta.Partial || meta.CacheHit {
+			t.Fatalf("round %d, expired budget: meta %+v, want Partial and no cache hit", round, meta)
+		}
+		for i, r := range got {
+			o, ok := s.Object(r.ID)
+			if !ok || !containsWord(o.Text, word) {
+				t.Fatalf("partial result %d (%d) lacks keyword %q", i, r.ID, word)
+			}
+			if dist := space.Distance(nil, 0.5, &q, &o); r.Dist != dist {
+				t.Fatalf("partial result %d: %+v, true distance %v", i, r, dist)
+			}
+			// The i-th of a subset is never closer than the true i-th.
+			if r.Dist < full[i].Dist || i > 0 && !knn.Less(got[i-1], r) {
+				t.Fatalf("partial answer %v is no prefix-admissible answer against %v", got, full)
+			}
 		}
 	}
 }
@@ -198,6 +315,43 @@ func TestSearchWithKeywordsBroadKeyword(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if got[i].Dist != want[i].Dist {
 			t.Fatalf("broad result %d: %v vs %v", i, got[i].Dist, want[i].Dist)
+		}
+	}
+}
+
+// The row predicate of a broad keyword request admits exactly the
+// candidates of every snapshot, in both of its representations — the
+// bitmap over a dense ID span and the sorted IDs of a sparse one.
+func TestKeywordIDSet(t *testing.T) {
+	for name, c := range map[string]struct {
+		rows [][]uint32
+		bits bool
+	}{
+		"dense":         {[][]uint32{{3, 4, 9, 70, 71}}, true},
+		"dense/shards":  {[][]uint32{{64, 130}, {}, {65, 127, 128}}, true},
+		"sparse":        {[][]uint32{{0, 5, 1 << 20}}, false},
+		"sparse/shards": {[][]uint32{{7, ^uint32(0)}, {0, 500000}}, false},
+	} {
+		total := 0
+		in := map[uint32]bool{}
+		for _, ids := range c.rows {
+			total += len(ids)
+			for _, id := range ids {
+				in[id] = true
+			}
+		}
+		s := newIDSet(c.rows, total)
+		if (s.bits != nil) != c.bits {
+			t.Errorf("%s: bitmap %v, want %v", name, s.bits != nil, c.bits)
+		}
+		probes := []uint32{0, 1, 2, 63, 129, 131, 1<<20 - 1, 1<<20 + 1, ^uint32(0) - 1, ^uint32(0)}
+		for id := range in {
+			probes = append(probes, id, id-1, id+1)
+		}
+		for _, id := range probes {
+			if s.has(id) != in[id] {
+				t.Errorf("%s: has(%d) = %v, want %v", name, id, s.has(id), in[id])
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cssi
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -41,12 +42,13 @@ func overlayOps(ds *Dataset, n int) []Op {
 
 // The wrapper-level tentpole property: a one-shard index writing
 // through the delta overlay answers every exact query bit-identically
-// to one writing through eager copy-on-write clones, given the same
-// build seed and write stream — before and after compaction.
+// to a bare index fed the same ops in place (the path compaction
+// replays), given the same build seed and write stream — before and
+// after compaction.
 func TestOverlayConcurrentEquivalence(t *testing.T) {
 	ds := testDataset(t, 800)
 	overlay := ShardedFrom(mustBuild(t, ds, Options{Seed: 41}))
-	eager := ShardedFrom(mustBuild(t, ds, Options{Seed: 41, DeltaCompactThreshold: DeltaDisabled}))
+	inPlace := mustBuild(t, ds, Options{Seed: 41})
 
 	ops := overlayOps(ds, 120)
 	for _, op := range ops {
@@ -55,25 +57,25 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 		if err := overlay.ApplyBatch([]Op{op}); err != nil {
 			t.Fatalf("overlay op: %v", err)
 		}
-		if err := eager.ApplyBatch([]Op{op}); err != nil {
-			t.Fatalf("eager op: %v", err)
+		if err := applyOp(inPlace, op); err != nil {
+			t.Fatalf("in-place op: %v", err)
 		}
 	}
 	if snapshot(overlay).DeltaOps() == 0 {
 		t.Fatal("overlay wrapper buffered no delta ops (overlay path not engaged)")
 	}
-	if snapshot(eager).DeltaOps() != 0 {
-		t.Fatalf("eager wrapper buffered %d delta ops", snapshot(eager).DeltaOps())
+	if inPlace.DeltaOps() != 0 {
+		t.Fatalf("in-place index buffered %d delta ops", inPlace.DeltaOps())
 	}
-	if overlay.Len() != eager.Len() {
-		t.Fatalf("live counts diverged: overlay %d, eager %d", overlay.Len(), eager.Len())
+	if overlay.Len() != inPlace.Len() {
+		t.Fatalf("live counts diverged: overlay %d, in place %d", overlay.Len(), inPlace.Len())
 	}
 	compare := func(stage string) {
 		t.Helper()
 		for qi := 0; qi < 6; qi++ {
 			q := ds.Objects[(qi*101+3)%ds.Len()]
 			for _, lambda := range []float64{0, 0.5, 1} {
-				want := mustDo(eager, SearchRequest{Query: &q, K: 10, Lambda: lambda})
+				want := mustDo(inPlace, SearchRequest{Query: &q, K: 10, Lambda: lambda})
 				got := mustDo(overlay, SearchRequest{Query: &q, K: 10, Lambda: lambda})
 				if len(want) != len(got) {
 					t.Fatalf("%s: exact λ=%v sizes %d vs %d", stage, lambda, len(got), len(want))
@@ -86,9 +88,9 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 			}
 			r := 0.25
 			ranged := SearchRequest{Query: &q, K: ds.Len(), Lambda: 0.5, Radius: &r}
-			equalResults(t, stage+" range", mustDo(eager, ranged), mustDo(overlay, ranged))
+			equalResults(t, stage+" range", mustDo(inPlace, ranged), mustDo(overlay, ranged))
 			boxed := SearchRequest{Query: &q, K: 8, Window: &Window{LoX: q.X - 0.3, LoY: q.Y - 0.3, HiX: q.X + 0.3, HiY: q.Y + 0.3}}
-			equalResults(t, stage+" box", mustDo(eager, boxed), mustDo(overlay, boxed))
+			equalResults(t, stage+" box", mustDo(inPlace, boxed), mustDo(overlay, boxed))
 			// Approximate answers are not contractually identical across
 			// representations, but every returned ID must be live.
 			for _, r := range mustDo(overlay, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Approx: true}) {
@@ -164,21 +166,43 @@ func TestOverlayBackgroundCompaction(t *testing.T) {
 // The threshold setter's validation contract.
 func TestOverlayThresholdValidation(t *testing.T) {
 	s := mustBuildSharded(t, testDataset(t, 300), 2, Options{Seed: 45})
-	for _, bad := range []int{-2, -7} {
+	for _, bad := range []int{-1, -2, -7} {
 		if err := s.SetDeltaThreshold(bad); err != ErrInvalidDeltaThreshold {
 			t.Fatalf("SetDeltaThreshold(%d): %v", bad, err)
 		}
 	}
-	for _, ok := range []int{DeltaDisabled, 0, 1, 16, 100000} {
+	for _, ok := range []int{0, 1, 16, 100000} {
 		if err := s.SetDeltaThreshold(ok); err != nil {
 			t.Fatalf("SetDeltaThreshold(%d): %v", ok, err)
 		}
 	}
 }
 
+// The eager-clone write mode is gone: a threshold of -1 — in Options, as
+// in a file saved while it existed — means the default, so the first
+// write is buffered in the overlay, and the setter refuses it.
+func TestOverlayNegativeThresholdMeansDefault(t *testing.T) {
+	ds := testDataset(t, 300)
+	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 46, DeltaCompactThreshold: -1}))
+	if got := c.shards[0].deltaThreshold.Load(); got != DefaultDeltaCompactThreshold {
+		t.Fatalf("resolved threshold %d, want %d", got, DefaultDeltaCompactThreshold)
+	}
+	o := ds.Objects[7]
+	o.ID = 700000
+	if err := c.Insert(o); err != nil {
+		t.Fatal(err)
+	}
+	if n := snapshot(c).DeltaOps(); n != 1 {
+		t.Fatalf("DeltaOps after the first write = %d, want 1", n)
+	}
+	if err := c.SetDeltaThreshold(-1); !errors.Is(err, ErrInvalidDeltaThreshold) {
+		t.Fatalf("SetDeltaThreshold(-1) = %v, want ErrInvalidDeltaThreshold", err)
+	}
+}
+
 // Sharded overlay writes keep the scatter/gather exact contract: the
-// merged result is bit-identical to an unsharded eager index fed the
-// same stream, and per-shard stats expose the overlay state.
+// merged result is bit-identical to an unsharded index fed the same
+// stream in place, and per-shard stats expose the overlay state.
 func TestOverlayShardedEquivalence(t *testing.T) {
 	ds := testDataset(t, 900)
 	for _, p := range []int{1, 3} {
@@ -186,12 +210,12 @@ func TestOverlayShardedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat := ShardedFrom(mustBuild(t, ds, Options{Seed: 47, DeltaCompactThreshold: DeltaDisabled}))
+		flat := mustBuild(t, ds, Options{Seed: 47})
 		for _, op := range overlayOps(ds, 90) {
 			if err := s.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("P=%d sharded op: %v", p, err)
 			}
-			if err := flat.ApplyBatch([]Op{op}); err != nil {
+			if err := applyOp(flat, op); err != nil {
 				t.Fatalf("P=%d flat op: %v", p, err)
 			}
 		}
@@ -331,7 +355,7 @@ func TestOverlayConcurrentStress(t *testing.T) {
 // the overlay log leaves the lineage's tail claimed by a clone nobody
 // will ever publish. Nothing of the batch may show, and the next write —
 // whose clone can no longer claim that slot — must still go through, on
-// one shard and on two, with answers equal to an eager twin that saw only the
+// one shard and on two, with answers equal to a bare twin that saw only the
 // acknowledged ops.
 func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 	ds := testDataset(t, 500)
@@ -345,13 +369,13 @@ func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 			}
 			return n
 		}
-		twin := ShardedFrom(mustBuild(t, ds, Options{Seed: 53, DeltaCompactThreshold: DeltaDisabled}))
+		twin := mustBuild(t, ds, Options{Seed: 53})
 		both := func(op Op) {
 			t.Helper()
 			if err := w.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if err := twin.ApplyBatch([]Op{op}); err != nil {
+			if err := applyOp(twin, op); err != nil {
 				t.Fatalf("%s twin: %v", name, err)
 			}
 		}
@@ -390,7 +414,7 @@ func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 		}
 		for qi := 0; qi < 6; qi++ {
 			q := ds.Objects[(qi*83+5)%ds.Len()]
-			equalResults(t, name+" vs eager twin", mustDo(twin, SearchRequest{Query: &q, K: 10, Lambda: 0.5}), mustDo(w, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
+			equalResults(t, name+" vs bare twin", mustDo(twin, SearchRequest{Query: &q, K: 10, Lambda: 0.5}), mustDo(w, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
 		}
 		if err := w.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)

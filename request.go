@@ -15,14 +15,15 @@ import (
 // value of every optional field means "off", so the minimal request is
 // SearchRequest{Query: q, K: k, Lambda: λ}, the exact k-NN query.
 // Radius and Window give the query another shape on the same exact
-// read: a range query, and a k-NN query inside a map window.
+// read: a range query, and a k-NN query inside a map window. Keywords
+// restrict that read to the objects holding every keyword.
 //
 // Each knob is one field, and the knobs compose — e.g. Approx+Dst+Stats
 // is one request. The combinations with no sound implementation are
-// rejected with ErrUnsupportedRequest: Keywords with Approx (the keyword
-// path is exact by construction), Keywords with Explain/Trace (the
-// brute-force arm of the keyword path bypasses the instrumented cluster
-// scan), and Radius or Window with Approx or Keywords.
+// rejected with ErrUnsupportedRequest: Keywords with Approx (a keyword
+// request is exact by construction), Keywords with Explain/Trace (a
+// selective keyword set is answered without reading a cluster), and
+// Radius or Window with Approx or Keywords.
 type SearchRequest struct {
 	// Query is the query object; only X, Y and Vec are consulted. Must
 	// be non-nil, finite, with a vector of the index's dimensionality
@@ -36,10 +37,14 @@ type SearchRequest struct {
 	// CSSI.
 	Approx bool
 	// Keywords, when non-empty, restricts results to objects whose text
-	// contains every keyword (boolean AND, stop words ignored).
-	// Requires EnableKeywordFilter (ErrKeywordFilterDisabled otherwise);
-	// an unusable keyword list (empty after normalization, or all stop
-	// words) fails with ErrUnusableKeywords.
+	// contains every keyword (boolean AND, stop words ignored): the
+	// keywords' candidates are gathered once over the pinned snapshots,
+	// and at most 512 of them per snapshot are evaluated directly; more run the exact read with the candidates as
+	// its row predicate. Either way the answer is the exact top-k of the
+	// candidates; Stats stays unfilled. Requires EnableKeywordFilter
+	// (ErrKeywordFilterDisabled otherwise); an unusable keyword list
+	// (empty after normalization, or all stop words) fails with
+	// ErrUnusableKeywords.
 	Keywords []string
 	// Radius, when non-nil, makes the request a range query: only objects
 	// at distance d ≤ *Radius answer, at most K of them, nearest first —
@@ -84,8 +89,9 @@ type SearchRequest struct {
 	// flagged via Meta.Partial (see ResponseMeta.Partial for the
 	// precise guarantee). 0 means no budget; negative fails with
 	// ErrInvalidDeadline. Under DoContext the tighter of Deadline and
-	// the context's deadline applies. The keyword path ignores the
-	// budget (its brute-force arm is not cluster-driven).
+	// the context's deadline applies. Only a selective keyword request
+	// (at most 512 candidates per snapshot, evaluated directly) runs to
+	// completion whatever the budget.
 	Deadline time.Duration
 	// Cache selects the request's result-cache participation; the zero
 	// value follows the index default (EnableResultCache). See
@@ -303,8 +309,7 @@ func (x *Index) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][
 
 // Do answers one query across the shards — one read with one heap,
 // striped onto the standing helper when a second processor is free (see
-// execute), for every shape — and the keyword scatter for
-// keyword-constrained requests. See
+// execute), for every shape and under every keyword set. See
 // Index.Do for the request contract; exact results are bit-identical to
 // a flat index over the same objects. A trace sink installed on the
 // index (SetTraceSink) records every executed Do regardless of which

@@ -525,9 +525,10 @@ func TestRequestConformance(t *testing.T) {
 // facade flavors must equal these allow-lists — Do* alone on the facade,
 // every query shape being a SearchRequest field — the per-flavor
 // dispatch forks the request pipeline replaced must stay gone, as must
-// the batch executors beside the one pool over execute, the panicking
-// helpers of the deleted wrappers and the second snapshot-published
-// flavor — ConcurrentIndex is ShardedIndex.
+// the batch executors beside the one pool over execute, the keyword read
+// mode and the eager-clone write path, the panicking helpers of the
+// deleted wrappers and the second snapshot-published flavor —
+// ConcurrentIndex is ShardedIndex.
 func TestAPISurface(t *testing.T) {
 	do := []string{"Do", "DoBatch", "DoBatchContext", "DoContext"}
 	for _, c := range []struct {
@@ -605,6 +606,10 @@ func TestAPISurface(t *testing.T) {
 			t.Errorf("seeded chain %s of the sharded exact read is back", name)
 		case "searchSnap", "foldSpan":
 			t.Errorf("facade span recorder %s is back: core writes every span", name)
+		case "executeKeywords", "searchWithKeywords":
+			t.Errorf("keyword read mode %s is back: a keyword request is the exact read with a row predicate", name)
+		case "cloneForWrite":
+			t.Errorf("eager-clone write path %s is back: every write goes through the overlay", name)
 		}
 		if strings.HasPrefix(name, "precheck") {
 			t.Errorf("second validation %s is back", name)

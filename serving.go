@@ -20,8 +20,11 @@ import (
 // This file is the request pipeline both index flavors serve through:
 // serve (one query) and serveBatch run validate → budget → cache probe
 // → trace → execute → cache fill once, over a view of whatever the
-// flavor differs on. Do/DoContext/DoBatch/DoBatchContext on *Index and
-// *ShardedIndex are one-line calls into it.
+// flavor differs on. Every shape is execute's one read: a keyword
+// request too, with its candidates as the row predicate, unless they are
+// few enough to evaluate directly (see keywords.go). Do/DoContext/
+// DoBatch/DoBatchContext on *Index and *ShardedIndex are one-line calls
+// into it.
 
 // ErrInvalidDeadline is returned by Do/DoContext/DoBatch when
 // SearchRequest.Deadline (or BatchSearchRequest.Deadline) is negative
@@ -238,9 +241,9 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 	keyword := len(req.Keywords) > 0
 	op, spans := "search", v.n()
 	if keyword {
-		// The keyword path's brute-force arm bypasses the instrumented
-		// cluster scan (and rejects Explain), so its trace is the
-		// request envelope and wall time only.
+		// A keyword request's brute-force arm reads no cluster (and
+		// Explain is rejected), so its trace is the request envelope and
+		// wall time only, whichever arm answers.
 		op, spans = "keyword", 0
 	}
 	tr, start := v.openTrace(req.Trace, req.Explain != nil, op, spans, 1, req.K, req.Lambda, opts, req.RequestID, req.TraceID)
@@ -249,7 +252,22 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 	var res []Result
 	var partial bool
 	if keyword {
-		res, err = v.executeKeywords(req.Dst, q, req.K, req.Lambda, req.Keywords)
+		// The keywords are resolved once over the view. A selective set
+		// (at most keywordBruteForceCap candidates per pinned snapshot,
+		// counted over all of them) is evaluated directly; a broad one
+		// is the exact read with the candidates as its row predicate —
+		// budgeted, cancellable and striped like any read, counters and
+		// spans left out.
+		var rows [][]uint32
+		var total int
+		if rows, total, err = v.keywordRows(req.Keywords); err == nil {
+			if total <= keywordBruteForceCap*v.n() {
+				res = v.evaluateRows(req.Dst, q, req.K, req.Lambda, rows, total)
+			} else {
+				opts.Allow = newIDSet(rows, total).has
+				res, partial = v.execute(req.Dst, q, req.K, req.Lambda, opts, nil, nil)
+			}
+		}
 	} else {
 		res, partial = v.execute(req.Dst, q, req.K, req.Lambda, opts, req.Stats, tr)
 	}
@@ -284,13 +302,14 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // recorded; results are bit-identical either way.
 //
 // An exact read is one read with one k-NN heap whatever the number of
-// snapshots (core.SearchShardsInto): the snapshots are visited in order
-// with the heap carried from one to the next, so each prunes against the
-// k-th distance of everything read before it, and the query's anchor
-// distances are computed once. The top-k is a pure function of the
-// candidate set (knn.Heap breaks distance ties by ID) and the shards
-// share one metric space's normalizers, so the answer is the flat
-// index's, bit for bit. With a second goroutine to spare (v.stripes >=
+// snapshots and whatever rows opts admits — a range, a window or a
+// keyword request's candidates (core.SearchShardsInto): the snapshots
+// are visited in order with the heap carried from one to the next, so
+// each prunes against the k-th distance of everything read before it,
+// and the query's anchor distances are computed once. The top-k is a
+// pure function of the candidate set (knn.Heap breaks distance ties by
+// ID) and the shards share one metric space's normalizers, so the
+// answer is the flat index's, bit for bit. With a second goroutine to spare (v.stripes >=
 // 2: a second scheduler thread, not a read of a batch and not a request
 // that asks for its counters) the read is offered to the standing stripe
 // helper (core.SearchOptions.Striped): caller and helper claim whole
@@ -378,30 +397,6 @@ func (v *view) mergeEach(dst []Result, q *Object, k int, lambda float64, opts co
 		tr.GatherNanos += time.Since(g).Nanoseconds()
 	}
 	return dst, anyTrue(cuts)
-}
-
-// executeKeywords answers a keyword-constrained query over the view's
-// snapshots, each of which carries the keyword filter (validate checked),
-// dealt onto min(v.stripes, n) goroutines as an approximate read's are,
-// and merges the per-snapshot answers into dst.
-func (v *view) executeKeywords(dst []Result, q *Object, k int, lambda float64, keywords []string) ([]Result, error) {
-	hv, n := *v, v.n() // a copy for the goroutines, see mergeEach
-	w := min(v.stripes, n)
-	lists := make([][]Result, n)
-	oks := make([]bool, n)
-	fanOut(w, func(g int) {
-		for i := g; i < n; i += w {
-			lists[i], oks[i] = hv.at(i).searchWithKeywords(q, k, lambda, keywords)
-		}
-	})
-	for _, ok := range oks {
-		// Keyword usability depends only on the keyword list, so every
-		// snapshot agrees; any false means the list was unusable.
-		if !ok {
-			return nil, ErrUnusableKeywords
-		}
-	}
-	return knn.MergeSorted(dst, lists, k), nil
 }
 
 // serveBatch is the request pipeline of DoBatch/DoBatchContext on every

@@ -455,11 +455,11 @@ func (s *ShardedIndex) ShardStats() []ShardStat {
 
 // SetDeltaThreshold changes the overlay compaction threshold on every
 // shard: positive bounds the overlay at that many write ops, 0 restores
-// DefaultDeltaCompactThreshold, and DeltaDisabled (-1) switches writes
-// back to eager clones. Takes effect on the next write; an existing
+// DefaultDeltaCompactThreshold, and a negative value fails with
+// ErrInvalidDeltaThreshold. Takes effect on the next write; an existing
 // overlay is left to the usual triggers (call Compact to fold it now).
 func (s *ShardedIndex) SetDeltaThreshold(threshold int) error {
-	if threshold < DeltaDisabled {
+	if threshold < 0 {
 		return ErrInvalidDeltaThreshold
 	}
 	for _, sh := range s.shards {
