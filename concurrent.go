@@ -84,18 +84,19 @@ type shardCell struct {
 	// mu serializes writers: clone → mutate → publish, and the
 	// rebuild-completion replay. Readers never touch it.
 	mu sync.Mutex
-	// rebuildActive marks an in-flight background reconstruction — a
-	// rebuild or an overlay compaction, one protocol (buildAsideLocked);
-	// while set, every published mutation is appended to rebuildLog so
-	// it can be replayed onto the freshly built index before
-	// publication. Both fields are guarded by mu.
-	rebuildActive bool
-	rebuildLog    []Op
+	// aside is non-nil while a background reconstruction is in flight —
+	// a rebuild or an overlay compaction, one protocol
+	// (buildAsideLocked) — and is closed once it has published or
+	// failed. Meanwhile every published mutation is appended to
+	// rebuildLog so it can be replayed onto the freshly built index
+	// before publication. Both fields are guarded by mu.
+	aside      chan struct{}
+	rebuildLog []Op
 }
 
-// ErrRebuildInProgress is returned when a rebuild is requested while a
-// background rebuild (or a background overlay compaction, which uses
-// the same replay protocol) is still running.
+// ErrRebuildInProgress is returned when a background rebuild is
+// requested while a background rebuild (or a background overlay
+// compaction, which uses the same replay protocol) is still running.
 var ErrRebuildInProgress = errors.New("cssi: rebuild already in progress")
 
 // ErrInvalidDeltaThreshold is returned by the delta-threshold setters
@@ -193,7 +194,7 @@ func (c *shardCell) apply(ops ...Op) error {
 		}
 	}
 	c.publish(next)
-	if c.rebuildActive {
+	if c.aside != nil {
 		c.rebuildLog = append(c.rebuildLog, ops...)
 	} else if int64(next.DeltaOps()) >= c.deltaThreshold.Load() {
 		// Threshold crossed. A fold that fails loses nothing: the current
@@ -214,24 +215,26 @@ func (c *shardCell) apply(ops ...Op) error {
 // background rebuild and the background overlay compaction. build runs
 // on its own goroutine with no lock held: readers serve from the
 // current snapshot, writers clone-and-publish as usual, and because
-// rebuildActive is set their ops accumulate in rebuildLog. Once build
+// aside is set their ops accumulate in rebuildLog. Once build
 // returns, the log is replayed, in order, onto the result — still
-// private to the goroutine, so the replay mutates it directly, no COW
-// cycle per op; replaying the exact sequence of acknowledged ops onto
+// private to the goroutine, so the replay writes it in place, no clone
+// per op; replaying the exact sequence of acknowledged ops onto
 // the live set they originally applied to cannot conflict, and a
 // failure aborts publication — and the result is published. done
 // receives the outcome, under c.mu, exactly once; on an error the
 // current snapshot, which already contains every acknowledged write,
-// stays published. Caller must hold c.mu.
+// stays published. aside is closed after done. Caller must hold c.mu.
 func (c *shardCell) buildAsideLocked(what string, build func() (*Index, error), done func(error)) {
-	c.rebuildActive, c.rebuildLog = true, nil
+	aside := make(chan struct{})
+	c.aside, c.rebuildLog = aside, nil
 	go func() {
 		fresh, err := build()
 
 		c.mu.Lock()
 		defer c.mu.Unlock()
+		defer close(aside)
 		log := c.rebuildLog
-		c.rebuildActive, c.rebuildLog = false, nil
+		c.aside, c.rebuildLog = nil, nil
 		for i := 0; err == nil && i < len(log); i++ {
 			if replayErr := applyOp(fresh, log[i]); replayErr != nil {
 				err = fmt.Errorf("cssi: %s replay op %d: %w", what, i, replayErr)
@@ -260,18 +263,27 @@ func (c *shardCell) countCompaction(start time.Time) {
 	}
 }
 
+// awaitAsideLocked returns, with c.mu held as on entry, once no
+// background reconstruction is in flight; it releases c.mu while it
+// waits, so the reconstruction can replay and publish.
+func (c *shardCell) awaitAsideLocked() {
+	for c.aside != nil {
+		aside := c.aside
+		c.mu.Unlock()
+		<-aside
+		c.mu.Lock()
+	}
+}
+
 // compact synchronously folds the current snapshot's write overlay into
 // a flat base and publishes it, holding the writer mutex for the whole
-// fold. A no-op when the snapshot is already flat.
+// fold: a fold point once it returns. An in-flight background fold or
+// rebuild, which may have taken its snapshot before the latest writes,
+// is waited for first. A no-op when the snapshot is already flat.
 func (c *shardCell) compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rebuildActive {
-		// An in-flight background fold or rebuild will publish a flat
-		// base anyway; folding the same lineage twice concurrently would
-		// race on the shared arenas.
-		return nil
-	}
+	c.awaitAsideLocked()
 	cur := c.cur.Load()
 	if cur.DeltaOps() == 0 {
 		return nil
@@ -302,16 +314,14 @@ func (c *shardCell) enableKeywordFilter() {
 }
 
 // rebuild reconstructs the shard from scratch over its live objects
-// (§6.2) and publishes the result. Readers keep searching the old
-// snapshot for the whole reconstruction; writers wait on the writer
-// mutex (rebuildInBackground keeps them available too). Returns
-// ErrRebuildInProgress while a background rebuild is active.
+// (§6.2) and publishes the result, after any in-flight background
+// reconstruction has. Readers keep searching the old snapshot for the
+// whole reconstruction; writers wait on the writer mutex
+// (rebuildInBackground keeps them available too).
 func (c *shardCell) rebuild() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rebuildActive {
-		return ErrRebuildInProgress
-	}
+	c.awaitAsideLocked()
 	fresh, err := c.cur.Load().rebuildFresh()
 	if err != nil {
 		return err
@@ -328,7 +338,7 @@ func (c *shardCell) rebuild() error {
 func (c *shardCell) rebuildInBackground() (<-chan error, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rebuildActive {
+	if c.aside != nil {
 		return nil, ErrRebuildInProgress
 	}
 	done := make(chan error, 1)

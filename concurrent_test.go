@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // snapshot is the snapshot a one-shard index currently publishes.
@@ -443,27 +444,34 @@ func TestRebuildInBackgroundReplay(t *testing.T) {
 	}
 }
 
-// Only one rebuild may run at a time; requests during one fail fast
-// with ErrRebuildInProgress (white box: the flag is pinned so the check
-// is deterministic).
+// One background reconstruction at a time: beside one in flight,
+// RebuildInBackground fails fast with ErrRebuildInProgress and Rebuild
+// waits for it, then runs (white box: the in-flight marker is pinned so
+// both checks are deterministic).
 func TestRebuildInProgressRejected(t *testing.T) {
 	ds := testDataset(t, 80)
 	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 44}))
 	cell := c.shards[0]
+	aside := make(chan struct{})
 	cell.mu.Lock()
-	cell.rebuildActive = true
+	cell.aside = aside
 	cell.mu.Unlock()
 	if _, err := c.RebuildInBackground(); !errors.Is(err, ErrRebuildInProgress) {
 		t.Fatalf("RebuildInBackground: %v", err)
 	}
-	if err := c.Rebuild(); !errors.Is(err, ErrRebuildInProgress) {
-		t.Fatalf("Rebuild: %v", err)
+	rebuilt := make(chan error, 1)
+	go func() { rebuilt <- c.Rebuild() }()
+	select {
+	case err := <-rebuilt:
+		t.Fatalf("Rebuild returned %v beside a reconstruction in flight", err)
+	case <-time.After(20 * time.Millisecond):
 	}
 	cell.mu.Lock()
-	cell.rebuildActive = false
+	cell.aside = nil
+	close(aside)
 	cell.mu.Unlock()
-	if err := c.Rebuild(); err != nil {
-		t.Fatalf("Rebuild after clear: %v", err)
+	if err := <-rebuilt; err != nil {
+		t.Fatalf("Rebuild after the reconstruction: %v", err)
 	}
 }
 

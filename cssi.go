@@ -316,10 +316,11 @@ func (x *Index) UpdatesSinceBuild() int { return x.core.UpdatesSinceBuild }
 func (x *Index) DriftRatio() float64 { return x.core.DriftRatio() }
 
 // UnanchoredRows counts the live objects inserted since the last
-// Build/Rebuild/Load (write-overlay inserts included): they scan without
-// the anchor bound until the next rebuild anchors them. Beside
-// DriftRatio it is the second rebuild signal — drift says the clusters
-// stopped fitting, this says how many rows lost their cheapest filter.
+// Build, Load, compaction or Rebuild (write-overlay inserts included):
+// they scan without the anchor bound until the next compaction or
+// rebuild anchors them. Beside DriftRatio it is the second rebuild
+// signal — drift says the clusters stopped fitting, this says how many
+// rows lost their cheapest filter.
 func (x *Index) UnanchoredRows() int { return x.core.UnanchoredRows() }
 
 // Len returns the number of live objects.

@@ -72,6 +72,44 @@ func TestSearchExplainMatchesSearch(t *testing.T) {
 	}
 }
 
+// An Explain alone is filled by core; beside a Trace it is folded from
+// the spans. Both routes give the same counters and bound, and a request
+// that also sets Stats gets the same counters there, each accumulated
+// onto what the caller's structs already held — on every flavor, exact
+// and approximate.
+func TestExplainRoutesAgree(t *testing.T) {
+	ds := testDataset(t, 900)
+	queries := ds.SampleQueries(8, 17)
+	for name, idx := range map[string]doer{
+		"Index": mustBuild(t, ds, Options{Seed: 5}),
+		"P=1":   mustBuildSharded(t, ds, 1, Options{Seed: 5}),
+		"P=4":   mustBuildSharded(t, ds, 4, Options{Seed: 5}),
+	} {
+		for _, approx := range []bool{false, true} {
+			for qi := range queries {
+				q := &queries[qi]
+				ctx := fmt.Sprintf("%s approx=%v q%d", name, approx, qi)
+				var viaTrace ExplainStats
+				mustDo(idx, SearchRequest{Query: q, K: 10, Lambda: 0.5, Approx: approx, Explain: &viaTrace, Trace: new(SearchTrace)})
+				prior := Stats{VisitedObjects: 7, ClustersExamined: 3}
+				st, es := prior, ExplainStats{Stats: prior, ClustersTotal: 5, EarlyAbandons: 2}
+				res := mustDo(idx, SearchRequest{Query: q, K: 10, Lambda: 0.5, Approx: approx, Explain: &es, Stats: &st})
+				want := prior
+				want.Add(&viaTrace.Stats)
+				if st != want || es.Stats != want {
+					t.Fatalf("%s: Stats %+v and Explain.Stats %+v, want both %+v", ctx, st, es.Stats, want)
+				}
+				if es.ClustersTotal != 5+viaTrace.ClustersTotal || es.EarlyAbandons != 2+viaTrace.EarlyAbandons {
+					t.Fatalf("%s: explain %+v, traced %+v", ctx, es, viaTrace)
+				}
+				if kth := res[len(res)-1].Dist; es.KthDistance != kth || viaTrace.KthDistance != kth {
+					t.Fatalf("%s: kth distance %v direct, %v traced, want %v", ctx, es.KthDistance, viaTrace.KthDistance, kth)
+				}
+			}
+		}
+	}
+}
+
 // A traced sharded request must agree with the flat exact search for
 // any shard count, and its per-shard spans must be internally consistent:
 // span object counts cover the corpus, span stats sum to the trace

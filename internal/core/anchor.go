@@ -37,9 +37,10 @@ import (
 // it, Save ignores it. Rows inserted afterwards carry anchorSentinel with
 // distance 0; the query's dq[anchorSentinel] is 0 too, so their bound is
 // 0 and they never prune — the write path does no anchor search, and the
-// next rebuild or load anchors them. The arena follows the other
-// per-row arenas: append-only, shared across COW clones, a window of it
-// per contiguous cluster and a gathered copy otherwise (clusterBlock).
+// next compaction, rebuild or load anchors them. The arena follows the
+// other per-row arenas: append-only, shared with overlay clones, a
+// window of it per contiguous cluster and a gathered copy otherwise
+// (clusterBlock).
 // The anchors apply to the Euclidean semantic metric only; other metrics
 // get an empty anchor set, which leaves every row on the sentinel.
 
@@ -86,8 +87,7 @@ type Anchors struct {
 }
 
 // anchorArena is the per-row anchor storage of one index, parallel to
-// the other arenas. CloneForWrite copies the struct so clones grow their own
-// slice headers; set is shared.
+// the other arenas; set is shared by every index anchored to it.
 type anchorArena struct {
 	set  *Anchors
 	id   []uint8
@@ -139,16 +139,23 @@ func (a *Anchors) assign(space *metric.Space, v []float32) (uint8, float32) {
 }
 
 // buildAnchors anchors every stored row. With a nil set it fits one over
-// this index's own rows first.
+// this index's own rows first. When x already holds anchor rows over set
+// — a fold's, carried from the snapshot it folded — only its sentinel
+// rows are assigned: the others hold what assign would give them.
 func (x *Index) buildAnchors(set *Anchors) *anchorArena {
 	n := x.rows()
 	if set == nil {
 		set = fitAnchors(n, func(i int) []float32 { return x.vecAt(uint32(i)) }, x.space, x.cfg.Seed, x.cfg.Workers)
 	}
-	aa := &anchorArena{set: set, id: make([]uint8, n), dist: make([]float32, n)}
+	aa, carried := x.anchors, x.anchors != nil && x.anchors.set == set
+	if !carried {
+		aa = &anchorArena{set: set, id: make([]uint8, n), dist: make([]float32, n)}
+	}
 	par.For(n, x.cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			aa.id[i], aa.dist[i] = set.assign(x.space, x.vecAt(uint32(i)))
+			if !carried || aa.id[i] == anchorSentinel {
+				aa.id[i], aa.dist[i] = set.assign(x.space, x.vecAt(uint32(i)))
+			}
 		}
 	})
 	return aa

@@ -91,8 +91,7 @@ func (c *hybrid) buildElems(ms []member) {
 // L_s's member pos with L_t's member b = byDt[pos]. Member pos is new
 // unless L_t listed it in an earlier round; b is new exactly when b > pos
 // (L_s lists it no earlier than this round and L_t nowhere else), and
-// only those are marked. The array is freshly allocated: a COW clone
-// shares the old one with its parent.
+// only those are marked. The array is freshly allocated.
 func (c *hybrid) mergeElems(ds func(p int) float64) {
 	n := len(c.members)
 	if n == 0 {

@@ -8,10 +8,10 @@ import "math/bits"
 // liveness scans 8× smaller than the old []bool, and the hot membership
 // check stays a shift+mask.
 //
-// The COW discipline matches the structures it replaced: clones that may
-// mutate deep-copy via clone(); delta clones share the words and never
-// write them. Callers maintain the covering invariant — the word slice
-// always spans every storage position they index (grown grows it).
+// Delta clones share the words and never write them; a delta that must
+// write shared words deep-copies them via clone() first. Callers
+// maintain the covering invariant — the word slice always spans every
+// storage position they index (grown grows it).
 type bitset []uint64
 
 // newBitset returns a zeroed bitset covering n bits.
@@ -36,8 +36,8 @@ func (b bitset) unset(i uint32) {
 
 // grown returns b extended with zero words until it covers n bits.
 // Growth reallocates whenever the capacity is exact (clone() copies are),
-// so a COW child growing its bitmap never writes backing shared with the
-// parent.
+// so a delta growing its bitmap never writes backing shared with a
+// sibling.
 func (b bitset) grown(n int) bitset {
 	want := (n + 63) >> 6
 	for len(b) < want {

@@ -9,114 +9,6 @@ import (
 	"repro/internal/knn"
 )
 
-// Mutating a copy-on-write clone must never change what the parent
-// snapshot returns: that isolation is the entire safety argument of the
-// lock-free publication scheme in the public ShardedIndex.
-func TestCloneForWriteIsolation(t *testing.T) {
-	f := build(t, dataset.TwitterLike, 400, Config{Seed: 9})
-	q := f.ds.Objects[17]
-	before := f.idx.Search(&q, 10, 0.5, nil)
-	wantLen := f.idx.Len()
-
-	clone := f.idx.CloneForWrite()
-	// A mix of every mutation kind, hitting many clusters.
-	for i := 0; i < 60; i++ {
-		o := f.ds.Objects[i%f.ds.Len()]
-		o.ID = uint32(500000 + i)
-		if err := clone.Insert(o); err != nil {
-			t.Fatalf("clone insert %d: %v", i, err)
-		}
-	}
-	for i := 0; i < 40; i++ {
-		if err := clone.Delete(f.ds.Objects[i].ID); err != nil {
-			t.Fatalf("clone delete %d: %v", i, err)
-		}
-	}
-
-	if f.idx.Len() != wantLen {
-		t.Fatalf("parent Len changed: %d, want %d", f.idx.Len(), wantLen)
-	}
-	after := f.idx.Search(&q, 10, 0.5, nil)
-	sameResults(t, "parent search after clone mutation", before, after)
-	if err := f.idx.CheckInvariants(); err != nil {
-		t.Fatalf("parent invariants: %v", err)
-	}
-	if err := clone.CheckInvariants(); err != nil {
-		t.Fatalf("clone invariants: %v", err)
-	}
-	if clone.Len() != wantLen+20 {
-		t.Fatalf("clone Len = %d, want %d", clone.Len(), wantLen+20)
-	}
-	// Differential check: the clone answers exactly like a fresh build
-	// over its live set would.
-	cq := f.ds.Objects[99]
-	got := clone.Search(&cq, 8, 0.5, nil)
-	fresh, err := clone.RebuildFresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Search(&cq, 8, 0.5, nil)
-	sameResults(t, "clone vs rebuilt", want, got)
-}
-
-// Growing the clone past the shared arena's capacity must repoint only
-// the clone's Vec headers; the parent keeps reading its own arena.
-func TestCloneForWriteArenaGrowth(t *testing.T) {
-	f := build(t, dataset.TwitterLike, 100, Config{Seed: 5})
-	q := f.ds.Objects[3]
-	before := f.idx.Search(&q, 5, 0.5, nil)
-
-	clone := f.idx.CloneForWrite()
-	// Insert far more rows than any spare arena capacity to force at
-	// least one arena growth cycle inside the clone.
-	for i := 0; i < 300; i++ {
-		o := f.ds.Objects[i%f.ds.Len()]
-		o.ID = uint32(700000 + i)
-		if err := clone.Insert(o); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
-	after := f.idx.Search(&q, 5, 0.5, nil)
-	sameResults(t, "parent search after arena growth", before, after)
-	if err := clone.CheckInvariants(); err != nil {
-		t.Fatalf("clone invariants: %v", err)
-	}
-	if err := f.idx.CheckInvariants(); err != nil {
-		t.Fatalf("parent invariants: %v", err)
-	}
-}
-
-// Chained clones (snapshot lineage A -> B -> C) must each stay frozen
-// while their successors mutate — the ShardedIndex publishes exactly
-// such a chain, one clone per write.
-func TestCloneChain(t *testing.T) {
-	f := build(t, dataset.YelpLike, 200, Config{Seed: 21})
-	q := f.ds.Objects[42]
-	gen := []*Index{f.idx}
-	want := [][]knn.Result{f.idx.Search(&q, 6, 0.5, nil)}
-	for g := 0; g < 4; g++ {
-		next := gen[len(gen)-1].CloneForWrite()
-		o := f.ds.Objects[g]
-		o.ID = uint32(800000 + g)
-		if err := next.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-		if err := next.Delete(f.ds.Objects[g].ID); err != nil {
-			t.Fatal(err)
-		}
-		gen = append(gen, next)
-		want = append(want, next.Search(&q, 6, 0.5, nil))
-	}
-	// Every generation still answers exactly as it did when it was the
-	// head of the chain.
-	for g, idx := range gen {
-		sameResults(t, "generation", want[g], idx.Search(&q, 6, 0.5, nil))
-		if err := idx.CheckInvariants(); err != nil {
-			t.Fatalf("generation %d invariants: %v", g, err)
-		}
-	}
-}
-
 // Regression: Insert after deleting EVERY object must fall back to a
 // cluster whose centroid was valid at build time, not blindly to
 // cluster 0 (whose centroid may be meaningless if it never had
@@ -253,9 +145,9 @@ func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
 	return 0, 0
 }
 
-// The grid follows in-place maintenance on a flat index and on both
-// kinds of write clone — a delete that empties a pair clears its cell, a
-// later insert re-creates it — while the parent snapshot, read by three
+// The grid follows in-place maintenance on a flat index and on a folded
+// overlay child — a delete that empties a pair clears its cell, a later
+// insert re-creates it — while the parent snapshot, read by three
 // goroutines the whole time, keeps its cells and its answers.
 func TestGridEmptiedPairUnderReaders(t *testing.T) {
 	emptyAndRefillPair(t, "flat", build(t, dataset.TwitterLike, 500, Config{Seed: 77}).idx)
@@ -290,8 +182,6 @@ func TestGridEmptiedPairUnderReaders(t *testing.T) {
 			}
 		}(r)
 	}
-
-	emptyAndRefillPair(t, "eager clone", parent.CloneForWrite())
 
 	// An overlay child only tombstones: the shared cell survives until
 	// the fold, whose product has it cleared.

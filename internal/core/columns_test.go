@@ -96,9 +96,11 @@ func loadBytes(t *testing.T, b []byte) *Index {
 // index — a fresh build — saves, loads and saves again to the same
 // bytes. An index whose writes left it out of cluster-major order loads
 // renumbered, and from then on the round trip is the identity too. The
-// written states' bytes are pinned as the code that stored a
+// in-place state's bytes are pinned as the code that stored a
 // dataset.Object per row wrote them, less the removed cluster router's
-// weights and with the side member lists in ascending storage order.
+// weights and with the side member lists in ascending storage order; the
+// compacted state's as the fold through derive writes them: live rows
+// only, cluster-major, every radius the max over its live rows.
 func TestSaveLoadSaveBytes(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 85})
 	first := saveBytes(t, f.idx)
@@ -108,7 +110,7 @@ func TestSaveLoadSaveBytes(t *testing.T) {
 	states, _ := writtenStates(t)
 	digests := map[string]string{
 		"eager":     "2784b6f550bf2a6dfeff2fc480d5a102912082e9684f1bccb3be6249f6585440",
-		"compacted": "6a5f5e86fcd367248c07aaaa6ffcf56f68009c847442bbb7b642b03268e11d68",
+		"compacted": "70469b15108afd1b072a5f26a4e4ad3e16442d217b916734cf26bc089b10c14a",
 	}
 	for name, x := range states {
 		first := saveBytes(t, x)

@@ -165,8 +165,7 @@ type hybrid struct {
 	// gathered holds the block as a private copy (behind a pointer, nil
 	// in the common case, so the hybrid stays small). Like the head
 	// thresholds it is derived data — set by fillClusterBlock wherever
-	// the array is merged, shared under COW; read through Index.block
-	// (see layout.go).
+	// the array is merged; read through Index.block (see layout.go).
 	base int
 	// members is L_s: the storage positions of the members by descending
 	// ds, and dt[p] is member p's semantic distance (structure of arrays);
@@ -196,11 +195,9 @@ type Index struct {
 	deleted bitset
 	live    int
 	// idIdx maps the ID of every row not deleted to its storage position.
-	// Build and Load bulk-build it and own every bucket, so in-place
-	// writes copy none. CloneForWrite gives the clone its own copy of the
-	// 64 bucket headers, sharing the buckets until it writes one, as the
-	// overlay's tables do (overlay_cow.go); CloneWithDelta shares the
-	// table whole, since the overlay never writes the base.
+	// Build, Load and Compact bulk-build it and own every bucket, so
+	// in-place writes copy none; CloneWithDelta shares the table whole,
+	// since the overlay never writes the base.
 	idIdx *idTable
 
 	// delta, when non-nil, is this snapshot's mutable write overlay (see
@@ -208,7 +205,7 @@ type Index struct {
 	// structures above, which then stay byte-for-byte shared with the
 	// parent snapshot. Search runs base + delta; Compact folds the delta
 	// into a fresh flat base. nil on flat indexes (Build/Load/Compact
-	// products), whose mutations work in place as before.
+	// products), whose mutations work in place.
 	delta *overlayDelta
 
 	// The embeddings and their PCA projections live in two contiguous
@@ -225,10 +222,8 @@ type Index struct {
 	xArena, yArena []float64
 	// anchors holds one anchor id and distance per stored row, the
 	// pre-kernel semantic lower bound of the scan loops (see anchor.go).
-	// Never nil on a built index; derived, never serialized. The
-	// pointee's slices follow the arenas' append-only/COW discipline;
-	// CloneForWrite copies the struct header so clones grow it
-	// independently.
+	// Never nil on a built index; derived, never serialized. In-place
+	// inserts append to it, as they do to the other arenas.
 	anchors *anchorArena
 
 	pcaModel *pca.Model
@@ -243,15 +238,16 @@ type Index struct {
 	tRad      []float64
 	tCentProj [][]float32
 	tRadProj  []float64
-	// tCount[t] is the number of live rows of semantic cluster t: Insert
-	// only joins populated clusters. No side cluster lists its rows; the
-	// grid's row s and column t do (see Delete).
+	// tCount[t] is the number of live rows of semantic cluster t. No side
+	// cluster lists its rows; the grid's row s and column t do (see
+	// Delete).
 	tCount []int32
 	// tValid[t] records whether semantic cluster t had members when its
 	// centroid was computed at (re)build time — i.e. whether tCent[t] and
 	// tCentProj[t] are meaningful. Clusters that never received a member
-	// carry zero centroids that must not attract inserts. Immutable
-	// after build (incremental inserts never recompute centroids).
+	// carry zero centroids that must not attract inserts (nearestSides).
+	// Immutable after build (incremental inserts never recompute
+	// centroids).
 	tValid []bool
 
 	// cells[i] is the grid cell s·Kt+t of the row at storage position i:
@@ -262,8 +258,8 @@ type Index struct {
 	// clusters lists the non-empty hybrid clusters; grid is the dense
 	// Ks×Kt directory over them — grid[s·Kt+t] is the cluster of side
 	// pair (s,t), nil where no object populates the pair. Ks and Kt are
-	// fixed after build, so the grid never resizes; it is derived (never
-	// serialized) and copied whole by CloneForWrite.
+	// fixed after build, so the grid never resizes; it is derived, never
+	// serialized.
 	clusters []*hybrid
 	grid     []*hybrid
 
@@ -284,13 +280,8 @@ type Index struct {
 	// scratchPool recycles per-query searchScratch buffers so the query
 	// algorithms allocate nothing in steady state. A pointer (not a
 	// value) because clones copy the whole Index value and sync.Pool
-	// must not be copied. Snapshot clones share the pool.
+	// must not be copied. Snapshot clones and folds share the pool.
 	scratchPool *sync.Pool
-
-	// cow is non-nil while this Index is a copy-on-write clone being
-	// prepared for snapshot publication (see clone.go); nil on indexes
-	// obtained from Build/Load, whose mutations stay in place.
-	cow *cowState
 }
 
 // Build constructs the index over the dataset (Alg. 1).
@@ -400,7 +391,6 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	ks = len(sres.Centroids)
 	x.sCentX = make([]float64, ks)
 	x.sCentY = make([]float64, ks)
-	x.sRad = make([]float64, ks)
 	for c, cent := range sres.Centroids {
 		x.sCentX[c], x.sCentY[c] = float64(cent[0]), float64(cent[1])
 	}
@@ -418,9 +408,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	tAssign := tres.Assign
 	kt = len(tres.Centroids)
 	x.tCent = make([][]float32, kt)
-	x.tRad = make([]float64, kt)
 	x.tCentProj = make([][]float32, kt)
-	x.tRadProj = make([]float64, kt)
 	x.tValid = make([]bool, kt)
 	x.cells = make([]uint32, n)
 	for i := range x.cells {
@@ -454,29 +442,10 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		}
 	})
 
-	// Per-object distances to the assigned centroids (parallel; these
-	// feed both the radii and the hybrid-cluster member records).
-	dsAll := make([]float64, n)
-	dtAll := make([]float64, n)
-	dpAll := make([]float64, n)
-	par.For(n, cfg.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, t := sAssign[i], tAssign[i]
-			dsAll[i] = x.spatialToCent(uint32(i), s)
-			dtAll[i] = x.space.SemanticVec(vecs[i], x.tCent[t])
-			dpAll[i] = x.projToCent(uint32(i), t)
-		}
-	})
-	// Radii in all representations (parallel max folds).
-	x.sRad = maxPerPartition(n, ks, cfg.Workers,
-		func(i int) int { return sAssign[i] },
-		func(i int) float64 { return dsAll[i] })
-	x.tRad = maxPerPartition(n, kt, cfg.Workers,
-		func(i int) int { return tAssign[i] },
-		func(i int) float64 { return dtAll[i] })
-	x.tRadProj = maxPerPartition(n, kt, cfg.Workers,
-		func(i int) int { return tAssign[i] },
-		func(i int) float64 { return dpAll[i] })
+	// Per-object distances to the assigned centroids, which feed both
+	// the radii and the hybrid-cluster member records.
+	dsAll, dtAll, dpAll := x.sideDists(vecs)
+	x.setRadii(dsAll, dtAll, dpAll)
 
 	// --- Hybrid clusters and their arrays (Alg. 1 lines 10-14) ---
 	x.derive(dsAll, dtAll, vecs, anchors)
@@ -533,14 +502,16 @@ func membersByAssign(assign []int, k int) [][]uint32 {
 
 // derive produces the index's derived state from its base state alone —
 // the columns and arenas, the deleted bitmap, the cell column and the
-// model — and is the only code that does: Build ends in it, and Load is
-// decode, validate, derive. ds and dt hold every live row's distances to
-// its two side centroids; vecs holds Build's vectors, one per row, before
-// any vector arena exists (nil from Load). In turn it counts the live
-// rows per semantic side, forms the hybrid clusters over the live rows,
+// model — and is the only code that does: Build and Compact end in it,
+// and Load is decode, validate, derive. ds and dt hold every live row's
+// distances to its two side centroids; vecs holds one vector per row
+// before the vector arena is written (Build's, or views of the folded
+// snapshot's arena and overlay log; nil from Load). In turn it counts
+// the live rows per semantic side, forms the hybrid clusters over them,
 // orders each and merges its array, renumbers storage into the order
 // those arrays dictate (which keeps the lists sorted; see byDsCmp),
-// anchors every row over set (fitted here when nil) and fills every scan
+// anchors every row over set (fitted here when nil) that does not carry
+// an anchor over it already (buildAnchors) and fills every scan
 // block — a window of the arenas — and restarts the drift baseline from
 // the current radii.
 func (x *Index) derive(ds, dt []float64, vecs [][]float32, set *Anchors) {
@@ -623,6 +594,43 @@ func (x *Index) orderClusters(ms [][]member) {
 	})
 }
 
+// sideDists returns every live row's distances to its two side
+// centroids — spatial, semantic and projected semantic — and zeros for
+// a deleted row. Row i's vector is vecs[i], or its vector-arena row when
+// vecs is nil.
+func (x *Index) sideDists(vecs [][]float32) (ds, dt, dp []float64) {
+	n := x.rows()
+	ds, dt, dp = make([]float64, n), make([]float64, n), make([]float64, n)
+	par.For(n, x.cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			idx := uint32(i)
+			if x.deleted.get(idx) {
+				continue
+			}
+			var v []float32
+			if vecs != nil {
+				v = vecs[i]
+			} else {
+				v = x.vecAt(idx)
+			}
+			s, t := x.sides(x.cells[i])
+			ds[i], dt[i], dp[i] = x.spatialToCent(idx, s), x.space.SemanticVec(v, x.tCent[t]), x.projToCent(idx, t)
+		}
+	})
+	return ds, dt, dp
+}
+
+// setRadii sets every side radius, in all three representations, by
+// Build's rule: the max of its rows' distances (parallel max folds).
+func (x *Index) setRadii(ds, dt, dp []float64) {
+	n, w := x.rows(), x.cfg.Workers
+	s := func(i int) int { s, _ := x.sides(x.cells[i]); return s }
+	t := func(i int) int { _, t := x.sides(x.cells[i]); return t }
+	x.sRad = maxPerPartition(n, len(x.sCentX), w, s, func(i int) float64 { return ds[i] })
+	x.tRad = maxPerPartition(n, len(x.tCent), w, t, func(i int) float64 { return dt[i] })
+	x.tRadProj = maxPerPartition(n, len(x.tCent), w, t, func(i int) float64 { return dp[i] })
+}
+
 // spatialToCent returns the normalized spatial distance from object idx
 // to spatial centroid s.
 func (x *Index) spatialToCent(idx uint32, s int) float64 {
@@ -689,9 +697,6 @@ func (x *Index) addToHybrid(m member) *hybrid {
 		c = &hybrid{s: s, t: t}
 		*cell = c
 		x.clusters = append(x.clusters, c)
-		x.markOwnedHybrid(c)
-	} else {
-		c = x.cowHybrid(c)
 	}
 	c.insertMember(m, x.dsOf(c))
 	return c

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -14,13 +15,13 @@ import (
 // by Insert and Delete (array.go). These tests replay random write
 // streams — inserts, inserts at an existing object's place (ties in ds,
 // or in both orders), deletes, and updates that move an object across
-// clusters — on a flat index and on a CloneForWrite child, and after
+// clusters — on a built index and on a Save/Load copy of it, and after
 // every op require of every cluster exactly what a from-scratch ordering
 // of its members gives, of every side cluster's radii a from-scratch max
 // over its live rows, CheckInvariants clean, and answers equal to a
 // linear scan; then they delete the rows that set a radius (§6.2's
-// infrequent case) and check the same. On the child, the parent's
-// clusters and answers must not move.
+// infrequent case) and check the same. Written on the copy, the built
+// index's clusters and answers must not move.
 
 // hybridState is a deep copy of what a cluster's maintenance writes.
 type hybridState struct {
@@ -129,8 +130,8 @@ func maintenanceAnswers(x *Index, queries []dataset.Object) [][]knn.Result {
 }
 
 // runHybridMaintenance replays ops, two bytes per op (kind, argument),
-// on a fresh 300-object index — in place, or on a CloneForWrite child
-// of it when clone is set. Every tenth object shares its neighbour's
+// on a fresh 300-object index — in place, or on a Save/Load copy of it
+// when clone is set. Every tenth object shares its neighbour's
 // location, so the build already meets ties in ds alone.
 func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 300, Dim: 32, Seed: 51})
@@ -163,7 +164,13 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 	if clone {
 		parentSnap, parentClusters = snapHybrids(parent), slices.Clone(parent.clusters)
 		parentAnswers = maintenanceAnswers(parent, queries)
-		x = parent.CloneForWrite()
+		var buf bytes.Buffer
+		if err := parent.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if x, _, err = Load(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	live := make([]uint32, 0, ds.Len()+len(ops)/2)
 	for i := range ds.Objects {
@@ -248,11 +255,11 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 		return
 	}
 	if !slices.Equal(parent.clusters, parentClusters) {
-		t.Fatal("the child's writes changed the parent's cluster list")
+		t.Fatal("the copy's writes changed the parent's cluster list")
 	}
 	for _, c := range parent.clusters {
 		if !stateOf(c).equal(parentSnap[c]) {
-			t.Fatal("the child's writes changed a parent cluster")
+			t.Fatal("the copy's writes changed a parent cluster")
 		}
 	}
 	if err := parent.CheckInvariants(); err != nil {

@@ -62,14 +62,15 @@ func (x *Index) EnclosureRates(q *dataset.Object) (orig, proj float64) {
 }
 
 // AnchorSet returns the anchor set the index's rows are anchored to. A
-// write, a compaction and CloneForWrite keep it; Build fits one unless
+// write and a compaction keep it; Build fits one unless
 // BuildWithAnchors hands it one, and RebuildFresh and Load fit their
 // own.
 func (x *Index) AnchorSet() *Anchors { return x.anchors.set }
 
 // UnanchoredRows counts the live objects the anchor bound cannot prune:
-// base rows inserted since the last Build/Rebuild/Load plus the write
-// overlay's live inserts. A rebuild anchors them all: where DriftRatio
+// base rows inserted in place since the last Build, Load, Compact or
+// RebuildFresh plus the write overlay's live inserts. The next
+// compaction or rebuild anchors them all: where DriftRatio
 // says the clustering no longer fits the data, this says how many rows
 // scan without their cheapest filter. Always 0 where anchors do not apply.
 // One pass over the id bytes: meant for /stats and scrapes, not per query.

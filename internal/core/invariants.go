@@ -247,7 +247,7 @@ func (x *Index) checkOverlay() error {
 		return err
 	}
 	if err := d.groupIdx.check("overlay group index", d.groups.n, func(key, gi uint32) bool {
-		return int(gi) < d.groups.n && x.groupKey(d.groups.at(int(gi)).s, d.groups.at(int(gi)).t) == key
+		return int(gi) < d.groups.n && uint32(x.cell(d.groups.at(int(gi)).s, d.groups.at(int(gi)).t)) == key
 	}); err != nil {
 		return err
 	}
@@ -277,10 +277,8 @@ func (x *Index) checkOverlay() error {
 			if ds := x.space.SpatialXY(o.X, o.Y, x.sCentX[g.s], x.sCentY[g.s]); ds > g.maxDs+eps {
 				return fmt.Errorf("overlay group %d: member %d outside spatial radius: %v > %v", gi, pos, ds, g.maxDs)
 			}
-			if g.t >= 0 {
-				if dt := x.space.SemanticVec(o.Vec, x.tCent[g.t]); dt > g.maxDt+eps {
-					return fmt.Errorf("overlay group %d: member %d outside semantic radius: %v > %v", gi, pos, dt, g.maxDt)
-				}
+			if dt := x.space.SemanticVec(o.Vec, x.tCent[g.t]); dt > g.maxDt+eps {
+				return fmt.Errorf("overlay group %d: member %d outside semantic radius: %v > %v", gi, pos, dt, g.maxDt)
 			}
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/par"
 )
 
-// Cluster-major storage. Build, RebuildFresh and Load leave
+// Cluster-major storage. Build, RebuildFresh, Compact and Load leave
 // every hybrid cluster's elements at consecutive storage positions, in
 // elems order: elems[j].idx == base+j. The unit of work of Alg. 2 — walk
 // one cluster's array front to back — is then one linear read of each
@@ -31,11 +31,10 @@ type clusterBlock struct {
 // block returns c's scan block. A contiguous cluster's block is a
 // window of the arenas, resolved through this Index's own arena headers
 // on every call and written into w (the scratch's blk on the query
-// path: four slice headers filled in place, never passed by value). A
-// COW clone that regrew an arena reads its own backing and the parent
-// snapshot its own, the rows being identical, so shared clusters hold no
-// pointer that could go stale or pin a superseded backing array —
-// putScratch clears blk for the same reason. A cluster that in-place
+// path: four slice headers filled in place, never passed by value). An
+// in-place insert that regrows an arena leaves no cluster holding a
+// pointer into the superseded backing array — putScratch clears blk so
+// a pooled scratch does not pin one either. A cluster that in-place
 // maintenance touched carries a private gathered copy, returned as is.
 func (x *Index) block(w *clusterBlock, c *hybrid) *clusterBlock {
 	if c.base < 0 {
@@ -72,7 +71,7 @@ func headThresholds(elems []element) (ds, dt float64) {
 // its element array: the arena window when the elements are contiguous,
 // else a gathered copy in elems order. Like elems it is derived data,
 // rebuilt wherever the array is merged and never mutated in place
-// afterwards, so COW clones share it safely.
+// afterwards.
 func (x *Index) fillClusterBlock(c *hybrid) {
 	n := len(c.elems)
 	c.headDs, c.headDt = headThresholds(c.elems)
@@ -100,10 +99,10 @@ func (x *Index) fillClusterBlock(c *hybrid) {
 // relative order. Everything indexed by storage position moves together.
 // It runs inside derive, on an index nothing else references yet, and
 // does nothing when the clusters already are contiguous, which is every
-// file this code wrote from a freshly built index. Build arrives with no
-// vector arena at all but the caller's vectors in vecs, one per
-// position, so the arena is written once, here, in its final order; Load
-// passes nil.
+// file this code wrote from a freshly built index. Build and Compact
+// arrive with no vector arena at all but one vector per position in vecs
+// (the caller's, or views of the folded snapshot's rows), so the arena is
+// written once, here, in its final order; Load passes nil.
 func (x *Index) layoutClusterMajor(vecs [][]float32) {
 	n := x.rows()
 	const unset = ^uint32(0)
@@ -141,6 +140,12 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) {
 	ids, texts, topics := make([]uint32, n), make([]string, n), make([]int, n)
 	xs, ys := make([]float64, n), make([]float64, n)
 	cells := make([]uint32, n)
+	aa := x.anchors // carried anchor rows (a fold's), moved with the rest
+	var aid []uint8
+	var adist []float32
+	if aa != nil {
+		aid, adist = make([]uint8, n), make([]float32, n)
+	}
 	par.For(n, x.cfg.Workers, func(lo, hi int) {
 		for old := lo; old < hi; old++ {
 			p := int(perm[old])
@@ -149,8 +154,14 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) {
 			ids[p], texts[p], topics[p] = x.ids[old], x.texts[old], x.topics[old]
 			xs[p], ys[p] = x.xArena[old], x.yArena[old]
 			cells[p] = x.cells[old]
+			if aa != nil {
+				aid[p], adist[p] = aa.id[old], aa.dist[old]
+			}
 		}
 	})
+	if aa != nil {
+		aa.id, aa.dist = aid, adist
+	}
 	deleted := newBitset(n)
 	for old := range perm {
 		if x.deleted.get(uint32(old)) {

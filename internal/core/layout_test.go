@@ -5,11 +5,9 @@ import (
 	"encoding/gob"
 	"math/rand/v2"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/knn"
 )
 
 // gatheredClusters counts the clusters whose scan block is a private
@@ -240,72 +238,6 @@ func sameBlocks(a, b []clusterBlock) bool {
 		return slices.Equal(p.xs, q.xs) && slices.Equal(p.ys, q.ys) &&
 			slices.Equal(p.aid, q.aid) && slices.Equal(p.adist, q.adist)
 	})
-}
-
-// A published parent keeps its answers and its block bytes while a COW
-// clone inserts into clusters the parent reads straight from the arenas
-// and grows until every arena has been reallocated; readers run against
-// the parent the whole time (the race detector checks the sharing).
-func TestLayoutCloneGrowsUnderReaders(t *testing.T) {
-	f := build(t, dataset.TwitterLike, 500, Config{Seed: 76})
-	parent := f.idx
-	queries := f.ds.SampleQueries(12, 5)
-	want := make([][]knn.Result, len(queries))
-	for i := range queries {
-		want[i] = parent.Search(&queries[i], 10, 0.5, nil)
-	}
-	blocks := blockCopy(parent)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := r; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				qi := i % len(queries)
-				if got := parent.Search(&queries[qi], 10, 0.5, nil); !slices.Equal(got, want[qi]) {
-					t.Errorf("parent answer to query %d changed while the clone grew", qi)
-					return
-				}
-			}
-		}(r)
-	}
-
-	clone := parent.CloneForWrite()
-	for i := 0; i < 2*parent.Len(); i++ {
-		o := f.ds.Objects[i%f.ds.Len()] // lands in the cluster of an existing object
-		o.ID = uint32(5_000_000 + i)
-		if err := clone.Insert(o); err != nil {
-			t.Error(err)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	if &clone.vecArena[0] == &parent.vecArena[0] || &clone.projArena[0] == &parent.projArena[0] ||
-		&clone.xArena[0] == &parent.xArena[0] || &clone.yArena[0] == &parent.yArena[0] ||
-		&clone.anchors.id[0] == &parent.anchors.id[0] || &clone.anchors.dist[0] == &parent.anchors.dist[0] {
-		t.Fatal("the clone did not outgrow every arena")
-	}
-	if !sameBlocks(blocks, blockCopy(parent)) {
-		t.Fatal("parent block bytes changed under the clone's growth")
-	}
-	requireClusterMajor(t, "parent after clone growth", parent)
-	if err := clone.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if gatheredClusters(clone) == 0 {
-		t.Fatal("clone inserted into arena-backed clusters but none was gathered")
-	}
-	requireExact(t, "grown clone", clone)
-	requireScratchesUnpinned(t, clone)
 }
 
 // requireScratchesUnpinned drains the scratch pool x shares with every

@@ -26,45 +26,7 @@ func (x *Index) Insert(o dataset.Object) error {
 	x.topics = append(x.topics, o.Topic)
 	x.deleted = x.deleted.grown(x.rows())
 	x.appendArenaRows(idx, &o)
-
-	// Nearest spatial cluster by location.
-	s := 0
-	bestS := x.spatialToCent(idx, 0)
-	for c := 1; c < len(x.sCentX); c++ {
-		if d := x.spatialToCent(idx, c); d < bestS {
-			s, bestS = c, d
-		}
-	}
-	// Nearest semantic cluster in the projected space (the space the
-	// semantic clustering was fit in). Clusters that never received a
-	// member have meaningless centroids and are skipped.
-	t, bestT := -1, 0.0
-	for c := 0; c < len(x.tCentProj); c++ {
-		if x.tCount[c] == 0 {
-			continue
-		}
-		if d := x.projToCent(idx, c); t < 0 || d < bestT {
-			t, bestT = c, d
-		}
-	}
-	if t < 0 {
-		// Every semantic cluster is currently empty (the whole dataset
-		// was deleted). Fall back to the nearest cluster whose centroid
-		// is valid — one that had members at build time — never to an
-		// arbitrary cluster whose centroid may be a meaningless zero
-		// vector far from any data.
-		for c := 0; c < len(x.tCentProj); c++ {
-			if !x.tValid[c] {
-				continue
-			}
-			if d := x.projToCent(idx, c); t < 0 || d < bestT {
-				t, bestT = c, d
-			}
-		}
-	}
-	if t < 0 {
-		t, bestT = 0, x.projToCent(idx, 0) // unreachable after Build: ≥1 cluster is always valid
-	}
+	s, bestS, t, bestT := x.nearestSides(o.X, o.Y, x.projAt(idx))
 	x.cells = append(x.cells, uint32(x.cell(s, t)))
 	x.tCount[t]++
 
@@ -98,6 +60,37 @@ func (x *Index) Insert(o dataset.Object) error {
 	x.live++
 	x.UpdatesSinceBuild++
 	return nil
+}
+
+// nearestSides is the one rule that places a new row, in place or in
+// the write overlay: its nearest spatial centroid, and — in the
+// projected space, where the semantic clustering was fit — its nearest
+// semantic centroid among those valid at build time (tValid). A side
+// that never had a member has a meaningless centroid; one whose rows
+// were all deleted keeps a meaningful one and may take the row. Only a
+// model with no valid semantic side, which Build never makes, puts the
+// row on side 0. It returns the sides with the row's spatial and
+// projected distances to them.
+func (x *Index) nearestSides(px, py float64, proj []float32) (s int, ds float64, t int, dp float64) {
+	ds = x.space.SpatialXY(px, py, x.sCentX[0], x.sCentY[0])
+	for c := 1; c < len(x.sCentX); c++ {
+		if d := x.space.SpatialXY(px, py, x.sCentX[c], x.sCentY[c]); d < ds {
+			s, ds = c, d
+		}
+	}
+	t = -1
+	for c := range x.tCentProj {
+		if !x.tValid[c] {
+			continue
+		}
+		if d := x.space.SemanticProjVec(proj, x.tCentProj[c]); t < 0 || d < dp {
+			t, dp = c, d
+		}
+	}
+	if t < 0 {
+		t, dp = 0, x.space.SemanticProjVec(proj, x.tCentProj[0])
+	}
+	return s, ds, t, dp
 }
 
 // DriftRatio reports the fraction of post-build inserts that landed
@@ -139,7 +132,7 @@ func (x *Index) Delete(id uint32) error {
 	x.tCount[t]--
 
 	// Remove from the hybrid cluster and rebuild its array.
-	c := x.cowHybrid(x.grid[cell])
+	c := x.grid[cell]
 	dt := c.removeMember(idx)
 	if len(c.members) == 0 {
 		x.grid[cell] = nil

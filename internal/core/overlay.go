@@ -12,19 +12,18 @@ import (
 
 // Write overlay (delta) over an immutable base snapshot.
 //
-// CloneForWrite pays O(n) per clone — the deleted bitmap is copied
-// eagerly even when the write batch touches one object. The overlay
-// replaces that with a clone whose cost does not grow with n, with the
-// vocabulary, or with the number of buffered ops beyond one bit each:
-// the base structures (columns, arenas, clusters, radii, deleted, the ID
-// table) are shared byte-for-byte and NEVER written, and
-// every mutation lands in a delta whose own pieces are shared between
-// clones until a write touches them.
+// A published snapshot is never written: a writer takes a clone whose
+// cost does not grow with n, with the vocabulary, or with the number of
+// buffered ops beyond one bit each. The base structures (columns,
+// arenas, clusters, radii, deleted, the ID table) are shared
+// byte-for-byte and NEVER written, and every mutation lands in a delta
+// whose own pieces are shared between clones until a write touches
+// them.
 //
 //   - An insert appends the object to the delta's append log, with its
 //     vector and projection copied into the log's arenas, and joins a
-//     mini "group" keyed by its nearest (spatial, semantic) base
-//     centroid pair.
+//     mini "group" keyed by its side pair (nearestSides, the rule an
+//     in-place insert follows too).
 //   - A delete of a base object sets a tombstone bit at its storage
 //     position; a delete of an overlay object marks its log slot dead.
 //   - An update is a delete followed by an insert (both dispatch here).
@@ -38,10 +37,9 @@ import (
 // not provably outside the k-th bound — so exact results are
 // bit-identical to a full rebuild over the same live set.
 //
-// Compact folds the overlay into a fresh flat base by replaying the
-// tombstones and then the live inserts through the eager COW path,
-// bounding delta size (and hence the extra per-query scan) by the
-// compaction threshold.
+// Compact folds the overlay into a fresh flat base that ends in derive,
+// as Build and Load do, bounding delta size (and hence the extra
+// per-query scan) by the compaction threshold.
 //
 // What a clone shares, and why a write cannot reach its siblings:
 //
@@ -52,11 +50,13 @@ import (
 //     moving tail from n to n+1 with a compare-and-swap: success proves
 //     no delta sharing the arrays ever claimed slot n, and every reader
 //     sharing them holds a length ≤ tail = n, so the write lands where
-//     nobody looks (the append-only half of CloneForWrite's argument).
-//     A clone that loses the claim — a sibling of the one that won, or
-//     the successor of an abandoned all-or-nothing batch whose clone had
-//     already appended — moves to private arrays (regrow), the one
-//     O(|delta|) copy left; so does a writer whose arrays are full.
+//     nobody looks. Writers of one lineage are serialized, so a slot is
+//     written once before the snapshot holding it is published (an
+//     atomic-pointer store, which orders the write before any reader's
+//     loads). A clone that loses the claim — a sibling of the one that
+//     won, or the successor of an abandoned all-or-nothing batch whose
+//     clone had already appended — moves to private arrays (regrow), the
+//     one O(|delta|) copy left; so does a writer whose arrays are full.
 //   - dead is copied per clone (one bit per log slot); tombs, the ID
 //     table, the group index and the group chunks are copied on their
 //     first write (overlay_cow.go), group member lists when appended to.
@@ -90,10 +90,11 @@ type overlayDelta struct {
 	// the compaction trigger.
 	ops int
 
-	// Overlay inserts grouped by their nearest (spatial, semantic) base
-	// centroid pair, with the group's covering radii. scanDelta prunes
-	// whole groups with the same Lemma 4.4 bound the base clusters use.
-	// groupIdx maps groupKey(s,t) to the group's index.
+	// Overlay inserts grouped by their side pair, with the group's
+	// covering radii. scanDelta prunes whole groups with the same
+	// Lemma 4.4 bound the base clusters use, and Compact makes the pair
+	// each member's cell. groupIdx maps the pair's grid cell to the
+	// group's index.
 	groups   groupVec
 	groupIdx idTable
 
@@ -101,10 +102,8 @@ type overlayDelta struct {
 	shared atomic.Bool
 }
 
-// overlayGroup is a mini cluster of overlay inserts sharing the nearest
-// base centroid pair. t == -1 marks inserts with no valid semantic
-// centroid (possible only when every semantic cluster was invalid at
-// build time); such a group gets no semantic pruning term.
+// overlayGroup is a mini cluster of overlay inserts sharing one side
+// pair.
 type overlayGroup struct {
 	s, t         int
 	maxDs, maxDt float64
@@ -192,25 +191,16 @@ func (d *overlayDelta) regrow() {
 	d.tail.Store(int64(n + 1))
 }
 
-// groupKey packs a (spatial, semantic) centroid pair, t = -1 included,
-// into the group index's key.
-func (x *Index) groupKey(s, t int) uint32 { return uint32(s*(len(x.tCent)+1) + t + 1) }
-
 // CloneWithDelta returns a write-isolated copy whose mutations land in
-// the overlay, at a cost that depends neither on n — CloneForWrite's
-// bitmap copy — nor on how much the overlay already holds.
-// The base structures are shared with x and never written, so a flat x
-// must be treated as immutable for as long as either copy is in use (the
-// same contract CloneForWrite's shared arenas already impose); an x that
-// carries an overlay itself may go on writing to it, one goroutine at a
-// time per index — its next write finds the delta shared and copies what
-// it touches, like any sibling.
+// the overlay, at a cost that depends neither on n nor on how much the
+// overlay already holds. The base structures are shared with x and
+// never written, so a flat x must be treated as immutable for as long as
+// either copy is in use; an x that carries an overlay itself may go on
+// writing to it, one goroutine at a time per index — its next write
+// finds the delta shared and copies what it touches, like any sibling.
 func (x *Index) CloneWithDelta() *Index {
 	nx := new(Index)
 	*nx = *x
-	// Overlay mutations never touch the base, so the COW machinery is
-	// inert on this clone; drop any state inherited from x's own cloning.
-	nx.cow = nil
 	if x.delta != nil {
 		nx.delta = x.delta.clone()
 	} else {
@@ -267,48 +257,25 @@ func (x *Index) deltaInsert(o dataset.Object) error {
 	d.dead = d.dead.grown(len(d.objs))
 	d.idToPos.put(o.ID, pos)
 
-	// Nearest base centroids — the same assignment rule as the eager
-	// Insert, so compaction replay lands the object in the same cluster.
-	s := 0
-	bestS := x.space.SpatialXY(o.X, o.Y, x.sCentX[0], x.sCentY[0])
-	for c := 1; c < len(x.sCentX); c++ {
-		if ds := x.space.SpatialXY(o.X, o.Y, x.sCentX[c], x.sCentY[c]); ds < bestS {
-			s, bestS = c, ds
-		}
-	}
 	proj := d.projRow(pos)
-	t, bestT := -1, 0.0
-	for c := 0; c < len(x.tCentProj); c++ {
-		if !x.tValid[c] {
-			continue
-		}
-		if dp := x.space.SemanticProjVec(proj, x.tCentProj[c]); t < 0 || dp < bestT {
-			t, bestT = c, dp
-		}
-	}
+	s, bestS, t, bestT := x.nearestSides(o.X, o.Y, proj)
 
 	// Group membership and covering radii (original-space semantic
 	// distance, matching the bound scanDelta applies).
-	key := x.groupKey(s, t)
+	key := uint32(x.cell(s, t))
 	gi, ok := d.groupIdx.get(key)
 	if !ok {
 		gi = uint32(d.groups.push(overlayGroup{s: s, t: t}))
 		d.groupIdx.put(key, gi)
 	}
 	g := d.groups.mut(int(gi))
-	if bestS > g.maxDs {
-		g.maxDs = bestS
-	}
-	if t >= 0 {
-		if dt := x.space.SemanticVec(o.Vec, x.tCent[t]); dt > g.maxDt {
-			g.maxDt = dt
-		}
-	}
+	g.maxDs = max(g.maxDs, bestS)
+	g.maxDt = max(g.maxDt, x.space.SemanticVec(o.Vec, x.tCent[t]))
 	g.members = append(g.members, pos)
 
 	// Scalar per-clone counters (the struct copy made them private).
 	x.insertsSinceBuild++
-	if bestS > x.builtSRad[s] || (t >= 0 && bestT > x.builtTRadProj[t]) {
+	if bestS > x.builtSRad[s] || bestT > x.builtTRadProj[t] {
 		x.radiusDrifts++
 	}
 	d.liveCount++
@@ -374,14 +341,8 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 		g := d.groups.at(gi)
 		if u, full := kth(h, rs.radius, sh); full {
 			dsqG := x.space.SpatialXY(q.X, q.Y, x.sCentX[g.s], x.sCentY[g.s])
-			lb := lambda * (dsqG - g.maxDs)
-			if g.t >= 0 {
-				dtqG := x.space.SemanticVec(q.Vec, x.tCent[g.t])
-				lb = lowerBound(lambda, dsqG, g.maxDs, dtqG, g.maxDt)
-			} else if lb < 0 {
-				lb = 0
-			}
-			if lb > u {
+			dtqG := x.space.SemanticVec(q.Vec, x.tCent[g.t])
+			if lowerBound(lambda, dsqG, g.maxDs, dtqG, g.maxDt) > u {
 				if st != nil {
 					st.ClustersPruned++
 					for _, pos := range g.members {
@@ -431,51 +392,81 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 	}
 }
 
-// Compact folds the write overlay into a fresh flat index: an eager COW
-// clone of the base replays the overlay's tombstones (ascending storage
-// order) and then its live inserts (append order) through the in-place
-// maintenance path. Exact search answers are bit-identical across the
-// fold: both sides select the top-k by (distance, ID) from the same
-// live object set under admissible-only pruning, so the bookkeeping
-// differences (radius shrink order, cluster membership order) cannot
-// change results. x itself is never mutated — callers publish the
-// returned flat index in its place.
+// Compact folds the write overlay into a fresh flat index and returns
+// it; x is never mutated (callers publish the result in its place). The
+// fold ends where Build and Load end, in derive: it gathers the live
+// rows (gatherLive), each keeping its cell and its stored projection,
+// sets every side radius by Build's rule, the max over the side's live
+// rows, and derives the rest over the kept model — centroids, PCA,
+// anchor set and space. The result is cluster-major with every row
+// anchored, as a built or loaded index is, and shares nothing a write
+// to it could reach with x, so it may be written in place before it is
+// published. The drift state carries over: it counts from the last
+// build. Exact answers are bit-identical across the fold: both sides
+// select the top-k by (distance, ID) from the same live set under
+// admissible-only pruning.
 func (x *Index) Compact() (*Index, error) {
-	d := x.delta
-	if d == nil {
+	if x.delta == nil {
 		return x, nil
 	}
-	if d.ops == 0 {
-		nx := new(Index)
-		*nx = *x
-		nx.delta = nil
-		nx.cow = nil
-		return nx, nil
+	nx := &Index{
+		cfg: x.cfg, space: x.space, pcaModel: x.pcaModel, dim: x.dim, m: x.m,
+		sCentX: x.sCentX, sCentY: x.sCentY, tCent: x.tCent, tCentProj: x.tCentProj, tValid: x.tValid,
+		scratchPool: x.scratchPool,
 	}
-	nx := x.CloneForWrite()
-	// x.live and the drift counters already include the overlay's net
-	// effect; the replay below re-applies every surviving op through the
-	// eager path, so rewind them to their base-only values first.
-	nx.live = x.live - d.liveCount + d.nTombs
-	nx.UpdatesSinceBuild = x.UpdatesSinceBuild - d.ops
-	nx.insertsSinceBuild = x.insertsSinceBuild - len(d.objs)
-	if d.nTombs > 0 {
-		for i, id := range x.ids {
-			if !d.tombs.get(uint32(i)) {
-				continue
-			}
-			if err := nx.Delete(id); err != nil {
-				return nil, fmt.Errorf("core: compact: %w", err)
-			}
+	vecs := nx.gatherLive(x)
+	var err error
+	if nx.idIdx, err = newIDTable(nx.ids, nx.deleted, nx.cfg.Workers); err != nil {
+		return nil, fmt.Errorf("core: compact: %w", err)
+	}
+	ds, dt, dp := nx.sideDists(vecs)
+	nx.setRadii(ds, dt, dp)
+	nx.derive(ds, dt, vecs, x.anchors.set)
+	nx.UpdatesSinceBuild, nx.insertsSinceBuild, nx.radiusDrifts = x.UpdatesSinceBuild, x.insertsSinceBuild, x.radiusDrifts
+	nx.builtSRad, nx.builtTRadProj = x.builtSRad, x.builtTRadProj
+	return nx, nil
+}
+
+// gatherLive makes x's rows the live rows of src: src's base rows minus
+// deletions and tombstones, in storage order, then its overlay's live
+// inserts in append order, an insert's cell being its group's side
+// pair. It fills the columns, the coordinate and projection arenas, the
+// cells, an empty deleted bitmap and the anchor rows over src's set (a
+// base row's own, the sentinel for an insert, which derive then
+// assigns), and returns views of the rows' vectors — src's arena rows
+// and log slots — for derive to write the vector arena from.
+func (x *Index) gatherLive(src *Index) [][]float32 {
+	d, tombs, n := src.delta, src.deltaTombs(), src.live
+	x.ids, x.texts, x.topics = make([]uint32, 0, n), make([]string, 0, n), make([]int, 0, n)
+	x.xArena, x.yArena = make([]float64, 0, n), make([]float64, 0, n)
+	x.cells, x.projArena = make([]uint32, 0, n), make([]float32, 0, n*x.m)
+	aa := &anchorArena{set: src.anchors.set, id: make([]uint8, 0, n), dist: make([]float32, 0, n)}
+	vecs := make([][]float32, 0, n)
+	keep := func(o *dataset.Object, cell uint32, proj []float32, aid uint8, adist float32) {
+		x.ids, x.texts, x.topics = append(x.ids, o.ID), append(x.texts, o.Text), append(x.topics, o.Topic)
+		x.xArena, x.yArena = append(x.xArena, o.X), append(x.yArena, o.Y)
+		x.cells, x.projArena = append(x.cells, cell), append(x.projArena, proj...)
+		aa.id, aa.dist = append(aa.id, aid), append(aa.dist, adist)
+		vecs = append(vecs, o.Vec)
+	}
+	for i := range src.ids {
+		if idx := uint32(i); !src.deleted.get(idx) && (tombs == nil || !tombs.get(idx)) {
+			o := src.row(idx)
+			keep(&o, src.cells[i], src.projAt(idx), src.anchors.id[i], src.anchors.dist[i])
+		}
+	}
+	cells := make([]uint32, len(d.objs))
+	for gi := 0; gi < d.groups.n; gi++ {
+		g := d.groups.at(gi)
+		for _, pos := range g.members {
+			cells[pos] = uint32(src.cell(g.s, g.t))
 		}
 	}
 	for pos := range d.objs {
-		if d.dead.get(uint32(pos)) {
-			continue
-		}
-		if err := nx.Insert(d.objs[pos]); err != nil {
-			return nil, fmt.Errorf("core: compact: %w", err)
+		if p := uint32(pos); !d.dead.get(p) {
+			keep(&d.objs[pos], cells[pos], d.projRow(p), anchorSentinel, 0)
 		}
 	}
-	return nx, nil
+	x.deleted, x.anchors = newBitset(len(x.ids)), aa
+	return vecs
 }

@@ -8,14 +8,14 @@ import (
 	"repro/internal/par"
 )
 
-// Persistent (clone-in-O(1)) containers for the mutable state of COW
-// clones. Both follow one discipline: a struct copy shares every backing
-// array with its source and owns none of them; before its first write
-// to a piece (a hash bucket, a chunk) the copy replaces that piece with
-// a private one and records the ownership in a bitmask, so later writes
-// of the same clone go in place. overlayDelta.clone and CloneForWrite
-// clear the masks of the copy; overlayDelta.beginWrite clears the
-// source's once it has been cloned — see there.
+// Persistent (clone-in-O(1)) containers for the mutable state of the
+// write overlay. Both follow one discipline: a struct copy shares every
+// backing array with its source and owns none of them; before its first
+// write to a piece (a hash bucket, a chunk) the copy replaces that piece
+// with a private one and records the ownership in a bitmask, so later
+// writes of the same clone go in place. overlayDelta.clone clears the
+// masks of the copy; overlayDelta.beginWrite clears the source's once it
+// has been cloned — see there.
 
 // idTable is a uint32 → uint32 map split into a fixed number of hash
 // buckets, each a slice of pairs sorted by key. A lookup is one multiply

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/metric"
-	"repro/internal/par"
 	"repro/internal/pca"
 )
 
@@ -269,19 +268,10 @@ func loadCells(sAssign, tAssign []int, ks, kt, n int) ([]uint32, error) {
 // are the file's, and Lemma 4.4's bounds hold only while they cover every
 // member. A NaN distance is not covered.
 func (x *Index) coveredDists() (ds, dt []float64, err error) {
-	n := x.rows()
-	ds, dt = make([]float64, n), make([]float64, n)
-	par.For(n, x.cfg.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !x.deleted.get(uint32(i)) {
-				s, t := x.sides(x.cells[i])
-				ds[i], dt[i] = x.spatialToCent(uint32(i), s), x.semanticToCent(uint32(i), t)
-			}
-		}
-	})
+	ds, dt, dp := x.sideDists(nil)
 	for i, cell := range x.cells {
 		if s, t := x.sides(cell); !x.deleted.get(uint32(i)) &&
-			!(ds[i] <= x.sRad[s] && dt[i] <= x.tRad[t] && x.projToCent(uint32(i), t) <= x.tRadProj[t]) {
+			!(ds[i] <= x.sRad[s] && dt[i] <= x.tRad[t] && dp[i] <= x.tRadProj[t]) {
 			return nil, nil, fmt.Errorf("object %d lies outside the radii of its side pair (%d,%d)", x.ids[i], s, t)
 		}
 	}

@@ -30,7 +30,7 @@ import (
 // vocabulary nor on how many terms were touched since the last clone. A
 // snapshot-publishing writer mutates its clone while readers of earlier
 // clones keep scanning the original buckets and lists — the lazy
-// discipline the core index uses for its hybrid clusters (cowHybrid).
+// discipline the core index's write overlay uses for its tables.
 // Posting-list cost is unchanged from an in-place edit, which shifts the
 // list's tail anyway: O(len) per touched term.
 type Filter struct {

@@ -245,9 +245,9 @@ func newMetrics() *metrics {
 	m.latency.init(latencyBuckets)
 	m.mutationLatency.init(mutationBuckets)
 	m.rebuildDuration.init(rebuildBuckets)
-	// Compactions replay the shard's live set through the eager build
-	// machinery — same cost regime as a rebuild, minus K-Means/PCA — so
-	// they share the rebuild bucket layout.
+	// A compaction derives the shard's index from its live rows, as a
+	// load does — a rebuild's cost regime minus K-Means and PCA — so it
+	// shares the rebuild bucket layout.
 	m.compactionDuration.init(rebuildBuckets)
 	m.readEfficiency.init(ratioBuckets)
 	m.clustersPruned.init(ratioBuckets)
@@ -354,7 +354,7 @@ func (m *metrics) observeSearchStats(st *cssi.Stats) {
 	// Anchor-pruned ratio: of the objects the scans visited, the fraction
 	// a stored lower bound excluded before any semantic kernel ran. It
 	// falls as unanchored rows accumulate (cssi_shard_unanchored_rows)
-	// and a rebuild restores it.
+	// and the next compaction or rebuild restores it.
 	if st.VisitedObjects > 0 {
 		m.anchorPruned.observe(float64(st.AnchorPruned) / float64(st.VisitedObjects))
 	}
@@ -577,12 +577,12 @@ func (m *metrics) handler(sampler func() []cssi.ShardStat, buildVersion, goVersi
 		for _, st := range stats {
 			fmt.Fprintf(&b, "cssi_shard_delta_ops{shard=\"%d\"} %d\n", st.Shard, st.DeltaOps)
 		}
-		b.WriteString("# HELP cssi_shard_unanchored_rows Live objects inserted since the shard's last build/rebuild/load: they scan without the anchor bound until a rebuild.\n")
+		b.WriteString("# HELP cssi_shard_unanchored_rows Live objects inserted since the shard's last build, load, compaction or rebuild: they scan without the anchor bound until the next compaction or rebuild.\n")
 		b.WriteString("# TYPE cssi_shard_unanchored_rows gauge\n")
 		for _, st := range stats {
 			fmt.Fprintf(&b, "cssi_shard_unanchored_rows{shard=\"%d\"} %d\n", st.Shard, st.Unanchored)
 		}
-		b.WriteString("# HELP cssi_shard_base_age_seconds Seconds since the shard's flat base snapshot was published (moves on compactions, rebuilds, and eager writes — not overlay writes).\n")
+		b.WriteString("# HELP cssi_shard_base_age_seconds Seconds since the shard's flat base snapshot was published (moves on compactions and rebuilds, not on writes).\n")
 		b.WriteString("# TYPE cssi_shard_base_age_seconds gauge\n")
 		for _, st := range stats {
 			fmt.Fprintf(&b, "cssi_shard_base_age_seconds{shard=\"%d\"} %g\n", st.Shard, st.BaseAge.Seconds())

@@ -76,8 +76,10 @@ func (v *view) evaluateRows(dst []Result, q *Object, k int, lambda float64, rows
 // idSet is the membership test a broad keyword request hands the read
 // as its row predicate (core.SearchOptions.Allow): a bitmap over the
 // candidates' ID span when that costs at most a word per candidate,
-// else the sorted IDs searched by bisection. It is read-only, so both
-// stripes of a read may test it at once.
+// else the sorted IDs searched by bisection — each snapshot's list is
+// sorted and the snapshots hold disjoint IDs, so several lists merge in
+// one linear pass. It is read-only, so both stripes of a read may test
+// it at once.
 type idSet struct {
 	lo   uint32
 	bits []uint64
@@ -105,8 +107,18 @@ func newIDSet(rows [][]uint32, total int) *idSet {
 		s.ids = rows[0]
 		return s
 	}
-	s.ids = slices.Concat(rows...)
-	slices.Sort(s.ids)
+	s.ids = make([]uint32, 0, total)
+	next := make([]int, len(rows)) // rows[i][next[i]] is list i's head
+	for len(s.ids) < total {
+		best := -1
+		for i, ids := range rows {
+			if next[i] < len(ids) && (best < 0 || ids[next[i]] < rows[best][next[best]]) {
+				best = i
+			}
+		}
+		s.ids = append(s.ids, rows[best][next[best]])
+		next[best]++
+	}
 	return s
 }
 

@@ -3,6 +3,7 @@ package cssi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -327,10 +328,12 @@ func TestKeywordIDSet(t *testing.T) {
 		rows [][]uint32
 		bits bool
 	}{
-		"dense":         {[][]uint32{{3, 4, 9, 70, 71}}, true},
-		"dense/shards":  {[][]uint32{{64, 130}, {}, {65, 127, 128}}, true},
-		"sparse":        {[][]uint32{{0, 5, 1 << 20}}, false},
-		"sparse/shards": {[][]uint32{{7, ^uint32(0)}, {0, 500000}}, false},
+		"dense":              {[][]uint32{{3, 4, 9, 70, 71}}, true},
+		"dense/shards":       {[][]uint32{{64, 130}, {}, {65, 127, 128}}, true},
+		"sparse":             {[][]uint32{{0, 5, 1 << 20}}, false},
+		"sparse/shards":      {[][]uint32{{7, ^uint32(0)}, {0, 500000}}, false},
+		"sparse/interleaved": {[][]uint32{{3, 900_000, 1 << 30}, {5, 77, 2_000_000_000, ^uint32(0)}, {}, {1, 4, 1 << 29}}, false},
+		"sparse/one list":    {[][]uint32{{}, {10, 1 << 24, 1 << 31}, {}}, false},
 	} {
 		total := 0
 		in := map[uint32]bool{}
@@ -343,6 +346,11 @@ func TestKeywordIDSet(t *testing.T) {
 		s := newIDSet(c.rows, total)
 		if (s.bits != nil) != c.bits {
 			t.Errorf("%s: bitmap %v, want %v", name, s.bits != nil, c.bits)
+		}
+		want := slices.Concat(c.rows...)
+		slices.Sort(want)
+		if s.bits == nil && !slices.Equal(s.ids, want) {
+			t.Errorf("%s: merged IDs %v, want the sorted concatenation %v", name, s.ids, want)
 		}
 		probes := []uint32{0, 1, 2, 63, 129, 131, 1<<20 - 1, 1<<20 + 1, ^uint32(0) - 1, ^uint32(0)}
 		for id := range in {

@@ -1,7 +1,9 @@
 package cssi
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -11,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/keyword"
+	"repro/internal/metric"
+	"repro/internal/scan"
 	"repro/internal/text"
 )
 
@@ -645,5 +649,134 @@ func TestOverlayWriteAllocBounded(t *testing.T) {
 	const ceiling = 64 << 10
 	if large > 2*small || large > ceiling {
 		t.Fatalf("insert+delete allocates %d B at 4000 buffered ops: want ≤ 2× the %d B at 40 and ≤ %d", large, small, ceiling)
+	}
+}
+
+// TestShardedCompactFold folds every kind of overlay through
+// ShardedIndex.Compact at P = 1, 2 and 4: inserts only, deletes only,
+// updates, every object deleted and then refilled, no ops at all, and
+// every object deleted and then one insert, whose nearest semantic side
+// has no live rows. Afterwards no shard buffers an op or holds an
+// unanchored row, every invariant holds, each shard's Save → Load → Save
+// is the identity, and exact answers equal the linear scan of the live
+// objects rank by rank, with ties by ID, at λ ∈ {0, 0.5, 1} and
+// k ∈ {1, 10, n+5}. (The core table, TestCompactFold, holds the folded
+// layout and radii too.)
+func TestShardedCompactFold(t *testing.T) {
+	ds := testDataset(t, 1200)
+	space, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poolDS, err := GenerateDataset(DatasetConfig{Kind: YelpLike, Size: 60, Dim: ds.Dim, Seed: 72})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := poolDS.Objects
+	fresh := func(i int) Object {
+		o := pool[i]
+		o.ID, o.X = uint32(1_000_000+i), o.X*0.97
+		return o
+	}
+	overlays := map[string]func() []Op{
+		"inserts": func() (ops []Op) {
+			for i := range 40 {
+				ops = append(ops, Op{Kind: OpInsert, Object: fresh(i)})
+			}
+			return ops
+		},
+		"deletes": func() (ops []Op) {
+			for i := 0; i < ds.Len(); i += 6 {
+				ops = append(ops, Op{Kind: OpDelete, ID: ds.Objects[i].ID})
+			}
+			return ops
+		},
+		"updates": func() (ops []Op) {
+			for i := 0; i < ds.Len(); i += 9 {
+				o := ds.Objects[i]
+				o.Y, o.Vec = o.Y*0.95, pool[i%len(pool)].Vec
+				ops = append(ops, Op{Kind: OpUpdate, Object: o})
+			}
+			return ops
+		},
+		"refilled": func() (ops []Op) {
+			for _, o := range ds.Objects {
+				ops = append(ops, Op{Kind: OpDelete, ID: o.ID})
+			}
+			for _, o := range ds.Objects {
+				o.X *= 0.99
+				ops = append(ops, Op{Kind: OpInsert, Object: o})
+			}
+			return ops
+		},
+		"no ops": func() []Op { return nil },
+		"insert into emptied": func() (ops []Op) {
+			for _, o := range ds.Objects {
+				ops = append(ops, Op{Kind: OpDelete, ID: o.ID})
+			}
+			return append(ops, Op{Kind: OpInsert, Object: fresh(0)})
+		},
+	}
+	for _, p := range []int{1, 2, 4} {
+		for name, write := range overlays {
+			ctx := fmt.Sprintf("P=%d %s", p, name)
+			s := mustBuildSharded(t, ds, p, Options{Seed: 48})
+			live := map[uint32]Object{}
+			for _, o := range ds.Objects {
+				live[o.ID] = o
+			}
+			for _, op := range write() {
+				if err := s.ApplyBatch([]Op{op}); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				if op.Kind == OpDelete {
+					delete(live, op.ID)
+				} else {
+					live[op.Object.ID] = op.Object
+				}
+			}
+			if err := s.Compact(); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			for _, st := range s.ShardStats() {
+				if st.DeltaOps != 0 || st.Unanchored != 0 {
+					t.Fatalf("%s: shard %d holds %d overlay ops and %d unanchored rows", ctx, st.Shard, st.DeltaOps, st.Unanchored)
+				}
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			for i, sh := range s.shards {
+				var first, again bytes.Buffer
+				if err := sh.cur.Load().Save(&first); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := LoadIndex(bytes.NewReader(first.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := loaded.Save(&again); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(first.Bytes(), again.Bytes()) {
+					t.Fatalf("%s: shard %d: Save → Load → Save changed the bytes", ctx, i)
+				}
+			}
+			liveDS := &Dataset{Dim: ds.Dim}
+			for _, o := range live {
+				liveDS.Objects = append(liveDS.Objects, o)
+			}
+			oracle := scan.New(liveDS, space)
+			n := len(live)
+			for qi := 0; qi < 5; qi++ {
+				q := ds.Objects[(qi*211+13)%ds.Len()]
+				for _, lambda := range []float64{0, 0.5, 1} {
+					for _, k := range []int{1, 10, n + 5} {
+						equalResults(t, fmt.Sprintf("%s q%d λ=%v k=%d", ctx, qi, lambda, k),
+							oracle.Search(&q, k, lambda, nil), mustDo(s, SearchRequest{Query: &q, K: k, Lambda: lambda}))
+					}
+				}
+			}
+		}
 	}
 }

@@ -527,8 +527,9 @@ func TestRequestConformance(t *testing.T) {
 // dispatch forks the request pipeline replaced must stay gone, as must
 // the batch executors beside the one pool over execute, the keyword read
 // mode and the eager-clone write path, the panicking helpers of the
-// deleted wrappers and the second snapshot-published flavor —
-// ConcurrentIndex is ShardedIndex.
+// deleted wrappers, the second snapshot-published flavor —
+// ConcurrentIndex is ShardedIndex — and core's copy-on-write clone, whose
+// last caller was the compaction replay a fold through derive replaced.
 func TestAPISurface(t *testing.T) {
 	do := []string{"Do", "DoBatch", "DoBatchContext", "DoContext"}
 	for _, c := range []struct {
@@ -568,6 +569,31 @@ func TestAPISurface(t *testing.T) {
 		if _, ok := typ.MethodByName("RouterTrained"); ok {
 			t.Errorf("%v.RouterTrained is back", typ)
 		}
+	}
+	if _, ok := reflect.TypeOf(&core.Index{}).MethodByName("CloneForWrite"); ok {
+		t.Error("core.Index.CloneForWrite is back: a compaction is a fold through derive")
+	}
+	corePkgs, err := parser.ParseDir(token.NewFileSet(), "internal/core", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range corePkgs["core"].Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var name string
+			switch d := n.(type) {
+			case *ast.FuncDecl:
+				name = d.Name.Name
+			case *ast.TypeSpec:
+				name = d.Name.Name
+			}
+			switch name {
+			case "cowHybrid", "markOwnedHybrid", "cowState":
+				t.Errorf("core's copy-on-write clone machinery (%s) is back", name)
+			}
+			return true
+		})
 	}
 
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
@@ -636,7 +662,7 @@ func TestDoZeroAlloc(t *testing.T) {
 		"Index":       mustBuild(t, ds, Options{Seed: 24}).Do,
 		"Concurrent":  Concurrent(mustBuild(t, ds, Options{Seed: 24})).Do,
 		"ShardedFrom": ShardedFrom(mustBuild(t, ds, Options{Seed: 24})).Do,
-		// Explain alone records into a pooled private trace.
+		// Explain alone is filled by core directly.
 		"ShardedFrom+Explain": func(r SearchRequest) ([]Result, error) { r.Explain = &es; return explained.Do(r) },
 	} {
 		buf := make([]Result, 0, 64)

@@ -246,7 +246,15 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 		// wall time only, whichever arm answers.
 		op, spans = "keyword", 0
 	}
-	tr, start := v.openTrace(req.Trace, req.Explain != nil, op, spans, 1, req.K, req.Lambda, opts, req.RequestID, req.TraceID)
+	tr, start := v.openTrace(req.Trace, op, spans, 1, req.K, req.Lambda, opts, req.RequestID, req.TraceID)
+	// Explain with no trace to fold it from: core fills it directly, and
+	// Stats, which core then leaves alone, gets the same counters after.
+	st := req.Stats
+	var explained Stats
+	if tr == nil && req.Explain != nil {
+		opts.Explain, st = req.Explain, nil
+		explained, req.Explain.Stats = req.Explain.Stats, Stats{}
+	}
 
 	base := len(req.Dst)
 	var res []Result
@@ -269,14 +277,20 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 			}
 		}
 	} else {
-		res, partial = v.execute(req.Dst, q, req.K, req.Lambda, opts, req.Stats, tr)
+		res, partial = v.execute(req.Dst, q, req.K, req.Lambda, opts, st, tr)
+	}
+	var kth float64
+	if len(res) > base {
+		kth = res[len(res)-1].Dist
 	}
 	if tr != nil {
-		var kth float64
-		if len(res) > base {
-			kth = res[len(res)-1].Dist
-		}
 		v.closeTrace(tr, start, max(len(res)-base, 0), kth, partial, err, req.Stats, req.Explain, req.Trace)
+	} else if es := opts.Explain; es != nil {
+		if req.Stats != nil {
+			req.Stats.Add(&es.Stats)
+		}
+		es.Stats.Add(&explained)
+		es.KthDistance = kth
 	}
 	if cache != nil && err == nil && !partial {
 		cache.Put(v.token, key, q.X, q.Y, q.Vec, res[base:])
@@ -470,7 +484,7 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 		if !deadline.IsZero() || opts.Cancel != nil {
 			partials = make([]bool, len(exec))
 		}
-		tr, start := v.openTrace(nil, false, "batch", v.n(), len(exec), req.K, req.Lambda, opts, req.RequestID, req.TraceID)
+		tr, start := v.openTrace(nil, "batch", v.n(), len(exec), req.K, req.Lambda, opts, req.RequestID, req.TraceID)
 		workers := min(runtime.GOMAXPROCS(0), len(exec))
 		if req.Parallelism > 0 {
 			workers = min(workers, req.Parallelism)

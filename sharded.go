@@ -281,9 +281,11 @@ func (s *ShardedIndex) ApplyBatch(ops []Op) error {
 // Rebuild reconstructs every shard from scratch, in parallel, each
 // shard publishing its fresh index the moment it finishes (staggered
 // publication — readers never wait, and at no point is any shard
-// unavailable). Shards that fail report their error; the others still
-// publish. A rebuild changes no exact search result, so a scatter that
-// observes a mix of rebuilt and not-yet-rebuilt shards is harmless.
+// unavailable). A shard with a background compaction or rebuild in
+// flight rebuilds once that has published. Shards that fail report
+// their error; the others still publish. A rebuild changes no exact
+// search result, so a scatter that observes a mix of rebuilt and
+// not-yet-rebuilt shards is harmless.
 func (s *ShardedIndex) Rebuild() error {
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
@@ -412,13 +414,12 @@ type ShardStat struct {
 	// sharded index was built (initial publication included).
 	Publications int64
 	// DeltaOps is the number of write ops buffered in the snapshot's
-	// overlay (0 when flat or when the overlay is disabled).
+	// overlay (0 when flat).
 	DeltaOps int
 	// Compactions counts the shard's completed overlay compactions.
 	Compactions int64
 	// BaseAge is how long ago the shard's flat base was published —
-	// unlike SnapshotAge it moves only on compactions, rebuilds, and
-	// eager-mode writes.
+	// unlike SnapshotAge it moves only on compactions and rebuilds.
 	BaseAge time.Duration
 	// Unanchored is the shard's Index.UnanchoredRows: live objects a
 	// rebuild would give back their anchor bound.
@@ -484,9 +485,11 @@ func (s *ShardedIndex) SetCompactionObserver(fn func(time.Duration)) {
 }
 
 // Compact synchronously folds every shard's write overlay into a flat
-// base (no-op on already-flat shards). Most callers never need it —
-// background compaction triggers automatically at the threshold — but
-// it gives tests and maintenance endpoints a deterministic fold point.
+// base (no-op on already-flat shards), after waiting for any background
+// compaction or rebuild in flight on the shard. Most callers never need
+// it — background compaction triggers automatically at the threshold —
+// but it gives tests and maintenance endpoints a deterministic fold
+// point: when it returns, no shard buffers an overlay op.
 func (s *ShardedIndex) Compact() error {
 	errs := make([]error, len(s.shards))
 	for i, sh := range s.shards {

@@ -537,12 +537,12 @@ func TestShardedStress(t *testing.T) {
 }
 
 // TestShardedUnanchoredRows follows the rebuild signal across shards:
-// every insert is one unanchored row on the shard that owns it — through
-// the write overlay and across its compaction — and a rebuild anchors
-// them all, with exact answers throughout.
+// every insert is one unanchored row on the shard that owns it while the
+// write overlay buffers it, and a compaction or a rebuild anchors them
+// all, with exact answers throughout.
 func TestShardedUnanchoredRows(t *testing.T) {
 	ds := testDataset(t, 900)
-	s := mustBuildSharded(t, ds, 3, Options{Seed: 5, DeltaCompactThreshold: 4})
+	s := mustBuildSharded(t, ds, 3, Options{Seed: 5})
 	space, err := metric.NewSpace(ds)
 	if err != nil {
 		t.Fatal(err)
@@ -585,19 +585,61 @@ func TestShardedUnanchoredRows(t *testing.T) {
 		}
 		live.Objects = append(live.Objects, o)
 	}
+	check("buffered", live, 14)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	check("inserted", live, 14)
-	// A threshold-triggered background compaction may still be replaying;
-	// Rebuild refuses to start beside it.
-	for err = s.Rebuild(); errors.Is(err, ErrRebuildInProgress); err = s.Rebuild() {
-		runtime.Gosched()
-	}
-	if err != nil {
+	check("compacted", live, 0)
+	if err := s.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	check("rebuilt", live, 0)
+}
+
+// TestShardedCompactIsAFoldPoint: a write that crosses the threshold
+// starts a background fold of a shard large enough that the fold takes
+// milliseconds, and a Compact called at once — with one more write
+// logged beside the fold — returns only with no shard buffering an
+// overlay op, the late write replayed, and exact answers.
+func TestShardedCompactIsAFoldPoint(t *testing.T) {
+	ds := testDataset(t, 24_000)
+	space, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		s := mustBuildSharded(t, ds, p, Options{Seed: 6, DeltaCompactThreshold: 8})
+		live := &Dataset{Dim: ds.Dim, Objects: append([]Object(nil), ds.Objects...)}
+		// Deletes, each on its own publication, until a shard crosses its
+		// threshold; then one insert beside the fold that starts.
+		for i := 0; i < 8*p; i++ {
+			if err := s.Delete(ds.Objects[i].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		late := ds.Objects[100]
+		late.ID, late.X = 900_000, late.X*0.98
+		if err := s.Insert(late); err != nil {
+			t.Fatal(err)
+		}
+		live.Objects = append(live.Objects[8*p:], late)
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range s.ShardStats() {
+			if st.DeltaOps != 0 {
+				t.Fatalf("P=%d: shard %d holds %d overlay ops after Compact", p, st.Shard, st.DeltaOps)
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		oracle := scan.New(live, space)
+		for _, lambda := range []float64{0, 0.5, 1} {
+			q := ds.Objects[4321]
+			equalResults(t, fmt.Sprintf("P=%d λ=%v", p, lambda), oracle.Search(&q, 10, lambda, nil), mustDo(s, SearchRequest{Query: &q, K: 10, Lambda: lambda}))
+		}
+	}
 }
 
 // doStriped is s.DoContext with the read dealt onto w stripes instead

@@ -1,7 +1,6 @@
 package cssi
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -14,11 +13,12 @@ import (
 // the existing SearchStats collection — into a pooled obs.Trace and
 // hands it to the sink, whose tail sampler retains the slow, errored,
 // and partial traces (plus a deterministic 1-in-N of normal traffic) in
-// a lock-free ring for /debug/traces. SearchRequest.Explain and
-// SearchRequest.Trace are observers of the same spans. With none of the
-// three the request records nothing and pays nothing. Requests rejected
-// by validation and result-cache hits never execute and so leave no
-// trace.
+// a lock-free ring for /debug/traces. SearchRequest.Trace is an
+// observer of the same spans, and so is SearchRequest.Explain beside a
+// sink or a Trace; an Explain alone is filled by core directly. With
+// none of the three the request records nothing and pays nothing.
+// Requests rejected by validation and result-cache hits never execute
+// and so leave no trace.
 
 // SetTraceSink installs sink as the always-on trace collector for this
 // index's Do/DoBatch calls (nil disables tracing). Not safe to call
@@ -48,13 +48,13 @@ func algoName(opts core.SearchOptions) string {
 }
 
 // openTrace returns the trace a request records into, with the request
-// envelope stamped and one zeroed span per searched snapshot,
-// and the instant closeTrace measures from. Spans are recorded iff a
-// sink, Trace or Explain asks for them: the trace is the sink's pooled
-// one when a sink is installed, else the caller's own (want), else —
-// Explain alone — a private one; nil when nothing asks. A trace someone
-// will read gets a generated request ID when the caller brought none.
-func (v *view) openTrace(want *SearchTrace, explain bool, op string, spans, queries, k int, lambda float64, opts core.SearchOptions, requestID, traceID string) (*SearchTrace, time.Time) {
+// envelope stamped and one zeroed span per searched snapshot, and the
+// instant closeTrace measures from. Spans are recorded iff a sink or
+// Trace asks for them: the trace is the sink's pooled one when a sink is
+// installed, else the caller's own (want); nil when neither asks (an
+// Explain alone is filled by core directly, see serve). A trace gets a
+// generated request ID when the caller brought none.
+func (v *view) openTrace(want *SearchTrace, op string, spans, queries, k int, lambda float64, opts core.SearchOptions, requestID, traceID string) (*SearchTrace, time.Time) {
 	var t *SearchTrace
 	switch {
 	case v.sink != nil:
@@ -62,14 +62,11 @@ func (v *view) openTrace(want *SearchTrace, explain bool, op string, spans, quer
 	case want != nil:
 		t = want
 		t.Reset()
-	case explain:
-		t = explainTraces.Get().(*SearchTrace)
-		t.Reset()
 	default:
 		return nil, time.Time{}
 	}
 	t.RequestID = requestID
-	if requestID == "" && (v.sink != nil || want != nil) {
+	if requestID == "" {
 		t.RequestID = obs.NewRequestID()
 	}
 	t.TraceID = traceID
@@ -91,9 +88,8 @@ func (v *view) openTrace(want *SearchTrace, explain bool, op string, spans, quer
 // and hands it to its observers: the work counters and the cross-shard
 // aggregate fold into the caller's Stats and Explain (both accumulate
 // across requests), a caller-visible Trace that is not t itself gets a
-// copy, and the sink's tail sampler (or the private-trace pool) gets t
-// last — the caller must not touch t afterward, dropped traces are
-// recycled immediately.
+// copy, and the sink's tail sampler gets t last — the caller must not
+// touch t afterward, dropped traces are recycled immediately.
 func (v *view) closeTrace(t *SearchTrace, start time.Time, results int, kth float64, partial bool, err error, st *Stats, es *ExplainStats, want *SearchTrace) {
 	t.Results = results
 	t.Partial = partial
@@ -113,14 +109,7 @@ func (v *view) closeTrace(t *SearchTrace, start time.Time, results int, kth floa
 		*want = *t
 		want.Shards = shards
 	}
-	switch {
-	case v.sink != nil:
+	if v.sink != nil {
 		v.sink.Finish(t)
-	case want == nil:
-		explainTraces.Put(t)
 	}
 }
-
-// explainTraces recycles the private traces of Explain-only requests,
-// so observing a query costs no allocation in steady state.
-var explainTraces = sync.Pool{New: func() any { return new(SearchTrace) }}
