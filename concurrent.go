@@ -39,8 +39,8 @@ func Concurrent(idx *Index) *ConcurrentIndex { return ShardedFrom(idx) }
 //   - A rebuild reconstructs off to the side and publishes the result,
 //     so even a full §6.2 rebuild never stalls a reader; the background
 //     one additionally keeps writers available during reconstruction by
-//     logging their mutations and replaying them onto the fresh index
-//     before it is published (see buildAsideLocked).
+//     logging their mutations and replaying them into the fresh index's
+//     write overlay before it is published (see buildAsideLocked).
 //
 // The price is paid by writers, and it is a fixed one: the clone a
 // mutation is applied to shares the overlay's log, lookup tables and
@@ -157,15 +157,16 @@ type Op struct {
 	ID     uint32 // OpDelete
 }
 
-// applyOp applies one mutation to an unpublished index.
+// applyOp applies one mutation to an unpublished index, into its write
+// overlay. It never folds: the cell folds in the background.
 func applyOp(idx *Index, op Op) error {
 	switch op.Kind {
 	case OpInsert:
-		return idx.Insert(op.Object)
+		return idx.insert(op.Object)
 	case OpDelete:
-		return idx.Delete(op.ID)
+		return idx.delete(op.ID)
 	case OpUpdate:
-		return idx.Update(op.Object)
+		return idx.update(op.Object)
 	default:
 		return fmt.Errorf("cssi: unknown op kind %d", op.Kind)
 	}
@@ -177,13 +178,12 @@ func applyOp(idx *Index, op Op) error {
 // if any op fails, nothing is published and the error is returned.
 //
 // The clone costs the same however many ops the overlay buffers: writes
-// land in an overlay chained over the shared immutable base, which also
-// keeps every writer off the base structures a background fold replays
-// into, and once the overlay reaches the compaction threshold a
-// background fold publishes a fresh flat base. A clone dropped by a
-// failing batch may already have appended to the log the overlay
-// lineage shares; the next write's clone then finds the slot taken and
-// moves to a private log (core's lost-claim copy).
+// land in an overlay chained over the shared immutable base, which no
+// write ever touches, and once the overlay reaches the compaction
+// threshold a background fold publishes a fresh flat base. A clone
+// dropped by a failing batch may already have appended to the log the
+// overlay lineage shares; the next write's clone then finds the slot
+// taken and moves to a private log (core's lost-claim copy).
 func (c *shardCell) apply(ops ...Op) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -216,11 +216,12 @@ func (c *shardCell) apply(ops ...Op) error {
 // on its own goroutine with no lock held: readers serve from the
 // current snapshot, writers clone-and-publish as usual, and because
 // aside is set their ops accumulate in rebuildLog. Once build
-// returns, the log is replayed, in order, onto the result — still
-// private to the goroutine, so the replay writes it in place, no clone
-// per op; replaying the exact sequence of acknowledged ops onto
-// the live set they originally applied to cannot conflict, and a
-// failure aborts publication — and the result is published. done
+// returns, the log is replayed, in order, into the result's write
+// overlay — the result is still private to the goroutine, so no clone
+// per op; replaying the exact sequence of acknowledged ops onto the
+// live set they originally applied to cannot conflict, and a failure
+// aborts publication — and the result is published, its base stamped as
+// new. The next fold anchors and places the replayed rows. done
 // receives the outcome, under c.mu, exactly once; on an error the
 // current snapshot, which already contains every acknowledged write,
 // stays published. aside is closed after done. Caller must hold c.mu.
@@ -249,6 +250,7 @@ func (c *shardCell) buildAsideLocked(what string, build func() (*Index, error), 
 				fresh.EnableKeywordFilter()
 			}
 			c.publish(fresh)
+			c.baseNS.Store(c.publishedNS.Load())
 		}
 		done(err)
 	}()

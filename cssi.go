@@ -118,11 +118,11 @@ type Options struct {
 	// The paper's bounds hold for arbitrary metrics (§4.2), so CSSI
 	// stays exact; only the semantic notion of "close" changes.
 	AngularSemantic bool
-	// DeltaCompactThreshold bounds the write overlay that ShardedIndex
-	// snapshots carry: once a snapshot accumulates this
-	// many overlay write ops, a background compaction folds the delta
-	// into a fresh flat snapshot. Zero or negative means
-	// DefaultDeltaCompactThreshold.
+	// DeltaCompactThreshold bounds the write overlay every write lands
+	// in: once it buffers this many write ops, a bare Index folds it into
+	// a fresh flat base within the write that reached the threshold, and
+	// a ShardedIndex shard does so in the background. Zero or negative
+	// means DefaultDeltaCompactThreshold.
 	DeltaCompactThreshold int
 	// Seed makes index construction deterministic.
 	Seed uint64
@@ -134,7 +134,9 @@ const DefaultDeltaCompactThreshold = core.DefaultDeltaCompactThreshold
 
 // Index answers semantic spatio-textual k-NN queries. Obtain one from
 // Build. An Index is safe for concurrent Do/DoBatch calls;
-// Insert/Delete/Update require external synchronization.
+// Insert/Delete/Update require external synchronization. Writes land in
+// a write overlay over the built base, which the index folds into a
+// fresh base once it holds DeltaCompactThreshold ops (see Insert).
 type Index struct {
 	core  *core.Index
 	space *metric.Space
@@ -188,9 +190,44 @@ func Build(ds *Dataset, opts Options) (*Index, error) {
 }
 
 // Insert adds a new object incrementally (paper §6.2): it joins the
-// nearest spatial and semantic clusters, radii expand if needed, and only
-// the affected hybrid cluster's array is rebuilt.
+// nearest spatial and semantic clusters in the index's write overlay.
+// The write that brings the overlay to DeltaCompactThreshold ops also
+// folds it (Compact): every row then sits in its clusters' arrays, the
+// radii cover exactly the live rows, and every row is anchored.
 func (x *Index) Insert(o Object) error {
+	return x.foldAfter(x.insert(o))
+}
+
+// Delete removes the object with the given ID (paper §6.2), folding the
+// overlay as Insert does.
+func (x *Index) Delete(id uint32) error {
+	return x.foldAfter(x.delete(id))
+}
+
+// Update replaces the stored object carrying o's ID — a deletion followed
+// by an insertion, as the paper defines updates — folding the overlay as
+// Insert does.
+func (x *Index) Update(o Object) error {
+	return x.foldAfter(x.update(o))
+}
+
+// foldAfter folds the overlay when err is nil and the write that
+// returned it brought the overlay to the threshold.
+func (x *Index) foldAfter(err error) error {
+	if err != nil || int64(x.DeltaOps()) < resolveDeltaThreshold(x.core.Config().DeltaCompactThreshold) {
+		return err
+	}
+	nc, err := x.core.Compact()
+	if err != nil {
+		return err
+	}
+	x.core = nc
+	return nil
+}
+
+// insert is Insert without the fold: the write a shard applies to its
+// private clone, whose fold runs in the background.
+func (x *Index) insert(o Object) error {
 	if err := x.core.Insert(o); err != nil {
 		return err
 	}
@@ -200,8 +237,8 @@ func (x *Index) Insert(o Object) error {
 	return nil
 }
 
-// Delete removes the object with the given ID (paper §6.2).
-func (x *Index) Delete(id uint32) error {
+// delete is Delete without the fold.
+func (x *Index) delete(id uint32) error {
 	var docText string
 	if x.kw != nil {
 		if o, ok := x.core.Object(id); ok {
@@ -217,13 +254,12 @@ func (x *Index) Delete(id uint32) error {
 	return nil
 }
 
-// Update replaces the stored object carrying o's ID — a deletion followed
-// by an insertion, as the paper defines updates.
-func (x *Index) Update(o Object) error {
-	if err := x.Delete(o.ID); err != nil {
+// update is Update without the fold.
+func (x *Index) update(o Object) error {
+	if err := x.delete(o.ID); err != nil {
 		return err
 	}
-	return x.Insert(o)
+	return x.insert(o)
 }
 
 // Rebuild reconstructs the index from scratch over the live objects — the
@@ -260,9 +296,9 @@ func (x *Index) cloneWithDelta() *Index {
 // compact folds the snapshot's write overlay into a fresh flat core
 // index (a no-op returning x when no overlay ops are buffered). An
 // enabled keyword filter is cloned, not shared: the background
-// compaction path replays late writes directly onto the returned index,
-// and those replays must not reach a filter that published snapshots
-// still serve from.
+// compaction path replays late writes onto the returned index, and
+// those replays must not reach a filter that published snapshots still
+// serve from.
 func (x *Index) compact() (*Index, error) {
 	nc, err := x.core.Compact()
 	if err != nil {
@@ -316,11 +352,12 @@ func (x *Index) UpdatesSinceBuild() int { return x.core.UpdatesSinceBuild }
 func (x *Index) DriftRatio() float64 { return x.core.DriftRatio() }
 
 // UnanchoredRows counts the live objects inserted since the last
-// Build, Load, compaction or Rebuild (write-overlay inserts included):
+// Build, Load, compaction or Rebuild — the write overlay's live inserts:
 // they scan without the anchor bound until the next compaction or
 // rebuild anchors them. Beside DriftRatio it is the second rebuild
 // signal — drift says the clusters stopped fitting, this says how many
-// rows lost their cheapest filter.
+// rows lost their cheapest filter. Always 0 under AngularSemantic, where
+// no row has an anchor.
 func (x *Index) UnanchoredRows() int { return x.core.UnanchoredRows() }
 
 // Len returns the number of live objects.

@@ -75,6 +75,50 @@ func TestSearchStatsCounts(t *testing.T) {
 	if st.VisitedObjects+st.InterPruned+st.IntraPruned != int64(ds.Len()) {
 		t.Fatalf("accounting identity broken: %+v", st)
 	}
+
+	// Overlay states keep it too — a bare index's own overlay and the
+	// shards' at P = 1 and 2, tombstones on base rows among the writes —
+	// in the read's counters and in every shard span of a trace.
+	targets := []struct {
+		name string
+		x    interface {
+			doer
+			Len() int
+		}
+	}{{"bare", idx}, {"P=1", mustBuildSharded(t, ds, 1, Options{Seed: 2})}, {"P=2", mustBuildSharded(t, ds, 2, Options{Seed: 2})}}
+	for _, op := range overlayOps(ds, 80) {
+		for _, tg := range targets {
+			var err error
+			if s, ok := tg.x.(*ShardedIndex); ok {
+				err = s.ApplyBatch([]Op{op})
+			} else {
+				err = writeBare(idx, op)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tg.name, err)
+			}
+		}
+	}
+	charged := func(st *Stats) int64 { return st.VisitedObjects + st.InterPruned + st.IntraPruned }
+	for _, tg := range targets {
+		for qi := 0; qi < 4; qi++ {
+			q := ds.Objects[qi*41]
+			for _, lambda := range []float64{0, 0.5, 1} {
+				var st Stats
+				var tr SearchTrace
+				mustDo(tg.x, SearchRequest{Query: &q, K: 10, Lambda: lambda, Stats: &st})
+				mustDo(tg.x, SearchRequest{Query: &q, K: 10, Lambda: lambda, Trace: &tr})
+				if got := charged(&st); got != int64(tg.x.Len()) {
+					t.Fatalf("%s q%d λ=%v: counters charge %d rows of %d live", tg.name, qi, lambda, got, tg.x.Len())
+				}
+				for _, sp := range tr.Shards {
+					if got := charged(&sp.Stats.Stats); got != int64(sp.Objects) {
+						t.Fatalf("%s q%d λ=%v: shard %d span charges %d rows of %d live", tg.name, qi, lambda, sp.Shard, got, sp.Objects)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestQueryValidation(t *testing.T) {

@@ -54,7 +54,7 @@ func (x *Index) SearchAblated(q *dataset.Object, k int, lambda float64, opts Abl
 				if u, full := h.Bound(); full && lb > u {
 					if st != nil {
 						st.ClustersPruned++
-						st.InterPruned += int64(len(c.elems))
+						st.InterPruned += x.liveElems(c)
 					}
 					continue
 				}
@@ -106,7 +106,7 @@ func (x *Index) scanClusterAblated(q *dataset.Object, lambda float64, c *hybrid,
 				bound := lambda*e.ds + (1-lambda)*e.dt
 				if dqC-bound > u {
 					if st != nil {
-						st.IntraPruned += int64(len(c.elems) - ei)
+						st.IntraPruned += x.liveIn(c, ei, len(c.elems))
 					}
 					return
 				}

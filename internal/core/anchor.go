@@ -33,16 +33,17 @@ import (
 // anchors are fitted or assigned.
 //
 // Storage is 5 B per row (uint8 id + float32 distance), derived and
-// never serialized: Build, RebuildFresh and Load fit and assign
-// it, Save ignores it. Rows inserted afterwards carry anchorSentinel with
-// distance 0; the query's dq[anchorSentinel] is 0 too, so their bound is
-// 0 and they never prune — the write path does no anchor search, and the
-// next compaction, rebuild or load anchors them. The arena follows the
-// other per-row arenas: append-only, shared with overlay clones, a
-// window of it per contiguous cluster and a gathered copy otherwise
-// (clusterBlock).
+// never serialized: Build, RebuildFresh and Load fit and assign it,
+// Compact carries it and assigns the rows it folds in, Save ignores it.
+// Every base is built by derive, so every base row is anchored. The
+// overlay's inserts carry no anchor row: scanDelta never gates, the
+// write path does no anchor search, and the next compaction anchors
+// them. The arena follows the other per-row arenas: shared with overlay
+// clones, a window of it per cluster (clusterBlock).
 // The anchors apply to the Euclidean semantic metric only; other metrics
-// get an empty anchor set, which leaves every row on the sentinel.
+// get an empty anchor set, which leaves every row on anchorSentinel: its
+// distance is 0, the query's dq[anchorSentinel] is 0 too, so the bound
+// is 0 and never prunes.
 
 const (
 	// anchorSentinel is the id of a row without an anchor. Anchor ids
@@ -161,13 +162,6 @@ func (x *Index) buildAnchors(set *Anchors) *anchorArena {
 	return aa
 }
 
-// appendAnchorRow gives the just-appended object its sentinel row.
-func (x *Index) appendAnchorRow() {
-	aa := x.anchors
-	aa.id = append(aa.id, anchorSentinel)
-	aa.dist = append(aa.dist, 0)
-}
-
 // queryAnchors is one query's normalized distances to one anchor set.
 // A read fills one per query, lazily, in its scratch; a read that spans
 // several snapshots fills one up front for its first snapshot's set
@@ -250,8 +244,8 @@ type rowGate struct {
 // the whole array, so a cluster the cut rejects there costs the hybrid
 // header and nothing else: no block, no anchor window, no row. It is
 // the cut the scan loop would take at row 0, on the same operands, and
-// is charged like it (the whole array to IntraPruned; pass a nil st to
-// charge nothing). Otherwise the scan block, the gate and the block
+// is charged like it (the array's live rows to IntraPruned; pass a nil
+// st to charge nothing). Otherwise the scan block, the gate and the block
 // positions the gate pass keeps against u come back ready, all resident
 // in sc.
 func (x *Index) enterCluster(sc *searchScratch, q *dataset.Object, lambda float64, c *hybrid, dsq, dtq, u float64, bounded bool, st *metric.Stats) (*clusterBlock, *rowGate, []int32, bool) {
@@ -259,7 +253,7 @@ func (x *Index) enterCluster(sc *searchScratch, q *dataset.Object, lambda float6
 	g.lambda, g.invLam, g.perLam, g.dsq, g.dtq = lambda, 1-lambda, 1/lambda, dsq, dtq
 	if bounded && g.bound(c.headDs, c.headDt) > u {
 		if st != nil {
-			st.IntraPruned += int64(len(c.elems))
+			st.IntraPruned += x.liveElems(c)
 		}
 		return nil, nil, nil, false
 	}
@@ -320,7 +314,7 @@ func (x *Index) gateRows(sc *searchScratch, q *dataset.Object, c *hybrid, blk *c
 // row would: a tombstoned row nothing, a row rs rejects IntraPruned, and
 // any other row a visit, its spatial distance and AnchorPruned.
 func (x *Index) chargeDropped(c *hybrid, blk *clusterBlock, rs *restriction, from, to int, st *metric.Stats) {
-	if x.delta == nil && !rs.rows {
+	if x.deltaTombs() == nil && !rs.rows {
 		n := int64(to - from)
 		st.VisitedObjects += n
 		st.SpatialDistCalcs += n
@@ -350,8 +344,8 @@ func (x *Index) chargeDroppedRows(c *hybrid, blk *clusterBlock, rs *restriction,
 // chargeTail charges rows [from, len) of c for a counted read whose
 // loop ends at bound u with no kept row left before the suffix cut,
 // which row to is known to be past (or to is the block's end): the rows
-// before the cut as dropped ones, the cut row and every later one to
-// IntraPruned. The suffix bound is non-decreasing along the array, so
+// before the cut as dropped ones, the cut row and every later live one
+// to IntraPruned. The suffix bound is non-decreasing along the array, so
 // the cut is at the first row past u — at to itself while u is still
 // the gate pass's bound.
 func (x *Index) chargeTail(c *hybrid, blk *clusterBlock, g *rowGate, rs *restriction, from, to int, u float64, st *metric.Stats) {
@@ -367,7 +361,7 @@ func (x *Index) chargeTail(c *hybrid, blk *clusterBlock, g *rowGate, rs *restric
 		}
 	}
 	x.chargeDropped(c, blk, rs, from, lo, st)
-	st.IntraPruned += int64(len(c.elems) - lo)
+	st.IntraPruned += x.liveIn(c, lo, len(c.elems))
 }
 
 // suffixBound is Lemma 4.5 taken per component: a lower bound on
@@ -418,9 +412,9 @@ func anchorLower(dq, d, floor float64) float64 {
 }
 
 // checkAnchors verifies the anchor arena: one row per stored object,
-// every id an anchor or the sentinel, sentinel rows at distance zero,
-// and — for a sample of rows — the stored distance equal to the
-// recomputed one bit for bit. The bound itself is probed with live
+// every id an anchor — the sentinel, at distance zero, only under an
+// empty set — and, for a sample of rows, the stored distance equal to
+// the recomputed one bit for bit. The bound itself is probed with live
 // objects as queries: deflated, it must never exceed the true distance.
 func (x *Index) checkAnchors() error {
 	aa := x.anchors
@@ -439,8 +433,8 @@ func (x *Index) checkAnchors() error {
 	}
 	for i, id := range aa.id {
 		if id == anchorSentinel {
-			if aa.dist[i] != 0 {
-				return fmt.Errorf("object %d: sentinel anchor row with distance %v", i, aa.dist[i])
+			if k > 0 || aa.dist[i] != 0 {
+				return fmt.Errorf("object %d: sentinel anchor row with distance %v under %d anchors", i, aa.dist[i], k)
 			}
 		} else if int(id) >= k {
 			return fmt.Errorf("object %d: anchor id %d of %d", i, id, k)

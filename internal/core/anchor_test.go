@@ -489,9 +489,10 @@ func insertFresh(t *testing.T, x *Index, pool []dataset.Object, firstID uint32, 
 }
 
 // Every flavor of index state answers every gated loop exactly: fresh,
-// churned in place (sentinel rows, emptied clusters), behind a write
-// overlay (tombstoned clusters, overlay inserts), compacted, reloaded
-// and rebuilt — on both corpus kinds, and under the angular metric, where no anchor applies and only the component-wise cut runs.
+// churned (its own overlay's inserts and tombstones), behind a clone's
+// write overlay (tombstoned clusters, overlay inserts), compacted,
+// reloaded and rebuilt — on both corpus kinds, and under the angular
+// metric, where no anchor applies and only the component-wise cut runs.
 func TestGateBitIdenticalAcrossStates(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -559,10 +560,10 @@ func TestGateBitIdenticalAcrossStates(t *testing.T) {
 	}
 }
 
-// The anchor arena follows every maintenance path: new rows enter on the
-// sentinel, deletes and overlay tombstones take them out of the count,
-// and Compact, Load and RebuildFresh anchor everything again. CheckInvariants (arena
-// lengths, ids, stored distances, window-vs-gathered identity) holds at
+// The anchor arena follows every maintenance path: new rows enter the
+// overlay unanchored, deletes take them out of the count, and Compact,
+// Load and RebuildFresh anchor everything again. CheckInvariants (arena
+// lengths, ids, stored distances, every base row anchored) holds at
 // every step.
 func TestAnchorsSurviveMaintenance(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 600, Config{Seed: 184})
@@ -596,7 +597,7 @@ func TestAnchorsSurviveMaintenance(t *testing.T) {
 
 	over := x.CloneWithDelta()
 	insertFresh(t, over, f.ds.Objects, 810_000, 10)
-	if err := over.Delete(800_004); err != nil { // a sentinel base row
+	if err := over.Delete(800_004); err != nil { // an insert the parent buffered
 		t.Fatal(err)
 	}
 	if err := over.Delete(f.ds.Objects[30].ID); err != nil { // an anchored base row

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // The query-time array A of a hybrid cluster (§4.1) is a Threshold-
@@ -30,11 +29,9 @@ import (
 // list operations take it as a function ds(p) of L_s position p
 // (Index.dsOf), computed by the spatialToCent Build used, so every
 // threshold is bit for bit what a stored ds would give. dt stays stored
-// because recomputing it is a full-dimensional kernel per member. Build
-// and Load sort the lists once (buildElems); Insert and Delete keep them
-// sorted with one search and one memmove each (insertMember,
-// removeMember), so rebuilding the array after a write is a single O(m)
-// pass with no sort (mergeElems).
+// because recomputing it is a full-dimensional kernel per member. derive
+// sorts the lists once per base (buildElems); no write touches them
+// afterwards.
 
 // byDsCmp is L_s's order: ds descending, then dt descending, then
 // storage position ascending. byDtCmp is L_t's: dt descending, then ds
@@ -43,8 +40,7 @@ import (
 // agree on every pair either one ties. Such a pair precedes in both
 // lists, so it reaches the array in list order — and renumbering storage
 // into array order (layoutClusterMajor) leaves both lists sorted: the
-// array a fresh Build or Load lays out is exactly the merge of the lists
-// it maintains afterwards.
+// array derive lays out is exactly the merge of the lists it keeps.
 func byDsCmp(a, b member) int {
 	if c := cmp.Compare(b.ds, a.ds); c != 0 {
 		return c
@@ -111,40 +107,6 @@ func (c *hybrid) mergeElems(ds func(p int) float64) {
 		}
 	}
 	c.elems = elems
-}
-
-// insertMember adds m to both lists at its sorted place.
-func (c *hybrid) insertMember(m member, ds func(p int) float64) {
-	p := sort.Search(len(c.members), func(i int) bool { return byDsCmp(m, c.at(i, ds)) < 0 })
-	c.members = slices.Insert(c.members, p, m.idx)
-	c.dt = slices.Insert(c.dt, p, m.dt)
-	for i, mi := range c.byDt {
-		if int(mi) >= p {
-			c.byDt[i] = mi + 1
-		}
-	}
-	q := sort.Search(len(c.byDt), func(i int) bool { return byDtCmp(m, c.at(int(c.byDt[i]), ds)) < 0 })
-	c.byDt = slices.Insert(c.byDt, q, uint32(p))
-}
-
-// removeMember drops the member at storage position idx, which c lists,
-// from both lists and returns its dt.
-func (c *hybrid) removeMember(idx uint32) float64 {
-	p := slices.Index(c.members, idx)
-	dt := c.dt[p]
-	c.members = slices.Delete(c.members, p, p+1)
-	c.dt = slices.Delete(c.dt, p, p+1)
-	q := 0
-	for i, mi := range c.byDt {
-		switch {
-		case int(mi) == p:
-			q = i
-		case int(mi) > p:
-			c.byDt[i] = mi - 1
-		}
-	}
-	c.byDt = slices.Delete(c.byDt, q, q+1)
-	return dt
 }
 
 // checkOrders verifies what the maintained lists promise: members

@@ -60,6 +60,24 @@ func (b bitset) count() int {
 	return n
 }
 
+// countRange returns the number of set bits among bits [lo, hi).
+func (b bitset) countRange(lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	lw, hw := lo>>6, (hi-1)>>6
+	first := b[lw] &^ (1<<(lo&63) - 1)
+	last := ^uint64(0) >> (63 - (hi-1)&63)
+	if lw == hw {
+		return bits.OnesCount64(first & last)
+	}
+	n := bits.OnesCount64(first) + bits.OnesCount64(b[hw]&last)
+	for _, w := range b[lw+1 : hw] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // bitsetFromBools packs a []bool (the persisted wire layout) into a
 // bitset covering n bits; extra capacity stays zero.
 func bitsetFromBools(src []bool, n int) bitset {

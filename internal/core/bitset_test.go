@@ -44,6 +44,20 @@ func TestBitsetEquivalence(t *testing.T) {
 	if got := b.count(); got != want {
 		t.Fatalf("count() = %d, reference %d", got, want)
 	}
+	// Range counts, word-aligned or not, empty ranges included.
+	for range 2000 {
+		lo := rng.Intn(len(ref) + 1)
+		hi := lo + rng.Intn(len(ref)-lo+1)
+		want := 0
+		for _, v := range ref[lo:hi] {
+			if v {
+				want++
+			}
+		}
+		if got := b.countRange(lo, hi); got != want {
+			t.Fatalf("countRange(%d, %d) = %d, reference %d", lo, hi, got, want)
+		}
+	}
 	// Round trip through the persisted []bool layout.
 	back := bitsetFromBools(b.bools(len(ref)), len(ref))
 	for i := range ref {

@@ -88,25 +88,39 @@ func TestRebuildFreshIsolation(t *testing.T) {
 // of other hybrid clusters: the grid's row c.s and column c.t list more
 // than c.
 func sidesShared(x *Index, c *hybrid) bool {
-	kt := len(x.tCent)
-	var inS int
-	for _, cc := range x.grid[c.s*kt : (c.s+1)*kt] {
-		if cc != nil {
+	var inS, inT int
+	for _, cc := range x.clusters {
+		if cc.s == c.s {
 			inS += len(cc.members)
 		}
+		if cc.t == c.t {
+			inT += len(cc.members)
+		}
 	}
-	return inS > len(c.members) && int(x.tCount[c.t]) > len(c.members)
+	return inS > len(c.members) && inT > len(c.members)
 }
 
 // emptyAndRefillPair deletes every member of one small hybrid cluster of
-// x, checks that its grid cell is cleared and the cluster dropped, and
-// re-inserts the objects, which must re-create the cell. It reports the
-// side pair it cycled.
+// x and folds, checks that the fold cleared its grid cell and dropped
+// the cluster, and re-inserts the objects and folds again, which must
+// re-create the cell. It reports the side pair it cycled.
 func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
 	t.Helper()
+	fold := func(x *Index, what string) *Index {
+		t.Helper()
+		nx, err := x.Compact()
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if err := nx.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %s: %v", ctx, what, err)
+		}
+		requireExact(t, ctx+" "+what, nx)
+		return nx
+	}
 	// A few candidates: re-insertion assigns by nearest centroid, which
 	// for an object on a Voronoi edge need not be the build's pair.
-	for _, c := range slices.Clone(x.clusters) {
+	for _, c := range x.clusters {
 		if len(c.members) > 3 || !sidesShared(x, c) {
 			continue
 		}
@@ -115,29 +129,23 @@ func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
 		for _, idx := range c.members {
 			objs = append(objs, x.row(idx))
 		}
-		before := len(x.clusters)
+		emptied := x.CloneWithDelta()
 		for _, o := range objs {
-			if err := x.Delete(o.ID); err != nil {
+			if err := emptied.Delete(o.ID); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
 		}
-		if x.grid[cell] != nil || len(x.clusters) != before-1 {
+		emptied = fold(emptied, "emptied")
+		if emptied.grid[cell] != nil || len(emptied.clusters) != len(x.clusters)-1 {
 			t.Fatalf("%s: emptied pair (%d,%d) still has its cell or its cluster", ctx, c.s, c.t)
 		}
-		if err := x.CheckInvariants(); err != nil {
-			t.Fatalf("%s: after emptying (%d,%d): %v", ctx, c.s, c.t, err)
-		}
-		requireExact(t, ctx+" emptied", x)
 		for _, o := range objs {
-			if err := x.Insert(o); err != nil {
+			if err := emptied.Insert(o); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
 		}
-		if err := x.CheckInvariants(); err != nil {
-			t.Fatalf("%s: after refilling (%d,%d): %v", ctx, c.s, c.t, err)
-		}
-		requireExact(t, ctx+" refilled", x)
-		if nc := x.grid[cell]; nc != nil && nc != c && len(nc.members) == len(objs) {
+		refilled := fold(emptied, "refilled")
+		if nc := refilled.grid[cell]; nc != nil && len(nc.members) == len(objs) {
 			return c.s, c.t
 		}
 	}
@@ -145,13 +153,11 @@ func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
 	return 0, 0
 }
 
-// The grid follows in-place maintenance on a flat index and on a folded
-// overlay child — a delete that empties a pair clears its cell, a later
-// insert re-creates it — while the parent snapshot, read by three
+// The grid follows the writes of an overlay child through its folds —
+// deletes that empty a pair clear its cell at the fold, a later insert
+// re-creates it at the next — while the parent snapshot, read by three
 // goroutines the whole time, keeps its cells and its answers.
 func TestGridEmptiedPairUnderReaders(t *testing.T) {
-	emptyAndRefillPair(t, "flat", build(t, dataset.TwitterLike, 500, Config{Seed: 77}).idx)
-
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 77})
 	parent := f.idx
 	cells := slices.Clone(parent.grid)

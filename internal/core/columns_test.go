@@ -17,11 +17,11 @@ import (
 // pin what that storage must keep of the objects (Object, Save), and
 // what it costs (HeapBytes).
 
-// writtenStates builds the two indexes whose storage writes have
-// rearranged: "eager", a flat index after in-place inserts that regrow
-// its vector arena and deletes; and "compacted", the fold of an overlay
-// that buffered inserts, base deletes and deletes of its own inserts.
-// want maps each to its live objects.
+// writtenStates builds two written indexes: "bare", a built index after
+// inserts, base deletes and deletes of its own inserts, which its first
+// write gave an overlay of its own; and "compacted", the fold of a
+// clone's overlay that buffered the same writes. want maps each to its
+// live objects.
 func writtenStates(t *testing.T) (map[string]*Index, map[string]map[uint32]dataset.Object) {
 	t.Helper()
 	pool, err := dataset.Generate(dataset.GenConfig{Kind: dataset.YelpLike, Size: 60, Dim: 32, Seed: 86})
@@ -30,7 +30,7 @@ func writtenStates(t *testing.T) (map[string]*Index, map[string]map[uint32]datas
 	}
 	states := map[string]*Index{}
 	want := map[string]map[uint32]dataset.Object{}
-	for _, name := range []string{"eager", "compacted"} {
+	for _, name := range []string{"bare", "compacted"} {
 		f := build(t, dataset.TwitterLike, 500, Config{Seed: 85})
 		live := liveObjects(f.ds.Objects)
 		x := f.idx
@@ -54,12 +54,13 @@ func writtenStates(t *testing.T) (map[string]*Index, map[string]map[uint32]datas
 			}
 			delete(live, id)
 		}
-		if name == "compacted" {
+		switch {
+		case name == "compacted":
 			if x, err = x.Compact(); err != nil {
 				t.Fatal(err)
 			}
-		} else if cap(x.vecArena) == len(x.vecArena) || len(x.vecArena) != x.rows()*x.dim {
-			t.Fatalf("eager writes left a vector arena of %d/%d values for %d rows", len(x.vecArena), cap(x.vecArena), x.rows())
+		case x.DeltaOps() != 60 || len(x.vecArena) != 500*x.dim:
+			t.Fatalf("bare writes buffered %d ops and left a vector arena of %d values for 500 rows", x.DeltaOps(), len(x.vecArena))
 		}
 		states[name], want[name] = x, live
 	}
@@ -94,13 +95,10 @@ func loadBytes(t *testing.T, b []byte) *Index {
 
 // TestSaveLoadSaveBytes pins Save's bytes across Load. A cluster-major
 // index — a fresh build — saves, loads and saves again to the same
-// bytes. An index whose writes left it out of cluster-major order loads
-// renumbered, and from then on the round trip is the identity too. The
-// in-place state's bytes are pinned as the code that stored a
-// dataset.Object per row wrote them, less the removed cluster router's
-// weights and with the side member lists in ascending storage order; the
-// compacted state's as the fold through derive writes them: live rows
-// only, cluster-major, every radius the max over its live rows.
+// bytes, and so does every written state once loaded. Both written
+// states save as the fold through derive writes them — Save folds a
+// bare index's overlay first — live rows only, cluster-major, every
+// radius the max over its live rows.
 func TestSaveLoadSaveBytes(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 85})
 	first := saveBytes(t, f.idx)
@@ -108,16 +106,13 @@ func TestSaveLoadSaveBytes(t *testing.T) {
 		t.Fatal("flat: Save → Load → Save changed the bytes")
 	}
 	states, _ := writtenStates(t)
-	digests := map[string]string{
-		"eager":     "2784b6f550bf2a6dfeff2fc480d5a102912082e9684f1bccb3be6249f6585440",
-		"compacted": "70469b15108afd1b072a5f26a4e4ad3e16442d217b916734cf26bc089b10c14a",
-	}
+	const digest = "70469b15108afd1b072a5f26a4e4ad3e16442d217b916734cf26bc089b10c14a"
 	for name, x := range states {
 		first := saveBytes(t, x)
 		if runtime.GOARCH == "amd64" {
 			sum := sha256.Sum256(first)
-			if got := hex.EncodeToString(sum[:]); got != digests[name] {
-				t.Errorf("%s: saved bytes digest %s, want %s", name, got, digests[name])
+			if got := hex.EncodeToString(sum[:]); got != digest {
+				t.Errorf("%s: saved bytes digest %s, want %s", name, got, digest)
 			}
 		}
 		second := saveBytes(t, loadBytes(t, first))
@@ -152,17 +147,17 @@ func requireObjects(t *testing.T, ctx string, x *Index, want map[uint32]dataset.
 }
 
 // TestObjectAssembledFromColumns: Object returns what was inserted, for
-// base rows, eager inserts across a vector-arena regrowth, overlay rows,
-// and after Compact, RebuildFresh and Load.
+// base rows, a bare index's overlay rows, a clone's overlay rows, and
+// after Compact, RebuildFresh and Load.
 func TestObjectAssembledFromColumns(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 500, Config{Seed: 85})
 	requireObjects(t, "built", f.idx, liveObjects(f.ds.Objects), 123_456)
 
 	states, want := writtenStates(t)
 	gone := []uint32{f.ds.Objects[0].ID, 600_003}
-	requireObjects(t, "eager writes", states["eager"], want["eager"], gone...)
+	requireObjects(t, "bare writes", states["bare"], want["bare"], gone...)
 	requireObjects(t, "compacted", states["compacted"], want["compacted"], gone...)
-	requireObjects(t, "loaded", loadBytes(t, saveBytes(t, states["eager"])), want["eager"], gone...)
+	requireObjects(t, "loaded", loadBytes(t, saveBytes(t, states["bare"])), want["bare"], gone...)
 
 	ov := states["compacted"].CloneWithDelta()
 	live := want["compacted"]
@@ -178,7 +173,7 @@ func TestObjectAssembledFromColumns(t *testing.T) {
 	delete(live, 600_000)
 	requireObjects(t, "overlay", ov, live, append(gone, 600_000)...)
 
-	requireObjects(t, "rebuilt", rebuilt(t, states["eager"]), want["eager"], gone...)
+	requireObjects(t, "rebuilt", rebuilt(t, states["bare"]), want["bare"], gone...)
 }
 
 // TestHeapLedger holds HeapBytes to the heap a build keeps: the ledger's

@@ -130,7 +130,7 @@ func clusterCount(n int, f float64) int {
 // distances to the cluster's two centroids: the sort key of both of the
 // cluster's lists. A cluster stores only idx and dt (see hybrid); ds is
 // one 2-D distance away (spatialToCent), recomputed where an order needs
-// it, so member is the transient record of a sort or a probe.
+// it, so member is the transient record of a sort.
 type member struct {
 	idx    uint32 // storage position of the object's row
 	ds, dt float64
@@ -149,32 +149,28 @@ type element struct {
 // side pair, the array header, the head thresholds and the block base —
 // come first and fill one 64-byte line; the two sorted lists the array
 // is merged from (members with dt, and byDt; see array.go), which only
-// maintenance reads, follow.
+// Save and CheckInvariants read, follow.
 type hybrid struct {
 	s, t  int // side-cluster indices
 	elems []element
-	// headDs and headDt repeat elems[0]'s threshold pair (−Inf for an
-	// empty array). The thresholds are non-increasing along the array,
-	// so the head pair bounds every element: enterCluster tests the
-	// Lemma 4.5 cut against it before anything else of the cluster is
-	// loaded (see anchor.go).
+	// headDs and headDt repeat elems[0]'s threshold pair. The thresholds
+	// are non-increasing along the array, so the head pair bounds every
+	// element: enterCluster tests the Lemma 4.5 cut against it before
+	// anything else of the cluster is loaded (see anchor.go).
 	headDs, headDt float64
-	// base is the storage position of elems[0] while the elements are
-	// contiguous (elems[j].idx == base+j): the scan block is then a
-	// window of the arenas and gathered is nil. Otherwise base is -1 and
-	// gathered holds the block as a private copy (behind a pointer, nil
-	// in the common case, so the hybrid stays small). Like the head
-	// thresholds it is derived data — set by fillClusterBlock wherever
-	// the array is merged; read through Index.block (see layout.go).
+	// base is the storage position of elems[0]: every cluster's elements
+	// are contiguous (elems[j].idx == base+j), so its scan block is a
+	// window of the arenas. Like the head thresholds it is derived data,
+	// set by fillClusterBlock; read through Index.block (see layout.go).
 	base int
 	// members is L_s: the storage positions of the members by descending
 	// ds, and dt[p] is member p's semantic distance (structure of arrays);
 	// byDt lists member positions in L_t order, by descending dt. ds is
-	// not stored: maintenance recomputes it from the coordinate arena.
-	members  []uint32
-	dt       []float64
-	byDt     []uint32
-	gathered *clusterBlock
+	// not stored: it is recomputed from the coordinate arena. Only Save's
+	// legacy cluster section and CheckInvariants read the lists.
+	members []uint32
+	dt      []float64
+	byDt    []uint32
 }
 
 // Index is a built CSSI/CSSIA index. Both query algorithms share one
@@ -195,17 +191,17 @@ type Index struct {
 	deleted bitset
 	live    int
 	// idIdx maps the ID of every row not deleted to its storage position.
-	// Build, Load and Compact bulk-build it and own every bucket, so
-	// in-place writes copy none; CloneWithDelta shares the table whole,
-	// since the overlay never writes the base.
+	// Build, Load and Compact bulk-build it; the overlay never writes it,
+	// so CloneWithDelta shares the table whole. Only Load sets deleted
+	// bits, from a file older code saved after deleting in place.
 	idIdx *idTable
 
 	// delta, when non-nil, is this snapshot's mutable write overlay (see
-	// overlay.go): Insert/Delete/Update land in it instead of the base
-	// structures above, which then stay byte-for-byte shared with the
-	// parent snapshot. Search runs base + delta; Compact folds the delta
-	// into a fresh flat base. nil on flat indexes (Build/Load/Compact
-	// products), whose mutations work in place.
+	// overlay.go): Insert/Delete/Update land in it, never in the base
+	// structures above, which stay byte-for-byte shared with the parent
+	// snapshot. Search runs base + delta; Compact folds the delta into a
+	// fresh flat base. nil on flat indexes (Build/Load/Compact products)
+	// until their first write creates it.
 	delta *overlayDelta
 
 	// The embeddings and their PCA projections live in two contiguous
@@ -222,8 +218,7 @@ type Index struct {
 	xArena, yArena []float64
 	// anchors holds one anchor id and distance per stored row, the
 	// pre-kernel semantic lower bound of the scan loops (see anchor.go).
-	// Never nil on a built index; derived, never serialized. In-place
-	// inserts append to it, as they do to the other arenas.
+	// Never nil on a built index; derived, never serialized.
 	anchors *anchorArena
 
 	pcaModel *pca.Model
@@ -238,16 +233,11 @@ type Index struct {
 	tRad      []float64
 	tCentProj [][]float32
 	tRadProj  []float64
-	// tCount[t] is the number of live rows of semantic cluster t. No side
-	// cluster lists its rows; the grid's row s and column t do (see
-	// Delete).
-	tCount []int32
 	// tValid[t] records whether semantic cluster t had members when its
 	// centroid was computed at (re)build time — i.e. whether tCent[t] and
 	// tCentProj[t] are meaningful. Clusters that never received a member
 	// carry zero centroids that must not attract inserts (nearestSides).
-	// Immutable after build (incremental inserts never recompute
-	// centroids).
+	// Immutable after build (writes never recompute centroids).
 	tValid []bool
 
 	// cells[i] is the grid cell s·Kt+t of the row at storage position i:
@@ -507,39 +497,32 @@ func membersByAssign(assign []int, k int) [][]uint32 {
 // distances to its two side centroids; vecs holds one vector per row
 // before the vector arena is written (Build's, or views of the folded
 // snapshot's arena and overlay log; nil from Load). In turn it counts
-// the live rows per semantic side, forms the hybrid clusters over them,
-// orders each and merges its array, renumbers storage into the order
+// the live rows, forms the hybrid clusters over them, orders each and
+// merges its array, renumbers storage into the order
 // those arrays dictate (which keeps the lists sorted; see byDsCmp),
 // anchors every row over set (fitted here when nil) that does not carry
 // an anchor over it already (buildAnchors) and fills every scan
 // block — a window of the arenas — and restarts the drift baseline from
 // the current radii.
 func (x *Index) derive(ds, dt []float64, vecs [][]float32, set *Anchors) {
-	x.live, x.tCount = 0, make([]int32, len(x.tCent))
-	for i, cell := range x.cells {
-		if !x.deleted.get(uint32(i)) {
-			_, t := x.sides(cell)
-			x.live++
-			x.tCount[t]++
-		}
-	}
+	x.live = x.rows() - x.deleted.count()
 	x.grid, x.clusters = make([]*hybrid, len(x.sCentX)*len(x.tCent)), nil
 	x.orderClusters(x.formHybrids(ds, dt))
 	x.layoutClusterMajor(vecs)
 	x.anchors = x.buildAnchors(set)
 	for _, c := range x.clusters {
-		x.fillClusterBlock(c)
+		fillClusterBlock(c)
 	}
 	x.builtSRad = append([]float64(nil), x.sRad...)
 	x.builtTRadProj = append([]float64(nil), x.tRadProj...)
 }
 
-// formHybrids is the bulk form of addToHybrid over every live row, with
-// precomputed centroid distances: clusters appear in the directory in
-// order of their first row, as one addToHybrid per row would leave
-// them. It returns, per cluster in directory order, the cluster's
-// members in storage order as windows of one transient buffer (a
-// counting pass sizes them), for orderClusters to sort.
+// formHybrids places every live row in the hybrid cluster its cell
+// names, with precomputed centroid distances: clusters appear in the
+// directory in order of their first row. It returns, per cluster in
+// directory order, the cluster's members in storage order as windows of
+// one transient buffer (a counting pass sizes them), for orderClusters
+// to sort.
 func (x *Index) formHybrids(ds, dt []float64) [][]member {
 	counts := make([]int, len(x.grid))
 	for i, cell := range x.cells {
@@ -573,8 +556,7 @@ func (x *Index) formHybrids(ds, dt []float64) [][]member {
 // orderClusters orders every cluster from scratch — ms[i] holds the
 // members of x.clusters[i] with their distances, in any order — and
 // merges its array (parallel over clusters). The lists of all clusters
-// are windows of three buffers, each capped at its own length: a later
-// insert reallocates instead of running into the neighbour.
+// are windows of three buffers.
 func (x *Index) orderClusters(ms [][]member) {
 	n := 0
 	for _, m := range ms {
@@ -687,21 +669,6 @@ func (x *Index) setColumns(objs []dataset.Object) {
 // rows returns the number of storage positions, deleted ones included.
 func (x *Index) rows() int { return len(x.ids) }
 
-// addToHybrid places member m into the lists of the hybrid cluster its
-// row's cell names. It does not rebuild the element array.
-func (x *Index) addToHybrid(m member) *hybrid {
-	cell := &x.grid[x.cells[m.idx]]
-	c := *cell
-	if c == nil {
-		s, t := x.sides(x.cells[m.idx])
-		c = &hybrid{s: s, t: t}
-		*cell = c
-		x.clusters = append(x.clusters, c)
-	}
-	c.insertMember(m, x.dsOf(c))
-	return c
-}
-
 // cell returns the grid position of side pair (s,t).
 func (x *Index) cell(s, t int) int { return s*len(x.tCent) + t }
 
@@ -717,15 +684,28 @@ func (x *Index) dsOf(c *hybrid) func(p int) float64 {
 	return func(p int) float64 { return x.spatialToCent(c.members[p], c.s) }
 }
 
-// baseElems returns the number of elements the hybrid clusters hold in
-// total: the live objects, or with a write overlay the base's own (its
-// tombstoned members stay listed, the overlay's inserts are not).
-func (x *Index) baseElems() int64 {
-	n := x.live
-	if d := x.delta; d != nil {
-		n += d.nTombs - d.liveCount
+// baseLive returns the number of live base rows: the live objects but
+// the overlay's inserts. The hybrid clusters list them and, with a write
+// overlay, its tombstoned base rows too.
+func (x *Index) baseLive() int64 {
+	return int64(x.live - x.DeltaLive())
+}
+
+// liveElems returns the number of c's elements that are live: all of
+// them but those the overlay has tombstoned, a popcount over c's window
+// of storage positions. Only counted reads ask.
+func (x *Index) liveElems(c *hybrid) int64 {
+	return x.liveIn(c, 0, len(c.elems))
+}
+
+// liveIn returns the number of live elements among c's elements
+// [from, to).
+func (x *Index) liveIn(c *hybrid, from, to int) int64 {
+	n := int64(to - from)
+	if tombs := x.deltaTombs(); tombs != nil {
+		n -= int64(tombs.countRange(c.base+from, c.base+to))
 	}
-	return int64(n)
+	return n
 }
 
 // Len returns the number of live (non-deleted) objects.

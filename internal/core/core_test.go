@@ -327,7 +327,8 @@ func TestCSSIExactWithAngularMetric(t *testing.T) {
 // when the read counts, so this is what holds that branch to the full
 // charge. Each read also keeps the identities the counters are charged
 // by: every cluster is ordered or pruned, and every row visited or
-// pruned.
+// pruned — also once an overlay tombstones base rows and buffers
+// inserts (TestCompactFold holds reads over several parts to it).
 func TestCountedReadPrunedCounters(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 3000, Config{Seed: 7})
 	var clusters, rows int64
@@ -351,6 +352,25 @@ func TestCountedReadPrunedCounters(t *testing.T) {
 	}
 	if clusters != wantClustersPruned || rows != wantInterPruned {
 		t.Fatalf("ClustersPruned %d, InterPruned %d; want %d and %d", clusters, rows, wantClustersPruned, wantInterPruned)
+	}
+
+	over := f.idx.CloneWithDelta()
+	for i := 0; i < f.ds.Len(); i += 4 {
+		if err := over.Delete(f.ds.Objects[i].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < 400; i += 4 {
+		o := f.ds.Objects[i]
+		o.ID += 1 << 20
+		if err := over.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range f.ds.SampleQueries(6, 31) {
+		for _, lambda := range []float64{0.1, 0.5, 0.9} {
+			requirePruningIdentity(t, "overlay", []*Index{over}, &q, 10, lambda)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func (x *Index) lazyOrderable() bool {
 //
 // The bound additionally relies on tCentProj[t] being the PCA image of
 // tCent[t]. That holds because centroids are immutable after build —
-// maintenance only adjusts radii (see Insert in maintain.go) — and both
+// writes never touch them and a fold only sets radii (see Compact) — and both
 // representations are recomputed together by Build. CheckInvariants
 // (checkProjBoundSoundness) asserts the pairing and probes that the
 // deflated bound never exceeds the true centroid distance, so a future

@@ -8,17 +8,18 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/metric"
+	"repro/internal/obs"
 	"repro/internal/scan"
 )
 
 // foldParts is one corpus split by ID over P indexes, a shard's shape:
 // one metric space and, above one part, one anchor set fitted over the
 // whole corpus. Each part carries an overlay clone and an independent
-// copy written in place, the two fed the same ops; live tracks the
-// objects the ops leave.
+// Save/Load copy writing its own overlay, the two fed the same ops; live
+// tracks the objects the ops leave.
 type foldParts struct {
-	over, inPlace []*Index
-	live          map[uint32]dataset.Object
+	over, twins []*Index
+	live        map[uint32]dataset.Object
 }
 
 func newFoldParts(t *testing.T, ds *dataset.Dataset, p int) *foldParts {
@@ -47,7 +48,7 @@ func newFoldParts(t *testing.T, ds *dataset.Dataset, p int) *foldParts {
 			t.Fatal(err)
 		}
 		f.over = append(f.over, x.CloneWithDelta())
-		f.inPlace = append(f.inPlace, saveLoad(t, x))
+		f.twins = append(f.twins, saveLoad(t, x))
 	}
 	return f
 }
@@ -56,7 +57,7 @@ func newFoldParts(t *testing.T, ds *dataset.Dataset, p int) *foldParts {
 func (f *foldParts) apply(t *testing.T, id uint32, op func(x *Index) error) {
 	t.Helper()
 	i := int(id) % len(f.over)
-	for _, x := range []*Index{f.over[i], f.inPlace[i]} {
+	for _, x := range []*Index{f.over[i], f.twins[i]} {
 		if err := op(x); err != nil {
 			t.Fatal(err)
 		}
@@ -97,9 +98,10 @@ func (f *foldParts) liveDataset(dim int) *dataset.Dataset {
 // invariants clean, every cluster an arena window, every radius the max
 // over its live rows, the drift state carried over, and Save → Load →
 // Save the identity. The folded parts' exact answers must equal the
-// linear scan of the live objects and the answers of the copies written
-// in place, rank by rank with ties by ID, at λ ∈ {0, 0.5, 1} and
-// k ∈ {1, 10, n+5}.
+// linear scan of the live objects and the answers of the independent
+// copies' overlays, rank by rank with ties by ID, at λ ∈ {0, 0.5, 1} and
+// k ∈ {1, 10, n+5}, and counted reads over the overlay parts and the
+// folded ones keep the pruning identity.
 func TestCompactFold(t *testing.T) {
 	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 1200, Dim: 32, Seed: 402})
 	if err != nil {
@@ -165,8 +167,14 @@ func TestCompactFold(t *testing.T) {
 				t.Fatal(err)
 			}
 			pos, _ := folded.idIdx.get(o.ID)
-			if _, tt := folded.sides(folded.cells[pos]); tt != side || folded.tCount[side] != 1 {
-				t.Fatalf("the insert sits on semantic side %d with %d rows, want the emptied side %d alone", tt, folded.tCount[side], side)
+			onSide := 0
+			for _, cell := range folded.cells {
+				if _, tt := folded.sides(cell); tt == side {
+					onSide++
+				}
+			}
+			if _, tt := folded.sides(folded.cells[pos]); tt != side || onSide != 1 {
+				t.Fatalf("the insert sits on semantic side %d with %d rows, want the emptied side %d alone", tt, onSide, side)
 			}
 		}},
 	}
@@ -193,9 +201,46 @@ func TestCompactFold(t *testing.T) {
 						want := sc.Search(&q, k, lambda, nil)
 						at := fmt.Sprintf("%s q%d λ=%v k=%d", ctx, qi, lambda, k)
 						identicalResults(t, at+" folded", want, SearchShardsInto(nil, folded, &q, k, lambda, SearchOptions{}, nil, nil))
-						identicalResults(t, at+" in place", want, SearchShardsInto(nil, f.inPlace, &q, k, lambda, SearchOptions{}, nil, nil))
+						identicalResults(t, at+" twins", want, SearchShardsInto(nil, f.twins, &q, k, lambda, SearchOptions{}, nil, nil))
 					}
+					requirePruningIdentity(t, ctx+" overlay", f.over, &q, 10, lambda)
+					requirePruningIdentity(t, ctx+" folded", folded, &q, 10, lambda)
 				}
+			}
+		}
+	}
+}
+
+// requirePruningIdentity holds counted reads of q over the parts xs to
+// the identity the counters are charged by: every live row is visited or
+// pruned, once. It holds for one stream of counters, for the spans of a
+// read that records them per part (offered to a helper as a striped
+// read, and not), and, on one part, for the approximate read, whatever
+// the parts' overlays hold.
+func requirePruningIdentity(t testing.TB, ctx string, xs []*Index, q *dataset.Object, k int, lambda float64) {
+	t.Helper()
+	charged := func(st *metric.Stats) int64 { return st.VisitedObjects + st.InterPruned + st.IntraPruned }
+	var live int64
+	for _, x := range xs {
+		live += int64(x.Len())
+	}
+	modes := []SearchOptions{{}}
+	if len(xs) == 1 {
+		modes = append(modes, SearchOptions{Approx: true})
+	}
+	for _, opts := range modes {
+		var st metric.Stats
+		SearchShardsInto(nil, xs, q, k, lambda, opts, nil, &st)
+		if got := charged(&st); got != live {
+			t.Fatalf("%s λ=%v approx=%v: counters charge %d rows of %d live (%+v)", ctx, lambda, opts.Approx, got, live, st)
+		}
+	}
+	for _, striped := range []bool{false, true} {
+		spans := make([]obs.ShardSpan, len(xs))
+		SearchShardsInto(nil, xs, q, k, lambda, SearchOptions{Striped: striped}, spans, nil)
+		for i, x := range xs {
+			if got := charged(&spans[i].Stats.Stats); got != int64(x.Len()) {
+				t.Fatalf("%s λ=%v striped=%v: span %d charges %d rows of %d live", ctx, lambda, striped, i, got, x.Len())
 			}
 		}
 	}

@@ -57,7 +57,8 @@ type sideFrontier struct {
 	cur    frontHeap // side = s, exact = live
 
 	// popped/poppedElems count what pop handed out to a counted walk of
-	// its own, so the cut charges the remainder without walking it.
+	// its own — clusters, and their live rows — so the cut charges the
+	// remainder without walking it.
 	popped      int
 	poppedElems int64
 }
@@ -187,7 +188,7 @@ func (f *sideFrontier) pop(c *hybrid, st *metric.Stats) {
 	h.exact = false
 	if st != nil {
 		f.popped++
-		f.poppedElems += int64(len(c.elems))
+		f.poppedElems += f.x.liveElems(c)
 	}
 }
 
@@ -207,16 +208,16 @@ func (f *sideFrontier) stepStream() {
 	f.sides.dropHead()
 }
 
-// chargePruned charges every cluster pop never handed out to the
-// inter-cluster pruning counters (Lemma 4.4): once the head's true
-// bound reaches the k-NN bound U, no remaining cluster — in the heaps
-// or not yet reached by any cursor — can contain a result.
+// chargePruned charges every cluster pop never handed out, and its live
+// rows, to the inter-cluster pruning counters (Lemma 4.4): once the
+// head's true bound reaches the k-NN bound U, no remaining cluster — in
+// the heaps or not yet reached by any cursor — can contain a result.
 func (f *sideFrontier) chargePruned(st *metric.Stats) {
 	if st == nil {
 		return
 	}
 	st.ClustersPruned += int64(len(f.x.clusters) - f.popped)
-	st.InterPruned += f.x.baseElems() - f.poppedElems
+	st.InterPruned += f.x.baseLive() - f.poppedElems
 }
 
 // frontHeap is a binary min-heap by key; hand-written (no

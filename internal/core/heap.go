@@ -20,7 +20,7 @@ type HeapBytes struct {
 	Assign      int64 `json:"assign"`      // the cell column: each row's side pair
 	Elems       int64 `json:"elems"`       // the hybrid clusters' element arrays
 	Members     int64 `json:"members"`     // the hybrid clusters' two sorted lists and their dt
-	Clusters    int64 `json:"clusters"`    // cluster headers, gathered blocks, directory and grid
+	Clusters    int64 `json:"clusters"`    // cluster headers, directory and grid
 	Model       int64 `json:"model"`       // centroids, radii and the PCA model
 	IDTable     int64 `json:"idTable"`     // the ID → storage position table
 	Overlay     int64 `json:"overlay"`     // the write overlay, when there is one
@@ -64,7 +64,7 @@ func (x *Index) HeapBytes() HeapBytes {
 		Clusters:    sizeOf(x.clusters) + sizeOf(x.grid),
 		Model: sizeOf(x.sCentX) + sizeOf(x.sCentY) + sizeOf(x.sRad) + sizeOf(x.builtSRad) +
 			rowsOf(x.tCent) + rowsOf(x.tCentProj) + sizeOf(x.tRad) + sizeOf(x.tRadProj) +
-			sizeOf(x.builtTRadProj) + sizeOf(x.tValid) + sizeOf(x.tCount),
+			sizeOf(x.builtTRadProj) + sizeOf(x.tValid),
 		IDTable: x.idIdx.heapBytes(),
 		Overlay: x.delta.heapBytes(),
 	}
@@ -81,9 +81,6 @@ func (x *Index) HeapBytes() HeapBytes {
 		h.Elems += sizeOf(c.elems)
 		h.Members += sizeOf(c.members) + sizeOf(c.dt) + sizeOf(c.byDt)
 		h.Clusters += int64(unsafe.Sizeof(*c))
-		if g := c.gathered; g != nil {
-			h.Clusters += int64(unsafe.Sizeof(*g)) + sizeOf(g.xs) + sizeOf(g.ys) + sizeOf(g.aid) + sizeOf(g.adist)
-		}
 	}
 	return h
 }

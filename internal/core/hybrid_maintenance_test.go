@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -11,19 +11,21 @@ import (
 	"repro/internal/metric"
 )
 
-// The two sorted lists of every hybrid cluster are maintained in place
-// by Insert and Delete (array.go). These tests replay random write
-// streams — inserts, inserts at an existing object's place (ties in ds,
-// or in both orders), deletes, and updates that move an object across
-// clusters — on a built index and on a Save/Load copy of it, and after
-// every op require of every cluster exactly what a from-scratch ordering
-// of its members gives, of every side cluster's radii a from-scratch max
-// over its live rows, CheckInvariants clean, and answers equal to a
-// linear scan; then they delete the rows that set a radius (§6.2's
-// infrequent case) and check the same. Written on the copy, the built
-// index's clusters and answers must not move.
+// Every write lands in the index's write overlay, and Compact folds it
+// into a fresh base by Build's rule (§6.2). These tests replay random
+// write streams — inserts, inserts at an existing object's place (ties
+// in ds, or in both orders), deletes, updates that move an object across
+// clusters, and folds at chosen points — on a built index, or on an
+// overlay clone of it. After every step they require CheckInvariants
+// clean, exact answers equal to a linear scan and counted reads that
+// charge every live row once; after every fold, of every cluster exactly
+// what a from-scratch ordering of its members gives and of every side
+// cluster's radii a from-scratch max over its live rows. Then they
+// delete the rows that set a radius and fold, and check the same. No
+// write moves a built cluster, and written on the clone, the built
+// index's answers must not move either.
 
-// hybridState is a deep copy of what a cluster's maintenance writes.
+// hybridState is a deep copy of a cluster's lists and array.
 type hybridState struct {
 	members []uint32
 	dt      []float64
@@ -130,10 +132,10 @@ func maintenanceAnswers(x *Index, queries []dataset.Object) [][]knn.Result {
 }
 
 // runHybridMaintenance replays ops, two bytes per op (kind, argument),
-// on a fresh 300-object index — in place, or on a Save/Load copy of it
-// when clone is set. Every tenth object shares its neighbour's
+// on a fresh 300-object index — its own overlay, or an overlay clone of
+// it when clone is set. Every tenth object shares its neighbour's
 // location, so the build already meets ties in ds alone.
-func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
+func runHybridMaintenance(t *testing.T, clone bool, ops []byte) {
 	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 300, Dim: 32, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
@@ -156,20 +158,33 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := parent
-	var parentSnap map[*hybrid]hybridState
-	var parentClusters []*hybrid
+	parentSnap, parentClusters := snapHybrids(parent), slices.Clone(parent.clusters)
 	queries := ds.SampleQueries(4, 303)
-	var parentAnswers [][]knn.Result
+	parentAnswers := maintenanceAnswers(parent, queries)
+	x := parent
 	if clone {
-		parentSnap, parentClusters = snapHybrids(parent), slices.Clone(parent.clusters)
-		parentAnswers = maintenanceAnswers(parent, queries)
-		var buf bytes.Buffer
-		if err := parent.Save(&buf); err != nil {
-			t.Fatal(err)
+		x = parent.CloneWithDelta()
+	}
+	fold := func(ctx string) {
+		t.Helper()
+		if x, err = x.Compact(); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
 		}
-		if x, _, err = Load(&buf); err != nil {
-			t.Fatal(err)
+		requireFromScratch(t, ctx, x)
+		requireRadii(t, ctx, x)
+	}
+	check := func(ctx string, step int) {
+		t.Helper()
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		sc, liveDs := liveSet(x)
+		for _, lambda := range []float64{0.3, 1} {
+			q := liveDs.Objects[(step*37+11)%liveDs.Len()]
+			if got, want := x.Search(&q, 5, lambda, nil), sc.Search(&q, 5, lambda, nil); !slices.Equal(got, want) {
+				t.Fatalf("%s, λ=%v: search %v, scan %v", ctx, lambda, got, want)
+			}
+			requirePruningIdentity(t, ctx, []*Index{x}, &q, 5, lambda)
 		}
 	}
 	live := make([]uint32, 0, ds.Len()+len(ops)/2)
@@ -178,9 +193,10 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 	}
 	nextID := uint32(1_000_000)
 	for i := 0; i+1 < len(ops); i += 2 {
-		arg := int(ops[i+1])
+		arg, kind := int(ops[i+1]), ops[i]%5
+		ctx := fmt.Sprintf("op %d (kind %d)", i/2, kind)
 		var err error
-		switch ops[i] % 4 {
+		switch kind {
 		case 0: // a new object
 			o := pool.Objects[arg%len(pool.Objects)]
 			o.ID, nextID = nextID, nextID+1
@@ -190,7 +206,7 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 			// in both orders) or, for an odd argument, another one
 			src, ok := x.Object(live[arg%len(live)])
 			if !ok {
-				t.Fatalf("op %d: live ID %d not found", i/2, live[arg%len(live)])
+				t.Fatalf("%s: live ID %d not found", ctx, live[arg%len(live)])
 			}
 			o := src
 			o.Vec = slices.Clone(o.Vec)
@@ -208,10 +224,10 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 			err = x.Delete(live[j])
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
-		default: // update: move, and every other time take another vector
+		case 3: // update: move, and every other time take another vector
 			src, ok := x.Object(live[arg%len(live)])
 			if !ok {
-				t.Fatalf("op %d: live ID %d not found", i/2, live[arg%len(live)])
+				t.Fatalf("%s: live ID %d not found", ctx, live[arg%len(live)])
 			}
 			o := src
 			o.X = clamp01(o.X + float64(arg-128)/512)
@@ -220,47 +236,36 @@ func runHybridMaintenance(t testing.TB, clone bool, ops []byte) {
 				o.Vec = slices.Clone(pool.Objects[arg%len(pool.Objects)].Vec)
 			}
 			err = x.Update(o)
+		default:
+			fold(ctx)
 		}
 		if err != nil {
-			t.Fatalf("op %d (kind %d): %v", i/2, ops[i]%4, err)
+			t.Fatalf("%s: %v", ctx, err)
 		}
-		if err := x.CheckInvariants(); err != nil {
-			t.Fatalf("op %d (kind %d): %v", i/2, ops[i]%4, err)
-		}
-		requireFromScratch(t, "after op", x)
-		requireRadii(t, "after op", x)
-		sc, liveDs := liveSet(x)
-		for _, lambda := range []float64{0.3, 1} {
-			q := liveDs.Objects[(i*37+11)%liveDs.Len()]
-			if got, want := x.Search(&q, 5, lambda, nil), sc.Search(&q, 5, lambda, nil); !slices.Equal(got, want) {
-				t.Fatalf("op %d (kind %d), λ=%v: search %v, scan %v", i/2, ops[i]%4, lambda, got, want)
-			}
-		}
+		check(ctx, i/2)
 	}
+	fold("final fold")
 	for kind := range 3 {
 		if x.Len() < 2 {
 			break
 		}
-		idx := radiusSetter(x, kind)
-		if err := x.Delete(x.ids[idx]); err != nil {
-			t.Fatalf("radius setter %d: %v", kind, err)
+		ctx := fmt.Sprintf("radius setter %d", kind)
+		if err := x.Delete(x.ids[radiusSetter(x, kind)]); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
 		}
-		if err := x.CheckInvariants(); err != nil {
-			t.Fatalf("radius setter %d: %v", kind, err)
-		}
-		requireFromScratch(t, "after a radius setter's delete", x)
-		requireRadii(t, "after a radius setter's delete", x)
-	}
-	if !clone {
-		return
+		fold(ctx)
+		check(ctx, kind)
 	}
 	if !slices.Equal(parent.clusters, parentClusters) {
-		t.Fatal("the copy's writes changed the parent's cluster list")
+		t.Fatal("the writes changed the built index's cluster list")
 	}
 	for _, c := range parent.clusters {
 		if !stateOf(c).equal(parentSnap[c]) {
-			t.Fatal("the copy's writes changed a parent cluster")
+			t.Fatal("the writes changed a built cluster")
 		}
+	}
+	if !clone {
+		return
 	}
 	if err := parent.CheckInvariants(); err != nil {
 		t.Fatalf("parent: %v", err)
@@ -286,10 +291,12 @@ func TestHybridMaintenance(t *testing.T) {
 	}
 }
 
+// FuzzHybridMaintenance drives the one write path: overlay inserts,
+// deletes and updates with Compact at fuzzed points (kind 4).
 func FuzzHybridMaintenance(f *testing.F) {
-	f.Add(false, []byte{0, 7, 1, 9, 2, 3, 3, 200, 1, 1, 1, 1, 2, 0})
-	f.Add(true, []byte{1, 0, 1, 0, 1, 0, 2, 5, 3, 17, 3, 18, 0, 255})
-	f.Add(true, []byte{3, 1, 3, 3, 3, 5, 2, 2, 2, 4, 2, 6, 0, 0, 1, 2})
+	f.Add(false, []byte{0, 7, 1, 9, 2, 3, 4, 0, 3, 200, 1, 1, 1, 1, 2, 0})
+	f.Add(true, []byte{1, 0, 1, 0, 1, 0, 2, 5, 4, 1, 3, 17, 3, 18, 0, 255})
+	f.Add(true, []byte{3, 1, 3, 3, 3, 5, 2, 2, 2, 4, 2, 6, 4, 2, 0, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, clone bool, ops []byte) {
 		if len(ops) > 160 {
 			ops = ops[:160]

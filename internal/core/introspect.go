@@ -68,25 +68,15 @@ func (x *Index) EnclosureRates(q *dataset.Object) (orig, proj float64) {
 func (x *Index) AnchorSet() *Anchors { return x.anchors.set }
 
 // UnanchoredRows counts the live objects the anchor bound cannot prune:
-// base rows inserted in place since the last Build, Load, Compact or
-// RebuildFresh plus the write overlay's live inserts. The next
-// compaction or rebuild anchors them all: where DriftRatio
-// says the clustering no longer fits the data, this says how many rows
-// scan without their cheapest filter. Always 0 where anchors do not apply.
-// One pass over the id bytes: meant for /stats and scrapes, not per query.
+// the write overlay's live inserts, since every base row is anchored.
+// The next compaction or rebuild anchors them all: where DriftRatio says
+// the clustering no longer fits the data, this says how many rows scan
+// without their cheapest filter. Always 0 where anchors do not apply.
 func (x *Index) UnanchoredRows() int {
-	aa := x.anchors
-	if len(aa.set.pts) == 0 {
+	if len(x.anchors.set.pts) == 0 {
 		return 0
 	}
-	n := x.DeltaLive()
-	tombs := x.deltaTombs()
-	for i, id := range aa.id {
-		if id == anchorSentinel && !x.deleted.get(uint32(i)) && (tombs == nil || !tombs.get(uint32(i))) {
-			n++
-		}
-	}
-	return n
+	return x.DeltaLive()
 }
 
 // ForEachLive calls fn for every live (non-deleted) object: the base

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"repro/internal/metric"
 	"repro/internal/vec"
@@ -39,11 +37,9 @@ import (
 //     the fact the exactness of the row gate rests on.
 //   - every column and arena holds one row per storage position, the ID
 //     table maps exactly the IDs of the rows not deleted to their
-//     positions, every cell names a grid cell, and each semantic side's
-//     count equals the number of live rows its cells assign it.
-//   - every cluster's scan block equals the arena rows of its elements
-//     in array order — a window of the arenas exactly when the elements
-//     are contiguous, a private copy otherwise (see layout.go).
+//     positions, and every cell names a grid cell.
+//   - every cluster's elements are contiguous and its scan block is the
+//     arenas' window over them (see layout.go).
 //   - the Ks×Kt grid holds exactly the listed clusters, each at the cell
 //     of its own side pair, and nil everywhere else.
 func (x *Index) CheckInvariants() error {
@@ -65,9 +61,6 @@ func (x *Index) CheckInvariants() error {
 	const eps = 1e-9
 	seen := make(map[uint32]int)
 	for ci, c := range x.clusters {
-		if len(c.members) == 0 {
-			return fmt.Errorf("cluster %d is empty but retained", ci)
-		}
 		if len(c.elems) != len(c.members) {
 			return fmt.Errorf("cluster %d: %d elems for %d members", ci, len(c.elems), len(c.members))
 		}
@@ -129,8 +122,8 @@ func (x *Index) CheckInvariants() error {
 	}
 	// With a write overlay, clusters still hold tombstoned base members
 	// (the base is immutable) and none of the overlay's inserts.
-	if int64(len(seen)) != x.baseElems() {
-		return fmt.Errorf("clusters hold %d objects, base live count is %d", len(seen), x.baseElems())
+	if want := x.baseLive() + int64(x.deltaTombs().count()); int64(len(seen)) != want {
+		return fmt.Errorf("clusters hold %d objects, the base's live and tombstoned rows are %d", len(seen), want)
 	}
 	return x.checkOverlay()
 }
@@ -138,8 +131,7 @@ func (x *Index) CheckInvariants() error {
 // checkColumns verifies the per-row storage everything else indexes:
 // every column and arena one row per storage position, the ID table a
 // bijection between the IDs of the rows not deleted and their positions,
-// every cell inside the Ks×Kt grid, and the semantic side counts equal
-// to the histogram of the live rows' cells.
+// and every cell inside the Ks×Kt grid.
 func (x *Index) checkColumns() error {
 	n := x.rows()
 	for _, c := range []struct {
@@ -163,18 +155,10 @@ func (x *Index) checkColumns() error {
 	}); err != nil {
 		return err
 	}
-	counts := make([]int32, len(x.tCent))
 	for i, cell := range x.cells {
 		if int(cell) >= len(x.sCentX)*len(x.tCent) {
 			return fmt.Errorf("row %d assigned to cell %d outside %d×%d", i, cell, len(x.sCentX), len(x.tCent))
 		}
-		if !x.deleted.get(uint32(i)) {
-			_, t := x.sides(cell)
-			counts[t]++
-		}
-	}
-	if !slices.Equal(counts, x.tCount) {
-		return fmt.Errorf("semantic side counts %v, the live rows' cells give %v", x.tCount, counts)
 	}
 	return nil
 }
@@ -327,7 +311,7 @@ func (x *Index) checkProjBoundSoundness() error {
 	}
 	reproj := make([]float32, x.m)
 	for t := range x.tCent {
-		if x.tCount[t] == 0 {
+		if !x.tValid[t] {
 			continue // never-populated clusters carry meaningless centroids
 		}
 		x.pcaModel.TransformInto(reproj, x.tCent[t])
@@ -352,7 +336,7 @@ func (x *Index) checkProjBoundSoundness() error {
 		}
 		qProj := x.projAt(uint32(i))
 		for t := range x.tCent {
-			if x.tCount[t] == 0 {
+			if !x.tValid[t] {
 				continue
 			}
 			weak := vec.Dist(qProj, x.tCentProj[t])*inv - projWeakAbsSlack
@@ -368,46 +352,20 @@ func (x *Index) checkProjBoundSoundness() error {
 }
 
 // checkLayout guards what the scan loops assume of storage: every
-// cluster's header repeats its first element's thresholds (−Inf when it
-// has none), and every cluster's block (fillClusterBlock ran wherever the
-// array was merged) holds, row for row in elems order, the arena rows of
-// its elements. A cluster whose elements are contiguous must read the
-// arenas themselves — same addresses, no copy — and a cluster whose
-// elements are not must read private memory.
+// cluster is non-empty, its header repeats its first element's
+// thresholds, and its elements sit at consecutive storage positions from
+// its base, so that its scan block, the arenas' window there, holds its
+// rows in elems order.
 func (x *Index) checkLayout() error {
-	aa := x.anchors
-	var win clusterBlock
 	for ci, c := range x.clusters {
-		blk, ne := x.block(&win, c), len(c.elems)
-		if wantDs, wantDt := headThresholds(c.elems); c.headDs != wantDs || c.headDt != wantDt {
-			return fmt.Errorf("cluster %d: head thresholds (%v,%v), first element carries (%v,%v)", ci, c.headDs, c.headDt, wantDs, wantDt)
+		if len(c.elems) == 0 {
+			return fmt.Errorf("cluster %d is empty but retained", ci)
 		}
-		if len(blk.xs) != ne || len(blk.ys) != ne {
-			return fmt.Errorf("cluster %d: block holds %d/%d coordinates for %d elems", ci, len(blk.xs), len(blk.ys), ne)
+		if e := c.elems[0]; c.headDs != e.ds || c.headDt != e.dt {
+			return fmt.Errorf("cluster %d: head thresholds (%v,%v), first element carries (%v,%v)", ci, c.headDs, c.headDt, e.ds, e.dt)
 		}
-		if len(blk.aid) != ne || len(blk.adist) != ne {
-			return fmt.Errorf("cluster %d: block holds %d/%d anchor rows for %d elems", ci, len(blk.aid), len(blk.adist), ne)
-		}
-		for j := range c.elems {
-			idx := c.elems[j].idx
-			if blk.xs[j] != x.xArena[idx] || blk.ys[j] != x.yArena[idx] {
-				return fmt.Errorf("cluster %d elem %d: block location disagrees with object %d", ci, j, idx)
-			}
-			if blk.aid[j] != aa.id[idx] || math.Float32bits(blk.adist[j]) != math.Float32bits(aa.dist[idx]) {
-				return fmt.Errorf("cluster %d elem %d: block anchor row disagrees with arena row of object %d", ci, j, idx)
-			}
-		}
-		if ne == 0 {
-			continue
-		}
-		base := int(c.elems[0].idx)
-		aliases := &blk.xs[0] == &x.xArena[base] && &blk.ys[0] == &x.yArena[base] &&
-			&blk.aid[0] == &aa.id[base] && &blk.adist[0] == &aa.dist[base]
-		switch contig := contiguous(c.elems); {
-		case contig && !aliases:
-			return fmt.Errorf("cluster %d: contiguous at %d but its block is a copy", ci, base)
-		case !contig && (c.base >= 0 || aliases):
-			return fmt.Errorf("cluster %d: not contiguous but its block reads the arenas (base %d)", ci, c.base)
+		if !contiguous(c.elems) || c.base != int(c.elems[0].idx) {
+			return fmt.Errorf("cluster %d: elements not contiguous from its base %d", ci, c.base)
 		}
 	}
 	return nil

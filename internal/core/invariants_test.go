@@ -67,10 +67,11 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"anchor arena one row short", func(x *Index) {
 			x.anchors.id = x.anchors.id[:len(x.anchors.id)-1]
 		}},
-		{"contiguous cluster reading a copy", func(x *Index) {
-			c := x.clusters[0]
-			c.gathered = &blockCopy(x)[0]
-			c.base = -1
+		{"cluster base off its first element", func(x *Index) {
+			x.clusters[0].base++
+		}},
+		{"sentinel anchor row under an anchor set", func(x *Index) {
+			x.anchors.id[0], x.anchors.dist[0] = anchorSentinel, 0
 		}},
 		{"arena window over a reordered cluster", func(x *Index) {
 			c := x.clusters[0]
@@ -111,16 +112,6 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		}},
 		{"row's cell naming another cluster", func(x *Index) {
 			x.cells[x.clusters[0].members[0]] = uint32(x.cell(x.clusters[1].s, x.clusters[1].t))
-		}},
-		{"stale semantic side count", func(x *Index) {
-			x.tCount[x.clusters[0].t]++
-		}},
-		{"stale gathered block", func(x *Index) {
-			c := x.clusters[0]
-			last := len(c.elems) - 1
-			c.elems[0].idx, c.elems[last].idx = c.elems[last].idx, c.elems[0].idx
-			x.fillClusterBlock(c)
-			c.gathered.adist[0]++
 		}},
 	}
 	for _, m := range mutations {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/par"
-)
+import "repro/internal/par"
 
 // Cluster-major storage. Build, RebuildFresh, Compact and Load leave
 // every hybrid cluster's elements at consecutive storage positions, in
@@ -14,10 +10,11 @@ import (
 // slot per element, and a contiguous cluster needs no per-cluster copy of
 // anything: its scan block is a window of the arenas.
 //
-// Storage order is data, not format: the file layout is unchanged, and a
-// file whose clusters are not contiguous (written before this layout
-// existed, or saved after in-place maintenance) is renumbered when it
-// loads.
+// Every base is built by derive, and nothing writes a base afterwards
+// (every write lands in the overlay), so every cluster stays an arena
+// window for the base's lifetime. Storage order is data, not format: the
+// file layout is unchanged, and a file whose clusters are not contiguous
+// (written by an older version) is renumbered when it loads.
 
 // clusterBlock is the per-row data the scan loops read, one entry per
 // element in elems order: the location and the anchor id and distance
@@ -28,18 +25,12 @@ type clusterBlock struct {
 	adist  []float32
 }
 
-// block returns c's scan block. A contiguous cluster's block is a
-// window of the arenas, resolved through this Index's own arena headers
-// on every call and written into w (the scratch's blk on the query
-// path: four slice headers filled in place, never passed by value). An
-// in-place insert that regrows an arena leaves no cluster holding a
-// pointer into the superseded backing array — putScratch clears blk so
-// a pooled scratch does not pin one either. A cluster that in-place
-// maintenance touched carries a private gathered copy, returned as is.
+// block returns c's scan block, a window of the arenas, resolved
+// through this Index's own arena headers on every call and written into
+// w (the scratch's blk on the query path: four slice headers filled in
+// place, never passed by value). putScratch clears blk so that a pooled
+// scratch pins no superseded snapshot's arenas.
 func (x *Index) block(w *clusterBlock, c *hybrid) *clusterBlock {
-	if c.base < 0 {
-		return c.gathered
-	}
 	lo, hi := c.base, c.base+len(c.elems)
 	w.xs, w.ys = x.xArena[lo:hi], x.yArena[lo:hi]
 	w.aid, w.adist = x.anchors.id[lo:hi], x.anchors.dist[lo:hi]
@@ -57,40 +48,12 @@ func contiguous(elems []element) bool {
 	return true
 }
 
-// headThresholds returns the threshold pair that bounds every element
-// of the array: the first element's, the thresholds being
-// non-increasing, and −Inf for an empty array.
-func headThresholds(elems []element) (ds, dt float64) {
-	if len(elems) == 0 {
-		return math.Inf(-1), math.Inf(-1)
-	}
-	return elems[0].ds, elems[0].dt
-}
-
-// fillClusterBlock (re)derives c's head thresholds and scan block from
-// its element array: the arena window when the elements are contiguous,
-// else a gathered copy in elems order. Like elems it is derived data,
-// rebuilt wherever the array is merged and never mutated in place
-// afterwards.
-func (x *Index) fillClusterBlock(c *hybrid) {
-	n := len(c.elems)
-	c.headDs, c.headDt = headThresholds(c.elems)
-	if contiguous(c.elems) {
-		c.base, c.gathered = 0, nil
-		if n > 0 {
-			c.base = int(c.elems[0].idx)
-		}
-		return
-	}
-	g := &clusterBlock{xs: make([]float64, n), ys: make([]float64, n),
-		aid: make([]uint8, n), adist: make([]float32, n)}
-	aa := x.anchors
-	for j := range c.elems {
-		idx := c.elems[j].idx
-		g.xs[j], g.ys[j] = x.xArena[idx], x.yArena[idx]
-		g.aid[j], g.adist[j] = aa.id[idx], aa.dist[idx]
-	}
-	c.base, c.gathered = -1, g
+// fillClusterBlock derives c's head thresholds and the base of its
+// arena window from its element array, which layoutClusterMajor has
+// made contiguous. derive calls it once per cluster.
+func fillClusterBlock(c *hybrid) {
+	e := &c.elems[0]
+	c.headDs, c.headDt, c.base = e.ds, e.dt, int(e.idx)
 }
 
 // layoutClusterMajor renumbers storage so that every cluster's elements

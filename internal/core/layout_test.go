@@ -4,34 +4,26 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand/v2"
-	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-// gatheredClusters counts the clusters whose scan block is a private
-// copy instead of a window of the arenas.
-func gatheredClusters(x *Index) int {
-	n := 0
-	for _, c := range x.clusters {
-		if c.base < 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// requireClusterMajor asserts the state Build, RebuildFresh and
-// Load promise: invariants hold (checkLayout among them) and every
-// cluster reads the arenas directly.
+// requireClusterMajor asserts the state every base is in: invariants
+// hold, checkLayout among them — every cluster a window of the arenas,
+// its elements at consecutive storage positions — and the clusters tile
+// the storage positions from 0 in directory order.
 func requireClusterMajor(t *testing.T, ctx string, x *Index) {
 	t.Helper()
 	if err := x.CheckInvariants(); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
-	if g := gatheredClusters(x); g != 0 {
-		t.Fatalf("%s: %d of %d clusters carry a gathered block, want 0", ctx, g, len(x.clusters))
+	next := 0
+	for i, c := range x.clusters {
+		if c.base != next {
+			t.Fatalf("%s: cluster %d starts at %d, want %d", ctx, i, c.base, next)
+		}
+		next += len(c.elems)
 	}
 }
 
@@ -49,8 +41,7 @@ func requireExact(t *testing.T, ctx string, x *Index) {
 	}
 }
 
-// churn applies a deterministic stream of in-place inserts, deletes and
-// updates.
+// churn applies a deterministic stream of inserts, deletes and updates.
 func churn(t *testing.T, x *Index, base []dataset.Object, seed uint64, steps int) {
 	t.Helper()
 	pool, err := dataset.Generate(dataset.GenConfig{Kind: dataset.YelpLike, Size: steps, Dim: x.dim, Seed: seed})
@@ -101,48 +92,37 @@ func saveLoad(t *testing.T, x *Index) *Index {
 	return loaded
 }
 
-// Every path that produces a fresh index leaves it cluster-major;
-// in-place maintenance degrades only the clusters it touches, and the
-// next Load or RebuildFresh restores the rest.
+// Every path that produces a base leaves it cluster-major, and writes
+// never touch a base: after churn the written index still is, and so is
+// its fold, its load and its rebuild.
 func TestLayoutClusterMajorLifecycle(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 700, Config{Seed: 70})
 	requireClusterMajor(t, "build", f.idx)
-	for i, c := range f.idx.clusters {
-		for j, e := range c.elems {
-			if int(e.idx) != c.base+j {
-				t.Fatalf("cluster %d elem %d at %d, base %d", i, j, e.idx, c.base)
-			}
-		}
-	}
 	requireClusterMajor(t, "load of a fresh save", saveLoad(t, f.idx))
 
 	churn(t, f.idx, f.ds.Objects, 71, 300)
-	if err := f.idx.CheckInvariants(); err != nil {
+	requireClusterMajor(t, "after churn", f.idx)
+	requireExact(t, "after churn", f.idx)
+
+	folded, err := f.idx.Compact()
+	if err != nil {
 		t.Fatal(err)
 	}
-	g := gatheredClusters(f.idx)
-	if g == 0 || g == len(f.idx.clusters) {
-		t.Fatalf("after churn %d of %d clusters gathered, want some but not all", g, len(f.idx.clusters))
+	requireClusterMajor(t, "fold after churn", folded)
+	requireExact(t, "fold after churn", folded)
+	if folded.rows() != folded.Len() {
+		t.Fatalf("the fold kept %d storage positions for %d live rows", folded.rows(), folded.Len())
 	}
-	requireExact(t, "after churn", f.idx)
 
 	loaded := saveLoad(t, f.idx)
 	requireClusterMajor(t, "load after churn", loaded)
 	requireExact(t, "load after churn", loaded)
-	// Deleted slots sort behind every live one.
-	for i := range loaded.rows() {
-		if loaded.deleted.get(uint32(i)) != (i >= loaded.Len()) {
-			t.Fatalf("slot %d of %d: deleted=%v with %d live", i, loaded.rows(), i < loaded.Len(), loaded.Len())
-		}
-	}
 	nova := f.ds.Objects[0]
 	nova.ID = 4_000_000
 	if err := loaded.Insert(nova); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	requireClusterMajor(t, "insert after load", loaded)
 
 	fresh, err := f.idx.RebuildFresh()
 	if err != nil {
@@ -152,12 +132,13 @@ func TestLayoutClusterMajorLifecycle(t *testing.T) {
 	requireExact(t, "rebuild fresh", fresh)
 }
 
-// scrambledSave re-encodes a save with its storage positions shuffled:
-// the same index in an order that is not cluster-major, which is what a
-// file written before the layout pass existed holds (there, input order).
-// Only the base state moves; the derived fields, which Load does not
-// read, keep naming the old positions.
-func scrambledSave(t *testing.T, x *Index, seed uint64) *bytes.Buffer {
+// scrambledSave re-encodes a save with its storage positions shuffled
+// and the rows of the IDs in gone flagged deleted: the same index in an
+// order that is not cluster-major, with deleted slots scattered through
+// it, which is what a file older code wrote after in-place deletes
+// holds. Only the base state moves; the derived fields, which Load does
+// not read, keep naming the old positions.
+func scrambledSave(t *testing.T, x *Index, seed uint64, gone map[uint32]bool) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := x.Save(&buf); err != nil {
@@ -176,7 +157,7 @@ func scrambledSave(t *testing.T, x *Index, seed uint64) *bytes.Buffer {
 	s.ProjArena = make([]float32, len(g.ProjArena))
 	s.SAssign, s.TAssign = make([]int, n), make([]int, n)
 	for old, p := range perm {
-		s.Objects[p], s.Deleted[p] = g.Objects[old], g.Deleted[old]
+		s.Objects[p], s.Deleted[p] = g.Objects[old], g.Deleted[old] || gone[g.Objects[old].ID]
 		copy(s.VecArena[p*g.Dim:(p+1)*g.Dim], g.VecArena[old*g.Dim:(old+1)*g.Dim])
 		copy(s.ProjArena[p*g.M:(p+1)*g.M], g.ProjArena[old*g.M:(old+1)*g.M])
 		s.SAssign[p], s.TAssign[p] = g.SAssign[old], g.TAssign[old]
@@ -190,17 +171,22 @@ func scrambledSave(t *testing.T, x *Index, seed uint64) *bytes.Buffer {
 
 // A file whose storage is not cluster-major — deleted slots scattered
 // through it — loads, becomes cluster-major, and answers bit-identically
-// to the linear scan and to the index it was saved from.
+// to the linear scan and to the index it was saved from with the same
+// objects deleted.
 func TestLoadLaysOutLegacyOrder(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 600, Config{Seed: 73})
+	gone := map[uint32]bool{}
 	for i := 0; i < 60; i++ {
-		if err := f.idx.Delete(f.ds.Objects[i*7].ID); err != nil {
-			t.Fatal(err)
-		}
+		gone[f.ds.Objects[i*7].ID] = true
 	}
-	loaded, _, err := Load(scrambledSave(t, f.idx, 74))
+	loaded, _, err := Load(scrambledSave(t, f.idx, 74, gone))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for id := range gone {
+		if err := f.idx.Delete(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	requireClusterMajor(t, "scrambled load", loaded)
 	if loaded.Len() != f.idx.Len() {
@@ -217,27 +203,6 @@ func TestLoadLaysOutLegacyOrder(t *testing.T) {
 			t.Fatalf("deleted object %d resurrected", f.ds.Objects[i*7].ID)
 		}
 	}
-}
-
-// blockCopy deep-copies every cluster's scan block as x reads it.
-func blockCopy(x *Index) []clusterBlock {
-	out := make([]clusterBlock, len(x.clusters))
-	for i, c := range x.clusters {
-		var win clusterBlock
-		b := x.block(&win, c)
-		out[i] = clusterBlock{
-			xs: slices.Clone(b.xs), ys: slices.Clone(b.ys),
-			aid: slices.Clone(b.aid), adist: slices.Clone(b.adist),
-		}
-	}
-	return out
-}
-
-func sameBlocks(a, b []clusterBlock) bool {
-	return slices.EqualFunc(a, b, func(p, q clusterBlock) bool {
-		return slices.Equal(p.xs, q.xs) && slices.Equal(p.ys, q.ys) &&
-			slices.Equal(p.aid, q.aid) && slices.Equal(p.adist, q.adist)
-	})
 }
 
 // requireScratchesUnpinned drains the scratch pool x shares with every

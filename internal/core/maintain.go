@@ -6,71 +6,103 @@ import (
 	"repro/internal/dataset"
 )
 
-// Insert adds a new object to the index incrementally (§6.2): the object
-// joins the nearest spatial and nearest semantic cluster, radii expand if
-// needed, and only the affected hybrid cluster's array is rebuilt — one
-// merge of its two maintained lists — the clustering itself is untouched.
+// Insert adds a new object (§6.2): it joins the nearest spatial and
+// nearest semantic cluster (nearestSides). Every write lands in the
+// index's write overlay (see overlay.go), created by the first one: the
+// object joins the append log and the group of its side pair, whose
+// covering radii grow to take it, and no base structure is written.
+// Compact folds the overlay into a fresh base by Build's rule; the
+// clustering itself is untouched until a rebuild.
 func (x *Index) Insert(o dataset.Object) error {
-	if x.delta != nil {
-		return x.deltaInsert(o)
+	d := x.writeDelta()
+	if _, ok := d.idToPos.get(o.ID); ok {
+		return fmt.Errorf("core: object ID %d already present", o.ID)
+	}
+	if prev, ok := x.idIdx.get(o.ID); ok && !d.tombs.get(prev) {
+		return fmt.Errorf("core: object ID %d already present", o.ID)
 	}
 	if len(o.Vec) != x.pcaModel.N() {
 		return fmt.Errorf("core: vector dim %d, index expects %d", len(o.Vec), x.pcaModel.N())
 	}
-	idx := uint32(x.rows())
-	if !x.idIdx.put(o.ID, idx) {
-		return fmt.Errorf("core: object ID %d already present", o.ID)
-	}
-	x.ids = append(x.ids, o.ID)
-	x.texts = append(x.texts, o.Text)
-	x.topics = append(x.topics, o.Topic)
-	x.deleted = x.deleted.grown(x.rows())
-	x.appendArenaRows(idx, &o)
-	s, bestS, t, bestT := x.nearestSides(o.X, o.Y, x.projAt(idx))
-	x.cells = append(x.cells, uint32(x.cell(s, t)))
-	x.tCount[t]++
+	pos := d.appendLog(o)
+	x.pcaModel.TransformInto(d.projRow(pos), o.Vec)
+	d.dead = d.dead.grown(len(d.objs))
+	d.idToPos.put(o.ID, pos)
 
-	// Expand radii where the newcomer falls outside (§6.2). Only radii
-	// ever change after build — the centroids (tCent, tCentProj, sCent*)
-	// are immutable until the next Build/Rebuild. The lazy cluster
-	// ordering of Search depends on that: its projected weak bound is
-	// sound only while tCentProj[t] stays the projection of tCent[t]
-	// (see fillProjLowerBounds), so any future centroid maintenance must
-	// recompute both representations together. CheckInvariants asserts
-	// both the pairing and the bound's soundness.
-	dt := x.semanticToCent(idx, t)
-	if bestS > x.sRad[s] {
-		x.sRad[s] = bestS
+	proj := d.projRow(pos)
+	s, bestS, t, bestT := x.nearestSides(o.X, o.Y, proj)
+
+	// Group membership and covering radii (original-space semantic
+	// distance, matching the bound scanDelta applies).
+	key := uint32(x.cell(s, t))
+	gi, ok := d.groupIdx.get(key)
+	if !ok {
+		gi = uint32(d.groups.push(overlayGroup{s: s, t: t}))
+		d.groupIdx.put(key, gi)
 	}
-	if dt > x.tRad[t] {
-		x.tRad[t] = dt
-	}
-	if bestT > x.tRadProj[t] {
-		x.tRadProj[t] = bestT
-	}
-	// Drift signal: compare against the build-time balls.
+	g := d.groups.mut(int(gi))
+	g.maxDs = max(g.maxDs, bestS)
+	g.maxDt = max(g.maxDt, x.space.SemanticVec(o.Vec, x.tCent[t]))
+	g.members = append(g.members, pos)
+
+	// Drift signal: compare against the build-time balls. The counters
+	// are scalars of the Index value, private to a clone.
 	x.insertsSinceBuild++
 	if bestS > x.builtSRad[s] || bestT > x.builtTRadProj[t] {
 		x.radiusDrifts++
 	}
-
-	c := x.addToHybrid(member{idx: idx, ds: bestS, dt: dt})
-	c.mergeElems(x.dsOf(c))
-	x.fillClusterBlock(c)
+	d.liveCount++
+	d.ops++
 	x.live++
 	x.UpdatesSinceBuild++
 	return nil
 }
 
-// nearestSides is the one rule that places a new row, in place or in
-// the write overlay: its nearest spatial centroid, and — in the
-// projected space, where the semantic clustering was fit — its nearest
-// semantic centroid among those valid at build time (tValid). A side
-// that never had a member has a meaningless centroid; one whose rows
-// were all deleted keeps a meaningful one and may take the row. Only a
-// model with no valid semantic side, which Build never makes, puts the
-// row on side 0. It returns the sides with the row's spatial and
-// projected distances to them.
+// Delete removes the object with the given ID (§6.2) in the write
+// overlay: an overlay insert dies in the log, a base object gets a
+// tombstone bit; the base's deleted bitmap, ID table, clusters and radii
+// stay untouched until Compact.
+func (x *Index) Delete(id uint32) error {
+	d := x.writeDelta()
+	if pos, ok := d.idToPos.del(id); ok {
+		d.dead.set(pos)
+		d.liveCount--
+	} else {
+		idx, ok := x.idIdx.get(id)
+		if !ok || d.tombs.get(idx) {
+			return fmt.Errorf("core: object ID %d not present", id)
+		}
+		if !d.ownsTombs {
+			d.tombs, d.ownsTombs = d.tombs.clone(), true
+		}
+		d.tombs.set(idx)
+		d.nTombs++
+	}
+	d.ops++
+	x.live--
+	x.UpdatesSinceBuild++
+	return nil
+}
+
+// writeDelta returns the overlay the next write lands in, ready for
+// writing: the index's own, created on a flat index's first write.
+func (x *Index) writeDelta() *overlayDelta {
+	if x.delta == nil {
+		x.delta = newOverlayDelta(x)
+	}
+	x.delta.beginWrite()
+	return x.delta
+}
+
+// nearestSides is the one rule that places a new row: its nearest
+// spatial centroid, and — in the projected space, where the semantic
+// clustering was fit — its nearest semantic centroid among those valid
+// at build time (tValid). A side that never had a member has a
+// meaningless centroid; one whose rows were all deleted keeps a
+// meaningful one and may take the row. Only a model with no valid
+// semantic side, which Build never makes, puts the row on side 0. It
+// returns the sides with the row's spatial and projected distances to
+// them.
 func (x *Index) nearestSides(px, py float64, proj []float32) (s int, ds float64, t int, dp float64) {
 	ds = x.space.SpatialXY(px, py, x.sCentX[0], x.sCentY[0])
 	for c := 1; c < len(x.sCentX); c++ {
@@ -104,80 +136,6 @@ func (x *Index) DriftRatio() float64 {
 		return 0
 	}
 	return float64(x.radiusDrifts) / float64(x.insertsSinceBuild)
-}
-
-// Delete removes the object with the given ID (§6.2). If the object
-// determined one of its clusters' radii, the radius is recomputed from
-// the remaining members: the hybrid clusters of the grid's row s (for
-// the spatial radius) or column t (for the semantic ones) partition the
-// side's live rows. Each cluster's lists are sorted by descending
-// distance, so the spatial radius reads one ds per cluster (its L_s
-// head) and the semantic one one stored dt (its L_t head); only the
-// projected radius, which no list orders, visits every member — an
-// m-dimensional distance each.
-func (x *Index) Delete(id uint32) error {
-	if x.delta != nil {
-		return x.deltaDelete(id)
-	}
-	idx, ok := x.idIdx.del(id)
-	if !ok {
-		return fmt.Errorf("core: object ID %d not present", id)
-	}
-	x.deleted.set(idx)
-	x.live--
-	x.UpdatesSinceBuild++
-
-	cell := x.cells[idx]
-	s, t := x.sides(cell)
-	x.tCount[t]--
-
-	// Remove from the hybrid cluster and rebuild its array.
-	c := x.grid[cell]
-	dt := c.removeMember(idx)
-	if len(c.members) == 0 {
-		x.grid[cell] = nil
-		for i, cc := range x.clusters {
-			if cc == c {
-				x.clusters[i] = x.clusters[len(x.clusters)-1]
-				x.clusters = x.clusters[:len(x.clusters)-1]
-				break
-			}
-		}
-	} else {
-		c.mergeElems(x.dsOf(c))
-		x.fillClusterBlock(c)
-	}
-
-	// Shrink radii when the deleted object was the farthest member (the
-	// "infrequent case" of §6.2).
-	ks, kt := len(x.sCentX), len(x.tCent)
-	if x.spatialToCent(idx, s) >= x.sRad[s] {
-		x.sRad[s] = 0
-		for _, cc := range x.grid[s*kt : (s+1)*kt] {
-			if cc != nil {
-				x.sRad[s] = max(x.sRad[s], x.spatialToCent(cc.members[0], s))
-			}
-		}
-	}
-	if dt >= x.tRad[t] {
-		x.tRad[t] = 0
-		for ss := range ks {
-			if cc := x.grid[x.cell(ss, t)]; cc != nil {
-				x.tRad[t] = max(x.tRad[t], cc.dt[cc.byDt[0]])
-			}
-		}
-	}
-	if x.projToCent(idx, t) >= x.tRadProj[t] {
-		x.tRadProj[t] = 0
-		for ss := range ks {
-			if cc := x.grid[x.cell(ss, t)]; cc != nil {
-				for _, mi := range cc.members {
-					x.tRadProj[t] = max(x.tRadProj[t], x.projToCent(mi, t))
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Update replaces the stored object with o's ID by o — a deletion
@@ -217,40 +175,4 @@ func (x *Index) collectLive() []dataset.Object {
 	liveObjs := make([]dataset.Object, 0, x.live)
 	x.ForEachLive(func(o *dataset.Object) { liveObjs = append(liveObjs, *o) })
 	return liveObjs
-}
-
-// appendArenaRows gives the object just appended to the columns at
-// position idx its rows in the arenas: its vector copied into a new vecArena row and projected
-// into a new projArena row, its location, and a sentinel anchor row. The
-// vector arena grows by doubling, so the copy is amortized O(1) per
-// insert.
-func (x *Index) appendArenaRows(idx uint32, o *dataset.Object) {
-	if need := len(x.vecArena) + x.dim; need > cap(x.vecArena) {
-		na := make([]float32, len(x.vecArena), arenaCap(need, cap(x.vecArena)))
-		copy(na, x.vecArena)
-		x.vecArena = na
-	}
-	x.vecArena = append(x.vecArena, o.Vec...)
-
-	if need := len(x.projArena) + x.m; need > cap(x.projArena) {
-		na := make([]float32, len(x.projArena), arenaCap(need, cap(x.projArena)))
-		copy(na, x.projArena)
-		x.projArena = na
-	}
-	x.projArena = x.projArena[:len(x.projArena)+x.m]
-	x.pcaModel.TransformInto(x.projAt(idx), o.Vec)
-
-	x.xArena = append(x.xArena, o.X)
-	x.yArena = append(x.yArena, o.Y)
-
-	x.appendAnchorRow()
-}
-
-// arenaCap doubles the arena capacity until it covers need.
-func arenaCap(need, old int) int {
-	c := old * 2
-	if c < need {
-		c = need
-	}
-	return c
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/metric"
 	"repro/internal/scan"
 )
 
@@ -305,32 +304,47 @@ func TestRebuildRederivesClusterCounts(t *testing.T) {
 	requireExact(t, "rebuilt at 4n", f.idx)
 }
 
-// Radius bookkeeping: deleting the farthest member must shrink the
-// radius (conservatively verified through CheckInvariants plus a spot
-// check that some radius decreased).
+// Radius bookkeeping (§6.2's infrequent case): once the farthest member
+// of a spatial cluster is deleted, the fold shrinks the radius to the
+// next farthest live member's distance; the overlay alone leaves it.
 func TestDeleteShrinksRadius(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 300, Config{Ks: 4, Kt: 4, Seed: 29})
-	// Find the globally farthest member of spatial cluster 0 and delete it.
+	// Find the two farthest members of spatial cluster 0.
 	s := 0
 	var farIdx uint32
-	far := -1.0
+	far, next := -1.0, -1.0
 	for i := range f.idx.rows() {
 		mi := uint32(i)
 		if rs, _ := f.idx.sides(f.idx.cells[mi]); rs != s || f.idx.deleted.get(mi) {
 			continue
 		}
-		if d := f.idx.spatialToCent(mi, s); d > far {
-			far, farIdx = d, mi
+		switch d := f.idx.spatialToCent(mi, s); {
+		case d > far:
+			far, next, farIdx = d, far, mi
+		case d > next:
+			next = d
 		}
 	}
-	before := f.idx.sRad[s]
+	if next >= far || f.idx.sRad[s] != far {
+		t.Fatalf("radius %v, farthest members at %v and %v: want a unique farthest", f.idx.sRad[s], far, next)
+	}
 	if err := f.idx.Delete(f.idx.ids[farIdx]); err != nil {
 		t.Fatal(err)
 	}
-	if f.idx.sRad[s] > before {
-		t.Fatalf("radius grew on delete: %v -> %v", before, f.idx.sRad[s])
-	}
 	if err := f.idx.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if f.idx.sRad[s] != far {
+		t.Fatalf("an overlay delete moved the base radius: %v -> %v", far, f.idx.sRad[s])
+	}
+	folded, err := f.idx.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folded.sRad[s] != next {
+		t.Fatalf("folded radius %v, want the next farthest member's %v", folded.sRad[s], next)
+	}
+	if err := folded.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -374,10 +388,18 @@ func TestCSSIAAfterUpdates(t *testing.T) {
 	if avg := totalErr / queries; avg > 0.08 {
 		t.Fatalf("CSSIA error after updates %.4f too high", avg)
 	}
-	var st metric.Stats
-	f.idx.SearchApprox(&liveDs.Objects[0], 10, 0.5, &st)
-	if st.VisitedObjects+st.InterPruned+st.IntraPruned != int64(f.idx.Len()) {
-		t.Fatal("pruning identity broken after updates")
+	// The updates sit in f.idx's overlay, tombstones on base rows among
+	// them: every counted read still charges each live row once, on the
+	// index itself and on a clone of it.
+	if f.idx.DeltaOps() == 0 {
+		t.Fatal("the updates buffered no overlay ops")
+	}
+	for _, x := range []*Index{f.idx, f.idx.CloneWithDelta()} {
+		for qi := 0; qi < 4; qi++ {
+			for _, lambda := range []float64{0, 0.5, 1} {
+				requirePruningIdentity(t, "after updates", []*Index{x}, &liveDs.Objects[qi*97], 10, lambda)
+			}
+		}
 	}
 }
 

@@ -12,6 +12,10 @@ import (
 
 // Write overlay (delta) over an immutable base snapshot.
 //
+// Every write to an Index lands here (Insert and Delete in maintain.go);
+// a flat index's first write creates its overlay. No base structure is
+// ever written after derive built it.
+//
 // A published snapshot is never written: a writer takes a clone whose
 // cost does not grow with n, with the vocabulary, or with the number of
 // buffered ops beyond one bit each. The base structures (columns,
@@ -22,8 +26,7 @@ import (
 //
 //   - An insert appends the object to the delta's append log, with its
 //     vector and projection copied into the log's arenas, and joins a
-//     mini "group" keyed by its side pair (nearestSides, the rule an
-//     in-place insert follows too).
+//     mini "group" keyed by its side pair (nearestSides).
 //   - A delete of a base object sets a tombstone bit at its storage
 //     position; a delete of an overlay object marks its log slot dead.
 //   - An update is a delete followed by an insert (both dispatch here).
@@ -38,8 +41,9 @@ import (
 // bit-identical to a full rebuild over the same live set.
 //
 // Compact folds the overlay into a fresh flat base that ends in derive,
-// as Build and Load do, bounding delta size (and hence the extra
-// per-query scan) by the compaction threshold.
+// as Build and Load do. Folding at the compaction threshold — the
+// facade's bare index does it on its own writes, a shard in the
+// background — bounds the overlay (and hence the extra per-query scan).
 //
 // What a clone shares, and why a write cannot reach its siblings:
 //
@@ -194,10 +198,10 @@ func (d *overlayDelta) regrow() {
 // CloneWithDelta returns a write-isolated copy whose mutations land in
 // the overlay, at a cost that depends neither on n nor on how much the
 // overlay already holds. The base structures are shared with x and
-// never written, so a flat x must be treated as immutable for as long as
-// either copy is in use; an x that carries an overlay itself may go on
-// writing to it, one goroutine at a time per index — its next write
-// finds the delta shared and copies what it touches, like any sibling.
+// written by neither, so x may go on writing, one goroutine at a time
+// per index: a flat x's first write creates an overlay of its own, and
+// an x that carries one finds it shared and copies what it touches,
+// like any sibling.
 func (x *Index) CloneWithDelta() *Index {
 	nx := new(Index)
 	*nx = *x
@@ -238,79 +242,6 @@ func (x *Index) deltaTombs() bitset {
 	return nil
 }
 
-// deltaInsert is Insert's overlay path: the object joins the append log
-// and its (spatial, semantic) group; no base structure is written.
-func (x *Index) deltaInsert(o dataset.Object) error {
-	d := x.delta
-	d.beginWrite()
-	if _, ok := d.idToPos.get(o.ID); ok {
-		return fmt.Errorf("core: object ID %d already present", o.ID)
-	}
-	if prev, ok := x.idIdx.get(o.ID); ok && !d.tombs.get(prev) {
-		return fmt.Errorf("core: object ID %d already present", o.ID)
-	}
-	if len(o.Vec) != x.pcaModel.N() {
-		return fmt.Errorf("core: vector dim %d, index expects %d", len(o.Vec), x.pcaModel.N())
-	}
-	pos := d.appendLog(o)
-	x.pcaModel.TransformInto(d.projRow(pos), o.Vec)
-	d.dead = d.dead.grown(len(d.objs))
-	d.idToPos.put(o.ID, pos)
-
-	proj := d.projRow(pos)
-	s, bestS, t, bestT := x.nearestSides(o.X, o.Y, proj)
-
-	// Group membership and covering radii (original-space semantic
-	// distance, matching the bound scanDelta applies).
-	key := uint32(x.cell(s, t))
-	gi, ok := d.groupIdx.get(key)
-	if !ok {
-		gi = uint32(d.groups.push(overlayGroup{s: s, t: t}))
-		d.groupIdx.put(key, gi)
-	}
-	g := d.groups.mut(int(gi))
-	g.maxDs = max(g.maxDs, bestS)
-	g.maxDt = max(g.maxDt, x.space.SemanticVec(o.Vec, x.tCent[t]))
-	g.members = append(g.members, pos)
-
-	// Scalar per-clone counters (the struct copy made them private).
-	x.insertsSinceBuild++
-	if bestS > x.builtSRad[s] || bestT > x.builtTRadProj[t] {
-		x.radiusDrifts++
-	}
-	d.liveCount++
-	d.ops++
-	x.live++
-	x.UpdatesSinceBuild++
-	return nil
-}
-
-// deltaDelete is Delete's overlay path: overlay inserts die in the log,
-// base objects get a tombstone bit; the base deleted bitmap, ID table
-// and cluster structures stay untouched.
-func (x *Index) deltaDelete(id uint32) error {
-	d := x.delta
-	d.beginWrite()
-	if pos, ok := d.idToPos.del(id); ok {
-		d.dead.set(pos)
-		d.liveCount--
-	} else {
-		idx, ok := x.idIdx.get(id)
-		if !ok || d.tombs.get(idx) {
-			return fmt.Errorf("core: object ID %d not present", id)
-		}
-		if !d.ownsTombs {
-			d.tombs, d.ownsTombs = d.tombs.clone(), true
-		}
-		d.tombs.set(idx)
-		d.nTombs++
-	}
-	d.ops++
-	x.live--
-	x.UpdatesSinceBuild++
-	return nil
-}
-
 // scanDelta chains the overlay's live inserts onto an exact k-NN heap.
 // Groups prune with the Lemma 4.4 bound against their covering radii:
 // for a member o of group (s,t), the triangle inequality gives
@@ -323,10 +254,11 @@ func (x *Index) deltaDelete(id uint32) error {
 // kernel as in scanCluster, with the bound capped by the read's radius
 // (+Inf for none). On a stripe of sh, h is nil and sh's one heap takes
 // the pushes and sets every cut (see kth).
-// Centroid distances are computed directly (not via the scratch memo
-// tables) because not every caller maintains the memo invariant; group
-// counts are bounded by the compaction threshold, and in practice far
-// smaller.
+// Centroid distances come from sc's memo tables, which every caller set
+// up for q on x just before (orderByBound; SearchAblated's eager fills):
+// the spatial ones are all filled, a semantic one is computed on first
+// use, so a query pays at most Kt semantic centroid distances however
+// many groups the overlay holds.
 func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, h *knn.Heap, sh *stripeJob, st *metric.Stats) {
 	d := x.delta
 	if d == nil || d.liveCount == 0 {
@@ -340,9 +272,7 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 	for gi := 0; gi < d.groups.n; gi++ {
 		g := d.groups.at(gi)
 		if u, full := kth(h, rs.radius, sh); full {
-			dsqG := x.space.SpatialXY(q.X, q.Y, x.sCentX[g.s], x.sCentY[g.s])
-			dtqG := x.space.SemanticVec(q.Vec, x.tCent[g.t])
-			if lowerBound(lambda, dsqG, g.maxDs, dtqG, g.maxDt) > u {
+			if lowerBound(lambda, sc.dsq[g.s], g.maxDs, x.centroidDist(sc, q, g.t), g.maxDt) > u {
 				if st != nil {
 					st.ClustersPruned++
 					for _, pos := range g.members {
@@ -399,9 +329,9 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 // sets every side radius by Build's rule, the max over the side's live
 // rows, and derives the rest over the kept model — centroids, PCA,
 // anchor set and space. The result is cluster-major with every row
-// anchored, as a built or loaded index is, and shares nothing a write
-// to it could reach with x, so it may be written in place before it is
-// published. The drift state carries over: it counts from the last
+// anchored, as a built or loaded index is; its first write creates an
+// overlay of its own, so it may be written before it is published
+// without reaching x. The drift state carries over: it counts from the last
 // build. Exact answers are bit-identical across the fold: both sides
 // select the top-k by (distance, ID) from the same live set under
 // admissible-only pruning.

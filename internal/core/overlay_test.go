@@ -8,18 +8,18 @@ import (
 	"repro/internal/knn"
 )
 
-// mutateBoth drives an overlay clone and an independent copy written in
-// place through the same write stream: inserts of fresh objects, deletes of base objects,
+// mutateBoth drives an overlay clone and an independent copy through the
+// same write stream: inserts of fresh objects, deletes of base objects,
 // updates, and deletes of overlay-inserted objects. Returns the set of
 // IDs that must not appear in any result.
-func mutateBoth(t *testing.T, overlay, inPlace *Index, extra []dataset.Object, baseIDs []uint32) map[uint32]bool {
+func mutateBoth(t *testing.T, overlay, twin *Index, extra []dataset.Object, baseIDs []uint32) map[uint32]bool {
 	t.Helper()
 	apply := func(op string, fn func(x *Index) error) {
 		if err := fn(overlay); err != nil {
 			t.Fatalf("overlay %s: %v", op, err)
 		}
-		if err := fn(inPlace); err != nil {
-			t.Fatalf("in place %s: %v", op, err)
+		if err := fn(twin); err != nil {
+			t.Fatalf("twin %s: %v", op, err)
 		}
 	}
 	deadIDs := make(map[uint32]bool)
@@ -65,9 +65,14 @@ func overlayFixture(t *testing.T, size int) (*fixture, *Index, *Index, map[uint3
 		baseIDs = append(baseIDs, f.ds.Objects[(i*37+11)%size].ID)
 	}
 	overlay := f.idx.CloneWithDelta()
-	inPlace := saveLoad(t, f.idx)
-	deadIDs := mutateBoth(t, overlay, inPlace, extra, dedupIDs(baseIDs))
-	return f, overlay, inPlace, deadIDs
+	twin := saveLoad(t, f.idx)
+	deadIDs := mutateBoth(t, overlay, twin, extra, dedupIDs(baseIDs))
+	// The twin shares nothing with f.idx and folds its own overlay.
+	twin, err = twin.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, overlay, twin, deadIDs
 }
 
 func dedupIDs(ids []uint32) []uint32 {
@@ -83,12 +88,12 @@ func dedupIDs(ids []uint32) []uint32 {
 }
 
 // The tentpole property: after an identical mutation stream, base+delta
-// search is bit-identical to an independent copy written in place AND to the
-// compacted fold, across every exact mode.
+// search is bit-identical to an independent copy, written and folded, AND
+// to the overlay's own fold, across every exact mode.
 func TestOverlayExactEquivalence(t *testing.T) {
-	f, overlay, inPlace, _ := overlayFixture(t, 1200)
-	if overlay.Len() != inPlace.Len() {
-		t.Fatalf("live counts diverged: overlay %d, in place %d", overlay.Len(), inPlace.Len())
+	f, overlay, twin, _ := overlayFixture(t, 1200)
+	if overlay.Len() != twin.Len() {
+		t.Fatalf("live counts diverged: overlay %d, twin %d", overlay.Len(), twin.Len())
 	}
 	if err := overlay.CheckInvariants(); err != nil {
 		t.Fatalf("overlay invariants: %v", err)
@@ -110,8 +115,8 @@ func TestOverlayExactEquivalence(t *testing.T) {
 		for _, k := range []int{1, 10, 60} {
 			for qi := 0; qi < 4; qi++ {
 				q := f.ds.Objects[(qi*211+7)%f.ds.Len()]
-				want := inPlace.Search(&q, k, lambda, nil)
-				identicalResults(t, "exact vs in place", want, overlay.Search(&q, k, lambda, nil))
+				want := twin.Search(&q, k, lambda, nil)
+				identicalResults(t, "exact vs twin", want, overlay.Search(&q, k, lambda, nil))
 				identicalResults(t, "exact vs compacted", want, compacted.Search(&q, k, lambda, nil))
 			}
 		}
@@ -120,15 +125,15 @@ func TestOverlayExactEquivalence(t *testing.T) {
 	// Filtered: an ID-parity predicate.
 	allow := func(id uint32) bool { return id%2 == 0 }
 	identicalResults(t, "filtered",
-		filteredSearch(inPlace, &q, 10, 0.5, allow, nil),
+		filteredSearch(twin, &q, 10, 0.5, allow, nil),
 		filteredSearch(overlay, &q, 10, 0.5, allow, nil))
 	// Range.
 	identicalResults(t, "range",
-		rangeSearch(inPlace, &q, 0.2, 0.5, nil),
+		rangeSearch(twin, &q, 0.2, 0.5, nil),
 		rangeSearch(overlay, &q, 0.2, 0.5, nil))
 	// Box (window around the query).
 	identicalResults(t, "box",
-		boxSearch(inPlace, &q, Window{q.X - 0.2, q.Y - 0.2, q.X + 0.2, q.Y + 0.2}, 10, nil),
+		boxSearch(twin, &q, Window{q.X - 0.2, q.Y - 0.2, q.X + 0.2, q.Y + 0.2}, 10, nil),
 		boxSearch(overlay, &q, Window{q.X - 0.2, q.Y - 0.2, q.X + 0.2, q.Y + 0.2}, 10, nil))
 	// Ablated (all switch combinations stay exact over base+delta).
 	for _, opts := range []AblationOptions{
@@ -136,13 +141,13 @@ func TestOverlayExactEquivalence(t *testing.T) {
 		{DisableInterCluster: true, DisableIntraCluster: true, DisableClusterOrder: true},
 	} {
 		identicalResults(t, "ablated",
-			inPlace.SearchAblated(&q, 10, 0.5, opts, nil),
+			twin.SearchAblated(&q, 10, 0.5, opts, nil),
 			overlay.SearchAblated(&q, 10, 0.5, opts, nil))
 	}
 }
 
 // The approximate mode must never resurrect a deleted object nor miss
-// an overlay insert that the copy written in place returns. (Their
+// an overlay insert that the independent copy returns. (Their
 // base-cluster coverage is heuristic, so full bit-identity is not the
 // contract; skipping tombstones and offering every overlay insert that
 // can enter the answer is.)
@@ -206,8 +211,8 @@ func TestOverlayCloneIsolation(t *testing.T) {
 // table's buckets, the group chunks and member lists — was written by
 // the parent with room to spare, so a write that skipped its copy would
 // land in a sibling. Each of the three must equal an independent copy
-// fed its own stream in place; exactly one of them (the first to append) keeps the shared
-// log, the other two take the lost-claim copy.
+// fed its own stream; exactly one of them (the first to append) keeps
+// the shared log, the other two take the lost-claim copy.
 func testOverlaySiblingWrites(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 600, Config{Seed: 95})
 	extraDS, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 320, Dim: 32, Seed: 96})
@@ -260,20 +265,20 @@ func testOverlaySiblingWrites(t *testing.T) {
 		common(twin)
 		stream(twin, i)
 		if x.Len() != twin.Len() {
-			t.Fatalf("sibling %d: Len %d, in-place twin %d", i, x.Len(), twin.Len())
+			t.Fatalf("sibling %d: Len %d, twin %d", i, x.Len(), twin.Len())
 		}
 		if err := x.CheckInvariants(); err != nil {
 			t.Fatalf("sibling %d: %v", i, err)
 		}
 		for qi := 0; qi < 8; qi++ {
 			q := extra[(qi*41+200)%len(extra)]
-			identicalResults(t, "sibling vs in-place twin",
+			identicalResults(t, "sibling vs twin",
 				twin.Search(&q, 25, 0.5, nil), x.Search(&q, 25, 0.5, nil))
 		}
 		for _, o := range extra {
 			_, want := twin.Object(o.ID)
 			if _, got := x.Object(o.ID); got != want {
-				t.Fatalf("sibling %d: Object(%d) present=%v, in-place twin %v", i, o.ID, got, want)
+				t.Fatalf("sibling %d: Object(%d) present=%v, twin %v", i, o.ID, got, want)
 			}
 		}
 	}
@@ -282,7 +287,7 @@ func testOverlaySiblingWrites(t *testing.T) {
 // Save on an overlay-carrying snapshot folds the delta (the wire format
 // stays flat), and the loaded index answers like the overlay did.
 func TestOverlayPersistRoundTrip(t *testing.T) {
-	f, overlay, inPlace, _ := overlayFixture(t, 600)
+	f, overlay, twin, _ := overlayFixture(t, 600)
 	var buf bytes.Buffer
 	if err := overlay.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -303,13 +308,13 @@ func TestOverlayPersistRoundTrip(t *testing.T) {
 	for qi := 0; qi < 4; qi++ {
 		q := f.ds.Objects[(qi*97+3)%f.ds.Len()]
 		identicalResults(t, "loaded",
-			inPlace.Search(&q, 10, 0.5, nil),
+			twin.Search(&q, 10, 0.5, nil),
 			loaded.Search(&q, 10, 0.5, nil))
 	}
 }
 
 // Mutation-path bookkeeping: DeltaOps counts every write, duplicate and
-// missing IDs error exactly like the in-place path, and ForEachLive /
+// missing IDs error exactly like a flat index's first write, and ForEachLive /
 // collectLive see base minus tombstones plus live overlay inserts.
 func TestOverlayBookkeeping(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 300, Config{Seed: 94})

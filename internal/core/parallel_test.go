@@ -53,7 +53,6 @@ func sameBuild(t *testing.T, ctx string, a, b *Index) {
 	eq("vector arena", a.vecArena, b.vecArena)
 	eq("projection arena", a.projArena, b.projArena)
 	eq("cells", a.cells, b.cells)
-	eq("semantic side counts", a.tCount, b.tCount)
 	eq("spatial centroids x", a.sCentX, b.sCentX)
 	eq("spatial centroids y", a.sCentY, b.sCentY)
 	eq("spatial radii", a.sRad, b.sRad)

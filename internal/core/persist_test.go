@@ -120,7 +120,7 @@ func TestLoadRejectsUnknownVersion(t *testing.T) {
 
 // A loaded index is derived from the file's base state alone, and is the
 // index the paper's proofs assume: from a fresh build, a build after
-// in-place deletes and the two written states, it is clean under
+// deletes and the two written states, it is clean under
 // CheckInvariants and answers as the linear scan does, ID for ID
 // (TestLoadParentWrittenFile holds a file older code wrote to the same).
 func TestLoadedIndexExact(t *testing.T) {
@@ -137,7 +137,7 @@ func TestLoadedIndexExact(t *testing.T) {
 	}{
 		{"fresh", saveBytes(t, build(t, dataset.YelpLike, 500, Config{Seed: 88}).idx)},
 		{"deletes", saveBytes(t, deletes.idx)},
-		{"eager", saveBytes(t, states["eager"])},
+		{"bare", saveBytes(t, states["bare"])},
 		{"compacted", saveBytes(t, states["compacted"])},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -414,7 +414,7 @@ func (j *stripeJob) join(ended bool) bool {
 			// What neither walk examined was pruned, unless a budget cut
 			// ended one: a cut walk charges nothing, as on one stripe.
 			last.Stats.ClustersPruned += int64(len(x.clusters) - j.popped)
-			last.Stats.InterPruned += x.baseElems() - j.poppedElems
+			last.Stats.InterPruned += x.baseLive() - j.poppedElems
 		}
 		if held := sc.heap.Items(); len(held) > 0 {
 			last.Stats.KthDistance = held[0].Dist

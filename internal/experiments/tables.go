@@ -77,6 +77,11 @@ func Table4(s Setup) ([]Table, error) {
 				return nil, fmt.Errorf("table4: insert %d: %w", i, err)
 			}
 		}
+		// The inserts sit in the write overlay; measure the index they
+		// fold into (§6.2's clusters with their radii grown).
+		if partial, err = partial.Compact(); err != nil {
+			return nil, fmt.Errorf("table4: compact: %w", err)
+		}
 
 		visit := func(idx *core.Index, approx bool) float64 {
 			var st metric.Stats
@@ -150,7 +155,10 @@ func Table5(s Setup) ([]Table, error) {
 			}
 			applied++
 		}
-		// Measure against the index's own live objects.
+		// Measure the folded index, against its own live objects.
+		if idx, err = idx.Compact(); err != nil {
+			return nil, fmt.Errorf("table5: compact: %w", err)
+		}
 		queries := liveQueries(idx, size, s.Queries, s.Seed+7)
 		var stC, stA metric.Stats
 		var errSum float64

@@ -26,7 +26,7 @@ func keywordFixture(t *testing.T) (*Dataset, *Index) {
 // brute-force filter over the live objects, rank by rank with ties by
 // ID: on a bare index and on sharded ones at P = 1, 2 and 4, for
 // k ∈ {1, 10, n+5} and λ ∈ {0, 0.5, 1}, as built, after writes (the
-// overlay on a sharded index, in place on a bare one) and after Compact.
+// overlay on a sharded index, a bare one's own) and after Compact.
 func TestSearchWithKeywordsMatchesBruteForce(t *testing.T) {
 	ds, err := GenerateDataset(DatasetConfig{Kind: TwitterLike, Size: 12000, Dim: 24, Seed: 71})
 	if err != nil {
@@ -96,7 +96,7 @@ func TestSearchWithKeywordsMatchesBruteForce(t *testing.T) {
 			if s, ok := tg.x.(*ShardedIndex); ok {
 				err = s.ApplyBatch([]Op{op})
 			} else {
-				err = applyOp(bare, op)
+				err = writeBare(bare, op)
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", tg.name, err)

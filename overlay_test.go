@@ -44,15 +44,31 @@ func overlayOps(ds *Dataset, n int) []Op {
 	return ops
 }
 
-// The wrapper-level tentpole property: a one-shard index writing
-// through the delta overlay answers every exact query bit-identically
-// to a bare index fed the same ops in place (the path compaction
-// replays), given the same build seed and write stream — before and
-// after compaction.
+// writeBare applies op to a bare index through its public mutators.
+func writeBare(x *Index, op Op) error {
+	switch op.Kind {
+	case OpInsert:
+		return x.Insert(op.Object)
+	case OpDelete:
+		return x.Delete(op.ID)
+	default:
+		return x.Update(op.Object)
+	}
+}
+
+// A one-shard index writing through per-op clones of its overlay and a
+// bare index writing its own overlay, fed the same ops over the same
+// build, answer every exact query as a linear scan of the live objects
+// does, and every range and window read alike — before and after the
+// shard's compaction.
 func TestOverlayConcurrentEquivalence(t *testing.T) {
 	ds := testDataset(t, 800)
 	overlay := ShardedFrom(mustBuild(t, ds, Options{Seed: 41}))
-	inPlace := mustBuild(t, ds, Options{Seed: 41})
+	bare := mustBuild(t, ds, Options{Seed: 41})
+	live := make(map[uint32]Object, ds.Len())
+	for _, o := range ds.Objects {
+		live[o.ID] = o
+	}
 
 	ops := overlayOps(ds, 120)
 	for _, op := range ops {
@@ -61,40 +77,44 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 		if err := overlay.ApplyBatch([]Op{op}); err != nil {
 			t.Fatalf("overlay op: %v", err)
 		}
-		if err := applyOp(inPlace, op); err != nil {
-			t.Fatalf("in-place op: %v", err)
+		if err := writeBare(bare, op); err != nil {
+			t.Fatalf("bare op: %v", err)
+		}
+		if op.Kind == OpDelete {
+			delete(live, op.ID)
+		} else {
+			live[op.Object.ID] = op.Object
 		}
 	}
 	if snapshot(overlay).DeltaOps() == 0 {
 		t.Fatal("overlay wrapper buffered no delta ops (overlay path not engaged)")
 	}
-	if inPlace.DeltaOps() != 0 {
-		t.Fatalf("in-place index buffered %d delta ops", inPlace.DeltaOps())
+	if bare.DeltaOps() != snapshot(overlay).DeltaOps() {
+		t.Fatalf("bare index buffered %d delta ops, the shard %d", bare.DeltaOps(), snapshot(overlay).DeltaOps())
 	}
-	if overlay.Len() != inPlace.Len() {
-		t.Fatalf("live counts diverged: overlay %d, in place %d", overlay.Len(), inPlace.Len())
+	if overlay.Len() != len(live) || bare.Len() != len(live) {
+		t.Fatalf("live counts diverged: overlay %d, bare %d, want %d", overlay.Len(), bare.Len(), len(live))
 	}
+	liveDS := &Dataset{Dim: ds.Dim}
+	for _, o := range live {
+		liveDS.Objects = append(liveDS.Objects, o)
+	}
+	oracle := scan.New(liveDS, bare.space)
 	compare := func(stage string) {
 		t.Helper()
 		for qi := 0; qi < 6; qi++ {
 			q := ds.Objects[(qi*101+3)%ds.Len()]
 			for _, lambda := range []float64{0, 0.5, 1} {
-				want := mustDo(inPlace, SearchRequest{Query: &q, K: 10, Lambda: lambda})
-				got := mustDo(overlay, SearchRequest{Query: &q, K: 10, Lambda: lambda})
-				if len(want) != len(got) {
-					t.Fatalf("%s: exact λ=%v sizes %d vs %d", stage, lambda, len(got), len(want))
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s: exact λ=%v result %d = %+v, want %+v", stage, lambda, i, got[i], want[i])
-					}
-				}
+				ctx := fmt.Sprintf("%s q%d λ=%v", stage, qi, lambda)
+				want := oracle.Search(&q, 10, lambda, nil)
+				equalResults(t, ctx+" bare", want, mustDo(bare, SearchRequest{Query: &q, K: 10, Lambda: lambda}))
+				equalResults(t, ctx+" overlay", want, mustDo(overlay, SearchRequest{Query: &q, K: 10, Lambda: lambda}))
 			}
 			r := 0.25
 			ranged := SearchRequest{Query: &q, K: ds.Len(), Lambda: 0.5, Radius: &r}
-			equalResults(t, stage+" range", mustDo(inPlace, ranged), mustDo(overlay, ranged))
+			equalResults(t, stage+" range", mustDo(bare, ranged), mustDo(overlay, ranged))
 			boxed := SearchRequest{Query: &q, K: 8, Window: &Window{LoX: q.X - 0.3, LoY: q.Y - 0.3, HiX: q.X + 0.3, HiY: q.Y + 0.3}}
-			equalResults(t, stage+" box", mustDo(inPlace, boxed), mustDo(overlay, boxed))
+			equalResults(t, stage+" box", mustDo(bare, boxed), mustDo(overlay, boxed))
 			// Approximate answers are not contractually identical across
 			// representations, but every returned ID must be live.
 			for _, r := range mustDo(overlay, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Approx: true}) {
@@ -182,6 +202,65 @@ func TestOverlayThresholdValidation(t *testing.T) {
 	}
 }
 
+// A bare index buffers its writes in its own overlay and folds within
+// the write that brings the overlay to its threshold. After every write,
+// the folding one included, exact answers equal the linear scan's, rank
+// by rank with ties by ID, at λ ∈ {0, 0.5, 1} and k ∈ {1, 10, n+5}, and
+// the invariants hold; the fold leaves no op buffered and no row
+// unanchored.
+func TestBareIndexFoldsAtThreshold(t *testing.T) {
+	ds := testDataset(t, 600)
+	const threshold = 24
+	x := mustBuild(t, ds, Options{Seed: 61, DeltaCompactThreshold: threshold})
+	live := make(map[uint32]Object, ds.Len())
+	for _, o := range ds.Objects {
+		live[o.ID] = o
+	}
+	folds := 0
+	for i, op := range overlayOps(ds, 40) {
+		before := x.DeltaOps()
+		if err := writeBare(x, op); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		if op.Kind == OpDelete {
+			delete(live, op.ID)
+		} else {
+			live[op.Object.ID] = op.Object
+		}
+		switch after := x.DeltaOps(); {
+		case after == 0:
+			if before+2 < threshold {
+				t.Fatalf("op %d folded at %d buffered ops, threshold %d", i, before, threshold)
+			}
+			if n := x.UnanchoredRows(); n != 0 {
+				t.Fatalf("op %d: %d unanchored rows after the fold", i, n)
+			}
+			folds++
+		case after >= threshold:
+			t.Fatalf("op %d left %d ops buffered, threshold %d", i, after, threshold)
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		liveDS := &Dataset{Dim: ds.Dim}
+		for _, o := range live {
+			liveDS.Objects = append(liveDS.Objects, o)
+		}
+		oracle := scan.New(liveDS, x.space)
+		n := len(live)
+		q := ds.Objects[(i*131+7)%ds.Len()]
+		for _, lambda := range []float64{0, 0.5, 1} {
+			for _, k := range []int{1, 10, n + 5} {
+				equalResults(t, fmt.Sprintf("op %d λ=%v k=%d", i, lambda, k),
+					oracle.Search(&q, k, lambda, nil), mustDo(x, SearchRequest{Query: &q, K: k, Lambda: lambda}))
+			}
+		}
+	}
+	if folds == 0 {
+		t.Fatal("no write folded the overlay")
+	}
+}
+
 // The eager-clone write mode is gone: a threshold of -1 — in Options, as
 // in a file saved while it existed — means the default, so the first
 // write is buffered in the overlay, and the setter refuses it.
@@ -205,8 +284,8 @@ func TestOverlayNegativeThresholdMeansDefault(t *testing.T) {
 }
 
 // Sharded overlay writes keep the scatter/gather exact contract: the
-// merged result is bit-identical to an unsharded index fed the same
-// stream in place, and per-shard stats expose the overlay state.
+// merged result is bit-identical to a bare index fed the same stream,
+// and per-shard stats expose the overlay state.
 func TestOverlayShardedEquivalence(t *testing.T) {
 	ds := testDataset(t, 900)
 	for _, p := range []int{1, 3} {
@@ -219,7 +298,7 @@ func TestOverlayShardedEquivalence(t *testing.T) {
 			if err := s.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("P=%d sharded op: %v", p, err)
 			}
-			if err := applyOp(flat, op); err != nil {
+			if err := writeBare(flat, op); err != nil {
 				t.Fatalf("P=%d flat op: %v", p, err)
 			}
 		}
@@ -379,7 +458,7 @@ func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 			if err := w.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if err := applyOp(twin, op); err != nil {
+			if err := writeBare(twin, op); err != nil {
 				t.Fatalf("%s twin: %v", name, err)
 			}
 		}

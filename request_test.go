@@ -528,8 +528,10 @@ func TestRequestConformance(t *testing.T) {
 // the batch executors beside the one pool over execute, the keyword read
 // mode and the eager-clone write path, the panicking helpers of the
 // deleted wrappers, the second snapshot-published flavor —
-// ConcurrentIndex is ShardedIndex — and core's copy-on-write clone, whose
-// last caller was the compaction replay a fold through derive replaced.
+// ConcurrentIndex is ShardedIndex — core's copy-on-write clone, whose
+// last caller was the compaction replay a fold through derive replaced,
+// and core's in-place write path, since every write lands in the
+// overlay.
 func TestAPISurface(t *testing.T) {
 	do := []string{"Do", "DoBatch", "DoBatchContext", "DoContext"}
 	for _, c := range []struct {
@@ -581,16 +583,24 @@ func TestAPISurface(t *testing.T) {
 	}
 	for _, f := range corePkgs["core"].Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			var name string
+			var names []string
 			switch d := n.(type) {
 			case *ast.FuncDecl:
-				name = d.Name.Name
+				names = append(names, d.Name.Name)
 			case *ast.TypeSpec:
-				name = d.Name.Name
+				names = append(names, d.Name.Name)
+			case *ast.Field:
+				for _, id := range d.Names {
+					names = append(names, id.Name)
+				}
 			}
-			switch name {
-			case "cowHybrid", "markOwnedHybrid", "cowState":
-				t.Errorf("core's copy-on-write clone machinery (%s) is back", name)
+			for _, name := range names {
+				switch name {
+				case "cowHybrid", "markOwnedHybrid", "cowState":
+					t.Errorf("core's copy-on-write clone machinery (%s) is back", name)
+				case "appendArenaRows", "arenaCap", "appendAnchorRow", "insertMember", "removeMember", "addToHybrid", "gathered", "tCount":
+					t.Errorf("core's in-place write path (%s) is back: every write lands in the overlay", name)
+				}
 			}
 			return true
 		})

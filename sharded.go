@@ -421,8 +421,8 @@ type ShardStat struct {
 	// BaseAge is how long ago the shard's flat base was published —
 	// unlike SnapshotAge it moves only on compactions and rebuilds.
 	BaseAge time.Duration
-	// Unanchored is the shard's Index.UnanchoredRows: live objects a
-	// rebuild would give back their anchor bound.
+	// Unanchored is the shard's Index.UnanchoredRows: the overlay's live
+	// inserts, which the next compaction or rebuild anchors.
 	Unanchored int
 	// Heap is the snapshot's heap ledger, bytes per structure — what a
 	// host is sized by.

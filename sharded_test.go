@@ -596,6 +596,54 @@ func TestShardedUnanchoredRows(t *testing.T) {
 	check("rebuilt", live, 0)
 }
 
+// TestShardedLateWritesFoldedByCompact: writes that arrive while a
+// background fold runs are replayed into the fold's write overlay, so
+// the explicit Compact that follows folds and anchors them. Two shards
+// of 10k rows at threshold 4 take 400 inserts back to back, each write
+// starting or meeting a fold; afterwards no shard buffers an op or holds
+// an unanchored row, the invariants hold and exact answers equal the
+// linear scan's.
+func TestShardedLateWritesFoldedByCompact(t *testing.T) {
+	ds := testDataset(t, 20_000)
+	s := mustBuildSharded(t, ds, 2, Options{Seed: 9, DeltaCompactThreshold: 4})
+	space, err := metric.NewSpace(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &Dataset{Dim: ds.Dim, Objects: append([]Object(nil), ds.Objects...)}
+	for i := 0; i < 400; i++ {
+		o := ds.Objects[(i*37+5)%ds.Len()]
+		o.ID = uint32(900_000 + i)
+		o.Y = 1 - o.Y
+		if err := s.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+		live.Objects = append(live.Objects, o)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range s.ShardStats() {
+		if st.DeltaOps != 0 || st.Unanchored != 0 {
+			t.Fatalf("shard %d: %d overlay ops and %d unanchored rows after Compact", st.Shard, st.DeltaOps, st.Unanchored)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	oracle := scan.New(live, space)
+	n := live.Len()
+	for qi := 0; qi < 3; qi++ {
+		q := live.Objects[(qi*7919+400)%n]
+		for _, lambda := range []float64{0, 0.5, 1} {
+			for _, k := range []int{1, 10, n + 5} {
+				equalResults(t, fmt.Sprintf("q%d λ=%v k=%d", qi, lambda, k),
+					oracle.Search(&q, k, lambda, nil), mustDo(s, SearchRequest{Query: &q, K: k, Lambda: lambda}))
+			}
+		}
+	}
+}
+
 // TestShardedCompactIsAFoldPoint: a write that crosses the threshold
 // starts a background fold of a shard large enough that the fold takes
 // milliseconds, and a Compact called at once — with one more write
