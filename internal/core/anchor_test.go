@@ -460,8 +460,8 @@ func deleteClusters(t *testing.T, x *Index, clusters int) {
 	t.Helper()
 	var ids []uint32
 	for _, c := range x.clusters[:clusters] {
-		for _, idx := range c.members {
-			ids = append(ids, x.ids[idx])
+		for _, e := range c.elems {
+			ids = append(ids, x.ids[e.idx])
 		}
 	}
 	for _, id := range ids {

@@ -2,10 +2,10 @@ package core
 
 import "math/bits"
 
-// bitset is a packed bitmap over storage positions — the representation
-// of the deleted set and of the overlay's tombstone/dead sets. Packing
-// 64 membership flags per word makes the per-clone copy and the linear
-// liveness scans 8× smaller than the old []bool, and the hot membership
+// bitset is a packed bitmap over positions — the representation of the
+// overlay's tombstone and dead sets and of its group chunks' ownership.
+// Packing 64 membership flags per word makes the per-clone copy and the
+// linear liveness scans 8× smaller than a []bool, and the hot membership
 // check stays a shift+mask.
 //
 // Delta clones share the words and never write them; a delta that must
@@ -76,26 +76,4 @@ func (b bitset) countRange(lo, hi int) int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// bitsetFromBools packs a []bool (the persisted wire layout) into a
-// bitset covering n bits; extra capacity stays zero.
-func bitsetFromBools(src []bool, n int) bitset {
-	b := newBitset(n)
-	for i, v := range src {
-		if v {
-			b.set(uint32(i))
-		}
-	}
-	return b
-}
-
-// bools unpacks the first n bits into a []bool (the persisted wire
-// layout, kept stable across the bitset change).
-func (b bitset) bools(n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = b.get(uint32(i))
-	}
-	return out
 }

@@ -58,13 +58,6 @@ func TestBitsetEquivalence(t *testing.T) {
 			t.Fatalf("countRange(%d, %d) = %d, reference %d", lo, hi, got, want)
 		}
 	}
-	// Round trip through the persisted []bool layout.
-	back := bitsetFromBools(b.bools(len(ref)), len(ref))
-	for i := range ref {
-		if back.get(uint32(i)) != ref[i] {
-			t.Fatalf("round trip: bit %d = %v, reference %v", i, back.get(uint32(i)), ref[i])
-		}
-	}
 }
 
 // TestBitsetCloneIsolation checks a clone's writes never leak into the

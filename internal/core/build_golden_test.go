@@ -14,9 +14,10 @@ import (
 
 // goldenDigest is the sha256 of everything Build decides: the Save
 // bytes (objects in storage order, arenas, PCA model, centroids, radii,
-// assignments, member lists in order — the format holds
-// no map, so it is deterministic) followed by the anchor arena, which
-// Save leaves out.
+// assignments — the format holds no map, so it is deterministic)
+// followed by what Save leaves out: the anchor arena, then every
+// cluster's element array in directory order, each element's storage
+// position and threshold bits.
 func goldenDigest(t *testing.T, x *Index) string {
 	t.Helper()
 	h := sha256.New()
@@ -24,10 +25,20 @@ func goldenDigest(t *testing.T, x *Index) string {
 		t.Fatal(err)
 	}
 	h.Write(x.anchors.id)
-	var b [4]byte
+	var b [8]byte
 	for _, d := range x.anchors.dist {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(d))
-		h.Write(b[:])
+		binary.LittleEndian.PutUint32(b[:4], math.Float32bits(d))
+		h.Write(b[:4])
+	}
+	for _, c := range x.clusters {
+		for _, e := range c.elems {
+			binary.LittleEndian.PutUint32(b[:4], e.idx)
+			h.Write(b[:4])
+			for _, v := range []float64{e.ds, e.dt} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -39,9 +50,11 @@ func goldenDigest(t *testing.T, x *Index) string {
 // their maintained L_s order with zero counts kept in the saved Config,
 // the cluster router's weights dropped from the file, the side member
 // lists (derived since the index stopped keeping them) saved in
-// ascending storage order — and were unchanged by the build-kernel
-// rework before that. The last re-pin moved nothing else: the parent
-// code with only its saved side-list order changed gives these digests. "shared"
+// ascending storage order, then every derived section dropped from the
+// file and the element arrays hashed after it instead — and were
+// unchanged by the build-kernel rework before that. The last re-pin
+// moved nothing else: the code before it, given only this Save and this
+// digest, gives these digests. "shared"
 // is the shape BuildSharded gives a shard: an anchor set fitted over
 // the whole corpus, the build over a third of it deriving its own
 // cluster counts.
@@ -50,10 +63,10 @@ func TestBuildGolden(t *testing.T) {
 		t.Skip("digests pinned on amd64: an architecture whose compiler fuses multiply-adds rounds the float64 reductions differently")
 	}
 	want := map[string]string{
-		"twitter/flat":   "350d03c4f8121a277e1d5bc620c1765b85260592265f3c9192dfb08acf22f86e",
-		"twitter/shared": "615fdd988d8aadc3be7546206bad6ec6f285a631f70369869fe1a5373fdac630",
-		"yelp/flat":      "3f31e873e66842b31ad1f75ad203b775f70260622c2f74c90fb9ac548c3903c7",
-		"yelp/shared":    "3858bbdbc63dc78492fff2d059784c7c36b409c395d62548b87de8304b82ade7",
+		"twitter/flat":   "8c4fdbeeae44debf49685db62f3f6a528cb5fdde72e886d3d405dfbd9dd5ed37",
+		"twitter/shared": "accc4e426441657a96d3b6b37545a853f7e4cf978f09bab3d976931327f4d03f",
+		"yelp/flat":      "effb7b33f4950ad2fa546b3b3ed255a50fed20d281d43708b7611c211e631606",
+		"yelp/shared":    "5d7f01e4e25e154f0cb51f1f3071c8a5c53da350b98ddc341cdd5230f8209b8c",
 	}
 	for _, kind := range []dataset.Kind{dataset.TwitterLike, dataset.YelpLike} {
 		ds, err := dataset.Generate(dataset.GenConfig{Kind: kind, Size: 3000, Dim: 32, Seed: 51})

@@ -91,13 +91,13 @@ func sidesShared(x *Index, c *hybrid) bool {
 	var inS, inT int
 	for _, cc := range x.clusters {
 		if cc.s == c.s {
-			inS += len(cc.members)
+			inS += len(cc.elems)
 		}
 		if cc.t == c.t {
-			inT += len(cc.members)
+			inT += len(cc.elems)
 		}
 	}
-	return inS > len(c.members) && inT > len(c.members)
+	return inS > len(c.elems) && inT > len(c.elems)
 }
 
 // emptyAndRefillPair deletes every member of one small hybrid cluster of
@@ -121,13 +121,13 @@ func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
 	// A few candidates: re-insertion assigns by nearest centroid, which
 	// for an object on a Voronoi edge need not be the build's pair.
 	for _, c := range x.clusters {
-		if len(c.members) > 3 || !sidesShared(x, c) {
+		if len(c.elems) > 3 || !sidesShared(x, c) {
 			continue
 		}
 		cell := x.cell(c.s, c.t)
 		var objs []dataset.Object
-		for _, idx := range c.members {
-			objs = append(objs, x.row(idx))
+		for _, e := range c.elems {
+			objs = append(objs, x.row(e.idx))
 		}
 		emptied := x.CloneWithDelta()
 		for _, o := range objs {
@@ -145,7 +145,7 @@ func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
 			}
 		}
 		refilled := fold(emptied, "refilled")
-		if nc := refilled.grid[cell]; nc != nil && len(nc.members) == len(objs) {
+		if nc := refilled.grid[cell]; nc != nil && len(nc.elems) == len(objs) {
 			return c.s, c.t
 		}
 	}
@@ -194,7 +194,7 @@ func TestGridEmptiedPairUnderReaders(t *testing.T) {
 	child := parent.CloneWithDelta()
 	var c *hybrid
 	for _, cc := range parent.clusters {
-		if len(cc.members) <= 3 && sidesShared(parent, cc) {
+		if len(cc.elems) <= 3 && sidesShared(parent, cc) {
 			c = cc
 			break
 		}
@@ -202,8 +202,8 @@ func TestGridEmptiedPairUnderReaders(t *testing.T) {
 	if c == nil {
 		t.Fatal("fixture has no small cluster")
 	}
-	for _, idx := range c.members {
-		if err := child.Delete(parent.ids[idx]); err != nil {
+	for _, e := range c.elems {
+		if err := child.Delete(parent.ids[e.idx]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -128,9 +128,8 @@ func clusterCount(n int, f float64) int {
 
 // member is one object of a hybrid cluster with its true normalized
 // distances to the cluster's two centroids: the sort key of both of the
-// cluster's lists. A cluster stores only idx and dt (see hybrid); ds is
-// one 2-D distance away (spatialToCent), recomputed where an order needs
-// it, so member is the transient record of a sort.
+// lists the cluster's array is merged from. No cluster stores it; it is
+// the transient record of derive's sort (and of CheckInvariants').
 type member struct {
 	idx    uint32 // storage position of the object's row
 	ds, dt float64
@@ -145,11 +144,10 @@ type element struct {
 }
 
 // hybrid is one hybrid cluster C = ⟨C^s,R^s,C^t,R^t⟩ plus its object
-// array. The fields a cluster visit reads before it touches a row — the
-// side pair, the array header, the head thresholds and the block base —
-// come first and fill one 64-byte line; the two sorted lists the array
-// is merged from (members with dt, and byDt; see array.go), which only
-// Save and CheckInvariants read, follow.
+// array, the only order of its members it keeps (see array.go). Its
+// fields — the side pair, the array header, the head thresholds and the
+// block base, all a cluster visit reads before it touches a row — fill
+// one 64-byte line.
 type hybrid struct {
 	s, t  int // side-cluster indices
 	elems []element
@@ -163,14 +161,6 @@ type hybrid struct {
 	// window of the arenas. Like the head thresholds it is derived data,
 	// set by fillClusterBlock; read through Index.block (see layout.go).
 	base int
-	// members is L_s: the storage positions of the members by descending
-	// ds, and dt[p] is member p's semantic distance (structure of arrays);
-	// byDt lists member positions in L_t order, by descending dt. ds is
-	// not stored: it is recomputed from the coordinate arena. Only Save's
-	// legacy cluster section and CheckInvariants read the lists.
-	members []uint32
-	dt      []float64
-	byDt    []uint32
 }
 
 // Index is a built CSSI/CSSIA index. Both query algorithms share one
@@ -185,15 +175,16 @@ type Index struct {
 	// its location in xArena/yArena, its vector in vecArena and the rest
 	// in the three columns below, which is all that no arena holds (Topic
 	// only because Save writes it). row assembles the object back.
-	ids     []uint32
-	texts   []string
-	topics  []int
-	deleted bitset
-	live    int
-	// idIdx maps the ID of every row not deleted to its storage position.
-	// Build, Load and Compact bulk-build it; the overlay never writes it,
-	// so CloneWithDelta shares the table whole. Only Load sets deleted
-	// bits, from a file older code saved after deleting in place.
+	// Every row is live in the base: Load drops the rows an older file
+	// flags deleted, and a delete lands in the overlay. live counts the
+	// base rows plus the overlay's live inserts minus its tombstones.
+	ids    []uint32
+	texts  []string
+	topics []int
+	live   int
+	// idIdx maps the ID of every row to its storage position. Build,
+	// Load and Compact bulk-build it; the overlay never writes it, so
+	// CloneWithDelta shares the table whole.
 	idIdx *idTable
 
 	// delta, when non-nil, is this snapshot's mutable write overlay (see
@@ -301,7 +292,6 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 		cfg:         cfg,
 		space:       space,
 		dim:         len(ds.Objects[0].Vec),
-		deleted:     newBitset(n),
 		scratchPool: newScratchPool(),
 	}
 	// The columns are filled in input order and the vectors stay the
@@ -317,7 +307,7 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	}
 	x.setColumns(ds.Objects)
 	var err error
-	if x.idIdx, err = newIDTable(x.ids, x.deleted, cfg.Workers); err != nil {
+	if x.idIdx, err = newIDTable(x.ids, cfg.Workers); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
@@ -491,23 +481,26 @@ func membersByAssign(assign []int, k int) [][]uint32 {
 }
 
 // derive produces the index's derived state from its base state alone —
-// the columns and arenas, the deleted bitmap, the cell column and the
-// model — and is the only code that does: Build and Compact end in it,
-// and Load is decode, validate, derive. ds and dt hold every live row's
-// distances to its two side centroids; vecs holds one vector per row
-// before the vector arena is written (Build's, or views of the folded
-// snapshot's arena and overlay log; nil from Load). In turn it counts
-// the live rows, forms the hybrid clusters over them, orders each and
-// merges its array, renumbers storage into the order
-// those arrays dictate (which keeps the lists sorted; see byDsCmp),
-// anchors every row over set (fitted here when nil) that does not carry
-// an anchor over it already (buildAnchors) and fills every scan
-// block — a window of the arenas — and restarts the drift baseline from
-// the current radii.
+// the columns and arenas, the cell column and the model — and is the
+// only code that does: Build and Compact end in it, and Load is decode,
+// validate, derive. ds and dt hold every row's distances to its two side
+// centroids; vecs holds one vector per row before the vector arena is
+// written (Build's, or views of the folded snapshot's arena and overlay
+// log; nil from Load). In turn it forms the hybrid clusters over the
+// rows, merges each one's array, renumbers storage into the order those
+// arrays dictate, anchors every row over set (fitted here when nil) that
+// does not carry an anchor over it already (buildAnchors) and fills
+// every scan block — a window of the arenas — and restarts the drift
+// baseline from the current radii.
 func (x *Index) derive(ds, dt []float64, vecs [][]float32, set *Anchors) {
-	x.live = x.rows() - x.deleted.count()
+	x.live = x.rows()
 	x.grid, x.clusters = make([]*hybrid, len(x.sCentX)*len(x.tCent)), nil
-	x.orderClusters(x.formHybrids(ds, dt))
+	ms := x.formHybrids(ds, dt)
+	par.For(len(x.clusters), x.cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x.clusters[i].buildElems(ms[i])
+		}
+	})
 	x.layoutClusterMajor(vecs)
 	x.anchors = x.buildAnchors(set)
 	for _, c := range x.clusters {
@@ -517,27 +510,21 @@ func (x *Index) derive(ds, dt []float64, vecs [][]float32, set *Anchors) {
 	x.builtTRadProj = append([]float64(nil), x.tRadProj...)
 }
 
-// formHybrids places every live row in the hybrid cluster its cell
-// names, with precomputed centroid distances: clusters appear in the
-// directory in order of their first row. It returns, per cluster in
-// directory order, the cluster's members in storage order as windows of
-// one transient buffer (a counting pass sizes them), for orderClusters
-// to sort.
+// formHybrids places every row in the hybrid cluster its cell names,
+// with precomputed centroid distances: clusters appear in the directory
+// in order of their first row. It returns, per cluster in directory
+// order, the cluster's members in storage order as windows of one
+// transient buffer (a counting pass sizes them), for buildElems to sort.
 func (x *Index) formHybrids(ds, dt []float64) [][]member {
 	counts := make([]int, len(x.grid))
-	for i, cell := range x.cells {
-		if !x.deleted.get(uint32(i)) {
-			counts[cell]++
-		}
+	for _, cell := range x.cells {
+		counts[cell]++
 	}
-	buf := make([]member, x.live)
+	buf := make([]member, x.rows())
 	var ms [][]member
 	slot := make([]int32, len(x.grid)) // cell → index into ms
 	off := 0
 	for i, cell := range x.cells {
-		if x.deleted.get(uint32(i)) {
-			continue
-		}
 		if x.grid[cell] == nil {
 			n := counts[cell]
 			s, t := x.sides(cell)
@@ -553,42 +540,15 @@ func (x *Index) formHybrids(ds, dt []float64) [][]member {
 	return ms
 }
 
-// orderClusters orders every cluster from scratch — ms[i] holds the
-// members of x.clusters[i] with their distances, in any order — and
-// merges its array (parallel over clusters). The lists of all clusters
-// are windows of three buffers.
-func (x *Index) orderClusters(ms [][]member) {
-	n := 0
-	for _, m := range ms {
-		n += len(m)
-	}
-	pos, dt, byDt := make([]uint32, n), make([]float64, n), make([]uint32, n)
-	off := 0
-	for i, c := range x.clusters {
-		k := off + len(ms[i])
-		c.members, c.dt, c.byDt = pos[off:k:k], dt[off:k:k], byDt[off:k:k]
-		off = k
-	}
-	par.For(len(x.clusters), x.cfg.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x.clusters[i].buildElems(ms[i])
-		}
-	})
-}
-
-// sideDists returns every live row's distances to its two side
-// centroids — spatial, semantic and projected semantic — and zeros for
-// a deleted row. Row i's vector is vecs[i], or its vector-arena row when
-// vecs is nil.
+// sideDists returns every row's distances to its two side centroids —
+// spatial, semantic and projected semantic. Row i's vector is vecs[i],
+// or its vector-arena row when vecs is nil.
 func (x *Index) sideDists(vecs [][]float32) (ds, dt, dp []float64) {
 	n := x.rows()
 	ds, dt, dp = make([]float64, n), make([]float64, n), make([]float64, n)
 	par.For(n, x.cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			idx := uint32(i)
-			if x.deleted.get(idx) {
-				continue
-			}
 			var v []float32
 			if vecs != nil {
 				v = vecs[i]
@@ -666,7 +626,7 @@ func (x *Index) setColumns(objs []dataset.Object) {
 	}
 }
 
-// rows returns the number of storage positions, deleted ones included.
+// rows returns the number of storage positions: the base rows.
 func (x *Index) rows() int { return len(x.ids) }
 
 // cell returns the grid position of side pair (s,t).
@@ -676,12 +636,6 @@ func (x *Index) cell(s, t int) int { return s*len(x.tCent) + t }
 func (x *Index) sides(cell uint32) (s, t int) {
 	kt := uint32(len(x.tCent))
 	return int(cell / kt), int(cell % kt)
-}
-
-// dsOf returns the spatial distance of c's L_s member p to c's spatial
-// centroid, recomputed from the coordinate arena as Build computed it.
-func (x *Index) dsOf(c *hybrid) func(p int) float64 {
-	return func(p int) float64 { return x.spatialToCent(c.members[p], c.s) }
 }
 
 // baseLive returns the number of live base rows: the live objects but
@@ -708,7 +662,7 @@ func (x *Index) liveIn(c *hybrid, from, to int) int64 {
 	return n
 }
 
-// Len returns the number of live (non-deleted) objects.
+// Len returns the number of live objects.
 func (x *Index) Len() int { return x.live }
 
 // Dim returns the embedding dimensionality the index was built with —

@@ -156,7 +156,7 @@ func TestCompactFold(t *testing.T) {
 			x := f.over[int(o.ID)%len(f.over)]
 			_, _, side, _ := x.nearestSides(o.X, o.Y, x.pcaModel.Transform(o.Vec))
 			for i, cell := range x.cells {
-				if _, tt := x.sides(cell); tt == side && !x.deleted.get(uint32(i)) {
+				if _, tt := x.sides(cell); tt == side {
 					f.delete(t, x.ids[i])
 				}
 			}

@@ -16,10 +16,8 @@ type HeapBytes struct {
 	IDs         int64 `json:"ids"`         // the ID column
 	Texts       int64 `json:"texts"`       // the text column's string headers
 	Topics      int64 `json:"topics"`      // the topic column
-	Deleted     int64 `json:"deleted"`     // the deleted bitmap
 	Assign      int64 `json:"assign"`      // the cell column: each row's side pair
 	Elems       int64 `json:"elems"`       // the hybrid clusters' element arrays
-	Members     int64 `json:"members"`     // the hybrid clusters' two sorted lists and their dt
 	Clusters    int64 `json:"clusters"`    // cluster headers, directory and grid
 	Model       int64 `json:"model"`       // centroids, radii and the PCA model
 	IDTable     int64 `json:"idTable"`     // the ID → storage position table
@@ -29,7 +27,7 @@ type HeapBytes struct {
 // Total returns the sum over the structures.
 func (h HeapBytes) Total() int64 {
 	return h.Vectors + h.Projections + h.Coords + h.Anchors + h.IDs + h.Texts + h.Topics +
-		h.Deleted + h.Assign + h.Elems + h.Members + h.Clusters + h.Model +
+		h.Assign + h.Elems + h.Clusters + h.Model +
 		h.IDTable + h.Overlay
 }
 
@@ -59,7 +57,6 @@ func (x *Index) HeapBytes() HeapBytes {
 		IDs:         sizeOf(x.ids),
 		Texts:       sizeOf(x.texts),
 		Topics:      sizeOf(x.topics),
-		Deleted:     sizeOf(x.deleted),
 		Assign:      sizeOf(x.cells),
 		Clusters:    sizeOf(x.clusters) + sizeOf(x.grid),
 		Model: sizeOf(x.sCentX) + sizeOf(x.sCentY) + sizeOf(x.sRad) + sizeOf(x.builtSRad) +
@@ -79,7 +76,6 @@ func (x *Index) HeapBytes() HeapBytes {
 	}
 	for _, c := range x.clusters {
 		h.Elems += sizeOf(c.elems)
-		h.Members += sizeOf(c.members) + sizeOf(c.dt) + sizeOf(c.byDt)
 		h.Clusters += int64(unsafe.Sizeof(*c))
 	}
 	return h

@@ -25,46 +25,29 @@ import (
 // write moves a built cluster, and written on the clone, the built
 // index's answers must not move either.
 
-// hybridState is a deep copy of a cluster's lists and array.
-type hybridState struct {
-	members []uint32
-	dt      []float64
-	byDt    []uint32
-	elems   []element
-}
-
-func stateOf(c *hybrid) hybridState {
-	return hybridState{slices.Clone(c.members), slices.Clone(c.dt), slices.Clone(c.byDt), slices.Clone(c.elems)}
-}
-
-func (a hybridState) equal(b hybridState) bool {
-	return slices.Equal(a.members, b.members) && slices.Equal(a.dt, b.dt) &&
-		slices.Equal(a.byDt, b.byDt) && slices.Equal(a.elems, b.elems)
-}
-
-func snapHybrids(x *Index) map[*hybrid]hybridState {
-	snap := make(map[*hybrid]hybridState, len(x.clusters))
+// snapHybrids deep-copies every cluster's array.
+func snapHybrids(x *Index) map[*hybrid][]element {
+	snap := make(map[*hybrid][]element, len(x.clusters))
 	for _, c := range x.clusters {
-		snap[c] = stateOf(c)
+		snap[c] = slices.Clone(c.elems)
 	}
 	return snap
 }
 
 // requireFromScratch holds every cluster of x to a from-scratch ordering
-// of its members — (position, dt) pairs with ds recomputed — fed in
+// of its members — positions with both distances recomputed — fed in
 // reverse so the sort, not the input, decides.
 func requireFromScratch(t testing.TB, ctx string, x *Index) {
 	t.Helper()
 	for ci, c := range x.clusters {
-		ms := make([]member, len(c.members))
-		for p := range ms {
-			ms[p] = c.at(p, x.dsOf(c))
+		ms := make([]member, len(c.elems))
+		for j, e := range c.elems {
+			ms[len(ms)-1-j] = member{idx: e.idx, ds: x.spatialToCent(e.idx, c.s), dt: x.semanticToCent(e.idx, c.t)}
 		}
-		slices.Reverse(ms)
 		var fresh hybrid
 		fresh.buildElems(ms)
-		if !stateOf(c).equal(stateOf(&fresh)) {
-			t.Fatalf("%s: cluster %d (%d members) differs from a from-scratch ordering", ctx, ci, len(c.members))
+		if !slices.Equal(c.elems, fresh.elems) {
+			t.Fatalf("%s: cluster %d (%d members) differs from a from-scratch ordering", ctx, ci, len(c.elems))
 		}
 	}
 }
@@ -77,9 +60,6 @@ func requireRadii(t testing.TB, ctx string, x *Index) {
 	tRad, tRadProj := make([]float64, len(x.tCent)), make([]float64, len(x.tCent))
 	for i := range x.rows() {
 		idx := uint32(i)
-		if x.deleted.get(idx) {
-			continue
-		}
 		s, st := x.sides(x.cells[idx])
 		sRad[s] = max(sRad[s], x.spatialToCent(idx, s))
 		tRad[st] = max(tRad[st], x.semanticToCent(idx, st))
@@ -105,7 +85,7 @@ func radiusSetter(x *Index, kind int) uint32 {
 	for i := range x.rows() {
 		idx := uint32(i)
 		s, st := x.sides(x.cells[idx])
-		if x.deleted.get(idx) || (kind == 0 && s != c.s) || (kind > 0 && st != c.t) {
+		if (kind == 0 && s != c.s) || (kind > 0 && st != c.t) {
 			continue
 		}
 		d := [3]func() float64{
@@ -260,7 +240,7 @@ func runHybridMaintenance(t *testing.T, clone bool, ops []byte) {
 		t.Fatal("the writes changed the built index's cluster list")
 	}
 	for _, c := range parent.clusters {
-		if !stateOf(c).equal(parentSnap[c]) {
+		if !slices.Equal(c.elems, parentSnap[c]) {
 			t.Fatal("the writes changed a built cluster")
 		}
 	}

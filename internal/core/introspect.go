@@ -26,7 +26,7 @@ func (x *Index) ClusterStats() []ClusterInfo {
 	out := make([]ClusterInfo, len(x.clusters))
 	for i, c := range x.clusters {
 		out[i] = ClusterInfo{
-			Size:               len(c.members),
+			Size:               len(c.elems),
 			SpatialRadius:      x.sRad[c.s],
 			SemanticRadius:     x.tRad[c.t],
 			SemanticRadiusProj: x.tRadProj[c.t],
@@ -79,17 +79,14 @@ func (x *Index) UnanchoredRows() int {
 	return x.DeltaLive()
 }
 
-// ForEachLive calls fn for every live (non-deleted) object: the base
-// objects in storage order minus deletions and overlay tombstones, then
+// ForEachLive calls fn for every live object: the base objects in
+// storage order minus overlay tombstones, then
 // the overlay's live inserts in append order. The object is valid for
 // the call only and must not be written: Vec views the index's storage.
 func (x *Index) ForEachLive(fn func(o *dataset.Object)) {
 	tombs := x.deltaTombs()
 	var o dataset.Object
 	for i := range x.ids {
-		if x.deleted.get(uint32(i)) {
-			continue
-		}
 		if tombs != nil && tombs.get(uint32(i)) {
 			continue
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metric"
 	"repro/internal/vec"
@@ -12,19 +13,14 @@ import (
 // after maintenance streams; production code never calls it.
 //
 // Checked invariants:
-//   - every live object belongs to exactly one hybrid cluster, the one
-//     its row's cell names, and its stored dt matches recomputation;
+//   - every row belongs to exactly one hybrid cluster, the one its cell
+//     names: the clusters' arena windows tile storage;
 //   - every cluster radius covers all its members, in all three
 //     representations (spatial, semantic original, semantic projected);
-//   - every element array is conservative (bound dominates the member's
-//     true distances) and monotonically non-increasing in both threshold
-//     coordinates;
-//   - element arrays contain each member exactly once and no deleted
-//     objects;
-//   - every cluster's two maintained lists are strictly sorted (members
-//     in L_s order under recomputed ds, byDt a permutation in L_t order)
-//     and its array is exactly their merge — what a from-scratch ordering
-//     would give;
+//   - every element array is exactly the merge a from-scratch ordering
+//     of its window's rows gives, their distances recomputed as
+//     sideDists computes them — so it lists each member once and is
+//     conservative and monotone (see array.go);
 //   - under the Euclidean semantic metric, each projected semantic
 //     centroid still equals the projection of its original-space
 //     centroid, and the deflated projected weak bound of the lazy
@@ -36,8 +32,8 @@ import (
 //     the deflated anchor bound never exceeds a true distance (sampled) —
 //     the fact the exactness of the row gate rests on.
 //   - every column and arena holds one row per storage position, the ID
-//     table maps exactly the IDs of the rows not deleted to their
-//     positions, and every cell names a grid cell.
+//     table maps exactly the rows' IDs to their positions, and every
+//     cell names a grid cell.
 //   - every cluster's elements are contiguous and its scan block is the
 //     arenas' window over them (see layout.go).
 //   - the Ks×Kt grid holds exactly the listed clusters, each at the cell
@@ -58,80 +54,51 @@ func (x *Index) CheckInvariants() error {
 	if err := x.checkGrid(); err != nil {
 		return err
 	}
+	// Windows of clusters at distinct cells are disjoint once every row
+	// in them carries its cluster's cell, so they tile storage when
+	// their lengths add up to the rows.
 	const eps = 1e-9
-	seen := make(map[uint32]int)
+	rows := 0
 	for ci, c := range x.clusters {
-		if len(c.elems) != len(c.members) {
-			return fmt.Errorf("cluster %d: %d elems for %d members", ci, len(c.elems), len(c.members))
-		}
-		ds := x.dsOf(c)
-		if err := c.checkOrders(ds); err != nil {
-			return fmt.Errorf("cluster %d: %w", ci, err)
-		}
-		memberDs := make(map[uint32]member, len(c.members))
-		for p := range c.members {
-			m := c.at(p, ds)
-			if x.deleted.get(m.idx) {
-				return fmt.Errorf("cluster %d holds deleted object %d", ci, m.idx)
+		ms := make([]member, len(c.elems))
+		for j := range ms {
+			idx := uint32(c.base + j)
+			if x.cells[idx] != uint32(x.cell(c.s, c.t)) {
+				return fmt.Errorf("object %d in the window of cluster (%d,%d), its cell is %d", idx, c.s, c.t, x.cells[idx])
 			}
-			if _, dup := seen[m.idx]; dup {
-				return fmt.Errorf("object %d in more than one hybrid cluster", m.idx)
-			}
-			seen[m.idx] = ci
-			if x.cells[m.idx] != uint32(x.cell(c.s, c.t)) {
-				return fmt.Errorf("object %d listed by cluster (%d,%d), its cell is %d", m.idx, c.s, c.t, x.cells[m.idx])
-			}
-			if dt := x.semanticToCent(m.idx, c.t); abs(dt-m.dt) > eps {
-				return fmt.Errorf("object %d stored dt %v, recomputed %v", m.idx, m.dt, dt)
-			}
+			m := member{idx: idx, ds: x.spatialToCent(idx, c.s), dt: x.semanticToCent(idx, c.t)}
 			if m.ds > x.sRad[c.s]+eps {
-				return fmt.Errorf("object %d outside spatial radius: %v > %v", m.idx, m.ds, x.sRad[c.s])
+				return fmt.Errorf("object %d outside spatial radius: %v > %v", idx, m.ds, x.sRad[c.s])
 			}
 			if m.dt > x.tRad[c.t]+eps {
-				return fmt.Errorf("object %d outside semantic radius: %v > %v", m.idx, m.dt, x.tRad[c.t])
+				return fmt.Errorf("object %d outside semantic radius: %v > %v", idx, m.dt, x.tRad[c.t])
 			}
-			if dp := x.projToCent(m.idx, c.t); dp > x.tRadProj[c.t]+eps {
-				return fmt.Errorf("object %d outside projected radius: %v > %v", m.idx, dp, x.tRadProj[c.t])
+			if dp := x.projToCent(idx, c.t); dp > x.tRadProj[c.t]+eps {
+				return fmt.Errorf("object %d outside projected radius: %v > %v", idx, dp, x.tRadProj[c.t])
 			}
-			memberDs[m.idx] = m
+			ms[j] = m
 		}
-		prevDs, prevDt := 2.0, 2.0 // normalized distances never exceed 1
-		inElems := make(map[uint32]bool, len(c.elems))
-		for ei, e := range c.elems {
-			if inElems[e.idx] {
-				return fmt.Errorf("cluster %d: object %d twice in elems", ci, e.idx)
-			}
-			inElems[e.idx] = true
-			m, ok := memberDs[e.idx]
-			if !ok {
-				return fmt.Errorf("cluster %d: elems hold non-member %d", ci, e.idx)
-			}
-			// Conservativeness: for every λ, λ·e.ds+(1−λ)·e.dt ≥
-			// λ·m.ds+(1−λ)·m.dt, which holds iff both coordinates
-			// dominate.
-			if e.ds < m.ds-eps || e.dt < m.dt-eps {
-				return fmt.Errorf("cluster %d elem %d: threshold (%v,%v) below true (%v,%v)",
-					ci, ei, e.ds, e.dt, m.ds, m.dt)
-			}
-			// Monotonicity along the array.
-			if e.ds > prevDs+eps || e.dt > prevDt+eps {
-				return fmt.Errorf("cluster %d elem %d: thresholds increased", ci, ei)
-			}
-			prevDs, prevDt = e.ds, e.dt
+		var want hybrid
+		want.buildElems(ms)
+		if !slices.Equal(c.elems, want.elems) {
+			return fmt.Errorf("cluster %d: elems differ from the merge of its rows' lists", ci)
 		}
+		rows += len(c.elems)
 	}
-	// With a write overlay, clusters still hold tombstoned base members
-	// (the base is immutable) and none of the overlay's inserts.
-	if want := x.baseLive() + int64(x.deltaTombs().count()); int64(len(seen)) != want {
-		return fmt.Errorf("clusters hold %d objects, the base's live and tombstoned rows are %d", len(seen), want)
+	if rows != x.rows() {
+		return fmt.Errorf("clusters hold %d of %d rows", rows, x.rows())
+	}
+	// With a write overlay, the base rows include the ones it tombstoned.
+	if want := x.baseLive() + int64(x.deltaTombs().count()); int64(x.rows()) != want {
+		return fmt.Errorf("the base holds %d rows, its live and tombstoned rows are %d", x.rows(), want)
 	}
 	return x.checkOverlay()
 }
 
 // checkColumns verifies the per-row storage everything else indexes:
 // every column and arena one row per storage position, the ID table a
-// bijection between the IDs of the rows not deleted and their positions,
-// and every cell inside the Ks×Kt grid.
+// bijection between the rows' IDs and their positions, and every cell
+// inside the Ks×Kt grid.
 func (x *Index) checkColumns() error {
 	n := x.rows()
 	for _, c := range []struct {
@@ -141,7 +108,6 @@ func (x *Index) checkColumns() error {
 		{"texts", len(x.texts)}, {"topics", len(x.topics)},
 		{"cells", len(x.cells)},
 		{"x coordinates", len(x.xArena)}, {"y coordinates", len(x.yArena)},
-		{"deleted bitmap", min(n, 64*len(x.deleted))},
 	} {
 		if c.rows != n {
 			return fmt.Errorf("%s hold %d rows for %d IDs", c.name, c.rows, n)
@@ -150,8 +116,8 @@ func (x *Index) checkColumns() error {
 	if len(x.vecArena) != n*x.dim || len(x.projArena) != n*x.m {
 		return fmt.Errorf("arenas hold %d/%d values for %d rows of %d/%d", len(x.vecArena), len(x.projArena), n, x.dim, x.m)
 	}
-	if err := x.idIdx.check("ID table", n-x.deleted.count(), func(id, pos uint32) bool {
-		return int(pos) < n && x.ids[pos] == id && !x.deleted.get(pos)
+	if err := x.idIdx.check("ID table", n, func(id, pos uint32) bool {
+		return int(pos) < n && x.ids[pos] == id
 	}); err != nil {
 		return err
 	}
@@ -195,10 +161,10 @@ func (x *Index) checkGrid() error {
 // log's three arrays agree, stay inside the claimed tail and every
 // stored object views its own arena row; the counters match the bitsets;
 // the ID table and the group index are sorted, duplicate-free, bucketed
-// by their hash and name exactly the live log slots and the groups; the
-// group member lists partition the log in ascending order and the group
-// radii cover their members (the fact scanDelta's pruning rests on); and
-// tombstones only mark base positions that are live in the base.
+// by their hash and name exactly the live log slots and the groups; and
+// the group member lists partition the log in ascending order and the
+// group radii cover their members (the fact scanDelta's pruning rests
+// on).
 func (x *Index) checkOverlay() error {
 	d := x.delta
 	if d == nil {
@@ -234,11 +200,6 @@ func (x *Index) checkOverlay() error {
 		return int(gi) < d.groups.n && uint32(x.cell(d.groups.at(int(gi)).s, d.groups.at(int(gi)).t)) == key
 	}); err != nil {
 		return err
-	}
-	for i := range x.rows() {
-		if x.deleted.get(uint32(i)) && d.tombs.get(uint32(i)) {
-			return fmt.Errorf("overlay: tombstone on base-deleted position %d", i)
-		}
 	}
 	const eps = 1e-9
 	grouped := newBitset(n)
@@ -325,15 +286,8 @@ func (x *Index) checkProjBoundSoundness() error {
 	// Probe the bound itself with stored objects as queries (a sample
 	// keeps CheckInvariants O(n) for large indexes).
 	const maxProbes = 128
-	probes := 0
 	inv := (1 - projWeakRelSlack) / x.space.DtMax
-	for i := range x.rows() {
-		if x.deleted.get(uint32(i)) {
-			continue
-		}
-		if probes++; probes > maxProbes {
-			break
-		}
+	for i := range min(x.rows(), maxProbes) {
 		qProj := x.projAt(uint32(i))
 		for t := range x.tCent {
 			if !x.tValid[t] {
@@ -354,8 +308,8 @@ func (x *Index) checkProjBoundSoundness() error {
 // checkLayout guards what the scan loops assume of storage: every
 // cluster is non-empty, its header repeats its first element's
 // thresholds, and its elements sit at consecutive storage positions from
-// its base, so that its scan block, the arenas' window there, holds its
-// rows in elems order.
+// its base, inside storage, so that its scan block, the arenas' window
+// there, holds its rows in elems order.
 func (x *Index) checkLayout() error {
 	for ci, c := range x.clusters {
 		if len(c.elems) == 0 {
@@ -364,16 +318,9 @@ func (x *Index) checkLayout() error {
 		if e := c.elems[0]; c.headDs != e.ds || c.headDt != e.dt {
 			return fmt.Errorf("cluster %d: head thresholds (%v,%v), first element carries (%v,%v)", ci, c.headDs, c.headDt, e.ds, e.dt)
 		}
-		if !contiguous(c.elems) || c.base != int(c.elems[0].idx) {
+		if !contiguous(c.elems) || c.base != int(c.elems[0].idx) || c.base+len(c.elems) > x.rows() {
 			return fmt.Errorf("cluster %d: elements not contiguous from its base %d", ci, c.base)
 		}
 	}
 	return nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

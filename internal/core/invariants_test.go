@@ -23,12 +23,21 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			x.tRadProj[x.clusters[0].t] = 0
 		}},
 		{"corrupted member distance", func(x *Index) {
-			x.clusters[0].dt[0] += 0.5
+			// A threshold raised to its predecessor's stays monotone and
+			// conservative; only the merge of the rows' lists tells.
+			c := x.clusters[0]
+			for j := 1; j < len(c.elems); j++ {
+				if c.elems[j].dt < c.elems[j-1].dt {
+					c.elems[j].dt = c.elems[j-1].dt
+					return
+				}
+			}
 		}},
 		{"L_s out of order", func(x *Index) {
-			c := x.clusters[0]
-			c.members[0], c.members[1] = c.members[1], c.members[0]
-			c.dt[0], c.dt[1] = c.dt[1], c.dt[0]
+			// The array's first two rows trade places in L_s.
+			b := x.clusters[0].base
+			x.xArena[b], x.xArena[b+1] = x.xArena[b+1], x.xArena[b]
+			x.yArena[b], x.yArena[b+1] = x.yArena[b+1], x.yArena[b]
 		}},
 		{"non-conservative threshold", func(x *Index) {
 			c := x.clusters[0]
@@ -45,9 +54,6 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"duplicated element", func(x *Index) {
 			c := x.clusters[0]
 			c.elems[len(c.elems)-1] = c.elems[0]
-		}},
-		{"phantom deleted member", func(x *Index) {
-			x.deleted.set(x.clusters[0].members[0])
 		}},
 		{"wrong live count", func(x *Index) {
 			x.live--
@@ -111,7 +117,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			x.cells[0] = uint32(len(x.grid))
 		}},
 		{"row's cell naming another cluster", func(x *Index) {
-			x.cells[x.clusters[0].members[0]] = uint32(x.cell(x.clusters[1].s, x.clusters[1].t))
+			x.cells[x.clusters[0].elems[0].idx] = uint32(x.cell(x.clusters[1].s, x.clusters[1].t))
 		}},
 	}
 	for _, m := range mutations {
@@ -123,7 +129,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			// Move a cluster with several members to the front so every
 			// mutation has something to corrupt.
 			for i, c := range f.idx.clusters {
-				if len(c.members) >= 3 {
+				if len(c.elems) >= 3 {
 					f.idx.clusters[0], f.idx.clusters[i] = c, f.idx.clusters[0]
 					break
 				}

@@ -57,22 +57,18 @@ func fillClusterBlock(c *hybrid) {
 }
 
 // layoutClusterMajor renumbers storage so that every cluster's elements
-// are contiguous in elems order: cluster after cluster in directory
-// order, then every position no cluster lists (deleted slots) in its old
-// relative order. Everything indexed by storage position moves together.
-// It runs inside derive, on an index nothing else references yet, and
-// does nothing when the clusters already are contiguous, which is every
-// file this code wrote from a freshly built index. Build and Compact
-// arrive with no vector arena at all but one vector per position in vecs
-// (the caller's, or views of the folded snapshot's rows), so the arena is
-// written once, here, in its final order; Load passes nil.
+// are contiguous in elems order, cluster after cluster in directory
+// order; every row is in one cluster, so the clusters tile storage.
+// Everything indexed by storage position moves together. It runs inside
+// derive, on an index nothing else references yet, and does nothing when
+// the clusters already are contiguous, which is every file this code
+// wrote. Build and Compact arrive with no vector arena at all but one
+// vector per position in vecs (the caller's, or views of the folded
+// snapshot's rows), so the arena is written once, here, in its final
+// order; Load passes nil.
 func (x *Index) layoutClusterMajor(vecs [][]float32) {
 	n := x.rows()
-	const unset = ^uint32(0)
 	perm := make([]uint32, n) // old position → new position
-	for i := range perm {
-		perm[i] = unset
-	}
 	next, already := uint32(0), true
 	for _, c := range x.clusters {
 		already = already && contiguous(c.elems)
@@ -83,12 +79,6 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) {
 	}
 	if already && vecs == nil {
 		return
-	}
-	for i := range perm {
-		if perm[i] == unset {
-			perm[i] = next
-			next++
-		}
 	}
 	if vecs == nil {
 		vecs = make([][]float32, n)
@@ -125,25 +115,12 @@ func (x *Index) layoutClusterMajor(vecs [][]float32) {
 	if aa != nil {
 		aa.id, aa.dist = aid, adist
 	}
-	deleted := newBitset(n)
-	for old := range perm {
-		if x.deleted.get(uint32(old)) {
-			deleted.set(perm[old])
-		}
-	}
 	x.vecArena, x.projArena = vecArena, projArena
 	x.ids, x.texts, x.topics = ids, texts, topics
 	x.xArena, x.yArena = xs, ys
-	x.cells, x.deleted = cells, deleted
+	x.cells = cells
 	x.idIdx.relabel(perm)
-
-	// Within a cluster the new positions follow array order, which both
-	// sorted lists agree with on the pairs they order by position (see
-	// byDsCmp): relabelling keeps them sorted and byDt untouched.
 	for _, c := range x.clusters {
-		for i, old := range c.members {
-			c.members[i] = perm[old]
-		}
 		for i := range c.elems {
 			c.elems[i].idx = perm[c.elems[i].idx]
 		}

@@ -136,8 +136,7 @@ func TestLayoutClusterMajorLifecycle(t *testing.T) {
 // and the rows of the IDs in gone flagged deleted: the same index in an
 // order that is not cluster-major, with deleted slots scattered through
 // it, which is what a file older code wrote after in-place deletes
-// holds. Only the base state moves; the derived fields, which Load does
-// not read, keep naming the old positions.
+// holds.
 func scrambledSave(t *testing.T, x *Index, seed uint64, gone map[uint32]bool) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer

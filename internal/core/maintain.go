@@ -60,8 +60,8 @@ func (x *Index) Insert(o dataset.Object) error {
 
 // Delete removes the object with the given ID (§6.2) in the write
 // overlay: an overlay insert dies in the log, a base object gets a
-// tombstone bit; the base's deleted bitmap, ID table, clusters and radii
-// stay untouched until Compact.
+// tombstone bit; the base's ID table, clusters and radii stay untouched
+// until Compact.
 func (x *Index) Delete(id uint32) error {
 	d := x.writeDelta()
 	if pos, ok := d.idToPos.del(id); ok {

@@ -315,7 +315,7 @@ func TestDeleteShrinksRadius(t *testing.T) {
 	far, next := -1.0, -1.0
 	for i := range f.idx.rows() {
 		mi := uint32(i)
-		if rs, _ := f.idx.sides(f.idx.cells[mi]); rs != s || f.idx.deleted.get(mi) {
+		if rs, _ := f.idx.sides(f.idx.cells[mi]); rs != s {
 			continue
 		}
 		switch d := f.idx.spatialToCent(mi, s); {

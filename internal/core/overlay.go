@@ -19,7 +19,7 @@ import (
 // A published snapshot is never written: a writer takes a clone whose
 // cost does not grow with n, with the vocabulary, or with the number of
 // buffered ops beyond one bit each. The base structures (columns,
-// arenas, clusters, radii, deleted, the ID table) are shared
+// arenas, clusters, radii, the ID table) are shared
 // byte-for-byte and NEVER written, and every mutation lands in a delta
 // whose own pieces are shared between clones until a write touches
 // them.
@@ -84,8 +84,7 @@ type overlayDelta struct {
 	liveCount int
 	idToPos   idTable
 
-	// Tombstones over BASE storage positions (parallel to the base
-	// deleted bitmap, which stays shared and untouched).
+	// Tombstones over BASE storage positions.
 	tombs     bitset
 	ownsTombs bool
 	nTombs    int
@@ -346,7 +345,7 @@ func (x *Index) Compact() (*Index, error) {
 	}
 	vecs := nx.gatherLive(x)
 	var err error
-	if nx.idIdx, err = newIDTable(nx.ids, nx.deleted, nx.cfg.Workers); err != nil {
+	if nx.idIdx, err = newIDTable(nx.ids, nx.cfg.Workers); err != nil {
 		return nil, fmt.Errorf("core: compact: %w", err)
 	}
 	ds, dt, dp := nx.sideDists(vecs)
@@ -358,10 +357,10 @@ func (x *Index) Compact() (*Index, error) {
 }
 
 // gatherLive makes x's rows the live rows of src: src's base rows minus
-// deletions and tombstones, in storage order, then its overlay's live
-// inserts in append order, an insert's cell being its group's side
-// pair. It fills the columns, the coordinate and projection arenas, the
-// cells, an empty deleted bitmap and the anchor rows over src's set (a
+// tombstones, in storage order, then its overlay's live inserts in
+// append order, an insert's cell being its group's side pair. It fills
+// the columns, the coordinate and projection arenas, the cells and the
+// anchor rows over src's set (a
 // base row's own, the sentinel for an insert, which derive then
 // assigns), and returns views of the rows' vectors — src's arena rows
 // and log slots — for derive to write the vector arena from.
@@ -380,7 +379,7 @@ func (x *Index) gatherLive(src *Index) [][]float32 {
 		vecs = append(vecs, o.Vec)
 	}
 	for i := range src.ids {
-		if idx := uint32(i); !src.deleted.get(idx) && (tombs == nil || !tombs.get(idx)) {
+		if idx := uint32(i); tombs == nil || !tombs.get(idx) {
 			o := src.row(idx)
 			keep(&o, src.cells[i], src.projAt(idx), src.anchors.id[i], src.anchors.dist[i])
 		}
@@ -397,6 +396,6 @@ func (x *Index) gatherLive(src *Index) [][]float32 {
 			keep(&d.objs[pos], cells[pos], d.projRow(p), anchorSentinel, 0)
 		}
 	}
-	x.deleted, x.anchors = newBitset(len(x.ids)), aa
+	x.anchors = aa
 	return vecs
 }

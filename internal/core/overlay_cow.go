@@ -31,33 +31,26 @@ const idTableBuckets = 64 // one ownership word
 
 type idPair struct{ key, val uint32 }
 
-// newIDTable bulk-builds the table of keys[i] → i over every position
-// skip leaves unset, owning every bucket. A counting pass sizes the
+// newIDTable bulk-builds the table of keys[i] → i, owning every bucket. A counting pass sizes the
 // buckets as windows of one buffer, each capped at its own length so a
 // put reallocates its bucket instead of running into the next; a second
 // pass places the pairs and one sort per bucket (on up to workers
 // goroutines) orders them. A key listed twice is an error.
-func newIDTable(keys []uint32, skip bitset, workers int) (*idTable, error) {
+func newIDTable(keys []uint32, workers int) (*idTable, error) {
 	t := new(idTable)
 	var counts [idTableBuckets]int
-	total := 0
-	for i, k := range keys {
-		if !skip.get(uint32(i)) {
-			counts[idBucket(k)]++
-			total++
-		}
+	for _, k := range keys {
+		counts[idBucket(k)]++
 	}
-	buf := make([]idPair, total)
+	buf := make([]idPair, len(keys))
 	off := 0
 	for b, n := range counts {
 		t.buckets[b] = buf[off : off : off+n]
 		off += n
 	}
 	for i, k := range keys {
-		if !skip.get(uint32(i)) {
-			b := &t.buckets[idBucket(k)]
-			*b = append(*b, idPair{k, uint32(i)})
-		}
+		b := &t.buckets[idBucket(k)]
+		*b = append(*b, idPair{k, uint32(i)})
 	}
 	par.For(idTableBuckets, workers, func(lo, hi int) {
 		for _, b := range t.buckets[lo:hi] {

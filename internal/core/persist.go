@@ -5,81 +5,64 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/metric"
 	"repro/internal/pca"
 )
 
-// Index persistence. Save writes one gob-encoded gobIndex: the base state
-// — the rows (columns, arenas, deleted flags, and the cell column as two
+// Index persistence. Save writes one gob-encoded gobIndex holding the
+// base state alone: the rows (columns, arenas, and the cell column as two
 // side assignments) and the model (metric space, PCA, both side
-// clusterings' centroids and radii, TValid) — plus derived state for
-// older readers: the live count, the side member lists and the hybrid
-// clusters with their member distances. Load reads version 4 only, and
-// only its base state: it rejects one whose lengths, side indices or
-// radii do not fit together and derives the rest as Build does (derive),
-// so no stored derived value can make an exact answer wrong. The stored
-// Config keeps zero cluster counts zero, so a reloaded index rebuilds at
-// the counts its live objects derive; a file that recorded explicit
-// counts keeps them.
-
-// gobMember and gobHybrid mirror member and hybrid with exported fields.
-// Written only for older readers.
-type gobMember struct {
-	Idx    uint32
-	Ds, Dt float64
-}
-
-type gobHybrid struct {
-	S, T    int
-	Members []gobMember
-}
-
-// gobIndex is the serialized form of an Index; each field is either read
-// by Load or written only for older readers. The embeddings and
-// projections travel as the two flat arenas with their strides: Objects
-// carry nil Vec. gob skips stream fields this struct does not declare, so
-// files that still carry the removed SQ8 arena (four Quant* fields and
+// clusterings' centroids and radii, TValid). Load reads version 4 only:
+// it rejects a file whose lengths, side indices or radii do not fit
+// together, drops the rows an older file flags deleted and derives the
+// rest as Build does (derive). gob skips the stream fields gobIndex does
+// not declare, so files that older code wrote load too, with their
+// derived sections (a live count, side member lists, the hybrid clusters
+// with member distances), the removed SQ8 arena (four Quant* fields and
 // its on/off flag in Cfg) or the removed cluster router (five Route*
-// fields) load too.
+// fields) unread: no stored derived value can make an exact answer
+// wrong. The stored Config keeps zero cluster counts zero, so a reloaded
+// index rebuilds at the counts its live objects derive; a file that
+// recorded explicit counts keeps them.
+
+// gobIndex is the serialized form of an Index. The embeddings and
+// projections travel as the two flat arenas with their strides: Objects
+// carry nil Vec.
 type gobIndex struct {
-	Version int // read: 4
+	Version int // 4
 	Cfg     Config
 
-	// Read: the metric space.
+	// The metric space.
 	DsMax, DtMax, DtProjMax float64
 	SemanticKind            metric.SemanticMetric
 
-	Objects []dataset.Object // read: the columns and coordinates
-	Deleted []bool           // read: one flag per object
-	Live    int              // written only for older readers
+	Objects []dataset.Object // the columns and coordinates
+	// Deleted flags, per object, a row that older code deleted in place;
+	// Load drops the flagged rows. Save writes all false, because older
+	// readers require one flag per object.
+	Deleted []bool
 
-	PCAModel *pca.Model // read
+	PCAModel *pca.Model
 
-	// Read: the strides and the arenas, one row per object.
+	// The strides and the arenas, one row per object.
 	Dim, M              int
 	VecArena, ProjArena []float32
-	// Proj held version 1's per-row projections. It is neither read nor
-	// written, but gob's type descriptor names every declared field, so
-	// dropping it would change Save's bytes.
-	Proj [][]float32
 
-	SCentX, SCentY, SRad []float64  // read: Ks spatial clusters
-	SMembers             [][]uint32 // written only for older readers
+	SCentX, SCentY, SRad []float64 // Ks spatial clusters
 
-	// Read: Kt semantic clusters. TValid marks those whose centroids were
+	// Kt semantic clusters. TValid marks those whose centroids were
 	// computed from at least one member (see Index.tValid).
 	TCent     [][]float32
 	TRad      []float64
 	TCentProj [][]float32
 	TRadProj  []float64
-	TMembers  [][]uint32 // written only for older readers
 	TValid    []bool
 
-	SAssign, TAssign   []int       // read: folded into the cell column
-	Clusters           []gobHybrid // written only for older readers
-	UpdatesSinceBuild_ int         // read
+	SAssign, TAssign   []int // folded into the cell column
+	UpdatesSinceBuild_ int
 }
 
 const persistVersion = 4 // the one version Load reads
@@ -98,10 +81,13 @@ func (x *Index) Save(w io.Writer) error {
 	}
 	// The objects are assembled from the columns without their vectors,
 	// which travel once, in VecArena.
-	objs := make([]dataset.Object, x.rows())
+	n := x.rows()
+	objs := make([]dataset.Object, n)
+	sAssign, tAssign := make([]int, n), make([]int, n)
 	for i := range objs {
 		objs[i] = x.row(uint32(i))
 		objs[i].Vec = nil
+		sAssign[i], tAssign[i] = x.sides(x.cells[i])
 	}
 	g := gobIndex{
 		Version:            persistVersion,
@@ -111,8 +97,7 @@ func (x *Index) Save(w io.Writer) error {
 		DtProjMax:          x.space.DtProjMax,
 		SemanticKind:       x.space.SemanticKind,
 		Objects:            objs,
-		Deleted:            x.deleted.bools(x.rows()),
-		Live:               x.live,
+		Deleted:            make([]bool, n),
 		PCAModel:           x.pcaModel,
 		Dim:                x.dim,
 		M:                  x.m,
@@ -126,17 +111,9 @@ func (x *Index) Save(w io.Writer) error {
 		TCentProj:          x.tCentProj,
 		TRadProj:           x.tRadProj,
 		TValid:             x.tValid,
+		SAssign:            sAssign,
+		TAssign:            tAssign,
 		UpdatesSinceBuild_: x.UpdatesSinceBuild,
-	}
-	g.SAssign, g.TAssign, g.SMembers, g.TMembers = x.sideAssignments()
-	g.Clusters = make([]gobHybrid, len(x.clusters))
-	for i, c := range x.clusters {
-		gc := gobHybrid{S: c.s, T: c.t, Members: make([]gobMember, len(c.members))}
-		ds := x.dsOf(c)
-		for j, idx := range c.members {
-			gc.Members[j] = gobMember{Idx: idx, Ds: ds(j), Dt: c.dt[j]}
-		}
-		g.Clusters[i] = gc
 	}
 	if err := gob.NewEncoder(w).Encode(&g); err != nil {
 		return fmt.Errorf("core: save: %w", err)
@@ -144,26 +121,9 @@ func (x *Index) Save(w io.Writer) error {
 	return nil
 }
 
-// sideAssignments derives from the cell column what the file keeps per
-// side: every row's two side clusters, and each side cluster's live rows
-// in ascending storage position.
-func (x *Index) sideAssignments() (sAssign, tAssign []int, sMembers, tMembers [][]uint32) {
-	n := x.rows()
-	sAssign, tAssign = make([]int, n), make([]int, n)
-	sMembers, tMembers = make([][]uint32, len(x.sCentX)), make([][]uint32, len(x.tCent))
-	for i, cell := range x.cells {
-		s, t := x.sides(cell)
-		sAssign[i], tAssign[i] = s, t
-		if !x.deleted.get(uint32(i)) {
-			sMembers[s] = append(sMembers[s], uint32(i))
-			tMembers[t] = append(tMembers[t], uint32(i))
-		}
-	}
-	return sAssign, tAssign, sMembers, tMembers
-}
-
 // Load restores an index previously written by Save, together with its
-// metric space: decode, validate the base state, derive the rest.
+// metric space: decode, validate the base state, drop the rows flagged
+// deleted, derive the rest.
 func Load(r io.Reader) (*Index, *metric.Space, error) {
 	var g gobIndex
 	if err := gob.NewDecoder(r).Decode(&g); err != nil {
@@ -173,10 +133,10 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 		return nil, nil, fmt.Errorf("core: load: %w", err)
 	}
 	space := &metric.Space{DsMax: g.DsMax, DtMax: g.DtMax, DtProjMax: g.DtProjMax, SemanticKind: g.SemanticKind}
+	g.dropDeleted()
 	x := &Index{
 		cfg:               g.Cfg,
 		space:             space,
-		deleted:           bitsetFromBools(g.Deleted, len(g.Objects)),
 		pcaModel:          g.PCAModel,
 		dim:               g.Dim,
 		m:                 g.M,
@@ -195,10 +155,10 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	}
 	x.setColumns(g.Objects)
 	var err error
-	if x.cells, err = loadCells(g.SAssign, g.TAssign, len(x.sCentX), len(x.tCent), x.rows()); err != nil {
+	if x.cells, err = loadCells(g.SAssign, g.TAssign, len(x.sCentX), len(x.tCent)); err != nil {
 		return nil, nil, fmt.Errorf("core: load: %w", err)
 	}
-	if x.idIdx, err = newIDTable(x.ids, x.deleted, x.cfg.Workers); err != nil {
+	if x.idIdx, err = newIDTable(x.ids, x.cfg.Workers); err != nil {
 		return nil, nil, fmt.Errorf("core: load: %w", err)
 	}
 	ds, dt, err := x.coveredDists()
@@ -227,6 +187,8 @@ func (g *gobIndex) check() error {
 		return fmt.Errorf("metric normalizers %v/%v/%v are not positive and finite", g.DsMax, g.DtMax, g.DtProjMax)
 	case len(g.Deleted) != n:
 		return fmt.Errorf("%d deleted flags for %d objects", len(g.Deleted), n)
+	case len(g.SAssign) != n || len(g.TAssign) != n:
+		return fmt.Errorf("%d/%d side assignments for %d objects", len(g.SAssign), len(g.TAssign), n)
 	case p == nil || p.Components == nil || p.N() != g.Dim || p.M() != g.M ||
 		len(p.Mean) != g.Dim || len(p.Components.Data) != g.Dim*g.M:
 		return fmt.Errorf("PCA model missing or not a map from dim %d to %d", g.Dim, g.M)
@@ -246,13 +208,33 @@ func (g *gobIndex) check() error {
 	return nil
 }
 
-// loadCells folds a file's side assignments into the cell column,
-// rejecting a row count other than n and any side outside [0,ks)×[0,kt).
-func loadCells(sAssign, tAssign []int, ks, kt, n int) ([]uint32, error) {
-	if len(sAssign) != n || len(tAssign) != n {
-		return nil, fmt.Errorf("%d/%d side assignments for %d objects", len(sAssign), len(tAssign), n)
+// dropDeleted removes the rows the file flags deleted, with their arena
+// rows and side assignments, so that every row Load keeps is live. Only
+// files older code saved after deleting in place carry such flags.
+func (g *gobIndex) dropDeleted() {
+	keep := slices.Index(g.Deleted, true)
+	if keep < 0 {
+		return
 	}
-	cells := make([]uint32, n)
+	d, m := g.Dim, g.M
+	for i := keep; i < len(g.Objects); i++ {
+		if g.Deleted[i] {
+			continue
+		}
+		g.Objects[keep] = g.Objects[i]
+		copy(g.VecArena[keep*d:(keep+1)*d], g.VecArena[i*d:(i+1)*d])
+		copy(g.ProjArena[keep*m:(keep+1)*m], g.ProjArena[i*m:(i+1)*m])
+		g.SAssign[keep], g.TAssign[keep] = g.SAssign[i], g.TAssign[i]
+		keep++
+	}
+	g.Objects, g.VecArena, g.ProjArena = g.Objects[:keep], g.VecArena[:keep*d], g.ProjArena[:keep*m]
+	g.SAssign, g.TAssign = g.SAssign[:keep], g.TAssign[:keep]
+}
+
+// loadCells folds a file's side assignments, one per row, into the cell
+// column, rejecting any side outside [0,ks)×[0,kt).
+func loadCells(sAssign, tAssign []int, ks, kt int) ([]uint32, error) {
+	cells := make([]uint32, len(sAssign))
 	for i, s := range sAssign {
 		if t := tAssign[i]; s < 0 || s >= ks || t < 0 || t >= kt {
 			return nil, fmt.Errorf("object %d assigned to side pair (%d,%d) outside %d×%d", i, s, t, ks, kt)
@@ -262,7 +244,7 @@ func loadCells(sAssign, tAssign []int, ks, kt, n int) ([]uint32, error) {
 	return cells, nil
 }
 
-// coveredDists computes every live row's distances to its two side
+// coveredDists computes every row's distances to its two side
 // centroids, what derive orders the clusters by, and rejects a row that
 // one of its side radii, in any representation, does not cover: the radii
 // are the file's, and Lemma 4.4's bounds hold only while they cover every
@@ -270,8 +252,7 @@ func loadCells(sAssign, tAssign []int, ks, kt, n int) ([]uint32, error) {
 func (x *Index) coveredDists() (ds, dt []float64, err error) {
 	ds, dt, dp := x.sideDists(nil)
 	for i, cell := range x.cells {
-		if s, t := x.sides(cell); !x.deleted.get(uint32(i)) &&
-			!(ds[i] <= x.sRad[s] && dt[i] <= x.tRad[t] && dp[i] <= x.tRadProj[t]) {
+		if s, t := x.sides(cell); !(ds[i] <= x.sRad[s] && dt[i] <= x.tRad[t] && dp[i] <= x.tRadProj[t]) {
 			return nil, nil, fmt.Errorf("object %d lies outside the radii of its side pair (%d,%d)", x.ids[i], s, t)
 		}
 	}

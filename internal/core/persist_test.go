@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/metric"
+	"repro/internal/pca"
+	"repro/internal/scan"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -176,147 +179,147 @@ type loadDamage struct {
 // CheckInvariants' to check, not Load's.
 var loadFields = []struct {
 	name  string
-	apply func(g *gobIndex, pos, val int)
+	apply func(g *legacyIndex, pos, val int)
 }{
 	// Lengths: val is the change in length.
-	{"len Objects", func(g *gobIndex, _, v int) { g.Objects = resize(g.Objects, v) }},
-	{"len Deleted", func(g *gobIndex, _, v int) { g.Deleted = resize(g.Deleted, v) }},
-	{"len VecArena", func(g *gobIndex, _, v int) { g.VecArena = resize(g.VecArena, v) }},
-	{"len ProjArena", func(g *gobIndex, _, v int) { g.ProjArena = resize(g.ProjArena, v) }},
-	{"len SCentX", func(g *gobIndex, _, v int) { g.SCentX = resize(g.SCentX, v) }},
-	{"len SCentY", func(g *gobIndex, _, v int) { g.SCentY = resize(g.SCentY, v) }},
-	{"len SRad", func(g *gobIndex, _, v int) { g.SRad = resize(g.SRad, v) }},
-	{"len TCent", func(g *gobIndex, _, v int) { g.TCent = resize(g.TCent, v) }},
-	{"len TRad", func(g *gobIndex, _, v int) { g.TRad = resize(g.TRad, v) }},
-	{"len TCentProj", func(g *gobIndex, _, v int) { g.TCentProj = resize(g.TCentProj, v) }},
-	{"len TRadProj", func(g *gobIndex, _, v int) { g.TRadProj = resize(g.TRadProj, v) }},
-	{"len TValid", func(g *gobIndex, _, v int) { g.TValid = resize(g.TValid, v) }},
-	{"len TCent row", func(g *gobIndex, p, v int) {
+	{"len Objects", func(g *legacyIndex, _, v int) { g.Objects = resize(g.Objects, v) }},
+	{"len Deleted", func(g *legacyIndex, _, v int) { g.Deleted = resize(g.Deleted, v) }},
+	{"len VecArena", func(g *legacyIndex, _, v int) { g.VecArena = resize(g.VecArena, v) }},
+	{"len ProjArena", func(g *legacyIndex, _, v int) { g.ProjArena = resize(g.ProjArena, v) }},
+	{"len SCentX", func(g *legacyIndex, _, v int) { g.SCentX = resize(g.SCentX, v) }},
+	{"len SCentY", func(g *legacyIndex, _, v int) { g.SCentY = resize(g.SCentY, v) }},
+	{"len SRad", func(g *legacyIndex, _, v int) { g.SRad = resize(g.SRad, v) }},
+	{"len TCent", func(g *legacyIndex, _, v int) { g.TCent = resize(g.TCent, v) }},
+	{"len TRad", func(g *legacyIndex, _, v int) { g.TRad = resize(g.TRad, v) }},
+	{"len TCentProj", func(g *legacyIndex, _, v int) { g.TCentProj = resize(g.TCentProj, v) }},
+	{"len TRadProj", func(g *legacyIndex, _, v int) { g.TRadProj = resize(g.TRadProj, v) }},
+	{"len TValid", func(g *legacyIndex, _, v int) { g.TValid = resize(g.TValid, v) }},
+	{"len TCent row", func(g *legacyIndex, p, v int) {
 		if t, ok := pick(len(g.TCent), p); ok {
 			g.TCent[t] = resize(g.TCent[t], v)
 		}
 	}},
-	{"len TCentProj row", func(g *gobIndex, p, v int) {
+	{"len TCentProj row", func(g *legacyIndex, p, v int) {
 		if t, ok := pick(len(g.TCentProj), p); ok {
 			g.TCentProj[t] = resize(g.TCentProj[t], v)
 		}
 	}},
-	{"len SAssign", func(g *gobIndex, _, v int) { g.SAssign = resize(g.SAssign, v) }},
-	{"len TAssign", func(g *gobIndex, _, v int) { g.TAssign = resize(g.TAssign, v) }},
-	{"len PCA mean", func(g *gobIndex, _, v int) {
+	{"len SAssign", func(g *legacyIndex, _, v int) { g.SAssign = resize(g.SAssign, v) }},
+	{"len TAssign", func(g *legacyIndex, _, v int) { g.TAssign = resize(g.TAssign, v) }},
+	{"len PCA mean", func(g *legacyIndex, _, v int) {
 		if g.PCAModel != nil {
 			g.PCAModel.Mean = resize(g.PCAModel.Mean, v)
 		}
 	}},
-	{"len PCA components", func(g *gobIndex, _, v int) {
+	{"len PCA components", func(g *legacyIndex, _, v int) {
 		if g.PCAModel != nil && g.PCAModel.Components != nil {
 			g.PCAModel.Components.Data = resize(g.PCAModel.Components.Data, v)
 		}
 	}},
-	{"PCA model nil", func(g *gobIndex, _, _ int) { g.PCAModel = nil }},
+	{"PCA model nil", func(g *legacyIndex, _, _ int) { g.PCAModel = nil }},
 	// Indices: val is the new index.
-	{"SAssign", func(g *gobIndex, p, v int) {
+	{"SAssign", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.SAssign), p); ok {
 			g.SAssign[i] = v
 		}
 	}},
-	{"TAssign", func(g *gobIndex, p, v int) {
+	{"TAssign", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.TAssign), p); ok {
 			g.TAssign[i] = v
 		}
 	}},
-	{"Dim", func(g *gobIndex, _, v int) { g.Dim = v }},
-	{"M", func(g *gobIndex, _, v int) { g.M = v }},
-	{"Version", func(g *gobIndex, _, v int) { g.Version = v }},
-	{"PCA rows", func(g *gobIndex, _, v int) {
+	{"Dim", func(g *legacyIndex, _, v int) { g.Dim = v }},
+	{"M", func(g *legacyIndex, _, v int) { g.M = v }},
+	{"Version", func(g *legacyIndex, _, v int) { g.Version = v }},
+	{"PCA rows", func(g *legacyIndex, _, v int) {
 		if g.PCAModel != nil && g.PCAModel.Components != nil {
 			g.PCAModel.Components.Rows = v
 		}
 	}},
-	{"PCA cols", func(g *gobIndex, _, v int) {
+	{"PCA cols", func(g *legacyIndex, _, v int) {
 		if g.PCAModel != nil && g.PCAModel.Components != nil {
 			g.PCAModel.Components.Cols = v
 		}
 	}},
 	// Values: val is the new value, in thousandths for a float
 	// (math.MinInt16 stands for NaN).
-	{"Deleted", func(g *gobIndex, p, _ int) {
+	{"Deleted", func(g *legacyIndex, p, _ int) {
 		if i, ok := pick(len(g.Deleted), p); ok {
 			g.Deleted[i] = !g.Deleted[i]
 		}
 	}},
-	{"ID", func(g *gobIndex, p, v int) {
+	{"ID", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.Objects), p); ok {
 			g.Objects[i].ID = uint32(v)
 		}
 	}},
-	{"X", func(g *gobIndex, p, v int) {
+	{"X", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.Objects), p); ok {
 			g.Objects[i].X = milli(v)
 		}
 	}},
-	{"SCentX", func(g *gobIndex, p, v int) {
+	{"SCentX", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.SCentX), p); ok {
 			g.SCentX[i] = milli(v)
 		}
 	}},
-	{"SRad", func(g *gobIndex, p, v int) {
+	{"SRad", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.SRad), p); ok {
 			g.SRad[i] = milli(v)
 		}
 	}},
-	{"TRad", func(g *gobIndex, p, v int) {
+	{"TRad", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.TRad), p); ok {
 			g.TRad[i] = milli(v)
 		}
 	}},
-	{"TRadProj", func(g *gobIndex, p, v int) {
+	{"TRadProj", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.TRadProj), p); ok {
 			g.TRadProj[i] = milli(v)
 		}
 	}},
-	{"DsMax", func(g *gobIndex, _, v int) { g.DsMax = milli(v) }},
-	{"DtMax", func(g *gobIndex, _, v int) { g.DtMax = milli(v) }},
-	{"Workers", func(g *gobIndex, _, v int) { g.Cfg.Workers = v }},
-	{"Seed", func(g *gobIndex, _, v int) { g.Cfg.Seed = uint64(v) }},
+	{"DsMax", func(g *legacyIndex, _, v int) { g.DsMax = milli(v) }},
+	{"DtMax", func(g *legacyIndex, _, v int) { g.DtMax = milli(v) }},
+	{"Workers", func(g *legacyIndex, _, v int) { g.Cfg.Workers = v }},
+	{"Seed", func(g *legacyIndex, _, v int) { g.Cfg.Seed = uint64(v) }},
 	// Derived fields, which Load does not read.
-	{"Live", func(g *gobIndex, _, v int) { g.Live += v }},
-	{"len Clusters", func(g *gobIndex, _, v int) { g.Clusters = resize(g.Clusters, v) }},
-	{"len cluster members", func(g *gobIndex, p, v int) {
+	{"Live", func(g *legacyIndex, _, v int) { g.Live += v }},
+	{"len Clusters", func(g *legacyIndex, _, v int) { g.Clusters = resize(g.Clusters, v) }},
+	{"len cluster members", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.Clusters), p); ok {
 			g.Clusters[i].Members = resize(g.Clusters[i].Members, v)
 		}
 	}},
-	{"cluster S", func(g *gobIndex, p, v int) {
+	{"cluster S", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.Clusters), p); ok {
 			g.Clusters[i].S = v
 		}
 	}},
-	{"cluster T", func(g *gobIndex, p, v int) {
+	{"cluster T", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.Clusters), p); ok {
 			g.Clusters[i].T = v
 		}
 	}},
-	{"cluster pair copied", func(g *gobIndex, p, v int) {
+	{"cluster pair copied", func(g *legacyIndex, p, v int) {
 		i, ok1 := pick(len(g.Clusters), p)
 		j, ok2 := pick(len(g.Clusters), p+v)
 		if ok1 && ok2 {
 			g.Clusters[j].S, g.Clusters[j].T = g.Clusters[i].S, g.Clusters[i].T
 		}
 	}},
-	{"member Idx", func(g *gobIndex, p, v int) {
+	{"member Idx", func(g *legacyIndex, p, v int) {
 		if i, ok := pick(len(g.Clusters), p); ok && len(g.Clusters[i].Members) > 0 {
 			g.Clusters[i].Members[0].Idx = uint32(v)
 		}
 	}},
-	{"member moved", func(g *gobIndex, p, v int) {
+	{"member moved", func(g *legacyIndex, p, v int) {
 		i, ok1 := pick(len(g.Clusters), p)
 		j, ok2 := pick(len(g.Clusters), p+v)
 		if ok1 && ok2 && len(g.Clusters[i].Members) > 0 && len(g.Clusters[j].Members) > 0 {
 			g.Clusters[i].Members[0].Idx = g.Clusters[j].Members[0].Idx
 		}
 	}},
-	{"member distances", func(g *gobIndex, p, _ int) {
+	{"member distances", func(g *legacyIndex, p, _ int) {
 		for ci := range g.Clusters {
 			for mi := range g.Clusters[ci].Members {
 				if m := &g.Clusters[ci].Members[mi]; (ci+mi+p)%3 == 0 {
@@ -325,7 +328,7 @@ var loadFields = []struct {
 			}
 		}
 	}},
-	{"side lists", func(g *gobIndex, p, v int) {
+	{"side lists", func(g *legacyIndex, p, v int) {
 		if s, ok := pick(len(g.SMembers), p); ok {
 			g.SMembers[s] = nil
 		}
@@ -373,21 +376,106 @@ func milli(v int) float64 {
 // damagedLoad decodes img, applies d, re-encodes and loads the result.
 func damagedLoad(t testing.TB, img []byte, d loadDamage) (*Index, error) {
 	t.Helper()
-	var g gobIndex
-	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&g); err != nil {
-		t.Fatal(err)
-	}
-	loadFields[loadField(d.field)].apply(&g, d.pos, d.val)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&g); err != nil {
-		t.Fatal(err)
-	}
-	x, _, err := Load(&buf)
+	g := decodeLegacy(t, img)
+	loadFields[loadField(d.field)].apply(g, d.pos, d.val)
+	x, _, err := Load(bytes.NewReader(g.encode(t)))
 	return x, err
 }
 
-// loadImage saves the small index the damage tests start from: 24
-// objects of dim 4 on a 4×4 side grid, three of them deleted, under 5 KB.
+// legacyIndex mirrors the gobIndex of the last code that saved derived
+// sections beside the base state — a live count, the side member lists
+// and the hybrid clusters with their member distances — so that a test
+// can write the files that code wrote. gob matches fields by name, so
+// Load reads such a file as it reads any other, and a file this code
+// saves decodes into it with the derived sections empty.
+type legacyIndex struct {
+	Version                 int
+	Cfg                     Config
+	DsMax, DtMax, DtProjMax float64
+	SemanticKind            metric.SemanticMetric
+	Objects                 []dataset.Object
+	Deleted                 []bool
+	Live                    int
+	PCAModel                *pca.Model
+	Dim, M                  int
+	VecArena, ProjArena     []float32
+	Proj                    [][]float32
+	SCentX, SCentY, SRad    []float64
+	SMembers                [][]uint32
+	TCent                   [][]float32
+	TRad                    []float64
+	TCentProj               [][]float32
+	TRadProj                []float64
+	TMembers                [][]uint32
+	TValid                  []bool
+	SAssign, TAssign        []int
+	Clusters                []legacyHybrid
+	UpdatesSinceBuild_      int
+}
+
+type legacyHybrid struct {
+	S, T    int
+	Members []legacyMember
+}
+
+type legacyMember struct {
+	Idx    uint32
+	Ds, Dt float64
+}
+
+func decodeLegacy(t testing.TB, img []byte) *legacyIndex {
+	t.Helper()
+	var g legacyIndex
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&g); err != nil {
+		t.Fatal(err)
+	}
+	return &g
+}
+
+func (g *legacyIndex) encode(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// legacyOf is what that code saved of x after deleting in place the
+// rows gone names: every row, those flagged deleted, and derived
+// sections over the others — the side lists in storage order, the
+// clusters in directory order with their members in array order. x must
+// be flat, so that its storage positions are the saved rows.
+func legacyOf(t testing.TB, x *Index, gone func(row int) bool) *legacyIndex {
+	t.Helper()
+	if x.delta != nil {
+		t.Fatal("legacyOf needs a flat index")
+	}
+	g := decodeLegacy(t, saveBytes(t, x))
+	g.SMembers, g.TMembers = make([][]uint32, len(g.SCentX)), make([][]uint32, len(g.TCent))
+	for i := range g.Objects {
+		if g.Deleted[i] = gone(i); !g.Deleted[i] {
+			g.Live++
+			g.SMembers[g.SAssign[i]] = append(g.SMembers[g.SAssign[i]], uint32(i))
+			g.TMembers[g.TAssign[i]] = append(g.TMembers[g.TAssign[i]], uint32(i))
+		}
+	}
+	for _, c := range x.clusters {
+		lc := legacyHybrid{S: c.s, T: c.t}
+		for _, e := range c.elems {
+			if !g.Deleted[e.idx] {
+				lc.Members = append(lc.Members, legacyMember{e.idx, x.spatialToCent(e.idx, c.s), x.semanticToCent(e.idx, c.t)})
+			}
+		}
+		g.Clusters = append(g.Clusters, lc)
+	}
+	return g
+}
+
+// loadImage writes the small file the damage tests start from, as older
+// code saved it after deleting in place: 24 objects of dim 4 on a 4×4
+// side grid, three of them flagged deleted, with the derived sections,
+// under 5 KB.
 func loadImage(t testing.TB) []byte {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 24, Dim: 4, Seed: 51})
@@ -402,22 +490,14 @@ func loadImage(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := x.Delete(ds.Objects[i*7].ID); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if ks, kt := len(x.sCentX), len(x.tCent); ks != 4 || kt != 4 {
 		t.Fatalf("image has %d×%d side clusters, want 4×4", ks, kt)
 	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
+	img := legacyOf(t, x, func(row int) bool { return row%7 == 2 && row < 21 }).encode(t)
+	if len(img) > 5<<10 {
+		t.Fatalf("image is %d B, want at most 5 KB", len(img))
 	}
-	if buf.Len() > 5<<10 {
-		t.Fatalf("image is %d B, want at most 5 KB", buf.Len())
-	}
-	return buf.Bytes()
+	return img
 }
 
 // baseStateDamages are damaged base states Load must refuse. Unchecked,
@@ -525,9 +605,9 @@ func TestLoadParentWrittenFile(t *testing.T) {
 	}
 }
 
-// derivedDamages damage fields Load does not read: the stored member
-// distances, the cluster directory and member lists, the side lists and
-// the live count.
+// derivedDamages damage fields only older code saved, which Load does
+// not read: the stored member distances, the cluster directory and
+// member lists, the side lists and the live count.
 var derivedDamages = []struct {
 	name string
 	d    loadDamage
@@ -543,20 +623,19 @@ var derivedDamages = []struct {
 	{"live count", loadDamage{"Live", 0, 50}},
 }
 
-// Load reads no derived field: a file whose member distances, cluster
-// directory, member lists, side lists or live count are damaged loads to
-// the index the undamaged file gives, cluster for cluster, and answers
-// exactly. A stored Dt read back would be a Lemma 4.5 threshold no
-// recomputation vouches for.
+// Load reads no derived field: a file older code saved, with 40 rows
+// flagged deleted, whose member distances, cluster directory, member
+// lists, side lists or live count are damaged loads to the index the
+// undamaged file gives, cluster for cluster, and answers exactly. A
+// stored Dt read back would be a Lemma 4.5 threshold no recomputation
+// vouches for.
 func TestLoadIgnoresDerivedFields(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 800, Config{Seed: 87})
-	for i := 0; i < 40; i++ {
-		if err := f.idx.Delete(f.ds.Objects[i*11].ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	saved := saveBytes(t, f.idx)
+	saved := legacyOf(t, f.idx, func(row int) bool { return row%11 == 0 && row < 440 }).encode(t)
 	clean := loadBytes(t, saved)
+	if clean.Len() != 760 || clean.rows() != 760 {
+		t.Fatalf("the undamaged file loads %d live objects in %d rows, want 760 in 760", clean.Len(), clean.rows())
+	}
 	for _, c := range derivedDamages {
 		t.Run(c.name, func(t *testing.T) {
 			loaded, err := damagedLoad(t, saved, c.d)
@@ -572,7 +651,7 @@ func TestLoadIgnoresDerivedFields(t *testing.T) {
 			}
 			for ci, lc := range loaded.clusters {
 				cc := clean.clusters[ci]
-				if lc.s != cc.s || lc.t != cc.t || !stateOf(lc).equal(stateOf(cc)) {
+				if lc.s != cc.s || lc.t != cc.t || !slices.Equal(lc.elems, cc.elems) {
 					t.Fatalf("cluster %d differs from the one the undamaged file loads", ci)
 				}
 			}
@@ -605,10 +684,7 @@ func FuzzLoad(f *testing.F) {
 			f.Add(uint8(loadField(c.d.field)), uint16(c.d.pos), int16(c.d.val))
 		}
 	}
-	var g gobIndex
-	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&g); err != nil {
-		f.Fatal(err)
-	}
+	g := decodeLegacy(f, img)
 	q := g.Objects[1]
 	q.X, q.Vec = clamp01(q.X+0.02), g.VecArena[g.Dim:2*g.Dim]
 	f.Fuzz(func(t *testing.T, field uint8, pos uint16, val int16) {
@@ -625,4 +701,49 @@ func FuzzLoad(f *testing.F) {
 			identicalResults(t, fmt.Sprintf("%+v", d), sc.Search(&q, 10, lambda, nil), x.Search(&q, 10, lambda, nil))
 		}
 	})
+}
+
+// A file older code saved after deleting and re-inserting in place holds
+// the deleted rows, flagged, and one of them carries the ID that a live
+// row holds now. Load drops the flagged rows, so that every row it keeps
+// is live: the ID names the live row, and the index is clean and answers
+// as a linear scan over the unflagged rows.
+func TestLoadDropsDeletedSlots(t *testing.T) {
+	f := build(t, dataset.TwitterLike, 400, Config{Seed: 89})
+	x := f.idx
+	gone := map[int]bool{5: true, 77: true, 300: true}
+	g := legacyOf(t, x, func(row int) bool { return gone[row] })
+	const reused, holder = 77, 200
+	g.Objects[reused].ID = g.Objects[holder].ID
+	var kept []dataset.Object
+	for i := range x.rows() {
+		if !gone[i] {
+			kept = append(kept, x.row(uint32(i)))
+		}
+	}
+	loaded := loadBytes(t, g.encode(t))
+	if loaded.Len() != len(kept) || loaded.rows() != loaded.Len() {
+		t.Fatalf("loaded %d live objects in %d rows, want %d in as many", loaded.Len(), loaded.rows(), len(kept))
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if o, ok := loaded.Object(x.ids[holder]); !ok || o.X != x.xArena[holder] || o.Y != x.yArena[holder] {
+		t.Fatalf("ID %d loads as %+v (found %v), want the live row's object", x.ids[holder], o, ok)
+	}
+	for i := range gone {
+		if _, ok := loaded.Object(x.ids[i]); ok {
+			t.Fatalf("the object of flagged row %d loaded", i)
+		}
+	}
+	sc := scan.New(&dataset.Dataset{Objects: kept, Dim: x.dim}, x.space)
+	for qi := 0; qi < 8; qi++ {
+		q := kept[(qi*47+3)%len(kept)]
+		q.X = clamp01(q.X + 0.013)
+		for _, lambda := range []float64{0, 0.5, 1} {
+			for _, k := range []int{1, 10, len(kept) + 1} {
+				identicalResults(t, "flagged rows dropped", sc.Search(&q, k, lambda, nil), loaded.Search(&q, k, lambda, nil))
+			}
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,8 +25,8 @@ func TestLowerBoundIsValid(t *testing.T) {
 			dsq := x.space.SpatialXY(q.X, q.Y, x.sCentX[c.s], x.sCentY[c.s])
 			dtq := x.space.SemanticVec(q.Vec, x.tCent[c.t])
 			lb := lowerBound(lambda, dsq, x.sRad[c.s], dtq, x.tRad[c.t])
-			for _, idx := range c.members {
-				o := x.row(idx)
+			for _, e := range c.elems {
+				o := x.row(e.idx)
 				d := x.space.Distance(nil, lambda, q, &o)
 				if d < lb-1e-9 {
 					return false
@@ -44,14 +46,9 @@ func TestArrayThresholdConservative(t *testing.T) {
 	f := build(t, dataset.YelpLike, 500, Config{Seed: 41})
 	x := f.idx
 	for _, c := range x.clusters {
-		byIdx := make(map[uint32]member, len(c.members))
-		for p := range c.members {
-			m := c.at(p, x.dsOf(c))
-			byIdx[m.idx] = m
-		}
 		for _, lambda := range []float64{0, 0.25, 0.5, 0.75, 1} {
 			for _, e := range c.elems {
-				m := byIdx[e.idx]
+				m := member{ds: x.spatialToCent(e.idx, c.s), dt: x.semanticToCent(e.idx, c.t)}
 				dOC := lambda*m.ds + (1-lambda)*m.dt
 				bound := lambda*e.ds + (1-lambda)*e.dt
 				if dOC > bound+1e-9 {
@@ -63,9 +60,10 @@ func TestArrayThresholdConservative(t *testing.T) {
 }
 
 // Property: buildElems emits exactly one element per member with
-// monotonically non-increasing, conservative thresholds, and leaves the
-// lists in the order checkOrders verifies, for arbitrary member sets —
-// ties included (distances drawn from a few values).
+// monotonically non-increasing, conservative thresholds, and the array
+// is the paper's Threshold-Algorithm merge of the two lists (taMerge),
+// for arbitrary member sets — ties included (distances drawn from a few
+// values).
 func TestBuildElemsProperties(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 2))
@@ -84,7 +82,7 @@ func TestBuildElemsProperties(t *testing.T) {
 		}
 		c := &hybrid{}
 		c.buildElems(append([]member(nil), orig...))
-		if len(c.elems) != n || c.checkOrders(func(p int) float64 { return orig[c.members[p]].ds }) != nil {
+		if len(c.elems) != n || !slices.Equal(c.elems, taMerge(orig)) {
 			return false
 		}
 		seen := make(map[uint32]bool, n)
@@ -113,9 +111,29 @@ func TestBuildElemsProperties(t *testing.T) {
 func TestBuildElemsEmpty(t *testing.T) {
 	c := &hybrid{}
 	c.buildElems(nil)
-	if c.elems != nil || len(c.byDt) != 0 {
-		t.Fatalf("empty cluster: elems %v, byDt %v", c.elems, c.byDt)
+	if c.elems != nil {
+		t.Fatalf("empty cluster: elems %v", c.elems)
 	}
+}
+
+// taMerge is Alg. 1's merge written out: sort a copy of ms into L_s and
+// another into L_t, then take one member of each per round, appending
+// each object at its first occurrence with the round's threshold pair.
+func taMerge(ms []member) []element {
+	ls, lt := slices.Clone(ms), slices.Clone(ms)
+	slices.SortFunc(ls, byDsCmp)
+	slices.SortFunc(lt, byDtCmp)
+	seen := map[uint32]bool{}
+	var out []element
+	for r := range ls {
+		for _, m := range []member{ls[r], lt[r]} {
+			if !seen[m.idx] {
+				seen[m.idx] = true
+				out = append(out, element{idx: m.idx, ds: ls[r].ds, dt: lt[r].dt})
+			}
+		}
+	}
+	return out
 }
 
 func TestBuildElemsDuplicateDistances(t *testing.T) {
@@ -154,7 +172,7 @@ func TestLowerBoundCases(t *testing.T) {
 		}
 		if dsq >= rs && dtq >= rt {
 			want := lambda*(dsq-rs) + (1-lambda)*(dtq-rt)
-			if abs(lb-want) > 1e-12 {
+			if math.Abs(lb-want) > 1e-12 {
 				return false
 			}
 		}

@@ -530,8 +530,10 @@ func TestRequestConformance(t *testing.T) {
 // deleted wrappers, the second snapshot-published flavor —
 // ConcurrentIndex is ShardedIndex — core's copy-on-write clone, whose
 // last caller was the compaction replay a fold through derive replaced,
-// and core's in-place write path, since every write lands in the
-// overlay.
+// core's in-place write path, since every write lands in the overlay,
+// and the state a base kept beside its rows and arrays: the deleted
+// bitmap (every base row is live), the sorted lists each array is merged
+// from, and the derived sections Save wrote for older readers.
 func TestAPISurface(t *testing.T) {
 	do := []string{"Do", "DoBatch", "DoBatchContext", "DoContext"}
 	for _, c := range []struct {
@@ -585,6 +587,14 @@ func TestAPISurface(t *testing.T) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var names []string
 			switch d := n.(type) {
+			case *ast.StructType:
+				for _, f := range d.Fields.List {
+					for _, id := range f.Names {
+						if id.Name == "deleted" {
+							t.Error("a core struct has a deleted field again: every base row is live")
+						}
+					}
+				}
 			case *ast.FuncDecl:
 				names = append(names, d.Name.Name)
 			case *ast.TypeSpec:
@@ -600,6 +610,8 @@ func TestAPISurface(t *testing.T) {
 					t.Errorf("core's copy-on-write clone machinery (%s) is back", name)
 				case "appendArenaRows", "arenaCap", "appendAnchorRow", "insertMember", "removeMember", "addToHybrid", "gathered", "tCount":
 					t.Errorf("core's in-place write path (%s) is back: every write lands in the overlay", name)
+				case "byDt", "dsOf", "checkOrders", "gobHybrid", "gobMember":
+					t.Errorf("a base's stored lists or Save's derived sections (%s) are back: a cluster keeps only its array", name)
 				}
 			}
 			return true
