@@ -1,6 +1,5 @@
 // Benchmarks for the beyond-the-paper extensions: ablations, extended
-// query types, batch search, maintenance-heavy flows, persistence, and
-// the NIQ/LDA appendix substrate.
+// query types, batch search, maintenance-heavy flows and persistence.
 package cssi
 
 import (
@@ -11,9 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/hnsw"
-	"repro/internal/lda"
-	"repro/internal/niqtree"
 )
 
 // --- Ablation: each pruning mechanism isolated ---
@@ -119,41 +115,6 @@ func BenchmarkIndexSaveLoad(b *testing.B) {
 			if _, _, err := core.Load(bytes.NewReader(blob)); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// --- NIQ appendix substrate ---
-
-func BenchmarkNIQSearch(b *testing.B) {
-	e := getEnv(b, dataset.TwitterLike, benchSize, core.Config{})
-	topics, err := niqtree.AssignTopicsLDA(e.ds, e.ds.Model.Vocab, 16, lda.Config{Iterations: 10, Seed: 77})
-	if err != nil {
-		b.Fatal(err)
-	}
-	niq, err := niqtree.Build(e.ds, e.space, topics, niqtree.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		niq.Search(e.query(i), benchK, benchLambda, nil)
-	}
-}
-
-// --- HNSW appendix substrate ---
-
-func BenchmarkHNSW(b *testing.B) {
-	e := getEnv(b, dataset.TwitterLike, benchSize, core.Config{})
-	g := hnsw.New(100, hnsw.Config{Seed: 77})
-	for i := range e.ds.Objects {
-		g.Add(e.ds.Objects[i].Vec)
-	}
-	b.Run("Search", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.Search(e.query(i).Vec, 10, 64)
 		}
 	})
 }

@@ -157,3 +157,87 @@ func BenchmarkSearchBatch(b *testing.B) {
 		})
 	}
 }
+
+// writeRound is the number of writer-mix ops BenchmarkWrite applies to
+// one fresh copy of the index: the ops of a 2,400-op bench/ run, below
+// DefaultDeltaCompactThreshold, so no fold runs inside the measurement.
+const writeRound = 2400
+
+// writeMix returns writeRound ops of bench/'s writer mix over a corpus
+// of n indexed objects: insert a held-out object, move an indexed object
+// to another held-out object's place and text, delete the oldest insert,
+// repeating.
+func writeMix(ds *Dataset, n int) []Op {
+	fresh, pool := ds.Objects[n:n+writeRound/3], ds.Objects[n+writeRound/3:]
+	ops := make([]Op, 0, writeRound)
+	var inserted []uint32
+	for i := 0; len(ops) < writeRound; i++ {
+		o := fresh[i]
+		inserted = append(inserted, o.ID)
+		moved := pool[(i*7919)%len(pool)]
+		moved.ID = ds.Objects[(i*104729)%n].ID
+		ops = append(ops,
+			Op{Kind: OpInsert, Object: o},
+			Op{Kind: OpUpdate, Object: moved},
+			Op{Kind: OpDelete, ID: inserted[0]})
+		inserted = inserted[1:]
+	}
+	return ops
+}
+
+// BenchmarkWrite prices one write of the writer mix on a 60k × 100
+// TwitterLike index. "bare" is Index.Insert/Update/Delete, which writes
+// the index's own overlay; "published" is a one-op ApplyBatch on
+// ShardedFrom(idx), which clones the snapshot's overlay, writes the
+// clone and publishes it. Every writeRound ops the index is replaced by
+// a fresh copy of the built one, off the clock, so the overlay stays
+// under the compaction threshold.
+func BenchmarkWrite(b *testing.B) {
+	const n = 60000
+	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: n + writeRound/3 + 600, Dim: 100, Seed: 77})
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := Build(ds.Prefix(n), Options{Seed: 77})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := writeMix(ds, n)
+	b.Run("bare", func(b *testing.B) {
+		b.ReportAllocs()
+		var idx *Index
+		for i := 0; i < b.N; i++ {
+			if i%writeRound == 0 {
+				b.StopTimer()
+				idx = built.cloneWithDelta()
+				b.StartTimer()
+			}
+			var err error
+			switch op := ops[i%writeRound]; op.Kind {
+			case OpInsert:
+				err = idx.Insert(op.Object)
+			case OpUpdate:
+				err = idx.Update(op.Object)
+			default:
+				err = idx.Delete(op.ID)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("published", func(b *testing.B) {
+		b.ReportAllocs()
+		var sh *ShardedIndex
+		for i := 0; i < b.N; i++ {
+			if i%writeRound == 0 {
+				b.StopTimer()
+				sh = ShardedFrom(built.cloneWithDelta())
+				b.StartTimer()
+			}
+			if err := sh.ApplyBatch(ops[i%writeRound : i%writeRound+1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

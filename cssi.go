@@ -110,9 +110,6 @@ type Options struct {
 	// SampleFraction is the share of objects used to fit K-Means and
 	// PCA (default 0.1).
 	SampleFraction float64
-	// ExactPCA switches PCA from the randomized-SVD path (the paper's
-	// choice, default) to the exact covariance eigendecomposition.
-	ExactPCA bool
 	// AngularSemantic replaces the Euclidean semantic distance with the
 	// angular distance (the metric counterpart of cosine similarity).
 	// The paper's bounds hold for arbitrary metrics (§4.2), so CSSI
@@ -156,14 +153,10 @@ type Index struct {
 // configuration (shared by Build and the per-shard builds of
 // BuildSharded).
 func (o Options) coreConfig() core.Config {
-	method := pca.Randomized
-	if o.ExactPCA {
-		method = pca.Exact
-	}
 	return core.Config{
 		Ks: o.Ks, Kt: o.Kt, F: o.F, M: o.M,
 		SampleFraction:        o.SampleFraction,
-		PCAMethod:             method,
+		PCAMethod:             pca.Randomized,
 		DeltaCompactThreshold: o.DeltaCompactThreshold,
 		Seed:                  o.Seed,
 	}

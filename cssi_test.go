@@ -242,18 +242,6 @@ func TestConcurrentSearches(t *testing.T) {
 	wg.Wait()
 }
 
-func TestExactPCAOption(t *testing.T) {
-	ds := testDataset(t, 300)
-	idx, err := Build(ds, Options{Seed: 6, ExactPCA: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := ds.Objects[2]
-	if got := mustDo(idx, SearchRequest{Query: &q, K: 5, Lambda: 0.5}); len(got) != 5 {
-		t.Fatalf("got %d results", len(got))
-	}
-}
-
 func TestQueryFromFreeText(t *testing.T) {
 	ds := testDataset(t, 400)
 	idx, err := Build(ds, Options{Seed: 7})

@@ -7,9 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/desire"
 	"repro/internal/knn"
-	"repro/internal/lda"
 	"repro/internal/metric"
-	"repro/internal/niqtree"
 	"repro/internal/rrstar"
 	"repro/internal/rtree"
 	"repro/internal/s2rtree"
@@ -18,9 +16,9 @@ import (
 
 // TestIntegrationAllSearchersAgree is the repository-wide soak test:
 // over both generator families, every exact searcher in the repository —
-// CSSI, the spatial R-tree, the S²R-tree, DESIRE, the RR*-tree and the
-// NIQ-tree adaptation — must return the linear-scan result for a grid of
-// λ and k, before and after a maintenance stream on the CSSI index.
+// CSSI, the spatial R-tree, the S²R-tree, DESIRE and the RR*-tree — must
+// return the linear-scan result for a grid of λ and k, before and after a
+// maintenance stream on the CSSI index.
 func TestIntegrationAllSearchersAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration soak skipped in -short mode")
@@ -40,14 +38,6 @@ func TestIntegrationAllSearchersAgree(t *testing.T) {
 			sc := scan.New(ds, space)
 
 			facade, err := Build(ds, Options{Seed: 91})
-			if err != nil {
-				t.Fatal(err)
-			}
-			topics, err := niqtree.AssignTopicsLDA(ds, ds.Model.Vocab, 8, lda.Config{Iterations: 10, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			niq, err := niqtree.Build(ds, space, topics, niqtree.Config{LeafCapacity: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,9 +61,6 @@ func TestIntegrationAllSearchersAgree(t *testing.T) {
 				}},
 				{"rrstar", func(q *Object, k int, l float64) []knn.Result {
 					return rrstar.Build(ds, space, rrstar.Config{Seed: 91}).Search(q, k, l, nil)
-				}},
-				{"niq", func(q *Object, k int, l float64) []knn.Result {
-					return niq.Search(q, k, l, nil)
 				}},
 			}
 

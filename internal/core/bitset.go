@@ -29,11 +29,6 @@ func (b bitset) set(i uint32) {
 	b[i>>6] |= 1 << (i & 63)
 }
 
-// unset clears bit i.
-func (b bitset) unset(i uint32) {
-	b[i>>6] &^= 1 << (i & 63)
-}
-
 // grown returns b extended with zero words until it covers n bits.
 // Growth reallocates whenever the capacity is exact (clone() copies are),
 // so a delta growing its bitmap never writes backing shared with a

@@ -13,7 +13,7 @@ func TestBitsetEquivalence(t *testing.T) {
 	ref := make([]bool, 0, n)
 	b := newBitset(0)
 	for step := 0; step < 5000; step++ {
-		switch op := rng.Intn(4); {
+		switch op := rng.Intn(3); {
 		case op == 0 && len(ref) < n: // append a bit
 			ref = append(ref, false)
 			b = b.grown(len(ref))
@@ -21,10 +21,6 @@ func TestBitsetEquivalence(t *testing.T) {
 			i := uint32(rng.Intn(len(ref)))
 			ref[i] = true
 			b.set(i)
-		case op == 2 && len(ref) > 0: // unset
-			i := uint32(rng.Intn(len(ref)))
-			ref[i] = false
-			b.unset(i)
 		case len(ref) > 0: // probe
 			i := uint32(rng.Intn(len(ref)))
 			if b.get(i) != ref[i] {
@@ -68,11 +64,10 @@ func TestBitsetCloneIsolation(t *testing.T) {
 	b.set(129)
 	c := b.clone()
 	c.set(6)
-	c.unset(5)
 	if !b.get(5) || b.get(6) {
 		t.Fatal("clone write mutated the original")
 	}
-	if !c.get(6) || c.get(5) || !c.get(129) {
+	if !c.get(6) || !c.get(5) || !c.get(129) {
 		t.Fatal("clone lost its own state")
 	}
 	// Growing a clone (exact capacity) must reallocate, never extend

@@ -53,8 +53,9 @@ type Config struct {
 	// SampleFraction is the share of objects used to fit K-Means and
 	// PCA before assigning the rest (default 0.1, §7.1).
 	SampleFraction float64
-	// PCAMethod selects the PCA path (default Randomized, the paper's
-	// choice).
+	// PCAMethod selects the PCA path. The zero value is pca.Exact; the
+	// paper's choice, and what cssi.Build and the experiments pass, is
+	// pca.Randomized.
 	PCAMethod pca.Method
 	// KMeansIters bounds the Lloyd iterations (default 25).
 	KMeansIters int
@@ -679,10 +680,6 @@ func (x *Index) Config() Config {
 	c.Ks, c.Kt = len(x.sCentX), len(x.tCent)
 	return c
 }
-
-// PCA exposes the fitted projection model (used by the harness to
-// project query vectors for analysis).
-func (x *Index) PCA() *pca.Model { return x.pcaModel }
 
 // Space exposes the metric space the index computes distances in. The
 // snapshot facade reads it because RebuildFresh gives the replacement

@@ -24,6 +24,7 @@ import (
 	"repro/internal/desire"
 	"repro/internal/knn"
 	"repro/internal/metric"
+	"repro/internal/pca"
 	"repro/internal/rrstar"
 	"repro/internal/rtree"
 	"repro/internal/s2rtree"
@@ -50,6 +51,15 @@ type Setup struct {
 	// Seed drives dataset generation, index construction and query
 	// sampling.
 	Seed uint64
+}
+
+// coreConfig is every experiment's build configuration: cfg with the
+// run's seed and the paper's randomized-SVD PCA, which is what cssi.Build
+// passes (core.Config's zero PCAMethod is the exact path).
+func (s Setup) coreConfig(cfg core.Config) core.Config {
+	cfg.Seed = s.Seed
+	cfg.PCAMethod = pca.Randomized
+	return cfg
 }
 
 func (s *Setup) applyDefaults() {
@@ -217,9 +227,7 @@ func buildEnv(s Setup, c envConfig) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := c.coreCfg
-	cfg.Seed = s.Seed
-	idx, err := core.Build(ds, space, cfg)
+	idx, err := core.Build(ds, space, s.coreConfig(c.coreCfg))
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/pca"
 )
 
 // tinySetup keeps the smoke tests fast: a small fraction of the default
@@ -18,7 +21,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"table2", "table4", "table5", "table6",
-		"ablation", "hnsw", "niq", "parallel", "skew",
+		"ablation", "parallel", "skew",
 	}
 	ids := IDs()
 	if len(ids) != len(want) {
@@ -36,6 +39,20 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := Get("fig99"); ok {
 		t.Fatal("unknown experiment resolved")
+	}
+}
+
+// The experiments build the index cssi.Build builds: the paper's
+// randomized-SVD PCA, not core.Config's zero PCAMethod (the exact path).
+func TestExperimentsBuildRandomizedPCA(t *testing.T) {
+	s := tinySetup()
+	s.applyDefaults()
+	e, err := buildEnv(s, envConfig{kind: dataset.TwitterLike, size: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.idx.Config().PCAMethod; got != pca.Randomized {
+		t.Fatalf("experiment index PCAMethod = %v, want pca.Randomized (%v)", got, pca.Randomized)
 	}
 }
 

@@ -117,7 +117,7 @@ func Fig4(s Setup) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, err := core.Build(ds, space, core.Config{Ks: side, Kt: side, Seed: s.Seed})
+		idx, err := core.Build(ds, space, s.coreConfig(core.Config{Ks: side, Kt: side}))
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,7 @@ func Fig15(s Setup) ([]Table, error) {
 			return nil, err
 		}
 		start := time.Now()
-		idx, tm, err := core.BuildTimed(ds, space, core.Config{Seed: s.Seed})
+		idx, tm, err := core.BuildTimed(ds, space, s.coreConfig(core.Config{}))
 		if err != nil {
 			return nil, err
 		}

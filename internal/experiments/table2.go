@@ -45,7 +45,7 @@ func Table2(s Setup) ([]Table, error) {
 			return nil, err
 		}
 		// Fix K across sizes so the growth isolates |O|.
-		cfg := core.Config{Ks: 24, Kt: 24, Seed: s.Seed}
+		cfg := s.coreConfig(core.Config{Ks: 24, Kt: 24})
 		start := time.Now()
 		idx, err := core.Build(ds, space, cfg)
 		if err != nil {

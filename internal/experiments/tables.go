@@ -52,7 +52,7 @@ func Table4(s Setup) ([]Table, error) {
 		// keep the base size's (much smaller) K would conflate cluster
 		// granularity with the insert resilience under test.
 		side := clusterSideFor(target, 0.3)
-		cfg := core.Config{Ks: side, Kt: side, Seed: s.Seed}
+		cfg := s.coreConfig(core.Config{Ks: side, Kt: side})
 
 		spaceFull, err := metric.NewSpace(ds)
 		if err != nil {
@@ -124,7 +124,7 @@ func Table5(s Setup) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := core.Build(ds, space, core.Config{Seed: s.Seed})
+	idx, err := core.Build(ds, space, s.coreConfig(core.Config{}))
 	if err != nil {
 		return nil, err
 	}

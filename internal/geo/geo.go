@@ -56,24 +56,6 @@ func RectFromPoint(p []float64) Rect {
 // Dims returns the dimensionality of the rectangle.
 func (r Rect) Dims() int { return len(r.Lo) }
 
-// IsEmpty reports whether the rectangle contains no points.
-func (r Rect) IsEmpty() bool {
-	for i := range r.Lo {
-		if r.Lo[i] > r.Hi[i] {
-			return true
-		}
-	}
-	return len(r.Lo) == 0
-}
-
-// Clone returns a deep copy of r.
-func (r Rect) Clone() Rect {
-	out := Rect{Lo: make([]float64, len(r.Lo)), Hi: make([]float64, len(r.Hi))}
-	copy(out.Lo, r.Lo)
-	copy(out.Hi, r.Hi)
-	return out
-}
-
 // ExtendPoint grows r to cover p.
 func (r *Rect) ExtendPoint(p []float64) {
 	if len(p) != len(r.Lo) {
@@ -108,16 +90,6 @@ func (r *Rect) ExtendRect(o Rect) {
 func (r Rect) Contains(p []float64) bool {
 	for i, v := range p {
 		if v < r.Lo[i] || v > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports whether r and o overlap (inclusive).
-func (r Rect) Intersects(o Rect) bool {
-	for i := range r.Lo {
-		if r.Hi[i] < o.Lo[i] || o.Hi[i] < r.Lo[i] {
 			return false
 		}
 	}
@@ -202,11 +174,4 @@ func (r Rect) MinDistChebyshev(p []float64) float64 {
 		}
 	}
 	return mx
-}
-
-// Center writes the rectangle's center into dst (length Dims).
-func (r Rect) Center(dst []float64) {
-	for i := range r.Lo {
-		dst[i] = (r.Lo[i] + r.Hi[i]) / 2
-	}
 }

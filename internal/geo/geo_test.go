@@ -19,13 +19,10 @@ func TestPointDist(t *testing.T) {
 
 func TestNewRectIsEmpty(t *testing.T) {
 	r := NewRect(3)
-	if !r.IsEmpty() {
+	if r.Contains([]float64{0, 0, 0}) {
 		t.Fatal("NewRect should be empty")
 	}
 	r.ExtendPoint([]float64{1, 2, 3})
-	if r.IsEmpty() {
-		t.Fatal("rect with one point should not be empty")
-	}
 	if !r.Contains([]float64{1, 2, 3}) {
 		t.Fatal("rect should contain its only point")
 	}
@@ -45,23 +42,6 @@ func TestExtendAndContains(t *testing.T) {
 	r.ExtendRect(other)
 	if !r.Contains([]float64{4, 4}) {
 		t.Fatal("ExtendRect did not grow")
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	a := Rect{Lo: []float64{0, 0}, Hi: []float64{2, 2}}
-	b := Rect{Lo: []float64{1, 1}, Hi: []float64{3, 3}}
-	c := Rect{Lo: []float64{2.5, 2.5}, Hi: []float64{4, 4}}
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Fatal("a and b should intersect")
-	}
-	if a.Intersects(c) {
-		t.Fatal("a and c should not intersect")
-	}
-	// Touching edges count as intersecting.
-	d := Rect{Lo: []float64{2, 0}, Hi: []float64{3, 2}}
-	if !a.Intersects(d) {
-		t.Fatal("touching rects should intersect")
 	}
 }
 
@@ -102,15 +82,6 @@ func TestMinDistChebyshev(t *testing.T) {
 	}
 }
 
-func TestCenter(t *testing.T) {
-	r := Rect{Lo: []float64{0, 2}, Hi: []float64{4, 6}}
-	c := make([]float64, 2)
-	r.Center(c)
-	if c[0] != 2 || c[1] != 4 {
-		t.Fatalf("Center = %v", c)
-	}
-}
-
 // Property: MinDist lower-bounds the distance to every contained point.
 func TestMinDistIsLowerBound(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -145,14 +116,5 @@ func TestMinDistIsLowerBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	r := RectFromPoint([]float64{1, 1})
-	c := r.Clone()
-	c.ExtendPoint([]float64{9, 9})
-	if r.Contains([]float64{5, 5}) {
-		t.Fatal("Clone shares storage with original")
 	}
 }

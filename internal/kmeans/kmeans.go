@@ -246,17 +246,3 @@ func SampleFit(points [][]float32, fraction float64, cfg Config) (*Result, error
 	res.Assign = AssignAll(points, res.Centroids, cfg.Workers)
 	return res, nil
 }
-
-// Diameters returns, per cluster, twice the maximum distance from the
-// centroid to an assigned point (the diameter measure of Table 6 and
-// Fig. 4a). Clusters with no members get diameter 0.
-func Diameters(points [][]float32, res *Result) []float64 {
-	out := make([]float64, len(res.Centroids))
-	for i, p := range points {
-		c := res.Assign[i]
-		if d := 2 * vec.Dist(p, res.Centroids[c]); d > out[c] {
-			out[c] = d
-		}
-	}
-	return out
-}

@@ -192,18 +192,6 @@ func TestSampleFitTinyFractionClamps(t *testing.T) {
 	}
 }
 
-func TestDiameters(t *testing.T) {
-	pts := [][]float32{{0, 0}, {2, 0}, {10, 0}, {12, 0}}
-	res := &Result{
-		Centroids: [][]float32{{1, 0}, {11, 0}},
-		Assign:    []int{0, 0, 1, 1},
-	}
-	d := Diameters(pts, res)
-	if d[0] != 2 || d[1] != 2 {
-		t.Fatalf("Diameters = %v, want [2 2]", d)
-	}
-}
-
 func TestAssignAll(t *testing.T) {
 	cents := [][]float32{{0, 0}, {10, 10}}
 	pts := [][]float32{{1, 1}, {9, 9}, {0, 0}}

@@ -52,9 +52,6 @@ func (h *Heap) Reset(k int) {
 	h.aux = h.aux[:0]
 }
 
-// K returns the heap's capacity.
-func (h *Heap) K() int { return h.k }
-
 // Len returns the number of results currently held.
 func (h *Heap) Len() int { return len(h.items) }
 

@@ -38,22 +38,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a Dense from the given rows, which must all share one
-// length.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("mat: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -391,17 +375,4 @@ func RandomizedSVD(a *Dense, k, oversample, nIter int, rng *rand.Rand, workers i
 		}
 	}
 	return SVDResult{U: u, S: s, V: v}
-}
-
-// FrobeniusDiff returns the Frobenius norm of a-b.
-func FrobeniusDiff(a, b *Dense) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: FrobeniusDiff shape mismatch")
-	}
-	var s float64
-	for i, v := range a.Data {
-		d := v - b.Data[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }

@@ -8,8 +8,8 @@ import (
 )
 
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	c := Mul(a, b, 1)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
@@ -31,7 +31,7 @@ func TestMulShapePanics(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	at := a.T()
 	if at.Rows != 3 || at.Cols != 2 {
 		t.Fatalf("T shape = %dx%d", at.Rows, at.Cols)
@@ -42,7 +42,7 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	got := MulVec(a, []float64{1, 1})
 	if got[0] != 3 || got[1] != 7 {
 		t.Fatalf("MulVec = %v", got)
@@ -76,7 +76,7 @@ func TestQRReconstruction(t *testing.T) {
 		if !isOrthonormalCols(q, 1e-9) {
 			t.Fatalf("Q not orthonormal for shape %v", shape)
 		}
-		if d := FrobeniusDiff(Mul(q, r, 1), a); d > 1e-9 {
+		if d := frobeniusDiff(Mul(q, r, 1), a); d > 1e-9 {
 			t.Fatalf("QR reconstruction error %v for shape %v", d, shape)
 		}
 		// R upper-triangular.
@@ -92,10 +92,10 @@ func TestQRReconstruction(t *testing.T) {
 
 func TestQRRankDeficient(t *testing.T) {
 	// A matrix with a zero column must not produce NaNs.
-	a := FromRows([][]float64{{1, 0, 2}, {2, 0, 4}, {3, 0, 5}})
+	a := fromRows([][]float64{{1, 0, 2}, {2, 0, 4}, {3, 0, 5}})
 	q, r := QR(a)
 	prod := Mul(q, r, 1)
-	if d := FrobeniusDiff(prod, a); d > 1e-9 {
+	if d := frobeniusDiff(prod, a); d > 1e-9 {
 		t.Fatalf("rank-deficient QR reconstruction error %v", d)
 	}
 	for _, v := range q.Data {
@@ -107,7 +107,7 @@ func TestQRRankDeficient(t *testing.T) {
 
 func TestJacobiEigenKnown(t *testing.T) {
 	// Symmetric matrix with known eigenvalues 3 and 1.
-	s := FromRows([][]float64{{2, 1}, {1, 2}})
+	s := fromRows([][]float64{{2, 1}, {1, 2}})
 	vals, v := JacobiEigen(s)
 	if math.Abs(vals[0]-3) > 1e-10 || math.Abs(vals[1]-1) > 1e-10 {
 		t.Fatalf("eigenvalues = %v, want [3 1]", vals)
@@ -129,7 +129,7 @@ func TestJacobiEigenReconstruction(t *testing.T) {
 			d.Set(i, i, vals[i])
 		}
 		rec := Mul(Mul(v, d, 1), v.T(), 1)
-		if diff := FrobeniusDiff(rec, s); diff > 1e-7*(1+FrobeniusDiff(s, NewDense(n, n))) {
+		if diff := frobeniusDiff(rec, s); diff > 1e-7*(1+frobeniusDiff(s, NewDense(n, n))) {
 			t.Fatalf("n=%d reconstruction error %v", n, diff)
 		}
 		for i := 1; i < n; i++ {
@@ -152,7 +152,7 @@ func TestRandomizedSVDLowRank(t *testing.T) {
 		d.Set(i, i, res.S[i])
 	}
 	rec := Mul(Mul(res.U, d, 1), res.V.T(), 1)
-	if diff := FrobeniusDiff(rec, a); diff > 1e-6 {
+	if diff := frobeniusDiff(rec, a); diff > 1e-6 {
 		t.Fatalf("rank-3 reconstruction error %v", diff)
 	}
 	if !isOrthonormalCols(res.U, 1e-6) || !isOrthonormalCols(res.V, 1e-6) {
@@ -199,7 +199,7 @@ func TestMulTransposeProperty(t *testing.T) {
 		b := Gaussian(r, k, n)
 		left := Mul(a, b, 1).T()
 		right := Mul(b.T(), a.T(), 1)
-		return FrobeniusDiff(left, right) < 1e-9
+		return frobeniusDiff(left, right) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -365,4 +365,33 @@ func TestQRRowsBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fromRows builds a Dense from the given rows, which must all share one
+// length.
+func fromRows(rows [][]float64) *Dense {
+	if len(rows) == 0 {
+		return NewDense(0, 0)
+	}
+	m := NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic("mat: ragged rows")
+		}
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// frobeniusDiff returns the Frobenius norm of a-b.
+func frobeniusDiff(a, b *Dense) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("mat: frobeniusDiff shape mismatch")
+	}
+	var s float64
+	for i, v := range a.Data {
+		d := v - b.Data[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
 }

@@ -37,7 +37,7 @@ type Space struct {
 	// estimates used as normalizers.
 	DsMax, DtMax float64
 	// DtProjMax normalizes distances in the m-dimensional projected
-	// space (set by SetProjectedNormalizer; zero until then).
+	// space (set by SetProjectedNormalizerArena; zero until then).
 	DtProjMax float64
 	// Semantic selects the semantic distance (default Euclidean).
 	// Angular distances are natively in [0,1], so DtMax is 1 then.
@@ -95,24 +95,9 @@ func NewSpaceWithSemantic(ds *dataset.Dataset, kind SemanticMetric) (*Space, err
 	return s, nil
 }
 
-// SetProjectedNormalizer estimates DtProjMax from the projected vectors
-// with the same corner-point rule.
-func (s *Space) SetProjectedNormalizer(projected [][]float32) {
-	if len(projected) == 0 {
-		s.DtProjMax = 1
-		return
-	}
-	lo, hi := vec.MinMax(projected)
-	s.DtProjMax = vec.Dist(lo, hi)
-	if s.DtProjMax == 0 {
-		s.DtProjMax = 1
-	}
-}
-
-// SetProjectedNormalizerArena is SetProjectedNormalizer over a
-// contiguous row-major arena of projected vectors with the given
-// dimensionality (the index's SoA layout), avoiding the per-row slice
-// headers.
+// SetProjectedNormalizerArena estimates DtProjMax from a contiguous
+// row-major arena of projected vectors with the given dimensionality (the
+// index's SoA layout), by NewSpace's corner-point rule.
 func (s *Space) SetProjectedNormalizerArena(arena []float32, dim int) {
 	if len(arena) == 0 || dim <= 0 {
 		s.DtProjMax = 1
@@ -301,18 +286,10 @@ func (s *Space) SemanticBound(st *Stats, a, b []float32, bound float64) (float64
 }
 
 // SemanticProjVec returns the normalized semantic distance in the
-// projected space (d't). SetProjectedNormalizer must have been called.
+// projected space (d't). SetProjectedNormalizerArena must have been
+// called.
 func (s *Space) SemanticProjVec(a, b []float32) float64 {
 	return vec.Dist(a, b) / s.DtProjMax
-}
-
-// SemanticProj returns d't(q,o), counting one semantic distance
-// calculation.
-func (s *Space) SemanticProj(st *Stats, a, b []float32) float64 {
-	if st != nil {
-		st.SemanticDistCalcs++
-	}
-	return s.SemanticProjVec(a, b)
 }
 
 // Combine applies the λ-weighting of Eq. 1.

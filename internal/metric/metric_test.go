@@ -115,7 +115,7 @@ func TestCombinedTriangleInequality(t *testing.T) {
 
 func TestSetProjectedNormalizer(t *testing.T) {
 	sp := &Space{DsMax: 1, DtMax: 1}
-	sp.SetProjectedNormalizer([][]float32{{0, 0}, {3, 4}})
+	sp.SetProjectedNormalizerArena([]float32{0, 0, 3, 4}, 2)
 	if sp.DtProjMax != 5 {
 		t.Fatalf("DtProjMax = %v, want 5", sp.DtProjMax)
 	}
@@ -123,11 +123,11 @@ func TestSetProjectedNormalizer(t *testing.T) {
 		t.Fatalf("projected distance = %v, want 1", d)
 	}
 	// Degenerate inputs fall back to 1.
-	sp.SetProjectedNormalizer(nil)
+	sp.SetProjectedNormalizerArena(nil, 2)
 	if sp.DtProjMax != 1 {
 		t.Fatalf("empty fallback = %v", sp.DtProjMax)
 	}
-	sp.SetProjectedNormalizer([][]float32{{2, 2}, {2, 2}})
+	sp.SetProjectedNormalizerArena([]float32{2, 2, 2, 2}, 2)
 	if sp.DtProjMax != 1 {
 		t.Fatalf("zero-diameter fallback = %v", sp.DtProjMax)
 	}

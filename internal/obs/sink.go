@@ -43,13 +43,6 @@ func (c *SinkConfig) applyDefaults() {
 	}
 }
 
-// DefaultSinkConfig returns the config a zero SinkConfig resolves to.
-func DefaultSinkConfig() SinkConfig {
-	var c SinkConfig
-	c.applyDefaults()
-	return c
-}
-
 // Sink is the always-on trace collector: traced Do/DoBatch calls check
 // a pooled Trace out with Get, fill it, and hand it back with Finish,
 // which applies tail-based retention — every slow, errored, or partial

@@ -9,7 +9,8 @@ import (
 )
 
 func TestSinkConfigDefaults(t *testing.T) {
-	def := DefaultSinkConfig()
+	var def SinkConfig
+	def.applyDefaults()
 	if def.BufferSize != 1024 || def.SlowThreshold != 100*time.Millisecond || def.SampleEvery != 128 {
 		t.Fatalf("defaults = %+v", def)
 	}

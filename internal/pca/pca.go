@@ -232,16 +232,3 @@ func (p *Model) TransformAll(rows [][]float32) [][]float32 {
 	}
 	return out
 }
-
-// ExplainedVarianceRatio returns the fraction of total variance captured
-// by each component.
-func (p *Model) ExplainedVarianceRatio() []float64 {
-	out := make([]float64, len(p.ExplainedVariance))
-	if p.TotalVariance == 0 {
-		return out
-	}
-	for i, v := range p.ExplainedVariance {
-		out[i] = v / p.TotalVariance
-	}
-	return out
-}

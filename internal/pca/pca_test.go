@@ -200,12 +200,13 @@ func TestExplainedVarianceRatioSumsBelowOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum float64
-	ratios := m.ExplainedVarianceRatio()
-	for _, r := range ratios {
-		if r < 0 {
-			t.Fatalf("negative ratio %v", r)
+	ratios := make([]float64, len(m.ExplainedVariance))
+	for i, v := range m.ExplainedVariance {
+		ratios[i] = v / m.TotalVariance
+		if ratios[i] < 0 {
+			t.Fatalf("negative ratio %v", ratios[i])
 		}
-		sum += r
+		sum += ratios[i]
 	}
 	if sum > 1+1e-9 {
 		t.Fatalf("ratios sum to %v > 1", sum)

@@ -6,28 +6,10 @@ import (
 	"repro/internal/geo"
 )
 
-// SplitAlgorithm selects how overfull nodes are split on insertion.
-type SplitAlgorithm int
-
-const (
-	// RStar is the R*-tree split of Beckmann et al.: choose the split
-	// axis by minimum total margin over candidate distributions, then
-	// the distribution with minimum overlap (ties: minimum area). It is
-	// the default — and what the RR*-tree baseline's name promises.
-	RStar SplitAlgorithm = iota
-	// Quadratic is Guttman's quadratic split.
-	Quadratic
-)
-
-// NewWithSplit is New with an explicit split algorithm.
-func NewWithSplit(dims, maxEntries int, alg SplitAlgorithm) *Tree {
-	t := New(dims, maxEntries)
-	t.split = alg
-	return t
-}
-
 // rstarSplit splits an overfull node in place and returns the new
-// sibling.
+// sibling, by the R*-tree split of Beckmann et al.: choose the split axis
+// by minimum total margin over candidate distributions, then the
+// distribution with minimum overlap (ties: minimum area).
 func (t *Tree) rstarSplit(n *node) *node {
 	es := n.entries
 	total := len(es)

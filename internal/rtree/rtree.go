@@ -1,5 +1,5 @@
 // Package rtree implements a d-dimensional rectangle R-tree with STR bulk
-// loading, quadratic-split insertion, and generic best-first traversal
+// loading, R*-split insertion, and generic best-first traversal
 // (Hjaltason–Samet distance browsing). It backs the spatial-only baseline
 // of the evaluation (§7.1 "R-tree"), the spatial layer of the S²R-tree,
 // and the reference-space index of the RR*-tree baseline.
@@ -39,7 +39,6 @@ type Tree struct {
 	maxEntries int
 	minEntries int
 	size       int
-	split      SplitAlgorithm
 }
 
 // DefaultMaxEntries is the default node fan-out.
@@ -164,18 +163,7 @@ func (t *Tree) Size() int { return t.size }
 // Dims returns the dimensionality of the tree.
 func (t *Tree) Dims() int { return t.dims }
 
-// Height returns the number of levels (1 for a tree holding only a leaf
-// root).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.entries[0].child {
-		h++
-	}
-	return h
-}
-
-// Insert adds an entry, splitting nodes as needed with the configured
-// split algorithm (R* by default).
+// Insert adds an entry, splitting overfull nodes with the R* split.
 func (t *Tree) Insert(e Entry) {
 	if e.Rect.Dims() != t.dims {
 		panic(fmt.Sprintf("rtree: entry dims %d != tree dims %d", e.Rect.Dims(), t.dims))
@@ -199,7 +187,7 @@ func (t *Tree) insert(n *node, e entry) *node {
 	if n.leaf {
 		n.entries = append(n.entries, e)
 		if len(n.entries) > t.maxEntries {
-			return t.splitNode(n)
+			return t.rstarSplit(n)
 		}
 		return nil
 	}
@@ -211,7 +199,7 @@ func (t *Tree) insert(n *node, e entry) *node {
 		n.entries[best].rect = nodeRect(child, t.dims)
 		n.entries = append(n.entries, entry{rect: nodeRect(split, t.dims), child: split})
 		if len(n.entries) > t.maxEntries {
-			return t.splitNode(n)
+			return t.rstarSplit(n)
 		}
 	}
 	return nil
@@ -230,85 +218,6 @@ func (t *Tree) chooseSubtree(n *node, r geo.Rect) int {
 		}
 	}
 	return best
-}
-
-// splitNode dispatches to the configured split algorithm.
-func (t *Tree) splitNode(n *node) *node {
-	if t.split == Quadratic {
-		return t.quadraticSplit(n)
-	}
-	return t.rstarSplit(n)
-}
-
-// quadraticSplit splits an overfull node in place and returns the new
-// sibling (Guttman's quadratic algorithm).
-func (t *Tree) quadraticSplit(n *node) *node {
-	es := n.entries
-	// Pick the pair wasting the most area as seeds.
-	seedA, seedB := 0, 1
-	worst := -1.0
-	for i := 0; i < len(es); i++ {
-		for j := i + 1; j < len(es); j++ {
-			waste := es[i].rect.EnlargedArea(es[j].rect) - es[i].rect.Area() - es[j].rect.Area()
-			if waste > worst {
-				worst, seedA, seedB = waste, i, j
-			}
-		}
-	}
-	groupA := []entry{es[seedA]}
-	groupB := []entry{es[seedB]}
-	rectA := es[seedA].rect.Clone()
-	rectB := es[seedB].rect.Clone()
-	rest := make([]entry, 0, len(es)-2)
-	for i := range es {
-		if i != seedA && i != seedB {
-			rest = append(rest, es[i])
-		}
-	}
-	for len(rest) > 0 {
-		// Force-assign to meet the minimum fill.
-		if len(groupA)+len(rest) == t.minEntries {
-			groupA = append(groupA, rest...)
-			for _, e := range rest {
-				rectA.ExtendRect(e.rect)
-			}
-			break
-		}
-		if len(groupB)+len(rest) == t.minEntries {
-			groupB = append(groupB, rest...)
-			for _, e := range rest {
-				rectB.ExtendRect(e.rect)
-			}
-			break
-		}
-		// Pick the entry with the greatest preference difference.
-		bestI, bestDiff := 0, -1.0
-		for i, e := range rest {
-			dA := rectA.EnlargedArea(e.rect) - rectA.Area()
-			dB := rectB.EnlargedArea(e.rect) - rectB.Area()
-			diff := dA - dB
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > bestDiff {
-				bestDiff, bestI = diff, i
-			}
-		}
-		e := rest[bestI]
-		rest[bestI] = rest[len(rest)-1]
-		rest = rest[:len(rest)-1]
-		dA := rectA.EnlargedArea(e.rect) - rectA.Area()
-		dB := rectB.EnlargedArea(e.rect) - rectB.Area()
-		if dA < dB || (dA == dB && len(groupA) < len(groupB)) {
-			groupA = append(groupA, e)
-			rectA.ExtendRect(e.rect)
-		} else {
-			groupB = append(groupB, e)
-			rectB.ExtendRect(e.rect)
-		}
-	}
-	n.entries = groupA
-	return &node{leaf: n.leaf, entries: groupB}
 }
 
 // pqItem is a best-first queue element: either a node or a leaf entry.

@@ -101,8 +101,18 @@ func TestInsertValidates(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Height() < 2 {
-		t.Fatalf("Height = %d, expected splits to raise the tree", tr.Height())
+	if tr.root.leaf {
+		t.Fatal("root is still a leaf, expected splits to raise the tree")
+	}
+	for trial := 0; trial < 5; trial++ {
+		q := []float64{rng.Float64(), rng.Float64()}
+		want := knnBrute(pts, q, 8)
+		got := knnTree(tr, q, 8)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				t.Fatalf("trial %d result %d: %v vs %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -231,36 +241,11 @@ func TestNearestNeighborProperty(t *testing.T) {
 	}
 }
 
-// Both split algorithms must keep the tree valid and the search exact.
-func TestSplitAlgorithms(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	entries := randPoints(rng, 700, 2)
-	for _, alg := range []SplitAlgorithm{RStar, Quadratic} {
-		tr := NewWithSplit(2, 8, alg)
-		for _, e := range entries {
-			tr.Insert(e)
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("alg %v: %v", alg, err)
-		}
-		for trial := 0; trial < 5; trial++ {
-			q := []float64{rng.Float64(), rng.Float64()}
-			want := knnBrute(entries, q, 8)
-			got := knnTree(tr, q, 8)
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-9 {
-					t.Fatalf("alg %v trial %d result %d: %v vs %v", alg, trial, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // The R* split's design goal: an overfull node holding two spatially
 // separable groups must be split exactly between them (zero overlap).
 func TestRStarSplitSeparatesClusters(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 3))
-	tr := NewWithSplit(2, 16, RStar)
+	tr := New(2, 16)
 	n := &node{leaf: true}
 	for i := 0; i < 17; i++ { // one over capacity
 		cx := 0.1

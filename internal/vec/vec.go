@@ -213,16 +213,6 @@ func Add(dst, src []float32) {
 	}
 }
 
-// AXPY computes dst += alpha*src element-wise. It panics if the lengths
-// differ.
-func AXPY(alpha float64, dst, src []float32) {
-	checkLen(dst, src)
-	a := float32(alpha)
-	for i, v := range src {
-		dst[i] += a * v
-	}
-}
-
 // Scale multiplies every element of a by alpha in place.
 func Scale(a []float32, alpha float64) {
 	f := float32(alpha)

@@ -76,18 +76,14 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestAddAXPYScale(t *testing.T) {
+func TestAddScale(t *testing.T) {
 	dst := []float32{1, 2}
 	Add(dst, []float32{10, 20})
 	if dst[0] != 11 || dst[1] != 22 {
 		t.Fatalf("Add result %v", dst)
 	}
-	AXPY(2, dst, []float32{1, 1})
-	if dst[0] != 13 || dst[1] != 24 {
-		t.Fatalf("AXPY result %v", dst)
-	}
 	Scale(dst, 0.5)
-	if dst[0] != 6.5 || dst[1] != 12 {
+	if dst[0] != 5.5 || dst[1] != 11 {
 		t.Fatalf("Scale result %v", dst)
 	}
 }
