@@ -188,10 +188,12 @@ func writeMix(ds *Dataset, n int) []Op {
 // BenchmarkWrite prices one write of the writer mix on a 60k × 100
 // TwitterLike index. "bare" is Index.Insert/Update/Delete, which writes
 // the index's own overlay; "published" is a one-op ApplyBatch on
-// ShardedFrom(idx), which clones the snapshot's overlay, writes the
-// clone and publishes it. Every writeRound ops the index is replaced by
-// a fresh copy of the built one, off the clock, so the overlay stays
-// under the compaction threshold.
+// ShardedFrom(idx), which writes the same overlay in place under a copy
+// of the snapshot's header and publishes that header; "published-p4" is
+// the same on BuildSharded(…, 4, …), the shape of bench/'s rw-sharded.
+// Every writeRound ops the index is replaced by a fresh copy of the
+// built one, off the clock, so the overlay stays under the compaction
+// threshold.
 func BenchmarkWrite(b *testing.B) {
 	const n = 60000
 	ds, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: n + writeRound/3 + 600, Dim: 100, Seed: 77})
@@ -226,18 +228,28 @@ func BenchmarkWrite(b *testing.B) {
 			}
 		}
 	})
-	b.Run("published", func(b *testing.B) {
-		b.ReportAllocs()
-		var sh *ShardedIndex
-		for i := 0; i < b.N; i++ {
-			if i%writeRound == 0 {
-				b.StopTimer()
-				sh = ShardedFrom(built.cloneWithDelta())
-				b.StartTimer()
-			}
-			if err := sh.ApplyBatch(ops[i%writeRound : i%writeRound+1]); err != nil {
-				b.Fatal(err)
+	published := func(fresh func() *ShardedIndex) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			var sh *ShardedIndex
+			for i := 0; i < b.N; i++ {
+				if i%writeRound == 0 {
+					b.StopTimer()
+					sh = fresh()
+					b.StartTimer()
+				}
+				if err := sh.ApplyBatch(ops[i%writeRound : i%writeRound+1]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("published", published(func() *ShardedIndex { return ShardedFrom(built.cloneWithDelta()) }))
+	b.Run("published-p4", published(func() *ShardedIndex {
+		sh, err := BuildSharded(ds.Prefix(n), 4, Options{Seed: 77})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sh
+	}))
 }

@@ -23,30 +23,26 @@ func Concurrent(idx *Index) *ConcurrentIndex { return ShardedFrom(idx) }
 // holds the writer protocol only — requests, the trace sink and the
 // result cache live once, on the ShardedIndex above it.
 //
-//   - Readers are completely lock-free: they atomically load the current
-//     snapshot (an immutable *Index) and run against it; there is no
-//     reader count, no shared mutable state, and no cache line bouncing
-//     between reading cores. A snapshot is safe for any number of
-//     concurrent searches because per-query scratch comes from a
-//     sync.Pool, and it stays valid — and unchanged — for as long as a
-//     reader retains it.
-//   - Writers serialize on a small mutex, apply their mutation to a
-//     clone of the current snapshot that buffers it in a write overlay
-//     over the shared immutable base (see internal/core's overlay.go),
-//     and publish the clone with one atomic pointer store. Readers that
-//     loaded the old snapshot simply finish against it; new reads see
-//     the new one.
-//   - A rebuild reconstructs off to the side and publishes the result,
-//     so even a full §6.2 rebuild never stalls a reader; the background
-//     one additionally keeps writers available during reconstruction by
-//     logging their mutations and replaying them into the fresh index's
-//     write overlay before it is published (see buildAsideLocked).
+//   - Readers are lock-free: they atomically load the current snapshot
+//     and run against it, with no reader count and no cache line bouncing
+//     between cores. Per-query scratch comes from a sync.Pool, and a
+//     snapshot stays valid — and unchanged — for as long as a reader
+//     retains it.
+//   - Writers serialize on a small mutex. A batch writes the shard's
+//     write overlay in place (see internal/core's overlay.go) under a
+//     copy of the current snapshot's header, stamping each mutation with
+//     its sequence number, and publishes that header with one atomic
+//     pointer store. Readers of an earlier snapshot ignore every stamp
+//     past its sequence, so they finish against the state they loaded.
+//   - A rebuild reconstructs off to the side and publishes the result, so
+//     even a full §6.2 rebuild never stalls a reader; the background one
+//     also keeps writers available by logging their mutations and
+//     replaying them into the fresh index before it is published (see
+//     buildAsideLocked).
 //
-// The price is paid by writers, and it is a fixed one: the clone a
-// mutation is applied to shares the overlay's log, lookup tables and
-// group lists — and the keyword filter's directory — until the write
-// touches them, so publishing costs what the mutation touches, not what
-// the shard or the overlay holds. Reads pay nothing.
+// Publishing costs a header copy, 208 bytes in two allocations with the
+// facade's, whatever the shard or its overlay holds; an enabled keyword
+// filter adds its directory copy (8 KiB). Reads pay nothing.
 type shardCell struct {
 	cur atomic.Pointer[Index]
 
@@ -81,7 +77,7 @@ type shardCell struct {
 	// after its snapshot publishes (the /metrics latency histogram hook).
 	compactObs atomic.Pointer[func(time.Duration)]
 
-	// mu serializes writers: clone → mutate → publish, and the
+	// mu serializes writers: copy the header → write → publish, and the
 	// rebuild-completion replay. Readers never touch it.
 	mu sync.Mutex
 	// aside is non-nil while a background reconstruction is in flight —
@@ -172,24 +168,21 @@ func applyOp(idx *Index, op Op) error {
 	}
 }
 
-// apply clones the current snapshot, applies the ops in order, and
-// publishes the clone as ONE new snapshot — all under the writer mutex,
-// so readers never observe a partially applied batch. All-or-nothing:
-// if any op fails, nothing is published and the error is returned.
-//
-// The clone costs the same however many ops the overlay buffers: writes
-// land in an overlay chained over the shared immutable base, which no
-// write ever touches, and once the overlay reaches the compaction
-// threshold a background fold publishes a fresh flat base. A clone
-// dropped by a failing batch may already have appended to the log the
-// overlay lineage shares; the next write's clone then finds the slot
-// taken and moves to a private log (core's lost-claim copy).
+// apply writes the ops in order under a copy of the current snapshot's
+// header and publishes it as ONE new snapshot — all under the writer
+// mutex, so readers never observe a partially applied batch. All or
+// nothing: if an op fails, the overlay is rolled back to the current
+// snapshot, nothing is published and the error is returned. Once the
+// overlay reaches the compaction threshold a background fold publishes a
+// fresh flat base.
 func (c *shardCell) apply(ops ...Op) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	next := c.cur.Load().cloneWithDelta()
+	cur := c.cur.Load()
+	next := cur.cloneWithDelta()
 	for _, op := range ops {
 		if err := applyOp(next, op); err != nil {
+			next.core.Rollback(cur.core)
 			return err
 		}
 	}
@@ -214,14 +207,14 @@ func (c *shardCell) apply(ops ...Op) error {
 // both readers AND writers stay available — the one protocol behind the
 // background rebuild and the background overlay compaction. build runs
 // on its own goroutine with no lock held: readers serve from the
-// current snapshot, writers clone-and-publish as usual, and because
+// current snapshot, writers write and publish as usual, and because
 // aside is set their ops accumulate in rebuildLog. Once build
 // returns, the log is replayed, in order, into the result's write
-// overlay — the result is still private to the goroutine, so no clone
-// per op; replaying the exact sequence of acknowledged ops onto the
-// live set they originally applied to cannot conflict, and a failure
-// aborts publication — and the result is published, its base stamped as
-// new. The next fold anchors and places the replayed rows. done
+// overlay — the result is still private to the goroutine, so nothing
+// is published per op; replaying the exact sequence of acknowledged ops
+// onto the live set they originally applied to cannot conflict, and a
+// failure aborts publication — and the result is published, its base
+// stamped as new. The next fold anchors and places the replayed rows. done
 // receives the outcome, under c.mu, exactly once; on an error the
 // current snapshot, which already contains every acknowledged write,
 // stays published. aside is closed after done. Caller must hold c.mu.

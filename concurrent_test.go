@@ -2,6 +2,8 @@ package cssi
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -280,54 +282,228 @@ func TestConcurrentBatchStress(t *testing.T) {
 	}
 }
 
-// A snapshot taken before a write must keep answering from the old
-// state no matter how many writes publish after it — the pinning
-// guarantee batched readers rely on.
-func TestSnapshotPinsState(t *testing.T) {
-	ds := testDataset(t, 300)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 41}))
-	queries := ds.SampleQueries(8, 3)
+// pinnedState is what one pinned shard snapshot answers: its Len, exact
+// and CSSIA answers with their counted-read Stats, and its Object
+// lookups.
+type pinnedState struct {
+	n                 int
+	exact, approx     [][]Result
+	exactSt, approxSt []Stats
+	objs              map[uint32]*Object
+	objIDs            []uint32
+}
 
-	snap := snapshot(c)
-	wantLen := snap.Len()
-	want := mustDoBatch(t, snap, queries, 5, 0.5)
-
-	// Publish a burst of writes (including deletions of the nearest
-	// neighbours the snapshot returned, which MUST stay visible in it).
-	for _, rs := range want {
-		for _, r := range rs {
-			c.Delete(r.ID) // ignore dup-delete errors across batches
-		}
-	}
-	for i := 0; i < 50; i++ {
-		o := ds.Objects[i]
-		o.ID = uint32(400000 + i)
-		if err := c.Insert(o); err != nil {
-			t.Fatalf("insert: %v", err)
-		}
-	}
-
-	if snap.Len() != wantLen {
-		t.Fatalf("snapshot Len moved: %d, want %d", snap.Len(), wantLen)
-	}
-	got := mustDoBatch(t, snap, queries, 5, 0.5)
+func pinState(x *Index, queries []Object, ids []uint32) pinnedState {
+	ps := pinnedState{n: x.Len(), objs: make(map[uint32]*Object), objIDs: ids}
 	for qi := range queries {
-		if len(got[qi]) != len(want[qi]) {
-			t.Fatalf("query %d: %d results, want %d", qi, len(got[qi]), len(want[qi]))
-		}
-		for i := range want[qi] {
-			if got[qi][i] != want[qi][i] {
-				t.Fatalf("query %d result %d drifted: %+v -> %+v",
-					qi, i, want[qi][i], got[qi][i])
+		for _, lambda := range []float64{0.3, 0.7} {
+			for _, approx := range []bool{false, true} {
+				var st Stats
+				res := mustDo(x, SearchRequest{Query: &queries[qi], K: 8, Lambda: lambda, Approx: approx, Stats: &st})
+				if approx {
+					ps.approx, ps.approxSt = append(ps.approx, res), append(ps.approxSt, st)
+				} else {
+					ps.exact, ps.exactSt = append(ps.exact, res), append(ps.exactSt, st)
+				}
 			}
 		}
 	}
-	// The live view did move on.
-	if c.Len() == wantLen {
-		t.Fatal("wrapper did not observe the writes")
+	for _, id := range ids {
+		if o, ok := x.Object(id); ok {
+			c := *o
+			c.Vec = slices.Clone(o.Vec)
+			ps.objs[id] = &c
+		}
 	}
-	if err := snap.CheckInvariants(); err != nil {
-		t.Fatalf("snapshot invariants: %v", err)
+	return ps
+}
+
+// diff returns how x's answers differ from the pinned ones, or "".
+func (ps pinnedState) diff(x *Index, queries []Object) string {
+	got := pinState(x, queries, ps.objIDs)
+	switch {
+	case got.n != ps.n:
+		return fmt.Sprintf("Len %d, pinned %d", got.n, ps.n)
+	case !slices.EqualFunc(got.exact, ps.exact, slices.Equal) || !slices.Equal(got.exactSt, ps.exactSt):
+		return "exact answers or their Stats"
+	case !slices.EqualFunc(got.approx, ps.approx, slices.Equal) || !slices.Equal(got.approxSt, ps.approxSt):
+		return "CSSIA answers or their Stats"
+	}
+	for _, id := range ps.objIDs {
+		w, g := ps.objs[id], got.objs[id]
+		if (w == nil) != (g == nil) || (w != nil && (w.X != g.X || w.Y != g.Y || w.Text != g.Text || !slices.Equal(w.Vec, g.Vec))) {
+			return fmt.Sprintf("Object(%d): %v, pinned %v", id, g, w)
+		}
+	}
+	return ""
+}
+
+// A snapshot taken before a write must keep answering from the old
+// state no matter how many writes publish after it — the pinning
+// guarantee batched readers rely on, and what the stamped overlay must
+// keep: every snapshot of a fold lineage shares the overlay its writer
+// goes on writing in place. On one shard and on four, each shard's
+// snapshot is pinned over an overlay holding inserts, tombstones and
+// dead slots; then, under concurrent readers of the pins, the writer
+// updates base and overlay rows, deletes both, widens groups, fails a
+// batch midway and triggers background folds. The pins' Len, exact and
+// CSSIA answers, their counted-read Stats and their Object lookups never
+// move, and the pins stay coherent (CheckInvariants).
+func TestOverlaySnapshotPinsState(t *testing.T) {
+	ds := testDataset(t, 800)
+	base := ds.Prefix(600)
+	queries := base.SampleQueries(4, 3)
+	fresh := func(i int) Object {
+		o := ds.Objects[600+i%200]
+		o.ID = uint32(400000 + i)
+		return o
+	}
+	moved := func(id uint32, i int) Object {
+		o := ds.Objects[(i*37+11)%800]
+		o.ID, o.X = id, 1-o.X
+		return o
+	}
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			c := mustBuildSharded(t, base, p, Options{Seed: 41, DeltaCompactThreshold: 1 << 20})
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The pinned overlay: inserts, base deletes and updates, an
+			// overlay update and an overlay delete.
+			for i := 0; i < 60; i++ {
+				must(c.Insert(fresh(i)))
+			}
+			for i := 0; i < 40; i++ {
+				if id := base.Objects[i].ID; i < 20 {
+					must(c.Delete(id))
+				} else {
+					must(c.Update(moved(id, i)))
+				}
+			}
+			for i := 0; i < 20; i++ {
+				if id := fresh(i).ID; i < 10 {
+					must(c.Update(moved(id, i)))
+				} else {
+					must(c.Delete(id))
+				}
+			}
+			pins := make([]*Index, p)
+			states := make([]pinnedState, p)
+			for si := range pins {
+				pins[si] = c.shards[si].cur.Load()
+				var ids []uint32
+				for i := 0; i < 120; i++ {
+					for _, id := range []uint32{base.Objects[i].ID, fresh(i).ID} {
+						if c.ShardFor(id) == si {
+							ids = append(ids, id)
+						}
+					}
+				}
+				states[si] = pinState(pins[si], queries, ids)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						for si := range pins {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							if d := states[si].diff(pins[si], queries); d != "" {
+								t.Errorf("pinned shard %d moved: %s", si, d)
+								return
+							}
+						}
+					}
+				}()
+			}
+			// Updates of base and overlay rows, deletes of both, and inserts
+			// that widen the pinned groups.
+			for i := 40; i < 60; i++ {
+				must(c.Update(moved(base.Objects[i].ID, i)))
+				must(c.Delete(base.Objects[i+20].ID))
+			}
+			for i := 20; i < 40; i++ {
+				must(c.Update(moved(fresh(i).ID, i)))
+				must(c.Delete(fresh(i + 20).ID))
+			}
+			for i := 60; i < 100; i++ {
+				must(c.Insert(moved(fresh(i).ID, i)))
+			}
+			// A batch per shard that fails after an insert, an update of
+			// a base row and an update of an overlay row.
+			for si := 0; si < p; si++ {
+				var batch []Op
+				for i := 100; len(batch) < 1; i++ {
+					if o := fresh(i); c.ShardFor(o.ID) == si {
+						batch = append(batch, Op{Kind: OpInsert, Object: o})
+					}
+				}
+				for i := 100; len(batch) < 2; i++ {
+					if id := base.Objects[i].ID; c.ShardFor(id) == si {
+						batch = append(batch, Op{Kind: OpUpdate, Object: moved(id, i)})
+					}
+				}
+				for i := 80; len(batch) < 3; i++ {
+					if id := fresh(i).ID; c.ShardFor(id) == si {
+						batch = append(batch, Op{Kind: OpUpdate, Object: moved(id, i)})
+					}
+				}
+				unknown := uint32(900000)
+				for c.ShardFor(unknown) != si {
+					unknown++
+				}
+				n := c.Len()
+				if err := c.ApplyBatch(append(batch, Op{Kind: OpDelete, ID: unknown})); err == nil {
+					t.Fatalf("shard %d: a batch deleting an unknown ID succeeded", si)
+				}
+				if c.Len() != n {
+					t.Fatalf("shard %d: the failed batch moved Len %d -> %d", si, n, c.Len())
+				}
+				must(c.ApplyBatch(batch))
+			}
+			// Background folds: every shard crosses a small threshold.
+			must(c.SetDeltaThreshold(8))
+			deadline := time.Now().Add(20 * time.Second)
+			for i := 120; ; i++ {
+				folded := true
+				for _, sh := range c.shards {
+					folded = folded && sh.compactions.Load() > 0
+				}
+				if folded || time.Now().After(deadline) {
+					break
+				}
+				must(c.Insert(fresh(i)))
+			}
+			for si, sh := range c.shards {
+				if sh.compactions.Load() == 0 {
+					t.Fatalf("shard %d: no background fold", si)
+				}
+			}
+			must(c.Compact())
+			close(stop)
+			wg.Wait()
+			for si, pin := range pins {
+				if d := states[si].diff(pin, queries); d != "" {
+					t.Fatalf("pinned shard %d moved: %s", si, d)
+				}
+				if err := pin.CheckInvariants(); err != nil {
+					t.Fatalf("pinned shard %d: %v", si, err)
+				}
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -218,8 +218,8 @@ func (x *Index) foldAfter(err error) error {
 	return nil
 }
 
-// insert is Insert without the fold: the write a shard applies to its
-// private clone, whose fold runs in the background.
+// insert is Insert without the fold: the write a shard applies under
+// its next snapshot's header, whose fold runs in the background.
 func (x *Index) insert(o Object) error {
 	if err := x.core.Insert(o); err != nil {
 		return err
@@ -270,14 +270,11 @@ func (x *Index) Rebuild() error {
 	return nil
 }
 
-// cloneWithDelta returns a write-isolated copy for the
-// snapshot-publication path of shardCell, whose core carries a mutable
-// delta overlay over the shared immutable base: applying a write costs
-// what the write touches, and the clone's writes are invisible through
-// x, so lock-free readers keep using x until the clone is published in
-// its place. An enabled keyword filter is cloned the same way here and
-// in compact: the clone shares every directory bucket and copies the few
-// a write touches.
+// cloneWithDelta returns a copy of x's header for shardCell to write
+// and publish: its writes are invisible through x (see
+// core.Index.CloneWithDelta). An enabled keyword filter is cloned here
+// and in compact, sharing every directory bucket until a write copies
+// the few it touches.
 func (x *Index) cloneWithDelta() *Index {
 	nx := &Index{core: x.core.CloneWithDelta(), space: x.space}
 	if x.kw != nil {

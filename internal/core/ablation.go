@@ -112,7 +112,7 @@ func (x *Index) scanClusterAblated(q *dataset.Object, lambda float64, c *hybrid,
 				}
 			}
 		}
-		if tombs != nil && tombs.get(e.idx) {
+		if tombs.get(e.idx) {
 			continue
 		}
 		o := x.row(e.idx)

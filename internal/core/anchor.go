@@ -314,7 +314,7 @@ func (x *Index) gateRows(sc *searchScratch, q *dataset.Object, c *hybrid, blk *c
 // row would: a tombstoned row nothing, a row rs rejects IntraPruned, and
 // any other row a visit, its spatial distance and AnchorPruned.
 func (x *Index) chargeDropped(c *hybrid, blk *clusterBlock, rs *restriction, from, to int, st *metric.Stats) {
-	if x.deltaTombs() == nil && !rs.rows {
+	if x.dv.nTombs == 0 && !rs.rows {
 		n := int64(to - from)
 		st.VisitedObjects += n
 		st.SpatialDistCalcs += n
@@ -330,7 +330,7 @@ func (x *Index) chargeDroppedRows(c *hybrid, blk *clusterBlock, rs *restriction,
 	for ei := from; ei < to; ei++ {
 		e := &c.elems[ei]
 		switch {
-		case tombs != nil && tombs.get(e.idx):
+		case tombs.get(e.idx):
 		case rs.rows && !rs.admits(x.ids[e.idx], blk.xs[ei], blk.ys[ei]):
 			st.IntraPruned++
 		default:

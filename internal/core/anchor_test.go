@@ -147,8 +147,8 @@ func FuzzAnchorGatePass(f *testing.F) {
 		}
 		sp := &metric.Space{DsMax: dsMax, DtMax: 1}
 		set := &Anchors{pts: [][]float32{{0}}}
-		x := &Index{space: sp, xArena: []float64{ox}, yArena: []float64{oy},
-			anchors: &anchorArena{set: set, id: []uint8{0}, dist: []float32{float32(d)}}}
+		x := &Index{baseIndex: &baseIndex{space: sp, xArena: []float64{ox}, yArena: []float64{oy},
+			anchors: &anchorArena{set: set, id: []uint8{0}, dist: []float32{float32(d)}}}}
 		c := &hybrid{elems: []element{{idx: 0, ds: math.Inf(1), dt: 0}}, headDs: math.Inf(1)}
 		ad := &queryAnchors{set: set, dtMax: sp.DtMax}
 		ad.dq[0] = dq
@@ -306,7 +306,7 @@ func onePassScan(x *Index, sc *searchScratch, q *dataset.Object, lambda float64,
 			st.IntraPruned += int64(len(c.elems) - ei)
 			return append(ev, 'c'), keep
 		}
-		if tombs != nil && tombs.get(e.idx) {
+		if tombs.get(e.idx) {
 			ev = append(ev, 't')
 			continue
 		}
@@ -366,7 +366,7 @@ func requireScansMatchOnePass(t *testing.T, ctx string, x *Index, queries []data
 				dtqC := x.space.SemanticVec(q.Vec, x.tCent[c.t])
 				var dists []float64
 				for _, e := range c.elems {
-					if tombs == nil || !tombs.get(e.idx) {
+					if !tombs.get(e.idx) {
 						dists = append(dists, metric.Combine(lambda, x.space.SpatialXY(q.X, q.Y, x.xArena[e.idx], x.yArena[e.idx]), x.space.SemanticVec(q.Vec, x.vecAt(e.idx))))
 					}
 				}

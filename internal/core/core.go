@@ -168,7 +168,43 @@ type hybrid struct {
 // index: it keeps the semantic cluster representations in the original
 // space (for CSSI and for intra-cluster pruning) and in the projected
 // space (for CSSIA's inter-cluster pruning, §5.2).
+//
+// An Index value is one snapshot's header: the base it reads, which no
+// write touches after derive built it, and what the writes since then
+// made of it — the live count, the drift counters and the write overlay
+// with this snapshot's view of it. Publishing a snapshot copies the
+// header, a few cache lines whatever the base holds.
 type Index struct {
+	*baseIndex
+
+	// live counts the base rows plus the overlay's live inserts minus its
+	// tombstones.
+	live int
+
+	// delta, when non-nil, is the write overlay of this snapshot's fold
+	// lineage (see overlay.go), and dv this snapshot's header over it:
+	// Insert/Delete/Update land in the overlay, never in the base, which
+	// stays byte-for-byte shared with every snapshot of the lineage.
+	// Search runs base + delta as dv sees it; Compact folds it into a
+	// fresh flat base. nil (and dv zero) on flat indexes (Build/Load/
+	// Compact products) until their first write creates it.
+	delta *overlayDelta
+	dv    deltaView
+
+	// UpdatesSinceBuild counts Insert/Delete operations since the last
+	// (re)build; callers may use it to trigger Rebuild after heavy churn
+	// (§6.2).
+	UpdatesSinceBuild int
+	// insertsSinceBuild and radiusDrifts drive DriftRatio, the rebuild
+	// heuristic: an insert outside the build-time ball of its nearest
+	// clusters (builtSRad, builtTRadProj; not the live radii, so the
+	// signal does not saturate) signals the drift §6.2 rebuilds for.
+	insertsSinceBuild, radiusDrifts int
+}
+
+// baseIndex is the immutable base every snapshot of one build, load or
+// fold shares.
+type baseIndex struct {
 	cfg   Config
 	space *metric.Space
 
@@ -177,24 +213,14 @@ type Index struct {
 	// in the three columns below, which is all that no arena holds (Topic
 	// only because Save writes it). row assembles the object back.
 	// Every row is live in the base: Load drops the rows an older file
-	// flags deleted, and a delete lands in the overlay. live counts the
-	// base rows plus the overlay's live inserts minus its tombstones.
+	// flags deleted, and a delete lands in the overlay.
 	ids    []uint32
 	texts  []string
 	topics []int
-	live   int
 	// idIdx maps the ID of every row to its storage position. Build,
 	// Load and Compact bulk-build it; the overlay never writes it, so
 	// CloneWithDelta shares the table whole.
 	idIdx *idTable
-
-	// delta, when non-nil, is this snapshot's mutable write overlay (see
-	// overlay.go): Insert/Delete/Update land in it, never in the base
-	// structures above, which stay byte-for-byte shared with the parent
-	// snapshot. Search runs base + delta; Compact folds the delta into a
-	// fresh flat base. nil on flat indexes (Build/Load/Compact products)
-	// until their first write creates it.
-	delta *overlayDelta
 
 	// The embeddings and their PCA projections live in two contiguous
 	// row-major float32 arenas (SoA, fixed stride): row i of vecArena is
@@ -245,24 +271,13 @@ type Index struct {
 	clusters []*hybrid
 	grid     []*hybrid
 
-	// UpdatesSinceBuild counts Insert/Delete operations since the last
-	// (re)build; callers may use it to trigger Rebuild after heavy churn
-	// (§6.2).
-	UpdatesSinceBuild int
-	// insertsSinceBuild and radiusExpansions drive DriftRatio, the
-	// rebuild heuristic: an insert falling outside the build-time ball
-	// of its nearest clusters signals that the data distribution has
-	// moved away from the clustering (the condition §6.2 says warrants
-	// a rebuild). The comparison uses the radii as of the last (re)build
-	// — not the live, already-expanded ones — so the signal does not
-	// saturate after the first outlier.
-	builtSRad, builtTRadProj        []float64
-	insertsSinceBuild, radiusDrifts int
+	// builtSRad and builtTRadProj are the side radii as of the last
+	// (re)build, which DriftRatio compares inserts against.
+	builtSRad, builtTRadProj []float64
 
 	// scratchPool recycles per-query searchScratch buffers so the query
-	// algorithms allocate nothing in steady state. A pointer (not a
-	// value) because clones copy the whole Index value and sync.Pool
-	// must not be copied. Snapshot clones and folds share the pool.
+	// algorithms allocate nothing in steady state. Folds share the pool
+	// with the base they fold.
 	scratchPool *sync.Pool
 }
 
@@ -289,12 +304,12 @@ func buildInstrumented(ds *dataset.Dataset, space *metric.Space, cfg Config, anc
 	cfg.applyDefaults()
 	n := ds.Len()
 	ks, kt := cfg.clusterCounts(n)
-	x := &Index{
+	x := &Index{baseIndex: &baseIndex{
 		cfg:         cfg,
 		space:       space,
 		dim:         len(ds.Objects[0].Vec),
 		scratchPool: newScratchPool(),
-	}
+	}}
 	// The columns are filled in input order and the vectors stay the
 	// caller's until the cluster-major order is known: layoutClusterMajor
 	// then permutes the columns and writes the vector arena once, in that
@@ -647,8 +662,8 @@ func (x *Index) baseLive() int64 {
 }
 
 // liveElems returns the number of c's elements that are live: all of
-// them but those the overlay has tombstoned, a popcount over c's window
-// of storage positions. Only counted reads ask.
+// them but those the overlay has tombstoned, counted over c's window of
+// storage positions. Only counted reads ask.
 func (x *Index) liveElems(c *hybrid) int64 {
 	return x.liveIn(c, 0, len(c.elems))
 }
@@ -656,11 +671,7 @@ func (x *Index) liveElems(c *hybrid) int64 {
 // liveIn returns the number of live elements among c's elements
 // [from, to).
 func (x *Index) liveIn(c *hybrid, from, to int) int64 {
-	n := int64(to - from)
-	if tombs := x.deltaTombs(); tombs != nil {
-		n -= int64(tombs.countRange(c.base+from, c.base+to))
-	}
-	return n
+	return int64(to-from) - int64(x.deltaTombs().countRange(c.base+from, c.base+to))
 }
 
 // Len returns the number of live objects.
@@ -694,12 +705,12 @@ func (x *Index) Space() *metric.Space { return x.space }
 // insert.
 func (x *Index) Object(id uint32) (dataset.Object, bool) {
 	if d := x.delta; d != nil {
-		if pos, ok := d.idToPos.get(id); ok {
-			return d.objs[pos], true
+		if pos, ok := d.slotAt(&x.dv, id); ok {
+			return x.dv.log.objs[pos], true
 		}
 	}
 	idx, ok := x.idIdx.get(id)
-	if !ok || (x.delta != nil && x.delta.tombs.get(idx)) {
+	if !ok || x.deltaTombs().get(idx) {
 		return dataset.Object{}, false
 	}
 	return x.row(idx), true

@@ -363,7 +363,7 @@ func (x *Index) scanCluster(sc *searchScratch, q *dataset.Object, lambda float64
 		next = ei + 1
 		// Overlay tombstones hide base objects the shared cluster arrays
 		// still list.
-		if tombs != nil && tombs.get(e.idx) {
+		if tombs.get(e.idx) {
 			continue
 		}
 		if rs.rows && !rs.admits(x.ids[e.idx], blk.xs[ei], blk.ys[ei]) {

@@ -5,9 +5,9 @@ import "unsafe"
 // HeapBytes attributes an index's heap footprint to the structures that
 // hold it, each as capacity × element size: what the index references,
 // not what the allocator rounded it up to. A snapshot counts in full the
-// structures it shares with its parent or its clones. Texts counts the
-// string headers only: a built index shares the strings themselves with
-// the objects it was built from.
+// structures it shares with the other snapshots of its lineage. Texts
+// counts the string headers only: a built index shares the strings
+// themselves with the objects it was built from.
 type HeapBytes struct {
 	Vectors     int64 `json:"vectors"`     // the n-dimensional vector arena
 	Projections int64 `json:"projections"` // the m-dimensional projection arena
@@ -63,7 +63,7 @@ func (x *Index) HeapBytes() HeapBytes {
 			rowsOf(x.tCent) + rowsOf(x.tCentProj) + sizeOf(x.tRad) + sizeOf(x.tRadProj) +
 			sizeOf(x.builtTRadProj) + sizeOf(x.tValid),
 		IDTable: x.idIdx.heapBytes(),
-		Overlay: x.delta.heapBytes(),
+		Overlay: x.delta.heapBytes(&x.dv),
 	}
 	if aa := x.anchors; aa != nil {
 		h.Anchors = sizeOf(aa.id) + sizeOf(aa.dist) + rowsOf(aa.set.pts)
@@ -90,19 +90,18 @@ func (t *idTable) heapBytes() int64 {
 	return n
 }
 
-// heapBytes returns the bytes of the overlay's log, bitmaps, tables and
-// groups (0 for none).
-func (d *overlayDelta) heapBytes() int64 {
+// heapBytes returns the bytes of the overlay as header v sees it: its
+// log, tombstones and groups, the shared ID table, and one undo record
+// per slot and one group-index entry per group (0 for none).
+func (d *overlayDelta) heapBytes(v *deltaView) int64 {
 	if d == nil {
 		return 0
 	}
-	n := sizeOf(d.objs) + sizeOf(d.vecs) + sizeOf(d.projs) + sizeOf(d.dead) + sizeOf(d.tombs) +
-		d.idToPos.heapBytes() + d.groupIdx.heapBytes() + sizeOf(d.groups.chunks) + sizeOf(d.groups.owned)
-	for _, c := range d.groups.chunks {
-		n += int64(unsafe.Sizeof(*c))
+	n := sizeOf(v.groups) + int64(len(v.groups))*int64(unsafe.Sizeof(overlayGroup{})+8) +
+		sizeOf(v.tombBits) + sizeOf(v.tombStamp) + int64(v.n)*int64(unsafe.Sizeof(slotUndo{}))
+	if b := v.log; b != nil {
+		n += sizeOf(b.objs) + sizeOf(b.vecs) + sizeOf(b.projs) + sizeOf(b.dead) + sizeOf(b.next) +
+			sizeOf(b.radDs) + sizeOf(b.radDt)
 	}
-	for i := 0; i < d.groups.n; i++ {
-		n += sizeOf(d.groups.at(i).members)
-	}
-	return n
+	return n + sizeOf(d.ids.Load().e)
 }

@@ -15,8 +15,9 @@ import (
 // into a fresh base by Build's rule (§6.2). These tests replay random
 // write streams — inserts, inserts at an existing object's place (ties
 // in ds, or in both orders), deletes, updates that move an object across
-// clusters, and folds at chosen points — on a built index, or on an
-// overlay clone of it. After every step they require CheckInvariants
+// clusters, folds at chosen points, and batches that fail after they
+// wrote and are rolled back — on a built index, or on an overlay clone
+// of it. After every step they require CheckInvariants
 // clean, exact answers equal to a linear scan and counted reads that
 // charge every live row once; after every fold, of every cluster exactly
 // what a from-scratch ordering of its members gives and of every side
@@ -173,7 +174,7 @@ func runHybridMaintenance(t *testing.T, clone bool, ops []byte) {
 	}
 	nextID := uint32(1_000_000)
 	for i := 0; i+1 < len(ops); i += 2 {
-		arg, kind := int(ops[i+1]), ops[i]%5
+		arg, kind := int(ops[i+1]), ops[i]%6
 		ctx := fmt.Sprintf("op %d (kind %d)", i/2, kind)
 		var err error
 		switch kind {
@@ -216,8 +217,10 @@ func runHybridMaintenance(t *testing.T, clone bool, ops []byte) {
 				o.Vec = slices.Clone(pool.Objects[arg%len(pool.Objects)].Vec)
 			}
 			err = x.Update(o)
-		default:
+		case 4:
 			fold(ctx)
+		default: // an all-or-nothing batch that fails after it wrote
+			failBatch(t, ctx, x, pool.Objects[arg%len(pool.Objects)], nextID, live, arg)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
@@ -258,6 +261,62 @@ func runHybridMaintenance(t *testing.T, clone bool, ops []byte) {
 	}
 }
 
+// failBatch writes a copy of x's header as a failing batch would — an
+// insert of a new object under id, an update of a live row and a delete
+// of one of the two newest, then a delete of an unknown ID — and rolls
+// it back. x must then be its
+// lineage's head again, with its answers and their counted-read Stats
+// unmoved.
+func failBatch(t *testing.T, ctx string, x *Index, o dataset.Object, id uint32, live []uint32, arg int) {
+	t.Helper()
+	queries := []dataset.Object{o}
+	if len(live) > 0 {
+		q, _ := x.Object(live[arg%len(live)])
+		queries = append(queries, q)
+	}
+	counted := func() ([][]knn.Result, []metric.Stats) {
+		var res [][]knn.Result
+		var sts []metric.Stats
+		for qi := range queries {
+			for _, lambda := range []float64{0.3, 1} {
+				var st metric.Stats
+				res = append(res, x.Search(&queries[qi], 5, lambda, &st))
+				sts = append(sts, st)
+			}
+		}
+		return res, sts
+	}
+	wantRes, wantSt := counted()
+	wantLen, wantOps := x.Len(), x.DeltaOps()
+	y := x.CloneWithDelta()
+	o.ID = id
+	if err := y.Insert(o); err != nil {
+		t.Fatalf("%s: batch insert: %v", ctx, err)
+	}
+	if len(live) >= 2 {
+		up, _ := x.Object(live[arg%len(live)])
+		up.X = clamp01(1 - up.X)
+		if err := y.Update(up); err != nil {
+			t.Fatalf("%s: batch update: %v", ctx, err)
+		}
+		// The newest live ID: an overlay row unless a fold came after it.
+		if err := y.Delete(live[len(live)-1-(arg+1)%2]); err != nil {
+			t.Fatalf("%s: batch delete: %v", ctx, err)
+		}
+	}
+	if err := y.Delete(id + 1); err == nil {
+		t.Fatalf("%s: delete of unknown ID %d accepted", ctx, id+1)
+	}
+	y.Rollback(x)
+	if d := x.delta; d != nil && (d.head.ops != x.dv.ops || d.head.n != x.dv.n || len(d.head.groups) != len(x.dv.groups)) {
+		t.Fatalf("%s: after the rollback the lineage's head is at op %d, x at %d", ctx, d.head.ops, x.dv.ops)
+	}
+	gotRes, gotSt := counted()
+	if x.Len() != wantLen || x.DeltaOps() != wantOps || !slices.EqualFunc(gotRes, wantRes, slices.Equal) || !slices.Equal(gotSt, wantSt) {
+		t.Fatalf("%s: the rolled-back batch moved x (Len %d -> %d, ops %d -> %d)", ctx, wantLen, x.Len(), wantOps, x.DeltaOps())
+	}
+}
+
 func TestHybridMaintenance(t *testing.T) {
 	for _, clone := range []bool{false, true} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -272,11 +331,14 @@ func TestHybridMaintenance(t *testing.T) {
 }
 
 // FuzzHybridMaintenance drives the one write path: overlay inserts,
-// deletes and updates with Compact at fuzzed points (kind 4).
+// deletes and updates with Compact at fuzzed points (kind 4) and
+// all-or-nothing batches that fail after they wrote, rolled back
+// (kind 5).
 func FuzzHybridMaintenance(f *testing.F) {
 	f.Add(false, []byte{0, 7, 1, 9, 2, 3, 4, 0, 3, 200, 1, 1, 1, 1, 2, 0})
 	f.Add(true, []byte{1, 0, 1, 0, 1, 0, 2, 5, 4, 1, 3, 17, 3, 18, 0, 255})
 	f.Add(true, []byte{3, 1, 3, 3, 3, 5, 2, 2, 2, 4, 2, 6, 4, 2, 0, 0, 1, 2})
+	f.Add(false, []byte{0, 3, 5, 1, 3, 4, 5, 2, 2, 9, 5, 7, 4, 0, 5, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, clone bool, ops []byte) {
 		if len(ops) > 160 {
 			ops = ops[:160]

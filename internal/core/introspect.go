@@ -87,17 +87,15 @@ func (x *Index) ForEachLive(fn func(o *dataset.Object)) {
 	tombs := x.deltaTombs()
 	var o dataset.Object
 	for i := range x.ids {
-		if tombs != nil && tombs.get(uint32(i)) {
+		if tombs.get(uint32(i)) {
 			continue
 		}
 		o = x.row(uint32(i))
 		fn(&o)
 	}
-	if d := x.delta; d != nil {
-		for pos := range d.objs {
-			if !d.dead.get(uint32(pos)) {
-				fn(&d.objs[pos])
-			}
+	for pos := range x.dv.n {
+		if !x.dv.dead(uint32(pos)) {
+			fn(&x.dv.log.objs[pos])
 		}
 	}
 }

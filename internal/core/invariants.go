@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/metric"
 	"repro/internal/vec"
@@ -88,10 +89,6 @@ func (x *Index) CheckInvariants() error {
 	if rows != x.rows() {
 		return fmt.Errorf("clusters hold %d of %d rows", rows, x.rows())
 	}
-	// With a write overlay, the base rows include the ones it tombstoned.
-	if want := x.baseLive() + int64(x.deltaTombs().count()); int64(x.rows()) != want {
-		return fmt.Errorf("the base holds %d rows, its live and tombstoned rows are %d", x.rows(), want)
-	}
 	return x.checkOverlay()
 }
 
@@ -157,73 +154,101 @@ func (x *Index) checkGrid() error {
 	return nil
 }
 
-// checkOverlay verifies the write overlay's internal consistency: the
-// log's three arrays agree, stay inside the claimed tail and every
-// stored object views its own arena row; the counters match the bitsets;
-// the ID table and the group index are sorted, duplicate-free, bucketed
-// by their hash and name exactly the live log slots and the groups; and
-// the group member lists partition the log in ascending order and the
-// group radii cover their members (the fact scanDelta's pruning rests
-// on).
+// checkOverlay verifies the write overlay as x's header sees it: the
+// log's arenas hold its slots and every stored object views its own
+// arena row; no death or tombstone stamp is above the lineage's
+// sequence; the header's live, tombstone and live-slot counts are what
+// its stamps imply at its own sequence; the ID table resolves every live
+// slot's ID to that slot and nothing else to a live slot; and the groups'
+// member chains partition the log in ascending order, one group per side
+// pair, with covering radii, as of the header, over their live members
+// (the fact scanDelta's pruning rests on).
 func (x *Index) checkOverlay() error {
-	d := x.delta
+	d, v := x.delta, &x.dv
+	if want := x.rows() - v.nTombs + v.liveCount; x.live != want {
+		return fmt.Errorf("live is %d: %d base rows, %d tombstoned, %d overlay inserts", x.live, x.rows(), v.nTombs, v.liveCount)
+	}
 	if d == nil {
 		return nil
 	}
-	n := len(d.objs)
-	if len(d.vecs) != n*d.dim || len(d.projs) != n*d.m {
-		return fmt.Errorf("overlay: %d log slots but %d vector and %d projection values", n, len(d.vecs), len(d.projs))
+	seq := uint32(d.seq.Load())
+	if uint32(v.ops) > seq {
+		return fmt.Errorf("overlay: header at op %d past the lineage's %d", v.ops, seq)
 	}
-	if cap(d.vecs) < cap(d.objs)*d.dim || cap(d.projs) < cap(d.objs)*d.m {
-		return fmt.Errorf("overlay: arenas hold fewer slots than the object log's %d", cap(d.objs))
+	n := v.n
+	if n > 0 && (v.log == nil || n > len(v.log.objs) || len(v.log.vecs) != len(v.log.objs)*d.dim || len(v.log.projs) != len(v.log.objs)*d.m) {
+		return fmt.Errorf("overlay: %d log slots outside the log's arenas", n)
 	}
-	if n > 0 && (d.tail == nil || int64(n) > d.tail.Load()) {
-		return fmt.Errorf("overlay: %d log slots exceed the claimed tail", n)
-	}
-	for i := range d.objs {
-		if v := d.objs[i].Vec; len(v) != d.dim || (d.dim > 0 && &v[0] != &d.vecs[i*d.dim]) {
+	live := 0
+	for i := range n {
+		if vv := v.log.objs[i].Vec; len(vv) != d.dim || (d.dim > 0 && &vv[0] != &v.log.vecs[i*d.dim]) {
 			return fmt.Errorf("overlay: log slot %d does not view its arena row", i)
 		}
+		if s := v.log.dead[i].Load(); s > seq {
+			return fmt.Errorf("overlay: log slot %d stamped dead at op %d, past the lineage's %d", i, s, seq)
+		}
+		if !v.dead(uint32(i)) {
+			live++
+		}
 	}
-	if got := n - d.dead.count(); got != d.liveCount {
-		return fmt.Errorf("overlay: %d live log slots, liveCount is %d", got, d.liveCount)
+	if live != v.liveCount {
+		return fmt.Errorf("overlay: %d live log slots at op %d, liveCount is %d", live, v.ops, v.liveCount)
 	}
-	if got := d.tombs.count(); got != d.nTombs {
-		return fmt.Errorf("overlay: %d tombstone bits, nTombs is %d", got, d.nTombs)
+	tombs := 0
+	for i := range v.tombStamp {
+		s := atomic.LoadUint32(&v.tombStamp[i])
+		if s > seq || (s != 0) != (atomic.LoadUint64(&v.tombBits[i>>6])>>(i&63)&1 != 0) {
+			return fmt.Errorf("overlay: base row %d carries tombstone stamp %d, its bit disagrees or the lineage is at %d", i, s, seq)
+		}
+		if s != 0 && s <= uint32(v.ops) {
+			tombs++
+		}
 	}
-	if err := d.idToPos.check("overlay ID table", d.liveCount, func(id, pos uint32) bool {
-		return int(pos) < n && d.objs[pos].ID == id && !d.dead.get(pos)
-	}); err != nil {
-		return err
+	if tombs != v.nTombs {
+		return fmt.Errorf("overlay: %d tombstones at op %d, nTombs is %d", tombs, v.ops, v.nTombs)
 	}
-	if err := d.groupIdx.check("overlay group index", d.groups.n, func(key, gi uint32) bool {
-		return int(gi) < d.groups.n && uint32(x.cell(d.groups.at(int(gi)).s, d.groups.at(int(gi)).t)) == key
-	}); err != nil {
-		return err
+	keys, t := 0, d.ids.Load()
+	for i := range t.e {
+		w := t.e[i].Load()
+		id := uint32(w >> 32)
+		switch p, ok := d.slotAt(v, id); {
+		case uint32(w) == 0 || !ok:
+		case v.log.objs[p].ID != id:
+			return fmt.Errorf("overlay ID table: %d resolves to log slot %d of ID %d", id, p, v.log.objs[p].ID)
+		default:
+			keys++
+		}
+	}
+	if keys != v.liveCount {
+		return fmt.Errorf("overlay ID table resolves %d IDs to live slots, want %d", keys, v.liveCount)
 	}
 	const eps = 1e-9
 	grouped := newBitset(n)
+	cells := make(map[int]bool, len(v.groups))
 	members := 0
-	for gi := 0; gi < d.groups.n; gi++ {
-		g := d.groups.at(gi)
-		for mi, pos := range g.members {
-			if int(pos) >= n || grouped.get(pos) {
-				return fmt.Errorf("overlay group %d: log slot %d is out of range or in more than one group", gi, pos)
+	for gi, g := range v.groups {
+		if cells[x.cell(g.s, g.t)] {
+			return fmt.Errorf("overlay group %d: side pair (%d,%d) has another group", gi, g.s, g.t)
+		}
+		cells[x.cell(g.s, g.t)] = true
+		maxDs, maxDt := v.radii(g)
+		prev := -1
+		for pos := g.first; pos < uint32(n); pos = v.log.next[pos].Load() {
+			if int(pos) <= prev || grouped.get(pos) {
+				return fmt.Errorf("overlay group %d: log slot %d out of append order or in more than one group", gi, pos)
 			}
-			if mi > 0 && pos <= g.members[mi-1] {
-				return fmt.Errorf("overlay group %d: members not in append order at %d", gi, mi)
-			}
+			prev = int(pos)
 			grouped.set(pos)
 			members++
-			if d.dead.get(pos) {
+			if v.dead(pos) {
 				continue
 			}
-			o := &d.objs[pos]
-			if ds := x.space.SpatialXY(o.X, o.Y, x.sCentX[g.s], x.sCentY[g.s]); ds > g.maxDs+eps {
-				return fmt.Errorf("overlay group %d: member %d outside spatial radius: %v > %v", gi, pos, ds, g.maxDs)
+			o := &v.log.objs[pos]
+			if ds := x.space.SpatialXY(o.X, o.Y, x.sCentX[g.s], x.sCentY[g.s]); ds > maxDs+eps {
+				return fmt.Errorf("overlay group %d: member %d outside spatial radius: %v > %v", gi, pos, ds, maxDs)
 			}
-			if dt := x.space.SemanticVec(o.Vec, x.tCent[g.t]); dt > g.maxDt+eps {
-				return fmt.Errorf("overlay group %d: member %d outside semantic radius: %v > %v", gi, pos, dt, g.maxDt)
+			if dt := x.space.SemanticVec(o.Vec, x.tCent[g.t]); dt > maxDt+eps {
+				return fmt.Errorf("overlay group %d: member %d outside semantic radius: %v > %v", gi, pos, dt, maxDt)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -108,7 +109,8 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			x.ids[0] = 4_000_000
 		}},
 		{"ID table missing a live row", func(x *Index) {
-			x.idIdx.del(x.ids[0])
+			b, i, _ := x.idIdx.find(x.ids[0])
+			x.idIdx.buckets[idBucket(x.ids[0])] = slices.Delete(b, i, i+1)
 		}},
 		{"text column one row short", func(x *Index) {
 			x.texts = x.texts[:len(x.texts)-1]
@@ -136,6 +138,70 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			}
 			m.mutate(f.idx)
 			if err := f.idx.CheckInvariants(); err == nil {
+				t.Fatalf("%s not detected", m.name)
+			}
+		})
+	}
+}
+
+// CheckInvariants holds an overlay header to its stamps: each mutation
+// below breaks one of "no stamp above the lineage's sequence" and "the
+// header's counts are what its stamps imply at its own sequence".
+func TestCheckInvariantsDetectsStampCorruption(t *testing.T) {
+	mutations := []struct {
+		name   string
+		mutate func(x *Index)
+	}{
+		{"death stamp past the lineage", func(x *Index) {
+			x.dv.log.dead[0].Store(uint32(x.dv.ops + 5))
+		}},
+		{"tombstone stamp past the lineage", func(x *Index) {
+			for i := range x.rows() {
+				if x.deltaTombs().get(uint32(i)) {
+					x.dv.tombStamp[i] = uint32(x.dv.ops + 5)
+					return
+				}
+			}
+		}},
+		{"tombstone bit without a stamp", func(x *Index) {
+			x.dv.tombBits.set(uint32(x.rows() - 1))
+		}},
+		{"header past the lineage", func(x *Index) {
+			x.dv.ops++
+		}},
+		{"live overlay inserts miscounted", func(x *Index) {
+			x.dv.liveCount++
+			x.live++
+		}},
+		{"tombstones miscounted", func(x *Index) {
+			x.dv.nTombs--
+			x.live++
+		}},
+		{"live objects miscounted", func(x *Index) {
+			x.live--
+		}},
+	}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			f := build(t, dataset.TwitterLike, 300, Config{Seed: 79})
+			x := f.idx.CloneWithDelta()
+			for i := 0; i < 6; i++ {
+				o := f.ds.Objects[(i*41+3)%f.ds.Len()]
+				o.ID = uint32(1<<20 + i)
+				if err := x.Insert(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range []uint32{f.ds.Objects[0].ID, 1 << 20, f.ds.Objects[1].ID} {
+				if err := x.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := x.CheckInvariants(); err != nil {
+				t.Fatalf("pre-mutation overlay invalid: %v", err)
+			}
+			m.mutate(x)
+			if err := x.CheckInvariants(); err == nil {
 				t.Fatalf("%s not detected", m.name)
 			}
 		})

@@ -123,18 +123,16 @@ func searchApproxEager(x *Index, q *dataset.Object, k int, lambda float64) []knn
 			if u, full := h.Bound(); !enclosed && full && dqC-(lambda*e.ds+(1-lambda)*e.dt) > u {
 				break
 			}
-			if tombs != nil && tombs.get(e.idx) {
+			if tombs.get(e.idx) {
 				continue
 			}
 			offer(x.ids[e.idx], x.xArena[e.idx], x.yArena[e.idx], x.vecAt(e.idx), x.projAt(e.idx))
 		}
 	}
-	if d := x.delta; d != nil {
-		for pos := range d.objs {
-			if !d.dead.get(uint32(pos)) {
-				o := &d.objs[pos]
-				offer(o.ID, o.X, o.Y, o.Vec, d.projRow(uint32(pos)))
-			}
+	for pos := range x.dv.n {
+		if p := uint32(pos); !x.dv.dead(p) {
+			o := &x.dv.log.objs[pos]
+			offer(o.ID, o.X, o.Y, o.Vec, x.dv.log.projRow(p))
 		}
 	}
 	return h.AppendSorted(nil)
@@ -156,7 +154,7 @@ func TestFrontierPopOrderMatchesSort(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		ks, kt := 1+rng.IntN(40), 1+rng.IntN(40)
 		lambda := lambdas[trial%len(lambdas)]
-		x := &Index{
+		x := &Index{baseIndex: &baseIndex{
 			space:       &metric.Space{DsMax: 1, DtMax: 1, SemanticKind: metric.EuclideanSemantic},
 			dim:         1,
 			sCentX:      make([]float64, ks),
@@ -166,7 +164,7 @@ func TestFrontierPopOrderMatchesSort(t *testing.T) {
 			tRad:        make([]float64, kt),
 			grid:        make([]*hybrid, ks*kt),
 			scratchPool: newScratchPool(),
-		}
+		}}
 		// Populated mask: a density anywhere in [0,1], then some rows and
 		// columns wiped; every third trial of the sparsest kind is empty.
 		density := rng.Float64()

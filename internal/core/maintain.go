@@ -7,91 +7,71 @@ import (
 )
 
 // Insert adds a new object (§6.2): it joins the nearest spatial and
-// nearest semantic cluster (nearestSides). Every write lands in the
-// index's write overlay (see overlay.go), created by the first one: the
-// object joins the append log and the group of its side pair, whose
-// covering radii grow to take it, and no base structure is written.
-// Compact folds the overlay into a fresh base by Build's rule; the
-// clustering itself is untouched until a rebuild.
+// nearest semantic cluster (nearestSides) in the index's write overlay
+// (see overlay.go): the append log and the group of its side pair, whose
+// covering radii grow to take it. No base structure is written; Compact
+// folds the overlay into a fresh base, and the clustering itself is
+// untouched until a rebuild.
 func (x *Index) Insert(o dataset.Object) error {
 	d := x.writeDelta()
-	if _, ok := d.idToPos.get(o.ID); ok {
+	v := &x.dv
+	if _, ok := d.slotAt(v, o.ID); ok {
 		return fmt.Errorf("core: object ID %d already present", o.ID)
 	}
-	if prev, ok := x.idIdx.get(o.ID); ok && !d.tombs.get(prev) {
+	if prev, ok := x.idIdx.get(o.ID); ok && !x.deltaTombs().get(prev) {
 		return fmt.Errorf("core: object ID %d already present", o.ID)
 	}
 	if len(o.Vec) != x.pcaModel.N() {
 		return fmt.Errorf("core: vector dim %d, index expects %d", len(o.Vec), x.pcaModel.N())
 	}
-	pos := d.appendLog(o)
-	x.pcaModel.TransformInto(d.projRow(pos), o.Vec)
-	d.dead = d.dead.grown(len(d.objs))
-	d.idToPos.put(o.ID, pos)
-
-	proj := d.projRow(pos)
+	prevSlot := d.ids.Load().get(o.ID)
+	pos := d.appendLog(v, o)
+	proj := v.log.projRow(pos)
+	x.pcaModel.TransformInto(proj, o.Vec)
 	s, bestS, t, bestT := x.nearestSides(o.X, o.Y, proj)
 
 	// Group membership and covering radii (original-space semantic
 	// distance, matching the bound scanDelta applies).
-	key := uint32(x.cell(s, t))
-	gi, ok := d.groupIdx.get(key)
-	if !ok {
-		gi = uint32(d.groups.push(overlayGroup{s: s, t: t}))
-		d.groupIdx.put(key, gi)
-	}
-	g := d.groups.mut(int(gi))
-	g.maxDs = max(g.maxDs, bestS)
-	g.maxDt = max(g.maxDt, x.space.SemanticVec(o.Vec, x.tCent[t]))
-	g.members = append(g.members, pos)
+	d.join(v, pos, prevSlot, s, t, bestS, x.space.SemanticVec(o.Vec, x.tCent[t]))
+	d.setSlot(o.ID, pos)
 
 	// Drift signal: compare against the build-time balls. The counters
-	// are scalars of the Index value, private to a clone.
+	// are scalars of the Index value, private to its header.
 	x.insertsSinceBuild++
 	if bestS > x.builtSRad[s] || bestT > x.builtTRadProj[t] {
 		x.radiusDrifts++
 	}
-	d.liveCount++
-	d.ops++
+	v.liveCount++
+	v.ops++
 	x.live++
 	x.UpdatesSinceBuild++
+	d.endWrite(v)
 	return nil
 }
 
 // Delete removes the object with the given ID (§6.2) in the write
-// overlay: an overlay insert dies in the log, a base object gets a
-// tombstone bit; the base's ID table, clusters and radii stay untouched
-// until Compact.
+// overlay: an overlay insert's log slot is stamped dead, a base object
+// gets a stamped tombstone; the base's ID table, clusters and radii stay
+// untouched until Compact.
 func (x *Index) Delete(id uint32) error {
 	d := x.writeDelta()
-	if pos, ok := d.idToPos.del(id); ok {
-		d.dead.set(pos)
-		d.liveCount--
+	v := &x.dv
+	seq := uint32(v.ops + 1)
+	if pos, ok := d.slotAt(v, id); ok {
+		v.log.dead[pos].Store(seq)
+		v.liveCount--
 	} else {
 		idx, ok := x.idIdx.get(id)
-		if !ok || d.tombs.get(idx) {
+		if !ok || x.deltaTombs().get(idx) {
 			return fmt.Errorf("core: object ID %d not present", id)
 		}
-		if !d.ownsTombs {
-			d.tombs, d.ownsTombs = d.tombs.clone(), true
-		}
-		d.tombs.set(idx)
-		d.nTombs++
+		v.tomb(x.rows(), idx, seq)
 	}
-	d.ops++
+	v.ops++
 	x.live--
 	x.UpdatesSinceBuild++
+	d.endWrite(v)
 	return nil
-}
-
-// writeDelta returns the overlay the next write lands in, ready for
-// writing: the index's own, created on a flat index's first write.
-func (x *Index) writeDelta() *overlayDelta {
-	if x.delta == nil {
-		x.delta = newOverlayDelta(x)
-	}
-	x.delta.beginWrite()
-	return x.delta
 }
 
 // nearestSides is the one rule that places a new row: its nearest

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -13,254 +16,422 @@ import (
 // Write overlay (delta) over an immutable base snapshot.
 //
 // Every write to an Index lands here (Insert and Delete in maintain.go);
-// a flat index's first write creates its overlay. No base structure is
-// ever written after derive built it.
-//
-// A published snapshot is never written: a writer takes a clone whose
-// cost does not grow with n, with the vocabulary, or with the number of
-// buffered ops beyond one bit each. The base structures (columns,
-// arenas, clusters, radii, the ID table) are shared
-// byte-for-byte and NEVER written, and every mutation lands in a delta
-// whose own pieces are shared between clones until a write touches
-// them.
-//
-//   - An insert appends the object to the delta's append log, with its
-//     vector and projection copied into the log's arenas, and joins a
-//     mini "group" keyed by its side pair (nearestSides).
-//   - A delete of a base object sets a tombstone bit at its storage
-//     position; a delete of an overlay object marks its log slot dead.
-//   - An update is a delete followed by an insert (both dispatch here).
+// a flat index's first write creates its overlay, and no base structure
+// is ever written after derive built it. An insert appends the object to
+// the overlay's log, with its vector and projection copied into the
+// log's arenas, and joins a mini "group" keyed by its side pair
+// (nearestSides); a delete of a base object sets a tombstone at its
+// storage position, a delete of an overlay object marks its log slot
+// dead; an update is a delete followed by an insert.
 //
 // Search runs base + delta: the base scan skips tombstoned positions,
-// and the overlay's live inserts are chained onto the same k-NN heap
-// (scanDelta) before the final AppendSorted. Exactness: knn.Heap's
-// final contents are a pure function of the offered candidate set (ties
-// break by ascending ID), the tombstone skip removes exactly the
-// deleted candidates, and scanDelta offers every live overlay object
-// not provably outside the k-th bound — so exact results are
-// bit-identical to a full rebuild over the same live set.
+// and scanDelta chains the overlay's live inserts onto the same k-NN
+// heap. knn.Heap's final contents are a pure function of the offered
+// candidate set (ties break by ascending ID), so exact results are
+// bit-identical to a full rebuild over the same live set. Compact folds
+// the overlay into a fresh flat base through derive, as Build and Load
+// end; folding at the compaction threshold bounds the overlay.
 //
-// Compact folds the overlay into a fresh flat base that ends in derive,
-// as Build and Load do. Folding at the compaction threshold — the
-// facade's bare index does it on its own writes, a shard in the
-// background — bounds the overlay (and hence the extra per-query scan).
+// One overlay serves a fold lineage: every snapshot published between
+// two folds shares it, and its one writer (a bare index, or a shard's
+// next snapshot under the cell's writer mutex) mutates it in place. A
+// snapshot is its header over it (deltaView): its op count, which is its
+// sequence number, the log and group lengths it sees, its live and
+// tombstone counts. A write copies nothing earlier headers see:
 //
-// What a clone shares, and why a write cannot reach its siblings:
+//   - An insert appends at slot n and links it as its group's last
+//     member, both past every published header. A group's covering radii
+//     are recorded per member (the radii once it joined), and a header
+//     reads them at the group's last member inside its log, so it never
+//     sees a later widening.
+//   - A delete stamps the slot's death, or the base row's tombstone, with
+//     its op's sequence number; a header treats either as gone only when
+//     the stamp is ≤ its own sequence. The tombstone test stays one bitset
+//     word per row; the stamp is read for set bits only.
+//   - Stamps, member links, tombstone words and the ID table are read and
+//     written atomically; all else a header reads below its lengths was
+//     written before it was published and is never written again, so a
+//     pinned snapshot answers the same forever.
 //
-//   - The append log is immutable once written, so clones share its
-//     backing arrays. tail counts the slots of those arrays that some
-//     delta of the lineage has claimed; every delta holds len(objs) ≤
-//     tail. A writer appends slot n = len(objs) in place only after
-//     moving tail from n to n+1 with a compare-and-swap: success proves
-//     no delta sharing the arrays ever claimed slot n, and every reader
-//     sharing them holds a length ≤ tail = n, so the write lands where
-//     nobody looks. Writers of one lineage are serialized, so a slot is
-//     written once before the snapshot holding it is published (an
-//     atomic-pointer store, which orders the write before any reader's
-//     loads). A clone that loses the claim — a sibling of the one that
-//     won, or the successor of an abandoned all-or-nothing batch whose
-//     clone had already appended — moves to private arrays (regrow), the
-//     one O(|delta|) copy left; so does a writer whose arrays are full.
-//   - dead is copied per clone (one bit per log slot); tombs, the ID
-//     table, the group index and the group chunks are copied on their
-//     first write (overlay_cow.go), group member lists when appended to.
-//   - A delta that has been cloned owns nothing either: clone marks the
-//     source shared, and beginWrite makes a shared delta drop its
-//     ownerships before it writes again.
+// A write to a header the lineage was written past (a sibling of the
+// head, or an ancestor) first forks a private copy of the overlay as of
+// that header. A batch that fails rolls the lineage back to the header
+// it started from (Rollback) before the writer is released.
 type overlayDelta struct {
-	dim, m int // arena strides, copied from the base index
+	dim, m, kt int // arena strides and the semantic side count of the base
 
-	// Append log of overlay inserts. objs[i].Vec views vecs; projs holds
-	// the PCA projections at stride m. The three share one capacity in
-	// slots and one tail.
-	objs  []dataset.Object
-	vecs  []float32
-	projs []float32
-	tail  *atomic.Int64 // nil while the log has no backing arrays
+	// ids maps every overlay ID to its latest log slot, dead or alive:
+	// the one lookup readers share across headers.
+	ids atomic.Pointer[slotTable]
+	// seq is the head's op count, CheckInvariants' bound on stamps.
+	seq atomic.Int64
 
-	// dead marks log slots superseded by a later delete/update; idToPos
-	// maps live overlay IDs to log slots.
-	dead      bitset
-	liveCount int
-	idToPos   idTable
+	// Writer-only: the head's header, one undo record per log slot of the
+	// head, and the group of each grid cell.
+	head     deltaView
+	undo     []slotUndo
+	groupIdx map[uint32]uint32
+}
 
-	// Tombstones over BASE storage positions.
-	tombs     bitset
-	ownsTombs bool
-	nTombs    int
+const noSlot = ^uint32(0) // no log slot: none earlier, a chain's end
 
-	// ops counts mutations absorbed since the base was built/compacted —
-	// the compaction trigger.
-	ops int
+// slotUndo is what the insert into one log slot overwrote: the ID's
+// latest slot and its group's last member (noSlot: the slot opened it).
+type slotUndo struct {
+	prevSlot, prevLast, group uint32
+}
 
-	// Overlay inserts grouped by their side pair, with the group's
-	// covering radii. scanDelta prunes whole groups with the same
-	// Lemma 4.4 bound the base clusters use, and Compact makes the pair
-	// each member's cell. groupIdx maps the pair's grid cell to the
-	// group's index.
-	groups   groupVec
-	groupIdx idTable
+// deltaView is one snapshot's header over its lineage's overlay.
+type deltaView struct {
+	log    *logBuf
+	n      int             // log slots
+	groups []*overlayGroup // in creation order
+	// tombBits and tombStamp hold one bit and one stamp per base row,
+	// allocated at the lineage's first base delete.
+	tombBits  bitset
+	tombStamp []uint32
+	// ops counts the mutations since the base was built or compacted,
+	// the compaction trigger and the header's sequence number.
+	ops       int
+	liveCount int // live log slots
+	nTombs    int // tombstoned base rows
+}
 
-	// shared is set once a clone of this delta exists.
-	shared atomic.Bool
+// logBuf backs the append log. Slot i holds objs[i], whose Vec views
+// vecs' row i, its projection (projs' row i), its death stamp (0 while
+// live), the next member of its group, and its group's covering radii
+// once it joined. A full buffer is replaced by a copy of twice the
+// capacity; headers published before keep theirs.
+type logBuf struct {
+	dim, m       int
+	objs         []dataset.Object // len = capacity in slots
+	vecs, projs  []float32
+	dead, next   []atomic.Uint32
+	radDs, radDt []float64
 }
 
 // overlayGroup is a mini cluster of overlay inserts sharing one side
-// pair.
+// pair: a chain of log slots, ascending from first, linked through the
+// log's next column, ending at last.
 type overlayGroup struct {
-	s, t         int
-	maxDs, maxDt float64
-	members      []uint32 // log positions, ascending
+	s, t  int
+	first uint32
+	last  atomic.Uint32
 }
 
-func newOverlayDelta(x *Index) *overlayDelta {
-	return &overlayDelta{
-		dim:       x.dim,
-		m:         x.m,
-		tombs:     newBitset(x.rows()),
-		ownsTombs: true,
+func newLogBuf(slots, dim, m int) *logBuf {
+	return &logBuf{
+		dim: dim, m: m,
+		objs:  make([]dataset.Object, slots),
+		vecs:  make([]float32, slots*dim),
+		projs: make([]float32, slots*m),
+		dead:  make([]atomic.Uint32, slots),
+		next:  make([]atomic.Uint32, slots),
+		radDs: make([]float64, slots),
+		radDt: make([]float64, slots),
 	}
 }
 
-// clone returns a write-isolated copy at a cost independent of the
-// overlay's size but for one bit per log slot: everything else is shared
-// until written (see the type comment).
-func (d *overlayDelta) clone() *overlayDelta {
-	d.shared.Store(true)
-	nd := &overlayDelta{
-		dim: d.dim, m: d.m,
-		objs: d.objs, vecs: d.vecs, projs: d.projs, tail: d.tail,
-		dead: d.dead.clone(), liveCount: d.liveCount, idToPos: d.idToPos,
-		tombs: d.tombs, nTombs: d.nTombs,
-		ops:    d.ops,
-		groups: d.groups.clone(), groupIdx: d.groupIdx,
+// copyInto copies b's first n slots into nb and returns nb.
+func (b *logBuf) copyInto(nb *logBuf, n int) *logBuf {
+	copy(nb.vecs, b.vecs[:n*b.dim])
+	copy(nb.projs, b.projs[:n*b.m])
+	copy(nb.radDs, b.radDs[:n])
+	copy(nb.radDt, b.radDt[:n])
+	for i := range n {
+		nb.objs[i] = b.objs[i]
+		nb.objs[i].Vec = nb.vecRow(uint32(i))
+		nb.dead[i].Store(b.dead[i].Load())
+		nb.next[i].Store(b.next[i].Load())
 	}
-	nd.idToPos.owned, nd.groupIdx.owned = 0, 0
-	return nd
+	return nb
 }
 
-// beginWrite precedes every mutation: a delta that has been cloned since
-// its last write shares with the clone whatever it owned.
-func (d *overlayDelta) beginWrite() {
-	if d.shared.Load() {
-		d.idToPos.owned, d.groupIdx.owned, d.groups.owned, d.ownsTombs = 0, 0, nil, false
-		d.shared.Store(false)
+// vecRow and projRow return the arena rows of slot pos.
+func (b *logBuf) vecRow(pos uint32) []float32 {
+	return b.vecs[int(pos)*b.dim : (int(pos)+1)*b.dim : (int(pos)+1)*b.dim]
+}
+
+func (b *logBuf) projRow(pos uint32) []float32 {
+	return b.projs[int(pos)*b.m : (int(pos)+1)*b.m : (int(pos)+1)*b.m]
+}
+
+// dead reports whether slot pos (< v.n) is dead as of the header.
+func (v *deltaView) dead(pos uint32) bool {
+	s := v.log.dead[pos].Load()
+	return s != 0 && s <= uint32(v.ops)
+}
+
+// radii returns g's covering radii as of the header: those recorded at
+// its last member inside the header's log — g's last member, unless a
+// later write extended g and the chain must be walked.
+func (v *deltaView) radii(g *overlayGroup) (float64, float64) {
+	n, p := uint32(v.n), g.last.Load()
+	if p >= n {
+		p = g.first
+		for q := v.log.next[p].Load(); q < n; q = v.log.next[q].Load() {
+			p = q
+		}
 	}
+	return v.log.radDs[p], v.log.radDt[p]
 }
 
-// vecRow and projRow return the delta-arena rows of log position pos.
-func (d *overlayDelta) vecRow(pos uint32) []float32 {
-	n := d.dim
-	return d.vecs[int(pos)*n : (int(pos)+1)*n : (int(pos)+1)*n]
-}
-
-func (d *overlayDelta) projRow(pos uint32) []float32 {
-	m := d.m
-	return d.projs[int(pos)*m : (int(pos)+1)*m : (int(pos)+1)*m]
-}
-
-// appendLog claims the next log slot and stores o in it, the vector
-// copied into the arena row the stored object then views; the
-// projection row is left for the caller to fill.
-func (d *overlayDelta) appendLog(o dataset.Object) uint32 {
-	n := len(d.objs)
-	if n == cap(d.objs) || !d.tail.CompareAndSwap(int64(n), int64(n+1)) {
-		d.regrow()
+// appendLog stores o in the header's next log slot, its vector copied
+// into the arena row the stored object then views, and returns the slot;
+// the caller fills the projection row.
+func (d *overlayDelta) appendLog(v *deltaView, o dataset.Object) uint32 {
+	if v.log == nil || v.n == len(v.log.objs) {
+		nb := newLogBuf(max(2*v.n, 16), d.dim, d.m)
+		if v.log != nil {
+			v.log.copyInto(nb, v.n)
+		}
+		v.log = nb
+		d.undo = slices.Grow(d.undo, len(nb.objs)-len(d.undo))
 	}
-	d.objs = d.objs[:n+1]
-	d.vecs = d.vecs[:(n+1)*d.dim]
-	d.projs = d.projs[:(n+1)*d.m]
-	pos := uint32(n)
-	copy(d.vecRow(pos), o.Vec)
-	o.Vec = d.vecRow(pos)
-	d.objs[n] = o
+	pos := uint32(v.n)
+	row := v.log.vecRow(pos)
+	copy(row, o.Vec)
+	o.Vec = row
+	v.log.objs[pos] = o
+	// A slot a rolled-back batch used may carry its stamp and link.
+	v.log.dead[pos].Store(0)
+	v.log.next[pos].Store(noSlot)
+	v.n++
 	return pos
 }
 
-// regrow moves the log to private arrays of (at least) twice the length
-// with a tail of their own, the next slot already claimed.
-func (d *overlayDelta) regrow() {
-	n := len(d.objs)
-	slots := max(2*n, 16)
-	objs := make([]dataset.Object, n, slots)
-	copy(objs, d.objs)
-	d.objs = objs
-	d.vecs = append(make([]float32, 0, slots*d.dim), d.vecs...)
-	d.projs = append(make([]float32, 0, slots*d.m), d.projs...)
-	for i := range d.objs {
-		d.objs[i].Vec = d.vecRow(uint32(i))
+// join makes slot pos, an insert at distances ds, dt from side pair
+// (s,t), the last member of the pair's group (a new group when the pair
+// has none), records the group's radii once it joined, and logs the
+// slot's undo record, prevSlot being the ID's slot before it.
+func (d *overlayDelta) join(v *deltaView, pos, prevSlot uint32, s, t int, ds, dt float64) {
+	u := slotUndo{prevSlot: prevSlot, prevLast: noSlot}
+	key := uint32(s*d.kt + t)
+	gi, ok := d.groupIdx[key]
+	if !ok {
+		gi = uint32(len(v.groups))
+		g := &overlayGroup{s: s, t: t, first: pos}
+		v.groups = append(v.groups, g)
+		d.groupIdx[key] = gi
+	} else {
+		u.prevLast = v.groups[gi].last.Load()
+		ds, dt = max(ds, v.log.radDs[u.prevLast]), max(dt, v.log.radDt[u.prevLast])
 	}
-	d.tail = new(atomic.Int64)
-	d.tail.Store(int64(n + 1))
+	u.group = gi
+	v.log.radDs[pos], v.log.radDt[pos] = ds, dt
+	d.undo = append(d.undo, u)
+	if u.prevLast != noSlot {
+		v.log.next[u.prevLast].Store(pos)
+	}
+	v.groups[gi].last.Store(pos)
 }
 
-// CloneWithDelta returns a write-isolated copy whose mutations land in
-// the overlay, at a cost that depends neither on n nor on how much the
-// overlay already holds. The base structures are shared with x and
-// written by neither, so x may go on writing, one goroutine at a time
-// per index: a flat x's first write creates an overlay of its own, and
-// an x that carries one finds it shared and copies what it touches,
-// like any sibling.
-func (x *Index) CloneWithDelta() *Index {
-	nx := new(Index)
-	*nx = *x
-	if x.delta != nil {
-		nx.delta = x.delta.clone()
-	} else {
-		nx.delta = newOverlayDelta(x)
+// slotAt returns the slot of the overlay object with the given ID that is
+// live as of header v, any header of the lineage. The table names the
+// ID's latest slot; when that lies past v's log, v's log is searched
+// from its end.
+func (d *overlayDelta) slotAt(v *deltaView, id uint32) (uint32, bool) {
+	p := d.ids.Load().get(id)
+	if p != noSlot && p >= uint32(v.n) {
+		for p = uint32(v.n) - 1; p != noSlot && v.log.objs[p].ID != id; p-- {
+		}
 	}
-	return nx
+	return p, p != noSlot && !v.dead(p)
+}
+
+// setSlot makes slot the ID's latest in the shared table.
+func (d *overlayDelta) setSlot(id, slot uint32) {
+	if nt := d.ids.Load().set(id, slot); nt != nil {
+		d.ids.Store(nt)
+	}
+}
+
+// tomb stamps base row idx deleted by op seq, allocating the lineage's
+// tombstones at its first base delete. One writer: no update is lost.
+func (v *deltaView) tomb(rows int, idx, seq uint32) {
+	if v.tombBits == nil {
+		v.tombBits, v.tombStamp = newBitset(rows), make([]uint32, rows)
+	}
+	atomic.StoreUint32(&v.tombStamp[idx], seq)
+	w := &v.tombBits[idx>>6]
+	atomic.StoreUint64(w, atomic.LoadUint64(w)|1<<(idx&63))
+	v.nTombs++
+}
+
+// tombView is one header's view of the base tombstones: a row is gone
+// when its bit is set and its stamp is at most seq. The zero view holds
+// no row.
+type tombView struct {
+	bits  bitset
+	stamp []uint32
+	seq   uint32
+}
+
+// get reports whether base row i is tombstoned as of the view.
+func (t tombView) get(i uint32) bool {
+	if t.bits == nil || atomic.LoadUint64(&t.bits[i>>6])>>(i&63)&1 == 0 {
+		return false
+	}
+	s := atomic.LoadUint32(&t.stamp[i])
+	return s != 0 && s <= t.seq
+}
+
+// countRange returns the number of tombstoned rows among [lo, hi),
+// skipping clear words whole.
+func (t tombView) countRange(lo, hi int) int {
+	n := 0
+	for i := lo; t.bits != nil && i < hi; i++ {
+		word := atomic.LoadUint64(&t.bits[i>>6]) >> (i & 63)
+		if word == 0 {
+			i |= 63
+			continue
+		}
+		if i += bits.TrailingZeros64(word); i < hi && t.get(uint32(i)) {
+			n++
+		}
+	}
+	return n
+}
+
+// deltaTombs returns the header's tombstone view: the zero view when it
+// has none, so scan loops hoist it and the per-row check vanishes on
+// tombstone-free snapshots.
+func (x *Index) deltaTombs() tombView {
+	if x.dv.nTombs == 0 {
+		return tombView{}
+	}
+	return tombView{bits: x.dv.tombBits, stamp: x.dv.tombStamp, seq: uint32(x.dv.ops)}
+}
+
+// writeDelta returns the overlay x's next write lands in, x's header its
+// head: the index's own, created by a flat index's first write, or a
+// fork when the lineage was written past x's header.
+func (x *Index) writeDelta() *overlayDelta {
+	switch d := x.delta; {
+	case d == nil:
+		x.delta = &overlayDelta{dim: x.dim, m: x.m, kt: len(x.tCent), groupIdx: make(map[uint32]uint32)}
+		x.delta.ids.Store(&slotTable{e: make([]atomic.Uint64, 16)})
+	case d.head.ops != x.dv.ops || d.head.log != x.dv.log:
+		x.delta = d.fork(&x.dv)
+	}
+	return x.delta
+}
+
+// endWrite makes header v, just written, the lineage's head.
+func (d *overlayDelta) endWrite(v *deltaView) {
+	d.head = *v
+	d.seq.Store(int64(v.ops))
+}
+
+// fork returns a private copy of the overlay as header v sees it, and
+// points v at it: the lineage as of its head, copied, rolled back to v.
+func (d *overlayDelta) fork(v *deltaView) *overlayDelta {
+	nd := &overlayDelta{dim: d.dim, m: d.m, kt: d.kt, undo: slices.Clone(d.undo), groupIdx: maps.Clone(d.groupIdx)}
+	nd.ids.Store(d.ids.Load().grown(len(d.ids.Load().e)))
+	h, nv := d.head, *v
+	if h.log != nil {
+		h.log = h.log.copyInto(newLogBuf(len(h.log.objs), d.dim, d.m), h.n)
+	}
+	h.groups = make([]*overlayGroup, len(d.head.groups))
+	for i, g := range d.head.groups {
+		h.groups[i] = &overlayGroup{s: g.s, t: g.t, first: g.first}
+		h.groups[i].last.Store(g.last.Load())
+	}
+	if h.tombBits != nil {
+		h.tombBits, h.tombStamp = h.tombBits.clone(), slices.Clone(h.tombStamp)
+	}
+	nv.log, nv.groups = h.log, h.groups[:len(v.groups)]
+	if v.tombBits != nil {
+		nv.tombBits, nv.tombStamp = h.tombBits, h.tombStamp
+	}
+	nd.endWrite(&h)
+	nd.rollback(nv)
+	*v = nv
+	return nd
+}
+
+// rollback undoes every write of the head past header to, an earlier
+// header of the lineage, and makes to the head: the head's slots past
+// to's log leave their groups (whose radii are those recorded at their
+// restored last members) and the ID table, its new groups leave the
+// group index, and its death and tombstone stamps are cleared. A reader
+// of a published header sees none of it.
+func (d *overlayDelta) rollback(to deltaView) {
+	h := d.head
+	for p := h.n - 1; p >= to.n; p-- {
+		u := d.undo[p]
+		if int(u.group) < len(to.groups) {
+			to.groups[u.group].last.Store(u.prevLast)
+			if u.prevLast < uint32(to.n) {
+				to.log.next[u.prevLast].Store(noSlot)
+			}
+		}
+		d.ids.Load().set(h.log.objs[p].ID, u.prevSlot)
+	}
+	d.undo = d.undo[:to.n]
+	for _, g := range h.groups[len(to.groups):] {
+		delete(d.groupIdx, uint32(g.s*d.kt+g.t))
+	}
+	seq := uint32(to.ops)
+	for p := range to.n {
+		if to.log.dead[p].Load() > seq {
+			to.log.dead[p].Store(0)
+		}
+	}
+	for i := range to.tombStamp {
+		if atomic.LoadUint32(&to.tombStamp[i]) > seq {
+			w := &to.tombBits[i>>6]
+			atomic.StoreUint64(w, atomic.LoadUint64(w)&^(1<<(i&63)))
+			atomic.StoreUint32(&to.tombStamp[i], 0)
+		}
+	}
+	d.endWrite(&to)
+}
+
+// Rollback undoes the writes x took since it was copied from prev
+// (CloneWithDelta), prev being the lineage's head then: the overlay
+// returns to prev's state, and x must not be used again. A no-op when
+// x's writes created its overlay.
+func (x *Index) Rollback(prev *Index) {
+	if d := x.delta; d != nil && d == prev.delta && x.dv.ops != prev.dv.ops {
+		d.rollback(prev.dv)
+	}
+}
+
+// CloneWithDelta returns a copy of x's header: base and write overlay
+// shared, and the copy's writes invisible through x, which answers as it
+// did. Writing the copy costs what writing x would. x and its copies are
+// written one at a time; writing one the lineage was written past forks
+// a private overlay first.
+func (x *Index) CloneWithDelta() *Index {
+	nx := *x
+	return &nx
 }
 
 // DeltaOps returns the number of write operations the overlay has
 // absorbed since the base was built or last compacted (0 on flat
 // indexes) — the quantity compaction thresholds compare against.
-func (x *Index) DeltaOps() int {
-	if x.delta == nil {
-		return 0
-	}
-	return x.delta.ops
-}
+func (x *Index) DeltaOps() int { return x.dv.ops }
 
 // DeltaLive returns the number of live overlay inserts (0 on flat
 // indexes).
-func (x *Index) DeltaLive() int {
-	if x.delta == nil {
-		return 0
-	}
-	return x.delta.liveCount
-}
-
-// deltaTombs returns the overlay's tombstone bitmap when it has any set
-// bits, else nil — scan loops hoist this so the per-object check
-// vanishes on tombstone-free snapshots.
-func (x *Index) deltaTombs() bitset {
-	if x.delta != nil && x.delta.nTombs > 0 {
-		return x.delta.tombs
-	}
-	return nil
-}
+func (x *Index) DeltaLive() int { return x.dv.liveCount }
 
 // scanDelta chains the overlay's live inserts onto an exact k-NN heap.
-// Groups prune with the Lemma 4.4 bound against their covering radii:
-// for a member o of group (s,t), the triangle inequality gives
-// ds(q,o) ≥ dsq(s) − maxDs and dt(q,o) ≥ dtq(t) − maxDt, so the group
-// bound never exceeds a member's true distance. The skip fires only on
-// lb > u (strict): with the heap full at u, every member's distance is
-// ≥ lb > u and provably cannot displace an entry even on exact ties,
-// keeping base+delta results bit-identical to a compacted rebuild.
-// Surviving members pass the read's restriction and pay the same exact
-// kernel as in scanCluster, with the bound capped by the read's radius
+// Groups prune with the Lemma 4.4 bound against their covering radii
+// (ds(q,o) ≥ dsq(s) − maxDs, dt(q,o) ≥ dtq(t) − maxDt for a member o of
+// group (s,t)), and only on lb > u (strict), so no member that could tie
+// the k-th is skipped and base+delta results stay bit-identical to a
+// compacted rebuild. Surviving members pass the read's restriction and
+// pay scanCluster's exact kernel, the bound capped by the read's radius
 // (+Inf for none). On a stripe of sh, h is nil and sh's one heap takes
-// the pushes and sets every cut (see kth).
-// Centroid distances come from sc's memo tables, which every caller set
-// up for q on x just before (orderByBound; SearchAblated's eager fills):
-// the spatial ones are all filled, a semantic one is computed on first
-// use, so a query pays at most Kt semantic centroid distances however
-// many groups the overlay holds.
+// the pushes and sets every cut (see kth). Centroid distances come from
+// sc's memo tables, which every caller set up for q on x just before,
+// so a query pays at most Kt semantic centroid distances however many
+// groups the overlay holds.
 func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, h *knn.Heap, sh *stripeJob, st *metric.Stats) {
-	d := x.delta
-	if d == nil || d.liveCount == 0 {
+	v := &x.dv
+	if v.liveCount == 0 {
 		return
 	}
 	var phase time.Time
@@ -268,14 +439,15 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 		phase = time.Now()
 	}
 	rs := &sc.rs
-	for gi := 0; gi < d.groups.n; gi++ {
-		g := d.groups.at(gi)
+	n, next := uint32(v.n), v.log.next
+	for _, g := range v.groups {
 		if u, full := kth(h, rs.radius, sh); full {
-			if lowerBound(lambda, sc.dsq[g.s], g.maxDs, x.centroidDist(sc, q, g.t), g.maxDt) > u {
+			maxDs, maxDt := v.radii(g)
+			if lowerBound(lambda, sc.dsq[g.s], maxDs, x.centroidDist(sc, q, g.t), maxDt) > u {
 				if st != nil {
 					st.ClustersPruned++
-					for _, pos := range g.members {
-						if !d.dead.get(pos) {
+					for pos := g.first; pos < n; pos = next[pos].Load() {
+						if !v.dead(pos) {
 							st.InterPruned++
 						}
 					}
@@ -283,11 +455,11 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 				continue
 			}
 		}
-		for _, pos := range g.members {
-			if d.dead.get(pos) {
+		for pos := g.first; pos < n; pos = next[pos].Load() {
+			if v.dead(pos) {
 				continue
 			}
-			o := &d.objs[pos]
+			o := &v.log.objs[pos]
 			if rs.rows && !rs.admits(o.ID, o.X, o.Y) {
 				if st != nil {
 					st.IntraPruned++
@@ -324,25 +496,23 @@ func (x *Index) scanDelta(sc *searchScratch, q *dataset.Object, lambda float64, 
 // Compact folds the write overlay into a fresh flat index and returns
 // it; x is never mutated (callers publish the result in its place). The
 // fold ends where Build and Load end, in derive: it gathers the live
-// rows (gatherLive), each keeping its cell and its stored projection,
-// sets every side radius by Build's rule, the max over the side's live
-// rows, and derives the rest over the kept model — centroids, PCA,
-// anchor set and space. The result is cluster-major with every row
-// anchored, as a built or loaded index is; its first write creates an
-// overlay of its own, so it may be written before it is published
-// without reaching x. The drift state carries over: it counts from the last
-// build. Exact answers are bit-identical across the fold: both sides
-// select the top-k by (distance, ID) from the same live set under
-// admissible-only pruning.
+// rows as x's header sees them (gatherLive, so the lineage's writer may
+// go on writing), each keeping its cell and stored projection, sets
+// every side radius to the max over the side's live rows, and derives
+// the rest over the kept model. The result is cluster-major with every
+// row anchored; its first write creates an overlay of its own. The drift
+// state carries over. Exact answers are bit-identical across the fold:
+// both sides select the top-k by (distance, ID) from the same live set
+// under admissible-only pruning.
 func (x *Index) Compact() (*Index, error) {
 	if x.delta == nil {
 		return x, nil
 	}
-	nx := &Index{
+	nx := &Index{baseIndex: &baseIndex{
 		cfg: x.cfg, space: x.space, pcaModel: x.pcaModel, dim: x.dim, m: x.m,
 		sCentX: x.sCentX, sCentY: x.sCentY, tCent: x.tCent, tCentProj: x.tCentProj, tValid: x.tValid,
 		scratchPool: x.scratchPool,
-	}
+	}}
 	vecs := nx.gatherLive(x)
 	var err error
 	if nx.idIdx, err = newIDTable(nx.ids, nx.cfg.Workers); err != nil {
@@ -356,16 +526,14 @@ func (x *Index) Compact() (*Index, error) {
 	return nx, nil
 }
 
-// gatherLive makes x's rows the live rows of src: src's base rows minus
-// tombstones, in storage order, then its overlay's live inserts in
-// append order, an insert's cell being its group's side pair. It fills
-// the columns, the coordinate and projection arenas, the cells and the
-// anchor rows over src's set (a
-// base row's own, the sentinel for an insert, which derive then
-// assigns), and returns views of the rows' vectors — src's arena rows
-// and log slots — for derive to write the vector arena from.
+// gatherLive makes x's rows the live rows of src as src's header sees
+// them: base rows minus tombstones in storage order, then live inserts
+// in append order, each in its group's cell. It fills the columns, the
+// arenas, the cells and the anchor rows (an insert's the sentinel, which
+// derive assigns), and returns views of the rows' vectors for derive to
+// write the vector arena from.
 func (x *Index) gatherLive(src *Index) [][]float32 {
-	d, tombs, n := src.delta, src.deltaTombs(), src.live
+	v, tombs, n := &src.dv, src.deltaTombs(), src.live
 	x.ids, x.texts, x.topics = make([]uint32, 0, n), make([]string, 0, n), make([]int, 0, n)
 	x.xArena, x.yArena = make([]float64, 0, n), make([]float64, 0, n)
 	x.cells, x.projArena = make([]uint32, 0, n), make([]float32, 0, n*x.m)
@@ -379,23 +547,83 @@ func (x *Index) gatherLive(src *Index) [][]float32 {
 		vecs = append(vecs, o.Vec)
 	}
 	for i := range src.ids {
-		if idx := uint32(i); tombs == nil || !tombs.get(idx) {
+		if idx := uint32(i); !tombs.get(idx) {
 			o := src.row(idx)
 			keep(&o, src.cells[i], src.projAt(idx), src.anchors.id[i], src.anchors.dist[i])
 		}
 	}
-	cells := make([]uint32, len(d.objs))
-	for gi := 0; gi < d.groups.n; gi++ {
-		g := d.groups.at(gi)
-		for _, pos := range g.members {
+	cells := make([]uint32, v.n)
+	for _, g := range v.groups {
+		for pos := g.first; pos < uint32(v.n); pos = v.log.next[pos].Load() {
 			cells[pos] = uint32(src.cell(g.s, g.t))
 		}
 	}
-	for pos := range d.objs {
-		if p := uint32(pos); !d.dead.get(p) {
-			keep(&d.objs[pos], cells[pos], d.projRow(p), anchorSentinel, 0)
+	for pos := range v.n {
+		if p := uint32(pos); !v.dead(p) {
+			keep(&v.log.objs[pos], cells[pos], v.log.projRow(p), anchorSentinel, 0)
 		}
 	}
 	x.anchors = aa
 	return vecs
+}
+
+// slotTable maps overlay IDs to log slots: an open-addressed table of
+// atomic words, the key in the high half and slot+1 in the low (0: an
+// empty entry; all ones: a key with no slot). Its one writer sets entries
+// in place and replaces a table past half full by a copy twice the size;
+// readers probe without a lock.
+type slotTable struct {
+	e    []atomic.Uint64
+	keys int // writer-only
+}
+
+const slotNone = 1<<32 - 1 // the low half of a key with no slot
+
+// probe returns the entry of key, or the empty entry where it would go.
+func (t *slotTable) probe(key uint32) int {
+	mask := len(t.e) - 1
+	for i := int(key*0x9E3779B1) & mask; ; i = (i + 1) & mask {
+		if w := t.e[i].Load(); uint32(w) == 0 || uint32(w>>32) == key {
+			return i
+		}
+	}
+}
+
+// get returns key's slot, or noSlot.
+func (t *slotTable) get(key uint32) uint32 {
+	if lo := uint32(t.e[t.probe(key)].Load()); lo != 0 && lo != slotNone {
+		return lo - 1
+	}
+	return noSlot
+}
+
+// set makes slot (noSlot: none) key's entry, and returns the table that
+// replaced t when t had to grow (else nil).
+func (t *slotTable) set(key, slot uint32) *slotTable {
+	i := t.probe(key)
+	if uint32(t.e[i].Load()) == 0 {
+		if 2*(t.keys+1) > len(t.e) {
+			nt := t.grown(2 * len(t.e))
+			nt.set(key, slot)
+			return nt
+		}
+		t.keys++
+	}
+	lo := uint64(slotNone)
+	if slot != noSlot {
+		lo = uint64(slot) + 1
+	}
+	t.e[i].Store(uint64(key)<<32 | lo)
+	return nil
+}
+
+// grown returns a private copy of t with size entries.
+func (t *slotTable) grown(size int) *slotTable {
+	nt := &slotTable{e: make([]atomic.Uint64, size), keys: t.keys}
+	for i := range t.e {
+		if w := t.e[i].Load(); uint32(w) != 0 {
+			nt.e[nt.probe(uint32(w>>32))].Store(w)
+		}
+	}
+	return nt
 }

@@ -206,13 +206,13 @@ func TestOverlayCloneIsolation(t *testing.T) {
 	}
 }
 
-// Real siblings: two clones of one parent write, then the parent itself
-// writes. Everything the three share — the log's backing arrays, the ID
-// table's buckets, the group chunks and member lists — was written by
-// the parent with room to spare, so a write that skipped its copy would
-// land in a sibling. Each of the three must equal an independent copy
-// fed its own stream; exactly one of them (the first to append) keeps
-// the shared log, the other two take the lost-claim copy.
+// Real siblings: two copies of one parent's header write, then the
+// parent itself writes. The three share one overlay — log, ID table,
+// group chunks, tombstones — that the parent wrote with room to spare,
+// so a write that did not fork would land where a sibling looks. Each of
+// the three must equal an independent copy fed its own stream; exactly
+// one of them (the first to write) keeps the lineage's overlay, the
+// other two fork private copies of it as of the parent's header.
 func testOverlaySiblingWrites(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 600, Config{Seed: 95})
 	extraDS, err := dataset.Generate(dataset.GenConfig{Kind: dataset.TwitterLike, Size: 320, Dim: 32, Seed: 96})
@@ -249,16 +249,16 @@ func testOverlaySiblingWrites(t *testing.T) {
 	}
 	parent := f.idx.CloneWithDelta()
 	common(parent)
-	sharedLog := &parent.delta.objs[0]
+	lineage := parent.delta
 	a, b := parent.CloneWithDelta(), parent.CloneWithDelta()
 	stream(a, 0)
 	stream(b, 1)
 	stream(parent, 2)
-	if &a.delta.objs[0] != sharedLog {
-		t.Error("the first sibling to append did not keep the shared log")
+	if a.delta != lineage {
+		t.Error("the first sibling to write did not keep the lineage's overlay")
 	}
-	if &b.delta.objs[0] == sharedLog || &parent.delta.objs[0] == sharedLog {
-		t.Error("a sibling that lost the tail claim still writes the shared log")
+	if b.delta == lineage || parent.delta == lineage {
+		t.Error("a header the lineage was written past still writes the lineage's overlay")
 	}
 	for i, x := range []*Index{a, b, parent} {
 		twin := saveLoad(t, f.idx)

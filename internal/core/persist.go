@@ -72,7 +72,7 @@ func (x *Index) Save(w io.Writer) error {
 	// The write overlay is a transient in-memory representation; the wire
 	// format stays flat, so a snapshot carrying pending overlay writes is
 	// folded before serializing.
-	if x.delta != nil && x.delta.ops > 0 {
+	if x.dv.ops > 0 {
 		nx, err := x.Compact()
 		if err != nil {
 			return fmt.Errorf("core: save: %w", err)
@@ -134,25 +134,24 @@ func Load(r io.Reader) (*Index, *metric.Space, error) {
 	}
 	space := &metric.Space{DsMax: g.DsMax, DtMax: g.DtMax, DtProjMax: g.DtProjMax, SemanticKind: g.SemanticKind}
 	g.dropDeleted()
-	x := &Index{
-		cfg:               g.Cfg,
-		space:             space,
-		pcaModel:          g.PCAModel,
-		dim:               g.Dim,
-		m:                 g.M,
-		vecArena:          g.VecArena,
-		projArena:         g.ProjArena,
-		scratchPool:       newScratchPool(),
-		sCentX:            g.SCentX,
-		sCentY:            g.SCentY,
-		sRad:              g.SRad,
-		tCent:             g.TCent,
-		tRad:              g.TRad,
-		tCentProj:         g.TCentProj,
-		tRadProj:          g.TRadProj,
-		tValid:            g.TValid,
-		UpdatesSinceBuild: g.UpdatesSinceBuild_,
-	}
+	x := &Index{baseIndex: &baseIndex{
+		cfg:         g.Cfg,
+		space:       space,
+		pcaModel:    g.PCAModel,
+		dim:         g.Dim,
+		m:           g.M,
+		vecArena:    g.VecArena,
+		projArena:   g.ProjArena,
+		scratchPool: newScratchPool(),
+		sCentX:      g.SCentX,
+		sCentY:      g.SCentY,
+		sRad:        g.SRad,
+		tCent:       g.TCent,
+		tRad:        g.TRad,
+		tCentProj:   g.TCentProj,
+		tRadProj:    g.TRadProj,
+		tValid:      g.TValid,
+	}, UpdatesSinceBuild: g.UpdatesSinceBuild_}
 	x.setColumns(g.Objects)
 	var err error
 	if x.cells, err = loadCells(g.SAssign, g.TAssign, len(x.sCentX), len(x.tCent)); err != nil {

@@ -86,16 +86,6 @@ func (r *Rect) ExtendRect(o Rect) {
 	}
 }
 
-// Contains reports whether p lies inside r (inclusive).
-func (r Rect) Contains(p []float64) bool {
-	for i, v := range p {
-		if v < r.Lo[i] || v > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Margin returns the sum of the side lengths of r.
 func (r Rect) Margin() float64 {
 	var s float64

@@ -17,13 +17,17 @@ func TestPointDist(t *testing.T) {
 	}
 }
 
+// contains reports whether p lies in r (inclusive): its distance to r
+// is zero.
+func contains(r Rect, p []float64) bool { return r.MinSqDist(p) == 0 }
+
 func TestNewRectIsEmpty(t *testing.T) {
 	r := NewRect(3)
-	if r.Contains([]float64{0, 0, 0}) {
+	if contains(r, []float64{0, 0, 0}) {
 		t.Fatal("NewRect should be empty")
 	}
 	r.ExtendPoint([]float64{1, 2, 3})
-	if !r.Contains([]float64{1, 2, 3}) {
+	if !contains(r, []float64{1, 2, 3}) {
 		t.Fatal("rect should contain its only point")
 	}
 }
@@ -32,15 +36,15 @@ func TestExtendAndContains(t *testing.T) {
 	r := NewRect(2)
 	r.ExtendPoint([]float64{0, 0})
 	r.ExtendPoint([]float64{2, 3})
-	if !r.Contains([]float64{1, 1}) {
+	if !contains(r, []float64{1, 1}) {
 		t.Fatal("should contain interior point")
 	}
-	if r.Contains([]float64{3, 1}) {
+	if contains(r, []float64{3, 1}) {
 		t.Fatal("should not contain exterior point")
 	}
 	other := RectFromPoint([]float64{5, 5})
 	r.ExtendRect(other)
-	if !r.Contains([]float64{4, 4}) {
+	if !contains(r, []float64{4, 4}) {
 		t.Fatal("ExtendRect did not grow")
 	}
 }

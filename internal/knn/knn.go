@@ -52,9 +52,6 @@ func (h *Heap) Reset(k int) {
 	h.aux = h.aux[:0]
 }
 
-// Len returns the number of results currently held.
-func (h *Heap) Len() int { return len(h.items) }
-
 // Full reports whether k results are held.
 func (h *Heap) Full() bool { return len(h.items) >= h.k }
 

@@ -100,23 +100,6 @@ func MulTA(a, b *Dense, workers int) *Dense {
 	return out
 }
 
-// MulVec returns the matrix-vector product m*x.
-func MulVec(m *Dense, x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic("mat: MulVec shape mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Gaussian fills a rows×cols matrix with standard normal samples drawn
 // from rng.
 func Gaussian(rng *rand.Rand, rows, cols int) *Dense {

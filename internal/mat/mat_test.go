@@ -41,14 +41,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a := fromRows([][]float64{{1, 2}, {3, 4}})
-	got := MulVec(a, []float64{1, 1})
-	if got[0] != 3 || got[1] != 7 {
-		t.Fatalf("MulVec = %v", got)
-	}
-}
-
 func isOrthonormalCols(m *Dense, eps float64) bool {
 	for i := 0; i < m.Cols; i++ {
 		for j := i; j < m.Cols; j++ {

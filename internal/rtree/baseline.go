@@ -55,6 +55,3 @@ func (b *Baseline) Search(q *dataset.Object, k int, lambda float64, st *metric.S
 	}
 	return h.Sorted()
 }
-
-// Tree exposes the underlying R-tree (for tests and diagnostics).
-func (b *Baseline) Tree() *Tree { return b.tree }

@@ -1,8 +1,8 @@
 // Package rtree implements a d-dimensional rectangle R-tree with STR bulk
-// loading, R*-split insertion, and generic best-first traversal
-// (Hjaltason–Samet distance browsing). It backs the spatial-only baseline
-// of the evaluation (§7.1 "R-tree"), the spatial layer of the S²R-tree,
-// and the reference-space index of the RR*-tree baseline.
+// loading and generic best-first traversal (Hjaltason–Samet distance
+// browsing). It backs the spatial-only baseline of the evaluation (§7.1
+// "R-tree"), the spatial layer of the S²R-tree, and the reference-space
+// index of the RR*-tree baseline.
 package rtree
 
 import (
@@ -37,7 +37,6 @@ type Tree struct {
 	root       *node
 	dims       int
 	maxEntries int
-	minEntries int
 	size       int
 }
 
@@ -60,7 +59,6 @@ func New(dims, maxEntries int) *Tree {
 		root:       &node{leaf: true},
 		dims:       dims,
 		maxEntries: maxEntries,
-		minEntries: maxEntries * 2 / 5, // R*-style 40% minimum fill
 	}
 }
 
@@ -157,69 +155,6 @@ func nodeRect(n *node, dims int) geo.Rect {
 	return r
 }
 
-// Size returns the number of stored entries.
-func (t *Tree) Size() int { return t.size }
-
-// Dims returns the dimensionality of the tree.
-func (t *Tree) Dims() int { return t.dims }
-
-// Insert adds an entry, splitting overfull nodes with the R* split.
-func (t *Tree) Insert(e Entry) {
-	if e.Rect.Dims() != t.dims {
-		panic(fmt.Sprintf("rtree: entry dims %d != tree dims %d", e.Rect.Dims(), t.dims))
-	}
-	t.size++
-	split := t.insert(t.root, entry{rect: e.Rect, id: e.ID})
-	if split != nil {
-		old := t.root
-		t.root = &node{
-			leaf: false,
-			entries: []entry{
-				{rect: nodeRect(old, t.dims), child: old},
-				{rect: nodeRect(split, t.dims), child: split},
-			},
-		}
-	}
-}
-
-// insert descends to a leaf and returns a sibling node if n was split.
-func (t *Tree) insert(n *node, e entry) *node {
-	if n.leaf {
-		n.entries = append(n.entries, e)
-		if len(n.entries) > t.maxEntries {
-			return t.rstarSplit(n)
-		}
-		return nil
-	}
-	best := t.chooseSubtree(n, e.rect)
-	child := n.entries[best].child
-	split := t.insert(child, e)
-	n.entries[best].rect.ExtendRect(e.rect)
-	if split != nil {
-		n.entries[best].rect = nodeRect(child, t.dims)
-		n.entries = append(n.entries, entry{rect: nodeRect(split, t.dims), child: split})
-		if len(n.entries) > t.maxEntries {
-			return t.rstarSplit(n)
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the child whose rect needs least enlargement
-// (ties: smaller area).
-func (t *Tree) chooseSubtree(n *node, r geo.Rect) int {
-	best := 0
-	bestEnl, bestArea := -1.0, 0.0
-	for i := range n.entries {
-		area := n.entries[i].rect.Area()
-		enl := n.entries[i].rect.EnlargedArea(r) - area
-		if bestEnl < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
-}
-
 // pqItem is a best-first queue element: either a node or a leaf entry.
 type pqItem struct {
 	dist float64
@@ -273,59 +208,4 @@ func (t *Tree) BestFirst(nodeLB func(geo.Rect) float64, emit func(id uint32, lb 
 		}
 	}
 	return nodesVisited
-}
-
-// Validate checks structural invariants (for tests): child rectangles are
-// contained in their parent entry rectangle, leaves are at a uniform
-// depth, fan-out respects maxEntries, and the entry count matches Size.
-func (t *Tree) Validate() error {
-	count := 0
-	leafDepth := -1
-	var walk func(n *node, depth int, bound *geo.Rect) error
-	walk = func(n *node, depth int, bound *geo.Rect) error {
-		if len(n.entries) > t.maxEntries {
-			return fmt.Errorf("rtree: node with %d entries exceeds max %d", len(n.entries), t.maxEntries)
-		}
-		if n.leaf {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if depth != leafDepth {
-				return fmt.Errorf("rtree: leaves at depths %d and %d", leafDepth, depth)
-			}
-		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			if bound != nil {
-				for d := 0; d < t.dims; d++ {
-					if e.rect.Lo[d] < bound.Lo[d]-1e-12 || e.rect.Hi[d] > bound.Hi[d]+1e-12 {
-						return fmt.Errorf("rtree: child rect escapes parent at dim %d", d)
-					}
-				}
-			}
-			if n.leaf {
-				count++
-			} else {
-				if e.child == nil {
-					return fmt.Errorf("rtree: internal entry without child")
-				}
-				want := nodeRect(e.child, t.dims)
-				for d := 0; d < t.dims; d++ {
-					if want.Lo[d] < e.rect.Lo[d]-1e-12 || want.Hi[d] > e.rect.Hi[d]+1e-12 {
-						return fmt.Errorf("rtree: stored rect does not cover child at dim %d", d)
-					}
-				}
-				if err := walk(e.child, depth+1, &e.rect); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 0, nil); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("rtree: counted %d entries, Size() = %d", count, t.size)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -64,8 +65,8 @@ func knnTree(t *Tree, q []float64, k int) []float64 {
 
 func TestBulkLoadEmpty(t *testing.T) {
 	tr := BulkLoad(nil, 2, 0)
-	if tr.Size() != 0 {
-		t.Fatalf("Size = %d", tr.Size())
+	if tr.size != 0 {
+		t.Fatalf("Size = %d", tr.size)
 	}
 	visited := tr.BestFirst(func(geo.Rect) float64 { return 0 }, func(uint32, float64) bool { return true })
 	if visited != 0 {
@@ -78,39 +79,11 @@ func TestBulkLoadValidates(t *testing.T) {
 	for _, n := range []int{1, 5, 33, 100, 1000} {
 		for _, dims := range []int{1, 2, 3, 5} {
 			tr := BulkLoad(randPoints(rng, n, dims), dims, 16)
-			if tr.Size() != n {
-				t.Fatalf("n=%d dims=%d Size=%d", n, dims, tr.Size())
+			if tr.size != n {
+				t.Fatalf("n=%d dims=%d Size=%d", n, dims, tr.size)
 			}
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("n=%d dims=%d: %v", n, dims, err)
-			}
-		}
-	}
-}
-
-func TestInsertValidates(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	tr := New(2, 8)
-	pts := randPoints(rng, 500, 2)
-	for _, e := range pts {
-		tr.Insert(e)
-	}
-	if tr.Size() != 500 {
-		t.Fatalf("Size = %d", tr.Size())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.root.leaf {
-		t.Fatal("root is still a leaf, expected splits to raise the tree")
-	}
-	for trial := 0; trial < 5; trial++ {
-		q := []float64{rng.Float64(), rng.Float64()}
-		want := knnBrute(pts, q, 8)
-		got := knnTree(tr, q, 8)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("trial %d result %d: %v vs %v", trial, i, got[i], want[i])
 			}
 		}
 	}
@@ -131,45 +104,6 @@ func TestKNNMatchesBruteForceBulk(t *testing.T) {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				t.Fatalf("trial %d result %d: %v vs %v", trial, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-func TestKNNMatchesBruteForceInserted(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	entries := randPoints(rng, 600, 3)
-	tr := New(3, 10)
-	for _, e := range entries {
-		tr.Insert(e)
-	}
-	for trial := 0; trial < 10; trial++ {
-		q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		want := knnBrute(entries, q, 7)
-		got := knnTree(tr, q, 7)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("trial %d result %d: %v vs %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestMixedBulkAndInsert(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	entries := randPoints(rng, 300, 2)
-	tr := BulkLoad(entries[:200], 2, 12)
-	for _, e := range entries[200:] {
-		tr.Insert(e)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{0.5, 0.5}
-	want := knnBrute(entries, q, 5)
-	got := knnTree(tr, q, 5)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("result %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 }
@@ -209,16 +143,6 @@ func TestRectEntries(t *testing.T) {
 	}
 }
 
-func TestInsertDimMismatchPanics(t *testing.T) {
-	tr := New(2, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	tr.Insert(Entry{Rect: geo.RectFromPoint([]float64{1, 2, 3})})
-}
-
 // Property: for random data, bulk and insert trees agree with brute force
 // on the nearest neighbor.
 func TestNearestNeighborProperty(t *testing.T) {
@@ -241,36 +165,58 @@ func TestNearestNeighborProperty(t *testing.T) {
 	}
 }
 
-// The R* split's design goal: an overfull node holding two spatially
-// separable groups must be split exactly between them (zero overlap).
-func TestRStarSplitSeparatesClusters(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 3))
-	tr := New(2, 16)
-	n := &node{leaf: true}
-	for i := 0; i < 17; i++ { // one over capacity
-		cx := 0.1
-		if i%2 == 1 {
-			cx = 0.9
+// Validate checks structural invariants: child rectangles are
+// contained in their parent entry rectangle, leaves are at a uniform
+// depth, fan-out respects maxEntries, and the entry count matches the
+// loaded one.
+func (t *Tree) Validate() error {
+	count := 0
+	leafDepth := -1
+	var walk func(n *node, depth int, bound *geo.Rect) error
+	walk = func(n *node, depth int, bound *geo.Rect) error {
+		if len(n.entries) > t.maxEntries {
+			return fmt.Errorf("rtree: node with %d entries exceeds max %d", len(n.entries), t.maxEntries)
 		}
-		p := []float64{cx + 0.02*rng.NormFloat64(), 0.5 + 0.02*rng.NormFloat64()}
-		n.entries = append(n.entries, entry{rect: geo.RectFromPoint(p), id: uint32(i)})
-	}
-	sibling := tr.rstarSplit(n)
-	left := coverRect(n.entries, 2)
-	right := coverRect(sibling.entries, 2)
-	if ov := overlapArea(left, right); ov != 0 {
-		t.Fatalf("R* split left overlap %v between separable clusters", ov)
-	}
-	// Minimum fill respected on both sides.
-	if len(n.entries) < tr.minEntries || len(sibling.entries) < tr.minEntries {
-		t.Fatalf("minimum fill violated: %d / %d", len(n.entries), len(sibling.entries))
-	}
-	// All clustered points ended up on their own side.
-	for _, e := range n.entries {
-		for _, e2 := range sibling.entries {
-			if (e.rect.Lo[0] < 0.5) == (e2.rect.Lo[0] < 0.5) {
-				t.Fatal("clusters mixed across the split")
+		if n.leaf {
+			if leafDepth == -1 {
+				leafDepth = depth
+			} else if depth != leafDepth {
+				return fmt.Errorf("rtree: leaves at depths %d and %d", leafDepth, depth)
 			}
 		}
+		for i := range n.entries {
+			e := &n.entries[i]
+			if bound != nil {
+				for d := 0; d < t.dims; d++ {
+					if e.rect.Lo[d] < bound.Lo[d]-1e-12 || e.rect.Hi[d] > bound.Hi[d]+1e-12 {
+						return fmt.Errorf("rtree: child rect escapes parent at dim %d", d)
+					}
+				}
+			}
+			if n.leaf {
+				count++
+			} else {
+				if e.child == nil {
+					return fmt.Errorf("rtree: internal entry without child")
+				}
+				want := nodeRect(e.child, t.dims)
+				for d := 0; d < t.dims; d++ {
+					if want.Lo[d] < e.rect.Lo[d]-1e-12 || want.Hi[d] > e.rect.Hi[d]+1e-12 {
+						return fmt.Errorf("rtree: stored rect does not cover child at dim %d", d)
+					}
+				}
+				if err := walk(e.child, depth+1, &e.rect); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
+	if err := walk(t.root, 0, nil); err != nil {
+		return err
+	}
+	if count != t.size {
+		return fmt.Errorf("rtree: counted %d entries, loaded %d", count, t.size)
+	}
+	return nil
 }

@@ -341,6 +341,3 @@ func chebGap(a, b []float64) float64 {
 	}
 	return mx
 }
-
-// Pivots exposes the selected pivots (for tests).
-func (x *Index) Pivots() [][]float32 { return x.pivots }

@@ -55,7 +55,7 @@ func TestSearchMatchesScanYelp(t *testing.T) {
 
 func TestPivotsAreDistinct(t *testing.T) {
 	_, _, idx, _ := setup(t, dataset.TwitterLike, 300)
-	ps := idx.Pivots()
+	ps := idx.pivots
 	if len(ps) != 2 {
 		t.Fatalf("got %d pivots", len(ps))
 	}

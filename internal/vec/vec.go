@@ -169,19 +169,6 @@ func Norm(a []float32) float64 {
 	return math.Sqrt(Dot(a, a))
 }
 
-// Normalize scales a in place to unit Euclidean norm. A zero vector is
-// left unchanged.
-func Normalize(a []float32) {
-	n := Norm(a)
-	if n == 0 {
-		return
-	}
-	inv := 1 / n
-	for i := range a {
-		a[i] = float32(float64(a[i]) * inv)
-	}
-}
-
 // AngularDist returns the angular distance between a and b, normalized
 // into [0,1] (the angle between the vectors divided by π). It is a
 // proper metric on directions; zero vectors are handled by convention:
@@ -202,23 +189,6 @@ func AngularDist(a, b []float32) float64 {
 		cos = -1
 	}
 	return math.Acos(cos) / math.Pi
-}
-
-// Add accumulates src into dst element-wise. It panics if the lengths
-// differ.
-func Add(dst, src []float32) {
-	checkLen(dst, src)
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-// Scale multiplies every element of a by alpha in place.
-func Scale(a []float32, alpha float64) {
-	f := float32(alpha)
-	for i := range a {
-		a[i] *= f
-	}
 }
 
 // Zero sets every element of a to zero.

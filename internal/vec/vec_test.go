@@ -63,31 +63,6 @@ func TestNorm(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	a := []float32{3, 4}
-	Normalize(a)
-	if !almostEq(Norm(a), 1, 1e-6) {
-		t.Fatalf("norm after Normalize = %v, want 1", Norm(a))
-	}
-	z := []float32{0, 0}
-	Normalize(z) // must not NaN
-	if z[0] != 0 || z[1] != 0 {
-		t.Fatalf("Normalize(zero) changed the vector: %v", z)
-	}
-}
-
-func TestAddScale(t *testing.T) {
-	dst := []float32{1, 2}
-	Add(dst, []float32{10, 20})
-	if dst[0] != 11 || dst[1] != 22 {
-		t.Fatalf("Add result %v", dst)
-	}
-	Scale(dst, 0.5)
-	if dst[0] != 5.5 || dst[1] != 11 {
-		t.Fatalf("Scale result %v", dst)
-	}
-}
-
 func TestZeroClone(t *testing.T) {
 	a := []float32{1, 2, 3}
 	c := Clone(a)
@@ -173,7 +148,9 @@ func TestDotLinearity(t *testing.T) {
 		n := 1 + r.IntN(32)
 		a, b, c := randVec(r, n), randVec(r, n), randVec(r, n)
 		sum := Clone(a)
-		Add(sum, b)
+		for i, v := range b {
+			sum[i] += v
+		}
 		return almostEq(Dot(sum, c), Dot(a, c)+Dot(b, c), 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -270,8 +247,9 @@ func TestSqDistBoundMatchesSqDistBitwise(t *testing.T) {
 	for n := 0; n <= 70; n++ {
 		for _, mag := range []float64{1e-3, 1, 1e3} {
 			a, b := randVec(rng, n), randVec(rng, n)
-			Scale(a, mag)
-			Scale(b, mag)
+			for i := range a {
+				a[i], b[i] = a[i]*float32(mag), b[i]*float32(mag)
+			}
 			want := SqDist(a, b)
 			got := SqDistBound(a, b, math.Inf(1))
 			if got != want {

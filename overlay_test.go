@@ -684,20 +684,102 @@ func TestOverlayAppendUnderReaders(t *testing.T) {
 	}
 }
 
-// The deterministic pin of "a served write costs what it touches": the
-// bytes one single-op Insert and one Delete allocate, keyword filter on,
-// do not grow with the ops already buffered — nor, the buckets and
-// chunks being fixed-size, with the vocabulary.
+// The deterministic pin of "a published write costs what it touches":
+// on one shard and on four, a single-op write — an insert, an update of
+// a base row, a delete of a base row, a delete of an overlay row —
+// allocates on average no more than publishing a snapshot header takes,
+// ≤ 1.5 KiB and ≤ 4 allocations, and that cost does not grow from a
+// 2,000-row base to a 20,000-row one (a copied tombstone bitmap would
+// grow it by n/8 bytes per base-row write). The filter-free window sits past
+// every shard's first base delete, which allocates its lineage's
+// tombstones, and inside one log capacity (1,025+ of 2,048 slots), so
+// no log doubling falls in it.
 func TestOverlayWriteAllocBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the program's")
 	}
-	ds := testDataset(t, 2000)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 59, DeltaCompactThreshold: 1 << 20}))
+	const (
+		maxBytes  = 1536
+		maxAllocs = 4
+		rounds    = 50 // of the four-op mix
+	)
+	ds := testDataset(t, 22000)
+	perOp := func(rows, p int) (bytes, allocs float64) {
+		base := ds.Prefix(rows)
+		c := mustBuildSharded(t, base, p, Options{Seed: 59, DeltaCompactThreshold: 1 << 20})
+		next, slots := 0, make([]int, p)
+		var inserted []uint32
+		insert := func() {
+			o := ds.Objects[rows+next%2000]
+			o.ID = uint32(750000 + next)
+			next++
+			if err := c.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			slots[c.ShardFor(o.ID)]++
+			inserted = append(inserted, o.ID)
+		}
+		row := 0
+		baseRow := func() uint32 { row++; return base.Objects[row-1].ID }
+		for si := 0; si < p; si++ {
+			for {
+				if id := baseRow(); c.ShardFor(id) == si {
+					if err := c.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+		}
+		for slices.Min(slots) < 1025 {
+			insert()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			insert()
+			moved := ds.Objects[(i*37+11)%rows]
+			moved.ID = baseRow()
+			if err := c.Update(moved); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Delete(baseRow()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Delete(inserted[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if slices.Max(slots)+2*rounds > 2048 {
+			t.Fatalf("P=%d: a shard's log doubled inside the window", p)
+		}
+		ops := float64(4 * rounds)
+		return float64(after.TotalAlloc-before.TotalAlloc) / ops, float64(after.Mallocs-before.Mallocs) / ops
+	}
+	for _, p := range []int{1, 4} {
+		small, smallAllocs := perOp(2000, p)
+		large, largeAllocs := perOp(20000, p)
+		t.Logf("P=%d: a published write allocates %.0f B in %.2f allocations at 2,000 base rows, %.0f B in %.2f at 20,000", p, small, smallAllocs, large, largeAllocs)
+		for _, c := range []struct{ bytes, allocs float64 }{{small, smallAllocs}, {large, largeAllocs}} {
+			if c.bytes > maxBytes || c.allocs > maxAllocs {
+				t.Fatalf("P=%d: a published write allocates %.0f B in %.2f allocations: want ≤ %d B and ≤ %d", p, c.bytes, c.allocs, maxBytes, maxAllocs)
+			}
+		}
+		if large > small+64 {
+			t.Fatalf("P=%d: a published write allocates %.0f B at 20,000 base rows, %.0f B at 2,000: the cost grows with the base", p, large, small)
+		}
+	}
+	// With the keyword filter on, as every served write has it, the
+	// filter's directory copy and touched posting lists come on top; they
+	// do not grow with the ops the overlay buffers either. The eight
+	// insert+delete pairs stay inside one log capacity (40+8 < 64,
+	// 4000+8 < 4096).
+	c := ShardedFrom(mustBuild(t, ds.Prefix(2000), Options{Seed: 59, DeltaCompactThreshold: 1 << 20}))
 	c.EnableKeywordFilter()
 	next := 0
 	insert := func() uint32 {
-		o := ds.Objects[(next*11+2)%ds.Len()]
+		o := ds.Objects[(next*11+2)%2000]
 		o.ID = uint32(750000 + next)
 		next++
 		if err := c.Insert(o); err != nil {
@@ -705,9 +787,6 @@ func TestOverlayWriteAllocBounded(t *testing.T) {
 		}
 		return o.ID
 	}
-	// bytesPerPair buffers inserts up to `buffered` ops, then measures
-	// insert+delete pairs; the eight pairs stay inside one log capacity
-	// (40+8 < 64, 4000+8 < 4096), so no doubling falls in the window.
 	bytesPerPair := func(buffered int) uint64 {
 		for snapshot(c).DeltaOps() < buffered {
 			insert()
@@ -724,10 +803,9 @@ func TestOverlayWriteAllocBounded(t *testing.T) {
 		return (after.TotalAlloc - before.TotalAlloc) / pairs
 	}
 	small, large := bytesPerPair(40), bytesPerPair(4000)
-	t.Logf("insert+delete allocates %d B at 40 buffered ops, %d B at 4000", small, large)
-	const ceiling = 64 << 10
-	if large > 2*small || large > ceiling {
-		t.Fatalf("insert+delete allocates %d B at 4000 buffered ops: want ≤ 2× the %d B at 40 and ≤ %d", large, small, ceiling)
+	t.Logf("keyword filter on: insert+delete allocates %d B at 40 buffered ops, %d B at 4000", small, large)
+	if ceiling := uint64(64 << 10); large > 2*small || large > ceiling {
+		t.Fatalf("keyword filter on: insert+delete allocates %d B at 4000 buffered ops: want ≤ 2× the %d B at 40 and ≤ %d", large, small, ceiling)
 	}
 }
 

@@ -3,6 +3,7 @@ package cssi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -229,7 +230,7 @@ func (s *ShardedIndex) opShard(op Op) int {
 }
 
 // ApplyBatch groups the ops by owning shard and applies each group as
-// ONE clone-and-publish cycle on its shard — readers never observe a
+// ONE write-and-publish cycle on its shard — readers never observe a
 // partially applied group — with the groups running in parallel (the
 // first on the caller's goroutine). Atomicity is PER SHARD, not global:
 // a group that fails on any op leaves its shard untouched and its error
@@ -245,6 +246,14 @@ func (s *ShardedIndex) ApplyBatch(ops []Op) error {
 	if len(s.shards) == 1 {
 		return s.shards[0].apply(ops...)
 	}
+	// A batch confined to one shard — every single-op write — goes
+	// straight to it, with no grouping and no goroutine.
+	if si := s.opShard(ops[0]); !slices.ContainsFunc(ops[1:], func(op Op) bool { return s.opShard(op) != si }) {
+		if err := s.shards[si].apply(ops...); err != nil {
+			return fmt.Errorf("cssi: shard %d batch: %w", si, err)
+		}
+		return nil
+	}
 	groups := make([][]Op, len(s.shards))
 	for _, op := range ops {
 		si := s.opShard(op)
@@ -256,8 +265,7 @@ func (s *ShardedIndex) ApplyBatch(ops []Op) error {
 			errs[i] = fmt.Errorf("cssi: shard %d batch: %w", i, err)
 		}
 	}
-	// A batch confined to one shard — every single-op write — spawns no
-	// goroutine: handing it to one and waiting cost more than the write.
+	// The first group runs on the caller's goroutine.
 	own := -1
 	var wg sync.WaitGroup
 	for i := range s.shards {
