@@ -145,7 +145,7 @@ func BenchmarkSearchApprox20k(b *testing.B) {
 // 64 queries across a bounded worker pool.
 func BenchmarkSearchBatch(b *testing.B) {
 	e := getEnv(b, dataset.TwitterLike, hotpathSize, core.Config{})
-	idx := &Index{core: e.idx, space: e.space}
+	idx := newIndex([]*snapshot{{core: e.idx, space: e.space}})
 	for _, workers := range workerLevels() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -186,10 +186,11 @@ func writeMix(ds *Dataset, n int) []Op {
 }
 
 // BenchmarkWrite prices one write of the writer mix on a 60k × 100
-// TwitterLike index. "bare" is Index.Insert/Update/Delete, which writes
-// the index's own overlay; "published" is a one-op ApplyBatch on
-// ShardedFrom(idx), which writes the same overlay in place under a copy
-// of the snapshot's header and publishes that header; "published-p4" is
+// TwitterLike index. "bare" is core.Index.Insert/Update/Delete, which
+// writes the core snapshot's overlay in place and publishes nothing: the
+// floor under every facade write. "published" is a one-op ApplyBatch on
+// Build's index, which writes the same overlay in place under a copy of
+// the snapshot's header and publishes that header; "published-p4" is
 // the same on BuildSharded(…, 4, …), the shape of bench/'s rw-sharded.
 // Every writeRound ops the index is replaced by a fresh copy of the
 // built one, off the clock, so the overlay stays under the compaction
@@ -207,11 +208,11 @@ func BenchmarkWrite(b *testing.B) {
 	ops := writeMix(ds, n)
 	b.Run("bare", func(b *testing.B) {
 		b.ReportAllocs()
-		var idx *Index
+		var idx *core.Index
 		for i := 0; i < b.N; i++ {
 			if i%writeRound == 0 {
 				b.StopTimer()
-				idx = built.cloneWithDelta()
+				idx = current(built).core.CloneWithDelta()
 				b.StartTimer()
 			}
 			var err error
@@ -228,10 +229,10 @@ func BenchmarkWrite(b *testing.B) {
 			}
 		}
 	})
-	published := func(fresh func() *ShardedIndex) func(b *testing.B) {
+	published := func(fresh func() *Index) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
-			var sh *ShardedIndex
+			var sh *Index
 			for i := 0; i < b.N; i++ {
 				if i%writeRound == 0 {
 					b.StopTimer()
@@ -244,8 +245,8 @@ func BenchmarkWrite(b *testing.B) {
 			}
 		}
 	}
-	b.Run("published", published(func() *ShardedIndex { return ShardedFrom(built.cloneWithDelta()) }))
-	b.Run("published-p4", published(func() *ShardedIndex {
+	b.Run("published", published(func() *Index { return ShardedFrom(built) }))
+	b.Run("published-p4", published(func() *Index {
 		sh, err := BuildSharded(ds.Prefix(n), 4, Options{Seed: 77})
 		if err != nil {
 			b.Fatal(err)

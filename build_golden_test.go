@@ -37,7 +37,7 @@ func TestBuildGoldenSharded(t *testing.T) {
 		}
 		h := sha256.New()
 		for _, cell := range sh.shards {
-			if err := cell.cur.Load().Save(h); err != nil {
+			if err := cell.cur.Load().core.Save(h); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,9 +9,9 @@
 //	cssiserve -addr :8080 -ops-addr :6060                    # + pprof/metrics listener
 //
 // With -shards N the index is hash-partitioned across N goroutine-owned
-// shards: reads scatter/gather (exact results identical to unsharded),
-// writes route to one shard and pay only that shard's copy-on-write
-// cost. -index accepts both a single-index file (served as one shard)
+// shards: reads run over every shard (exact results identical to one
+// shard), writes route to one shard and publish only that shard's
+// snapshot. -index accepts both a single-index file (served as one shard)
 // and a directory written by -save with -shards > 1. See
 // internal/server for the JSON API, including GET /v1/metrics and
 // POST /v1/debug/explain.
@@ -64,7 +64,7 @@ func main() {
 	slog.SetDefault(logger)
 
 	var (
-		idx   *cssi.ShardedIndex
+		idx   *cssi.Index
 		model *embed.Model
 		err   error
 	)
@@ -101,16 +101,16 @@ func main() {
 			"shards", idx.NumShards(), "durationMs", time.Since(start).Milliseconds())
 	}
 	if *savePath != "" {
-		// SaveDir writes the manifest + per-shard layout; for one shard
-		// that is still loadable (and LoadSharded also reads a
-		// single-index file written by Index.Save).
+		// SaveDir writes the manifest + per-shard layout at every shard
+		// count (LoadSharded also reads a single-index file written by
+		// Index.Save).
 		if err := idx.SaveDir(*savePath); err != nil {
 			fatal(logger, "save failed", "path", *savePath, "error", err)
 		}
 		logger.Info("saved index", "path", *savePath)
 	}
 
-	api := server.NewSharded(idx, model)
+	api := server.New(idx, model)
 	api.SetLogger(logger)
 	if err := api.SetDeltaDefaults(*deltaThr); err != nil {
 		fatal(logger, "invalid -delta-threshold", "value", *deltaThr, "error", err)

@@ -8,20 +8,20 @@ import (
 	"time"
 )
 
-// ConcurrentIndex is the one-shard ShardedIndex.
+// ConcurrentIndex is Index, kept for bench/ (ROADMAP item 1 deletes it).
 //
-// Deprecated: use ShardedIndex.
-type ConcurrentIndex = ShardedIndex
+// Deprecated: use Index.
+type ConcurrentIndex = Index
 
-// Concurrent is ShardedFrom.
+// Concurrent is ShardedFrom, kept for bench/ (ROADMAP item 1 deletes it).
 //
-// Deprecated: use ShardedFrom.
-func Concurrent(idx *Index) *ConcurrentIndex { return ShardedFrom(idx) }
+// Deprecated: an Index is safe for concurrent writes and reads.
+func Concurrent(x *Index) *Index { return ShardedFrom(x) }
 
-// shardCell is the synchronisation of one shard of a ShardedIndex:
+// shardCell is the synchronisation of one shard of an Index:
 // RCU-style snapshot publication instead of reader/writer locking. It
 // holds the writer protocol only — requests, the trace sink and the
-// result cache live once, on the ShardedIndex above it.
+// result cache live once, on the Index above it.
 //
 //   - Readers are lock-free: they atomically load the current snapshot
 //     and run against it, with no reader count and no cache line bouncing
@@ -40,11 +40,11 @@ func Concurrent(idx *Index) *ConcurrentIndex { return ShardedFrom(idx) }
 //     replaying them into the fresh index before it is published (see
 //     buildAsideLocked).
 //
-// Publishing costs a header copy, 208 bytes in two allocations with the
+// Publishing costs a header copy, 192 bytes in one allocation with the
 // facade's, whatever the shard or its overlay holds; an enabled keyword
 // filter adds its directory copy (8 KiB). Reads pay nothing.
 type shardCell struct {
-	cur atomic.Pointer[Index]
+	cur atomic.Pointer[snapshot]
 
 	// publishedNS is the wall-clock (UnixNano) instant of the last
 	// snapshot publication — written together with every cur.Store (the
@@ -66,7 +66,7 @@ type shardCell struct {
 	// deltaThreshold is the resolved overlay compaction threshold, always
 	// positive: the overlay size at which a write starts a background
 	// fold. Resolved from the index's build options at wrap time;
-	// adjustable via ShardedIndex.SetDeltaThreshold.
+	// adjustable via Index.SetDeltaThreshold.
 	deltaThreshold atomic.Int64
 
 	// compactions counts completed overlay compactions (background and
@@ -109,25 +109,24 @@ func resolveDeltaThreshold(t int) int64 {
 	return int64(t)
 }
 
-// newShardCell publishes idx as the cell's first snapshot. idx must not
-// be mutated directly afterwards — all writes go through the cell.
-func newShardCell(idx *Index) *shardCell {
+// newShardCell publishes snap as the cell's first snapshot.
+func newShardCell(snap *snapshot) *shardCell {
 	c := &shardCell{}
-	c.deltaThreshold.Store(resolveDeltaThreshold(idx.core.Config().DeltaCompactThreshold))
-	c.publish(idx)
+	c.deltaThreshold.Store(resolveDeltaThreshold(snap.core.Config().DeltaCompactThreshold))
+	c.publish(snap)
 	return c
 }
 
-// publish installs idx as the current snapshot, stamping the
+// publish installs snap as the current snapshot, stamping the
 // publication instant and the snapshot's sequence number
 // (ResponseMeta.SnapshotID). Callers that mutate must hold c.mu; the
 // initial newShardCell call has no readers yet.
-func (c *shardCell) publish(idx *Index) {
+func (c *shardCell) publish(snap *snapshot) {
 	now := time.Now().UnixNano()
-	idx.snapID = uint64(c.publishes.Load()) + 1
-	c.cur.Store(idx)
+	snap.snapID = uint64(c.publishes.Load()) + 1
+	c.cur.Store(snap)
 	c.publishedNS.Store(now)
-	if idx.DeltaOps() == 0 {
+	if snap.core.DeltaOps() == 0 {
 		c.baseNS.Store(now)
 	}
 	c.publishes.Add(1)
@@ -153,16 +152,21 @@ type Op struct {
 	ID     uint32 // OpDelete
 }
 
-// applyOp applies one mutation to an unpublished index, into its write
-// overlay. It never folds: the cell folds in the background.
-func applyOp(idx *Index, op Op) error {
+// applyOp applies one mutation to an unpublished snapshot, into its
+// write overlay. It never folds: the cell folds in the background. An
+// update is a deletion followed by an insertion, as the paper defines
+// updates (§6.2).
+func applyOp(snap *snapshot, op Op) error {
 	switch op.Kind {
 	case OpInsert:
-		return idx.insert(op.Object)
+		return snap.insert(op.Object)
 	case OpDelete:
-		return idx.delete(op.ID)
+		return snap.delete(op.ID)
 	case OpUpdate:
-		return idx.update(op.Object)
+		if err := snap.delete(op.Object.ID); err != nil {
+			return err
+		}
+		return snap.insert(op.Object)
 	default:
 		return fmt.Errorf("cssi: unknown op kind %d", op.Kind)
 	}
@@ -189,7 +193,7 @@ func (c *shardCell) apply(ops ...Op) error {
 	c.publish(next)
 	if c.aside != nil {
 		c.rebuildLog = append(c.rebuildLog, ops...)
-	} else if int64(next.DeltaOps()) >= c.deltaThreshold.Load() {
+	} else if int64(next.core.DeltaOps()) >= c.deltaThreshold.Load() {
 		// Threshold crossed. A fold that fails loses nothing: the current
 		// snapshot already holds every acknowledged write (base+delta
 		// answers are exact), and the next crossing retries.
@@ -218,7 +222,7 @@ func (c *shardCell) apply(ops ...Op) error {
 // receives the outcome, under c.mu, exactly once; on an error the
 // current snapshot, which already contains every acknowledged write,
 // stays published. aside is closed after done. Caller must hold c.mu.
-func (c *shardCell) buildAsideLocked(what string, build func() (*Index, error), done func(error)) {
+func (c *shardCell) buildAsideLocked(what string, build func() (*snapshot, error), done func(error)) {
 	aside := make(chan struct{})
 	c.aside, c.rebuildLog = aside, nil
 	go func() {
@@ -239,8 +243,8 @@ func (c *shardCell) buildAsideLocked(what string, build func() (*Index, error), 
 			// snapshot but not on fresh (which was built from the
 			// pre-enable base); build it before publishing so the
 			// capability never silently disappears.
-			if !fresh.KeywordFilterEnabled() && c.cur.Load().KeywordFilterEnabled() {
-				fresh.EnableKeywordFilter()
+			if fresh.kw == nil && c.cur.Load().kw != nil {
+				fresh.enableKeywordFilter()
 			}
 			c.publish(fresh)
 			c.baseNS.Store(c.publishedNS.Load())
@@ -280,7 +284,7 @@ func (c *shardCell) compact() error {
 	defer c.mu.Unlock()
 	c.awaitAsideLocked()
 	cur := c.cur.Load()
-	if cur.DeltaOps() == 0 {
+	if cur.core.DeltaOps() == 0 {
 		return nil
 	}
 	start := time.Now()
@@ -294,17 +298,17 @@ func (c *shardCell) compact() error {
 }
 
 // enableKeywordFilter publishes a snapshot with the inverted keyword
-// index built (see Index.EnableKeywordFilter): writes keep the filter in
-// sync on every later snapshot, and rebuilds reconstruct it. A no-op
-// when the filter is already enabled.
+// index built: writes keep the filter in sync on every later snapshot,
+// and rebuilds reconstruct it. A no-op when the filter is already
+// enabled.
 func (c *shardCell) enableKeywordFilter() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cur.Load().KeywordFilterEnabled() {
+	if c.cur.Load().kw != nil {
 		return
 	}
 	next := c.cur.Load().cloneWithDelta()
-	next.EnableKeywordFilter()
+	next.enableKeywordFilter()
 	c.publish(next)
 }
 

@@ -9,12 +9,21 @@ import (
 	"time"
 )
 
-// snapshot is the snapshot a one-shard index currently publishes.
-func snapshot(s *ShardedIndex) *Index { return s.shards[0].cur.Load() }
+// current is the snapshot a one-shard index currently publishes.
+func current(x *Index) *snapshot { return x.shards[0].cur.Load() }
+
+// frozen is a read-only one-shard Index over snap: it answers as snap
+// did while it was published, whatever its cell publishes later. Tests
+// must not write to it.
+func frozen(snap *snapshot) *Index {
+	c := &shardCell{}
+	c.cur.Store(snap)
+	return &Index{shards: []*shardCell{c}, dim: snap.core.Dim()}
+}
 
 func TestConcurrentIndexMixedWorkload(t *testing.T) {
 	ds := testDataset(t, 600)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 31}))
+	c := mustBuild(t, ds, Options{Seed: 31})
 	var wg sync.WaitGroup
 	// Readers.
 	for g := 0; g < 4; g++ {
@@ -60,7 +69,7 @@ func TestConcurrentIndexMixedWorkload(t *testing.T) {
 	if err := c.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if snapshot(c).Len() != c.Len() {
+	if current(c).core.Len() != c.Len() {
 		t.Fatal("snapshot disagrees with wrapper")
 	}
 }
@@ -70,7 +79,7 @@ func TestConcurrentIndexMixedWorkload(t *testing.T) {
 // an error rather than k silently-empty result sets (or a worker panic).
 func TestBatchSearchInputValidation(t *testing.T) {
 	ds := testDataset(t, 200)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 5}))
+	c := mustBuild(t, ds, Options{Seed: 5})
 	queries := ds.SampleQueries(4, 2)
 
 	if got, err := c.DoBatch(BatchSearchRequest{Queries: nil, K: 5, Lambda: 0.5}); err != nil || got == nil || len(got) != 0 {
@@ -93,7 +102,7 @@ func TestBatchSearchInputValidation(t *testing.T) {
 
 func TestConcurrentObjectCopy(t *testing.T) {
 	ds := testDataset(t, 100)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 32}))
+	c := mustBuild(t, ds, Options{Seed: 32})
 	o, ok := c.Object(ds.Objects[3].ID)
 	if !ok || o.ID != ds.Objects[3].ID {
 		t.Fatal("Object lookup failed")
@@ -189,7 +198,7 @@ func TestPickBestFallsBackToLowestError(t *testing.T) {
 // lock. Run with -race; the dataset is small so the stress stays cheap.
 func TestConcurrentBatchStress(t *testing.T) {
 	ds := testDataset(t, 400)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 33}))
+	c := mustBuild(t, ds, Options{Seed: 33})
 	queries := ds.SampleQueries(24, 17)
 	var wg sync.WaitGroup
 	// Batch readers, exact and approximate, with varying worker counts.
@@ -310,7 +319,7 @@ func pinState(x *Index, queries []Object, ids []uint32) pinnedState {
 	}
 	for _, id := range ids {
 		if o, ok := x.Object(id); ok {
-			c := *o
+			c := o
 			c.Vec = slices.Clone(o.Vec)
 			ps.objs[id] = &c
 		}
@@ -394,7 +403,7 @@ func TestOverlaySnapshotPinsState(t *testing.T) {
 			pins := make([]*Index, p)
 			states := make([]pinnedState, p)
 			for si := range pins {
-				pins[si] = c.shards[si].cur.Load()
+				pins[si] = frozen(c.shards[si].cur.Load())
 				var ids []uint32
 				for i := 0; i < 120; i++ {
 					for _, id := range []uint32{base.Objects[i].ID, fresh(i).ID} {
@@ -511,8 +520,8 @@ func TestOverlaySnapshotPinsState(t *testing.T) {
 // means NO op of the batch becomes visible.
 func TestApplyBatchAtomicity(t *testing.T) {
 	ds := testDataset(t, 120)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 42}))
-	before := snapshot(c)
+	c := mustBuild(t, ds, Options{Seed: 42})
+	before := current(c)
 
 	o1, o2 := ds.Objects[0], ds.Objects[1]
 	o1.ID, o2.ID = 610000, 610001
@@ -524,7 +533,7 @@ func TestApplyBatchAtomicity(t *testing.T) {
 	if err := c.ApplyBatch(ops); err == nil {
 		t.Fatal("expected batch failure")
 	}
-	if snapshot(c) != before {
+	if current(c) != before {
 		t.Fatal("failed batch published a snapshot")
 	}
 	if _, ok := c.Object(610000); ok {
@@ -540,9 +549,9 @@ func TestApplyBatchAtomicity(t *testing.T) {
 	if err := c.ApplyBatch(good); err != nil {
 		t.Fatal(err)
 	}
-	snap := snapshot(c)
-	if snap.Len() != before.Len()+1 {
-		t.Fatalf("Len = %d, want %d", snap.Len(), before.Len()+1)
+	snap := current(c)
+	if snap.core.Len() != before.core.Len()+1 {
+		t.Fatalf("Len = %d, want %d", snap.core.Len(), before.core.Len()+1)
 	}
 	if _, ok := c.Object(610000); !ok {
 		t.Fatal("batched insert missing")
@@ -553,10 +562,10 @@ func TestApplyBatchAtomicity(t *testing.T) {
 	if err := c.ApplyBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if snapshot(c) != snap {
+	if current(c) != snap {
 		t.Fatal("empty batch published a snapshot")
 	}
-	if err := snap.CheckInvariants(); err != nil {
+	if err := snap.core.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -566,7 +575,7 @@ func TestApplyBatchAtomicity(t *testing.T) {
 // no deleted object resurrected.
 func TestRebuildInBackgroundReplay(t *testing.T) {
 	ds := testDataset(t, 500)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 43}))
+	c := mustBuild(t, ds, Options{Seed: 43})
 
 	// Pre-rebuild mutations so the rebuild base differs from build time.
 	for i := 0; i < 30; i++ {
@@ -597,10 +606,10 @@ func TestRebuildInBackgroundReplay(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
-	snap := snapshot(c)
-	if snap.UpdatesSinceBuild() != 15+len(insertedIDs) {
+	snap := current(c)
+	if snap.core.UpdatesSinceBuild != 15+len(insertedIDs) {
 		t.Fatalf("UpdatesSinceBuild = %d, want %d (exactly the replayed ops)",
-			snap.UpdatesSinceBuild(), 15+len(insertedIDs))
+			snap.core.UpdatesSinceBuild, 15+len(insertedIDs))
 	}
 	for _, id := range insertedIDs {
 		if _, ok := c.Object(id); !ok {
@@ -612,10 +621,10 @@ func TestRebuildInBackgroundReplay(t *testing.T) {
 			t.Fatalf("deleted object %d resurrected by rebuild", ds.Objects[i].ID)
 		}
 	}
-	if want := 500 - 45 + len(insertedIDs); snap.Len() != want {
-		t.Fatalf("Len = %d, want %d", snap.Len(), want)
+	if want := 500 - 45 + len(insertedIDs); snap.core.Len() != want {
+		t.Fatalf("Len = %d, want %d", snap.core.Len(), want)
 	}
-	if err := snap.CheckInvariants(); err != nil {
+	if err := snap.core.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -626,7 +635,7 @@ func TestRebuildInBackgroundReplay(t *testing.T) {
 // both checks are deterministic).
 func TestRebuildInProgressRejected(t *testing.T) {
 	ds := testDataset(t, 80)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 44}))
+	c := mustBuild(t, ds, Options{Seed: 44})
 	cell := c.shards[0]
 	aside := make(chan struct{})
 	cell.mu.Lock()
@@ -656,7 +665,7 @@ func TestRebuildInProgressRejected(t *testing.T) {
 // published snapshot structurally verified. Run with -race.
 func TestConcurrentRebuildStress(t *testing.T) {
 	ds := testDataset(t, 400)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 45}))
+	c := mustBuild(t, ds, Options{Seed: 45})
 	queries := ds.SampleQueries(12, 9)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -692,7 +701,7 @@ func TestConcurrentRebuildStress(t *testing.T) {
 				return
 			default:
 			}
-			if err := snapshot(c).CheckInvariants(); err != nil {
+			if err := current(c).core.CheckInvariants(); err != nil {
 				t.Errorf("published snapshot violates invariants: %v", err)
 				return
 			}
@@ -749,7 +758,7 @@ func TestConcurrentRebuildStress(t *testing.T) {
 	close(stop)
 	checkerWG.Wait()
 
-	snap := snapshot(c)
+	snap := frozen(current(c))
 	if err := snap.CheckInvariants(); err != nil {
 		t.Fatalf("final snapshot: %v", err)
 	}

@@ -76,25 +76,16 @@ func TestSearchStatsCounts(t *testing.T) {
 		t.Fatalf("accounting identity broken: %+v", st)
 	}
 
-	// Overlay states keep it too — a bare index's own overlay and the
-	// shards' at P = 1 and 2, tombstones on base rows among the writes —
-	// in the read's counters and in every shard span of a trace.
+	// Overlay states keep it too — the shards' overlays at P = 1 and 2,
+	// tombstones on base rows among the writes — in the read's counters
+	// and in every shard span of a trace.
 	targets := []struct {
 		name string
-		x    interface {
-			doer
-			Len() int
-		}
-	}{{"bare", idx}, {"P=1", mustBuildSharded(t, ds, 1, Options{Seed: 2})}, {"P=2", mustBuildSharded(t, ds, 2, Options{Seed: 2})}}
+		x    *Index
+	}{{"P=1", idx}, {"P=2", mustBuildSharded(t, ds, 2, Options{Seed: 2})}}
 	for _, op := range overlayOps(ds, 80) {
 		for _, tg := range targets {
-			var err error
-			if s, ok := tg.x.(*ShardedIndex); ok {
-				err = s.ApplyBatch([]Op{op})
-			} else {
-				err = writeBare(idx, op)
-			}
-			if err != nil {
+			if err := tg.x.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("%s: %v", tg.name, err)
 			}
 		}
@@ -180,8 +171,9 @@ func TestMaintenanceThroughFacade(t *testing.T) {
 	}
 }
 
-// Rebuild swaps in rebuildFresh's index: answers equal those of a twin's
-// fresh rebuild, and the installed trace sink and the snapshot ID stay.
+// Rebuild publishes what rebuildFresh returns: answers equal those of
+// a twin's fresh rebuild, the installed trace sink stays and the
+// snapshot ID moves on by the one publication.
 func TestRebuildSwapsInFreshIndex(t *testing.T) {
 	ds := testDataset(t, 400)
 	idx, twin := mustBuild(t, ds, Options{Seed: 6}), mustBuild(t, ds, Options{Seed: 6})
@@ -194,17 +186,18 @@ func TestRebuildSwapsInFreshIndex(t *testing.T) {
 	}
 	sink := obs.NewSink(obs.SinkConfig{BufferSize: 16})
 	idx.SetTraceSink(sink)
-	idx.snapID = 7
+	before := current(idx).snapID
 	if err := idx.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if idx.TraceSink() != sink || idx.snapID != 7 {
-		t.Fatalf("after Rebuild: sink kept %v, snapshot ID %d", idx.TraceSink() == sink, idx.snapID)
+	if idx.TraceSink() != sink || current(idx).snapID != before+1 {
+		t.Fatalf("after Rebuild: sink kept %v, snapshot ID %d, want %d", idx.TraceSink() == sink, current(idx).snapID, before+1)
 	}
-	fresh, err := twin.rebuildFresh()
+	snap, err := current(twin).rebuildFresh()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := frozen(snap)
 	for qi := 0; qi < 8; qi++ {
 		q := ds.Objects[(qi*41+3)%ds.Len()]
 		for _, lambda := range []float64{0, 0.5, 1} {

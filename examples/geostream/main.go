@@ -67,7 +67,7 @@ func main() {
 			if !ok {
 				continue
 			}
-			moved := *o
+			moved := o
 			moved.X = clamp01(moved.X + rng.NormFloat64()*0.02)
 			moved.Y = clamp01(moved.Y + rng.NormFloat64()*0.02)
 			if err := idx.Update(moved); err != nil {

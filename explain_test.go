@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// doer is any index flavor's single-query entry point.
+// doer is an index's single-query entry point.
 type doer interface {
 	Do(SearchRequest) ([]Result, error)
 }
@@ -75,15 +75,14 @@ func TestSearchExplainMatchesSearch(t *testing.T) {
 // An Explain alone is filled by core; beside a Trace it is folded from
 // the spans. Both routes give the same counters and bound, and a request
 // that also sets Stats gets the same counters there, each accumulated
-// onto what the caller's structs already held — on every flavor, exact
+// onto what the caller's structs already held — at P = 1 and 4, exact
 // and approximate.
 func TestExplainRoutesAgree(t *testing.T) {
 	ds := testDataset(t, 900)
 	queries := ds.SampleQueries(8, 17)
 	for name, idx := range map[string]doer{
-		"Index": mustBuild(t, ds, Options{Seed: 5}),
-		"P=1":   mustBuildSharded(t, ds, 1, Options{Seed: 5}),
-		"P=4":   mustBuildSharded(t, ds, 4, Options{Seed: 5}),
+		"P=1": mustBuild(t, ds, Options{Seed: 5}),
+		"P=4": mustBuildSharded(t, ds, 4, Options{Seed: 5}),
 	} {
 		for _, approx := range []bool{false, true} {
 			for qi := range queries {
@@ -200,7 +199,7 @@ func TestPublicationsCounter(t *testing.T) {
 		t.Fatalf("publications sum %d, want 3", total)
 	}
 	// On one shard the count is the ResponseMeta.SnapshotID of an answer.
-	one := ShardedFrom(mustBuild(t, ds, Options{Seed: 5}))
+	one := mustBuild(t, ds, Options{Seed: 5})
 	for want := uint64(1); want <= 2; want++ {
 		var meta ResponseMeta
 		if _, err := one.Do(SearchRequest{Query: &o, K: 3, Lambda: 0.5, Meta: &meta}); err != nil {

@@ -103,7 +103,7 @@ func TestIntegrationAllSearchersAgree(t *testing.T) {
 				live = append(live, o)
 			}
 			liveDS := &dataset.Dataset{Objects: live, Dim: 48}
-			liveScan := scan.New(liveDS, facade.space)
+			liveScan := scan.New(liveDS, current(facade).space)
 			q := live[7]
 			want := liveScan.Search(&q, 10, 0.5, nil)
 			got := mustDo(facade, SearchRequest{Query: &q, K: 10, Lambda: 0.5})

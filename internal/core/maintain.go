@@ -118,6 +118,11 @@ func (x *Index) DriftRatio() float64 {
 	return float64(x.radiusDrifts) / float64(x.insertsSinceBuild)
 }
 
+// DriftCounts returns the two counts DriftRatio divides: the post-build
+// inserts that landed outside their clusters' build-time balls, and all
+// post-build inserts. An index over several parts pools them.
+func (x *Index) DriftCounts() (drifts, inserts int) { return x.radiusDrifts, x.insertsSinceBuild }
+
 // Update replaces the stored object with o's ID by o — a deletion
 // followed by an insertion, as the paper defines updates (§6.2).
 func (x *Index) Update(o dataset.Object) error {

@@ -86,44 +86,6 @@ func (r *Rect) ExtendRect(o Rect) {
 	}
 }
 
-// Margin returns the sum of the side lengths of r.
-func (r Rect) Margin() float64 {
-	var s float64
-	for i := range r.Lo {
-		s += r.Hi[i] - r.Lo[i]
-	}
-	return s
-}
-
-// Area returns the d-dimensional volume of r.
-func (r Rect) Area() float64 {
-	a := 1.0
-	for i := range r.Lo {
-		side := r.Hi[i] - r.Lo[i]
-		if side < 0 {
-			return 0
-		}
-		a *= side
-	}
-	return a
-}
-
-// EnlargedArea returns the volume of r extended to cover o.
-func (r Rect) EnlargedArea(o Rect) float64 {
-	a := 1.0
-	for i := range r.Lo {
-		lo, hi := r.Lo[i], r.Hi[i]
-		if o.Lo[i] < lo {
-			lo = o.Lo[i]
-		}
-		if o.Hi[i] > hi {
-			hi = o.Hi[i]
-		}
-		a *= hi - lo
-	}
-	return a
-}
-
 // MinSqDist returns the squared Euclidean distance from point p to the
 // nearest point of r (zero when p is inside r).
 func (r Rect) MinSqDist(p []float64) float64 {

@@ -49,20 +49,6 @@ func TestExtendAndContains(t *testing.T) {
 	}
 }
 
-func TestAreaMargin(t *testing.T) {
-	r := Rect{Lo: []float64{0, 0, 0}, Hi: []float64{2, 3, 4}}
-	if r.Area() != 24 {
-		t.Fatalf("Area = %v", r.Area())
-	}
-	if r.Margin() != 9 {
-		t.Fatalf("Margin = %v", r.Margin())
-	}
-	o := RectFromPoint([]float64{4, 3, 4})
-	if got := r.EnlargedArea(o); got != 4*3*4 {
-		t.Fatalf("EnlargedArea = %v", got)
-	}
-}
-
 func TestMinDist(t *testing.T) {
 	r := Rect{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
 	if d := r.MinDist([]float64{0.5, 0.5}); d != 0 {

@@ -275,7 +275,7 @@ func FuzzEncodeResponse(f *testing.F) {
 
 // TestRequestConformance is the served column of the facade's table of
 // the same name: every request shape the wire can express is posted to
-// its /v1 route and must answer what ShardedIndex.Do answers for the
+// its /v1 route and must answer what Index.Do answers for the
 // equivalent SearchRequest — or refuse with 400 where Do refuses — and
 // must do so whichever decoder read the body: each shape goes once
 // inside the strict subset and once spelled so that only encoding/json

@@ -32,13 +32,11 @@
 // are capped per route (413 past the cap).
 //
 // Queries carry either an explicit embedding vector or free text (encoded
-// with the dataset's embedding model when one is attached). The server is
-// built on the sharded scatter/gather index: reads fan out to every
-// shard's lock-free snapshot and merge, writes route to exactly one
-// shard's clone-and-publish cycle, and /rebuild reconstructs all shards
-// in parallel in the background without stalling either. A single
-// unsharded index serves through the same path as one shard
-// (cssi.ShardedFrom), with identical exact results either way.
+// with the dataset's embedding model when one is attached). The server
+// serves one cssi.Index of any shard count: reads run over every
+// shard's lock-free snapshot, writes route to exactly one shard's
+// write-and-publish cycle, and /rebuild reconstructs all shards in
+// parallel in the background without stalling either.
 //
 // Every request carries a request ID (X-Request-Id, honored inbound,
 // generated otherwise, always echoed in the response); the structured
@@ -87,15 +85,15 @@ import (
 	"repro/internal/obs"
 )
 
-// Server wraps a sharded index and its optional embedding model.
+// Server wraps an index and its optional embedding model.
 type Server struct {
-	idx   *cssi.ShardedIndex
+	idx   *cssi.Index
 	model *embed.Model // may be nil: text queries then return an error
 	met   *metrics
 	log   *slog.Logger
 
 	// sink is the always-on tail-sampling trace collector — created
-	// with defaults by NewSharded, reconfigured or disabled via
+	// with defaults by New, reconfigured or disabled via
 	// SetTraceOptions — that /debug/traces reads and the slow-query
 	// log channel feeds from.
 	sink *obs.Sink
@@ -123,18 +121,18 @@ func (s *Server) SetDeltaDefaults(threshold int) error {
 	return s.idx.SetDeltaThreshold(threshold)
 }
 
-// New returns a Server over a single unsharded index, served as one
-// shard (fully equivalent for exact queries). model may be nil if
-// clients always send explicit vectors. The index is owned by the
-// server afterwards: all mutations must go through its API.
-func New(idx *cssi.Index, model *embed.Model) *Server {
-	return NewSharded(cssi.ShardedFrom(idx), model)
-}
+// NewSharded is New, kept for bench/ (ROADMAP item 1 deletes it).
+//
+// Deprecated: use New.
+func NewSharded(idx *cssi.Index, model *embed.Model) *Server { return New(idx, model) }
 
-// NewSharded returns a Server over a sharded index. The keyword filter
-// is enabled on every shard so the /keyword-search endpoint works out
-// of the box. The index is owned by the server afterwards.
-func NewSharded(idx *cssi.ShardedIndex, model *embed.Model) *Server {
+// New returns a Server over idx, of any shard count. model may be nil
+// if clients always send explicit vectors. The keyword filter is
+// enabled on every shard so the /keyword-search endpoint works out of
+// the box, and the server installs its own trace sink and compaction
+// observer on idx, which it owns afterwards: all mutations must go
+// through its API.
+func New(idx *cssi.Index, model *embed.Model) *Server {
 	if !idx.KeywordFilterEnabled() {
 		idx.EnableKeywordFilter()
 	}

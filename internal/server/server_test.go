@@ -386,7 +386,7 @@ func TestKeywordSearchEndpoint(t *testing.T) {
 	}
 }
 
-// NewSharded builds the keyword filter, so only an index swapped in
+// New builds the keyword filter, so only an index swapped in
 // behind the server's back can lack it; the request is still answered
 // 400 with the typed error's text, not a panic or a stop-word message.
 func TestKeywordSearchWithoutFilterIs400(t *testing.T) {
@@ -402,7 +402,7 @@ func TestKeywordSearchWithoutFilterIs400(t *testing.T) {
 		return idx
 	}
 	srv := New(build(), ds.Model)
-	srv.idx = cssi.ShardedFrom(build())
+	srv.idx = build()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	q := ds.Objects[3]

@@ -14,7 +14,7 @@ import (
 )
 
 // newShardedTestServer serves a 4-shard index; the returned flat index
-// is an identically built unsharded reference.
+// is an identically built one-shard reference.
 func newShardedTestServer(t *testing.T) (*httptest.Server, *cssi.Dataset, *cssi.Index) {
 	t.Helper()
 	ds, err := cssi.GenerateDataset(cssi.DatasetConfig{Kind: cssi.TwitterLike, Size: 600, Dim: 16, Seed: 3})
@@ -29,13 +29,13 @@ func newShardedTestServer(t *testing.T) (*httptest.Server, *cssi.Dataset, *cssi.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewSharded(sharded, ds.Model).Handler())
+	ts := httptest.NewServer(New(sharded, ds.Model).Handler())
 	t.Cleanup(ts.Close)
 	return ts, ds, flat
 }
 
-// A sharded server must answer exact searches bit-identically to an
-// unsharded index, and report per-shard stats.
+// A sharded server must answer exact searches bit-identically to a
+// one-shard index, and report per-shard stats.
 func TestShardedServerSearchAndStats(t *testing.T) {
 	ts, ds, flat := newShardedTestServer(t)
 	q := ds.Objects[11]

@@ -12,11 +12,10 @@ import (
 // candidates directly instead of running the exact read over them.
 const keywordBruteForceCap = 512
 
-// EnableKeywordFilter builds an inverted index over the stored objects'
-// texts, enabling SearchRequest.Keywords. Call it once after Build (or after
-// LoadIndex); Insert/Delete/Update keep it in sync automatically from
-// then on. Objects with empty text simply never match keyword queries.
-func (x *Index) EnableKeywordFilter() {
+// enableKeywordFilter builds the inverted index over the snapshot's
+// stored texts (Index.EnableKeywordFilter). Objects with empty text
+// simply never match keyword queries.
+func (x *snapshot) enableKeywordFilter() {
 	ids := make([]uint32, 0, x.core.Len())
 	texts := make([]string, 0, x.core.Len())
 	x.core.ForEachLive(func(o *Object) {
@@ -26,27 +25,15 @@ func (x *Index) EnableKeywordFilter() {
 	x.kw = keyword.Build(ids, texts, x.core.Config().Workers)
 }
 
-// KeywordFilterEnabled reports whether SearchRequest.Keywords is available.
-func (x *Index) KeywordFilterEnabled() bool { return x.kw != nil }
-
-// KeywordDocFrequency reports how many live objects contain the keyword
-// (0 when the filter is disabled or the keyword normalizes away).
-func (x *Index) KeywordDocFrequency(kw string) int {
-	if x.kw == nil {
-		return 0
-	}
-	return x.kw.DocFrequency(kw)
-}
-
 // keywordRows resolves a keyword request over the view's snapshots once:
 // per snapshot, the sorted IDs of its objects whose text holds every
 // keyword, and their total. Every snapshot carries the filter (validate
 // checked). Usability depends on the keywords alone, so an unusable
 // list fails on the first snapshot with ErrUnusableKeywords.
 func (v *view) keywordRows(keywords []string) (rows [][]uint32, total int, err error) {
-	rows = make([][]uint32, v.n())
-	for i := range rows {
-		ids, ok := v.at(i).kw.Candidates(keywords)
+	rows = make([][]uint32, len(v.shards))
+	for i, snap := range v.shards {
+		ids, ok := snap.kw.Candidates(keywords)
 		if !ok {
 			return nil, 0, ErrUnusableKeywords
 		}
@@ -62,7 +49,7 @@ func (v *view) keywordRows(keywords []string) (rows [][]uint32, total int, err e
 func (v *view) evaluateRows(dst []Result, q *Object, k int, lambda float64, rows [][]uint32, total int) []Result {
 	all := make([]Result, 0, total)
 	for i, ids := range rows {
-		x := v.at(i)
+		x := v.shards[i]
 		for _, id := range ids {
 			if o, live := x.core.Object(id); live {
 				all = append(all, Result{ID: id, Dist: x.space.Distance(nil, lambda, q, &o)})

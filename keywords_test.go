@@ -24,21 +24,18 @@ func keywordFixture(t *testing.T) (*Dataset, *Index) {
 // keyword read — the direct evaluation of a selective term's candidates
 // and the exact read under a broad term's row predicate — to a
 // brute-force filter over the live objects, rank by rank with ties by
-// ID: on a bare index and on sharded ones at P = 1, 2 and 4, for
-// k ∈ {1, 10, n+5} and λ ∈ {0, 0.5, 1}, as built, after writes (the
-// overlay on a sharded index, a bare one's own) and after Compact.
+// ID: at P = 1, 2 and 4, for k ∈ {1, 10, n+5} and λ ∈ {0, 0.5, 1}, as
+// built, after writes (the shards' overlays) and after Compact.
 func TestSearchWithKeywordsMatchesBruteForce(t *testing.T) {
 	ds, err := GenerateDataset(DatasetConfig{Kind: TwitterLike, Size: 12000, Dim: 24, Seed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := mustBuild(t, ds, Options{Seed: 44})
-	bare.EnableKeywordFilter()
 	type target struct {
 		name string
-		x    doer
+		x    *Index
 	}
-	targets := []target{{"Index", bare}}
+	var targets []target
 	for _, p := range []int{1, 2, 4} {
 		s := mustBuildSharded(t, ds, p, Options{Seed: 44})
 		s.EnableKeywordFilter()
@@ -46,14 +43,15 @@ func TestSearchWithKeywordsMatchesBruteForce(t *testing.T) {
 	}
 	// The broad term is over the cap at every P, the selective one under
 	// it at P = 1, with room for the writes below either way.
+	one := targets[0].x
 	broad, selective := ds.Model.Vocab.Words[0], ""
 	for _, w := range ds.Model.Vocab.Words {
-		if df := bare.KeywordDocFrequency(w); df >= 100 && df <= keywordBruteForceCap/2 {
+		if df := one.KeywordDocFrequency(w); df >= 100 && df <= keywordBruteForceCap/2 {
 			selective = w
 			break
 		}
 	}
-	if df := bare.KeywordDocFrequency(broad); selective == "" || df <= 4*keywordBruteForceCap+200 {
+	if df := one.KeywordDocFrequency(broad); selective == "" || df <= 4*keywordBruteForceCap+200 {
 		t.Fatalf("no usable terms: broad %q in %d docs, selective %q", broad, df, selective)
 	}
 	live := make(map[uint32]Object, ds.Len())
@@ -73,7 +71,7 @@ func TestSearchWithKeywordsMatchesBruteForce(t *testing.T) {
 				for _, lambda := range []float64{0, 0.5, 1} {
 					want := make([]Result, len(holders))
 					for i := range holders {
-						want[i] = Result{ID: holders[i].ID, Dist: bare.space.Distance(nil, lambda, &q, &holders[i])}
+						want[i] = Result{ID: holders[i].ID, Dist: current(one).space.Distance(nil, lambda, &q, &holders[i])}
 					}
 					sort.Slice(want, func(a, b int) bool {
 						return want[a].Dist < want[b].Dist || want[a].Dist == want[b].Dist && want[a].ID < want[b].ID
@@ -92,13 +90,7 @@ func TestSearchWithKeywordsMatchesBruteForce(t *testing.T) {
 	check("built")
 	for _, op := range overlayOps(ds, 120) {
 		for _, tg := range targets {
-			var err error
-			if s, ok := tg.x.(*ShardedIndex); ok {
-				err = s.ApplyBatch([]Op{op})
-			} else {
-				err = writeBare(bare, op)
-			}
-			if err != nil {
+			if err := tg.x.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("%s: %v", tg.name, err)
 			}
 		}
@@ -110,9 +102,9 @@ func TestSearchWithKeywordsMatchesBruteForce(t *testing.T) {
 		}
 	}
 	check("written")
-	for _, tg := range targets[1:] {
-		s := tg.x.(*ShardedIndex)
-		if snapshot(s).DeltaOps() == 0 {
+	for _, tg := range targets {
+		s := tg.x
+		if s.shards[0].cur.Load().core.DeltaOps() == 0 {
 			t.Fatalf("%s: the writes left no overlay", tg.name)
 		}
 		if err := s.Compact(); err != nil {
@@ -247,7 +239,7 @@ func TestKeywordFilterMaintenance(t *testing.T) {
 	}
 	// Update changes the indexed text.
 	victim, _ := idx.Object(ds.Objects[10].ID)
-	upd := *victim
+	upd := victim
 	upd.Text = "wqqqanother " + upd.Text
 	if err := idx.Update(upd); err != nil {
 		t.Fatal(err)
@@ -309,7 +301,7 @@ func TestSearchWithKeywordsBroadKeyword(t *testing.T) {
 	var want []Result
 	for i := range ds.Objects {
 		if containsWord(ds.Objects[i].Text, word) {
-			want = append(want, Result{ID: ds.Objects[i].ID, Dist: idx.space.Distance(nil, 0.5, &q, &ds.Objects[i])})
+			want = append(want, Result{ID: ds.Objects[i].ID, Dist: current(idx).space.Distance(nil, 0.5, &q, &ds.Objects[i])})
 		}
 	}
 	sortByDistID(want)

@@ -44,8 +44,8 @@ func overlayOps(ds *Dataset, n int) []Op {
 	return ops
 }
 
-// writeBare applies op to a bare index through its public mutators.
-func writeBare(x *Index, op Op) error {
+// writeDirect applies op through Insert, Delete or Update.
+func writeDirect(x *Index, op Op) error {
 	switch op.Kind {
 	case OpInsert:
 		return x.Insert(op.Object)
@@ -56,15 +56,14 @@ func writeBare(x *Index, op Op) error {
 	}
 }
 
-// A one-shard index writing through per-op clones of its overlay and a
-// bare index writing its own overlay, fed the same ops over the same
-// build, answer every exact query as a linear scan of the live objects
-// does, and every range and window read alike — before and after the
-// shard's compaction.
+// Two indexes over the same build, one written by one-op ApplyBatch
+// calls and one by Insert/Delete/Update, fed the same ops, answer every
+// exact query as a linear scan of the live objects does, and every range
+// and window read alike — before and after the first one's compaction.
 func TestOverlayConcurrentEquivalence(t *testing.T) {
 	ds := testDataset(t, 800)
-	overlay := ShardedFrom(mustBuild(t, ds, Options{Seed: 41}))
-	bare := mustBuild(t, ds, Options{Seed: 41})
+	overlay := mustBuild(t, ds, Options{Seed: 41})
+	direct := mustBuild(t, ds, Options{Seed: 41})
 	live := make(map[uint32]Object, ds.Len())
 	for _, o := range ds.Objects {
 		live[o.ID] = o
@@ -77,8 +76,8 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 		if err := overlay.ApplyBatch([]Op{op}); err != nil {
 			t.Fatalf("overlay op: %v", err)
 		}
-		if err := writeBare(bare, op); err != nil {
-			t.Fatalf("bare op: %v", err)
+		if err := writeDirect(direct, op); err != nil {
+			t.Fatalf("direct op: %v", err)
 		}
 		if op.Kind == OpDelete {
 			delete(live, op.ID)
@@ -86,20 +85,20 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 			live[op.Object.ID] = op.Object
 		}
 	}
-	if snapshot(overlay).DeltaOps() == 0 {
+	if current(overlay).core.DeltaOps() == 0 {
 		t.Fatal("overlay wrapper buffered no delta ops (overlay path not engaged)")
 	}
-	if bare.DeltaOps() != snapshot(overlay).DeltaOps() {
-		t.Fatalf("bare index buffered %d delta ops, the shard %d", bare.DeltaOps(), snapshot(overlay).DeltaOps())
+	if current(direct).core.DeltaOps() != current(overlay).core.DeltaOps() {
+		t.Fatalf("direct writes buffered %d delta ops, batches %d", current(direct).core.DeltaOps(), current(overlay).core.DeltaOps())
 	}
-	if overlay.Len() != len(live) || bare.Len() != len(live) {
-		t.Fatalf("live counts diverged: overlay %d, bare %d, want %d", overlay.Len(), bare.Len(), len(live))
+	if overlay.Len() != len(live) || direct.Len() != len(live) {
+		t.Fatalf("live counts diverged: overlay %d, direct %d, want %d", overlay.Len(), direct.Len(), len(live))
 	}
 	liveDS := &Dataset{Dim: ds.Dim}
 	for _, o := range live {
 		liveDS.Objects = append(liveDS.Objects, o)
 	}
-	oracle := scan.New(liveDS, bare.space)
+	oracle := scan.New(liveDS, current(direct).space)
 	compare := func(stage string) {
 		t.Helper()
 		for qi := 0; qi < 6; qi++ {
@@ -107,14 +106,14 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 			for _, lambda := range []float64{0, 0.5, 1} {
 				ctx := fmt.Sprintf("%s q%d λ=%v", stage, qi, lambda)
 				want := oracle.Search(&q, 10, lambda, nil)
-				equalResults(t, ctx+" bare", want, mustDo(bare, SearchRequest{Query: &q, K: 10, Lambda: lambda}))
+				equalResults(t, ctx+" direct", want, mustDo(direct, SearchRequest{Query: &q, K: 10, Lambda: lambda}))
 				equalResults(t, ctx+" overlay", want, mustDo(overlay, SearchRequest{Query: &q, K: 10, Lambda: lambda}))
 			}
 			r := 0.25
 			ranged := SearchRequest{Query: &q, K: ds.Len(), Lambda: 0.5, Radius: &r}
-			equalResults(t, stage+" range", mustDo(bare, ranged), mustDo(overlay, ranged))
+			equalResults(t, stage+" range", mustDo(direct, ranged), mustDo(overlay, ranged))
 			boxed := SearchRequest{Query: &q, K: 8, Window: &Window{LoX: q.X - 0.3, LoY: q.Y - 0.3, HiX: q.X + 0.3, HiY: q.Y + 0.3}}
-			equalResults(t, stage+" box", mustDo(bare, boxed), mustDo(overlay, boxed))
+			equalResults(t, stage+" box", mustDo(direct, boxed), mustDo(overlay, boxed))
 			// Approximate answers are not contractually identical across
 			// representations, but every returned ID must be live.
 			for _, r := range mustDo(overlay, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Approx: true}) {
@@ -128,14 +127,14 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 	if err := overlay.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if snapshot(overlay).DeltaOps() != 0 {
-		t.Fatalf("post-compact DeltaOps = %d", snapshot(overlay).DeltaOps())
+	if current(overlay).core.DeltaOps() != 0 {
+		t.Fatalf("post-compact DeltaOps = %d", current(overlay).core.DeltaOps())
 	}
 	if overlay.shards[0].compactions.Load() == 0 {
 		t.Fatal("explicit Compact not counted")
 	}
 	compare("post-compaction")
-	if err := snapshot(overlay).CheckInvariants(); err != nil {
+	if err := current(overlay).core.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,7 +143,7 @@ func TestOverlayConcurrentEquivalence(t *testing.T) {
 // folds the overlay without losing any acknowledged write.
 func TestOverlayBackgroundCompaction(t *testing.T) {
 	ds := testDataset(t, 500)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 43}))
+	c := mustBuild(t, ds, Options{Seed: 43})
 	if err := c.SetDeltaThreshold(8); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +181,7 @@ func TestOverlayBackgroundCompaction(t *testing.T) {
 	if c.Len() != ds.Len()+40 {
 		t.Fatalf("Len = %d, want %d", c.Len(), ds.Len()+40)
 	}
-	if err := snapshot(c).CheckInvariants(); err != nil {
+	if err := current(c).core.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,24 +201,89 @@ func TestOverlayThresholdValidation(t *testing.T) {
 	}
 }
 
-// A bare index buffers its writes in its own overlay and folds within
-// the write that brings the overlay to its threshold. After every write,
-// the folding one included, exact answers equal the linear scan's, rank
-// by rank with ties by ID, at λ ∈ {0, 0.5, 1} and k ∈ {1, 10, n+5}, and
-// the invariants hold; the fold leaves no op buffered and no row
-// unanchored.
-func TestBareIndexFoldsAtThreshold(t *testing.T) {
-	ds := testDataset(t, 600)
+// foldStream is a writer mix that crosses a small threshold many times:
+// per round insert a fresh object, move a base object, and delete the
+// previous round's insert. No op targets an object an earlier op
+// removed.
+func foldStream(ds *Dataset, rounds int) []Op {
+	ops := make([]Op, 0, 3*rounds)
+	for r := 0; r < rounds; r++ {
+		o := ds.Objects[(r*13+5)%ds.Len()]
+		o.ID = uint32(900000 + r)
+		moved := ds.Objects[(r*11+1)%ds.Len()]
+		moved.X, moved.Y = 1-moved.X, 1-moved.Y
+		ops = append(ops, Op{Kind: OpInsert, Object: o}, Op{Kind: OpUpdate, Object: moved})
+		if r > 0 {
+			ops = append(ops, Op{Kind: OpDelete, ID: uint32(900000 + r - 1)})
+		}
+	}
+	return ops
+}
+
+// Build's index at threshold 24 folds in the background: the write that
+// fills the overlay starts the fold and returns, later writes are
+// acknowledged while it runs and replayed into its result, and readers
+// run beside all of it. After every round the answers equal the linear
+// scan's, rank by rank with ties by ID, at λ ∈ {0, 0.5, 1} and
+// k ∈ {1, 10, n+5}; after Compact no op is buffered, no row is
+// unanchored and the invariants hold.
+func TestBuildFoldsInBackground(t *testing.T) {
+	ds := testDataset(t, 1200)
 	const threshold = 24
 	x := mustBuild(t, ds, Options{Seed: 61, DeltaCompactThreshold: threshold})
+	cell := x.shards[0]
 	live := make(map[uint32]Object, ds.Len())
 	for _, o := range ds.Objects {
 		live[o.ID] = o
 	}
-	folds := 0
-	for i, op := range overlayOps(ds, 40) {
-		before := x.DeltaOps()
-		if err := writeBare(x, op); err != nil {
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := ds.Objects[(g*71+i*13)%ds.Len()]
+				res, err := x.Do(SearchRequest{Query: &q, K: 10, Lambda: 0.5})
+				if err != nil || len(res) != 10 {
+					t.Errorf("reader %d: %d results, err %v", g, len(res), err)
+					return
+				}
+				for j := 1; j < len(res); j++ {
+					if !lessResult(res[j-1], res[j]) {
+						t.Errorf("reader %d: results out of order at %d", g, j)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	check := func(stage string) {
+		t.Helper()
+		liveDS := &Dataset{Dim: ds.Dim}
+		for _, o := range live {
+			liveDS.Objects = append(liveDS.Objects, o)
+		}
+		oracle := scan.New(liveDS, current(x).space)
+		n := len(live)
+		for qi := 0; qi < 2; qi++ {
+			q := ds.Objects[(qi*131+len(stage)*7)%ds.Len()]
+			for _, lambda := range []float64{0, 0.5, 1} {
+				for _, k := range []int{1, 10, n + 5} {
+					equalResults(t, fmt.Sprintf("%s q%d λ=%v k=%d", stage, qi, lambda, k),
+						oracle.Search(&q, k, lambda, nil), mustDo(x, SearchRequest{Query: &q, K: k, Lambda: lambda}))
+				}
+			}
+		}
+	}
+	midFold := 0
+	for i, op := range foldStream(ds, 120) {
+		if err := x.ApplyBatch([]Op{op}); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		if op.Kind == OpDelete {
@@ -227,37 +291,117 @@ func TestBareIndexFoldsAtThreshold(t *testing.T) {
 		} else {
 			live[op.Object.ID] = op.Object
 		}
-		switch after := x.DeltaOps(); {
-		case after == 0:
-			if before+2 < threshold {
-				t.Fatalf("op %d folded at %d buffered ops, threshold %d", i, before, threshold)
-			}
-			if n := x.UnanchoredRows(); n != 0 {
-				t.Fatalf("op %d: %d unanchored rows after the fold", i, n)
-			}
-			folds++
-		case after >= threshold:
-			t.Fatalf("op %d left %d ops buffered, threshold %d", i, after, threshold)
+		// A write acknowledged while a fold runs waits in its replay log.
+		cell.mu.Lock()
+		if cell.aside != nil && len(cell.rebuildLog) > 0 {
+			midFold++
 		}
-		if err := x.CheckInvariants(); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-		liveDS := &Dataset{Dim: ds.Dim}
-		for _, o := range live {
-			liveDS.Objects = append(liveDS.Objects, o)
-		}
-		oracle := scan.New(liveDS, x.space)
-		n := len(live)
-		q := ds.Objects[(i*131+7)%ds.Len()]
-		for _, lambda := range []float64{0, 0.5, 1} {
-			for _, k := range []int{1, 10, n + 5} {
-				equalResults(t, fmt.Sprintf("op %d λ=%v k=%d", i, lambda, k),
-					oracle.Search(&q, k, lambda, nil), mustDo(x, SearchRequest{Query: &q, K: k, Lambda: lambda}))
-			}
+		cell.mu.Unlock()
+		if i%3 == 2 {
+			check(fmt.Sprintf("op %d", i))
 		}
 	}
-	if folds == 0 {
-		t.Fatal("no write folded the overlay")
+	close(stop)
+	readers.Wait()
+	if folds := cell.compactions.Load(); folds < 3 || midFold == 0 {
+		t.Fatalf("%d background folds, %d writes acknowledged during one; want >= 3 and > 0", folds, midFold)
+	}
+	if err := x.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n, d := x.UnanchoredRows(), current(x).core.DeltaOps(); n != 0 || d != 0 {
+		t.Fatalf("after Compact: %d unanchored rows, %d ops buffered", n, d)
+	}
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted")
+}
+
+// Writers and readers on Build's index, with no synchronisation of
+// their own (run under -race in CI): writers on disjoint ID ranges
+// insert, update and delete through every write entry point while
+// readers run every read shape and folds run in the background; the
+// final answers equal the scan of what the writers acknowledged.
+func TestConcurrentWritersOnBuildIndex(t *testing.T) {
+	ds := testDataset(t, 600)
+	x := mustBuild(t, ds, Options{Seed: 63, DeltaCompactThreshold: 20})
+	const writers, perWriter = 3, 40
+	final := make([]map[uint32]Object, writers)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			mine := map[uint32]Object{}
+			for i := 0; i < perWriter; i++ {
+				o := ds.Objects[(g*97+i*7)%ds.Len()]
+				o.ID = uint32(800000 + g*1000 + i)
+				var err error
+				switch i % 4 {
+				case 0:
+					err = x.Insert(o)
+				case 1:
+					err = x.ApplyBatch([]Op{{Kind: OpInsert, Object: o}})
+				case 2:
+					if err = x.Insert(o); err == nil {
+						o.X = 1 - o.X
+						err = x.Update(o)
+					}
+				default:
+					if err = x.Insert(o); err == nil {
+						err = x.Delete(o.ID)
+					}
+				}
+				if err != nil {
+					t.Errorf("writer %d op %d: %v", g, i, err)
+					return
+				}
+				if i%4 != 3 {
+					mine[o.ID] = o
+				}
+			}
+			final[g] = mine
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				q := ds.Objects[(g*53+i*17)%ds.Len()]
+				mustDo(x, SearchRequest{Query: &q, K: 5, Lambda: 0.5})
+				mustDo(x, SearchRequest{Query: &q, K: 5, Lambda: 0.5, Approx: true})
+				r := 0.1
+				mustDo(x, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Radius: &r})
+				if _, err := x.DoBatch(BatchSearchRequest{Queries: []Object{q}, K: 3, Lambda: 0.3}); err != nil {
+					t.Error(err)
+					return
+				}
+				x.Len()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	liveDS := &Dataset{Dim: ds.Dim, Objects: slices.Clone(ds.Objects)}
+	for _, mine := range final {
+		for _, o := range mine {
+			liveDS.Objects = append(liveDS.Objects, o)
+		}
+	}
+	if x.Len() != liveDS.Len() {
+		t.Fatalf("Len = %d, want %d", x.Len(), liveDS.Len())
+	}
+	oracle := scan.New(liveDS, current(x).space)
+	for qi := 0; qi < 6; qi++ {
+		q := ds.Objects[(qi*89+5)%ds.Len()]
+		equalResults(t, fmt.Sprintf("q%d", qi), oracle.Search(&q, 10, 0.5, nil), mustDo(x, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
+	}
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -266,7 +410,7 @@ func TestBareIndexFoldsAtThreshold(t *testing.T) {
 // write is buffered in the overlay, and the setter refuses it.
 func TestOverlayNegativeThresholdMeansDefault(t *testing.T) {
 	ds := testDataset(t, 300)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 46, DeltaCompactThreshold: -1}))
+	c := mustBuild(t, ds, Options{Seed: 46, DeltaCompactThreshold: -1})
 	if got := c.shards[0].deltaThreshold.Load(); got != DefaultDeltaCompactThreshold {
 		t.Fatalf("resolved threshold %d, want %d", got, DefaultDeltaCompactThreshold)
 	}
@@ -275,7 +419,7 @@ func TestOverlayNegativeThresholdMeansDefault(t *testing.T) {
 	if err := c.Insert(o); err != nil {
 		t.Fatal(err)
 	}
-	if n := snapshot(c).DeltaOps(); n != 1 {
+	if n := current(c).core.DeltaOps(); n != 1 {
 		t.Fatalf("DeltaOps after the first write = %d, want 1", n)
 	}
 	if err := c.SetDeltaThreshold(-1); !errors.Is(err, ErrInvalidDeltaThreshold) {
@@ -284,7 +428,7 @@ func TestOverlayNegativeThresholdMeansDefault(t *testing.T) {
 }
 
 // Sharded overlay writes keep the scatter/gather exact contract: the
-// merged result is bit-identical to a bare index fed the same stream,
+// merged result is bit-identical to a one-shard index fed the same stream,
 // and per-shard stats expose the overlay state.
 func TestOverlayShardedEquivalence(t *testing.T) {
 	ds := testDataset(t, 900)
@@ -298,7 +442,7 @@ func TestOverlayShardedEquivalence(t *testing.T) {
 			if err := s.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("P=%d sharded op: %v", p, err)
 			}
-			if err := writeBare(flat, op); err != nil {
+			if err := writeDirect(flat, op); err != nil {
 				t.Fatalf("P=%d flat op: %v", p, err)
 			}
 		}
@@ -346,7 +490,7 @@ func TestOverlayShardedEquivalence(t *testing.T) {
 // compactions against one overlay-enabled wrapper.
 func TestOverlayConcurrentStress(t *testing.T) {
 	ds := testDataset(t, 600)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 49}))
+	c := mustBuild(t, ds, Options{Seed: 49})
 	if err := c.SetDeltaThreshold(16); err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +573,7 @@ func TestOverlayConcurrentStress(t *testing.T) {
 			t.Fatalf("compaction changed result %d: %+v -> %+v", i, after[i], before[i])
 		}
 	}
-	if err := snapshot(c).CheckInvariants(); err != nil {
+	if err := current(c).core.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -438,12 +582,12 @@ func TestOverlayConcurrentStress(t *testing.T) {
 // the overlay log leaves the lineage's tail claimed by a clone nobody
 // will ever publish. Nothing of the batch may show, and the next write —
 // whose clone can no longer claim that slot — must still go through, on
-// one shard and on two, with answers equal to a bare twin that saw only the
+// one shard and on two, with answers equal to a twin that saw only the
 // acknowledged ops.
 func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 	ds := testDataset(t, 500)
-	for name, w := range map[string]*ShardedIndex{
-		"P=1": ShardedFrom(mustBuild(t, ds, Options{Seed: 53})),
+	for name, w := range map[string]*Index{
+		"P=1": mustBuild(t, ds, Options{Seed: 53}),
 		"P=2": mustBuildSharded(t, ds, 2, Options{Seed: 53}),
 	} {
 		publications := func() (n int64) {
@@ -458,7 +602,7 @@ func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 			if err := w.ApplyBatch([]Op{op}); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if err := writeBare(twin, op); err != nil {
+			if err := writeDirect(twin, op); err != nil {
 				t.Fatalf("%s twin: %v", name, err)
 			}
 		}
@@ -497,7 +641,7 @@ func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 		}
 		for qi := 0; qi < 6; qi++ {
 			q := ds.Objects[(qi*83+5)%ds.Len()]
-			equalResults(t, name+" vs bare twin", mustDo(twin, SearchRequest{Query: &q, K: 10, Lambda: 0.5}), mustDo(w, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
+			equalResults(t, name+" vs twin", mustDo(twin, SearchRequest{Query: &q, K: 10, Lambda: 0.5}), mustDo(w, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
 		}
 		if err := w.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -513,7 +657,7 @@ func TestOverlayAbandonedBatchThenWrite(t *testing.T) {
 // its last posting before the pin and gets it back after.
 func TestOverlayKeywordFilterTwin(t *testing.T) {
 	ds := testDataset(t, 600)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 55, DeltaCompactThreshold: 150}))
+	c := mustBuild(t, ds, Options{Seed: 55, DeltaCompactThreshold: 150})
 	c.EnableKeywordFilter()
 	const rare = "zzonlyhere"
 	live := make(map[uint32]string, ds.Len())
@@ -537,7 +681,7 @@ func TestOverlayKeywordFilterTwin(t *testing.T) {
 			terms[tok] = true
 		}
 	}
-	check := func(stage string, snap *Index, live map[uint32]string) {
+	check := func(stage string, snap *snapshot, live map[uint32]string) {
 		t.Helper()
 		ids := make([]uint32, 0, len(live))
 		for id := range live {
@@ -565,7 +709,7 @@ func TestOverlayKeywordFilterTwin(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rareObj := ds.Objects[3]
 	rareObj.ID, rareObj.Text = 990000, rareObj.Text+" "+rare
-	var pinned *Index
+	var pinned *snapshot
 	var pinnedLive map[uint32]string
 	for i := 0; i < 600; i++ {
 		switch {
@@ -574,11 +718,11 @@ func TestOverlayKeywordFilterTwin(t *testing.T) {
 		case i == 200:
 			apply(Op{Kind: OpDelete, ID: rareObj.ID})
 		case i == 300:
-			pinned, pinnedLive = snapshot(c), make(map[uint32]string, len(live))
+			pinned, pinnedLive = current(c), make(map[uint32]string, len(live))
 			for id, txt := range live {
 				pinnedLive[id] = txt
 			}
-			if pinned.KeywordDocFrequency(rare) != 0 {
+			if pinned.kw.DocFrequency(rare) != 0 {
 				t.Fatal("rare term survived the delete of its last posting")
 			}
 		}
@@ -598,15 +742,15 @@ func TestOverlayKeywordFilterTwin(t *testing.T) {
 			apply(Op{Kind: OpDelete, ID: victim})
 		}
 	}
-	if snapshot(c).KeywordDocFrequency(rare) != 1 {
+	if c.KeywordDocFrequency(rare) != 1 {
 		t.Fatal("rare term not re-added")
 	}
-	check("current", snapshot(c), live)
+	check("current", current(c), live)
 	check("pinned", pinned, pinnedLive)
 	if err := c.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	check("compacted", snapshot(c), live)
+	check("compacted", current(c), live)
 	check("pinned after compaction", pinned, pinnedLive)
 }
 
@@ -618,7 +762,7 @@ func TestOverlayKeywordFilterTwin(t *testing.T) {
 // slot a reader can see is a reported race).
 func TestOverlayAppendUnderReaders(t *testing.T) {
 	ds := testDataset(t, 600)
-	c := ShardedFrom(mustBuild(t, ds, Options{Seed: 57}))
+	c := mustBuild(t, ds, Options{Seed: 57})
 	c.EnableKeywordFilter()
 	keywords := text.Tokenize(ds.Objects[0].Text)[:1]
 	stop := make(chan struct{})
@@ -628,7 +772,7 @@ func TestOverlayAppendUnderReaders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; ; round++ {
-				snap := snapshot(c) // shares its log with the writer's next clones
+				snap := frozen(current(c)) // shares its log with the writer's next clones
 				q := ds.Objects[(g*97+round*13)%ds.Len()]
 				want := mustDo(snap, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 				wantKw := mustDo(snap, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Keywords: keywords})
@@ -641,7 +785,7 @@ func TestOverlayAppendUnderReaders(t *testing.T) {
 					got := mustDo(snap, SearchRequest{Query: &q, K: 10, Lambda: 0.5})
 					gotKw := mustDo(snap, SearchRequest{Query: &q, K: 10, Lambda: 0.5, Keywords: keywords})
 					if !slices.Equal(got, want) || !slices.Equal(gotKw, wantKw) {
-						t.Errorf("pinned snapshot %d changed its answer", snap.snapID)
+						t.Errorf("pinned snapshot %d changed its answer", current(snap).snapID)
 						return
 					}
 				}
@@ -679,7 +823,7 @@ func TestOverlayAppendUnderReaders(t *testing.T) {
 	if want := ds.Len() + inserts - inserts/8; c.Len() != want {
 		t.Fatalf("Len = %d, want %d", c.Len(), want)
 	}
-	if err := snapshot(c).CheckInvariants(); err != nil {
+	if err := current(c).core.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -775,7 +919,7 @@ func TestOverlayWriteAllocBounded(t *testing.T) {
 	// do not grow with the ops the overlay buffers either. The eight
 	// insert+delete pairs stay inside one log capacity (40+8 < 64,
 	// 4000+8 < 4096).
-	c := ShardedFrom(mustBuild(t, ds.Prefix(2000), Options{Seed: 59, DeltaCompactThreshold: 1 << 20}))
+	c := mustBuild(t, ds.Prefix(2000), Options{Seed: 59, DeltaCompactThreshold: 1 << 20})
 	c.EnableKeywordFilter()
 	next := 0
 	insert := func() uint32 {
@@ -788,7 +932,7 @@ func TestOverlayWriteAllocBounded(t *testing.T) {
 		return o.ID
 	}
 	bytesPerPair := func(buffered int) uint64 {
-		for snapshot(c).DeltaOps() < buffered {
+		for current(c).core.DeltaOps() < buffered {
 			insert()
 		}
 		const pairs = 8
@@ -905,7 +1049,7 @@ func TestShardedCompactFold(t *testing.T) {
 			}
 			for i, sh := range s.shards {
 				var first, again bytes.Buffer
-				if err := sh.cur.Load().Save(&first); err != nil {
+				if err := sh.cur.Load().core.Save(&first); err != nil {
 					t.Fatal(err)
 				}
 				loaded, err := LoadIndex(bytes.NewReader(first.Bytes()))

@@ -10,8 +10,8 @@ import (
 	"repro/internal/core"
 )
 
-// SearchRequest describes one query against either index flavor —
-// *Index or *ShardedIndex — through the single Do entry point. The zero
+// SearchRequest describes one query against an Index through the
+// single Do entry point. The zero
 // value of every optional field means "off", so the minimal request is
 // SearchRequest{Query: q, K: k, Lambda: λ}, the exact k-NN query.
 // Radius and Window give the query another shape on the same exact
@@ -63,14 +63,14 @@ type SearchRequest struct {
 	// Stats, when non-nil, accumulates the query's work counters.
 	Stats *Stats
 	// Explain, when non-nil, accumulates the per-query search-internals
-	// trace (reuse across queries with ExplainStats.Reset). On a
-	// ShardedIndex the cross-shard aggregate is merged in; pair with
-	// Trace for the per-shard spans. Explain only observes: the request
+	// trace (reuse across queries with ExplainStats.Reset): the
+	// cross-shard aggregate is merged in; pair with Trace for the
+	// per-shard spans. Explain only observes: the request
 	// executes exactly as it would without it, so Explain.Stats equals
 	// the Stats of the same un-explained request.
 	Explain *ExplainStats
 	// Trace, when non-nil, is overwritten with the request's span tree:
-	// one span per shard on a ShardedIndex, a single span on *Index.
+	// one span per shard.
 	// Like Explain it only observes the execution.
 	Trace *SearchTrace
 	// RequestID stamps the Trace and the always-on tracer's recorded
@@ -181,7 +181,7 @@ var ErrInvalidShape = errors.New("cssi: invalid radius or window")
 var ErrInvalidLambda = errors.New("cssi: lambda out of [0,1]")
 
 // validateKnobs rejects the malformed shared knobs of a request, in the
-// one fixed order every flavor's Do and DoBatch report them: K, then
+// one fixed order Do and DoBatch report them: K, then
 // Lambda.
 func validateKnobs(k int, lambda float64) error {
 	if k < 1 {
@@ -224,7 +224,7 @@ func (req *SearchRequest) validate(v *view) error {
 	if err := validateKnobs(req.K, req.Lambda); err != nil {
 		return err
 	}
-	if err := validateQuery(req.Query, v.at(0).Dim()); err != nil {
+	if err := validateQuery(req.Query, v.cores[0].Dim()); err != nil {
 		return err
 	}
 	if r := req.Radius; r != nil && !(*r >= 0) {
@@ -243,8 +243,8 @@ func (req *SearchRequest) validate(v *view) error {
 		if req.Explain != nil || req.Trace != nil {
 			return fmt.Errorf("%w: Keywords cannot combine with Explain or Trace", ErrUnsupportedRequest)
 		}
-		for i := 0; i < v.n(); i++ {
-			if !v.at(i).KeywordFilterEnabled() {
+		for _, snap := range v.shards {
+			if snap.kw == nil {
 				return ErrKeywordFilterDisabled
 			}
 		}
@@ -267,75 +267,52 @@ func (req *BatchSearchRequest) validate(dim int) error {
 	return nil
 }
 
-// Do answers one query described by req. Conditions a correct caller
-// can hit at runtime — often by passing through unvalidated user input —
-// return a typed error, the same one in the same order on every index
-// flavor: ErrInvalidK (K < 1), ErrInvalidLambda (Lambda NaN or outside
-// [0,1]), ErrInvalidQuery (nil query, wrong vector dimensionality,
-// non-finite coordinates or vector components), ErrInvalidShape,
-// ErrUnsupportedRequest, ErrKeywordFilterDisabled, ErrInvalidDeadline,
-// ErrUnusableKeywords. No request panics.
+// Do answers one query described by req across the shards — one read
+// with one heap, striped onto the standing helper when a second
+// processor is free (see execute), for every shape and under every
+// keyword set; exact results are bit-identical at every shard count.
+// Conditions a correct caller can hit at runtime — often by passing
+// through unvalidated user input — return a typed error, the same one
+// in the same order: ErrInvalidK (K < 1), ErrInvalidLambda (Lambda NaN
+// or outside [0,1]), ErrInvalidQuery (nil query, wrong vector
+// dimensionality, non-finite coordinates or vector components),
+// ErrInvalidShape, ErrUnsupportedRequest, ErrKeywordFilterDisabled,
+// ErrInvalidDeadline, ErrUnusableKeywords. No request panics.
 //
 // With a trace sink installed (SetTraceSink) every executed Do records
 // its span tree into the sink's tail sampler; without one the request
-// pays no tracing cost at all.
+// pays no tracing cost at all. With a result cache enabled
+// (EnableResultCache) repeated queries are served from it,
+// bit-identical to an uncached search of the same snapshots: its
+// snapshot identity is the interned vector of per-shard snapshots (see
+// epochToken), so a hit proves no shard has republished since the
+// entry was computed.
 //
 // Do is exactly DoContext(context.Background(), req); use DoContext to
 // compose the request with a context's deadline and cancellation (see
 // serve for the contract).
-func (x *Index) Do(req SearchRequest) ([]Result, error) {
-	return serve(context.Background(), x.view(), &req)
+func (s *Index) Do(req SearchRequest) ([]Result, error) {
+	return serve(context.Background(), s.view(), &req)
 }
 
 // DoContext is Do under a context.
-func (x *Index) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
-	return serve(ctx, x.view(), &req)
+func (s *Index) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
+	return serve(ctx, s.view(), &req)
 }
 
 // DoBatch answers the batched workload described by req, with Do's
 // validation contract (an invalid query is identified by its position)
 // applied before any fan-out; an empty batch returns an empty result
-// without spinning up workers.
+// without spinning up workers. The whole batch runs to completion
+// against the snapshots it loaded, even while writers publish newer
+// ones concurrently.
 //
 // DoBatch is exactly DoBatchContext(context.Background(), req).
-func (x *Index) DoBatch(req BatchSearchRequest) ([][]Result, error) {
-	return serveBatch(context.Background(), x.view(), &req)
-}
-
-// DoBatchContext is DoBatch under a context (see serveBatch).
-func (x *Index) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
-	return serveBatch(ctx, x.view(), &req)
-}
-
-// Do answers one query across the shards — one read with one heap,
-// striped onto the standing helper when a second processor is free (see
-// execute), for every shape and under every keyword set. See
-// Index.Do for the request contract; exact results are bit-identical to
-// a flat index over the same objects. A trace sink installed on the
-// index (SetTraceSink) records every executed Do regardless of which
-// snapshots serve it. With a result cache enabled (EnableResultCache)
-// repeated queries are served from it, bit-identical to an uncached
-// search of the same snapshots: its snapshot identity is the interned
-// vector of per-shard snapshots (see epochToken), so a hit proves no
-// shard has republished since the entry was computed.
-func (s *ShardedIndex) Do(req SearchRequest) ([]Result, error) {
-	return serve(context.Background(), s.view(), &req)
-}
-
-// DoContext is Do under a context.
-func (s *ShardedIndex) DoContext(ctx context.Context, req SearchRequest) ([]Result, error) {
-	return serve(ctx, s.view(), &req)
-}
-
-// DoBatch answers a batched workload across the shards: the whole batch
-// runs to completion against the snapshots it loaded, even while writers
-// publish newer ones concurrently. See Index.DoBatch for the request
-// contract.
-func (s *ShardedIndex) DoBatch(req BatchSearchRequest) ([][]Result, error) {
+func (s *Index) DoBatch(req BatchSearchRequest) ([][]Result, error) {
 	return serveBatch(context.Background(), s.view(), &req)
 }
 
-// DoBatchContext is DoBatch under a context.
-func (s *ShardedIndex) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
+// DoBatchContext is DoBatch under a context (see serveBatch).
+func (s *Index) DoBatchContext(ctx context.Context, req BatchSearchRequest) ([][]Result, error) {
 	return serveBatch(ctx, s.view(), &req)
 }

@@ -23,8 +23,8 @@ import (
 	"repro/internal/scan"
 )
 
-// searchAPI adapts the index flavors to one shape so the cross-flavor
-// tests run identically against each.
+// searchAPI adapts an index of some shard count to one shape so the
+// cross-shard-count tests run identically against each.
 type searchAPI struct {
 	name    string
 	do      func(SearchRequest) ([]Result, error)
@@ -32,8 +32,7 @@ type searchAPI struct {
 	doCtx   func(context.Context, SearchRequest) ([]Result, error)
 	setSink func(sink *obs.Sink)
 	del     func(id uint32) error
-	// enableCache installs a result cache; nil on the bare *Index, which
-	// never caches.
+	// enableCache installs a result cache.
 	enableCache func(capacity int)
 	// snaps is the number of snapshots a request spans (its trace's
 	// span count).
@@ -43,9 +42,8 @@ type searchAPI struct {
 	doChained func(SearchRequest) ([]Result, error)
 }
 
-// requestFixtures builds Index, ShardedFrom(idx) (as BuildSharded P=1)
-// and BuildSharded(P=4) over the same dataset, with the keyword filter
-// enabled or left out.
+// requestFixtures builds Build's index and BuildSharded(P=4) over the
+// same dataset, with the keyword filter enabled or left out.
 func requestFixtures(t *testing.T, ds *Dataset, keywordFilter bool) []searchAPI {
 	t.Helper()
 	return requestFixturesWith(t, ds, Options{Seed: 5}, keywordFilter)
@@ -53,14 +51,7 @@ func requestFixtures(t *testing.T, ds *Dataset, keywordFilter bool) []searchAPI 
 
 func requestFixturesWith(t *testing.T, ds *Dataset, opts Options, keywordFilter bool) []searchAPI {
 	t.Helper()
-	flat := mustBuild(t, ds, opts)
-	if keywordFilter {
-		flat.EnableKeywordFilter()
-	}
-	apis := []searchAPI{
-		{name: "flat", do: flat.Do, doBatch: flat.DoBatch, doCtx: flat.DoContext, setSink: flat.SetTraceSink, del: flat.Delete, snaps: 1,
-			doChained: flat.Do},
-	}
+	var apis []searchAPI
 	for _, p := range []int{1, 4} {
 		apis = append(apis, shardedFixture(t, ds, p, opts, keywordFilter))
 	}
@@ -97,7 +88,7 @@ func TestRequestConformance(t *testing.T) {
 	oracle := scan.New(ds, space)
 	// The gate-off reference: SearchAblated keeps the paper's original
 	// Lemma 4.5 and no per-row check (see core's rowGate).
-	gateOff := mustBuild(t, ds, Options{Seed: 5}).core
+	gateOff := current(mustBuild(t, ds, Options{Seed: 5})).core
 	kw := firstKeyword(t, ds)
 	apis := requestFixtures(t, ds, true)
 
@@ -468,12 +459,10 @@ func TestRequestConformance(t *testing.T) {
 
 	// Cache participation, last because it changes the fixtures: a miss
 	// fills, the next identical request hits bit-identically, CacheOff
-	// and observers always execute. The bare Index never caches.
+	// and observers always execute.
 	t.Run("cache-hit", func(t *testing.T) {
 		for _, api := range apis {
-			if api.enableCache != nil {
-				api.enableCache(64)
-			}
+			api.enableCache(64)
 			for ti, tc := range trials {
 				ctx := fmt.Sprintf("%s trial %d", api.name, ti)
 				var miss, hit, off, obsv ResponseMeta
@@ -496,9 +485,9 @@ func TestRequestConformance(t *testing.T) {
 				do(&obsv, func(r *SearchRequest) { r.Explain = new(ExplainStats) })
 				equalResults(t, ctx+" hit vs miss", first, second)
 				compare(t, ctx+" hit vs scan", tc.lambda, tc.k, oracle.Search(&tc.q, tc.k, tc.lambda, nil), second)
-				if want := api.enableCache != nil; miss.CacheHit || hit.CacheHit != want || off.CacheHit || obsv.CacheHit {
-					t.Fatalf("%s: cacheHit miss=%v hit=%v (want %v) off=%v observed=%v",
-						ctx, miss.CacheHit, hit.CacheHit, want, off.CacheHit, obsv.CacheHit)
+				if miss.CacheHit || !hit.CacheHit || off.CacheHit || obsv.CacheHit {
+					t.Fatalf("%s: cacheHit miss=%v hit=%v off=%v observed=%v, want only the hit",
+						ctx, miss.CacheHit, hit.CacheHit, off.CacheHit, obsv.CacheHit)
 				}
 				// A range or window request with the same query and K is
 				// keyed by its shape: the plain entry never answers it.
@@ -511,8 +500,8 @@ func TestRequestConformance(t *testing.T) {
 					mod(&shaped)
 					equalResults(t, ctx+" shape miss vs scan", restricted(&shaped), do(&shapeMiss, mod))
 					equalResults(t, ctx+" shape hit vs scan", restricted(&shaped), do(&shapeHit, mod))
-					if want := api.enableCache != nil; shapeMiss.CacheHit || shapeHit.CacheHit != want {
-						t.Fatalf("%s: shaped cacheHit miss=%v hit=%v, want false and %v", ctx, shapeMiss.CacheHit, shapeHit.CacheHit, want)
+					if shapeMiss.CacheHit || !shapeHit.CacheHit {
+						t.Fatalf("%s: shaped cacheHit miss=%v hit=%v, want false and true", ctx, shapeMiss.CacheHit, shapeHit.CacheHit)
 					}
 				}
 			}
@@ -521,14 +510,15 @@ func TestRequestConformance(t *testing.T) {
 }
 
 // TestAPISurface keeps the entry-point permutations from growing back:
-// the exported *Search*/Do* method sets of the core index and the two
-// facade flavors must equal these allow-lists — Do* alone on the facade,
-// every query shape being a SearchRequest field — the per-flavor
-// dispatch forks the request pipeline replaced must stay gone, as must
-// the batch executors beside the one pool over execute, the keyword read
-// mode and the eager-clone write path, the panicking helpers of the
-// deleted wrappers, the second snapshot-published flavor —
-// ConcurrentIndex is ShardedIndex — core's copy-on-write clone, whose
+// the exported *Search*/Do* method sets of the core index and the
+// facade's one index type must equal these allow-lists — Do* alone on
+// the facade, every query shape being a SearchRequest field — the
+// per-flavor dispatch forks the request pipeline replaced must stay
+// gone, as must the batch executors beside the one pool over execute,
+// the keyword read mode and the eager-clone write path, the panicking
+// helpers of the deleted wrappers, a second index type —
+// ShardedIndex and ConcurrentIndex are Index — and the write that folds
+// on its caller's goroutine, core's copy-on-write clone, whose
 // last caller was the compaction replay a fold through derive replaced,
 // core's in-place write path, since every write lands in the overlay,
 // and the state a base kept beside its rows and arrays: the deleted
@@ -545,7 +535,6 @@ func TestAPISurface(t *testing.T) {
 		{reflect.TypeOf(&core.Index{}), []string{"Search", "SearchAblated", "SearchApprox",
 			"SearchExplainOptionsInto", "SearchOptionsInto"}},
 		{reflect.TypeOf(&Index{}), do},
-		{reflect.TypeOf(&ShardedIndex{}), do},
 	} {
 		var got []string
 		for i := 0; i < c.typ.NumMethod(); i++ {
@@ -569,10 +558,8 @@ func TestAPISurface(t *testing.T) {
 			}
 		}
 	}
-	for _, typ := range []reflect.Type{reflect.TypeOf(&Index{}), reflect.TypeOf(&ShardedIndex{})} {
-		if _, ok := typ.MethodByName("RouterTrained"); ok {
-			t.Errorf("%v.RouterTrained is back", typ)
-		}
+	if _, ok := reflect.TypeOf(&Index{}).MethodByName("RouterTrained"); ok {
+		t.Error("Index.RouterTrained is back")
 	}
 	if _, ok := reflect.TypeOf(&core.Index{}).MethodByName("CloneForWrite"); ok {
 		t.Error("core.Index.CloneForWrite is back: a compaction is a fold through derive")
@@ -632,14 +619,15 @@ func TestAPISurface(t *testing.T) {
 			}
 		}
 	}
-	if reflect.TypeOf(&ConcurrentIndex{}) != reflect.TypeOf(&ShardedIndex{}) {
-		t.Error("ConcurrentIndex is a type of its own again")
+	for _, typ := range []reflect.Type{reflect.TypeOf(&ConcurrentIndex{}), reflect.TypeOf(&ShardedIndex{})} {
+		if typ != reflect.TypeOf(&Index{}) {
+			t.Errorf("%v is a type of its own again", typ)
+		}
 	}
-	// Declarations per name: the pipeline once, a flavor's entry points
-	// and sink on *Index and *ShardedIndex, the result cache on the
-	// latter alone.
+	// Declarations per name: the pipeline, the one index type's entry
+	// points, its view, its sink and its result cache once each.
 	for name, want := range map[string]int{"serve": 1, "serveBatch": 1, "execute": 1, "EnableResultCache": 1,
-		"view": 2, "Do": 2, "DoContext": 2, "DoBatch": 2, "DoBatchContext": 2, "SetTraceSink": 2} {
+		"view": 1, "Do": 1, "DoContext": 1, "DoBatch": 1, "DoBatchContext": 1, "SetTraceSink": 1} {
 		if count[name] != want {
 			t.Errorf("%d functions named %s, want exactly %d", count[name], name, want)
 		}
@@ -658,6 +646,8 @@ func TestAPISurface(t *testing.T) {
 			t.Errorf("keyword read mode %s is back: a keyword request is the exact read with a row predicate", name)
 		case "cloneForWrite":
 			t.Errorf("eager-clone write path %s is back: every write goes through the overlay", name)
+		case "foldAfter":
+			t.Errorf("%s is back: no write folds on its caller's goroutine", name)
 		}
 		if strings.HasPrefix(name, "precheck") {
 			t.Errorf("second validation %s is back", name)
@@ -670,8 +660,8 @@ func TestAPISurface(t *testing.T) {
 }
 
 // TestDoZeroAlloc extends the core's steady-state guarantee through the
-// facade: with Dst set and no sink or Trace, Do allocates nothing on any
-// single-snapshot flavor, whichever constructor wrapped it.
+// facade: with Dst set and no sink or Trace, Do allocates nothing on a
+// one-shard index, built or wrapped by ShardedFrom.
 func TestDoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses its caches under the race detector; zero-alloc steady state cannot hold")
@@ -679,13 +669,12 @@ func TestDoZeroAlloc(t *testing.T) {
 	ds := testDataset(t, 2000)
 	queries := ds.SampleQueries(16, 6)
 	var es ExplainStats
-	explained := ShardedFrom(mustBuild(t, ds, Options{Seed: 24}))
+	explained := mustBuild(t, ds, Options{Seed: 24})
 	for name, do := range map[string]func(SearchRequest) ([]Result, error){
-		"Index":       mustBuild(t, ds, Options{Seed: 24}).Do,
-		"Concurrent":  Concurrent(mustBuild(t, ds, Options{Seed: 24})).Do,
+		"Build":       mustBuild(t, ds, Options{Seed: 24}).Do,
 		"ShardedFrom": ShardedFrom(mustBuild(t, ds, Options{Seed: 24})).Do,
 		// Explain alone is filled by core directly.
-		"ShardedFrom+Explain": func(r SearchRequest) ([]Result, error) { r.Explain = &es; return explained.Do(r) },
+		"Build+Explain": func(r SearchRequest) ([]Result, error) { r.Explain = &es; return explained.Do(r) },
 	} {
 		buf := make([]Result, 0, 64)
 		var st Stats

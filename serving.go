@@ -17,14 +17,13 @@ import (
 	"repro/internal/rescache"
 )
 
-// This file is the request pipeline both index flavors serve through:
-// serve (one query) and serveBatch run validate → budget → cache probe
-// → trace → execute → cache fill once, over a view of whatever the
-// flavor differs on. Every shape is execute's one read: a keyword
-// request too, with its candidates as the row predicate, unless they are
-// few enough to evaluate directly (see keywords.go). Do/DoContext/
-// DoBatch/DoBatchContext on *Index and *ShardedIndex are one-line calls
-// into it.
+// This file is the request pipeline of an Index: serve (one query) and
+// serveBatch run validate → budget → cache probe → trace → execute →
+// cache fill once, over a view of the snapshots the request pinned.
+// Every shape is execute's one read: a keyword request too, with its
+// candidates as the row predicate, unless they are few enough to
+// evaluate directly (see keywords.go). Do/DoContext/DoBatch/
+// DoBatchContext are one-line calls into it.
 
 // ErrInvalidDeadline is returned by Do/DoContext/DoBatch when
 // SearchRequest.Deadline (or BatchSearchRequest.Deadline) is negative
@@ -40,9 +39,8 @@ type CacheMode int
 
 const (
 	// CacheDefault (the zero value) follows the index: the request uses
-	// the result cache iff one is enabled (EnableResultCache). A bare
-	// *Index never caches — it publishes no immutable snapshots whose
-	// identity could invalidate entries.
+	// the result cache iff one is enabled (EnableResultCache), which no
+	// index has until it is asked to.
 	CacheDefault CacheMode = iota
 	// CacheOn asks for cache participation explicitly; a no-op when the
 	// index has no cache enabled.
@@ -75,34 +73,25 @@ type ResponseMeta struct {
 	// CacheHit reports that every query of the batch was served from
 	// the cache.
 	CacheHit bool
-	// SnapshotID is the publication sequence number of the snapshot
-	// that answered the request: 0 on a bare *Index, and on a
-	// *ShardedIndex the publication count summed across shards — the
-	// publication count itself on one shard. It changes whenever a
-	// write, compaction, or rebuild publishes — the same event that
-	// invalidates the cache.
+	// SnapshotID identifies the snapshots that answered the request:
+	// the publication counts summed across shards — the publication
+	// count itself on one shard, 1 on an index no write has reached. It
+	// changes whenever a write, compaction, or rebuild publishes — the
+	// same event that invalidates the cache.
 	SnapshotID uint64
 	// QueueWait is the time the request spent queued before execution.
 	// The index never fills it; admission-controlled servers do.
 	QueueWait time.Duration
 }
 
-// view is everything the request pipeline needs to know about the
-// index flavor it serves: the two flavors differ only in these
-// fields.
+// view is what a request pins of its index: the P snapshots the index
+// had published when the request arrived, with their identity, and the
+// cache and sink it serves through.
 type view struct {
-	// snap is the one pinned snapshot of a bare *Index — itself; shards
-	// are the P snapshots a *ShardedIndex had published when the request
-	// arrived. Exactly one of the two is set. They are separate fields
-	// rather than one slice so that a bare index's view stays on the
-	// stack: the scatter hands its slice to goroutines, which would
-	// move a stack-backed one-element slice — and the view with it — to
-	// the heap on every request.
-	snap   *Index
-	shards []*Index
-	// cores are the shards' core snapshots, the list an exact read over
-	// them hands to the core (see execute).
-	cores []*core.Index
+	// shards are the pinned snapshots and cores their core snapshots,
+	// the list an exact read over them hands to the core (see execute).
+	shards []*snapshot
+	cores  []*core.Index
 	// stripes is the number of goroutines a read may occupy: GOMAXPROCS
 	// for a request, 1 for each read of a batch, whose pool already
 	// occupies the processors (see serveBatch), and for a request that
@@ -113,41 +102,21 @@ type view struct {
 	// one goroutine and the equivalence test can run both stripe counts
 	// on one host.
 	stripes int
-	// token is the result cache's snapshot identity (the snapshot, or
-	// the interned per-shard snapshot vector) and snapID the
-	// ResponseMeta.SnapshotID of answers served from this view.
+	// token is the result cache's snapshot identity (the interned
+	// per-shard snapshot vector) and snapID the ResponseMeta.SnapshotID
+	// of answers served from this view.
 	token  any
 	snapID uint64
-	// cache is the flavor's result cache, nil when none is enabled.
+	// cache is the index's result cache, nil when none is enabled.
 	cache *rescache.Cache
 	// sink is the always-on trace collector, nil when none is
-	// installed; flavor labels the traces it records.
-	sink   *obs.Sink
-	flavor string
+	// installed.
+	sink *obs.Sink
 }
 
-func (x *Index) view() view {
-	return view{snap: x, stripes: runtime.GOMAXPROCS(0), snapID: x.snapID, sink: x.sink, flavor: "index"}
-}
-
-func (s *ShardedIndex) view() view {
+func (s *Index) view() view {
 	ep := s.epochToken()
-	return view{shards: ep.snaps, cores: ep.cores, stripes: runtime.GOMAXPROCS(0), token: ep, snapID: ep.id, cache: s.resCache.Load(), sink: s.sink.Load(), flavor: "sharded"}
-}
-
-// n is the number of pinned snapshots and at the i-th of them.
-func (v *view) n() int {
-	if v.snap != nil {
-		return 1
-	}
-	return len(v.shards)
-}
-
-func (v *view) at(i int) *Index {
-	if v.snap != nil {
-		return v.snap
-	}
-	return v.shards[i]
+	return view{shards: ep.snaps, cores: ep.cores, stripes: runtime.GOMAXPROCS(0), token: ep, snapID: ep.id, cache: s.resCache.Load(), sink: s.sink.Load()}
 }
 
 // resolveBudget validates the serving knobs and converts the relative
@@ -183,7 +152,7 @@ func finishCtx[T any](ctx context.Context, res T, err error) (T, error) {
 	return res, err
 }
 
-// serve is the request pipeline of Do/DoContext on every flavor: ctx
+// serve is the request pipeline of Do/DoContext: ctx
 // cancellation and deadline compose with SearchRequest.Deadline. A
 // context that is already Done fails fast with ctx.Err(); a context
 // deadline tightens the request's budget (the partial-results semantics
@@ -239,7 +208,7 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 		v.stripes = 1
 	}
 	keyword := len(req.Keywords) > 0
-	op, spans := "search", v.n()
+	op, spans := "search", len(v.shards)
 	if keyword {
 		// A keyword request's brute-force arm reads no cluster (and
 		// Explain is rejected), so its trace is the request envelope and
@@ -269,7 +238,7 @@ func serve(ctx context.Context, v view, req *SearchRequest) ([]Result, error) {
 		var rows [][]uint32
 		var total int
 		if rows, total, err = v.keywordRows(req.Keywords); err == nil {
-			if total <= keywordBruteForceCap*v.n() {
+			if total <= keywordBruteForceCap*len(v.shards) {
 				res = v.evaluateRows(req.Dst, q, req.K, req.Lambda, rows, total)
 			} else {
 				opts.Allow = newIDSet(rows, total).has
@@ -341,7 +310,7 @@ func shardSpans(tr *SearchTrace) []SearchSpan {
 // per clustering, and the documented sharded semantics are "the merge of
 // the per-shard CSSIA answers" (see mergeEach).
 func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) (res []Result, partial bool) {
-	n := v.n()
+	n := len(v.shards)
 	if opts.Approx && n > 1 {
 		return v.mergeEach(dst, q, k, lambda, opts, st, tr)
 	}
@@ -357,13 +326,7 @@ func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core
 	if !opts.Deadline.IsZero() || opts.Cancel != nil {
 		opts.Partial = new(bool)
 	}
-	var one [1]*core.Index
-	xs := v.cores
-	if xs == nil {
-		one[0] = v.snap.core
-		xs = one[:]
-	}
-	res = core.SearchShardsInto(dst, xs, q, k, lambda, opts, shardSpans(tr), st)
+	res = core.SearchShardsInto(dst, v.cores, q, k, lambda, opts, shardSpans(tr), st)
 	return res, opts.Partial != nil && *opts.Partial
 }
 
@@ -373,7 +336,7 @@ func (v *view) execute(dst []Result, q *Object, k int, lambda float64, opts core
 func (v *view) mergeEach(dst []Result, q *Object, k int, lambda float64, opts core.SearchOptions, st *Stats, tr *SearchTrace) ([]Result, bool) {
 	// The goroutines get a copy of the view, so that the caller's — and
 	// with it every exact request's — stays on the stack.
-	hv, n := *v, v.n()
+	hv, n := *v, len(v.shards)
 	w := min(v.stripes, n)
 	lists := make([][]Result, n)
 	cuts := make([]bool, n)
@@ -413,8 +376,8 @@ func (v *view) mergeEach(dst []Result, q *Object, k int, lambda float64, opts co
 	return dst, anyTrue(cuts)
 }
 
-// serveBatch is the request pipeline of DoBatch/DoBatchContext on every
-// flavor, composing with ctx exactly like serve. The budget is shared
+// serveBatch is the request pipeline of DoBatch/DoBatchContext,
+// composing with ctx exactly like serve. The budget is shared
 // by the whole batch (one absolute instant, not per query), so queries
 // that start late inherit a tighter slice and are truncated to partial
 // prefixes. The whole batch runs against the snapshots pinned when it
@@ -440,7 +403,7 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := req.validate(v.at(0).Dim()); err != nil {
+	if err := req.validate(v.cores[0].Dim()); err != nil {
 		return nil, err
 	}
 	deadline, err := resolveBudget(ctx, req.Deadline, req.Cache)
@@ -484,7 +447,7 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 		if !deadline.IsZero() || opts.Cancel != nil {
 			partials = make([]bool, len(exec))
 		}
-		tr, start := v.openTrace(nil, "batch", v.n(), len(exec), req.K, req.Lambda, opts, req.RequestID, req.TraceID)
+		tr, start := v.openTrace(nil, "batch", len(v.shards), len(exec), req.K, req.Lambda, opts, req.RequestID, req.TraceID)
 		workers := min(runtime.GOMAXPROCS(0), len(exec))
 		if req.Parallelism > 0 {
 			workers = min(workers, req.Parallelism)
@@ -507,7 +470,7 @@ func serveBatch(ctx context.Context, v view, req *BatchSearchRequest) ([][]Resul
 			var wtr *SearchTrace
 			if traces != nil {
 				wtr = &traces[w]
-				wtr.Shards = make([]SearchSpan, v.n())
+				wtr.Shards = make([]SearchSpan, len(v.shards))
 			}
 			for qi := int(next.Add(1)) - 1; qi < len(exec); qi = int(next.Add(1)) - 1 {
 				var cut bool
@@ -637,14 +600,14 @@ func canonicalKeywords(keywords []string) string {
 	return strings.Join(kw, "\x00")
 }
 
-// shardEpoch is the composite snapshot identity of a ShardedIndex: the
+// shardEpoch is the composite snapshot identity of an Index: the
 // vector of per-shard snapshot pointers, interned so one epoch object
 // (whose pointer is the cache token) stands for one combination of
 // shard snapshots. Holding the snapshots pins them, which is what
 // makes pointer identity collision-free (see package rescache) — and
 // what lets a request run against the epoch's snapshots directly.
 type shardEpoch struct {
-	snaps []*Index
+	snaps []*snapshot
 	cores []*core.Index // snaps[i].core
 	id    uint64        // sum of the per-shard publication sequence numbers
 }
@@ -656,7 +619,7 @@ type shardEpoch struct {
 // stale hit — and publication monotonicity guarantees an entry filled
 // under an epoch was computed on exactly that epoch's snapshots
 // whenever the epoch is still current.
-func (s *ShardedIndex) epochToken() *shardEpoch {
+func (s *Index) epochToken() *shardEpoch {
 	cur := s.epoch.Load()
 	if cur != nil {
 		same := true
@@ -670,7 +633,7 @@ func (s *ShardedIndex) epochToken() *shardEpoch {
 			return cur
 		}
 	}
-	e := &shardEpoch{snaps: make([]*Index, len(s.shards)), cores: make([]*core.Index, len(s.shards))}
+	e := &shardEpoch{snaps: make([]*snapshot, len(s.shards)), cores: make([]*core.Index, len(s.shards))}
 	for i, sh := range s.shards {
 		snap := sh.cur.Load()
 		e.snaps[i], e.cores[i] = snap, snap.core
@@ -689,19 +652,19 @@ func (s *ShardedIndex) epochToken() *shardEpoch {
 // vector of per-shard snapshots — so hits are bit-identical to uncached
 // searches by construction, and a write, compaction, or rebuild on any
 // shard invalidates wholesale.
-func (s *ShardedIndex) EnableResultCache(capacity int) {
+func (s *Index) EnableResultCache(capacity int) {
 	s.resCache.Store(rescache.New(capacity))
 }
 
 // DisableResultCache removes the result cache (requests execute
 // normally, CacheOn becomes a no-op).
-func (s *ShardedIndex) DisableResultCache() {
+func (s *Index) DisableResultCache() {
 	s.resCache.Store(nil)
 }
 
 // ResultCacheStats returns the cache's counters; ok is false when no
 // cache is enabled.
-func (s *ShardedIndex) ResultCacheStats() (CacheStats, bool) {
+func (s *Index) ResultCacheStats() (CacheStats, bool) {
 	if cache := s.resCache.Load(); cache != nil {
 		return cache.Stats(), true
 	}

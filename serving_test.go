@@ -10,8 +10,10 @@ import (
 	"time"
 )
 
-// ctxAPI adapts the flavors' context entry points to one shape:
-// "concurrent" is the one-shard index, "sharded" one of several.
+// ctxAPI adapts an index's context entry points to one shape: "flat" is
+// Build's one-shard index, "concurrent" ShardedFrom's copy of one (the
+// wrapper the repository benchmark serves through), "sharded" an index
+// of several shards.
 type ctxAPI struct {
 	name    string
 	do      func(context.Context, SearchRequest) ([]Result, error)

@@ -14,18 +14,18 @@ import (
 	"repro/internal/rescache"
 )
 
-// ShardedIndex is the snapshot-published serving surface: one logical
+// Index answers semantic spatio-textual k-NN queries: one logical
 // CSSI index partitioned across P independent shards, each a shardCell
 // owning a disjoint subset of the objects (assignment by a hash of the
-// object ID, so an ID's shard never changes). P = 1 (ShardedFrom, or
-// BuildSharded with one shard) is the plain concurrent index — the same
-// requests, writer protocol, trace sink and result cache, with nothing
-// to route or merge. A bare Index is safe for concurrent searches only;
-// use this type when writers run alongside readers (the HTTP server in
-// internal/server holds nothing else). What P > 1 buys is writer
-// concurrency and bounded background work: writes to different shards
-// do not serialize against each other at all, and a compaction or
-// rebuild folds or reconstructs one shard's objects, not the corpus.
+// object ID, so an ID's shard never changes) and publishing immutable
+// snapshots of it. Build makes the one-shard index and BuildSharded one
+// of any P; both serve the same requests under the same writer
+// protocol, trace sink and result cache, and P = 1 has nothing to
+// route or merge. An Index is safe for any mix of concurrent reads and
+// writes. What P > 1 buys is writer concurrency and bounded background
+// work: writes to different shards do not serialize against each other
+// at all, and a compaction or rebuild folds or reconstructs one shard's
+// objects, not the corpus.
 //
 //   - Reads are ONE READ: an exact read over the P shard snapshots has
 //     one k-NN heap and visits the shards in order, each pruning against
@@ -39,16 +39,18 @@ import (
 //     shares the same distance normalizers (computed once over the full
 //     dataset at BuildSharded time) and CSSI is exact regardless of how
 //     objects are clustered, the exact result set is BIT-IDENTICAL to
-//     what an unsharded index returns — including tie breaks — on
+//     what a one-shard index returns — including tie breaks — on
 //     either stripe count. An Approx request remains approximate and
 //     has no bound to carry: every shard answers alone and the
 //     per-shard answers are merged in the canonical (ascending
 //     distance, ascending ID) order; its error profile depends on the
 //     per-shard clustering, so sharded CSSIA results can differ from
-//     unsharded CSSIA (both within the paper's error model).
+//     one-shard CSSIA (both within the paper's error model).
 //   - Writes ROUTE: Insert/Delete/Update touch exactly one shard and
 //     publish one new snapshot of it (see shardCell for what that
-//     costs). P writers on P distinct shards proceed concurrently.
+//     costs). P writers on P distinct shards proceed concurrently. No
+//     write folds on its caller's goroutine: the write that fills a
+//     shard's overlay starts that shard's background fold.
 //   - A read and a routed write never block each other: reads
 //     are lock-free snapshot loads, and publication is a single atomic
 //     pointer store per shard.
@@ -59,7 +61,7 @@ import (
 // concurrent with the read is visible iff its shard's snapshot was
 // loaded after publication. There is no cross-shard read transaction —
 // the same semantics a distributed search cluster gives, in-process.
-type ShardedIndex struct {
+type Index struct {
 	shards []*shardCell
 	dim    int
 
@@ -75,6 +77,11 @@ type ShardedIndex struct {
 	epoch    atomic.Pointer[shardEpoch]
 }
 
+// ShardedIndex is Index, kept for bench/ (ROADMAP item 1 deletes it).
+//
+// Deprecated: use Index.
+type ShardedIndex = Index
+
 // shardOf maps an object ID to its owning shard: a multiplicative
 // (Fibonacci) hash scrambles the ID so that dense sequential ID ranges
 // — the common case for ingestion — still spread uniformly, then the
@@ -88,40 +95,37 @@ func shardOf(id uint32, p int) int {
 	return int((h >> 32) % uint64(p))
 }
 
+// Build constructs a CSSI/CSSIA index over the dataset (paper Alg. 1):
+// the one-shard index, BuildSharded(ds, 1, opts).
+func Build(ds *Dataset, opts Options) (*Index, error) { return BuildSharded(ds, 1, opts) }
+
 // BuildSharded partitions ds by object ID across the given number of
 // shards and builds one CSSI index per shard, in parallel. The distance
 // normalizers (DsMax, DtMax) are computed ONCE over the full dataset
 // and shared by every shard — this is what makes sharded exact search
-// bit-identical to unsharded search; per-shard quantities (clustering,
+// bit-identical to one-shard search; per-shard quantities (clustering,
 // PCA model, projected normalizer) are derived from each shard's own
 // objects — including zero Ks/Kt, which each shard derives from its own
-// object count as a flat index over those objects would (and again at
-// every rebuild). Coarser than the flat index's counts, they make a
-// sharded read at P = 4 examine a quarter of the clusters full-corpus
-// counts did, for less latency (DESIGN §3, §7c). Explicit Ks/Kt apply
-// per shard verbatim. One anchor set, fitted over the full dataset,
-// serves every shard, so a sharded read computes the query's anchor
-// distances once. Writes and compactions keep a shard's set; Rebuild and
-// RebuildInBackground refit each shard's own, and LoadSharded gives
-// every shard its own; a read computes them again on each shard whose
-// set is not shard 0's.
+// object count as a one-shard index over those objects would (and again
+// at every rebuild). Coarser than the one-shard index's counts, they
+// make a sharded read at P = 4 examine a quarter of the clusters
+// full-corpus counts did, for less latency (DESIGN §3, §7c). Explicit
+// Ks/Kt apply per shard verbatim. One anchor set, fitted over the full
+// dataset, serves every shard, so a sharded read computes the query's
+// anchor distances once. Writes and compactions keep a shard's set;
+// Rebuild and RebuildInBackground refit each shard's own, and
+// LoadSharded gives every shard its own; a read computes them again on
+// each shard whose set is not shard 0's.
 //
 // Every shard must receive at least one object; with a uniform ID hash
 // this fails only when ds is tiny relative to the shard count — use
 // fewer shards or more data.
-func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) {
+func BuildSharded(ds *Dataset, shards int, opts Options) (*Index, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("cssi: shard count %d, want >= 1", shards)
 	}
 	if ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("cssi: empty dataset")
-	}
-	if shards == 1 {
-		idx, err := Build(ds, opts)
-		if err != nil {
-			return nil, err
-		}
-		return ShardedFrom(idx), nil
 	}
 	semKind := metric.EuclideanSemantic
 	if opts.AngularSemantic {
@@ -132,6 +136,13 @@ func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) 
 	space, err := metric.NewSpaceWithSemantic(ds, semKind)
 	if err != nil {
 		return nil, err
+	}
+	if shards == 1 {
+		c, err := core.Build(ds, space, opts.coreConfig())
+		if err != nil {
+			return nil, err
+		}
+		return newIndex([]*snapshot{{core: c, space: space}}), nil
 	}
 	parts := make([]*Dataset, shards)
 	for i := range parts {
@@ -147,7 +158,7 @@ func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) 
 				i, shards, ds.Len())
 		}
 	}
-	s := &ShardedIndex{shards: make([]*shardCell, shards), dim: ds.Dim}
+	snaps := make([]*snapshot, shards)
 	shardCfg := opts.coreConfig()
 	// One anchor set over the FULL dataset, shared read-only by every
 	// shard: any anchor bounds any row, so the shards need not fit their
@@ -171,58 +182,71 @@ func BuildSharded(ds *Dataset, shards int, opts Options) (*ShardedIndex, error) 
 				errs[i] = fmt.Errorf("cssi: building shard %d: %w", i, err)
 				return
 			}
-			s.shards[i] = newShardCell(&Index{core: c, space: &shardSpace})
+			snaps[i] = &snapshot{core: c, space: &shardSpace}
 		}(i)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return newIndex(snaps), nil
 }
 
-// ShardedFrom wraps an existing single index as a one-shard
-// ShardedIndex: the concurrent index over idx, and the adapter that
-// lets the HTTP server and the persistence loader serve a legacy
-// unsharded index unchanged. A trace sink installed on idx keeps
-// recording — it becomes the wrapper's. The wrapped index must not be
-// mutated directly afterwards; reading it remains safe, published
-// snapshots are immutable.
-func ShardedFrom(idx *Index) *ShardedIndex {
-	s := &ShardedIndex{shards: []*shardCell{newShardCell(idx)}, dim: idx.Dim()}
-	s.sink.Store(idx.sink)
-	return s
+// newIndex publishes snaps, in shard order, as the first snapshots of
+// a new index's cells.
+func newIndex(snaps []*snapshot) *Index {
+	x := &Index{shards: make([]*shardCell, len(snaps)), dim: snaps[0].core.Dim()}
+	for i, snap := range snaps {
+		x.shards[i] = newShardCell(snap)
+	}
+	return x
+}
+
+// ShardedFrom returns a new Index whose cells start from x's current
+// snapshots and which adopts x's trace sink; its result cache, epoch
+// and delta thresholds are its own. Kept for bench/ (ROADMAP item 1
+// deletes it). x must not be written afterwards; reading it remains
+// safe.
+func ShardedFrom(x *Index) *Index {
+	snaps := make([]*snapshot, len(x.shards))
+	for i, sh := range x.shards {
+		snap := *sh.cur.Load()
+		snaps[i] = &snap
+	}
+	nx := newIndex(snaps)
+	nx.sink.Store(x.sink.Load())
+	return nx
 }
 
 // NumShards returns the number of shards P.
-func (s *ShardedIndex) NumShards() int { return len(s.shards) }
+func (s *Index) NumShards() int { return len(s.shards) }
 
 // ShardFor returns the shard index that owns (or would own) the given
 // object ID.
-func (s *ShardedIndex) ShardFor(id uint32) int { return shardOf(id, len(s.shards)) }
+func (s *Index) ShardFor(id uint32) int { return shardOf(id, len(s.shards)) }
 
 // Insert adds a new object (paper §6.2) and publishes the result as a
 // new snapshot of ONLY the owning shard; in-flight reads finish against
 // the old one. Writes to different shards proceed concurrently.
-func (s *ShardedIndex) Insert(o Object) error {
+func (s *Index) Insert(o Object) error {
 	return s.shards[s.ShardFor(o.ID)].apply(Op{Kind: OpInsert, Object: o})
 }
 
 // Delete removes the object with the given ID from its owning shard.
 // Because an ID always hashes to the same shard, deleting an ID that
 // was never inserted fails with the owning shard's unknown-ID error.
-func (s *ShardedIndex) Delete(id uint32) error {
+func (s *Index) Delete(id uint32) error {
 	return s.shards[s.ShardFor(id)].apply(Op{Kind: OpDelete, ID: id})
 }
 
 // Update replaces the stored object carrying o's ID on its owning
 // shard (delete + insert, atomically visible there).
-func (s *ShardedIndex) Update(o Object) error {
+func (s *Index) Update(o Object) error {
 	return s.shards[s.ShardFor(o.ID)].apply(Op{Kind: OpUpdate, Object: o})
 }
 
 // opShard returns the shard an op routes to.
-func (s *ShardedIndex) opShard(op Op) int {
+func (s *Index) opShard(op Op) int {
 	if op.Kind == OpDelete {
 		return s.ShardFor(op.ID)
 	}
@@ -239,7 +263,7 @@ func (s *ShardedIndex) opShard(op Op) int {
 // relative order from the input slice. On one shard the batch is
 // therefore all-or-nothing; callers needing that across the whole index
 // build it with one shard.
-func (s *ShardedIndex) ApplyBatch(ops []Op) error {
+func (s *Index) ApplyBatch(ops []Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
@@ -286,15 +310,17 @@ func (s *ShardedIndex) ApplyBatch(ops []Op) error {
 	return errors.Join(errs...)
 }
 
-// Rebuild reconstructs every shard from scratch, in parallel, each
-// shard publishing its fresh index the moment it finishes (staggered
+// Rebuild reconstructs every shard from scratch over its live objects —
+// the remedy the paper prescribes after heavy distribution drift
+// (§6.2) — in parallel, each shard publishing its fresh snapshot the
+// moment it finishes (staggered
 // publication — readers never wait, and at no point is any shard
 // unavailable). A shard with a background compaction or rebuild in
 // flight rebuilds once that has published. Shards that fail report
 // their error; the others still publish. A rebuild changes no exact
 // search result, so a scatter that observes a mix of rebuilt and
 // not-yet-rebuilt shards is harmless.
-func (s *ShardedIndex) Rebuild() error {
+func (s *Index) Rebuild() error {
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
 	for i := range s.shards {
@@ -318,7 +344,7 @@ func (s *ShardedIndex) Rebuild() error {
 // already rebuilding (ErrRebuildInProgress) are reported in the
 // combined outcome; the remaining shards still rebuild. Only if no
 // shard could start is the error returned synchronously.
-func (s *ShardedIndex) RebuildInBackground() (<-chan error, error) {
+func (s *Index) RebuildInBackground() (<-chan error, error) {
 	chans := make([]<-chan error, 0, len(s.shards))
 	startErrs := make([]error, 0)
 	for i, sh := range s.shards {
@@ -345,9 +371,12 @@ func (s *ShardedIndex) RebuildInBackground() (<-chan error, error) {
 	return done, nil
 }
 
-// EnableKeywordFilter builds the inverted keyword index on every shard
-// (each publishing a new snapshot), enabling SearchRequest.Keywords.
-func (s *ShardedIndex) EnableKeywordFilter() {
+// EnableKeywordFilter builds the inverted keyword index over the stored
+// objects' texts on every shard (each publishing a new snapshot),
+// enabling SearchRequest.Keywords. Insert/Delete/Update keep it in sync
+// from then on, and rebuilds reconstruct it. Objects with empty text
+// simply never match keyword queries.
+func (s *Index) EnableKeywordFilter() {
 	for _, sh := range s.shards {
 		sh.enableKeywordFilter()
 	}
@@ -355,55 +384,87 @@ func (s *ShardedIndex) EnableKeywordFilter() {
 
 // KeywordFilterEnabled reports whether every shard carries the keyword
 // filter.
-func (s *ShardedIndex) KeywordFilterEnabled() bool {
+func (s *Index) KeywordFilterEnabled() bool {
 	for _, sh := range s.shards {
-		if !sh.cur.Load().KeywordFilterEnabled() {
+		if sh.cur.Load().kw == nil {
 			return false
 		}
 	}
 	return true
 }
 
+// KeywordDocFrequency reports how many live objects contain the keyword
+// (0 when the filter is disabled or the keyword normalizes away).
+func (s *Index) KeywordDocFrequency(kw string) int {
+	n := 0
+	for _, sh := range s.shards {
+		if f := sh.cur.Load().kw; f != nil {
+			n += f.DocFrequency(kw)
+		}
+	}
+	return n
+}
+
 // Object looks up a live object on its owning shard, returning a copy
 // whose Vec views the snapshot's vector storage and must not be written.
-func (s *ShardedIndex) Object(id uint32) (Object, bool) {
+func (s *Index) Object(id uint32) (Object, bool) {
 	return s.shards[s.ShardFor(id)].cur.Load().core.Object(id)
 }
 
-// Len returns the total number of live objects across shards. The
-// per-shard counts come from independently loaded snapshots (see the
-// consistency note on ShardedIndex).
-func (s *ShardedIndex) Len() int {
+// sum adds f over every shard's current snapshot. The per-shard values
+// come from independently loaded snapshots (see the consistency note on
+// Index).
+func (s *Index) sum(f func(*core.Index) int) int {
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.cur.Load().Len()
+		n += f(sh.cur.Load().core)
 	}
 	return n
 }
 
-// Dim returns the embedding dimensionality shared by every shard.
-func (s *ShardedIndex) Dim() int { return s.dim }
+// Len returns the total number of live objects across shards.
+func (s *Index) Len() int { return s.sum((*core.Index).Len) }
+
+// Dim returns the embedding dimensionality the index was built with —
+// every query vector and inserted object must carry exactly this length.
+func (s *Index) Dim() int { return s.dim }
 
 // NumClusters returns the total number of non-empty hybrid clusters
 // across shards.
-func (s *ShardedIndex) NumClusters() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.cur.Load().NumClusters()
-	}
-	return n
-}
+func (s *Index) NumClusters() int { return s.sum((*core.Index).NumClusters) }
 
 // UpdatesSinceBuild sums the per-shard Insert/Delete counts since each
-// shard's last (re)build — the same rebuild heuristic as the unsharded
-// API, aggregated.
-func (s *ShardedIndex) UpdatesSinceBuild() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.cur.Load().UpdatesSinceBuild()
-	}
-	return n
+// shard's last (re)build, a rebuild heuristic for callers.
+func (s *Index) UpdatesSinceBuild() int {
+	return s.sum(func(c *core.Index) int { return c.UpdatesSinceBuild })
 }
+
+// DriftRatio reports the fraction of post-build inserts that landed
+// outside the build-time cluster balls — near zero while the incoming
+// data follows the built distribution, rising when it drifts. Sustained
+// high values are the §6.2 signal to Rebuild. It is pooled over the
+// shards: their drifted inserts over their inserts, each counted since
+// its shard's last (re)build.
+func (s *Index) DriftRatio() float64 {
+	var drifts, inserts int
+	for _, sh := range s.shards {
+		d, n := sh.cur.Load().core.DriftCounts()
+		drifts, inserts = drifts+d, inserts+n
+	}
+	if inserts == 0 {
+		return 0
+	}
+	return float64(drifts) / float64(inserts)
+}
+
+// UnanchoredRows counts the live objects inserted since their shard's
+// last Build, Load, compaction or Rebuild — the write overlays' live
+// inserts: they scan without the anchor bound until the next
+// compaction or rebuild anchors them. Beside DriftRatio it is the
+// second rebuild signal — drift says the clusters stopped fitting, this
+// says how many rows lost their cheapest filter. Always 0 under
+// AngularSemantic, where no row has an anchor.
+func (s *Index) UnanchoredRows() int { return s.sum((*core.Index).UnanchoredRows) }
 
 // ShardStat describes one shard's currently published snapshot.
 type ShardStat struct {
@@ -429,8 +490,9 @@ type ShardStat struct {
 	// BaseAge is how long ago the shard's flat base was published —
 	// unlike SnapshotAge it moves only on compactions and rebuilds.
 	BaseAge time.Duration
-	// Unanchored is the shard's Index.UnanchoredRows: the overlay's live
-	// inserts, which the next compaction or rebuild anchors.
+	// Unanchored is the shard's share of Index.UnanchoredRows: the
+	// overlay's live inserts, which the next compaction or rebuild
+	// anchors.
 	Unanchored int
 	// Heap is the snapshot's heap ledger, bytes per structure — what a
 	// host is sized by.
@@ -440,23 +502,23 @@ type ShardStat struct {
 // ShardStats returns a per-shard snapshot summary — the backing data of
 // the /metrics per-shard gauges and a quick balance check (Objects
 // should be roughly uniform under hash routing).
-func (s *ShardedIndex) ShardStats() []ShardStat {
+func (s *Index) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
 	now := time.Now().UnixNano()
 	for i, sh := range s.shards {
-		snap := sh.cur.Load()
+		snap := sh.cur.Load().core
 		out[i] = ShardStat{
 			Shard:             i,
 			Objects:           snap.Len(),
 			Clusters:          snap.NumClusters(),
-			UpdatesSinceBuild: snap.UpdatesSinceBuild(),
+			UpdatesSinceBuild: snap.UpdatesSinceBuild,
 			SnapshotAge:       time.Duration(now - sh.publishedNS.Load()),
 			Publications:      sh.publishes.Load(),
 			DeltaOps:          snap.DeltaOps(),
 			Compactions:       sh.compactions.Load(),
 			BaseAge:           time.Duration(now - sh.baseNS.Load()),
 			Unanchored:        snap.UnanchoredRows(),
-			Heap:              snap.core.HeapBytes(),
+			Heap:              snap.HeapBytes(),
 		}
 	}
 	return out
@@ -467,7 +529,7 @@ func (s *ShardedIndex) ShardStats() []ShardStat {
 // DefaultDeltaCompactThreshold, and a negative value fails with
 // ErrInvalidDeltaThreshold. Takes effect on the next write; an existing
 // overlay is left to the usual triggers (call Compact to fold it now).
-func (s *ShardedIndex) SetDeltaThreshold(threshold int) error {
+func (s *Index) SetDeltaThreshold(threshold int) error {
 	if threshold < 0 {
 		return ErrInvalidDeltaThreshold
 	}
@@ -482,7 +544,7 @@ func (s *ShardedIndex) SetDeltaThreshold(threshold int) error {
 // publishes, from whichever shard compacted (fn must be safe for
 // concurrent calls; pass nil to unregister). Used by the server's
 // /metrics latency histogram.
-func (s *ShardedIndex) SetCompactionObserver(fn func(time.Duration)) {
+func (s *Index) SetCompactionObserver(fn func(time.Duration)) {
 	var hook *func(time.Duration)
 	if fn != nil {
 		hook = &fn
@@ -498,7 +560,7 @@ func (s *ShardedIndex) SetCompactionObserver(fn func(time.Duration)) {
 // it — background compaction triggers automatically at the threshold —
 // but it gives tests and maintenance endpoints a deterministic fold
 // point: when it returns, no shard buffers an overlay op.
-func (s *ShardedIndex) Compact() error {
+func (s *Index) Compact() error {
 	errs := make([]error, len(s.shards))
 	for i, sh := range s.shards {
 		if err := sh.compact(); err != nil {
@@ -513,17 +575,17 @@ func (s *ShardedIndex) Compact() error {
 // hashes to, and all shards agree on the shared distance normalizers
 // and dimensionality. Tests call it while writes and rebuilds are in
 // flight; production code never needs it.
-func (s *ShardedIndex) CheckInvariants() error {
+func (s *Index) CheckInvariants() error {
 	if err := s.checkAgreement(); err != nil {
 		return err
 	}
 	for i, sh := range s.shards {
-		snap := sh.cur.Load()
+		snap := sh.cur.Load().core
 		if err := snap.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		var misrouted error
-		snap.core.ForEachLive(func(o *Object) {
+		snap.ForEachLive(func(o *Object) {
 			if misrouted == nil && shardOf(o.ID, len(s.shards)) != i {
 				misrouted = fmt.Errorf("shard %d: object %d belongs on shard %d", i, o.ID, shardOf(o.ID, len(s.shards)))
 			}
@@ -539,15 +601,15 @@ func (s *ShardedIndex) CheckInvariants() error {
 // bit-identical to an unsharded one: every shard has the index's
 // dimensionality and shard 0's distance normalizers. LoadSharded runs
 // it on what the files held, before serving from them.
-func (s *ShardedIndex) checkAgreement() error {
+func (s *Index) checkAgreement() error {
 	if len(s.shards) == 0 {
 		return fmt.Errorf("cssi: sharded index with no shards")
 	}
 	ref := s.shards[0].cur.Load().space
 	for i, sh := range s.shards {
 		snap := sh.cur.Load()
-		if snap.Dim() != s.dim {
-			return fmt.Errorf("shard %d: dim %d, sharded index expects %d", i, snap.Dim(), s.dim)
+		if d := snap.core.Dim(); d != s.dim {
+			return fmt.Errorf("shard %d: dim %d, sharded index expects %d", i, d, s.dim)
 		}
 		sp := snap.space
 		if sp.DsMax != ref.DsMax || sp.DtMax != ref.DtMax || sp.SemanticKind != ref.SemanticKind {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/core"
 )
 
 // shardedManifest is the directory-level description of a persisted
@@ -24,9 +26,9 @@ const (
 	shardedManifestVer    = 1
 )
 
-// SaveDir persists the sharded index into dir: one self-contained
-// per-shard index file (the same format Index.Save writes, so any
-// single shard file also loads with LoadIndex) plus a manifest.json
+// SaveDir persists the index into dir: one self-contained per-shard
+// index file (the format Save writes, so any single shard file also
+// loads with LoadIndex) plus a manifest.json
 // tying them together in shard order. Each file is written to a
 // temporary name, synced and renamed into place, the manifest last, and
 // the directory is synced after it — an interrupted save, or a crash
@@ -34,7 +36,7 @@ const (
 // shard files. Every shard is captured from its
 // snapshot at its own scatter instant (per-shard consistency, like
 // reads).
-func (s *ShardedIndex) SaveDir(dir string) error {
+func (s *Index) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("cssi: creating %s: %w", dir, err)
 	}
@@ -47,7 +49,7 @@ func (s *ShardedIndex) SaveDir(dir string) error {
 	for i, sh := range s.shards {
 		name := fmt.Sprintf("shard-%04d.cssi", i)
 		if err := writeFileAtomic(filepath.Join(dir, name), func(f *os.File) error {
-			return sh.cur.Load().Save(f)
+			return sh.cur.Load().core.Save(f)
 		}); err != nil {
 			return fmt.Errorf("cssi: saving shard %d: %w", i, err)
 		}
@@ -107,14 +109,14 @@ func syncDir(dir string) error {
 	return err
 }
 
-// LoadSharded restores a sharded index from path. Two layouts load:
+// LoadSharded restores an index from path. Two layouts load:
 //
 //   - a directory written by SaveDir (manifest + per-shard files),
 //     restored with its original shard count and routing;
 //   - a plain single-index file written by Index.Save (format version 4;
 //     older versions are refused), which loads as a fully functional
 //     ONE-shard instance.
-func LoadSharded(path string) (*ShardedIndex, error) {
+func LoadSharded(path string) (*Index, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("cssi: %w", err)
@@ -129,7 +131,7 @@ func LoadSharded(path string) (*ShardedIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cssi: loading %s as single-index file: %w", path, err)
 		}
-		return ShardedFrom(idx), nil
+		return idx, nil
 	}
 	raw, err := os.ReadFile(filepath.Join(path, shardedManifestName))
 	if err != nil {
@@ -148,7 +150,7 @@ func LoadSharded(path string) (*ShardedIndex, error) {
 	if m.Shards < 1 || m.Shards != len(m.Files) {
 		return nil, fmt.Errorf("cssi: manifest lists %d shards but %d files", m.Shards, len(m.Files))
 	}
-	s := &ShardedIndex{shards: make([]*shardCell, m.Shards)}
+	snaps := make([]*snapshot, m.Shards)
 	for i, name := range m.Files {
 		// A manifest is outside input: its entries name files of the
 		// directory, never a path out of it.
@@ -159,14 +161,14 @@ func LoadSharded(path string) (*ShardedIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cssi: opening shard %d: %w", i, err)
 		}
-		idx, err := LoadIndex(f)
+		c, space, err := core.Load(f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("cssi: loading shard %d: %w", i, err)
 		}
-		s.shards[i] = newShardCell(idx)
+		snaps[i] = &snapshot{core: c, space: space}
 	}
-	s.dim = s.shards[0].cur.Load().Dim()
+	s := newIndex(snaps)
 	if err := s.checkAgreement(); err != nil {
 		return nil, fmt.Errorf("cssi: loading %s: %w", path, err)
 	}

@@ -24,7 +24,7 @@ import (
 // exercises uneven hash buckets.
 var shardCounts = []int{1, 2, 4, 7}
 
-func mustBuildSharded(t *testing.T, ds *Dataset, p int, opts Options) *ShardedIndex {
+func mustBuildSharded(t *testing.T, ds *Dataset, p int, opts Options) *Index {
 	t.Helper()
 	s, err := BuildSharded(ds, p, opts)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 						if !ok {
 							t.Fatalf("%s approx q%d: unknown ID %d", stage, qi, r.ID)
 						}
-						if want := flat.space.Distance(nil, 0.5, q, o); r.Dist != want {
+						if want := current(flat).space.Distance(nil, 0.5, q, &o); r.Dist != want {
 							t.Fatalf("%s approx q%d: ID %d dist %v, true %v", stage, qi, r.ID, r.Dist, want)
 						}
 					}
@@ -540,6 +540,48 @@ func TestShardedStress(t *testing.T) {
 // every insert is one unanchored row on the shard that owns it while the
 // write overlay buffers it, and a compaction or a rebuild anchors them
 // all, with exact answers throughout.
+// DriftRatio pools the shards' counts: the drifted inserts over all
+// inserts, not a mean of per-shard ratios. At P = 1 it is core's own
+// ratio; at P = 4, after inserts of which some leave their clusters'
+// build-time balls, Σ drifts / Σ inserts over the shards' counts.
+func TestDriftRatioPooled(t *testing.T) {
+	ds := testDataset(t, 900)
+	for _, p := range []int{1, 4} {
+		s := mustBuildSharded(t, ds, p, Options{Seed: 9})
+		if r := s.DriftRatio(); r != 0 {
+			t.Fatalf("P=%d: DriftRatio %v before any insert", p, r)
+		}
+		for i := 0; i < 40; i++ {
+			o := ds.Objects[i*7]
+			o.ID = uint32(720_000 + i)
+			if i%3 == 0 {
+				// Far outside every cluster: a drifting insert.
+				o.Vec = slices.Clone(o.Vec)
+				for j := range o.Vec {
+					o.Vec[j] *= 6
+				}
+			}
+			if err := s.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var drifts, inserts int
+		var ratios []float64
+		for _, sh := range s.shards {
+			d, n := sh.cur.Load().core.DriftCounts()
+			drifts, inserts = drifts+d, inserts+n
+			ratios = append(ratios, sh.cur.Load().core.DriftRatio())
+		}
+		want := float64(drifts) / float64(inserts)
+		if got := s.DriftRatio(); inserts != 40 || drifts == 0 || got != want {
+			t.Fatalf("P=%d: DriftRatio %v, want %d/%d = %v", p, got, drifts, inserts, want)
+		}
+		if p == 1 && s.DriftRatio() != ratios[0] {
+			t.Fatalf("P=1: DriftRatio %v, core's %v", s.DriftRatio(), ratios[0])
+		}
+	}
+}
+
 func TestShardedUnanchoredRows(t *testing.T) {
 	ds := testDataset(t, 900)
 	s := mustBuildSharded(t, ds, 3, Options{Seed: 5})
@@ -556,8 +598,8 @@ func TestShardedUnanchoredRows(t *testing.T) {
 	}
 	check := func(ctx string, live *Dataset, want int) {
 		t.Helper()
-		if got := unanchored(); got != want {
-			t.Fatalf("%s: %d unanchored rows, want %d", ctx, got, want)
+		if got, pooled := unanchored(), s.UnanchoredRows(); got != want || pooled != want {
+			t.Fatalf("%s: %d unanchored rows over the shards' stats, %d from UnanchoredRows, want %d", ctx, got, pooled, want)
 		}
 		oracle := scan.New(live, space)
 		var es ExplainStats
@@ -693,7 +735,7 @@ func TestShardedCompactIsAFoldPoint(t *testing.T) {
 // doStriped is s.DoContext with the read dealt onto w stripes instead
 // of the host's GOMAXPROCS: the stripe count is a field of the view the
 // pipeline serves from, never a request option.
-func doStriped(s *ShardedIndex, w int, ctx context.Context, req SearchRequest) ([]Result, error) {
+func doStriped(s *Index, w int, ctx context.Context, req SearchRequest) ([]Result, error) {
 	v := s.view()
 	v.stripes = w
 	return serve(ctx, v, &req)
@@ -764,7 +806,7 @@ func TestStripedChainEquivalence(t *testing.T) {
 				for _, o := range live {
 					objs = append(objs, o)
 				}
-				oracle := scan.New(&Dataset{Objects: objs, Dim: ds.Dim}, flat.space)
+				oracle := scan.New(&Dataset{Objects: objs, Dim: ds.Dim}, current(flat).space)
 				for qi := range queries {
 					q := &queries[qi]
 					for _, lambda := range []float64{0, 0.5, 1} {
@@ -922,7 +964,7 @@ func forceSnapshots(t *testing.T, s stripeSchedule, n int) (*stripeLog, bool) {
 // counted, twice per stripe count; unobserved and traced under the
 // host's schedule and, where hooks exist, under each forced helper
 // schedule; and under a fired budget.
-func checkStripes(t *testing.T, ctx string, s *ShardedIndex, flat *Index, live map[uint32]Object, req SearchRequest, want []Result) {
+func checkStripes(t *testing.T, ctx string, s *Index, flat *Index, live map[uint32]Object, req SearchRequest, want []Result) {
 	t.Helper()
 	var counts [2]Stats
 	for w := 1; w <= 2; w++ {
@@ -1014,7 +1056,7 @@ func checkStripes(t *testing.T, ctx string, s *ShardedIndex, flat *Index, live m
 		}
 		for i, r := range cut {
 			o, ok := live[r.ID]
-			if !ok || r.Dist != flat.space.Distance(nil, req.Lambda, req.Query, &o) {
+			if !ok || r.Dist != current(flat).space.Distance(nil, req.Lambda, req.Query, &o) {
 				t.Fatalf("%s: fired budget: result %d = %+v is not a live object at its true distance", wctx, i, r)
 			}
 			if i > 0 && !lessResult(cut[i-1], r) {
@@ -1039,7 +1081,7 @@ func checkStripes(t *testing.T, ctx string, s *ShardedIndex, flat *Index, live m
 // k-th distance of the answer over shards 0..i; one the helper shared
 // is marked Parallel, and its last span holds the answer's k-th
 // distance.
-func checkStripedTrace(t *testing.T, ctx string, s *ShardedIndex, flat *Index, live map[uint32]Object, req SearchRequest, want []Result, tr *SearchTrace, counted Stats) {
+func checkStripedTrace(t *testing.T, ctx string, s *Index, flat *Index, live map[uint32]Object, req SearchRequest, want []Result, tr *SearchTrace, counted Stats) {
 	t.Helper()
 	if len(tr.Shards) != s.NumShards() {
 		t.Fatalf("%s: trace has %d spans", ctx, len(tr.Shards))
@@ -1077,7 +1119,7 @@ func checkStripedTrace(t *testing.T, ctx string, s *ShardedIndex, flat *Index, l
 
 // prefixKth is the distance of the last result of req's exact answer
 // over the objects of live that shards 0..last of s hold (0 for none).
-func prefixKth(s *ShardedIndex, flat *Index, live map[uint32]Object, req SearchRequest, last int) float64 {
+func prefixKth(s *Index, flat *Index, live map[uint32]Object, req SearchRequest, last int) float64 {
 	var held []Result
 	for id, o := range live {
 		if s.ShardFor(id) > last {
@@ -1086,7 +1128,7 @@ func prefixKth(s *ShardedIndex, flat *Index, live map[uint32]Object, req SearchR
 		if w := req.Window; w != nil && (o.X < w.LoX || o.X > w.HiX || o.Y < w.LoY || o.Y > w.HiY) {
 			continue
 		}
-		r := Result{ID: id, Dist: flat.space.Distance(nil, req.Lambda, req.Query, &o)}
+		r := Result{ID: id, Dist: current(flat).space.Distance(nil, req.Lambda, req.Query, &o)}
 		if req.Radius == nil || r.Dist <= *req.Radius {
 			held = append(held, r)
 		}
@@ -1215,10 +1257,10 @@ func TestBuildShardedDerivesPerShardClusterCounts(t *testing.T) {
 		c := cell.cur.Load().core
 		part := &Dataset{Dim: ds.Dim}
 		c.ForEachLive(func(o *Object) { part.Objects = append(part.Objects, *o) })
-		want := mustBuild(t, part, Options{Seed: 5}).core.Config()
-		if got := c.Config(); got.Ks != want.Ks || got.Kt != want.Kt || got.Ks >= flat.core.Config().Ks {
+		want := current(mustBuild(t, part, Options{Seed: 5})).core.Config()
+		if got := c.Config(); got.Ks != want.Ks || got.Kt != want.Kt || got.Ks >= current(flat).core.Config().Ks {
 			t.Fatalf("shard %d (%d objects): %d/%d clusters, want %d/%d (flat index: %d)",
-				i, c.Len(), got.Ks, got.Kt, want.Ks, want.Kt, flat.core.Config().Ks)
+				i, c.Len(), got.Ks, got.Kt, want.Ks, want.Kt, current(flat).core.Config().Ks)
 		}
 	}
 	explicit := mustBuildSharded(t, ds, 4, Options{Seed: 5, Ks: 9, Kt: 7})
@@ -1272,7 +1314,7 @@ func TestShardedAnchorSetIdentity(t *testing.T) {
 		for _, o := range live {
 			objs = append(objs, o)
 		}
-		oracle := scan.New(&Dataset{Objects: objs, Dim: ds.Dim}, snapshot(s).space)
+		oracle := scan.New(&Dataset{Objects: objs, Dim: ds.Dim}, current(s).space)
 		for qi := range queries {
 			q := &queries[qi]
 			for _, lambda := range []float64{0.2, 0.5, 0.8} {
@@ -1334,8 +1376,8 @@ func TestShardedAnchorSetIdentity(t *testing.T) {
 // offered, and wins or loses on its ID. Objects sharing one point but not
 // a vector land in different clusters, and a λ = 1 query on that point
 // ties them all at distance 0 — the bound of every cluster holding one.
-// The answer is the linear scan's, smallest IDs first, on a bare index
-// and on one and four shards.
+// The answer is the linear scan's, smallest IDs first, on one and four
+// shards.
 func TestExactTieAtSharedPoint(t *testing.T) {
 	base := testDataset(t, 700)
 	p := base.Objects[17]
@@ -1346,14 +1388,13 @@ func TestExactTieAtSharedPoint(t *testing.T) {
 		objs = append(objs, o)
 	}
 	ds := &Dataset{Objects: objs, Dim: base.Dim}
-	bare := mustBuild(t, ds, Options{Seed: 37})
-	oracle := scan.New(ds, bare.space)
+	one := mustBuild(t, ds, Options{Seed: 37})
+	oracle := scan.New(ds, current(one).space)
 	targets := []struct {
 		name string
 		idx  doer
 	}{
-		{"bare", bare},
-		{"P=1", mustBuildSharded(t, ds, 1, Options{Seed: 37})},
+		{"P=1", one},
 		{"P=4", mustBuildSharded(t, ds, 4, Options{Seed: 37})},
 	}
 	for _, tg := range targets {

@@ -199,20 +199,26 @@ func (l *stripeLog) check(t *testing.T, ctx string, s stripeSchedule) {
 	}
 }
 
-// stripeTarget is one index a striped read can serve from: a bare
-// *Index or a one-shard ShardedIndex.
+// stripeTarget is one one-shard index a striped read can serve from,
+// and the snapshot it publishes.
 type stripeTarget struct {
 	name string
 	do   func(ctx context.Context, req SearchRequest) ([]Result, error)
-	snap func() *Index
+	snap func() *snapshot
 }
 
-func bareTarget(x *Index) stripeTarget {
-	return stripeTarget{"bare", x.DoContext, func() *Index { return x }}
+func indexTarget(name string, x *Index) stripeTarget {
+	return stripeTarget{name, x.DoContext, func() *snapshot { return current(x) }}
 }
 
-func oneShardTarget(s *ShardedIndex) stripeTarget {
-	return stripeTarget{"P=1", s.DoContext, func() *Index { return snapshot(s) }}
+// withOverlay writes 40 of overlayOps' ops to x, below the compaction
+// threshold, so that its snapshot holds delta rows and tombstones.
+func withOverlay(t *testing.T, x *Index, ds *Dataset) *Index {
+	t.Helper()
+	if err := x.ApplyBatch(overlayOps(ds, 40)); err != nil {
+		t.Fatal(err)
+	}
+	return x
 }
 
 // stripeDataset is testDataset plus the inputs a striped read can get
@@ -251,8 +257,8 @@ func stripeDataset(t *testing.T) (*Dataset, []Object) {
 
 // TestStripedExactEquivalence pins the striped exact read to the
 // one-stripe read and the linear scan, ID for ID and distance for
-// distance, on a bare *Index and on a one-shard ShardedIndex whose
-// snapshot holds overlay delta rows and tombstones, for λ ∈ {0, 0.5, 1},
+// distance, on a built index ("bare") and on a one-shard index ("P=1")
+// whose snapshot holds overlay delta rows and tombstones, for λ ∈ {0, 0.5, 1},
 // k ∈ {1, 10, > n}, the k-NN, range and window shapes, ties at the k-th
 // rank and at the radius, and a zero vector — under each forced schedule
 // of the helper where hooks exist.
@@ -305,12 +311,12 @@ func TestStripedExactEquivalence(t *testing.T) {
 		oracle *scan.Scanner
 		objs   map[uint32]Object
 	}{
-		{bareTarget(bare), scan.New(ds, bare.space), base},
-		{oneShardTarget(s), scan.New(&Dataset{Objects: liveObjs, Dim: ds.Dim}, bare.space), live},
+		{indexTarget("bare", bare), scan.New(ds, current(bare).space), base},
+		{indexTarget("P=1", s), scan.New(&Dataset{Objects: liveObjs, Dim: ds.Dim}, current(bare).space), live},
 	} {
 		t.Run(tc.target.name, func(t *testing.T) {
 			snap := tc.target.snap()
-			n := snap.Len()
+			n := snap.core.Len()
 			for qi := range queries {
 				q := &queries[qi]
 				for _, lambda := range []float64{0, 0.5, 1} {
@@ -515,7 +521,7 @@ func TestStripedNeverAtOneProc(t *testing.T) {
 	log, hooked := forceStripes(t, helperFree, nil, nil)
 	for i := 0; i < 20; i++ {
 		q := ds.Objects[i]
-		want := x.core.SearchOptionsInto(nil, &q, 10, 0.5, core.SearchOptions{}, nil)
+		want := current(x).core.SearchOptionsInto(nil, &q, 10, 0.5, core.SearchOptions{}, nil)
 		equalResults(t, fmt.Sprintf("q%d", i), want, mustDo(x, SearchRequest{Query: &q, K: 10, Lambda: 0.5}))
 	}
 	if hooked && log.offered.Load() != 0 {
@@ -526,42 +532,36 @@ func TestStripedNeverAtOneProc(t *testing.T) {
 // TestStripedNeverInBatch pins the batch rule: a batch's pool already
 // occupies the processors, so each of its reads is held to one stripe.
 // An unobserved exact DoBatch with a second scheduler thread to spare
-// offers no stripe, on a bare *Index or through ShardedFrom, and answers
-// what the one-stripe reads do.
+// offers no stripe, and answers what the one-stripe reads do.
 func TestStripedNeverInBatch(t *testing.T) {
 	ds := testDataset(t, 400)
 	queries := ds.SampleQueries(16, 67)
 	x := mustBuild(t, ds, Options{Seed: 53})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	for name, doBatch := range map[string]func(BatchSearchRequest) ([][]Result, error){
-		"bare":        x.DoBatch,
-		"ShardedFrom": ShardedFrom(mustBuild(t, ds, Options{Seed: 53})).DoBatch,
-	} {
-		log, hooked := forceStripes(t, helperFree, nil, nil)
-		got, err := doBatch(BatchSearchRequest{Queries: queries, K: 10, Lambda: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range queries {
-			want := x.core.SearchOptionsInto(nil, &queries[i], 10, 0.5, core.SearchOptions{}, nil)
-			equalResults(t, fmt.Sprintf("%s q%d", name, i), want, got[i])
-		}
-		if hooked && log.offered.Load() != 0 {
-			t.Fatalf("%s: %d batch reads offered a stripe", name, log.offered.Load())
-		}
+	log, hooked := forceStripes(t, helperFree, nil, nil)
+	got, err := x.DoBatch(BatchSearchRequest{Queries: queries, K: 10, Lambda: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range queries {
+		want := current(x).core.SearchOptionsInto(nil, &queries[i], 10, 0.5, core.SearchOptions{}, nil)
+		equalResults(t, fmt.Sprintf("q%d", i), want, got[i])
+	}
+	if hooked && log.offered.Load() != 0 {
+		t.Fatalf("%d batch reads offered a stripe", log.offered.Load())
 	}
 }
 
 // TestStripedCountedReadsOneStripe pins the counted-read rule: a request
 // that asks for work counters — Stats, Explain or Trace — gets the
 // one-stripe read, so its counters equal core.SearchOptionsInto's
-// one-stripe read of the same query, on a bare *Index and on a one-shard
-// ShardedIndex.
+// one-stripe read of the same query, on a built index ("bare") and on
+// one holding overlay rows ("P=1").
 func TestStripedCountedReadsOneStripe(t *testing.T) {
 	ds := testDataset(t, 600)
 	for _, target := range []stripeTarget{
-		bareTarget(mustBuild(t, ds, Options{Seed: 59})),
-		oneShardTarget(mustBuildSharded(t, ds, 1, Options{Seed: 59})),
+		indexTarget("bare", mustBuild(t, ds, Options{Seed: 59})),
+		indexTarget("P=1", withOverlay(t, mustBuild(t, ds, Options{Seed: 59}), ds)),
 	} {
 		t.Run(target.name, func(t *testing.T) {
 			log, hooked := forceStripes(t, helperFree, nil, nil)
@@ -623,7 +623,7 @@ func TestStripedTiePushes(t *testing.T) {
 	}
 	ds := &Dataset{Objects: objs, Dim: base.Dim}
 	x := mustBuild(t, ds, Options{Seed: 67})
-	oracle := scan.New(ds, x.space)
+	oracle := scan.New(ds, current(x).space)
 	for _, tc := range []struct {
 		q      Object
 		lambda float64
@@ -634,7 +634,7 @@ func TestStripedTiePushes(t *testing.T) {
 			if want[len(want)-1].Dist != 0 {
 				t.Fatalf("%s: the scan's answer %v is not all ties", ctx, want)
 			}
-			equalResults(t, ctx+" one-stripe", want, x.core.SearchOptionsInto(nil, &tc.q, k, tc.lambda, core.SearchOptions{}, nil))
+			equalResults(t, ctx+" one-stripe", want, current(x).core.SearchOptionsInto(nil, &tc.q, k, tc.lambda, core.SearchOptions{}, nil))
 			req := SearchRequest{Query: &tc.q, K: k, Lambda: tc.lambda}
 			equalResults(t, ctx+" Do", want, mustDo(x, req))
 			for _, sched := range stripeSchedules {

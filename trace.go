@@ -7,8 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// This file wires the always-on tail-sampled tracer into both index
-// flavors: when a trace sink is installed, every executed
+// This file wires the always-on tail-sampled tracer into the index:
+// when a trace sink is installed, every executed
 // Do/DoBatch records a compact span tree — per-shard phase nanos reusing
 // the existing SearchStats collection — into a pooled obs.Trace and
 // hands it to the sink, whose tail sampler retains the slow, errored,
@@ -20,23 +20,14 @@ import (
 // Requests rejected by validation and result-cache hits never execute
 // and so leave no trace.
 
-// SetTraceSink installs sink as the always-on trace collector for this
-// index's Do/DoBatch calls (nil disables tracing). Not safe to call
-// concurrently with searches on a bare *Index; install before serving
-// (ShardedIndex swaps atomically instead, and ShardedFrom adopts the
-// sink installed here).
-func (x *Index) SetTraceSink(sink *obs.Sink) { x.sink = sink }
-
-// TraceSink returns the installed trace sink, or nil.
-func (x *Index) TraceSink() *obs.Sink { return x.sink }
-
 // SetTraceSink atomically installs sink as the always-on trace
 // collector for this index's Do/DoBatch calls (nil disables). Safe to
-// call concurrently with searches.
-func (s *ShardedIndex) SetTraceSink(sink *obs.Sink) { s.sink.Store(sink) }
+// call concurrently with searches; ShardedFrom adopts the sink
+// installed here.
+func (s *Index) SetTraceSink(sink *obs.Sink) { s.sink.Store(sink) }
 
 // TraceSink returns the installed trace sink, or nil.
-func (s *ShardedIndex) TraceSink() *obs.Sink { return s.sink.Load() }
+func (s *Index) TraceSink() *obs.Sink { return s.sink.Load() }
 
 // algoName names the algorithm opts select, matching the explain
 // path's naming: "cssi" or "cssia".
@@ -70,14 +61,14 @@ func (v *view) openTrace(want *SearchTrace, op string, spans, queries, k int, la
 		t.RequestID = obs.NewRequestID()
 	}
 	t.TraceID = traceID
-	t.Flavor = v.flavor
+	t.Flavor = "sharded"
 	t.Op = op
 	t.Queries = queries
 	t.Algo = algoName(opts)
 	t.K = k
 	t.Lambda = lambda
 	for i := 0; i < spans; i++ {
-		t.Shards = append(t.Shards, SearchSpan{Shard: i, Objects: v.at(i).Len()})
+		t.Shards = append(t.Shards, SearchSpan{Shard: i, Objects: v.cores[i].Len()})
 	}
 	start := time.Now()
 	t.StartUnixNanos = start.UnixNano()

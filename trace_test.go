@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// traceFixtures builds the flavors over one dataset, each with a
+// traceFixtures builds the request fixtures over one dataset, each with a
 // keep-everything sink installed, plus sink-free twins for the
 // bit-identity comparison.
 func traceFixtures(t *testing.T) (*Dataset, []searchAPI, []searchAPI, []*obs.Sink) {
