@@ -212,7 +212,8 @@ func BenchmarkWrite(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if i%writeRound == 0 {
 				b.StopTimer()
-				idx = current(built).core.CloneWithDelta()
+				hdr := *current(built).core // a header copy, as a published write takes
+				idx = &hdr
 				b.StartTimer()
 			}
 			var err error

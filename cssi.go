@@ -188,9 +188,11 @@ func (x *snapshot) delete(id uint32) error {
 }
 
 // cloneWithDelta returns a copy of x's header for shardCell to write
-// and publish: its writes are invisible through x (the core header is
-// copied by value, as core.Index.CloneWithDelta copies it, into the
-// snapshot's own hdr). An enabled keyword filter is cloned here
+// and publish: the core header is copied by value into the snapshot's
+// own hdr, base and write overlay shared, and the copy's writes are
+// invisible through x, which answers as it did. Writing one the lineage
+// was written past forks a private overlay first. An enabled keyword
+// filter is cloned here
 // and in compact, sharing every directory bucket until a write copies
 // the few it touches.
 func (x *snapshot) cloneWithDelta() *snapshot {

@@ -538,7 +538,7 @@ func TestGateBitIdenticalAcrossStates(t *testing.T) {
 			insertFresh(t, flat, ds.Objects, 900_000, 40)
 			requireGateExact(t, "churned", flat)
 
-			over := x.CloneWithDelta()
+			over := cloneHeader(x)
 			deleteClusters(t, over, 4)
 			insertFresh(t, over, ds.Objects, 910_000, 30)
 			requireGateExact(t, "overlay", over)
@@ -595,7 +595,7 @@ func TestAnchorsSurviveMaintenance(t *testing.T) {
 	}
 	step("updated", x, 25)
 
-	over := x.CloneWithDelta()
+	over := cloneHeader(x)
 	insertFresh(t, over, f.ds.Objects, 810_000, 10)
 	if err := over.Delete(800_004); err != nil { // an insert the parent buffered
 		t.Fatal(err)
@@ -805,7 +805,7 @@ func TestHeadCutAccounting(t *testing.T) {
 	compare("churned", churn(on.idx), churn(off.idx), nil)
 
 	overlay := func(x *Index) *Index {
-		o := x.CloneWithDelta()
+		o := cloneHeader(x)
 		deleteClusters(t, o, 4)
 		insertFresh(t, o, pool, 910_000, 40)
 		return o

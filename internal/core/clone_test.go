@@ -129,7 +129,7 @@ func emptyAndRefillPair(t *testing.T, ctx string, x *Index) (s, tt int) {
 		for _, e := range c.elems {
 			objs = append(objs, x.row(e.idx))
 		}
-		emptied := x.CloneWithDelta()
+		emptied := cloneHeader(x)
 		for _, o := range objs {
 			if err := emptied.Delete(o.ID); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
@@ -191,7 +191,7 @@ func TestGridEmptiedPairUnderReaders(t *testing.T) {
 
 	// An overlay child only tombstones: the shared cell survives until
 	// the fold, whose product has it cleared.
-	child := parent.CloneWithDelta()
+	child := cloneHeader(parent)
 	var c *hybrid
 	for _, cc := range parent.clusters {
 		if len(cc.elems) <= 3 && sidesShared(parent, cc) {

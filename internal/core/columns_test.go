@@ -36,7 +36,7 @@ func writtenStates(t *testing.T) (map[string]*Index, map[string]map[uint32]datas
 		live := liveObjects(f.ds.Objects)
 		x := f.idx
 		if name == "compacted" {
-			x = x.CloneWithDelta()
+			x = cloneHeader(x)
 		}
 		for i, o := range pool.Objects[:40] {
 			o.ID = uint32(600_000 + i)
@@ -171,7 +171,7 @@ func TestObjectAssembledFromColumns(t *testing.T) {
 	requireObjects(t, "compacted", states["compacted"], want["compacted"], gone...)
 	requireObjects(t, "loaded", loadBytes(t, saveBytes(t, states["bare"])), want["bare"], gone...)
 
-	ov := states["compacted"].CloneWithDelta()
+	ov := cloneHeader(states["compacted"])
 	live := want["compacted"]
 	o := f.ds.Objects[0]
 	o.ID, o.Text, o.Topic = 700_000, "a fresh text", 3

@@ -218,8 +218,8 @@ type baseIndex struct {
 	texts  []string
 	topics []int
 	// idIdx maps the ID of every row to its storage position. Build,
-	// Load and Compact bulk-build it; the overlay never writes it, so
-	// CloneWithDelta shares the table whole.
+	// Load and Compact bulk-build it; the overlay never writes it, so a
+	// copied header shares the table whole.
 	idIdx *idTable
 
 	// The embeddings and their PCA projections live in two contiguous

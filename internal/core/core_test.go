@@ -354,7 +354,7 @@ func TestCountedReadPrunedCounters(t *testing.T) {
 		t.Fatalf("ClustersPruned %d, InterPruned %d; want %d and %d", clusters, rows, wantClustersPruned, wantInterPruned)
 	}
 
-	over := f.idx.CloneWithDelta()
+	over := cloneHeader(f.idx)
 	for i := 0; i < f.ds.Len(); i += 4 {
 		if err := over.Delete(f.ds.Objects[i].ID); err != nil {
 			t.Fatal(err)

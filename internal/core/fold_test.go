@@ -47,7 +47,7 @@ func newFoldParts(t *testing.T, ds *dataset.Dataset, p int) *foldParts {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.over = append(f.over, x.CloneWithDelta())
+		f.over = append(f.over, cloneHeader(x))
 		f.twins = append(f.twins, saveLoad(t, x))
 	}
 	return f

@@ -144,7 +144,7 @@ func runHybridMaintenance(t *testing.T, clone bool, ops []byte) {
 	parentAnswers := maintenanceAnswers(parent, queries)
 	x := parent
 	if clone {
-		x = parent.CloneWithDelta()
+		x = cloneHeader(parent)
 	}
 	fold := func(ctx string) {
 		t.Helper()
@@ -288,7 +288,7 @@ func failBatch(t *testing.T, ctx string, x *Index, o dataset.Object, id uint32, 
 	}
 	wantRes, wantSt := counted()
 	wantLen, wantOps := x.Len(), x.DeltaOps()
-	y := x.CloneWithDelta()
+	y := cloneHeader(x)
 	o.ID = id
 	if err := y.Insert(o); err != nil {
 		t.Fatalf("%s: batch insert: %v", ctx, err)

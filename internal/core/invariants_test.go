@@ -184,7 +184,7 @@ func TestCheckInvariantsDetectsStampCorruption(t *testing.T) {
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			f := build(t, dataset.TwitterLike, 300, Config{Seed: 79})
-			x := f.idx.CloneWithDelta()
+			x := cloneHeader(f.idx)
 			for i := 0; i < 6; i++ {
 				o := f.ds.Objects[(i*41+3)%f.ds.Len()]
 				o.ID = uint32(1<<20 + i)

@@ -425,7 +425,7 @@ func TestLazyVsEagerSeededChained(t *testing.T) {
 // near ties against the reference's full one.
 func TestLazyVsEagerApprox(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 1200, Config{Seed: 94})
-	overlay := f.idx.CloneWithDelta()
+	overlay := cloneHeader(f.idx)
 	for i := 0; i < 150; i++ {
 		o := f.ds.Objects[(i*37)%f.ds.Len()]
 		o.ID = 1<<20 + uint32(i)

@@ -394,7 +394,7 @@ func TestCSSIAAfterUpdates(t *testing.T) {
 	if f.idx.DeltaOps() == 0 {
 		t.Fatal("the updates buffered no overlay ops")
 	}
-	for _, x := range []*Index{f.idx, f.idx.CloneWithDelta()} {
+	for _, x := range []*Index{f.idx, cloneHeader(f.idx)} {
 		for qi := 0; qi < 4; qi++ {
 			for _, lambda := range []float64{0, 0.5, 1} {
 				requirePruningIdentity(t, "after updates", []*Index{x}, &liveDs.Objects[qi*97], 10, lambda)

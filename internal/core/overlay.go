@@ -388,24 +388,14 @@ func (d *overlayDelta) rollback(to deltaView) {
 	d.endWrite(&to)
 }
 
-// Rollback undoes the writes x took since it was copied from prev
-// (CloneWithDelta), prev being the lineage's head then: the overlay
+// Rollback undoes the writes x took since it was copied from prev (a
+// header copied by value), prev being the lineage's head then: the overlay
 // returns to prev's state, and x must not be used again. A no-op when
 // x's writes created its overlay.
 func (x *Index) Rollback(prev *Index) {
 	if d := x.delta; d != nil && d == prev.delta && x.dv.ops != prev.dv.ops {
 		d.rollback(prev.dv)
 	}
-}
-
-// CloneWithDelta returns a copy of x's header: base and write overlay
-// shared, and the copy's writes invisible through x, which answers as it
-// did. Writing the copy costs what writing x would. x and its copies are
-// written one at a time; writing one the lineage was written past forks
-// a private overlay first.
-func (x *Index) CloneWithDelta() *Index {
-	nx := *x
-	return &nx
 }
 
 // DeltaOps returns the number of write operations the overlay has

@@ -8,6 +8,17 @@ import (
 	"repro/internal/knn"
 )
 
+// cloneHeader copies x's header by value, as the facade does when it
+// publishes a write: base and write overlay shared, and the copy's
+// writes invisible through x, which answers as it did. Writing the copy
+// costs what writing x would. x and its copies are written one at a
+// time; writing one the lineage was written past forks a private
+// overlay first.
+func cloneHeader(x *Index) *Index {
+	nx := *x
+	return &nx
+}
+
 // mutateBoth drives an overlay clone and an independent copy through the
 // same write stream: inserts of fresh objects, deletes of base objects,
 // updates, and deletes of overlay-inserted objects. Returns the set of
@@ -64,7 +75,7 @@ func overlayFixture(t *testing.T, size int) (*fixture, *Index, *Index, map[uint3
 	for i := 0; i < size/5; i++ {
 		baseIDs = append(baseIDs, f.ds.Objects[(i*37+11)%size].ID)
 	}
-	overlay := f.idx.CloneWithDelta()
+	overlay := cloneHeader(f.idx)
 	twin := saveLoad(t, f.idx)
 	deadIDs := mutateBoth(t, overlay, twin, extra, dedupIDs(baseIDs))
 	// The twin shares nothing with f.idx and folds its own overlay.
@@ -176,7 +187,7 @@ func TestOverlayApproxNoResurrection(t *testing.T) {
 func TestOverlayCloneIsolation(t *testing.T) {
 	t.Run("siblings", testOverlaySiblingWrites)
 	f := build(t, dataset.TwitterLike, 400, Config{Seed: 93})
-	parent := f.idx.CloneWithDelta()
+	parent := cloneHeader(f.idx)
 	if err := parent.Insert(dataset.Object{ID: 1 << 21, X: 0.5, Y: 0.5, Vec: f.ds.Objects[0].Vec}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +195,7 @@ func TestOverlayCloneIsolation(t *testing.T) {
 	before := parent.Search(&q, 10, 0.5, nil)
 	beforeLen := parent.Len()
 
-	child := parent.CloneWithDelta()
+	child := cloneHeader(parent)
 	if err := child.Delete(f.ds.Objects[9].ID); err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +258,10 @@ func testOverlaySiblingWrites(t *testing.T) {
 			}
 		}
 	}
-	parent := f.idx.CloneWithDelta()
+	parent := cloneHeader(f.idx)
 	common(parent)
 	lineage := parent.delta
-	a, b := parent.CloneWithDelta(), parent.CloneWithDelta()
+	a, b := cloneHeader(parent), cloneHeader(parent)
 	stream(a, 0)
 	stream(b, 1)
 	stream(parent, 2)
@@ -318,7 +329,7 @@ func TestOverlayPersistRoundTrip(t *testing.T) {
 // collectLive see base minus tombstones plus live overlay inserts.
 func TestOverlayBookkeeping(t *testing.T) {
 	f := build(t, dataset.TwitterLike, 300, Config{Seed: 94})
-	x := f.idx.CloneWithDelta()
+	x := cloneHeader(f.idx)
 	if x.DeltaOps() != 0 {
 		t.Fatalf("fresh overlay has %d ops", x.DeltaOps())
 	}

@@ -232,7 +232,7 @@ func TestRestrictedReadsMatchScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if overlay {
-				x = x.CloneWithDelta()
+				x = cloneHeader(x)
 				first := 5_000_000 + uint32(i)*1000
 				insertFresh(t, x, part.Objects, first, 30)
 				for j := 0; j < part.Len(); j += 9 {

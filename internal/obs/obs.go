@@ -323,9 +323,16 @@ var (
 func NewRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err == nil {
-		return hex.EncodeToString(b[:])
+		return hexString(b[:])
 	}
 	return fallbackRequestID()
+}
+
+// hexString is hex.EncodeToString of up to 16 bytes in one allocation,
+// the string's.
+func hexString(b []byte) string {
+	var dst [32]byte
+	return string(dst[:hex.Encode(dst[:], b)])
 }
 
 // fallbackRequestID is NewRequestID's entropy-free path: the top bits
@@ -344,5 +351,5 @@ func fallbackRequestID() string {
 	}
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], base+reqCounter.Add(1))
-	return hex.EncodeToString(b[:])
+	return hexString(b[:])
 }

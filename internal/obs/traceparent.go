@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"crypto/rand"
-	"encoding/hex"
-)
+import "crypto/rand"
 
 // W3C trace-context (traceparent) support. The server parses the
 // inbound header on every /v1 route so trace context survives process
@@ -60,7 +57,7 @@ func NewTraceID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		return fallbackRequestID() + fallbackRequestID()
 	}
-	return hex.EncodeToString(b[:])
+	return hexString(b[:])
 }
 
 // NewSpanID returns a fresh 16-hex-char W3C span ID. It shares

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -99,20 +98,19 @@ func newGate(name string, cfg *admissionConfig) *admissionGate {
 }
 
 // admit tries to claim an execution slot, queuing for at most maxWait
-// when the endpoint is saturated. It returns the release func and the
-// time spent queued, or ok=false when the request must be shed (queue
-// full, wait exhausted, or client gone).
-func (g *admissionGate) admit(r *http.Request) (release func(), wait time.Duration, ok bool) {
-	release = func() { <-g.inflight }
+// when the endpoint is saturated. It returns the time spent queued, or
+// ok=false when the request must be shed (queue full, wait exhausted,
+// or client gone). An admitted request calls release when it is done.
+func (g *admissionGate) admit(r *http.Request) (wait time.Duration, ok bool) {
 	select {
 	case g.inflight <- struct{}{}:
-		return release, 0, true
+		return 0, true
 	default:
 	}
 	if g.queued.Add(1) > g.maxQueue {
 		g.queued.Add(-1)
 		g.shed.Add(1)
-		return nil, 0, false
+		return 0, false
 	}
 	defer g.queued.Add(-1)
 	timer := time.NewTimer(g.maxWait)
@@ -120,17 +118,20 @@ func (g *admissionGate) admit(r *http.Request) (release func(), wait time.Durati
 	start := time.Now()
 	select {
 	case g.inflight <- struct{}{}:
-		return release, time.Since(start), true
+		return time.Since(start), true
 	case <-timer.C:
 		g.shed.Add(1)
-		return nil, 0, false
+		return 0, false
 	case <-r.Context().Done():
 		// The client gave up while queued; count it with the shed — the
 		// gate turned the request away without executing it.
 		g.shed.Add(1)
-		return nil, 0, false
+		return 0, false
 	}
 }
+
+// release frees the slot an admitted request held.
+func (g *admissionGate) release() { <-g.inflight }
 
 // gateStat is one gate's point-in-time counters for /metrics.
 type gateStat struct {
@@ -144,24 +145,12 @@ func (g *admissionGate) stat() gateStat {
 	return gateStat{endpoint: g.name, inflight: len(g.inflight), queued: g.queued.Load(), shed: g.shed.Load()}
 }
 
-// ctxKeyQueueWait keys the admission gate's queue wait in the request
-// context so handlers can surface it in the response meta block.
-type ctxKeyQueueWait struct{}
-
-// queueWaitFrom extracts the time the request spent queued at the
-// admission gate, 0 when it was admitted immediately or no gate is
-// configured.
-func queueWaitFrom(ctx context.Context) time.Duration {
-	d, _ := ctx.Value(ctxKeyQueueWait{}).(time.Duration)
-	return d
-}
-
 // admitted wraps a query handler with gate: shed requests are answered
 // 429 + Retry-After without ever reaching h, admitted ones carry their
-// queue wait in the context.
+// queue wait in the request's state.
 func (s *Server) admitted(g *admissionGate, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		release, wait, ok := g.admit(r)
+		wait, ok := g.admit(r)
 		if !ok {
 			// Retry-After is load shedding's contract with well-behaved
 			// clients: back off at least this long before retrying.
@@ -170,10 +159,8 @@ func (s *Server) admitted(g *admissionGate, h http.HandlerFunc) http.HandlerFunc
 				g.name+" is over capacity; request shed by admission control")
 			return
 		}
-		defer release()
-		if wait > 0 {
-			r = r.WithContext(context.WithValue(r.Context(), ctxKeyQueueWait{}, wait))
-		}
+		defer g.release()
+		requestOf(r).queueWait = wait
 		h(w, r)
 	}
 }

@@ -10,11 +10,14 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"repro"
 )
 
 // The wire codec: the bodies that carry vectors and results —
-// queryRequest, batchRequest, objectRequest in, queryResponse and
-// batchResponse out — are read and written here without reflection.
+// queryRequest, batchRequest, objectRequest in; the query and batch
+// replies and the write acknowledgements out — are read and written
+// here without reflection.
 //
 // Decoding scans a strict subset of JSON in one pass (see scanner). A
 // body outside the subset is not an error: the struct is zeroed and
@@ -25,8 +28,13 @@ import (
 // the differential fuzz targets check.
 //
 // Encoding appends into a pooled buffer under encoding/json's own
-// number and string rules, so a reply is byte-identical to what
-// json.Encoder would have written for the same struct.
+// number and string rules, straight from the index's results, so a
+// reply is byte-identical to what json.Encoder writes for the reply's
+// struct: {"results":[{"id","dist","x","y","text" (omitted when
+// empty)},...],"visited",
+// "meta":{"requestId","partial","cacheHit","snapshotId" and
+// "queueWaitMs" (each omitted when zero)}} — a batch reply's results
+// being one such array per query.
 
 // Request bodies are capped per route at what the route can
 // legitimately carry: bodySlack for keys, text and keywords, plus, for
@@ -41,8 +49,8 @@ const (
 )
 
 // Bodies in flight live in pooled scanners and encoders: the struct is
-// already on the heap, so handing it to a request type's scan method or
-// to an encode callback allocates nothing.
+// already on the heap, so handing it to a request type's scan method
+// allocates nothing.
 var (
 	scannerPool = sync.Pool{New: func() any { return new(scanner) }}
 	encoderPool = sync.Pool{New: func() any { return new(wireEncoder) }}
@@ -123,8 +131,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, vectors int, v w
 	}()
 	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), sc.b[:0], r.ContentLength)
 	sc.b, sc.dim = body, s.idx.Dim()
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	if tooBig := (*http.MaxBytesError)(nil); err != nil && errors.As(err, &tooBig) {
 		return tooLarge()
 	}
 	if err == nil && sc.body(v) {
@@ -283,57 +290,171 @@ func (sc *scanner) str(dst *string) bool {
 	return ok
 }
 
-// number consumes one number of the JSON grammar and returns its text;
-// integer reports that it has neither fraction nor exponent.
-func (sc *scanner) number() (tok []byte, integer, ok bool) {
-	b, i := sc.b, sc.i
-	digits := func() bool {
-		start := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
+// number is one number of the JSON grammar as the scan that found it
+// read it: its text, and its value as mant × 10^exp when that holds
+// every significant digit. A value that does not fit is read from the
+// text by strconv, so the fast paths below only ever answer what
+// strconv would.
+type number struct {
+	tok     []byte
+	mant    uint64 // the first maxMantDigits digits, a fraction's leading zeros included
+	exp     int    // decimal exponent
+	nd      int    // digits in mant
+	neg     bool
+	integer bool // neither fraction nor exponent
+	// inexact says mant × 10^exp is not the value: a nonzero digit fell
+	// past maxMantDigits, or the exponent has more digits than are read.
+	inexact bool
+}
+
+// maxMantDigits is the most decimal digits a uint64 always holds.
+const maxMantDigits = 19
+
+// maxExp10 is the largest power of ten a float64 holds exactly.
+const maxExp10 = 22
+
+var pow10 = [maxExp10 + 1]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// digits consumes the run of decimal digits at b[i:] into n and returns
+// the index after it. frac says the run follows the decimal point, so
+// each digit kept scales the value by 1/10. Past maxMantDigits a zero
+// is dropped (in the integer part it scales the value by 10) and any
+// other digit makes n inexact.
+func (n *number) digits(b []byte, i int, frac bool) int {
+	mant, nd := n.mant, n.nd
+	for ; i < len(b); i++ {
+		d := uint64(b[i] - '0') // a byte below '0' wraps past 9
+		if d > 9 {
+			break
 		}
-		return i > start
+		if nd < maxMantDigits {
+			mant = mant*10 + d
+			nd++
+		} else if d != 0 {
+			n.inexact = true
+		} else if !frac {
+			n.exp++
+		}
 	}
+	if frac {
+		n.exp -= nd - n.nd
+	}
+	n.mant, n.nd = mant, nd
+	return i
+}
+
+// number consumes one number of the JSON grammar into n, reading its
+// value in the same pass.
+func (sc *scanner) number(n *number) bool {
+	b, i := sc.b, sc.i
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if !digits() {
-		return nil, false, false
+	} else {
+		start := i
+		if i = n.digits(b, i, false); i == start {
+			return false
+		}
 	}
-	integer = true
+	n.integer = true
 	if i < len(b) && b[i] == '.' {
 		i++
-		if !digits() {
-			return nil, false, false
+		start := i
+		if i = n.digits(b, i, true); i == start {
+			return false
 		}
-		integer = false
+		n.integer = false
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		neg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			neg = b[i] == '-'
 			i++
 		}
-		if !digits() {
-			return nil, false, false
+		start, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e >= 10000 { // far past every fast path
+				n.inexact = true
+				continue
+			}
+			e = e*10 + int(b[i]-'0')
 		}
-		integer = false
+		if i == start {
+			return false
+		}
+		if neg {
+			e = -e
+		}
+		n.exp += e
+		n.integer = false
 	}
-	tok = b[sc.i:i]
+	n.tok = b[sc.i:i]
 	sc.i = i
-	return tok, integer, true
+	return true
 }
 
-// float parses a number the way encoding/json fills a float field of
-// the given size: strconv's value, and out of range is a failure.
-func (sc *scanner) float(bits int) (float64, bool) {
-	tok, _, ok := sc.number()
-	if !ok {
+// float is n's value as strconv.ParseFloat(n.tok, bits) reads it, and
+// false where strconv fails (out of range). A mantissa below 2^53 and a
+// power of ten up to 10^22 are both exact float64s, so one IEEE multiply
+// or divide of them is the correctly rounded float64. Narrowing that to
+// float32 rounds once more; it lands where rounding the decimal would
+// unless the float64 sits exactly on a float32 rounding midpoint (every
+// such midpoint in float32's normal range is a float64, and rounding to
+// float64 never crosses one), so those, and anything outside the normal
+// range, go to strconv.
+func (n *number) float(bits int) (float64, bool) {
+	if n.mant == 0 && !n.inexact { // every digit zero, whatever the exponent
+		if n.neg {
+			return math.Copysign(0, -1), true
+		}
+		return 0, true
+	}
+	if !n.inexact && n.mant < 1<<53 && -maxExp10 <= n.exp && n.exp <= maxExp10 {
+		f := float64(n.mant)
+		if n.exp < 0 {
+			f /= pow10[-n.exp]
+		} else {
+			f *= pow10[n.exp]
+		}
+		if n.neg {
+			f = -f
+		}
+		if bits == 64 {
+			return f, true
+		}
+		const dropped = 1<<(52-23) - 1 // the float64 mantissa bits float32 drops
+		if a := math.Abs(f); a >= 0x1p-126 && a <= math.MaxFloat32 && math.Float64bits(f)&dropped != 1<<(52-23-1) {
+			return float64(float32(f)), true
+		}
+	}
+	f, err := strconv.ParseFloat(string(n.tok), bits)
+	return f, err == nil
+}
+
+// int64 is n's value as strconv.ParseInt(n.tok, 10, 64) reads it, and
+// false where it fails; n has neither fraction nor exponent, so past 19
+// digits it is out of range.
+func (n *number) int64() (int64, bool) {
+	if n.inexact || n.exp != 0 {
 		return 0, false
 	}
-	f, err := strconv.ParseFloat(string(tok), bits)
-	return f, err == nil
+	if n.neg {
+		return -int64(n.mant), n.mant <= 1<<63
+	}
+	return int64(n.mant), n.mant <= math.MaxInt64
+}
+
+func (sc *scanner) float(bits int) (float64, bool) {
+	var n number
+	if !sc.number(&n) {
+		return 0, false
+	}
+	return n.float(bits)
 }
 
 func (sc *scanner) float64(dst *float64) bool {
@@ -343,13 +464,13 @@ func (sc *scanner) float64(dst *float64) bool {
 }
 
 func (sc *scanner) int64(dst *int64) bool {
-	tok, integer, ok := sc.number()
-	if !ok || !integer {
+	var n number
+	if !sc.number(&n) || !n.integer {
 		return false
 	}
-	n, err := strconv.ParseInt(string(tok), 10, 64)
-	*dst = n
-	return err == nil
+	v, ok := n.int64()
+	*dst = v
+	return ok
 }
 
 func (sc *scanner) int(dst *int) bool {
@@ -361,14 +482,16 @@ func (sc *scanner) int(dst *int) bool {
 	return true
 }
 
+// uint32 reads as strconv.ParseUint(tok, 10, 32), which refuses any
+// sign.
 func (sc *scanner) uint32(dst *uint32) bool {
-	tok, integer, ok := sc.number()
-	if !ok || !integer {
+	var n number
+	if !sc.number(&n) || !n.integer || n.neg {
 		return false
 	}
-	n, err := strconv.ParseUint(string(tok), 10, 32)
-	*dst = uint32(n)
-	return err == nil
+	v, ok := n.int64()
+	*dst = uint32(v)
+	return ok && v <= math.MaxUint32
 }
 
 func (sc *scanner) bool(dst *bool) bool {
@@ -388,13 +511,31 @@ func (sc *scanner) bool(dst *bool) bool {
 
 // The slices start empty, not nil: that is what encoding/json makes of [].
 
+// vec is elements unrolled for the one hot array: no call per element,
+// and the slice is stored once, not once per append.
 func (sc *scanner) vec(dst *[]float32) bool {
-	*dst = make([]float32, 0, sc.dim)
-	return sc.elements(func() bool {
-		f, ok := sc.float(32)
-		*dst = append(*dst, float32(f))
-		return ok
-	})
+	v := make([]float32, 0, sc.dim)
+	if !sc.next('[') {
+		return false
+	}
+	if !sc.next(']') {
+		for {
+			sc.ws()
+			f, ok := sc.float(32)
+			if !ok {
+				return false
+			}
+			v = append(v, float32(f))
+			if !sc.next(',') {
+				break
+			}
+		}
+		if !sc.next(']') {
+			return false
+		}
+	}
+	*dst = v
+	return true
 }
 
 func (sc *scanner) strings(dst *[]string) bool {
@@ -525,6 +666,14 @@ func (e *wireEncoder) float(f float64) {
 
 const hexDigits = "0123456789abcdef"
 
+// plainASCII marks the ASCII bytes str writes as they are.
+var plainASCII = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
 // str writes s quoted and escaped as json.Encoder does by default:
 // \" \\ \b \f \n \r \t by name, other control bytes and the HTML
 // characters < > & as \u00XX, U+2028 and U+2029 as \u2028 and \u2029,
@@ -534,6 +683,10 @@ func (e *wireEncoder) str(s string) {
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
+		if c < utf8.RuneSelf && plainASCII[c] {
+			i++
+			continue
+		}
 		if c >= utf8.RuneSelf {
 			r, size := utf8.DecodeRuneInString(s[i:])
 			switch {
@@ -548,10 +701,6 @@ func (e *wireEncoder) str(s string) {
 			}
 			i += size
 			start = i
-			continue
-		}
-		if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-			i++
 			continue
 		}
 		b = append(b, s[start:i]...)
@@ -577,28 +726,37 @@ func (e *wireEncoder) str(s string) {
 	e.buf = append(append(b, s[start:]...), '"')
 }
 
-func (e *wireEncoder) results(rs []resultItem) {
-	if rs == nil {
-		e.raw("null")
-		return
-	}
+// objectSource resolves a result's ID to its object; cssi.Index does,
+// on the owning shard.
+type objectSource interface {
+	Object(id uint32) (cssi.Object, bool)
+}
+
+// results writes rs as the reply's array, each result decorated with
+// its object's location and text. A result whose object was deleted
+// between the search and the decoration keeps its ID and distance with
+// empty metadata.
+func (e *wireEncoder) results(rs []cssi.Result, objs objectSource) {
 	e.raw("[")
-	for i := range rs {
-		it := &rs[i]
+	for i, r := range rs {
 		if i > 0 {
 			e.raw(",")
 		}
+		o, ok := objs.Object(r.ID)
+		if !ok {
+			o = cssi.Object{}
+		}
 		e.raw(`{"id":`)
-		e.buf = strconv.AppendUint(e.buf, uint64(it.ID), 10)
+		e.buf = strconv.AppendUint(e.buf, uint64(r.ID), 10)
 		e.raw(`,"dist":`)
-		e.float(it.Dist)
+		e.float(r.Dist)
 		e.raw(`,"x":`)
-		e.float(it.X)
+		e.float(o.X)
 		e.raw(`,"y":`)
-		e.float(it.Y)
-		if it.Text != "" {
+		e.float(o.Y)
+		if o.Text != "" {
 			e.raw(`,"text":`)
-			e.str(it.Text)
+			e.str(o.Text)
 		}
 		e.raw("}")
 	}
@@ -609,76 +767,96 @@ func (e *wireEncoder) results(rs []resultItem) {
 func (e *wireEncoder) tail(visited int64, m *respMeta) {
 	e.raw(`,"visited":`)
 	e.buf = strconv.AppendInt(e.buf, visited, 10)
-	if m != nil {
-		e.raw(`,"meta":{"requestId":`)
-		e.str(m.RequestID)
-		e.raw(`,"partial":`)
-		e.buf = strconv.AppendBool(e.buf, m.Partial)
-		e.raw(`,"cacheHit":`)
-		e.buf = strconv.AppendBool(e.buf, m.CacheHit)
-		if m.SnapshotID != 0 {
-			e.raw(`,"snapshotId":`)
-			e.buf = strconv.AppendUint(e.buf, m.SnapshotID, 10)
-		}
-		if m.QueueWaitMs != 0 {
-			e.raw(`,"queueWaitMs":`)
-			e.float(m.QueueWaitMs)
-		}
-		e.raw("}")
+	e.raw(`,"meta":{"requestId":`)
+	e.str(m.RequestID)
+	e.raw(`,"partial":`)
+	e.buf = strconv.AppendBool(e.buf, m.Partial)
+	e.raw(`,"cacheHit":`)
+	e.buf = strconv.AppendBool(e.buf, m.CacheHit)
+	if m.SnapshotID != 0 {
+		e.raw(`,"snapshotId":`)
+		e.buf = strconv.AppendUint(e.buf, m.SnapshotID, 10)
 	}
+	if m.QueueWaitMs != 0 {
+		e.raw(`,"queueWaitMs":`)
+		e.float(m.QueueWaitMs)
+	}
+	e.raw("}}\n")
+}
+
+// queryReply writes the reply of a single-query route.
+func (e *wireEncoder) queryReply(rs []cssi.Result, objs objectSource, visited int64, m *respMeta) {
+	e.raw(`{"results":`)
+	e.results(rs, objs)
+	e.tail(visited, m)
+}
+
+// batchReply writes the reply of /search/batch: one results array per
+// query.
+func (e *wireEncoder) batchReply(batches [][]cssi.Result, objs objectSource, visited int64, m *respMeta) {
+	e.raw(`{"results":[`)
+	for i, rs := range batches {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.results(rs, objs)
+	}
+	e.raw("]")
+	e.tail(visited, m)
+}
+
+// ack writes a write's acknowledgement, {"key":id}, as json.Encoder
+// writes a one-entry map of it.
+func (e *wireEncoder) ack(key string, id uint64) {
+	e.raw(`{"`)
+	e.raw(key)
+	e.raw(`":`)
+	e.buf = strconv.AppendUint(e.buf, id, 10)
 	e.raw("}\n")
 }
 
-func (e *wireEncoder) queryResponse(resp *queryResponse) {
-	e.raw(`{"results":`)
-	e.results(resp.Results)
-	e.tail(resp.Visited, resp.Meta)
+// jsonContentType is every reply's Content-Type value; its capacity of
+// one makes an append to it copy.
+var jsonContentType = []string{"application/json"}
+
+// newEncoder takes a pooled encoder for one reply; send returns it.
+func newEncoder() *wireEncoder {
+	e := encoderPool.Get().(*wireEncoder)
+	e.buf, e.err = e.buf[:0], nil
+	return e
 }
 
-func (e *wireEncoder) batchResponse(resp *batchResponse) {
-	e.raw(`{"results":`)
-	if resp.Results == nil {
-		e.raw("null")
-	} else {
-		e.raw("[")
-		for i, rs := range resp.Results {
-			if i > 0 {
-				e.raw(",")
-			}
-			e.results(rs)
-		}
-		e.raw("]")
-	}
-	e.tail(resp.Visited, resp.Meta)
-}
-
-// writeEncoded sends a reply that encode appends to a pooled encoder.
+// send writes the reply e holds with status and returns e to the pool.
 // Nothing reaches w before the body is complete, so a value that cannot
 // be encoded becomes the 500 envelope rather than a 200 cut short.
-func writeEncoded(w http.ResponseWriter, r *http.Request, status int, encode func(e *wireEncoder)) {
-	e := encoderPool.Get().(*wireEncoder)
+func (e *wireEncoder) send(w http.ResponseWriter, r *http.Request, status int) {
 	defer func() {
 		if cap(e.buf) <= maxPooledBuf {
 			encoderPool.Put(e)
 		}
 	}()
-	e.buf, e.err = e.buf[:0], nil
-	encode(e)
 	if e.err != nil {
 		writeError(w, r, http.StatusInternalServerError, "encoding response: "+e.err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(e.buf) // a client that hung up is not the handler's error
 }
 
+// writeAck sends a write's acknowledgement.
+func writeAck(w http.ResponseWriter, r *http.Request, status int, key string, id uint64) {
+	e := newEncoder()
+	e.ack(key, id)
+	e.send(w, r, status)
+}
+
 // writeJSON is the reflection encoder the cold routes keep (health,
-// stats, traces, explain, object acknowledgements, error envelopes).
+// stats, traces, explain, error envelopes).
 func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	writeEncoded(w, r, status, func(e *wireEncoder) {
-		out := bytes.NewBuffer(e.buf)
-		e.err = json.NewEncoder(out).Encode(v)
-		e.buf = out.Bytes()
-	})
+	e := newEncoder()
+	out := bytes.NewBuffer(e.buf)
+	e.err = json.NewEncoder(out).Encode(v)
+	e.buf = out.Bytes()
+	e.send(w, r, status)
 }

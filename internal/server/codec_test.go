@@ -9,8 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -21,7 +24,13 @@ const codecDim = 16
 // that answer identically while they see the same requests.
 func newCodecServer(tb testing.TB) (*Server, *cssi.Dataset) {
 	tb.Helper()
-	ds, err := cssi.GenerateDataset(cssi.DatasetConfig{Kind: cssi.TwitterLike, Size: 300, Dim: codecDim, Seed: 3})
+	return newServerDim(tb, codecDim)
+}
+
+// newServerDim is newCodecServer at dim dimensions.
+func newServerDim(tb testing.TB, dim int) (*Server, *cssi.Dataset) {
+	tb.Helper()
+	ds, err := cssi.GenerateDataset(cssi.DatasetConfig{Kind: cssi.TwitterLike, Size: 300, Dim: dim, Seed: 3})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -38,14 +47,14 @@ func stdlibOnly[T any, P interface {
 	*T
 	wireRequest
 }](s *Server, h func(http.ResponseWriter, *http.Request, P)) http.Handler {
-	return s.withRequestID(withErrorEnvelope(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return s.withRequest(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req T
 		if err := decodeStd(r.Body, &req); err != nil {
 			writeError(w, r, http.StatusBadRequest, "invalid JSON: "+err.Error())
 			return
 		}
 		h(w, r, &req)
-	})))
+	}))
 }
 
 // serveBody runs one request through h under a fixed request ID, so
@@ -226,9 +235,106 @@ func FuzzDecodeBatch(f *testing.F) {
 		func(s *Server) func(http.ResponseWriter, *http.Request, *batchRequest) { return s.handleSearchBatch })
 }
 
-// FuzzEncodeResponse: the codec's replies are byte-identical to
-// json.Encoder's for the same struct, and refuse exactly what it
-// refuses, with its message.
+// jsonNumber is the JSON grammar's number: what the scanner must take.
+var jsonNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+
+// FuzzParseNumber: the scanner takes exactly the strings the JSON
+// grammar calls numbers (strconv also takes 0x10, inf, +1 and 1_0,
+// which the grammar and encoding/json refuse), and on them its float32
+// and float64 values are strconv.ParseFloat's bit for bit, failing
+// exactly where strconv fails; an integer's int64 and uint32 are
+// strconv.ParseInt's and ParseUint's, failing where they fail.
+func FuzzParseNumber(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "0e0", "-0.0e-400", "1E+2", "1e-0", "0.5", "-1.25e3", "1.5x",
+		// 19 and 20 significant digits; mantissas around 2^53.
+		"1234567890123456789", "12345678901234567890", "0.1234567890123456789", "0.12345678901234567891",
+		"1234567890123456789e-22", "1.0000000000000000000000", "100000000000000000000000",
+		"0.00000000000000000000001", "-0.0000000000000000000000", "0.0000000000000000001234",
+		"9007199254740991", "9007199254740992", "9007199254740993", "-9007199254740993e-3",
+		// Decimal exponents at and just past ±22.
+		"1e22", "1e23", "1e-22", "1e-23", "9007199254740991e22", "9007199254740991e-22", "123.456e20", "123.456e21",
+		// On a float32 rounding midpoint (2^24+1, 2^25+2, 1+2^-24), and
+		// just off one.
+		"16777217", "33554434", "-16777219", "1.000000059604644775390625", "16777217.00000001", "16777217.000000001",
+		// Off a float32 midpoint by less than half a float64 ulp: the
+		// float64 is the midpoint, and narrowing it rounds the wrong way.
+		"0.2612864524126053", "-0.02042215596884489", "3.735092263923434e-06", "0.5652836859226227",
+		// float32 subnormals, its extremes and its overflow; float64's.
+		"1e-45", "1.4e-45", "7e-46", "1e-40", "1.17549435e-38", "3.4028234e38", "3.4028235e38", "3.4028236e38",
+		"3.5e38", "1e39", "4.9e-324", "1e-400", "1.7976931348623157e308", "1.8e308", "1e400",
+		// Exponents strconv reads past what the scan keeps, one of them
+		// landing back in range over 10,099 leading zeros.
+		"1e0000000000000000000000000001", "1e100000", "-1e-100000",
+		"0." + strings.Repeat("0", 10099) + "1e101000", "0." + strings.Repeat("0", 10099) + "1e10100",
+		// Integers at the edges of int64 and uint32.
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"4294967295", "4294967296", "-1",
+		// Outside the grammar.
+		"", "-", "+1", ".5", "1.", "01", "-01", "0x10", "inf", "NaN", "1_0", "1e", "1e+", "--1", "1.5.5", " 1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc := scanner{b: []byte(s)}
+		var n number
+		if whole := sc.number(&n) && sc.i == len(s); whole != jsonNumber.MatchString(s) {
+			t.Fatalf("%q: scanner takes it whole: %v, the JSON grammar: %v", s, whole, !whole)
+		}
+		if !jsonNumber.MatchString(s) {
+			return
+		}
+		for _, bits := range []int{32, 64} {
+			got, gotOK := n.float(bits)
+			want, err := strconv.ParseFloat(s, bits)
+			if gotOK != (err == nil) || gotOK && math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%q at %d bits: scanner %v (%v), strconv %v (%v)", s, bits, got, gotOK, want, err)
+			}
+		}
+		if !n.integer {
+			return
+		}
+		got, gotOK := n.int64()
+		want, err := strconv.ParseInt(s, 10, 64)
+		if gotOK != (err == nil) || gotOK && got != want {
+			t.Fatalf("%q as int64: scanner %d (%v), strconv %d (%v)", s, got, gotOK, want, err)
+		}
+		var u uint32
+		sc = scanner{b: []byte(s)}
+		uOK := sc.uint32(&u)
+		wantU, err := strconv.ParseUint(s, 10, 32)
+		if uOK != (err == nil) || uOK && uint64(u) != wantU {
+			t.Fatalf("%q as uint32: scanner %d (%v), strconv %d (%v)", s, u, uOK, wantU, err)
+		}
+	})
+}
+
+// queryResponse and batchResponse are the replies as structs: what
+// json.Encoder writes for them is what the codec must write.
+type queryResponse struct {
+	Results []resultItem `json:"results"`
+	Visited int64        `json:"visited"`
+	Meta    *respMeta    `json:"meta,omitempty"`
+}
+
+type batchResponse struct {
+	Results [][]resultItem `json:"results"`
+	Visited int64          `json:"visited"`
+	Meta    *respMeta      `json:"meta,omitempty"`
+}
+
+// objectMap is an objectSource over a map.
+type objectMap map[uint32]cssi.Object
+
+func (m objectMap) Object(id uint32) (cssi.Object, bool) {
+	o, ok := m[id]
+	return o, ok
+}
+
+// FuzzEncodeResponse: the codec's replies, encoded straight from the
+// results, their objects and the meta block, are byte-identical to
+// json.Encoder's for the reply's struct and refuse exactly what it
+// refuses, with its message; so are the write acknowledgements.
 func FuzzEncodeResponse(f *testing.F) {
 	floats := []float64{0, math.Copysign(0, -1), 1, -1.5, 0.1, 1e21, 1e21 - 1e5, 1e-6, 1e-7, 9.999999e-7, 5e-324,
 		math.MaxFloat64, -math.MaxFloat64, 1e-10, 123456789.125, math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -238,15 +344,17 @@ func FuzzEncodeResponse(f *testing.F) {
 		f.Add(fl, floats[(i+1)%len(floats)], 0.25, 0.0, texts[i%len(texts)], "req-"+texts[(i+5)%len(texts)], uint32(i), int64(i)-3, uint64(i%3), uint8(i))
 	}
 	f.Add(0.5, 0.25, 0.75, math.NaN(), "t", "r", uint32(1), int64(1), uint64(1), uint8(0))
+	f.Add(0.5, 0.25, 0.75, 0.0, "t", "r", uint32(math.MaxUint32), int64(1), uint64(1), uint8(0))
 	f.Fuzz(func(t *testing.T, dist, x, y, wait float64, text, reqID string, id uint32, visited int64, snap uint64, flags uint8) {
-		results := []resultItem{{ID: id, Dist: dist, X: x, Y: y, Text: text}, {ID: id + 1, Dist: y, X: dist, Y: x}}
+		rs := []cssi.Result{{ID: id, Dist: dist}, {ID: id + 1, Dist: y}}
+		objs := objectMap{id: {ID: id, X: x, Y: y, Text: text}, id + 1: {ID: id + 1, X: dist, Y: x}}
 		if flags&1 != 0 {
-			results = nil
+			delete(objs, id) // deleted between the search and the decoration
 		}
-		var meta *respMeta
-		if flags&2 == 0 {
-			meta = &respMeta{RequestID: reqID, Partial: flags&4 != 0, CacheHit: flags&8 != 0, SnapshotID: snap, QueueWaitMs: wait}
+		if flags&2 != 0 {
+			rs = rs[:0]
 		}
+		meta := respMeta{RequestID: reqID, Partial: flags&4 != 0, CacheHit: flags&8 != 0, SnapshotID: snap, QueueWaitMs: wait}
 		check := func(v any, encode func(*wireEncoder)) {
 			t.Helper()
 			var want bytes.Buffer
@@ -263,13 +371,20 @@ func FuzzEncodeResponse(f *testing.F) {
 				t.Fatalf("reply differs:\njson  %s\ncodec %s", want.Bytes(), e.buf)
 			}
 		}
-		qr := queryResponse{Results: results, Visited: visited, Meta: meta}
-		check(qr, func(e *wireEncoder) { e.queryResponse(&qr) })
-		br := batchResponse{Results: [][]resultItem{results, {}, nil, results[:min(1, len(results))]}, Visited: visited, Meta: meta}
+		check(queryResponse{Results: respond(rs, objs), Visited: visited, Meta: &meta},
+			func(e *wireEncoder) { e.queryReply(rs, objs, visited, &meta) })
+		batches := [][]cssi.Result{rs, {}, nil, rs[:min(1, len(rs))]}
 		if flags&16 != 0 {
-			br.Results = nil
+			batches = batches[:1]
 		}
-		check(br, func(e *wireEncoder) { e.batchResponse(&br) })
+		items := make([][]resultItem, len(batches))
+		for i, rs := range batches {
+			items[i] = respond(rs, objs)
+		}
+		check(batchResponse{Results: items, Visited: visited, Meta: &meta},
+			func(e *wireEncoder) { e.batchReply(batches, objs, visited, &meta) })
+		check(map[string]uint32{"id": id}, func(e *wireEncoder) { e.ack("id", uint64(id)) })
+		check(map[string]uint64{"deleted": uint64(id)}, func(e *wireEncoder) { e.ack("deleted", uint64(id)) })
 	})
 }
 
@@ -577,24 +692,62 @@ func (w *reusedWriter) Write(b []byte) (int, error) {
 }
 func (w *reusedWriter) WriteHeader(status int) { w.status = status }
 
-// TestServedHitAllocs is the deterministic pin a timing cannot give: a
-// /v1/search cache hit driven through Handler() stays under a fixed
-// number of allocations, and the codec's share of them is the decoded
-// vector, the decoded text when there is one, and nothing on the way
-// out. At the parent commit — encoding/json on both sides — the same
-// request (a 16-float vector) cost 43 allocations, 13 of them in decode
-// and 2 in writeJSON; it costs 33 now.
-func TestServedHitAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool bypasses its caches under the race detector")
-	}
-	s, ds := newCodecServer(t)
+// hitServer serves a built index of dim dimensions as the benchmark
+// serves one — result cache on, behind an admission gate sized never to
+// shed — and returns a serve func that sends the /v1/search body of one
+// of its objects once through Handler() and returns the reply. The
+// request and the writer are reset, not remade, per call, so what
+// allocates in serve is the server.
+func hitServer(tb testing.TB, dim int) (s *Server, ds *cssi.Dataset, serve func() *reusedWriter) {
+	tb.Helper()
+	s, ds = newServerDim(tb, dim)
 	s.EnableResultCache(64)
+	if err := s.SetAdmissionLimits(8, 64, time.Second); err != nil {
+		tb.Fatal(err)
+	}
 	h := s.Handler()
 	q := ds.Objects[9]
 	body, err := json.Marshal(map[string]any{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 10, "lambda": 0.5})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	rb := &rewindBody{}
+	r := httptest.NewRequest(http.MethodPost, "/v1/search", rb)
+	r.ContentLength = int64(len(body))
+	w := &reusedWriter{h: http.Header{}}
+	serve = func() *reusedWriter {
+		rb.Reset(body)
+		clear(w.h)
+		w.body, w.status = w.body[:0], 0
+		h.ServeHTTP(w, r)
+		return w
+	}
+	serve() // the miss that fills the cache
+	if w := serve(); w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"cacheHit":true`)) {
+		tb.Fatalf("not a cache hit: %d %s", w.status, w.body)
+	}
+	return s, ds, serve
+}
+
+// rewindBody is a request body that can be read again after a reset.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// TestServedHitAllocs is the deterministic pin a timing cannot give: a
+// /v1/search cache hit driven through Handler(), behind the admission
+// gate, stays under a fixed number of allocations, for a 16-float
+// vector and for the 100-float one the benchmark's clients send, and
+// the codec's share of them is the decoded vector, the decoded text
+// when there is one, and nothing on the way out. With encoding/json on
+// both sides the 16-float hit cost 43 allocations without the gate;
+// with the codec, three ResponseWriter wrappers, two context values, a
+// []resultItem and a *respMeta per reply and an unguarded access log it
+// cost 33 without the gate and 34 with it; it costs 15 now, at either
+// vector length.
+func TestServedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its caches under the race detector")
 	}
 	// AllocsPerRun can see a stray allocation if GC empties the
 	// sync.Pool mid-measure, so take the best of three.
@@ -605,62 +758,52 @@ func TestServedHitAllocs(t *testing.T) {
 		}
 		return best
 	}
-
 	const runs = 50
-	reqs := make([]*http.Request, 3*(runs+1)+2)
-	for i := range reqs {
-		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body))
-	}
-	w := &reusedWriter{h: http.Header{}}
-	next := 0
-	serve := func() {
-		clear(w.h)
-		w.body, w.status = w.body[:0], 0
-		h.ServeHTTP(w, reqs[next])
-		next++
-	}
-	serve() // the miss that fills the cache
-	if w.status != http.StatusOK {
-		t.Fatalf("status %d %s", w.status, w.body)
-	}
-	const ceiling = 36
-	got := measure(runs, serve)
-	if !bytes.Contains(w.body, []byte(`"cacheHit":true`)) {
-		t.Fatalf("not a cache hit: %s", w.body)
-	}
-	t.Logf("one served cache hit: %v allocations (ceiling %d)", got, ceiling)
-	if got > ceiling {
-		t.Errorf("one served cache hit: %v allocations, ceiling %d", got, ceiling)
-	}
-
-	withText, err := json.Marshal(map[string]any{"x": q.X, "y": q.Y, "vec": q.Vec, "text": "wb wc wd", "lambda": 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var req queryRequest
-	for _, c := range []struct {
-		body []byte
-		want float64
-	}{{body, 1}, {withText, 2}} {
-		sc := &scanner{b: c.body, dim: codecDim}
-		if got := measure(runs, func() {
-			req = queryRequest{}
-			if !sc.body(&req) {
-				t.Fatal("outside the strict subset")
-			}
-		}); got > c.want {
-			t.Errorf("scanning %s: %v allocations, want at most %v", c.body, got, c.want)
+	const ceiling = 15
+	for _, dim := range []int{codecDim, 100} {
+		s, ds, serve := hitServer(t, dim)
+		got := measure(runs, func() { serve() })
+		t.Logf("one served cache hit, %d-float vector: %v allocations (ceiling %d)", dim, got, ceiling)
+		if got > ceiling {
+			t.Errorf("one served cache hit, %d-float vector: %v allocations, ceiling %d", dim, got, ceiling)
 		}
-	}
-	resp := queryResponse{Results: s.respond([]cssi.Result{{ID: q.ID, Dist: 0.25}, {ID: ds.Objects[1].ID, Dist: 0.5}}),
-		Visited: 12, Meta: &respMeta{RequestID: "00f067aa0ba902b7", CacheHit: true, SnapshotID: 3}}
-	r := reqs[len(reqs)-1]
-	if got := measure(runs, func() {
-		clear(w.h)
-		w.body = w.body[:0]
-		writeEncoded(w, r, http.StatusOK, func(e *wireEncoder) { e.queryResponse(&resp) })
-	}); got > 1 { // the Content-Type header value
-		t.Errorf("encoding a reply: %v allocations, want at most 1", got)
+
+		q := ds.Objects[9]
+		body, err := json.Marshal(map[string]any{"x": q.X, "y": q.Y, "vec": q.Vec, "k": 10, "lambda": 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		withText, err := json.Marshal(map[string]any{"x": q.X, "y": q.Y, "vec": q.Vec, "text": "wb wc wd", "lambda": 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req queryRequest
+		for _, c := range []struct {
+			body []byte
+			want float64
+		}{{body, 1}, {withText, 2}} {
+			sc := &scanner{b: c.body, dim: dim}
+			if got := measure(runs, func() {
+				req = queryRequest{}
+				if !sc.body(&req) {
+					t.Fatal("outside the strict subset")
+				}
+			}); got > c.want {
+				t.Errorf("scanning %s: %v allocations, want at most %v", c.body, got, c.want)
+			}
+		}
+
+		rs := []cssi.Result{{ID: q.ID, Dist: 0.25}, {ID: ds.Objects[1].ID, Dist: 0.5}}
+		st := &request{r: httptest.NewRequest(http.MethodPost, "/v1/search", nil), id: "00f067aa0ba902b7"}
+		meta := cssi.ResponseMeta{CacheHit: true, SnapshotID: 3}
+		w := &reusedWriter{h: http.Header{}}
+		if got := measure(runs, func() {
+			clear(w.h)
+			w.body = w.body[:0]
+			s.writeResults(w, st, rs, 12, &meta)
+		}); got > 0 {
+			t.Errorf("encoding a reply: %v allocations, want none", got)
+		}
 	}
 }
 
@@ -695,4 +838,18 @@ func BenchmarkDecodeQuery(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServedHit prices the handler's own work on the median
+// request of a hot/cold workload: a /v1/search result-cache hit
+// carrying a 100-float vector, the body shape the benchmark's clients
+// send, driven through Handler() with no socket. One request and one
+// writer are reset per iteration, so what allocates is the server.
+func BenchmarkServedHit(b *testing.B) {
+	_, _, serve := hitServer(b, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
 }

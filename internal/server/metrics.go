@@ -360,18 +360,6 @@ func (m *metrics) observeSearchStats(st *cssi.Stats) {
 	}
 }
 
-// statusRecorder captures the response status so the middleware can
-// count 4xx/5xx responses as errors.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
-	r.ResponseWriter.WriteHeader(status)
-}
-
 // endpointKind classifies an endpoint for latency attribution:
 // kindQuery feeds the search latency histogram, kindMutation the
 // mutation latency histogram, kindPlain neither (probes and scrapes
@@ -393,13 +381,13 @@ func (m *metrics) instrument(endpoint string, kind endpointKind, h http.HandlerF
 	c := m.counters(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		c.requests.Add(1)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		h(rec, r)
+		h(w, r)
 		elapsed := time.Since(start)
+		st := requestOf(r)
 		switch kind {
 		case kindQuery:
-			m.latency.observeExemplar(elapsed.Seconds(), requestIDFrom(r.Context()), traceIDFrom(r.Context()))
+			m.latency.observeExemplar(elapsed.Seconds(), st.id, st.traceID)
 		case kindMutation:
 			m.mutationLatency.observe(elapsed.Seconds())
 		}
@@ -412,7 +400,7 @@ func (m *metrics) instrument(endpoint string, kind endpointKind, h http.HandlerF
 				}
 			}
 		}
-		if rec.status >= 400 {
+		if st.status >= 400 {
 			c.errors.Add(1)
 		}
 	}

@@ -221,26 +221,6 @@ func (s *Server) SetLogger(l *slog.Logger) {
 	}
 }
 
-// ctxKeyRequestID keys the per-request ID in the request context.
-type ctxKeyRequestID struct{}
-
-// ctxKeyTraceID keys the W3C trace ID in the request context.
-type ctxKeyTraceID struct{}
-
-// requestIDFrom extracts the middleware-assigned request ID, or ""
-// when the handler runs outside the middleware (direct tests).
-func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID{}).(string)
-	return id
-}
-
-// traceIDFrom extracts the middleware-assigned W3C trace ID, or ""
-// when the handler runs outside the middleware (direct tests).
-func traceIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyTraceID{}).(string)
-	return id
-}
-
 // buildVersionInfo reads the module version and Go toolchain version
 // for cssi_build_info. The module version is "(devel)" for plain
 // `go build` working-tree builds.
@@ -257,12 +237,77 @@ func buildVersionInfo() (version, goVersion string) {
 	return version, goVersion
 }
 
-// withRequestID is the outermost middleware: it assigns every request
-// an ID (honoring an inbound X-Request-Id so traces correlate across
-// services), echoes it on the response, and emits one Debug-level
-// structured log line per request. Debug level keeps production and
-// test output quiet by default; run cssiserve with -log-level=debug
-// for an access log.
+// request is one request's state, shared by every layer of Handler's
+// stack: the IDs the outermost layer assigns, the status the reply
+// carries, and the admission gate's queue wait. It is the one wrapper
+// of the ResponseWriter and the one value in the request's context.
+type request struct {
+	http.ResponseWriter
+	r       *http.Request
+	id      string // X-Request-Id, also this hop's span ID when it has the shape
+	traceID string // W3C trace ID, inbound or minted
+	status  int
+	// queueWait is the time spent queued at the admission gate (0 when
+	// admitted at once or when no gate is configured).
+	queueWait time.Duration
+	// intercepted says the router's plain-text 404/405 was replaced by
+	// the JSON envelope, so its body is swallowed.
+	intercepted bool
+	// hdr backs the X-Request-Id and traceparent header values.
+	hdr [2]string
+}
+
+// ctxKeyRequest keys the request's state in its context.
+type ctxKeyRequest struct{}
+
+// requestOf returns r's state, or an empty one when the handler runs
+// outside Handler's stack (direct tests).
+func requestOf(r *http.Request) *request {
+	if st, ok := r.Context().Value(ctxKeyRequest{}).(*request); ok {
+		return st
+	}
+	return &request{}
+}
+
+// WriteHeader records the status and rewrites the router's own
+// plain-text error responses (404 unknown route, 405 method mismatch —
+// written by ServeMux, not by any handler) into the JSON error
+// envelope. Handler-raised errors pass through untouched: they already
+// carry the envelope and are recognized by their application/json
+// content type.
+func (st *request) WriteHeader(status int) {
+	st.status = status
+	if (status == http.StatusNotFound || status == http.StatusMethodNotAllowed) &&
+		!strings.HasPrefix(st.Header().Get("Content-Type"), "application/json") {
+		st.intercepted = true
+		msg := "no such route: " + st.r.URL.Path
+		if status == http.StatusMethodNotAllowed {
+			msg = st.r.Method + " not allowed on " + st.r.URL.Path
+		}
+		st.Header().Del("Content-Type")
+		st.Header().Del("X-Content-Type-Options")
+		writeError(st.ResponseWriter, st.r, status, msg)
+		return
+	}
+	st.ResponseWriter.WriteHeader(status)
+}
+
+func (st *request) Write(b []byte) (int, error) {
+	if st.intercepted {
+		// Swallow the router's plain-text body; the envelope is written.
+		return len(b), nil
+	}
+	return st.ResponseWriter.Write(b)
+}
+
+// withRequest is the outermost middleware: it assigns every request an
+// ID (honoring an inbound X-Request-Id so traces correlate across
+// services), echoes it on the response, puts the request's state in
+// its context, and emits one Debug-level structured log line per
+// request when Debug is enabled (run cssiserve with -log-level=debug
+// for an access log). Its writer is the state, which records the
+// status for the metrics and the log and puts the router's own 404/405
+// responses in the JSON error envelope like every handler error.
 //
 // It also speaks W3C trace context: an inbound traceparent header is
 // parsed and its trace ID joined to the request (so the stored trace
@@ -270,37 +315,43 @@ func buildVersionInfo() (version, goVersion string) {
 // trace ID is minted otherwise, and the response echoes a traceparent
 // whose span ID is this server's request ID — tying the two
 // correlation schemes together.
-func (s *Server) withRequestID(next http.Handler) http.Handler {
+func (s *Server) withRequest(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = obs.NewRequestID()
+		st := &request{ResponseWriter: w, status: http.StatusOK}
+		st.id = r.Header.Get("X-Request-Id")
+		if st.id == "" {
+			st.id = obs.NewRequestID()
 		}
-		traceID, parentSpan, ok := obs.ParseTraceParent(r.Header.Get("traceparent"))
+		traceID, parentSpan, ok := obs.ParseTraceParent(r.Header.Get("Traceparent"))
 		if !ok {
 			traceID = obs.NewTraceID()
 		}
+		st.traceID = traceID
 		// The request ID doubles as this hop's span ID when it has the
 		// right shape; an honored inbound X-Request-Id of another format
 		// gets a fresh span ID so the echoed traceparent stays valid.
-		spanID := id
+		spanID := st.id
 		if !obs.ValidSpanID(spanID) {
 			spanID = obs.NewSpanID()
 		}
-		w.Header().Set("X-Request-Id", id)
-		w.Header().Set("traceparent", obs.FormatTraceParent(traceID, spanID))
-		ctx := context.WithValue(r.Context(), ctxKeyRequestID{}, id)
-		ctx = context.WithValue(ctx, ctxKeyTraceID{}, traceID)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		st.hdr = [2]string{st.id, obs.FormatTraceParent(traceID, spanID)}
+		h := w.Header()
+		h["X-Request-Id"] = st.hdr[0:1:1]
+		h["Traceparent"] = st.hdr[1:2:2]
+		st.r = r.WithContext(context.WithValue(r.Context(), ctxKeyRequest{}, st))
+		if !s.log.Enabled(r.Context(), slog.LevelDebug) {
+			next.ServeHTTP(st, st.r)
+			return
+		}
 		start := time.Now()
-		next.ServeHTTP(rec, r.WithContext(ctx))
+		next.ServeHTTP(st, st.r)
 		s.log.Debug("http request",
-			"requestId", id,
+			"requestId", st.id,
 			"traceId", traceID,
 			"parentSpan", parentSpan,
 			"method", r.Method,
 			"path", r.URL.Path,
-			"status", rec.status,
+			"status", st.status,
 			"durationUs", time.Since(start).Microseconds(),
 		)
 	})
@@ -354,7 +405,7 @@ func (s *Server) Handler() http.Handler {
 	}
 	s.met.cacheStats = s.idx.ResultCacheStats
 	mux.HandleFunc("GET /v1/metrics", plain("metrics", s.met.handler(s.idx.ShardStats, version, goVersion)))
-	return s.withRequestID(withErrorEnvelope(mux))
+	return s.withRequest(mux)
 }
 
 // gateStats samples every admission gate for the metrics scrape.
@@ -404,12 +455,6 @@ type resultItem struct {
 	Text string  `json:"text,omitempty"`
 }
 
-type queryResponse struct {
-	Results []resultItem `json:"results"`
-	Visited int64        `json:"visited"`
-	Meta    *respMeta    `json:"meta,omitempty"`
-}
-
 // respMeta is the uniform response metadata block every query endpoint
 // returns: what the serving machinery did to the request, surfaced so
 // clients can tell a complete answer from a deadline-truncated one and
@@ -434,11 +479,11 @@ type respMeta struct {
 }
 
 // respMetaFrom assembles the meta block from the index-filled
-// ResponseMeta and the request context's admission queue wait.
-func (s *Server) respMetaFrom(r *http.Request, m *cssi.ResponseMeta) *respMeta {
-	out := &respMeta{RequestID: requestIDFrom(r.Context()), Partial: m.Partial, CacheHit: m.CacheHit, SnapshotID: m.SnapshotID}
-	if wait := queueWaitFrom(r.Context()); wait > 0 {
-		out.QueueWaitMs = float64(wait.Nanoseconds()) / 1e6
+// ResponseMeta and the request's admission queue wait.
+func respMetaFrom(st *request, m *cssi.ResponseMeta) respMeta {
+	out := respMeta{RequestID: st.id, Partial: m.Partial, CacheHit: m.CacheHit, SnapshotID: m.SnapshotID}
+	if st.queueWait > 0 {
+		out.QueueWaitMs = float64(st.queueWait.Nanoseconds()) / 1e6
 	}
 	return out
 }
@@ -629,12 +674,13 @@ func (s *Server) handleSearch(route *queryRoute) func(http.ResponseWriter, *http
 		if !ok {
 			return
 		}
-		var st cssi.Stats
+		st := requestOf(r)
+		var stats cssi.Stats
 		var meta cssi.ResponseMeta
 		sr := cssi.SearchRequest{
-			Query: c.q, K: req.K, Lambda: req.Lambda, Stats: &st,
+			Query: c.q, K: req.K, Lambda: req.Lambda, Stats: &stats,
 			Deadline: c.budget, Cache: c.cache, Meta: &meta,
-			RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
+			RequestID: st.id, TraceID: st.traceID,
 		}
 		switch route.shape {
 		case shapeKNN:
@@ -651,8 +697,8 @@ func (s *Server) handleSearch(route *queryRoute) func(http.ResponseWriter, *http
 			writeError(w, r, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.met.observeSearchStats(&st)
-		s.writeResults(w, r, rs, st.VisitedObjects, &meta)
+		s.met.observeSearchStats(&stats)
+		s.writeResults(w, st, rs, stats.VisitedObjects, &meta)
 	}
 }
 
@@ -675,22 +721,24 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, req *quer
 	if !ok {
 		return
 	}
+	st := requestOf(r)
 	var trace cssi.SearchTrace
 	var meta cssi.ResponseMeta
 	rs, err := s.idx.DoContext(r.Context(), cssi.SearchRequest{
 		Query: c.q, K: req.K, Lambda: req.Lambda, Approx: req.Approx,
 		Deadline: c.budget, Meta: &meta,
-		Trace: &trace, RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
+		Trace: &trace, RequestID: st.id, TraceID: st.traceID,
 	})
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.met.observeSearchStats(&trace.Total.Stats)
+	m := respMetaFrom(st, &meta)
 	writeJSON(w, r, http.StatusOK, explainResponse{
-		Results: s.respond(rs),
+		Results: respond(rs, s.idx),
 		Trace:   &trace,
-		Meta:    s.respMetaFrom(r, &meta),
+		Meta:    &m,
 	})
 }
 
@@ -718,12 +766,6 @@ type batchRequest struct {
 // the Workers clamp this bounds the per-request goroutine count and
 // keeps a single malicious POST from monopolizing the CPU.
 const maxBatchQueries = 4096
-
-type batchResponse struct {
-	Results [][]resultItem `json:"results"`
-	Visited int64          `json:"visited"`
-	Meta    *respMeta      `json:"meta,omitempty"`
-}
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, req *batchRequest) {
 	if req.K <= 0 {
@@ -767,25 +809,24 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, req *
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	var st cssi.Stats
+	st := requestOf(r)
+	var stats cssi.Stats
 	var meta cssi.ResponseMeta
 	batches, err := s.idx.DoBatchContext(r.Context(), cssi.BatchSearchRequest{
 		Queries: queries, K: req.K, Lambda: req.Lambda, Approx: req.Approx,
-		Parallelism: req.Workers, Stats: &st,
+		Parallelism: req.Workers, Stats: &stats,
 		Deadline: budget, Cache: cacheMode, Meta: &meta,
-		RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
+		RequestID: st.id, TraceID: st.traceID,
 	})
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.met.observeSearchStats(&st)
-	resp := batchResponse{Results: make([][]resultItem, len(batches)), Visited: st.VisitedObjects,
-		Meta: s.respMetaFrom(r, &meta)}
-	for i, rs := range batches {
-		resp.Results[i] = s.respond(rs)
-	}
-	writeEncoded(w, r, http.StatusOK, func(e *wireEncoder) { e.batchResponse(&resp) })
+	s.met.observeSearchStats(&stats)
+	m := respMetaFrom(st, &meta)
+	e := newEncoder()
+	e.batchReply(batches, s.idx, stats.VisitedObjects, &m)
+	e.send(w, r, http.StatusOK)
 }
 
 func (s *Server) handleKeywordSearch(w http.ResponseWriter, r *http.Request, req *queryRequest) {
@@ -793,11 +834,12 @@ func (s *Server) handleKeywordSearch(w http.ResponseWriter, r *http.Request, req
 	if !ok {
 		return
 	}
+	st := requestOf(r)
 	var meta cssi.ResponseMeta
 	rs, err := s.idx.DoContext(r.Context(), cssi.SearchRequest{
 		Query: c.q, K: req.K, Lambda: req.Lambda, Keywords: req.Keywords,
 		Deadline: c.budget, Cache: c.cache, Meta: &meta,
-		RequestID: requestIDFrom(r.Context()), TraceID: traceIDFrom(r.Context()),
+		RequestID: st.id, TraceID: st.traceID,
 	})
 	if err != nil {
 		msg := err.Error()
@@ -807,19 +849,16 @@ func (s *Server) handleKeywordSearch(w http.ResponseWriter, r *http.Request, req
 		writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
-	s.writeResults(w, r, rs, 0, &meta)
+	s.writeResults(w, st, rs, 0, &meta)
 }
 
-// respond decorates results with object metadata, each ID resolved on
-// its owning shard. A result whose object was deleted between the
-// search and the decoration keeps its ID and distance with empty
-// metadata — the same behavior the single-snapshot server had for
-// IDs that missed.
-func (s *Server) respond(rs []cssi.Result) []resultItem {
+// respond decorates results with object metadata for /debug/explain's
+// reflected reply, as wireEncoder.results writes them.
+func respond(rs []cssi.Result, objs objectSource) []resultItem {
 	items := make([]resultItem, len(rs))
 	for i, r := range rs {
 		item := resultItem{ID: r.ID, Dist: r.Dist}
-		if o, ok := s.idx.Object(r.ID); ok {
+		if o, ok := objs.Object(r.ID); ok {
 			item.X, item.Y, item.Text = o.X, o.Y, o.Text
 		}
 		items[i] = item
@@ -827,11 +866,13 @@ func (s *Server) respond(rs []cssi.Result) []resultItem {
 	return items
 }
 
-// writeResults sends the reply the single-query endpoints share. meta
-// is the index-filled block.
-func (s *Server) writeResults(w http.ResponseWriter, r *http.Request, rs []cssi.Result, visited int64, meta *cssi.ResponseMeta) {
-	resp := queryResponse{Results: s.respond(rs), Visited: visited, Meta: s.respMetaFrom(r, meta)}
-	writeEncoded(w, r, http.StatusOK, func(e *wireEncoder) { e.queryResponse(&resp) })
+// writeResults sends the reply the single-query endpoints share,
+// encoded straight from the results and the index-filled meta.
+func (s *Server) writeResults(w http.ResponseWriter, st *request, rs []cssi.Result, visited int64, meta *cssi.ResponseMeta) {
+	m := respMetaFrom(st, meta)
+	e := newEncoder()
+	e.queryReply(rs, s.idx, visited, &m)
+	e.send(w, st.r, http.StatusOK)
 }
 
 // objectRequest is the insert/update body.
@@ -872,7 +913,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, req *objec
 		writeError(w, r, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, r, http.StatusCreated, map[string]uint32{"id": o.ID})
+	writeAck(w, r, http.StatusCreated, "id", uint64(o.ID))
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, req *objectRequest) {
@@ -886,7 +927,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, req *objec
 		writeError(w, r, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, r, http.StatusOK, map[string]uint32{"id": o.ID})
+	writeAck(w, r, http.StatusOK, "id", uint64(o.ID))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -901,7 +942,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, r, http.StatusOK, map[string]uint64{"deleted": id})
+	writeAck(w, r, http.StatusOK, "deleted", id)
 }
 
 // handleRebuild starts a background rebuild (non-blocking: readers and
@@ -918,7 +959,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	// Observe the rebuild duration whether or not the client waits: the
 	// outcome is forwarded through a fresh channel so the ?wait=1 path
 	// still receives it exactly once.
-	requestID := requestIDFrom(r.Context())
+	requestID := requestOf(r).id
 	done := make(chan error, 1)
 	go func() {
 		err := <-inner
@@ -985,54 +1026,11 @@ func errorCode(status int) string {
 func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
 	id := ""
 	if r != nil {
-		id = requestIDFrom(r.Context())
+		id = requestOf(r).id
 	}
 	writeJSON(w, r, status, errorBody{Error: errorDetail{
 		Code:      errorCode(status),
 		Message:   msg,
 		RequestID: id,
 	}})
-}
-
-// envelopeWriter rewrites the router's own plain-text error responses
-// (404 unknown route, 405 method mismatch — written by ServeMux, not by
-// any handler) into the JSON error envelope. Handler-raised errors pass
-// through untouched: they already carry the envelope and are recognized
-// by their application/json content type.
-type envelopeWriter struct {
-	http.ResponseWriter
-	r           *http.Request
-	intercepted bool
-}
-
-func (w *envelopeWriter) WriteHeader(status int) {
-	if (status == http.StatusNotFound || status == http.StatusMethodNotAllowed) &&
-		!strings.HasPrefix(w.Header().Get("Content-Type"), "application/json") {
-		w.intercepted = true
-		msg := "no such route: " + w.r.URL.Path
-		if status == http.StatusMethodNotAllowed {
-			msg = w.r.Method + " not allowed on " + w.r.URL.Path
-		}
-		w.Header().Del("Content-Type")
-		w.Header().Del("X-Content-Type-Options")
-		writeError(w.ResponseWriter, w.r, status, msg)
-		return
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *envelopeWriter) Write(b []byte) (int, error) {
-	if w.intercepted {
-		// Swallow the router's plain-text body; the envelope is written.
-		return len(b), nil
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// withErrorEnvelope wraps the router so its built-in 404/405 responses
-// come out in the JSON error envelope like every handler error.
-func withErrorEnvelope(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&envelopeWriter{ResponseWriter: w, r: r}, r)
-	})
 }
